@@ -29,6 +29,8 @@
 //! All layers report [`diag::Diagnostic`]s with source or code-offset
 //! spans; callers decide whether warnings are fatal.
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 
 pub mod cfg;

@@ -1718,13 +1718,12 @@ mod tests {
         // An interior hop dies mid-run. The router rebuilds its tables
         // from the surviving adjacency and the search still completes —
         // and the whole outcome (answers, arrival times, every wire's
-        // byte counters) is bit-identical on all three engines.
+        // byte counters) is bit-identical on both engines.
         let dead_wire = grid_edge_wire(3, 3, 0, 0, true);
         let mut reference: Option<(DbSearchReport, Vec<(u64, u64)>)> = None;
         for engine in [
             transputer_net::Engine::Event,
             transputer_net::Engine::Sliced,
-            transputer_net::Engine::Parallel,
         ] {
             let config = DbSearchConfig {
                 width: 3,

@@ -14,6 +14,8 @@
 //! * [`workload`] — deterministic synthetic data generation (the paper's
 //!   16-byte records with 4-byte keys).
 
+#![forbid(unsafe_code)]
+
 pub mod dbsearch;
 pub mod workload;
 pub mod workstation;

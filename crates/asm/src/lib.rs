@@ -25,6 +25,8 @@
 //! sized by iterative relaxation exactly like the occam compiler's
 //! emitter.
 
+#![forbid(unsafe_code)]
+
 pub mod dis;
 
 pub use dis::{disassemble, Decoded};

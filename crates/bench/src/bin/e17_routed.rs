@@ -13,7 +13,7 @@
 //! acceptance node count.
 
 use transputer_apps::dbsearch::{DbSearch, HypercubeConfig};
-use transputer_bench::hostperf::{fault_plan_from_env, grid32x32_stress, run_long_path, wormhole};
+use transputer_bench::hostperf::{fault_plan_from_env, grid32x32_stress, run_long_path};
 use transputer_bench::{cells, table};
 use transputer_net::{Engine, RouterStats, Switching};
 
@@ -128,7 +128,9 @@ fn main() {
         && big_stats.is_some_and(|s| s.packets_dropped == 0);
 
     println!("\nrouted grid(32,32), wormhole switching: the ablation");
-    let mut worm = DbSearch::build_routed(wormhole(stress)).expect("wormhole stress builds");
+    let mut worm_stress = stress;
+    worm_stress.net.router.switching = Switching::Wormhole;
+    let mut worm = DbSearch::build_routed(worm_stress).expect("wormhole stress builds");
     let worm_report = worm.run(10_000_000_000_000).expect("wormhole stress runs");
     let worm_stats = worm.network().router_stats();
     table::header(&["metric", "measured", "paper"]);

@@ -1,6 +1,7 @@
-//! Host-performance harness: times the experiment suite and the e09/e10
-//! network benchmarks under the per-instruction event engine and the
-//! lookahead-batched engines, writing `BENCH_host.json`.
+//! Host-performance harness: times the experiment suite and the network
+//! benchmarks of the [`ROWS`] table under the per-instruction event
+//! engine and the lookahead-batched sliced engine, writing
+//! `BENCH_host.json`.
 //!
 //! Usage:
 //!   `cargo run --release -p transputer-bench --bin hostperf`
@@ -20,15 +21,185 @@
 use std::process::Command;
 use std::time::Instant;
 
+use transputer_apps::dbsearch::{DbSearchConfig, HypercubeConfig};
 use transputer_bench::hostperf::{
-    baseline_cpu_mips, baseline_translated_mips, board128, cpu_corpus_bench, cpu_cross_check,
-    cross_check, faulted, faulted_hypercube, figure8, figure8_smoke, grid32x32_stress,
-    history_ratchet_mips, host_cores, hypercube256, parallel_speedup, routed_hypercube256,
-    routed_smoke, run_hypercube, run_long_path, run_network, run_routed, run_routed_hypercube,
-    static_model_runs, switching_pairs, to_json, wormhole, wormhole_hypercube, CpuRun, NetRun,
-    EXPERIMENTS, FAULT_RATE_DEFAULT, FAULT_SEED_DEFAULT,
+    baseline_cpu_mips, baseline_translated_mips, cpu_corpus_bench, cpu_cross_check, cross_check,
+    figure8_smoke, grid32x32_stress, history_ratchet_mips, host_cores, routed_smoke, run_long_path,
+    static_model_runs, switching_pairs, to_json, CpuRun, Machine, NetRun, EXPERIMENTS,
+    FAULT_RATE_DEFAULT, FAULT_SEED_DEFAULT,
 };
+use transputer_link::FaultPlan;
 use transputer_net::{Engine, Switching};
+
+/// What a [`ROWS`] entry runs.
+#[derive(Clone, Copy)]
+enum Job {
+    /// A database search on the machine this constructor returns; the
+    /// argument is the mode's per-packet fault rate, for faulted rows.
+    Search(fn(f64) -> Machine),
+    /// The one-packet corner-to-corner probe of the idle 1024-node grid.
+    LongPath(Switching),
+}
+
+/// Which hostperf modes include a row.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Smoke,
+    Full,
+    Both,
+}
+
+/// Event is the oracle every row that can afford it is checked against.
+const BOTH: &[Engine] = &[Engine::Event, Engine::Sliced];
+/// Rows where the per-instruction engine would add wall time, not
+/// signal: Event-vs-Sliced identity on that machine class is already
+/// pinned by a smaller row.
+const FAST: &[Engine] = &[Engine::Sliced];
+
+fn faulted(machine: Machine, rate: f64) -> Machine {
+    machine.faulted(FaultPlan::uniform(FAULT_SEED_DEFAULT, rate))
+}
+
+/// Every network benchmark: `(name, job, engines, mode)`. Each row runs
+/// under each of its engines, and the runs must fingerprint identically
+/// ([`cross_check`]) — clean, under injected faults (the retry machinery
+/// must hide every fault, bit-identically), and over the router in both
+/// switching modes.
+const ROWS: &[(&str, Job, &[Engine], Mode)] = &[
+    // The smoke machines: e09's topology and a routed 3x3 grid, both
+    // trimmed to run in milliseconds.
+    (
+        "e09_figure8_smoke",
+        Job::Search(|_| Machine::Tree(figure8_smoke())),
+        BOTH,
+        Mode::Smoke,
+    ),
+    (
+        "e09_smoke_faulted",
+        Job::Search(|r| faulted(Machine::Tree(figure8_smoke()), r)),
+        BOTH,
+        Mode::Smoke,
+    ),
+    (
+        "e17_routed_smoke",
+        Job::Search(|_| Machine::Routed(routed_smoke())),
+        BOTH,
+        Mode::Smoke,
+    ),
+    (
+        "e17_routed_smoke_faulted",
+        Job::Search(|r| faulted(Machine::Routed(routed_smoke()), r)),
+        BOTH,
+        Mode::Smoke,
+    ),
+    // The `_worm` rows pair with their store-and-forward counterparts
+    // in the SWITCH ablation table and the history's hop-reduction field.
+    (
+        "e17_routed_smoke_worm",
+        Job::Search(|_| Machine::Routed(routed_smoke()).wormhole()),
+        BOTH,
+        Mode::Smoke,
+    ),
+    (
+        "e17_routed_smoke_worm_faulted",
+        Job::Search(|r| faulted(Machine::Routed(routed_smoke()).wormhole(), r)),
+        BOTH,
+        Mode::Smoke,
+    ),
+    // The paper's machines, full size.
+    (
+        "e09_figure8",
+        Job::Search(|_| Machine::Tree(DbSearchConfig::figure8())),
+        BOTH,
+        Mode::Full,
+    ),
+    (
+        "e10_board128",
+        Job::Search(|_| Machine::Tree(DbSearchConfig::board128())),
+        BOTH,
+        Mode::Full,
+    ),
+    (
+        "e16_hypercube256",
+        Job::Search(|_| Machine::TreeCube(HypercubeConfig::hypercube256())),
+        BOTH,
+        Mode::Full,
+    ),
+    // Faulted variants: the search must complete correct (possibly
+    // degraded-flagged) while each link suffers deterministic drops,
+    // corruption, and jitter.
+    (
+        "e09_faulted",
+        Job::Search(|r| faulted(Machine::Tree(DbSearchConfig::figure8()), r)),
+        BOTH,
+        Mode::Full,
+    ),
+    (
+        "e10_faulted",
+        Job::Search(|r| faulted(Machine::Tree(DbSearchConfig::board128()), r)),
+        BOTH,
+        Mode::Full,
+    ),
+    (
+        "e16_faulted",
+        Job::Search(|r| faulted(Machine::TreeCube(HypercubeConfig::hypercube256()), r)),
+        FAST,
+        Mode::Full,
+    ),
+    // The e17 acceptance shape: the e16 machine searched over virtual
+    // channels, no per-topology tree planning.
+    (
+        "e17_routed256",
+        Job::Search(|_| Machine::RoutedCube(HypercubeConfig::hypercube256())),
+        BOTH,
+        Mode::Full,
+    ),
+    // Wormhole degrades to store-and-forward on the cluster hypercube
+    // (see [`Machine::wormhole`]); `main` checks this row fingerprints
+    // identically to the plain e17 row.
+    (
+        "e17_routed256_worm",
+        Job::Search(|_| Machine::RoutedCube(HypercubeConfig::hypercube256()).wormhole()),
+        FAST,
+        Mode::Full,
+    ),
+    // The 1024-node routed stress grid: the router completes at 4x the
+    // acceptance node count. Its dimension-order tables keep the
+    // channel-dependency graph acyclic, so cut-through stays armed; the
+    // pair is reported in the SWITCH table but not gated — its hop
+    // latencies are queue-wait dominated, so the reduction it shows is
+    // congestion relief, not the switching cost itself.
+    (
+        "e17_grid1024",
+        Job::Search(|_| Machine::Routed(grid32x32_stress())),
+        FAST,
+        Mode::Full,
+    ),
+    (
+        "e17_grid1024_worm",
+        Job::Search(|_| Machine::Routed(grid32x32_stress()).wormhole()),
+        FAST,
+        Mode::Full,
+    ),
+    // One packet over the 62-hop diagonal of the same grid, otherwise
+    // idle, so it costs milliseconds even in the smoke run: the pair
+    // the >= 2x gate judges (store-and-forward pays a full packet
+    // reassembly per hop; cut-through pays three header byte-times —
+    // congestion-free, so the reduction is a deterministic property of
+    // the switching mode, safe under PERF_GATE=hard).
+    (
+        "e17_longpath1024",
+        Job::LongPath(Switching::StoreAndForward),
+        BOTH,
+        Mode::Both,
+    ),
+    (
+        "e17_longpath1024_worm",
+        Job::LongPath(Switching::Wormhole),
+        BOTH,
+        Mode::Both,
+    ),
+];
 
 /// Per-packet fault rate for the faulted variants: `FAULT_RATE` when
 /// set, otherwise the default. The smoke variant scales the rate up so
@@ -110,12 +281,12 @@ fn perf_gate_hard() -> bool {
     std::env::var("PERF_GATE").is_ok_and(|v| v == "hard")
 }
 
-/// Append one JSONL record of this run's CPU-corpus throughput, worker
-/// configuration, and e10 Parallel-vs-Sliced speedup to the append-only
-/// history (`BENCH_history.jsonl`, or the path named by
-/// `BENCH_HISTORY_OUT`). The history makes a slow drift visible that
-/// any single committed-baseline comparison would miss, and is what the
-/// smoke ratchet compares the next run against.
+/// Append one JSONL record of this run's CPU-corpus throughput and
+/// switching-ablation hop latencies to the append-only history
+/// (`BENCH_history.jsonl`, or the path named by `BENCH_HISTORY_OUT`).
+/// The history makes a slow drift visible that any single
+/// committed-baseline comparison would miss, and is what the smoke
+/// ratchet compares the next run against.
 fn append_history(
     smoke: bool,
     current: &CpuRun,
@@ -137,12 +308,6 @@ fn append_history(
     let tnow = translated.emulated_mips();
     let (baseline_s, ratio_s) = ratio_pair(now, baseline);
     let (tbaseline_s, tratio_s) = ratio_pair(tnow, trans_baseline);
-    let par_workers = networks
-        .iter()
-        .find(|r| r.engine == Engine::Parallel)
-        .map_or("null".to_string(), |r| r.par_workers.to_string());
-    let e10_speedup = parallel_speedup(networks, "e10_board128")
-        .map_or("null".to_string(), |s| format!("{s:.3}"));
     // Both switching modes land in the history: the store-and-forward
     // and wormhole mean hop latencies of the corner-to-corner long-path
     // probe (the pair the >= 2x tentpole gate judges; both smoke and
@@ -177,7 +342,6 @@ fn append_history(
          \"baseline_mips\": {baseline_s}, \"ratio\": {ratio_s}, \
          \"translated_mips\": {tnow:.2}, \"translated_baseline_mips\": {tbaseline_s}, \
          \"translated_ratio\": {tratio_s}, \"host_cores\": {}, \
-         \"par_workers\": {par_workers}, \"e10_parallel_speedup\": {e10_speedup}, \
          \"e17_sf_mean_hop_ns\": {sf_hop}, \"e17_worm_mean_hop_ns\": {worm_hop}, \
          \"e17_hop_reduction\": {hop_reduction}}}\n",
         host_cores(),
@@ -196,64 +360,9 @@ fn append_history(
     }
 }
 
-/// Print the engine speedup table (one `SPEEDUP` line per benchmark —
-/// CI lifts these into the step summary) and apply the parallel-engine
-/// ratchet: on a host with ≥ 4 cores, an e10 Parallel-vs-Sliced speedup
-/// below 1.5x is a WARN, and a hard failure under `PERF_GATE=hard`.
-/// Hosts with fewer cores cannot demonstrate the speedup, so the gate
-/// reports and stands down.
-fn speedup_table_and_gate(networks: &[NetRun], problems: &mut Vec<String>) {
-    let mut benches: Vec<&str> = networks.iter().map(|r| r.bench).collect();
-    benches.dedup();
-    println!("hostperf: engine speedup table");
-    for bench in benches {
-        let sliced = networks
-            .iter()
-            .find(|r| r.bench == bench && r.engine == Engine::Sliced);
-        let parallel = networks
-            .iter()
-            .find(|r| r.bench == bench && r.engine == Engine::Parallel);
-        if let (Some(s), Some(p)) = (sliced, parallel) {
-            println!(
-                "SPEEDUP {bench}: sliced {:.1} ms / parallel {:.1} ms = {:.2}x \
-                 (workers {}, cores {}, identical {})",
-                s.wall_ms,
-                p.wall_ms,
-                s.wall_ms / p.wall_ms,
-                p.par_workers,
-                p.host_cores,
-                s.fingerprint == p.fingerprint,
-            );
-        }
-    }
-    let Some(speedup) = parallel_speedup(networks, "e10_board128") else {
-        return;
-    };
-    let cores = host_cores();
-    if cores < 4 {
-        println!(
-            "  parallel ratchet: host has {cores} core(s); speedup not demonstrable, gate stands down"
-        );
-        return;
-    }
-    if speedup < 1.5 {
-        let msg = format!(
-            "parallel engine regression: e10 Parallel-vs-Sliced speedup {speedup:.2}x \
-             below the 1.5x ratchet on a {cores}-core host"
-        );
-        if perf_gate_hard() {
-            problems.push(format!("{msg} (PERF_GATE=hard)"));
-        } else {
-            println!("WARN: {msg}");
-        }
-    } else {
-        println!("  parallel ratchet: e10 speedup {speedup:.2}x on {cores} cores — ok");
-    }
-}
-
 /// Print the router hop-latency table: one `ROUTER` line per routed
-/// benchmark (CI lifts these into the step summary alongside the
-/// `SPEEDUP` lines). Stats come from the Sliced row when present —
+/// benchmark (CI lifts these into the step summary). Stats come from
+/// the Sliced row when present —
 /// hop counters may trail by a packet between engines because closing
 /// acks race the all-halted detection, so one engine's row is quoted
 /// rather than a cross-engine mix.
@@ -476,141 +585,6 @@ fn main() {
         cpu_runs.push(trans);
         cpu_runs.push(on);
         cpu_runs.push(off);
-        let runs: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_network("e09_figure8_smoke", figure8_smoke(), e))
-            .collect();
-        for r in &runs {
-            print_net(r);
-        }
-        problems.extend(cross_check(&runs));
-        networks.extend(runs);
-
-        // The same topology under injected link faults: the retry
-        // machinery must hide every fault and stay bit-identical
-        // across engines. The short smoke run sees few packets, so the
-        // rate is scaled up to make faults certain to fire.
-        let smoke_rate = (fault_rate() * 20.0).min(0.01);
-        println!("hostperf --smoke: faulted variant (rate {smoke_rate})");
-        let faulted_runs: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_network(
-                    "e09_smoke_faulted",
-                    faulted(figure8_smoke(), FAULT_SEED_DEFAULT, smoke_rate),
-                    e,
-                )
-            })
-            .collect();
-        for r in &faulted_runs {
-            print_net(r);
-        }
-        problems.extend(cross_check(&faulted_runs));
-        networks.extend(faulted_runs);
-
-        // The routed variant of the trimmed grid: every engine must
-        // packetize, forward, and deliver bit-identically, clean and
-        // under injected faults.
-        println!("hostperf --smoke: routed grid (virtual-channel router)");
-        let routed: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_routed("e17_routed_smoke", routed_smoke(), e))
-            .collect();
-        for r in &routed {
-            print_net(r);
-        }
-        problems.extend(cross_check(&routed));
-        networks.extend(routed);
-
-        println!("hostperf --smoke: routed grid under faults (rate {smoke_rate})");
-        let routed_faulted: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_routed(
-                    "e17_routed_smoke_faulted",
-                    faulted(routed_smoke(), FAULT_SEED_DEFAULT, smoke_rate),
-                    e,
-                )
-            })
-            .collect();
-        for r in &routed_faulted {
-            print_net(r);
-        }
-        problems.extend(cross_check(&routed_faulted));
-        networks.extend(routed_faulted);
-
-        // The wormhole switching mode over the same grid, clean and
-        // faulted: cut-through streaming must stay bit-identical
-        // across engines exactly like store-and-forward, and the pair
-        // of rows feeds the SWITCH ablation table and the history's
-        // hop-reduction field.
-        println!("hostperf --smoke: routed grid, wormhole switching");
-        let routed_worm: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_routed("e17_routed_smoke_worm", wormhole(routed_smoke()), e))
-            .collect();
-        for r in &routed_worm {
-            print_net(r);
-        }
-        problems.extend(cross_check(&routed_worm));
-        networks.extend(routed_worm);
-
-        println!("hostperf --smoke: routed grid, wormhole under faults (rate {smoke_rate})");
-        let routed_worm_faulted: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_routed(
-                    "e17_routed_smoke_worm_faulted",
-                    wormhole(faulted(routed_smoke(), FAULT_SEED_DEFAULT, smoke_rate)),
-                    e,
-                )
-            })
-            .collect();
-        for r in &routed_worm_faulted {
-            print_net(r);
-        }
-        problems.extend(cross_check(&routed_worm_faulted));
-        networks.extend(routed_worm_faulted);
-
-        // The corner-to-corner long-path probe on the full 1024-node
-        // grid, both switching modes under every engine: one packet on
-        // an otherwise idle machine, so it costs milliseconds even in
-        // the smoke run, and it is the pair the >= 2x tentpole gate
-        // judges (congestion-free, the reduction is a deterministic
-        // property of the switching mode, safe under PERF_GATE=hard).
-        println!("hostperf --smoke: e17 long-path probe (corner to corner, 1024-node grid)");
-        let longpath: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_long_path("e17_longpath1024", Switching::StoreAndForward, e))
-            .collect();
-        for r in &longpath {
-            print_net(r);
-        }
-        problems.extend(cross_check(&longpath));
-        networks.extend(longpath);
-        let longpath_worm: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_long_path("e17_longpath1024_worm", Switching::Wormhole, e))
-            .collect();
-        for r in &longpath_worm {
-            print_net(r);
-        }
-        problems.extend(cross_check(&longpath_worm));
-        networks.extend(longpath_worm);
-
-        // The full e10 board under the two batched engines: the rows the
-        // parallel ratchet compares (the event engine would dominate the
-        // smoke's wall time without adding a ratchet signal).
-        println!("hostperf --smoke: e10 board (parallel ratchet rows)");
-        let e10: Vec<NetRun> = [Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_network("e10_board128", board128(), e))
-            .collect();
-        for r in &e10 {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e10));
-        networks.extend(e10);
     } else {
         println!("hostperf: timing experiment binaries");
         let (rows, probs) = time_experiments();
@@ -640,218 +614,57 @@ fn main() {
         cpu_runs.push(trans);
         cpu_runs.push(on);
         cpu_runs.push(off);
-
-        println!("hostperf: e09 figure-8 (16 transputers)");
-        let e09: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_network("e09_figure8", figure8(), e))
-            .collect();
-        for r in &e09 {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e09));
-        networks.extend(e09);
-
-        println!("hostperf: e10 board (128 transputers)");
-        let e10: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_network("e10_board128", board128(), e))
-            .collect();
-        for r in &e10 {
-            print_net(r);
-        }
-        let event = e10[0].wall_ms;
-        let sliced = e10[1].wall_ms;
-        println!(
-            "  e10 speedup: {:.2}x (event {:.1} ms -> sliced {:.1} ms)",
-            event / sliced,
-            event,
-            sliced
-        );
-        problems.extend(cross_check(&e10));
-        networks.extend(e10);
-
-        println!("hostperf: e16 hypercube (256 transputers)");
-        let e16: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_hypercube("e16_hypercube256", hypercube256(), e))
-            .collect();
-        for r in &e16 {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e16));
-        networks.extend(e16);
-
-        // Faulted variants: the acceptance bar for the fault layer is
-        // that the search completes correct (possibly degraded-flagged)
-        // with identical fingerprints on every engine while each link
-        // suffers deterministic drops, corruption, and jitter.
-        let rate = fault_rate();
-        println!("hostperf: e09 figure-8 under faults (rate {rate})");
-        let e09f: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_network(
-                    "e09_faulted",
-                    faulted(figure8(), FAULT_SEED_DEFAULT, rate),
-                    e,
-                )
-            })
-            .collect();
-        for r in &e09f {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e09f));
-        networks.extend(e09f);
-
-        println!("hostperf: e10 board (128 transputers) under faults (rate {rate})");
-        let e10f: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_network(
-                    "e10_faulted",
-                    faulted(board128(), FAULT_SEED_DEFAULT, rate),
-                    e,
-                )
-            })
-            .collect();
-        for r in &e10f {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e10f));
-        networks.extend(e10f);
-
-        // The faulted hypercube runs under the two batched engines only:
-        // the new-engine-critical check is Sliced↔Parallel identity
-        // (Event↔Sliced equivalence under faults is pinned on e09/e10).
-        println!("hostperf: e16 hypercube under faults (rate {rate})");
-        let e16f: Vec<NetRun> = [Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_hypercube(
-                    "e16_faulted",
-                    faulted_hypercube(hypercube256(), FAULT_SEED_DEFAULT, rate),
-                    e,
-                )
-            })
-            .collect();
-        for r in &e16f {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e16f));
-        networks.extend(e16f);
-
-        // The routed hypercube: the e17 acceptance shape — the same
-        // 256-node machine as e16 searched over virtual channels, no
-        // per-topology tree planning.
-        println!("hostperf: e17 routed hypercube (256 transputers)");
-        let e17: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_routed_hypercube("e17_routed256", routed_hypercube256(), e))
-            .collect();
-        for r in &e17 {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17));
-        networks.extend(e17);
-
-        // The wormhole hypercube: the cluster hypercube's e-cube
-        // tables have a cyclic channel-dependency graph, so the router
-        // degrades cut-through to store-and-forward at build time; the
-        // rows must fingerprint identically to the plain e17 rows
-        // (checked below), making the degrade visible and harmless at
-        // full scale.
-        println!("hostperf: e17 routed hypercube, wormhole switching (degrades to SF)");
-        let e17w: Vec<NetRun> = [Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| {
-                run_routed_hypercube(
-                    "e17_routed256_worm",
-                    wormhole_hypercube(routed_hypercube256()),
-                    e,
-                )
-            })
-            .collect();
-        for r in &e17w {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17w));
-        if let (Some(sf), Some(worm)) = (
-            networks
-                .iter()
-                .find(|r| r.bench == "e17_routed256" && r.engine == Engine::Sliced),
-            e17w.iter().find(|r| r.engine == Engine::Sliced),
-        ) {
-            if sf.fingerprint != worm.fingerprint {
-                problems.push(
-                    "e17_routed256_worm: degraded wormhole run diverged from store-and-forward"
-                        .to_string(),
-                );
-            }
-        }
-        networks.extend(e17w);
-
-        // The 1024-node routed stress grid under the batched engines:
-        // proves the router completes at 4x the acceptance node count
-        // (the per-instruction engine adds wall time, not signal).
-        println!("hostperf: e17 routed stress grid (1024 transputers)");
-        let e17s: Vec<NetRun> = [Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_routed("e17_grid1024", grid32x32_stress(), e))
-            .collect();
-        for r in &e17s {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17s));
-        networks.extend(e17s);
-
-        // The same stress grid under wormhole switching. The grid's
-        // dimension-order tables keep the channel-dependency graph
-        // acyclic, so cut-through stays armed; the pair is reported in
-        // the SWITCH table but not gated — the stress workload's hop
-        // latencies are queue-wait dominated, so the reduction it shows
-        // is congestion relief, not the switching cost itself.
-        println!("hostperf: e17 routed stress grid, wormhole switching");
-        let e17sw: Vec<NetRun> = [Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_routed("e17_grid1024_worm", wormhole(grid32x32_stress()), e))
-            .collect();
-        for r in &e17sw {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17sw));
-        networks.extend(e17sw);
-
-        // The corner-to-corner long-path probe on the same 1024-node
-        // grid: one packet over the 62-hop diagonal of an idle machine,
-        // the pair the >= 2x tentpole gate judges (store-and-forward
-        // pays a full packet reassembly per hop; cut-through pays three
-        // header byte-times).
-        println!("hostperf: e17 long-path probe (corner to corner, 1024-node grid)");
-        let e17lp: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_long_path("e17_longpath1024", Switching::StoreAndForward, e))
-            .collect();
-        for r in &e17lp {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17lp));
-        networks.extend(e17lp);
-        let e17lpw: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
-            .into_iter()
-            .map(|e| run_long_path("e17_longpath1024_worm", Switching::Wormhole, e))
-            .collect();
-        for r in &e17lpw {
-            print_net(r);
-        }
-        problems.extend(cross_check(&e17lpw));
-        networks.extend(e17lpw);
     }
 
-    // The speedup table, the parallel ratchet, and the throughput
-    // regression checks run over whichever rows the mode produced; the
-    // history line carries this run's e10 speedup for the next ratchet.
-    speedup_table_and_gate(&networks, &mut problems);
+    // Faulted rows: `FAULT_RATE` as given, except that the short smoke
+    // run sees few packets, so its rate is scaled up to make faults
+    // certain to fire.
+    let rate = if smoke {
+        (fault_rate() * 20.0).min(0.01)
+    } else {
+        fault_rate()
+    };
+    let mode = if smoke { Mode::Smoke } else { Mode::Full };
+    println!("hostperf: network benchmarks (fault rate {rate} on faulted rows)");
+    for &(bench, job, engines, when) in ROWS {
+        if when != mode && when != Mode::Both {
+            continue;
+        }
+        let runs: Vec<NetRun> = engines
+            .iter()
+            .map(|&engine| match job {
+                Job::Search(machine) => machine(rate).run(bench, engine),
+                Job::LongPath(switching) => run_long_path(bench, switching, engine),
+            })
+            .collect();
+        for r in &runs {
+            print_net(r);
+        }
+        if let [event, sliced] = &runs[..] {
+            println!(
+                "  {bench} speedup: {:.2}x (event {:.1} ms -> sliced {:.1} ms)",
+                event.wall_ms / sliced.wall_ms,
+                event.wall_ms,
+                sliced.wall_ms
+            );
+        }
+        problems.extend(cross_check(&runs));
+        networks.extend(runs);
+    }
+    let sliced_fingerprint = |bench: &str| {
+        networks
+            .iter()
+            .find(|r| r.bench == bench && r.engine == Engine::Sliced)
+            .map(|r| r.fingerprint)
+    };
+    if sliced_fingerprint("e17_routed256") != sliced_fingerprint("e17_routed256_worm") {
+        problems.push(
+            "e17_routed256_worm: degraded wormhole run diverged from store-and-forward".to_string(),
+        );
+    }
+
+    // The tables and the throughput regression checks run over
+    // whichever rows the mode produced.
     router_table(&networks);
     switching_table_and_gate(&networks, &mut problems);
     if let (Some(on), Some(trans)) = (

@@ -3,7 +3,7 @@
 //! Everything else in this crate measures *simulated* quantities —
 //! cycle counts, link utilisation, paper tables. This module measures
 //! the *host*: how fast the emulator executes, and what the
-//! lookahead-batched engines buy over the per-instruction event engine.
+//! lookahead-batched engine buys over the per-instruction event engine.
 //! Results are written to `BENCH_host.json`.
 //!
 //! Wall-clock numbers vary between machines; outcome fingerprints must
@@ -13,9 +13,9 @@
 use std::time::Instant;
 
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
-use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, HypercubeConfig};
+use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, DbSearchReport, HypercubeConfig};
 use transputer_link::FaultPlan;
-use transputer_net::{Engine, RouterConfig, Switching};
+use transputer_net::{Engine, Network, NetworkConfig, RouterConfig, Switching};
 
 use crate::corpus;
 
@@ -69,10 +69,6 @@ pub struct NetRun {
     /// `(blocks, enters, deopts, invalidations)`. Host-side only,
     /// excluded from the fingerprint.
     pub trans: (u64, u64, u64, u64),
-    /// Worker count the parallel engine would use on this network
-    /// (recorded for every engine so Parallel rows are interpretable
-    /// across machines). Host-side only, excluded from the fingerprint.
-    pub par_workers: usize,
     /// Logical cores of the host that produced this row. Host-side
     /// only, excluded from the fingerprint.
     pub host_cores: usize,
@@ -104,6 +100,8 @@ impl NetRun {
     }
 }
 
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(hash: &mut u64, value: u64) {
     for byte in value.to_le_bytes() {
         *hash ^= u64::from(byte);
@@ -116,109 +114,114 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Build and run one grid search network, timing the run and
-/// fingerprinting every engine-visible outcome.
-///
-/// # Panics
-///
-/// Panics if the network fails to build or faults while running — a
-/// panic here is exactly what the smoke gate exists to catch.
-pub fn run_network(bench: &'static str, config: DbSearchConfig, engine: Engine) -> NetRun {
-    let config = DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..config.net.clone()
-        },
-        ..config
-    };
-    measure(
-        bench,
-        engine,
-        DbSearch::build(config).expect("benchmark network builds"),
-    )
+/// A search machine: planned spanning trees or the virtual-channel
+/// router, over a grid or a hypercube of clusters.
+#[derive(Debug, Clone)]
+pub enum Machine {
+    /// Planned trees on a grid (e09, e10).
+    Tree(DbSearchConfig),
+    /// The same grid searched over virtual channels: every message is
+    /// packetized and hops through per-node routing tables.
+    Routed(DbSearchConfig),
+    /// Planned trees on a hypercube of clusters (e16).
+    TreeCube(HypercubeConfig),
+    /// The hypercube searched over virtual channels (e17).
+    RoutedCube(HypercubeConfig),
 }
 
-/// [`run_network`] for a hypercube-of-clusters machine (e16).
-///
-/// # Panics
-///
-/// Panics if the network fails to build or faults while running.
-pub fn run_hypercube(bench: &'static str, config: HypercubeConfig, engine: Engine) -> NetRun {
-    let config = HypercubeConfig {
-        net: transputer_net::NetworkConfig {
+impl Machine {
+    fn net(&mut self) -> &mut NetworkConfig {
+        match self {
+            Machine::Tree(c) | Machine::Routed(c) => &mut c.net,
+            Machine::TreeCube(c) | Machine::RoutedCube(c) => &mut c.net,
+        }
+    }
+
+    /// This machine with a deterministic fault plan injected: every
+    /// link switches to the robust sequenced protocol and suffers the
+    /// plan's drops, corruption, jitter and dead wires.
+    pub fn faulted(mut self, plan: FaultPlan) -> Machine {
+        self.net().fault = Some(plan);
+        self
+    }
+
+    /// This machine switched to wormhole (cut-through) forwarding:
+    /// transit nodes start retransmitting a packet at header decode
+    /// instead of after full reassembly, streaming the payload hop by
+    /// hop under flit-level withheld-ack credits. The cluster
+    /// hypercube's e-cube tables carry a cyclic channel-dependency
+    /// graph, so on [`Machine::RoutedCube`] the router degrades this
+    /// request to store-and-forward at build time — the run must be
+    /// byte-identical to the plain machine's, which is exactly what
+    /// benchmarking it demonstrates.
+    pub fn wormhole(mut self) -> Machine {
+        self.net().router.switching = Switching::Wormhole;
+        self
+    }
+
+    /// Build this machine under `engine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network fails to build: its programs are generated
+    /// by the repository itself, so that is a bug, not an outcome.
+    pub fn build(mut self, engine: Engine) -> DbSearch {
+        self.net().engine = engine;
+        match self {
+            Machine::Tree(c) => DbSearch::build(c),
+            Machine::Routed(c) => DbSearch::build_routed(c),
+            Machine::TreeCube(c) => DbSearch::build_hypercube(c),
+            Machine::RoutedCube(c) => DbSearch::build_routed_hypercube(c),
+        }
+        .expect("benchmark network builds")
+    }
+
+    /// Build this machine under `engine` and run its search, timing the
+    /// run and fingerprinting every engine-visible outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network fails to build or faults while running — a
+    /// panic here is exactly what the smoke gate exists to catch.
+    pub fn run(self, bench: &'static str, engine: Engine) -> NetRun {
+        let mut sim = self.build(engine);
+        let start = Instant::now();
+        let report = sim
+            .run(100_000_000_000_000)
+            .expect("benchmark network runs");
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+
+        let mut hash = FNV_BASIS;
+        for &a in &report.answers {
+            fnv1a(&mut hash, u64::from(a));
+        }
+        for &t in &report.answer_times_ns {
+            fnv1a(&mut hash, t);
+        }
+        net_run(
+            bench,
             engine,
-            ..config.net.clone()
-        },
-        ..config
-    };
-    measure(
-        bench,
-        engine,
-        DbSearch::build_hypercube(config).expect("benchmark network builds"),
-    )
+            wall_ms,
+            report.total_ns,
+            report.all_correct(),
+            hash,
+            sim.network(),
+        )
+    }
 }
 
-/// [`run_network`] over the virtual-channel router instead of the
-/// planned spanning tree: same grid, same workload, but every message
-/// is packetized and hops through per-node routing tables.
-///
-/// # Panics
-///
-/// Panics if the network fails to build or faults while running.
-pub fn run_routed(bench: &'static str, config: DbSearchConfig, engine: Engine) -> NetRun {
-    let config = DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..config.net.clone()
-        },
-        ..config
-    };
-    measure(
-        bench,
-        engine,
-        DbSearch::build_routed(config).expect("benchmark network builds"),
-    )
-}
-
-/// [`run_hypercube`] over the virtual-channel router.
-///
-/// # Panics
-///
-/// Panics if the network fails to build or faults while running.
-pub fn run_routed_hypercube(
+/// Fold a finished network's per-node halt cycles and instruction
+/// counters and per-wire delivered-byte counters into `hash`, and
+/// assemble the row with the host-side counters beside it.
+fn net_run(
     bench: &'static str,
-    config: HypercubeConfig,
     engine: Engine,
+    wall_ms: f64,
+    sim_ns: u64,
+    answers_ok: bool,
+    mut hash: u64,
+    net: &Network,
 ) -> NetRun {
-    let config = HypercubeConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..config.net.clone()
-        },
-        ..config
-    };
-    measure(
-        bench,
-        engine,
-        DbSearch::build_routed_hypercube(config).expect("benchmark network builds"),
-    )
-}
-
-fn measure(bench: &'static str, engine: Engine, mut sim: DbSearch) -> NetRun {
-    let start = Instant::now();
-    let report = sim
-        .run(100_000_000_000_000)
-        .expect("benchmark network runs");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let net = sim.network();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &a in &report.answers {
-        fnv1a(&mut hash, u64::from(a));
-    }
-    for &t in &report.answer_times_ns {
-        fnv1a(&mut hash, t);
-    }
     let mut cycles = 0u64;
     let mut instructions = 0u64;
     for id in 0..net.len() {
@@ -237,14 +240,13 @@ fn measure(bench: &'static str, engine: Engine, mut sim: DbSearch) -> NetRun {
         bench,
         engine,
         wall_ms,
-        sim_ns: report.total_ns,
+        sim_ns,
         cycles,
         instructions,
-        answers_ok: report.all_correct(),
+        answers_ok,
         fingerprint: hash,
         decode: net.decode_stats(),
         trans: net.trans_stats(),
-        par_workers: net.par_workers(),
         host_cores: host_cores(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
@@ -329,7 +331,7 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> Cp
     let mut instructions = 0u64;
     let mut decode = (0u64, 0u64, 0u64, 0u64);
     let mut trans = (0u64, 0u64, 0u64, 0u64);
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_BASIS;
     // Only execution is timed: processor construction and program
     // loading are setup, not emulation throughput.
     let mut wall = std::time::Duration::ZERO;
@@ -386,11 +388,6 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> Cp
     }
 }
 
-/// The e09 figure-8 network, full size.
-pub fn figure8() -> DbSearchConfig {
-    DbSearchConfig::figure8()
-}
-
 /// The e09 topology with a trimmed database: seconds, not minutes,
 /// under the per-instruction engine in debug builds.
 pub fn figure8_smoke() -> DbSearchConfig {
@@ -401,24 +398,14 @@ pub fn figure8_smoke() -> DbSearchConfig {
     }
 }
 
-/// The e10 128-transputer board.
-pub fn board128() -> DbSearchConfig {
-    DbSearchConfig::board128()
-}
-
 /// The e10 topology with a trimmed database, for debug-mode
-/// determinism sweeps over many worker counts.
+/// determinism sweeps.
 pub fn board128_smoke() -> DbSearchConfig {
     DbSearchConfig {
         records_per_node: 12,
         requests: 3,
         ..DbSearchConfig::board128()
     }
-}
-
-/// The e16 256-node hypercube machine.
-pub fn hypercube256() -> HypercubeConfig {
-    HypercubeConfig::hypercube256()
 }
 
 /// An e16-shaped machine trimmed for debug-mode determinism sweeps:
@@ -446,23 +433,6 @@ pub fn routed_smoke() -> DbSearchConfig {
     }
 }
 
-/// The e17 acceptance shape: the full 256-node hypercube-of-clusters
-/// machine searched over virtual channels instead of the planned
-/// spanning tree.
-pub fn routed_hypercube256() -> HypercubeConfig {
-    HypercubeConfig::hypercube256()
-}
-
-/// A routed hypercube trimmed for debug-mode determinism sweeps.
-pub fn routed_hypercube_smoke() -> HypercubeConfig {
-    HypercubeConfig {
-        side: 2,
-        records_per_node: 12,
-        requests: 3,
-        ..HypercubeConfig::hypercube256()
-    }
-}
-
 /// The ≥512-node routed stress shape: a 32×32 grid (1024 transputers
 /// plus host nodes) with a thin database, so the run is dominated by
 /// router forwarding rather than record scanning.
@@ -473,41 +443,6 @@ pub fn grid32x32_stress() -> DbSearchConfig {
         records_per_node: 20,
         requests: 2,
         ..DbSearchConfig::figure8()
-    }
-}
-
-/// `config` switched to wormhole (cut-through) forwarding: transit
-/// nodes start retransmitting a packet at header decode instead of
-/// after full reassembly, streaming the payload hop by hop under
-/// flit-level withheld-ack credits.
-pub fn wormhole(config: DbSearchConfig) -> DbSearchConfig {
-    DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            router: RouterConfig {
-                switching: Switching::Wormhole,
-                ..config.net.router
-            },
-            ..config.net.clone()
-        },
-        ..config
-    }
-}
-
-/// [`wormhole`] for a hypercube-of-clusters machine. The cluster
-/// hypercube's e-cube tables carry a cyclic channel-dependency graph,
-/// so the router degrades this request to store-and-forward at build
-/// time — the run must be byte-identical to the plain configuration,
-/// which is exactly what benchmarking it demonstrates.
-pub fn wormhole_hypercube(config: HypercubeConfig) -> HypercubeConfig {
-    HypercubeConfig {
-        net: transputer_net::NetworkConfig {
-            router: RouterConfig {
-                switching: Switching::Wormhole,
-                ..config.net.router
-            },
-            ..config.net.clone()
-        },
-        ..config
     }
 }
 
@@ -597,37 +532,15 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
         .peek_word(addr)
         .expect("probe word peeks");
 
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    for id in 0..net.len() {
-        let node = net.node(id);
-        cycles += node.cycles();
-        instructions += node.stats().instructions;
-        fnv1a(&mut hash, node.cycles());
-        fnv1a(&mut hash, node.stats().instructions);
-    }
-    for w in 0..net.wire_count() {
-        let (a, b) = net.wire_delivered(w);
-        fnv1a(&mut hash, a);
-        fnv1a(&mut hash, b);
-    }
-    NetRun {
+    net_run(
         bench,
         engine,
         wall_ms,
-        sim_ns: net.time_ns(),
-        cycles,
-        instructions,
-        answers_ok: i64::from(got) == word,
-        fingerprint: hash,
-        decode: net.decode_stats(),
-        trans: net.trans_stats(),
-        par_workers: net.par_workers(),
-        host_cores: host_cores(),
-        router: net.router_stats(),
-        cut_through: net.router_cut_through(),
-    }
+        net.time_ns(),
+        i64::from(got) == word,
+        FNV_BASIS,
+        &net,
+    )
 }
 
 /// The switching-ablation pairs in a run set: rows named `<base>_worm`
@@ -660,49 +573,12 @@ pub fn switching_pairs(networks: &[NetRun]) -> Vec<(&str, &NetRun, &NetRun)> {
     pairs
 }
 
-/// `config` with a uniform deterministic fault plan injected (hypercube
-/// variant of [`faulted`]).
-pub fn faulted_hypercube(config: HypercubeConfig, seed: u64, rate: f64) -> HypercubeConfig {
-    HypercubeConfig {
-        net: transputer_net::NetworkConfig {
-            fault: Some(FaultPlan::uniform(seed, rate)),
-            ..config.net.clone()
-        },
-        ..config
-    }
-}
-
-/// Parallel-engine speedup over the sliced engine for `bench`, when the
-/// run set holds both rows: `sliced_wall / parallel_wall`.
-pub fn parallel_speedup(networks: &[NetRun], bench: &str) -> Option<f64> {
-    let sliced = networks
-        .iter()
-        .find(|r| r.bench == bench && r.engine == Engine::Sliced)?;
-    let parallel = networks
-        .iter()
-        .find(|r| r.bench == bench && r.engine == Engine::Parallel)?;
-    Some(sliced.wall_ms / parallel.wall_ms)
-}
-
 /// Default per-packet fault rate for the faulted benchmark variants:
 /// drop, corruption, and jitter each at one packet in ten thousand.
 pub const FAULT_RATE_DEFAULT: f64 = 1e-4;
 
 /// Default fault seed (the paper's year, matching the workload seed).
 pub const FAULT_SEED_DEFAULT: u64 = 1985;
-
-/// `config` with a uniform deterministic fault plan injected: every
-/// link switches to the robust sequenced protocol and suffers drops,
-/// corruption, and jitter at `rate` per packet.
-pub fn faulted(config: DbSearchConfig, seed: u64, rate: f64) -> DbSearchConfig {
-    DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            fault: Some(FaultPlan::uniform(seed, rate)),
-            ..config.net.clone()
-        },
-        ..config
-    }
-}
 
 /// Fault plan selected by the `FAULT_RATE` / `FAULT_SEED` environment
 /// variables; `None` when `FAULT_RATE` is unset, unparsable, or zero.
@@ -741,6 +617,113 @@ pub fn cross_check(runs: &[NetRun]) -> Vec<String> {
         }
     }
     problems
+}
+
+/// A processor's complete memory image.
+///
+/// # Panics
+///
+/// Panics if the memory refuses to dump its own extent.
+pub fn full_image(cpu: &Cpu) -> Vec<u8> {
+    let base = cpu.memory().base();
+    let len = cpu.memory().size() as usize;
+    cpu.memory().dump(base, len).expect("whole memory dumps")
+}
+
+/// The exhaustive form of [`cross_check`]: one run must match the
+/// reference run on every observable — answers, arrival times, the
+/// stats audit, per-node halt cycles, instruction counters, link fault
+/// counters, memory images, and per-wire delivered-byte counters.
+///
+/// # Panics
+///
+/// Panics naming the first observable that differs.
+pub fn assert_run_matches(
+    label: &str,
+    sim: &DbSearch,
+    report: &DbSearchReport,
+    base_sim: &DbSearch,
+    base_report: &DbSearchReport,
+) {
+    let net = sim.network();
+    let base_net = base_sim.network();
+    assert_eq!(report.answers, base_report.answers, "{label}: answers");
+    assert_eq!(
+        report.answer_times_ns, base_report.answer_times_ns,
+        "{label}: answer arrival times"
+    );
+    assert_eq!(
+        report.total_instructions, base_report.total_instructions,
+        "{label}: stats audit (instruction totals)"
+    );
+    assert_eq!(net.len(), base_net.len());
+    for id in 0..net.len() {
+        assert_eq!(
+            net.node(id).cycles(),
+            base_net.node(id).cycles(),
+            "{label}: node {id} halt cycle count"
+        );
+        assert_eq!(
+            net.node(id).stats().instructions,
+            base_net.node(id).stats().instructions,
+            "{label}: node {id} instruction counter"
+        );
+        assert_eq!(
+            net.node(id).stats().link_retries,
+            base_net.node(id).stats().link_retries,
+            "{label}: node {id} retry counter"
+        );
+        assert_eq!(
+            net.node(id).stats().link_rx_errors,
+            base_net.node(id).stats().link_rx_errors,
+            "{label}: node {id} rx-error counter"
+        );
+        assert_eq!(
+            full_image(net.node(id)),
+            full_image(base_net.node(id)),
+            "{label}: node {id} memory image"
+        );
+    }
+    assert_eq!(net.wire_count(), base_net.wire_count());
+    for w in 0..net.wire_count() {
+        assert_eq!(
+            net.wire_delivered(w),
+            base_net.wire_delivered(w),
+            "{label}: wire {w} delivered-byte counters"
+        );
+    }
+}
+
+/// Build a search machine under each engine (usually
+/// [`Machine::build`]), run it, and hold Sliced to
+/// the Event oracle on every observable of [`assert_run_matches`].
+/// `check` asserts whatever else the row promises of *each* run (that
+/// faults fired, that the wire died).
+///
+/// # Panics
+///
+/// Panics if a run fails, answers wrongly, fails `check`, or the two
+/// engines differ on any observable.
+pub fn sweep_engines(
+    label: &str,
+    build: impl Fn(Engine) -> DbSearch,
+    check: impl Fn(&DbSearch, &DbSearchReport),
+) {
+    let run = |engine| {
+        let mut sim = build(engine);
+        let report = sim.run(1_000_000_000_000).expect("runs");
+        assert!(
+            report.all_correct(),
+            "{label} {engine:?}: answers {:?} != expected {:?}",
+            report.answers,
+            report.expected
+        );
+        check(&sim, &report);
+        (sim, report)
+    };
+    let (event, event_report) = run(Engine::Event);
+    let (sliced, sliced_report) = run(Engine::Sliced);
+    assert_run_matches(label, &sliced, &sliced_report, &event, &event_report);
 }
 
 fn json_escape(s: &str) -> String {
@@ -860,16 +843,6 @@ pub fn baseline_translated_mips(json: &str) -> Option<f64> {
         .lines()
         .find(|l| l.contains("\"translated\":") && l.contains("\"emulated_mips\""))?;
     parse_field(entry, "emulated_mips")
-}
-
-/// Pull a numeric field out of the last non-empty line of a
-/// `BENCH_history.jsonl` body — the ratchet compares each smoke run
-/// against the previous recorded run, not just the committed baseline.
-/// `None` when the history is empty or the field is absent (older
-/// history lines predate some fields).
-pub fn history_last_field(jsonl: &str, field: &str) -> Option<f64> {
-    let line = jsonl.lines().rev().find(|l| !l.trim().is_empty())?;
-    parse_field(line, field)
 }
 
 /// The CPU-corpus MIPS baseline the history ratchet may compare this
@@ -1013,7 +986,7 @@ pub fn to_json(
              \"decode_hits\": {}, \"decode_misses\": {}, \"decode_invalidations\": {}, \
              \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
              \"trans_deopts\": {}, \"trans_invalidations\": {}, \
-             \"par_workers\": {}, \"host_cores\": {}, \"router\": {router}, \
+             \"host_cores\": {}, \"router\": {router}, \
              \"answers_ok\": {}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
             r.bench,
             r.engine,
@@ -1031,7 +1004,6 @@ pub fn to_json(
             r.trans.1,
             r.trans.2,
             r.trans.3,
-            r.par_workers,
             r.host_cores,
             r.answers_ok,
             r.fingerprint,
@@ -1051,9 +1023,6 @@ pub fn to_json(
         let sliced = networks
             .iter()
             .find(|r| r.bench == bench && r.engine == Engine::Sliced);
-        let parallel = networks
-            .iter()
-            .find(|r| r.bench == bench && r.engine == Engine::Parallel);
         let Some(s) = sliced else { continue };
         let mut entry = format!(
             "    {{\"bench\": \"{bench}\", \"sliced_wall_ms\": {:.1}",
@@ -1065,17 +1034,6 @@ pub fn to_json(
                 e.wall_ms,
                 e.wall_ms / s.wall_ms,
                 e.fingerprint == s.fingerprint,
-            ));
-        }
-        if let Some(p) = parallel {
-            entry.push_str(&format!(
-                ", \"parallel_wall_ms\": {:.1}, \"parallel_speedup\": {:.2}, \
-                 \"parallel_identical\": {}, \"par_workers\": {}, \"host_cores\": {}",
-                p.wall_ms,
-                s.wall_ms / p.wall_ms,
-                p.fingerprint == s.fingerprint,
-                p.par_workers,
-                p.host_cores,
             ));
         }
         entry.push('}');
@@ -1136,27 +1094,23 @@ mod tests {
 
     #[test]
     fn smoke_engines_agree_and_json_renders() {
-        let runs: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
+        let runs: Vec<NetRun> = [Engine::Event, Engine::Sliced]
             .into_iter()
-            .map(|e| run_network("e09_figure8_smoke", figure8_smoke(), e))
+            .map(|e| Machine::Tree(figure8_smoke()).run("e09_figure8_smoke", e))
             .collect();
         let problems = cross_check(&runs);
         assert!(problems.is_empty(), "{problems:?}");
         let json = to_json(true, &[], &[], &[], &runs, &problems);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"parallel_speedup\""));
-        assert!(json.contains("\"parallel_identical\": true"));
-        assert!(json.contains("\"par_workers\""));
         assert!(json.contains("\"host_cores\""));
-        assert!(parallel_speedup(&runs, "e09_figure8_smoke").is_some());
     }
 
     #[test]
     fn routed_smoke_engines_agree_and_json_carries_router_stats() {
-        let runs: Vec<NetRun> = [Engine::Event, Engine::Sliced, Engine::Parallel]
+        let runs: Vec<NetRun> = [Engine::Event, Engine::Sliced]
             .into_iter()
-            .map(|e| run_routed("e17_routed_smoke", routed_smoke(), e))
+            .map(|e| Machine::Routed(routed_smoke()).run("e17_routed_smoke", e))
             .collect();
         let problems = cross_check(&runs);
         assert!(problems.is_empty(), "{problems:?}");
@@ -1204,7 +1158,7 @@ mod tests {
 
     #[test]
     fn unrouted_rows_render_null_router() {
-        let run = run_network("e09_figure8_smoke", figure8_smoke(), Engine::Sliced);
+        let run = Machine::Tree(figure8_smoke()).run("e09_figure8_smoke", Engine::Sliced);
         assert!(run.router.is_none());
         let json = to_json(true, &[], &[], &[], &[run], &[]);
         assert!(json.contains("\"router\": null"));
@@ -1224,19 +1178,6 @@ mod tests {
                      {\"cpu_mips\": 4.00, \"host_cores\": 8}\n";
         assert_eq!(history_ratchet_mips(mixed, 8), Some(4.0));
         assert_eq!(history_ratchet_mips("", 8), None);
-    }
-
-    #[test]
-    fn history_last_field_reads_the_last_line() {
-        let jsonl = "{\"cpu_mips\": 1.00, \"e10_parallel_speedup\": 0.90}\n\
-                     {\"cpu_mips\": 2.50, \"e10_parallel_speedup\": 1.75}\n";
-        assert_eq!(history_last_field(jsonl, "cpu_mips"), Some(2.5));
-        assert_eq!(
-            history_last_field(jsonl, "e10_parallel_speedup"),
-            Some(1.75)
-        );
-        assert_eq!(history_last_field(jsonl, "absent"), None);
-        assert_eq!(history_last_field("", "cpu_mips"), None);
     }
 
     #[test]

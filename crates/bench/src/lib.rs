@@ -5,6 +5,8 @@
 //! micro-benchmarks and ablations. Shared here: exact sequence
 //! measurement, the occam workload corpus, and table printing.
 
+#![forbid(unsafe_code)]
+
 use transputer::{Cpu, CpuConfig, StepEvent};
 
 pub mod corpus;

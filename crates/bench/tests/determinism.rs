@@ -1,4 +1,4 @@
-//! Engine determinism: the lookahead-batched engines must be
+//! Engine determinism: the lookahead-batched sliced engine must be
 //! bit-identical to the per-instruction event engine.
 //!
 //! Two layers of evidence:
@@ -6,83 +6,27 @@
 //! * every corpus program, standalone: [`Cpu::run`] vs
 //!   [`Cpu::run_batched`] agree on halt cycle, instruction counters,
 //!   the checked global, and the complete final memory image;
-//! * the e09 16-node database-search network under all three
-//!   [`Engine`]s (plus the parallel engine at forced worker counts
-//!   1, 2, 3 and 7, so its window-batching path runs even on
-//!   single-core hosts and at counts misaligned with the node count):
-//!   identical answers and answer times, per-node halt
-//!   cycle counts, per-wire delivered-byte counters, per-node
-//!   instruction counters (the stats audit), and final memory images;
-//! * the same worker-count sweep on e10-shaped (128-node board) and
-//!   e16-shaped (64-node hypercube) machines with trimmed databases,
-//!   against a sliced-engine reference.
+//! * the `sweeps!` table ([`sweep_engines`] per row): trimmed e09
+//!   (16-node), e10 (128-node board) and e16 (64-node hypercube)
+//!   search machines, planned and routed,
+//!   clean, faulted and with a wire dying mid-run, each under the Event
+//!   oracle and under Sliced: identical answers and answer times,
+//!   per-node halt cycle counts, per-wire delivered-byte counters,
+//!   per-node instruction counters (the stats audit), link fault
+//!   counters, and final memory images.
 
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
-use transputer_apps::dbsearch::{DbSearch, DbSearchConfig};
+use transputer_apps::dbsearch::DbSearch;
 use transputer_apps::DbSearchReport;
 use transputer_bench::corpus::CORPUS;
 use transputer_bench::hostperf::{
-    board128_smoke, hypercube_smoke, routed_hypercube_smoke, routed_smoke,
+    assert_run_matches, board128_smoke, figure8_smoke, full_image, hypercube_smoke, routed_smoke,
+    sweep_engines,
+    Machine::{self, Routed, RoutedCube, Tree, TreeCube},
 };
 use transputer_link::FaultPlan;
 use transputer_net::topology::grid_edge_wire;
-use transputer_net::{Engine, RouterConfig, Switching};
-
-fn full_image(cpu: &Cpu) -> Vec<u8> {
-    let base = cpu.memory().base();
-    let len = cpu.memory().size() as usize;
-    cpu.memory().dump(base, len).expect("whole memory dumps")
-}
-
-/// One engine/worker-count variant must match the reference run on
-/// every observable: answers, arrival times, the stats audit, per-node
-/// halt cycles, instruction counters, memory images, and per-wire
-/// delivered-byte counters.
-fn assert_run_matches(
-    label: &str,
-    sim: &DbSearch,
-    report: &DbSearchReport,
-    base_sim: &DbSearch,
-    base_report: &DbSearchReport,
-) {
-    let net = sim.network();
-    let base_net = base_sim.network();
-    assert_eq!(report.answers, base_report.answers, "{label}: answers");
-    assert_eq!(
-        report.answer_times_ns, base_report.answer_times_ns,
-        "{label}: answer arrival times"
-    );
-    assert_eq!(
-        report.total_instructions, base_report.total_instructions,
-        "{label}: stats audit (instruction totals)"
-    );
-    assert_eq!(net.len(), base_net.len());
-    for id in 0..net.len() {
-        assert_eq!(
-            net.node(id).cycles(),
-            base_net.node(id).cycles(),
-            "{label}: node {id} halt cycle count"
-        );
-        assert_eq!(
-            net.node(id).stats().instructions,
-            base_net.node(id).stats().instructions,
-            "{label}: node {id} instruction counter"
-        );
-        assert_eq!(
-            full_image(net.node(id)),
-            full_image(base_net.node(id)),
-            "{label}: node {id} memory image"
-        );
-    }
-    assert_eq!(net.wire_count(), base_net.wire_count());
-    for w in 0..net.wire_count() {
-        assert_eq!(
-            net.wire_delivered(w),
-            base_net.wire_delivered(w),
-            "{label}: wire {w} delivered-byte counters"
-        );
-    }
-}
+use transputer_net::Engine;
 
 #[test]
 fn corpus_programs_agree_between_engines() {
@@ -261,445 +205,154 @@ fn corpus_is_identical_with_translation_disabled() {
     }
 }
 
-#[test]
-fn e09_network_agrees_across_all_engines() {
-    // The e09 figure-8 topology (4x4 grid plus sender and collector),
-    // trimmed to a test-sized database so the per-instruction engine
-    // finishes promptly in debug builds.
-    let config = |engine| DbSearchConfig {
-        records_per_node: 40,
-        requests: 3,
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..DbSearchConfig::figure8()
-    };
-
-    // (engine, forced worker count). The forced counts exercise the
-    // parallel engine's window-batching path even on single-core CI
-    // hosts (where it would otherwise fall back to the sliced loop),
-    // at counts deliberately misaligned with the 18-node machine so
-    // chunk boundaries land everywhere.
-    let variants = [
-        (Engine::Event, None),
-        (Engine::Sliced, None),
-        (Engine::Parallel, None),
-        (Engine::Parallel, Some(1)),
-        (Engine::Parallel, Some(2)),
-        (Engine::Parallel, Some(3)),
-        (Engine::Parallel, Some(7)),
-    ];
-    let mut runs = Vec::new();
-    for (engine, workers) in variants {
-        let mut sim = DbSearch::build(config(engine)).expect("builds");
-        if let Some(w) = workers {
-            sim.network_mut().set_par_workers(w);
-        }
-        let report = sim.run(1_000_000_000_000).expect("runs");
-        assert!(
-            report.all_correct(),
-            "{engine:?} ({workers:?} workers): answers {:?} != expected {:?}",
-            report.answers,
-            report.expected
-        );
-        runs.push((engine, workers, sim, report));
-    }
-
-    let (_, _, ref base_sim, ref base_report) = runs[0];
-    for (engine, workers, sim, report) in &runs[1..] {
-        let label = format!("{engine:?} ({workers:?} workers)");
-        assert_run_matches(&label, sim, report, base_sim, base_report);
-    }
+/// A fault rate high enough that the retry machinery demonstrably
+/// fires on the trimmed machines (asserted by [`faults_hidden`]).
+fn faults() -> FaultPlan {
+    FaultPlan::uniform(1985, 2e-3)
 }
 
-#[test]
-fn e10_board_is_worker_count_invariant() {
-    // The e10 16×8 board with a trimmed database: sliced engine as
-    // reference, then the parallel engine at worker counts 1, 2, 3
-    // and 7 — odd counts misaligned with the 130-node machine so the
-    // work-stealing chunk boundaries land at different nodes in every
-    // window.
-    let config = |engine| DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..board128_smoke()
-    };
-    let mut base = DbSearch::build(config(Engine::Sliced)).expect("builds");
-    let base_report = base.run(1_000_000_000_000).expect("runs");
-    assert!(base_report.all_correct(), "sliced reference");
-    for workers in [1usize, 2, 3, 7] {
-        let mut sim = DbSearch::build(config(Engine::Parallel)).expect("builds");
-        sim.network_mut().set_par_workers(workers);
-        let report = sim.run(1_000_000_000_000).expect("runs");
-        assert!(report.all_correct(), "parallel, {workers} workers");
-        assert_run_matches(
-            &format!("parallel, {workers} workers"),
-            &sim,
-            &report,
-            &base,
-            &base_report,
-        );
-    }
+fn clean(_: &DbSearch, report: &DbSearchReport) {
+    assert!(!report.degraded);
 }
 
-#[test]
-fn e16_hypercube_is_worker_count_invariant() {
-    // The e16-shaped machine (full dimension count over the smallest
-    // clusters: 64 nodes) with a trimmed database, swept over the same
-    // worker counts against the sliced reference. This pins the
-    // parallel engine's merge-order determinism on the hypercube
-    // wiring, where dimension links give nodes four active neighbours
-    // in distant index ranges.
-    let config = |engine| transputer_apps::dbsearch::HypercubeConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..hypercube_smoke()
-    };
-    let mut base = DbSearch::build_hypercube(config(Engine::Sliced)).expect("builds");
-    let base_report = base.run(1_000_000_000_000).expect("runs");
-    assert!(base_report.all_correct(), "sliced reference");
-    for workers in [1usize, 2, 3, 7] {
-        let mut sim = DbSearch::build_hypercube(config(Engine::Parallel)).expect("builds");
-        sim.network_mut().set_par_workers(workers);
-        let report = sim.run(1_000_000_000_000).expect("runs");
-        assert!(report.all_correct(), "parallel, {workers} workers");
-        assert_run_matches(
-            &format!("parallel, {workers} workers"),
-            &sim,
-            &report,
-            &base,
-            &base_report,
-        );
-    }
-}
-
-#[test]
-fn routed_grid_agrees_across_all_engines() {
-    // The virtual-channel router replaces the planned spanning trees:
-    // every message is packetized, multiplexed, and forwarded hop by
-    // hop through bounded store-and-forward queues. All of that state
-    // machinery advances only at wire events and stamped CPU service
-    // points, so the engine and worker count must remain unobservable —
-    // the same sweep as e09, over the routed build, in both switching
-    // modes (wormhole forwards at header decode, so its wire schedule
-    // differs from store-and-forward — each mode gets its own
-    // reference run).
-    let config = |engine, switching| DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            router: RouterConfig {
-                switching,
-                ..RouterConfig::default()
-            },
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..routed_smoke()
-    };
-
-    let variants = [
-        (Engine::Event, None),
-        (Engine::Sliced, None),
-        (Engine::Parallel, None),
-        (Engine::Parallel, Some(1)),
-        (Engine::Parallel, Some(2)),
-        (Engine::Parallel, Some(3)),
-        (Engine::Parallel, Some(7)),
-    ];
-    for switching in [Switching::StoreAndForward, Switching::Wormhole] {
-        let mut runs = Vec::new();
-        for (engine, workers) in variants {
-            let mut sim = DbSearch::build_routed(config(engine, switching)).expect("builds");
-            if let Some(w) = workers {
-                sim.network_mut().set_par_workers(w);
-            }
-            let report = sim.run(1_000_000_000_000).expect("runs");
-            assert!(
-                report.all_correct(),
-                "{switching:?} {engine:?} ({workers:?} workers): answers {:?} != expected {:?}",
-                report.answers,
-                report.expected
-            );
-            runs.push((engine, workers, sim, report));
-        }
-
-        let (_, _, ref base_sim, ref base_report) = runs[0];
-        for (engine, workers, sim, report) in &runs[1..] {
-            let label = format!("routed {switching:?} {engine:?} ({workers:?} workers)");
-            assert_run_matches(&label, sim, report, base_sim, base_report);
-        }
-    }
-}
-
-#[test]
-fn routed_grid_agrees_across_engines_under_faults() {
-    // The routed sweep under a seeded fault plan: the robust link
-    // protocol retries the router's framed packets exactly as it
-    // retries planned-tree traffic, and the outcome must stay
-    // bit-identical across engines and worker counts — in both
-    // switching modes, since wormhole streams ride the same robust
-    // per-byte retry machinery (the withheld credit ack is just a
-    // delayed ack to the protocol).
-    let config = |engine, switching| DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            fault: Some(FaultPlan::uniform(1985, 2e-3)),
-            router: RouterConfig {
-                switching,
-                ..RouterConfig::default()
-            },
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..routed_smoke()
-    };
-
-    let variants = [
-        (Engine::Event, None),
-        (Engine::Sliced, None),
-        (Engine::Parallel, None),
-        (Engine::Parallel, Some(1)),
-        (Engine::Parallel, Some(2)),
-        (Engine::Parallel, Some(3)),
-        (Engine::Parallel, Some(7)),
-    ];
-    for switching in [Switching::StoreAndForward, Switching::Wormhole] {
-        let mut runs = Vec::new();
-        for (engine, workers) in variants {
-            let mut sim = DbSearch::build_routed(config(engine, switching)).expect("builds");
-            if let Some(w) = workers {
-                sim.network_mut().set_par_workers(w);
-            }
-            let report = sim.run(1_000_000_000_000).expect("runs");
-            assert!(
-                report.all_correct(),
-                "{switching:?} {engine:?} ({workers:?} workers): answers {:?} != expected {:?}",
-                report.answers,
-                report.expected
-            );
-            assert!(
-                !report.degraded,
-                "{switching:?} {engine:?}: retries must hide the faults"
-            );
-            runs.push((engine, workers, sim, report));
-        }
-
-        let (_, _, ref base_sim, ref base_report) = runs[0];
-        for (engine, workers, sim, report) in &runs[1..] {
-            let label = format!("routed faulted {switching:?} {engine:?} ({workers:?} workers)");
-            assert_run_matches(&label, sim, report, base_sim, base_report);
-        }
-    }
-}
-
-#[test]
-fn routed_hypercube_is_worker_count_invariant() {
-    // The routed hypercube: requests and answers cross dimension links
-    // through several routers at once, so transit queues at distinct
-    // nodes are live simultaneously — the strongest worker-interleaving
-    // pressure the router sees in the debug-mode suite. Swept in both
-    // switching modes; on the cluster hypercube the e-cube tables have
-    // a cyclic channel-dependency graph, so `Wormhole` provably
-    // degrades to store-and-forward at build time (the runs must still
-    // be deterministic — and byte-identical to the store-and-forward
-    // mode's).
-    let config = |engine, switching| transputer_apps::dbsearch::HypercubeConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            router: RouterConfig {
-                switching,
-                ..RouterConfig::default()
-            },
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..routed_hypercube_smoke()
-    };
-    let mut modes = Vec::new();
-    for switching in [Switching::StoreAndForward, Switching::Wormhole] {
-        let mut base =
-            DbSearch::build_routed_hypercube(config(Engine::Sliced, switching)).expect("builds");
-        let base_report = base.run(1_000_000_000_000).expect("runs");
-        assert!(base_report.all_correct(), "{switching:?} sliced reference");
-        for workers in [1usize, 2, 3, 7] {
-            let mut sim = DbSearch::build_routed_hypercube(config(Engine::Parallel, switching))
-                .expect("builds");
-            sim.network_mut().set_par_workers(workers);
-            let report = sim.run(1_000_000_000_000).expect("runs");
-            assert!(
-                report.all_correct(),
-                "routed {switching:?} parallel, {workers} workers"
-            );
-            assert_run_matches(
-                &format!("routed {switching:?} parallel, {workers} workers"),
-                &sim,
-                &report,
-                &base,
-                &base_report,
-            );
-        }
-        modes.push((base, base_report));
-    }
-    // The degrade is total: wormhole on a cyclic-CDG topology is not
-    // merely deterministic but the same simulation as store-and-forward.
-    let (ref sf, ref sf_report) = modes[0];
-    let (ref worm, ref worm_report) = modes[1];
-    assert_run_matches("hypercube wormhole==sf", worm, worm_report, sf, sf_report);
-}
-
-#[test]
-fn e09_network_agrees_across_engines_under_faults() {
-    // The same e09 topology with a seeded fault plan on every link:
-    // packets are dropped, corrupted, and jittered, the robust protocol
-    // retries them, and every engine must still land on bit-identical
-    // outcomes — answers, arrival times, per-node cycle and instruction
-    // counters, per-wire delivered bytes, memory images, and the link
-    // fault counters themselves. The rate is high enough that the
-    // retry machinery demonstrably fires (asserted below).
-    let config = |engine| DbSearchConfig {
-        records_per_node: 40,
-        requests: 3,
-        net: transputer_net::NetworkConfig {
-            engine,
-            fault: Some(FaultPlan::uniform(1985, 2e-3)),
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..DbSearchConfig::figure8()
-    };
-
-    let variants = [
-        (Engine::Event, None),
-        (Engine::Sliced, None),
-        (Engine::Parallel, None),
-        (Engine::Parallel, Some(1)),
-        (Engine::Parallel, Some(2)),
-        (Engine::Parallel, Some(3)),
-        (Engine::Parallel, Some(7)),
-    ];
-    let mut runs = Vec::new();
-    for (engine, workers) in variants {
-        let mut sim = DbSearch::build(config(engine)).expect("builds");
-        if let Some(w) = workers {
-            sim.network_mut().set_par_workers(w);
-        }
-        let report = sim.run(1_000_000_000_000).expect("runs");
-        assert!(
-            report.all_correct(),
-            "{engine:?} ({workers:?} workers): answers {:?} != expected {:?}",
-            report.answers,
-            report.expected
-        );
-        assert!(!report.degraded, "{engine:?}: retries must hide the faults");
-        runs.push((engine, workers, sim, report));
-    }
-
-    let (_, _, ref base_sim, ref base_report) = runs[0];
-    let base_net = base_sim.network();
-    let base_retries: u64 = (0..base_net.len())
-        .map(|id| base_net.node(id).stats().link_retries)
-        .sum();
-    let base_rx_errors: u64 = (0..base_net.len())
-        .map(|id| base_net.node(id).stats().link_rx_errors)
+/// Packets were dropped, corrupted and jittered, the robust protocol
+/// retried them, and the search never noticed.
+fn faults_hidden(sim: &DbSearch, report: &DbSearchReport) {
+    assert!(!report.degraded, "retries must hide the faults");
+    let net = sim.network();
+    let retries: u64 = (0..net.len())
+        .map(|id| net.node(id).stats().link_retries)
         .sum();
     assert!(
-        base_retries > 0,
+        retries > 0,
         "the fault rate must be high enough to force retransmissions"
     );
-    for (engine, workers, sim, report) in &runs[1..] {
-        let label = format!("{engine:?} ({workers:?} workers)");
-        assert_run_matches(&label, sim, report, base_sim, base_report);
-        let net = sim.network();
-        let retries: u64 = (0..net.len())
-            .map(|id| net.node(id).stats().link_retries)
-            .sum();
-        let rx_errors: u64 = (0..net.len())
-            .map(|id| net.node(id).stats().link_rx_errors)
-            .sum();
-        assert_eq!(retries, base_retries, "{label}: retry counters");
-        assert_eq!(rx_errors, base_rx_errors, "{label}: rx-error counters");
-    }
 }
 
-/// A wire on the answer path dies mid-run, in both switching modes.
+/// `routed_smoke` is the 3x3 grid with the collector on node 8's south
+/// port; the east edge (1,2)-(2,2) carries answer traffic into the exit
+/// corner, and killing it forces the reroute through node 5 while
+/// answers are in flight. 180 us lands inside the answer burst: the
+/// store-and-forward run discovers the death mid-packet (retry
+/// exhaustion, partial bytes already across), and the wormhole run has
+/// a live multi-node stream cut at the break.
+///
 /// The router rebuilds its tables and re-sends whatever the break cut
 /// off (a parked packet, a queued packet, or a wormhole stream folded
 /// back at the break), so delivery on the rerouted path is
 /// at-least-once — DESIGN.md §11's documented duplicate-delivery
 /// window. The collector's merge folds answer words in arrival order
-/// with an order-independent sum, so what this test pins is that every
-/// engine and worker count lands on the identical merged state,
-/// duplicates included: same answers, same memory images, same
-/// per-wire byte counters.
-#[test]
-fn routed_wire_death_merges_identically_across_engines() {
-    // routed_smoke is the 3x3 grid with the collector on node 8's
-    // south port; the east edge (1,2)-(2,2) carries answer traffic
-    // into the exit corner, and killing it forces the reroute through
-    // node 5 while answers are in flight.
+/// with an order-independent sum, so what the rows pin is that both
+/// engines land on the identical merged state, duplicates included.
+fn wire_death() -> FaultPlan {
     let dying = grid_edge_wire(3, 3, 1, 2, true);
-    // 180 us lands inside the answer burst: the store-and-forward run
-    // discovers the death mid-packet (retry exhaustion, partial bytes
-    // already across), and the wormhole run has a live multi-node
-    // stream cut at the break (asserted below via the drop counter).
-    let kill_ns = 180_000;
-    let config = |engine, switching| DbSearchConfig {
-        net: transputer_net::NetworkConfig {
-            engine,
-            fault: Some(FaultPlan::uniform(77, 0.0).with_dead_link(dying, kill_ns)),
-            router: RouterConfig {
-                switching,
-                ..RouterConfig::default()
-            },
-            ..transputer_net::NetworkConfig::default()
-        },
-        ..routed_smoke()
-    };
+    FaultPlan::uniform(77, 0.0).with_dead_link(dying, 180_000)
+}
 
-    let variants = [
-        (Engine::Event, None),
-        (Engine::Sliced, None),
-        (Engine::Parallel, None),
-        (Engine::Parallel, Some(1)),
-        (Engine::Parallel, Some(2)),
-        (Engine::Parallel, Some(3)),
-        (Engine::Parallel, Some(7)),
-    ];
-    for switching in [Switching::StoreAndForward, Switching::Wormhole] {
-        let mut runs = Vec::new();
-        for (engine, workers) in variants {
-            let mut sim = DbSearch::build_routed(config(engine, switching)).expect("builds");
-            if let Some(w) = workers {
-                sim.network_mut().set_par_workers(w);
-            }
-            let report = sim.run(1_000_000_000_000).expect("runs");
-            assert!(
-                sim.network().any_link_failed(),
-                "{switching:?} {engine:?}: the wire must actually die"
-            );
-            if switching == Switching::Wormhole {
-                let stats = sim.network().router_stats().expect("routed build");
-                assert!(
-                    stats.packets_dropped > 0,
-                    "{engine:?}: the break must cut a live wormhole stream"
-                );
-            }
-            // The re-sent copies land in the collector's additive
-            // order-independent merge; the answers still come out
-            // right, and identically so under every engine below.
-            assert!(
-                report.all_correct(),
-                "{switching:?} {engine:?} ({workers:?} workers): answers {:?} != expected {:?}",
-                report.answers,
-                report.expected
-            );
-            runs.push((engine, workers, sim, report));
+fn wire_died(sim: &DbSearch, _: &DbSearchReport) {
+    assert!(
+        sim.network().any_link_failed(),
+        "the wire must actually die"
+    );
+}
+
+fn stream_cut(sim: &DbSearch, report: &DbSearchReport) {
+    wire_died(sim, report);
+    let stats = sim.network().router_stats().expect("routed build");
+    assert!(
+        stats.packets_dropped > 0,
+        "the break must cut a live wormhole stream"
+    );
+}
+
+/// The sweep table: one test per row, `name: build, check`. The router
+/// replaces the planned trees with packetized, multiplexed, hop-by-hop
+/// forwarding whose state advances only at wire events and stamped CPU
+/// service points, so the engine must remain unobservable there too —
+/// in both switching modes (wormhole forwards at header decode, so its
+/// wire schedule differs from store-and-forward), clean, under the
+/// robust protocol's retries, and across a mid-run table rebuild. The
+/// routed hypercube keeps transit queues at several nodes live at once;
+/// its `Wormhole` row runs the degraded mode pinned further down.
+macro_rules! sweeps {
+    ($($name:ident: $build:expr, $check:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            sweep_engines(stringify!($name), $build, $check);
         }
-        let (_, _, ref base_sim, ref base_report) = runs[0];
-        for (engine, workers, sim, report) in &runs[1..] {
-            let label = format!("wire-death {switching:?} {engine:?} ({workers:?} workers)");
-            assert_run_matches(&label, sim, report, base_sim, base_report);
-        }
-    }
+    )*};
+}
+
+sweeps! {
+    e09_network_agrees_across_engines:
+        |e| Tree(figure8_smoke()).build(e), clean;
+    e09_network_agrees_across_engines_under_faults:
+        |e| Tree(figure8_smoke()).faulted(faults()).build(e), faults_hidden;
+    e10_board_agrees_across_engines:
+        |e| Tree(board128_smoke()).build(e), clean;
+    e16_hypercube_agrees_across_engines:
+        |e| TreeCube(hypercube_smoke()).build(e), clean;
+    routed_grid_agrees_across_engines:
+        |e| Routed(routed_smoke()).build(e), clean;
+    routed_grid_wormhole_agrees_across_engines:
+        |e| Routed(routed_smoke()).wormhole().build(e), clean;
+    routed_grid_agrees_across_engines_under_faults:
+        |e| Routed(routed_smoke()).faulted(faults()).build(e), faults_hidden;
+    routed_grid_wormhole_agrees_across_engines_under_faults:
+        |e| Routed(routed_smoke()).wormhole().faulted(faults()).build(e), faults_hidden;
+    routed_hypercube_agrees_across_engines:
+        |e| RoutedCube(hypercube_smoke()).build(e), clean;
+    routed_hypercube_wormhole_agrees_across_engines:
+        |e| RoutedCube(hypercube_smoke()).wormhole().build(e), clean;
+    routed_wire_death_merges_identically_across_engines:
+        |e| Routed(routed_smoke()).faulted(wire_death()).build(e), wire_died;
+    routed_wormhole_wire_death_merges_identically_across_engines:
+        |e| Routed(routed_smoke()).wormhole().faulted(wire_death()).build(e), stream_cut;
+}
+
+/// On the cluster hypercube the e-cube tables have a cyclic
+/// channel-dependency graph, so `Wormhole` provably degrades to
+/// store-and-forward at build time — and the degrade is total: not
+/// merely deterministic but the same simulation as store-and-forward.
+#[test]
+fn routed_hypercube_wormhole_degrades_to_store_and_forward() {
+    let run = |machine: Machine| {
+        let mut sim = machine.build(Engine::Sliced);
+        let report = sim.run(1_000_000_000_000).expect("runs");
+        (sim, report)
+    };
+    let (sf, sf_report) = run(RoutedCube(hypercube_smoke()));
+    let (worm, worm_report) = run(RoutedCube(hypercube_smoke()).wormhole());
+    assert_eq!(worm.network().router_cut_through(), Some(false));
+    assert_run_matches(
+        "hypercube wormhole==sf",
+        &worm,
+        &worm_report,
+        &sf,
+        &sf_report,
+    );
+}
+
+/// `Engine::Parallel`, `set_par_workers` and `pool_spawned_threads` are
+/// shims kept for the system benchmark: the engine is Sliced, the worker
+/// count is ignored, and nothing spawns a thread.
+#[test]
+fn parallel_shim_is_sliced() {
+    let run = |engine| {
+        let mut sim = Tree(figure8_smoke()).build(engine);
+        sim.network_mut().set_par_workers(7);
+        let report = sim.run(1_000_000_000_000).expect("runs");
+        (sim, report)
+    };
+    let (sliced, sliced_report) = run(Engine::Sliced);
+    let (shim, shim_report) = run(Engine::Parallel);
+    assert!(shim_report.all_correct());
+    assert_run_matches(
+        "parallel shim",
+        &shim,
+        &shim_report,
+        &sliced,
+        &sliced_report,
+    );
+    assert_eq!(shim.network().pool_spawned_threads(), 0);
 }

@@ -21,6 +21,8 @@
 //! a maximum performance of about 1 Mbyte/sec in each direction on each
 //! link" (§2.3.1). Both claims are reproduced by experiment E7.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod packet;
 pub mod vc;

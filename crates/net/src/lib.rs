@@ -35,7 +35,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod par;
+#![forbid(unsafe_code)]
+
 pub mod router;
 pub mod sim;
 pub mod topology;

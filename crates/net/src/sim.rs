@@ -1,16 +1,22 @@
 //! The co-simulation engine: nodes, wires, and a global event queue.
 //!
-//! Two execution engines share one event heap:
+//! Two steppers share one event heap and one set of wire, link-service,
+//! resend and router routines:
 //!
-//! * **Event** — the reference engine: one heap event per node
+//! * **Event** — the reference oracle: one heap event per node
 //!   micro-step. Each pop executes a single instruction, then offers
-//!   transmit bytes and acknowledges to the node's wires.
-//! * **Sliced** (default, with an opt-in **Parallel** variant) — the
-//!   lookahead engine: each pop runs a whole *slice* of instructions via
-//!   [`Cpu::run_slice`], bounded by the earliest wire activity that could
-//!   affect the node. The heap holds one entry per node-slice instead of
-//!   one per instruction, which is what makes large networks fast to
-//!   simulate.
+//!   transmit bytes and acknowledges to the node's wires. Its classic-link
+//!   path (`service_node_links` / `process_wire`)
+//!   resolves everything inline at the frontier and is deliberately kept
+//!   apart from the sliced path: it is what the tests compare against.
+//! * **Sliced** (default) — the one fast engine: each pop runs a whole
+//!   *slice* of instructions via [`Cpu::run_slice`], bounded by the
+//!   earliest wire activity that could affect the node. The heap holds
+//!   one entry per node-slice instead of one per instruction, which is
+//!   what makes large networks fast to simulate.
+//!
+//! There is no host-parallel engine (DESIGN.md §10 records why);
+//! [`Engine::Parallel`] survives only as a shim that runs Sliced.
 //!
 //! The slice bound is conservative: for a node N it is the minimum over
 //! N's ports of (a) the next scheduled event on that port's wire
@@ -35,7 +41,6 @@ use transputer_link::{
     AckPolicy, DuplexLink, End, FaultPlan, LinkEvent, LinkProtocol, LinkSpeed, PacketKind,
 };
 
-use crate::par::{self, Slot, WorkerPool};
 use crate::router::{Act, RouterConfig, RouterNet, RouterStats};
 use crate::topology::{hypercube_tables, route_tables, Adjacency};
 
@@ -45,19 +50,23 @@ pub type NodeId = usize;
 /// Cap on a single slice, so an instruction-loop without interaction
 /// points still yields to the heap (and to `run_until` predicates /
 /// budget checks) every so often.
-pub(crate) const MAX_SLICE_CYCLES: u64 = 1 << 22;
+const MAX_SLICE_CYCLES: u64 = 1 << 22;
 
 /// Which execution engine a [`Network`] uses to advance time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// The hidden variant is a benchmark shim on its way out, not a
+// non-exhaustiveness marker.
+#[allow(clippy::manual_non_exhaustive)]
 pub enum Engine {
     /// One heap event per node micro-step (the reference engine).
     Event,
     /// Conservative lookahead windows: one heap entry per node-slice.
     #[default]
     Sliced,
-    /// The sliced engine, with the node slices of each window run on a
-    /// persistent worker pool (`crate::par`). Bit-identical to
-    /// `Sliced` (and so to `Event`) at any worker count.
+    /// Shim for the deleted host-parallel engine: runs exactly as
+    /// [`Engine::Sliced`]. Kept only because the system benchmark names
+    /// it; goes away with the next benchmark revision.
+    #[doc(hidden)]
     Parallel,
 }
 
@@ -161,6 +170,20 @@ struct Resend {
     interval_ns: u64,
 }
 
+impl Resend {
+    /// A busy notice for byte `seq` arrived at `now`: the receiver holds
+    /// our byte but cannot release the acknowledge yet (a slow consumer,
+    /// or a router exerting backpressure), so poll with backoff instead
+    /// of burning the retry budget.
+    fn back_off(&mut self, seq: bool, now: u64, timeout_ns: u64) {
+        if self.seq == seq {
+            self.attempts = 0;
+            self.interval_ns = self.interval_ns.saturating_mul(2).min(timeout_ns * 16);
+            self.deadline = now + self.interval_ns;
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Wire {
     link: DuplexLink,
@@ -173,7 +196,7 @@ struct Wire {
     /// count, so the counts match the classic protocol's exactly.
     delivered: [u64; 2],
     /// Data-start probes not yet resolved, with their stamped times.
-    /// Only the sliced engines use these: a send performed at a slice
+    /// Only the sliced engine uses these: a send performed at a slice
     /// exit is stamped with the exit instruction's start time, which may
     /// lie ahead of the global frontier, so the early-acknowledge
     /// decision is deferred to a heap event at that stamp.
@@ -478,9 +501,6 @@ impl NetworkBuilder {
             timeout_ns,
             max_retries,
             wire_next: vec![u64::MAX; w],
-            par_workers: par_workers_default(),
-            pool: None,
-            scratch: WindowScratch::default(),
             router,
         };
         for i in 0..n {
@@ -497,8 +517,8 @@ enum Actor {
 }
 
 /// The hot side of the per-node state split: everything the sliced
-/// engines' sweep reads per node while planning windows and slice
-/// bounds, kept as dense arrays. Computing one node's bound touches
+/// engine reads per node while computing slice bounds, kept as dense
+/// arrays. Computing one node's bound touches
 /// this state for the node *and each of its peers*; keeping those few
 /// words contiguous instead of striding through the multi-kilobyte
 /// [`Cpu`] structs (the cold side: memory images, register state, link
@@ -522,21 +542,11 @@ struct NodeHot {
     /// link state by [`Network::refresh_tx_flight`]. The mirror must be
     /// exact where bounds are computed: a spurious set bit would only
     /// shorten a bound (safe), but a missing one would lengthen it past
-    /// an acknowledge arrival (unsafe) — hence the eager refresh at
+    /// an acknowledge arrival (unsound) — hence the eager refresh at
     /// every point link-transmit state can change.
     tx_flight: Vec<u8>,
-    /// Early-acknowledge history per port (sliced engines).
+    /// Early-acknowledge history per port (sliced engine).
     ea: Vec<[EaState; 4]>,
-}
-
-/// Reusable parallel-window buffers: cleared and refilled each window,
-/// so steady-state windows allocate nothing.
-#[derive(Debug, Default)]
-struct WindowScratch {
-    /// Popped `(time, node)` pairs of the open window.
-    batch: Vec<(u64, usize)>,
-    /// Planned slices with their bounds and result slots, in pop order.
-    slots: Vec<Slot>,
 }
 
 /// A running network of transputers.
@@ -571,30 +581,12 @@ pub struct Network {
     /// rescanning link state (never later than the wire's true next
     /// event, so the bounds stay conservative).
     wire_next: Vec<u64>,
-    /// Host threads available to the parallel engine (cached once).
-    par_workers: usize,
-    /// The parallel engine's persistent worker pool: created at the
-    /// first dispatched window, then reused for every later window.
-    pool: Option<WorkerPool>,
-    /// Reusable window-construction buffers (parallel engine).
-    scratch: WindowScratch,
     /// The virtual-channel router, when enabled: it owns every wire
     /// endpoint, and the CPUs' link ports become virtual-channel
     /// endpoints (see [`crate::router`]). Taken out of the network for
     /// the duration of each router call so the router can borrow the
     /// CPUs.
     router: Option<RouterNet>,
-}
-
-/// The parallel engine's default worker count: the `PAR_WORKERS`
-/// environment variable when set (the CI determinism matrix pins it),
-/// else the host's available parallelism.
-fn par_workers_default() -> usize {
-    std::env::var("PAR_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|v| v.max(1))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 impl Network {
@@ -625,30 +617,17 @@ impl Network {
         self.ea_primed = false;
     }
 
-    /// Override the parallel engine's cached host-thread count (clamped
-    /// to at least one). Intended for tests that must exercise the
-    /// window-batching path at a specific width; the engines are
-    /// bit-identical at every worker count. Drops any existing pool so
-    /// the next window recreates it at the new width.
+    /// Shim for the deleted host-parallel engine's worker count: does
+    /// nothing. Kept only because the system benchmark calls it.
     #[doc(hidden)]
-    pub fn set_par_workers(&mut self, workers: usize) {
-        self.par_workers = workers.max(1);
-        self.pool = None;
-    }
+    pub fn set_par_workers(&mut self, _workers: usize) {}
 
-    /// The parallel engine's worker count (host threads per window,
-    /// including the scheduling thread).
-    pub fn par_workers(&self) -> usize {
-        self.par_workers
-    }
-
-    /// Threads the parallel engine's persistent pool has spawned: zero
-    /// before the first dispatched window, then exactly
-    /// `par_workers − 1` for the rest of the run — windows park and
-    /// reuse the workers rather than respawning them, which the
-    /// pool-reuse tests pin.
+    /// Shim for the deleted host-parallel engine's pool counter: no
+    /// engine spawns threads, so always zero. Kept only because the
+    /// system benchmark reads it.
+    #[doc(hidden)]
     pub fn pool_spawned_threads(&self) -> u64 {
-        self.pool.as_ref().map_or(0, WorkerPool::spawned_threads)
+        0
     }
 
     /// Immutable access to a node.
@@ -939,14 +918,7 @@ impl Network {
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
-            Actor::Wire(w) => {
-                if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
-                    self.process_wire(w);
-                    self.fire_due_resends(w);
-                }
-            }
+            Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire),
             Actor::Node(n) => {
                 self.hot.scheduled[n] = false;
                 if self.nodes[n].is_idle() {
@@ -1041,15 +1013,10 @@ impl Network {
     /// Earliest time node `m` can next act: its scheduled slice, a wire
     /// event addressed to it, or a chain of other events reaching it (no
     /// faster than the heap frontier plus one acknowledge flight).
-    fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>, batch: &[(u64, usize)]) -> u64 {
+    fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>) -> u64 {
         let mut act = u64::MAX;
         if self.hot.scheduled[m] {
             act = self.hot.next_ns[m];
-        }
-        for &(tb, nb) in batch {
-            if nb == m {
-                act = act.min(tb);
-            }
         }
         for port in 0..4 {
             let w = self.hot.ports[m][port];
@@ -1085,9 +1052,8 @@ impl Network {
 
     /// How far node `node`, popped at `t`, may run without interacting
     /// with anything the wires could deliver first. `t_peek` is the heap
-    /// frontier after the pop; `batch` carries the pop times of nodes
-    /// running concurrently in the same parallel window.
-    fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>, batch: &[(u64, usize)]) -> u64 {
+    /// frontier after the pop.
+    fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>) -> u64 {
         let mut direct = u64::MAX;
         for port in 0..4 {
             let w = self.hot.ports[node][port];
@@ -1109,18 +1075,30 @@ impl Network {
             } else {
                 self.data_ns
             };
-            let act = self.peer_activity_ns(peer, t_peek, batch);
+            let act = self.peer_activity_ns(peer, t_peek);
             direct = direct.min(act.saturating_add(hop));
         }
         self.horizon_ns.unwrap_or(u64::MAX).min(direct)
     }
 
-    /// Run one slice of `node`, popped at heap time `t`, through the
-    /// engine-shared kernel ([`par::run_slice_kernel`]): advance an idle
-    /// node's clock first, exactly as the event engine does at a pop.
-    /// Returns what the slice did plus the node's cycle count at entry.
-    fn run_node_slice(&mut self, node: usize, t: u64, bound: u64) -> (u64, SliceOutcome) {
-        par::run_slice_kernel(&mut self.nodes[node], t, bound)
+    /// Run one node slice: advance an idle node's clock to the pop time
+    /// `t` (exactly as the event engine does at a pop), record the cycle
+    /// count at entry, and run until `bound`. Returns that cycle count
+    /// and what the slice did, for [`Network::finish_slice`] to apply.
+    fn run_slice_kernel(cpu: &mut Cpu, t: u64, bound: u64) -> (u64, SliceOutcome) {
+        let cyc = cpu.cycle_time_ns();
+        if cpu.is_idle() {
+            cpu.advance_idle_to(t / cyc);
+        }
+        let pop_cycles = cpu.cycles();
+        // An instruction runs iff it *starts* before the bound; zero budget
+        // still runs one micro-step, matching the event engine at ties.
+        let budget = if bound > t {
+            (bound - t).div_ceil(cyc).min(MAX_SLICE_CYCLES)
+        } else {
+            0
+        };
+        (pop_cycles, cpu.run_slice(budget))
     }
 
     /// Apply a finished slice: stamp and service link activity, record
@@ -1208,14 +1186,7 @@ impl Network {
             if let Some(byte) = self.nodes[node].link_tx_poll(port) {
                 if self.robust {
                     let seq = self.nodes[node].link_tx_seq(port);
-                    self.wires[w].link.send_data_seq(end, byte, seq, stamp);
-                    self.wires[w].resend[end_index(end)] = Some(Resend {
-                        byte,
-                        seq,
-                        deadline: stamp + self.timeout_ns,
-                        attempts: 0,
-                        interval_ns: self.timeout_ns,
-                    });
+                    self.send_data_robust(w, end, byte, seq, stamp);
                 } else {
                     self.wires[w].link.send_data(end, byte, stamp);
                 }
@@ -1231,6 +1202,20 @@ impl Network {
             }
         }
         self.refresh_tx_flight(node);
+    }
+
+    /// Put a fresh data byte on a robust wire at `stamp` and arm its
+    /// retransmission timer. The one place a [`Resend`] is registered,
+    /// for CPU link service and router acts alike.
+    fn send_data_robust(&mut self, w: usize, end: End, byte: u8, seq: bool, stamp: u64) {
+        self.wires[w].link.send_data_seq(end, byte, seq, stamp);
+        self.wires[w].resend[end_index(end)] = Some(Resend {
+            byte,
+            seq,
+            deadline: stamp + self.timeout_ns,
+            attempts: 0,
+            interval_ns: self.timeout_ns,
+        });
     }
 
     /// Fire any due retransmissions on a wire (robust protocol). Called
@@ -1324,15 +1309,8 @@ impl Network {
                 // Stale acknowledges change nothing anywhere.
             }
             LinkEvent::BusyDelivered { to, seq } => {
-                // The receiver holds our byte but cannot release the
-                // acknowledge yet: poll with backoff instead of burning
-                // the retry budget.
                 if let Some(r) = &mut self.wires[w].resend[end_index(to)] {
-                    if r.seq == seq {
-                        r.attempts = 0;
-                        r.interval_ns = r.interval_ns.saturating_mul(2).min(self.timeout_ns * 16);
-                        r.deadline = now + r.interval_ns;
-                    }
+                    r.back_off(seq, now, self.timeout_ns);
                 }
             }
             LinkEvent::Garbled { to } => {
@@ -1343,7 +1321,7 @@ impl Network {
     }
 
     // ------------------------------------------------------------------
-    // The virtual-channel router (routed mode). All three engines call
+    // The virtual-channel router (routed mode). Both engines call
     // the same three entry points at the same times — CPU link service
     // at interaction stamps, wire events at the frontier, failure at
     // resend-deadline pops — so routed runs stay bit-identical.
@@ -1405,16 +1383,8 @@ impl Network {
                     }
                 }
                 LinkEvent::BusyDelivered { to, seq } => {
-                    // Same backoff as the CPU robust path: the peer
-                    // router holds our byte with its acknowledge
-                    // withheld (backpressure), so poll, don't flood.
                     if let Some(r) = &mut self.wires[w].resend[end_index(to)] {
-                        if r.seq == seq {
-                            r.attempts = 0;
-                            r.interval_ns =
-                                r.interval_ns.saturating_mul(2).min(self.timeout_ns * 16);
-                            r.deadline = now + r.interval_ns;
-                        }
+                        r.back_off(seq, now, self.timeout_ns);
                     }
                 }
                 LinkEvent::Garbled { to } => {
@@ -1464,14 +1434,7 @@ impl Network {
             match act {
                 Act::Data { byte, seq, .. } => {
                     if self.robust {
-                        self.wires[w].link.send_data_seq(end, byte, seq, stamp);
-                        self.wires[w].resend[end_index(end)] = Some(Resend {
-                            byte,
-                            seq,
-                            deadline: stamp + self.timeout_ns,
-                            attempts: 0,
-                            interval_ns: self.timeout_ns,
-                        });
+                        self.send_data_robust(w, end, byte, seq, stamp);
                     } else {
                         self.wires[w].link.send_data(end, byte, stamp);
                     }
@@ -1536,6 +1499,18 @@ impl Network {
             return true;
         }
         false
+    }
+
+    /// A wire's heap entry popped at `t`: skip it if stale or deferred
+    /// behind same-instant node entries, otherwise consume it, drain the
+    /// wire through the stepper's `process` routine (which reschedules
+    /// it), and only then fire due retransmissions.
+    fn pop_wire(&mut self, w: usize, t: u64, process: fn(&mut Network, usize)) {
+        if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
+            self.wire_next[w] = u64::MAX;
+            process(self, w);
+            self.fire_due_resends(w);
+        }
     }
 
     /// Sliced-engine wire processing: resolve due probes at their own
@@ -1616,122 +1591,23 @@ impl Network {
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
-            Actor::Wire(w) => {
-                if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
-                    self.process_wire_sliced(w);
-                    self.fire_due_resends(w);
-                }
-            }
+            Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire_sliced),
             Actor::Node(n) => {
                 self.hot.scheduled[n] = false;
                 let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
-                let bound = self.slice_bound_ns(n, t_peek, &[]);
-                let (pop_cycles, outcome) = self.run_node_slice(n, t, bound);
+                let bound = self.slice_bound_ns(n, t_peek);
+                let (pop_cycles, outcome) = Self::run_slice_kernel(&mut self.nodes[n], t, bound);
                 self.finish_slice(n, t, pop_cycles, outcome)?;
             }
         }
         Ok(true)
     }
 
-    /// Advance by one heap event under the parallel engine. Consecutive
-    /// node entries at the heap top form a window whose slices run on
-    /// the persistent worker pool; results land in pre-indexed slots
-    /// and are merged in pop order, so the result is bit-identical to
-    /// [`Engine::Sliced`]. With one worker (no host parallelism) the
-    /// pool runs the same slots inline — one shared path either way.
-    fn step_parallel(&mut self) -> Result<bool, SimError> {
-        self.prime_ea();
-        let Reverse((t0, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
-        };
-        self.now_ns = self.now_ns.max(t0);
-        let n0 = match actor {
-            Actor::Wire(w) => {
-                if self.wire_next[w] == t0 && !self.wire_pop_deferred(w, t0) {
-                    // Consume the live entry; processing re-schedules.
-                    self.wire_next[w] = u64::MAX;
-                    self.process_wire_sliced(w);
-                    self.fire_due_resends(w);
-                }
-                return Ok(true);
-            }
-            Actor::Node(n) => n,
-        };
-        self.hot.scheduled[n0] = false;
-        let window_end = t0.saturating_add(self.ack_ns.min(self.data_ns));
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.clear();
-        batch.push((t0, n0));
-        while let Some(&Reverse((t, _, Actor::Node(n)))) = self.queue.peek() {
-            if t > window_end {
-                break;
-            }
-            self.queue.pop();
-            self.hot.scheduled[n] = false;
-            batch.push((t, n));
-        }
-        if batch.len() == 1 {
-            self.scratch.batch = batch;
-            let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
-            let bound = self.slice_bound_ns(n0, t_peek, &[]);
-            let (pop_cycles, outcome) = self.run_node_slice(n0, t0, bound);
-            return self
-                .finish_slice(n0, t0, pop_cycles, outcome)
-                .map(|()| true);
-        }
-        let remaining_top = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
-        // Bounds are computed against pre-window state; a batch member's
-        // own influence on its neighbours is covered by its pop time
-        // appearing in `batch` (its sends are stamped no earlier).
-        let mut slots = std::mem::take(&mut self.scratch.slots);
-        slots.clear();
-        for (i, &(t, n)) in batch.iter().enumerate() {
-            let other_min = batch
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &(tj, _))| tj)
-                .min();
-            let t_peek = match (remaining_top, other_min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let bound = self.slice_bound_ns(n, t_peek, &batch);
-            slots.push(Slot {
-                node: n,
-                t,
-                bound,
-                pop_cycles: 0,
-                outcome: SliceOutcome::BudgetExpired,
-            });
-        }
-        let workers = self.par_workers;
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-        // Slot nodes are pairwise distinct: `schedule_node` admits one
-        // heap entry per node and the batching loop clears `scheduled`
-        // as it pops, satisfying `run_window`'s safety contract.
-        pool.run_window(self.nodes.as_mut_ptr(), &mut slots);
-        let mut result = Ok(true);
-        for slot in &slots {
-            if let Err(e) = self.finish_slice(slot.node, slot.t, slot.pop_cycles, slot.outcome) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.scratch.batch = batch;
-        self.scratch.slots = slots;
-        result
-    }
-
     /// Advance by one event under the configured engine.
     fn advance_one(&mut self) -> Result<bool, SimError> {
         match self.config.engine {
             Engine::Event => self.step_event(),
-            Engine::Sliced => self.step_sliced(),
-            Engine::Parallel => self.step_parallel(),
+            Engine::Sliced | Engine::Parallel => self.step_sliced(),
         }
     }
 
@@ -1790,7 +1666,7 @@ impl Network {
     }
 
     /// Run until a predicate over the network holds. The predicate is
-    /// evaluated after every heap event; under the sliced engines that is
+    /// evaluated after every heap event; under the sliced engine that is
     /// after every node *slice* rather than every instruction, but wire
     /// observables (delivered-byte counts, wire times) change at heap
     /// events only, so predicates over them fire at identical times in
@@ -1918,7 +1794,7 @@ mod tests {
     /// Sender transmits one word over link 0; receiver stores it and halts.
     #[test]
     fn one_word_over_a_link() {
-        for engine in [Engine::Event, Engine::Sliced, Engine::Parallel] {
+        for engine in [Engine::Event, Engine::Sliced] {
             let mut b = NetworkBuilder::new(NetworkConfig {
                 engine,
                 ..NetworkConfig::default()
@@ -1944,11 +1820,11 @@ mod tests {
         }
     }
 
-    /// All three engines agree on per-node cycle counts for a transfer.
+    /// Both engines agree on per-node cycle counts for a transfer.
     #[test]
     fn engines_agree_on_one_word_transfer() {
         let mut reference: Option<(u64, u64)> = None;
-        for engine in [Engine::Event, Engine::Sliced, Engine::Parallel] {
+        for engine in [Engine::Event, Engine::Sliced] {
             let mut b = NetworkBuilder::new(NetworkConfig {
                 engine,
                 ..NetworkConfig::default()
@@ -2010,57 +1886,5 @@ mod tests {
         );
         let w = net.node(rx).default_boot_workspace() + 4;
         assert_eq!(net.node_mut(rx).peek_word(w).unwrap(), 0x0403_0201);
-    }
-
-    /// `set_par_workers` clamps to at least one worker.
-    #[test]
-    fn par_workers_clamps_to_one() {
-        let mut b = NetworkBuilder::new(NetworkConfig::default());
-        b.add_node();
-        let mut net = b.build();
-        net.set_par_workers(0);
-        assert_eq!(net.par_workers(), 1);
-        net.set_par_workers(7);
-        assert_eq!(net.par_workers(), 7);
-    }
-
-    /// The parallel engine creates its worker pool once and reuses it:
-    /// after a run full of multi-node windows, exactly `workers - 1`
-    /// threads have ever been spawned.
-    #[test]
-    fn parallel_windows_reuse_one_pool() {
-        let mut b = NetworkBuilder::new(NetworkConfig {
-            engine: Engine::Parallel,
-            ..NetworkConfig::default()
-        });
-        // Four sender/receiver pairs: windows hold many concurrently
-        // scheduled nodes, so the pool is exercised repeatedly.
-        let pairs: Vec<(NodeId, NodeId)> = (0..4)
-            .map(|_| {
-                let tx = b.add_node();
-                let rx = b.add_node();
-                b.connect((tx, 0), (rx, 0));
-                (tx, rx)
-            })
-            .collect();
-        let mut net = b.build();
-        for &(tx, rx) in &pairs {
-            net.node_mut(tx)
-                .load_boot_program(&one_word_sender())
-                .unwrap();
-            net.node_mut(rx)
-                .load_boot_program(&one_word_receiver())
-                .unwrap();
-        }
-        net.set_par_workers(3);
-        net.run_until_all_halted(10_000_000).unwrap();
-        assert_eq!(
-            net.pool_spawned_threads(),
-            2,
-            "one pool, created once, never respawned per window"
-        );
-        for &(_, rx) in &pairs {
-            assert_eq!(net.node(rx).areg(), 0xBEEF);
-        }
     }
 }

@@ -68,7 +68,7 @@ fn transfer_under(fault: Option<FaultPlan>, engine: Engine) -> ((u64, u64, (u64,
 /// (it is slower than classic — 13-bit frames — but lossless).
 #[test]
 fn robust_protocol_clean_wire_transfers() {
-    for engine in [Engine::Event, Engine::Sliced, Engine::Parallel] {
+    for engine in [Engine::Event, Engine::Sliced] {
         let ((_, _, delivered, got), _) = transfer_under(Some(FaultPlan::uniform(1, 0.0)), engine);
         assert_eq!(got, 0x1234_5678, "{engine:?}");
         assert_eq!(delivered.0 + delivered.1, 4, "{engine:?}");
@@ -92,7 +92,7 @@ fn retries_recover_from_heavy_faults() {
 fn engines_agree_under_faults() {
     for seed in [7u64, 1985] {
         let mut reference = None;
-        for engine in [Engine::Event, Engine::Sliced, Engine::Parallel] {
+        for engine in [Engine::Event, Engine::Sliced] {
             let (got, _) = transfer_under(Some(FaultPlan::uniform(seed, 0.08)), engine);
             match reference {
                 None => reference = Some(got),
@@ -121,7 +121,7 @@ fn faults_cost_time_not_correctness() {
 /// instead of hanging forever.
 #[test]
 fn dead_wire_is_declared_failed() {
-    for engine in [Engine::Event, Engine::Sliced, Engine::Parallel] {
+    for engine in [Engine::Event, Engine::Sliced] {
         let plan = FaultPlan::uniform(1, 0.0).with_dead_link(0, 0);
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
@@ -144,14 +144,13 @@ fn dead_wire_is_declared_failed() {
     }
 }
 
-/// The worker count is not an observable: a faulted relay chain under
-/// the parallel engine at 1, 2, 3 and 7 workers lands bit-identically
-/// on the sliced reference — per-node cycle counts, per-wire
+/// A faulted relay chain under the sliced engine lands bit-identically
+/// on the event reference — per-node cycle counts, per-wire
 /// delivered-byte counters, the relayed word, and the fault counters
-/// themselves. The chain keeps several links retrying in different
-/// windows at once, so worker claims genuinely interleave.
+/// themselves. The chain keeps several links retrying at once, so a
+/// node's slice regularly runs alongside its neighbours' retransmissions.
 #[test]
-fn parallel_worker_count_invariant_under_faults() {
+fn relay_chain_is_engine_invariant_under_faults() {
     // Receive a word on port 0, relay it out port 1, halt with it in
     // the A register.
     fn forwarder() -> Vec<u8> {
@@ -175,7 +174,7 @@ fn parallel_worker_count_invariant_under_faults() {
     }
 
     const HOPS: usize = 6;
-    let run = |engine: Engine, workers: Option<usize>| {
+    let run = |engine: Engine| {
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
             fault: Some(FaultPlan::uniform(1985, 0.04)),
@@ -196,15 +195,8 @@ fn parallel_worker_count_invariant_under_faults() {
         net.node_mut(nodes[HOPS + 1])
             .load_boot_program(&receiver())
             .unwrap();
-        if let Some(w) = workers {
-            net.set_par_workers(w);
-        }
         let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(
-            out,
-            SimOutcome::AllHalted,
-            "{engine:?} ({workers:?} workers)"
-        );
+        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
         let cycles: Vec<u64> = (0..net.len()).map(|id| net.node(id).cycles()).collect();
         let delivered: Vec<(u64, u64)> = (0..net.wire_count())
             .map(|w| net.wire_delivered(w))
@@ -219,13 +211,10 @@ fn parallel_worker_count_invariant_under_faults() {
         (cycles, delivered, retries, rx_errors, word)
     };
 
-    let reference = run(Engine::Sliced, None);
+    let reference = run(Engine::Event);
     assert_eq!(reference.4, 0x0BAD_CAFE, "the word must survive the relay");
     assert!(reference.2 > 0, "the fault rate must force retransmissions");
-    for workers in [1usize, 2, 3, 7] {
-        let got = run(Engine::Parallel, Some(workers));
-        assert_eq!(got, reference, "parallel at {workers} workers diverged");
-    }
+    assert_eq!(run(Engine::Sliced), reference, "sliced diverged");
 }
 
 /// Error counters surface through `Stats`: a corrupting wire leaves

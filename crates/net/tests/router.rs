@@ -1,6 +1,6 @@
 //! The virtual-channel router: any-to-any occam channels over
-//! store-and-forward packet hops, bit-identical across all three
-//! engines and every worker count, clean and faulted.
+//! store-and-forward packet hops, bit-identical between the Event
+//! oracle and the Sliced engine, clean and faulted.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
@@ -74,7 +74,7 @@ fn fingerprint(
     (cycles, delivered, words)
 }
 
-const ENGINES: [Engine; 3] = [Engine::Event, Engine::Sliced, Engine::Parallel];
+const ENGINES: [Engine; 2] = [Engine::Event, Engine::Sliced];
 
 /// A word crosses a three-node chain whose middle CPU never runs a
 /// forwarding process: the router hops the packet, store-and-forward.
@@ -205,11 +205,11 @@ fn full_buffers_backpressure_the_sender() {
 }
 
 /// Routed traffic under the robust protocol with heavy corruption:
-/// every engine and worker count lands on one bit-identical outcome.
+/// both engines land on one bit-identical outcome.
 #[test]
-fn routed_faulted_runs_are_engine_and_worker_invariant() {
+fn routed_faulted_runs_are_engine_invariant() {
     let mut reference = None;
-    let mut run = |engine: Engine, workers: Option<usize>| {
+    let mut run = |engine: Engine| {
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
             fault: Some(FaultPlan::uniform(1985, 0.05)),
@@ -228,27 +228,17 @@ fn routed_faulted_runs_are_engine_and_worker_invariant() {
         net.node_mut(2)
             .load_boot_program(&receiver_words(2))
             .unwrap();
-        if let Some(w) = workers {
-            net.set_par_workers(w);
-        }
         let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?} {workers:?}");
+        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
         let got = fingerprint(&mut net, &[(2, 1), (2, 2)]);
-        assert_eq!(
-            got.2,
-            vec![0x7E57_7E57, 0x000D_A7A5],
-            "{engine:?} {workers:?}"
-        );
+        assert_eq!(got.2, vec![0x7E57_7E57, 0x000D_A7A5], "{engine:?}");
         match &reference {
             None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} {workers:?} diverged"),
+            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
         }
     };
     for engine in ENGINES {
-        run(engine, None);
-    }
-    for workers in [1, 2, 3, 7] {
-        run(Engine::Parallel, Some(workers));
+        run(engine);
     }
 }
 
@@ -298,13 +288,13 @@ fn boot_dead_wire_is_routed_around() {
 /// A mid-run `DeadLink` on the hop in use: the sender's retries exhaust,
 /// the router rebuilds its tables from the surviving adjacency, reroutes
 /// the stranded packets, and the full message stream still arrives —
-/// identically on every engine and worker count.
+/// identically on both engines.
 #[test]
 fn midrun_dead_link_reroutes_identically() {
     let direct = grid_edge_wire(2, 2, 0, 0, true);
     let words: Vec<i64> = vec![11, 22, 33, 44];
     let mut reference = None;
-    let mut run = |engine: Engine, workers: Option<usize>| {
+    let mut run = |engine: Engine| {
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
             // The wire dies mid-stream, while packets are crossing it.
@@ -325,11 +315,8 @@ fn midrun_dead_link_reroutes_identically() {
             .unwrap();
         net.node_mut(2).load_boot_program(&halting()).unwrap();
         net.node_mut(3).load_boot_program(&halting()).unwrap();
-        if let Some(w) = workers {
-            net.set_par_workers(w);
-        }
         let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?} {workers:?}");
+        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
         assert!(net.any_link_failed(), "the hop must actually die mid-run");
         assert!(
             net.route_reachable(0, 1),
@@ -337,17 +324,14 @@ fn midrun_dead_link_reroutes_identically() {
         );
         let got = fingerprint(&mut net, &[(1, 1), (1, 2), (1, 3), (1, 4)]);
         let want: Vec<u32> = words.iter().map(|&w| w as u32).collect();
-        assert_eq!(got.2, want, "{engine:?} {workers:?}");
+        assert_eq!(got.2, want, "{engine:?}");
         match &reference {
             None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} {workers:?} diverged"),
+            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
         }
     };
     for engine in ENGINES {
-        run(engine, None);
-    }
-    for workers in [1, 2, 3, 7] {
-        run(Engine::Parallel, Some(workers));
+        run(engine);
     }
 }
 
@@ -611,12 +595,12 @@ fn wormhole_backpressure_stays_bounded() {
 }
 
 /// Wormhole under the robust protocol with heavy corruption: retried
-/// flits, credit returns riding repeated acknowledges — every engine
-/// and worker count lands on one bit-identical outcome.
+/// flits, credit returns riding repeated acknowledges — both engines
+/// land on one bit-identical outcome.
 #[test]
-fn wormhole_faulted_runs_are_engine_and_worker_invariant() {
+fn wormhole_faulted_runs_are_engine_invariant() {
     let mut reference = None;
-    let mut run = |engine: Engine, workers: Option<usize>| {
+    let mut run = |engine: Engine| {
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
             fault: Some(FaultPlan::uniform(1985, 0.05)),
@@ -640,27 +624,17 @@ fn wormhole_faulted_runs_are_engine_and_worker_invariant() {
         net.node_mut(3)
             .load_boot_program(&receiver_words(2))
             .unwrap();
-        if let Some(w) = workers {
-            net.set_par_workers(w);
-        }
         let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?} {workers:?}");
+        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
         let got = fingerprint(&mut net, &[(3, 1), (3, 2)]);
-        assert_eq!(
-            got.2,
-            vec![0x7E57_7E57, 0x000D_A7A5],
-            "{engine:?} {workers:?}"
-        );
+        assert_eq!(got.2, vec![0x7E57_7E57, 0x000D_A7A5], "{engine:?}");
         match &reference {
             None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} {workers:?} diverged"),
+            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
         }
     };
     for engine in ENGINES {
-        run(engine, None);
-    }
-    for workers in [1, 2, 3, 7] {
-        run(Engine::Parallel, Some(workers));
+        run(engine);
     }
 }
 
@@ -668,7 +642,7 @@ fn wormhole_faulted_runs_are_engine_and_worker_invariant() {
 /// the break, the relay chain is torn down hop by hop (sequence bits
 /// realigned, in-flight bytes swallowed), the partial image upstream of
 /// the break folds back into reassembly and reroutes — and the whole
-/// message still arrives, identically on every engine and worker count.
+/// message still arrives, identically on both engines.
 #[test]
 fn wormhole_stream_cut_by_wire_death_reroutes_identically() {
     // 3x2 grid, sender at 0, receiver at 2: the direct route is
@@ -677,7 +651,7 @@ fn wormhole_stream_cut_by_wire_death_reroutes_identically() {
     let dying = grid_edge_wire(3, 2, 1, 0, true);
     let words: Vec<i64> = vec![0x0A11, 0x0B22, 0x0C33, 0x0D44];
     let mut reference = None;
-    let mut run = |engine: Engine, workers: Option<usize>| {
+    let mut run = |engine: Engine| {
         let mut b = NetworkBuilder::new(NetworkConfig {
             engine,
             fault: Some(FaultPlan::uniform(1, 0.0).with_dead_link(dying, 5_000)),
@@ -702,24 +676,18 @@ fn wormhole_stream_cut_by_wire_death_reroutes_identically() {
         for n in [1usize, 3, 4, 5] {
             net.node_mut(n).load_boot_program(&halting()).unwrap();
         }
-        if let Some(w) = workers {
-            net.set_par_workers(w);
-        }
         let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?} {workers:?}");
+        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
         assert!(net.any_link_failed(), "the hop must actually die mid-run");
         let got = fingerprint(&mut net, &[(2, 1), (2, 2), (2, 3), (2, 4)]);
         let want: Vec<u32> = words.iter().map(|&w| w as u32).collect();
-        assert_eq!(got.2, want, "{engine:?} {workers:?}");
+        assert_eq!(got.2, want, "{engine:?}");
         match &reference {
             None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} {workers:?} diverged"),
+            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
         }
     };
     for engine in ENGINES {
-        run(engine, None);
-    }
-    for workers in [1, 2, 3, 7] {
-        run(Engine::Parallel, Some(workers));
+        run(engine);
     }
 }

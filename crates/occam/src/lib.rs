@@ -42,6 +42,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod codegen;
 pub mod emit;

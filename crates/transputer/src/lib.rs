@@ -42,6 +42,8 @@
 //! the companion `transputer-net` crate; the occam compiler that targets
 //! this emulator lives in the `occam` crate.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod error;
 pub mod instr;

@@ -15,6 +15,8 @@
 //!
 //! See README.md for a tour and DESIGN.md for the experiment index.
 
+#![forbid(unsafe_code)]
+
 pub use occam;
 pub use transputer;
 pub use transputer_apps as apps;
