@@ -713,9 +713,9 @@ mod tests {
         let cfg = Cfg::recover(&code);
         let mut covered = vec![false; cfg.insns.len()];
         for b in &cfg.blocks {
-            for i in b.first..=b.last {
-                assert!(!covered[i], "instruction {i} in two blocks");
-                covered[i] = true;
+            for seen in &mut covered[b.first..=b.last] {
+                assert!(!*seen, "block {}..={} overlaps another", b.first, b.last);
+                *seen = true;
             }
         }
         assert!(covered.iter().all(|&c| c));

@@ -15,7 +15,7 @@ use std::time::Instant;
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
 use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, DbSearchReport, HypercubeConfig};
 use transputer_link::FaultPlan;
-use transputer_net::{Engine, Network, NetworkConfig, RouterConfig, Switching};
+use transputer_net::{Engine, Network, NetworkConfig, PopCounts, RouterConfig, Switching};
 
 use crate::corpus;
 
@@ -72,6 +72,11 @@ pub struct NetRun {
     /// Logical cores of the host that produced this row. Host-side
     /// only, excluded from the fingerprint.
     pub host_cores: usize,
+    /// Heap pops of the run: node entries (slices under Sliced), wire
+    /// entries, and the wire entries skipped as stale. Host-side only,
+    /// excluded from the fingerprint — node pops are what the engine's
+    /// lookahead decides, so they are the deterministic measure of it.
+    pub pops: PopCounts,
     /// Aggregate virtual-channel router counters, `None` on unrouted
     /// networks. Excluded from the fingerprint: trailing queue-pop acks
     /// race the all-halted detection, whose time is engine-dependent,
@@ -248,6 +253,7 @@ fn net_run(
         decode: net.decode_stats(),
         trans: net.trans_stats(),
         host_cores: host_cores(),
+        pops: net.pop_counts(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
     }
@@ -986,7 +992,8 @@ pub fn to_json(
              \"decode_hits\": {}, \"decode_misses\": {}, \"decode_invalidations\": {}, \
              \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
              \"trans_deopts\": {}, \"trans_invalidations\": {}, \
-             \"host_cores\": {}, \"router\": {router}, \
+             \"host_cores\": {}, \"node_pops\": {}, \"wire_pops\": {}, \
+             \"stale_wire_pops\": {}, \"router\": {router}, \
              \"answers_ok\": {}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
             r.bench,
             r.engine,
@@ -1005,6 +1012,9 @@ pub fn to_json(
             r.trans.2,
             r.trans.3,
             r.host_cores,
+            r.pops.node,
+            r.pops.wire,
+            r.pops.stale_wire,
             r.answers_ok,
             r.fingerprint,
         ));
@@ -1104,6 +1114,7 @@ mod tests {
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"host_cores\""));
+        assert!(json.contains("\"node_pops\""));
     }
 
     #[test]
@@ -1122,6 +1133,24 @@ mod tests {
         let json = to_json(true, &[], &[], &[], &runs, &problems);
         assert!(json.contains("\"router\": {\"packets_sent\""));
         assert!(json.contains("\"mean_hop_ns\""));
+    }
+
+    /// The routed lookahead pinned as a count, not a stopwatch: on the
+    /// trimmed routed cube Sliced pops 12 142 node entries for 61 884
+    /// instructions (19.6 per 100; the constant single-frame hop term
+    /// this replaced took 17 952, 29.0 per 100). A lookahead regression
+    /// shortens slices and trips the ceiling of 22 per 100 on any host.
+    #[test]
+    fn routed_cube_slices_stay_long() {
+        let r = Machine::RoutedCube(hypercube_smoke()).run("routed_cube_smoke", Engine::Sliced);
+        assert!(r.answers_ok);
+        assert_eq!(r.pops.wire, 42_016, "wire pops are simulated events");
+        assert!(
+            r.pops.node * 100 <= r.instructions * 22,
+            "{} node pops for {} instructions",
+            r.pops.node,
+            r.instructions
+        );
     }
 
     #[test]

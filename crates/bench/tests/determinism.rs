@@ -245,8 +245,12 @@ fn faults_hidden(sim: &DbSearch, report: &DbSearchReport) {
 /// with an order-independent sum, so what the rows pin is that both
 /// engines land on the identical merged state, duplicates included.
 fn wire_death() -> FaultPlan {
+    wire_death_at(180_000)
+}
+
+fn wire_death_at(kill_ns: u64) -> FaultPlan {
     let dying = grid_edge_wire(3, 3, 1, 2, true);
-    FaultPlan::uniform(77, 0.0).with_dead_link(dying, 180_000)
+    FaultPlan::uniform(77, 0.0).with_dead_link(dying, kill_ns)
 }
 
 fn wire_died(sim: &DbSearch, _: &DbSearchReport) {
@@ -308,6 +312,44 @@ sweeps! {
         |e| Routed(routed_smoke()).faulted(wire_death()).build(e), wire_died;
     routed_wormhole_wire_death_merges_identically_across_engines:
         |e| Routed(routed_smoke()).wormhole().faulted(wire_death()).build(e), stream_cut;
+}
+
+/// One wire-death row at each of 36 kill instants, two bit times apart,
+/// spanning exactly the 7.1 us (176.3 to 183.4 us) in which a break on
+/// this wire cuts the live wormhole stream the pinned 180 us row cuts
+/// once — so the break lands on every byte of the stream and on both
+/// its data frames and their acknowledges.
+fn sweep_kill_instants(
+    label: &str,
+    machine: fn() -> Machine,
+    check: fn(&DbSearch, &DbSearchReport),
+) {
+    for kill_ns in (0..36).map(|k| 176_300 + k * 200) {
+        sweep_engines(
+            &format!("{label} at {kill_ns} ns"),
+            |e| machine().faulted(wire_death_at(kill_ns)).build(e),
+            check,
+        );
+    }
+}
+
+/// Store-and-forward: the retry budget discovers the death mid-packet
+/// and both end routers requeue what was stranded, at every instant.
+#[test]
+fn routed_wire_death_sweep_agrees_across_engines() {
+    sweep_kill_instants("routed wire death", || Routed(routed_smoke()), wire_died);
+}
+
+/// Wormhole: every instant cuts the live stream, whose teardown starts
+/// transmits on routers beyond the dead wire's ends at the failure
+/// instant (DESIGN.md §11 has the lookahead argument this sweep backs).
+#[test]
+fn routed_wormhole_wire_death_sweep_agrees_across_engines() {
+    sweep_kill_instants(
+        "routed wormhole wire death",
+        || Routed(routed_smoke()).wormhole(),
+        stream_cut,
+    );
 }
 
 /// On the cluster hypercube the e-cube tables have a cyclic

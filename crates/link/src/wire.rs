@@ -333,6 +333,12 @@ impl DuplexLink {
         std::mem::take(&mut self.pending_events)
     }
 
+    /// Drop any undrained start events in place, keeping the buffer: for
+    /// schedulers whose receivers never decide at reception start.
+    pub fn discard_pending_events(&mut self) {
+        self.pending_events.clear();
+    }
+
     /// The earliest time at which something will complete, if any packet
     /// is in flight.
     pub fn next_deadline(&self) -> Option<u64> {
@@ -361,7 +367,15 @@ impl DuplexLink {
     /// line order. Lost packets complete silently; garbled packets
     /// surface as [`LinkEvent::Garbled`].
     pub fn advance(&mut self, now: u64) -> Vec<LinkEvent> {
-        let mut events = std::mem::take(&mut self.pending_events);
+        let mut events = Vec::new();
+        self.advance_into(now, &mut events);
+        events
+    }
+
+    /// [`DuplexLink::advance`], appending to a caller-owned buffer so a
+    /// scheduler draining millions of wire events allocates nothing.
+    pub fn advance_into(&mut self, now: u64, events: &mut Vec<LinkEvent>) {
+        events.append(&mut self.pending_events);
         loop {
             let mut progressed = false;
             for i in 0..2 {
@@ -412,7 +426,6 @@ impl DuplexLink {
                 break;
             }
         }
-        events
     }
 }
 
@@ -438,6 +451,31 @@ mod tests {
         link.send_data(End::A, 7, 0);
         let evs = link.advance(0);
         assert_eq!(evs, vec![LinkEvent::DataStarted { to: End::B }]);
+    }
+
+    #[test]
+    fn advance_into_appends_what_advance_returns() {
+        let mut into = DuplexLink::new(LinkSpeed::standard());
+        into.send_data(End::A, 7, 0);
+        let mut plain = into.clone();
+        // Whatever the caller's buffer already holds stays in front.
+        let mut got = vec![LinkEvent::Garbled { to: End::A }];
+        let mut want = got.clone();
+        for now in [0, 1100] {
+            into.advance_into(now, &mut got);
+            want.extend(plain.advance(now));
+        }
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 3, "marker, start, delivery");
+    }
+
+    #[test]
+    fn discarded_start_events_never_surface() {
+        let mut link = DuplexLink::new(LinkSpeed::standard());
+        link.send_data(End::A, 7, 0);
+        link.discard_pending_events();
+        assert!(link.advance(0).is_empty());
+        assert_eq!(link.advance(1100).len(), 1, "the byte still arrives");
     }
 
     #[test]

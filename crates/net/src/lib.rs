@@ -42,7 +42,9 @@ pub mod sim;
 pub mod topology;
 
 pub use router::{RouterConfig, RouterStats, Switching};
-pub use sim::{Engine, Network, NetworkBuilder, NetworkConfig, NodeId, SimError, SimOutcome};
+pub use sim::{
+    Engine, Network, NetworkBuilder, NetworkConfig, NodeId, PopCounts, SimError, SimOutcome,
+};
 pub use topology::{
     adjacency_add_wire, grid, grid_adjacency, hypercube, hypercube_adjacency, pipeline, ring,
     Adjacency, GridNet, HypercubeNet, NO_ROUTE,

@@ -459,6 +459,21 @@ impl RouterNet {
         self.cut_through
     }
 
+    /// Bitmask of `node`'s physical ports with a data byte on the wire
+    /// awaiting its acknowledge: mid-packet, relaying a stream byte, or
+    /// owed the late acknowledge of a torn-down relay.
+    pub(crate) fn tx_outstanding(&self, node: usize) -> u8 {
+        let r = &self.nodes[node];
+        let relaying = |p: usize| {
+            r.stream_out[p]
+                .and_then(|q| r.stream_in[q])
+                .is_some_and(|s| s.inflight)
+        };
+        (0..4)
+            .filter(|&p| r.tx_pos[p].is_some() || r.tx_abort[p] || relaying(p))
+            .fold(0, |mask, p| mask | 1 << p)
+    }
+
     /// Service a node's CPU-facing side at `now_ns`: resume deliveries
     /// whose deferred acknowledge the CPU has raised, then drain any
     /// output the CPU has ready. Idempotent — the event engine calls

@@ -31,6 +31,7 @@
 //! state at the exact instruction boundary that produced it; the engines
 //! are bit-identical in cycle counts, delivered bytes, and memory images.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -476,13 +477,19 @@ impl NetworkBuilder {
             // whose anchor-corner walks close cross-route cycles).
             RouterNet::new(rb.adj, tables, dead, &rb.vcs, router_cfg)
         });
+        // A wire can die under a live cut-through stream only on robust
+        // wires whose cut-through proof held at build. Its teardown
+        // starts transmits beyond the dead wire's ends with no flight
+        // time from the failure, so the transmit bits stay saturated,
+        // pinning the hop at one acknowledge frame (DESIGN.md §11).
+        let pin_tx_flight = robust && router.as_ref().is_some_and(RouterNet::cut_through);
         let hot = NodeHot {
             scheduled: vec![false; n],
             next_ns: vec![0; n],
             ports: port_to_wire,
             peers,
             cycle_ns: self.nodes.iter().map(|c| c.cycle_time_ns()).collect(),
-            tx_flight: vec![0; n],
+            tx_flight: vec![if pin_tx_flight { 0b1111 } else { 0 }; n],
             ea: vec![[EaState::default(); 4]; n],
         };
         let mut net = Network {
@@ -502,6 +509,11 @@ impl NetworkBuilder {
             max_retries,
             wire_next: vec![u64::MAX; w],
             router,
+            pin_tx_flight,
+            halted_below: Cell::new(0),
+            events: Vec::new(),
+            acts: Vec::new(),
+            pops: PopCounts::default(),
         };
         for i in 0..n {
             net.schedule_node(i, 0);
@@ -538,12 +550,14 @@ struct NodeHot {
     /// Each node's cycle time in ns (fixed at construction), hoisted
     /// out of `Cpu` for the bound arithmetic.
     cycle_ns: Vec<u64>,
-    /// Bitmask of ports with a transmit byte in flight, mirrored from
-    /// link state by [`Network::refresh_tx_flight`]. The mirror must be
-    /// exact where bounds are computed: a spurious set bit would only
-    /// shorten a bound (safe), but a missing one would lengthen it past
-    /// an acknowledge arrival (unsound) — hence the eager refresh at
-    /// every point link-transmit state can change.
+    /// Bitmask of ports with a transmit byte in flight on the attached
+    /// wire. Classic networks mirror the CPU's link state
+    /// ([`Network::refresh_tx_flight`]); routed networks mirror the
+    /// router's, which owns the wires there (set where a router data
+    /// byte goes on a wire, cleared by its fresh acknowledge). A
+    /// spurious set bit would only shorten a bound (safe), but a missing
+    /// one would lengthen it past an acknowledge arrival (unsound) —
+    /// hence the update at every point transmit state can change.
     tx_flight: Vec<u8>,
     /// Early-acknowledge history per port (sliced engine).
     ea: Vec<[EaState; 4]>,
@@ -583,10 +597,32 @@ pub struct Network {
     wire_next: Vec<u64>,
     /// The virtual-channel router, when enabled: it owns every wire
     /// endpoint, and the CPUs' link ports become virtual-channel
-    /// endpoints (see [`crate::router`]). Taken out of the network for
-    /// the duration of each router call so the router can borrow the
-    /// CPUs.
+    /// endpoints (see [`crate::router`]).
     router: Option<RouterNet>,
+    /// `hot.tx_flight` was saturated at build and is never cleared (see
+    /// [`NetworkBuilder::build`]).
+    pin_tx_flight: bool,
+    /// Every node below this index has halted cleanly: where
+    /// [`Network::all_halted`] resumes its scan.
+    halted_below: Cell<usize>,
+    /// Scratch for one wire drain's link events, reused across pops.
+    events: Vec<LinkEvent>,
+    /// Scratch for one router call's requested effects, likewise.
+    acts: Vec<(usize, Act)>,
+    pops: PopCounts,
+}
+
+/// Heap pops since the network was built. Host-side observability,
+/// never fingerprinted: node pops depend on the engine's slicing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PopCounts {
+    /// Node entries: instructions under Event, slices under Sliced.
+    pub node: u64,
+    /// Wire entries.
+    pub wire: u64,
+    /// Wire entries skipped, not drained: superseded by an earlier entry
+    /// for the wire, or requeued behind same-instant node entries.
+    pub stale_wire: u64,
 }
 
 impl Network {
@@ -610,13 +646,6 @@ impl Network {
         self.config.engine
     }
 
-    /// Switch engines. Safe at any event boundary: all engines share the
-    /// same heap discipline and observable state.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.config.engine = engine;
-        self.ea_primed = false;
-    }
-
     /// Shim for the deleted host-parallel engine's worker count: does
     /// nothing. Kept only because the system benchmark calls it.
     #[doc(hidden)]
@@ -637,7 +666,15 @@ impl Network {
 
     /// Mutable access to a node (program loading, inspection).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Cpu {
+        // The caller may replace a halted node with a live one.
+        let below = self.halted_below.get_mut();
+        *below = (*below).min(id);
         &mut self.nodes[id]
+    }
+
+    /// Heap pops so far, by kind (see [`PopCounts`]).
+    pub fn pop_counts(&self) -> PopCounts {
+        self.pops
     }
 
     /// Data bytes delivered over a wire, per direction. Under the robust
@@ -920,6 +957,7 @@ impl Network {
         match actor {
             Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire),
             Actor::Node(n) => {
+                self.pops.node += 1;
                 self.hot.scheduled[n] = false;
                 if self.nodes[n].is_idle() {
                     // Bring the idle node's local clock up to global time
@@ -957,9 +995,12 @@ impl Network {
     // The lookahead (sliced) engine.
     // ------------------------------------------------------------------
 
-    /// Initialise the early-acknowledge history from live link state.
-    /// Runs at the first sliced step so program loading and boot
-    /// configuration between `build()` and the first run are captured.
+    /// Initialise the early-acknowledge history (and, on classic
+    /// networks, the transmit mirror) from live link state. Runs at the
+    /// first sliced step so program loading and boot configuration
+    /// between `build()` and the first run are captured. A routed
+    /// network's CPU ports are virtual-channel endpoints; its mirror
+    /// follows the router's acts instead.
     fn prime_ea(&mut self) {
         if self.ea_primed {
             return;
@@ -977,7 +1018,9 @@ impl Network {
                     prev: live,
                 };
             }
-            self.refresh_tx_flight(node);
+            if self.router.is_none() {
+                self.refresh_tx_flight(node);
+            }
         }
     }
 
@@ -1014,6 +1057,7 @@ impl Network {
     /// event addressed to it, or a chain of other events reaching it (no
     /// faster than the heap frontier plus one acknowledge flight).
     fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>) -> u64 {
+        debug_assert!(self.tx_mirror_covers_router(m), "node {m}");
         let mut act = u64::MAX;
         if self.hot.scheduled[m] {
             act = self.hot.next_ns[m];
@@ -1030,16 +1074,7 @@ impl Network {
             if tp.saturating_add(self.ack_ns.min(self.data_ns)) < act {
                 // An acknowledge can only land on a port whose transmit
                 // is in flight; any other first arrival is a data packet.
-                // In routed mode the CPUs' transmit state says nothing
-                // about the wires (the routers own them), so assume the
-                // faster packet. That single-frame term is already the
-                // header-latency bound wormhole cut-through needs: a
-                // relayed byte still costs one full frame per wire, so
-                // the routed windows keep their length in both switching
-                // modes.
-                let hop_in = if self.router.is_some() {
-                    self.ack_ns.min(self.data_ns)
-                } else if self.hot.tx_flight[m] != 0 {
+                let hop_in = if self.hot.tx_flight[m] != 0 {
                     self.ack_ns
                 } else {
                     self.data_ns
@@ -1050,10 +1085,18 @@ impl Network {
         act
     }
 
+    /// The "missing bit is unsound" rule of [`NodeHot::tx_flight`], checked
+    /// against the router's own state wherever a bound reads the mirror.
+    fn tx_mirror_covers_router(&self, node: usize) -> bool {
+        let owed = self.router.as_ref().map_or(0, |r| r.tx_outstanding(node));
+        self.hot.tx_flight[node] & owed == owed
+    }
+
     /// How far node `node`, popped at `t`, may run without interacting
     /// with anything the wires could deliver first. `t_peek` is the heap
     /// frontier after the pop.
     fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>) -> u64 {
+        debug_assert!(self.tx_mirror_covers_router(node), "node {node}");
         let mut direct = u64::MAX;
         for port in 0..4 {
             let w = self.hot.ports[node][port];
@@ -1064,13 +1107,7 @@ impl Network {
             let peer = self.hot.peers[node][port];
             // The first packet the peer could land on this node: an
             // acknowledge if our byte is on the wire, else a data byte.
-            // Routed wires belong to the routers, whose transmit state
-            // the CPU mirror does not track: assume the faster packet
-            // (which is also the wormhole header-latency bound — a
-            // cut-through relay still pays one full frame per wire).
-            let hop = if self.router.is_some() {
-                self.ack_ns.min(self.data_ns)
-            } else if self.hot.tx_flight[node] & (1 << port) != 0 {
+            let hop = if self.hot.tx_flight[node] & (1 << port) != 0 {
                 self.ack_ns
             } else {
                 self.data_ns
@@ -1331,28 +1368,26 @@ impl Network {
     /// router absorb CPU output and resume deliveries, then apply the
     /// wire effects it requested, stamped at `stamp`.
     fn router_service(&mut self, node: usize, stamp: u64) {
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        router.service_node(&mut self.nodes, node, stamp, &mut acts);
-        self.router = Some(router);
-        self.apply_router_acts(stamp, &acts);
+        let router = self.router.as_mut().expect("routed mode");
+        router.service_node(&mut self.nodes, node, stamp, &mut self.acts);
+        self.apply_router_acts(stamp);
     }
 
     /// Routed replacement for wire processing, shared by every engine:
     /// drain due completions and hand them to the endpoint routers.
     fn process_wire_routed(&mut self, w: usize) {
         let now = self.now_ns;
-        let events = self.wires[w].link.advance(now);
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        for ev in events {
+        let router = self.router.as_mut().expect("routed mode");
+        let wire = &mut self.wires[w];
+        wire.link.advance_into(now, &mut self.events);
+        for ev in self.events.drain(..) {
             match ev {
                 // Routers never early-acknowledge: the forwarding
                 // decision needs the whole byte (and often the whole
                 // packet), so reception starts carry no information.
                 LinkEvent::DataStarted { .. } => {}
                 LinkEvent::DataDelivered { to, byte, seq } => {
-                    let (node, port) = self.wire_end(w, to);
+                    let (node, port) = wire.ends[end_index(to)];
                     let accepted = router.phys_data(
                         &mut self.nodes,
                         node,
@@ -1361,14 +1396,14 @@ impl Network {
                         seq,
                         self.robust,
                         now,
-                        &mut acts,
+                        &mut self.acts,
                     );
                     if accepted {
-                        self.wires[w].delivered[end_index(to)] += 1;
+                        wire.delivered[end_index(to)] += 1;
                     }
                 }
                 LinkEvent::AckDelivered { to, seq } => {
-                    let (node, port) = self.wire_end(w, to);
+                    let (node, port) = wire.ends[end_index(to)];
                     let fresh = router.phys_ack(
                         &mut self.nodes,
                         node,
@@ -1376,25 +1411,29 @@ impl Network {
                         seq,
                         self.robust,
                         now,
-                        &mut acts,
+                        &mut self.acts,
                     );
                     if fresh {
-                        self.wires[w].resend[end_index(to)] = None;
+                        wire.resend[end_index(to)] = None;
+                        // Any data act this acknowledge released sets
+                        // the bit again when applied.
+                        if !self.pin_tx_flight {
+                            self.hot.tx_flight[node] &= !(1 << port);
+                        }
                     }
                 }
                 LinkEvent::BusyDelivered { to, seq } => {
-                    if let Some(r) = &mut self.wires[w].resend[end_index(to)] {
+                    if let Some(r) = &mut wire.resend[end_index(to)] {
                         r.back_off(seq, now, self.timeout_ns);
                     }
                 }
                 LinkEvent::Garbled { to } => {
-                    let (node, _) = self.wire_end(w, to);
+                    let (node, _) = wire.ends[end_index(to)];
                     self.nodes[node].note_link_rx_error();
                 }
             }
         }
-        self.router = Some(router);
-        self.apply_router_acts(now, &acts);
+        self.apply_router_acts(now);
         self.schedule_wire(w);
     }
 
@@ -1403,19 +1442,19 @@ impl Network {
     fn router_wire_failed(&mut self, w: usize) {
         let now = self.now_ns;
         let ends = self.wires[w].ends;
-        let mut router = self.router.take().expect("routed mode");
-        let mut acts = Vec::new();
-        router.wire_failed(&mut self.nodes, w, ends, now, &mut acts);
-        self.router = Some(router);
-        self.apply_router_acts(now, &acts);
+        let router = self.router.as_mut().expect("routed mode");
+        router.wire_failed(&mut self.nodes, w, ends, now, &mut self.acts);
+        self.apply_router_acts(now);
     }
 
-    /// Apply the wire- and scheduler-visible effects a router call
-    /// requested. Router logic never re-enters here: acts are
-    /// self-contained, so wire bookkeeping (resend registration,
-    /// scheduling) stays in this one place.
-    fn apply_router_acts(&mut self, stamp: u64, acts: &[(usize, Act)]) {
-        for &(node, act) in acts {
+    /// Apply (and consume) the wire- and scheduler-visible effects the
+    /// last router call left in `self.acts`. Router logic never
+    /// re-enters here: acts are self-contained, so wire bookkeeping
+    /// (resend registration, scheduling, the transmit mirror) stays in
+    /// this one place.
+    fn apply_router_acts(&mut self, stamp: u64) {
+        let mut acts = std::mem::take(&mut self.acts);
+        for (node, act) in acts.drain(..) {
             if let Act::Wake = act {
                 self.schedule_node(node, stamp);
                 continue;
@@ -1433,6 +1472,7 @@ impl Network {
             };
             match act {
                 Act::Data { byte, seq, .. } => {
+                    self.hot.tx_flight[node] |= 1 << port;
                     if self.robust {
                         self.send_data_robust(w, end, byte, seq, stamp);
                     } else {
@@ -1453,9 +1493,10 @@ impl Network {
             }
             // Routers never early-acknowledge, so data-start probes are
             // meaningless in routed mode: discard them.
-            self.wires[w].link.take_pending_events();
+            self.wires[w].link.discard_pending_events();
             self.schedule_wire(w);
         }
+        self.acts = acts;
     }
 
     /// The early-acknowledge decision for a data packet that started
@@ -1488,7 +1529,8 @@ impl Network {
                 .iter()
                 .flatten()
                 .any(|r| r.deadline == t);
-        if !tie {
+        // A node entry pending at `t` would be the heap's top entry.
+        if !tie || !matches!(self.queue.peek(), Some(Reverse((pt, _, _))) if *pt == t) {
             return false;
         }
         let node_pending =
@@ -1506,10 +1548,13 @@ impl Network {
     /// wire through the stepper's `process` routine (which reschedules
     /// it), and only then fire due retransmissions.
     fn pop_wire(&mut self, w: usize, t: u64, process: fn(&mut Network, usize)) {
+        self.pops.wire += 1;
         if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
             self.wire_next[w] = u64::MAX;
             process(self, w);
             self.fire_due_resends(w);
+        } else {
+            self.pops.stale_wire += 1;
         }
     }
 
@@ -1536,8 +1581,9 @@ impl Network {
                 self.resolve_probe(w, to, t);
             }
         }
-        let events = self.wires[w].link.advance(now);
-        for ev in events {
+        let mut events = std::mem::take(&mut self.events);
+        self.wires[w].link.advance_into(now, &mut events);
+        for ev in events.drain(..) {
             if self.robust {
                 self.process_robust_event(w, ev);
                 continue;
@@ -1578,6 +1624,7 @@ impl Network {
                 }
             }
         }
+        self.events = events;
         self.schedule_wire(w);
     }
 
@@ -1593,6 +1640,7 @@ impl Network {
         match actor {
             Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire_sliced),
             Actor::Node(n) => {
+                self.pops.node += 1;
                 self.hot.scheduled[n] = false;
                 let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
                 let bound = self.slice_bound_ns(n, t_peek);
@@ -1611,11 +1659,19 @@ impl Network {
         }
     }
 
-    /// Whether every node has halted cleanly.
+    /// Whether every node has halted cleanly. Amortised O(1) per heap
+    /// event: a halted processor stays halted (only [`Network::node_mut`]
+    /// can put a live one in its place, and it rewinds the cursor), so
+    /// the scan resumes where it last stopped.
     pub fn all_halted(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| n.halt_reason() == Some(HaltReason::Stopped))
+        let mut below = self.halted_below.get();
+        while below < self.nodes.len()
+            && self.nodes[below].halt_reason() == Some(HaltReason::Stopped)
+        {
+            below += 1;
+        }
+        self.halted_below.set(below);
+        below == self.nodes.len()
     }
 
     /// Run until every node halts cleanly.
@@ -1762,6 +1818,50 @@ mod tests {
             .unwrap();
         let out = net.run_until_all_halted(1_000_000).unwrap();
         assert_eq!(out, SimOutcome::AllHalted);
+    }
+
+    /// `all_halted` resumes its scan where it last stopped, so
+    /// `node_mut` must rewind it: a processor put in a halted node's
+    /// place is live, whichever side of the cursor it sits on.
+    #[test]
+    fn all_halted_notices_a_node_replaced_through_node_mut() {
+        for replaced in 0..2 {
+            let mut b = NetworkBuilder::new(NetworkConfig::default());
+            b.add_node();
+            b.add_node();
+            let mut net = b.build();
+            for id in 0..2 {
+                net.node_mut(id)
+                    .load_boot_program(&halting_program())
+                    .unwrap();
+            }
+            assert!(!net.all_halted());
+            assert_eq!(
+                net.run_until_all_halted(1_000_000),
+                Ok(SimOutcome::AllHalted)
+            );
+            // Reloading a halted processor does not revive it.
+            net.node_mut(replaced)
+                .load_boot_program(&halting_program())
+                .unwrap();
+            assert!(net.all_halted());
+            assert_eq!(
+                net.run_until_all_halted(1_000_000),
+                Ok(SimOutcome::AllHalted)
+            );
+            // A fresh one in its place is live, and nothing schedules it:
+            // the run must end saying so, not claim a clean halt.
+            *net.node_mut(replaced) = Cpu::new(CpuConfig::t424());
+            net.node_mut(replaced)
+                .load_boot_program(&halting_program())
+                .unwrap();
+            assert!(!net.all_halted(), "node {replaced} replaced");
+            assert_eq!(
+                net.run_until_all_halted(1_000_000),
+                Ok(SimOutcome::Deadlock)
+            );
+            assert!(!net.all_halted());
+        }
     }
 
     fn one_word_sender() -> Vec<u8> {

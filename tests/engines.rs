@@ -2,10 +2,12 @@
 //! lookahead-batched Sliced engine must land bit-identically on the
 //! per-instruction Event oracle — answers, arrival times, per-node
 //! cycles and instruction counts, per-wire bytes, full memory images.
-//! Four fast rows of the full table in
+//! Five fast rows of the full table in
 //! `crates/bench/tests/determinism.rs` (which needs `--workspace`).
 
-use transputer_bench::hostperf::{figure8_smoke, routed_smoke, sweep_engines, Machine};
+use transputer_bench::hostperf::{
+    figure8_smoke, hypercube_smoke, routed_smoke, sweep_engines, Machine,
+};
 use transputer_link::FaultPlan;
 
 #[test]
@@ -51,6 +53,17 @@ fn routed_grid_wormhole_sliced_matches_event() {
     sweep_engines(
         "routed 3x3 wormhole",
         |e| Machine::Routed(routed_smoke()).wormhole().build(e),
+        |_, report| assert!(!report.degraded),
+    );
+}
+
+/// The topology the router-aware lookahead hop lengthens slices on most:
+/// transit queues live at several cluster anchors at once.
+#[test]
+fn routed_hypercube_sliced_matches_event() {
+    sweep_engines(
+        "routed hypercube",
+        |e| Machine::RoutedCube(hypercube_smoke()).build(e),
         |_, report| assert!(!report.degraded),
     );
 }
