@@ -35,7 +35,7 @@ use crate::workload::{Workload, RECORD_WORDS};
 use occam::places;
 use transputer::WordLength;
 use transputer_net::topology::{
-    adjacency_add_wire, bfs_dist, grid_adjacency, hypercube_adjacency, wire_hypercube, Adjacency,
+    adjacency, bfs_dist, grid_wires, hypercube_adjacency, hypercube_wires, Adjacency, WireEnds,
     PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };
 use transputer_net::{Network, NetworkBuilder, NetworkConfig, NodeId, SimError, SimOutcome};
@@ -98,6 +98,21 @@ impl DbSearchConfig {
     pub fn longest_path_links(&self) -> usize {
         (self.width - 1) + (self.height - 1)
     }
+
+    fn shape(&self) -> Shape {
+        Shape::Grid(self.width, self.height)
+    }
+
+    fn params(&self) -> SearchParams {
+        SearchParams {
+            records_per_node: self.records_per_node,
+            requests: self.requests,
+            seed: self.seed,
+            key_space: self.key_space,
+            net: self.net.clone(),
+            longest_path_links: self.longest_path_links(),
+        }
+    }
 }
 
 /// Configuration of a database-search machine shaped as a hypercube of
@@ -159,6 +174,69 @@ impl HypercubeConfig {
             .max()
             .unwrap_or(0) as usize
     }
+
+    fn shape(&self) -> Shape {
+        Shape::Cube(self.dim, self.side)
+    }
+
+    fn params(&self) -> SearchParams {
+        SearchParams {
+            records_per_node: self.records_per_node,
+            requests: self.requests,
+            seed: self.seed,
+            key_space: self.key_space,
+            net: self.net.clone(),
+            longest_path_links: self.longest_path_links(),
+        }
+    }
+}
+
+/// The array's wiring: a `width` × `height` grid or a `dim`, `side`
+/// hypercube of clusters.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Grid(usize, usize),
+    Cube(usize, usize),
+}
+
+/// How requests and answers travel: down and up planned spanning trees
+/// over the classic links, or over the router's virtual channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transport {
+    Planned,
+    Routed,
+}
+
+impl Shape {
+    fn node_count(self) -> usize {
+        match self {
+            Shape::Grid(w, h) => w * h,
+            Shape::Cube(dim, side) => (1usize << dim) * side * side,
+        }
+    }
+
+    /// The whole machine as its ordered wire list: the shape's sweep
+    /// over array nodes `0..n`, then the sender (node `n`) on the north
+    /// port of node 0 and the collector (node `n + 1`) below the south
+    /// port of node `n - 1` — the two ports every shape leaves free. The
+    /// collector's wire is the machine's last, collector at the B end.
+    fn wires(self, transport: Transport) -> Vec<WireEnds> {
+        let n = self.node_count();
+        let mut wires = match self {
+            Shape::Grid(w, h) => grid_wires(w, h, 0),
+            Shape::Cube(dim, side) => hypercube_wires(dim, side),
+        };
+        // The one wart: the sender's wire runs sender → array on a
+        // planned machine but array → sender on a routed one. Every
+        // committed fault fingerprint draws that wire's two
+        // per-direction fate streams this way round, so it stays.
+        wires.push(match transport {
+            Transport::Planned => ((n, PORT_SOUTH), (0, PORT_NORTH)),
+            Transport::Routed => ((0, PORT_NORTH), (n, PORT_SOUTH)),
+        });
+        wires.push(((n - 1, PORT_SOUTH), (n + 1, PORT_NORTH)));
+        wires
+    }
 }
 
 /// Parent preference for the request tree rooted at the north-west
@@ -193,35 +271,27 @@ struct NodeRoutes {
 }
 
 /// Compute both spanning trees over the links of an arbitrary machine
-/// that are alive at boot. Requests flood down a BFS tree rooted at
-/// `origin` (whose host attaches on `origin_host_port`), answers merge
-/// up a second BFS tree rooted at `exit` (host on `exit_host_port`);
-/// the preference arrays keep tie-breaks deterministic. Nodes outside
-/// the component containing both roots are marked excluded.
-fn plan_routes_over(
-    adj: &Adjacency,
-    origin: usize,
-    origin_host_port: usize,
-    exit: usize,
-    exit_host_port: usize,
-    dead: &HashSet<usize>,
-) -> Vec<NodeRoutes> {
-    let n = adj.len();
-    let from_origin = bfs_dist(adj, origin, dead);
-    let from_exit = bfs_dist(adj, exit, dead);
-    // The alive-link graph is undirected, so when the two roots share
-    // a component the intersection below is exactly that component;
-    // otherwise no node can both receive a request and deliver an
-    // answer, and everything is excluded.
-    let mut routes: Vec<NodeRoutes> = (0..n)
-        .map(|i| NodeRoutes {
-            included: from_origin[i].is_some() && from_exit[i].is_some(),
+/// that are alive at boot. `adj` is the whole machine's link map, hosts
+/// included (sender `n`, collector `n + 1`): requests flood down a BFS
+/// tree rooted at the sender, answers merge up a second BFS tree rooted
+/// at the collector, so the corner nodes find their host links like any
+/// other parent; the preference arrays keep tie-breaks deterministic.
+/// `included` marks the array nodes joined to both hosts.
+fn plan_routes(adj: &Adjacency, included: &[bool], dead: &HashSet<usize>) -> Vec<NodeRoutes> {
+    let n = included.len();
+    let (sender, collector) = (n, n + 1);
+    // Two extra entries stand for the hosts and soak up their child
+    // lists.
+    let mut routes: Vec<NodeRoutes> = (included.iter().chain(&[true, true]))
+        .map(|&included| NodeRoutes {
+            included,
             ..NodeRoutes::default()
         })
         .collect();
-    let mut pick_parents = |dist: &[Option<u32>], pref: [usize; 4], root: usize, request: bool| {
+    let mut pick_parents = |root: usize, pref: [usize; 4], request: bool| {
+        let dist = bfs_dist(adj, root, dead);
         for i in 0..n {
-            if !routes[i].included || i == root {
+            if !routes[i].included {
                 continue;
             }
             let d = dist[i].unwrap();
@@ -243,30 +313,15 @@ fn plan_routes_over(
             }
         }
     };
-    pick_parents(&from_origin, REQ_PARENT_PREF, origin, true);
-    pick_parents(&from_exit, ANS_PARENT_PREF, exit, false);
-    // The roots talk to the hosts over their free edge ports.
-    routes[origin].req_parent = origin_host_port;
-    routes[exit].ans_parent = exit_host_port;
+    pick_parents(sender, REQ_PARENT_PREF, true);
+    pick_parents(collector, ANS_PARENT_PREF, false);
+    routes.truncate(n);
     let order_of = |order: [usize; 4]| move |p: &usize| order.iter().position(|o| o == p);
     for r in &mut routes {
         r.req_children.sort_by_key(order_of(REQ_CHILD_ORDER));
         r.ans_children.sort_by_key(order_of(ANS_CHILD_ORDER));
     }
     routes
-}
-
-/// Compute both spanning trees over the grid links that are alive at
-/// boot (the corners host the sender and collector, as in Figure 8).
-fn plan_routes(w: usize, h: usize, dead: &HashSet<usize>) -> Vec<NodeRoutes> {
-    plan_routes_over(
-        &grid_adjacency(w, h),
-        0,
-        PORT_NORTH,
-        w * h - 1,
-        PORT_SOUTH,
-        dead,
-    )
 }
 
 /// Wires declared dead from boot by the configured fault plan; wires
@@ -298,7 +353,8 @@ pub struct DbSearch {
     collector_word: WordLength,
     answers_addr: u32,
     expected: Vec<u32>,
-    node_ids: Vec<NodeId>,
+    /// Array nodes (ids `0..nodes`; the hosts follow).
+    nodes: usize,
     excluded: usize,
     /// Wire bytes one answer message occupies on the collector's wire
     /// (a bare word on a planned machine, a framed packet on a routed
@@ -310,35 +366,74 @@ pub struct DbSearch {
     msgs_per_answer: u64,
 }
 
-/// The shape-specific half of a build: a wired network whose last wire
-/// is the collector's, the array nodes in route order, the two hosts,
-/// and the per-node occam already specialised for the routing scheme
-/// (spanning trees on a planned machine, a uniform program on a routed
-/// one).
-struct ArrayBuild {
-    net: Network,
-    node_ids: Vec<NodeId>,
-    sender: NodeId,
-    collector: NodeId,
-    node_srcs: Vec<String>,
+/// A search machine, described: its ordered wire list, the occam text
+/// of every processor, already specialised for the transport (tree
+/// positions on a planned machine, one uniform program on a routed
+/// one), and which array nodes take part.
+struct Machine {
+    wires: Vec<WireEnds>,
+    nodes: Vec<String>,
     included: Vec<bool>,
-    sender_src: String,
-    collector_src: String,
-    msgs_per_answer: u64,
-    routed: bool,
+    sender: String,
+    collector: String,
 }
 
-/// The shape-independent build parameters, with the two derived facts
-/// (`longest_path_links`, `total_records`) each shape computes its own
-/// way.
+/// Describe a machine around the `dead` wires. An array node takes
+/// part when the alive links join it to both hosts; the rest are
+/// excluded (the planned trees skip them, the router gets no channel to
+/// them) and run a stub.
+fn describe(
+    shape: Shape,
+    transport: Transport,
+    records_per_node: usize,
+    requests: usize,
+    dead: &HashSet<usize>,
+) -> Machine {
+    let n = shape.node_count();
+    let wires = shape.wires(transport);
+    let adj = adjacency(n + 2, &wires);
+    let from_sender = bfs_dist(&adj, n, dead);
+    let from_collector = bfs_dist(&adj, n + 1, dead);
+    let included: Vec<bool> = (0..n)
+        .map(|i| from_sender[i].is_some() && from_collector[i].is_some())
+        .collect();
+    let nlive = included.iter().filter(|&&inc| inc).count();
+    let (nodes, sender, collector) = match transport {
+        Transport::Planned => (
+            plan_routes(&adj, &included, dead)
+                .iter()
+                .map(|r| node_source(records_per_node, r))
+                .collect(),
+            sender_source(requests),
+            collector_source(requests),
+        ),
+        Transport::Routed => (
+            included
+                .iter()
+                .map(|&inc| routed_node_source(records_per_node, inc))
+                .collect(),
+            routed_sender_source(requests, nlive),
+            routed_collector_source(requests, nlive),
+        ),
+    };
+    Machine {
+        wires,
+        nodes,
+        included,
+        sender,
+        collector,
+    }
+}
+
+/// The shape-independent build parameters, with the one derived fact
+/// (`longest_path_links`) each shape computes its own way.
 struct SearchParams {
     records_per_node: usize,
     requests: usize,
     seed: u64,
     key_space: u32,
-    faulted: bool,
+    net: NetworkConfig,
     longest_path_links: usize,
-    total_records: usize,
 }
 
 /// Results of a search run.
@@ -413,57 +508,7 @@ impl DbSearch {
     ///
     /// Panics if the grid is smaller than 2×2.
     pub fn build(config: DbSearchConfig) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        assert!(
-            config.width >= 2 && config.height >= 2,
-            "grid must be at least 2x2"
-        );
-        let (w, h) = (config.width, config.height);
-        let mut b = NetworkBuilder::new(config.net.clone());
-        let node_ids: Vec<NodeId> = (0..w * h).map(|_| b.add_node()).collect();
-        let at = |x: usize, y: usize| node_ids[y * w + x];
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    b.connect((at(x, y), PORT_EAST), (at(x + 1, y), PORT_WEST));
-                }
-                if y + 1 < h {
-                    b.connect((at(x, y), PORT_SOUTH), (at(x, y + 1), PORT_NORTH));
-                }
-            }
-        }
-        let sender = b.add_node();
-        let collector = b.add_node();
-        b.connect((sender, PORT_SOUTH), (at(0, 0), PORT_NORTH));
-        b.connect((at(w - 1, h - 1), PORT_SOUTH), (collector, PORT_NORTH));
-        let net = b.build();
-
-        let routes = plan_routes(w, h, &boot_dead(&config.net));
-        Self::finish_build(
-            ArrayBuild {
-                net,
-                node_ids,
-                sender,
-                collector,
-                node_srcs: routes
-                    .iter()
-                    .map(|r| node_source(config.records_per_node, r))
-                    .collect(),
-                included: routes.iter().map(|r| r.included).collect(),
-                sender_src: sender_source(config.requests),
-                collector_src: collector_source(config.requests),
-                msgs_per_answer: 1,
-                routed: false,
-            },
-            &SearchParams {
-                records_per_node: config.records_per_node,
-                requests: config.requests,
-                seed: config.seed,
-                key_space: config.key_space,
-                faulted: config.net.fault.is_some(),
-                longest_path_links: config.longest_path_links(),
-                total_records: config.total_records(),
-            },
-        )
+        Self::build_machine(config.shape(), Transport::Planned, &config.params())
     }
 
     /// Build the routed array: the same grid, hosts and workload as
@@ -483,36 +528,11 @@ impl DbSearch {
     ///
     /// Panics if the grid is smaller than 2×2.
     pub fn build_routed(config: DbSearchConfig) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        assert!(
-            config.width >= 2 && config.height >= 2,
-            "grid must be at least 2x2"
-        );
-        let (w, h) = (config.width, config.height);
-        let n = w * h;
-        let mut adj = grid_adjacency(w, h);
-        let host_wire = (w - 1) * h + w * (h - 1);
-        adjacency_add_wire(&mut adj, (n, PORT_SOUTH), (0, PORT_NORTH), host_wire);
-        adjacency_add_wire(
-            &mut adj,
-            (n - 1, PORT_SOUTH),
-            (n + 1, PORT_NORTH),
-            host_wire + 1,
-        );
-        Self::routed_build(adj, None, config.net.clone(), n, &{
-            SearchParams {
-                records_per_node: config.records_per_node,
-                requests: config.requests,
-                seed: config.seed,
-                key_space: config.key_space,
-                faulted: config.net.fault.is_some(),
-                longest_path_links: config.longest_path_links(),
-                total_records: config.total_records(),
-            }
-        })
+        Self::build_machine(config.shape(), Transport::Routed, &config.params())
     }
 
     /// Build a hypercube-of-clusters search machine: `2^dim` grid
-    /// clusters wired by [`wire_hypercube`], the request host on the
+    /// clusters wired by [`hypercube_wires`], the request host on the
     /// north port of cluster 0's `(0, 0)` and the answer host on the
     /// south port of the last cluster's far corner (the two ports the
     /// dimension anchors leave free in every cluster).
@@ -527,52 +547,7 @@ impl DbSearch {
     pub fn build_hypercube(
         config: HypercubeConfig,
     ) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        let (dim, side) = (config.dim, config.side);
-        let n = config.node_count();
-        let mut b = NetworkBuilder::new(config.net.clone());
-        let node_ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
-        wire_hypercube(&mut b, &node_ids, dim, side);
-        let sender = b.add_node();
-        let collector = b.add_node();
-        let (origin, exit) = (0, n - 1);
-        b.connect((sender, PORT_SOUTH), (node_ids[origin], PORT_NORTH));
-        b.connect((node_ids[exit], PORT_SOUTH), (collector, PORT_NORTH));
-        let net = b.build();
-
-        let routes = plan_routes_over(
-            &hypercube_adjacency(dim, side),
-            origin,
-            PORT_NORTH,
-            exit,
-            PORT_SOUTH,
-            &boot_dead(&config.net),
-        );
-        Self::finish_build(
-            ArrayBuild {
-                net,
-                node_ids,
-                sender,
-                collector,
-                node_srcs: routes
-                    .iter()
-                    .map(|r| node_source(config.records_per_node, r))
-                    .collect(),
-                included: routes.iter().map(|r| r.included).collect(),
-                sender_src: sender_source(config.requests),
-                collector_src: collector_source(config.requests),
-                msgs_per_answer: 1,
-                routed: false,
-            },
-            &SearchParams {
-                records_per_node: config.records_per_node,
-                requests: config.requests,
-                seed: config.seed,
-                key_space: config.key_space,
-                faulted: config.net.fault.is_some(),
-                longest_path_links: config.longest_path_links(),
-                total_records: config.total_records(),
-            },
-        )
+        Self::build_machine(config.shape(), Transport::Planned, &config.params())
     }
 
     /// Build the routed hypercube machine: the clusters of
@@ -589,128 +564,62 @@ impl DbSearch {
     pub fn build_routed_hypercube(
         config: HypercubeConfig,
     ) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        let (dim, side) = (config.dim, config.side);
-        let n = config.node_count();
-        let mut adj = hypercube_adjacency(dim, side);
-        let host_wire = adj
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|link| link.2)
-            .max()
-            .expect("a hypercube has wires")
-            + 1;
-        adjacency_add_wire(&mut adj, (n, PORT_SOUTH), (0, PORT_NORTH), host_wire);
-        adjacency_add_wire(
-            &mut adj,
-            (n - 1, PORT_SOUTH),
-            (n + 1, PORT_NORTH),
-            host_wire + 1,
-        );
-        Self::routed_build(adj, Some((dim, side)), config.net.clone(), n, &{
-            SearchParams {
-                records_per_node: config.records_per_node,
-                requests: config.requests,
-                seed: config.seed,
-                key_space: config.key_space,
-                faulted: config.net.fault.is_some(),
-                longest_path_links: config.longest_path_links(),
-                total_records: config.total_records(),
-            }
-        })
+        Self::build_machine(config.shape(), Transport::Routed, &config.params())
     }
 
-    /// The routed variant's shape-independent build: the adjacency
-    /// already includes the two host wires (sender then collector, in
-    /// that order, so the collector's wire is the machine's last);
-    /// `cube` selects the e-cube tables. Nodes the router cannot join
-    /// to both hosts over the boot-alive wires are excluded exactly as
-    /// the planned variant excludes nodes cut from a corner.
-    fn routed_build(
-        adj: Adjacency,
-        cube: Option<(usize, usize)>,
-        net_config: NetworkConfig,
-        n: usize,
+    /// The one build behind the four constructors: wire the machine
+    /// from its wire list, generate and load every program, poke the
+    /// databases and keys, and compute the reference answers.
+    fn build_machine(
+        shape: Shape,
+        transport: Transport,
         p: &SearchParams,
     ) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        let dead = boot_dead(&net_config);
-        let from_sender = bfs_dist(&adj, n, &dead);
-        let from_collector = bfs_dist(&adj, n + 1, &dead);
-        let included: Vec<bool> = (0..n)
-            .map(|i| from_sender[i].is_some() && from_collector[i].is_some())
-            .collect();
+        if let Shape::Grid(w, h) = shape {
+            assert!(w >= 2 && h >= 2, "grid must be at least 2x2");
+        }
+        let n = shape.node_count();
+        let (sender, collector) = (n, n + 1);
+        let m = describe(
+            shape,
+            transport,
+            p.records_per_node,
+            p.requests,
+            &boot_dead(&p.net),
+        );
+        let included = &m.included;
         let nlive = included.iter().filter(|&&inc| inc).count();
 
-        let mut b = NetworkBuilder::new(net_config);
-        let node_ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
-        let sender = b.add_node();
-        let collector = b.add_node();
-        match cube {
-            Some((dim, side)) => b.enable_router_hypercube(adj, dim, side),
-            None => b.enable_router(adj),
-        };
-        // Request channels in node order — the sender's round-robin
-        // then deals key `k` of round `r` to participant `k mod nlive`.
-        // Each participant also gets its own answer channel into the
-        // collector.
-        for (i, &inc) in included.iter().enumerate() {
-            if inc {
-                b.add_vc((sender, 0), (node_ids[i], 0));
-                b.add_vc((node_ids[i], 1), (collector, 0));
+        let mut b = NetworkBuilder::new(p.net.clone());
+        for _ in 0..n + 2 {
+            b.add_node();
+        }
+        b.connect_all(&m.wires);
+        if transport == Transport::Routed {
+            match shape {
+                Shape::Grid(..) => b.enable_router(),
+                Shape::Cube(dim, side) => b.enable_router_hypercube(dim, side),
+            };
+            // Request channels in node order — the sender's round-robin
+            // then deals key `k` of round `r` to participant `k mod nlive`.
+            // Each participant also gets its own answer channel into the
+            // collector.
+            for i in (0..n).filter(|&i| included[i]) {
+                b.add_vc((sender, 0), (i, 0));
+                b.add_vc((i, 1), (collector, 0));
             }
         }
-        let net = b.build();
-
-        Self::finish_build(
-            ArrayBuild {
-                net,
-                node_ids,
-                sender,
-                collector,
-                node_srcs: included
-                    .iter()
-                    .map(|&inc| routed_node_source(p.records_per_node, inc))
-                    .collect(),
-                included,
-                sender_src: routed_sender_source(p.requests, nlive),
-                collector_src: routed_collector_source(p.requests, nlive),
-                msgs_per_answer: nlive.max(1) as u64,
-                routed: true,
-            },
-            p,
-        )
-    }
-
-    /// The shape-independent half of a build: generate and load every
-    /// program, poke the databases and keys, and compute the reference
-    /// answers.
-    fn finish_build(
-        build: ArrayBuild,
-        p: &SearchParams,
-    ) -> Result<DbSearch, Box<dyn std::error::Error>> {
-        let ArrayBuild {
-            mut net,
-            node_ids,
-            sender,
-            collector,
-            node_srcs,
-            included,
-            sender_src,
-            collector_src,
-            msgs_per_answer,
-            routed,
-        } = build;
-        let excluded = included.iter().filter(|&&inc| !inc).count();
+        let mut net = b.build();
 
         // Per-node programs and databases. Excluded nodes still consume
         // their workload draw so the records of every other node match
         // the intact-machine run record for record.
         let mut workload = Workload::new(p.seed, p.key_space);
         let mut live_records: Vec<Vec<u32>> = Vec::new();
-        for (i, src) in node_srcs.iter().enumerate() {
+        for (i, src) in m.nodes.iter().enumerate() {
             let program = occam::compile(src)
                 .map_err(|e| format!("node {i} source failed to compile: {e}\n{src}"))?;
-            let cpu = net.node_mut(node_ids[i]);
+            let cpu = net.node_mut(i);
             let word = cpu.word_length();
             let wptr = program.load(cpu)?;
             let records = workload.records(p.records_per_node);
@@ -730,7 +639,7 @@ impl DbSearch {
 
         // Keys (plus the poison terminator) into the sender.
         let keys = workload.keys(p.requests);
-        let sender_prog = occam::compile(&sender_src)?;
+        let sender_prog = occam::compile(&m.sender)?;
         let cpu = net.node_mut(sender);
         let word = cpu.word_length();
         let wptr = sender_prog.load(cpu)?;
@@ -746,12 +655,12 @@ impl DbSearch {
         )?;
 
         // Collector.
-        let collector_prog = occam::compile(&collector_src)?;
+        let collector_prog = occam::compile(&m.collector)?;
         let cpu = net.node_mut(collector);
         let collector_word = cpu.word_length();
         let cwptr = collector_prog.load(cpu)?;
         let answers_addr = collector_prog
-            .global_addr(word, cwptr, "answers")
+            .global_addr(collector_word, cwptr, "answers")
             .ok_or("collector lacks answers vector")?;
 
         // Reference answers: each request key against every record held
@@ -766,26 +675,29 @@ impl DbSearch {
             })
             .collect();
 
-        // A routed answer crosses the collector's wire as one framed
-        // packet; a planned answer as one bare word.
-        let bytes_per_answer = if routed {
-            (transputer_link::vc::HEADER_BYTES + 4) as u64
-        } else {
-            u64::from(collector_word.bytes_per_word())
+        // A planned answer crosses the collector's wire as one bare
+        // word, merged on the way; a routed answer is a whole wave of
+        // framed per-node packets, merged by the collector.
+        let (bytes_per_answer, msgs_per_answer) = match transport {
+            Transport::Planned => (u64::from(collector_word.bytes_per_word()), 1),
+            Transport::Routed => (
+                (transputer_link::vc::HEADER_BYTES + 4) as u64,
+                nlive.max(1) as u64,
+            ),
         };
 
         Ok(DbSearch {
             net,
             requests: p.requests,
-            faulted: p.faulted,
+            faulted: p.net.fault.is_some(),
             longest_path_links: p.longest_path_links,
-            total_records: p.total_records,
+            total_records: n * p.records_per_node,
             collector,
             collector_word,
             answers_addr,
             expected,
-            node_ids,
-            excluded,
+            nodes: n,
+            excluded: n - nlive,
             bytes_per_answer,
             msgs_per_answer,
         })
@@ -872,10 +784,8 @@ impl DbSearch {
         } else {
             0
         };
-        let total_instructions = self
-            .node_ids
-            .iter()
-            .map(|id| self.net.node(*id).stats().instructions)
+        let total_instructions = (0..self.nodes)
+            .map(|id| self.net.node(id).stats().instructions)
             .sum();
         Ok(DbSearchReport {
             answers,
@@ -1014,20 +924,21 @@ fn node_source(nrec: usize, r: &NodeRoutes) -> String {
 /// each paired with a descriptive name. Exposed so the corpus lint
 /// gate can run the static checks over every generated node program.
 pub fn array_sources(config: &DbSearchConfig) -> Vec<(String, String)> {
-    let routes = plan_routes(config.width, config.height, &HashSet::new());
-    let mut out = Vec::with_capacity(routes.len() + 2);
-    for (i, r) in routes.iter().enumerate() {
-        let (x, y) = (i % config.width, i / config.width);
-        out.push((
-            format!("dbsearch-node-{x}-{y}"),
-            node_source(config.records_per_node, r),
-        ));
-    }
-    out.push(("dbsearch-sender".into(), sender_source(config.requests)));
-    out.push((
-        "dbsearch-collector".into(),
-        collector_source(config.requests),
-    ));
+    let p = describe(
+        config.shape(),
+        Transport::Planned,
+        config.records_per_node,
+        config.requests,
+        &HashSet::new(),
+    );
+    let mut out: Vec<(String, String)> = (p.nodes.into_iter().enumerate())
+        .map(|(i, src)| {
+            let (x, y) = (i % config.width, i / config.width);
+            (format!("dbsearch-node-{x}-{y}"), src)
+        })
+        .collect();
+    out.push(("dbsearch-sender".into(), p.sender));
+    out.push(("dbsearch-collector".into(), p.collector));
     out
 }
 
@@ -1037,19 +948,16 @@ pub fn array_sources(config: &DbSearchConfig) -> Vec<(String, String)> {
 /// distinct program once instead of 256 times. Each text is named after
 /// the first `(cluster, x, y)` that runs it.
 pub fn hypercube_sources(config: &HypercubeConfig) -> Vec<(String, String)> {
-    let n = config.node_count();
-    let routes = plan_routes_over(
-        &hypercube_adjacency(config.dim, config.side),
-        0,
-        PORT_NORTH,
-        n - 1,
-        PORT_SOUTH,
+    let p = describe(
+        config.shape(),
+        Transport::Planned,
+        config.records_per_node,
+        config.requests,
         &HashSet::new(),
     );
     let mut seen = HashSet::new();
     let mut out = Vec::new();
-    for (i, r) in routes.iter().enumerate() {
-        let src = node_source(config.records_per_node, r);
+    for (i, src) in p.nodes.into_iter().enumerate() {
         if !seen.insert(src.clone()) {
             continue;
         }
@@ -1060,14 +968,8 @@ pub fn hypercube_sources(config: &HypercubeConfig) -> Vec<(String, String)> {
         let (x, y) = (rem % config.side, rem / config.side);
         out.push((format!("dbsearch-cube-node-{c}-{x}-{y}"), src));
     }
-    out.push((
-        "dbsearch-cube-sender".into(),
-        sender_source(config.requests),
-    ));
-    out.push((
-        "dbsearch-cube-collector".into(),
-        collector_source(config.requests),
-    ));
+    out.push(("dbsearch-cube-sender".into(), p.sender));
+    out.push(("dbsearch-cube-collector".into(), p.collector));
     out
 }
 
@@ -1195,6 +1097,8 @@ fn routed_collector_source(nreq: usize, nlive: usize) -> String {
 /// the corpus lint gate. The routed machine's whole point is that this
 /// list does not grow with the topology.
 pub fn routed_sources(config: &DbSearchConfig) -> Vec<(String, String)> {
+    // Straight from the generators: every node of the intact machine
+    // takes part and runs the same text, so there is nothing to plan.
     let nlive = config.width * config.height;
     vec![
         (
@@ -1217,6 +1121,67 @@ mod tests {
     use super::*;
     use transputer_link::FaultPlan;
     use transputer_net::topology::grid_edge_wire;
+
+    /// The planned trees of an intact 4x4 with its hosts attached.
+    fn intact_4x4_routes() -> Vec<NodeRoutes> {
+        let adj = adjacency(18, &Shape::Grid(4, 4).wires(Transport::Planned));
+        plan_routes(&adj, &[true; 16], &HashSet::new())
+    }
+
+    #[test]
+    fn built_machines_carry_their_wire_lists() {
+        // Every constructor wires exactly `Shape::wires`: the shape's
+        // sweep, then sender and collector. Planned and routed machines
+        // differ in one place only, the sender wire's orientation
+        // (net's `golden_wire_tables` pins the literal tables).
+        let small = |net| DbSearchConfig {
+            width: 3,
+            height: 2,
+            records_per_node: 2,
+            requests: 1,
+            seed: 3,
+            key_space: 4,
+            net,
+        };
+        let cube = |net| HypercubeConfig {
+            dim: 1,
+            side: 2,
+            records_per_node: 2,
+            requests: 1,
+            seed: 3,
+            key_space: 4,
+            net,
+        };
+        let table = |sim: DbSearch| -> Vec<WireEnds> {
+            let net = sim.network();
+            (0..net.wire_count()).map(|w| net.wire_ends(w)).collect()
+        };
+        let net = NetworkConfig::default;
+        for (planned, routed, core, n) in [
+            (
+                table(DbSearch::build(small(net())).unwrap()),
+                table(DbSearch::build_routed(small(net())).unwrap()),
+                grid_wires(3, 2, 0),
+                6,
+            ),
+            (
+                table(DbSearch::build_hypercube(cube(net())).unwrap()),
+                table(DbSearch::build_routed_hypercube(cube(net())).unwrap()),
+                hypercube_wires(1, 2),
+                8,
+            ),
+        ] {
+            let k = core.len();
+            assert_eq!(planned[..k], core[..]);
+            assert_eq!(routed[..k], core[..]);
+            let collector = ((n - 1, PORT_SOUTH), (n + 1, PORT_NORTH));
+            assert_eq!(
+                planned[k..],
+                [((n, PORT_SOUTH), (0, PORT_NORTH)), collector]
+            );
+            assert_eq!(routed[k..], [((0, PORT_NORTH), (n, PORT_SOUTH)), collector]);
+        }
+    }
 
     #[test]
     fn small_array_answers_correctly() {
@@ -1269,7 +1234,7 @@ mod tests {
         // paper's figure: requests east along rows and south down
         // column 0, answers east along rows and south down the last
         // column.
-        let routes = plan_routes(4, 4, &HashSet::new());
+        let routes = intact_4x4_routes();
         for y in 0..4usize {
             for x in 0..4usize {
                 let r = &routes[y * 4 + x];
@@ -1423,7 +1388,7 @@ mod tests {
 
     #[test]
     fn node_source_compiles_for_all_positions() {
-        let routes = plan_routes(4, 4, &HashSet::new());
+        let routes = intact_4x4_routes();
         for (x, y) in [
             (0, 0),
             (1, 0),

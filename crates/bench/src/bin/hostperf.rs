@@ -25,8 +25,8 @@ use transputer_apps::dbsearch::{DbSearchConfig, HypercubeConfig};
 use transputer_bench::hostperf::{
     baseline_cpu_mips, baseline_translated_mips, cpu_corpus_bench, cpu_cross_check, cross_check,
     figure8_smoke, grid32x32_stress, history_ratchet_mips, host_cores, routed_smoke, run_long_path,
-    static_model_runs, switching_pairs, to_json, CpuRun, Machine, NetRun, EXPERIMENTS,
-    FAULT_RATE_DEFAULT, FAULT_SEED_DEFAULT,
+    source_lines, static_model_runs, switching_pairs, to_json, CpuRun, Machine, NetRun,
+    EXPERIMENTS, FAULT_RATE_DEFAULT, FAULT_SEED_DEFAULT,
 };
 use transputer_link::FaultPlan;
 use transputer_net::{Engine, Switching};
@@ -697,6 +697,7 @@ fn main() {
         &cpu_runs,
         &static_model,
         &networks,
+        &source_lines(),
         &problems,
     );
     let out_path =

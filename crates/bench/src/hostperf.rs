@@ -482,7 +482,8 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
     for _ in 0..n {
         b.add_node();
     }
-    b.enable_router(transputer_net::grid_adjacency(SIDE, SIDE));
+    b.connect_all(&transputer_net::grid_wires(SIDE, SIDE, 0))
+        .enable_router();
     // Corner CPUs talk over their unwired ports: north of (0,0),
     // south of (31,31) — the receiver reads the channel word of link
     // port 2 to match.
@@ -879,6 +880,35 @@ fn parse_field(line: &str, field: &str) -> Option<f64> {
     num.parse().ok()
 }
 
+/// Non-test source lines per crate: over every `crates/<name>/src/**/*.rs`
+/// below the current directory, the lines above the file's first
+/// `#[cfg(test)]`. The trend the ROADMAP's shrink item is tracked by;
+/// it feeds no fingerprint.
+pub fn source_lines() -> Vec<(String, usize)> {
+    fn count(dir: &std::path::Path) -> usize {
+        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+        let above_tests = |text: String| {
+            let code = |l: &&str| !l.trim_start().starts_with("#[cfg(test)]");
+            text.lines().take_while(code).count()
+        };
+        entries
+            .map(|e| e.path())
+            .map(|p| match p.extension() {
+                _ if p.is_dir() => count(&p),
+                Some(x) if x == "rs" => std::fs::read_to_string(&p).map_or(0, above_tests),
+                _ => 0,
+            })
+            .sum()
+    }
+    let crates = std::fs::read_dir("crates").into_iter().flatten().flatten();
+    let mut rows: Vec<(String, usize)> = crates
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .map(|(name, path)| (name, count(&path.join("src"))))
+        .collect();
+    rows.sort();
+    rows
+}
+
 /// Render the report as JSON (hand-rolled: no serialisation deps).
 pub fn to_json(
     smoke: bool,
@@ -886,6 +916,7 @@ pub fn to_json(
     cpu_runs: &[CpuRun],
     static_model: &[StaticModelRun],
     networks: &[NetRun],
+    source_lines: &[(String, usize)],
     problems: &[String],
 ) -> String {
     let mut out = String::from("{\n");
@@ -1089,7 +1120,14 @@ pub fn to_json(
     if !lines.is_empty() {
         out.push('\n');
     }
-    out.push_str("  ],\n  \"problems\": [\n");
+    let rows: Vec<String> = source_lines
+        .iter()
+        .map(|(name, lines)| format!("\"{}\": {lines}", json_escape(name)))
+        .collect();
+    out.push_str(&format!(
+        "  ],\n  \"source_lines\": {{{}}},\n  \"problems\": [\n",
+        rows.join(", ")
+    ));
     for (i, p) in problems.iter().enumerate() {
         let comma = if i + 1 < problems.len() { "," } else { "" };
         out.push_str(&format!("    \"{}\"{comma}\n", json_escape(p)));
@@ -1110,7 +1148,7 @@ mod tests {
             .collect();
         let problems = cross_check(&runs);
         assert!(problems.is_empty(), "{problems:?}");
-        let json = to_json(true, &[], &[], &[], &runs, &problems);
+        let json = to_json(true, &[], &[], &[], &runs, &[], &problems);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"host_cores\""));
@@ -1130,7 +1168,7 @@ mod tests {
             assert!(stats.packets_delivered > 0, "{:?}", r.engine);
             assert_eq!(stats.packets_dropped, 0, "{:?}", r.engine);
         }
-        let json = to_json(true, &[], &[], &[], &runs, &problems);
+        let json = to_json(true, &[], &[], &[], &runs, &[], &problems);
         assert!(json.contains("\"router\": {\"packets_sent\""));
         assert!(json.contains("\"mean_hop_ns\""));
     }
@@ -1179,7 +1217,7 @@ mod tests {
         let pairs = switching_pairs(&runs);
         assert_eq!(pairs.len(), 1, "probe rows must pair for the SWITCH table");
         assert_eq!(pairs[0].0, "e17_longpath1024");
-        let json = to_json(true, &[], &[], &[], &runs, &[]);
+        let json = to_json(true, &[], &[], &[], &runs, &[], &[]);
         assert!(json.contains("\"switching\""));
         assert!(json.contains("\"p99_hop_ns\""));
         assert!(json.contains("\"cut_through\": true"));
@@ -1189,7 +1227,7 @@ mod tests {
     fn unrouted_rows_render_null_router() {
         let run = Machine::Tree(figure8_smoke()).run("e09_figure8_smoke", Engine::Sliced);
         assert!(run.router.is_none());
-        let json = to_json(true, &[], &[], &[], &[run], &[]);
+        let json = to_json(true, &[], &[], &[], &[run], &[], &[]);
         assert!(json.contains("\"router\": null"));
     }
 
@@ -1229,8 +1267,10 @@ mod tests {
             &[trans.clone(), on.clone(), off],
             &[],
             &[],
+            &[("net".to_string(), 7)],
             &problems,
         );
+        assert!(json.contains("\"source_lines\": {\"net\": 7},"));
         assert!(json.contains("\"decode_cache\": true"));
         let baseline = baseline_cpu_mips(&json).expect("cpu section parses back");
         assert!((baseline - (on.emulated_mips() * 100.0).round() / 100.0).abs() < 0.01);
@@ -1240,7 +1280,7 @@ mod tests {
 
     #[test]
     fn translated_section_is_null_without_a_translated_run() {
-        let json = to_json(true, &[], &[], &[], &[], &[]);
+        let json = to_json(true, &[], &[], &[], &[], &[], &[]);
         assert!(json.contains("\"translated\": null"));
         assert!(baseline_translated_mips(&json).is_none());
     }
@@ -1259,7 +1299,7 @@ mod tests {
                 r.name
             );
         }
-        let json = to_json(true, &[], &[], &runs, &[], &problems);
+        let json = to_json(true, &[], &[], &runs, &[], &[], &problems);
         assert!(json.contains("\"static_model\""));
         assert!(json.contains("\"error_pct\": 0.000"));
     }

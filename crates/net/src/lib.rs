@@ -46,6 +46,6 @@ pub use sim::{
     Engine, Network, NetworkBuilder, NetworkConfig, NodeId, PopCounts, SimError, SimOutcome,
 };
 pub use topology::{
-    adjacency_add_wire, grid, grid_adjacency, hypercube, hypercube_adjacency, pipeline, ring,
-    Adjacency, GridNet, HypercubeNet, NO_ROUTE,
+    adjacency, grid, grid_adjacency, grid_wires, hypercube, hypercube_adjacency, hypercube_wires,
+    pipeline, ring, Adjacency, GridNet, HypercubeNet, WireEnds, NO_ROUTE,
 };

@@ -43,7 +43,7 @@ use transputer_link::{
 };
 
 use crate::router::{Act, RouterConfig, RouterNet, RouterStats};
-use crate::topology::{hypercube_tables, route_tables, Adjacency};
+use crate::topology::{adjacency, hypercube_tables, route_tables, WireEnds};
 
 /// Index of a node in a [`Network`].
 pub type NodeId = usize;
@@ -225,7 +225,7 @@ struct EaState {
     prev: bool,
 }
 
-/// How a routed network derives its tables from the adjacency.
+/// How a routed network derives its tables from its link map.
 #[derive(Debug, Clone, Copy)]
 enum RouteShape {
     /// BFS shortest paths with a fixed port preference — deterministic
@@ -239,7 +239,6 @@ enum RouteShape {
 /// Router configuration accumulated by the builder.
 #[derive(Debug)]
 struct RouterBuild {
-    adj: Adjacency,
     shape: RouteShape,
     /// Virtual channels in registration order: `(src, dst)` CPU ports.
     vcs: Vec<(Port, Port)>,
@@ -250,7 +249,7 @@ struct RouterBuild {
 pub struct NetworkBuilder {
     config: NetworkConfig,
     nodes: Vec<Cpu>,
-    wires: Vec<(Port, Port)>,
+    wires: Vec<WireEnds>,
     used: Vec<[bool; 4]>,
     router: Option<RouterBuild>,
 }
@@ -307,71 +306,47 @@ impl NetworkBuilder {
         self.nodes.len()
     }
 
-    /// Turn the network into a routed (virtual-channel) network: every
-    /// wire of `adj` is connected automatically, every wire endpoint
-    /// becomes router-owned, and the four CPU link ports of each node
-    /// become local virtual-channel endpoints (see [`crate::router`]).
-    /// Routing tables are built by deterministic BFS shortest paths
-    /// ([`route_tables`]).
+    /// Connect a whole wire list, in order — how a
+    /// [`crate::topology`] sweep becomes a machine.
     ///
     /// # Panics
     ///
-    /// Panics if the router is already enabled, wires were connected by
-    /// hand first, the adjacency covers a different node count than has
-    /// been added, or the adjacency's wire ids are not dense/mirrored.
-    pub fn enable_router(&mut self, adj: Adjacency) -> &mut NetworkBuilder {
-        self.enable_router_with(adj, RouteShape::General)
+    /// As [`NetworkBuilder::connect`], per wire.
+    pub fn connect_all(&mut self, wires: &[WireEnds]) -> &mut NetworkBuilder {
+        for &(a, b) in wires {
+            self.connect(a, b);
+        }
+        self
+    }
+
+    /// Turn the network into a routed (virtual-channel) network: every
+    /// wire endpoint becomes router-owned, and the four CPU link ports
+    /// of each node become local virtual-channel endpoints (see
+    /// [`crate::router`]). The router's link map is derived at
+    /// [`NetworkBuilder::build`] from the wires connected by then
+    /// ([`adjacency`]), so wires may be connected before or after this
+    /// call. Routing tables are built by deterministic BFS shortest
+    /// paths ([`route_tables`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router is already enabled.
+    pub fn enable_router(&mut self) -> &mut NetworkBuilder {
+        self.enable_router_with(RouteShape::General)
     }
 
     /// Like [`NetworkBuilder::enable_router`], but with closed-form
-    /// e-cube tables for a clustered hypercube built by
-    /// [`crate::topology::wire_hypercube`] (host leaves attached via
-    /// [`crate::topology::adjacency_add_wire`] are routed through their
-    /// cluster anchors). Falls back to BFS when wires are dead at boot.
-    pub fn enable_router_hypercube(
-        &mut self,
-        adj: Adjacency,
-        dim: usize,
-        side: usize,
-    ) -> &mut NetworkBuilder {
-        self.enable_router_with(adj, RouteShape::Hypercube { dim, side })
+    /// e-cube tables for a clustered hypercube whose first wires are
+    /// [`crate::topology::hypercube_wires`] (host leaves wired on
+    /// afterwards are routed through their cluster anchors). Falls back
+    /// to BFS when wires are dead at boot.
+    pub fn enable_router_hypercube(&mut self, dim: usize, side: usize) -> &mut NetworkBuilder {
+        self.enable_router_with(RouteShape::Hypercube { dim, side })
     }
 
-    fn enable_router_with(&mut self, adj: Adjacency, shape: RouteShape) -> &mut NetworkBuilder {
+    fn enable_router_with(&mut self, shape: RouteShape) -> &mut NetworkBuilder {
         assert!(self.router.is_none(), "router already enabled");
-        assert!(
-            self.wires.is_empty(),
-            "enable the router before connecting wires: it wires the adjacency itself"
-        );
-        assert_eq!(
-            adj.len(),
-            self.nodes.len(),
-            "adjacency must cover exactly the nodes added"
-        );
-        let mut ends: Vec<Option<(Port, Port)>> = Vec::new();
-        for (node, links) in adj.iter().enumerate() {
-            for (port, link) in links.iter().enumerate() {
-                let Some((peer, pport, wire)) = *link else {
-                    continue;
-                };
-                if ends.len() <= wire {
-                    ends.resize(wire + 1, None);
-                }
-                match ends[wire] {
-                    None => ends[wire] = Some(((node, port), (peer, pport))),
-                    Some((a, b)) => assert!(
-                        a == (peer, pport) && b == (node, port),
-                        "wire {wire} is not mirrored in the adjacency"
-                    ),
-                }
-            }
-        }
-        for (wire, e) in ends.into_iter().enumerate() {
-            let (a, b) = e.unwrap_or_else(|| panic!("adjacency wire ids are not dense at {wire}"));
-            self.connect(a, b);
-        }
         self.router = Some(RouterBuild {
-            adj,
             shape,
             vcs: Vec::new(),
         });
@@ -455,6 +430,7 @@ impl NetworkBuilder {
         let robust = fault.is_some();
         let router_cfg = self.config.router;
         let router = self.router.map(|rb| {
+            let adj = adjacency(n, &self.wires);
             // Wires dead from the very start never carry a byte; exclude
             // them from the initial tables rather than waiting for the
             // retry budget to discover them.
@@ -467,15 +443,15 @@ impl NetworkBuilder {
                 }
             }
             let tables = match rb.shape {
-                RouteShape::General => route_tables(&rb.adj, &dead),
-                RouteShape::Hypercube { dim, side } => hypercube_tables(&rb.adj, dim, side, &dead),
+                RouteShape::General => route_tables(&adj, &dead),
+                RouteShape::Hypercube { dim, side } => hypercube_tables(&adj, dim, side, &dead),
             };
             // Wormhole deadlock freedom rests on an acyclic
             // channel-dependency graph. `RouterNet::new` runs the proof
             // itself and degrades cut-through to store-and-forward when
             // it fails (notably the cluster-hypercube's e-cube tables,
             // whose anchor-corner walks close cross-route cycles).
-            RouterNet::new(rb.adj, tables, dead, &rb.vcs, router_cfg)
+            RouterNet::new(adj, tables, dead, &rb.vcs, router_cfg)
         });
         // A wire can die under a live cut-through stream only on robust
         // wires whose cut-through proof held at build. Its teardown
@@ -693,6 +669,12 @@ impl Network {
     /// failed.
     pub fn any_link_failed(&self) -> bool {
         self.wires.iter().any(|w| w.failed[0] || w.failed[1])
+    }
+
+    /// Both ends of a wire, A then B, as it was connected.
+    pub fn wire_ends(&self, wire: usize) -> WireEnds {
+        let [a, b] = self.wires[wire].ends;
+        (a, b)
     }
 
     /// Whether this network routes messages through the virtual-channel

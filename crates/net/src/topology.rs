@@ -10,6 +10,24 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::sim::{Network, NetworkBuilder, NetworkConfig, NodeId};
 
+/// One wire: its A end and its B end, each `(node, port)`. A machine
+/// *is* its ordered list of these — the index is the wire number a
+/// [`transputer_link::FaultPlan`] draws fates for and aims dead links
+/// at, and the A/B orientation keys its per-direction fault streams and
+/// the [`Network::wire_delivered`] pair. Every list below is produced by
+/// exactly one sweep; the link map ([`adjacency`]), the router's tables
+/// and the search application's planned trees are all derived from it.
+pub type WireEnds = ((NodeId, usize), (NodeId, usize));
+
+/// `n` nodes (ids `0..n`) joined by `wires`, in order: the one path
+/// every shape below is built through.
+fn wired(n: usize, wires: &[WireEnds], config: NetworkConfig) -> (Network, Vec<NodeId>) {
+    let mut b = NetworkBuilder::new(config);
+    let ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
+    b.connect_all(wires);
+    (b.build(), ids)
+}
+
 /// Link-port conventions for [`pipeline`] and [`ring`]: data flows in on
 /// port [`PORT_PREV`] and out on [`PORT_NEXT`].
 pub const PORT_PREV: usize = 0;
@@ -23,12 +41,10 @@ pub const PORT_NEXT: usize = 1;
 /// Panics if `n` is zero.
 pub fn pipeline(n: usize, config: NetworkConfig) -> (Network, Vec<NodeId>) {
     assert!(n > 0, "a pipeline needs at least one node");
-    let mut b = NetworkBuilder::new(config);
-    let ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
-    for w in ids.windows(2) {
-        b.connect((w[0], PORT_NEXT), (w[1], PORT_PREV));
-    }
-    (b.build(), ids)
+    let wires: Vec<WireEnds> = (1..n)
+        .map(|i| ((i - 1, PORT_NEXT), (i, PORT_PREV)))
+        .collect();
+    wired(n, &wires, config)
 }
 
 /// A ring of `n` nodes (`n >= 3` so no port is double-wired).
@@ -38,12 +54,10 @@ pub fn pipeline(n: usize, config: NetworkConfig) -> (Network, Vec<NodeId>) {
 /// Panics if `n < 3`.
 pub fn ring(n: usize, config: NetworkConfig) -> (Network, Vec<NodeId>) {
     assert!(n >= 3, "a ring needs at least three nodes");
-    let mut b = NetworkBuilder::new(config);
-    let ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
-    for i in 0..n {
-        b.connect((ids[i], PORT_NEXT), (ids[(i + 1) % n], PORT_PREV));
-    }
-    (b.build(), ids)
+    let wires: Vec<WireEnds> = (0..n)
+        .map(|i| ((i, PORT_NEXT), ((i + 1) % n, PORT_PREV)))
+        .collect();
+    wired(n, &wires, config)
 }
 
 /// Grid port conventions (Figure 8's square array): 0 = north, 1 = east,
@@ -87,6 +101,27 @@ impl GridNet {
     }
 }
 
+/// The grid sweep, the one place a grid's wire order and orientation
+/// are decided: row-major over the squares, each contributing its east
+/// wire (ports 1 → 3) and then its south wire (ports 2 → 0), A end at
+/// the sweeping square. Nodes are `base..base + width * height` in
+/// row-major order, so [`hypercube_wires`] reuses the sweep per cluster.
+pub fn grid_wires(width: usize, height: usize, base: NodeId) -> Vec<WireEnds> {
+    let at = |x: usize, y: usize| base + y * width + x;
+    let mut wires = Vec::new();
+    for y in 0..height {
+        for x in 0..width {
+            if x + 1 < width {
+                wires.push(((at(x, y), PORT_EAST), (at(x + 1, y), PORT_WEST)));
+            }
+            if y + 1 < height {
+                wires.push(((at(x, y), PORT_SOUTH), (at(x, y + 1), PORT_NORTH)));
+            }
+        }
+    }
+    wires
+}
+
 /// Wire index of a grid edge under the row-major east-then-south sweep
 /// used by [`grid`] (and by any builder that wires a grid the same way,
 /// such as the database-search array): `east` selects the wire from
@@ -104,16 +139,11 @@ pub fn grid_edge_wire(width: usize, height: usize, x: usize, y: usize, east: boo
         "({x},{y}) has no {} edge",
         if east { "east" } else { "south" }
     );
-    let mut index = 0;
-    for yy in 0..height {
-        for xx in 0..width {
-            if (xx, yy) == (x, y) {
-                return index + if east { 0 } else { usize::from(x + 1 < width) };
-            }
-            index += usize::from(xx + 1 < width) + usize::from(yy + 1 < height);
-        }
-    }
-    unreachable!()
+    // The closed form of `grid_wires`' order: every row above holds
+    // `2 * width - 1` wires, and every square to the west two (one on
+    // the bottom row, which has no south wires).
+    let west = if y + 1 < height { 2 * x } else { x };
+    y * (2 * width - 1) + west + usize::from(!east && x + 1 < width)
 }
 
 /// A `width` × `height` grid: east-west neighbours share a wire on ports
@@ -125,23 +155,9 @@ pub fn grid_edge_wire(width: usize, height: usize, x: usize, y: usize, east: boo
 /// Panics if either dimension is zero.
 pub fn grid(width: usize, height: usize, config: NetworkConfig) -> GridNet {
     assert!(width > 0 && height > 0, "grid dimensions must be positive");
-    let mut b = NetworkBuilder::new(config);
-    let ids: Vec<NodeId> = (0..width * height).map(|_| b.add_node()).collect();
-    for y in 0..height {
-        for x in 0..width {
-            let here = ids[y * width + x];
-            if x + 1 < width {
-                let east = ids[y * width + x + 1];
-                b.connect((here, PORT_EAST), (east, PORT_WEST));
-            }
-            if y + 1 < height {
-                let south = ids[(y + 1) * width + x];
-                b.connect((here, PORT_SOUTH), (south, PORT_NORTH));
-            }
-        }
-    }
+    let (net, ids) = wired(width * height, &grid_wires(width, height, 0), config);
     GridNet {
-        net: b.build(),
+        net,
         width,
         height,
         ids,
@@ -200,36 +216,22 @@ pub fn hypercube_anchor(d: usize, side: usize) -> (usize, usize, usize) {
     }
 }
 
-/// Wire `2^dim` pre-added `side` × `side` clusters (node ids in
-/// `nodes`, cluster-major then row-major, as a [`hypercube`] lays them
-/// out) into a hypercube. Wire order is part of the contract — each
-/// cluster's grid wires in the row-major east-then-south sweep of
-/// [`grid`], cluster by cluster, then the dimension links ordered by
-/// lower cluster then dimension — so callers appending host wires
-/// afterwards get stable indices.
+/// The hypercube sweep: `2^dim` clusters of `side` × `side` nodes
+/// (cluster-major, then row-major, as a [`hypercube`] lays them out),
+/// each cluster's [`grid_wires`] in cluster order, then the dimension
+/// links ordered by lower cluster then dimension, A end in the lower
+/// cluster. Callers appending host wires afterwards get stable indices.
 ///
 /// # Panics
 ///
-/// Panics if `dim` is not in `1..=4`, `side < 2`, or `nodes` has the
-/// wrong length.
-pub fn wire_hypercube(b: &mut NetworkBuilder, nodes: &[NodeId], dim: usize, side: usize) {
+/// Panics if `dim` is not in `1..=4` or `side < 2`.
+pub fn hypercube_wires(dim: usize, side: usize) -> Vec<WireEnds> {
     assert!((1..=4).contains(&dim), "hypercube dimension must be 1..=4");
     assert!(side >= 2, "clusters need distinct corners (side >= 2)");
     let clusters = 1usize << dim;
-    assert_eq!(nodes.len(), clusters * side * side, "node map size");
-    let at = |c: usize, x: usize, y: usize| nodes[(c * side + y) * side + x];
-    for c in 0..clusters {
-        for y in 0..side {
-            for x in 0..side {
-                if x + 1 < side {
-                    b.connect((at(c, x, y), PORT_EAST), (at(c, x + 1, y), PORT_WEST));
-                }
-                if y + 1 < side {
-                    b.connect((at(c, x, y), PORT_SOUTH), (at(c, x, y + 1), PORT_NORTH));
-                }
-            }
-        }
-    }
+    let mut wires: Vec<WireEnds> = (0..clusters)
+        .flat_map(|c| grid_wires(side, side, c * side * side))
+        .collect();
     for c in 0..clusters {
         for d in 0..dim {
             let peer = c ^ (1 << d);
@@ -237,26 +239,24 @@ pub fn wire_hypercube(b: &mut NetworkBuilder, nodes: &[NodeId], dim: usize, side
                 continue;
             }
             let (x, y, port) = hypercube_anchor(d, side);
-            b.connect((at(c, x, y), port), (at(peer, x, y), port));
+            let anchor = |c: usize| (c * side + y) * side + x;
+            wires.push(((anchor(c), port), (anchor(peer), port)));
         }
     }
+    wires
 }
 
 /// Build a [`HypercubeNet`]: `2^dim` clusters of `side` × `side` nodes,
-/// wired by [`wire_hypercube`].
+/// wired by [`hypercube_wires`].
 ///
 /// # Panics
 ///
 /// Panics if `dim` is not in `1..=4` or `side < 2`.
 pub fn hypercube(dim: usize, side: usize, config: NetworkConfig) -> HypercubeNet {
-    assert!((1..=4).contains(&dim), "hypercube dimension must be 1..=4");
-    assert!(side >= 2, "clusters need distinct corners (side >= 2)");
-    let clusters = 1usize << dim;
-    let mut b = NetworkBuilder::new(config);
-    let ids: Vec<NodeId> = (0..clusters * side * side).map(|_| b.add_node()).collect();
-    wire_hypercube(&mut b, &ids, dim, side);
+    let wires = hypercube_wires(dim, side);
+    let (net, ids) = wired((1usize << dim) * side * side, &wires, config);
     HypercubeNet {
-        net: b.build(),
+        net,
         dim,
         side,
         ids,
@@ -277,117 +277,28 @@ pub type Adjacency = Vec<[Option<(usize, usize, usize)>; 4]>;
 /// itself, or unreachable over the alive links.
 pub const NO_ROUTE: u8 = u8::MAX;
 
-/// Grid neighbour of `(x, y)` through `port`, if it exists.
-fn grid_neighbor(w: usize, h: usize, x: usize, y: usize, port: usize) -> Option<(usize, usize)> {
-    match port {
-        PORT_NORTH if y > 0 => Some((x, y - 1)),
-        PORT_EAST if x + 1 < w => Some((x + 1, y)),
-        PORT_SOUTH if y + 1 < h => Some((x, y + 1)),
-        PORT_WEST if x > 0 => Some((x - 1, y)),
-        _ => None,
+/// The link map of `nodes` nodes joined by `wires`: wire `i` of the
+/// list is wire `i` of the map, mirrored at both ends. The one
+/// derivation — [`NetworkBuilder::build`] feeds the router from it, and
+/// planners call it on the same list they hand the builder.
+pub fn adjacency(nodes: usize, wires: &[WireEnds]) -> Adjacency {
+    let mut adj: Adjacency = vec![[None; 4]; nodes];
+    for (wire, &(a, b)) in wires.iter().enumerate() {
+        adj[a.0][a.1] = Some((b.0, b.1, wire));
+        adj[b.0][b.1] = Some((a.0, a.1, wire));
     }
-}
-
-/// Wire index of the grid edge leaving `(x, y)` through `port`.
-fn grid_port_wire(w: usize, h: usize, x: usize, y: usize, port: usize) -> usize {
-    match port {
-        PORT_EAST => grid_edge_wire(w, h, x, y, true),
-        PORT_WEST => grid_edge_wire(w, h, x - 1, y, true),
-        PORT_SOUTH => grid_edge_wire(w, h, x, y, false),
-        PORT_NORTH => grid_edge_wire(w, h, x, y - 1, false),
-        _ => unreachable!("not a grid port: {port}"),
-    }
-}
-
-/// The opposite grid port (the port the neighbour sees the edge on).
-fn opposite(port: usize) -> usize {
-    match port {
-        PORT_NORTH => PORT_SOUTH,
-        PORT_SOUTH => PORT_NORTH,
-        PORT_EAST => PORT_WEST,
-        PORT_WEST => PORT_EAST,
-        _ => unreachable!("not a grid port: {port}"),
-    }
+    adj
 }
 
 /// The grid's link map under the row-major east-then-south wire sweep
 /// of [`grid`].
 pub fn grid_adjacency(w: usize, h: usize) -> Adjacency {
-    let mut adj: Adjacency = vec![[None; 4]; w * h];
-    for y in 0..h {
-        for x in 0..w {
-            for port in [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST] {
-                if let Some((nx, ny)) = grid_neighbor(w, h, x, y, port) {
-                    adj[y * w + x][port] = Some((
-                        ny * w + nx,
-                        opposite(port),
-                        grid_port_wire(w, h, x, y, port),
-                    ));
-                }
-            }
-        }
-    }
-    adj
+    adjacency(w * h, &grid_wires(w, h, 0))
 }
 
-/// The hypercube-of-clusters link map, mirroring [`wire_hypercube`]'s
-/// wire order (each cluster's grid wires in the row-major
-/// east-then-south sweep, then the dimension links by lower cluster
-/// then dimension).
+/// The hypercube-of-clusters link map, in [`hypercube_wires`]' order.
 pub fn hypercube_adjacency(dim: usize, side: usize) -> Adjacency {
-    let clusters = 1usize << dim;
-    let mut adj: Adjacency = vec![[None; 4]; clusters * side * side];
-    let at = |c: usize, x: usize, y: usize| (c * side + y) * side + x;
-    let mut wire = 0usize;
-    let mut link = |adj: &mut Adjacency, a: (usize, usize), b: (usize, usize)| {
-        adj[a.0][a.1] = Some((b.0, b.1, wire));
-        adj[b.0][b.1] = Some((a.0, a.1, wire));
-        wire += 1;
-    };
-    for c in 0..clusters {
-        for y in 0..side {
-            for x in 0..side {
-                if x + 1 < side {
-                    link(
-                        &mut adj,
-                        (at(c, x, y), PORT_EAST),
-                        (at(c, x + 1, y), PORT_WEST),
-                    );
-                }
-                if y + 1 < side {
-                    link(
-                        &mut adj,
-                        (at(c, x, y), PORT_SOUTH),
-                        (at(c, x, y + 1), PORT_NORTH),
-                    );
-                }
-            }
-        }
-    }
-    for c in 0..clusters {
-        for d in 0..dim {
-            let peer = c ^ (1 << d);
-            if peer < c {
-                continue;
-            }
-            let (x, y, port) = hypercube_anchor(d, side);
-            link(&mut adj, (at(c, x, y), port), (at(peer, x, y), port));
-        }
-    }
-    adj
-}
-
-/// Append a wire to a link map — how builders extend a pure shape's
-/// adjacency with host attachments, keeping wire indices consistent
-/// with the builder's own wire order.
-pub fn adjacency_add_wire(adj: &mut Adjacency, a: (usize, usize), b: (usize, usize), wire: usize) {
-    while adj.len() <= a.0.max(b.0) {
-        adj.push([None; 4]);
-    }
-    assert!(adj[a.0][a.1].is_none(), "port {a:?} already mapped");
-    assert!(adj[b.0][b.1].is_none(), "port {b:?} already mapped");
-    adj[a.0][a.1] = Some((b.0, b.1, wire));
-    adj[b.0][b.1] = Some((a.0, a.1, wire));
+    adjacency((1usize << dim) * side * side, &hypercube_wires(dim, side))
 }
 
 /// BFS link distances from `root` over the links not in `dead`.
@@ -646,17 +557,126 @@ mod tests {
         assert_eq!(g.link_distance((0, 0), (3, 3)), 6);
     }
 
+    const N: usize = PORT_NORTH;
+    const E: usize = PORT_EAST;
+    const S: usize = PORT_SOUTH;
+    const W: usize = PORT_WEST;
+
+    /// `grid(3, 2)`: nodes `0 1 2 / 3 4 5`.
+    const GRID_3X2: [WireEnds; 7] = [
+        ((0, E), (1, W)),
+        ((0, S), (3, N)),
+        ((1, E), (2, W)),
+        ((1, S), (4, N)),
+        ((2, S), (5, N)),
+        ((3, E), (4, W)),
+        ((4, E), (5, W)),
+    ];
+
+    /// `hypercube(1, 2)`: clusters `0 1 / 2 3` and `4 5 / 6 7`, then the
+    /// one dimension-0 link between their `(0, 0)` west ports.
+    const CUBE_1X2: [WireEnds; 9] = [
+        ((0, E), (1, W)),
+        ((0, S), (2, N)),
+        ((1, S), (3, N)),
+        ((2, E), (3, W)),
+        ((4, E), (5, W)),
+        ((4, S), (6, N)),
+        ((5, S), (7, N)),
+        ((6, E), (7, W)),
+        ((0, W), (4, W)),
+    ];
+
+    /// The wire table of a built network, by wire index.
+    fn wire_table(net: &Network) -> Vec<WireEnds> {
+        (0..net.wire_count()).map(|w| net.wire_ends(w)).collect()
+    }
+
+    /// `core` plus the database search's two hosts the way
+    /// `apps/dbsearch.rs` attaches them: sender `n` on the origin's
+    /// north port, collector `n + 1` below the exit's south port (always
+    /// the machine's last wire, collector at the B end). The sender's
+    /// wire is the one wart: sender-first on a planned machine,
+    /// origin-first on a routed one. Flipping either would swap that
+    /// wire's two per-direction fault streams and its delivered pair.
+    fn with_hosts(core: &[WireEnds], n: usize, routed: bool) -> Vec<WireEnds> {
+        let sender = if routed {
+            ((0, N), (n, S))
+        } else {
+            ((n, S), (0, N))
+        };
+        [core, &[sender, ((n - 1, S), (n + 1, N))]].concat()
+    }
+
+    /// Build `wires` over `n` nodes, let `route` enable a router (or
+    /// not), and read the table back off the network.
+    fn built(
+        n: usize,
+        wires: &[WireEnds],
+        route: impl FnOnce(&mut NetworkBuilder),
+    ) -> Vec<WireEnds> {
+        let mut b = NetworkBuilder::new(NetworkConfig::default());
+        for _ in 0..n {
+            b.add_node();
+        }
+        b.connect_all(wires);
+        route(&mut b);
+        wire_table(&b.build())
+    }
+
     #[test]
-    fn grid_edge_wire_matches_connect_order() {
-        // 4x4: (0,0) connects east first (wire 0) then south (wire 1);
-        // row-major sweep thereafter.
-        assert_eq!(grid_edge_wire(4, 4, 0, 0, true), 0);
-        assert_eq!(grid_edge_wire(4, 4, 0, 0, false), 1);
-        assert_eq!(grid_edge_wire(4, 4, 1, 0, true), 2);
-        // (3,0) has no east edge, only south.
-        assert_eq!(grid_edge_wire(4, 4, 3, 0, false), 6);
-        assert_eq!(grid_edge_wire(4, 4, 0, 1, true), 7);
-        // Bottom row has no south edges; last wire is (2,3) east.
+    fn golden_wire_tables() {
+        // Wire order *and* A/B orientation are the contract every fault
+        // fingerprint hangs off (`FaultPlan` draws fates per wire index
+        // and direction): pinned literally, bare and with hosts, planned
+        // and routed. A routed build takes its wires exactly as given.
+        assert_eq!(grid_wires(3, 2, 0), GRID_3X2);
+        assert_eq!(
+            wire_table(&grid(3, 2, NetworkConfig::default()).net),
+            GRID_3X2
+        );
+        assert_eq!(hypercube_wires(1, 2), CUBE_1X2);
+        assert_eq!(
+            wire_table(&hypercube(1, 2, NetworkConfig::default()).net),
+            CUBE_1X2
+        );
+
+        let planned = with_hosts(&GRID_3X2, 6, false);
+        assert_eq!(planned[7..], [((6, S), (0, N)), ((5, S), (7, N))]);
+        assert_eq!(built(8, &planned, |_| {}), planned);
+        let routed = with_hosts(&GRID_3X2, 6, true);
+        assert_eq!(routed[7..], [((0, N), (6, S)), ((5, S), (7, N))]);
+        assert_eq!(
+            built(8, &routed, |b| {
+                b.enable_router();
+            }),
+            routed
+        );
+
+        let planned = with_hosts(&CUBE_1X2, 8, false);
+        assert_eq!(planned[9..], [((8, S), (0, N)), ((7, S), (9, N))]);
+        assert_eq!(built(10, &planned, |_| {}), planned);
+        let routed = with_hosts(&CUBE_1X2, 8, true);
+        assert_eq!(routed[9..], [((0, N), (8, S)), ((7, S), (9, N))]);
+        assert_eq!(
+            built(10, &routed, |b| {
+                b.enable_router_hypercube(1, 2);
+            }),
+            routed
+        );
+    }
+
+    #[test]
+    fn grid_edge_wire_is_the_sweep_index() {
+        // The closed form against a lookup in the sweep, every edge of
+        // a few shapes (square, wide, tall, single row/column).
+        for (w, h) in [(4, 4), (5, 2), (2, 5), (3, 1), (1, 3)] {
+            let wires = grid_wires(w, h, 0);
+            for (i, &((a, port), _)) in wires.iter().enumerate() {
+                let got = grid_edge_wire(w, h, a % w, a / w, port == PORT_EAST);
+                assert_eq!(got, i, "{w}x{h} wire {i}");
+            }
+        }
         assert_eq!(grid_edge_wire(4, 4, 2, 3, true), 23);
     }
 
@@ -691,7 +711,7 @@ mod tests {
         let side = 4;
         let mut b = NetworkBuilder::new(NetworkConfig::default());
         let ids: Vec<NodeId> = (0..16 * side * side).map(|_| b.add_node()).collect();
-        wire_hypercube(&mut b, &ids, 4, side);
+        b.connect_all(&hypercube_wires(4, side));
         for c in 0..16 {
             let host = b.add_node();
             b.connect((ids[c * side * side], PORT_NORTH), (host, PORT_SOUTH));
@@ -809,16 +829,11 @@ mod tests {
     fn hypercube_tables_handle_host_leaves() {
         let (dim, side) = (1, 2);
         let core = 2 * side * side;
-        let mut adj = hypercube_adjacency(dim, side);
         // Sender leaf on node 0's north port, collector leaf on the last
         // core node's south port (the free host ports).
-        let wire0 = adj.iter().flatten().flatten().map(|l| l.2).max().unwrap() + 1;
-        adjacency_add_wire(&mut adj, (core, PORT_SOUTH), (0, PORT_NORTH), wire0);
-        adjacency_add_wire(
-            &mut adj,
-            (core - 1, PORT_SOUTH),
-            (core + 1, PORT_NORTH),
-            wire0 + 1,
+        let adj = adjacency(
+            core + 2,
+            &with_hosts(&hypercube_wires(dim, side), core, true),
         );
         let tables = hypercube_tables(&adj, dim, side, &HashSet::new());
         // The sender leaf reaches every node out its single port.

@@ -5,10 +5,10 @@
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
 use transputer_link::FaultPlan;
-use transputer_net::topology::{grid_adjacency, grid_edge_wire, PORT_NORTH, PORT_SOUTH};
+use transputer_net::topology::{grid_edge_wire, PORT_NORTH, PORT_SOUTH};
 use transputer_net::{
-    adjacency_add_wire, hypercube_adjacency, Engine, Network, NetworkBuilder, NetworkConfig,
-    NodeId, RouterConfig, SimOutcome, Switching,
+    grid_wires, hypercube_wires, Engine, Network, NetworkBuilder, NetworkConfig, NodeId,
+    RouterConfig, SimOutcome, Switching,
 };
 
 /// Send each word as one four-byte message out link port 0, then halt.
@@ -89,7 +89,7 @@ fn routed_word_crosses_a_transit_node() {
         for _ in 0..3 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(3, 1));
+        b.connect_all(&grid_wires(3, 1, 0)).enable_router();
         b.add_vc((0, 0), (2, 0));
         let mut net = b.build();
         net.node_mut(0)
@@ -127,7 +127,7 @@ fn virtual_channels_multiplex_one_wire() {
         });
         b.add_node();
         b.add_node();
-        b.enable_router(grid_adjacency(2, 1));
+        b.connect_all(&grid_wires(2, 1, 0)).enable_router();
         b.add_vc((0, 0), (1, 0));
         b.add_vc((0, 0), (1, 1));
         let mut net = b.build();
@@ -176,7 +176,7 @@ fn full_buffers_backpressure_the_sender() {
         });
         b.add_node();
         b.add_node();
-        b.enable_router(grid_adjacency(2, 1));
+        b.connect_all(&grid_wires(2, 1, 0)).enable_router();
         b.add_vc((0, 0), (1, 0));
         let mut net = b.build();
         let words: Vec<i64> = (1..=12).collect();
@@ -218,7 +218,7 @@ fn routed_faulted_runs_are_engine_invariant() {
         for _ in 0..3 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(3, 1));
+        b.connect_all(&grid_wires(3, 1, 0)).enable_router();
         b.add_vc((0, 0), (2, 0));
         let mut net = b.build();
         net.node_mut(0)
@@ -258,7 +258,7 @@ fn boot_dead_wire_is_routed_around() {
         for _ in 0..4 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(2, 2));
+        b.connect_all(&grid_wires(2, 2, 0)).enable_router();
         b.add_vc((0, 0), (1, 0));
         let mut net = b.build();
         net.node_mut(0)
@@ -304,7 +304,7 @@ fn midrun_dead_link_reroutes_identically() {
         for _ in 0..4 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(2, 2));
+        b.connect_all(&grid_wires(2, 2, 0)).enable_router();
         b.add_vc((0, 0), (1, 0));
         let mut net = b.build();
         net.node_mut(0)
@@ -342,17 +342,11 @@ fn midrun_dead_link_reroutes_identically() {
 fn routed_hypercube_with_host_leaves() {
     let (dim, side) = (1, 2);
     let core = 2 * side * side;
-    let mut adj = hypercube_adjacency(dim, side);
-    let wire0 = adj.iter().flatten().flatten().map(|l| l.2).max().unwrap() + 1;
     let sender = core;
     let collector = core + 1;
-    adjacency_add_wire(&mut adj, (sender, PORT_SOUTH), (0, PORT_NORTH), wire0);
-    adjacency_add_wire(
-        &mut adj,
-        (core - 1, PORT_SOUTH),
-        (collector, PORT_NORTH),
-        wire0 + 1,
-    );
+    let mut wires = hypercube_wires(dim, side);
+    wires.push(((0, PORT_NORTH), (sender, PORT_SOUTH)));
+    wires.push(((core - 1, PORT_SOUTH), (collector, PORT_NORTH)));
     let mut reference = None;
     for engine in ENGINES {
         let mut b = NetworkBuilder::new(NetworkConfig {
@@ -362,7 +356,7 @@ fn routed_hypercube_with_host_leaves() {
         for _ in 0..core + 2 {
             b.add_node();
         }
-        b.enable_router_hypercube(adj.clone(), dim, side);
+        b.connect_all(&wires).enable_router_hypercube(dim, side);
         b.add_vc((sender, 0), (collector, 0));
         let mut net = b.build();
         net.node_mut(sender)
@@ -393,7 +387,7 @@ fn router_stats_count_packets() {
     for _ in 0..3 {
         b.add_node();
     }
-    b.enable_router(grid_adjacency(3, 1));
+    b.connect_all(&grid_wires(3, 1, 0)).enable_router();
     b.add_vc((0, 0), (2, 0));
     let mut net = b.build();
     assert!(net.routed());
@@ -441,7 +435,7 @@ fn forward_capacity_bounds_stay_deterministic() {
             for _ in 0..3 {
                 b.add_node();
             }
-            b.enable_router(grid_adjacency(3, 1));
+            b.connect_all(&grid_wires(3, 1, 0)).enable_router();
             b.add_vc((0, 0), (2, 0));
             let mut net = b.build();
             net.node_mut(0)
@@ -496,7 +490,7 @@ fn wormhole_cuts_through_a_transit_chain() {
             for _ in 0..5 {
                 b.add_node();
             }
-            b.enable_router(grid_adjacency(5, 1));
+            b.connect_all(&grid_wires(5, 1, 0)).enable_router();
             b.add_vc((0, 0), (4, 0));
             let mut net = b.build();
             net.node_mut(0)
@@ -565,7 +559,7 @@ fn wormhole_backpressure_stays_bounded() {
         for _ in 0..3 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(3, 1));
+        b.connect_all(&grid_wires(3, 1, 0)).enable_router();
         b.add_vc((0, 0), (2, 0));
         let mut net = b.build();
         let words: Vec<i64> = (1..=24).collect();
@@ -613,7 +607,7 @@ fn wormhole_faulted_runs_are_engine_invariant() {
         for _ in 0..4 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(4, 1));
+        b.connect_all(&grid_wires(4, 1, 0)).enable_router();
         b.add_vc((0, 0), (3, 0));
         let mut net = b.build();
         net.node_mut(0)
@@ -664,7 +658,7 @@ fn wormhole_stream_cut_by_wire_death_reroutes_identically() {
         for _ in 0..6 {
             b.add_node();
         }
-        b.enable_router(grid_adjacency(3, 2));
+        b.connect_all(&grid_wires(3, 2, 0)).enable_router();
         b.add_vc((0, 0), (2, 0));
         let mut net = b.build();
         net.node_mut(0)

@@ -5,7 +5,10 @@
 //! per prefix byte. Real transputer programs re-execute the same code
 //! constantly, so the emulator predecodes each operation *once* into a
 //! fixed-size record (terminal function, fused operand, byte length)
-//! and thereafter executes the whole chain from the record.
+//! and thereafter executes the whole chain from the record. This module
+//! is the cache alone; the loop that executes from it is
+//! `Cpu::run_predecoded` in `cpu/translate.rs`, shared with the
+//! translation tier.
 //!
 //! The cache is an instrument of the host, invisible to the simulation:
 //!
@@ -26,10 +29,8 @@
 //!   markers and always run through the byte-at-a-time path, as do
 //!   entries outside penalty-free memory or abutting the slice budget.
 
-use super::{Cpu, SliceOutcome};
 use crate::instr::{Direct, Op};
 use crate::memory::{Memory, CODE_BLOCK_BYTES, CODE_BLOCK_SHIFT};
-use crate::process::Priority;
 use crate::stats::Stats;
 use crate::word::WordLength;
 
@@ -268,107 +269,4 @@ fn bypass_entry(len: u32) -> DecEntry {
 /// raises the illegal-instruction fault with byte-exact state.
 fn bypasses(fun: Direct, operand: u32) -> bool {
     fun == Direct::Operate && Op::from_code(operand).is_none()
-}
-
-impl Cpu {
-    /// The fused fast loop of [`Cpu::run_slice`]: execute predecoded
-    /// operations back to back while nothing can interact. Returns
-    /// `(made_progress, outcome)`; `outcome == None` hands control back
-    /// to the outer loop (which re-evaluates scheduling boundaries when
-    /// progress was made, or takes one byte-at-a-time micro-step when
-    /// none was).
-    ///
-    /// Entry preconditions (established by `run_slice`): not halted, a
-    /// process is current, no pending preemption, `resume` is `None`
-    /// and `op_len == 0` (an operation boundary).
-    pub(crate) fn run_decoded(&mut self, limit: u64) -> (bool, Option<SliceOutcome>) {
-        let mut progress = false;
-        // Loop invariants hoisted out of the per-operation path. The
-        // timer-head flags are refreshed once here and thereafter by
-        // the post-execution `advance_time` of every iteration, which
-        // observes any write the executed operation made.
-        self.refresh_timer_heads();
-        let base = self.mem.base();
-        let fast_limit = self.mem.fast_limit();
-        loop {
-            // Fusion batches the prefix cycles of an operation into one
-            // time advance, which is only legal while no clock tick can
-            // wake a process: both timer queues must be known empty.
-            if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
-                return (progress, None);
-            }
-            if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
-                // A high-priority wake is pending: preempt via the
-                // outer loop.
-                return (progress, None);
-            }
-            debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
-            let off = self.word.mask(self.iptr.wrapping_sub(base)) as usize;
-            if off >= fast_limit {
-                // Off-chip (penalised) or out-of-range code: the byte
-                // path owns the penalty bookkeeping and faulting.
-                self.stats.decode_bypasses += 1;
-                return (progress, None);
-            }
-            let e = self
-                .dcache
-                .entry_at(&mut self.mem, &mut self.stats, self.word, self.iptr, off);
-            let len = u64::from(e.len);
-            if e.flags & F_BYPASS != 0 {
-                self.stats.decode_bypasses += 1;
-                return (progress, None);
-            }
-            if self.cycles + (len - 1) >= limit {
-                // Some byte of this operation would start at or past the
-                // budget limit; the byte path handles the partial chain.
-                return (progress, None);
-            }
-            progress = true;
-
-            // Execute the fused operation in the exact order of the
-            // byte path: count bytes, record the operation, advance
-            // past it, charge one cycle per prefix byte, then run the
-            // terminal through the shared executor.
-            let fun = Direct::from_nibble(e.fun);
-            self.op_start = self.iptr;
-            self.iptr = self.word.mask(self.iptr.wrapping_add(u32::from(e.len)));
-            self.stats.instructions += len;
-            self.stats.record_operation(fun, e.len as usize);
-            // One cycle per prefix byte, as a bare addition: with both
-            // timer queues empty (checked above, maintained by the
-            // post-exec advance) every elided tick is a pure clock bump
-            // that `clock_now` reconstructs, so this is exactly what
-            // `advance_time64` would do.
-            self.cycles += len - 1;
-            self.slice_mark = self.cycles;
-            if self.trace.is_some() {
-                self.pending_trace = Some((fun, e.operand));
-            }
-            match self.exec_direct(fun, e.operand) {
-                Ok(c) => {
-                    let c = c + self.mem.take_penalty_cycles();
-                    self.advance_time(c);
-                }
-                Err(reason) => {
-                    self.halted = Some(reason);
-                    return (true, Some(SliceOutcome::Halted(reason)));
-                }
-            }
-            self.record_pending_trace();
-            if let Some(r) = self.halted {
-                return (true, Some(SliceOutcome::Halted(r)));
-            }
-            if let Some(exit) = self.slice_exit.take() {
-                return (true, Some(exit));
-            }
-            if self.cycles >= limit {
-                return (true, Some(SliceOutcome::BudgetExpired));
-            }
-            if !self.has_current_process() || self.resume.is_some() || self.op_len != 0 {
-                // Descheduled, or a dispatch restored an interrupted
-                // context mid-operation: back to the outer loop.
-                return (true, None);
-            }
-        }
-    }
 }

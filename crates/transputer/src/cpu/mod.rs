@@ -292,8 +292,9 @@ pub struct Cpu {
     /// the cache is enabled and reserved-word reads carry no penalty
     /// (so timer-queue head checks are timing-free).
     pub(crate) decode_fast_ok: bool,
-    /// Whether `run_slice` may enter the translated loop: translation
-    /// is enabled and the fused loop's own preconditions hold.
+    /// Whether the fused loop may look up translated blocks at leader
+    /// positions: translation is enabled and the fused loop's own
+    /// preconditions hold.
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
@@ -717,18 +718,15 @@ impl Cpu {
                 return SliceOutcome::Preempted;
             }
             // Fast path: at an operation boundary, execute predecoded
-            // fused operations back to back (see `cpu/decode.rs`), or —
-            // when the translation tier is on and tracing is off — hot
-            // translated blocks (see `cpu/translate.rs`). Falls through
+            // fused operations back to back (cached by `cpu/decode.rs`)
+            // and — when the translation tier is on and tracing is off —
+            // hot translated blocks, in the one loop of
+            // `cpu/translate.rs`. Falls through
             // to the byte-at-a-time micro-step whenever it cannot make
             // progress, which guarantees the loop never spins.
             if self.decode_fast_ok && self.resume.is_none() && self.op_len == 0 {
-                let ran = if self.translate_ok && self.trace.is_none() {
-                    self.run_translated(limit)
-                } else {
-                    self.run_decoded(limit)
-                };
-                match ran {
+                let leaders = self.translate_ok && self.trace.is_none();
+                match self.run_predecoded(limit, leaders) {
                     (_, Some(outcome)) => return outcome,
                     (true, None) => continue,
                     (false, None) => {}

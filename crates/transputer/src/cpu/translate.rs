@@ -22,7 +22,7 @@
 //! # Deoptimisation contract
 //!
 //! A translated block replays exactly the per-operation sequence of
-//! [`Cpu::run_decoded`]; at every point where that loop would hand
+//! [`Cpu::run_predecoded`]; at every point where that loop would hand
 //! control back, the block *deoptimises* — it stops executing
 //! translated operations and returns to the interpreter with the
 //! machine at an ordinary operation boundary. Deopt points are:
@@ -268,7 +268,7 @@ impl SparseStats {
 /// "don't translate here" sentinel (the covers still gate it, so a
 /// rewrite retranslates the spot). Execution *moves* the box out of
 /// its cache slot and puts it back afterwards (see
-/// [`Cpu::run_translated`]), so handlers can borrow the whole `Cpu`
+/// [`Cpu::run_predecoded`]), so handlers can borrow the whole `Cpu`
 /// while the block runs, with no per-entry reference counting.
 struct TransBlock {
     ops: [TransOp; MAX_BLOCK_OPS],
@@ -375,34 +375,53 @@ enum BlockExit {
 }
 
 impl Cpu {
-    /// The translated fast loop of [`Cpu::run_slice`]: like
-    /// [`Cpu::run_decoded`], but at block-leader positions (slice
-    /// entry and every control transfer) hot code executes from
-    /// [`TransBlock`]s instead of per-operation cache lookups. Same
-    /// contract and entry preconditions as `run_decoded`; never
-    /// entered while tracing (the decoded loop serves that, with
-    /// identical timing).
-    pub(crate) fn run_translated(&mut self, limit: u64) -> (bool, Option<SliceOutcome>) {
+    /// The predecoded fast loop of [`Cpu::run_slice`]: execute
+    /// predecoded operations back to back while nothing can interact,
+    /// and — when `leaders` is set (the translation tier is on and
+    /// tracing is off; loop-invariant) — run hot code at block-leader
+    /// positions (slice entry and every control transfer) from
+    /// [`TransBlock`]s instead of per-operation cache lookups. Returns
+    /// `(made_progress, outcome)`; `outcome == None` hands control back
+    /// to the outer loop (which re-evaluates scheduling boundaries when
+    /// progress was made, or takes one byte-at-a-time micro-step when
+    /// none was).
+    ///
+    /// Entry preconditions (established by `run_slice`): not halted, a
+    /// process is current, no pending preemption, `resume` is `None`
+    /// and `op_len == 0` (an operation boundary).
+    pub(crate) fn run_predecoded(
+        &mut self,
+        limit: u64,
+        leaders: bool,
+    ) -> (bool, Option<SliceOutcome>) {
         let mut progress = false;
+        // Loop invariants hoisted out of the per-operation path. The
+        // timer-head flags are refreshed once here and thereafter by
+        // the post-execution `advance_time` of every iteration, which
+        // observes any write the executed operation made.
         self.refresh_timer_heads();
         let base = self.mem.base();
         let fast_limit = self.mem.fast_limit();
         // The slice entry position is a leader: translated processes
         // re-enter blocks straight away.
-        let mut leader = true;
+        let mut leader = leaders;
         loop {
-            // Identical gating to `run_decoded`: fused/translated
-            // execution requires empty timer queues and no pending
-            // high-priority wake.
+            // Fusion batches the prefix cycles of an operation into one
+            // time advance, which is only legal while no clock tick can
+            // wake a process: both timer queues must be known empty.
             if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
                 return (progress, None);
             }
             if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
+                // A high-priority wake is pending: preempt via the
+                // outer loop.
                 return (progress, None);
             }
             debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
             let off = self.word.mask(self.iptr.wrapping_sub(base)) as usize;
             if off >= fast_limit {
+                // Off-chip (penalised) or out-of-range code: the byte
+                // path owns the penalty bookkeeping and faulting.
                 self.stats.decode_bypasses += 1;
                 return (progress, None);
             }
@@ -440,7 +459,7 @@ impl Cpu {
                 }
             }
 
-            // Interpret one operation, exactly as `run_decoded` does.
+            // Interpret one predecoded operation.
             let e = self
                 .dcache
                 .entry_at(&mut self.mem, &mut self.stats, self.word, self.iptr, off);
@@ -450,15 +469,27 @@ impl Cpu {
                 return (progress, None);
             }
             if self.cycles + (len - 1) >= limit {
+                // Some byte of this operation would start at or past the
+                // budget limit; the byte path handles the partial chain.
                 return (progress, None);
             }
             progress = true;
+
+            // Execute the fused operation in the exact order of the
+            // byte path: count bytes, record the operation, advance
+            // past it, charge one cycle per prefix byte, then run the
+            // terminal through the shared executor.
             let fun = Direct::from_nibble(e.fun);
             self.op_start = self.iptr;
             let next = self.word.mask(self.iptr.wrapping_add(u32::from(e.len)));
             self.iptr = next;
             self.stats.instructions += len;
             self.stats.record_operation(fun, e.len as usize);
+            // One cycle per prefix byte, as a bare addition: with both
+            // timer queues empty (checked above, maintained by the
+            // post-exec advance) every elided tick is a pure clock bump
+            // that `clock_now` reconstructs, so this is exactly what
+            // `advance_time64` would do.
             self.cycles += len - 1;
             self.slice_mark = self.cycles;
             if self.trace.is_some() {
@@ -485,11 +516,13 @@ impl Cpu {
                 return (true, Some(SliceOutcome::BudgetExpired));
             }
             if !self.has_current_process() || self.resume.is_some() || self.op_len != 0 {
+                // Descheduled, or a dispatch restored an interrupted
+                // context mid-operation: back to the outer loop.
                 return (true, None);
             }
             // A control transfer lands on a leader; sequential flow
             // continues inside whatever block the leader began.
-            leader = self.iptr != next;
+            leader = leaders && self.iptr != next;
         }
     }
 
@@ -1020,7 +1053,7 @@ impl Cpu {
     /// Whether the scheduler gates would stop fused execution: a timer
     /// queue became non-empty, or a high-priority process is waiting
     /// while a low-priority block runs. Mirrors the loop-top checks of
-    /// [`Cpu::run_translated`].
+    /// [`Cpu::run_predecoded`].
     #[inline]
     fn gates_tripped(&self) -> bool {
         !(self.timer_head_empty[0] && self.timer_head_empty[1])

@@ -3,12 +3,14 @@
 //! per-instruction Event oracle — answers, arrival times, per-node
 //! cycles and instruction counts, per-wire bytes, full memory images.
 //! Five fast rows of the full table in
-//! `crates/bench/tests/determinism.rs` (which needs `--workspace`).
+//! `crates/bench/tests/determinism.rs` (which needs `--workspace`), and
+//! one CPU-tier row: the translation tier off against the default.
 
 use transputer_bench::hostperf::{
-    figure8_smoke, hypercube_smoke, routed_smoke, sweep_engines, Machine,
+    assert_run_matches, figure8_smoke, hypercube_smoke, routed_smoke, sweep_engines, Machine,
 };
 use transputer_link::FaultPlan;
+use transputer_net::Engine;
 
 #[test]
 fn e09_smoke_sliced_matches_event() {
@@ -65,5 +67,34 @@ fn routed_hypercube_sliced_matches_event() {
         "routed hypercube",
         |e| Machine::RoutedCube(hypercube_smoke()).build(e),
         |_, report| assert!(!report.degraded),
+    );
+}
+
+/// The CPU tiers share one predecoded loop (`Cpu::run_predecoded`);
+/// switching block lookups off must change nothing the simulation can
+/// see. (Under the `TRANSLATE=off` hook both runs are tier-off.)
+#[test]
+fn e09_smoke_translate_off_matches_on() {
+    let run = |translate: bool| {
+        let mut config = figure8_smoke();
+        config.net.cpu = config.net.cpu.with_translate(translate);
+        let mut sim = Machine::Tree(config).build(Engine::Sliced);
+        let report = sim.run(1_000_000_000_000).expect("runs");
+        assert!(report.all_correct() && !report.degraded);
+        (sim, report)
+    };
+    let (on, on_report) = run(true);
+    let (off, off_report) = run(false);
+    let net = off.network();
+    let enters: u64 = (0..net.len())
+        .map(|id| net.node(id).stats().trans_enters)
+        .sum();
+    assert_eq!(enters, 0, "the tier-off run must not enter a block");
+    assert_run_matches(
+        "e09 smoke translate off",
+        &off,
+        &off_report,
+        &on,
+        &on_report,
     );
 }
