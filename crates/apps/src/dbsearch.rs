@@ -747,8 +747,9 @@ impl DbSearch {
         let bytes_per_answer = self.bytes_per_answer * self.msgs_per_answer;
         let result = self.net.run_until(budget_ns, |net| {
             let (_, to_collector) = net.wire_delivered(answer_wire);
-            let got = (to_collector / bytes_per_answer) as usize;
-            while seen < got.min(n) {
+            // Runs after every heap event: compare against the next
+            // answer's byte count rather than divide.
+            while seen < n && to_collector >= (seen as u64 + 1) * bytes_per_answer {
                 answer_times[seen] = net.time_ns();
                 seen += 1;
             }

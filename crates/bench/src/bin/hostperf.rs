@@ -236,10 +236,16 @@ fn time_experiments() -> (Vec<(String, f64)>, Vec<String>) {
     (rows, problems)
 }
 
+/// What one heap event cost the host: wall time over every entry the
+/// run popped, stale wire entries included.
+fn ns_per_pop(r: &NetRun) -> f64 {
+    r.wall_ms * 1e6 / (r.pops.node + r.pops.wire) as f64
+}
+
 fn print_net(r: &NetRun) {
     println!(
         "  {:<20} {:<9} {:>9.1} ms   {:>12.0} cyc/s   {:>7.2} MIPS   ok={}   \
-         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)",
+         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)   {:.1} ns/pop",
         r.bench,
         format!("{:?}", r.engine),
         r.wall_ms,
@@ -253,6 +259,7 @@ fn print_net(r: &NetRun) {
         r.pops.node,
         r.pops.wire,
         r.pops.stale_wire,
+        ns_per_pop(r),
     );
 }
 
@@ -340,14 +347,21 @@ fn append_history(
             )
         },
     );
+    // What one heap event costs, per network row: the trend the event
+    // queue and the wire path are judged by.
+    let pops: Vec<String> = networks
+        .iter()
+        .map(|r| format!("\"{}/{:?}\": {:.1}", r.bench, r.engine, ns_per_pop(r)))
+        .collect();
     let line = format!(
         "{{\"unix_s\": {unix_s}, \"smoke\": {smoke}, \"cpu_mips\": {now:.2}, \
          \"baseline_mips\": {baseline_s}, \"ratio\": {ratio_s}, \
          \"translated_mips\": {tnow:.2}, \"translated_baseline_mips\": {tbaseline_s}, \
          \"translated_ratio\": {tratio_s}, \"host_cores\": {}, \
          \"e17_sf_mean_hop_ns\": {sf_hop}, \"e17_worm_mean_hop_ns\": {worm_hop}, \
-         \"e17_hop_reduction\": {hop_reduction}}}\n",
+         \"e17_hop_reduction\": {hop_reduction}, \"ns_per_pop\": {{{}}}}}\n",
         host_cores(),
+        pops.join(", "),
     );
     use std::io::Write;
     match std::fs::OpenOptions::new()

@@ -1024,7 +1024,7 @@ pub fn to_json(
              \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
              \"trans_deopts\": {}, \"trans_invalidations\": {}, \
              \"host_cores\": {}, \"node_pops\": {}, \"wire_pops\": {}, \
-             \"stale_wire_pops\": {}, \"router\": {router}, \
+             \"stale_wire_pops\": {}, \"ns_per_pop\": {:.1}, \"router\": {router}, \
              \"answers_ok\": {}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
             r.bench,
             r.engine,
@@ -1046,6 +1046,9 @@ pub fn to_json(
             r.pops.node,
             r.pops.wire,
             r.pops.stale_wire,
+            // What one heap event cost this host: wall time over every
+            // entry popped, stale ones included.
+            r.wall_ms * 1e6 / (r.pops.node + r.pops.wire) as f64,
             r.answers_ok,
             r.fingerprint,
         ));
@@ -1153,6 +1156,7 @@ mod tests {
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"node_pops\""));
+        assert!(json.contains("\"ns_per_pop\""));
     }
 
     #[test]

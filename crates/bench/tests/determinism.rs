@@ -26,7 +26,7 @@ use transputer_bench::hostperf::{
 };
 use transputer_link::FaultPlan;
 use transputer_net::topology::grid_edge_wire;
-use transputer_net::Engine;
+use transputer_net::{Engine, PopCounts};
 
 #[test]
 fn corpus_programs_agree_between_engines() {
@@ -397,4 +397,58 @@ fn parallel_shim_is_sliced() {
         &sliced_report,
     );
     assert_eq!(shim.network().pool_spawned_threads(), 0);
+}
+
+/// Same events, same order: [`PopCounts`] is a pure function of the
+/// order entries leave the event queue (a wire entry is stale or live
+/// only relative to the pops before it), so literal counts pin that
+/// order for both engines. Taken from the commit before the queue
+/// became `transputer_net`'s `EventQueue`; a change of queue, of key or
+/// of tie rule that moves one of them has reordered events, whatever
+/// the fingerprints say.
+#[test]
+fn pop_counts_are_pinned() {
+    type Check = fn(&DbSearch, &DbSearchReport);
+    type Row = (&'static str, fn() -> Machine, Check, [PopCounts; 2]);
+    let pops = |node, wire, stale_wire| PopCounts {
+        node,
+        wire,
+        stale_wire,
+    };
+    // Per row: the Event oracle's counts, then Sliced's.
+    let table: [Row; 3] = [
+        (
+            "e10 board",
+            || Tree(board128_smoke()),
+            clean,
+            [pops(106_133, 7_168, 0), pops(11_747, 9_062, 460)],
+        ),
+        (
+            "e10 board under faults",
+            || Tree(board128_smoke()).faulted(faults()),
+            faults_hidden,
+            [pops(106_133, 7_993, 414), pops(13_179, 7_946, 367)],
+        ),
+        (
+            "routed cube",
+            || RoutedCube(hypercube_smoke()),
+            clean,
+            [pops(62_580, 42_016, 0), pops(12_142, 42_016, 0)],
+        ),
+    ];
+    for (label, machine, check, [event, sliced]) in table {
+        sweep_engines(
+            label,
+            |e| machine().build(e),
+            |sim, report| {
+                check(sim, report);
+                let net = sim.network();
+                let want = match net.engine() {
+                    Engine::Event => event,
+                    _ => sliced,
+                };
+                assert_eq!(net.pop_counts(), want, "{label} {:?}", net.engine());
+            },
+        );
+    }
 }

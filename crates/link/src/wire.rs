@@ -175,6 +175,20 @@ impl Line {
             return None;
         }
         let (kind, seq) = self.queue.pop_front()?;
+        Some((kind, self.start(kind, seq, now, speed, protocol, dead_from)))
+    }
+
+    /// Put a frame on the idle line at `now`; the fault schedule decides
+    /// its fate here, at transmission start.
+    fn start(
+        &mut self,
+        kind: PacketKind,
+        seq: bool,
+        now: u64,
+        speed: LinkSpeed,
+        protocol: LinkProtocol,
+        dead_from: Option<u64>,
+    ) -> Fate {
         let bits = protocol.frame_bits(kind);
         let mut fate = match &mut self.faults {
             Some(f) => f.next_fate(bits, speed.bit_time_ns),
@@ -199,7 +213,7 @@ impl Line {
             fate,
         });
         self.busy_ns += duration;
-        Some((kind, fate))
+        fate
     }
 }
 
@@ -284,9 +298,7 @@ impl DuplexLink {
 
     /// Queue a data byte with an explicit sequence bit (robust protocol).
     pub fn send_data_seq(&mut self, from: End, byte: u8, seq: bool, now: u64) {
-        let line = &mut self.lines[from.index()];
-        line.queue.push_back((PacketKind::Data(byte), seq));
-        self.kick(from, now);
+        self.send(from, PacketKind::Data(byte), seq, now);
     }
 
     /// Queue an acknowledge from `from` (for data `from` received).
@@ -298,30 +310,39 @@ impl DuplexLink {
 
     /// Queue an acknowledge with an explicit sequence bit.
     pub fn send_ack_seq(&mut self, from: End, seq: bool, now: u64) {
-        let line = &mut self.lines[from.index()];
-        line.queue.push_front((PacketKind::Ack, seq));
-        self.kick(from, now);
+        self.send(from, PacketKind::Ack, seq, now);
     }
 
     /// Queue a busy notice (robust protocol; jumps the queue like an
     /// acknowledge).
     pub fn send_busy(&mut self, from: End, seq: bool, now: u64) {
-        let line = &mut self.lines[from.index()];
-        line.queue.push_front((PacketKind::Busy, seq));
-        self.kick(from, now);
+        self.send(from, PacketKind::Busy, seq, now);
     }
 
-    fn kick(&mut self, from: End, now: u64) {
-        if let Some((PacketKind::Data(_), fate)) =
-            self.lines[from.index()].start_next(now, self.speed, self.protocol, self.dead_from)
-        {
-            // Robust receivers cannot acknowledge at reception start (the
-            // parity check needs the whole frame), so the early-ack
-            // decision point only exists on classic lines.
-            if self.protocol == LinkProtocol::Classic && fate == (Fate::Deliver { extra_ns: 0 }) {
-                self.pending_events
-                    .push(LinkEvent::DataStarted { to: from.other() });
+    /// Hand a frame to the line driven by `from`: straight onto the wire
+    /// if the line is idle (an idle line has nothing queued — every
+    /// completion starts the next queued frame), otherwise into its
+    /// queue, data behind and everything else ahead of what waits there.
+    fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) {
+        let line = &mut self.lines[from.index()];
+        if line.in_flight.is_some() {
+            match kind {
+                PacketKind::Data(_) => line.queue.push_back((kind, seq)),
+                PacketKind::Ack | PacketKind::Busy => line.queue.push_front((kind, seq)),
             }
+            return;
+        }
+        debug_assert!(line.queue.is_empty(), "frames queued behind an idle line");
+        let fate = line.start(kind, seq, now, self.speed, self.protocol, self.dead_from);
+        // Robust receivers cannot acknowledge at reception start (the
+        // parity check needs the whole frame), so the early-ack decision
+        // point only exists on classic lines.
+        if matches!(kind, PacketKind::Data(_))
+            && self.protocol == LinkProtocol::Classic
+            && fate == (Fate::Deliver { extra_ns: 0 })
+        {
+            self.pending_events
+                .push(LinkEvent::DataStarted { to: from.other() });
         }
     }
 

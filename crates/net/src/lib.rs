@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+mod queue;
 pub mod router;
 pub mod sim;
 pub mod topology;

@@ -649,58 +649,44 @@ impl RouterNet {
             self.start_tx(node, port, now_ns, acts);
             return true;
         }
-        if let Some(q) = self.nodes[node].stream_out[port] {
+        let r = &mut self.nodes[node];
+        if let Some(q) = r.stream_out[port] {
             // A cut-through stream's byte crossed the wire: relay the
             // next one if it has arrived, else starve until it does.
-            self.nodes[node].tx_seq[port] = !self.nodes[node].tx_seq[port];
-            let mut st = self.nodes[node].stream_in[q].expect("stream_out points at a live stream");
+            r.tx_seq[port] = !r.tx_seq[port];
+            let seq = r.tx_seq[port];
+            let st = r.stream_in[q]
+                .as_mut()
+                .expect("stream_out points at a live stream");
             debug_assert!(st.inflight, "a stream acknowledge implies a byte in flight");
             if st.next < st.got {
                 let byte = st.pkt.byte(st.next);
                 st.next += 1;
-                let sq = self.nodes[node].tx_seq[port];
-                acts.push((
-                    node,
-                    Act::Data {
-                        port,
-                        byte,
-                        seq: sq,
-                    },
-                ));
+                acts.push((node, Act::Data { port, byte, seq }));
                 // Relaying returned a flit credit: release a withheld
                 // upstream acknowledge.
-                if self.nodes[node].withheld[q] && st.got - st.next < STREAM_CREDITS {
-                    self.nodes[node].withheld[q] = false;
-                    let aseq = !self.nodes[node].rx_seq[q];
+                if r.withheld[q] && st.got - st.next < STREAM_CREDITS {
+                    r.withheld[q] = false;
+                    let aseq = !r.rx_seq[q];
                     acts.push((node, Act::Ack { port: q, seq: aseq }));
                 }
             } else {
                 st.inflight = false;
             }
-            self.nodes[node].stream_in[q] = Some(st);
             return true;
         }
-        let Some(pos) = self.nodes[node].tx_pos[port] else {
+        let Some(pos) = r.tx_pos[port] else {
             return false;
         };
         let was_idle = cpus[node].is_idle();
-        self.nodes[node].tx_seq[port] = !self.nodes[node].tx_seq[port];
-        let front = *self.nodes[node].outq[port]
-            .front()
-            .expect("tx has a packet");
+        r.tx_seq[port] = !r.tx_seq[port];
+        let front = r.outq[port].front().expect("tx has a packet");
         if pos + 1 < front.wire_len() {
-            let r = &mut self.nodes[node];
+            let byte = front.byte(pos + 1);
             r.tx_pos[port] = Some(pos + 1);
-            acts.push((
-                node,
-                Act::Data {
-                    port,
-                    byte: front.byte(pos + 1),
-                    seq: r.tx_seq[port],
-                },
-            ));
+            let seq = r.tx_seq[port];
+            acts.push((node, Act::Data { port, byte, seq }));
         } else {
-            let r = &mut self.nodes[node];
             r.outq[port].pop_front();
             r.tx_pos[port] = None;
             self.start_tx(node, port, now_ns, acts);
@@ -869,15 +855,16 @@ impl RouterNet {
         seq: bool,
         acts: &mut Vec<(usize, Act)>,
     ) {
-        let mut st = self.nodes[node].stream_in[port].expect("caller checked");
+        let r = &mut self.nodes[node];
+        let st = r.stream_in[port].as_mut().expect("caller checked");
         st.pkt.data[st.got - HEADER_BYTES] = byte;
         st.got += 1;
+        let op = st.out_port;
         if !st.inflight && st.next < st.got {
-            let op = st.out_port;
             let b = st.pkt.byte(st.next);
             st.next += 1;
             st.inflight = true;
-            let sq = self.nodes[node].tx_seq[op];
+            let sq = r.tx_seq[op];
             acts.push((
                 node,
                 Act::Data {
@@ -890,20 +877,17 @@ impl RouterNet {
         if st.got == st.pkt.wire_len() {
             // Tail: hand the remaining transmission to the queue path
             // (the hop completes, with stats, when the last byte acks).
-            let op = st.out_port;
-            self.nodes[node].stream_in[port] = None;
-            self.nodes[node].stream_out[op] = None;
-            self.nodes[node].outq[op].push_front(st.pkt);
-            self.nodes[node].tx_pos[op] = Some(st.next - 1);
+            r.tx_pos[op] = Some(st.next - 1);
+            r.outq[op].push_front(st.pkt);
+            r.stream_in[port] = None;
+            r.stream_out[op] = None;
             acts.push((node, Act::Ack { port, seq }));
         } else if st.got - st.next >= STREAM_CREDITS {
             // Out of flit credit: withhold the acknowledge so the
             // upstream transmitter stalls mid-packet — the stream
             // stalls, the port does not.
-            self.nodes[node].withheld[port] = true;
-            self.nodes[node].stream_in[port] = Some(st);
+            r.withheld[port] = true;
         } else {
-            self.nodes[node].stream_in[port] = Some(st);
             acts.push((node, Act::Ack { port, seq }));
         }
     }

@@ -1,7 +1,8 @@
 //! The co-simulation engine: nodes, wires, and a global event queue.
 //!
-//! Two steppers share one event heap and one set of wire, link-service,
-//! resend and router routines:
+//! Two steppers share one event queue (`queue.rs`: a heap in pop order,
+//! with a wheel in front of it for the near future) and one set of
+//! wire, link-service, resend and router routines:
 //!
 //! * **Event** — the reference oracle: one heap event per node
 //!   micro-step. Each pop executes a single instruction, then offers
@@ -32,8 +33,7 @@
 //! are bit-identical in cycle counts, delivered bytes, and memory images.
 
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use transputer::linkif::SeqCheck;
@@ -42,6 +42,7 @@ use transputer_link::{
     AckPolicy, DuplexLink, End, FaultPlan, LinkEvent, LinkProtocol, LinkSpeed, PacketKind,
 };
 
+use crate::queue::{Actor, EventQueue};
 use crate::router::{Act, RouterConfig, RouterNet, RouterStats};
 use crate::topology::{adjacency, hypercube_tables, route_tables, WireEnds};
 
@@ -377,8 +378,14 @@ impl NetworkBuilder {
     }
 
     /// Finish: produce the network.
+    ///
+    /// # Panics
+    ///
+    /// Panics on 2^23 or more nodes, or as many wires: the event queue
+    /// packs a node or wire index into 23 bits of its keys.
     pub fn build(self) -> Network {
         let n = self.nodes.len();
+        let queue = EventQueue::new(n, self.wires.len());
         let mut port_to_wire = vec![[usize::MAX; 4]; n];
         let mut peers = vec![[usize::MAX; 4]; n];
         let speed = self.config.link_speed;
@@ -473,8 +480,7 @@ impl NetworkBuilder {
             nodes: self.nodes,
             wires,
             hot,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue,
             now_ns: 0,
             ea_primed: false,
             horizon_ns: None,
@@ -496,12 +502,6 @@ impl NetworkBuilder {
         }
         net
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Actor {
-    Node(usize),
-    Wire(usize),
 }
 
 /// The hot side of the per-node state split: everything the sliced
@@ -547,8 +547,7 @@ pub struct Network {
     wires: Vec<Wire>,
     /// Dense per-node scheduling state (the hot side of the node split).
     hot: NodeHot,
-    queue: BinaryHeap<Reverse<(u64, u64, Actor)>>,
-    seq: u64,
+    queue: EventQueue,
     now_ns: u64,
     /// Whether `hot.ea` has been initialised from live link state.
     ea_primed: bool,
@@ -764,8 +763,7 @@ impl Network {
         if !self.hot.scheduled[node] {
             self.hot.scheduled[node] = true;
             self.hot.next_ns[node] = at;
-            self.seq += 1;
-            self.queue.push(Reverse((at, self.seq, Actor::Node(node))));
+            self.queue.push(at, Actor::Node(node));
         }
     }
 
@@ -794,8 +792,7 @@ impl Network {
                     return;
                 }
                 self.wire_next[wire] = t;
-                self.seq += 1;
-                self.queue.push(Reverse((t, self.seq, Actor::Wire(wire))));
+                self.queue.push(t, Actor::Wire(wire));
             }
             None => self.wire_next[wire] = u64::MAX,
         }
@@ -931,9 +928,8 @@ impl Network {
     /// Advance the simulation by exactly one event. Returns false when
     /// nothing remains to simulate.
     pub fn step_event(&mut self) -> Result<bool, SimError> {
-        let Reverse((t, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
+        let Some((t, actor)) = self.queue.pop() else {
+            return Ok(false);
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
@@ -1511,15 +1507,14 @@ impl Network {
                 .iter()
                 .flatten()
                 .any(|r| r.deadline == t);
-        // A node entry pending at `t` would be the heap's top entry.
-        if !tie || !matches!(self.queue.peek(), Some(Reverse((pt, _, _))) if *pt == t) {
+        // A node entry pending at `t` would be the queue's next entry.
+        if !tie || self.queue.peek_time() != Some(t) {
             return false;
         }
         let node_pending =
             (0..self.nodes.len()).any(|n| self.hot.scheduled[n] && self.hot.next_ns[n] == t);
         if node_pending {
-            self.seq += 1;
-            self.queue.push(Reverse((t, self.seq, Actor::Wire(w))));
+            self.queue.push(t, Actor::Wire(w));
             return true;
         }
         false
@@ -1614,9 +1609,8 @@ impl Network {
     /// a wire event, or one whole node slice.
     fn step_sliced(&mut self) -> Result<bool, SimError> {
         self.prime_ea();
-        let Reverse((t, _, actor)) = match self.queue.pop() {
-            Some(e) => e,
-            None => return Ok(false),
+        let Some((t, actor)) = self.queue.pop() else {
+            return Ok(false);
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
@@ -1624,7 +1618,7 @@ impl Network {
             Actor::Node(n) => {
                 self.pops.node += 1;
                 self.hot.scheduled[n] = false;
-                let t_peek = self.queue.peek().map(|Reverse((pt, _, _))| *pt);
+                let t_peek = self.queue.peek_time();
                 let bound = self.slice_bound_ns(n, t_peek);
                 let (pop_cycles, outcome) = Self::run_slice_kernel(&mut self.nodes[n], t, bound);
                 self.finish_slice(n, t, pop_cycles, outcome)?;
@@ -1687,11 +1681,9 @@ impl Network {
             if self.now_ns >= end {
                 break Ok(SimOutcome::TimeLimit);
             }
-            if let Some(Reverse((t, _, _))) = self.queue.peek() {
-                if *t >= end {
-                    self.now_ns = end;
-                    break Ok(SimOutcome::TimeLimit);
-                }
+            if self.queue.peek_time().is_some_and(|t| t >= end) {
+                self.now_ns = end;
+                break Ok(SimOutcome::TimeLimit);
             }
             match self.advance_one() {
                 Ok(true) => {}
