@@ -242,10 +242,16 @@ fn ns_per_pop(r: &NetRun) -> f64 {
     r.wall_ms * 1e6 / (r.pops.node + r.pops.wire) as f64
 }
 
+/// How long a node runs between heap entries: instruction bytes per
+/// node pop (1 under Event; slice length under Sliced).
+fn instr_per_pop(r: &NetRun) -> f64 {
+    r.instructions as f64 / r.pops.node as f64
+}
+
 fn print_net(r: &NetRun) {
     println!(
         "  {:<20} {:<9} {:>9.1} ms   {:>12.0} cyc/s   {:>7.2} MIPS   ok={}   \
-         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)   {:.1} ns/pop",
+         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)   {:.1} ns/pop   {:.1} instr/pop",
         r.bench,
         format!("{:?}", r.engine),
         r.wall_ms,
@@ -260,6 +266,7 @@ fn print_net(r: &NetRun) {
         r.pops.wire,
         r.pops.stale_wire,
         ns_per_pop(r),
+        instr_per_pop(r),
     );
 }
 
@@ -347,21 +354,27 @@ fn append_history(
             )
         },
     );
-    // What one heap event costs, per network row: the trend the event
-    // queue and the wire path are judged by.
-    let pops: Vec<String> = networks
-        .iter()
-        .map(|r| format!("\"{}/{:?}\": {:.1}", r.bench, r.engine, ns_per_pop(r)))
-        .collect();
+    // What one heap event costs and how long a slice is, per network
+    // row: the trends the event queue, the wire path and the slice
+    // bounds are judged by.
+    let per_row = |f: fn(&NetRun) -> f64| {
+        let rows: Vec<String> = networks
+            .iter()
+            .map(|r| format!("\"{}/{:?}\": {:.1}", r.bench, r.engine, f(r)))
+            .collect();
+        rows.join(", ")
+    };
     let line = format!(
         "{{\"unix_s\": {unix_s}, \"smoke\": {smoke}, \"cpu_mips\": {now:.2}, \
          \"baseline_mips\": {baseline_s}, \"ratio\": {ratio_s}, \
          \"translated_mips\": {tnow:.2}, \"translated_baseline_mips\": {tbaseline_s}, \
          \"translated_ratio\": {tratio_s}, \"host_cores\": {}, \
          \"e17_sf_mean_hop_ns\": {sf_hop}, \"e17_worm_mean_hop_ns\": {worm_hop}, \
-         \"e17_hop_reduction\": {hop_reduction}, \"ns_per_pop\": {{{}}}}}\n",
+         \"e17_hop_reduction\": {hop_reduction}, \"ns_per_pop\": {{{}}}, \
+         \"instr_per_pop\": {{{}}}}}\n",
         host_cores(),
-        pops.join(", "),
+        per_row(ns_per_pop),
+        per_row(instr_per_pop),
     );
     use std::io::Write;
     match std::fs::OpenOptions::new()

@@ -80,6 +80,52 @@ fn corpus_programs_agree_between_engines() {
     }
 }
 
+/// `run_slice` is `run_slice_fenced` with no fence: a standalone
+/// processor pays nothing for the link fence a network hands its nodes.
+/// Slice by slice over the whole corpus, with a budget small and odd
+/// enough to cut operations everywhere.
+#[test]
+fn corpus_slices_are_identical_without_a_fence() {
+    use transputer::SliceOutcome;
+    for item in CORPUS {
+        let program = occam::compile(item.source).expect("corpus program compiles");
+        let mut plain = Cpu::new(CpuConfig::t424());
+        let mut fenced = plain.clone();
+        program.load(&mut plain).expect("loads");
+        program.load(&mut fenced).expect("loads");
+        loop {
+            let out = plain.run_slice(997);
+            assert_eq!(
+                fenced.run_slice_fenced(u64::MAX, 997),
+                out,
+                "corpus `{}`",
+                item.name
+            );
+            assert_eq!(plain.cycles(), fenced.cycles(), "corpus `{}`", item.name);
+            match out {
+                SliceOutcome::Halted(reason) => {
+                    assert_eq!(reason, HaltReason::Stopped, "corpus `{}`", item.name);
+                    break;
+                }
+                SliceOutcome::Idle => {
+                    for cpu in [&mut plain, &mut fenced] {
+                        let wake = cpu.next_timer_wake_cycle().expect("a timer is armed");
+                        cpu.advance_idle_to(wake.max(cpu.cycles() + 1));
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(plain.stats(), fenced.stats(), "corpus `{}`", item.name);
+        assert_eq!(
+            full_image(&plain),
+            full_image(&fenced),
+            "corpus `{}` memory image",
+            item.name
+        );
+    }
+}
+
 #[test]
 fn corpus_is_identical_with_decode_cache_disabled() {
     // The predecoded instruction cache is a host-side instrument: with
@@ -402,41 +448,49 @@ fn parallel_shim_is_sliced() {
 /// Same events, same order: [`PopCounts`] is a pure function of the
 /// order entries leave the event queue (a wire entry is stale or live
 /// only relative to the pops before it), so literal counts pin that
-/// order for both engines. Taken from the commit before the queue
-/// became `transputer_net`'s `EventQueue`; a change of queue, of key or
-/// of tie rule that moves one of them has reordered events, whatever
-/// the fingerprints say.
+/// order for both engines. Event's are from the commit before the queue
+/// became `transputer_net`'s `EventQueue`; Sliced's from the commit that
+/// let a computing node run past its wires (before it: 11 747 / 13 179 /
+/// 12 142 node pops). A slice is not a simulated event but a drained
+/// wire entry is, so each row also pins Sliced's live wire pops
+/// (`wire - stale_wire`) to the count from before that commit. A change
+/// of queue, of key or of tie rule that moves a literal has reordered
+/// events, whatever the fingerprints say.
 #[test]
 fn pop_counts_are_pinned() {
     type Check = fn(&DbSearch, &DbSearchReport);
-    type Row = (&'static str, fn() -> Machine, Check, [PopCounts; 2]);
+    type Row = (&'static str, fn() -> Machine, Check, [PopCounts; 2], u64);
     let pops = |node, wire, stale_wire| PopCounts {
         node,
         wire,
         stale_wire,
     };
-    // Per row: the Event oracle's counts, then Sliced's.
+    // Per row: the Event oracle's counts, Sliced's, Sliced's live wire pops.
     let table: [Row; 3] = [
         (
             "e10 board",
             || Tree(board128_smoke()),
             clean,
-            [pops(106_133, 7_168, 0), pops(11_747, 9_062, 460)],
+            [pops(106_133, 7_168, 0), pops(4_512, 8_936, 334)],
+            8_602,
         ),
         (
             "e10 board under faults",
             || Tree(board128_smoke()).faulted(faults()),
             faults_hidden,
-            [pops(106_133, 7_993, 414), pops(13_179, 7_946, 367)],
+            [pops(106_133, 7_993, 414), pops(5_015, 7_893, 314)],
+            7_579,
         ),
         (
             "routed cube",
             || RoutedCube(hypercube_smoke()),
             clean,
-            [pops(62_580, 42_016, 0), pops(12_142, 42_016, 0)],
+            [pops(62_580, 42_016, 0), pops(2_579, 42_016, 0)],
+            42_016,
         ),
     ];
-    for (label, machine, check, [event, sliced]) in table {
+    for (label, machine, check, [event, sliced], sliced_live_wire) in table {
+        assert_eq!(sliced.wire - sliced.stale_wire, sliced_live_wire, "{label}");
         sweep_engines(
             label,
             |e| machine().build(e),

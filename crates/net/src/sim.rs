@@ -11,15 +11,20 @@
 //!   resolves everything inline at the frontier and is deliberately kept
 //!   apart from the sliced path: it is what the tests compare against.
 //! * **Sliced** (default) — the one fast engine: each pop runs a whole
-//!   *slice* of instructions via [`Cpu::run_slice`], bounded by the
-//!   earliest wire activity that could affect the node. The heap holds
-//!   one entry per node-slice instead of one per instruction, which is
-//!   what makes large networks fast to simulate.
+//!   *slice* of instructions via [`Cpu::run_slice_fenced`]. Link
+//!   instructions run up to the *link fence*, the earliest wire activity
+//!   that could affect the node; everything else runs up to the *run
+//!   horizon* — the fence while a wire event could do more to the
+//!   processor than fill a link buffer ([`Cpu::link_sensitive`]), the
+//!   end of the run otherwise: a node that is only computing runs past
+//!   its wires to its own next link instruction. The heap holds one
+//!   entry per node-slice instead of one per instruction, which is what
+//!   makes large networks fast to simulate.
 //!
 //! There is no host-parallel engine (DESIGN.md §10 records why);
 //! [`Engine::Parallel`] survives only as a shim that runs Sliced.
 //!
-//! The slice bound is conservative: for a node N it is the minimum over
+//! The link fence is conservative: for a node N it is the minimum over
 //! N's ports of (a) the next scheduled event on that port's wire
 //! (completions *and* pending data-start probes) and (b) the earliest
 //! time the peer node M can act plus the flight time of the first packet
@@ -474,6 +479,7 @@ impl NetworkBuilder {
             cycle_ns: self.nodes.iter().map(|c| c.cycle_time_ns()).collect(),
             tx_flight: vec![if pin_tx_flight { 0b1111 } else { 0 }; n],
             ea: vec![[EaState::default(); 4]; n],
+            fenced: vec![false; n],
         };
         let mut net = Network {
             config: self.config,
@@ -493,6 +499,7 @@ impl NetworkBuilder {
             router,
             pin_tx_flight,
             halted_below: Cell::new(0),
+            last_halt_ns: 0,
             events: Vec::new(),
             acts: Vec::new(),
             pops: PopCounts::default(),
@@ -537,6 +544,10 @@ struct NodeHot {
     tx_flight: Vec<u8>,
     /// Early-acknowledge history per port (sliced engine).
     ea: Vec<[EaState; 4]>,
+    /// The node's heap entry stands at a link instruction it was fenced
+    /// off ([`SliceOutcome::Fenced`]): pushed when the node ran ahead,
+    /// possibly long before its wires' entries for the same instant.
+    fenced: Vec<bool>,
 }
 
 /// A running network of transputers.
@@ -580,6 +591,11 @@ pub struct Network {
     /// Every node below this index has halted cleanly: where
     /// [`Network::all_halted`] resumes its scan.
     halted_below: Cell<usize>,
+    /// Start stamp of the latest halting instruction a slice has run. A
+    /// node may halt far ahead of the frontier; the run is over only
+    /// once the queue has caught up with it (see
+    /// [`Network::all_halted`]).
+    last_halt_ns: u64,
     /// Scratch for one wire drain's link events, reused across pops.
     events: Vec<LinkEvent>,
     /// Scratch for one router call's requested effects, likewise.
@@ -1098,22 +1114,25 @@ impl Network {
 
     /// Run one node slice: advance an idle node's clock to the pop time
     /// `t` (exactly as the event engine does at a pop), record the cycle
-    /// count at entry, and run until `bound`. Returns that cycle count
-    /// and what the slice did, for [`Network::finish_slice`] to apply.
-    fn run_slice_kernel(cpu: &mut Cpu, t: u64, bound: u64) -> (u64, SliceOutcome) {
+    /// count at entry, and run link instructions until `fence`, all
+    /// others until `run`. Returns that cycle count and what the slice
+    /// did, for [`Network::finish_slice`] to apply.
+    fn run_slice_kernel(cpu: &mut Cpu, t: u64, fence: u64, run: u64) -> (u64, SliceOutcome) {
         let cyc = cpu.cycle_time_ns();
         if cpu.is_idle() {
             cpu.advance_idle_to(t / cyc);
         }
         let pop_cycles = cpu.cycles();
-        // An instruction runs iff it *starts* before the bound; zero budget
+        // An instruction runs iff it *starts* before its bound; zero budget
         // still runs one micro-step, matching the event engine at ties.
-        let budget = if bound > t {
-            (bound - t).div_ceil(cyc).min(MAX_SLICE_CYCLES)
-        } else {
-            0
+        let budget = |bound: u64| {
+            if bound > t {
+                (bound - t).div_ceil(cyc).min(MAX_SLICE_CYCLES)
+            } else {
+                0
+            }
         };
-        (pop_cycles, cpu.run_slice(budget))
+        (pop_cycles, cpu.run_slice_fenced(budget(fence), budget(run)))
     }
 
     /// Apply a finished slice: stamp and service link activity, record
@@ -1133,8 +1152,9 @@ impl Network {
         let end_ns = t + (self.nodes[node].cycles() - pop_cycles) * cyc;
         match outcome {
             SliceOutcome::Halted(HaltReason::Stopped) => {
+                let stamp = t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * cyc;
+                self.last_halt_ns = self.last_halt_ns.max(stamp);
                 if self.nodes[node].take_links_dirty() {
-                    let stamp = t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * cyc;
                     self.refresh_ea(node, stamp);
                     self.service_node_links_at(node, stamp);
                 }
@@ -1143,7 +1163,14 @@ impl Network {
                 return Err(SimError::NodeFault { node, reason });
             }
             SliceOutcome::Idle => {
-                if let Some(wake_cycle) = self.nodes[node].next_timer_wake_cycle() {
+                if end_ns / cyc > self.nodes[node].cycles() {
+                    // A wire woke the node with its clock behind global
+                    // time and it has gone idle again. The event engine
+                    // pops it once more, where its last instruction
+                    // ended, finds it idle and brings the clock up;
+                    // timers and the cycle count depend on that.
+                    self.schedule_node(node, end_ns);
+                } else if let Some(wake_cycle) = self.nodes[node].next_timer_wake_cycle() {
                     let at = (wake_cycle * cyc).max(end_ns + 1);
                     self.schedule_node(node, at);
                 }
@@ -1153,7 +1180,11 @@ impl Network {
             | SliceOutcome::RxWait
             | SliceOutcome::AckRaised
             | SliceOutcome::Preempted
-            | SliceOutcome::BudgetExpired => {
+            | SliceOutcome::BudgetExpired
+            | SliceOutcome::Fenced => {
+                // A fenced instruction has not run: the node resumes at
+                // its start, `end_ns`, with nothing to service.
+                self.hot.fenced[node] = outcome == SliceOutcome::Fenced;
                 let stamp = t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * cyc;
                 if self.nodes[node].take_links_dirty() {
                     self.refresh_ea(node, stamp);
@@ -1544,19 +1575,14 @@ impl Network {
         }
         let now = self.now_ns;
         if !self.wires[w].probes.is_empty() {
-            let mut due: Vec<(u64, End)> = Vec::new();
-            self.wires[w].probes.retain(|&(t, to)| {
-                if t <= now {
-                    due.push((t, to));
-                    false
-                } else {
-                    true
-                }
-            });
-            due.sort_by_key(|&(t, _)| t);
-            for (t, to) in due {
+            // Stable, so same-stamp probes resolve in the order sent.
+            self.wires[w].probes.sort_by_key(|&(t, _)| t);
+            let due = self.wires[w].probes.partition_point(|&(t, _)| t <= now);
+            for i in 0..due {
+                let (t, to) = self.wires[w].probes[i];
                 self.resolve_probe(w, to, t);
             }
+            self.wires[w].probes.drain(..due);
         }
         let mut events = std::mem::take(&mut self.events);
         self.wires[w].link.advance_into(now, &mut events);
@@ -1617,10 +1643,33 @@ impl Network {
             Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire_sliced),
             Actor::Node(n) => {
                 self.pops.node += 1;
+                if std::mem::take(&mut self.hot.fenced[n])
+                    && self.hot.ports[n]
+                        .iter()
+                        .any(|&w| w != usize::MAX && self.wire_next[w] == t)
+                {
+                    // The node ran ahead and was fenced off this link
+                    // instruction: its entry was pushed before its wires'
+                    // entries for the same instant existed. Re-queue it
+                    // behind them, once — the order a node stopping at a
+                    // wire bound gets.
+                    self.queue.push(t, Actor::Node(n));
+                    return Ok(true);
+                }
                 self.hot.scheduled[n] = false;
                 let t_peek = self.queue.peek_time();
-                let bound = self.slice_bound_ns(n, t_peek);
-                let (pop_cycles, outcome) = Self::run_slice_kernel(&mut self.nodes[n], t, bound);
+                // Two horizons: link instructions run to the fence,
+                // before which no wire event can reach this node; a node
+                // no wire event can disturb runs everything else on, to
+                // the end of the run.
+                let fence = self.slice_bound_ns(n, t_peek);
+                let run = if self.nodes[n].link_sensitive() {
+                    fence
+                } else {
+                    self.horizon_ns.unwrap_or(u64::MAX)
+                };
+                let (pop_cycles, outcome) =
+                    Self::run_slice_kernel(&mut self.nodes[n], t, fence, run);
                 self.finish_slice(n, t, pop_cycles, outcome)?;
             }
         }
@@ -1647,7 +1696,14 @@ impl Network {
             below += 1;
         }
         self.halted_below.set(below);
+        // The last node to halt may have done so ahead of the frontier:
+        // wire events stamped before its halting instruction still run,
+        // as they did before the event engine reached that instruction.
         below == self.nodes.len()
+            && self
+                .queue
+                .peek_time()
+                .is_none_or(|t| t >= self.last_halt_ns)
     }
 
     /// Run until every node halts cleanly.
@@ -1697,10 +1753,12 @@ impl Network {
 
     /// Run until a predicate over the network holds. The predicate is
     /// evaluated after every heap event; under the sliced engine that is
-    /// after every node *slice* rather than every instruction, but wire
-    /// observables (delivered-byte counts, wire times) change at heap
-    /// events only, so predicates over them fire at identical times in
-    /// all engines.
+    /// after every node *slice* rather than every instruction, and a
+    /// node that is only computing may by then be arbitrarily far ahead
+    /// of [`Network::time_ns`] (up to the budget) — a predicate over
+    /// node state sees that future. Wire observables (delivered-byte
+    /// counts, wire times) change at heap events only, so predicates
+    /// over them fire at identical times in all engines.
     ///
     /// # Errors
     ///

@@ -29,6 +29,7 @@
 //!   markers and always run through the byte-at-a-time path, as do
 //!   entries outside penalty-free memory or abutting the slice budget.
 
+use super::exec::link_channel_depth;
 use crate::instr::{Direct, Op};
 use crate::memory::{Memory, CODE_BLOCK_BYTES, CODE_BLOCK_SHIFT};
 use crate::stats::Stats;
@@ -45,6 +46,10 @@ pub(crate) const F_VALID: u8 = 1;
 pub(crate) const F_BYPASS: u8 = 2;
 /// Entry's byte chain spills into the next 64-byte block.
 pub(crate) const F_SPANS: u8 = 4;
+/// Entry is one of the operations that can act on a link channel
+/// (`exec::link_channel_depth`): the fused loop checks it against the
+/// link fence before executing it.
+pub(crate) const F_LINK: u8 = 8;
 
 /// One predecoded operation: the whole `pfix`/`nfix` chain plus its
 /// terminal function, fused.
@@ -56,7 +61,7 @@ pub(crate) struct DecEntry {
     pub fun: u8,
     /// Total encoded length in bytes, including prefixes.
     pub len: u8,
-    /// `F_VALID` / `F_BYPASS` / `F_SPANS`.
+    /// `F_VALID` / `F_BYPASS` / `F_SPANS` / `F_LINK`.
     pub flags: u8,
 }
 
@@ -235,6 +240,8 @@ pub(super) fn decode_entry(mem: &Memory, word: WordLength, iptr: u32) -> DecEntr
                 let mut flags = F_VALID;
                 if bypasses(fun, operand) {
                     flags |= F_BYPASS;
+                } else if fun == Direct::Operate && link_channel_depth(operand).is_some() {
+                    flags |= F_LINK;
                 }
                 if (start + len as usize - 1) >> CODE_BLOCK_SHIFT != start >> CODE_BLOCK_SHIFT {
                     flags |= F_SPANS;

@@ -12,6 +12,18 @@ use crate::process::{Priority, ProcDesc, PW_IPTR, PW_STATE, PW_TIME, PW_TLINK};
 use crate::timing;
 use crate::word::{MACHINE_FALSE, MACHINE_TRUE};
 
+/// Evaluation-stack depth (0 = A, 1 = B, 2 = C) of the channel operand
+/// of `opr operand`, for the seven operations that can act on a link;
+/// `None` for every other operation.
+pub(super) fn link_channel_depth(operand: u32) -> Option<u8> {
+    match Op::from_code(operand)? {
+        Op::OutputByte | Op::OutputWord | Op::ResetChannel => Some(0),
+        Op::InputMessage | Op::OutputMessage | Op::EnableChannel => Some(1),
+        Op::DisableChannel => Some(2),
+        _ => None,
+    }
+}
+
 impl Cpu {
     // ---- evaluation stack helpers (§3.2.9) ----
 
@@ -58,6 +70,29 @@ impl Cpu {
         if cond {
             self.set_error();
         }
+    }
+
+    /// Whether `opr operand`, executed with the evaluation stack as it
+    /// stands, would act on one of the four link channels.
+    #[inline]
+    pub(super) fn touches_link(&self, operand: u32) -> bool {
+        let chan = match link_channel_depth(operand) {
+            Some(0) => self.areg,
+            Some(1) => self.breg,
+            Some(_) => self.creg,
+            None => return false,
+        };
+        matches!(self.mem.external_channel_id(chan), Some((link, _)) if link < 4)
+    }
+
+    /// Whether the byte at `Iptr` is the terminal byte of an operation
+    /// that would act on a link channel. Reads nothing with a timing
+    /// effect: the caller has not decided to execute it yet.
+    pub(super) fn at_link_instruction(&self) -> bool {
+        self.mem.peek_byte(self.iptr).is_some_and(|byte| {
+            byte >> 4 == Direct::Operate.nibble()
+                && self.touches_link(self.oreg | u32::from(byte & 0xF))
+        })
     }
 
     /// Fetch and execute one instruction byte; returns cycles consumed.
@@ -803,6 +838,9 @@ impl Cpu {
                 if self.link_in[link as usize].enable_alt(me) {
                     self.ws_write(PW_STATE, self.magic.ready)?;
                 }
+                // The guard makes the port sensitive to the wire: end
+                // the slice so the caller re-reads `link_sensitive`.
+                self.slice_exit = Some(super::SliceOutcome::RxWait);
             }
             return Ok(());
         }
@@ -824,6 +862,7 @@ impl Cpu {
             if let Some((link, is_out)) = self.mem.external_channel_id(c) {
                 if !is_out && link < 4 {
                     ready = self.link_in[link as usize].disable_alt();
+                    self.slice_exit = Some(super::SliceOutcome::RxWait);
                 }
             } else {
                 let w = self.mem.read_word(c)?;

@@ -178,9 +178,9 @@ pub enum StepEvent {
 }
 
 /// Why [`Cpu::run_slice`] stopped executing. Every variant except
-/// [`SliceOutcome::BudgetExpired`] is an *interaction point*: a state
-/// change the outside world (the wires of a network simulation) must
-/// observe before the processor may continue.
+/// [`SliceOutcome::BudgetExpired`] and [`SliceOutcome::Fenced`] is an
+/// *interaction point*: a state change the outside world (the wires of
+/// a network simulation) must observe before the processor may continue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceOutcome {
     /// A link output channel has a byte ready for the wire to take.
@@ -198,6 +198,12 @@ pub enum SliceOutcome {
     Preempted,
     /// The cycle budget expired without reaching an interaction point.
     BudgetExpired,
+    /// The next instruction acts on a link channel and would start at or
+    /// past the link fence of [`Cpu::run_slice_fenced`]. It has *not*
+    /// executed: the processor stands at its first byte (its terminal
+    /// byte, if prefixed) with no side effect of it applied, and
+    /// `cycles()` is the cycle at which it would start.
+    Fenced,
 }
 
 /// Outcome of [`Cpu::run`].
@@ -704,10 +710,33 @@ impl Cpu {
     /// the cycle at which the interacting instruction *began* — the time
     /// the per-instruction engine would have observed the interaction.
     pub fn run_slice(&mut self, cycle_budget: u64) -> SliceOutcome {
+        self.run_slice_fenced(u64::MAX, cycle_budget)
+    }
+
+    /// [`Cpu::run_slice`] with a second, nearer horizon for the
+    /// instructions that act on a link: `in`, `out`, `outbyte`,
+    /// `outword`, `enbc`, `disc` and `resetch` whose channel operand is
+    /// one of the four link channels. Such an instruction executes only
+    /// if its terminal byte starts strictly before
+    /// `cycles() + fence_budget`, or is the first micro-step of the
+    /// slice (the zero-budget tie rule of `run_slice`); otherwise the
+    /// slice ends [`SliceOutcome::Fenced`] with the instruction not
+    /// executed. Everything else runs to `cycle_budget` as in
+    /// `run_slice`, which is this with no fence.
+    ///
+    /// A network simulation uses the fence for "no wire event can reach
+    /// this node before here" and the budget for how far a processor
+    /// that no wire event can disturb ([`Cpu::link_sensitive`] is false)
+    /// may compute ahead of its wires.
+    pub fn run_slice_fenced(&mut self, fence_budget: u64, cycle_budget: u64) -> SliceOutcome {
         if let Some(r) = self.halted {
             return SliceOutcome::Halted(r);
         }
         let limit = self.cycles.saturating_add(cycle_budget);
+        // Every micro-step costs at least one cycle, so "starts at the
+        // entry cycle" is "is the first micro-step": folding the
+        // exemption into the fence keeps the checks to one comparison.
+        let fence = self.cycles.saturating_add(fence_budget.max(1));
         loop {
             self.slice_mark = self.cycles;
             if !self.has_current_process() && !self.dispatch_next() {
@@ -726,11 +755,16 @@ impl Cpu {
             // progress, which guarantees the loop never spins.
             if self.decode_fast_ok && self.resume.is_none() && self.op_len == 0 {
                 let leaders = self.translate_ok && self.trace.is_none();
-                match self.run_predecoded(limit, leaders) {
+                match self.run_predecoded(limit, fence, leaders) {
                     (_, Some(outcome)) => return outcome,
                     (true, None) => continue,
                     (false, None) => {}
                 }
+            }
+            // The byte path owns the fence: the fast tiers hand a link
+            // instruction at or past it back here unexecuted.
+            if self.cycles >= fence && self.resume.is_none() && self.at_link_instruction() {
+                return SliceOutcome::Fenced;
             }
             let cycles = match self.resume {
                 Some(_) => self.continue_resume(),
@@ -757,6 +791,21 @@ impl Cpu {
                 return SliceOutcome::BudgetExpired;
             }
         }
+    }
+
+    /// Whether a wire event — or, on a routed network, a router call —
+    /// arriving now could do more than lodge a byte in a link's one-byte
+    /// buffer: an input transfer is waiting (the byte is stored and may
+    /// complete the message), an ALT guard is enabled (the byte readies
+    /// and may wake the alternative), an output transfer is active (an
+    /// acknowledge advances it, the router drains it), or the boot logic
+    /// is listening. While false, nothing outside can schedule a process
+    /// or write state an instruction can read, until the processor's own
+    /// next link instruction.
+    pub fn link_sensitive(&self) -> bool {
+        self.is_booting()
+            || self.link_in.iter().any(|l| l.is_busy() || l.alt_enabled())
+            || self.link_out.iter().any(LinkOut::is_busy)
     }
 
     /// The cycle at which the instruction that ended the last slice began

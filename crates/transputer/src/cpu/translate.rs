@@ -46,13 +46,16 @@
 //!   it was actually hit (invalidation + immediate retranslation).
 //! * **Budget**: the next operation would start at or past the slice
 //!   limit (the byte path owns partial-operation accounting).
+//! * **Link fence**: the next operation acts on a link channel and
+//!   would start at or past the fence of [`Cpu::run_slice_fenced`] (the
+//!   byte path decides, and leaves it unexecuted).
 //!
 //! Because every handler is the shared executor and every deopt lands
 //! on an operation boundary with the same registers, clocks and queues
 //! the interpreter would have, resumption state is identical by
 //! construction — the tests assert it anyway.
 
-use super::decode::{decode_entry, DecEntry, F_BYPASS, F_VALID};
+use super::decode::{decode_entry, DecEntry, F_BYPASS, F_LINK, F_VALID};
 use super::{Cpu, SliceOutcome};
 use crate::error::HaltReason;
 use crate::instr::{Direct, Op};
@@ -132,6 +135,10 @@ const XO_DIFF: u8 = 36;
 const XO_GT: u8 = 37;
 const XO_WSUB: u8 = 38;
 const XO_REV: u8 = 39;
+/// An `opr` that can act on a link channel (a decode entry carrying
+/// [`F_LINK`]): the general operation behind a link-fence check. Never
+/// fused, so the check always sits at a dispatch boundary.
+const XO_LINK: u8 = 40;
 
 /// The superinstruction code for an adjacent pair of dispatch codes
 /// (post-specialisation, so a plain `0xF` here is an `opr` that did
@@ -366,8 +373,9 @@ impl TransCache {
 enum BlockExit {
     /// The slice is over; propagate the outcome.
     Outcome(SliceOutcome),
-    /// The next operation abuts the budget; the byte path owns partial
-    /// operations. Carries whether any operation executed.
+    /// The next operation abuts the budget or the link fence; the byte
+    /// path owns partial operations and the fence. Carries whether any
+    /// operation executed.
     BudgetAbut(bool),
     /// Back to the dispatch loop (deopt or natural completion).
     /// Carries whether any operation executed.
@@ -392,6 +400,7 @@ impl Cpu {
     pub(crate) fn run_predecoded(
         &mut self,
         limit: u64,
+        fence: u64,
         leaders: bool,
     ) -> (bool, Option<SliceOutcome>) {
         let mut progress = false;
@@ -437,7 +446,7 @@ impl Cpu {
                         self.tcache.slots[slot as usize] = Some(block);
                     } else {
                         self.stats.trans_enters += 1;
-                        let exit = self.exec_block(&block, limit);
+                        let exit = self.exec_block(&block, limit, fence);
                         self.tcache.slots[slot as usize] = Some(block);
                         match exit {
                             BlockExit::Outcome(outcome) => return (true, Some(outcome)),
@@ -464,9 +473,16 @@ impl Cpu {
                 .dcache
                 .entry_at(&mut self.mem, &mut self.stats, self.word, self.iptr, off);
             let len = u64::from(e.len);
-            if e.flags & F_BYPASS != 0 {
-                self.stats.decode_bypasses += 1;
-                return (progress, None);
+            if e.flags & (F_BYPASS | F_LINK) != 0 {
+                if e.flags & F_BYPASS != 0 {
+                    self.stats.decode_bypasses += 1;
+                    return (progress, None);
+                }
+                if self.cycles + (len - 1) >= fence && self.touches_link(e.operand) {
+                    // At or past the link fence: the byte path runs the
+                    // prefix bytes and stops before the terminal one.
+                    return (progress, None);
+                }
             }
             if self.cycles + (len - 1) >= limit {
                 // Some byte of this operation would start at or past the
@@ -562,7 +578,7 @@ impl Cpu {
     /// executed prefix through [`Cpu::flush_block_stats`] before
     /// returning, so the [`crate::stats::Stats`] image is identical to
     /// the interpreter's at every point the caller can observe it.
-    fn exec_block(&mut self, block: &TransBlock, limit: u64) -> BlockExit {
+    fn exec_block(&mut self, block: &TransBlock, limit: u64, fence: u64) -> BlockExit {
         let epoch = self.mem.code_epoch();
         let ops = block.ops();
         let last = ops.len() - 1;
@@ -573,10 +589,17 @@ impl Cpu {
         let mut i = 0usize;
         loop {
             let op = ops[i];
+            // Hand operation `$n` (and the rest of the block) to the
+            // byte path unexecuted: it abuts the budget or the fence.
+            macro_rules! abut_ret {
+                ($n:expr) => {{
+                    self.flush_block_stats(block, $n);
+                    self.stats.trans_deopts += 1;
+                    return BlockExit::BudgetAbut($n != 0);
+                }};
+            }
             if self.cycles + (u64::from(op.len) - 1) >= limit {
-                self.flush_block_stats(block, i);
-                self.stats.trans_deopts += 1;
-                return BlockExit::BudgetAbut(i != 0);
+                abut_ret!(i);
             }
             // Shared exit/check fragments for the dispatch arms below,
             // parameterised by `$n`, the count of operations that have
@@ -609,9 +632,7 @@ impl Cpu {
             macro_rules! precheck {
                 ($op:expr, $n:expr) => {
                     if self.cycles + (u64::from($op.len) - 1) >= limit {
-                        self.flush_block_stats(block, $n);
-                        self.stats.trans_deopts += 1;
-                        return BlockExit::BudgetAbut(true);
+                        abut_ret!($n);
                     }
                 };
             }
@@ -1037,6 +1058,14 @@ impl Cpu {
                 XO_GT => gt_body!(op, i + 1),
                 XO_WSUB => wsub_body!(op, i + 1),
                 XO_REV => rev_body!(op, i + 1),
+                XO_LINK => {
+                    if self.cycles + (u64::from(op.len) - 1) >= fence
+                        && self.touches_link(op.operand)
+                    {
+                        abut_ret!(i);
+                    }
+                    general_body!(Direct::Operate, op, i + 1)
+                }
                 _ => unreachable!("unknown dispatch code"),
             }
             let n = i + 1 + usize::from((XF_BASE..XO_BASE).contains(&op.xfun));
@@ -1154,7 +1183,9 @@ impl Cpu {
                 break;
             }
             let fun = Direct::from_nibble(e.fun);
-            let xfun = if fun == Direct::Operate {
+            let xfun = if e.flags & F_LINK != 0 {
+                XO_LINK
+            } else if fun == Direct::Operate {
                 specialize_op(e.operand).unwrap_or(e.fun)
             } else {
                 e.fun

@@ -213,6 +213,13 @@ impl LinkIn {
         self.buffer.is_some()
     }
 
+    /// Is an ALT guard registered on this channel? Until it is disabled
+    /// (or a byte arrives and takes it), an arriving byte marks the
+    /// alternative ready and may schedule its process.
+    pub fn alt_enabled(&self) -> bool {
+        self.alting.is_some()
+    }
+
     /// Remove an ALT guard. Returns whether the channel was ready.
     pub fn disable_alt(&mut self) -> bool {
         self.alting = None;

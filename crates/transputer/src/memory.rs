@@ -366,6 +366,12 @@ impl Memory {
         }
     }
 
+    /// Read one byte without timing effects, `None` out of range.
+    pub(crate) fn peek_byte(&self, addr: u32) -> Option<u8> {
+        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+        self.bytes.get(off).copied()
+    }
+
     /// Read one byte.
     pub fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
         let off = self.offset(self.word.mask(addr))?;

@@ -77,8 +77,8 @@ pub struct Stats {
     pub trans_enters: u64,
     /// Deoptimisations: a translated block handed control back to the
     /// interpreter before running all its operations (interaction
-    /// point, control transfer, preemption, timer work, budget, or a
-    /// write into translated code).
+    /// point, control transfer, preemption, timer work, budget, link
+    /// fence, or a write into translated code).
     pub trans_deopts: u64,
     /// Translated blocks discarded because a covered code block's
     /// generation moved (self-modifying code or reloading).
