@@ -29,7 +29,8 @@
 //! position in the two trees), compiled by the `occam` crate and executed
 //! on emulated transputers wired with bit-level links.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use crate::workload::{Workload, RECORD_WORDS};
 use occam::places;
@@ -616,9 +617,18 @@ impl DbSearch {
         // the intact-machine run record for record.
         let mut workload = Workload::new(p.seed, p.key_space);
         let mut live_records: Vec<Vec<u32>> = Vec::new();
+        // A machine's node texts are a handful of distinct programs (5
+        // among the board's 128; every routed node runs the same one):
+        // compile each once.
+        let mut compiled: HashMap<&str, occam::Program> = HashMap::new();
         for (i, src) in m.nodes.iter().enumerate() {
-            let program = occam::compile(src)
-                .map_err(|e| format!("node {i} source failed to compile: {e}\n{src}"))?;
+            let program = match compiled.entry(src) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(
+                    occam::compile(src)
+                        .map_err(|e| format!("node {i} source failed to compile: {e}\n{src}"))?,
+                ),
+            };
             let cpu = net.node_mut(i);
             let word = cpu.word_length();
             let wptr = program.load(cpu)?;

@@ -251,7 +251,8 @@ fn instr_per_pop(r: &NetRun) -> f64 {
 fn print_net(r: &NetRun) {
     println!(
         "  {:<20} {:<9} {:>9.1} ms   {:>12.0} cyc/s   {:>7.2} MIPS   ok={}   \
-         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)   {:.1} ns/pop   {:.1} instr/pop",
+         dcache {}h/{}m/{}i/{}b   pops {}n/{}w ({} stale)   {:.1} ns/pop   {:.1} instr/pop   \
+         tier {:.3}",
         r.bench,
         format!("{:?}", r.engine),
         r.wall_ms,
@@ -267,13 +268,14 @@ fn print_net(r: &NetRun) {
         r.pops.stale_wire,
         ns_per_pop(r),
         instr_per_pop(r),
+        r.tier_share,
     );
 }
 
 fn print_cpu(r: &CpuRun) {
     println!(
         "  cpu_corpus decode_cache={:<5} translate={:<5} {:>9.1} ms   {:>7.2} MIPS   \
-         dcache {}h/{}m/{}i/{}b (hit rate {:.1}%)   trans {}blk/{}ent/{}deopt/{}inv",
+         dcache {}h/{}m/{}i/{}b (hit rate {:.1}%)   trans {}blk/{}ent/{}deopt/{}inv   tier {:.3}",
         r.decode_cache,
         r.translate,
         r.wall_ms,
@@ -287,6 +289,7 @@ fn print_cpu(r: &CpuRun) {
         r.trans.1,
         r.trans.2,
         r.trans.3,
+        r.tier_share,
     );
 }
 
@@ -354,13 +357,14 @@ fn append_history(
             )
         },
     );
-    // What one heap event costs and how long a slice is, per network
-    // row: the trends the event queue, the wire path and the slice
-    // bounds are judged by.
-    let per_row = |f: fn(&NetRun) -> f64| {
+    // What one heap event costs, how long a slice is and how much of
+    // the work ran translated, per network row: the trends the event
+    // queue, the wire path, the slice bounds and the translation tier
+    // are judged by.
+    let per_row = |f: fn(&NetRun) -> f64, decimals: usize| {
         let rows: Vec<String> = networks
             .iter()
-            .map(|r| format!("\"{}/{:?}\": {:.1}", r.bench, r.engine, f(r)))
+            .map(|r| format!("\"{}/{:?}\": {:.decimals$}", r.bench, r.engine, f(r)))
             .collect();
         rows.join(", ")
     };
@@ -371,10 +375,12 @@ fn append_history(
          \"translated_ratio\": {tratio_s}, \"host_cores\": {}, \
          \"e17_sf_mean_hop_ns\": {sf_hop}, \"e17_worm_mean_hop_ns\": {worm_hop}, \
          \"e17_hop_reduction\": {hop_reduction}, \"ns_per_pop\": {{{}}}, \
-         \"instr_per_pop\": {{{}}}}}\n",
+         \"instr_per_pop\": {{{}}}, \"tier_share\": {{\"cpu_corpus\": {:.3}, {}}}}}\n",
         host_cores(),
-        per_row(ns_per_pop),
-        per_row(instr_per_pop),
+        per_row(ns_per_pop, 1),
+        per_row(instr_per_pop, 1),
+        translated.tier_share,
+        per_row(|r| r.tier_share, 3),
     );
     use std::io::Write;
     match std::fs::OpenOptions::new()

@@ -58,15 +58,22 @@ fn main() {
     }
     // The host-performance smoke gate: all engines must produce
     // bit-identical simulated outcomes (wall time is informational),
-    // clean and under injected link faults. Its JSON goes next to the
-    // binaries so the full `hostperf` run's committed BENCH_host.json
-    // is not clobbered.
+    // clean and under injected link faults. Its JSON and its history
+    // line go next to the binaries so the full `hostperf` run's
+    // committed BENCH_host.json and BENCH_history.jsonl are not touched.
     let smoke_out = dir.join("BENCH_host_smoke.json");
+    let smoke_history = dir.join("BENCH_history_smoke.jsonl");
     if let Some(failure) = run_gate(
         &dir.join("hostperf"),
         "hostperf_smoke",
         &["--smoke"],
-        &[("BENCH_HOST_OUT", smoke_out.to_str().expect("utf-8 path"))],
+        &[
+            ("BENCH_HOST_OUT", smoke_out.to_str().expect("utf-8 path")),
+            (
+                "BENCH_HISTORY_OUT",
+                smoke_history.to_str().expect("utf-8 path"),
+            ),
+        ],
     ) {
         failures.push(failure);
     }

@@ -69,6 +69,10 @@ pub struct NetRun {
     /// `(blocks, enters, deopts, invalidations)`. Host-side only,
     /// excluded from the fingerprint.
     pub trans: (u64, u64, u64, u64),
+    /// Share of operations executed in translated blocks: 1 − (decode
+    /// hits + misses) / operations, 0 when no block was ever entered.
+    /// Host-side only, excluded from the fingerprint.
+    pub tier_share: f64,
     /// Logical cores of the host that produced this row. Host-side
     /// only, excluded from the fingerprint.
     pub host_cores: usize,
@@ -103,6 +107,19 @@ impl NetRun {
     pub fn emulated_mips(&self) -> f64 {
         self.instructions as f64 / (self.wall_ms / 1e3) / 1e6
     }
+}
+
+/// The share of a run's operations executed in translated blocks: all
+/// of them bar the decode loop's (every one of which is a decode-cache
+/// hit or miss; the few the byte path runs at a budget or fence count as
+/// translated). 0 when no block was ever entered — the Event engine
+/// steps, and a tier that is off translates nothing. Warm code that
+/// falls out of the tier shows here before it shows on a stopwatch.
+fn tier_share(decode: (u64, u64, u64, u64), trans: (u64, u64, u64, u64), operations: u64) -> f64 {
+    if trans.1 == 0 || operations == 0 {
+        return 0.0;
+    }
+    1.0 - (decode.0 + decode.1) as f64 / operations as f64
 }
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -229,10 +246,12 @@ fn net_run(
 ) -> NetRun {
     let mut cycles = 0u64;
     let mut instructions = 0u64;
+    let mut operations = 0u64;
     for id in 0..net.len() {
         let node = net.node(id);
         cycles += node.cycles();
         instructions += node.stats().instructions;
+        operations += node.stats().operations;
         fnv1a(&mut hash, node.cycles());
         fnv1a(&mut hash, node.stats().instructions);
     }
@@ -241,6 +260,7 @@ fn net_run(
         fnv1a(&mut hash, a);
         fnv1a(&mut hash, b);
     }
+    let (decode, trans) = (net.decode_stats(), net.trans_stats());
     NetRun {
         bench,
         engine,
@@ -250,8 +270,9 @@ fn net_run(
         instructions,
         answers_ok,
         fingerprint: hash,
-        decode: net.decode_stats(),
-        trans: net.trans_stats(),
+        decode,
+        trans,
+        tier_share: tier_share(decode, trans, operations),
         host_cores: host_cores(),
         pops: net.pop_counts(),
         router: net.router_stats(),
@@ -280,6 +301,9 @@ pub struct CpuRun {
     /// Translation-tier counters summed over all runs:
     /// `(blocks, enters, deopts, invalidations)`.
     pub trans: (u64, u64, u64, u64),
+    /// Share of operations executed in translated blocks, as in
+    /// [`NetRun::tier_share`].
+    pub tier_share: f64,
     /// FNV-1a hash over each program's result word, halt cycle count and
     /// instruction count. Every tier combination must produce equal
     /// fingerprints.
@@ -335,6 +359,7 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> Cp
     }
     let mut cycles = 0u64;
     let mut instructions = 0u64;
+    let mut operations = 0u64;
     let mut decode = (0u64, 0u64, 0u64, 0u64);
     let mut trans = (0u64, 0u64, 0u64, 0u64);
     let mut hash = FNV_BASIS;
@@ -367,6 +392,7 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> Cp
             let s = cpu.stats();
             cycles += cpu.cycles();
             instructions += s.instructions;
+            operations += s.operations;
             decode.0 += s.decode_hits;
             decode.1 += s.decode_misses;
             decode.2 += s.decode_invalidations;
@@ -390,6 +416,7 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> Cp
         instructions,
         decode,
         trans,
+        tier_share: tier_share(decode, trans, operations),
         fingerprint: hash,
     }
 }
@@ -939,7 +966,7 @@ pub fn to_json(
              \"decode_misses\": {}, \"decode_invalidations\": {}, \
              \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
              \"trans_deopts\": {}, \"trans_invalidations\": {}, \
-             \"fingerprint\": \"{:016x}\"}}{comma}\n",
+             \"tier_share\": {:.3}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
             r.decode_cache,
             r.translate,
             r.wall_ms,
@@ -954,6 +981,7 @@ pub fn to_json(
             r.trans.1,
             r.trans.2,
             r.trans.3,
+            r.tier_share,
             r.fingerprint,
         ));
     }
@@ -1025,7 +1053,7 @@ pub fn to_json(
              \"trans_deopts\": {}, \"trans_invalidations\": {}, \
              \"host_cores\": {}, \"node_pops\": {}, \"wire_pops\": {}, \
              \"stale_wire_pops\": {}, \"ns_per_pop\": {:.1}, \"instr_per_pop\": {:.1}, \
-             \"router\": {router}, \
+             \"tier_share\": {:.3}, \"router\": {router}, \
              \"answers_ok\": {}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
             r.bench,
             r.engine,
@@ -1052,6 +1080,7 @@ pub fn to_json(
             r.wall_ms * 1e6 / (r.pops.node + r.pops.wire) as f64,
             // How long a node runs between heap entries.
             r.instructions as f64 / r.pops.node as f64,
+            r.tier_share,
             r.answers_ok,
             r.fingerprint,
         ));
@@ -1161,6 +1190,7 @@ mod tests {
         assert!(json.contains("\"node_pops\""));
         assert!(json.contains("\"ns_per_pop\""));
         assert!(json.contains("\"instr_per_pop\""));
+        assert!(json.contains("\"tier_share\""));
     }
 
     #[test]
@@ -1214,6 +1244,25 @@ mod tests {
             "drained wire pops are simulated events"
         );
         assert_slices_stay_long(&r);
+    }
+
+    /// The translation tier pinned by its cause, as a count: warm code
+    /// stays in translated blocks. `decode_hits` are re-executions
+    /// through the decode loop (`decode_misses` are cold first visits
+    /// and dominate a run this short: 9 150, before and after); the
+    /// trimmed board read 23 416 of them when the operations after a
+    /// `cj` not taken, a `j 0` or a `lend` falling through were not
+    /// block leaders, and reads 653 now — the ceiling is under a tenth
+    /// of the first figure.
+    #[test]
+    fn board_warm_code_stays_translated() {
+        let mut board = board128_smoke();
+        // Whatever the `TRANSLATE` hook says.
+        board.net.cpu = board.net.cpu.with_translate(true);
+        let r = Machine::Tree(board).run("board128_smoke", Engine::Sliced);
+        assert!(r.answers_ok);
+        assert!(r.decode.0 <= 2_000, "decode hits {:?}", r.decode);
+        assert!(r.tier_share > 0.8, "tier share {}", r.tier_share);
     }
 
     #[test]

@@ -82,33 +82,43 @@ fn corpus_programs_agree_between_engines() {
 
 /// `run_slice` is `run_slice_fenced` with no fence: a standalone
 /// processor pays nothing for the link fence a network hands its nodes.
-/// Slice by slice over the whole corpus, with a budget small and odd
-/// enough to cut operations everywhere.
+/// Slice by slice over the whole corpus, at budgets that end every
+/// slice mid-block (1), cut operations and blocks everywhere (7), and
+/// let blocks run to their ends (997) — and after **every** slice the
+/// statistics are the byte decoder's, host counters aside: whatever a
+/// fast tier batches, it has folded in by the time a caller can look.
 #[test]
 fn corpus_slices_are_identical_without_a_fence() {
     use transputer::SliceOutcome;
-    for item in CORPUS {
+    for (item, budget) in CORPUS.iter().flat_map(|i| [1, 7, 997].map(|b| (i, b))) {
+        let row = format!("corpus `{}` budget {budget}", item.name);
         let program = occam::compile(item.source).expect("corpus program compiles");
         let mut plain = Cpu::new(CpuConfig::t424());
         let mut fenced = plain.clone();
-        program.load(&mut plain).expect("loads");
-        program.load(&mut fenced).expect("loads");
+        let mut bytes = Cpu::new(CpuConfig::t424().with_decode_cache(false));
+        for cpu in [&mut plain, &mut fenced, &mut bytes] {
+            program.load(cpu).expect("loads");
+        }
         loop {
-            let out = plain.run_slice(997);
+            let out = plain.run_slice(budget);
+            assert_eq!(fenced.run_slice_fenced(u64::MAX, budget), out, "{row}");
+            assert_eq!(bytes.run_slice(budget), out, "{row}");
+            assert_eq!(plain.cycles(), fenced.cycles(), "{row}");
+            assert_eq!(plain.cycles(), bytes.cycles(), "{row}");
+            assert_eq!(plain.stats(), fenced.stats(), "{row}");
             assert_eq!(
-                fenced.run_slice_fenced(u64::MAX, 997),
-                out,
-                "corpus `{}`",
-                item.name
+                plain.stats().simulated(),
+                bytes.stats().simulated(),
+                "{row} at cycle {}",
+                plain.cycles()
             );
-            assert_eq!(plain.cycles(), fenced.cycles(), "corpus `{}`", item.name);
             match out {
                 SliceOutcome::Halted(reason) => {
-                    assert_eq!(reason, HaltReason::Stopped, "corpus `{}`", item.name);
+                    assert_eq!(reason, HaltReason::Stopped, "{row}");
                     break;
                 }
                 SliceOutcome::Idle => {
-                    for cpu in [&mut plain, &mut fenced] {
+                    for cpu in [&mut plain, &mut fenced, &mut bytes] {
                         let wake = cpu.next_timer_wake_cycle().expect("a timer is armed");
                         cpu.advance_idle_to(wake.max(cpu.cycles() + 1));
                     }
@@ -116,13 +126,12 @@ fn corpus_slices_are_identical_without_a_fence() {
                 _ => {}
             }
         }
-        assert_eq!(plain.stats(), fenced.stats(), "corpus `{}`", item.name);
         assert_eq!(
             full_image(&plain),
             full_image(&fenced),
-            "corpus `{}` memory image",
-            item.name
+            "{row} memory image"
         );
+        assert_eq!(full_image(&plain), full_image(&bytes), "{row} memory image");
     }
 }
 
@@ -131,10 +140,16 @@ fn corpus_is_identical_with_decode_cache_disabled() {
     // The predecoded instruction cache is a host-side instrument: with
     // it force-disabled, every corpus program must land on identical
     // answers, cycle counts, simulated statistics, and memory images.
+    // Translation is off on both sides so the test pins the decode tier
+    // alone (warm translated code never touches the decode cache); the
+    // translate-on differential is the next test.
     for item in CORPUS {
         let program = occam::compile(item.source).expect("corpus program compiles");
         let run_one = |decode_cache: bool| {
-            let mut cpu = Cpu::new(CpuConfig::t424().with_decode_cache(decode_cache));
+            let config = CpuConfig::t424()
+                .with_translate(false)
+                .with_decode_cache(decode_cache);
+            let mut cpu = Cpu::new(config);
             let wptr = program.load(&mut cpu).expect("loads");
             assert_eq!(
                 cpu.run_batched(500_000_000).expect("halts"),

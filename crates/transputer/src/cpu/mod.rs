@@ -376,7 +376,8 @@ impl Cpu {
             tcache: translate::TransCache::default(),
             decode_fast_ok,
             translate_ok,
-            translate_threshold: config.translate_threshold.max(1),
+            // Leader heat is a saturating `u8`.
+            translate_threshold: config.translate_threshold.clamp(1, 255),
             reserved_free,
             timer_head_empty: [false; 2],
             slice_exit: None,

@@ -42,8 +42,10 @@
 //! * **Writes into translated code**: the memory side's global
 //!   [`code epoch`](crate::memory) moved, meaning a store landed in
 //!   *some* block of cached code. The block conservatively deopts; on
-//!   the next entry its per-cover generation snapshots decide whether
-//!   it was actually hit (invalidation + immediate retranslation).
+//!   the next entry — of this or any block whose covers were last
+//!   checked at an older epoch — the per-cover generation snapshots
+//!   decide whether it was actually hit (invalidation + immediate
+//!   retranslation).
 //! * **Budget**: the next operation would start at or past the slice
 //!   limit (the byte path owns partial-operation accounting).
 //! * **Link fence**: the next operation acts on a link channel and
@@ -61,15 +63,13 @@ use crate::error::HaltReason;
 use crate::instr::{Direct, Op};
 use crate::memory::CODE_BLOCK_SHIFT;
 use crate::process::Priority;
+use crate::stats::Stats;
 use crate::word::{MACHINE_FALSE, MACHINE_TRUE};
 
 /// Most operations a block may hold. Long enough for the unrolled
 /// arithmetic loops the corpus is made of; short enough that a deopt
 /// near the end wastes little translation.
 const MAX_BLOCK_OPS: usize = 32;
-/// Blocks shorter than this are recorded as "don't translate"
-/// sentinels: a one-operation block cannot beat the decode cache.
-const MIN_BLOCK_OPS: usize = 2;
 /// Upper bound on the 64-byte code blocks a translated block can
 /// cover: [`MAX_BLOCK_OPS`] operations of at most 9 encoded bytes
 /// each (eight prefixes fill a 32-bit operand), plus the partial
@@ -184,107 +184,42 @@ fn specialize_op(operand: u32) -> Option<u8> {
     }
 }
 
-/// Aggregated per-operation statistics for a run of translated
-/// operations. The per-op counters ([`crate::stats::Stats`]'s
-/// `operations`, `instructions`, the length histogram and the
-/// direct-function counts) feed reporting, never control flow, so a
-/// block applies them in one batch at exit instead of three scattered
-/// read-modify-writes per operation. Cycle and time accounting is NOT
-/// in here — it drives budgets and timers and stays exact per op.
-#[derive(Clone, Copy, Default)]
-struct BlockStats {
-    operations: u64,
-    instructions: u64,
-    hist: [u64; 9],
-    nib: [u64; 16],
-}
-
-impl BlockStats {
-    fn add(&mut self, op: &TransOp) {
-        self.operations += 1;
-        self.instructions += u64::from(op.len);
-        self.hist[usize::from(op.len).min(self.hist.len() - 1)] += 1;
-        self.nib[usize::from(op.fun)] += 1;
-    }
-
-    fn apply(&self, stats: &mut crate::stats::Stats) {
-        stats.operations += self.operations;
-        stats.instructions += self.instructions;
-        for (h, d) in stats.length_histogram.iter_mut().zip(self.hist) {
-            *h += d;
-        }
-        for (c, d) in stats.direct_counts.iter_mut().zip(self.nib) {
-            *c += d;
-        }
-    }
-
-    /// Compress to the sparse form stored in a block: a short block
-    /// touches a handful of histogram buckets, so applying only those
-    /// beats 25 dense read-modify-writes per block completion.
-    fn to_sparse(self) -> SparseStats {
-        let mut sparse = SparseStats {
-            operations: self.operations,
-            instructions: self.instructions,
-            ..SparseStats::default()
-        };
-        for (i, &v) in self.hist.iter().enumerate() {
-            if v != 0 {
-                sparse.hist[usize::from(sparse.nhist)] = (i as u8, v);
-                sparse.nhist += 1;
-            }
-        }
-        for (i, &v) in self.nib.iter().enumerate() {
-            if v != 0 {
-                sparse.nib[usize::from(sparse.nnib)] = (i as u8, v);
-                sparse.nnib += 1;
-            }
-        }
-        sparse
-    }
-}
-
-/// Sparse precomputed statistics for a whole block: only the histogram
-/// buckets and function counters the block actually touches, stored
-/// inline so applying them chases no pointers.
-#[derive(Clone, Copy, Default)]
-struct SparseStats {
-    operations: u64,
-    instructions: u64,
-    nhist: u8,
-    nnib: u8,
-    hist: [(u8, u64); 9],
-    nib: [(u8, u64); 16],
-}
-
-impl SparseStats {
-    fn apply(&self, stats: &mut crate::stats::Stats) {
-        stats.operations += self.operations;
-        stats.instructions += self.instructions;
-        for &(i, d) in &self.hist[..usize::from(self.nhist)] {
-            stats.length_histogram[usize::from(i)] += d;
-        }
-        for &(i, d) in &self.nib[..usize::from(self.nnib)] {
-            stats.direct_counts[usize::from(i)] += d;
-        }
+impl TransOp {
+    /// Count `times` executions of this operation — what the decoded
+    /// loop's byte count and `record_operation` do once per execution.
+    /// These counters feed reporting, never control flow, so blocks
+    /// apply them in batches (see [`Cpu::flush_block_stats`]). Cycle and
+    /// time accounting is NOT batched — it drives budgets and timers
+    /// and stays exact per operation.
+    fn record(&self, stats: &mut Stats, times: u64) {
+        let len = usize::from(self.len);
+        stats.operations += times;
+        stats.instructions += times * len as u64;
+        stats.length_histogram[len.min(stats.length_histogram.len() - 1)] += times;
+        stats.direct_counts[usize::from(self.fun)] += times;
     }
 }
 
 /// A compiled basic block: operations plus the generation snapshots of
 /// every 64-byte code block its bytes touch, all stored inline so a
-/// block entry touches exactly one allocation. `nops == 0` is the
-/// "don't translate here" sentinel (the covers still gate it, so a
-/// rewrite retranslates the spot). Execution *moves* the box out of
-/// its cache slot and puts it back afterwards (see
-/// [`Cpu::run_predecoded`]), so handlers can borrow the whole `Cpu`
-/// while the block runs, with no per-entry reference counting.
+/// block entry touches exactly one allocation. The whole cache is
+/// *moved* out of the `Cpu` while [`Cpu::run_predecoded`] runs, so a
+/// block can be borrowed from it while handlers borrow the whole `Cpu`,
+/// with no per-entry reference counting or slot shuffling.
 struct TransBlock {
     ops: [TransOp; MAX_BLOCK_OPS],
     nops: u8,
     ncovers: u8,
     covers: [(u32, u32); MAX_COVERS],
-    /// Statistics for the whole block, precomputed so the common case
-    /// — running every operation — applies them with no per-op walk.
-    totals: SparseStats,
+    /// [`crate::memory::Memory::code_epoch`] when the covers were last
+    /// found valid (at build, and at each walk that passed). A
+    /// generation changes only where the epoch moves (`memory.rs` pins
+    /// that), so while the epoch still reads this the covers hold and
+    /// entry skips the walk.
+    valid_epoch: u64,
+    /// Runs to completion whose statistics are not yet in `Stats`:
+    /// folded in, `ops` × `runs`, before anything can read them.
+    runs: u64,
 }
 
 impl TransBlock {
@@ -298,6 +233,16 @@ impl TransBlock {
     #[inline]
     fn covers(&self) -> &[(u32, u32)] {
         &self.covers[..usize::from(self.ncovers)]
+    }
+
+    /// Move the pending complete runs into `stats`.
+    fn fold_runs(&mut self, stats: &mut Stats) {
+        let runs = std::mem::take(&mut self.runs);
+        if runs != 0 {
+            for op in self.ops() {
+                op.record(stats, runs);
+            }
+        }
     }
 }
 
@@ -321,9 +266,16 @@ pub(crate) struct TransCache {
     /// Leader arrival counts; a leader is translated when its heat
     /// reaches the configured threshold.
     heat: Vec<u8>,
-    /// A slot is `None` only transiently, while its block executes.
-    slots: Vec<Option<Box<TransBlock>>>,
+    /// Block storage. A slot on the `free` list keeps its dead block
+    /// until it is reused. Boxed so the cache grows a block at a time:
+    /// a `Vec` doubling 336-byte elements inline costs the 1 024-node
+    /// grid 2.4 MB of peak memory.
+    #[allow(clippy::vec_box)]
+    slots: Vec<Box<TransBlock>>,
     free: Vec<u32>,
+    /// Slots whose block has (or had, before it was invalidated and
+    /// folded) pending `runs`; drained by [`Cpu::run_predecoded`].
+    dirty: Vec<u32>,
 }
 
 // Cloning a Cpu (network node setup does this) starts the clone with
@@ -346,26 +298,17 @@ impl TransCache {
     fn insert(&mut self, off: usize, block: Box<TransBlock>) -> u32 {
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize] = Some(block);
+                self.slots[s as usize] = block;
                 s
             }
             None => {
-                self.slots.push(Some(block));
+                self.slots.push(block);
                 (self.slots.len() - 1) as u32
             }
         };
         self.index[off] = slot + 1;
         self.heat[off] = 0;
         slot
-    }
-
-    fn remove(&mut self, off: usize) {
-        let slot = self.index[off];
-        if slot != 0 {
-            self.index[off] = 0;
-            self.slots[(slot - 1) as usize] = None;
-            self.free.push(slot - 1);
-        }
     }
 }
 
@@ -387,7 +330,8 @@ impl Cpu {
     /// predecoded operations back to back while nothing can interact,
     /// and — when `leaders` is set (the translation tier is on and
     /// tracing is off; loop-invariant) — run hot code at block-leader
-    /// positions (slice entry and every control transfer) from
+    /// positions (slice entry, the target of every control transfer,
+    /// and what follows every operation blocks end at) from
     /// [`TransBlock`]s instead of per-operation cache lookups. Returns
     /// `(made_progress, outcome)`; `outcome == None` hands control back
     /// to the outer loop (which re-evaluates scheduling boundaries when
@@ -414,17 +358,20 @@ impl Cpu {
         // The slice entry position is a leader: translated processes
         // re-enter blocks straight away.
         let mut leader = leaders;
-        loop {
+        // Blocks are borrowed from here while they run (nothing they
+        // call touches the cache).
+        let mut tcache = std::mem::take(&mut self.tcache);
+        let result = loop {
             // Fusion batches the prefix cycles of an operation into one
             // time advance, which is only legal while no clock tick can
             // wake a process: both timer queues must be known empty.
             if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
-                return (progress, None);
+                break (progress, None);
             }
             if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
                 // A high-priority wake is pending: preempt via the
                 // outer loop.
-                return (progress, None);
+                break (progress, None);
             }
             debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
             let off = self.word.mask(self.iptr.wrapping_sub(base)) as usize;
@@ -432,37 +379,32 @@ impl Cpu {
                 // Off-chip (penalised) or out-of-range code: the byte
                 // path owns the penalty bookkeeping and faulting.
                 self.stats.decode_bypasses += 1;
-                return (progress, None);
+                break (progress, None);
             }
 
             if leader {
-                // The block is *moved* out of its slot for the
-                // duration of the run (nothing below touches the
-                // cache) and put back afterwards: cheaper than
-                // reference counting on every entry.
-                if let Some((slot, block)) = self.lookup_block(off) {
-                    if block.nops == 0 {
-                        // Sentinel: interpret through this spot.
-                        self.tcache.slots[slot as usize] = Some(block);
-                    } else {
-                        self.stats.trans_enters += 1;
-                        let exit = self.exec_block(&block, limit, fence);
-                        self.tcache.slots[slot as usize] = Some(block);
-                        match exit {
-                            BlockExit::Outcome(outcome) => return (true, Some(outcome)),
-                            BlockExit::BudgetAbut(ran) => return (progress || ran, None),
-                            BlockExit::Divert(ran) => {
-                                progress |= ran;
-                                if !self.has_current_process()
-                                    || self.resume.is_some()
-                                    || self.op_len != 0
-                                {
-                                    return (progress, None);
-                                }
-                                // Re-check the loop-top gates; execution
-                                // resumes at a fresh leader.
-                                continue;
+                if let Some(slot) = self.lookup_block(&mut tcache, off) {
+                    self.stats.trans_enters += 1;
+                    let block = &mut *tcache.slots[slot as usize];
+                    let pending = block.runs;
+                    let exit = self.exec_block(block, limit, fence);
+                    if pending == 0 && block.runs != 0 {
+                        tcache.dirty.push(slot);
+                    }
+                    match exit {
+                        BlockExit::Outcome(outcome) => break (true, Some(outcome)),
+                        BlockExit::BudgetAbut(ran) => break (progress || ran, None),
+                        BlockExit::Divert(ran) => {
+                            progress |= ran;
+                            if !self.has_current_process()
+                                || self.resume.is_some()
+                                || self.op_len != 0
+                            {
+                                break (progress, None);
                             }
+                            // Re-check the loop-top gates; execution
+                            // resumes at a fresh leader.
+                            continue;
                         }
                     }
                 }
@@ -476,18 +418,18 @@ impl Cpu {
             if e.flags & (F_BYPASS | F_LINK) != 0 {
                 if e.flags & F_BYPASS != 0 {
                     self.stats.decode_bypasses += 1;
-                    return (progress, None);
+                    break (progress, None);
                 }
                 if self.cycles + (len - 1) >= fence && self.touches_link(e.operand) {
                     // At or past the link fence: the byte path runs the
                     // prefix bytes and stops before the terminal one.
-                    return (progress, None);
+                    break (progress, None);
                 }
             }
             if self.cycles + (len - 1) >= limit {
                 // Some byte of this operation would start at or past the
                 // budget limit; the byte path handles the partial chain.
-                return (progress, None);
+                break (progress, None);
             }
             progress = true;
 
@@ -518,28 +460,38 @@ impl Cpu {
                 }
                 Err(reason) => {
                     self.halted = Some(reason);
-                    return (true, Some(SliceOutcome::Halted(reason)));
+                    break (true, Some(SliceOutcome::Halted(reason)));
                 }
             }
             self.record_pending_trace();
             if let Some(r) = self.halted {
-                return (true, Some(SliceOutcome::Halted(r)));
+                break (true, Some(SliceOutcome::Halted(r)));
             }
             if let Some(exit) = self.slice_exit.take() {
-                return (true, Some(exit));
+                break (true, Some(exit));
             }
             if self.cycles >= limit {
-                return (true, Some(SliceOutcome::BudgetExpired));
+                break (true, Some(SliceOutcome::BudgetExpired));
             }
             if !self.has_current_process() || self.resume.is_some() || self.op_len != 0 {
                 // Descheduled, or a dispatch restored an interrupted
                 // context mid-operation: back to the outer loop.
-                return (true, None);
+                break (true, None);
             }
-            // A control transfer lands on a leader; sequential flow
-            // continues inside whatever block the leader began.
-            leader = leaders && self.iptr != next;
+            // A control transfer lands on a leader, and so does falling
+            // out of an operation blocks end at (a `cj` not taken, a
+            // `lend` leaving its loop): `build_block` stopped there, so
+            // what follows is not inside any block. Other sequential
+            // flow continues inside whatever block the leader began.
+            leader = leaders && (self.iptr != next || ends_block(fun, e.operand));
+        };
+        // Nothing reads `Stats` while the loop runs; everything that
+        // can runs after this.
+        while let Some(slot) = tcache.dirty.pop() {
+            tcache.slots[slot as usize].fold_runs(&mut self.stats);
         }
+        self.tcache = tcache;
+        result
     }
 
     /// Execute a translated block's operations back to back. Entered
@@ -574,11 +526,13 @@ impl Cpu {
     ///   *constant* function, so inlining reduces each to its own
     ///   body, followed by the full post-operation battery.
     ///
-    /// Per-op statistics are batched: every exit path flushes the
+    /// Per-op statistics are batched: every exit path accounts for the
     /// executed prefix through [`Cpu::flush_block_stats`] before
-    /// returning, so the [`crate::stats::Stats`] image is identical to
-    /// the interpreter's at every point the caller can observe it.
-    fn exec_block(&mut self, block: &TransBlock, limit: u64, fence: u64) -> BlockExit {
+    /// returning, and complete runs counted there are folded in before
+    /// [`Cpu::run_predecoded`] returns or the block is invalidated, so
+    /// the [`crate::stats::Stats`] image is identical to the
+    /// interpreter's at every point a caller can observe it.
+    fn exec_block(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> BlockExit {
         let epoch = self.mem.code_epoch();
         let ops = block.ops();
         let last = ops.len() - 1;
@@ -1096,7 +1050,7 @@ impl Cpu {
     #[cold]
     fn block_fault(
         &mut self,
-        block: &TransBlock,
+        block: &mut TransBlock,
         idx: usize,
         prev_iptr: u32,
         reason: HaltReason,
@@ -1108,52 +1062,56 @@ impl Cpu {
         BlockExit::Outcome(SliceOutcome::Halted(reason))
     }
 
-    /// Apply the statistics of the first `executed` operations of a
-    /// block in one batch. Full completion uses the precomputed block
-    /// totals; a deopt replays the executed prefix into locals first.
-    fn flush_block_stats(&mut self, block: &TransBlock, executed: usize) {
+    /// Account for the first `executed` operations of a block. A run to
+    /// completion — the common case — only bumps the block's counter,
+    /// which [`Cpu::run_predecoded`] folds in before it returns; a
+    /// partial run replays its prefix now.
+    fn flush_block_stats(&mut self, block: &mut TransBlock, executed: usize) {
         if executed == usize::from(block.nops) {
-            block.totals.apply(&mut self.stats);
+            block.runs += 1;
         } else {
-            let mut t = BlockStats::default();
             for op in &block.ops[..executed] {
-                t.add(op);
+                op.record(&mut self.stats, 1);
             }
-            t.apply(&mut self.stats);
         }
     }
 
-    /// The translated block for leader `off`, if one exists or the
-    /// leader just became hot enough to build one. Validates cover
-    /// generations, retranslating invalidated blocks immediately (a
-    /// leader that was hot stays hot). The returned block has been
-    /// *taken* out of the returned slot; the caller puts it back when
-    /// it is done executing.
-    fn lookup_block(&mut self, off: usize) -> Option<(u32, Box<TransBlock>)> {
-        if off >= self.tcache.index.len() {
-            self.tcache.grow(off);
+    /// The slot of the translated block for leader `off`, if one exists
+    /// or the leader just became hot enough to build one. Validates
+    /// the block — by epoch, walking the cover generations only when
+    /// the epoch has moved — and retranslates an invalidated one
+    /// immediately (a leader that was hot stays hot).
+    fn lookup_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
+        if off >= tcache.index.len() {
+            tcache.grow(off);
         }
-        let slot = self.tcache.index[off];
+        let slot = tcache.index[off];
         if slot != 0 {
-            let block = self.tcache.slots[(slot - 1) as usize]
-                .take()
-                .expect("indexed slot holds a block");
+            let slot = slot - 1;
+            let block = &mut *tcache.slots[slot as usize];
+            let epoch = self.mem.code_epoch();
+            if block.valid_epoch == epoch {
+                return Some(slot);
+            }
             if block
                 .covers()
                 .iter()
                 .all(|&(b, gen)| self.mem.code_block_gen(b as usize) == gen)
             {
-                return Some((slot - 1, block));
+                block.valid_epoch = epoch;
+                return Some(slot);
             }
-            self.tcache.slots[(slot - 1) as usize] = Some(block);
+            // The runs it completed were of the code it was built from.
+            block.fold_runs(&mut self.stats);
             self.stats.trans_invalidations += 1;
-            self.tcache.remove(off);
-            return Some(self.build_block(off));
+            tcache.index[off] = 0;
+            tcache.free.push(slot);
+            return self.build_block(tcache, off);
         }
-        let heat = &mut self.tcache.heat[off];
+        let heat = &mut tcache.heat[off];
         *heat = heat.saturating_add(1);
         if u32::from(*heat) >= self.translate_threshold {
-            return Some(self.build_block(off));
+            return self.build_block(tcache, off);
         }
         None
     }
@@ -1161,11 +1119,11 @@ impl Cpu {
     /// Compile the basic block whose leader is at code offset `off`
     /// (`== mask(iptr - base)`, inside the fast region), snapshot the
     /// generations of every 64-byte block it covers, and store it.
-    /// Runs too short to be worth it are stored as sentinels. Returns
-    /// the stored block, taken out of its slot like
-    /// [`Cpu::lookup_block`] does.
+    /// Returns its slot — or `None`, storing nothing, when not even the
+    /// leader can be translated (an unknown operation, a chain leaving
+    /// penalty-free memory: the byte path's business).
     #[cold]
-    fn build_block(&mut self, off: usize) -> (u32, Box<TransBlock>) {
+    fn build_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
         let base = self.mem.base();
         let mut iptr = self.word.mask(base.wrapping_add(off as u32));
         let mut ops = [TransOp {
@@ -1220,10 +1178,12 @@ impl Cpu {
                 None => k += 1,
             }
         }
-        let worth_it = nops >= MIN_BLOCK_OPS;
+        if nops == 0 {
+            return None;
+        }
         let mut covers = [(0u32, 0u32); MAX_COVERS];
         let mut ncovers = 0usize;
-        let last_block = (end_off.max(off + 1) - 1) >> CODE_BLOCK_SHIFT;
+        let last_block = (end_off - 1) >> CODE_BLOCK_SHIFT;
         for b in (off >> CODE_BLOCK_SHIFT)..=last_block {
             if b >= self.mem.code_blocks() {
                 break;
@@ -1233,25 +1193,16 @@ impl Cpu {
             covers[ncovers] = (b as u32, self.mem.code_block_gen(b));
             ncovers += 1;
         }
-        let mut totals = BlockStats::default();
-        for op in &ops[..nops] {
-            totals.add(op);
-        }
         let block = Box::new(TransBlock {
             ops,
-            nops: if worth_it { nops as u8 } else { 0 },
+            nops: nops as u8,
             ncovers: ncovers as u8,
             covers,
-            totals: totals.to_sparse(),
+            valid_epoch: self.mem.code_epoch(),
+            runs: 0,
         });
-        if worth_it {
-            self.stats.trans_blocks += 1;
-        }
-        let slot = self.tcache.insert(off, block);
-        let block = self.tcache.slots[slot as usize]
-            .take()
-            .expect("freshly inserted block");
-        (slot, block)
+        self.stats.trans_blocks += 1;
+        Some(tcache.insert(off, block))
     }
 }
 
@@ -1271,7 +1222,11 @@ impl Cpu {
 /// machinery the deopt tests exercise.
 fn ends_block(fun: Direct, operand: u32) -> bool {
     match fun {
-        Direct::Jump | Direct::Call | Direct::ConditionalJump => true,
+        // `j 0` goes nowhere: it is the timeslice point the compiler
+        // leaves at the end of a branch, and straight-line code here
+        // (a timeslice that is taken deopts like any deschedule).
+        Direct::Jump => operand != 0,
+        Direct::Call | Direct::ConditionalJump => true,
         Direct::Operate => match Op::from_code(operand) {
             Some(op) => matches!(
                 op,

@@ -540,6 +540,45 @@ mod tests {
         assert_eq!(m.code_block_gen(block + 1), 1);
     }
 
+    /// The translation tier validates a block by comparing one epoch
+    /// instead of walking its cover generations (`cpu/translate.rs`),
+    /// which is sound only if no write path can change a `code_gen`
+    /// entry without moving `code_epoch`. Every path, over armed and
+    /// unarmed blocks, in an arbitrary but fixed order.
+    #[test]
+    fn no_write_changes_a_generation_without_moving_the_epoch() {
+        let mut m = mem32();
+        let (base, size) = (m.base(), m.size());
+        let mut seed = 0x1985_u32;
+        let mut next = |bound: u32| {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (seed >> 8) % bound
+        };
+        let mut moved = 0;
+        for step in 0..4_000 {
+            if next(3) != 0 {
+                m.note_code_cached(next(size) as usize >> CODE_BLOCK_SHIFT);
+            }
+            let (gens, epoch) = (m.code_gen.clone(), m.code_epoch());
+            let addr = base + next(size);
+            match step % 4 {
+                0 => m.write_word(addr, step).unwrap(),
+                1 => m.write_byte(addr, step as u8).unwrap(),
+                2 => {
+                    let len = next(3 * CODE_BLOCK_BYTES as u32).min(base + size - addr);
+                    m.load(addr, &vec![step as u8; len as usize]).unwrap();
+                }
+                _ if step % 400 == 3 => m.fill(step as u8),
+                _ => assert!(m.load(base + size, &[0]).is_err()),
+            }
+            if m.code_gen != gens {
+                assert_ne!(m.code_epoch(), epoch, "step {step}");
+                moved += 1;
+            }
+        }
+        assert!(moved > 100, "the gate must actually fire: {moved}");
+    }
+
     #[test]
     fn reserved_dirty_tracks_reserved_writes() {
         let mut m = mem32();

@@ -38,8 +38,14 @@ fn push_code_address(c: &mut Vec<u8>, target: usize) {
     panic!("no encoding fixpoint for code address of {target}");
 }
 
+/// Translation is off on both sides: these rows pin the decode tier
+/// alone (warm translated code never touches the decode cache); the
+/// `run_translated` rows below toggle the tier above it.
 fn run_with(code: &[u8], decode_cache: bool) -> Cpu {
-    let mut cpu = Cpu::new(CpuConfig::t424().with_decode_cache(decode_cache));
+    let config = CpuConfig::t424()
+        .with_translate(false)
+        .with_decode_cache(decode_cache);
+    let mut cpu = Cpu::new(config);
     cpu.load_boot_program(code).expect("program fits");
     match cpu.run_batched(10_000_000).expect("no budget overrun") {
         RunOutcome::Halted(HaltReason::Stopped) => {}
@@ -141,21 +147,22 @@ fn rewriting_an_executed_instruction_invalidates_its_entry() {
 }
 
 /// A `pfix`/`ldc` chain straddling the 64-byte block boundary: the
-/// first byte sits at offset 63, the terminal at offset 64. The
+/// first byte sits at code offset 55, the terminal at 56 — memory
+/// offsets 127 and 128, since code loads 72 bytes above the base. The
 /// program rewrites the byte in the *next* block; the spanning entry
 /// (cached in the first block's line) must still be invalidated.
 fn spanning_chain_program() -> Vec<u8> {
     let mut c: Vec<u8> = Vec::new();
     // Padding so the two-byte `pfix 1; ldc 0` starts on the last byte
-    // of block 0.
-    while c.len() < 63 {
+    // of a 64-byte block.
+    while c.len() < 55 {
         c.extend(encode(Direct::LoadConstant, 0));
     }
-    // T (offsets 63..=64): `ldc 0x10`; the byte at offset 64 is
+    // T (offsets 55..=56): `ldc 0x10`; the byte at offset 56 is
     // patched from 0x40 (`ldc 0` terminal) to 0x41, making `ldc 0x11`.
     let t = c.len();
     c.extend(encode(Direct::LoadConstant, 0x10));
-    assert_eq!(c.len(), 65, "chain must straddle the block boundary");
+    assert_eq!(c.len(), 57, "chain must straddle the block boundary");
     c.extend(encode(Direct::StoreLocal, 1));
     c.extend(encode(Direct::LoadLocal, 1));
     c.extend(encode(Direct::EqualsConstant, 0x10));
@@ -163,12 +170,12 @@ fn spanning_chain_program() -> Vec<u8> {
     // Second pass: A == 0, jumps over it to the halt.
     let mut patch: Vec<u8> = Vec::new();
     patch.extend(encode(Direct::LoadConstant, 0x41));
-    // The patch target is the terminal byte in block 1.
+    // The patch target is the terminal byte in the next block.
     let cj = encode(Direct::ConditionalJump, 0); // length probe only
     let patch_base = c.len() + cj.len();
     {
         let ldpi = encode_op(Op::LoadPointerToInstruction);
-        let target = 64usize;
+        let target = 56usize;
         let mut found = false;
         for len in 1..=4 {
             let after = patch_base + patch.len() + len + ldpi.len();
@@ -272,7 +279,7 @@ fn storing_into_an_executing_translated_block_deopts_and_invalidates() {
 }
 
 /// A translated block whose leader instruction spans the 64-byte
-/// boundary (first byte at offset 63, terminal at 64): a store into
+/// boundary (first byte at code offset 55, terminal at 56): a store into
 /// the *adjacent* block — not the leader's own — must still invalidate
 /// it via the cover snapshots. The loop rewrites the terminal byte on
 /// every iteration (same value, but a write is a write), so the block
@@ -282,13 +289,13 @@ fn spanning_translated_program() -> Vec<u8> {
     c.extend(encode(Direct::LoadConstant, 5)); // loop counter in w[2]
     c.extend(encode(Direct::StoreLocal, 2));
     // Padding so the two-byte `pfix 1; ldc 0` starts on the last byte
-    // of block 0.
-    while c.len() < 63 {
+    // of a 64-byte block.
+    while c.len() < 55 {
         c.extend(encode(Direct::LoadConstant, 0));
     }
     let t = c.len();
     c.extend(encode(Direct::LoadConstant, 0x10)); // patched to ldc 0x11
-    assert_eq!(c.len(), 65, "chain must straddle the block boundary");
+    assert_eq!(c.len(), 57, "chain must straddle the block boundary");
     c.extend(encode(Direct::StoreLocal, 1));
     c.extend(encode(Direct::LoadLocal, 2));
     c.extend(encode(Direct::AddConstant, -1));
@@ -301,7 +308,7 @@ fn spanning_translated_program() -> Vec<u8> {
     let patch_base = c.len() + cj.len();
     {
         let ldpi = encode_op(Op::LoadPointerToInstruction);
-        let target = 64usize;
+        let target = 56usize;
         let mut found = false;
         for len in 1..=4 {
             let after = patch_base + patch.len() + len + ldpi.len();
@@ -380,5 +387,111 @@ fn straight_line_arithmetic_is_transparent() {
     assert!(
         on.stats().decode_hits > on.stats().decode_misses,
         "a hot loop must be served mostly from the cache"
+    );
+}
+
+/// `T; stl 1; ldl 1; cj <halt>; haltsim; <patch T to ldc 1>; j back`:
+/// the first pass stores 0, skips the halt and rewrites `T` from
+/// `ldc 0` to `ldc 1`; the second must run the new `T` and halt. `T`
+/// goes at `t_at`, padded with never-executed bytes (`head` is already
+/// in place, and jumps over them); the patch jumps back to `back`.
+fn patch_once_program(head: Vec<u8>, t_at: usize, back: usize) -> Vec<u8> {
+    let mut c = head;
+    assert!(c.len() <= t_at);
+    c.resize(t_at, encode(Direct::LoadConstant, 0)[0]);
+    c.extend(encode(Direct::LoadConstant, 0)); // T
+    c.extend(encode(Direct::StoreLocal, 1));
+    c.extend(encode(Direct::LoadLocal, 1));
+    let halt = encode_op(Op::HaltSimulation);
+    c.extend(encode(Direct::ConditionalJump, halt.len() as i64));
+    c.extend(&halt);
+    c.extend(encode(Direct::LoadConstant, 0x41));
+    push_code_address(&mut c, t_at);
+    c.extend(encode_op(Op::StoreByte));
+    let at = c.len();
+    c.extend(jump_to(Direct::Jump, at, back));
+    c
+}
+
+fn assert_patched_once(code: &[u8]) -> Cpu {
+    let mut on = assert_translation_transparent(code);
+    assert_eq!(local_word(&mut on, 1), 1, "second pass ran stale code");
+    assert!(
+        on.stats().trans_invalidations > 0,
+        "the rewrite must invalidate the translated block"
+    );
+    on
+}
+
+/// The rewritten block is never the target of a control transfer: it
+/// is entered by falling out of the block before it (`ldc 1; cj 0`
+/// always falls through), so the chained entry is what must notice the
+/// moved epoch and walk the covers.
+#[test]
+fn storing_into_a_block_entered_by_chaining_invalidates_it() {
+    let mut head = encode(Direct::LoadConstant, 1);
+    head.extend(encode(Direct::ConditionalJump, 0));
+    let t_at = head.len();
+    assert_patched_once(&patch_once_program(head, t_at, 0));
+}
+
+/// `j 0` is straight-line code, so the block led by it holds the
+/// operations after it — here in the *next* 64-byte code block (code
+/// is loaded 72 bytes above the memory base, so code byte 55 is the
+/// last of a block). The store lands only there: the block's covers
+/// must reach past the `j 0`.
+#[test]
+fn storing_into_the_bytes_after_a_j0_invalidates_its_block() {
+    let j0_at = 55;
+    let mut head = jump_to(Direct::Jump, 0, j0_at);
+    head.resize(j0_at, encode(Direct::LoadConstant, 0)[0]);
+    head.extend(encode(Direct::Jump, 0));
+    let code = patch_once_program(head, j0_at + 1, j0_at);
+    let cpu = Cpu::new(CpuConfig::t424());
+    assert_eq!(
+        (cpu.memory().mem_start() - cpu.memory().base()) as usize + j0_at,
+        127,
+        "`j 0` must be the last byte of a 64-byte code block"
+    );
+    assert_patched_once(&code);
+}
+
+/// A five-trip countdown loop whose body block starts with `T` runs to
+/// completion five times — five complete runs whose statistics are
+/// still pending in the block, all inside one slice — before the
+/// rewrite of `T` invalidates it. The pending runs must be folded into
+/// `Stats` before the block is dropped, or their operations go missing
+/// (the comparison with translation off catches exactly that).
+#[test]
+fn storing_into_a_block_with_unfolded_runs_keeps_stats_exact() {
+    let mut c: Vec<u8> = Vec::new();
+    c.extend(encode(Direct::LoadConstant, 5));
+    c.extend(encode(Direct::StoreLocal, 2));
+    let top = c.len();
+    c.extend(encode(Direct::LoadConstant, 0)); // T
+    c.extend(encode(Direct::StoreLocal, 1));
+    c.extend(encode(Direct::LoadLocal, 2));
+    c.extend(encode(Direct::AddConstant, -1));
+    c.extend(encode(Direct::StoreLocal, 2));
+    c.extend(encode(Direct::LoadLocal, 2));
+    let back = jump_to(Direct::Jump, c.len() + 1, top);
+    let cj = encode(Direct::ConditionalJump, back.len() as i64);
+    assert_eq!(cj.len(), 1, "cj displacement must stay single-byte");
+    c.extend(cj); // countdown done: leave the loop
+    c.extend(back);
+    c.extend(encode(Direct::LoadLocal, 1));
+    let halt = encode_op(Op::HaltSimulation);
+    c.extend(encode(Direct::ConditionalJump, halt.len() as i64));
+    c.extend(&halt);
+    c.extend(encode(Direct::LoadConstant, 0x41));
+    push_code_address(&mut c, top);
+    c.extend(encode_op(Op::StoreByte));
+    let at = c.len();
+    c.extend(jump_to(Direct::Jump, at, 0));
+    let on = assert_patched_once(&c);
+    assert_eq!(
+        on.stats().direct_count(Direct::StoreLocal),
+        2 + 2 * 5 * 2,
+        "two passes of five trips, two stores a trip"
     );
 }

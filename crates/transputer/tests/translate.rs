@@ -326,3 +326,78 @@ fn hot_arithmetic_loop_is_transparent() {
         "the loop body must run translated, not interpreted"
     );
 }
+
+/// The database search loop's shape (§3.2, §4.2): a replicated `SEQ`
+/// around an `IF` whose last branch is `TRUE SKIP`, compiled from
+/// occam so the code is what the compiler really emits — `cj` over the
+/// guarded body, `j 0` closing the `SKIP` branch, `ldlp; ldc; lend`
+/// closing the loop.
+fn search_loop(n: u32, guard: &str) -> occam::Program {
+    let source = format!(
+        "VAR hits:\nSEQ\n  hits := 0\n  SEQ i = [0 FOR {n}]\n    IF\n      {guard}\n        \
+         hits := hits + 1\n      TRUE\n        SKIP\n"
+    );
+    occam::compile(&source).expect("search loop compiles")
+}
+
+fn run_program(program: &occam::Program, translate: bool) -> Cpu {
+    let mut cpu = Cpu::new(config(translate));
+    program.load(&mut cpu).expect("program fits");
+    match cpu.run_batched(100_000_000).expect("no budget overrun") {
+        RunOutcome::Halted(HaltReason::Stopped) => {}
+        other => panic!("program did not halt cleanly: {other:?}"),
+    }
+    cpu
+}
+
+/// Once warm, the loop never leaves the translation tier: no operation
+/// of iterations 4..=200 goes through the decode cache, and an
+/// iteration is two block entries when its guard is false (`… cj`,
+/// then `j 0; ldlp; ldc; lend` as one block) and three when it is true
+/// (`… cj`, the body to its `j`, the loop end). The 3-iteration twin
+/// runs the same cold code once — entry, both branches of neither or
+/// one guard, the loop exit — so any difference is the warm iterations'.
+#[test]
+fn warm_loop_stays_in_the_tier() {
+    // Guards the compiler cannot fold, and the most entries a warm
+    // iteration may cost under each.
+    for (guard, per_iteration) in [("i < 0", 2), ("i >= 0", 3)] {
+        // `j 1` over the `SKIP` branch's `j 0`, which lands on the
+        // loop end's `ldlp`.
+        let code = search_loop(200, guard).code;
+        let ldlp = Direct::LoadLocalPointer.nibble();
+        assert!(
+            code.windows(3)
+                .any(|w| w[0] == 0x01 && w[1] == 0x00 && w[2] >> 4 == ldlp),
+            "`{guard}`: the compiler no longer emits `j 0` before the loop end"
+        );
+        let decode_ops = |cpu: &Cpu| cpu.stats().decode_hits + cpu.stats().decode_misses;
+        let warm = run_program(&search_loop(3, guard), true);
+        let full = assert_transparent_with(|t| run_program(&search_loop(200, guard), t));
+        assert_eq!(
+            decode_ops(&full),
+            decode_ops(&warm),
+            "`{guard}`: warm iterations ran operations in the decode loop"
+        );
+        let enters = full.stats().trans_enters - warm.stats().trans_enters;
+        assert!(
+            enters <= 197 * per_iteration,
+            "`{guard}`: {enters} block entries in 197 warm iterations"
+        );
+    }
+}
+
+/// Leader heat saturates at 255, so a larger threshold means 255: the
+/// tier still engages rather than silently never translating.
+#[test]
+fn a_threshold_beyond_the_heat_counter_still_translates() {
+    let program = search_loop(1000, "i >= 0");
+    let mut cpu = Cpu::new(
+        CpuConfig::t424()
+            .with_translate(true)
+            .with_translate_threshold(1 << 20),
+    );
+    program.load(&mut cpu).expect("program fits");
+    cpu.run_batched(100_000_000).expect("no budget overrun");
+    assert!(cpu.stats().trans_enters > 700, "{:?}", cpu.stats());
+}
