@@ -6,7 +6,6 @@
 //! = instructions × 20e6 / cycles.
 
 use transputer::CpuConfig;
-use transputer_bench::hostperf::cpu_corpus_bench;
 use transputer_bench::{asm, cells, corpus, measure_sequence, run_occam, table};
 
 fn main() {
@@ -68,47 +67,6 @@ fn main() {
          load/modify/store — deliver {typical_mips:.1} MIPS; whole programs \
          average {mips:.1} MIPS, pulled below the mark by 38-cycle multiplies \
          and above it by single-cycle constant/jump code."
-    );
-
-    // Host-side throughput: how fast this emulator executes the same
-    // corpus under each execution tier — plain byte decode, the
-    // predecoded instruction cache, and the threaded-code translation
-    // tier on top of it. The simulated numbers above are invariant;
-    // only wall clock moves.
-    println!();
-    let trans = cpu_corpus_bench(true, true, 20);
-    let on = cpu_corpus_bench(true, false, 20);
-    let off = cpu_corpus_bench(false, false, 20);
-    assert_eq!(
-        on.fingerprint, off.fingerprint,
-        "decode cache changed a simulated outcome"
-    );
-    assert_eq!(
-        trans.fingerprint, off.fingerprint,
-        "translation tier changed a simulated outcome"
-    );
-    println!(
-        "host throughput over the corpus: decode cache off {:.1} emulated MIPS, \
-         on {:.1} emulated MIPS ({:.2}x); cache {} hits / {} misses / \
-         {} invalidations / {} bypassed ops ({:.1}% hit rate)",
-        off.emulated_mips(),
-        on.emulated_mips(),
-        on.emulated_mips() / off.emulated_mips(),
-        on.decode.0,
-        on.decode.1,
-        on.decode.2,
-        on.decode.3,
-        on.hit_rate() * 100.0,
-    );
-    println!(
-        "translated tier: {:.1} emulated MIPS ({:.2}x over the decode cache); \
-         {} blocks / {} enters / {} deopts / {} invalidations",
-        trans.emulated_mips(),
-        trans.emulated_mips() / on.emulated_mips(),
-        trans.trans.0,
-        trans.trans.1,
-        trans.trans.2,
-        trans.trans.3,
     );
 
     table::verdict(

@@ -24,14 +24,11 @@
 //!    fails the gate. The table is printed with a `static-model: `
 //!    prefix so CI can lift it into the job summary.
 
-use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome, WordLength};
 use transputer_analysis::cfg::Cfg;
-use transputer_analysis::{cost, verifier, Diagnostic, Span};
+use transputer_analysis::{verifier, Diagnostic, Span};
 use transputer_bench::corpus::{CORPUS, STATIC_MODEL_CORPUS};
 use transputer_bench::expimages;
-
-/// Largest tolerated |predicted − measured| / measured, in percent.
-const MODEL_ERROR_LIMIT: f64 = 5.0;
+use transputer_bench::hostperf::static_model_runs;
 
 struct Tally {
     errors: usize,
@@ -86,17 +83,6 @@ fn cfg_misses(program: &occam::Program) -> Vec<String> {
     linear.into_iter().filter(|d| !cfg.contains(d)).collect()
 }
 
-/// Run a compiled program to a clean halt and return its cycle count.
-fn measure_cycles(program: &occam::Program) -> u64 {
-    let mut cpu = Cpu::new(CpuConfig::t424());
-    program.load(&mut cpu).expect("validation program loads");
-    match cpu.run(500_000_000).expect("validation program runs") {
-        RunOutcome::Halted(HaltReason::Stopped) => {}
-        other => panic!("validation program did not halt cleanly: {other:?}"),
-    }
-    cpu.cycles()
-}
-
 fn main() {
     let mut tally = Tally {
         errors: 0,
@@ -138,34 +124,22 @@ fn main() {
     println!("\n== static cost model ==");
     println!("static-model: | program | predicted cycles | measured cycles | error |");
     println!("static-model: |---|---:|---:|---:|");
-    for item in STATIC_MODEL_CORPUS {
-        let program = occam::compile(item.source).expect("validation program compiles");
-        let measured = measure_cycles(&program);
-        match cost::analyze_program(&program, WordLength::Bits32) {
-            Ok(report) => {
-                let err = 100.0 * (report.cycles as f64 - measured as f64).abs() / measured as f64;
-                println!(
-                    "static-model: | {} | {} | {measured} | {err:.3}% |",
-                    item.name, report.cycles
-                );
-                if err > MODEL_ERROR_LIMIT {
-                    println!(
-                        "{}: static model off by {err:.3}% (limit {MODEL_ERROR_LIMIT}%)",
-                        item.name
-                    );
-                    tally.errors += 1;
-                }
-            }
-            Err(e) => {
-                println!(
-                    "static-model: | {} | (refused) | {measured} | — |",
-                    item.name
-                );
-                println!("{}: static model refused: {e}", item.name);
-                tally.errors += 1;
-            }
-        }
+    let mut model_problems = Vec::new();
+    for r in static_model_runs(&mut model_problems) {
+        println!(
+            "static-model: | {} | {} | {} | {} |",
+            r.name,
+            r.predicted
+                .map_or("(refused)".to_string(), |p| p.to_string()),
+            r.measured,
+            r.error_pct()
+                .map_or("—".to_string(), |e| format!("{e:.3}%")),
+        );
     }
+    for p in &model_problems {
+        println!("{p}");
+    }
+    tally.errors += model_problems.len();
 
     println!(
         "\nlint gate: {} corpus + {} experiment source(s) + {} image(s) + {} model check(s), \

@@ -1,8 +1,10 @@
 //! Run every experiment binary in order, producing the complete
-//! paper-vs-measured report (the source of EXPERIMENTS.md), then the
-//! corpus lint gate and the `hostperf --smoke` outcome gate.
+//! paper-vs-measured report (EXPERIMENTS.md from `## E1` down is their
+//! concatenated output), then the corpus lint gate and `hostperf`, which
+//! rewrites `BENCH_host.json` in the current directory.
 //!
-//! Usage: `cargo run --release -p transputer-bench --bin run_all`
+//! Usage, from the repository root:
+//!   `cargo run --release -p transputer-bench --bin run_all`
 //!
 //! Exits non-zero if any experiment exits non-zero (including panics,
 //! which surface as a non-success status with their message echoed
@@ -16,13 +18,8 @@ use transputer_bench::hostperf::EXPERIMENTS;
 
 /// Run one binary, echoing its stdout (and stderr, so panic messages
 /// are not swallowed), and describe the failure if it failed.
-fn run_gate(path: &Path, name: &str, args: &[&str], envs: &[(&str, &str)]) -> Option<String> {
-    let mut cmd = Command::new(path);
-    cmd.args(args);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = match cmd.output() {
+fn run_gate(path: &Path, name: &str) -> Option<String> {
+    let out = match Command::new(path).output() {
         Ok(out) => out,
         Err(e) => return Some(format!("{name}: failed to launch: {e}")),
     };
@@ -47,35 +44,14 @@ fn main() {
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin directory");
     let mut failures = Vec::new();
-    for name in EXPERIMENTS {
-        if let Some(failure) = run_gate(&dir.join(name), name, &[], &[]) {
+    // The experiments, then the lint gate (the occam corpus must pass
+    // the txlint checks), then the exact ledger: every engine and CPU
+    // tier must produce bit-identical simulated outcomes, clean, under
+    // injected link faults and over the router.
+    for name in EXPERIMENTS.iter().chain(&["lint_corpus", "hostperf"]) {
+        if let Some(failure) = run_gate(&dir.join(name), name) {
             failures.push(failure);
         }
-    }
-    // The lint gate: the occam corpus must pass the txlint checks.
-    if let Some(failure) = run_gate(&dir.join("lint_corpus"), "lint_corpus", &[], &[]) {
-        failures.push(failure);
-    }
-    // The host-performance smoke gate: all engines must produce
-    // bit-identical simulated outcomes (wall time is informational),
-    // clean and under injected link faults. Its JSON and its history
-    // line go next to the binaries so the full `hostperf` run's
-    // committed BENCH_host.json and BENCH_history.jsonl are not touched.
-    let smoke_out = dir.join("BENCH_host_smoke.json");
-    let smoke_history = dir.join("BENCH_history_smoke.jsonl");
-    if let Some(failure) = run_gate(
-        &dir.join("hostperf"),
-        "hostperf_smoke",
-        &["--smoke"],
-        &[
-            ("BENCH_HOST_OUT", smoke_out.to_str().expect("utf-8 path")),
-            (
-                "BENCH_HISTORY_OUT",
-                smoke_history.to_str().expect("utf-8 path"),
-            ),
-        ],
-    ) {
-        failures.push(failure);
     }
     println!("\n---\n");
     if failures.is_empty() {

@@ -1,23 +1,28 @@
-//! Host-side performance measurement of the simulator itself.
+//! The exact ledger: everything the repository records about itself
+//! that is a count and not a time, written to `BENCH_host.json`.
 //!
-//! Everything else in this crate measures *simulated* quantities —
-//! cycle counts, link utilisation, paper tables. This module measures
-//! the *host*: how fast the emulator executes, and what the
-//! lookahead-batched engine buys over the per-instruction event engine.
-//! Results are written to `BENCH_host.json`.
-//!
-//! Wall-clock numbers vary between machines; outcome fingerprints must
-//! not. The smoke mode (`hostperf --smoke`) therefore gates only on
-//! panics and regressed simulated outcomes, never on wall time.
-
-use std::time::Instant;
+//! The names `hostperf` and `BENCH_host.json` are historical. This
+//! module once timed the simulator; host wall time is now taken in one
+//! place only — `benchmark/`, the system benchmark `BENCHMARK.json`
+//! declares — and nothing under `crates/` reads a clock. What is left is
+//! the same on every host: outcome fingerprints under both engines
+//! (clean, faulted, routed), simulated cycles and nanoseconds, heap-pop
+//! counts, slice length (`instr_per_pop`), the share of operations run
+//! in translated blocks (`tier_share`), decode-cache and translation
+//! counters, router hop latencies, the static cost model against the
+//! emulator, the paper's design-choice ablations and non-test source
+//! lines per crate. The file is therefore reproducible to the byte: CI
+//! regenerates it and fails on `git diff`, and `git log -p
+//! BENCH_host.json` is its history.
 
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
 use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, DbSearchReport, HypercubeConfig};
 use transputer_link::FaultPlan;
 use transputer_net::{Engine, Network, NetworkConfig, PopCounts, RouterConfig, Switching};
 
+use crate::ablations::{ablations, Ablation};
 use crate::corpus;
+use crate::json::Json;
 
 /// Every experiment binary, in report order (shared with `run_all`).
 pub const EXPERIMENTS: &[&str] = &[
@@ -40,42 +45,99 @@ pub const EXPERIMENTS: &[&str] = &[
     "e17_routed",
 ];
 
-/// One timed network simulation.
+/// What a run's processors did, summed over them. The tier counters —
+/// what the decode cache and the translation tier did — are host-side:
+/// deterministic, but outside the simulated machine, so excluded from
+/// every fingerprint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Simulated processor cycles.
+    pub cycles: u64,
+    /// Instruction bytes executed.
+    pub instructions: u64,
+    /// Logical operations executed.
+    pub operations: u64,
+    /// Decode-cache lookups served from a valid entry.
+    pub decode_hits: u64,
+    /// Lookups that decoded the byte stream and filled an entry.
+    pub decode_misses: u64,
+    /// Entries discarded because a write landed in their code block.
+    pub decode_invalidations: u64,
+    /// Operations executed through the byte-at-a-time path.
+    pub decode_bypasses: u64,
+    /// Hot basic blocks compiled to threaded code.
+    pub trans_blocks: u64,
+    /// Entries into a translated block.
+    pub trans_enters: u64,
+    /// Translated blocks left before their last operation.
+    pub trans_deopts: u64,
+    /// Translated blocks discarded because their code moved.
+    pub trans_invalidations: u64,
+}
+
+impl Counters {
+    fn add(&mut self, cpu: &Cpu) {
+        let s = cpu.stats();
+        self.cycles += cpu.cycles();
+        self.instructions += s.instructions;
+        self.operations += s.operations;
+        self.decode_hits += s.decode_hits;
+        self.decode_misses += s.decode_misses;
+        self.decode_invalidations += s.decode_invalidations;
+        self.decode_bypasses += s.decode_bypasses;
+        self.trans_blocks += s.trans_blocks;
+        self.trans_enters += s.trans_enters;
+        self.trans_deopts += s.trans_deopts;
+        self.trans_invalidations += s.trans_invalidations;
+    }
+
+    /// The share of operations executed in translated blocks: all of
+    /// them bar the decode loop's (every one of which is a decode-cache
+    /// hit or miss; the few the byte path runs at a budget or fence count
+    /// as translated). 0 when no block was ever entered — the Event
+    /// engine steps, and a tier that is off translates nothing. Warm code
+    /// that falls out of the tier shows here before it shows on a
+    /// stopwatch.
+    pub fn tier_share(&self) -> f64 {
+        if self.trans_enters == 0 || self.operations == 0 {
+            return 0.0;
+        }
+        1.0 - (self.decode_hits + self.decode_misses) as f64 / self.operations as f64
+    }
+
+    fn json(&self) -> [(&'static str, Json); 10] {
+        [
+            ("cycles", self.cycles.into()),
+            ("instructions", self.instructions.into()),
+            ("decode_hits", self.decode_hits.into()),
+            ("decode_misses", self.decode_misses.into()),
+            ("decode_invalidations", self.decode_invalidations.into()),
+            ("decode_bypasses", self.decode_bypasses.into()),
+            ("trans_blocks", self.trans_blocks.into()),
+            ("trans_enters", self.trans_enters.into()),
+            ("trans_deopts", self.trans_deopts.into()),
+            ("trans_invalidations", self.trans_invalidations.into()),
+        ]
+    }
+}
+
+/// One network simulation.
 #[derive(Debug, Clone)]
 pub struct NetRun {
     /// Which benchmark network ran.
     pub bench: &'static str,
     /// Engine used.
     pub engine: Engine,
-    /// Host wall-clock time, milliseconds.
-    pub wall_ms: f64,
     /// Simulated nanoseconds elapsed.
     pub sim_ns: u64,
-    /// Processor cycles summed over all nodes.
-    pub cycles: u64,
-    /// Instructions executed summed over all nodes.
-    pub instructions: u64,
     /// Whether every search answer matched the reference.
     pub answers_ok: bool,
     /// FNV-1a hash over answers, answer times, per-node halt cycles and
     /// instruction counters, and per-wire delivered-byte counters. Equal
     /// fingerprints mean bit-identical simulated outcomes.
     pub fingerprint: u64,
-    /// Aggregate decode-cache counters over all nodes:
-    /// `(hits, misses, invalidations, bypasses)`. Host-side only,
-    /// excluded from the fingerprint.
-    pub decode: (u64, u64, u64, u64),
-    /// Aggregate translation-tier counters over all nodes:
-    /// `(blocks, enters, deopts, invalidations)`. Host-side only,
-    /// excluded from the fingerprint.
-    pub trans: (u64, u64, u64, u64),
-    /// Share of operations executed in translated blocks: 1 − (decode
-    /// hits + misses) / operations, 0 when no block was ever entered.
-    /// Host-side only, excluded from the fingerprint.
-    pub tier_share: f64,
-    /// Logical cores of the host that produced this row. Host-side
-    /// only, excluded from the fingerprint.
-    pub host_cores: usize,
+    /// Cycles, instructions and tier counters over all nodes.
+    pub counters: Counters,
     /// Heap pops of the run: node entries (slices under Sliced), wire
     /// entries, and the wire entries skipped as stale. Host-side only,
     /// excluded from the fingerprint — node pops are what the engine's
@@ -98,28 +160,11 @@ pub struct NetRun {
 }
 
 impl NetRun {
-    /// Simulated processor cycles executed per host second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / (self.wall_ms / 1e3)
+    /// How long a node runs between heap entries: instruction bytes per
+    /// node pop (1 under Event; slice length under Sliced).
+    pub fn instr_per_pop(&self) -> f64 {
+        self.counters.instructions as f64 / self.pops.node as f64
     }
-
-    /// Emulated millions of instructions per host second.
-    pub fn emulated_mips(&self) -> f64 {
-        self.instructions as f64 / (self.wall_ms / 1e3) / 1e6
-    }
-}
-
-/// The share of a run's operations executed in translated blocks: all
-/// of them bar the decode loop's (every one of which is a decode-cache
-/// hit or miss; the few the byte path runs at a budget or fence count as
-/// translated). 0 when no block was ever entered — the Event engine
-/// steps, and a tier that is off translates nothing. Warm code that
-/// falls out of the tier shows here before it shows on a stopwatch.
-fn tier_share(decode: (u64, u64, u64, u64), trans: (u64, u64, u64, u64), operations: u64) -> f64 {
-    if trans.1 == 0 || operations == 0 {
-        return 0.0;
-    }
-    1.0 - (decode.0 + decode.1) as f64 / operations as f64
 }
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -129,11 +174,6 @@ fn fnv1a(hash: &mut u64, value: u64) {
         *hash ^= u64::from(byte);
         *hash = hash.wrapping_mul(0x100_0000_01b3);
     }
-}
-
-/// Logical cores of this host (1 when the count is unavailable).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// A search machine: planned spanning trees or the virtual-channel
@@ -198,20 +238,21 @@ impl Machine {
         .expect("benchmark network builds")
     }
 
-    /// Build this machine under `engine` and run its search, timing the
-    /// run and fingerprinting every engine-visible outcome.
+    /// Build this machine under `engine` with the translation tier on —
+    /// whatever the `TRANSLATE` hook says, so a row's host-side counters
+    /// are the same in every environment — run its search, and
+    /// fingerprint every engine-visible outcome.
     ///
     /// # Panics
     ///
     /// Panics if the network fails to build or faults while running — a
-    /// panic here is exactly what the smoke gate exists to catch.
-    pub fn run(self, bench: &'static str, engine: Engine) -> NetRun {
+    /// panic here is exactly what the gate exists to catch.
+    pub fn run(mut self, bench: &'static str, engine: Engine) -> NetRun {
+        self.net().cpu.translate = true;
         let mut sim = self.build(engine);
-        let start = Instant::now();
         let report = sim
             .run(100_000_000_000_000)
             .expect("benchmark network runs");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let mut hash = FNV_BASIS;
         for &a in &report.answers {
@@ -223,7 +264,6 @@ impl Machine {
         net_run(
             bench,
             engine,
-            wall_ms,
             report.total_ns,
             report.all_correct(),
             hash,
@@ -238,20 +278,15 @@ impl Machine {
 fn net_run(
     bench: &'static str,
     engine: Engine,
-    wall_ms: f64,
     sim_ns: u64,
     answers_ok: bool,
     mut hash: u64,
     net: &Network,
 ) -> NetRun {
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut operations = 0u64;
+    let mut counters = Counters::default();
     for id in 0..net.len() {
         let node = net.node(id);
-        cycles += node.cycles();
-        instructions += node.stats().instructions;
-        operations += node.stats().operations;
+        counters.add(node);
         fnv1a(&mut hash, node.cycles());
         fnv1a(&mut hash, node.stats().instructions);
     }
@@ -260,163 +295,77 @@ fn net_run(
         fnv1a(&mut hash, a);
         fnv1a(&mut hash, b);
     }
-    let (decode, trans) = (net.decode_stats(), net.trans_stats());
     NetRun {
         bench,
         engine,
-        wall_ms,
         sim_ns,
-        cycles,
-        instructions,
         answers_ok,
         fingerprint: hash,
-        decode,
-        trans,
-        tier_share: tier_share(decode, trans, operations),
-        host_cores: host_cores(),
+        counters,
         pops: net.pop_counts(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
     }
 }
 
-/// One timed run of the occam corpus on a standalone processor: the
-/// pure-CPU emulation throughput the decode cache targets, without any
-/// network scheduling in the way (the e13 "emulated MIPS" measurement).
+/// One sweep of the occam corpus on a standalone processor: the CPU
+/// tiers alone, without any network scheduling in the way.
 #[derive(Debug, Clone)]
 pub struct CpuRun {
     /// Whether the predecoded instruction cache was enabled.
     pub decode_cache: bool,
     /// Whether the threaded-code translation tier was enabled.
     pub translate: bool,
-    /// Host wall-clock time over all programs and repeats, milliseconds.
-    pub wall_ms: f64,
-    /// Simulated cycles summed over all runs.
-    pub cycles: u64,
-    /// Instruction bytes executed summed over all runs.
-    pub instructions: u64,
-    /// Decode-cache counters summed over all runs:
-    /// `(hits, misses, invalidations, bypasses)`.
-    pub decode: (u64, u64, u64, u64),
-    /// Translation-tier counters summed over all runs:
-    /// `(blocks, enters, deopts, invalidations)`.
-    pub trans: (u64, u64, u64, u64),
-    /// Share of operations executed in translated blocks, as in
-    /// [`NetRun::tier_share`].
-    pub tier_share: f64,
+    /// Cycles, instructions and tier counters over all programs.
+    pub counters: Counters,
     /// FNV-1a hash over each program's result word, halt cycle count and
     /// instruction count. Every tier combination must produce equal
     /// fingerprints.
     pub fingerprint: u64,
 }
 
-impl CpuRun {
-    /// Emulated millions of instructions per host second.
-    pub fn emulated_mips(&self) -> f64 {
-        self.instructions as f64 / (self.wall_ms / 1e3) / 1e6
-    }
-
-    /// Cache hit rate over all lookups (hits + misses), in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.decode.0 + self.decode.1;
-        if lookups == 0 {
-            return 0.0;
-        }
-        self.decode.0 as f64 / lookups as f64
-    }
-}
-
-/// Run every corpus program `repeats` times on a fresh T424 through the
-/// batched engine, timing the whole sweep. Compilation happens outside
-/// the timed region; execution, including boot-program loading, is
-/// timed.
+/// Run every corpus program once on a fresh T424 through the batched
+/// engine.
 ///
 /// # Panics
 ///
 /// Panics if a corpus program fails to compile, halt cleanly, or
-/// produce its expected answer — wrong results must never become a
-/// performance number.
-pub fn cpu_corpus_bench(decode_cache: bool, translate: bool, repeats: u32) -> CpuRun {
-    let programs: Vec<(&corpus::CorpusItem, occam::Program)> = corpus::CORPUS
-        .iter()
-        .map(|item| {
-            (
-                item,
-                occam::compile(item.source).expect("corpus program compiles"),
-            )
-        })
-        .collect();
+/// produce its expected answer — wrong results must never become a row.
+pub fn cpu_corpus_bench(decode_cache: bool, translate: bool) -> CpuRun {
     let config = CpuConfig::t424()
         .with_decode_cache(decode_cache)
         .with_translate(translate);
-    // One untimed warm-up sweep: the first execution pays one-off host
-    // costs (page faults, frequency ramp-up, cold caches) that are not
-    // emulation throughput and would otherwise swamp short runs.
-    for (_, program) in &programs {
-        let mut cpu = Cpu::new(config.clone());
-        program.load(&mut cpu).expect("corpus program loads");
-        cpu.run_batched(500_000_000).expect("corpus program runs");
-    }
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut operations = 0u64;
-    let mut decode = (0u64, 0u64, 0u64, 0u64);
-    let mut trans = (0u64, 0u64, 0u64, 0u64);
+    let mut counters = Counters::default();
     let mut hash = FNV_BASIS;
-    // Only execution is timed: processor construction and program
-    // loading are setup, not emulation throughput.
-    let mut wall = std::time::Duration::ZERO;
-    for rep in 0..repeats {
-        for (item, program) in &programs {
-            let mut cpu = Cpu::new(config.clone());
-            let wptr = program.load(&mut cpu).expect("corpus program loads");
-            let start = Instant::now();
-            let outcome = cpu.run_batched(500_000_000);
-            wall += start.elapsed();
-            match outcome {
-                Ok(RunOutcome::Halted(HaltReason::Stopped)) => {}
-                other => panic!(
-                    "corpus program {} did not halt cleanly: {other:?}",
-                    item.name
-                ),
-            }
-            let value = program
-                .read_global(&mut cpu, wptr, item.check_global)
-                .expect("check global exists");
-            assert_eq!(
-                cpu.word_length().to_signed(value),
-                item.expected,
-                "corpus program {} produced a wrong answer",
+    for item in corpus::CORPUS {
+        let program = occam::compile(item.source).expect("corpus program compiles");
+        let mut cpu = Cpu::new(config.clone());
+        let wptr = program.load(&mut cpu).expect("corpus program loads");
+        match cpu.run_batched(500_000_000) {
+            Ok(RunOutcome::Halted(HaltReason::Stopped)) => {}
+            other => panic!(
+                "corpus program {} did not halt cleanly: {other:?}",
                 item.name
-            );
-            let s = cpu.stats();
-            cycles += cpu.cycles();
-            instructions += s.instructions;
-            operations += s.operations;
-            decode.0 += s.decode_hits;
-            decode.1 += s.decode_misses;
-            decode.2 += s.decode_invalidations;
-            decode.3 += s.decode_bypasses;
-            trans.0 += s.trans_blocks;
-            trans.1 += s.trans_enters;
-            trans.2 += s.trans_deopts;
-            trans.3 += s.trans_invalidations;
-            if rep == 0 {
-                fnv1a(&mut hash, u64::from(value));
-                fnv1a(&mut hash, cpu.cycles());
-                fnv1a(&mut hash, s.instructions);
-            }
+            ),
         }
+        let value = program
+            .read_global(&mut cpu, wptr, item.check_global)
+            .expect("check global exists");
+        assert_eq!(
+            cpu.word_length().to_signed(value),
+            item.expected,
+            "corpus program {} produced a wrong answer",
+            item.name
+        );
+        counters.add(&cpu);
+        fnv1a(&mut hash, u64::from(value));
+        fnv1a(&mut hash, cpu.cycles());
+        fnv1a(&mut hash, cpu.stats().instructions);
     }
     CpuRun {
         decode_cache,
         translate,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        cycles,
-        instructions,
-        decode,
-        trans,
-        tier_share: tier_share(decode, trans, operations),
+        counters,
         fingerprint: hash,
     }
 }
@@ -453,7 +402,7 @@ pub fn hypercube_smoke() -> HypercubeConfig {
     }
 }
 
-/// A routed grid trimmed for smoke runs and determinism sweeps: large
+/// A routed grid for the trimmed rows and determinism sweeps: large
 /// enough that packets genuinely queue behind each other on interior
 /// wires, small enough for debug builds.
 pub fn routed_smoke() -> DbSearchConfig {
@@ -491,20 +440,21 @@ pub fn grid32x32_stress() -> DbSearchConfig {
 /// # Panics
 ///
 /// Panics if the probe network fails to build, run, or deliver its
-/// word — the smoke gate exists to catch exactly that.
+/// word — the gate exists to catch exactly that.
 pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) -> NetRun {
-    use transputer::instr::{encode, encode_op, Direct, Op};
     use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
     const SIDE: usize = 32;
     let n = SIDE * SIDE;
     let word: i64 = 0x0BEE_F123;
-    let mut b = transputer_net::NetworkBuilder::new(transputer_net::NetworkConfig {
+    let mut b = transputer_net::NetworkBuilder::new(NetworkConfig {
         engine,
+        // As in [`Machine::run`]: whatever the `TRANSLATE` hook says.
+        cpu: CpuConfig::t424().with_translate(true),
         router: RouterConfig {
             switching,
             ..RouterConfig::default()
         },
-        ..transputer_net::NetworkConfig::default()
+        ..NetworkConfig::default()
     });
     for _ in 0..n {
         b.add_node();
@@ -517,30 +467,14 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
     b.add_vc((0, 0), (n - 1, 2));
     let mut net = b.build();
 
-    let mut sender = Vec::new();
-    sender.extend(encode(Direct::LoadConstant, word));
-    sender.extend(encode(Direct::StoreLocal, 1));
-    sender.extend(encode(Direct::LoadLocalPointer, 1));
-    sender.extend(encode_op(Op::MinimumInteger));
-    sender.extend(encode(Direct::LoadNonLocalPointer, LINK_OUT_BASE as i64));
-    sender.extend(encode(Direct::LoadConstant, 4));
-    sender.extend(encode_op(Op::OutputMessage));
-    sender.extend(encode(Direct::LoadConstant, 1));
-    sender.extend(encode_op(Op::HaltSimulation));
-    let mut receiver = Vec::new();
-    receiver.extend(encode(Direct::LoadLocalPointer, 1));
-    receiver.extend(encode_op(Op::MinimumInteger));
-    receiver.extend(encode(
-        Direct::LoadNonLocalPointer,
-        i64::from(LINK_IN_BASE) + 2,
+    let sender = crate::asm(&format!(
+        "ldc {word}\nstl 1\nldlp 1\nmint\nldnlp {LINK_OUT_BASE}\nldc 4\nout\nldc 1\nhaltsim"
     ));
-    receiver.extend(encode(Direct::LoadConstant, 4));
-    receiver.extend(encode_op(Op::InputMessage));
-    receiver.extend(encode(Direct::LoadConstant, 1));
-    receiver.extend(encode_op(Op::HaltSimulation));
-    let mut halting = Vec::new();
-    halting.extend(encode(Direct::LoadConstant, 1));
-    halting.extend(encode_op(Op::HaltSimulation));
+    let receiver = crate::asm(&format!(
+        "ldlp 1\nmint\nldnlp {}\nldc 4\nin\nldc 1\nhaltsim",
+        LINK_IN_BASE + 2
+    ));
+    let halting = crate::asm("ldc 1\nhaltsim");
 
     net.node_mut(0)
         .load_boot_program(&sender)
@@ -554,11 +488,9 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
         .load_boot_program(&receiver)
         .expect("probe receiver loads");
 
-    let start = Instant::now();
     let out = net
         .run_until_all_halted(1_000_000_000_000)
         .expect("probe runs");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(out, transputer_net::SimOutcome::AllHalted, "probe halts");
     let addr = net.node(n - 1).default_boot_workspace() + 4;
     let got = net
@@ -569,7 +501,6 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
     net_run(
         bench,
         engine,
-        wall_ms,
         net.time_ns(),
         i64::from(got) == word,
         FNV_BASIS,
@@ -579,30 +510,15 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
 
 /// The switching-ablation pairs in a run set: rows named `<base>_worm`
 /// matched with their `<base>` store-and-forward counterparts (the
-/// Sliced row of each is quoted, falling back to whichever engine ran).
+/// Sliced row of each is quoted: every row has one).
 /// Returns `(base, store_and_forward_row, wormhole_row)` triples.
 pub fn switching_pairs(networks: &[NetRun]) -> Vec<(&str, &NetRun, &NetRun)> {
-    let quoted = |bench: &str| {
-        networks
-            .iter()
-            .filter(|r| r.bench == bench && r.router.is_some())
-            .find(|r| r.engine == Engine::Sliced)
-            .or_else(|| {
-                networks
-                    .iter()
-                    .find(|r| r.bench == bench && r.router.is_some())
-            })
-    };
-    let mut benches: Vec<&str> = networks.iter().map(|r| r.bench).collect();
-    benches.dedup();
+    let quoted = |r: &&NetRun| r.engine == Engine::Sliced && r.router.is_some();
     let mut pairs = Vec::new();
-    for bench in benches {
-        let Some(base) = bench.strip_suffix("_worm") else {
-            continue;
-        };
-        if let (Some(sf), Some(worm)) = (quoted(base), quoted(bench)) {
-            pairs.push((base, sf, worm));
-        }
+    for worm in networks.iter().filter(quoted) {
+        let base = worm.bench.strip_suffix("_worm");
+        let sf = base.and_then(|b| networks.iter().filter(quoted).find(|r| r.bench == b));
+        pairs.extend(base.zip(sf).map(|(base, sf)| (base, sf, worm)));
     }
     pairs
 }
@@ -634,23 +550,16 @@ pub fn fault_plan_from_env() -> Option<FaultPlan> {
 /// answers correct and every fingerprint identical. Returns error lines,
 /// empty when healthy.
 pub fn cross_check(runs: &[NetRun]) -> Vec<String> {
-    let mut problems = Vec::new();
-    for r in runs {
-        if !r.answers_ok {
-            problems.push(format!("{} [{:?}]: wrong answers", r.bench, r.engine));
-        }
-    }
-    if let Some(first) = runs.first() {
-        for r in &runs[1..] {
-            if r.fingerprint != first.fingerprint {
-                problems.push(format!(
-                    "{}: {:?} fingerprint {:016x} != {:?} fingerprint {:016x}",
-                    r.bench, r.engine, r.fingerprint, first.engine, first.fingerprint
-                ));
-            }
-        }
-    }
-    problems
+    let wrong = runs.iter().filter(|r| !r.answers_ok);
+    let wrong = wrong.map(|r| format!("{} [{:?}]: wrong answers", r.bench, r.engine));
+    let differ = runs.iter().filter(|r| r.fingerprint != runs[0].fingerprint);
+    let differ = differ.map(|r| {
+        format!(
+            "{}: {:?} fingerprint {:016x} != {:?} fingerprint {:016x}",
+            r.bench, r.engine, r.fingerprint, runs[0].engine, runs[0].fingerprint
+        )
+    });
+    wrong.chain(differ).collect()
 }
 
 /// A processor's complete memory image.
@@ -692,25 +601,19 @@ pub fn assert_run_matches(
     );
     assert_eq!(net.len(), base_net.len());
     for id in 0..net.len() {
+        let counters = |cpu: &Cpu| {
+            let s = cpu.stats();
+            [
+                cpu.cycles(),
+                s.instructions,
+                s.link_retries,
+                s.link_rx_errors,
+            ]
+        };
         assert_eq!(
-            net.node(id).cycles(),
-            base_net.node(id).cycles(),
-            "{label}: node {id} halt cycle count"
-        );
-        assert_eq!(
-            net.node(id).stats().instructions,
-            base_net.node(id).stats().instructions,
-            "{label}: node {id} instruction counter"
-        );
-        assert_eq!(
-            net.node(id).stats().link_retries,
-            base_net.node(id).stats().link_retries,
-            "{label}: node {id} retry counter"
-        );
-        assert_eq!(
-            net.node(id).stats().link_rx_errors,
-            base_net.node(id).stats().link_rx_errors,
-            "{label}: node {id} rx-error counter"
+            counters(net.node(id)),
+            counters(base_net.node(id)),
+            "{label}: node {id} (halt cycles, instructions, link retries, rx errors)"
         );
         assert_eq!(
             full_image(net.node(id)),
@@ -760,10 +663,6 @@ pub fn sweep_engines(
     assert_run_matches(label, &sliced, &sliced_report, &event, &event_report);
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// The static cost model checked against the emulator on one program.
 #[derive(Debug, Clone)]
 pub struct StaticModelRun {
@@ -794,13 +693,7 @@ pub const STATIC_MODEL_ERROR_LIMIT: f64 = 5.0;
 pub fn static_model_runs(problems: &mut Vec<String>) -> Vec<StaticModelRun> {
     let mut runs = Vec::new();
     for item in corpus::STATIC_MODEL_CORPUS {
-        let program = occam::compile(item.source).expect("validation program compiles");
-        let mut cpu = Cpu::new(CpuConfig::t424());
-        program.load(&mut cpu).expect("validation program loads");
-        match cpu.run(500_000_000).expect("validation program runs") {
-            RunOutcome::Halted(HaltReason::Stopped) => {}
-            other => panic!("validation program did not halt cleanly: {other:?}"),
-        }
+        let (program, cpu, _) = crate::run_occam(item.source, CpuConfig::t424());
         let measured = cpu.cycles();
         let predicted = match transputer_analysis::cost::analyze_program(
             &program,
@@ -817,363 +710,426 @@ pub fn static_model_runs(problems: &mut Vec<String>) -> Vec<StaticModelRun> {
             predicted,
             measured,
         };
-        if let Some(err) = run.error_pct() {
-            if err > STATIC_MODEL_ERROR_LIMIT {
-                problems.push(format!(
-                    "static_model: {} off by {err:.3}% (limit {STATIC_MODEL_ERROR_LIMIT}%)",
-                    item.name
-                ));
-            }
+        if let Some(err) = run.error_pct().filter(|e| *e > STATIC_MODEL_ERROR_LIMIT) {
+            problems.push(format!(
+                "static_model: {} off by {err:.3}% (limit {STATIC_MODEL_ERROR_LIMIT}%)",
+                item.name
+            ));
         }
         runs.push(run);
     }
     runs
 }
 
-/// Outcome checks over CPU-corpus runs: every tier combination
-/// (translated, decode-cache only, neither) must fingerprint
-/// identically. Returns error lines, empty when healthy.
-pub fn cpu_cross_check(runs: &[CpuRun]) -> Vec<String> {
-    let mut problems = Vec::new();
-    if let Some(first) = runs.first() {
-        for r in &runs[1..] {
-            if r.fingerprint != first.fingerprint {
-                problems.push(format!(
-                    "cpu_corpus: decode_cache={}/translate={} fingerprint {:016x} != \
-                     decode_cache={}/translate={} fingerprint {:016x}",
-                    r.decode_cache,
-                    r.translate,
-                    r.fingerprint,
-                    first.decode_cache,
-                    first.translate,
-                    first.fingerprint
-                ));
+/// Lines of `text` that are not test code (see [`source_lines`]), and
+/// the out-of-line test modules it declares.
+fn non_test_lines(text: &str) -> (usize, Vec<&str>) {
+    let mut count = 0;
+    let mut test_mods = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if !line.trim_start().starts_with("#[cfg(test)]") {
+            count += 1;
+            continue;
+        }
+        let gated = lines.next().unwrap_or("").trim();
+        match gated.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            Some(name) => test_mods.push(name),
+            None => break,
+        }
+    }
+    (count, test_mods)
+}
+
+/// Non-test source lines per crate, over every `crates/<name>/src/**/*.rs`
+/// below the current directory: the lines of each file above its first
+/// `#[cfg(test)]`, where one that gates a `mod name;` declaration skips
+/// that line pair and the file it names instead of ending the count.
+/// The trend the ROADMAP's shrink item is tracked by; it feeds no
+/// fingerprint.
+pub fn source_lines() -> Vec<(String, usize)> {
+    use std::path::{Path, PathBuf};
+    /// Over `dir` and below, bar the test modules found on the way.
+    fn count(dir: &Path, test_mods: &mut Vec<PathBuf>) -> usize {
+        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+        let (dirs, files): (Vec<_>, Vec<_>) = entries.map(|e| e.path()).partition(|p| p.is_dir());
+        let mut counts = Vec::new();
+        for path in files
+            .iter()
+            .filter(|p| p.extension() == Some("rs".as_ref()))
+        {
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            let (lines, mods) = non_test_lines(&text);
+            // `mod name;` in `a/mod.rs` (or a crate root) is `a/name`,
+            // in `a/b.rs` it is `a/b/name`.
+            let module = path.with_extension("");
+            let home = match module.file_name().and_then(|n| n.to_str()) {
+                Some("mod" | "lib" | "main") => dir,
+                _ => &module,
+            };
+            test_mods.extend(mods.into_iter().map(|m| home.join(m)));
+            counts.push((module, lines));
+        }
+        let here = counts.iter().filter(|(m, _)| !test_mods.contains(m));
+        let mut total: usize = here.map(|(_, lines)| lines).sum();
+        for below in dirs {
+            if !test_mods.contains(&below) {
+                total += count(&below, test_mods);
             }
         }
-    }
-    problems
-}
-
-/// Pull the committed cache-on, translation-off CPU-corpus emulated
-/// MIPS out of a `BENCH_host.json` rendered by [`to_json`] (hand-rolled
-/// companion to the hand-rolled renderer). Files from before the
-/// translation tier carry no `"translate"` key and read as
-/// translation-off. `None` when the file predates the `cpu` section or
-/// the number fails to parse.
-pub fn baseline_cpu_mips(json: &str) -> Option<f64> {
-    let entry = json.lines().find(|l| {
-        l.contains("\"decode_cache\": true")
-            && l.contains("\"emulated_mips\"")
-            && !l.contains("\"translate\": true")
-    })?;
-    parse_field(entry, "emulated_mips")
-}
-
-/// Pull the committed translated-tier emulated MIPS out of the
-/// `"translated"` section of a `BENCH_host.json`. `None` when the file
-/// predates the translation tier.
-pub fn baseline_translated_mips(json: &str) -> Option<f64> {
-    let entry = json
-        .lines()
-        .find(|l| l.contains("\"translated\":") && l.contains("\"emulated_mips\""))?;
-    parse_field(entry, "emulated_mips")
-}
-
-/// The CPU-corpus MIPS baseline the history ratchet may compare this
-/// run against: the last history entry's `cpu_mips`, but only when that
-/// entry was produced on a host with the same logical core count.
-/// Emulated MIPS is a property of the machine as much as of the code,
-/// so comparing across runners with different core counts (CI regularly
-/// mixes them) manufactures phantom regressions. Entries that predate
-/// the `host_cores` field are compared as before — they cannot be told
-/// apart, and silently skipping them would disable the ratchet on old
-/// histories.
-pub fn history_ratchet_mips(jsonl: &str, current_cores: usize) -> Option<f64> {
-    let line = jsonl.lines().rev().find(|l| !l.trim().is_empty())?;
-    if let Some(last_cores) = parse_field(line, "host_cores") {
-        if last_cores as usize != current_cores {
-            return None;
-        }
-    }
-    parse_field(line, "cpu_mips")
-}
-
-fn parse_field(line: &str, field: &str) -> Option<f64> {
-    let rest = line.split(&format!("\"{field}\": ")).nth(1)?;
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
-/// Non-test source lines per crate: over every `crates/<name>/src/**/*.rs`
-/// below the current directory, the lines above the file's first
-/// `#[cfg(test)]`. The trend the ROADMAP's shrink item is tracked by;
-/// it feeds no fingerprint.
-pub fn source_lines() -> Vec<(String, usize)> {
-    fn count(dir: &std::path::Path) -> usize {
-        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
-        let above_tests = |text: String| {
-            let code = |l: &&str| !l.trim_start().starts_with("#[cfg(test)]");
-            text.lines().take_while(code).count()
-        };
-        entries
-            .map(|e| e.path())
-            .map(|p| match p.extension() {
-                _ if p.is_dir() => count(&p),
-                Some(x) if x == "rs" => std::fs::read_to_string(&p).map_or(0, above_tests),
-                _ => 0,
-            })
-            .sum()
+        total
     }
     let crates = std::fs::read_dir("crates").into_iter().flatten().flatten();
     let mut rows: Vec<(String, usize)> = crates
         .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
-        .map(|(name, path)| (name, count(&path.join("src"))))
+        .map(|(name, path)| (name, count(&path.join("src"), &mut Vec::new())))
         .collect();
     rows.sort();
     rows
 }
 
-/// Render the report as JSON (hand-rolled: no serialisation deps).
-pub fn to_json(
-    smoke: bool,
-    experiments: &[(String, f64)],
-    cpu_runs: &[CpuRun],
-    static_model: &[StaticModelRun],
-    networks: &[NetRun],
-    source_lines: &[(String, usize)],
-    problems: &[String],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (name, wall_ms)) in experiments.iter().enumerate() {
-        let comma = if i + 1 < experiments.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {wall_ms:.1}}}{comma}\n",
-            json_escape(name)
-        ));
-    }
-    out.push_str("  ],\n  \"cpu\": [\n");
-    for (i, r) in cpu_runs.iter().enumerate() {
-        let comma = if i + 1 < cpu_runs.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"decode_cache\": {}, \"translate\": {}, \"wall_ms\": {:.1}, \
-             \"cycles\": {}, \
-             \"instructions\": {}, \"emulated_mips\": {:.2}, \"decode_hits\": {}, \
-             \"decode_misses\": {}, \"decode_invalidations\": {}, \
-             \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
-             \"trans_deopts\": {}, \"trans_invalidations\": {}, \
-             \"tier_share\": {:.3}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
-            r.decode_cache,
-            r.translate,
-            r.wall_ms,
-            r.cycles,
-            r.instructions,
-            r.emulated_mips(),
-            r.decode.0,
-            r.decode.1,
-            r.decode.2,
-            r.decode.3,
-            r.trans.0,
-            r.trans.1,
-            r.trans.2,
-            r.trans.3,
-            r.tier_share,
-            r.fingerprint,
-        ));
-    }
-    // Single-line summary of the translated tier against the
-    // decode-cache-only baseline from the same sweep, so line-scraping
-    // baseline parsers keep working. `null` when the sweep skipped the
-    // translated tier.
-    let translated = cpu_runs.iter().find(|r| r.translate);
-    let decode_only = cpu_runs.iter().find(|r| r.decode_cache && !r.translate);
-    match (translated, decode_only) {
-        (Some(t), Some(d)) => out.push_str(&format!(
-            "  ],\n  \"translated\": {{\"emulated_mips\": {:.2}, \
-             \"baseline_decode_mips\": {:.2}, \"speedup\": {:.2}, \
-             \"trans_blocks\": {}, \"trans_enters\": {}, \"trans_deopts\": {}, \
-             \"trans_invalidations\": {}, \"fingerprint\": \"{:016x}\"}},\n",
-            t.emulated_mips(),
-            d.emulated_mips(),
-            t.emulated_mips() / d.emulated_mips(),
-            t.trans.0,
-            t.trans.1,
-            t.trans.2,
-            t.trans.3,
-            t.fingerprint,
-        )),
-        _ => out.push_str("  ],\n  \"translated\": null,\n"),
-    }
-    out.push_str("  \"static_model\": [\n");
-    for (i, r) in static_model.iter().enumerate() {
-        let comma = if i + 1 < static_model.len() { "," } else { "" };
-        let predicted = r.predicted.map_or("null".to_string(), |p| p.to_string());
-        let error = r
-            .error_pct()
-            .map_or("null".to_string(), |e| format!("{e:.3}"));
-        out.push_str(&format!(
-            "    {{\"program\": \"{}\", \"predicted_cycles\": {predicted}, \
-             \"measured_cycles\": {}, \"error_pct\": {error}}}{comma}\n",
-            json_escape(r.name),
-            r.measured,
-        ));
-    }
-    out.push_str("  ],\n  \"networks\": [\n");
-    for (i, r) in networks.iter().enumerate() {
-        let comma = if i + 1 < networks.len() { "," } else { "" };
-        let cut_through = r.cut_through.map_or("null".to_string(), |c| c.to_string());
-        let router = r.router.map_or("null".to_string(), |s| {
-            format!(
-                "{{\"packets_sent\": {}, \"packets_forwarded\": {}, \
-                 \"packets_delivered\": {}, \"packets_dropped\": {}, \
-                 \"hops\": {}, \"mean_hop_ns\": {}, \"p50_hop_ns\": {}, \
-                 \"p99_hop_ns\": {}, \"max_hop_ns\": {}, \
-                 \"cut_through\": {cut_through}}}",
-                s.packets_sent,
-                s.packets_forwarded,
-                s.packets_delivered,
-                s.packets_dropped,
-                s.hops,
-                s.mean_hop_ns(),
-                s.p50_hop_ns(),
-                s.p99_hop_ns(),
-                s.max_hop_ns,
-            )
-        });
-        out.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"engine\": \"{:?}\", \"wall_ms\": {:.1}, \
-             \"sim_ns\": {}, \"cycles\": {}, \"instructions\": {}, \
-             \"sim_cycles_per_sec\": {:.0}, \"emulated_mips\": {:.2}, \
-             \"decode_hits\": {}, \"decode_misses\": {}, \"decode_invalidations\": {}, \
-             \"decode_bypasses\": {}, \"trans_blocks\": {}, \"trans_enters\": {}, \
-             \"trans_deopts\": {}, \"trans_invalidations\": {}, \
-             \"host_cores\": {}, \"node_pops\": {}, \"wire_pops\": {}, \
-             \"stale_wire_pops\": {}, \"ns_per_pop\": {:.1}, \"instr_per_pop\": {:.1}, \
-             \"tier_share\": {:.3}, \"router\": {router}, \
-             \"answers_ok\": {}, \"fingerprint\": \"{:016x}\"}}{comma}\n",
-            r.bench,
-            r.engine,
-            r.wall_ms,
-            r.sim_ns,
-            r.cycles,
-            r.instructions,
-            r.cycles_per_sec(),
-            r.emulated_mips(),
-            r.decode.0,
-            r.decode.1,
-            r.decode.2,
-            r.decode.3,
-            r.trans.0,
-            r.trans.1,
-            r.trans.2,
-            r.trans.3,
-            r.host_cores,
-            r.pops.node,
-            r.pops.wire,
-            r.pops.stale_wire,
-            // What one heap event cost this host: wall time over every
-            // entry popped, stale ones included.
-            r.wall_ms * 1e6 / (r.pops.node + r.pops.wire) as f64,
-            // How long a node runs between heap entries.
-            r.instructions as f64 / r.pops.node as f64,
-            r.tier_share,
-            r.answers_ok,
-            r.fingerprint,
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": [\n");
-    let mut lines = Vec::new();
-    let benches: Vec<&str> = {
-        let mut b: Vec<&str> = networks.iter().map(|r| r.bench).collect();
-        b.dedup();
-        b
-    };
-    for bench in benches {
-        let event = networks
-            .iter()
-            .find(|r| r.bench == bench && r.engine == Engine::Event);
-        let sliced = networks
-            .iter()
-            .find(|r| r.bench == bench && r.engine == Engine::Sliced);
-        let Some(s) = sliced else { continue };
-        let mut entry = format!(
-            "    {{\"bench\": \"{bench}\", \"sliced_wall_ms\": {:.1}",
-            s.wall_ms
-        );
-        if let Some(e) = event {
-            entry.push_str(&format!(
-                ", \"event_wall_ms\": {:.1}, \"speedup\": {:.2}, \"identical\": {}",
-                e.wall_ms,
-                e.wall_ms / s.wall_ms,
-                e.fingerprint == s.fingerprint,
-            ));
-        }
-        entry.push('}');
-        lines.push(entry);
-    }
-    out.push_str(&lines.join(",\n"));
-    if !lines.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"switching\": [\n");
-    let mut lines = Vec::new();
-    for (base, sf, worm) in switching_pairs(networks) {
-        let (s, w) = (sf.router.unwrap(), worm.router.unwrap());
-        let ratio = |a: u64, b: u64| {
-            if b == 0 {
-                "null".to_string()
-            } else {
-                format!("{:.2}", a as f64 / b as f64)
-            }
+use Machine::{Routed, RoutedCube, Tree, TreeCube};
+
+/// One network benchmark: its name, the run of it under one engine, and
+/// the engines it runs under.
+pub type Row = (
+    &'static str,
+    fn(&'static str, Engine) -> NetRun,
+    &'static [Engine],
+);
+
+/// Event is the oracle every row that can afford it is checked against.
+const BOTH: &[Engine] = &[Engine::Event, Engine::Sliced];
+/// Rows where the per-instruction engine would add minutes in debug
+/// builds, not signal: Event-vs-Sliced identity on that machine class
+/// is already pinned by a smaller row.
+const FAST: &[Engine] = &[Engine::Sliced];
+
+/// `machine` under the default fault plan at `scale` times its rate.
+fn faulted(machine: Machine, scale: f64) -> Machine {
+    machine.faulted(FaultPlan::uniform(
+        FAULT_SEED_DEFAULT,
+        FAULT_RATE_DEFAULT * scale,
+    ))
+}
+
+/// The trimmed machines see few packets, so their faulted rows scale the
+/// rate up to make faults certain to fire.
+const TRIMMED: f64 = 20.0;
+
+/// Every network benchmark. Each row runs under each of its engines,
+/// and the runs must fingerprint identically ([`cross_check`]) — clean,
+/// under injected faults (the retry machinery must hide every fault,
+/// bit-identically), and over the router in both switching modes.
+pub const ROWS: &[Row] = &[
+    // The trimmed machines ([`TRIMMED_ROWS`]): e09's topology and a
+    // routed 3x3 grid — the only routed rows that run faulted. The
+    // `_worm` rows pair with their store-and-forward counterparts in
+    // the `switching` section.
+    (
+        "e09_figure8_smoke",
+        |b, e| Tree(figure8_smoke()).run(b, e),
+        BOTH,
+    ),
+    (
+        "e09_smoke_faulted",
+        |b, e| faulted(Tree(figure8_smoke()), TRIMMED).run(b, e),
+        BOTH,
+    ),
+    (
+        "e17_routed_smoke",
+        |b, e| Routed(routed_smoke()).run(b, e),
+        BOTH,
+    ),
+    (
+        "e17_routed_smoke_faulted",
+        |b, e| faulted(Routed(routed_smoke()), TRIMMED).run(b, e),
+        BOTH,
+    ),
+    (
+        "e17_routed_smoke_worm",
+        |b, e| Routed(routed_smoke()).wormhole().run(b, e),
+        BOTH,
+    ),
+    (
+        "e17_routed_smoke_worm_faulted",
+        |b, e| faulted(Routed(routed_smoke()).wormhole(), TRIMMED).run(b, e),
+        BOTH,
+    ),
+    // The paper's machines, full size.
+    (
+        "e09_figure8",
+        |b, e| Tree(DbSearchConfig::figure8()).run(b, e),
+        BOTH,
+    ),
+    (
+        "e10_board128",
+        |b, e| Tree(DbSearchConfig::board128()).run(b, e),
+        BOTH,
+    ),
+    (
+        "e16_hypercube256",
+        |b, e| TreeCube(HypercubeConfig::hypercube256()).run(b, e),
+        BOTH,
+    ),
+    // Faulted variants: the search must complete correct (possibly
+    // degraded-flagged) while each link suffers deterministic drops,
+    // corruption, and jitter.
+    (
+        "e09_faulted",
+        |b, e| faulted(Tree(DbSearchConfig::figure8()), 1.0).run(b, e),
+        BOTH,
+    ),
+    (
+        "e10_faulted",
+        |b, e| faulted(Tree(DbSearchConfig::board128()), 1.0).run(b, e),
+        BOTH,
+    ),
+    (
+        "e16_faulted",
+        |b, e| faulted(TreeCube(HypercubeConfig::hypercube256()), 1.0).run(b, e),
+        FAST,
+    ),
+    // The e17 acceptance shape: the e16 machine searched over virtual
+    // channels, no per-topology tree planning.
+    (
+        "e17_routed256",
+        |b, e| RoutedCube(HypercubeConfig::hypercube256()).run(b, e),
+        BOTH,
+    ),
+    // Wormhole degrades to store-and-forward on the cluster hypercube
+    // (see [`Machine::wormhole`]); [`Report::measure`] checks this row
+    // fingerprints identically to the plain e17 row.
+    (
+        "e17_routed256_worm",
+        |b, e| {
+            RoutedCube(HypercubeConfig::hypercube256())
+                .wormhole()
+                .run(b, e)
+        },
+        FAST,
+    ),
+    // The 1024-node routed stress grid: the router completes at 4x the
+    // acceptance node count. Its dimension-order tables keep the
+    // channel-dependency graph acyclic, so cut-through stays armed; the
+    // pair is reported in the `switching` section but not gated — its
+    // hop latencies are queue-wait dominated, so the reduction it shows
+    // is congestion relief, not the switching cost itself.
+    (
+        "e17_grid1024",
+        |b, e| Routed(grid32x32_stress()).run(b, e),
+        FAST,
+    ),
+    (
+        "e17_grid1024_worm",
+        |b, e| Routed(grid32x32_stress()).wormhole().run(b, e),
+        FAST,
+    ),
+    // One packet over the 62-hop diagonal of the same grid, otherwise
+    // idle: the pair the >= 2x gate judges (store-and-forward pays a
+    // full packet reassembly per hop; cut-through pays three header
+    // byte-times — congestion-free, so the reduction is a property of
+    // the switching mode).
+    (
+        "e17_longpath1024",
+        |b, e| run_long_path(b, Switching::StoreAndForward, e),
+        BOTH,
+    ),
+    (
+        "e17_longpath1024_worm",
+        |b, e| run_long_path(b, Switching::Wormhole, e),
+        BOTH,
+    ),
+];
+
+/// The rows of [`ROWS`] that run in seconds in a debug build.
+pub const TRIMMED_ROWS: &[Row] = ROWS.split_at(6).0;
+
+/// Everything `BENCH_host.json` holds.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// The occam corpus under each CPU tier combination.
+    pub cpu: Vec<CpuRun>,
+    /// The static cost model against the emulator.
+    pub static_model: Vec<StaticModelRun>,
+    /// The paper's design choices against their alternatives.
+    pub ablations: Vec<Ablation>,
+    /// Every run of every network row.
+    pub networks: Vec<NetRun>,
+    /// Non-test source lines per crate.
+    pub source_lines: Vec<(String, usize)>,
+    /// Failed checks; empty when healthy.
+    pub problems: Vec<String>,
+}
+
+impl Report {
+    /// Run the corpus under every tier combination, the static model,
+    /// the ablations and `rows`, collecting every failed check —
+    /// fingerprints that differ between tiers or engines, wrong answers,
+    /// a static-model miss, a degraded wormhole run that diverged from
+    /// store-and-forward, a long-path hop reduction below 2x — in
+    /// `problems`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a program or network fails to build or run.
+    pub fn measure(rows: &[Row]) -> Report {
+        let mut report = Report {
+            cpu: [(true, true), (true, false), (false, false)]
+                .map(|(decode_cache, translate)| cpu_corpus_bench(decode_cache, translate))
+                .to_vec(),
+            ablations: ablations(),
+            source_lines: source_lines(),
+            ..Report::default()
         };
-        lines.push(format!(
-            "    {{\"bench\": \"{base}\", \"sf_mean_hop_ns\": {}, \
-             \"sf_p50_hop_ns\": {}, \"sf_p99_hop_ns\": {}, \"sf_max_hop_ns\": {}, \
-             \"worm_mean_hop_ns\": {}, \"worm_p50_hop_ns\": {}, \
-             \"worm_p99_hop_ns\": {}, \"worm_max_hop_ns\": {}, \
-             \"mean_reduction\": {}, \"p99_reduction\": {}, \
-             \"worm_cut_through\": {}}}",
-            s.mean_hop_ns(),
-            s.p50_hop_ns(),
-            s.p99_hop_ns(),
-            s.max_hop_ns,
-            w.mean_hop_ns(),
-            w.p50_hop_ns(),
-            w.p99_hop_ns(),
-            w.max_hop_ns,
-            ratio(s.mean_hop_ns(), w.mean_hop_ns()),
-            ratio(s.p99_hop_ns(), w.p99_hop_ns()),
-            worm.cut_through
-                .map_or("null".to_string(), |c| c.to_string()),
-        ));
+        let fingerprints: Vec<u64> = report.cpu.iter().map(|r| r.fingerprint).collect();
+        if fingerprints.iter().any(|f| *f != fingerprints[0]) {
+            let problem = format!("cpu_corpus: tiers disagree: fingerprints {fingerprints:016x?}");
+            report.problems.push(problem);
+        }
+        report.static_model = static_model_runs(&mut report.problems);
+        for &(bench, run, engines) in rows {
+            let runs: Vec<NetRun> = engines.iter().map(|&e| run(bench, e)).collect();
+            report.problems.extend(cross_check(&runs));
+            report.networks.extend(runs);
+        }
+        // Wormhole degrades to store-and-forward on the cluster
+        // hypercube: the two Sliced runs must be one and the same.
+        let sliced = |bench| {
+            let row = |r: &&NetRun| r.bench == bench && r.engine == Engine::Sliced;
+            report.networks.iter().find(row).cloned()
+        };
+        let degraded = ["e17_routed256", "e17_routed256_worm"].map(sliced);
+        let degraded: Vec<NetRun> = degraded.into_iter().flatten().collect();
+        report.problems.extend(cross_check(&degraded));
+        // On the grid's longest path, uncontended, wormhole must at least
+        // halve the mean header-forwarding hop latency. Simulated
+        // nanoseconds, so the bar is the same on every host. (The
+        // congested pairs are reported, not gated: cut-through cannot
+        // shorten a wait behind another packet.)
+        for (base, sf, worm) in switching_pairs(&report.networks) {
+            let (s, w) = (sf.router.unwrap(), worm.router.unwrap());
+            let (s, w) = (s.mean_hop_ns(), w.mean_hop_ns());
+            if base == "e17_longpath1024" && (w == 0 || s < 2 * w) {
+                let problem = format!("{base}: mean hop {s} ns -> {w} ns under wormhole, not 2x");
+                report.problems.push(problem);
+            }
+        }
+        report
     }
-    out.push_str(&lines.join(",\n"));
-    if !lines.is_empty() {
-        out.push('\n');
+
+    /// Render the report as JSON.
+    pub fn to_json(&self) -> String {
+        let cpu = self.cpu.iter().map(|r| {
+            let tiers = [
+                ("decode_cache", r.decode_cache.into()),
+                ("translate", r.translate.into()),
+            ];
+            let tail = [
+                ("tier_share", Json::Fixed(r.counters.tier_share(), 3)),
+                ("fingerprint", Json::hex(r.fingerprint)),
+            ];
+            Json::obj(tiers.into_iter().chain(r.counters.json()).chain(tail))
+        });
+        let static_model = self.static_model.iter().map(|r| {
+            Json::obj([
+                ("program", r.name.into()),
+                ("predicted_cycles", r.predicted.into()),
+                ("measured_cycles", r.measured.into()),
+                ("error_pct", r.error_pct().map(|e| Json::Fixed(e, 3)).into()),
+            ])
+        });
+        let ablations = self.ablations.iter().map(|a| {
+            Json::obj([
+                ("choice", a.choice.into()),
+                ("quantity", a.quantity.into()),
+                ("paper", a.paper.into()),
+                ("alternative", a.alternative.into()),
+            ])
+        });
+        let networks = self.networks.iter().map(|r| {
+            let router = r.router.map(|s| {
+                Json::obj([
+                    ("packets_sent", s.packets_sent.into()),
+                    ("packets_forwarded", s.packets_forwarded.into()),
+                    ("packets_delivered", s.packets_delivered.into()),
+                    ("packets_dropped", s.packets_dropped.into()),
+                    ("hops", s.hops.into()),
+                    ("mean_hop_ns", s.mean_hop_ns().into()),
+                    ("p50_hop_ns", s.p50_hop_ns().into()),
+                    ("p99_hop_ns", s.p99_hop_ns().into()),
+                    ("max_hop_ns", s.max_hop_ns.into()),
+                    ("cut_through", r.cut_through.into()),
+                ])
+            });
+            let head = [
+                ("bench", r.bench.into()),
+                ("engine", format!("{:?}", r.engine).as_str().into()),
+                ("sim_ns", r.sim_ns.into()),
+            ];
+            let tail = [
+                ("node_pops", r.pops.node.into()),
+                ("wire_pops", r.pops.wire.into()),
+                ("stale_wire_pops", r.pops.stale_wire.into()),
+                ("instr_per_pop", Json::Fixed(r.instr_per_pop(), 1)),
+                ("tier_share", Json::Fixed(r.counters.tier_share(), 3)),
+                ("router", router.into()),
+                ("answers_ok", r.answers_ok.into()),
+                ("fingerprint", Json::hex(r.fingerprint)),
+            ];
+            Json::obj(head.into_iter().chain(r.counters.json()).chain(tail))
+        });
+        let switching = switching_pairs(&self.networks)
+            .into_iter()
+            .map(|(base, sf, worm)| {
+                let (s, w) = (sf.router.unwrap(), worm.router.unwrap());
+                Json::obj([
+                    ("bench", base.into()),
+                    ("sf_mean_hop_ns", s.mean_hop_ns().into()),
+                    ("sf_p50_hop_ns", s.p50_hop_ns().into()),
+                    ("sf_p99_hop_ns", s.p99_hop_ns().into()),
+                    ("sf_max_hop_ns", s.max_hop_ns.into()),
+                    ("worm_mean_hop_ns", w.mean_hop_ns().into()),
+                    ("worm_p50_hop_ns", w.p50_hop_ns().into()),
+                    ("worm_p99_hop_ns", w.p99_hop_ns().into()),
+                    ("worm_max_hop_ns", w.max_hop_ns.into()),
+                    (
+                        "mean_reduction",
+                        Json::ratio(s.mean_hop_ns(), w.mean_hop_ns()),
+                    ),
+                    ("p99_reduction", Json::ratio(s.p99_hop_ns(), w.p99_hop_ns())),
+                    ("worm_cut_through", worm.cut_through.into()),
+                ])
+            });
+        let source_lines = self
+            .source_lines
+            .iter()
+            .map(|(name, lines)| (name.as_str(), Json::Int(*lines as u64)));
+        let problems = self.problems.iter().map(|p| p.as_str().into());
+        Json::obj([
+            ("cpu", Json::Arr(cpu.collect())),
+            ("static_model", Json::Arr(static_model.collect())),
+            ("ablations", Json::Arr(ablations.collect())),
+            ("networks", Json::Arr(networks.collect())),
+            ("switching", Json::Arr(switching.collect())),
+            ("source_lines", Json::obj(source_lines)),
+            ("problems", Json::Arr(problems.collect())),
+        ])
+        .render()
     }
-    let rows: Vec<String> = source_lines
-        .iter()
-        .map(|(name, lines)| format!("\"{}\": {lines}", json_escape(name)))
-        .collect();
-    out.push_str(&format!(
-        "  ],\n  \"source_lines\": {{{}}},\n  \"problems\": [\n",
-        rows.join(", ")
-    ));
-    for (i, p) in problems.iter().enumerate() {
-        let comma = if i + 1 < problems.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\"{comma}\n", json_escape(p)));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn networks_json(networks: Vec<NetRun>) -> String {
+        let report = Report {
+            networks,
+            ..Report::default()
+        };
+        report.to_json()
+    }
 
     #[test]
     fn smoke_engines_agree_and_json_renders() {
@@ -1183,12 +1139,8 @@ mod tests {
             .collect();
         let problems = cross_check(&runs);
         assert!(problems.is_empty(), "{problems:?}");
-        let json = to_json(true, &[], &[], &[], &runs, &[], &problems);
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"host_cores\""));
+        let json = networks_json(runs);
         assert!(json.contains("\"node_pops\""));
-        assert!(json.contains("\"ns_per_pop\""));
         assert!(json.contains("\"instr_per_pop\""));
         assert!(json.contains("\"tier_share\""));
     }
@@ -1206,7 +1158,7 @@ mod tests {
             assert!(stats.packets_delivered > 0, "{:?}", r.engine);
             assert_eq!(stats.packets_dropped, 0, "{:?}", r.engine);
         }
-        let json = to_json(true, &[], &[], &[], &runs, &[], &problems);
+        let json = networks_json(runs);
         assert!(json.contains("\"router\": {\"packets_sent\""));
         assert!(json.contains("\"mean_hop_ns\""));
     }
@@ -1221,10 +1173,10 @@ mod tests {
     fn assert_slices_stay_long(r: &NetRun) {
         assert!(r.answers_ok);
         assert!(
-            r.pops.node * 100 <= r.instructions * 5,
+            r.pops.node * 100 <= r.counters.instructions * 5,
             "{} node pops for {} instructions",
             r.pops.node,
-            r.instructions
+            r.counters.instructions
         );
     }
 
@@ -1256,13 +1208,11 @@ mod tests {
     /// of the first figure.
     #[test]
     fn board_warm_code_stays_translated() {
-        let mut board = board128_smoke();
-        // Whatever the `TRANSLATE` hook says.
-        board.net.cpu = board.net.cpu.with_translate(true);
-        let r = Machine::Tree(board).run("board128_smoke", Engine::Sliced);
+        // `Machine::run` pins the tier on, whatever the `TRANSLATE` hook says.
+        let r = Machine::Tree(board128_smoke()).run("board128_smoke", Engine::Sliced);
         assert!(r.answers_ok);
-        assert!(r.decode.0 <= 2_000, "decode hits {:?}", r.decode);
-        assert!(r.tier_share > 0.8, "tier share {}", r.tier_share);
+        assert!(r.counters.decode_hits <= 2_000, "{:?}", r.counters);
+        assert!(r.counters.tier_share() > 0.8, "{:?}", r.counters);
     }
 
     #[test]
@@ -1291,7 +1241,7 @@ mod tests {
         let pairs = switching_pairs(&runs);
         assert_eq!(pairs.len(), 1, "probe rows must pair for the SWITCH table");
         assert_eq!(pairs[0].0, "e17_longpath1024");
-        let json = to_json(true, &[], &[], &[], &runs, &[], &[]);
+        let json = networks_json(runs);
         assert!(json.contains("\"switching\""));
         assert!(json.contains("\"p99_hop_ns\""));
         assert!(json.contains("\"cut_through\": true"));
@@ -1301,62 +1251,47 @@ mod tests {
     fn unrouted_rows_render_null_router() {
         let run = Machine::Tree(figure8_smoke()).run("e09_figure8_smoke", Engine::Sliced);
         assert!(run.router.is_none());
-        let json = to_json(true, &[], &[], &[], &[run], &[], &[]);
-        assert!(json.contains("\"router\": null"));
-    }
-
-    #[test]
-    fn history_ratchet_skips_mismatched_host_cores() {
-        let same = "{\"cpu_mips\": 4.00, \"host_cores\": 8}\n";
-        assert_eq!(history_ratchet_mips(same, 8), Some(4.0));
-        let different = "{\"cpu_mips\": 4.00, \"host_cores\": 2}\n";
-        assert_eq!(history_ratchet_mips(different, 8), None);
-        // Pre-host_cores history lines keep ratcheting as before.
-        let legacy = "{\"cpu_mips\": 4.00}\n";
-        assert_eq!(history_ratchet_mips(legacy, 8), Some(4.0));
-        // Only the *last* line counts — older mismatches are irrelevant.
-        let mixed = "{\"cpu_mips\": 9.00, \"host_cores\": 2}\n\
-                     {\"cpu_mips\": 4.00, \"host_cores\": 8}\n";
-        assert_eq!(history_ratchet_mips(mixed, 8), Some(4.0));
-        assert_eq!(history_ratchet_mips("", 8), None);
+        assert!(networks_json(vec![run]).contains("\"router\": null"));
     }
 
     #[test]
     fn cpu_corpus_cache_is_transparent_and_effective() {
-        let trans = cpu_corpus_bench(true, true, 1);
-        let on = cpu_corpus_bench(true, false, 1);
-        let off = cpu_corpus_bench(false, false, 1);
-        let problems = cpu_cross_check(&[trans.clone(), on.clone(), off.clone()]);
-        assert!(problems.is_empty(), "{problems:?}");
+        let trans = cpu_corpus_bench(true, true);
+        let on = cpu_corpus_bench(true, false);
+        let off = cpu_corpus_bench(false, false);
+        assert_eq!(trans.fingerprint, off.fingerprint);
+        assert_eq!(on.fingerprint, off.fingerprint);
+        let (trans, on, off) = (trans.counters, on.counters, off.counters);
         assert_eq!(on.cycles, off.cycles);
         assert_eq!(on.instructions, off.instructions);
         assert_eq!(trans.cycles, off.cycles);
-        assert!(on.decode.0 > 0, "cache-on run recorded no hits");
-        assert_eq!(off.decode, (0, 0, 0, 0), "cache-off run touched the cache");
-        assert!(trans.trans.1 > 0, "translated run never entered a block");
-        assert_eq!(on.trans, (0, 0, 0, 0), "translation-off run built blocks");
-        let json = to_json(
-            true,
-            &[],
-            &[trans.clone(), on.clone(), off],
-            &[],
-            &[],
-            &[("net".to_string(), 7)],
-            &problems,
+        assert!(on.decode_hits > 0, "cache-on run recorded no hits");
+        let simulated = Counters {
+            cycles: off.cycles,
+            instructions: off.instructions,
+            operations: off.operations,
+            ..Counters::default()
+        };
+        assert_eq!(off, simulated, "cache-off run touched the cache");
+        assert!(
+            trans.trans_enters > 0,
+            "translated run never entered a block"
         );
-        assert!(json.contains("\"source_lines\": {\"net\": 7},"));
-        assert!(json.contains("\"decode_cache\": true"));
-        let baseline = baseline_cpu_mips(&json).expect("cpu section parses back");
-        assert!((baseline - (on.emulated_mips() * 100.0).round() / 100.0).abs() < 0.01);
-        let tmips = baseline_translated_mips(&json).expect("translated section parses back");
-        assert!((tmips - (trans.emulated_mips() * 100.0).round() / 100.0).abs() < 0.01);
+        assert_eq!(
+            (on.trans_blocks, on.trans_enters),
+            (0, 0),
+            "translation-off run built blocks"
+        );
     }
 
     #[test]
-    fn translated_section_is_null_without_a_translated_run() {
-        let json = to_json(true, &[], &[], &[], &[], &[], &[]);
-        assert!(json.contains("\"translated\": null"));
-        assert!(baseline_translated_mips(&json).is_none());
+    fn source_lines_skip_test_code_wherever_it_lives() {
+        let inline = "fn a() {}\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(non_test_lines(inline), (2, vec![]));
+        let out_of_line = "mod exec;\n#[cfg(test)]\nmod tests;\nmod translate;\n\nfn a() {}\n";
+        assert_eq!(non_test_lines(out_of_line), (4, vec!["tests"]));
+        let none = "//! Doc.\n\nfn a() {}\n";
+        assert_eq!(non_test_lines(none), (3, vec![]));
     }
 
     #[test]
@@ -1373,7 +1308,11 @@ mod tests {
                 r.name
             );
         }
-        let json = to_json(true, &[], &[], &runs, &[], &[], &problems);
+        let report = Report {
+            static_model: runs,
+            ..Report::default()
+        };
+        let json = report.to_json();
         assert!(json.contains("\"static_model\""));
         assert!(json.contains("\"error_pct\": 0.000"));
     }

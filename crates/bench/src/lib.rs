@@ -1,17 +1,22 @@
 //! # transputer-bench
 //!
 //! The experiment harness: one binary per table/figure of the ISCA 1985
-//! paper (see DESIGN.md's experiment index), plus Criterion
-//! micro-benchmarks and ablations. Shared here: exact sequence
-//! measurement, the occam workload corpus, and table printing.
+//! paper (see DESIGN.md's experiment index), the design-choice
+//! ablations, and `hostperf`, which writes the exact ledger
+//! `BENCH_host.json`. Every number this crate produces is a simulated
+//! quantity or a count; nothing in it reads a clock (host cost is
+//! measured by `benchmark/`). Shared here: exact sequence measurement,
+//! the occam workload corpus, table printing and the JSON writer.
 
 #![forbid(unsafe_code)]
 
 use transputer::{Cpu, CpuConfig, StepEvent};
 
+pub mod ablations;
 pub mod corpus;
 pub mod expimages;
 pub mod hostperf;
+pub mod json;
 pub mod table;
 
 /// Measure an exact instruction sequence: load `code` at the first user

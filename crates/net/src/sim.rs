@@ -721,38 +721,6 @@ impl Network {
         self.router.as_ref().is_none_or(|r| r.reachable(from, to))
     }
 
-    /// Aggregate predecoded-instruction-cache counters over all nodes:
-    /// `(hits, misses, invalidations, bypasses)`. Host-side only — the
-    /// cache never affects simulated outcomes — but reported by
-    /// `hostperf` so cache effectiveness on real networks is visible.
-    pub fn decode_stats(&self) -> (u64, u64, u64, u64) {
-        let mut totals = (0u64, 0u64, 0u64, 0u64);
-        for cpu in &self.nodes {
-            let s = cpu.stats();
-            totals.0 += s.decode_hits;
-            totals.1 += s.decode_misses;
-            totals.2 += s.decode_invalidations;
-            totals.3 += s.decode_bypasses;
-        }
-        totals
-    }
-
-    /// Aggregate translation-tier counters over all nodes:
-    /// `(blocks, enters, deopts, invalidations)`. Host-side only, like
-    /// [`Network::decode_stats`], and likewise excluded from outcome
-    /// fingerprints.
-    pub fn trans_stats(&self) -> (u64, u64, u64, u64) {
-        let mut totals = (0u64, 0u64, 0u64, 0u64);
-        for cpu in &self.nodes {
-            let s = cpu.stats();
-            totals.0 += s.trans_blocks;
-            totals.1 += s.trans_enters;
-            totals.2 += s.trans_deopts;
-            totals.3 += s.trans_invalidations;
-        }
-        totals
-    }
-
     /// Number of wires.
     pub fn wire_count(&self) -> usize {
         self.wires.len()

@@ -153,18 +153,24 @@ impl Program {
     pub fn load_at_priority(&self, cpu: &mut Cpu, pri: Priority) -> Result<u32, CpuError> {
         let entry = cpu.memory().mem_start();
         let bpw = cpu.word_length().bytes_per_word();
+        // Sized in `u64` before any address is formed: 32-bit address
+        // arithmetic would wrap a frame larger than memory back into
+        // range. Code at `entry`, the frame (with its two words of
+        // headroom) at the top, and at least a byte between them.
+        let frame = (u64::from(self.locals) + 2 + u64::from(self.depth)) * u64::from(bpw);
+        let program = self.code.len() as u64 + frame;
+        let reserved = entry.wrapping_sub(cpu.memory().base());
+        let room = (cpu.memory().size() & !(bpw - 1)).saturating_sub(reserved);
+        if program >= u64::from(room) {
+            return Err(CpuError::ProgramTooLarge {
+                program: usize::try_from(program).unwrap_or(usize::MAX),
+                memory: cpu.memory().size() as usize,
+            });
+        }
         let limit = cpu.memory().limit();
         let wptr = cpu
             .word_length()
             .align_word(limit.wrapping_sub((self.locals + 2) * bpw));
-        let floor = wptr.wrapping_sub(self.depth * bpw);
-        let code_end = entry.wrapping_add(self.code.len() as u32);
-        if cpu.word_length().to_signed(floor) <= cpu.word_length().to_signed(code_end) {
-            return Err(CpuError::ProgramTooLarge {
-                program: self.code.len() + ((self.locals + self.depth) * bpw) as usize,
-                memory: cpu.memory().size() as usize,
-            });
-        }
         cpu.load(entry, &self.code)?;
         cpu.spawn(wptr, entry, pri);
         Ok(wptr)
@@ -430,10 +436,14 @@ pub fn compile_process(program: &Process, options: Options) -> Result<Program, C
         })
         .collect();
     loops.sort_by_key(|l| (l.head, l.end));
+    let words = |n: i64| {
+        u32::try_from(n)
+            .map_err(|_| CompileError::codegen(0, format!("workspace of {n} words is too large")))
+    };
     Ok(Program {
         code,
-        locals: fm.locals_total() as u32,
-        depth: fm.down as u32,
+        locals: words(fm.locals_total())?,
+        depth: words(fm.down)?,
         globals: cg.globals,
         warnings: cg.warnings,
         loops,

@@ -986,3 +986,37 @@ fn buffer_process_with_while_and_alt() {
         "total" => 15,
     );
 }
+
+/// A frame larger than memory is a typed error on both parts, never a
+/// wrapped address that panics the loader or "loads" into 16 bytes.
+#[test]
+fn oversized_frames_are_refused_not_wrapped() {
+    let frame = |words: u64| format!("VAR a[{words}]:\nSKIP\n");
+    for (config, word_length) in [
+        (CpuConfig::t424(), WordLength::Bits32),
+        (CpuConfig::t222(), WordLength::Bits16),
+    ] {
+        let options = || Options {
+            word_length,
+            ..Options::default()
+        };
+        let load = |words| {
+            let program = compile_with(&frame(words), options()).expect("compiles");
+            program.load(&mut Cpu::new(config.clone()))
+        };
+        // Both parts have 64 KB: 20 000 words is 80 KB of 32-bit words
+        // but 40 KB of 16-bit ones, which fits; 40 000 does not.
+        let too_large = |r| matches!(r, Err(transputer::CpuError::ProgramTooLarge { .. }));
+        assert_eq!(
+            too_large(load(20_000)),
+            word_length == WordLength::Bits32,
+            "{word_length:?}"
+        );
+        assert!(too_large(load(40_000)), "{word_length:?}");
+        // (locals + 2) * bytes-per-word used to wrap to 16 bytes.
+        assert!(too_large(load(1_073_741_823)), "{word_length:?}");
+        // The frame size used to be truncated to 4 words.
+        let error = compile_with(&frame(4_294_967_295), options()).expect_err("frame exceeds u32");
+        assert!(error.message.contains("too large"), "{error}");
+    }
+}
