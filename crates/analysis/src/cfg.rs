@@ -10,12 +10,10 @@
 //!
 //! On top of the recovered graph this module:
 //!
-//! * re-runs the abstract-interpretation verifier as a **block-level
-//!   worklist** (states join at block entries only, mid-block transfer
-//!   is straight-line) — the diagnostics are a superset of the linear
-//!   pass by construction, since the linear findings are carried over
-//!   and the block pass shares the same transfer function
-//!   (`verifier::step`);
+//! * carries the verifier's findings over — there is one bytecode
+//!   dataflow, [`crate::verifier`]'s, and the graph is built from its
+//!   final states — so the diagnostics here are a superset of
+//!   [`crate::verify_bytecode`]'s by construction;
 //! * runs a **code-pointer taint scan** that flags stores through
 //!   `ldpi`-derived addresses (`self-modifying` — such an image can
 //!   rewrite its own instructions, so no static model of it is sound);
@@ -29,7 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::diag::{self, Diagnostic};
-use crate::verifier::{analyze, step, CodeShape, Flow, Insn, State};
+use crate::verifier::{analyze, CodeShape, Insn};
 use transputer::instr::{Direct, Op, StackEffect};
 
 /// Why an edge exists.
@@ -110,9 +108,7 @@ pub struct Cfg {
     pub insns: Vec<Insn>,
     /// Basic blocks, in address order; they partition `insns`.
     pub blocks: Vec<Block>,
-    /// All findings: the linear verifier's diagnostics (always included,
-    /// so this is a superset of [`crate::verify_bytecode`]) plus the
-    /// block-level re-run and the taint scan.
+    /// All findings: [`crate::verify_bytecode`]'s plus the taint scan's.
     pub diags: Vec<Diagnostic>,
     /// Regions no static model should trust.
     pub unanalyzable: Vec<Unanalyzable>,
@@ -133,7 +129,8 @@ impl Cfg {
         Cfg::recover_with_shape(&program.code, Some(&CodeShape::of(program)))
     }
 
-    /// Recover the CFG, run the block-level verifier and the taint scan.
+    /// Run the verifier, recover the CFG from what it learned, and run
+    /// the taint scan over it.
     pub fn recover_with_shape(code: &[u8], shape: Option<&CodeShape>) -> Cfg {
         let analysis = analyze(code, shape);
         let insns = analysis.insns;
@@ -152,7 +149,7 @@ impl Cfg {
 
         // Discovered startp/lend targets, grouped by instruction.
         let mut dynamic: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(i, target, _) in &analysis.discovered {
+        for &(i, target) in &analysis.discovered {
             if let Some(t) = valid(target) {
                 dynamic.entry(i).or_default().push(t);
             }
@@ -286,34 +283,12 @@ impl Cfg {
             }
         }
 
-        // Block-level verifier re-run: same transfer function, joins at
-        // block entries only.
-        let block_diags = block_dataflow(&insns, &blocks, &block_of, &index, code_len, shape);
-
         // Code-pointer taint scan for self-modifying stores.
-        let taint_diags = taint_scan(&insns, &blocks, &mut unanalyzable);
-
-        // Union the three diagnostic streams without duplicates.
-        let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-        let mut diags: Vec<Diagnostic> = Vec::new();
-        for d in analysis
-            .diags
-            .into_iter()
-            .chain(block_diags)
-            .chain(taint_diags)
-        {
-            let key = (format!("{}@{}", d.code, d.span), d.message.clone());
-            if seen.insert(key) {
-                diags.push(d);
-            }
-        }
+        let mut diags = analysis.diags;
+        diags.extend(taint_scan(&insns, &blocks, &mut unanalyzable));
         diag::sort(&mut diags);
 
-        let reg_consts = analysis
-            .states
-            .iter()
-            .map(|s| s.as_ref().map(|s| s.regs).unwrap_or([None; 3]))
-            .collect();
+        let reg_consts = analysis.states.iter().map(|s| s.regs).collect();
 
         Cfg {
             insns,
@@ -400,103 +375,6 @@ fn is_stop(op: Op) -> bool {
             | Op::StopProcess
             | Op::HaltSimulation
     )
-}
-
-/// The verifier re-run over the CFG: a worklist of blocks, joining
-/// abstract states at block entries and running the shared transfer
-/// function straight-line inside each block.
-fn block_dataflow(
-    insns: &[Insn],
-    blocks: &[Block],
-    block_of: &[usize],
-    index: &BTreeMap<usize, usize>,
-    code_len: usize,
-    shape: Option<&CodeShape>,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if blocks.is_empty() {
-        return diags;
-    }
-    let mut entries: Vec<Option<State>> = vec![None; blocks.len()];
-    let mut reported: BTreeSet<(usize, &'static str)> = BTreeSet::new();
-    let mut discovered: BTreeSet<(usize, i64, &'static str)> = BTreeSet::new();
-    let mut work: VecDeque<usize> = VecDeque::new();
-
-    let seed = |b: usize,
-                incoming: &State,
-                entries: &mut Vec<Option<State>>,
-                work: &mut VecDeque<usize>| {
-        let widened = match &mut entries[b] {
-            Some(s) => s.merge(incoming),
-            slot @ None => {
-                *slot = Some(incoming.clone());
-                true
-            }
-        };
-        if widened && !work.contains(&b) {
-            work.push_back(b);
-        }
-    };
-
-    seed(0, &State::entry(), &mut entries, &mut work);
-    loop {
-        while let Some(b) = work.pop_front() {
-            let mut state = entries[b].clone().expect("queued with a state");
-            let blk = &blocks[b];
-            for i in blk.first..=blk.last {
-                let insn = insns[i];
-                let out = step(
-                    i,
-                    &insn,
-                    &state,
-                    shape,
-                    &mut reported,
-                    &mut discovered,
-                    &mut diags,
-                );
-                for (target, entry) in &out.seeds {
-                    if (0..code_len as i64).contains(target) {
-                        if let Some(&t) = index.get(&(*target as usize)) {
-                            seed(block_of[t], entry, &mut entries, &mut work);
-                        }
-                    }
-                }
-                let jump = |target: i64,
-                            incoming: &State,
-                            entries: &mut Vec<Option<State>>,
-                            work: &mut VecDeque<usize>| {
-                    if (0..code_len as i64).contains(&target) {
-                        if let Some(&t) = index.get(&(target as usize)) {
-                            seed(block_of[t], incoming, entries, work);
-                        }
-                    }
-                };
-                match out.succ {
-                    Flow::Next => {
-                        if i == blk.last && i + 1 < insns.len() {
-                            seed(block_of[i + 1], &out.next, &mut entries, &mut work);
-                        }
-                    }
-                    Flow::Jump(t) => jump(t, &out.next, &mut entries, &mut work),
-                    Flow::Branch(t) => {
-                        jump(t, &out.next, &mut entries, &mut work);
-                        if i + 1 < insns.len() {
-                            seed(block_of[i + 1], &out.next, &mut entries, &mut work);
-                        }
-                    }
-                    Flow::Stop => {}
-                }
-                state = out.next;
-            }
-        }
-        // Blocks only reachable through computed control (altend):
-        // re-seed with an unknown state so their checks still run.
-        match entries.iter().position(Option::is_none) {
-            Some(b) => seed(b, &State::unknown(), &mut entries, &mut work),
-            None => break,
-        }
-    }
-    diags
 }
 
 /// Code-pointer taint per evaluation-stack register.
@@ -649,8 +527,8 @@ fn taint_step(insn: &Insn, mut t: Taint, flagged: &mut BTreeSet<usize>) -> Taint
     t
 }
 
-/// Run CFG recovery and return its diagnostics — a superset of
-/// [`crate::verify_bytecode`] on the same image.
+/// Run CFG recovery and return its diagnostics: those of
+/// [`crate::verify_bytecode`] on the same image plus the taint scan's.
 pub fn verify_bytecode_cfg(code: &[u8], shape: Option<&CodeShape>) -> Vec<Diagnostic> {
     Cfg::recover_with_shape(code, shape).diags
 }
@@ -723,7 +601,7 @@ mod tests {
 
     #[test]
     fn self_modifying_store_is_flagged() {
-        // ldc 0x41; ldc d; ldpi; sb — the decode-cache patch idiom.
+        // ldc 0x41; ldc d; ldpi; sb — the patch idiom of `decode_cache.rs`.
         let mut code = Vec::new();
         encode_into(Direct::LoadConstant, 0x41, &mut code);
         encode_into(Direct::LoadConstant, 0, &mut code);

@@ -19,7 +19,12 @@
 //!   the stack rather than in the instruction.
 //!
 //! Reporting is *definite-error only*: a check fires when every path
-//! reaching the instruction exhibits the defect. Code the dataflow
+//! reaching the instruction exhibits the defect. That is a property of
+//! the *final* states, so nothing is reported while the worklist is
+//! still widening them: `analyze` runs the dataflow to its fixpoint
+//! and then reports in one sweep over what it settled on (as it reads
+//! `startp`/`lend` targets: a constant that later merges to unknown
+//! names no edge). Code the dataflow
 //! never reaches from the entry (e.g. `ALT` branches entered through
 //! `altend`'s computed jump) is re-seeded with an unknown state so its
 //! encodings and jump targets are still validated; its depth checks
@@ -34,7 +39,7 @@
 //!   register constants are dropped; the depth interval is kept, since
 //!   resumption restores control just after the instruction.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::diag::{Diagnostic, Span};
 use transputer::instr::{encoded_len, Direct, Op, StackEffect};
@@ -176,11 +181,11 @@ pub(crate) struct Analysis {
     pub insns: Vec<Insn>,
     /// Byte offset → instruction index.
     pub index: BTreeMap<usize, usize>,
-    /// Entry state per instruction (`None` only for empty images).
-    pub states: Vec<Option<State>>,
-    /// (instruction index, target address, description) pairs from
-    /// `startp`/`lend` constant operands.
-    pub discovered: BTreeSet<(usize, i64, &'static str)>,
+    /// Final entry state per instruction.
+    pub states: Vec<State>,
+    /// (instruction index, target address) pairs from `startp`/`lend`
+    /// operands that are constants in the final states.
+    pub discovered: Vec<(usize, i64)>,
     /// All findings, unsorted.
     pub diags: Vec<Diagnostic>,
 }
@@ -193,8 +198,9 @@ pub fn verify_bytecode(code: &[u8], shape: Option<&CodeShape>) -> Vec<Diagnostic
     diags
 }
 
-/// Run decode, static target checks and the worklist dataflow, keeping
-/// the per-instruction states and discovered targets.
+/// Run decode, static target checks and the worklist dataflow to its
+/// fixpoint, then report from the final states, keeping them and the
+/// discovered targets.
 pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
     let mut diags = Vec::new();
     let insns = decode(code, &mut diags);
@@ -210,71 +216,29 @@ pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
             insn.fun,
             Direct::Jump | Direct::ConditionalJump | Direct::Call
         ) {
-            check_target(
-                insn,
-                insn.end() as i64 + insn.operand,
-                code.len(),
-                &index,
-                &mut diags,
-            );
+            let target = insn.end() as i64 + insn.operand;
+            check_target(insn, "target", target, code.len(), &index, &mut diags);
         }
     }
 
-    // Dataflow.
-    let mut states: Vec<Option<State>> = vec![None; insns.len()];
-    let mut reported: BTreeSet<(usize, &'static str)> = BTreeSet::new();
-    // (instruction index, discovered target, description) from startp/lend.
-    let mut discovered: BTreeSet<(usize, i64, &'static str)> = BTreeSet::new();
-    if !insns.is_empty() {
-        flow(
-            0,
-            State::entry(),
-            &insns,
-            &index,
-            code.len(),
-            shape,
-            &mut states,
-            &mut reported,
-            &mut discovered,
-            &mut diags,
-        );
-        // Re-seed instructions only reachable through computed control
-        // transfers (altend) with an unknown state until everything has
-        // been visited at least once.
-        while let Some(i) = states.iter().position(Option::is_none) {
-            flow(
-                i,
-                State::unknown(),
-                &insns,
-                &index,
-                code.len(),
-                shape,
-                &mut states,
-                &mut reported,
-                &mut discovered,
-                &mut diags,
-            );
-        }
+    // Dataflow: from the entry, then — until every instruction has been
+    // visited — from each one only reachable through a computed control
+    // transfer (altend), seeded with an unknown state.
+    let mut reached: Vec<Option<State>> = vec![None; insns.len()];
+    let mut seed = State::entry();
+    while let Some(i) = reached.iter().position(Option::is_none) {
+        flow(i, seed, &insns, &index, shape, &mut reached);
+        seed = State::unknown();
     }
+    let states: Vec<State> = reached.into_iter().flatten().collect();
 
-    for &(i, target, what) in &discovered {
-        let insn = insns[i];
-        if !(0..=code.len() as i64).contains(&target)
-            || (target < code.len() as i64 && !index.contains_key(&(target as usize)))
-            || target == code.len() as i64
-        {
-            let kind = if (0..code.len() as i64).contains(&target) {
-                ("jump-mid-instruction", "inside an instruction")
-            } else {
-                ("jump-out-of-range", "outside the code")
-            };
-            if reported.insert((insn.offset, kind.0)) {
-                diags.push(Diagnostic::error(
-                    kind.0,
-                    insn.span(),
-                    format!("{} {what} {target:#x} lands {}", insn.mnemonic(), kind.1),
-                ));
-            }
+    // Report, and read the `startp`/`lend` targets, from the final
+    // states: one `step` an instruction.
+    let mut discovered = Vec::new();
+    for (i, (insn, state)) in insns.iter().zip(&states).enumerate() {
+        if let Some((target, what)) = step(insn, state, shape, &mut diags).discovered {
+            check_target(insn, what, target, code.len(), &index, &mut diags);
+            discovered.push((i, target));
         }
     }
 
@@ -292,8 +256,12 @@ pub fn verify_program(program: &occam::Program) -> Vec<Diagnostic> {
     verify_bytecode(&program.code, Some(&CodeShape::of(program)))
 }
 
+/// Report a control-transfer target (`what` names it: a `j`/`cj`/`call`
+/// "target", a `startp` "child entry", a `lend` "loop start") that is
+/// outside the code or off the instruction boundaries.
 fn check_target(
     insn: &Insn,
+    what: &str,
     target: i64,
     code_len: usize,
     index: &BTreeMap<usize, usize>,
@@ -304,7 +272,7 @@ fn check_target(
             "jump-out-of-range",
             insn.span(),
             format!(
-                "{} target {target:#x} is outside the code (0..{:#x})",
+                "{} {what} {target:#x} is outside the code (0..{:#x})",
                 insn.mnemonic(),
                 code_len
             ),
@@ -314,7 +282,7 @@ fn check_target(
             "jump-mid-instruction",
             insn.span(),
             format!(
-                "{} target {target:#x} lands inside an instruction, not on a boundary",
+                "{} {what} {target:#x} lands inside an instruction, not on a boundary",
                 insn.mnemonic()
             ),
         ));
@@ -392,7 +360,7 @@ pub fn decode(code: &[u8], diags: &mut Vec<Diagnostic>) -> Vec<Insn> {
 
 /// Control-flow classification of one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Flow {
+enum Flow {
     /// Continue to the next instruction.
     Next,
     /// Jump to a fixed target only.
@@ -404,32 +372,63 @@ pub(crate) enum Flow {
 }
 
 /// Result of abstractly executing one instruction.
-pub(crate) struct StepOut {
+struct StepOut {
     /// State on the outgoing edge(s).
-    pub next: State,
+    next: State,
     /// Static successor classification.
-    pub succ: Flow,
+    succ: Flow,
     /// Extra entry points this instruction creates: (unvalidated byte
     /// address, entry state) for `call` targets, `startp` children and
     /// `lend` back edges.
-    pub seeds: Vec<(i64, State)>,
+    seeds: Vec<(i64, State)>,
+    /// The `startp` child entry or `lend` loop start, when its operand
+    /// is a constant in `state`: (unvalidated byte address, what it is).
+    discovered: Option<(i64, &'static str)>,
 }
 
-/// Abstractly execute instruction `i` in `state`, reporting stack and
-/// workspace findings. The single transfer function shared by the
-/// linear worklist below and the block-level pass in [`crate::cfg`].
-pub(crate) fn step(
-    i: usize,
+impl StepOut {
+    /// Where control can go from instruction `i` (of `count`) with this
+    /// outcome, and the state it arrives with: the seeds, the jump
+    /// target, the fall-through. A byte address is an edge only if it
+    /// is on an instruction boundary; bad targets are diagnosed
+    /// separately.
+    fn edges<'a>(
+        &'a self,
+        i: usize,
+        count: usize,
+        index: &'a BTreeMap<usize, usize>,
+    ) -> impl Iterator<Item = (usize, &'a State)> + 'a {
+        let at = |target: i64| usize::try_from(target).ok().and_then(|t| index.get(&t));
+        let (jump, falls) = match self.succ {
+            Flow::Next => (None, true),
+            Flow::Jump(target) => (Some(target), false),
+            Flow::Branch(target) => (Some(target), true),
+            Flow::Stop => (None, false),
+        };
+        let seeds = self.seeds.iter().map(|(target, entry)| (*target, entry));
+        let jump = jump.map(|target| (target, &self.next));
+        let fall = (falls && i + 1 < count).then_some((i + 1, &self.next));
+        let landed = seeds
+            .chain(jump)
+            .filter_map(move |(t, s)| Some((*at(t)?, s)));
+        landed.chain(fall)
+    }
+}
+
+/// Abstractly execute `insn` in `state`, reporting the stack and
+/// workspace findings `state` implies — findings that hold only if
+/// `state` is final, so the worklist discards them and [`analyze`]
+/// keeps those of its last sweep.
+fn step(
     insn: &Insn,
     state: &State,
     shape: Option<&CodeShape>,
-    reported: &mut BTreeSet<(usize, &'static str)>,
-    discovered: &mut BTreeSet<(usize, i64, &'static str)>,
     diags: &mut Vec<Diagnostic>,
 ) -> StepOut {
     let mut next = state.clone();
     let mut succ = Flow::Next;
     let mut seeds: Vec<(i64, State)> = Vec::new();
+    let mut discovered = None;
 
     let effect = match insn.fun {
         Direct::Operate => insn.op.map(Op::stack_effect),
@@ -441,7 +440,7 @@ pub(crate) fn step(
     // docs); undefined operations have no effect to apply.
     let strict = !matches!(insn.fun, Direct::Call);
     if let Some(e) = effect {
-        if strict && e.pops > state.hi && reported.insert((insn.offset, "stack-underflow")) {
+        if strict && e.pops > state.hi {
             diags.push(Diagnostic::error(
                 "stack-underflow",
                 insn.span(),
@@ -454,7 +453,7 @@ pub(crate) fn step(
             ));
         }
         let after_lo = state.lo.saturating_sub(e.pops);
-        if strict && after_lo + e.pushes > 3 && reported.insert((insn.offset, "stack-overflow")) {
+        if strict && after_lo + e.pushes > 3 {
             diags.push(Diagnostic::error(
                 "stack-overflow",
                 insn.span(),
@@ -512,9 +511,7 @@ pub(crate) fn step(
             }
             if let (Some(shape), Some(w)) = (shape, state.wadj) {
                 let slot = w + insn.operand;
-                if (slot < -i64::from(shape.depth) || slot >= i64::from(shape.locals))
-                    && reported.insert((insn.offset, "workspace-oob"))
-                {
+                if slot < -i64::from(shape.depth) || slot >= i64::from(shape.locals) {
                     diags.push(Diagnostic::error(
                         "workspace-oob",
                         insn.span(),
@@ -542,7 +539,7 @@ pub(crate) fn step(
                         // stack and its own workspace.
                         if let Some(b) = state.regs[1] {
                             let target = insn.end() as i64 + b;
-                            discovered.insert((i, target, "child entry"));
+                            discovered = Some((target, "child entry"));
                             let child = State {
                                 lo: 0,
                                 hi: 0,
@@ -558,7 +555,7 @@ pub(crate) fn step(
                         next.apply(op.stack_effect());
                         if let Some(a) = state.regs[0] {
                             let target = insn.end() as i64 - a;
-                            discovered.insert((i, target, "loop start"));
+                            discovered = Some((target, "loop start"));
                             seeds.push((target, next.clone()));
                         }
                     }
@@ -593,69 +590,33 @@ pub(crate) fn step(
         }
     }
 
-    StepOut { next, succ, seeds }
+    StepOut {
+        next,
+        succ,
+        seeds,
+        discovered,
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Run the worklist from `seed` until no state reachable from it
+/// widens.
 fn flow(
     seed: usize,
     seed_state: State,
     insns: &[Insn],
     index: &BTreeMap<usize, usize>,
-    code_len: usize,
     shape: Option<&CodeShape>,
     states: &mut [Option<State>],
-    reported: &mut BTreeSet<(usize, &'static str)>,
-    discovered: &mut BTreeSet<(usize, i64, &'static str)>,
-    diags: &mut Vec<Diagnostic>,
 ) {
     let mut work: VecDeque<usize> = VecDeque::new();
-    let merged = match &mut states[seed] {
-        Some(s) => s.merge(&seed_state),
-        slot @ None => {
-            *slot = Some(seed_state);
-            true
-        }
-    };
-    if merged {
-        work.push_back(seed);
-    }
+    merge_into(seed, &seed_state, states, &mut work);
 
     while let Some(i) = work.pop_front() {
-        let insn = insns[i];
         let state = states[i].clone().expect("queued with a state");
-        let out = step(i, &insn, &state, shape, reported, discovered, diags);
-
-        // An edge to a byte address lands only if it is in range and on
-        // an instruction boundary; bad targets are diagnosed separately.
-        for (target, entry) in &out.seeds {
-            if (0..code_len as i64).contains(target) {
-                if let Some(&t) = index.get(&(*target as usize)) {
-                    merge_into(t, entry, states, &mut work);
-                }
-            }
-        }
-        let jump = |target: i64, states: &mut [Option<State>], work: &mut VecDeque<usize>| {
-            if (0..code_len as i64).contains(&target) {
-                if let Some(&t) = index.get(&(target as usize)) {
-                    merge_into(t, &out.next, states, work);
-                }
-            }
-        };
-        match out.succ {
-            Flow::Next => {
-                if i + 1 < insns.len() {
-                    merge_into(i + 1, &out.next, states, &mut work);
-                }
-            }
-            Flow::Jump(target) => jump(target, states, &mut work),
-            Flow::Branch(target) => {
-                jump(target, states, &mut work);
-                if i + 1 < insns.len() {
-                    merge_into(i + 1, &out.next, states, &mut work);
-                }
-            }
-            Flow::Stop => {}
+        // Findings of a state that may yet widen are not findings.
+        let out = step(&insns[i], &state, shape, &mut Vec::new());
+        for (t, incoming) in out.edges(i, insns.len(), index) {
+            merge_into(t, incoming, states, &mut work);
         }
     }
 }
@@ -862,5 +823,36 @@ mod tests {
     #[test]
     fn empty_code_is_clean() {
         assert!(verify_bytecode(&[], None).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+        /// Over random images: the states `analyze` reports from are
+        /// final (no edge out of one widens another), a `step` over
+        /// each reproduces exactly the dataflow findings it reported —
+        /// none is a leftover of a state that later widened — and the
+        /// CFG pass adds nothing to them but the taint scan's.
+        #[test]
+        fn reports_come_from_final_states(
+            code in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..48)
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let shape = CodeShape { locals: 4, depth: 4 };
+            let a = analyze(&code, Some(&shape));
+            let mut again = Vec::new();
+            for (i, (insn, state)) in a.insns.iter().zip(&a.states).enumerate() {
+                let out = step(insn, state, Some(&shape), &mut again);
+                for (t, incoming) in out.edges(i, a.insns.len(), &a.index) {
+                    prop_assert!(!a.states[t].clone().merge(incoming), "{i} widens {t}");
+                }
+            }
+            let dataflow = ["stack-underflow", "stack-overflow", "workspace-oob"];
+            let reported = a.diags.iter().filter(|d| dataflow.contains(&d.code));
+            prop_assert_eq!(reported.collect::<Vec<_>>(), again.iter().collect::<Vec<_>>());
+
+            let mut cfg = crate::cfg::verify_bytecode_cfg(&code, Some(&shape));
+            cfg.retain(|d| d.code != "self-modifying");
+            prop_assert_eq!(cfg, verify_bytecode(&code, Some(&shape)));
+        }
     }
 }

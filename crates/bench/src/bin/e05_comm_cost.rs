@@ -7,8 +7,9 @@
 //! message sizes; the cycles attributable to the communication are the
 //! total minus the (exactly known) cost of the surrounding instructions.
 
-use transputer::instr::{encode, encode_op, Direct, Op};
+use transputer::instr::{encode, Direct};
 use transputer::{timing, Cpu, CpuConfig, Priority, WordLength};
+use transputer_bench::expimages::rendezvous_image;
 use transputer_bench::{cells, table};
 
 /// Run one rendezvous of `n` bytes; return the communication cycles.
@@ -17,26 +18,8 @@ fn comm_cycles(config: CpuConfig, n: u32) -> u64 {
     let word = cpu.word_length();
     let bpw = word.bytes_per_word() as i64;
 
-    // Layout: receiver workspace near the top; sender 64 words below;
-    // channel at receiver w[1]; receiver buffer at w[8..]; sender buffer
-    // at its w[8..].
-    let mut code = Vec::new();
-    // Receiver: chan := NotProcess; in(n, chan, buf); haltsim.
-    code.extend(encode_op(Op::MinimumInteger));
-    code.extend(encode(Direct::StoreLocal, 1));
-    code.extend(encode(Direct::LoadLocalPointer, 8)); // dest buffer
-    code.extend(encode(Direct::LoadLocalPointer, 1)); // channel address
-    code.extend(encode(Direct::LoadConstant, i64::from(n)));
-    code.extend(encode_op(Op::InputMessage));
-    code.extend(encode_op(Op::HaltSimulation));
-    let sender_entry = code.len();
-    // Sender: out(n, chan, buf); stopp. Channel is 64 words above its
-    // workspace: receiver w[1] = sender w[65].
-    code.extend(encode(Direct::LoadLocalPointer, 8));
-    code.extend(encode(Direct::LoadLocalPointer, 65));
-    code.extend(encode(Direct::LoadConstant, i64::from(n)));
-    code.extend(encode_op(Op::OutputMessage));
-    code.extend(encode_op(Op::StopProcess));
+    // Receiver workspace near the top; sender 64 words below.
+    let (code, sender_entry) = rendezvous_image(n);
 
     let entry = cpu.memory().mem_start();
     cpu.load(entry, &code).expect("loads");

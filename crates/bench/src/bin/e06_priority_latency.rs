@@ -8,46 +8,21 @@
 //! longest instructions in the set); the worst observed wake-to-dispatch
 //! latency must stay within the bound.
 
-use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::{timing, Cpu, CpuConfig, Priority};
+use transputer_bench::expimages::{priority_image, priority_mixes};
 use transputer_bench::{cells, table};
 
 /// Build a low-priority busy loop from an instruction mix, run the
 /// high-priority timer waker over it, and return the worst latency.
 fn worst_latency(mix: &str, body: &[u8]) -> (String, u64) {
     let mut cpu = Cpu::new(CpuConfig::t424());
-    let mut code = Vec::new();
-    // Low-priority loop: body; j back.
-    let lo_entry = code.len();
-    code.extend_from_slice(body);
-    let back = lo_entry as i64 - (code.len() as i64 + 2);
-    code.extend(encode(Direct::Jump, back));
-    assert_eq!(
-        encode(Direct::Jump, back).len(),
-        2,
-        "loop body sized for a 2-byte jump"
-    );
-    let hi_entry = code.len();
-    // High priority: 200 wakes, 3 ticks apart.
-    code.extend(encode(Direct::LoadConstant, 200));
-    code.extend(encode(Direct::StoreLocal, 2));
-    let loop_top = code.len();
-    code.extend(encode_op(Op::LoadTimer));
-    code.extend(encode(Direct::AddConstant, 3));
-    code.extend(encode_op(Op::TimerInput));
-    code.extend(encode(Direct::LoadLocal, 2));
-    code.extend(encode(Direct::AddConstant, -1));
-    code.extend(encode(Direct::StoreLocal, 2));
-    code.extend(encode(Direct::LoadLocal, 2));
-    code.extend(encode(Direct::ConditionalJump, 2));
-    let dist = loop_top as i64 - (code.len() as i64 + 2);
-    code.extend(encode(Direct::Jump, dist));
-    code.extend(encode_op(Op::HaltSimulation));
+    // The low-priority loop sits at offset 0.
+    let (code, hi_entry) = priority_image(body);
 
     let entry = cpu.memory().mem_start();
     cpu.load(entry, &code).expect("loads");
     let top = cpu.default_boot_workspace();
-    cpu.spawn(top, entry + lo_entry as u32, Priority::Low);
+    cpu.spawn(top, entry, Priority::Low);
     cpu.spawn(
         top.wrapping_sub(256),
         entry + hi_entry as u32,
@@ -70,45 +45,6 @@ fn main() {
         "§3.2.4: ≤ 58 cycles low→high, 17 cycles high→low",
     );
 
-    let mixes: Vec<(&str, Vec<u8>)> = vec![
-        ("multiply storm", {
-            let mut b = Vec::new();
-            b.extend(encode(Direct::LoadConstant, 3));
-            b.extend(encode(Direct::LoadConstant, 3));
-            b.extend(encode_op(Op::Multiply));
-            b.extend(encode(Direct::StoreLocal, 1));
-            b
-        }),
-        ("divide storm", {
-            let mut b = Vec::new();
-            b.extend(encode(Direct::LoadConstant, 7));
-            b.extend(encode(Direct::LoadConstant, 3));
-            b.extend(encode_op(Op::Divide));
-            b.extend(encode(Direct::StoreLocal, 1));
-            b
-        }),
-        ("block move storm", {
-            // move 32 bytes between local buffers each iteration
-            // (interruptible: resumes after the switch).
-            let mut b = Vec::new();
-            b.extend(encode(Direct::LoadLocalPointer, 24)); // dst -> C
-            b.extend(encode(Direct::LoadLocalPointer, 8)); // src -> B
-            b.extend(encode(Direct::LoadConstant, 32)); // count -> A
-            b.extend(encode_op(Op::Move));
-            b
-        }),
-        ("long shift storm", {
-            let mut b = Vec::new();
-            b.extend(encode(Direct::LoadConstant, 1)); // high
-            b.extend(encode(Direct::LoadConstant, 1)); // low
-            b.extend(encode(Direct::LoadConstant, 40)); // places
-            b.extend(encode_op(Op::LongShiftLeft));
-            b.extend(encode(Direct::StoreLocal, 1));
-            b.extend(encode(Direct::StoreLocal, 2));
-            b
-        }),
-    ];
-
     table::header(&[
         "low-priority mix",
         "worst latency (cycles)",
@@ -116,7 +52,7 @@ fn main() {
         "within",
     ]);
     let mut worst = 0u64;
-    for (mix, body) in mixes {
+    for (_, mix, body) in priority_mixes() {
         let (name, latency) = worst_latency(mix, &body);
         worst = worst.max(latency);
         table::row(cells![

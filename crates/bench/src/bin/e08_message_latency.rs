@@ -6,8 +6,9 @@
 //! proceeding is the end-to-end message latency, including instruction
 //! and scheduling overhead on both ends.
 
-use transputer::instr::{encode, encode_op, Direct, Op};
+use transputer::instr::Op;
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
+use transputer_bench::expimages::link_image;
 use transputer_bench::{cells, table};
 use transputer_net::{NetworkBuilder, NetworkConfig};
 
@@ -18,22 +19,8 @@ fn message_latency_ns(n: u32) -> u64 {
     b.connect((tx, 0), (rx, 0));
     let mut net = b.build();
 
-    let mut sender = Vec::new();
-    sender.extend(encode(Direct::LoadLocalPointer, 1));
-    sender.extend(encode_op(Op::MinimumInteger));
-    sender.extend(encode(Direct::LoadNonLocalPointer, LINK_OUT_BASE as i64));
-    sender.extend(encode(Direct::LoadConstant, i64::from(n)));
-    sender.extend(encode_op(Op::OutputMessage));
-    sender.extend(encode_op(Op::HaltSimulation));
-
-    let mut receiver = Vec::new();
-    receiver.extend(encode(Direct::LoadLocalPointer, 1));
-    receiver.extend(encode_op(Op::MinimumInteger));
-    receiver.extend(encode(Direct::LoadNonLocalPointer, LINK_IN_BASE as i64));
-    receiver.extend(encode(Direct::LoadConstant, i64::from(n)));
-    receiver.extend(encode_op(Op::InputMessage));
-    receiver.extend(encode_op(Op::HaltSimulation));
-
+    let sender = link_image(LINK_OUT_BASE, Op::OutputMessage, n);
+    let receiver = link_image(LINK_IN_BASE, Op::InputMessage, n);
     net.node_mut(tx).load_boot_program(&sender).expect("loads");
     net.node_mut(rx)
         .load_boot_program(&receiver)

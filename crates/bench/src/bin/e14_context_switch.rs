@@ -12,8 +12,8 @@
 //! communication figure, 24 cycles, versus hundreds of cycles for a
 //! register-file save on contemporary processors.
 
-use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::{Cpu, CpuConfig, Priority};
+use transputer_bench::expimages::rendezvous_image;
 use transputer_bench::{cells, table};
 
 fn main() {
@@ -24,22 +24,9 @@ fn main() {
     // after: only w[-1] (saved Iptr), w[-2] (list link) and w[-3]
     // (channel data pointer) may change.
     let mut cpu = Cpu::new(CpuConfig::t424());
-    let mut code = Vec::new();
     // Process A: chan := NotProcess; in(4, chan, w8); haltsim.
-    code.extend(encode_op(Op::MinimumInteger));
-    code.extend(encode(Direct::StoreLocal, 1));
-    code.extend(encode(Direct::LoadLocalPointer, 8));
-    code.extend(encode(Direct::LoadLocalPointer, 1));
-    code.extend(encode(Direct::LoadConstant, 4));
-    code.extend(encode_op(Op::InputMessage));
-    code.extend(encode_op(Op::HaltSimulation));
-    let b_entry = code.len();
     // Process B: out(4, chan@w65, w8); stopp.
-    code.extend(encode(Direct::LoadLocalPointer, 8));
-    code.extend(encode(Direct::LoadLocalPointer, 65));
-    code.extend(encode(Direct::LoadConstant, 4));
-    code.extend(encode_op(Op::OutputMessage));
-    code.extend(encode_op(Op::StopProcess));
+    let (code, b_entry) = rendezvous_image(4);
 
     let entry = cpu.memory().mem_start();
     cpu.load(entry, &code).expect("loads");

@@ -70,7 +70,7 @@ fn switching_table(networks: &[NetRun]) {
 fn main() {
     let report = Report::measure(ROWS);
 
-    println!("hostperf: cpu corpus (translated / decode-cache / plain must agree)");
+    println!("hostperf: cpu corpus (the translation tier and the byte path must agree)");
     for r in &report.cpu {
         println!(
             "  cpu_corpus decode_cache={:<5} translate={:<5} tier {:.3}   {:?}",

@@ -10,8 +10,7 @@
 //!
 //! 1. **Corpus sources** — channel-usage lints, compiler PAR-usage
 //!    warnings, and the CFG-based bytecode verifier over the emitted
-//!    code; plus a differential proving the CFG verifier's findings
-//!    are a superset of the linear pass on every program.
+//!    code.
 //! 2. **Experiment sources** — the same stack over every occam source
 //!    the experiment binaries generate (compiler-shape checks, the
 //!    e09 database-search node programs, the e11 workstation
@@ -25,7 +24,7 @@
 //!    prefix so CI can lift it into the job summary.
 
 use transputer_analysis::cfg::Cfg;
-use transputer_analysis::{verifier, Diagnostic, Span};
+use transputer_analysis::{Diagnostic, Span};
 use transputer_bench::corpus::{CORPUS, STATIC_MODEL_CORPUS};
 use transputer_bench::expimages;
 use transputer_bench::hostperf::static_model_runs;
@@ -69,37 +68,16 @@ fn lint_occam(source: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Check the CFG verifier reproduces (or strictly extends) the linear
-/// verifier on a program; returns the findings the CFG pass missed.
-fn cfg_misses(program: &occam::Program) -> Vec<String> {
-    let linear: Vec<String> = verifier::verify_program(program)
-        .iter()
-        .map(|d| d.to_string())
-        .collect();
-    let cfg: Vec<String> = transputer_analysis::verify_program_cfg(program)
-        .iter()
-        .map(|d| d.to_string())
-        .collect();
-    linear.into_iter().filter(|d| !cfg.contains(d)).collect()
-}
-
 fn main() {
     let mut tally = Tally {
         errors: 0,
         warnings: 0,
     };
 
-    // Pass 1: the occam workload corpus, plus the linear-vs-CFG
-    // differential.
+    // Pass 1: the occam workload corpus.
     println!("== occam corpus ==");
     for item in CORPUS {
         tally.report(item.name, &lint_occam(item.source));
-        if let Ok(program) = occam::compile(item.source) {
-            for missed in cfg_misses(&program) {
-                println!("{}: CFG pass lost a linear finding: {missed}", item.name);
-                tally.errors += 1;
-            }
-        }
     }
 
     // Pass 2: generated experiment sources.

@@ -1,17 +1,18 @@
-//! Registry of everything the experiment binaries (e01–e16) execute,
-//! reconstructed for static analysis: the hand-assembled I1 images and
-//! the generated occam sources. `lint_corpus` runs the CFG-based
-//! bytecode verifier over every image and the full lint stack over
-//! every source, so a change that makes an experiment workload
-//! unverifiable fails the gate even if the experiment itself still
-//! runs.
+//! Registry of everything the experiment binaries (e01–e17) execute,
+//! for static analysis: the hand-assembled I1 images and the generated
+//! occam sources. `lint_corpus` runs the CFG-based bytecode verifier
+//! over every image and the full lint stack over every source, so a
+//! change that makes an experiment workload unverifiable fails the gate
+//! even if the experiment itself still runs.
 //!
-//! Images are reconstructed with the same builders the experiments use
-//! ([`crate::asm`], [`transputer::instr::encode`]) rather than
-//! captured from the binaries, so they stay in lock-step with the
-//! experiment sources by construction. Experiments that only exercise
-//! the link layer (e07) or run corpus/occam programs covered elsewhere
-//! (e09–e12, e15, e16) contribute no raw image.
+//! The images of more than a line are built here and nowhere else: e05,
+//! e06, e08 and e14 call [`rendezvous_image`], [`priority_image`] with
+//! [`priority_mixes`], and [`link_image`], so the gate verifies the
+//! bytes those experiments execute. The one-line measured sequences
+//! (e01–e04, e13) are restated through [`crate::asm`], the assembler
+//! the binaries pass them to. Experiments that only exercise the link
+//! layer (e07) or run corpus/occam programs covered elsewhere (e09–e12,
+//! e15–e17) contribute no raw image.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
@@ -35,34 +36,45 @@ fn measured(setup: &str, seq: &str) -> Vec<u8> {
     code
 }
 
-/// E5/E14's two-process rendezvous image: receiver at offset 0, sender
-/// concatenated after it (the sender entry is spawned directly, so the
-/// sender body is reachable only as a second entry point).
-fn rendezvous_image(n: u32) -> Vec<u8> {
+/// E5/E14's two-process rendezvous of `n` bytes on an internal channel,
+/// and the sender's entry offset: the receiver at offset 0, the sender
+/// concatenated after it (spawned directly, so reachable only as a
+/// second entry point). The receiver's workspace holds the channel at
+/// `w[1]` and its buffer at `w[8..]`; the sender's workspace is 64 words
+/// below, so the channel is its `w[65]`, with its own buffer at `w[8..]`.
+pub fn rendezvous_image(n: u32) -> (Vec<u8>, usize) {
     let mut code = Vec::new();
+    // Receiver: chan := NotProcess; in(n, chan, buf); haltsim.
     code.extend(encode_op(Op::MinimumInteger));
     code.extend(encode(Direct::StoreLocal, 1));
-    code.extend(encode(Direct::LoadLocalPointer, 8));
-    code.extend(encode(Direct::LoadLocalPointer, 1));
+    code.extend(encode(Direct::LoadLocalPointer, 8)); // dest buffer
+    code.extend(encode(Direct::LoadLocalPointer, 1)); // channel address
     code.extend(encode(Direct::LoadConstant, i64::from(n)));
     code.extend(encode_op(Op::InputMessage));
     code.extend(encode_op(Op::HaltSimulation));
+    let sender_entry = code.len();
+    // Sender: out(n, chan, buf); stopp.
     code.extend(encode(Direct::LoadLocalPointer, 8));
     code.extend(encode(Direct::LoadLocalPointer, 65));
     code.extend(encode(Direct::LoadConstant, i64::from(n)));
     code.extend(encode_op(Op::OutputMessage));
     code.extend(encode_op(Op::StopProcess));
-    code
+    (code, sender_entry)
 }
 
-/// E6's image for one low-priority instruction mix: the busy loop, then
-/// the high-priority timer waker.
-fn priority_image(body: &[u8]) -> Vec<u8> {
-    let mut code = Vec::new();
-    let lo_entry = code.len();
-    code.extend_from_slice(body);
-    let back = lo_entry as i64 - (code.len() as i64 + 2);
-    code.extend(encode(Direct::Jump, back));
+/// E6's image for one low-priority instruction mix, and the
+/// high-priority entry offset: the busy loop `body; j back` at offset
+/// 0, then the high-priority timer waker (200 wakes, 3 ticks apart).
+///
+/// # Panics
+///
+/// Panics if `body` is too long for the loop's two-byte jump back.
+pub fn priority_image(body: &[u8]) -> (Vec<u8>, usize) {
+    let mut code = body.to_vec();
+    let back = encode(Direct::Jump, -(code.len() as i64 + 2));
+    assert_eq!(back.len(), 2, "loop body sized for a 2-byte jump");
+    code.extend(back);
+    let hi_entry = code.len();
     code.extend(encode(Direct::LoadConstant, 200));
     code.extend(encode(Direct::StoreLocal, 2));
     let loop_top = code.len();
@@ -77,13 +89,14 @@ fn priority_image(body: &[u8]) -> Vec<u8> {
     let dist = loop_top as i64 - (code.len() as i64 + 2);
     code.extend(encode(Direct::Jump, dist));
     code.extend(encode_op(Op::HaltSimulation));
-    code
+    (code, hi_entry)
 }
 
-/// E6's four adversarial low-priority instruction mixes.
-fn priority_mixes() -> Vec<(&'static str, Vec<u8>)> {
+/// E6's four adversarial low-priority instruction mixes — the longest
+/// instructions in the set: `(gate label, table name, loop body)`.
+pub fn priority_mixes() -> Vec<(&'static str, &'static str, Vec<u8>)> {
     vec![
-        ("e06-multiply-storm", {
+        ("e06-multiply-storm", "multiply storm", {
             let mut b = Vec::new();
             b.extend(encode(Direct::LoadConstant, 3));
             b.extend(encode(Direct::LoadConstant, 3));
@@ -91,7 +104,7 @@ fn priority_mixes() -> Vec<(&'static str, Vec<u8>)> {
             b.extend(encode(Direct::StoreLocal, 1));
             b
         }),
-        ("e06-divide-storm", {
+        ("e06-divide-storm", "divide storm", {
             let mut b = Vec::new();
             b.extend(encode(Direct::LoadConstant, 7));
             b.extend(encode(Direct::LoadConstant, 3));
@@ -99,19 +112,21 @@ fn priority_mixes() -> Vec<(&'static str, Vec<u8>)> {
             b.extend(encode(Direct::StoreLocal, 1));
             b
         }),
-        ("e06-block-move-storm", {
+        ("e06-block-move-storm", "block move storm", {
+            // move 32 bytes between local buffers each iteration
+            // (interruptible: resumes after the switch).
             let mut b = Vec::new();
-            b.extend(encode(Direct::LoadLocalPointer, 24));
-            b.extend(encode(Direct::LoadLocalPointer, 8));
-            b.extend(encode(Direct::LoadConstant, 32));
+            b.extend(encode(Direct::LoadLocalPointer, 24)); // dst -> C
+            b.extend(encode(Direct::LoadLocalPointer, 8)); // src -> B
+            b.extend(encode(Direct::LoadConstant, 32)); // count -> A
             b.extend(encode_op(Op::Move));
             b
         }),
-        ("e06-long-shift-storm", {
+        ("e06-long-shift-storm", "long shift storm", {
             let mut b = Vec::new();
-            b.extend(encode(Direct::LoadConstant, 1));
-            b.extend(encode(Direct::LoadConstant, 1));
-            b.extend(encode(Direct::LoadConstant, 40));
+            b.extend(encode(Direct::LoadConstant, 1)); // high
+            b.extend(encode(Direct::LoadConstant, 1)); // low
+            b.extend(encode(Direct::LoadConstant, 40)); // places
             b.extend(encode_op(Op::LongShiftLeft));
             b.extend(encode(Direct::StoreLocal, 1));
             b.extend(encode(Direct::StoreLocal, 2));
@@ -120,12 +135,14 @@ fn priority_mixes() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// E8's link sender/receiver, one image per transputer.
-fn link_image(port_base: i64, op: Op, n: u32) -> Vec<u8> {
+/// One end of E8's `n`-byte message over link 0: `op` (`out` or `in`)
+/// on the channel word `port_base` words above `MostNeg`
+/// ([`LINK_OUT_BASE`] or [`LINK_IN_BASE`]), buffer at `w[1..]`.
+pub fn link_image(port_base: u32, op: Op, n: u32) -> Vec<u8> {
     let mut code = Vec::new();
     code.extend(encode(Direct::LoadLocalPointer, 1));
     code.extend(encode_op(Op::MinimumInteger));
-    code.extend(encode(Direct::LoadNonLocalPointer, port_base));
+    code.extend(encode(Direct::LoadNonLocalPointer, i64::from(port_base)));
     code.extend(encode(Direct::LoadConstant, i64::from(n)));
     code.extend(encode_op(op));
     code.extend(encode_op(Op::HaltSimulation));
@@ -168,15 +185,15 @@ pub fn experiment_images() -> Vec<ExpImage> {
         },
         ExpImage {
             name: "e05-internal-rendezvous",
-            code: rendezvous_image(4),
+            code: rendezvous_image(4).0,
         },
         ExpImage {
             name: "e08-link-sender",
-            code: link_image(LINK_OUT_BASE as i64, Op::OutputMessage, 4),
+            code: link_image(LINK_OUT_BASE, Op::OutputMessage, 4),
         },
         ExpImage {
             name: "e08-link-receiver",
-            code: link_image(LINK_IN_BASE as i64, Op::InputMessage, 4),
+            code: link_image(LINK_IN_BASE, Op::InputMessage, 4),
         },
         ExpImage {
             name: "e13-typical-sequence",
@@ -190,13 +207,13 @@ pub fn experiment_images() -> Vec<ExpImage> {
         },
         ExpImage {
             name: "e14-context-switch",
-            code: rendezvous_image(4),
+            code: rendezvous_image(4).0,
         },
     ];
-    for (name, body) in priority_mixes() {
+    for (name, _, body) in priority_mixes() {
         images.push(ExpImage {
             name,
-            code: priority_image(&body),
+            code: priority_image(&body).0,
         });
     }
     images
@@ -283,18 +300,12 @@ mod tests {
 
     #[test]
     fn rendezvous_image_has_both_entries() {
-        // The sender entry sits right after the receiver's haltsim, as
-        // e05/e14 compute it when spawning the second process.
-        let img = rendezvous_image(4);
-        let receiver_len = encode_op(Op::MinimumInteger).len()
-            + encode(Direct::StoreLocal, 1).len()
-            + encode(Direct::LoadLocalPointer, 8).len()
-            + encode(Direct::LoadLocalPointer, 1).len()
-            + encode(Direct::LoadConstant, 4).len()
-            + encode_op(Op::InputMessage).len()
-            + encode_op(Op::HaltSimulation).len();
+        // The sender entry sits right after the receiver's haltsim.
+        let (img, sender_entry) = rendezvous_image(4);
+        let halt = encode_op(Op::HaltSimulation);
+        assert_eq!(&img[sender_entry - halt.len()..sender_entry], &halt[..]);
         assert_eq!(
-            &img[receiver_len..receiver_len + 1],
+            &img[sender_entry..sender_entry + 1],
             &encode(Direct::LoadLocalPointer, 8)[..1],
             "sender entry starts with ldlp 8"
         );

@@ -16,7 +16,7 @@
 //!   counters, and final memory images.
 
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
-use transputer_apps::dbsearch::DbSearch;
+use transputer_apps::dbsearch::{DbSearch, DbSearchConfig};
 use transputer_apps::DbSearchReport;
 use transputer_bench::corpus::CORPUS;
 use transputer_bench::hostperf::{
@@ -95,7 +95,7 @@ fn corpus_slices_are_identical_without_a_fence() {
         let program = occam::compile(item.source).expect("corpus program compiles");
         let mut plain = Cpu::new(CpuConfig::t424());
         let mut fenced = plain.clone();
-        let mut bytes = Cpu::new(CpuConfig::t424().with_decode_cache(false));
+        let mut bytes = Cpu::new(CpuConfig::t424().with_translate(false));
         for cpu in [&mut plain, &mut fenced, &mut bytes] {
             program.load(cpu).expect("loads");
         }
@@ -135,21 +135,46 @@ fn corpus_slices_are_identical_without_a_fence() {
     }
 }
 
+/// The translation tier is a host-side instrument, and there is nothing
+/// between it and the byte path: every corpus program lands on
+/// identical answers, cycle counts, simulated statistics and memory
+/// images with the tier at its stock threshold, with every leader
+/// translated on first arrival, and on the byte path — which runs alone
+/// whenever the tier is off (the `TRANSLATE=off` CI leg does that to
+/// the whole suite), the `decode_cache` shim is off, or a trace ring is
+/// on.
 #[test]
-fn corpus_is_identical_with_decode_cache_disabled() {
-    // The predecoded instruction cache is a host-side instrument: with
-    // it force-disabled, every corpus program must land on identical
-    // answers, cycle counts, simulated statistics, and memory images.
-    // Translation is off on both sides so the test pins the decode tier
-    // alone (warm translated code never touches the decode cache); the
-    // translate-on differential is the next test.
+fn corpus_is_identical_with_the_translation_tier_off() {
+    let stock = CpuConfig::t424().with_translate(true);
+    // (label, configuration, traced, whether the tier runs)
+    let rows = [
+        (
+            "threshold 1",
+            stock.clone().with_translate_threshold(1),
+            false,
+            true,
+        ),
+        (
+            "translate off",
+            stock.clone().with_translate(false),
+            false,
+            false,
+        ),
+        (
+            "decode_cache off",
+            stock.clone().with_decode_cache(false),
+            false,
+            false,
+        ),
+        ("traced", stock.clone(), true, false),
+    ];
     for item in CORPUS {
         let program = occam::compile(item.source).expect("corpus program compiles");
-        let run_one = |decode_cache: bool| {
-            let config = CpuConfig::t424()
-                .with_translate(false)
-                .with_decode_cache(decode_cache);
-            let mut cpu = Cpu::new(config);
+        let run_one = |config: &CpuConfig, traced: bool| {
+            let mut cpu = Cpu::new(config.clone());
+            if traced {
+                cpu.enable_trace(8);
+            }
             let wptr = program.load(&mut cpu).expect("loads");
             assert_eq!(
                 cpu.run_batched(500_000_000).expect("halts"),
@@ -157,113 +182,84 @@ fn corpus_is_identical_with_decode_cache_disabled() {
                 "corpus `{}`",
                 item.name
             );
-            (cpu, wptr)
+            let value = program.read_global(&mut cpu, wptr, item.check_global);
+            (cpu, value.expect("check global exists"))
         };
-        let (mut on, wo) = run_one(true);
-        let (mut off, wf) = run_one(false);
-        assert_eq!(wo, wf);
-        assert_eq!(on.cycles(), off.cycles(), "corpus `{}` cycles", item.name);
-        assert_eq!(
-            on.stats().simulated(),
-            off.stats().simulated(),
-            "corpus `{}` simulated statistics",
-            item.name
-        );
+        let (base, value) = run_one(&stock, false);
+        assert_eq!(base.word_length().to_signed(value), item.expected);
         assert!(
-            on.stats().decode_hits > 0,
-            "corpus `{}` never used the cache",
-            item.name
+            base.stats().decode_misses > 0,
+            "the stock run uses the tier"
         );
-        assert_eq!(
-            off.stats().decode_hits + off.stats().decode_misses,
-            0,
-            "corpus `{}` used a disabled cache",
-            item.name
-        );
-        let got_on = program.read_global(&mut on, wo, item.check_global).unwrap();
-        let got_off = program
-            .read_global(&mut off, wf, item.check_global)
-            .unwrap();
-        assert_eq!(
-            on.word_length().to_signed(got_on),
-            item.expected,
-            "corpus `{}`",
-            item.name
-        );
-        assert_eq!(got_on, got_off, "corpus `{}`", item.name);
-        assert_eq!(
-            full_image(&on),
-            full_image(&off),
-            "corpus `{}` memory image",
-            item.name
-        );
+        for (label, config, traced, tier_runs) in &rows {
+            let row = format!("corpus `{}`, {label}", item.name);
+            let (cpu, got) = run_one(config, *traced);
+            assert_eq!(got, value, "{row}");
+            assert_eq!(cpu.cycles(), base.cycles(), "{row} cycles");
+            assert_eq!(
+                cpu.stats().simulated(),
+                base.stats().simulated(),
+                "{row} simulated statistics"
+            );
+            assert_eq!(full_image(&cpu), full_image(&base), "{row} memory image");
+            let s = cpu.stats();
+            if *tier_runs {
+                assert!(s.trans_enters > 0, "{row} never entered a block");
+            } else {
+                let tier = [
+                    s.decode_misses,
+                    s.decode_hits,
+                    s.trans_enters,
+                    s.trans_blocks,
+                ];
+                assert_eq!(tier, [0; 4], "{row} ran the tier");
+            }
+        }
     }
 }
 
+/// Every fused pair in `translate.rs`'s table is stamped by
+/// `build_block` somewhere in code the repository really runs: the
+/// corpus and the search machines' node, sender and collector programs,
+/// planned and routed. A pair nothing stamps is dead weight in the
+/// dispatch `match` (six were, once) and fails here.
 #[test]
-fn corpus_is_identical_with_translation_disabled() {
-    // The threaded-code translation tier is the second host-side
-    // instrument: force-disabled (the `TRANSLATE=off` CI leg does the
-    // same to the whole suite via the environment hook), every corpus
-    // program must land on identical answers, cycle counts, simulated
-    // statistics, and memory images. Threshold 1 on the enabled side
-    // so even briefly-hot leaders run translated.
+fn every_superinstruction_is_stamped_somewhere() {
+    // Threshold 1: every leader reached is translated.
+    let config = CpuConfig::t424()
+        .with_translate(true)
+        .with_translate_threshold(1);
+    let mut stamped = Cpu::new(config.clone()).fused_pair_counts();
+    let mut add = |cpu: &Cpu| {
+        for (total, n) in stamped.iter_mut().zip(cpu.fused_pair_counts()) {
+            *total += n;
+        }
+    };
     for item in CORPUS {
         let program = occam::compile(item.source).expect("corpus program compiles");
-        let run_one = |translate: bool| {
-            let mut cpu = Cpu::new(
-                CpuConfig::t424()
-                    .with_translate(translate)
-                    .with_translate_threshold(1),
-            );
-            let wptr = program.load(&mut cpu).expect("loads");
-            assert_eq!(
-                cpu.run_batched(500_000_000).expect("halts"),
-                RunOutcome::Halted(HaltReason::Stopped),
-                "corpus `{}`",
-                item.name
-            );
-            (cpu, wptr)
-        };
-        let (mut on, wo) = run_one(true);
-        let (mut off, wf) = run_one(false);
-        assert_eq!(wo, wf);
-        assert_eq!(on.cycles(), off.cycles(), "corpus `{}` cycles", item.name);
-        assert_eq!(
-            on.stats().simulated(),
-            off.stats().simulated(),
-            "corpus `{}` simulated statistics",
-            item.name
-        );
-        assert!(
-            on.stats().trans_enters > 0,
-            "corpus `{}` never entered a translated block",
-            item.name
-        );
-        assert_eq!(
-            off.stats().trans_enters + off.stats().trans_blocks,
-            0,
-            "corpus `{}` used disabled translation",
-            item.name
-        );
-        let got_on = program.read_global(&mut on, wo, item.check_global).unwrap();
-        let got_off = program
-            .read_global(&mut off, wf, item.check_global)
-            .unwrap();
-        assert_eq!(
-            on.word_length().to_signed(got_on),
-            item.expected,
-            "corpus `{}`",
-            item.name
-        );
-        assert_eq!(got_on, got_off, "corpus `{}`", item.name);
-        assert_eq!(
-            full_image(&on),
-            full_image(&off),
-            "corpus `{}` memory image",
-            item.name
-        );
+        let mut cpu = Cpu::new(config.clone());
+        program.load(&mut cpu).expect("loads");
+        cpu.run_batched(500_000_000).expect("halts");
+        add(&cpu);
     }
+    let with_cpu = |mut c: DbSearchConfig| {
+        c.net.cpu = config.clone();
+        c
+    };
+    for machine in [
+        Tree(with_cpu(figure8_smoke())),
+        Routed(with_cpu(routed_smoke())),
+    ] {
+        let mut sim = machine.build(Engine::Sliced);
+        assert!(sim.run(1_000_000_000_000).expect("runs").all_correct());
+        let net = sim.network();
+        (0..net.len()).for_each(|id| add(net.node(id)));
+    }
+    let dead: Vec<usize> = (0..stamped.len()).filter(|&i| stamped[i] == 0).collect();
+    assert!(
+        dead.is_empty(),
+        "fused pairs never stamped (by index): {dead:?}"
+    );
 }
 
 /// A fault rate high enough that the retry machinery demonstrably

@@ -135,11 +135,11 @@ impl Cpu {
 
     /// Execute a fully decoded direct function with its fused operand;
     /// returns cycles consumed. Shared by the byte-at-a-time path above
-    /// and the predecoded-cache path, so both execute identical
-    /// semantics by construction. Force-inlined: the body minus
-    /// [`Cpu::exec_op`] (which stays out of line) is small, and both
-    /// the decoded loop and the translated tier (`cpu/translate.rs`)
-    /// need the dispatch and the operation bodies in their hot loops.
+    /// and the translation tier (`cpu/translate.rs`), so both execute
+    /// identical semantics by construction. Force-inlined: the body
+    /// minus [`Cpu::exec_op`] (which stays out of line) is small, and
+    /// the tier's cold arm and its translated blocks need the dispatch
+    /// and the operation bodies in their hot loops.
     #[inline(always)]
     pub(crate) fn exec_direct(&mut self, fun: Direct, operand: u32) -> Result<u32, HaltReason> {
         let bpw = self.word.bytes_per_word();

@@ -25,6 +25,10 @@ use crate::timing;
 use crate::word::WordLength;
 
 /// Configuration of one emulated transputer.
+///
+/// There are two execution tiers: the byte path (one instruction byte
+/// per micro-step, the reference) and the translation tier
+/// (`cpu/translate.rs`). [`CpuConfig::translate`] selects between them.
 #[derive(Debug, Clone)]
 pub struct CpuConfig {
     /// Machine word length: the T424 is 32-bit, the T222 16-bit (§3.1).
@@ -38,17 +42,20 @@ pub struct CpuConfig {
     /// Low-priority timeslice period in cycles. Low-priority processes
     /// yield at jump and loop-end instructions once this has elapsed.
     pub timeslice_cycles: u64,
-    /// Use the host-side predecoded instruction cache. Pure emulator
-    /// optimisation: simulated timing, results and statistics are
-    /// bit-identical either way (only the `decode_*` host counters in
-    /// [`Stats`] differ). On by default; switchable off for differential
-    /// testing.
+    /// A shim: there is no decode cache. `false` forces the byte path,
+    /// exactly as `translate: false` does; `true` (the default) does
+    /// nothing. Kept because the system benchmark's pinned surface
+    /// names [`CpuConfig::with_decode_cache`]; it goes with the
+    /// benchmark's next revision (ROADMAP 3(b)).
     pub decode_cache: bool,
-    /// Translate hot basic blocks to threaded code (see
-    /// `cpu/translate.rs`). Also a pure host optimisation (only the
-    /// `trans_*` counters differ); requires the decode cache. On by
-    /// default; the `TRANSLATE=off` environment hook force-disables it
-    /// for differential CI legs.
+    /// Run through the translation tier: hot basic blocks as threaded
+    /// code, everything else one fused operation at a time (see
+    /// `cpu/translate.rs`). A pure host optimisation: simulated timing,
+    /// results and statistics are bit-identical either way (only the
+    /// `decode_*` and `trans_*` host counters in [`Stats`] differ). On
+    /// by default; the `TRANSLATE=off` environment hook force-disables
+    /// it for differential CI legs. Off — or with a trace ring enabled
+    /// — every instruction runs through the byte path.
     pub translate: bool,
     /// Leader arrivals before a basic block is translated.
     pub translate_threshold: u32,
@@ -103,7 +110,8 @@ impl CpuConfig {
         self
     }
 
-    /// Enable or disable the predecoded instruction cache.
+    /// A shim (see [`CpuConfig::decode_cache`]): `false` forces the
+    /// byte path, `true` does nothing.
     pub fn with_decode_cache(mut self, on: bool) -> CpuConfig {
         self.decode_cache = on;
         self
@@ -290,17 +298,11 @@ pub struct Cpu {
     pub(crate) last_dispatch: u64,
     pub(crate) stats: Stats,
 
-    /// The predecoded instruction cache (host-side; see `cpu/decode.rs`).
-    pub(crate) dcache: decode::DecodeCache,
     /// The threaded-code translation cache (see `cpu/translate.rs`).
     pub(crate) tcache: translate::TransCache,
-    /// Whether `run_slice` may enter the fused fast loop at all:
-    /// the cache is enabled and reserved-word reads carry no penalty
-    /// (so timer-queue head checks are timing-free).
-    pub(crate) decode_fast_ok: bool,
-    /// Whether the fused loop may look up translated blocks at leader
-    /// positions: translation is enabled and the fused loop's own
-    /// preconditions hold.
+    /// Whether `run_slice` may enter the translation tier's fast loop
+    /// at all: the tier is enabled and reserved-word reads carry no
+    /// penalty (so timer-queue head checks are timing-free).
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
@@ -335,8 +337,7 @@ impl Cpu {
                 .expect("reserved words in range");
         }
         let reserved_free = mem.reserved_reads_free();
-        let decode_fast_ok = config.decode_cache && reserved_free;
-        let translate_ok = config.translate && decode_fast_ok;
+        let translate_ok = config.translate && config.decode_cache && reserved_free;
         Cpu {
             word,
             magic,
@@ -372,9 +373,7 @@ impl Cpu {
             timeslice_cycles: config.timeslice_cycles,
             last_dispatch: 0,
             stats: Stats::default(),
-            dcache: decode::DecodeCache::new(),
             tcache: translate::TransCache::default(),
-            decode_fast_ok,
             translate_ok,
             // Leader heat is a saturating `u8`.
             translate_threshold: config.translate_threshold.clamp(1, 255),
@@ -747,16 +746,18 @@ impl Cpu {
                 self.preempt_to_high();
                 return SliceOutcome::Preempted;
             }
-            // Fast path: at an operation boundary, execute predecoded
-            // fused operations back to back (cached by `cpu/decode.rs`)
-            // and — when the translation tier is on and tracing is off —
-            // hot translated blocks, in the one loop of
-            // `cpu/translate.rs`. Falls through
-            // to the byte-at-a-time micro-step whenever it cannot make
-            // progress, which guarantees the loop never spins.
-            if self.decode_fast_ok && self.resume.is_none() && self.op_len == 0 {
-                let leaders = self.translate_ok && self.trace.is_none();
-                match self.run_predecoded(limit, fence, leaders) {
+            // Fast path, when the translation tier is on and tracing is
+            // off: at an operation boundary, run hot translated blocks
+            // and fused cold operations back to back in the one loop of
+            // `cpu/translate.rs`. Falls through to the byte-at-a-time
+            // micro-step whenever it cannot make progress, which
+            // guarantees the loop never spins.
+            if self.translate_ok
+                && self.trace.is_none()
+                && self.resume.is_none()
+                && self.op_len == 0
+            {
+                match self.run_predecoded(limit, fence) {
                     (_, Some(outcome)) => return outcome,
                     (true, None) => continue,
                     (false, None) => {}

@@ -1,20 +1,23 @@
-//! Threaded-code translation of hot I1 basic blocks.
+//! Threaded-code translation of hot I1 basic blocks: the second of the
+//! two CPU tiers (the first is the byte path, `Cpu::exec_one`, the
+//! reference).
 //!
-//! The decode cache (`cpu/decode.rs`) removed the per-byte fetch and
-//! prefix replay; what remains on its hot path is a cache lookup, a
-//! validity/generation test, and a 16-way dispatch *per operation*.
-//! This tier removes those too: once a straight-line run of operations
-//! has been entered often enough, it is compiled into a [`TransBlock`]
-//! — an array of pre-resolved handler pointers with fused operands —
-//! and thereafter executed back to back with no decode work at all.
-//! Each handler is a monomorphised wrapper over the shared
-//! [`Cpu::exec_direct`], so translated execution is the *same code*
-//! the interpreter runs, minus the work of deciding which code to run.
+//! The byte path pays a fetch, a nibble split and a 16-way dispatch per
+//! *byte*. This tier's fast loop ([`Cpu::run_predecoded`]) decodes a
+//! whole operation at once (`cpu/decode.rs`) and, once a straight-line
+//! run of operations has been entered often enough, compiles it into a
+//! [`TransBlock`] — an array of pre-resolved dispatch codes with fused
+//! operands — thereafter executed back to back with no decode work at
+//! all. Code that is not yet a block is interpreted one decoded
+//! operation at a time by the loop's cold arm. Each handler is the
+//! shared [`Cpu::exec_direct`] or an inlined copy of one of its arms, so
+//! translated execution is the *same code* the interpreter runs, minus
+//! the work of deciding which code to run.
 //!
-//! Like the decode cache, the tier is an instrument of the host,
-//! invisible to the simulation; the differential test battery
-//! (`tests/translate.rs`, `tests/decode_cache.rs`, the proptest fuzzer
-//! in `crates/analysis/tests/cfg_props.rs`, and the corpus differential
+//! The tier is an instrument of the host, invisible to the simulation;
+//! the differential test battery (`tests/translate.rs`,
+//! `tests/decode_cache.rs`, the proptest fuzzer in
+//! `crates/analysis/tests/cfg_props.rs`, and the corpus differential
 //! in `crates/bench/tests/determinism.rs`) proves cycles, statistics,
 //! memory images and network fingerprints bit-identical with the tier
 //! on or off.
@@ -41,7 +44,7 @@
 //!   execution re-enters (or re-interprets) at the new position.
 //! * **Writes into translated code**: the memory side's global
 //!   [`code epoch`](crate::memory) moved, meaning a store landed in
-//!   *some* block of cached code. The block conservatively deopts; on
+//!   *some* block of translated code. The block conservatively deopts; on
 //!   the next entry — of this or any block whose covers were last
 //!   checked at an older epoch — the per-cover generation snapshots
 //!   decide whether it was actually hit (invalidation + immediate
@@ -57,7 +60,7 @@
 //! the interpreter would have, resumption state is identical by
 //! construction — the tests assert it anyway.
 
-use super::decode::{decode_entry, DecEntry, F_BYPASS, F_LINK, F_VALID};
+use super::decode::decode_entry;
 use super::{Cpu, SliceOutcome};
 use crate::error::HaltReason;
 use crate::instr::{Direct, Op};
@@ -94,51 +97,51 @@ struct TransOp {
 /// operations per dispatch); codes from [`XO_BASE`] up are specialised
 /// single operations.
 const XF_BASE: u8 = 16;
-// The fused-pair superinstructions, chosen from the measured adjacent-
-// pair frequencies over the benchmark corpus (these twelve cover about
-// three quarters of all adjacent pairs). Fusion only elides the
-// dispatch between the two operations — each half keeps its own cycle
-// charge, statistics and checks, so it cannot change behaviour.
-const XF_LDLP_LDL: u8 = 16;
-const XF_LDL_OPR: u8 = 17;
-const XF_OPR_LDNL: u8 = 18;
-const XF_LDC_OPR: u8 = 19;
-const XF_LDL_ADC: u8 = 20;
-const XF_ADC_OPR: u8 = 21;
-const XF_OPR_CJ: u8 = 22;
-const XF_LDNL_LDLP: u8 = 23;
-const XF_LDLP_LDC: u8 = 24;
-const XF_OPR_STNL: u8 = 25;
-const XF_LDNL_OPR: u8 = 26;
-const XF_STL_LDLP: u8 = 27;
-// Second-generation pairs over *specialised* codes: once the hot ALU
-// `opr`s get their own dispatch codes (below), the array-access idioms
+/// How many fused-pair codes there are.
+const FUSED_PAIRS: usize = (XO_BASE - XF_BASE) as usize;
+// The fused-pair superinstructions. The first six pair plain function
+// nibbles (a plain `0xF` is an `opr` that did not resolve to an `XO_*`
+// code); the second six pair *specialised* codes: once the hot ALU
+// `opr`s have their own dispatch codes (below), the array-access idioms
 // they sit in become fusable too — `ldl index; wsub`, `wsub; ldnl`
 // (array read), `wsub; stnl` (array write), `gt; cj` (compare and
-// branch).
-const XF_LDL_WSUB: u8 = 28;
-const XF_LDL_ADD: u8 = 29;
-const XF_LDL_GT: u8 = 30;
-const XF_WSUB_LDNL: u8 = 31;
-const XF_WSUB_STNL: u8 = 32;
-const XF_GT_CJ: u8 = 33;
+// branch). All twelve are dispatched by the corpus and the search
+// machines (`every_superinstruction_is_stamped_somewhere` holds that);
+// the search board's inner loop is ten dispatches a record at about
+// 9.9 % each — `j`, `ldl`, `cj`, `eqc`, `opr`, `XF_LDLP_LDL`,
+// `XF_LDC_OPR`, `XF_LDLP_LDC`, `XF_WSUB_LDNL`, `XO_DIFF`. Fusion only
+// elides the dispatch between the two operations — each half keeps its
+// own cycle charge, statistics and checks, so it cannot change
+// behaviour.
+const XF_LDLP_LDL: u8 = 16;
+const XF_LDL_OPR: u8 = 17;
+const XF_LDC_OPR: u8 = 18;
+const XF_LDL_ADC: u8 = 19;
+const XF_LDLP_LDC: u8 = 20;
+const XF_STL_LDLP: u8 = 21;
+const XF_LDL_WSUB: u8 = 22;
+const XF_LDL_ADD: u8 = 23;
+const XF_LDL_GT: u8 = 24;
+const XF_WSUB_LDNL: u8 = 25;
+const XF_WSUB_STNL: u8 = 26;
+const XF_GT_CJ: u8 = 27;
 // Pure-ALU `opr` operations specialised by their build-time-resolved
 // operand. Measured over the corpus these six are two thirds of the
 // dynamic `opr` mix (`wsub` alone is 43%); each touches only the
 // operand stack, the cycle counter, and (for checked arithmetic) the
 // error flag, so its arm needs none of the general path's scheduler,
 // epoch or control-transfer checks.
-const XO_BASE: u8 = 34;
-const XO_ADD: u8 = 34;
-const XO_SUB: u8 = 35;
-const XO_DIFF: u8 = 36;
-const XO_GT: u8 = 37;
-const XO_WSUB: u8 = 38;
-const XO_REV: u8 = 39;
-/// An `opr` that can act on a link channel (a decode entry carrying
-/// [`F_LINK`]): the general operation behind a link-fence check. Never
+const XO_BASE: u8 = 28;
+const XO_ADD: u8 = 28;
+const XO_SUB: u8 = 29;
+const XO_DIFF: u8 = 30;
+const XO_GT: u8 = 31;
+const XO_WSUB: u8 = 32;
+const XO_REV: u8 = 33;
+/// An `opr` that can act on a link channel (a decode entry with `link`
+/// set): the general operation behind a link-fence check. Never
 /// fused, so the check always sits at a dispatch boundary.
-const XO_LINK: u8 = 40;
+const XO_LINK: u8 = 34;
 
 /// The superinstruction code for an adjacent pair of dispatch codes
 /// (post-specialisation, so a plain `0xF` here is an `opr` that did
@@ -150,15 +153,9 @@ fn fuse_code(a: u8, b: u8) -> Option<u8> {
     match (a, b) {
         (0x1, 0x7) => Some(XF_LDLP_LDL),
         (0x7, 0xF) => Some(XF_LDL_OPR),
-        (0xF, 0x3) => Some(XF_OPR_LDNL),
         (0x4, 0xF) => Some(XF_LDC_OPR),
         (0x7, 0x8) => Some(XF_LDL_ADC),
-        (0x8, 0xF) => Some(XF_ADC_OPR),
-        (0xF, 0xA) => Some(XF_OPR_CJ),
-        (0x3, 0x1) => Some(XF_LDNL_LDLP),
         (0x1, 0x4) => Some(XF_LDLP_LDC),
-        (0xF, 0xE) => Some(XF_OPR_STNL),
-        (0x3, 0xF) => Some(XF_LDNL_OPR),
         (0xD, 0x1) => Some(XF_STL_LDLP),
         (0x7, XO_WSUB) => Some(XF_LDL_WSUB),
         (0x7, XO_ADD) => Some(XF_LDL_ADD),
@@ -185,8 +182,8 @@ fn specialize_op(operand: u32) -> Option<u8> {
 }
 
 impl TransOp {
-    /// Count `times` executions of this operation — what the decoded
-    /// loop's byte count and `record_operation` do once per execution.
+    /// Count `times` executions of this operation — what the cold
+    /// arm's byte count and `record_operation` do once per execution.
     /// These counters feed reporting, never control flow, so blocks
     /// apply them in batches (see [`Cpu::flush_block_stats`]). Cycle and
     /// time accounting is NOT batched — it drives budgets and timers
@@ -258,7 +255,8 @@ impl std::fmt::Debug for TransBlock {
 /// Per-processor translation cache: a direct-mapped leader index (the
 /// code byte offset *is* the key), per-leader heat counters, and slot
 /// storage for the blocks. Grows geometrically with the highest code
-/// offset entered, like the decode cache.
+/// offset entered, so short-lived processors never pay for the full
+/// address range.
 #[derive(Debug, Default)]
 pub(crate) struct TransCache {
     /// `off -> slot + 1`; `0` means no block at this leader.
@@ -326,17 +324,16 @@ enum BlockExit {
 }
 
 impl Cpu {
-    /// The predecoded fast loop of [`Cpu::run_slice`]: execute
-    /// predecoded operations back to back while nothing can interact,
-    /// and — when `leaders` is set (the translation tier is on and
-    /// tracing is off; loop-invariant) — run hot code at block-leader
+    /// The fast loop of [`Cpu::run_slice`], entered only with the
+    /// translation tier on and tracing off: run hot code at block-leader
     /// positions (slice entry, the target of every control transfer,
     /// and what follows every operation blocks end at) from
-    /// [`TransBlock`]s instead of per-operation cache lookups. Returns
-    /// `(made_progress, outcome)`; `outcome == None` hands control back
-    /// to the outer loop (which re-evaluates scheduling boundaries when
-    /// progress was made, or takes one byte-at-a-time micro-step when
-    /// none was).
+    /// [`TransBlock`]s, and interpret everything else — code not yet
+    /// hot — one decoded operation at a time while nothing can
+    /// interact. Returns `(made_progress, outcome)`; `outcome == None`
+    /// hands control back to the outer loop (which re-evaluates
+    /// scheduling boundaries when progress was made, or takes one
+    /// byte-at-a-time micro-step when none was).
     ///
     /// Entry preconditions (established by `run_slice`): not halted, a
     /// process is current, no pending preemption, `resume` is `None`
@@ -345,7 +342,6 @@ impl Cpu {
         &mut self,
         limit: u64,
         fence: u64,
-        leaders: bool,
     ) -> (bool, Option<SliceOutcome>) {
         let mut progress = false;
         // Loop invariants hoisted out of the per-operation path. The
@@ -357,7 +353,7 @@ impl Cpu {
         let fast_limit = self.mem.fast_limit();
         // The slice entry position is a leader: translated processes
         // re-enter blocks straight away.
-        let mut leader = leaders;
+        let mut leader = true;
         // Blocks are borrowed from here while they run (nothing they
         // call touches the cache).
         let mut tcache = std::mem::take(&mut self.tcache);
@@ -410,21 +406,19 @@ impl Cpu {
                 }
             }
 
-            // Interpret one predecoded operation.
-            let e = self
-                .dcache
-                .entry_at(&mut self.mem, &mut self.stats, self.word, self.iptr, off);
+            // The cold arm: decode one operation and interpret it.
+            // Nothing is kept, so a store into code not yet translated
+            // needs no invalidation.
+            self.stats.decode_misses += 1;
+            let Some(e) = decode_entry(&self.mem, self.word, self.iptr) else {
+                self.stats.decode_bypasses += 1;
+                break (progress, None);
+            };
             let len = u64::from(e.len);
-            if e.flags & (F_BYPASS | F_LINK) != 0 {
-                if e.flags & F_BYPASS != 0 {
-                    self.stats.decode_bypasses += 1;
-                    break (progress, None);
-                }
-                if self.cycles + (len - 1) >= fence && self.touches_link(e.operand) {
-                    // At or past the link fence: the byte path runs the
-                    // prefix bytes and stops before the terminal one.
-                    break (progress, None);
-                }
+            if e.link && self.cycles + (len - 1) >= fence && self.touches_link(e.operand) {
+                // At or past the link fence: the byte path runs the
+                // prefix bytes and stops before the terminal one.
+                break (progress, None);
             }
             if self.cycles + (len - 1) >= limit {
                 // Some byte of this operation would start at or past the
@@ -450,9 +444,6 @@ impl Cpu {
             // `advance_time64` would do.
             self.cycles += len - 1;
             self.slice_mark = self.cycles;
-            if self.trace.is_some() {
-                self.pending_trace = Some((fun, e.operand));
-            }
             match self.exec_direct(fun, e.operand) {
                 Ok(c) => {
                     let c = c + self.mem.take_penalty_cycles();
@@ -463,7 +454,6 @@ impl Cpu {
                     break (true, Some(SliceOutcome::Halted(reason)));
                 }
             }
-            self.record_pending_trace();
             if let Some(r) = self.halted {
                 break (true, Some(SliceOutcome::Halted(r)));
             }
@@ -483,7 +473,7 @@ impl Cpu {
             // `lend` leaving its loop): `build_block` stopped there, so
             // what follows is not inside any block. Other sequential
             // flow continues inside whatever block the leader began.
-            leader = leaders && (self.iptr != next || ends_block(fun, e.operand));
+            leader = self.iptr != next || ends_block(fun, e.operand);
         };
         // Nothing reads `Stats` while the loop runs; everything that
         // can runs after this.
@@ -495,8 +485,8 @@ impl Cpu {
     }
 
     /// Execute a translated block's operations back to back. Entered
-    /// with the covers validated; every operation replays the decoded
-    /// loop's sequence, and any reason to stop is a [`BlockExit`].
+    /// with the covers validated; every operation replays the cold
+    /// arm's sequence, and any reason to stop is a [`BlockExit`].
     ///
     /// One flat 16-way dispatch per operation — the same branch shape
     /// as the interpreter, so the host branch predictor sees one
@@ -600,7 +590,7 @@ impl Cpu {
             }
             // A store's epilogue: the write may have dirtied the
             // reserved words (`advance_time` refreshes the timer heads
-            // exactly as the decoded loop would), hit cached code
+            // exactly as the cold arm would), hit translated code
             // (epoch check), or flipped a scheduler gate.
             macro_rules! store_tail {
                 ($c:expr, $n:expr) => {{
@@ -837,7 +827,7 @@ impl Cpu {
             // A conditional jump: jumps when A is zero (no pop), pops
             // and falls through otherwise. `ends_block` makes `cj`
             // block-final, so the taken path is natural completion,
-            // never a mid-block deopt; the decoded loop's budget check
+            // never a mid-block deopt; the cold arm's budget check
             // precedes its control-transfer check, hence the order
             // here. Writes nothing and schedules nothing, so the
             // epoch and gate checks are vacuous.
@@ -857,7 +847,7 @@ impl Cpu {
                 }};
             }
             // An operation with the full interpreter semantics and the
-            // full post-operation battery, in the decoded loop's order
+            // full post-operation battery, in the cold arm's order
             // so coincident conditions resolve to the same outcome.
             // `$fun` is a constant, so the force-inlined `exec_direct`
             // reduces to that arm's body.
@@ -942,10 +932,6 @@ impl Cpu {
                     ldl_body!(op, i + 1);
                     fused!(general_body, Direct::Operate,);
                 }
-                XF_OPR_LDNL => {
-                    general_body!(Direct::Operate, op, i + 1);
-                    fused!(ldnl_body,);
-                }
                 XF_LDC_OPR => {
                     ldc_body!(op, i + 1);
                     fused!(general_body, Direct::Operate,);
@@ -954,29 +940,9 @@ impl Cpu {
                     ldl_body!(op, i + 1);
                     fused!(adc_body,);
                 }
-                XF_ADC_OPR => {
-                    adc_body!(op, i + 1);
-                    fused!(general_body, Direct::Operate,);
-                }
-                XF_OPR_CJ => {
-                    general_body!(Direct::Operate, op, i + 1);
-                    fused!(cj_body,);
-                }
-                XF_LDNL_LDLP => {
-                    ldnl_body!(op, i + 1);
-                    fused!(ldlp_body,);
-                }
                 XF_LDLP_LDC => {
                     ldlp_body!(op, i + 1);
                     fused!(ldc_body,);
-                }
-                XF_OPR_STNL => {
-                    general_body!(Direct::Operate, op, i + 1);
-                    fused!(stnl_body,);
-                }
-                XF_LDNL_OPR => {
-                    ldnl_body!(op, i + 1);
-                    fused!(general_body, Direct::Operate,);
                 }
                 XF_STL_LDLP => {
                     stl_body!(op, i + 1);
@@ -1031,6 +997,21 @@ impl Cpu {
             }
             i = n;
         }
+    }
+
+    /// How many operations in the blocks this processor has translated
+    /// carry each fused-pair dispatch code, indexed from the first
+    /// (`XF_LDLP_LDL`). For the test that holds every pair in the table
+    /// to being stamped by code the repository really runs
+    /// (`determinism.rs::every_superinstruction_is_stamped_somewhere`).
+    #[doc(hidden)]
+    pub fn fused_pair_counts(&self) -> [usize; FUSED_PAIRS] {
+        let mut counts = [0; FUSED_PAIRS];
+        let ops = self.tcache.slots.iter().flat_map(|block| block.ops());
+        for op in ops.filter(|op| (XF_BASE..XO_BASE).contains(&op.xfun)) {
+            counts[usize::from(op.xfun - XF_BASE)] += 1;
+        }
+        counts
     }
 
     /// Whether the scheduler gates would stop fused execution: a timer
@@ -1136,12 +1117,11 @@ impl Cpu {
         // One past the last byte the block's operations occupy.
         let mut end_off = off;
         while nops < MAX_BLOCK_OPS {
-            let e: DecEntry = decode_entry(&self.mem, self.word, iptr);
-            if e.flags & F_VALID == 0 || e.flags & F_BYPASS != 0 {
+            let Some(e) = decode_entry(&self.mem, self.word, iptr) else {
                 break;
-            }
+            };
             let fun = Direct::from_nibble(e.fun);
-            let xfun = if e.flags & F_LINK != 0 {
+            let xfun = if e.link {
                 XO_LINK
             } else if fun == Direct::Operate {
                 specialize_op(e.operand).unwrap_or(e.fun)
@@ -1239,7 +1219,7 @@ fn ends_block(fun: Direct, operand: u32) -> bool {
                     | Op::Move
                     | Op::HaltSimulation
             ),
-            // Unknown operations are bypass entries; unreachable here.
+            // Unknown operations do not decode; unreachable here.
             None => true,
         },
         _ => false,

@@ -30,10 +30,10 @@ pub const TPTR_LOC: [u32; 2] = [9, 10];
 /// Default on-chip memory of the T424: 4K bytes (§3.1).
 pub const T424_ON_CHIP_BYTES: u32 = 4 * 1024;
 
-/// Log2 of the decode-cache block size: the granularity at which code
-/// generations are tracked for the predecoded-instruction cache.
+/// Log2 of the code block size: the granularity at which code
+/// generations are tracked for the translation tier's block covers.
 pub(crate) const CODE_BLOCK_SHIFT: usize = 6;
-/// Bytes per decode-cache block.
+/// Bytes per code block.
 pub(crate) const CODE_BLOCK_BYTES: usize = 1 << CODE_BLOCK_SHIFT;
 
 /// Memory configuration.
@@ -91,15 +91,16 @@ pub struct Memory {
     /// configured, otherwise just the on-chip block.
     fast_bytes: usize,
     /// Per-block code generation, bumped on a write into a block that
-    /// the decode cache has marked cached. Cache lines snapshot the
-    /// generation at fill time; a mismatch means stale.
+    /// translated code covers. A translated block snapshots the
+    /// generations of its covers when it is built; a mismatch means
+    /// stale.
     code_gen: Vec<u32>,
-    /// Write gate: only blocks the decode cache actually holds pay the
+    /// Write gate: only blocks translated code actually covers pay the
     /// generation bump, so ordinary data writes stay one branch.
     code_cached: Vec<bool>,
     /// Monotonic counter bumped alongside *every* `code_gen` bump, in
     /// any block. A translated block snapshots it on entry; a mid-block
-    /// mismatch means some cached code somewhere was overwritten, so
+    /// mismatch means some translated code somewhere was overwritten, so
     /// the block deoptimises and re-validates its own covers. One u64
     /// compare per operation instead of one gen compare per covered
     /// block.
@@ -216,8 +217,9 @@ impl Memory {
         std::mem::take(&mut self.penalty_accrued)
     }
 
-    /// Write gate for the decode cache: bump the generation of a block
-    /// that holds cached code, and flag writes into the reserved words.
+    /// Write gate for the translation tier: bump the generation of a
+    /// block that translated code covers, and flag writes into the
+    /// reserved words.
     #[inline]
     fn note_write(&mut self, off: usize) {
         let b = off >> CODE_BLOCK_SHIFT;
@@ -256,13 +258,13 @@ impl Memory {
         self.code_gen[block]
     }
 
-    /// Mark a block as held by the decode cache, arming the write gate.
+    /// Mark a block as covered by translated code, arming the write gate.
     #[inline]
     pub(crate) fn note_code_cached(&mut self, block: usize) {
         self.code_cached[block] = true;
     }
 
-    /// Global write-into-cached-code epoch (see the field's docs).
+    /// Global write-into-translated-code epoch (see the field's docs).
     #[inline]
     pub(crate) fn code_epoch(&self) -> u64 {
         self.code_epoch

@@ -53,25 +53,23 @@ pub struct Stats {
     pub link_dup_data: u64,
     /// Link directions declared failed after the retry budget ran out.
     pub link_failures: u64,
-    /// Predecoded-instruction-cache lookups served from a valid entry.
-    /// Host-side instrumentation only: the decode cache never changes
-    /// simulated timing, so these counters are excluded from outcome
-    /// fingerprints and differential comparisons.
+    /// A shim, always 0: there is no decode cache to hit. Kept because
+    /// the system benchmark's pinned surface names it; it goes with the
+    /// benchmark's next revision (ROADMAP 3(b)).
     pub decode_hits: u64,
-    /// Lookups that had to decode the byte stream and fill an entry.
+    /// Operations the translation tier's fast loop interpreted one at a
+    /// time — decoded, executed and forgotten — because they were not
+    /// (yet) in a translated block. Host-side instrumentation only:
+    /// the tier never changes simulated timing, so this and the
+    /// counters below are excluded from outcome fingerprints and
+    /// differential comparisons. 0 whenever the byte path ran alone.
     pub decode_misses: u64,
-    /// Cache lines or entries discarded because a write landed in their
-    /// code block since they were filled.
-    pub decode_invalidations: u64,
-    /// Operations executed through the byte-at-a-time path because their
-    /// entry crosses an interaction point (`j` timeslice, resumable
-    /// `operate`), lies outside penalty-free memory, or abuts the slice
-    /// budget.
+    /// Times the fast loop handed an operation to the byte-at-a-time
+    /// path because it is unknown, over-long, or outside penalty-free
+    /// memory.
     pub decode_bypasses: u64,
     /// Hot basic blocks compiled into threaded-code form (see
-    /// `cpu/translate.rs`). Host-side instrumentation, like the
-    /// `decode_*` counters: excluded from fingerprints and
-    /// differential comparisons.
+    /// `cpu/translate.rs`).
     pub trans_blocks: u64,
     /// Entries into a translated block.
     pub trans_enters: u64,
@@ -107,7 +105,6 @@ impl Default for Stats {
             link_failures: 0,
             decode_hits: 0,
             decode_misses: 0,
-            decode_invalidations: 0,
             decode_bypasses: 0,
             trans_blocks: 0,
             trans_enters: 0,
@@ -177,15 +174,13 @@ impl Stats {
         self.direct_counts[fun.nibble() as usize]
     }
 
-    /// These stats with the host-side decode-cache and translation-tier
-    /// counters zeroed: every *simulated* quantity, suitable for
-    /// asserting that neither host optimisation changes anything the
-    /// program can observe.
+    /// These stats with the host-side translation-tier counters
+    /// zeroed: every *simulated* quantity, suitable for asserting that
+    /// the tier changes nothing the program can observe.
     pub fn simulated(&self) -> Stats {
         Stats {
             decode_hits: 0,
             decode_misses: 0,
-            decode_invalidations: 0,
             decode_bypasses: 0,
             trans_blocks: 0,
             trans_enters: 0,

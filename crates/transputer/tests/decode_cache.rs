@@ -1,7 +1,11 @@
-//! The predecoded instruction cache must be invisible: any program
-//! must produce bit-identical results, cycle counts, and memory images
-//! with the cache enabled or disabled — including programs that rewrite
-//! their own code. Plus the `advance_idle_to` widening regression.
+//! Fused decoding must be invisible: any program must produce
+//! bit-identical results, cycle counts, and memory images through the
+//! translation tier — its cold arm, which decodes and interprets one
+//! operation at a time, and its translated blocks — and through the
+//! byte path, including programs that rewrite their own code. Plus the
+//! `advance_idle_to` widening regression. (The file is named for the
+//! memo that once sat in front of the decoder; nothing is cached now,
+//! which is why the cold rows below need no invalidation to pass.)
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::{Cpu, CpuConfig, HaltReason, Priority, RunOutcome};
@@ -38,13 +42,14 @@ fn push_code_address(c: &mut Vec<u8>, target: usize) {
     panic!("no encoding fixpoint for code address of {target}");
 }
 
-/// Translation is off on both sides: these rows pin the decode tier
-/// alone (warm translated code never touches the decode cache); the
-/// `run_translated` rows below toggle the tier above it.
-fn run_with(code: &[u8], decode_cache: bool) -> Cpu {
+/// The tier's cold arm against the byte path: with the threshold at
+/// the heat counter's ceiling no leader here gets hot enough to be
+/// translated, so every operation of the tier-on run is decoded where
+/// it is executed. The `run_translated` rows below pin the blocks.
+fn run_with(code: &[u8], tier: bool) -> Cpu {
     let config = CpuConfig::t424()
-        .with_translate(false)
-        .with_decode_cache(decode_cache);
+        .with_translate(tier)
+        .with_translate_threshold(255);
     let mut cpu = Cpu::new(config);
     cpu.load_boot_program(code).expect("program fits");
     match cpu.run_batched(10_000_000).expect("no budget overrun") {
@@ -56,7 +61,7 @@ fn run_with(code: &[u8], decode_cache: bool) -> Cpu {
 
 /// Run a program both ways and assert every observable — the answer
 /// word, cycle count, simulated statistics, and the full memory image —
-/// is identical. Returns the cache-enabled run for extra assertions.
+/// is identical. Returns the tier-on run for extra assertions.
 fn assert_transparent(code: &[u8]) -> Cpu {
     let on = run_with(code, true);
     let off = run_with(code, false);
@@ -73,13 +78,26 @@ fn assert_transparent(code: &[u8]) -> Cpu {
         off.memory().dump(base, size).unwrap(),
         "memory images diverged"
     );
-    assert!(
-        on.stats().decode_hits + on.stats().decode_misses > 0,
-        "cache never engaged"
-    );
-    assert_eq!(off.stats().decode_hits, 0, "disabled cache served hits");
-    assert_eq!(off.stats().decode_misses, 0, "disabled cache decoded");
+    assert!(on.stats().decode_misses > 0, "the cold arm never engaged");
+    assert_eq!(on.stats().trans_blocks, 0, "a leader got hot");
+    assert_byte_path_alone(&off);
     on
+}
+
+/// Nothing but the byte path ran: no operation was decoded whole, no
+/// block was entered.
+fn assert_byte_path_alone(cpu: &Cpu) {
+    let s = cpu.stats();
+    assert_eq!(
+        (
+            s.decode_misses,
+            s.decode_hits,
+            s.trans_enters,
+            s.trans_blocks
+        ),
+        (0, 0, 0, 0),
+        "the translation tier ran"
+    );
 }
 
 fn local_word(cpu: &mut Cpu, index: u32) -> u32 {
@@ -115,8 +133,8 @@ fn advance_idle_to_is_not_truncated_to_u32() {
 }
 
 /// `ldc 0` at offset 0 is executed, then rewritten to `ldc 1` by a
-/// store the program itself performs, then re-executed. A stale decode
-/// entry would replay `ldc 0` and loop forever.
+/// store the program itself performs, then re-executed. A stale
+/// decoding would replay `ldc 0` and loop forever.
 fn self_modifying_program() -> Vec<u8> {
     let mut c: Vec<u8> = Vec::new();
     // T (offset 0): patched from `ldc 0` (0x40) to `ldc 1` (0x41).
@@ -137,20 +155,16 @@ fn self_modifying_program() -> Vec<u8> {
 }
 
 #[test]
-fn rewriting_an_executed_instruction_invalidates_its_entry() {
+fn a_rewritten_instruction_is_re_read() {
     let mut on = assert_transparent(&self_modifying_program());
     assert_eq!(local_word(&mut on, 1), 1, "second pass ran stale code");
-    assert!(
-        on.stats().decode_invalidations > 0,
-        "the rewrite must invalidate the cached block"
-    );
 }
 
 /// A `pfix`/`ldc` chain straddling the 64-byte block boundary: the
 /// first byte sits at code offset 55, the terminal at 56 — memory
 /// offsets 127 and 128, since code loads 72 bytes above the base. The
-/// program rewrites the byte in the *next* block; the spanning entry
-/// (cached in the first block's line) must still be invalidated.
+/// program rewrites the byte in the *next* block; the second pass must
+/// fuse the chain from the bytes as they then stand.
 fn spanning_chain_program() -> Vec<u8> {
     let mut c: Vec<u8> = Vec::new();
     // Padding so the two-byte `pfix 1; ldc 0` starts on the last byte
@@ -202,24 +216,19 @@ fn spanning_chain_program() -> Vec<u8> {
 }
 
 #[test]
-fn writing_into_the_next_cache_line_invalidates_spanning_entries() {
+fn a_chain_spanning_two_code_blocks_is_re_fused() {
     let mut on = assert_transparent(&spanning_chain_program());
     assert_eq!(
         local_word(&mut on, 1),
         0x11,
         "second pass fused a stale spanning chain"
     );
-    assert!(
-        on.stats().decode_invalidations > 0,
-        "the next-block write must invalidate the spanning entry"
-    );
 }
 
 /// Like [`run_with`]/[`assert_transparent`], but toggling the
-/// *translation* tier (threshold 1: every leader translates on first
-/// arrival) with the decode cache on in both runs. Self-modifying
-/// programs must see identical results whether their hot blocks run
-/// threaded or through the per-operation cache.
+/// tier at threshold 1: every leader translates on first arrival.
+/// Self-modifying programs must see identical results whether their
+/// code runs threaded or a byte at a time.
 fn run_translated(code: &[u8], translate: bool) -> Cpu {
     let mut cpu = Cpu::new(
         CpuConfig::t424()
@@ -350,10 +359,10 @@ fn storing_into_the_adjacent_code_block_invalidates_translated_spans() {
     );
 }
 
-#[test]
-fn straight_line_arithmetic_is_transparent() {
-    // A dense loop of fused multi-byte operations: ldc/adc/stl with
-    // operands needing prefixes, plus a backward jump.
+/// A dense 200-trip loop of fused multi-byte operations — ldc/adc/stl
+/// with operands needing prefixes, plus a backward jump — that leaves
+/// `200 * 0x1234` in local 1.
+fn adding_loop_program() -> Vec<u8> {
     let mut c: Vec<u8> = Vec::new();
     c.extend(encode(Direct::LoadConstant, 0));
     c.extend(encode(Direct::StoreLocal, 1));
@@ -367,27 +376,57 @@ fn straight_line_arithmetic_is_transparent() {
     c.extend(encode(Direct::AddConstant, -1));
     c.extend(encode(Direct::StoreLocal, 2));
     c.extend(encode(Direct::LoadLocal, 2));
-    let at = c.len();
-    c.extend(jump_to(Direct::ConditionalJump, at, top));
-    // ConditionalJump falls through while the counter is non-zero —
-    // invert: cj jumps when A == 0, so jump out of the loop instead.
-    let mut c2: Vec<u8> = Vec::new();
-    c2.extend_from_slice(&c[..at]);
-    let exit_cj = encode(Direct::ConditionalJump, 0);
-    let back_at = at + exit_cj.len();
-    let back = jump_to(Direct::Jump, back_at, top);
+    // `cj` jumps when A == 0: out of the loop, over the jump back.
+    let back = jump_to(Direct::Jump, c.len() + 1, top);
     let exit_cj = encode(Direct::ConditionalJump, back.len() as i64);
     assert_eq!(exit_cj.len(), 1);
-    c2.extend(exit_cj);
-    c2.extend(back);
-    c2.extend(encode_op(Op::HaltSimulation));
-    let mut on = assert_transparent(&c2);
-    let expected = (0x1234u32).wrapping_mul(200);
-    assert_eq!(local_word(&mut on, 1), expected);
-    assert!(
-        on.stats().decode_hits > on.stats().decode_misses,
-        "a hot loop must be served mostly from the cache"
-    );
+    c.extend(exit_cj);
+    c.extend(back);
+    c.extend(encode_op(Op::HaltSimulation));
+    c
+}
+
+const ADDING_LOOP_RESULT: u32 = 0x1234 * 200;
+
+#[test]
+fn straight_line_arithmetic_is_transparent() {
+    let mut on = assert_transparent(&adding_loop_program());
+    assert_eq!(local_word(&mut on, 1), ADDING_LOOP_RESULT);
+}
+
+/// There are two tiers and nothing between them: with the translation
+/// tier off — under either flag — or a trace ring on, the byte path
+/// runs alone, and lands where the stock run does.
+#[test]
+fn the_byte_path_runs_alone_when_the_tier_is_off_or_traced() {
+    let code = adding_loop_program();
+    let stock = CpuConfig::t424().with_translate(true);
+    let run = |config: &CpuConfig, traced: bool| {
+        let mut cpu = Cpu::new(config.clone());
+        if traced {
+            cpu.enable_trace(16);
+        }
+        cpu.load_boot_program(&code).expect("program fits");
+        cpu.run_batched(10_000_000).expect("no budget overrun");
+        cpu
+    };
+    let base = run(&stock, false);
+    assert!(base.stats().trans_enters > 0, "the stock run translates");
+    for (config, traced) in [
+        (stock.clone().with_translate(false), false),
+        (stock.clone().with_decode_cache(false), false),
+        (stock.clone(), true),
+    ] {
+        let mut cpu = run(&config, traced);
+        assert_byte_path_alone(&cpu);
+        assert_eq!(cpu.cycles(), base.cycles());
+        assert_eq!(cpu.stats().simulated(), base.stats().simulated());
+        assert_eq!(local_word(&mut cpu, 1), ADDING_LOOP_RESULT);
+        if traced {
+            let ring = cpu.trace().expect("the ring stays enabled");
+            assert_eq!(ring.len(), 16, "every operation reached the ring");
+        }
+    }
 }
 
 /// `T; stl 1; ldl 1; cj <halt>; haltsim; <patch T to ldc 1>; j back`:

@@ -307,21 +307,23 @@ fn fence_program(op: Op, setup: &[u8], is_output: bool, chan: Chan) -> (Vec<u8>,
     (code, first, terminal)
 }
 
-/// The three execution tiers, and the byte path once more with the code
-/// in penalised off-chip memory (where every fetch costs extra cycles:
-/// a fence check that fetched would charge the operation twice).
+/// The two execution tiers — the translation tier twice, once with
+/// every leader too cold to translate (its cold arm checks the fence
+/// itself) and once with every leader translated on arrival — and the
+/// byte path once more with the code in penalised off-chip memory
+/// (where every fetch costs extra cycles: a fence check that fetched
+/// would charge the operation twice).
 fn tiers() -> Vec<(&'static str, CpuConfig, bool)> {
     let off_chip = MemoryConfig::t424().with_external(60 * 1024, 3);
+    let tier = |threshold| {
+        CpuConfig::t424()
+            .with_translate(true)
+            .with_translate_threshold(threshold)
+    };
     vec![
-        ("byte", CpuConfig::t424().with_decode_cache(false), false),
-        ("decoded", CpuConfig::t424().with_translate(false), false),
-        (
-            "translated",
-            CpuConfig::t424()
-                .with_translate(true)
-                .with_translate_threshold(1),
-            false,
-        ),
+        ("byte", CpuConfig::t424().with_translate(false), false),
+        ("cold", tier(255), false),
+        ("translated", tier(1), false),
         ("off-chip", CpuConfig::t424().with_memory(off_chip), true),
     ]
 }

@@ -79,9 +79,9 @@ fn routed_hypercube_sliced_matches_event() {
     );
 }
 
-/// The CPU tiers share one predecoded loop (`Cpu::run_predecoded`);
-/// switching block lookups off must change nothing the simulation can
-/// see. (Under the `TRANSLATE=off` hook both runs are tier-off.)
+/// The translation tier against the byte path: switching it off must
+/// change nothing the simulation can see. (Under the `TRANSLATE=off`
+/// hook both runs are tier-off.)
 #[test]
 fn e09_smoke_translate_off_matches_on() {
     let run = |translate: bool| {
