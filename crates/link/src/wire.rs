@@ -164,20 +164,6 @@ struct Line {
 }
 
 impl Line {
-    fn start_next(
-        &mut self,
-        now: u64,
-        speed: LinkSpeed,
-        protocol: LinkProtocol,
-        dead_from: Option<u64>,
-    ) -> Option<(PacketKind, Fate)> {
-        if self.in_flight.is_some() {
-            return None;
-        }
-        let (kind, seq) = self.queue.pop_front()?;
-        Some((kind, self.start(kind, seq, now, speed, protocol, dead_from)))
-    }
-
     /// Put a frame on the idle line at `now`; the fault schedule decides
     /// its fate here, at transmission start.
     fn start(
@@ -227,7 +213,8 @@ pub struct DuplexLink {
     lines: [Line; 2],
     /// When (if ever) the whole wire dies.
     dead_from: Option<u64>,
-    /// Events produced by packet starts, drained by [`DuplexLink::advance`].
+    /// Events produced by packet starts, drained by [`DuplexLink::advance`]
+    /// (or dropped by [`DuplexLink::complete_due`]).
     pending_events: Vec<LinkEvent>,
 }
 
@@ -333,17 +320,23 @@ impl DuplexLink {
             return;
         }
         debug_assert!(line.queue.is_empty(), "frames queued behind an idle line");
-        let fate = line.start(kind, seq, now, self.speed, self.protocol, self.dead_from);
-        // Robust receivers cannot acknowledge at reception start (the
-        // parity check needs the whole frame), so the early-ack decision
-        // point only exists on classic lines.
-        if matches!(kind, PacketKind::Data(_))
+        line.start(kind, seq, now, self.speed, self.protocol, self.dead_from);
+        let started = self.start_event(from.index());
+        self.pending_events.extend(started);
+    }
+
+    /// The reception-start event of the frame line `i` just put on the
+    /// wire, if it is one. Robust receivers cannot acknowledge at
+    /// reception start (the parity check needs the whole frame), so the
+    /// early-ack decision point only exists on classic lines.
+    fn start_event(&self, i: usize) -> Option<LinkEvent> {
+        let p = self.lines[i].in_flight.as_ref()?;
+        (matches!(p.kind, PacketKind::Data(_))
             && self.protocol == LinkProtocol::Classic
-            && fate == (Fate::Deliver { extra_ns: 0 })
-        {
-            self.pending_events
-                .push(LinkEvent::DataStarted { to: from.other() });
-        }
+            && p.fate == (Fate::Deliver { extra_ns: 0 }))
+        .then_some(LinkEvent::DataStarted {
+            to: End::from_index(i).other(),
+        })
     }
 
     /// Take any start events produced by sends that have not yet been
@@ -354,19 +347,15 @@ impl DuplexLink {
         std::mem::take(&mut self.pending_events)
     }
 
-    /// Drop any undrained start events in place, keeping the buffer: for
-    /// schedulers whose receivers never decide at reception start.
-    pub fn discard_pending_events(&mut self) {
-        self.pending_events.clear();
-    }
-
     /// The earliest time at which something will complete, if any packet
     /// is in flight.
+    #[inline]
     pub fn next_deadline(&self) -> Option<u64> {
-        self.lines
-            .iter()
-            .filter_map(|l| l.in_flight.as_ref().map(|p| p.done_ns))
-            .min()
+        match (&self.lines[0].in_flight, &self.lines[1].in_flight) {
+            (Some(a), Some(b)) => Some(a.done_ns.min(b.done_ns)),
+            (Some(p), None) | (None, Some(p)) => Some(p.done_ns),
+            (None, None) => None,
+        }
     }
 
     /// Cumulative transmit time of the line driven by `from`, in
@@ -400,53 +389,81 @@ impl DuplexLink {
         loop {
             let mut progressed = false;
             for i in 0..2 {
-                let done = match &self.lines[i].in_flight {
-                    Some(p) if p.done_ns <= now => Some(*p),
-                    _ => None,
+                let Some(event) = self.complete_line(i, now) else {
+                    continue;
                 };
-                if let Some(p) = done {
-                    self.lines[i].in_flight = None;
-                    let to = End::from_index(i).other();
-                    match p.fate {
-                        Fate::Deliver { .. } => match p.kind {
-                            PacketKind::Data(byte) => events.push(LinkEvent::DataDelivered {
-                                to,
-                                byte,
-                                seq: p.seq,
-                            }),
-                            PacketKind::Ack => {
-                                events.push(LinkEvent::AckDelivered { to, seq: p.seq })
-                            }
-                            PacketKind::Busy => {
-                                events.push(LinkEvent::BusyDelivered { to, seq: p.seq })
-                            }
-                        },
-                        Fate::Garble => events.push(LinkEvent::Garbled { to }),
-                        Fate::Lose => {}
-                    }
-                    // Start whatever is queued next, from the completion
-                    // time of the previous packet.
-                    if let Some((PacketKind::Data(_), fate)) = self.lines[i].start_next(
-                        p.done_ns,
-                        self.speed,
-                        self.protocol,
-                        self.dead_from,
-                    ) {
-                        if self.protocol == LinkProtocol::Classic
-                            && fate == (Fate::Deliver { extra_ns: 0 })
-                        {
-                            events.push(LinkEvent::DataStarted {
-                                to: End::from_index(i).other(),
-                            });
-                        }
-                    }
-                    progressed = true;
-                }
+                events.extend(event);
+                // A frame on the line now is the queued one the
+                // completion started.
+                events.extend(self.start_event(i));
+                progressed = true;
             }
             if !progressed {
                 break;
             }
         }
+    }
+
+    /// The completions [`DuplexLink::advance_into`] reports at `now`,
+    /// without its start events, for a scheduler whose receivers never
+    /// acknowledge at reception start: at most one per line, in line
+    /// order (`None` for a line with nothing due, or whose frame was
+    /// lost). Any start events still pending are dropped. Call it no
+    /// later than each [`DuplexLink::next_deadline`], as an event
+    /// scheduler does: the frame a completion starts is then never due
+    /// by the same `now`.
+    #[inline]
+    pub fn complete_due(&mut self, now: u64) -> [Option<LinkEvent>; 2] {
+        self.pending_events.clear();
+        let mut out = [None, None];
+        for (i, slot) in out.iter_mut().enumerate() {
+            if let Some(event) = self.complete_line(i, now) {
+                debug_assert!(
+                    self.lines[i].in_flight.is_none_or(|p| p.done_ns > now),
+                    "two frames due on one line: complete_due called past a deadline"
+                );
+                *slot = event;
+            }
+        }
+        out
+    }
+
+    /// Take line `i`'s frame off the wire if it is due by `now` and start
+    /// the next queued frame from its completion time. Returns what the
+    /// receiving end sees: nothing for a lost frame.
+    #[inline]
+    fn complete_line(&mut self, i: usize, now: u64) -> Option<Option<LinkEvent>> {
+        let line = &mut self.lines[i];
+        let p = match line.in_flight {
+            Some(p) if p.done_ns <= now => p,
+            _ => return None,
+        };
+        line.in_flight = None;
+        if let Some((kind, seq)) = line.queue.pop_front() {
+            line.start(
+                kind,
+                seq,
+                p.done_ns,
+                self.speed,
+                self.protocol,
+                self.dead_from,
+            );
+        }
+        let to = End::from_index(i).other();
+        let event = match p.fate {
+            Fate::Deliver { .. } => Some(match p.kind {
+                PacketKind::Data(byte) => LinkEvent::DataDelivered {
+                    to,
+                    byte,
+                    seq: p.seq,
+                },
+                PacketKind::Ack => LinkEvent::AckDelivered { to, seq: p.seq },
+                PacketKind::Busy => LinkEvent::BusyDelivered { to, seq: p.seq },
+            }),
+            Fate::Garble => Some(LinkEvent::Garbled { to }),
+            Fate::Lose => None,
+        };
+        Some(event)
     }
 }
 
@@ -454,6 +471,7 @@ impl DuplexLink {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use proptest::prelude::*;
 
     #[test]
     fn speed_constructors() {
@@ -488,15 +506,6 @@ mod tests {
         }
         assert_eq!(got, want);
         assert_eq!(got.len(), 3, "marker, start, delivery");
-    }
-
-    #[test]
-    fn discarded_start_events_never_surface() {
-        let mut link = DuplexLink::new(LinkSpeed::standard());
-        link.send_data(End::A, 7, 0);
-        link.discard_pending_events();
-        assert!(link.advance(0).is_empty());
-        assert_eq!(link.advance(1100).len(), 1, "the byte still arrives");
     }
 
     #[test]
@@ -632,6 +641,88 @@ mod tests {
         assert!(garbled > 32, "only {garbled} of 64 surfaced");
         let counts = link.fault_counts(End::A).unwrap();
         assert_eq!(counts.garbled + counts.dropped, 64);
+    }
+
+    /// A link of each kind the simulator builds: classic, robust and
+    /// clean, robust under a 10 % fault plan, and either robust one
+    /// dying at `dead_ns`.
+    fn link_variant(variant: u8, seed: u64, dead_ns: u64) -> DuplexLink {
+        let speed = LinkSpeed::standard();
+        let plan = FaultPlan {
+            jitter_bits_max: 3,
+            ..FaultPlan::uniform(seed, 0.1)
+        };
+        let faulty = [Some(plan.line_faults(0, 0)), Some(plan.line_faults(0, 1))];
+        match variant {
+            0 => DuplexLink::new(speed),
+            1 => DuplexLink::new_robust(speed, [None, None], None),
+            2 => DuplexLink::new_robust(speed, faulty, None),
+            3 => DuplexLink::new_robust(speed, [None, None], Some(dead_ns)),
+            _ => DuplexLink::new_robust(speed, faulty, Some(dead_ns)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `complete_due` is `advance_into` without start events, for a
+        /// caller that steps to each deadline: same completions in the
+        /// same order, and the two links end in the same state.
+        #[test]
+        fn complete_due_is_advance_without_starts(
+            (variant, seed, dead_ns) in (0u8..5, any::<u64>(), 0u64..60_000),
+            ops in proptest::collection::vec(
+                (0u8..14, any::<bool>(), any::<u8>(), 0u64..3_000),
+                200..400,
+            ),
+        ) {
+            let mut reference = link_variant(variant, seed, dead_ns);
+            let mut lean = reference.clone();
+            let (mut now, mut both) = (0u64, 0);
+            for (op, from_a, byte, dt) in ops {
+                let from = if from_a { End::A } else { End::B };
+                match op {
+                    0 | 1 => {
+                        reference.send_data_seq(from, byte, from_a, now);
+                        lean.send_data_seq(from, byte, from_a, now);
+                    }
+                    2 => {
+                        // Both ends at once: on idle lines, a pair that
+                        // completes at one instant.
+                        for end in [End::A, End::B] {
+                            reference.send_data_seq(end, byte, from_a, now);
+                            lean.send_data_seq(end, byte, from_a, now);
+                        }
+                    }
+                    3 => {
+                        reference.send_ack_seq(from, from_a, now);
+                        lean.send_ack_seq(from, from_a, now);
+                    }
+                    4 => {
+                        reference.send_busy(from, from_a, now);
+                        lean.send_busy(from, from_a, now);
+                    }
+                    // Step time, never past the next completion.
+                    _ => {
+                        now = (now + dt).min(reference.next_deadline().unwrap_or(u64::MAX));
+                        let mut want = reference.advance(now);
+                        want.retain(|e| !matches!(e, LinkEvent::DataStarted { .. }));
+                        let got = lean.complete_due(now);
+                        both += usize::from(got[0].is_some() && got[1].is_some());
+                        let got: Vec<LinkEvent> = got.into_iter().flatten().collect();
+                        prop_assert_eq!(&got, &want, "at {}", now);
+                    }
+                }
+                prop_assert_eq!(lean.next_deadline(), reference.next_deadline());
+                for end in [End::A, End::B] {
+                    prop_assert_eq!(lean.busy_ns(end), reference.busy_ns(end));
+                }
+                prop_assert_eq!(lean.is_quiescent(), reference.is_quiescent());
+            }
+            // Sends at one instant from both ends land together often;
+            // a dead wire loses them.
+            prop_assert!(both > 0 || variant >= 3, "no same-instant pair on either line");
+        }
     }
 
     #[test]

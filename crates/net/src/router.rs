@@ -237,15 +237,19 @@ impl Packet {
         HEADER_BYTES + usize::from(self.len)
     }
 
+    /// The header fields the packet's first wire bytes encode.
+    fn header(&self) -> VcHeader {
+        VcHeader {
+            vc: self.vc,
+            len: self.len,
+            eom: self.eom,
+        }
+    }
+
     /// Byte `pos` of the packet's wire image (header, then payload).
     fn byte(&self, pos: usize) -> u8 {
         if pos < HEADER_BYTES {
-            VcHeader {
-                vc: self.vc,
-                len: self.len,
-                eom: self.eom,
-            }
-            .encode()[pos]
+            self.header().encode()[pos]
         } else {
             self.data[pos - HEADER_BYTES]
         }
@@ -257,6 +261,8 @@ impl Packet {
 struct Reasm {
     buf: [u8; HEADER_BYTES + MAX_PAYLOAD],
     have: usize,
+    /// The in-progress packet's header, decoded once its last byte is in.
+    hdr: Option<VcHeader>,
     /// Arrival time of the in-progress packet's first byte (the hop
     /// stamp its [`Packet`] inherits).
     start_ns: u64,
@@ -270,17 +276,24 @@ impl Reasm {
         }
         self.buf[self.have] = byte;
         self.have += 1;
-        if self.have < HEADER_BYTES {
-            return None;
-        }
-        let hdr = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-        let h = VcHeader::decode(hdr).expect("router peer sent a malformed packet header");
+        let h = match self.hdr {
+            Some(h) => h,
+            None if self.have == HEADER_BYTES => {
+                let bytes = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
+                let h =
+                    VcHeader::decode(bytes).expect("router peer sent a malformed packet header");
+                self.hdr = Some(h);
+                h
+            }
+            None => return None,
+        };
         if self.have < h.wire_bytes() {
             return None;
         }
         let mut data = [0u8; MAX_PAYLOAD];
         data[..usize::from(h.len)].copy_from_slice(&self.buf[HEADER_BYTES..self.have]);
         self.have = 0;
+        self.hdr = None;
         Some(Packet {
             vc: h.vc,
             eom: h.eom,
@@ -678,24 +691,25 @@ impl RouterNet {
         let Some(pos) = r.tx_pos[port] else {
             return false;
         };
-        let was_idle = cpus[node].is_idle();
         r.tx_seq[port] = !r.tx_seq[port];
         let front = r.outq[port].front().expect("tx has a packet");
         if pos + 1 < front.wire_len() {
+            // Mid-packet: the next byte goes out; the CPU is not party.
             let byte = front.byte(pos + 1);
             r.tx_pos[port] = Some(pos + 1);
             let seq = r.tx_seq[port];
             acts.push((node, Act::Data { port, byte, seq }));
-        } else {
-            r.outq[port].pop_front();
-            r.tx_pos[port] = None;
-            self.start_tx(node, port, now_ns, acts);
-            // A queue slot freed: parked packets and stalled local
-            // injection may proceed now, at this wire event's time, in
-            // every engine alike.
-            self.unpark(cpus, node, now_ns, acts);
-            self.drain_injection(cpus, node, now_ns, acts);
+            return true;
         }
+        let was_idle = cpus[node].is_idle();
+        r.outq[port].pop_front();
+        r.tx_pos[port] = None;
+        self.start_tx(node, port, now_ns, acts);
+        // A queue slot freed: parked packets and stalled local injection
+        // may proceed now, at this wire event's time, in every engine
+        // alike.
+        self.unpark(cpus, node, now_ns, acts);
+        self.drain_injection(cpus, node, now_ns, acts);
         if was_idle && !cpus[node].is_idle() {
             acts.push((node, Act::Wake));
         }
@@ -743,24 +757,21 @@ impl RouterNet {
             self.stream_data(node, port, byte, seq, acts);
             return true;
         }
+        let Some(pkt) = self.nodes[node].rx[port].push(byte, now_ns) else {
+            // Mid-packet: the CPU is not party.
+            self.try_cut_through(node, port, now_ns, acts);
+            acts.push((node, Act::Ack { port, seq }));
+            return true;
+        };
         let was_idle = cpus[node].is_idle();
-        let completed = self.nodes[node].rx[port].push(byte, now_ns);
-        match completed {
-            Some(pkt) => {
-                if self.route_packet(cpus, node, pkt, now_ns, acts) {
-                    acts.push((node, Act::Ack { port, seq }));
-                } else {
-                    // No room: park the packet and withhold the final
-                    // byte's acknowledge — the upstream transmitter
-                    // stalls, which is the backpressure.
-                    self.nodes[node].parked[port] = Some(pkt);
-                    self.nodes[node].withheld[port] = true;
-                }
-            }
-            None => {
-                self.try_cut_through(node, port, now_ns, acts);
-                acts.push((node, Act::Ack { port, seq }));
-            }
+        if self.route_packet(cpus, node, pkt, now_ns, acts) {
+            acts.push((node, Act::Ack { port, seq }));
+        } else {
+            // No room: park the packet and withhold the final byte's
+            // acknowledge — the upstream transmitter stalls, which is
+            // the backpressure.
+            self.nodes[node].parked[port] = Some(pkt);
+            self.nodes[node].withheld[port] = true;
         }
         if was_idle && !cpus[node].is_idle() {
             acts.push((node, Act::Wake));
@@ -787,13 +798,7 @@ impl RouterNet {
         if r.rx[port].have != HEADER_BYTES {
             return;
         }
-        let hdr = [
-            r.rx[port].buf[0],
-            r.rx[port].buf[1],
-            r.rx[port].buf[2],
-            r.rx[port].buf[3],
-        ];
-        let h = VcHeader::decode(hdr).expect("router peer sent a malformed packet header");
+        let h = r.rx[port].hdr.expect("a complete header is decoded");
         let (dn, _) = self.vc_dst[usize::from(h.vc)];
         if dn == node {
             return; // local delivery stays packet-atomic
@@ -1048,6 +1053,7 @@ impl RouterNet {
                         r.rx[q].buf[i] = st.pkt.byte(i);
                     }
                     r.rx[q].have = st.got;
+                    r.rx[q].hdr = Some(st.pkt.header());
                     r.rx[q].start_ns = st.pkt.enq_ns;
                     if r.withheld[q] {
                         // Reassembly absorbs freely: release the

@@ -596,7 +596,8 @@ pub struct Network {
     /// once the queue has caught up with it (see
     /// [`Network::all_halted`]).
     last_halt_ns: u64,
-    /// Scratch for one wire drain's link events, reused across pops.
+    /// Scratch for one classic wire drain's link events, reused across
+    /// pops (a routed drain takes at most two, by value).
     events: Vec<LinkEvent>,
     /// Scratch for one router call's requested effects, likewise.
     acts: Vec<(usize, Act)>,
@@ -751,35 +752,37 @@ impl Network {
         }
     }
 
-    /// Earliest pending activity on a wire: an in-flight packet
-    /// completion, an unresolved data-start probe, or a resend deadline.
-    fn wire_next_event_ns(&self, wire: usize) -> Option<u64> {
+    /// Earliest pending activity on a wire (`u64::MAX` = none): an
+    /// in-flight packet completion, an unresolved data-start probe, or a
+    /// resend deadline.
+    fn wire_next_event_ns(&self, wire: usize) -> u64 {
         let w = &self.wires[wire];
-        let probe = w.probes.iter().map(|&(t, _)| t).min();
-        let resend = w.resend.iter().flatten().map(|r| r.deadline).min();
-        [w.link.next_deadline(), probe, resend]
-            .into_iter()
-            .flatten()
-            .min()
+        let mut t = w.link.next_deadline().unwrap_or(u64::MAX);
+        for &(stamp, _) in &w.probes {
+            t = t.min(stamp);
+        }
+        for r in &w.resend {
+            t = t.min(r.map_or(u64::MAX, |r| r.deadline));
+        }
+        t
     }
 
     fn schedule_wire(&mut self, wire: usize) {
-        match self.wire_next_event_ns(wire) {
-            Some(t) => {
-                // At most one live heap entry per wire (`wire_next`
-                // holds its time; `u64::MAX` = none). An entry firing
-                // no later than `t` recomputes the schedule when it
-                // pops, so pushing a duplicate here would only breed
-                // no-op pops — each one rescheduling in turn, O(n^2)
-                // heap churn on a busy routed wire.
-                if self.wire_next[wire] <= t {
-                    return;
-                }
-                self.wire_next[wire] = t;
-                self.queue.push(t, Actor::Wire(wire));
-            }
-            None => self.wire_next[wire] = u64::MAX,
+        let t = self.wire_next_event_ns(wire);
+        if t == u64::MAX {
+            self.wire_next[wire] = u64::MAX;
+            return;
         }
+        // At most one live heap entry per wire (`wire_next` holds its
+        // time; `u64::MAX` = none). An entry firing no later than `t`
+        // recomputes the schedule when it pops, so pushing a duplicate
+        // here would only breed no-op pops — each one rescheduling in
+        // turn, O(n^2) heap churn on a busy routed wire.
+        if self.wire_next[wire] <= t {
+            return;
+        }
+        self.wire_next[wire] = t;
+        self.queue.push(t, Actor::Wire(wire));
     }
 
     /// Process a node's link-facing state after it ran or was poked:
@@ -917,7 +920,12 @@ impl Network {
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
-            Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire),
+            Actor::Wire(w) => {
+                if self.pop_wire(w, t) {
+                    self.process_wire(w);
+                    self.fire_due_resends(w);
+                }
+            }
             Actor::Node(n) => {
                 self.pops.node += 1;
                 self.hot.scheduled[n] = false;
@@ -1351,18 +1359,19 @@ impl Network {
     }
 
     /// Routed replacement for wire processing, shared by every engine:
-    /// drain due completions and hand them to the endpoint routers.
+    /// take the due completions, at most one per line, and hand them to
+    /// the endpoint routers. Routers never early-acknowledge — the
+    /// forwarding decision needs the whole byte, and often the whole
+    /// packet — so reception starts carry no information and the link
+    /// drops them.
     fn process_wire_routed(&mut self, w: usize) {
         let now = self.now_ns;
         let router = self.router.as_mut().expect("routed mode");
         let wire = &mut self.wires[w];
-        wire.link.advance_into(now, &mut self.events);
-        for ev in self.events.drain(..) {
+        for ev in wire.link.complete_due(now) {
+            let Some(ev) = ev else { continue };
             match ev {
-                // Routers never early-acknowledge: the forwarding
-                // decision needs the whole byte (and often the whole
-                // packet), so reception starts carry no information.
-                LinkEvent::DataStarted { .. } => {}
+                LinkEvent::DataStarted { .. } => unreachable!("the link drops start events"),
                 LinkEvent::DataDelivered { to, byte, seq } => {
                     let (node, port) = wire.ends[end_index(to)];
                     let accepted = router.phys_data(
@@ -1468,9 +1477,8 @@ impl Network {
                 }
                 Act::Wake => unreachable!("handled above"),
             }
-            // Routers never early-acknowledge, so data-start probes are
-            // meaningless in routed mode: discard them.
-            self.wires[w].link.discard_pending_events();
+            // Any data-start event the send produced waits in the link
+            // for the wire's next `complete_due`, which drops it.
             self.schedule_wire(w);
         }
         self.acts = acts;
@@ -1500,12 +1508,14 @@ impl Network {
     /// micro-step costs at least one cycle, so after the tied nodes run
     /// they are rescheduled strictly later than `t`.
     fn wire_pop_deferred(&mut self, w: usize, t: u64) -> bool {
-        let tie = self.wires[w].probes.iter().any(|&(s, _)| s == t)
-            || self.wires[w]
-                .resend
-                .iter()
-                .flatten()
-                .any(|r| r.deadline == t);
+        let wire = &self.wires[w];
+        let mut tie = false;
+        for &(stamp, _) in &wire.probes {
+            tie |= stamp == t;
+        }
+        for r in &wire.resend {
+            tie |= r.is_some_and(|r| r.deadline == t);
+        }
         // A node entry pending at `t` would be the queue's next entry.
         if !tie || self.queue.peek_time() != Some(t) {
             return false;
@@ -1520,17 +1530,17 @@ impl Network {
     }
 
     /// A wire's heap entry popped at `t`: skip it if stale or deferred
-    /// behind same-instant node entries, otherwise consume it, drain the
-    /// wire through the stepper's `process` routine (which reschedules
-    /// it), and only then fire due retransmissions.
-    fn pop_wire(&mut self, w: usize, t: u64, process: fn(&mut Network, usize)) {
+    /// behind same-instant node entries, otherwise consume it. Returns
+    /// whether the stepper should drain the wire (its drain reschedules
+    /// it) and then fire due retransmissions.
+    fn pop_wire(&mut self, w: usize, t: u64) -> bool {
         self.pops.wire += 1;
         if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
             self.wire_next[w] = u64::MAX;
-            process(self, w);
-            self.fire_due_resends(w);
+            true
         } else {
             self.pops.stale_wire += 1;
+            false
         }
     }
 
@@ -1608,7 +1618,12 @@ impl Network {
         };
         self.now_ns = self.now_ns.max(t);
         match actor {
-            Actor::Wire(w) => self.pop_wire(w, t, Self::process_wire_sliced),
+            Actor::Wire(w) => {
+                if self.pop_wire(w, t) {
+                    self.process_wire_sliced(w);
+                    self.fire_due_resends(w);
+                }
+            }
             Actor::Node(n) => {
                 self.pops.node += 1;
                 if std::mem::take(&mut self.hot.fenced[n])

@@ -335,21 +335,52 @@ const ROUTE_PREF: [usize; 4] = [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH];
 /// `ROUTE_PREF`, so the tables are a pure function of the adjacency
 /// and the dead set.
 pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<Vec<u8>> {
+    const NONE: u32 = u32::MAX;
     let n = adj.len();
-    let mut tables = vec![vec![NO_ROUTE; n]; n];
-    for dest in 0..n {
-        let dist = bfs_dist(adj, dest, dead);
-        for (node, row) in tables.iter_mut().enumerate() {
-            if node == dest {
-                continue;
+    // The alive link map, flat: `peer[node * 4 + port]`, `NONE` where
+    // the port is unwired or its wire dead.
+    let mut peer = vec![NONE; n * 4];
+    for (node, links) in adj.iter().enumerate() {
+        for (port, link) in links.iter().enumerate() {
+            if let Some((p, _, wire)) = *link {
+                if !dead.contains(&wire) {
+                    peer[node * 4 + port] = p as u32;
+                }
             }
-            let Some(d) = dist[node] else { continue };
-            let port = ROUTE_PREF.into_iter().find(|&p| {
-                adj[node][p].is_some_and(|(peer, _, wire)| {
-                    !dead.contains(&wire) && dist[peer] == Some(d - 1)
+        }
+    }
+    let mut tables = vec![vec![NO_ROUTE; n]; n];
+    let mut dist = vec![NONE; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    for dest in 0..n {
+        dist.fill(NONE);
+        queue.clear();
+        dist[dest] = 0;
+        queue.push(dest as u32);
+        let mut head = 0;
+        while let Some(&i) = queue.get(head) {
+            head += 1;
+            let d = dist[i as usize] + 1;
+            for &p in &peer[i as usize * 4..i as usize * 4 + 4] {
+                if p != NONE && dist[p as usize] == NONE {
+                    dist[p as usize] = d;
+                    queue.push(p);
+                }
+            }
+        }
+        // Every node the search reached, but the root, has a neighbour
+        // one step nearer; take the first in `ROUTE_PREF` order.
+        for &node in &queue[1..] {
+            let node = node as usize;
+            let toward = dist[node] - 1;
+            let port = ROUTE_PREF
+                .into_iter()
+                .find(|&p| {
+                    let q = peer[node * 4 + p];
+                    q != NONE && dist[q as usize] == toward
                 })
-            });
-            row[dest] = port.expect("a reachable node has a next hop") as u8;
+                .expect("a reachable node has a next hop");
+            tables[node][dest] = port as u8;
         }
     }
     tables
@@ -374,56 +405,53 @@ pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<Vec<u8>> {
 /// degrades to store-and-forward forwarding otherwise.
 pub fn cdg_acyclic(adj: &Adjacency, tables: &[Vec<u8>]) -> bool {
     let n = adj.len();
-    let chan = |node: usize, port: usize| node * 4 + port;
-    // Each channel's successors: the out port is fixed per (node,
-    // port), so at most four distinct next channels exist (one per
-    // destination-dependent port at the peer).
-    let mut edges: Vec<Vec<u32>> = vec![Vec::new(); n * 4];
+    // Channel `node * 4 + port` leads to one peer, so its successors are
+    // channels out of that peer: a 4-bit mask of the peer's out ports.
+    let mut succ = vec![0u8; n * 4];
     for (node, row) in tables.iter().enumerate() {
         for (dest, &p) in row.iter().enumerate() {
             if p == NO_ROUTE {
                 continue;
             }
-            let p = usize::from(p);
-            let Some((peer, _, _)) = adj[node][p] else {
+            let Some((peer, _, _)) = adj[node][usize::from(p)] else {
                 continue;
             };
             if peer == dest {
                 continue;
             }
             let np = tables[peer][dest];
-            if np == NO_ROUTE {
-                continue;
-            }
-            let e = chan(peer, usize::from(np)) as u32;
-            let c = chan(node, p);
-            if !edges[c].contains(&e) {
-                edges[c].push(e);
+            if np != NO_ROUTE {
+                succ[node * 4 + usize::from(p)] |= 1 << np;
             }
         }
     }
-    // Iterative three-colour DFS: a back edge is a cycle.
+    // Iterative three-colour DFS: a back edge is a cycle. A stack entry
+    // is a channel and the successors it has yet to visit.
     let mut state = vec![0u8; n * 4]; // 0 = new, 1 = on stack, 2 = done
+    let mut stack: Vec<(usize, u8)> = Vec::new();
     for s in 0..n * 4 {
         if state[s] != 0 {
             continue;
         }
         state[s] = 1;
-        let mut stack = vec![(s, 0usize)];
-        while let Some((v, i)) = stack.last_mut() {
-            if let Some(&e) = edges[*v].get(*i) {
-                *i += 1;
-                match state[e as usize] {
-                    0 => {
-                        state[e as usize] = 1;
-                        stack.push((e as usize, 0));
-                    }
-                    1 => return false,
-                    _ => {}
-                }
-            } else {
-                state[*v] = 2;
+        stack.push((s, succ[s]));
+        while let Some(top) = stack.last_mut() {
+            let (c, left) = *top;
+            if left == 0 {
+                state[c] = 2;
                 stack.pop();
+                continue;
+            }
+            top.1 = left & (left - 1);
+            let (peer, _, _) = adj[c / 4][c % 4].expect("a channel with successors is wired");
+            let e = peer * 4 + left.trailing_zeros() as usize;
+            match state[e] {
+                0 => {
+                    state[e] = 1;
+                    stack.push((e, succ[e]));
+                }
+                1 => return false,
+                _ => {}
             }
         }
     }
@@ -883,6 +911,156 @@ mod tests {
             &cube,
             &hypercube_tables(&cube, 2, 3, &HashSet::new())
         ));
+    }
+
+    /// The BFS-per-destination tables as first written, over
+    /// [`bfs_dist`] and the hashed dead set: the oracle for
+    /// [`route_tables`].
+    fn route_tables_oracle(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<Vec<u8>> {
+        let n = adj.len();
+        let mut tables = vec![vec![NO_ROUTE; n]; n];
+        for dest in 0..n {
+            let dist = bfs_dist(adj, dest, dead);
+            for (node, row) in tables.iter_mut().enumerate() {
+                if node == dest {
+                    continue;
+                }
+                let Some(d) = dist[node] else { continue };
+                let port = ROUTE_PREF.into_iter().find(|&p| {
+                    adj[node][p].is_some_and(|(peer, _, wire)| {
+                        !dead.contains(&wire) && dist[peer] == Some(d - 1)
+                    })
+                });
+                row[dest] = port.expect("a reachable node has a next hop") as u8;
+            }
+        }
+        tables
+    }
+
+    /// The channel-dependency check as first written, successor lists
+    /// and all: the oracle for [`cdg_acyclic`].
+    fn cdg_acyclic_oracle(adj: &Adjacency, tables: &[Vec<u8>]) -> bool {
+        let n = adj.len();
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n * 4];
+        for (node, row) in tables.iter().enumerate() {
+            for (dest, &p) in row.iter().enumerate() {
+                if p == NO_ROUTE {
+                    continue;
+                }
+                let p = usize::from(p);
+                let Some((peer, _, _)) = adj[node][p] else {
+                    continue;
+                };
+                if peer == dest || tables[peer][dest] == NO_ROUTE {
+                    continue;
+                }
+                let e = peer * 4 + usize::from(tables[peer][dest]);
+                if !edges[node * 4 + p].contains(&e) {
+                    edges[node * 4 + p].push(e);
+                }
+            }
+        }
+        let mut state = vec![0u8; n * 4];
+        for s in 0..n * 4 {
+            if state[s] != 0 {
+                continue;
+            }
+            state[s] = 1;
+            let mut stack = vec![(s, 0usize)];
+            while let Some((v, i)) = stack.last_mut() {
+                if let Some(&e) = edges[*v].get(*i) {
+                    *i += 1;
+                    match state[e] {
+                        0 => {
+                            state[e] = 1;
+                            stack.push((e, 0));
+                        }
+                        1 => return false,
+                        _ => {}
+                    }
+                } else {
+                    state[*v] = 2;
+                    stack.pop();
+                }
+            }
+        }
+        true
+    }
+
+    /// The flat-array tables and the bit-mask dependency check against
+    /// their first implementations: every grid from 1x1 to 6x5 and a
+    /// small cluster hypercube, intact and under seeded random dead-wire
+    /// sets, plus random (mostly cyclic) tables for the check alone.
+    #[test]
+    fn route_tables_and_cdg_match_their_oracles() {
+        let mut rng = 0x1985_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut shapes: Vec<(String, Adjacency)> = Vec::new();
+        for w in 1..=6 {
+            for h in 1..=5 {
+                shapes.push((format!("{w}x{h} grid"), grid_adjacency(w, h)));
+            }
+        }
+        shapes.push(("cube 2x3".into(), hypercube_adjacency(2, 3)));
+        let (mut cyclic, mut acyclic) = (0, 0);
+        for (label, adj) in &shapes {
+            let wires = adj
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|&(_, _, w)| w + 1)
+                .max()
+                .unwrap_or(0);
+            for round in 0..12 {
+                // Round 0 intact, then death rates rising to 40 %.
+                let dead: HashSet<usize> =
+                    (0..wires).filter(|_| next() % 20 < round * 3 / 4).collect();
+                let tables = route_tables(adj, &dead);
+                assert!(
+                    tables == route_tables_oracle(adj, &dead),
+                    "{label}, dead {dead:?}: tables"
+                );
+                let verdict = cdg_acyclic(adj, &tables);
+                assert_eq!(
+                    verdict,
+                    cdg_acyclic_oracle(adj, &tables),
+                    "{label}: {dead:?}"
+                );
+                // Any port may be named, wired or not: the check must
+                // agree with its oracle on arbitrary tables too.
+                let n = adj.len();
+                let random: Vec<Vec<u8>> = (0..n)
+                    .map(|node| {
+                        (0..n)
+                            .map(|dest| match next() % 5 {
+                                _ if node == dest => NO_ROUTE,
+                                4 => NO_ROUTE,
+                                p => p as u8,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let verdict = cdg_acyclic(adj, &random);
+                assert_eq!(verdict, cdg_acyclic_oracle(adj, &random), "{label}: random");
+                if verdict {
+                    acyclic += 1;
+                } else {
+                    cyclic += 1;
+                }
+            }
+        }
+        let cube = hypercube_adjacency(2, 3);
+        let tables = hypercube_tables(&cube, 2, 3, &HashSet::new());
+        assert!(!cdg_acyclic(&cube, &tables) && !cdg_acyclic_oracle(&cube, &tables));
+        assert!(
+            cyclic > 0 && acyclic > 0,
+            "{cyclic} cyclic, {acyclic} acyclic"
+        );
     }
 
     #[test]

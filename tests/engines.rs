@@ -9,7 +9,8 @@
 //! four hand-assembled rows where a computing node runs far ahead of its
 //! wires (the two horizons of DESIGN.md §5): a byte landing in its
 //! buffer meanwhile, an ALT guard enabled before the compute, resends and
-//! busy notices meanwhile, and a routed packet delivered meanwhile.
+//! busy notices meanwhile, and a routed packet delivered meanwhile; and
+//! one where a byte wakes a node around the instruction that idled it.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
@@ -381,6 +382,52 @@ fn byte_lands_while_the_receiver_computes_sliced_matches_event() {
     }
     assert!(tie, "no run had the frame complete as the `in` started");
     assert!(buffered && waited, "the sweep must straddle the tie");
+}
+
+/// (a, ROADMAP 1a(iv)) A slice that ends `Idle` leaves no queue entry,
+/// where Event keeps one at the end of the last instruction. Node 1's
+/// boot process waits on a link input while its second process computes
+/// 63 us and then `stopp`s (11 cycles), blocking the last runnable
+/// process. The sweep moves the sender's byte one cycle at a time so it
+/// lands before, at, inside and after that `stopp`; the woken process
+/// answers, and the sender's clock at its halt is when the answer came.
+/// The engines agree: a waiting input makes the node link-sensitive, so
+/// its run horizon is its fence, and a slice only ends `Idle` when the
+/// idling instruction finished strictly before that fence. One that
+/// finishes at or past it ends `BudgetExpired` and is queued at its end,
+/// where Event has its entry, so no wake can land inside it.
+#[test]
+fn wake_inside_the_last_instruction_sliced_matches_event() {
+    let (mut before, mut at, mut inside, mut after) = (false, false, false, false);
+    for fine in 0..64 {
+        let sender = node(&[compute(29, fine), send_byte(0x5A), recv(1, 1), halt()]);
+        let mut receiver = node(&[recv(1, 1), send_byte(0x21), halt()]);
+        receiver.second = Some([compute(30, 0), encode_op(Op::StopProcess)].concat());
+        let nodes = [sender, receiver, node(&[compute(40, 0), halt()])];
+        let (mut data_at, mut stop_at) = (None, None);
+        let sliced = sliced_matches_event(
+            &format!("sender delay {fine}"),
+            |e| hand_net(config(e), &CHAIN, &[], &nodes),
+            |net| {
+                first_instant(&mut data_at, net, net.wire_delivered(0).1 == 1);
+                let stops = net.node(1).stats().op_count(Op::StopProcess);
+                first_instant(&mut stop_at, net, stops == 1);
+            },
+        );
+        let w = sliced.node(0).default_boot_workspace();
+        assert_eq!(sliced.node(0).inspect_word(w + 4).unwrap() & 0xFF, 0x21);
+        let (data_at, stop_at) = (data_at.unwrap(), stop_at.unwrap());
+        let stop_end = stop_at + 11 * sliced.node(1).cycle_time_ns();
+        before |= data_at < stop_at;
+        at |= data_at == stop_at;
+        inside |= stop_at < data_at && data_at < stop_end;
+        after |= data_at >= stop_end;
+    }
+    assert!(
+        before && at && inside && after,
+        "the sweep must land the byte before ({before}), at ({at}), inside ({inside}) \
+         and after ({after}) the `stopp`"
+    );
 }
 
 /// (a, second tie) The receiver's own earlier output is acknowledged
