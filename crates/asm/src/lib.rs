@@ -22,8 +22,8 @@
 //! Labels (`name:`) and label operands (`@name`) are supported for the
 //! jump, conditional-jump and call instructions, with operands measured
 //! — as the hardware requires — from the end of the instruction, and
-//! sized by iterative relaxation exactly like the occam compiler's
-//! emitter.
+//! sized by iterative relaxation: statements are lowered through the
+//! occam compiler's own emitter.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +34,8 @@ pub use dis::{disassemble, Decoded};
 use std::collections::HashMap;
 use std::fmt;
 
-use transputer::instr::{encode_into, encoded_len, Direct, Op};
+use occam::emit::{Emitter, Label};
+use transputer::instr::{Direct, Op};
 
 /// Assembly errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,20 +61,6 @@ fn err(line: u32, message: impl Into<String>) -> AsmError {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Stmt {
-    Direct { fun: Direct, operand: OperandSpec },
-    Operation(Op),
-    Byte(u8),
-    Label(String),
-}
-
-#[derive(Debug, Clone)]
-enum OperandSpec {
-    Imm(i64),
-    LabelRel(String),
-}
-
 /// Assemble a program.
 ///
 /// One statement per line; `--` or `;` starts a comment. A statement is:
@@ -86,11 +73,6 @@ enum OperandSpec {
 /// Returns [`AsmError`] for unknown instructions, malformed operands or
 /// undefined labels.
 pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
-    let stmts = parse(source)?;
-    lower(&stmts)
-}
-
-fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
     // Tables from the instruction definitions: longest names first so
     // "load non local pointer" wins over "load non local".
     let mut directs: Vec<(String, Direct)> = Direct::ALL
@@ -113,7 +95,12 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
         })
         .collect();
 
-    let mut out = Vec::new();
+    let mut out = Emitter::new();
+    // Each label by name, and whether it is placed; each `@label` use by
+    // line, so an undefined label is refused before the emitter, which
+    // would panic on it, assembles.
+    let mut labels: HashMap<String, (Label, bool)> = HashMap::new();
+    let mut uses: Vec<(u32, String)> = Vec::new();
     for (idx, raw) in source.lines().enumerate() {
         let line_no = (idx + 1) as u32;
         let text = raw
@@ -136,7 +123,11 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
             {
                 return Err(err(line_no, format!("malformed label `{label}`")));
             }
-            out.push(Stmt::Label(label.to_string()));
+            let entry = labels
+                .entry(label.to_string())
+                .or_insert_with(|| (out.new_label(), false));
+            entry.1 = true;
+            out.place(entry.0);
             continue;
         }
         if let Some(rest) = text.strip_prefix(".byte") {
@@ -144,7 +135,7 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
             if !(0..=255).contains(&v) {
                 return Err(err(line_no, format!("byte value {v} out of range")));
             }
-            out.push(Stmt::Byte(v as u8));
+            out.byte(v as u8);
             continue;
         }
         if let Some(rest) = text.strip_prefix(".word") {
@@ -154,7 +145,7 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
                 return Err(err(line_no, format!("word value {v} out of range")));
             }
             for b in (v as u32).to_le_bytes() {
-                out.push(Stmt::Byte(b));
+                out.byte(b);
             }
             continue;
         }
@@ -168,20 +159,24 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
                     continue; // prefix of a longer word
                 }
                 let rest = rest.trim();
-                let operand = if let Some(label) = rest.strip_prefix('@') {
+                if let Some(label) = rest.strip_prefix('@') {
                     if !matches!(fun, Direct::Jump | Direct::ConditionalJump | Direct::Call) {
                         return Err(err(
                             line_no,
                             "label operands are only supported on jump, conditional jump and call",
                         ));
                     }
-                    OperandSpec::LabelRel(label.trim().to_string())
+                    let label = label.trim();
+                    let entry = labels
+                        .entry(label.to_string())
+                        .or_insert_with(|| (out.new_label(), false));
+                    out.insn_rel(*fun, entry.0);
+                    uses.push((line_no, label.to_string()));
                 } else if rest.is_empty() {
                     return Err(err(line_no, format!("`{name}` needs an operand")));
                 } else {
-                    OperandSpec::Imm(parse_number(rest, line_no)?)
-                };
-                out.push(Stmt::Direct { fun: *fun, operand });
+                    out.insn(*fun, parse_number(rest, line_no)?);
+                }
                 matched = true;
                 break;
             }
@@ -191,12 +186,15 @@ fn parse(source: &str) -> Result<Vec<Stmt>, AsmError> {
         }
         // Operations take no operand.
         if let Some(op) = ops.get(&lower_text) {
-            out.push(Stmt::Operation(*op));
+            out.op(*op);
             continue;
         }
         return Err(err(line_no, format!("unknown instruction `{text}`")));
     }
-    Ok(out)
+    if let Some((line, name)) = uses.iter().find(|(_, name)| !labels[name].1) {
+        return Err(err(*line, format!("undefined label `{name}`")));
+    }
+    Ok(out.assemble())
 }
 
 fn parse_number(s: &str, line: u32) -> Result<i64, AsmError> {
@@ -214,82 +212,6 @@ fn parse_number(s: &str, line: u32) -> Result<i64, AsmError> {
     }
     .map_err(|_| err(line, format!("malformed number `{s}`")))?;
     Ok(if neg { -v } else { v })
-}
-
-fn lower(stmts: &[Stmt]) -> Result<Vec<u8>, AsmError> {
-    // Initial sizes; relax until label distances stabilise.
-    let n = stmts.len();
-    let mut sizes = vec![0usize; n];
-    for (i, s) in stmts.iter().enumerate() {
-        sizes[i] = match s {
-            Stmt::Direct {
-                operand: OperandSpec::Imm(v),
-                ..
-            } => encoded_len(*v),
-            Stmt::Direct { .. } => 1,
-            Stmt::Operation(op) => encoded_len(op.code() as i64),
-            Stmt::Byte(_) => 1,
-            Stmt::Label(_) => 0,
-        };
-    }
-    let mut labels: HashMap<&str, usize> = HashMap::new();
-    loop {
-        let mut addr = vec![0usize; n + 1];
-        for i in 0..n {
-            addr[i + 1] = addr[i] + sizes[i];
-        }
-        labels.clear();
-        for (i, s) in stmts.iter().enumerate() {
-            if let Stmt::Label(name) = s {
-                labels.insert(name.as_str(), addr[i]);
-            }
-        }
-        let mut changed = false;
-        for (i, s) in stmts.iter().enumerate() {
-            if let Stmt::Direct {
-                operand: OperandSpec::LabelRel(name),
-                ..
-            } = s
-            {
-                let target = *labels
-                    .get(name.as_str())
-                    .ok_or_else(|| err(0, format!("undefined label `{name}`")))?;
-                let v = target as i64 - addr[i + 1] as i64;
-                let need = encoded_len(v);
-                if need > sizes[i] {
-                    sizes[i] = need;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut addr = vec![0usize; n + 1];
-    for i in 0..n {
-        addr[i + 1] = addr[i] + sizes[i];
-    }
-    let mut out = Vec::with_capacity(addr[n]);
-    for (i, s) in stmts.iter().enumerate() {
-        match s {
-            Stmt::Label(_) => {}
-            Stmt::Byte(b) => out.push(*b),
-            Stmt::Operation(op) => {
-                encode_into(Direct::Operate, op.code() as i64, &mut out);
-            }
-            Stmt::Direct { fun, operand } => {
-                let v = match operand {
-                    OperandSpec::Imm(v) => *v,
-                    OperandSpec::LabelRel(name) => {
-                        labels[name.as_str()] as i64 - addr[i + 1] as i64
-                    }
-                };
-                encode_into(*fun, v, &mut out);
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

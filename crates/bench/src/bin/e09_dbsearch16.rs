@@ -8,7 +8,6 @@
 //! wired with bit-level links; 200 records per node, pipelined requests.
 
 use transputer_apps::{DbSearch, DbSearchConfig};
-use transputer_bench::hostperf::fault_plan_from_env;
 use transputer_bench::{cells, table};
 
 fn main() {
@@ -19,13 +18,7 @@ fn main() {
     );
 
     let mut config = DbSearchConfig::figure8();
-    if let Some(plan) = fault_plan_from_env() {
-        println!(
-            "fault injection: uniform rate {} (seed {}) on every link\n",
-            plan.drop_rate, plan.seed
-        );
-        config.net.fault = Some(plan);
-    }
+    table::inject_faults(&mut config.net);
     println!(
         "{} transputers, {} records each ({} total), {} pipelined requests\n",
         config.width * config.height,
@@ -47,38 +40,20 @@ fn main() {
         format!("{} links", report.longest_path_links),
         "path-proportional propagation"
     ]);
-    table::row(cells![
-        "first-answer latency",
-        table::ms(report.first_answer_ns),
-        "\"less than a millisecond\" per node search"
-    ]);
-    table::row(cells![
-        "pipelined answer interval",
-        table::ms(report.pipeline_interval_ns),
-        "\"requests can be pipelined\""
-    ]);
-    table::row(cells![
-        "throughput",
-        format!("{:.0} searches/s", report.throughput_per_sec()),
-        "—"
-    ]);
+    table::search_rows(
+        &report,
+        &[
+            "\"less than a millisecond\" per node search",
+            "\"requests can be pipelined\"",
+            "—",
+        ],
+    );
     table::row(cells![
         "total instructions (array)",
         report.total_instructions,
         "—"
     ]);
-    if report.degraded {
-        table::row(cells![
-            "degraded",
-            format!(
-                "{} of {} answers, {} node(s) excluded",
-                report.received,
-                report.expected.len(),
-                report.excluded_nodes
-            ),
-            "—"
-        ]);
-    }
+    table::degraded_row(&report);
 
     let per_node_search_ms = report.pipeline_interval_ns as f64 / 1e6;
     println!();

@@ -12,17 +12,10 @@
 //! a wiring choice.
 
 use transputer_apps::dbsearch::{DbSearch, HypercubeConfig};
-use transputer_bench::hostperf::fault_plan_from_env;
 use transputer_bench::{cells, table};
 
 fn run_one(label: &str, mut config: HypercubeConfig) -> transputer_apps::DbSearchReport {
-    if let Some(plan) = fault_plan_from_env() {
-        println!(
-            "\nfault injection: uniform rate {} (seed {}) on every link",
-            plan.drop_rate, plan.seed
-        );
-        config.net.fault = Some(plan);
-    }
+    table::inject_faults(&mut config.net);
     println!(
         "\n{label}: 2^{} clusters of {}×{} = {} transputers, {} records \
          ({} requests pipelined)",
@@ -50,33 +43,15 @@ fn run_one(label: &str, mut config: HypercubeConfig) -> transputer_apps::DbSearc
         format!("~{prop_us:.0} µs"),
         "about 150 µs at 128 nodes"
     ]);
-    table::row(cells![
-        "first-answer latency",
-        table::ms(report.first_answer_ns),
-        "less than 1.3 ms at 25k records"
-    ]);
-    table::row(cells![
-        "pipelined answer interval",
-        table::ms(report.pipeline_interval_ns),
-        "—"
-    ]);
-    table::row(cells![
-        "throughput",
-        format!("{:.0} searches/s", report.throughput_per_sec()),
-        "not adversely affected by scale"
-    ]);
-    if report.degraded {
-        table::row(cells![
-            "degraded",
-            format!(
-                "{} of {} answers, {} node(s) excluded",
-                report.received,
-                report.expected.len(),
-                report.excluded_nodes
-            ),
-            "—"
-        ]);
-    }
+    table::search_rows(
+        &report,
+        &[
+            "less than 1.3 ms at 25k records",
+            "—",
+            "not adversely affected by scale",
+        ],
+    );
+    table::degraded_row(&report);
     report
 }
 

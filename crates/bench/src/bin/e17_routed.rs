@@ -13,7 +13,7 @@
 //! acceptance node count.
 
 use transputer_apps::dbsearch::{DbSearch, HypercubeConfig};
-use transputer_bench::hostperf::{fault_plan_from_env, grid32x32_stress, run_long_path};
+use transputer_bench::hostperf::{grid32x32_stress, run_long_path};
 use transputer_bench::{cells, table};
 use transputer_net::{Engine, RouterStats, Switching};
 
@@ -48,13 +48,7 @@ fn main() {
     );
 
     let mut config = HypercubeConfig::hypercube256();
-    if let Some(plan) = fault_plan_from_env() {
-        println!(
-            "\nfault injection: uniform rate {} (seed {}) on every link",
-            plan.drop_rate, plan.seed
-        );
-        config.net.fault = Some(plan);
-    }
+    table::inject_faults(&mut config.net);
     println!(
         "\nrouted hypercube(4,4): 2^{} clusters of {}×{} = {} transputers, \
          {} records ({} requests pipelined)",
@@ -82,16 +76,7 @@ fn main() {
         report.answers == planned_report.answers,
         "same search, different routing"
     ]);
-    table::row(cells![
-        "first-answer latency",
-        table::ms(report.first_answer_ns),
-        "less than 1.3 ms at 25k records"
-    ]);
-    table::row(cells![
-        "pipelined answer interval",
-        table::ms(report.pipeline_interval_ns),
-        "—"
-    ]);
+    table::search_rows(&report, &["less than 1.3 ms at 25k records", "—"]);
     router_rows("", stats);
     let cube_ok = report.all_correct()
         && !report.degraded
@@ -117,11 +102,7 @@ fn main() {
     let big_stats = big.network().router_stats();
     table::header(&["metric", "measured", "paper"]);
     table::row(cells!["answers correct", big_report.all_correct(), "—"]);
-    table::row(cells![
-        "first-answer latency",
-        table::ms(big_report.first_answer_ns),
-        "—"
-    ]);
+    table::search_rows(&big_report, &["—"]);
     router_rows("", big_stats);
     let stress_ok = big_report.all_correct()
         && !big_report.degraded
@@ -145,11 +126,7 @@ fn main() {
         worm.network().router_cut_through() == Some(true),
         "grid tables: acyclic channel dependencies"
     ]);
-    table::row(cells![
-        "first-answer latency",
-        table::ms(worm_report.first_answer_ns),
-        "—"
-    ]);
+    table::search_rows(&worm_report, &["—"]);
     router_rows("", worm_stats);
     let hop_reduction = match (big_stats, worm_stats) {
         (Some(s), Some(w)) if w.mean_hop_ns() > 0 => {

@@ -442,10 +442,7 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
         engine,
         // As in [`Machine::run`]: whatever the `TRANSLATE` hook says.
         cpu: CpuConfig::t424().with_translate(true),
-        router: RouterConfig {
-            switching,
-            ..RouterConfig::default()
-        },
+        router: RouterConfig { switching },
         ..NetworkConfig::default()
     });
     for _ in 0..n {
@@ -524,8 +521,9 @@ pub const FAULT_SEED_DEFAULT: u64 = 1985;
 
 /// Fault plan selected by the `FAULT_RATE` / `FAULT_SEED` environment
 /// variables; `None` when `FAULT_RATE` is unset, unparsable, or zero.
-/// The experiment binaries (e09, e10) consult this so the whole report
-/// can be regenerated under injected link faults.
+/// The search experiments consult it through
+/// [`crate::table::inject_faults`], so their reports can be regenerated
+/// under injected link faults.
 pub fn fault_plan_from_env() -> Option<FaultPlan> {
     let rate: f64 = std::env::var("FAULT_RATE").ok()?.parse().ok()?;
     if rate <= 0.0 {

@@ -18,7 +18,7 @@
 //! or at a CPU link-service point, which the sliced engines stamp with
 //! the exact interaction-instruction time the event engine would have
 //! used. Per-wire forwarding queues are bounded
-//! ([`RouterConfig::forward_capacity`]); a full queue withholds the
+//! (`FORWARD_CAPACITY`); a full queue withholds the
 //! acknowledge of the packet's final byte, so backpressure propagates
 //! through the ordinary link flow control (and, under the robust
 //! protocol, through its busy/retry machinery) without any side
@@ -69,26 +69,16 @@ pub enum Switching {
 
 /// Per-network router tuning, carried on the router and defaulted to
 /// the values every committed fingerprint was produced with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterConfig {
-    /// Transit packets a physical out-port queues before exerting
-    /// backpressure. Two full-size packets per queue slot would be 40
-    /// bytes; the default of eight slots keeps several virtual channels
-    /// moving across a shared wire while bounding the store-and-forward
-    /// memory per node.
-    pub forward_capacity: usize,
     /// Switching discipline for transit packets.
     pub switching: Switching,
 }
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            forward_capacity: 8,
-            switching: Switching::StoreAndForward,
-        }
-    }
-}
+/// Transit packets a physical out-port queues before exerting
+/// backpressure: eight keep several virtual channels moving across a
+/// shared wire while bounding the store-and-forward memory per node.
+const FORWARD_CAPACITY: usize = 8;
 
 /// Wormhole flit credit window: bytes a cut-through stream may hold
 /// buffered but not yet relayed before it withholds the upstream
@@ -595,7 +585,7 @@ impl RouterNet {
         }
         let port = usize::from(port);
         let r = &self.nodes[node];
-        if r.outq[port].len() + usize::from(r.reserved[port]) >= self.config.forward_capacity {
+        if r.outq[port].len() + usize::from(r.reserved[port]) >= FORWARD_CAPACITY {
             return false;
         }
         self.stats.packets_forwarded += 1;
@@ -945,7 +935,7 @@ impl RouterNet {
                     if out_port != usize::MAX {
                         let r = &self.nodes[node];
                         if r.outq[out_port].len() + usize::from(r.reserved[out_port])
-                            >= self.config.forward_capacity
+                            >= FORWARD_CAPACITY
                         {
                             break; // backpressure: stall at the packet boundary
                         }

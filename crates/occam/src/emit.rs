@@ -54,6 +54,7 @@ enum Operand {
 enum Item {
     Insn { fun: Direct, operand: Operand },
     Operation(Op),
+    Byte(u8),
     Mark(Label),
 }
 
@@ -148,6 +149,11 @@ impl Emitter {
         self.items.push(Item::Operation(op));
     }
 
+    /// Emit one raw byte (the assembler's `.byte` and `.word`).
+    pub fn byte(&mut self, b: u8) {
+        self.items.push(Item::Byte(b));
+    }
+
     /// Number of items emitted (for diagnostics).
     pub fn len(&self) -> usize {
         self.items.len()
@@ -206,6 +212,7 @@ impl Emitter {
                 } => encoded_len_of(*v),
                 Item::Insn { .. } => 1,
                 Item::Operation(op) => encoded_len_of(op.code() as i64),
+                Item::Byte(_) => 1,
                 Item::Mark(_) => 0,
             };
         }
@@ -264,6 +271,7 @@ impl Emitter {
             let before = out.len();
             match item {
                 Item::Mark(_) => {}
+                Item::Byte(b) => out.push(*b),
                 Item::Operation(op) => {
                     encode_into(Direct::Operate, op.code() as i64, &mut out);
                 }

@@ -42,13 +42,13 @@
 //!   somewhere other than the next sequential operation (taken branch,
 //!   call, context switch). Blocks are keyed by code position, so
 //!   execution re-enters (or re-interprets) at the new position.
-//! * **Writes into translated code**: the memory side's global
-//!   [`code epoch`](crate::memory) moved, meaning a store landed in
-//!   *some* block of translated code. The block conservatively deopts; on
-//!   the next entry — of this or any block whose covers were last
-//!   checked at an older epoch — the per-cover generation snapshots
-//!   decide whether it was actually hit (invalidation + immediate
-//!   retranslation).
+//! * **Writes into translated code**: the memory side's
+//!   [`code epoch`](crate::memory) moved, meaning a store landed in a
+//!   64-byte block that *some* translated code covers. The block
+//!   deopts, and the next block lookup drops every translated block
+//!   (occam never stores into its code, so this is the self-modifying
+//!   test programs' path only); hot leaders retranslate on their next
+//!   arrival, from the bytes as they then stand.
 //! * **Budget**: the next operation would start at or past the slice
 //!   limit (the byte path owns partial-operation accounting).
 //! * **Link fence**: the next operation acts on a link channel and
@@ -73,11 +73,6 @@ use crate::word::{MACHINE_FALSE, MACHINE_TRUE};
 /// arithmetic loops the corpus is made of; short enough that a deopt
 /// near the end wastes little translation.
 const MAX_BLOCK_OPS: usize = 32;
-/// Upper bound on the 64-byte code blocks a translated block can
-/// cover: [`MAX_BLOCK_OPS`] operations of at most 9 encoded bytes
-/// each (eight prefixes fill a 32-bit operand), plus the partial
-/// blocks at either end. [`Cpu::build_block`] asserts it.
-const MAX_COVERS: usize = (MAX_BLOCK_OPS * 9).div_ceil(64) + 2;
 
 /// A translated operation: the decoded function nibble, its fused
 /// operand, the encoded length (for stats, cycle counting and `Iptr`
@@ -197,23 +192,14 @@ impl TransOp {
     }
 }
 
-/// A compiled basic block: operations plus the generation snapshots of
-/// every 64-byte code block its bytes touch, all stored inline so a
-/// block entry touches exactly one allocation. The whole cache is
+/// A compiled basic block, its operations stored inline so a block
+/// entry touches exactly one allocation. The whole cache is
 /// *moved* out of the `Cpu` while [`Cpu::run_predecoded`] runs, so a
 /// block can be borrowed from it while handlers borrow the whole `Cpu`,
 /// with no per-entry reference counting or slot shuffling.
 struct TransBlock {
     ops: [TransOp; MAX_BLOCK_OPS],
     nops: u8,
-    ncovers: u8,
-    covers: [(u32, u32); MAX_COVERS],
-    /// [`crate::memory::Memory::code_epoch`] when the covers were last
-    /// found valid (at build, and at each walk that passed). A
-    /// generation changes only where the epoch moves (`memory.rs` pins
-    /// that), so while the epoch still reads this the covers hold and
-    /// entry skips the walk.
-    valid_epoch: u64,
     /// Runs to completion whose statistics are not yet in `Stats`:
     /// folded in, `ops` × `runs`, before anything can read them.
     runs: u64,
@@ -224,12 +210,6 @@ impl TransBlock {
     #[inline]
     fn ops(&self) -> &[TransOp] {
         &self.ops[..usize::from(self.nops)]
-    }
-
-    /// The cover snapshots.
-    #[inline]
-    fn covers(&self) -> &[(u32, u32)] {
-        &self.covers[..usize::from(self.ncovers)]
     }
 
     /// Move the pending complete runs into `stats`.
@@ -247,7 +227,6 @@ impl std::fmt::Debug for TransBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransBlock")
             .field("ops", &self.nops)
-            .field("covers", &self.covers())
             .finish()
     }
 }
@@ -264,16 +243,17 @@ pub(crate) struct TransCache {
     /// Leader arrival counts; a leader is translated when its heat
     /// reaches the configured threshold.
     heat: Vec<u8>,
-    /// Block storage. A slot on the `free` list keeps its dead block
-    /// until it is reused. Boxed so the cache grows a block at a time:
-    /// a `Vec` doubling 336-byte elements inline costs the 1 024-node
-    /// grid 2.4 MB of peak memory.
+    /// Block storage. Boxed so the cache grows a block at a time: a
+    /// `Vec` doubling blocks inline cost the 1 024-node grid 2.4 MB of
+    /// peak memory when they were 336 bytes.
     #[allow(clippy::vec_box)]
     slots: Vec<Box<TransBlock>>,
-    free: Vec<u32>,
-    /// Slots whose block has (or had, before it was invalidated and
-    /// folded) pending `runs`; drained by [`Cpu::run_predecoded`].
+    /// Slots whose block has pending `runs`; drained by
+    /// [`Cpu::run_predecoded`] and by a flush.
     dirty: Vec<u32>,
+    /// [`crate::memory::Memory::code_epoch`] when the blocks were
+    /// built: every block is valid while the memory still reads it.
+    epoch: u64,
 }
 
 // Cloning a Cpu (network node setup does this) starts the clone with
@@ -292,20 +272,13 @@ impl TransCache {
         self.heat.resize(target, 0);
     }
 
-    /// Store a block at leader `off`; returns its slot index.
+    /// Store a block at leader `off`; returns its slot index. The
+    /// leader's heat stays, so it rebuilds on its next arrival after a
+    /// flush.
     fn insert(&mut self, off: usize, block: Box<TransBlock>) -> u32 {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = block;
-                s
-            }
-            None => {
-                self.slots.push(block);
-                (self.slots.len() - 1) as u32
-            }
-        };
+        self.slots.push(block);
+        let slot = (self.slots.len() - 1) as u32;
         self.index[off] = slot + 1;
-        self.heat[off] = 0;
         slot
     }
 }
@@ -485,7 +458,7 @@ impl Cpu {
     }
 
     /// Execute a translated block's operations back to back. Entered
-    /// with the covers validated; every operation replays the cold
+    /// at the epoch it was built under; every operation replays the cold
     /// arm's sequence, and any reason to stop is a [`BlockExit`].
     ///
     /// One flat 16-way dispatch per operation — the same branch shape
@@ -519,7 +492,7 @@ impl Cpu {
     /// Per-op statistics are batched: every exit path accounts for the
     /// executed prefix through [`Cpu::flush_block_stats`] before
     /// returning, and complete runs counted there are folded in before
-    /// [`Cpu::run_predecoded`] returns or the block is invalidated, so
+    /// [`Cpu::run_predecoded`] returns or the cache is flushed, so
     /// the [`crate::stats::Stats`] image is identical to the
     /// interpreter's at every point a caller can observe it.
     fn exec_block(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> BlockExit {
@@ -1058,36 +1031,19 @@ impl Cpu {
     }
 
     /// The slot of the translated block for leader `off`, if one exists
-    /// or the leader just became hot enough to build one. Validates
-    /// the block — by epoch, walking the cover generations only when
-    /// the epoch has moved — and retranslates an invalidated one
-    /// immediately (a leader that was hot stays hot).
+    /// or the leader just became hot enough to build one. If the code
+    /// epoch has moved since the blocks were built, some translated
+    /// code was overwritten: every block goes first.
     fn lookup_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
+        if tcache.epoch != self.mem.code_epoch() {
+            self.flush_blocks(tcache);
+        }
         if off >= tcache.index.len() {
             tcache.grow(off);
         }
         let slot = tcache.index[off];
         if slot != 0 {
-            let slot = slot - 1;
-            let block = &mut *tcache.slots[slot as usize];
-            let epoch = self.mem.code_epoch();
-            if block.valid_epoch == epoch {
-                return Some(slot);
-            }
-            if block
-                .covers()
-                .iter()
-                .all(|&(b, gen)| self.mem.code_block_gen(b as usize) == gen)
-            {
-                block.valid_epoch = epoch;
-                return Some(slot);
-            }
-            // The runs it completed were of the code it was built from.
-            block.fold_runs(&mut self.stats);
-            self.stats.trans_invalidations += 1;
-            tcache.index[off] = 0;
-            tcache.free.push(slot);
-            return self.build_block(tcache, off);
+            return Some(slot - 1);
         }
         let heat = &mut tcache.heat[off];
         *heat = heat.saturating_add(1);
@@ -1097,9 +1053,24 @@ impl Cpu {
         None
     }
 
+    /// Drop every translated block: fold the runs they completed (of the
+    /// code they were built from), count them in `trans_invalidations`,
+    /// disarm every write gate, and take the current epoch.
+    #[cold]
+    fn flush_blocks(&mut self, tcache: &mut TransCache) {
+        while let Some(slot) = tcache.dirty.pop() {
+            tcache.slots[slot as usize].fold_runs(&mut self.stats);
+        }
+        self.stats.trans_invalidations += tcache.slots.len() as u64;
+        tcache.slots.clear();
+        tcache.index.fill(0);
+        self.mem.disarm_code();
+        tcache.epoch = self.mem.code_epoch();
+    }
+
     /// Compile the basic block whose leader is at code offset `off`
-    /// (`== mask(iptr - base)`, inside the fast region), snapshot the
-    /// generations of every 64-byte block it covers, and store it.
+    /// (`== mask(iptr - base)`, inside the fast region), arm the write
+    /// gate of every 64-byte block it covers, and store it.
     /// Returns its slot — or `None`, storing nothing, when not even the
     /// leader can be translated (an unknown operation, a chain leaving
     /// penalty-free memory: the byte path's business).
@@ -1161,24 +1132,13 @@ impl Cpu {
         if nops == 0 {
             return None;
         }
-        let mut covers = [(0u32, 0u32); MAX_COVERS];
-        let mut ncovers = 0usize;
-        let last_block = (end_off - 1) >> CODE_BLOCK_SHIFT;
+        let last_block = ((end_off - 1) >> CODE_BLOCK_SHIFT).min(self.mem.code_blocks() - 1);
         for b in (off >> CODE_BLOCK_SHIFT)..=last_block {
-            if b >= self.mem.code_blocks() {
-                break;
-            }
-            assert!(ncovers < MAX_COVERS, "cover span exceeds MAX_COVERS");
             self.mem.note_code_cached(b);
-            covers[ncovers] = (b as u32, self.mem.code_block_gen(b));
-            ncovers += 1;
         }
         let block = Box::new(TransBlock {
             ops,
             nops: nops as u8,
-            ncovers: ncovers as u8,
-            covers,
-            valid_epoch: self.mem.code_epoch(),
             runs: 0,
         });
         self.stats.trans_blocks += 1;

@@ -30,8 +30,8 @@ pub const TPTR_LOC: [u32; 2] = [9, 10];
 /// Default on-chip memory of the T424: 4K bytes (§3.1).
 pub const T424_ON_CHIP_BYTES: u32 = 4 * 1024;
 
-/// Log2 of the code block size: the granularity at which code
-/// generations are tracked for the translation tier's block covers.
+/// Log2 of the code block size: the granularity of the translation
+/// tier's write gate.
 pub(crate) const CODE_BLOCK_SHIFT: usize = 6;
 /// Bytes per code block.
 pub(crate) const CODE_BLOCK_BYTES: usize = 1 << CODE_BLOCK_SHIFT;
@@ -90,20 +90,14 @@ pub struct Memory {
     /// bookkeeping: the whole memory when no off-chip penalty is
     /// configured, otherwise just the on-chip block.
     fast_bytes: usize,
-    /// Per-block code generation, bumped on a write into a block that
-    /// translated code covers. A translated block snapshots the
-    /// generations of its covers when it is built; a mismatch means
-    /// stale.
-    code_gen: Vec<u32>,
-    /// Write gate: only blocks translated code actually covers pay the
-    /// generation bump, so ordinary data writes stay one branch.
+    /// Write gate, one flag per 64-byte block: armed while translated
+    /// code covers the block, so ordinary data writes stay one branch.
+    /// A write into an armed block disarms it and moves `code_epoch`.
     code_cached: Vec<bool>,
-    /// Monotonic counter bumped alongside *every* `code_gen` bump, in
-    /// any block. A translated block snapshots it on entry; a mid-block
-    /// mismatch means some translated code somewhere was overwritten, so
-    /// the block deoptimises and re-validates its own covers. One u64
-    /// compare per operation instead of one gen compare per covered
-    /// block.
+    /// Monotonic count of writes into translated code, anywhere. The
+    /// translation tier compares it mid-block (a store into the running
+    /// block deoptimises it) and at every block lookup (any move drops
+    /// every translated block and disarms every gate).
     code_epoch: u64,
     /// A write landed in the reserved words (link channels, timer queue
     /// heads) since the flag was last taken. The CPU uses this to keep
@@ -129,7 +123,6 @@ impl Memory {
             } else {
                 config.on_chip_bytes as usize
             },
-            code_gen: vec![0; blocks],
             code_cached: vec![false; blocks],
             code_epoch: 0,
             reserved_dirty: true,
@@ -217,15 +210,14 @@ impl Memory {
         std::mem::take(&mut self.penalty_accrued)
     }
 
-    /// Write gate for the translation tier: bump the generation of a
-    /// block that translated code covers, and flag writes into the
-    /// reserved words.
+    /// Write gate for the translation tier: move the code epoch on a
+    /// write into a block that translated code covers, and flag writes
+    /// into the reserved words.
     #[inline]
     fn note_write(&mut self, off: usize) {
         let b = off >> CODE_BLOCK_SHIFT;
         if self.code_cached[b] {
             self.code_cached[b] = false;
-            self.code_gen[b] = self.code_gen[b].wrapping_add(1);
             self.code_epoch += 1;
         }
         if off < self.reserved_bytes {
@@ -243,19 +235,12 @@ impl Memory {
         for b in first..=last {
             if self.code_cached[b] {
                 self.code_cached[b] = false;
-                self.code_gen[b] = self.code_gen[b].wrapping_add(1);
                 self.code_epoch += 1;
             }
         }
         if off < self.reserved_bytes {
             self.reserved_dirty = true;
         }
-    }
-
-    /// Current generation of a code block.
-    #[inline]
-    pub(crate) fn code_block_gen(&self, block: usize) -> u32 {
-        self.code_gen[block]
     }
 
     /// Mark a block as covered by translated code, arming the write gate.
@@ -270,10 +255,15 @@ impl Memory {
         self.code_epoch
     }
 
+    /// Disarm every write gate: no translated code is left.
+    pub(crate) fn disarm_code(&mut self) {
+        self.code_cached.fill(false);
+    }
+
     /// Number of 64-byte code blocks tracked by the write gate.
     #[inline]
     pub(crate) fn code_blocks(&self) -> usize {
-        self.code_gen.len()
+        self.code_cached.len()
     }
 
     /// Take the reserved-words-written flag.
@@ -519,36 +509,14 @@ mod tests {
         assert_eq!(m.dump(a, 5).unwrap(), vec![1, 2, 3, 4, 5]);
     }
 
+    /// The translation tier keeps a block only while the code epoch
+    /// stands still (`cpu/translate.rs`), which is sound only if every
+    /// write path moves the epoch when it touches an armed 64-byte block
+    /// (and disarms that block), and data writes elsewhere leave both
+    /// alone. Every path, over armed and unarmed blocks, in an arbitrary
+    /// but fixed order.
     #[test]
-    fn code_generations_bump_only_when_cached() {
-        let mut m = mem32();
-        let a = m.mem_start();
-        let block = m.word.mask(a.wrapping_sub(m.base())) as usize >> CODE_BLOCK_SHIFT;
-        let g0 = m.code_block_gen(block);
-        // Un-gated: ordinary writes leave the generation alone.
-        m.write_word(a, 1).unwrap();
-        assert_eq!(m.code_block_gen(block), g0);
-        // Gated: a write into a cached block bumps the generation once
-        // and disarms the gate.
-        m.note_code_cached(block);
-        m.write_byte(a, 2).unwrap();
-        m.write_byte(a, 3).unwrap();
-        assert_eq!(m.code_block_gen(block), g0.wrapping_add(1));
-        // Bulk loads hit every touched block.
-        m.note_code_cached(block);
-        m.note_code_cached(block + 1);
-        m.load(a, &[0u8; 2 * CODE_BLOCK_BYTES]).unwrap();
-        assert_eq!(m.code_block_gen(block), g0.wrapping_add(2));
-        assert_eq!(m.code_block_gen(block + 1), 1);
-    }
-
-    /// The translation tier validates a block by comparing one epoch
-    /// instead of walking its cover generations (`cpu/translate.rs`),
-    /// which is sound only if no write path can change a `code_gen`
-    /// entry without moving `code_epoch`. Every path, over armed and
-    /// unarmed blocks, in an arbitrary but fixed order.
-    #[test]
-    fn no_write_changes_a_generation_without_moving_the_epoch() {
+    fn a_write_moves_the_epoch_exactly_when_it_touches_armed_code() {
         let mut m = mem32();
         let (base, size) = (m.base(), m.size());
         let mut seed = 0x1985_u32;
@@ -556,29 +524,54 @@ mod tests {
             seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             (seed >> 8) % bound
         };
-        let mut moved = 0;
+        let (mut moved, mut still) = (0, 0);
         for step in 0..4_000 {
             if next(3) != 0 {
                 m.note_code_cached(next(size) as usize >> CODE_BLOCK_SHIFT);
             }
-            let (gens, epoch) = (m.code_gen.clone(), m.code_epoch());
+            let (armed, epoch) = (m.code_cached.clone(), m.code_epoch());
             let addr = base + next(size);
-            match step % 4 {
-                0 => m.write_word(addr, step).unwrap(),
-                1 => m.write_byte(addr, step as u8).unwrap(),
-                2 => {
-                    let len = next(3 * CODE_BLOCK_BYTES as u32).min(base + size - addr);
-                    m.load(addr, &vec![step as u8; len as usize]).unwrap();
+            let off = (addr - base) as usize;
+            // The byte range the write touches.
+            let touched = match step % 4 {
+                0 => {
+                    m.write_word(addr, step).unwrap();
+                    off & !3..(off & !3) + 4
                 }
-                _ if step % 400 == 3 => m.fill(step as u8),
-                _ => assert!(m.load(base + size, &[0]).is_err()),
+                1 => {
+                    m.write_byte(addr, step as u8).unwrap();
+                    off..off + 1
+                }
+                2 => {
+                    let len = next(3 * CODE_BLOCK_BYTES as u32).min(size - (addr - base));
+                    m.load(addr, &vec![step as u8; len as usize]).unwrap();
+                    off..off + len as usize
+                }
+                _ if step % 400 == 3 => {
+                    m.fill(step as u8);
+                    0..size as usize
+                }
+                _ => {
+                    assert!(m.load(base + size, &[0]).is_err());
+                    0..0
+                }
+            };
+            let mut expect = armed.clone();
+            if !touched.is_empty() {
+                let blocks =
+                    touched.start >> CODE_BLOCK_SHIFT..=(touched.end - 1) >> CODE_BLOCK_SHIFT;
+                expect[blocks].fill(false);
             }
-            if m.code_gen != gens {
-                assert_ne!(m.code_epoch(), epoch, "step {step}");
+            assert_eq!(m.code_cached, expect, "step {step}: the gates");
+            if expect != armed {
+                assert_ne!(m.code_epoch(), epoch, "step {step}: armed code written");
                 moved += 1;
+            } else {
+                assert_eq!(m.code_epoch(), epoch, "step {step}: only data written");
+                still += 1;
             }
         }
-        assert!(moved > 100, "the gate must actually fire: {moved}");
+        assert!(moved > 100 && still > 100, "both cases: {moved} / {still}");
     }
 
     #[test]

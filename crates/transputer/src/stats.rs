@@ -78,8 +78,9 @@ pub struct Stats {
     /// point, control transfer, preemption, timer work, budget, link
     /// fence, or a write into translated code).
     pub trans_deopts: u64,
-    /// Translated blocks discarded because a covered code block's
-    /// generation moved (self-modifying code or reloading).
+    /// Translated blocks dropped because some translated code was
+    /// overwritten (self-modifying code or reloading): such a store
+    /// drops every block the processor holds.
     pub trans_invalidations: u64,
 }
 

@@ -271,8 +271,8 @@ fn assert_translation_transparent(code: &[u8]) -> Cpu {
 /// The store lands inside the 64-byte code block of the *currently
 /// executing* translated block (the patch code and its target share
 /// block 0): the code-epoch check must deoptimise the block mid-run,
-/// and the stale leader must be invalidated and retranslated on
-/// re-entry.
+/// and the next lookup must drop the stale block, which retranslates
+/// on re-entry.
 #[test]
 fn storing_into_an_executing_translated_block_deopts_and_invalidates() {
     let mut on = assert_translation_transparent(&self_modifying_program());
@@ -290,7 +290,7 @@ fn storing_into_an_executing_translated_block_deopts_and_invalidates() {
 /// A translated block whose leader instruction spans the 64-byte
 /// boundary (first byte at code offset 55, terminal at 56): a store into
 /// the *adjacent* block — not the leader's own — must still invalidate
-/// it via the cover snapshots. The loop rewrites the terminal byte on
+/// it: the block arms the write gate of both. The loop rewrites the terminal byte on
 /// every iteration (same value, but a write is a write), so the block
 /// is invalidated and retranslated each time around.
 fn spanning_translated_program() -> Vec<u8> {
@@ -465,7 +465,7 @@ fn assert_patched_once(code: &[u8]) -> Cpu {
 /// The rewritten block is never the target of a control transfer: it
 /// is entered by falling out of the block before it (`ldc 1; cj 0`
 /// always falls through), so the chained entry is what must notice the
-/// moved epoch and walk the covers.
+/// moved epoch and drop the cache.
 #[test]
 fn storing_into_a_block_entered_by_chaining_invalidates_it() {
     let mut head = encode(Direct::LoadConstant, 1);
@@ -477,8 +477,8 @@ fn storing_into_a_block_entered_by_chaining_invalidates_it() {
 /// `j 0` is straight-line code, so the block led by it holds the
 /// operations after it — here in the *next* 64-byte code block (code
 /// is loaded 72 bytes above the memory base, so code byte 55 is the
-/// last of a block). The store lands only there: the block's covers
-/// must reach past the `j 0`.
+/// last of a block). The store lands only there: the block must arm
+/// the write gate past the `j 0`.
 #[test]
 fn storing_into_the_bytes_after_a_j0_invalidates_its_block() {
     let j0_at = 55;
@@ -532,5 +532,74 @@ fn storing_into_a_block_with_unfolded_runs_keeps_stats_exact() {
         on.stats().direct_count(Direct::StoreLocal),
         2 + 2 * 5 * 2,
         "two passes of five trips, two stores a trip"
+    );
+}
+
+/// `R: ldc 7; stl 3; j T` runs once, first, so its 64-byte code block
+/// is translated; then `T` (at code offset 120, two code blocks up) is
+/// patched as in [`patch_once_program`], which empties the cache, and
+/// the second pass stores `0x55` into code offset `target` four times.
+/// Code offsets 4..120 are never executed.
+fn data_stores_after_a_flush_program(target: usize) -> Vec<u8> {
+    const T_AT: usize = 120;
+    let mut c = encode(Direct::LoadConstant, 7);
+    c.extend(encode(Direct::StoreLocal, 3));
+    let at = c.len();
+    c.extend(jump_to(Direct::Jump, at, T_AT));
+    c.resize(T_AT, encode(Direct::LoadConstant, 0)[0]);
+    c.extend(encode(Direct::LoadConstant, 0)); // T, patched to ldc 1
+    c.extend(encode(Direct::StoreLocal, 1));
+    c.extend(encode(Direct::LoadLocal, 1));
+    c.extend(encode(Direct::EqualsConstant, 0));
+    // First pass (w1 == 0): fall into the patch. Second: jump over it.
+    let mut patch = c.clone();
+    patch.push(0); // the one-byte `cj` below
+    let from = patch.len();
+    patch.extend(encode(Direct::LoadConstant, 0x41));
+    push_code_address(&mut patch, T_AT);
+    patch.extend(encode_op(Op::StoreByte));
+    let at = patch.len();
+    patch.extend(jump_to(Direct::Jump, at, T_AT));
+    let cj = encode(Direct::ConditionalJump, (patch.len() - from) as i64);
+    assert_eq!(cj.len(), 1, "cj displacement must stay single-byte");
+    c.extend(cj);
+    c.extend(&patch[from..]);
+    c.extend(encode(Direct::LoadConstant, 4));
+    c.extend(encode(Direct::StoreLocal, 2));
+    let top = c.len();
+    c.extend(encode(Direct::LoadConstant, 0x55));
+    push_code_address(&mut c, target);
+    c.extend(encode_op(Op::StoreByte));
+    c.extend(encode(Direct::LoadLocal, 2));
+    c.extend(encode(Direct::AddConstant, -1));
+    c.extend(encode(Direct::StoreLocal, 2));
+    c.extend(encode(Direct::LoadLocal, 2));
+    let back = jump_to(Direct::Jump, c.len() + 1, top);
+    c.extend(encode(Direct::ConditionalJump, back.len() as i64));
+    c.extend(back);
+    c.extend(encode_op(Op::HaltSimulation));
+    c
+}
+
+/// A flush disarms every write gate. After the patch of `T` has
+/// emptied the cache, `R`'s 64-byte block is covered by no live block,
+/// so storing into it is a data store: it must not empty the cache a
+/// second time. Checked against the same stores into a 64-byte block
+/// that nothing ever translated: the same blocks are built and dropped.
+#[test]
+fn a_data_store_after_a_flush_does_not_flush_again() {
+    let base = Cpu::new(CpuConfig::t424()).memory().mem_start();
+    let run = |target: usize| {
+        let on = assert_patched_once(&data_stores_after_a_flush_program(target));
+        let byte = on.memory().dump(base + target as u32, 1).unwrap()[0];
+        assert_eq!(byte, 0x55, "the store into code offset {target} landed");
+        on
+    };
+    // Code offset 2 is `R`'s `j T`; 64 is in the never-executed gap.
+    let (r, gap) = (run(2), run(64));
+    assert_eq!(
+        (r.stats().trans_blocks, r.stats().trans_invalidations),
+        (gap.stats().trans_blocks, gap.stats().trans_invalidations),
+        "storing into `R` after the flush emptied the cache again"
     );
 }

@@ -3,8 +3,9 @@
 //! CPU tiers, the static model, the ablations, `source_lines`, and the
 //! six trimmed network rows under both engines) twice in one process,
 //! byte for byte the same, no key of it is a time taken on the host,
-//! and every row of it is a row of the committed file. CI holds the full
-//! file to the same standard with `git diff`.
+//! no row of it dropped a translated block, and every row of it is a
+//! row of the committed file. CI holds the full file to the same
+//! standard with `git diff`.
 
 use transputer_bench::hostperf::{Report, TRIMMED_ROWS};
 
@@ -12,6 +13,20 @@ use transputer_bench::hostperf::{Report, TRIMMED_ROWS};
 fn trimmed_artifact_is_reproducible_and_holds_no_host_time() {
     let report = Report::measure(TRIMMED_ROWS);
     assert!(report.problems.is_empty(), "{:?}", report.problems);
+    // Translated code lives until a store hits it, and then every block
+    // goes (`cpu/translate.rs`); that is cheap only because no program
+    // the ledger runs ever stores into its own code.
+    let counters = report.cpu.iter().map(|r| (&r.counters, "cpu"));
+    let counters = counters.chain(report.networks.iter().map(|r| (&r.counters, r.bench)));
+    let mut translated = 0;
+    for (c, row) in counters {
+        assert_eq!(
+            c.trans_invalidations, 0,
+            "`{row}` overwrote translated code"
+        );
+        translated += c.trans_blocks;
+    }
+    assert!(translated > 0, "no row translated anything");
     let json = report.to_json();
     assert_eq!(json, Report::measure(TRIMMED_ROWS).to_json());
 
