@@ -26,8 +26,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::diag::{self, Diagnostic};
-use crate::verifier::{analyze, CodeShape, Insn};
+use crate::diag::{self, Diagnostic, Span};
+use crate::verifier::{analyze, is_stop, CodeShape, Insn};
 use transputer::instr::{Direct, Op, StackEffect};
 
 /// Why an edge exists.
@@ -364,19 +364,6 @@ fn is_terminator(insn: &Insn) -> bool {
     }
 }
 
-/// Operations after which control does not continue statically.
-fn is_stop(op: Op) -> bool {
-    matches!(
-        op,
-        Op::EndProcess
-            | Op::Return
-            | Op::GeneralCall
-            | Op::AltEnd
-            | Op::StopProcess
-            | Op::HaltSimulation
-    )
-}
-
 /// Code-pointer taint per evaluation-stack register.
 type Taint = [bool; 3];
 
@@ -439,7 +426,7 @@ fn taint_scan(
             .expect("flagged offset decodes");
         diags.push(Diagnostic::warning(
             "self-modifying",
-            insn.span(),
+            Span::insn(&insn),
             format!(
                 "{} stores through a code-derived (ldpi) pointer: the image may \
                  rewrite its own instructions",

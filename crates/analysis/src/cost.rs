@@ -233,9 +233,11 @@ pub fn analyze_cost(
                     });
                     match guard {
                         Some(l) => {
-                            let taken =
-                                timing::direct_cycles(Direct::ConditionalJump, l.count == 0) as u64;
-                            (f * (prefix + taken), f * len, f)
+                            let c = match l.count {
+                                0 => timing::CONDITIONAL_JUMP_TAKEN,
+                                _ => Direct::ConditionalJump.cycles(),
+                            };
+                            (f * (prefix + c as u64), f * len, f)
                         }
                         None => {
                             return Err(Unpredictable::at(
@@ -328,7 +330,7 @@ pub fn analyze_cost(
                             let c = timing::product_cycles(a) as u64;
                             (f * (prefix + c), f * len, f)
                         }
-                        op => match timing::op_fixed_cycles(op) {
+                        op => match op.fixed_cycles() {
                             Some(c) => (f * (prefix + c as u64), f * len, f),
                             None => {
                                 return Err(Unpredictable::at(
@@ -340,7 +342,7 @@ pub fn analyze_cost(
                     }
                 }
                 fun => {
-                    let c = timing::direct_cycles(fun, false) as u64;
+                    let c = fun.cycles() as u64;
                     (f * (prefix + c), f * len, f)
                 }
             };

@@ -59,6 +59,11 @@ impl Span {
         Span::Code { offset, len }
     }
 
+    /// The code span of one instruction, prefix chain included.
+    pub fn insn(insn: &transputer::instr::Insn) -> Span {
+        Span::code(insn.offset as u32, insn.len as u32)
+    }
+
     /// The source line, when this is a source span.
     pub fn source_line(&self) -> Option<u32> {
         match self {

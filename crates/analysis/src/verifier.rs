@@ -42,7 +42,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::diag::{Diagnostic, Span};
-use transputer::instr::{encoded_len, Direct, Op, StackEffect};
+use transputer::instr::{self, encoded_len, Direct, Op, StackEffect};
+
+/// One decoded logical instruction (prefix chain folded in).
+pub use transputer::instr::Insn;
 
 /// The workspace frame shape a code image was compiled for: how many
 /// words sit at/above the entry workspace pointer (`locals`) and how
@@ -61,42 +64,6 @@ impl CodeShape {
         CodeShape {
             locals: program.locals,
             depth: program.depth,
-        }
-    }
-}
-
-/// One decoded logical instruction (prefix chain folded in).
-#[derive(Debug, Clone, Copy)]
-pub struct Insn {
-    /// Byte offset of the first (prefix) byte.
-    pub offset: usize,
-    /// Total encoded length, prefix chain included.
-    pub len: usize,
-    /// The final function byte.
-    pub fun: Direct,
-    /// The fused operand.
-    pub operand: i64,
-    /// Decoded operation for `opr`; `None` when undefined.
-    pub op: Option<Op>,
-}
-
-impl Insn {
-    /// Offset just past the last byte (the base of relative operands).
-    pub fn end(&self) -> usize {
-        self.offset + self.len
-    }
-
-    /// The instruction's code span.
-    pub fn span(&self) -> Span {
-        Span::code(self.offset as u32, self.len as u32)
-    }
-
-    /// Display name (`ldc`, `lend`, ...).
-    pub fn mnemonic(&self) -> &'static str {
-        match (self.fun, self.op) {
-            (Direct::Operate, Some(op)) => op.mnemonic(),
-            (Direct::Operate, None) => "opr",
-            (fun, _) => fun.mnemonic(),
         }
     }
 }
@@ -270,7 +237,7 @@ fn check_target(
     if !(0..code_len as i64).contains(&target) {
         diags.push(Diagnostic::error(
             "jump-out-of-range",
-            insn.span(),
+            Span::insn(insn),
             format!(
                 "{} {what} {target:#x} is outside the code (0..{:#x})",
                 insn.mnemonic(),
@@ -280,7 +247,7 @@ fn check_target(
     } else if !index.contains_key(&(target as usize)) {
         diags.push(Diagnostic::error(
             "jump-mid-instruction",
-            insn.span(),
+            Span::insn(insn),
             format!(
                 "{} {what} {target:#x} lands inside an instruction, not on a boundary",
                 insn.mnemonic()
@@ -289,69 +256,37 @@ fn check_target(
     }
 }
 
-/// Decode the image into logical instructions, reporting encoding-level
-/// findings (truncated chains, non-minimal prefixes, undefined
-/// operations).
+/// Decode the image into logical instructions ([`instr::decode`]),
+/// reporting encoding-level findings (truncated chains, non-minimal
+/// prefixes, undefined operations).
 pub fn decode(code: &[u8], diags: &mut Vec<Diagnostic>) -> Vec<Insn> {
-    let mut insns = Vec::new();
-    let mut i = 0usize;
-    let mut oreg: i64 = 0;
-    let mut start = 0usize;
-    while i < code.len() {
-        let byte = code[i];
-        let fun = Direct::from_nibble(byte >> 4);
-        let data = i64::from(byte & 0xF);
-        i += 1;
-        match fun {
-            Direct::Prefix => {
-                oreg = (oreg | data) << 4;
-            }
-            Direct::NegativePrefix => {
-                oreg = !(oreg | data) << 4;
-            }
-            _ => {
-                let operand = oreg | data;
-                let len = i - start;
-                let op = if fun == Direct::Operate {
-                    u32::try_from(operand).ok().and_then(Op::from_code)
-                } else {
-                    None
-                };
-                let insn = Insn {
-                    offset: start,
-                    len,
-                    fun,
-                    operand,
-                    op,
-                };
-                if len > encoded_len(operand) {
-                    diags.push(Diagnostic::warning(
-                        "canonical-prefix",
-                        insn.span(),
-                        format!(
-                            "{} {operand} uses a {len}-byte prefix chain; the minimal encoding is {} byte(s)",
-                            fun.mnemonic(),
-                            encoded_len(operand)
-                        ),
-                    ));
-                }
-                if fun == Direct::Operate && op.is_none() {
-                    diags.push(Diagnostic::error(
-                        "undefined-operation",
-                        insn.span(),
-                        format!("operate with undefined operation code {operand:#x}"),
-                    ));
-                }
-                insns.push(insn);
-                oreg = 0;
-                start = i;
-            }
+    let insns: Vec<Insn> = instr::decode(code).collect();
+    for insn in &insns {
+        let (fun, operand, len) = (insn.fun, insn.operand, insn.len);
+        if len > encoded_len(operand) {
+            diags.push(Diagnostic::warning(
+                "canonical-prefix",
+                Span::insn(insn),
+                format!(
+                    "{} {operand} uses a {len}-byte prefix chain; the minimal encoding is {} byte(s)",
+                    fun.mnemonic(),
+                    encoded_len(operand)
+                ),
+            ));
+        }
+        if fun == Direct::Operate && insn.op.is_none() {
+            diags.push(Diagnostic::error(
+                "undefined-operation",
+                Span::insn(insn),
+                format!("operate with undefined operation code {operand:#x}"),
+            ));
         }
     }
-    if start != i {
+    let end = insns.last().map_or(0, Insn::end);
+    if end != code.len() {
         diags.push(Diagnostic::error(
             "truncated-instruction",
-            Span::code(start as u32, (i - start) as u32),
+            Span::code(end as u32, (code.len() - end) as u32),
             "code ends inside a prefix chain (no final instruction byte)",
         ));
     }
@@ -367,8 +302,21 @@ enum Flow {
     Jump(i64),
     /// Fall through or jump (cj).
     Branch(i64),
-    /// No static successor (ret, endp, altend, gcall, stopp, haltsim).
+    /// No static successor ([`is_stop`], or an undefined operation).
     Stop,
+}
+
+/// Operations after which control does not continue statically.
+pub(crate) fn is_stop(op: Op) -> bool {
+    matches!(
+        op,
+        Op::EndProcess
+            | Op::Return
+            | Op::GeneralCall
+            | Op::AltEnd
+            | Op::StopProcess
+            | Op::HaltSimulation
+    )
 }
 
 /// Result of abstractly executing one instruction.
@@ -443,7 +391,7 @@ fn step(
         if strict && e.pops > state.hi {
             diags.push(Diagnostic::error(
                 "stack-underflow",
-                insn.span(),
+                Span::insn(insn),
                 format!(
                     "{} needs {} stack operand(s) but at most {} can be on the stack here",
                     insn.mnemonic(),
@@ -456,7 +404,7 @@ fn step(
         if strict && after_lo + e.pushes > 3 {
             diags.push(Diagnostic::error(
                 "stack-overflow",
-                insn.span(),
+                Span::insn(insn),
                 format!(
                     "{} pushes {} result(s) onto a stack already holding {}: Creg is lost",
                     insn.mnemonic(),
@@ -514,7 +462,7 @@ fn step(
                 if slot < -i64::from(shape.depth) || slot >= i64::from(shape.locals) {
                     diags.push(Diagnostic::error(
                         "workspace-oob",
-                        insn.span(),
+                        Span::insn(insn),
                         format!(
                             "{} {} addresses workspace word {slot}, outside the allocated frame ({}..{})",
                             insn.mnemonic(),
@@ -563,12 +511,7 @@ fn step(
                         next.apply(op.stack_effect());
                         next.wadj = None;
                     }
-                    Op::EndProcess
-                    | Op::Return
-                    | Op::GeneralCall
-                    | Op::AltEnd
-                    | Op::StopProcess
-                    | Op::HaltSimulation => {
+                    op if is_stop(op) => {
                         next.apply(op.stack_effect());
                         succ = Flow::Stop;
                     }
@@ -761,6 +704,16 @@ mod tests {
         let diags = verify_bytecode(&code, None);
         assert_eq!(codes(&diags), ["canonical-prefix"]);
         assert!(!diags[0].is_error());
+    }
+
+    #[test]
+    fn prefix_chains_fold_into_a_32_bit_oreg() {
+        // ldc 2; ldc 3; pfix 1 and seven pfix 0 shift the 1 out of the
+        // T424's Oreg, so `opr 5` is `add`, redundantly encoded; haltsim.
+        let code = [
+            0x42, 0x43, 0x21, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0xF5, 0x21, 0x27, 0xFF,
+        ];
+        assert_eq!(codes(&verify_bytecode(&code, None)), ["canonical-prefix"]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use transputer::instr::{Direct, Op};
+use transputer::instr::{self, Direct, Op};
 
 /// One decoded logical instruction (a prefix chain folded into the
 /// instruction it extends, as the architecture intends — §3.2.7).
@@ -58,43 +58,15 @@ fn format_operand(v: i64) -> String {
 /// succeeds — undefined operations are reported in the listing rather
 /// than failing, since any byte sequence is decodable as instructions.
 pub fn disassemble(code: &[u8]) -> Vec<Decoded> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut oreg: u32 = 0;
-    let mut start = 0;
-    while i < code.len() {
-        let byte = code[i];
-        let fun = Direct::from_nibble(byte >> 4);
-        let data = u32::from(byte & 0xF);
-        i += 1;
-        match fun {
-            Direct::Prefix => {
-                oreg = (oreg | data) << 4;
-            }
-            Direct::NegativePrefix => {
-                oreg = !(oreg | data) << 4;
-            }
-            _ => {
-                let operand_u = oreg | data;
-                let operand = i64::from(operand_u as i32);
-                let op = if fun == Direct::Operate {
-                    Op::from_code(operand_u)
-                } else {
-                    None
-                };
-                out.push(Decoded {
-                    offset: start,
-                    bytes: code[start..i].to_vec(),
-                    fun,
-                    operand,
-                    op,
-                });
-                oreg = 0;
-                start = i;
-            }
-        }
-    }
-    out
+    instr::decode(code)
+        .map(|insn| Decoded {
+            offset: insn.offset,
+            bytes: code[insn.offset..insn.end()].to_vec(),
+            fun: insn.fun,
+            operand: insn.operand,
+            op: insn.op,
+        })
+        .collect()
 }
 
 /// Render a full listing with offsets and bytes, one instruction per
@@ -173,5 +145,33 @@ mod tests {
     fn full_names() {
         let d = disassemble(&[0x45]);
         assert_eq!(d[0].full_name(), "load constant 5");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+        /// The disassembler and the verifier read any bytes as the same
+        /// instructions; prefix bytes are weighted in so that chains
+        /// longer than the 32-bit Oreg occur.
+        #[test]
+        fn disassembler_and_verifier_decode_alike(
+            code in proptest::collection::vec(
+                proptest::prop_oneof![
+                    3 => 0x20u8..0x30,
+                    1 => 0x60u8..0x70,
+                    2 => proptest::arbitrary::any::<u8>(),
+                ],
+                0..40,
+            )
+        ) {
+            let listed: Vec<_> = disassemble(&code)
+                .into_iter()
+                .map(|d| (d.offset, d.bytes.len(), d.fun, d.operand, d.op))
+                .collect();
+            let verified: Vec<_> = transputer_analysis::verifier::decode(&code, &mut Vec::new())
+                .into_iter()
+                .map(|i| (i.offset, i.len, i.fun, i.operand, i.op))
+                .collect();
+            proptest::prop_assert_eq!(listed, verified);
+        }
     }
 }

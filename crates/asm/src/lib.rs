@@ -320,6 +320,32 @@ mod tests {
     }
 
     #[test]
+    fn every_row_round_trips_through_the_tools() {
+        use transputer::instr::{encode, encode_op};
+        for op in Op::ALL {
+            assert_eq!(Op::from_code(op.code()), Some(op));
+            for name in [op.mnemonic(), op.full_name()] {
+                assert_eq!(assemble(name), Ok(encode_op(op)), "`{name}`");
+            }
+            let shown = crate::disassemble(&encode_op(op))[0].to_string();
+            assert_eq!(shown, op.mnemonic());
+        }
+        for d in Direct::ALL {
+            assert_eq!(Direct::from_nibble(d.nibble()), d);
+            if matches!(d, Direct::Prefix | Direct::NegativePrefix) {
+                continue;
+            }
+            for name in [d.mnemonic(), d.full_name()] {
+                let text = format!("{name} 17");
+                assert_eq!(assemble(&text), Ok(encode(d, 17)), "`{text}`");
+            }
+            // `opr 17` is an undefined operation, listed as `opr #11`.
+            let shown = crate::disassemble(&encode(d, 17))[0].to_string();
+            assert!(shown.starts_with(&format!("{} ", d.mnemonic())), "{shown}");
+        }
+    }
+
+    #[test]
     fn roundtrip_through_disassembler() {
         let code = assemble("ldc #754\nstl 1\nldl 1\nadc 2\nmul\nhaltsim").unwrap();
         let decoded = crate::disassemble(&code);

@@ -1,9 +1,9 @@
-//! Generate the I1 instruction-set reference: every direct and indirect
-//! function with its encoding, cycle cost and published name — the
-//! machine this repository models, in one table.
+//! Print the I1 instruction-set reference: every direct and indirect
+//! function with its encoding, cycle cost and published name — ISA.md
+//! above its hand-written `## Static guarantees` (CI diffs the two).
 //!
 //! ```sh
-//! cargo run -p transputer-bench --bin isa_reference > ISA.md
+//! cargo run -p transputer-bench --bin isa_reference
 //! ```
 
 use transputer::instr::{encode, encode_op, Direct, Op};
@@ -37,10 +37,10 @@ fn main() {
             Direct::Operate => "(per operation)".to_string(),
             Direct::ConditionalJump => format!(
                 "{} taken / {} not",
-                timing::direct_cycles(d, true),
-                timing::direct_cycles(d, false)
+                timing::CONDITIONAL_JUMP_TAKEN,
+                d.cycles()
             ),
-            _ => timing::direct_cycles(d, false).to_string(),
+            _ => d.cycles().to_string(),
         };
         println!(
             "| #{:X} | `{}` | {} | {} |",
@@ -59,7 +59,7 @@ fn main() {
         if op == Op::HaltSimulation {
             continue; // emulator extension, listed separately
         }
-        let cycles = match timing::op_fixed_cycles(op) {
+        let cycles = match op.fixed_cycles() {
             Some(c) => c.to_string(),
             None => match op {
                 Op::Multiply => format!(

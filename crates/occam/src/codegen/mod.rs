@@ -51,9 +51,6 @@ pub struct Options {
     pub word_length: WordLength,
     /// Emit `csub0` range checks on vector subscripts.
     pub bounds_checks: bool,
-    /// Reject `PAR`s whose components share writable scalar variables
-    /// (occam's usage rule, §2.2.1).
-    pub par_checks: bool,
 }
 
 impl Default for Options {
@@ -62,7 +59,6 @@ impl Default for Options {
             word_independent: true,
             word_length: WordLength::Bits32,
             bounds_checks: false,
-            par_checks: true,
         }
     }
 }

@@ -70,9 +70,6 @@ impl Cg {
         replicated: bool,
         line: u32,
     ) -> Result<(), CompileError> {
-        if !self.options.par_checks {
-            return Ok(());
-        }
         match self.par_usage_conflict(branches, replicated) {
             Some(message) => Err(CompileError::check(line, message)),
             None => Ok(()),
@@ -83,9 +80,6 @@ impl Cg {
     /// a violation as a warning: the prioritised form stays compilable,
     /// as in the historical compilers.
     pub(crate) fn pri_par_usage_check(&mut self, branches: &[&Process], line: u32) {
-        if !self.options.par_checks {
-            return;
-        }
         if let Some(message) = self.par_usage_conflict(branches, false) {
             self.warnings.push(Warning {
                 line,

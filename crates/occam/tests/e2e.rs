@@ -787,12 +787,6 @@ fn par_usage_rule_rejects_shared_writes() {
          \x20 bump (n)"
     )
     .is_err());
-    // The check can be disabled for historical permissiveness.
-    let opts = Options {
-        par_checks: false,
-        ..Options::default()
-    };
-    assert!(compile_with("VAR x:\nPAR\n\x20 x := 1\n\x20 x := 2", opts).is_ok());
 }
 
 #[test]

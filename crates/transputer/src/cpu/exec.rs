@@ -113,11 +113,11 @@ impl Cpu {
         match fun {
             Direct::Prefix => {
                 self.oreg = self.word.mask((self.oreg | data) << 4);
-                return Ok(timing::direct_cycles(fun, false));
+                return Ok(fun.cycles());
             }
             Direct::NegativePrefix => {
                 self.oreg = self.word.mask(!(self.oreg | data) << 4);
-                return Ok(timing::direct_cycles(fun, false));
+                return Ok(fun.cycles());
             }
             _ => {}
         }
@@ -152,7 +152,7 @@ impl Cpu {
                 self.iptr = self
                     .word
                     .mask(self.iptr.wrapping_add(self.signed_offset(operand)));
-                let c = timing::direct_cycles(fun, true);
+                let c = fun.cycles();
                 // Jump is a descheduling (timeslice) point.
                 self.advance_time(c);
                 self.maybe_timeslice()?;
@@ -161,32 +161,32 @@ impl Cpu {
             Direct::LoadLocalPointer => {
                 let p = self.word.index_word(self.wptr(), operand);
                 self.push(p);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::LoadNonLocal => {
                 let a = self.word.index_word(self.areg, operand);
                 self.areg = self.mem.read_word(a)?;
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::LoadConstant => {
                 self.push(operand);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::LoadNonLocalPointer => {
                 self.areg = self.word.index_word(self.areg, operand);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::LoadLocal => {
                 let a = self.word.index_word(self.wptr(), operand);
                 let v = self.mem.read_word(a)?;
                 self.push(v);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::AddConstant => {
                 let (r, o) = self.word.checked_add(self.areg, operand);
                 self.areg = r;
                 self.set_error_if(o);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::Call => {
                 // Wptr descends by four words; Iptr, A, B, C are saved in
@@ -203,23 +203,23 @@ impl Cpu {
                 self.iptr = self
                     .word
                     .mask(self.iptr.wrapping_add(self.signed_offset(operand)));
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::ConditionalJump => {
                 if self.areg == 0 {
                     self.iptr = self
                         .word
                         .mask(self.iptr.wrapping_add(self.signed_offset(operand)));
-                    timing::direct_cycles(fun, true)
+                    timing::CONDITIONAL_JUMP_TAKEN
                 } else {
                     self.pop();
-                    timing::direct_cycles(fun, false)
+                    fun.cycles()
                 }
             }
             Direct::AdjustWorkspace => {
                 let w = self.word.index_word(self.wptr(), operand);
                 self.set_wptr(w);
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::EqualsConstant => {
                 self.areg = if self.areg == self.word.mask(operand) {
@@ -227,19 +227,19 @@ impl Cpu {
                 } else {
                     MACHINE_FALSE
                 };
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::StoreLocal => {
                 let a = self.word.index_word(self.wptr(), operand);
                 let v = self.pop();
                 self.mem.write_word(a, v)?;
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::StoreNonLocal => {
                 let (addr, val) = self.pop2();
                 let a = self.word.index_word(addr, operand);
                 self.mem.write_word(a, val)?;
-                timing::direct_cycles(fun, false)
+                fun.cycles()
             }
             Direct::Operate => {
                 let op = Op::from_code(operand)
@@ -271,7 +271,7 @@ impl Cpu {
     pub(crate) fn exec_op(&mut self, op: Op) -> Result<u32, HaltReason> {
         let word = self.word;
         let bpw = word.bytes_per_word();
-        if let Some(fixed) = timing::op_fixed_cycles(op) {
+        if let Some(fixed) = op.fixed_cycles() {
             match op {
                 Op::Reverse => std::mem::swap(&mut self.areg, &mut self.breg),
                 Op::LoadByte => {

@@ -1,4 +1,4 @@
-//! The I1 instruction set (§3.2.5–§3.2.8).
+//! The I1 instruction set (§3.2.5–§3.2.9), written down once.
 //!
 //! Every instruction is a single byte: a 4-bit *function* code and a 4-bit
 //! *data* value (Figure 4 of the paper). Thirteen function codes encode
@@ -6,685 +6,288 @@
 //! to any length; `operate` treats its operand as an *indirect function*
 //! applied to the evaluation stack (§3.2.8).
 //!
-//! The paper notes that "it is not common practice to abbreviate the names
-//! of the instructions"; this module therefore carries both the full
-//! published names ("load constant") and the conventional short mnemonics
-//! ("ldc") used by later INMOS tooling.
+//! Each direct function and each operation is one row of the two tables
+//! below: its code, conventional mnemonic, full published name, stack
+//! effect and fixed cycle cost. The paper notes that "it is not common
+//! practice to abbreviate the names of the instructions"; the rows
+//! therefore carry both the full names ("load constant") and the short
+//! mnemonics ("ldc") used by later INMOS tooling. [`Direct`], [`Op`],
+//! their `ALL` lists and every lookup — `from_code`, `mnemonic`,
+//! `full_name`, `stack_effect` and the cycle costs — are `match`es
+//! generated from the rows, so a fact stated once cannot disagree with
+//! itself. A cost the paper gives as a formula (multiply, shifts,
+//! communication, `lend`, ...) is `*` in its row and lives in
+//! [`crate::timing`].
 
 use std::fmt;
 
-/// The sixteen primary function codes (§3.2.5, Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Direct {
-    /// `j` — unconditional relative jump; a descheduling point.
-    Jump = 0x0,
-    /// `ldlp` — load local pointer (workspace-relative address).
-    LoadLocalPointer = 0x1,
-    /// `pfix` — prefix: extend the operand register upwards.
-    Prefix = 0x2,
-    /// `ldnl` — load non-local (word at offset from A).
-    LoadNonLocal = 0x3,
-    /// `ldc` — load constant.
-    LoadConstant = 0x4,
-    /// `ldnlp` — load non-local pointer.
-    LoadNonLocalPointer = 0x5,
-    /// `nfix` — negative prefix: complement then shift the operand register.
-    NegativePrefix = 0x6,
-    /// `ldl` — load local (workspace word).
-    LoadLocal = 0x7,
-    /// `adc` — add constant (checked).
-    AddConstant = 0x8,
-    /// `call` — procedure call; saves Iptr, A, B, C in a new frame.
-    Call = 0x9,
-    /// `cj` — conditional jump: taken when A is zero.
-    ConditionalJump = 0xA,
-    /// `ajw` — adjust workspace pointer.
-    AdjustWorkspace = 0xB,
-    /// `eqc` — equals constant.
-    EqualsConstant = 0xC,
-    /// `stl` — store local.
-    StoreLocal = 0xD,
-    /// `stnl` — store non-local.
-    StoreNonLocal = 0xE,
-    /// `opr` — operate: the operand selects an indirect function.
-    Operate = 0xF,
-}
-
-impl Direct {
-    /// All sixteen function codes in encoding order.
-    pub const ALL: [Direct; 16] = [
-        Direct::Jump,
-        Direct::LoadLocalPointer,
-        Direct::Prefix,
-        Direct::LoadNonLocal,
-        Direct::LoadConstant,
-        Direct::LoadNonLocalPointer,
-        Direct::NegativePrefix,
-        Direct::LoadLocal,
-        Direct::AddConstant,
-        Direct::Call,
-        Direct::ConditionalJump,
-        Direct::AdjustWorkspace,
-        Direct::EqualsConstant,
-        Direct::StoreLocal,
-        Direct::StoreNonLocal,
-        Direct::Operate,
-    ];
-
-    /// Decode the high nibble of an instruction byte.
-    #[inline]
-    pub fn from_nibble(n: u8) -> Direct {
-        Direct::ALL[(n & 0xF) as usize]
-    }
-
-    /// The encoding nibble.
-    #[inline]
-    pub fn nibble(self) -> u8 {
-        self as u8
-    }
-
-    /// Conventional short mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Direct::Jump => "j",
-            Direct::LoadLocalPointer => "ldlp",
-            Direct::Prefix => "pfix",
-            Direct::LoadNonLocal => "ldnl",
-            Direct::LoadConstant => "ldc",
-            Direct::LoadNonLocalPointer => "ldnlp",
-            Direct::NegativePrefix => "nfix",
-            Direct::LoadLocal => "ldl",
-            Direct::AddConstant => "adc",
-            Direct::Call => "call",
-            Direct::ConditionalJump => "cj",
-            Direct::AdjustWorkspace => "ajw",
-            Direct::EqualsConstant => "eqc",
-            Direct::StoreLocal => "stl",
-            Direct::StoreNonLocal => "stnl",
-            Direct::Operate => "opr",
+/// Expands one instruction table into its enum and lookups. A row is
+/// `Variant = code, "mnemonic", "full name", (pops, pushes), cycles;`.
+/// The stack effect is `-` for the prefixes and `operate`, which are not
+/// complete instructions; the cycles are `*` where the cost is a formula
+/// of [`crate::timing`]. The kind (`direct` or `operation`) picks the
+/// lookups that differ between the two tables.
+macro_rules! isa_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $Enum:ident: $repr:ident as $kind:ident;
+        $(
+            $(#[$row_meta:meta])*
+            $Variant:ident = $code:literal, $mn:literal, $full:literal, $effect:tt, $cycles:tt;
+        )*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr($repr)]
+        pub enum $Enum {
+            $(
+                #[doc = concat!("`", $mn, "` — ", $full, ".")]
+                $(#[$row_meta])*
+                $Variant = $code,
+            )*
         }
-    }
 
-    /// The full published name, as the paper writes instruction sequences.
-    pub fn full_name(self) -> &'static str {
-        match self {
-            Direct::Jump => "jump",
-            Direct::LoadLocalPointer => "load local pointer",
-            Direct::Prefix => "prefix",
-            Direct::LoadNonLocal => "load non local",
-            Direct::LoadConstant => "load constant",
-            Direct::LoadNonLocalPointer => "load non local pointer",
-            Direct::NegativePrefix => "negative prefix",
-            Direct::LoadLocal => "load local",
-            Direct::AddConstant => "add constant",
-            Direct::Call => "call",
-            Direct::ConditionalJump => "conditional jump",
-            Direct::AdjustWorkspace => "adjust workspace",
-            Direct::EqualsConstant => "equals constant",
-            Direct::StoreLocal => "store local",
-            Direct::StoreNonLocal => "store non local",
-            Direct::Operate => "operate",
+        impl $Enum {
+            /// Every row, in encoding order.
+            pub const ALL: [$Enum; [$($code),*].len()] = [$($Enum::$Variant),*];
+
+            /// Conventional short mnemonic.
+            pub fn mnemonic(self) -> &'static str {
+                match self { $($Enum::$Variant => $mn,)* }
+            }
+
+            /// The full published name, as the paper writes instruction
+            /// sequences.
+            pub fn full_name(self) -> &'static str {
+                match self { $($Enum::$Variant => $full,)* }
+            }
         }
-    }
+
+        impl fmt::Display for $Enum {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.mnemonic())
+            }
+        }
+
+        isa_table!(@$kind $($Variant = $code, $effect, $cycles;)*);
+    };
+
+    (@direct $($Variant:ident = $code:literal, $effect:tt, $cycles:literal;)*) => {
+        impl Direct {
+            /// Decode the high nibble of an instruction byte.
+            #[inline]
+            pub fn from_nibble(n: u8) -> Direct {
+                Direct::ALL[(n & 0xF) as usize]
+            }
+
+            /// The encoding nibble.
+            #[inline]
+            pub fn nibble(self) -> u8 {
+                self as u8
+            }
+
+            /// Stack effect of a direct function, or `None` for the
+            /// prefixes (`pfix`/`nfix` build operands, they are not
+            /// complete instructions) and for `operate` (whose effect is
+            /// the selected operation's, see [`Op::stack_effect`]).
+            ///
+            /// Two entries need care when consumed by a verifier:
+            ///
+            /// * `call` saves A, B and C into the new frame whether or not
+            ///   they hold live values — its three pops are *non-strict*
+            ///   (the occam compiler calls with 0–3 loaded arguments).
+            /// * `cj` pops the condition only on the fall-through path; on
+            ///   the taken path A (known zero) is preserved.
+            pub fn stack_effect(self) -> Option<StackEffect> {
+                match self { $(Direct::$Variant => isa_table!(@effect $effect),)* }
+            }
+
+            /// Cycles (§3.2.6 table). `cj` costs this when it falls
+            /// through and [`crate::timing::CONDITIONAL_JUMP_TAKEN`] when
+            /// it jumps; `operate` costs nothing of its own, its
+            /// operation's cost is [`Op::fixed_cycles`] or a formula.
+            pub fn cycles(self) -> u32 {
+                match self { $(Direct::$Variant => $cycles,)* }
+            }
+        }
+    };
+
+    (@operation
+        $($Variant:ident = $code:literal, ($pops:literal, $pushes:literal), $cycles:tt;)*
+    ) => {
+        impl Op {
+            /// Decode an operation code, if defined.
+            #[inline]
+            pub fn from_code(code: u32) -> Option<Op> {
+                match code {
+                    $($code => Some(Op::$Variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The operation code used as the operand of `operate`.
+            #[inline]
+            pub fn code(self) -> u32 {
+                self as u32
+            }
+
+            /// Stack effect of an indirect function, mirroring the
+            /// execution semantics in `cpu/exec.rs` and `cpu/io.rs`.
+            ///
+            /// Operations with data-dependent result counts are tabulated
+            /// with their normal-path effect (`ldiv` pushes quotient and
+            /// remainder; its error path pushes a single zero).
+            pub fn stack_effect(self) -> StackEffect {
+                match self { $(Op::$Variant => StackEffect::new($pops, $pushes),)* }
+            }
+
+            /// Cycles of an operation with a fixed cost; `None` for the
+            /// variable-cost ones (multiply, shifts, communication, block
+            /// moves, timer waits), which [`crate::timing`]'s formulas
+            /// price at execution.
+            pub fn fixed_cycles(self) -> Option<u32> {
+                match self { $(Op::$Variant => isa_table!(@cycles $cycles),)* }
+            }
+        }
+    };
+
+    (@effect -) => { None };
+    (@effect ($pops:literal, $pushes:literal)) => { Some(StackEffect::new($pops, $pushes)) };
+    (@cycles *) => { None };
+    (@cycles $cycles:literal) => { Some($cycles) };
 }
 
-impl fmt::Display for Direct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
-    }
+isa_table! {
+    /// The sixteen primary function codes (§3.2.5, Figure 4).
+    pub enum Direct: u8 as direct;
+    // variant            code mnemonic full name                 effect  cycles
+    /// A descheduling (timeslice) point.
+    Jump                = 0x0, "j",     "jump",                   (0, 0), 3;
+    LoadLocalPointer    = 0x1, "ldlp",  "load local pointer",     (0, 1), 1;
+    /// Shifts Oreg up a nibble (§3.2.7): one byte, one cycle.
+    Prefix              = 0x2, "pfix",  "prefix",                 -,      1;
+    LoadNonLocal        = 0x3, "ldnl",  "load non local",         (1, 1), 2;
+    LoadConstant        = 0x4, "ldc",   "load constant",          (0, 1), 1;
+    LoadNonLocalPointer = 0x5, "ldnlp", "load non local pointer", (1, 1), 1;
+    /// Complements Oreg, then shifts it up a nibble (§3.2.7).
+    NegativePrefix      = 0x6, "nfix",  "negative prefix",        -,      1;
+    LoadLocal           = 0x7, "ldl",   "load local",             (0, 1), 2;
+    /// Checked: sets the error flag on overflow.
+    AddConstant         = 0x8, "adc",   "add constant",           (1, 1), 1;
+    /// Saves Iptr, A, B and C in a new four-word frame.
+    Call                = 0x9, "call",  "call",                   (3, 1), 7;
+    /// Jumps when A is zero.
+    ConditionalJump     = 0xA, "cj",    "conditional jump",       (1, 0), 2;
+    AdjustWorkspace     = 0xB, "ajw",   "adjust workspace",       (0, 0), 1;
+    EqualsConstant      = 0xC, "eqc",   "equals constant",        (1, 1), 2;
+    StoreLocal          = 0xD, "stl",   "store local",            (1, 0), 1;
+    StoreNonLocal       = 0xE, "stnl",  "store non local",        (2, 0), 2;
+    /// The operand selects an indirect function, an [`Op`].
+    Operate             = 0xF, "opr",   "operate",                -,      0;
 }
 
-/// The indirect functions reached through `operate` (§3.2.8).
-///
-/// The encoding follows the first-generation (T414-era) operation codes.
-/// Operations with codes 0x0–0xF are reached with a single `opr` byte;
-/// higher codes require one prefix byte, exactly as the paper describes
-/// ("the most frequently occurring operations are represented without the
-/// use of a prefixing instruction").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u16)]
-pub enum Op {
-    /// Reverse the top two stack entries.
-    Reverse = 0x00,
-    /// Load byte pointed to by A.
-    LoadByte = 0x01,
-    /// Byte subscript: A := A + B.
-    ByteSubscript = 0x02,
-    /// End (terminate a component of a) parallel construct.
-    EndProcess = 0x03,
-    /// Modulo subtract.
-    Difference = 0x04,
-    /// Checked add.
-    Add = 0x05,
-    /// General call: exchange Iptr and A.
-    GeneralCall = 0x06,
-    /// Input message (§3.2.10).
-    InputMessage = 0x07,
-    /// Quick unchecked multiply; time proportional to log of the second
-    /// operand (§3.2.9).
-    Product = 0x08,
-    /// Signed greater-than.
-    GreaterThan = 0x09,
-    /// Word subscript: A := A + B*bytes-per-word.
-    WordSubscript = 0x0A,
-    /// Output message (§3.2.10).
-    OutputMessage = 0x0B,
-    /// Checked subtract.
-    Subtract = 0x0C,
-    /// Start process: add a new process to the scheduling list (§3.2.4).
-    StartProcess = 0x0D,
-    /// Output a single byte on a channel.
-    OutputByte = 0x0E,
-    /// Output a single word on a channel.
-    OutputWord = 0x0F,
-
-    /// Set the error flag.
-    SetError = 0x10,
-    /// Reset a channel word to empty.
-    ResetChannel = 0x12,
-    /// Check subscript from zero: error unless 0 <= A < B.
-    CheckSubscriptFromZero = 0x13,
-    /// Stop the current process (deschedule without requeueing).
-    StopProcess = 0x15,
-    /// Long (double-word) add with carry.
-    LongAdd = 0x16,
-    /// Store low-priority queue back pointer.
-    StoreLowBack = 0x17,
-    /// Store high-priority queue front pointer.
-    StoreHighFront = 0x18,
-    /// Normalise a double-word value.
-    Normalise = 0x19,
-    /// Long divide.
-    LongDivide = 0x1A,
-    /// Load pointer to instruction: A := Iptr + A.
-    LoadPointerToInstruction = 0x1B,
-    /// Store low-priority queue front pointer.
-    StoreLowFront = 0x1C,
-    /// Extend single-word value to double.
-    ExtendToDouble = 0x1D,
-    /// Load current priority.
-    LoadPriority = 0x1E,
-    /// Checked remainder.
-    Remainder = 0x1F,
-
-    /// Return from procedure.
-    Return = 0x20,
-    /// Loop end (replicated constructs).
-    LoopEnd = 0x21,
-    /// Read the clock of the current priority (§2.2.2).
-    LoadTimer = 0x22,
-    /// Test error flag (and clear), pushing its old value.
-    TestError = 0x29,
-    /// Test whether the processor was analysed; modelled as pushing false.
-    TestProcessorAnalysing = 0x2A,
-    /// Timer input: wait until the clock reaches a time (§2.2.2).
-    TimerInput = 0x2B,
-    /// Checked divide.
-    Divide = 0x2C,
-    /// Disable timer guard of an alternative.
-    DisableTimer = 0x2E,
-    /// Disable channel guard of an alternative.
-    DisableChannel = 0x2F,
-
-    /// Disable skip guard of an alternative.
-    DisableSkip = 0x30,
-    /// Long multiply.
-    LongMultiply = 0x31,
-    /// Bitwise complement.
-    Not = 0x32,
-    /// Bitwise exclusive or.
-    ExclusiveOr = 0x33,
-    /// Byte count: words to bytes.
-    ByteCount = 0x34,
-    /// Long shift right.
-    LongShiftRight = 0x35,
-    /// Long shift left.
-    LongShiftLeft = 0x36,
-    /// Long modulo sum with carry out.
-    LongSum = 0x37,
-    /// Long subtract with borrow.
-    LongSubtract = 0x38,
-    /// Run process: add a process descriptor to a scheduling list.
-    RunProcess = 0x39,
-    /// Sign-extend a part-word.
-    ExtendWord = 0x3A,
-    /// Store byte.
-    StoreByte = 0x3B,
-    /// General adjust workspace: exchange Wptr and A.
-    GeneralAdjustWorkspace = 0x3C,
-    /// Save low-priority queue pointers (analyse support).
-    SaveLow = 0x3D,
-    /// Save high-priority queue pointers.
-    SaveHigh = 0x3E,
-    /// Word count: split pointer into word address and byte selector.
-    WordCount = 0x3F,
-
-    /// Logical shift right.
-    ShiftRight = 0x40,
-    /// Logical shift left.
-    ShiftLeft = 0x41,
-    /// Minimum integer: push MostNeg.
-    MinimumInteger = 0x42,
-    /// Begin an alternative: mark state Enabling (§2.2).
-    Alt = 0x43,
-    /// Wait for an enabled alternative guard to become ready.
-    AltWait = 0x44,
-    /// End an alternative: jump to the selected branch.
-    AltEnd = 0x45,
-    /// Bitwise and.
-    And = 0x46,
-    /// Enable timer guard.
-    EnableTimer = 0x47,
-    /// Enable channel guard.
-    EnableChannel = 0x48,
-    /// Enable skip guard.
-    EnableSkip = 0x49,
-    /// Block move of A bytes from B to C... (source B, destination C).
-    Move = 0x4A,
-    /// Bitwise or.
-    Or = 0x4B,
-    /// Check single: error unless a double fits in a single word.
-    CheckSingle = 0x4C,
-    /// Check count from one: error unless 1 <= A < B.
-    CheckCountFromOne = 0x4D,
-    /// Begin a timer alternative.
-    TimerAlt = 0x4E,
-    /// Long difference with borrow out.
-    LongDiff = 0x4F,
-
-    /// Store high-priority queue back pointer.
-    StoreHighBack = 0x50,
-    /// Wait for a timer alternative guard.
-    TimerAltWait = 0x51,
-    /// Modulo add.
-    Sum = 0x52,
-    /// Checked multiply; 7 + wordlength cycles (§3.2.9 table).
-    Multiply = 0x53,
-    /// Set the clock of the current priority and start it.
-    StoreTimer = 0x54,
-    /// Conditionally set error: A := A, error set if A false... (stoperr semantics: halt if error).
-    StopOnError = 0x55,
-    /// Check word: error unless A fits in a part-word of size B.
-    CheckWord = 0x56,
-    /// Clear halt-on-error mode.
-    ClearHaltOnError = 0x57,
-    /// Set halt-on-error mode.
-    SetHaltOnError = 0x58,
-    /// Test halt-on-error mode.
-    TestHaltOnError = 0x59,
-
+isa_table! {
+    /// The indirect functions reached through `operate` (§3.2.8).
+    ///
+    /// The encoding follows the first-generation (T414-era) operation
+    /// codes. Operations with codes 0x0–0xF are reached with a single
+    /// `opr` byte; higher codes require one prefix byte, exactly as the
+    /// paper describes ("the most frequently occurring operations are
+    /// represented without the use of a prefixing instruction").
+    pub enum Op: u16 as operation;
+    // variant                 code  mnemonic      full name                             effect  cycles
+    Reverse                  = 0x00, "rev",        "reverse",                            (2, 2), 1;
+    LoadByte                 = 0x01, "lb",         "load byte",                          (1, 1), 5;
+    ByteSubscript            = 0x02, "bsub",       "byte subscript",                     (2, 1), 1;
+    EndProcess               = 0x03, "endp",       "end process",                        (1, 0), 13;
+    Difference               = 0x04, "diff",       "difference",                         (2, 1), 1;
+    Add                      = 0x05, "add",        "add",                                (2, 1), 1;
+    GeneralCall              = 0x06, "gcall",      "general call",                       (1, 1), 4;
+    InputMessage             = 0x07, "in",         "input message",                      (3, 0), *;
+    /// Quick unchecked multiply; time proportional to the logarithm of
+    /// the second operand (§3.2.9).
+    Product                  = 0x08, "prod",       "product",                            (2, 1), *;
+    GreaterThan              = 0x09, "gt",         "greater than",                       (2, 1), 2;
+    WordSubscript            = 0x0A, "wsub",       "word subscript",                     (2, 1), 2;
+    OutputMessage            = 0x0B, "out",        "output message",                     (3, 0), *;
+    Subtract                 = 0x0C, "sub",        "subtract",                           (2, 1), 1;
+    StartProcess             = 0x0D, "startp",     "start process",                      (2, 0), 12;
+    // outbyte/outword pop channel and value, spill the value to w[0] and
+    // run the general output on a rebuilt stack: two operands consumed.
+    OutputByte               = 0x0E, "outbyte",    "output byte",                        (2, 0), *;
+    OutputWord               = 0x0F, "outword",    "output word",                        (2, 0), *;
+    SetError                 = 0x10, "seterr",     "set error",                          (0, 0), 1;
+    ResetChannel             = 0x12, "resetch",    "reset channel",                      (1, 1), 3;
+    CheckSubscriptFromZero   = 0x13, "csub0",      "check subscript from 0",             (2, 1), 2;
+    StopProcess              = 0x15, "stopp",      "stop process",                       (0, 0), 11;
+    LongAdd                  = 0x16, "ladd",       "long add",                           (3, 1), 2;
+    StoreLowBack             = 0x17, "stlb",       "store low priority back pointer",    (1, 0), 1;
+    StoreHighFront           = 0x18, "sthf",       "store high priority front pointer",  (1, 0), 1;
+    Normalise                = 0x19, "norm",       "normalise",                          (2, 3), *;
+    LongDivide               = 0x1A, "ldiv",       "long divide",                        (3, 2), *;
+    LoadPointerToInstruction = 0x1B, "ldpi",       "load pointer to instruction",        (1, 1), 2;
+    StoreLowFront            = 0x1C, "stlf",       "store low priority front pointer",   (1, 0), 1;
+    ExtendToDouble           = 0x1D, "xdble",      "extend to double",                   (1, 2), 2;
+    LoadPriority             = 0x1E, "ldpri",      "load current priority",              (0, 1), 1;
+    Remainder                = 0x1F, "rem",        "remainder",                          (2, 1), *;
+    Return                   = 0x20, "ret",        "return",                             (0, 0), 5;
+    LoopEnd                  = 0x21, "lend",       "loop end",                           (2, 0), *;
+    LoadTimer                = 0x22, "ldtimer",    "load timer",                         (0, 1), 2;
+    TestError                = 0x29, "testerr",    "test error false and clear",         (0, 1), 2;
+    /// Modelled as pushing false: the processor is never analysed.
+    TestProcessorAnalysing   = 0x2A, "testpranal", "test processor analysing",           (0, 1), 2;
+    TimerInput               = 0x2B, "tin",        "timer input",                        (1, 0), *;
+    Divide                   = 0x2C, "div",        "divide",                             (2, 1), *;
+    DisableTimer             = 0x2E, "dist",       "disable timer",                      (3, 1), 8;
+    DisableChannel           = 0x2F, "disc",       "disable channel",                    (3, 1), 8;
+    DisableSkip              = 0x30, "diss",       "disable skip",                       (2, 1), 4;
+    LongMultiply             = 0x31, "lmul",       "long multiply",                      (3, 2), *;
+    Not                      = 0x32, "not",        "bitwise not",                        (1, 1), 1;
+    ExclusiveOr              = 0x33, "xor",        "exclusive or",                       (2, 1), 1;
+    ByteCount                = 0x34, "bcnt",       "byte count",                         (1, 1), 2;
+    LongShiftRight           = 0x35, "lshr",       "long shift right",                   (3, 2), *;
+    LongShiftLeft            = 0x36, "lshl",       "long shift left",                    (3, 2), *;
+    LongSum                  = 0x37, "lsum",       "long sum",                           (3, 2), 3;
+    LongSubtract             = 0x38, "lsub",       "long subtract",                      (3, 1), 2;
+    RunProcess               = 0x39, "runp",       "run process",                        (1, 0), 10;
+    ExtendWord               = 0x3A, "xword",      "extend to word",                     (2, 1), 4;
+    StoreByte                = 0x3B, "sb",         "store byte",                         (2, 0), 4;
+    GeneralAdjustWorkspace   = 0x3C, "gajw",       "general adjust workspace",           (1, 1), 2;
+    SaveLow                  = 0x3D, "savel",      "save low priority queue registers",  (1, 0), 4;
+    SaveHigh                 = 0x3E, "saveh",      "save high priority queue registers", (1, 0), 4;
+    WordCount                = 0x3F, "wcnt",       "word count",                         (1, 2), 5;
+    ShiftRight               = 0x40, "shr",        "shift right",                        (2, 1), *;
+    ShiftLeft                = 0x41, "shl",        "shift left",                         (2, 1), *;
+    MinimumInteger           = 0x42, "mint",       "minimum integer",                    (0, 1), 1;
+    Alt                      = 0x43, "alt",        "alt start",                          (0, 0), 2;
+    AltWait                  = 0x44, "altwt",      "alt wait",                           (0, 0), *;
+    AltEnd                   = 0x45, "altend",     "alt end",                            (0, 0), 4;
+    And                      = 0x46, "and",        "and",                                (2, 1), 1;
+    EnableTimer              = 0x47, "enbt",       "enable timer",                       (2, 1), 8;
+    EnableChannel            = 0x48, "enbc",       "enable channel",                     (2, 1), 7;
+    // enbs tests the guard in A without popping it.
+    EnableSkip               = 0x49, "enbs",       "enable skip",                        (1, 1), 3;
+    Move                     = 0x4A, "move",       "move message",                       (3, 0), *;
+    Or                       = 0x4B, "or",         "or",                                 (2, 1), 1;
+    CheckSingle              = 0x4C, "csngl",      "check single",                       (2, 1), 3;
+    CheckCountFromOne        = 0x4D, "ccnt1",      "check count from 1",                 (2, 1), 3;
+    TimerAlt                 = 0x4E, "talt",       "timer alt start",                    (0, 0), 4;
+    LongDiff                 = 0x4F, "ldiff",      "long diff",                          (3, 2), 3;
+    StoreHighBack            = 0x50, "sthb",       "store high priority back pointer",   (1, 0), 1;
+    TimerAltWait             = 0x51, "taltwt",     "timer alt wait",                     (0, 0), *;
+    Sum                      = 0x52, "sum",        "sum",                                (2, 1), 1;
+    /// Checked; 7 + wordlength cycles with its prefix (§3.2.9 table).
+    Multiply                 = 0x53, "mul",        "multiply",                           (2, 1), *;
+    StoreTimer               = 0x54, "sttimer",    "store timer",                        (1, 0), 1;
+    StopOnError              = 0x55, "stoperr",    "stop on error",                      (0, 0), 2;
+    CheckWord                = 0x56, "cword",      "check word",                         (2, 1), 5;
+    ClearHaltOnError         = 0x57, "clrhalterr", "clear halt-on-error",                (0, 0), 1;
+    SetHaltOnError           = 0x58, "sethalterr", "set halt-on-error",                  (0, 0), 1;
+    TestHaltOnError          = 0x59, "testhalterr", "test halt-on-error",                 (0, 1), 2;
     /// Emulator extension: cleanly stop the simulation run. Encoded far
-    /// outside the architectural operation space; hosted test programs use
-    /// it the way boot ROMs used an external reset.
-    HaltSimulation = 0x17F,
-}
-
-impl Op {
-    /// Every defined operation, in encoding order.
-    pub const ALL: [Op; 82] = [
-        Op::Reverse,
-        Op::LoadByte,
-        Op::ByteSubscript,
-        Op::EndProcess,
-        Op::Difference,
-        Op::Add,
-        Op::GeneralCall,
-        Op::InputMessage,
-        Op::Product,
-        Op::GreaterThan,
-        Op::WordSubscript,
-        Op::OutputMessage,
-        Op::Subtract,
-        Op::StartProcess,
-        Op::OutputByte,
-        Op::OutputWord,
-        Op::SetError,
-        Op::ResetChannel,
-        Op::CheckSubscriptFromZero,
-        Op::StopProcess,
-        Op::LongAdd,
-        Op::StoreLowBack,
-        Op::StoreHighFront,
-        Op::Normalise,
-        Op::LongDivide,
-        Op::LoadPointerToInstruction,
-        Op::StoreLowFront,
-        Op::ExtendToDouble,
-        Op::LoadPriority,
-        Op::Remainder,
-        Op::Return,
-        Op::LoopEnd,
-        Op::LoadTimer,
-        Op::TestError,
-        Op::TestProcessorAnalysing,
-        Op::TimerInput,
-        Op::Divide,
-        Op::DisableTimer,
-        Op::DisableChannel,
-        Op::DisableSkip,
-        Op::LongMultiply,
-        Op::Not,
-        Op::ExclusiveOr,
-        Op::ByteCount,
-        Op::LongShiftRight,
-        Op::LongShiftLeft,
-        Op::LongSum,
-        Op::LongSubtract,
-        Op::RunProcess,
-        Op::ExtendWord,
-        Op::StoreByte,
-        Op::GeneralAdjustWorkspace,
-        Op::SaveLow,
-        Op::SaveHigh,
-        Op::WordCount,
-        Op::ShiftRight,
-        Op::ShiftLeft,
-        Op::MinimumInteger,
-        Op::Alt,
-        Op::AltWait,
-        Op::AltEnd,
-        Op::And,
-        Op::EnableTimer,
-        Op::EnableChannel,
-        Op::EnableSkip,
-        Op::Move,
-        Op::Or,
-        Op::CheckSingle,
-        Op::CheckCountFromOne,
-        Op::TimerAlt,
-        Op::LongDiff,
-        Op::StoreHighBack,
-        Op::TimerAltWait,
-        Op::Sum,
-        Op::Multiply,
-        Op::StoreTimer,
-        Op::StopOnError,
-        Op::CheckWord,
-        Op::ClearHaltOnError,
-        Op::SetHaltOnError,
-        Op::TestHaltOnError,
-        Op::HaltSimulation,
-    ];
-
-    /// Decode an operation code, if defined.
-    #[inline]
-    pub fn from_code(code: u32) -> Option<Op> {
-        let op = match code {
-            0x00 => Op::Reverse,
-            0x01 => Op::LoadByte,
-            0x02 => Op::ByteSubscript,
-            0x03 => Op::EndProcess,
-            0x04 => Op::Difference,
-            0x05 => Op::Add,
-            0x06 => Op::GeneralCall,
-            0x07 => Op::InputMessage,
-            0x08 => Op::Product,
-            0x09 => Op::GreaterThan,
-            0x0A => Op::WordSubscript,
-            0x0B => Op::OutputMessage,
-            0x0C => Op::Subtract,
-            0x0D => Op::StartProcess,
-            0x0E => Op::OutputByte,
-            0x0F => Op::OutputWord,
-            0x10 => Op::SetError,
-            0x12 => Op::ResetChannel,
-            0x13 => Op::CheckSubscriptFromZero,
-            0x15 => Op::StopProcess,
-            0x16 => Op::LongAdd,
-            0x17 => Op::StoreLowBack,
-            0x18 => Op::StoreHighFront,
-            0x19 => Op::Normalise,
-            0x1A => Op::LongDivide,
-            0x1B => Op::LoadPointerToInstruction,
-            0x1C => Op::StoreLowFront,
-            0x1D => Op::ExtendToDouble,
-            0x1E => Op::LoadPriority,
-            0x1F => Op::Remainder,
-            0x20 => Op::Return,
-            0x21 => Op::LoopEnd,
-            0x22 => Op::LoadTimer,
-            0x29 => Op::TestError,
-            0x2A => Op::TestProcessorAnalysing,
-            0x2B => Op::TimerInput,
-            0x2C => Op::Divide,
-            0x2E => Op::DisableTimer,
-            0x2F => Op::DisableChannel,
-            0x30 => Op::DisableSkip,
-            0x31 => Op::LongMultiply,
-            0x32 => Op::Not,
-            0x33 => Op::ExclusiveOr,
-            0x34 => Op::ByteCount,
-            0x35 => Op::LongShiftRight,
-            0x36 => Op::LongShiftLeft,
-            0x37 => Op::LongSum,
-            0x38 => Op::LongSubtract,
-            0x39 => Op::RunProcess,
-            0x3A => Op::ExtendWord,
-            0x3B => Op::StoreByte,
-            0x3C => Op::GeneralAdjustWorkspace,
-            0x3D => Op::SaveLow,
-            0x3E => Op::SaveHigh,
-            0x3F => Op::WordCount,
-            0x40 => Op::ShiftRight,
-            0x41 => Op::ShiftLeft,
-            0x42 => Op::MinimumInteger,
-            0x43 => Op::Alt,
-            0x44 => Op::AltWait,
-            0x45 => Op::AltEnd,
-            0x46 => Op::And,
-            0x47 => Op::EnableTimer,
-            0x48 => Op::EnableChannel,
-            0x49 => Op::EnableSkip,
-            0x4A => Op::Move,
-            0x4B => Op::Or,
-            0x4C => Op::CheckSingle,
-            0x4D => Op::CheckCountFromOne,
-            0x4E => Op::TimerAlt,
-            0x4F => Op::LongDiff,
-            0x50 => Op::StoreHighBack,
-            0x51 => Op::TimerAltWait,
-            0x52 => Op::Sum,
-            0x53 => Op::Multiply,
-            0x54 => Op::StoreTimer,
-            0x55 => Op::StopOnError,
-            0x56 => Op::CheckWord,
-            0x57 => Op::ClearHaltOnError,
-            0x58 => Op::SetHaltOnError,
-            0x59 => Op::TestHaltOnError,
-            0x17F => Op::HaltSimulation,
-            _ => return None,
-        };
-        Some(op)
-    }
-
-    /// The operation code used as the operand of `operate`.
-    #[inline]
-    pub fn code(self) -> u32 {
-        self as u32
-    }
-
-    /// Conventional short mnemonic.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Op::Reverse => "rev",
-            Op::LoadByte => "lb",
-            Op::ByteSubscript => "bsub",
-            Op::EndProcess => "endp",
-            Op::Difference => "diff",
-            Op::Add => "add",
-            Op::GeneralCall => "gcall",
-            Op::InputMessage => "in",
-            Op::Product => "prod",
-            Op::GreaterThan => "gt",
-            Op::WordSubscript => "wsub",
-            Op::OutputMessage => "out",
-            Op::Subtract => "sub",
-            Op::StartProcess => "startp",
-            Op::OutputByte => "outbyte",
-            Op::OutputWord => "outword",
-            Op::SetError => "seterr",
-            Op::ResetChannel => "resetch",
-            Op::CheckSubscriptFromZero => "csub0",
-            Op::StopProcess => "stopp",
-            Op::LongAdd => "ladd",
-            Op::StoreLowBack => "stlb",
-            Op::StoreHighFront => "sthf",
-            Op::Normalise => "norm",
-            Op::LongDivide => "ldiv",
-            Op::LoadPointerToInstruction => "ldpi",
-            Op::StoreLowFront => "stlf",
-            Op::ExtendToDouble => "xdble",
-            Op::LoadPriority => "ldpri",
-            Op::Remainder => "rem",
-            Op::Return => "ret",
-            Op::LoopEnd => "lend",
-            Op::LoadTimer => "ldtimer",
-            Op::TestError => "testerr",
-            Op::TestProcessorAnalysing => "testpranal",
-            Op::TimerInput => "tin",
-            Op::Divide => "div",
-            Op::DisableTimer => "dist",
-            Op::DisableChannel => "disc",
-            Op::DisableSkip => "diss",
-            Op::LongMultiply => "lmul",
-            Op::Not => "not",
-            Op::ExclusiveOr => "xor",
-            Op::ByteCount => "bcnt",
-            Op::LongShiftRight => "lshr",
-            Op::LongShiftLeft => "lshl",
-            Op::LongSum => "lsum",
-            Op::LongSubtract => "lsub",
-            Op::RunProcess => "runp",
-            Op::ExtendWord => "xword",
-            Op::StoreByte => "sb",
-            Op::GeneralAdjustWorkspace => "gajw",
-            Op::SaveLow => "savel",
-            Op::SaveHigh => "saveh",
-            Op::WordCount => "wcnt",
-            Op::ShiftRight => "shr",
-            Op::ShiftLeft => "shl",
-            Op::MinimumInteger => "mint",
-            Op::Alt => "alt",
-            Op::AltWait => "altwt",
-            Op::AltEnd => "altend",
-            Op::And => "and",
-            Op::EnableTimer => "enbt",
-            Op::EnableChannel => "enbc",
-            Op::EnableSkip => "enbs",
-            Op::Move => "move",
-            Op::Or => "or",
-            Op::CheckSingle => "csngl",
-            Op::CheckCountFromOne => "ccnt1",
-            Op::TimerAlt => "talt",
-            Op::LongDiff => "ldiff",
-            Op::StoreHighBack => "sthb",
-            Op::TimerAltWait => "taltwt",
-            Op::Sum => "sum",
-            Op::Multiply => "mul",
-            Op::StoreTimer => "sttimer",
-            Op::StopOnError => "stoperr",
-            Op::CheckWord => "cword",
-            Op::ClearHaltOnError => "clrhalterr",
-            Op::SetHaltOnError => "sethalterr",
-            Op::TestHaltOnError => "testhalterr",
-            Op::HaltSimulation => "haltsim",
-        }
-    }
-
-    /// The full published name.
-    pub fn full_name(self) -> &'static str {
-        match self {
-            Op::Reverse => "reverse",
-            Op::LoadByte => "load byte",
-            Op::ByteSubscript => "byte subscript",
-            Op::EndProcess => "end process",
-            Op::Difference => "difference",
-            Op::Add => "add",
-            Op::GeneralCall => "general call",
-            Op::InputMessage => "input message",
-            Op::Product => "product",
-            Op::GreaterThan => "greater than",
-            Op::WordSubscript => "word subscript",
-            Op::OutputMessage => "output message",
-            Op::Subtract => "subtract",
-            Op::StartProcess => "start process",
-            Op::OutputByte => "output byte",
-            Op::OutputWord => "output word",
-            Op::SetError => "set error",
-            Op::ResetChannel => "reset channel",
-            Op::CheckSubscriptFromZero => "check subscript from 0",
-            Op::StopProcess => "stop process",
-            Op::LongAdd => "long add",
-            Op::StoreLowBack => "store low priority back pointer",
-            Op::StoreHighFront => "store high priority front pointer",
-            Op::Normalise => "normalise",
-            Op::LongDivide => "long divide",
-            Op::LoadPointerToInstruction => "load pointer to instruction",
-            Op::StoreLowFront => "store low priority front pointer",
-            Op::ExtendToDouble => "extend to double",
-            Op::LoadPriority => "load current priority",
-            Op::Remainder => "remainder",
-            Op::Return => "return",
-            Op::LoopEnd => "loop end",
-            Op::LoadTimer => "load timer",
-            Op::TestError => "test error false and clear",
-            Op::TestProcessorAnalysing => "test processor analysing",
-            Op::TimerInput => "timer input",
-            Op::Divide => "divide",
-            Op::DisableTimer => "disable timer",
-            Op::DisableChannel => "disable channel",
-            Op::DisableSkip => "disable skip",
-            Op::LongMultiply => "long multiply",
-            Op::Not => "bitwise not",
-            Op::ExclusiveOr => "exclusive or",
-            Op::ByteCount => "byte count",
-            Op::LongShiftRight => "long shift right",
-            Op::LongShiftLeft => "long shift left",
-            Op::LongSum => "long sum",
-            Op::LongSubtract => "long subtract",
-            Op::RunProcess => "run process",
-            Op::ExtendWord => "extend to word",
-            Op::StoreByte => "store byte",
-            Op::GeneralAdjustWorkspace => "general adjust workspace",
-            Op::SaveLow => "save low priority queue registers",
-            Op::SaveHigh => "save high priority queue registers",
-            Op::WordCount => "word count",
-            Op::ShiftRight => "shift right",
-            Op::ShiftLeft => "shift left",
-            Op::MinimumInteger => "minimum integer",
-            Op::Alt => "alt start",
-            Op::AltWait => "alt wait",
-            Op::AltEnd => "alt end",
-            Op::And => "and",
-            Op::EnableTimer => "enable timer",
-            Op::EnableChannel => "enable channel",
-            Op::EnableSkip => "enable skip",
-            Op::Move => "move message",
-            Op::Or => "or",
-            Op::CheckSingle => "check single",
-            Op::CheckCountFromOne => "check count from 1",
-            Op::TimerAlt => "timer alt start",
-            Op::LongDiff => "long diff",
-            Op::StoreHighBack => "store high priority back pointer",
-            Op::TimerAltWait => "timer alt wait",
-            Op::Sum => "sum",
-            Op::Multiply => "multiply",
-            Op::StoreTimer => "store timer",
-            Op::StopOnError => "stop on error",
-            Op::CheckWord => "check word",
-            Op::ClearHaltOnError => "clear halt-on-error",
-            Op::SetHaltOnError => "set halt-on-error",
-            Op::TestHaltOnError => "test halt-on-error",
-            Op::HaltSimulation => "halt simulation",
-        }
-    }
-}
-
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
-    }
+    /// outside the architectural operation space; hosted test programs
+    /// use it the way boot ROMs used an external reset.
+    HaltSimulation           = 0x17F, "haltsim",    "halt simulation",                    (0, 0), 1;
 }
 
 /// Net evaluation-stack effect of one instruction (§3.2.9).
@@ -707,139 +310,6 @@ impl StackEffect {
     /// An effect consuming `pops` operands and producing `pushes`.
     pub const fn new(pops: u8, pushes: u8) -> StackEffect {
         StackEffect { pops, pushes }
-    }
-}
-
-impl Direct {
-    /// Stack effect of a direct function, or `None` for the prefixes
-    /// (`pfix`/`nfix` build operands, they are not complete
-    /// instructions) and for `operate` (whose effect is the selected
-    /// operation's, see [`Op::stack_effect`]).
-    ///
-    /// Two entries need care when consumed by a verifier:
-    ///
-    /// * `call` saves A, B and C into the new frame whether or not
-    ///   they hold live values — its three pops are *non-strict* (the
-    ///   occam compiler calls with 0–3 loaded arguments).
-    /// * `cj` pops the condition only on the fall-through path; on the
-    ///   taken path A (known zero) is preserved.
-    pub fn stack_effect(self) -> Option<StackEffect> {
-        Some(match self {
-            Direct::Jump => StackEffect::new(0, 0),
-            Direct::LoadLocalPointer => StackEffect::new(0, 1),
-            Direct::Prefix | Direct::NegativePrefix | Direct::Operate => return None,
-            Direct::LoadNonLocal => StackEffect::new(1, 1),
-            Direct::LoadConstant => StackEffect::new(0, 1),
-            Direct::LoadNonLocalPointer => StackEffect::new(1, 1),
-            Direct::LoadLocal => StackEffect::new(0, 1),
-            Direct::AddConstant => StackEffect::new(1, 1),
-            Direct::Call => StackEffect::new(3, 1),
-            Direct::ConditionalJump => StackEffect::new(1, 0),
-            Direct::AdjustWorkspace => StackEffect::new(0, 0),
-            Direct::EqualsConstant => StackEffect::new(1, 1),
-            Direct::StoreLocal => StackEffect::new(1, 0),
-            Direct::StoreNonLocal => StackEffect::new(2, 0),
-        })
-    }
-}
-
-impl Op {
-    /// Stack effect of an indirect function, mirroring the execution
-    /// semantics in `cpu/exec.rs` and `cpu/io.rs`.
-    ///
-    /// Operations with data-dependent result counts are tabulated with
-    /// their normal-path effect (`ldiv` pushes quotient and remainder;
-    /// its error path pushes a single zero).
-    pub fn stack_effect(self) -> StackEffect {
-        let (pops, pushes) = match self {
-            Op::Reverse => (2, 2),
-            Op::LoadByte => (1, 1),
-            Op::ByteSubscript => (2, 1),
-            Op::EndProcess => (1, 0),
-            Op::Difference => (2, 1),
-            Op::Add => (2, 1),
-            Op::GeneralCall => (1, 1),
-            Op::InputMessage => (3, 0),
-            Op::Product => (2, 1),
-            Op::GreaterThan => (2, 1),
-            Op::WordSubscript => (2, 1),
-            Op::OutputMessage => (3, 0),
-            Op::Subtract => (2, 1),
-            Op::StartProcess => (2, 0),
-            // outword/outbyte pop channel and value, spill the value to
-            // w[0], and run the general output on a rebuilt stack: the
-            // net effect is two operands consumed.
-            Op::OutputByte => (2, 0),
-            Op::OutputWord => (2, 0),
-            Op::SetError => (0, 0),
-            Op::ResetChannel => (1, 1),
-            Op::CheckSubscriptFromZero => (2, 1),
-            Op::StopProcess => (0, 0),
-            Op::LongAdd => (3, 1),
-            Op::StoreLowBack => (1, 0),
-            Op::StoreHighFront => (1, 0),
-            Op::Normalise => (2, 3),
-            Op::LongDivide => (3, 2),
-            Op::LoadPointerToInstruction => (1, 1),
-            Op::StoreLowFront => (1, 0),
-            Op::ExtendToDouble => (1, 2),
-            Op::LoadPriority => (0, 1),
-            Op::Remainder => (2, 1),
-            Op::Return => (0, 0),
-            Op::LoopEnd => (2, 0),
-            Op::LoadTimer => (0, 1),
-            Op::TestError => (0, 1),
-            Op::TestProcessorAnalysing => (0, 1),
-            Op::TimerInput => (1, 0),
-            Op::Divide => (2, 1),
-            Op::DisableTimer => (3, 1),
-            Op::DisableChannel => (3, 1),
-            Op::DisableSkip => (2, 1),
-            Op::LongMultiply => (3, 2),
-            Op::Not => (1, 1),
-            Op::ExclusiveOr => (2, 1),
-            Op::ByteCount => (1, 1),
-            Op::LongShiftRight => (3, 2),
-            Op::LongShiftLeft => (3, 2),
-            Op::LongSum => (3, 2),
-            Op::LongSubtract => (3, 1),
-            Op::RunProcess => (1, 0),
-            Op::ExtendWord => (2, 1),
-            Op::StoreByte => (2, 0),
-            Op::GeneralAdjustWorkspace => (1, 1),
-            Op::SaveLow => (1, 0),
-            Op::SaveHigh => (1, 0),
-            Op::WordCount => (1, 2),
-            Op::ShiftRight => (2, 1),
-            Op::ShiftLeft => (2, 1),
-            Op::MinimumInteger => (0, 1),
-            Op::Alt => (0, 0),
-            Op::AltWait => (0, 0),
-            Op::AltEnd => (0, 0),
-            Op::And => (2, 1),
-            Op::EnableTimer => (2, 1),
-            Op::EnableChannel => (2, 1),
-            // enbs tests the guard in A without popping it.
-            Op::EnableSkip => (1, 1),
-            Op::Move => (3, 0),
-            Op::Or => (2, 1),
-            Op::CheckSingle => (2, 1),
-            Op::CheckCountFromOne => (2, 1),
-            Op::TimerAlt => (0, 0),
-            Op::LongDiff => (3, 2),
-            Op::StoreHighBack => (1, 0),
-            Op::TimerAltWait => (0, 0),
-            Op::Sum => (2, 1),
-            Op::Multiply => (2, 1),
-            Op::StoreTimer => (1, 0),
-            Op::StopOnError => (0, 0),
-            Op::CheckWord => (2, 1),
-            Op::ClearHaltOnError => (0, 0),
-            Op::SetHaltOnError => (0, 0),
-            Op::TestHaltOnError => (0, 1),
-            Op::HaltSimulation => (0, 0),
-        };
-        StackEffect::new(pops, pushes)
     }
 }
 
@@ -896,6 +366,72 @@ pub fn encoded_len(operand: i64) -> usize {
 /// Encode an indirect function: zero or more prefixes then `operate`.
 pub fn encode_op(op: Op) -> Vec<u8> {
     encode(Direct::Operate, op.code() as i64)
+}
+
+/// One instruction of a code image with its `pfix`/`nfix` chain folded
+/// into the function it extends, as the static tools read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Insn {
+    /// Byte offset of the first (prefix) byte.
+    pub offset: usize,
+    /// Total encoded length, prefix chain included.
+    pub len: usize,
+    /// The final function.
+    pub fun: Direct,
+    /// The operand a 32-bit Oreg assembles, sign-extended.
+    pub operand: i64,
+    /// For `operate`: the operation, if its code is defined.
+    pub op: Option<Op>,
+}
+
+impl Insn {
+    /// Offset just past the last byte (the base of relative operands).
+    pub fn end(&self) -> usize {
+        self.offset + self.len
+    }
+
+    /// Display name (`ldc`, `lend`, ...; `opr` for an undefined
+    /// operation).
+    pub fn mnemonic(&self) -> &'static str {
+        match (self.fun, self.op) {
+            (Direct::Operate, Some(op)) => op.mnemonic(),
+            (fun, _) => fun.mnemonic(),
+        }
+    }
+}
+
+/// Split a code image into instructions, folding each prefix chain into
+/// a 32-bit Oreg as the T424 does (§3.2.7): bits shifted past the top
+/// are lost, so a redundant chain decodes to the operation the
+/// processor executes. Stops before a chain the image ends inside.
+pub fn decode(code: &[u8]) -> impl Iterator<Item = Insn> + '_ {
+    let mut offset = 0;
+    std::iter::from_fn(move || {
+        let mut oreg: u32 = 0;
+        for (i, &byte) in code.get(offset..)?.iter().enumerate() {
+            let data = u32::from(byte & 0xF);
+            match Direct::from_nibble(byte >> 4) {
+                Direct::Prefix => oreg = (oreg | data) << 4,
+                Direct::NegativePrefix => oreg = !(oreg | data) << 4,
+                fun => {
+                    let operand = oreg | data;
+                    let insn = Insn {
+                        offset,
+                        len: i + 1,
+                        fun,
+                        operand: i64::from(operand as i32),
+                        op: match fun {
+                            Direct::Operate => Op::from_code(operand),
+                            _ => None,
+                        },
+                    };
+                    offset = insn.end();
+                    return Some(insn);
+                }
+            }
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -1008,5 +544,21 @@ mod tests {
         for op in [Op::Multiply, Op::ShiftLeft, Op::And, Op::Or] {
             assert_eq!(encode_op(op).len(), 2, "{op}");
         }
+    }
+
+    #[test]
+    fn decode_folds_into_a_32_bit_oreg() {
+        // ldc 2; ldc 3; pfix 1 then seven pfix 0 (the 1 is shifted out
+        // of the 32-bit Oreg); opr 5 = add; haltsim.
+        let image = [
+            0x42, 0x43, 0x21, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0x20, 0xF5, 0x21, 0x27, 0xFF,
+        ];
+        let insns: Vec<Insn> = decode(&image).collect();
+        let names: Vec<&str> = insns.iter().map(Insn::mnemonic).collect();
+        assert_eq!(names, ["ldc", "ldc", "add", "haltsim"]);
+        assert_eq!((insns[2].offset, insns[2].len, insns[2].operand), (2, 9, 5));
+        // nfix chains sign-extend; a trailing chain is not an instruction.
+        assert_eq!(decode(&[0x60, 0x4F]).next().map(|i| i.operand), Some(-1));
+        assert_eq!(decode(&[0x45, 0x21]).count(), 1);
     }
 }

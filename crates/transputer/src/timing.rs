@@ -1,49 +1,28 @@
-//! Instruction timing model (processor cycles).
+//! Instruction timing formulas and constants (processor cycles).
 //!
-//! The paper prints cycle counts for a handful of instructions (§3.2.6,
-//! §3.2.9) and formulae for communication (§3.2.10) and priority switching
-//! (§3.2.4). Those figures are encoded here *and asserted by the
-//! experiment suite*. Timings the paper does not print are taken from the
-//! first-generation (T414-era) family documentation tradition and are
-//! plausible rather than asserted; they are all collected in this module
-//! so the model is auditable in one place.
+//! Every fixed per-instruction cost is a column of its row in
+//! [`crate::instr`] ([`Direct::cycles`], [`Op::fixed_cycles`]). What
+//! lives here is what a row cannot hold: the paper's formulae for the
+//! variable-cost operations (multiply, divide, remainder, product,
+//! shifts), communication (§3.2.10) and priority switching (§3.2.4), the
+//! `cj` and `lend` branch costs, and the clocks. The paper's printed
+//! figures are *asserted by the experiment suite*; timings the paper
+//! does not print are taken from the first-generation (T414-era) family
+//! documentation tradition and are plausible rather than asserted.
 //!
 //! All figures assume program and data on chip, as the paper's do
 //! ("The figures given in this paper assume that program and data are
 //! stored on chip", §3.2.1). Off-chip penalties are modelled separately
 //! by [`crate::MemoryConfig::off_chip_penalty`].
+//!
+//! [`Direct::cycles`]: crate::instr::Direct::cycles
+//! [`Op::fixed_cycles`]: crate::instr::Op::fixed_cycles
 
-use crate::instr::{Direct, Op};
 use crate::word::WordLength;
 
-/// Cycles for a direct function (§3.2.6 table). `taken` matters only for
-/// the conditional jump.
-pub fn direct_cycles(fun: Direct, taken: bool) -> u32 {
-    match fun {
-        Direct::Jump => 3,
-        Direct::LoadLocalPointer => 1,
-        Direct::Prefix => 1,       // §3.2.7: one byte, one cycle
-        Direct::LoadNonLocal => 2, // §3.2.6: store non local z takes 2
-        Direct::LoadConstant => 1, // §3.2.6: load constant 0 takes 1
-        Direct::LoadNonLocalPointer => 1,
-        Direct::NegativePrefix => 1,
-        Direct::LoadLocal => 2,   // §3.2.6: load local y takes 2
-        Direct::AddConstant => 1, // §3.2.9: add constant 2 takes 1
-        Direct::Call => 7,
-        Direct::ConditionalJump => {
-            if taken {
-                4
-            } else {
-                2
-            }
-        }
-        Direct::AdjustWorkspace => 1,
-        Direct::EqualsConstant => 2,
-        Direct::StoreLocal => 1,    // §3.2.6: store local x takes 1
-        Direct::StoreNonLocal => 2, // §3.2.6 table 2
-        Direct::Operate => 0,       // dispatch cost folded into op_cycles
-    }
-}
+/// `cj` when A is zero and the jump is taken; falling through costs
+/// the row's [`crate::instr::Direct::cycles`].
+pub const CONDITIONAL_JUMP_TAKEN: u32 = 4;
 
 /// Cycles of the `multiply` operation itself. The paper's table charges
 /// the complete two-byte sequence (one prefix plus `operate`) at
@@ -154,107 +133,20 @@ pub const LO_TICK_CYCLES: u64 = 64 * HI_TICK_CYCLES;
 /// Nominal processor cycle time in nanoseconds (50 ns at 20 MHz, §3.2.4).
 pub const CYCLE_NS: u64 = 50;
 
-/// Fixed-cost part of the operation table. Variable-cost operations
-/// (multiply, shifts, communication, block moves, timer waits) return
-/// `None` here and are computed by the executor.
-pub fn op_fixed_cycles(op: Op) -> Option<u32> {
-    let c = match op {
-        Op::Reverse => 1,
-        Op::LoadByte => 5,
-        Op::ByteSubscript => 1,
-        Op::EndProcess => 13,
-        Op::Difference => 1,
-        Op::Add => 1,
-        Op::GeneralCall => 4,
-        Op::Product => return None,
-        Op::GreaterThan => 2,
-        Op::WordSubscript => 2,
-        Op::Subtract => 1,
-        Op::StartProcess => 12,
-        Op::SetError => 1,
-        Op::ResetChannel => 3,
-        Op::CheckSubscriptFromZero => 2,
-        Op::StopProcess => 11,
-        Op::LongAdd => 2,
-        Op::StoreLowBack => 1,
-        Op::StoreHighFront => 1,
-        Op::Normalise => return None,
-        Op::LongDivide => return None,
-        Op::LoadPointerToInstruction => 2,
-        Op::StoreLowFront => 1,
-        Op::ExtendToDouble => 2,
-        Op::LoadPriority => 1,
-        Op::Remainder => return None,
-        Op::Return => 5,
-        Op::LoopEnd => return None,
-        Op::LoadTimer => 2,
-        Op::TestError => 2,
-        Op::TestProcessorAnalysing => 2,
-        Op::TimerInput => return None,
-        Op::Divide => return None,
-        Op::DisableTimer => 8,
-        Op::DisableChannel => 8,
-        Op::DisableSkip => 4,
-        Op::LongMultiply => return None,
-        Op::Not => 1,
-        Op::ExclusiveOr => 1,
-        Op::ByteCount => 2,
-        Op::LongShiftRight => return None,
-        Op::LongShiftLeft => return None,
-        Op::LongSum => 3,
-        Op::LongSubtract => 2,
-        Op::RunProcess => 10,
-        Op::ExtendWord => 4,
-        Op::StoreByte => 4,
-        Op::GeneralAdjustWorkspace => 2,
-        Op::SaveLow => 4,
-        Op::SaveHigh => 4,
-        Op::WordCount => 5,
-        Op::ShiftRight => return None,
-        Op::ShiftLeft => return None,
-        Op::MinimumInteger => 1,
-        Op::Alt => 2,
-        Op::AltWait => return None,
-        Op::AltEnd => 4,
-        Op::And => 1,
-        Op::EnableTimer => 8,
-        Op::EnableChannel => 7,
-        Op::EnableSkip => 3,
-        Op::Move => return None,
-        Op::Or => 1,
-        Op::CheckSingle => 3,
-        Op::CheckCountFromOne => 3,
-        Op::TimerAlt => 4,
-        Op::LongDiff => 3,
-        Op::StoreHighBack => 1,
-        Op::TimerAltWait => return None,
-        Op::Sum => 1,
-        Op::Multiply => return None,
-        Op::StoreTimer => 1,
-        Op::StopOnError => 2,
-        Op::CheckWord => 5,
-        Op::ClearHaltOnError => 1,
-        Op::SetHaltOnError => 1,
-        Op::TestHaltOnError => 2,
-        Op::InputMessage | Op::OutputMessage | Op::OutputByte | Op::OutputWord => return None,
-        Op::HaltSimulation => 1,
-    };
-    Some(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::{Direct, Op};
 
     #[test]
     fn paper_table_direct_costs() {
-        // §3.2.6 and §3.2.9 tables.
-        assert_eq!(direct_cycles(Direct::LoadConstant, false), 1);
-        assert_eq!(direct_cycles(Direct::StoreLocal, false), 1);
-        assert_eq!(direct_cycles(Direct::LoadLocal, false), 2);
-        assert_eq!(direct_cycles(Direct::AddConstant, false), 1);
-        assert_eq!(direct_cycles(Direct::StoreNonLocal, false), 2);
-        assert_eq!(direct_cycles(Direct::Prefix, false), 1);
+        // §3.2.6, §3.2.7 and §3.2.9 tables.
+        assert_eq!(Direct::LoadConstant.cycles(), 1);
+        assert_eq!(Direct::StoreLocal.cycles(), 1);
+        assert_eq!(Direct::LoadLocal.cycles(), 2);
+        assert_eq!(Direct::AddConstant.cycles(), 1);
+        assert_eq!(Direct::StoreNonLocal.cycles(), 2);
+        assert_eq!(Direct::Prefix.cycles(), 1);
     }
 
     #[test]
@@ -307,10 +199,10 @@ mod tests {
     #[test]
     fn fixed_table_covers_fixed_ops() {
         // Every op either has a fixed cost or is one of the documented
-        // variable-cost operations.
-        use crate::instr::Op::*;
-        for op in crate::instr::Op::ALL {
-            if op_fixed_cycles(op).is_none() {
+        // variable-cost operations, which this module prices.
+        use Op::*;
+        for op in Op::ALL {
+            if op.fixed_cycles().is_none() {
                 assert!(matches!(
                     op,
                     Product
