@@ -305,11 +305,6 @@ impl Cfg {
         self.unanalyzable.is_empty()
     }
 
-    /// Index of the block containing instruction `i`.
-    pub fn block_of_insn(&self, i: usize) -> Option<usize> {
-        self.blocks.iter().position(|b| b.first <= i && i <= b.last)
-    }
-
     /// Render the graph in Graphviz DOT form.
     pub fn to_dot(&self, name: &str) -> String {
         use std::fmt::Write;

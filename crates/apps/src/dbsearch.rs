@@ -117,7 +117,7 @@ impl DbSearchConfig {
 }
 
 /// Configuration of a database-search machine shaped as a hypercube of
-/// grid clusters ([`transputer_net::topology::hypercube`]): `2^dim`
+/// grid clusters ([`transputer_net::topology::hypercube_wires`]): `2^dim`
 /// `side` × `side` arrays joined by one wire per hypercube edge. The
 /// same per-node occam runs as on the flat grid — only the two spanning
 /// trees change shape — which is §2.1's point that system structure is a

@@ -39,12 +39,6 @@ impl LinkSpeed {
     pub fn streaming_bandwidth_bytes_per_sec(self) -> f64 {
         1e9 / (self.packet_ns(PacketKind::Data(0)) as f64)
     }
-
-    /// Streaming bandwidth when each byte also waits for a full
-    /// acknowledge packet (the no-early-ack ablation).
-    pub fn serialised_bandwidth_bytes_per_sec(self) -> f64 {
-        1e9 / ((self.packet_ns(PacketKind::Data(0)) + self.packet_ns(PacketKind::Ack)) as f64)
-    }
 }
 
 impl Default for LinkSpeed {
@@ -310,7 +304,9 @@ impl DuplexLink {
     /// if the line is idle (an idle line has nothing queued — every
     /// completion starts the next queued frame), otherwise into its
     /// queue, data behind and everything else ahead of what waits there.
-    fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) {
+    /// A classic line carries no sequence bit, so `seq` is dropped there.
+    pub fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) {
+        let seq = seq && self.protocol == LinkProtocol::Robust;
         let line = &mut self.lines[from.index()];
         if line.in_flight.is_some() {
             match kind {

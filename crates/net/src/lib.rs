@@ -11,9 +11,9 @@
 //!
 //! The builder connects any link port of any node to any port of any
 //! other (§2.3.1: "transputers can be interconnected just as easily as
-//! TTL gates"); [`topology`] provides the arrangements the paper uses —
-//! the pipeline behind Figure 6's workstation and the square array of
-//! Figure 8.
+//! TTL gates"); [`topology`] provides wire lists for the arrangements the
+//! paper uses — the square array of Figure 8, and clusters of it joined
+//! into a hypercube — which [`NetworkBuilder::connect_all`] wires up.
 //!
 //! ```
 //! use transputer_net::{NetworkBuilder, NetworkConfig};
@@ -47,6 +47,6 @@ pub use sim::{
     Engine, Network, NetworkBuilder, NetworkConfig, NodeId, PopCounts, SimError, SimOutcome,
 };
 pub use topology::{
-    adjacency, grid, grid_adjacency, grid_wires, hypercube, hypercube_adjacency, hypercube_wires,
-    pipeline, ring, Adjacency, GridNet, HypercubeNet, WireEnds, NO_ROUTE,
+    adjacency, grid_adjacency, grid_wires, hypercube_adjacency, hypercube_wires, Adjacency,
+    WireEnds, NO_ROUTE,
 };

@@ -129,8 +129,6 @@ pub struct RouterStats {
     pub packets_dropped: u64,
     /// Duplicate data bytes absorbed by the robust sequence check.
     pub dup_data: u64,
-    /// Routing-table rebuilds forced by mid-run wire failures.
-    pub table_rebuilds: u64,
     /// Forwarding hops that began retransmission (one packet starting
     /// across one wire, from a queue or a cut-through stream).
     pub hops: u64,
@@ -156,7 +154,6 @@ impl Default for RouterStats {
             packets_delivered: 0,
             packets_dropped: 0,
             dup_data: 0,
-            table_rebuilds: 0,
             hops: 0,
             hop_ns_total: 0,
             max_hop_ns: 0,
@@ -1005,7 +1002,6 @@ impl RouterNet {
         if !self.dead.insert(wire) {
             return; // the other direction already failed
         }
-        self.stats.table_rebuilds += 1;
         self.tables = route_tables(&self.adj, &self.dead);
         // The BFS fallback has no dimension-order structure, so its
         // channel-dependency graph must be re-proven acyclic; if the

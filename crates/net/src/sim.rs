@@ -42,6 +42,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use transputer::linkif::SeqCheck;
+use transputer::timing::CYCLE_NS;
 use transputer::{Cpu, CpuConfig, HaltReason, SliceOutcome, StepEvent};
 use transputer_link::{
     AckPolicy, DuplexLink, End, FaultPlan, LinkEvent, LinkProtocol, LinkSpeed, PacketKind,
@@ -81,10 +82,9 @@ pub enum Engine {
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Configuration applied to every node (per-node overrides via
-    /// [`NetworkBuilder::add_node_with`]).
+    /// [`NetworkBuilder::add_node_with`]). Every node runs at the T424's
+    /// clock and every wire at the standard 10 Mbit/s (§2.3.1).
     pub cpu: CpuConfig,
-    /// Link signalling rate (standard: 10 MHz, §2.3.1).
-    pub link_speed: LinkSpeed,
     /// When receivers acknowledge (the paper's design is early
     /// acknowledge; `AfterStop` exists for the ablation benchmark).
     pub ack_policy: AckPolicy,
@@ -105,7 +105,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             cpu: CpuConfig::t424(),
-            link_speed: LinkSpeed::standard(),
             ack_policy: AckPolicy::Early,
             engine: Engine::default(),
             fault: None,
@@ -393,7 +392,7 @@ impl NetworkBuilder {
         let queue = EventQueue::new(n, self.wires.len());
         let mut port_to_wire = vec![[usize::MAX; 4]; n];
         let mut peers = vec![[usize::MAX; 4]; n];
-        let speed = self.config.link_speed;
+        let speed = LinkSpeed::standard();
         let fault = self.config.fault.clone();
         let wires: Vec<Wire> = self
             .wires
@@ -476,7 +475,6 @@ impl NetworkBuilder {
             next_ns: vec![0; n],
             ports: port_to_wire,
             peers,
-            cycle_ns: self.nodes.iter().map(|c| c.cycle_time_ns()).collect(),
             tx_flight: vec![if pin_tx_flight { 0b1111 } else { 0 }; n],
             ea: vec![[EaState::default(); 4]; n],
             fenced: vec![false; n],
@@ -530,17 +528,14 @@ struct NodeHot {
     ports: Vec<[usize; 4]>,
     /// Peer node per port (`usize::MAX` = unwired).
     peers: Vec<[usize; 4]>,
-    /// Each node's cycle time in ns (fixed at construction), hoisted
-    /// out of `Cpu` for the bound arithmetic.
-    cycle_ns: Vec<u64>,
     /// Bitmask of ports with a transmit byte in flight on the attached
-    /// wire. Classic networks mirror the CPU's link state
-    /// ([`Network::refresh_tx_flight`]); routed networks mirror the
-    /// router's, which owns the wires there (set where a router data
-    /// byte goes on a wire, cleared by its fresh acknowledge). A
-    /// spurious set bit would only shorten a bound (safe), but a missing
-    /// one would lengthen it past an acknowledge arrival (unsound) —
-    /// hence the update at every point transmit state can change.
+    /// wire, kept by one rule whether the CPU or the router owns the
+    /// end: set where a data byte goes on the wire ([`Network::put`], or
+    /// the Event oracle's inline classic send) and cleared where its
+    /// fresh acknowledge is drained. A spurious set bit would only
+    /// shorten a bound (safe), but a missing one would lengthen it past
+    /// an acknowledge arrival (unsound); [`Network::tx_mirror_holds`]
+    /// checks the rule wherever a bound reads the mirror.
     tx_flight: Vec<u8>,
     /// Early-acknowledge history per port (sliced engine).
     ea: Vec<[EaState; 4]>,
@@ -727,21 +722,15 @@ impl Network {
         self.wires.len()
     }
 
-    /// Cumulative transmit time per direction of a wire (from end 0,
-    /// from end 1), in nanoseconds.
-    pub fn wire_busy_ns(&self, wire: usize) -> (u64, u64) {
-        let w = &self.wires[wire];
-        (w.link.busy_ns(End::A), w.link.busy_ns(End::B))
-    }
-
-    /// Utilisation of a wire's two directions over the elapsed
-    /// simulation time, each in [0, 1].
+    /// Utilisation of a wire's two directions (from end 0, from end 1)
+    /// over the elapsed simulation time, each in [0, 1]: cumulative
+    /// transmit time over elapsed time.
     pub fn wire_utilization(&self, wire: usize) -> (f64, f64) {
         if self.now_ns == 0 {
             return (0.0, 0.0);
         }
-        let (a, b) = self.wire_busy_ns(wire);
-        (a as f64 / self.now_ns as f64, b as f64 / self.now_ns as f64)
+        let busy = |end| self.wires[wire].link.busy_ns(end) as f64 / self.now_ns as f64;
+        (busy(End::A), busy(End::B))
     }
 
     fn schedule_node(&mut self, node: usize, at: u64) {
@@ -817,13 +806,13 @@ impl Network {
             }
             if let Some(byte) = self.nodes[node].link_tx_poll(port) {
                 self.wires[w].link.send_data(end, byte, self.now_ns);
+                self.hot.tx_flight[node] |= 1 << port;
                 touched = true;
             }
             if touched {
                 self.process_wire(w);
             }
         }
-        self.refresh_tx_flight(node);
     }
 
     /// Drain a wire's due events and route them to the endpoint CPUs.
@@ -869,6 +858,7 @@ impl Network {
                     let (node, port) = self.wire_end(w, to);
                     let was_idle = self.nodes[node].is_idle();
                     self.nodes[node].link_tx_ack(port);
+                    self.hot.tx_flight[node] &= !(1 << port);
                     if was_idle && !self.nodes[node].is_idle() {
                         self.sync_and_wake(node);
                     }
@@ -893,25 +883,6 @@ impl Network {
         self.schedule_node(node, self.now_ns);
     }
 
-    fn node_cycle_ns(&self, node: usize) -> u64 {
-        self.hot.cycle_ns[node]
-    }
-
-    /// Mirror a node's transmit-in-flight link state into the hot
-    /// array. Called wherever that state can change — the link service
-    /// paths, which every acknowledge delivery funnels through — so the
-    /// bound computations never read stale bits (see [`NodeHot`]).
-    fn refresh_tx_flight(&mut self, node: usize) {
-        let mut mask = 0u8;
-        for port in 0..4 {
-            if self.hot.ports[node][port] != usize::MAX && self.nodes[node].link_tx_in_flight(port)
-            {
-                mask |= 1 << port;
-            }
-        }
-        self.hot.tx_flight[node] = mask;
-    }
-
     /// Advance the simulation by exactly one event. Returns false when
     /// nothing remains to simulate.
     pub fn step_event(&mut self) -> Result<bool, SimError> {
@@ -932,19 +903,19 @@ impl Network {
                 if self.nodes[n].is_idle() {
                     // Bring the idle node's local clock up to global time
                     // (this may wake timer waits that are now due).
-                    let target = self.now_ns / self.node_cycle_ns(n);
+                    let target = self.now_ns / CYCLE_NS;
                     self.nodes[n].advance_idle_to(target);
                 }
                 match self.nodes[n].step() {
                     StepEvent::Ran { cycles } => {
-                        let next = self.now_ns + u64::from(cycles) * self.node_cycle_ns(n);
+                        let next = self.now_ns + u64::from(cycles) * CYCLE_NS;
                         self.service_node_links(n);
                         self.schedule_node(n, next);
                     }
                     StepEvent::Idle => {
                         self.service_node_links(n);
                         if let Some(wake_cycle) = self.nodes[n].next_timer_wake_cycle() {
-                            let at = (wake_cycle * self.node_cycle_ns(n)).max(self.now_ns + 1);
+                            let at = (wake_cycle * CYCLE_NS).max(self.now_ns + 1);
                             self.schedule_node(n, at);
                         }
                         // Otherwise: the node sleeps until a wire wakes it.
@@ -965,12 +936,9 @@ impl Network {
     // The lookahead (sliced) engine.
     // ------------------------------------------------------------------
 
-    /// Initialise the early-acknowledge history (and, on classic
-    /// networks, the transmit mirror) from live link state. Runs at the
-    /// first sliced step so program loading and boot configuration
-    /// between `build()` and the first run are captured. A routed
-    /// network's CPU ports are virtual-channel endpoints; its mirror
-    /// follows the router's acts instead.
+    /// Initialise the early-acknowledge history from live link state.
+    /// Runs at the first sliced step so program loading and boot
+    /// configuration between `build()` and the first run are captured.
     fn prime_ea(&mut self) {
         if self.ea_primed {
             return;
@@ -987,9 +955,6 @@ impl Network {
                     stamp: self.now_ns,
                     prev: live,
                 };
-            }
-            if self.router.is_none() {
-                self.refresh_tx_flight(node);
             }
         }
     }
@@ -1027,7 +992,7 @@ impl Network {
     /// event addressed to it, or a chain of other events reaching it (no
     /// faster than the heap frontier plus one acknowledge flight).
     fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>) -> u64 {
-        debug_assert!(self.tx_mirror_covers_router(m), "node {m}");
+        debug_assert!(self.tx_mirror_holds(m), "node {m}");
         let mut act = u64::MAX;
         if self.hot.scheduled[m] {
             act = self.hot.next_ns[m];
@@ -1055,18 +1020,26 @@ impl Network {
         act
     }
 
-    /// The "missing bit is unsound" rule of [`NodeHot::tx_flight`], checked
-    /// against the router's own state wherever a bound reads the mirror.
-    fn tx_mirror_covers_router(&self, node: usize) -> bool {
-        let owed = self.router.as_ref().map_or(0, |r| r.tx_outstanding(node));
-        self.hot.tx_flight[node] & owed == owed
+    /// The rule of [`NodeHot::tx_flight`], checked wherever a bound reads
+    /// the mirror: on a CPU-owned wire the bit is the CPU's own transmit
+    /// state, exactly; on a router-owned wire it covers every byte the
+    /// router has awaiting an acknowledge.
+    fn tx_mirror_holds(&self, node: usize) -> bool {
+        let mirror = self.hot.tx_flight[node];
+        match &self.router {
+            Some(r) => mirror & r.tx_outstanding(node) == r.tx_outstanding(node),
+            None => (0..4).all(|p| {
+                let wired = self.hot.ports[node][p] != usize::MAX;
+                (mirror >> p & 1 == 1) == (wired && self.nodes[node].link_tx_in_flight(p))
+            }),
+        }
     }
 
     /// How far node `node`, popped at `t`, may run without interacting
     /// with anything the wires could deliver first. `t_peek` is the heap
     /// frontier after the pop.
     fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>) -> u64 {
-        debug_assert!(self.tx_mirror_covers_router(node), "node {node}");
+        debug_assert!(self.tx_mirror_holds(node), "node {node}");
         let mut direct = u64::MAX;
         for port in 0..4 {
             let w = self.hot.ports[node][port];
@@ -1094,16 +1067,15 @@ impl Network {
     /// others until `run`. Returns that cycle count and what the slice
     /// did, for [`Network::finish_slice`] to apply.
     fn run_slice_kernel(cpu: &mut Cpu, t: u64, fence: u64, run: u64) -> (u64, SliceOutcome) {
-        let cyc = cpu.cycle_time_ns();
         if cpu.is_idle() {
-            cpu.advance_idle_to(t / cyc);
+            cpu.advance_idle_to(t / CYCLE_NS);
         }
         let pop_cycles = cpu.cycles();
         // An instruction runs iff it *starts* before its bound; zero budget
         // still runs one micro-step, matching the event engine at ties.
         let budget = |bound: u64| {
             if bound > t {
-                (bound - t).div_ceil(cyc).min(MAX_SLICE_CYCLES)
+                (bound - t).div_ceil(CYCLE_NS).min(MAX_SLICE_CYCLES)
             } else {
                 0
             }
@@ -1114,7 +1086,7 @@ impl Network {
     /// Apply a finished slice: stamp and service link activity, record
     /// receiver-state history, and reschedule the node. `t` is the pop
     /// time and `pop_cycles` the node's cycle count at the pop, so
-    /// `stamp = t + (interaction_cycle - pop_cycles) * cycle_ns`
+    /// `stamp = t + (interaction_cycle - pop_cycles) * CYCLE_NS`
     /// reproduces the event engine's per-instruction event times even
     /// when an idle wake left the node's local clock behind global time.
     fn finish_slice(
@@ -1124,11 +1096,11 @@ impl Network {
         pop_cycles: u64,
         outcome: SliceOutcome,
     ) -> Result<(), SimError> {
-        let cyc = self.node_cycle_ns(node);
-        let end_ns = t + (self.nodes[node].cycles() - pop_cycles) * cyc;
+        let end_ns = t + (self.nodes[node].cycles() - pop_cycles) * CYCLE_NS;
         match outcome {
             SliceOutcome::Halted(HaltReason::Stopped) => {
-                let stamp = t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * cyc;
+                let stamp =
+                    t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * CYCLE_NS;
                 self.last_halt_ns = self.last_halt_ns.max(stamp);
                 if self.nodes[node].take_links_dirty() {
                     self.refresh_ea(node, stamp);
@@ -1139,7 +1111,7 @@ impl Network {
                 return Err(SimError::NodeFault { node, reason });
             }
             SliceOutcome::Idle => {
-                if end_ns / cyc > self.nodes[node].cycles() {
+                if end_ns / CYCLE_NS > self.nodes[node].cycles() {
                     // A wire woke the node with its clock behind global
                     // time and it has gone idle again. The event engine
                     // pops it once more, where its last instruction
@@ -1147,7 +1119,7 @@ impl Network {
                     // timers and the cycle count depend on that.
                     self.schedule_node(node, end_ns);
                 } else if let Some(wake_cycle) = self.nodes[node].next_timer_wake_cycle() {
-                    let at = (wake_cycle * cyc).max(end_ns + 1);
+                    let at = (wake_cycle * CYCLE_NS).max(end_ns + 1);
                     self.schedule_node(node, at);
                 }
                 // Otherwise: the node sleeps until a wire wakes it.
@@ -1161,7 +1133,8 @@ impl Network {
                 // A fenced instruction has not run: the node resumes at
                 // its start, `end_ns`, with nothing to service.
                 self.hot.fenced[node] = outcome == SliceOutcome::Fenced;
-                let stamp = t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * cyc;
+                let stamp =
+                    t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * CYCLE_NS;
                 if self.nodes[node].take_links_dirty() {
                     self.refresh_ea(node, stamp);
                     self.service_node_links_at(node, stamp);
@@ -1186,58 +1159,60 @@ impl Network {
             return;
         }
         for port in 0..4 {
-            let w = self.hot.ports[node][port];
-            if w == usize::MAX {
+            if self.hot.ports[node][port] == usize::MAX {
                 continue;
             }
-            let end = if self.wires[w].ends[0] == (node, port) {
-                End::A
-            } else {
-                End::B
-            };
-            let mut touched = false;
             if self.nodes[node].link_take_deferred_ack(port) {
-                if self.robust {
-                    let seq = self.nodes[node].link_rx_last_seq(port);
-                    self.wires[w].link.send_ack_seq(end, seq, stamp);
-                } else {
-                    self.wires[w].link.send_ack(end, stamp);
-                }
-                touched = true;
+                let seq = self.nodes[node].link_rx_last_seq(port);
+                self.put(node, port, PacketKind::Ack, seq, stamp);
             }
             if let Some(byte) = self.nodes[node].link_tx_poll(port) {
-                if self.robust {
-                    let seq = self.nodes[node].link_tx_seq(port);
-                    self.send_data_robust(w, end, byte, seq, stamp);
-                } else {
-                    self.wires[w].link.send_data(end, byte, stamp);
-                }
-                touched = true;
-            }
-            if touched {
-                for ev in self.wires[w].link.take_pending_events() {
-                    if let LinkEvent::DataStarted { to } = ev {
-                        self.wires[w].probes.push((stamp, to));
-                    }
-                }
-                self.schedule_wire(w);
+                let seq = self.nodes[node].link_tx_seq(port);
+                self.put(node, port, PacketKind::Data(byte), seq, stamp);
             }
         }
-        self.refresh_tx_flight(node);
     }
 
-    /// Put a fresh data byte on a robust wire at `stamp` and arm its
-    /// retransmission timer. The one place a [`Resend`] is registered,
-    /// for CPU link service and router acts alike.
-    fn send_data_robust(&mut self, w: usize, end: End, byte: u8, seq: bool, stamp: u64) {
-        self.wires[w].link.send_data_seq(end, byte, seq, stamp);
-        self.wires[w].resend[end_index(end)] = Some(Resend {
-            byte,
-            seq,
-            deadline: stamp + self.timeout_ns,
-            attempts: 0,
-            interval_ns: self.timeout_ns,
-        });
+    /// Put one frame from `(node, port)` on its wire at `stamp`: the one
+    /// way CPU link service and router acts reach a wire. A data byte
+    /// arms its retransmission timer on a robust wire (the one place a
+    /// [`Resend`] is registered) and sets the port's transmit bit (see
+    /// [`NodeHot::tx_flight`]). On a planned network a data byte that
+    /// starts on an idle classic line leaves its early-acknowledge probe,
+    /// stamped `stamp`; on a routed one the start event waits in the link
+    /// for the wire's next `complete_due`, which drops it. Force-inlined:
+    /// both callers sit on the routed and board hot paths.
+    #[inline(always)]
+    fn put(&mut self, node: usize, port: usize, kind: PacketKind, seq: bool, stamp: u64) {
+        let w = self.hot.ports[node][port];
+        debug_assert!(w != usize::MAX, "a frame put on an unwired port");
+        let wire = &mut self.wires[w];
+        let end = if wire.ends[0] == (node, port) {
+            End::A
+        } else {
+            End::B
+        };
+        wire.link.send(end, kind, seq, stamp);
+        if let PacketKind::Data(byte) = kind {
+            if self.robust {
+                wire.resend[end_index(end)] = Some(Resend {
+                    byte,
+                    seq,
+                    deadline: stamp + self.timeout_ns,
+                    attempts: 0,
+                    interval_ns: self.timeout_ns,
+                });
+            }
+            self.hot.tx_flight[node] |= 1 << port;
+        }
+        if self.router.is_none() {
+            for ev in wire.link.take_pending_events() {
+                if let LinkEvent::DataStarted { to } = ev {
+                    wire.probes.push((stamp, to));
+                }
+            }
+        }
+        self.schedule_wire(w);
     }
 
     /// Fire any due retransmissions on a wire (robust protocol). Called
@@ -1322,6 +1297,7 @@ impl Network {
                 let was_idle = self.nodes[node].is_idle();
                 if self.nodes[node].link_tx_ack_robust(port, seq) {
                     self.wires[w].resend[end_index(to)] = None;
+                    self.hot.tx_flight[node] &= !(1 << port);
                     if was_idle && !self.nodes[node].is_idle() {
                         self.sync_and_wake(node);
                     }
@@ -1435,51 +1411,21 @@ impl Network {
 
     /// Apply (and consume) the wire- and scheduler-visible effects the
     /// last router call left in `self.acts`. Router logic never
-    /// re-enters here: acts are self-contained, so wire bookkeeping
-    /// (resend registration, scheduling, the transmit mirror) stays in
-    /// this one place.
+    /// re-enters here: acts are self-contained, and each frame reaches
+    /// its wire through [`Network::put`].
     fn apply_router_acts(&mut self, stamp: u64) {
         let mut acts = std::mem::take(&mut self.acts);
         for (node, act) in acts.drain(..) {
-            if let Act::Wake = act {
-                self.schedule_node(node, stamp);
-                continue;
-            }
-            let port = match act {
-                Act::Data { port, .. } | Act::Ack { port, .. } | Act::Busy { port, .. } => port,
-                Act::Wake => unreachable!("handled above"),
+            let (port, kind, seq) = match act {
+                Act::Wake => {
+                    self.schedule_node(node, stamp);
+                    continue;
+                }
+                Act::Data { port, byte, seq } => (port, PacketKind::Data(byte), seq),
+                Act::Ack { port, seq } => (port, PacketKind::Ack, seq),
+                Act::Busy { port, seq } => (port, PacketKind::Busy, seq),
             };
-            let w = self.hot.ports[node][port];
-            debug_assert!(w != usize::MAX, "router act on an unwired port");
-            let end = if self.wires[w].ends[0] == (node, port) {
-                End::A
-            } else {
-                End::B
-            };
-            match act {
-                Act::Data { byte, seq, .. } => {
-                    self.hot.tx_flight[node] |= 1 << port;
-                    if self.robust {
-                        self.send_data_robust(w, end, byte, seq, stamp);
-                    } else {
-                        self.wires[w].link.send_data(end, byte, stamp);
-                    }
-                }
-                Act::Ack { seq, .. } => {
-                    if self.robust {
-                        self.wires[w].link.send_ack_seq(end, seq, stamp);
-                    } else {
-                        self.wires[w].link.send_ack(end, stamp);
-                    }
-                }
-                Act::Busy { seq, .. } => {
-                    self.wires[w].link.send_busy(end, seq, stamp);
-                }
-                Act::Wake => unreachable!("handled above"),
-            }
-            // Any data-start event the send produced waits in the link
-            // for the wire's next `complete_due`, which drops it.
-            self.schedule_wire(w);
+            self.put(node, port, kind, seq, stamp);
         }
         self.acts = acts;
     }
@@ -1594,6 +1540,7 @@ impl Network {
                     let (node, port) = self.wire_end(w, to);
                     let was_idle = self.nodes[node].is_idle();
                     self.nodes[node].link_tx_ack(port);
+                    self.hot.tx_flight[node] &= !(1 << port);
                     if was_idle && !self.nodes[node].is_idle() {
                         self.sync_and_wake(node);
                     }

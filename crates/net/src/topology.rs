@@ -1,64 +1,31 @@
-//! Standard network shapes.
+//! Standard network shapes, as wire lists.
 //!
 //! "Using point to point serial communications, rather than busses"
-//! (§2.3) means system shape is a wiring choice. The paper's examples
-//! use a chain of functionally distributed processors (Figure 6) and a
-//! square array with requests entering at one corner (Figure 8); both are
-//! provided here, plus a ring for tests.
+//! (§2.3) means system shape is a wiring choice. A shape here is an
+//! ordered [`WireEnds`] list — the grid sweep behind Figure 8's square
+//! array, and clusters of it joined into a hypercube — which
+//! [`crate::NetworkBuilder::connect_all`] turns into a machine: the builder is
+//! the one way to build a network. The link map and the routing tables
+//! below are derived from the same list.
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::sim::{Network, NetworkBuilder, NetworkConfig, NodeId};
+use crate::sim::NodeId;
 
 /// One wire: its A end and its B end, each `(node, port)`. A machine
 /// *is* its ordered list of these — the index is the wire number a
 /// [`transputer_link::FaultPlan`] draws fates for and aims dead links
 /// at, and the A/B orientation keys its per-direction fault streams and
-/// the [`Network::wire_delivered`] pair. Every list below is produced by
+/// the [`crate::Network::wire_delivered`] pair. Every list below is produced by
 /// exactly one sweep; the link map ([`adjacency`]), the router's tables
 /// and the search application's planned trees are all derived from it.
 pub type WireEnds = ((NodeId, usize), (NodeId, usize));
 
-/// `n` nodes (ids `0..n`) joined by `wires`, in order: the one path
-/// every shape below is built through.
-fn wired(n: usize, wires: &[WireEnds], config: NetworkConfig) -> (Network, Vec<NodeId>) {
-    let mut b = NetworkBuilder::new(config);
-    let ids: Vec<NodeId> = (0..n).map(|_| b.add_node()).collect();
-    b.connect_all(wires);
-    (b.build(), ids)
-}
-
-/// Link-port conventions for [`pipeline`] and [`ring`]: data flows in on
-/// port [`PORT_PREV`] and out on [`PORT_NEXT`].
+/// Link-port conventions for a chain or a ring: data flows in on port
+/// [`PORT_PREV`] and out on [`PORT_NEXT`].
 pub const PORT_PREV: usize = 0;
-/// Port toward the next node in a pipeline or ring.
+/// Port toward the next node in a chain or ring.
 pub const PORT_NEXT: usize = 1;
-
-/// A linear chain of `n` nodes: node `i` port 1 ↔ node `i+1` port 0.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn pipeline(n: usize, config: NetworkConfig) -> (Network, Vec<NodeId>) {
-    assert!(n > 0, "a pipeline needs at least one node");
-    let wires: Vec<WireEnds> = (1..n)
-        .map(|i| ((i - 1, PORT_NEXT), (i, PORT_PREV)))
-        .collect();
-    wired(n, &wires, config)
-}
-
-/// A ring of `n` nodes (`n >= 3` so no port is double-wired).
-///
-/// # Panics
-///
-/// Panics if `n < 3`.
-pub fn ring(n: usize, config: NetworkConfig) -> (Network, Vec<NodeId>) {
-    assert!(n >= 3, "a ring needs at least three nodes");
-    let wires: Vec<WireEnds> = (0..n)
-        .map(|i| ((i, PORT_NEXT), ((i + 1) % n, PORT_PREV)))
-        .collect();
-    wired(n, &wires, config)
-}
 
 /// Grid port conventions (Figure 8's square array): 0 = north, 1 = east,
 /// 2 = south, 3 = west.
@@ -69,37 +36,6 @@ pub const PORT_EAST: usize = 1;
 pub const PORT_SOUTH: usize = 2;
 /// West port.
 pub const PORT_WEST: usize = 3;
-
-/// A rectangular grid of transputers with its node-id map.
-#[derive(Debug)]
-pub struct GridNet {
-    /// The network.
-    pub net: Network,
-    /// Width (columns).
-    pub width: usize,
-    /// Height (rows).
-    pub height: usize,
-    /// Node ids in row-major order.
-    pub ids: Vec<NodeId>,
-}
-
-impl GridNet {
-    /// Node id at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is outside the grid.
-    pub fn at(&self, x: usize, y: usize) -> NodeId {
-        assert!(x < self.width && y < self.height, "({x},{y}) outside grid");
-        self.ids[y * self.width + x]
-    }
-
-    /// Manhattan distance between two grid squares, in links — the
-    /// paper's "longest path across the system" metric (§4.2).
-    pub fn link_distance(&self, a: (usize, usize), b: (usize, usize)) -> usize {
-        a.0.abs_diff(b.0) + a.1.abs_diff(b.1)
-    }
-}
 
 /// The grid sweep, the one place a grid's wire order and orientation
 /// are decided: row-major over the squares, each contributing its east
@@ -123,8 +59,8 @@ pub fn grid_wires(width: usize, height: usize, base: NodeId) -> Vec<WireEnds> {
 }
 
 /// Wire index of a grid edge under the row-major east-then-south sweep
-/// used by [`grid`] (and by any builder that wires a grid the same way,
-/// such as the database-search array): `east` selects the wire from
+/// of [`grid_wires`] (the database-search array wires its grid the same
+/// way): `east` selects the wire from
 /// `(x, y)` to `(x + 1, y)`, otherwise the wire to `(x, y + 1)`. This is
 /// how a [`transputer_link::FaultPlan`] dead-link entry is aimed at a
 /// specific grid edge.
@@ -144,57 +80,6 @@ pub fn grid_edge_wire(width: usize, height: usize, x: usize, y: usize, east: boo
     // the bottom row, which has no south wires).
     let west = if y + 1 < height { 2 * x } else { x };
     y * (2 * width - 1) + west + usize::from(!east && x + 1 < width)
-}
-
-/// A `width` × `height` grid: east-west neighbours share a wire on ports
-/// 1/3, north-south neighbours on ports 2/0 (Figure 8: "16 transputers
-/// ... connected into a square array").
-///
-/// # Panics
-///
-/// Panics if either dimension is zero.
-pub fn grid(width: usize, height: usize, config: NetworkConfig) -> GridNet {
-    assert!(width > 0 && height > 0, "grid dimensions must be positive");
-    let (net, ids) = wired(width * height, &grid_wires(width, height, 0), config);
-    GridNet {
-        net,
-        width,
-        height,
-        ids,
-    }
-}
-
-/// A dimension-`dim` binary hypercube of `side` × `side` grid clusters
-/// with its node-id map: `2^dim` clusters, each a square array, joined
-/// by one wire per hypercube edge. This is how a four-link part scales
-/// past the 4-neighbour mesh — the RTNN-style 256-node machine is
-/// `hypercube(4, 4)` — while every node still uses at most four ports:
-/// the dimension links ride on the otherwise-free corner ports.
-#[derive(Debug)]
-pub struct HypercubeNet {
-    /// The network.
-    pub net: Network,
-    /// Hypercube dimension (`2^dim` clusters).
-    pub dim: usize,
-    /// Cluster side length.
-    pub side: usize,
-    /// Node ids: cluster-major, then row-major within the cluster.
-    pub ids: Vec<NodeId>,
-}
-
-impl HypercubeNet {
-    /// Node id at `(x, y)` of cluster `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is outside the machine.
-    pub fn at(&self, c: usize, x: usize, y: usize) -> NodeId {
-        assert!(
-            c < (1 << self.dim) && x < self.side && y < self.side,
-            "({c},{x},{y}) outside hypercube"
-        );
-        self.ids[(c * self.side + y) * self.side + x]
-    }
 }
 
 /// Which cluster node anchors dimension `d`, and on which port:
@@ -217,10 +102,13 @@ pub fn hypercube_anchor(d: usize, side: usize) -> (usize, usize, usize) {
 }
 
 /// The hypercube sweep: `2^dim` clusters of `side` × `side` nodes
-/// (cluster-major, then row-major, as a [`hypercube`] lays them out),
-/// each cluster's [`grid_wires`] in cluster order, then the dimension
-/// links ordered by lower cluster then dimension, A end in the lower
-/// cluster. Callers appending host wires afterwards get stable indices.
+/// (cluster-major, then row-major), each cluster's [`grid_wires`] in
+/// cluster order, then the dimension links ordered by lower cluster then
+/// dimension, A end in the lower cluster. Callers appending host wires
+/// afterwards get stable indices. This is how a four-link part scales
+/// past the 4-neighbour mesh — the RTNN-style 256-node machine is
+/// `hypercube_wires(4, 4)` — while every node still uses at most four
+/// ports: the dimension links ride on the otherwise-free corner ports.
 ///
 /// # Panics
 ///
@@ -246,23 +134,6 @@ pub fn hypercube_wires(dim: usize, side: usize) -> Vec<WireEnds> {
     wires
 }
 
-/// Build a [`HypercubeNet`]: `2^dim` clusters of `side` × `side` nodes,
-/// wired by [`hypercube_wires`].
-///
-/// # Panics
-///
-/// Panics if `dim` is not in `1..=4` or `side < 2`.
-pub fn hypercube(dim: usize, side: usize, config: NetworkConfig) -> HypercubeNet {
-    let wires = hypercube_wires(dim, side);
-    let (net, ids) = wired((1usize << dim) * side * side, &wires, config);
-    HypercubeNet {
-        net,
-        dim,
-        side,
-        ids,
-    }
-}
-
 // ---------------------------------------------------------------------
 // Link maps and routing tables (the virtual-channel router layer).
 // ---------------------------------------------------------------------
@@ -279,7 +150,7 @@ pub const NO_ROUTE: u8 = u8::MAX;
 
 /// The link map of `nodes` nodes joined by `wires`: wire `i` of the
 /// list is wire `i` of the map, mirrored at both ends. The one
-/// derivation — [`NetworkBuilder::build`] feeds the router from it, and
+/// derivation — [`crate::NetworkBuilder::build`] feeds the router from it, and
 /// planners call it on the same list they hand the builder.
 pub fn adjacency(nodes: usize, wires: &[WireEnds]) -> Adjacency {
     let mut adj: Adjacency = vec![[None; 4]; nodes];
@@ -291,7 +162,7 @@ pub fn adjacency(nodes: usize, wires: &[WireEnds]) -> Adjacency {
 }
 
 /// The grid's link map under the row-major east-then-south wire sweep
-/// of [`grid`].
+/// of [`grid_wires`].
 pub fn grid_adjacency(w: usize, h: usize) -> Adjacency {
     adjacency(w * h, &grid_wires(w, h, 0))
 }
@@ -557,40 +428,14 @@ pub fn hypercube_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipeline_shape() {
-        let (net, ids) = pipeline(5, NetworkConfig::default());
-        assert_eq!(net.len(), 5);
-        assert_eq!(net.wire_count(), 4);
-        assert_eq!(ids.len(), 5);
-    }
-
-    #[test]
-    fn ring_shape() {
-        let (net, _) = ring(6, NetworkConfig::default());
-        assert_eq!(net.len(), 6);
-        assert_eq!(net.wire_count(), 6);
-    }
-
-    #[test]
-    fn grid_shape_4x4() {
-        // Figure 8's array: 16 transputers, 24 internal wires.
-        let g = grid(4, 4, NetworkConfig::default());
-        assert_eq!(g.net.len(), 16);
-        assert_eq!(g.net.wire_count(), 2 * 4 * 3);
-        assert_eq!(g.at(0, 0), g.ids[0]);
-        assert_eq!(g.at(3, 3), g.ids[15]);
-        // Corner-to-corner distance: 6 links on a 4x4.
-        assert_eq!(g.link_distance((0, 0), (3, 3)), 6);
-    }
+    use crate::sim::{Network, NetworkBuilder, NetworkConfig};
 
     const N: usize = PORT_NORTH;
     const E: usize = PORT_EAST;
     const S: usize = PORT_SOUTH;
     const W: usize = PORT_WEST;
 
-    /// `grid(3, 2)`: nodes `0 1 2 / 3 4 5`.
+    /// `grid_wires(3, 2, 0)`: nodes `0 1 2 / 3 4 5`.
     const GRID_3X2: [WireEnds; 7] = [
         ((0, E), (1, W)),
         ((0, S), (3, N)),
@@ -601,7 +446,7 @@ mod tests {
         ((4, E), (5, W)),
     ];
 
-    /// `hypercube(1, 2)`: clusters `0 1 / 2 3` and `4 5 / 6 7`, then the
+    /// `hypercube_wires(1, 2)`: clusters `0 1 / 2 3` and `4 5 / 6 7`, then the
     /// one dimension-0 link between their `(0, 0)` west ports.
     const CUBE_1X2: [WireEnds; 9] = [
         ((0, E), (1, W)),
@@ -659,15 +504,9 @@ mod tests {
         // and direction): pinned literally, bare and with hosts, planned
         // and routed. A routed build takes its wires exactly as given.
         assert_eq!(grid_wires(3, 2, 0), GRID_3X2);
-        assert_eq!(
-            wire_table(&grid(3, 2, NetworkConfig::default()).net),
-            GRID_3X2
-        );
+        assert_eq!(built(6, &GRID_3X2, |_| {}), GRID_3X2);
         assert_eq!(hypercube_wires(1, 2), CUBE_1X2);
-        assert_eq!(
-            wire_table(&hypercube(1, 2, NetworkConfig::default()).net),
-            CUBE_1X2
-        );
+        assert_eq!(built(8, &CUBE_1X2, |_| {}), CUBE_1X2);
 
         let planned = with_hosts(&GRID_3X2, 6, false);
         assert_eq!(planned[7..], [((6, S), (0, N)), ((5, S), (7, N))]);
@@ -717,19 +556,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside grid")]
     fn grid_bounds_checked() {
-        let g = grid(2, 2, NetworkConfig::default());
-        let _ = g.at(2, 0);
+        let _ = grid_edge_wire(2, 2, 2, 0, true);
+    }
+
+    #[test]
+    fn grid_4x4_is_figure_8s_array() {
+        // 16 transputers, 24 internal wires.
+        let wires = grid_wires(4, 4, 0);
+        assert_eq!(wires.len(), 2 * 4 * 3);
+        assert_eq!(built(16, &wires, |_| {}), wires);
     }
 
     #[test]
     fn hypercube_4_4_is_the_256_node_machine() {
-        let h = hypercube(4, 4, NetworkConfig::default());
-        assert_eq!(h.net.len(), 256);
         // 16 clusters x 24 internal wires, plus one wire per hypercube
         // edge: 4 * 2^4 / 2 = 32.
-        assert_eq!(h.net.wire_count(), 16 * 24 + 32);
-        assert_eq!(h.at(0, 0, 0), h.ids[0]);
-        assert_eq!(h.at(15, 3, 3), h.ids[255]);
+        let wires = hypercube_wires(4, 4);
+        assert_eq!(wires.len(), 16 * 24 + 32);
+        assert_eq!(built(256, &wires, |_| {}), wires);
     }
 
     #[test]
@@ -756,7 +600,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension must be 1..=4")]
     fn hypercube_dimension_capped_by_link_count() {
-        let _ = hypercube(5, 4, NetworkConfig::default());
+        let _ = hypercube_wires(5, 4);
     }
 
     /// Follow a routing table from `from` to `to`, returning the hop

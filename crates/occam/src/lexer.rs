@@ -551,9 +551,11 @@ fn lex_line(
                 i += 1;
             }
             other => {
+                // `c` is one byte; name the whole character it starts.
+                let ch = text[i..].chars().next().unwrap_or(other);
                 return Err(CompileError::lex(
                     line,
-                    format!("unexpected character `{other}`"),
+                    format!("unexpected character `{ch}`"),
                 ));
             }
         }

@@ -29,14 +29,31 @@ fn attach_tail(body: Process, tail: Process) -> Process {
     }
 }
 
+/// How deeply a program may nest. A level is a process inside a
+/// process, a parenthesised or subscript expression, a unary operator's
+/// operand, or one more operator in a chain (`a + b + c` is two deep):
+/// the parser, the lints and the code generator each recurse once per
+/// level, so a deeper program would overflow the stack. At this limit
+/// every construct still parses, lints, compiles and verifies on a
+/// 2 MiB thread in a debug build, with room to spare: nested `ALT`s,
+/// whose frames are the largest, overflow such a thread at about 97.
+/// The corpus and the experiments' generated sources nest at most 12.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse a complete program.
 ///
 /// # Errors
 ///
-/// Returns the first lexing or parsing error encountered.
+/// Returns the first lexing or parsing error encountered, including a
+/// program nested more than [`MAX_NESTING`] levels deep.
 pub fn parse(source: &str) -> Result<Process, CompileError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     let proc = p.parse_process()?;
     p.expect(&Token::Eof)?;
     Ok(proc)
@@ -45,6 +62,11 @@ pub fn parse(source: &str) -> Result<Process, CompileError> {
 struct Parser {
     tokens: Vec<Lexeme>,
     pos: usize,
+    /// Levels the parser has recursed through to reach this point.
+    depth: usize,
+    /// Levels below the expression last parsed (`0` for a name or a
+    /// literal); its parent's is one more than its deepest operand's.
+    height: usize,
 }
 
 impl Parser {
@@ -95,6 +117,25 @@ impl Parser {
         }
     }
 
+    /// A node `height` levels above its deepest leaf, `depth` levels
+    /// below the root: refuse it if the path through it is too long.
+    fn within(&self, height: usize) -> Result<usize, CompileError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(CompileError::parse(
+                self.line(),
+                format!("nested more than {MAX_NESTING} levels deep"),
+            ));
+        }
+        Ok(height)
+    }
+
+    /// Recurse one level deeper; the caller steps back out with
+    /// `self.depth -= 1` once the nested parse has returned.
+    fn enter(&mut self) -> Result<(), CompileError> {
+        self.depth += 1;
+        self.within(0).map(drop)
+    }
+
     fn expect_ident(&mut self) -> Result<String, CompileError> {
         match self.bump() {
             Token::Ident(s) => Ok(s),
@@ -108,6 +149,7 @@ impl Parser {
     // ---- processes ----
 
     fn parse_process(&mut self) -> Result<Process, CompileError> {
+        self.enter()?;
         let pos = self.here();
         let mut decls = Vec::new();
         loop {
@@ -121,6 +163,7 @@ impl Parser {
             }
         }
         let body = self.parse_operative()?;
+        self.depth -= 1;
         if decls.is_empty() {
             Ok(body)
         } else {
@@ -425,11 +468,11 @@ impl Parser {
             Token::Ident(name) if matches!(self.peek2(), Token::Query | Token::LBracket) => {
                 // Could be `c ? v`, `c[i] ? v`, or an expression starting
                 // with a subscripted name. Try the input reading first.
-                let save = self.pos;
+                let save = (self.pos, self.depth);
                 match self.try_parse_input(name) {
                     Ok(Some(kind)) => (None, kind),
                     Ok(None) | Err(_) => {
-                        self.pos = save;
+                        (self.pos, self.depth) = save;
                         let g = self.parse_expr()?;
                         self.expect(&Token::Amp)?;
                         let kind = self.parse_guarded_wait()?;
@@ -668,34 +711,62 @@ impl Parser {
     // ---- expressions ----
 
     fn parse_expr(&mut self) -> Result<Expr, CompileError> {
-        self.parse_or()
+        self.enter()?;
+        let e = self.parse_or()?;
+        self.depth -= 1;
+        Ok(e)
+    }
+
+    /// A left-associative chain of `operand`s joined by the operators
+    /// `operator` recognises.
+    fn chain(
+        &mut self,
+        operand: impl Fn(&mut Parser) -> Result<Expr, CompileError>,
+        operator: impl Fn(&Token) -> Option<BinOp>,
+    ) -> Result<Expr, CompileError> {
+        let mut e = operand(self)?;
+        let mut height = self.height;
+        while let Some(op) = operator(self.peek()) {
+            self.bump();
+            let rhs = operand(self)?;
+            height = self.within(height.max(self.height) + 1)?;
+            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
+        }
+        self.height = height;
+        Ok(e)
     }
 
     fn parse_or(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_and()?;
-        while self.eat(&Token::Key(Keyword::Or)) {
-            let rhs = self.parse_and()?;
-            e = Expr::Bin(BinOp::Or, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_and, |t| {
+            (t == &Token::Key(Keyword::Or)).then_some(BinOp::Or)
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_not()?;
-        while self.eat(&Token::Key(Keyword::And)) {
-            let rhs = self.parse_not()?;
-            e = Expr::Bin(BinOp::And, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_not, |t| {
+            (t == &Token::Key(Keyword::And)).then_some(BinOp::And)
+        })
     }
 
     fn parse_not(&mut self) -> Result<Expr, CompileError> {
         if self.eat(&Token::Key(Keyword::Not)) {
-            let e = self.parse_not()?;
-            Ok(Expr::Un(UnOp::Not, Box::new(e)))
+            self.unary(UnOp::Not, Parser::parse_not)
         } else {
             self.parse_comparison()
         }
+    }
+
+    /// The operand of a unary operator, one level down.
+    fn unary(
+        &mut self,
+        op: UnOp,
+        operand: impl Fn(&mut Parser) -> Result<Expr, CompileError>,
+    ) -> Result<Expr, CompileError> {
+        self.enter()?;
+        let e = operand(self)?;
+        self.depth -= 1;
+        self.height = self.within(self.height + 1)?;
+        Ok(Expr::Un(op, Box::new(e)))
     }
 
     fn parse_comparison(&mut self) -> Result<Expr, CompileError> {
@@ -711,97 +782,63 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        let height = self.height;
         let rhs = self.parse_bitor()?;
+        self.height = self.within(height.max(self.height) + 1)?;
         Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
     }
 
     fn parse_bitor(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_bitand()?;
-        loop {
-            let op = match self.peek() {
-                Token::BitOr => BinOp::BitOr,
-                Token::BitXor => BinOp::BitXor,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_bitand()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_bitand, |t| match t {
+            Token::BitOr => Some(BinOp::BitOr),
+            Token::BitXor => Some(BinOp::BitXor),
+            _ => None,
+        })
     }
 
     fn parse_bitand(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_shift()?;
-        while self.eat(&Token::BitAnd) {
-            let rhs = self.parse_shift()?;
-            e = Expr::Bin(BinOp::BitAnd, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_shift, |t| {
+            (t == &Token::BitAnd).then_some(BinOp::BitAnd)
+        })
     }
 
     fn parse_shift(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Token::Shl => BinOp::Shl,
-                Token::Shr => BinOp::Shr,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_additive()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_additive, |t| match t {
+            Token::Shl => Some(BinOp::Shl),
+            Token::Shr => Some(BinOp::Shr),
+            _ => None,
+        })
     }
 
     fn parse_additive(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_multiplicative, |t| match t {
+            Token::Plus => Some(BinOp::Add),
+            Token::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                Token::Backslash => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(Parser::parse_unary, |t| match t {
+            Token::Star => Some(BinOp::Mul),
+            Token::Slash => Some(BinOp::Div),
+            Token::Backslash => Some(BinOp::Rem),
+            _ => None,
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr, CompileError> {
-        match self.peek() {
-            Token::Minus => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::Un(UnOp::Neg, Box::new(e)))
-            }
-            Token::Tilde => {
-                self.bump();
-                let e = self.parse_unary()?;
-                Ok(Expr::Un(UnOp::BitNot, Box::new(e)))
-            }
-            _ => self.parse_primary(),
-        }
+        let op = match self.peek() {
+            Token::Minus => UnOp::Neg,
+            Token::Tilde => UnOp::BitNot,
+            _ => return self.parse_primary(),
+        };
+        self.bump();
+        self.unary(op, Parser::parse_unary)
     }
 
     fn parse_primary(&mut self) -> Result<Expr, CompileError> {
+        self.height = 0;
         match self.bump() {
             Token::Number(n) => Ok(Expr::Literal(n)),
             Token::Key(Keyword::True) => Ok(Expr::True),
@@ -816,6 +853,7 @@ impl Parser {
                     let byte = self.eat(&Token::Key(Keyword::Byte));
                     let idx = self.parse_expr()?;
                     self.expect(&Token::RBracket)?;
+                    self.height = self.within(self.height + 1)?;
                     Ok(if byte {
                         Expr::ByteIndex(name, Box::new(idx))
                     } else {

@@ -37,11 +37,6 @@ pub struct CpuConfig {
     pub memory: MemoryConfig,
     /// Whether the error flag halts the processor (HaltOnError mode).
     pub halt_on_error: bool,
-    /// Processor cycle time in nanoseconds (50 ns at the nominal 20 MHz).
-    pub cycle_ns: u64,
-    /// Low-priority timeslice period in cycles. Low-priority processes
-    /// yield at jump and loop-end instructions once this has elapsed.
-    pub timeslice_cycles: u64,
     /// A shim: there is no decode cache. `false` forces the byte path,
     /// exactly as `translate: false` does; `true` (the default) does
     /// nothing. Kept because the system benchmark's pinned surface
@@ -82,8 +77,6 @@ impl CpuConfig {
             word: WordLength::Bits32,
             memory: MemoryConfig::default(),
             halt_on_error: false,
-            cycle_ns: timing::CYCLE_NS,
-            timeslice_cycles: 2 * timing::LO_TICK_CYCLES,
             decode_cache: true,
             translate: translate_env_default(),
             translate_threshold: 2,
@@ -293,8 +286,6 @@ pub struct Cpu {
     pub(crate) pending_trace: Option<(crate::instr::Direct, u32)>,
 
     pub(crate) cycles: u64,
-    pub(crate) cycle_ns: u64,
-    pub(crate) timeslice_cycles: u64,
     pub(crate) last_dispatch: u64,
     pub(crate) stats: Stats,
 
@@ -369,8 +360,6 @@ impl Cpu {
             op_start: 0,
             pending_trace: None,
             cycles: 0,
-            cycle_ns: config.cycle_ns,
-            timeslice_cycles: config.timeslice_cycles,
             last_dispatch: 0,
             stats: Stats::default(),
             tcache: translate::TransCache::default(),
@@ -452,7 +441,7 @@ impl Cpu {
 
     /// Elapsed simulated time in nanoseconds.
     pub fn time_ns(&self) -> u64 {
-        self.cycles * self.cycle_ns
+        self.cycles * timing::CYCLE_NS
     }
 
     /// The clock of a priority (§2.2.2: "each timer being implemented as
@@ -466,11 +455,6 @@ impl Cpu {
         &self.stats
     }
 
-    /// Reset the statistics counters (the cycle counter is unaffected).
-    pub fn reset_stats(&mut self) {
-        self.stats = Stats::default();
-    }
-
     /// Why the processor halted, if it has.
     pub fn halt_reason(&self) -> Option<HaltReason> {
         self.halted
@@ -479,11 +463,6 @@ impl Cpu {
     /// Record the most recent `capacity` operations for debugging.
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(crate::trace::TraceRing::new(capacity));
-    }
-
-    /// Stop tracing and drop the ring.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
     }
 
     /// The trace ring, if tracing is enabled.
@@ -549,21 +528,6 @@ impl Cpu {
         } else {
             self.event_pending = true;
         }
-    }
-
-    /// Address of a link channel word: `link` in 0..4.
-    pub fn link_channel_addr(&self, link: u32, output: bool) -> u32 {
-        let base = if output {
-            crate::memory::LINK_OUT_BASE
-        } else {
-            crate::memory::LINK_IN_BASE
-        };
-        self.mem.reserved_addr(base + link)
-    }
-
-    /// Address of the event channel word.
-    pub fn event_channel_addr(&self) -> u32 {
-        self.mem.reserved_addr(crate::memory::EVENT_CHANNEL)
     }
 
     /// Read a word of memory without timing effects or mutation —
@@ -825,9 +789,10 @@ impl Cpu {
         std::mem::take(&mut self.links_dirty)
     }
 
-    /// Processor cycle time in nanoseconds.
+    /// Processor cycle time in nanoseconds: every part runs at the
+    /// T424's nominal 20 MHz ([`timing::CYCLE_NS`]).
     pub fn cycle_time_ns(&self) -> u64 {
-        self.cycle_ns
+        timing::CYCLE_NS
     }
 
     fn record_pending_trace(&mut self) {

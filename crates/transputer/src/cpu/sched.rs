@@ -177,7 +177,7 @@ impl Cpu {
     pub(crate) fn maybe_timeslice(&mut self) -> Result<(), HaltReason> {
         if self.priority() == Priority::Low
             && self.fptr[Priority::Low.index()] != self.magic.not_process
-            && self.cycles - self.last_dispatch >= self.timeslice_cycles
+            && self.cycles - self.last_dispatch >= timing::TIMESLICE_CYCLES
         {
             self.ws_write(PW_IPTR, self.iptr)?;
             let me = ProcDesc(self.wdesc);

@@ -121,22 +121,22 @@ const XF_WSUB_LDNL: u8 = 25;
 const XF_WSUB_STNL: u8 = 26;
 const XF_GT_CJ: u8 = 27;
 // Pure-ALU `opr` operations specialised by their build-time-resolved
-// operand. Measured over the corpus these six are two thirds of the
-// dynamic `opr` mix (`wsub` alone is 43%); each touches only the
-// operand stack, the cycle counter, and (for checked arithmetic) the
-// error flag, so its arm needs none of the general path's scheduler,
-// epoch or control-transfer checks.
+// operand, kept for the traffic the search machines give them: `diff`
+// is a tenth of the board's dispatches, `add` runs on the routed
+// machines, and `gt` and `wsub` run mostly fused into the array idioms
+// above. Each touches only the operand stack, the cycle counter, and
+// (for checked arithmetic) the error flag, so its arm needs none of the
+// general path's scheduler, epoch or control-transfer checks. Any other
+// `opr` runs `general_body`.
 const XO_BASE: u8 = 28;
 const XO_ADD: u8 = 28;
-const XO_SUB: u8 = 29;
-const XO_DIFF: u8 = 30;
-const XO_GT: u8 = 31;
-const XO_WSUB: u8 = 32;
-const XO_REV: u8 = 33;
+const XO_DIFF: u8 = 29;
+const XO_GT: u8 = 30;
+const XO_WSUB: u8 = 31;
 /// An `opr` that can act on a link channel (a decode entry with `link`
 /// set): the general operation behind a link-fence check. Never
 /// fused, so the check always sits at a dispatch boundary.
-const XO_LINK: u8 = 34;
+const XO_LINK: u8 = 32;
 
 /// The superinstruction code for an adjacent pair of dispatch codes
 /// (post-specialisation, so a plain `0xF` here is an `opr` that did
@@ -167,11 +167,9 @@ fn fuse_code(a: u8, b: u8) -> Option<u8> {
 fn specialize_op(operand: u32) -> Option<u8> {
     match Op::from_code(operand) {
         Some(Op::Add) => Some(XO_ADD),
-        Some(Op::Subtract) => Some(XO_SUB),
         Some(Op::Difference) => Some(XO_DIFF),
         Some(Op::GreaterThan) => Some(XO_GT),
         Some(Op::WordSubscript) => Some(XO_WSUB),
-        Some(Op::Reverse) => Some(XO_REV),
         _ => None,
     }
 }
@@ -713,23 +711,6 @@ impl Cpu {
                     budget_tail!($n);
                 }};
             }
-            macro_rules! sub_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.stats.record_op(Op::Subtract);
-                    let (a, b) = self.pop2();
-                    let (r, o) = self.word.checked_sub(b, a);
-                    self.push(r);
-                    self.cycles += u64::from($op.len);
-                    if o {
-                        self.set_error_if(o);
-                        if let Some(r) = self.halted {
-                            flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
-                        }
-                    }
-                    budget_tail!($n);
-                }};
-            }
             macro_rules! diff_body {
                 ($op:expr, $n:expr) => {{
                     advance!($op);
@@ -761,15 +742,6 @@ impl Cpu {
                     let (a, b) = self.pop2();
                     self.push(self.word.index_word(b, a));
                     self.cycles += u64::from($op.len) + 1;
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! rev_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.stats.record_op(Op::Reverse);
-                    std::mem::swap(&mut self.areg, &mut self.breg);
-                    self.cycles += u64::from($op.len);
                     budget_tail!($n);
                 }};
             }
@@ -946,11 +918,9 @@ impl Cpu {
                     fused!(cj_body,);
                 }
                 XO_ADD => add_body!(op, i + 1),
-                XO_SUB => sub_body!(op, i + 1),
                 XO_DIFF => diff_body!(op, i + 1),
                 XO_GT => gt_body!(op, i + 1),
                 XO_WSUB => wsub_body!(op, i + 1),
-                XO_REV => rev_body!(op, i + 1),
                 XO_LINK => {
                     if self.cycles + (u64::from(op.len) - 1) >= fence
                         && self.touches_link(op.operand)

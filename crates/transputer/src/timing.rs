@@ -133,6 +133,11 @@ pub const LO_TICK_CYCLES: u64 = 64 * HI_TICK_CYCLES;
 /// Nominal processor cycle time in nanoseconds (50 ns at 20 MHz, §3.2.4).
 pub const CYCLE_NS: u64 = 50;
 
+/// Low-priority timeslice period: a low-priority process yields at a
+/// `jump` or `loop end` once it has run this long (two low-priority
+/// clock periods).
+pub const TIMESLICE_CYCLES: u64 = 2 * LO_TICK_CYCLES;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 
 use transputer::instr::{encode, Direct};
 use transputer_analysis::verifier::{verify_bytecode, verify_program, CodeShape};
-use transputer_analysis::{lint_source, Severity, Span};
+use transputer_analysis::{lint_source, verify_program_cfg, Severity, Span};
 use transputer_asm::{assemble, disassemble};
 use transputer_bench::corpus::CORPUS;
 
@@ -125,4 +125,75 @@ fn lint_rejects_two_writer_channel() {
         .expect("two-writer conflict reported");
     assert!(err.is_error());
     assert_eq!(err.span, Span::at(5, 3));
+}
+
+/// A program nested `levels` deep, as `occam::parser::MAX_NESTING`
+/// counts: the outer process and the innermost assignment's value are
+/// two levels, and each `construct` wrapped around the assignment (with
+/// its guard, for `IF` and `ALT`) one more — or, for `(` and `+`, each
+/// pair of parentheses around its value, or each operator in it.
+fn nested(construct: &str, levels: usize) -> String {
+    let n = levels - 2;
+    match construct {
+        "(" => return format!("VAR x:\nx := {}1{}\n", "(".repeat(n), ")".repeat(n)),
+        "+" => return format!("VAR x:\nx := 1{}\n", " + 1".repeat(n)),
+        _ => {}
+    }
+    let mut source = String::from("VAR x:\n");
+    let mut indent = 0;
+    for _ in 0..n {
+        source += &format!("{}{construct}\n", " ".repeat(indent));
+        indent += 2;
+        let guard = match construct {
+            "IF" => "TRUE",
+            "ALT" => "TRUE & SKIP",
+            _ => continue,
+        };
+        source += &format!("{}{guard}\n", " ".repeat(indent));
+        indent += 2;
+    }
+    source + &format!("{}x := 1\n", " ".repeat(indent))
+}
+
+/// Nesting is bounded by one limit, not by the stack: a program nested
+/// exactly at it lints, compiles and verifies (on this test's 2 MiB
+/// thread, in a debug build), and one level deeper is a compile error
+/// naming the line, for processes and expressions alike.
+#[test]
+fn nesting_beyond_the_limit_is_a_compile_error() {
+    let limit = occam::parser::MAX_NESTING;
+    for construct in ["(", "+", "SEQ", "PAR", "WHILE FALSE", "IF", "ALT"] {
+        let at = nested(construct, limit);
+        let lint: Vec<_> = lint_source(&at)
+            .into_iter()
+            .filter(|d| d.is_error())
+            .collect();
+        assert!(lint.is_empty(), "{construct} at the limit: {lint:?}");
+        let program =
+            occam::compile(&at).unwrap_or_else(|e| panic!("{construct} at the limit: {e}"));
+        for diags in [verify_program(&program), verify_program_cfg(&program)] {
+            assert!(
+                !diags.iter().any(|d| d.is_error()),
+                "{construct}: {diags:?}"
+            );
+        }
+
+        let deeper = nested(construct, limit + 1);
+        let err = occam::compile(&deeper).expect_err(construct);
+        assert!(err.message.contains("levels deep"), "{construct}: {err}");
+        assert_eq!(
+            err.line,
+            deeper.lines().count() as u32,
+            "{construct}: {err}"
+        );
+        let lint = lint_source(&deeper);
+        assert!(lint.iter().any(|d| d.is_error()), "{construct}: {lint:?}");
+    }
+}
+
+/// The lexer names the character it rejects, not its first byte.
+#[test]
+fn lexer_names_the_character_it_rejects() {
+    let err = occam::compile("VAR x:\nx := é\n").expect_err("é is not occam");
+    assert!(err.message.contains("`é`"), "{err}");
 }
