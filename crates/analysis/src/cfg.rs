@@ -24,7 +24,7 @@
 //!   ([`crate::cost`]) refuses exactly these images rather than
 //!   mis-predicting them.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::diag::{self, Diagnostic, Span};
 use crate::verifier::{analyze, is_stop, CodeShape, Insn};
@@ -134,26 +134,15 @@ impl Cfg {
     pub fn recover_with_shape(code: &[u8], shape: Option<&CodeShape>) -> Cfg {
         let analysis = analyze(code, shape);
         let insns = analysis.insns;
-        let index = analysis.index;
-        let code_len = code.len();
-
         // Valid static targets of an instruction: in range and on a
         // decoded boundary. Anything else was already diagnosed.
-        let valid = |target: i64| -> Option<usize> {
-            if (0..code_len as i64).contains(&target) {
-                index.get(&(target as usize)).copied()
-            } else {
-                None
-            }
-        };
-
-        // Discovered startp/lend targets, grouped by instruction.
-        let mut dynamic: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(i, target) in &analysis.discovered {
-            if let Some(t) = valid(target) {
-                dynamic.entry(i).or_default().push(t);
-            }
-        }
+        let valid = |target: i64| analysis.index.at(target);
+        // Each instruction's valid discovered startp/lend target.
+        let dynamic: Vec<Option<usize>> = analysis
+            .discovered
+            .iter()
+            .map(|target| target.and_then(valid))
+            .collect();
 
         // Leaders.
         let mut leader = vec![false; insns.len()];
@@ -173,10 +162,8 @@ impl Cfg {
                         leader[t] = true;
                     }
                 }
-                if let Some(targets) = dynamic.get(&i) {
-                    for &t in targets {
-                        leader[t] = true;
-                    }
+                if let Some(t) = dynamic[i] {
+                    leader[t] = true;
                 }
             }
         }
@@ -207,41 +194,21 @@ impl Cfg {
         for b in 0..blocks.len() {
             let i = blocks[b].last;
             let insn = insns[i];
-            let fall = (i + 1 < insns.len()).then_some(i + 1);
-            let mut raw: Vec<(Option<usize>, EdgeKind)> = Vec::new();
-            match insn.fun {
-                Direct::Jump => {
-                    raw.push((valid(insn.end() as i64 + insn.operand), EdgeKind::Jump));
-                }
-                Direct::ConditionalJump => {
-                    raw.push((valid(insn.end() as i64 + insn.operand), EdgeKind::Taken));
-                    raw.push((fall, EdgeKind::FallThrough));
-                }
-                Direct::Call => {
-                    raw.push((valid(insn.end() as i64 + insn.operand), EdgeKind::Call));
-                    raw.push((fall, EdgeKind::FallThrough));
-                }
-                Direct::Operate => match insn.op {
-                    Some(Op::LoopEnd) => {
-                        for &t in dynamic.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                            raw.push((Some(t), EdgeKind::Back));
-                        }
-                        raw.push((fall, EdgeKind::FallThrough));
-                    }
-                    Some(Op::StartProcess) => {
-                        for &t in dynamic.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                            raw.push((Some(t), EdgeKind::Spawn));
-                        }
-                        raw.push((fall, EdgeKind::FallThrough));
-                    }
-                    Some(op) if is_stop(op) => {}
-                    None => {}
-                    Some(_) => raw.push((fall, EdgeKind::FallThrough)),
-                },
-                _ => raw.push((fall, EdgeKind::FallThrough)),
-            }
+            let target = || valid(insn.end() as i64 + insn.operand);
+            // The transfer's own edge, and whether control falls through.
+            let (to, kind, falls) = match (insn.fun, insn.op) {
+                (Direct::Jump, _) => (target(), EdgeKind::Jump, false),
+                (Direct::ConditionalJump, _) => (target(), EdgeKind::Taken, true),
+                (Direct::Call, _) => (target(), EdgeKind::Call, true),
+                (Direct::Operate, Some(Op::LoopEnd)) => (dynamic[i], EdgeKind::Back, true),
+                (Direct::Operate, Some(Op::StartProcess)) => (dynamic[i], EdgeKind::Spawn, true),
+                (Direct::Operate, None) => (None, EdgeKind::Jump, false),
+                (Direct::Operate, Some(op)) => (None, EdgeKind::Jump, !is_stop(op)),
+                _ => (None, EdgeKind::Jump, true),
+            };
+            let fall = (falls && i + 1 < insns.len()).then_some(i + 1);
             let mut succs: Vec<Edge> = Vec::new();
-            for (target, kind) in raw {
+            for (target, kind) in [(to, kind), (fall, EdgeKind::FallThrough)] {
                 if let Some(t) = target {
                     let e = Edge {
                         to: block_of[t],
@@ -267,13 +234,13 @@ impl Cfg {
                         insn.mnemonic()
                     ),
                 }),
-                Some(Op::LoopEnd) if !dynamic.contains_key(&i) => {
+                Some(Op::LoopEnd) if dynamic[i].is_none() => {
                     unanalyzable.push(Unanalyzable {
                         offset: insn.offset,
                         reason: "`lend` back-edge displacement is not a dataflow constant".into(),
                     });
                 }
-                Some(Op::StartProcess) if !dynamic.contains_key(&i) => {
+                Some(Op::StartProcess) if dynamic[i].is_none() => {
                     unanalyzable.push(Unanalyzable {
                         offset: insn.offset,
                         reason: "`startp` child entry offset is not a dataflow constant".into(),

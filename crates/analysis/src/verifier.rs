@@ -39,7 +39,7 @@
 //!   register constants are dropped; the depth interval is kept, since
 //!   resumption restores control just after the instruction.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::diag::{Diagnostic, Span};
 use transputer::instr::{self, encoded_len, Direct, Op, StackEffect};
@@ -69,7 +69,7 @@ impl CodeShape {
 }
 
 /// Abstract machine state at an instruction boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct State {
     /// Evaluation-stack depth interval, 0..=3.
     pub lo: u8,
@@ -101,7 +101,7 @@ impl State {
 
     /// Lattice join; returns whether `self` widened.
     pub fn merge(&mut self, other: &State) -> bool {
-        let before = self.clone();
+        let before = *self;
         self.lo = self.lo.min(other.lo);
         self.hi = self.hi.max(other.hi);
         if self.wadj != other.wadj {
@@ -147,12 +147,13 @@ pub(crate) struct Analysis {
     /// Decoded instructions, in address order.
     pub insns: Vec<Insn>,
     /// Byte offset → instruction index.
-    pub index: BTreeMap<usize, usize>,
+    pub index: Boundaries,
     /// Final entry state per instruction.
     pub states: Vec<State>,
-    /// (instruction index, target address) pairs from `startp`/`lend`
-    /// operands that are constants in the final states.
-    pub discovered: Vec<(usize, i64)>,
+    /// Per instruction, the `startp` child entry or `lend` loop start
+    /// (an unvalidated byte address) when its operand is a constant in
+    /// the final state.
+    pub discovered: Vec<Option<i64>>,
     /// All findings, unsorted.
     pub diags: Vec<Diagnostic>,
 }
@@ -171,11 +172,7 @@ pub fn verify_bytecode(code: &[u8], shape: Option<&CodeShape>) -> Vec<Diagnostic
 pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
     let mut diags = Vec::new();
     let insns = decode(code, &mut diags);
-    let index: BTreeMap<usize, usize> = insns
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.offset, i))
-        .collect();
+    let index = Boundaries::new(&insns, code.len());
 
     // Static jump-target validation (j / cj / call operands).
     for insn in &insns {
@@ -184,7 +181,7 @@ pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
             Direct::Jump | Direct::ConditionalJump | Direct::Call
         ) {
             let target = insn.end() as i64 + insn.operand;
-            check_target(insn, "target", target, code.len(), &index, &mut diags);
+            check_target(insn, "target", target, &index, &mut diags);
         }
     }
 
@@ -192,21 +189,35 @@ pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
     // visited — from each one only reachable through a computed control
     // transfer (altend), seeded with an unknown state.
     let mut reached: Vec<Option<State>> = vec![None; insns.len()];
-    let mut seed = State::entry();
-    while let Some(i) = reached.iter().position(Option::is_none) {
-        flow(i, seed, &insns, &index, shape, &mut reached);
+    let mut work = Worklist {
+        queue: VecDeque::new(),
+        queued: vec![false; insns.len()],
+    };
+    let (mut seed, mut from) = (State::entry(), 0);
+    while let Some(i) = reached[from..].iter().position(Option::is_none) {
+        from += i;
+        work.merge(from, &seed, &mut reached);
+        while let Some(i) = work.pop() {
+            let state = reached[i].expect("queued with a state");
+            // Findings of a state that may yet widen are not findings.
+            let out = step(&insns[i], &state, shape, &mut Vec::new());
+            for (t, incoming) in out.edges(i, insns.len(), &index) {
+                work.merge(t, incoming, &mut reached);
+            }
+        }
         seed = State::unknown();
     }
     let states: Vec<State> = reached.into_iter().flatten().collect();
 
     // Report, and read the `startp`/`lend` targets, from the final
     // states: one `step` an instruction.
-    let mut discovered = Vec::new();
-    for (i, (insn, state)) in insns.iter().zip(&states).enumerate() {
-        if let Some((target, what)) = step(insn, state, shape, &mut diags).discovered {
-            check_target(insn, what, target, code.len(), &index, &mut diags);
-            discovered.push((i, target));
+    let mut discovered = Vec::with_capacity(insns.len());
+    for (insn, state) in insns.iter().zip(&states) {
+        let found = step(insn, state, shape, &mut diags).discovered;
+        if let Some((target, what)) = found {
+            check_target(insn, what, target, &index, &mut diags);
         }
+        discovered.push(found.map(|(target, _)| target));
     }
 
     Analysis {
@@ -223,6 +234,28 @@ pub fn verify_program(program: &occam::Program) -> Vec<Diagnostic> {
     verify_bytecode(&program.code, Some(&CodeShape::of(program)))
 }
 
+/// Byte offset → index of the instruction that starts there: one entry
+/// a code byte, so resolving an edge is one load.
+#[derive(Debug)]
+pub(crate) struct Boundaries(Vec<usize>);
+
+impl Boundaries {
+    fn new(insns: &[Insn], code_len: usize) -> Boundaries {
+        let mut at = vec![usize::MAX; code_len];
+        for (i, insn) in insns.iter().enumerate() {
+            at[insn.offset] = i;
+        }
+        Boundaries(at)
+    }
+
+    /// The instruction starting at byte `target`, if it is inside the
+    /// code and on a boundary.
+    pub(crate) fn at(&self, target: i64) -> Option<usize> {
+        let i = *self.0.get(usize::try_from(target).ok()?)?;
+        (i != usize::MAX).then_some(i)
+    }
+}
+
 /// Report a control-transfer target (`what` names it: a `j`/`cj`/`call`
 /// "target", a `startp` "child entry", a `lend` "loop start") that is
 /// outside the code or off the instruction boundaries.
@@ -230,10 +263,10 @@ fn check_target(
     insn: &Insn,
     what: &str,
     target: i64,
-    code_len: usize,
-    index: &BTreeMap<usize, usize>,
+    index: &Boundaries,
     diags: &mut Vec<Diagnostic>,
 ) {
+    let code_len = index.0.len();
     if !(0..code_len as i64).contains(&target) {
         diags.push(Diagnostic::error(
             "jump-out-of-range",
@@ -244,7 +277,7 @@ fn check_target(
                 code_len
             ),
         ));
-    } else if !index.contains_key(&(target as usize)) {
+    } else if index.at(target).is_none() {
         diags.push(Diagnostic::error(
             "jump-mid-instruction",
             Span::insn(insn),
@@ -260,7 +293,9 @@ fn check_target(
 /// reporting encoding-level findings (truncated chains, non-minimal
 /// prefixes, undefined operations).
 pub fn decode(code: &[u8], diags: &mut Vec<Diagnostic>) -> Vec<Insn> {
-    let insns: Vec<Insn> = instr::decode(code).collect();
+    // An instruction is at least a byte: one allocation holds them all.
+    let mut insns = Vec::with_capacity(code.len());
+    insns.extend(instr::decode(code));
     for insn in &insns {
         let (fun, operand, len) = (insn.fun, insn.operand, insn.len);
         if len > encoded_len(operand) {
@@ -325,10 +360,10 @@ struct StepOut {
     next: State,
     /// Static successor classification.
     succ: Flow,
-    /// Extra entry points this instruction creates: (unvalidated byte
-    /// address, entry state) for `call` targets, `startp` children and
-    /// `lend` back edges.
-    seeds: Vec<(i64, State)>,
+    /// The extra entry point this instruction creates: (unvalidated
+    /// byte address, entry state) for a `call` target, a `startp` child
+    /// or a `lend` back edge.
+    seed: Option<(i64, State)>,
     /// The `startp` child entry or `lend` loop start, when its operand
     /// is a constant in `state`: (unvalidated byte address, what it is).
     discovered: Option<(i64, &'static str)>,
@@ -336,7 +371,7 @@ struct StepOut {
 
 impl StepOut {
     /// Where control can go from instruction `i` (of `count`) with this
-    /// outcome, and the state it arrives with: the seeds, the jump
+    /// outcome, and the state it arrives with: the seed, the jump
     /// target, the fall-through. A byte address is an edge only if it
     /// is on an instruction boundary; bad targets are diagnosed
     /// separately.
@@ -344,21 +379,21 @@ impl StepOut {
         &'a self,
         i: usize,
         count: usize,
-        index: &'a BTreeMap<usize, usize>,
+        index: &'a Boundaries,
     ) -> impl Iterator<Item = (usize, &'a State)> + 'a {
-        let at = |target: i64| usize::try_from(target).ok().and_then(|t| index.get(&t));
         let (jump, falls) = match self.succ {
             Flow::Next => (None, true),
             Flow::Jump(target) => (Some(target), false),
             Flow::Branch(target) => (Some(target), true),
             Flow::Stop => (None, false),
         };
-        let seeds = self.seeds.iter().map(|(target, entry)| (*target, entry));
+        let seed = self.seed.as_ref().map(|(target, entry)| (*target, entry));
         let jump = jump.map(|target| (target, &self.next));
         let fall = (falls && i + 1 < count).then_some((i + 1, &self.next));
-        let landed = seeds
+        let landed = seed
+            .into_iter()
             .chain(jump)
-            .filter_map(move |(t, s)| Some((*at(t)?, s)));
+            .filter_map(|(t, s)| Some((index.at(t)?, s)));
         landed.chain(fall)
     }
 }
@@ -373,9 +408,9 @@ fn step(
     shape: Option<&CodeShape>,
     diags: &mut Vec<Diagnostic>,
 ) -> StepOut {
-    let mut next = state.clone();
+    let mut next = *state;
     let mut succ = Flow::Next;
-    let mut seeds: Vec<(i64, State)> = Vec::new();
+    let mut seed = None;
     let mut discovered = None;
 
     let effect = match insn.fun {
@@ -421,7 +456,7 @@ fn step(
             // Fall-through pops the condition; the taken edge keeps
             // A (known zero). Both are folded into one successor
             // state: depth interval spans both outcomes.
-            let mut taken = state.clone();
+            let mut taken = *state;
             taken.regs[0] = Some(0);
             next.apply(StackEffect::new(1, 0));
             next.merge(&taken);
@@ -448,7 +483,7 @@ fn step(
                 wadj: state.wadj.map(|w| w - 4),
                 regs: [None; 3],
             };
-            seeds.push((insn.end() as i64 + insn.operand, callee));
+            seed = Some((insn.end() as i64 + insn.operand, callee));
         }
         Direct::AdjustWorkspace => {
             next.wadj = state.wadj.map(|w| w + insn.operand);
@@ -494,7 +529,7 @@ fn step(
                                 wadj: None,
                                 regs: [None; 3],
                             };
-                            seeds.push((target, child));
+                            seed = Some((target, child));
                         }
                         next.apply(op.stack_effect());
                     }
@@ -504,7 +539,7 @@ fn step(
                         if let Some(a) = state.regs[0] {
                             let target = insn.end() as i64 - a;
                             discovered = Some((target, "loop start"));
-                            seeds.push((target, next.clone()));
+                            seed = Some((target, next));
                         }
                     }
                     Op::GeneralAdjustWorkspace => {
@@ -536,49 +571,39 @@ fn step(
     StepOut {
         next,
         succ,
-        seeds,
+        seed,
         discovered,
     }
 }
 
-/// Run the worklist from `seed` until no state reachable from it
-/// widens.
-fn flow(
-    seed: usize,
-    seed_state: State,
-    insns: &[Insn],
-    index: &BTreeMap<usize, usize>,
-    shape: Option<&CodeShape>,
-    states: &mut [Option<State>],
-) {
-    let mut work: VecDeque<usize> = VecDeque::new();
-    merge_into(seed, &seed_state, states, &mut work);
-
-    while let Some(i) = work.pop_front() {
-        let state = states[i].clone().expect("queued with a state");
-        // Findings of a state that may yet widen are not findings.
-        let out = step(&insns[i], &state, shape, &mut Vec::new());
-        for (t, incoming) in out.edges(i, insns.len(), index) {
-            merge_into(t, incoming, states, &mut work);
-        }
-    }
+/// Instructions whose entry state widened since they were last
+/// stepped, in order, each queued once.
+struct Worklist {
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
 }
 
-fn merge_into(
-    target: usize,
-    incoming: &State,
-    states: &mut [Option<State>],
-    work: &mut VecDeque<usize>,
-) {
-    let widened = match &mut states[target] {
-        Some(s) => s.merge(incoming),
-        slot @ None => {
-            *slot = Some(incoming.clone());
-            true
+impl Worklist {
+    /// Join `incoming` into instruction `target`'s state, queueing it if
+    /// that widened the state.
+    fn merge(&mut self, target: usize, incoming: &State, states: &mut [Option<State>]) {
+        let widened = match &mut states[target] {
+            Some(s) => s.merge(incoming),
+            slot @ None => {
+                *slot = Some(*incoming);
+                true
+            }
+        };
+        if widened && !self.queued[target] {
+            self.queued[target] = true;
+            self.queue.push_back(target);
         }
-    };
-    if widened && !work.contains(&target) {
-        work.push_back(target);
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let i = self.queue.pop_front()?;
+        self.queued[i] = false;
+        Some(i)
     }
 }
 
@@ -796,7 +821,8 @@ mod tests {
             for (i, (insn, state)) in a.insns.iter().zip(&a.states).enumerate() {
                 let out = step(insn, state, Some(&shape), &mut again);
                 for (t, incoming) in out.edges(i, a.insns.len(), &a.index) {
-                    prop_assert!(!a.states[t].clone().merge(incoming), "{i} widens {t}");
+                    let mut settled = a.states[t];
+                    prop_assert!(!settled.merge(incoming), "{i} widens {t}");
                 }
             }
             let dataflow = ["stack-underflow", "stack-overflow", "workspace-oob"];

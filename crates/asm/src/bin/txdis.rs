@@ -35,13 +35,10 @@ fn main() -> ExitCode {
         }
     };
     for d in transputer_asm::disassemble(&bytes) {
-        let hex: Vec<String> = d.bytes.iter().map(|b| format!("{b:02X}")).collect();
-        let text = if full_names {
-            d.full_name()
-        } else {
-            d.to_string()
-        };
-        println!("{:06X}  {:<12} {}", d.offset, hex.join(" "), text);
+        println!(
+            "{}",
+            transputer_asm::dis::listing_line(&bytes, &d, full_names)
+        );
     }
     ExitCode::SUCCESS
 }

@@ -231,10 +231,15 @@ fn main() -> ExitCode {
                     }
                 }
                 Err(e) => {
-                    // A parse failure is already in `diags`; other
-                    // compile phases surface here.
+                    // A parse failure is already in `diags`; a later
+                    // compile phase's is an error at its line too, so
+                    // txlint fails exactly when occamc does.
                     if !diags.iter().any(|d| d.code == "parse") {
-                        eprintln!("{path}: {e}");
+                        diags.push(Diagnostic::error(
+                            "compile",
+                            transputer_analysis::Span::line(e.line),
+                            e.to_string(),
+                        ));
                     }
                     Analyzed {
                         diags,

@@ -32,7 +32,7 @@ pub(crate) struct VectorRef {
     pub writable: bool,
 }
 
-impl Cg {
+impl Cg<'_> {
     /// Registers the evaluation of `e` would need on an empty stack.
     pub(crate) fn depth(&self, e: &Expr) -> u32 {
         match e {
@@ -62,7 +62,7 @@ impl Cg {
             Expr::Un(UnOp::Neg, inner) => (self.depth(inner) + 1).min(4),
             Expr::Un(_, inner) => self.depth(inner),
             Expr::Bin(op, l, r) => {
-                if matches!(op, BinOp::Add | BinOp::Sub) && self.const_eval(r).is_some() {
+                if self.adc_operand(*op, r).is_some() {
                     return self.depth(l);
                 }
                 if matches!(op, BinOp::Add) && self.const_eval(l).is_some() {
@@ -84,6 +84,16 @@ impl Cg {
                     self.depth(first).max(d2 + 1)
                 }
             }
+        }
+    }
+
+    /// The `adc` operand computing `l + r` or `l - r` when `r` is a
+    /// constant; `x - MOSTNEG` has none, as its negation leaves the word.
+    fn adc_operand(&self, op: BinOp, r: &Expr) -> Option<i64> {
+        match op {
+            BinOp::Add => self.const_eval(r),
+            BinOp::Sub => self.word(-self.const_eval(r)?),
+            _ => None,
         }
     }
 
@@ -226,7 +236,12 @@ impl Cg {
             return Ok(());
         }
         match e {
-            Expr::Literal(_) | Expr::True | Expr::False => unreachable!("folded above"),
+            Expr::Literal(n) => {
+                let bits = self.options.word_length.bits();
+                let message = format!("constant {n} does not fit in a {bits}-bit word");
+                Err(CompileError::codegen(line, message))
+            }
+            Expr::True | Expr::False => unreachable!("folded above"),
             Expr::Name(name) => self.gen_load_name(name, line),
             Expr::Index(name, idx) => self.gen_load_index(name, idx, line),
             Expr::ByteIndex(name, idx) => self.gen_load_byte_index(name, idx, line),
@@ -265,15 +280,12 @@ impl Cg {
     fn gen_bin(&mut self, op: BinOp, l: &Expr, r: &Expr, line: u32) -> Result<(), CompileError> {
         // `x + 2` compiles to `ldl x; adc 2` — exactly the paper's
         // §3.2.9 table.
-        if matches!(op, BinOp::Add | BinOp::Sub) {
-            if let Some(c) = self.const_eval(r) {
-                self.gen_expr(l, line)?;
-                let c = if op == BinOp::Sub { -c } else { c };
-                if c != 0 {
-                    self.emit.insn(Direct::AddConstant, c);
-                }
-                return Ok(());
+        if let Some(c) = self.adc_operand(op, r) {
+            self.gen_expr(l, line)?;
+            if c != 0 {
+                self.emit.insn(Direct::AddConstant, c);
             }
+            return Ok(());
         }
         if op == BinOp::Add {
             if let Some(c) = self.const_eval(l) {

@@ -3,15 +3,15 @@
 use std::rc::Rc;
 
 use super::measure::FrameMeasure;
-use super::{Binding, Cg, Context, ProcInfo, Scope, Slot, TEMP_SLOTS};
+use super::{Binding, Cg, Context, ProcInfo, Slot, TEMP_SLOTS};
 use crate::ast::{Actual, AltKind, Alternative, Decl, Expr, ParamMode, Process, Replicator};
 use crate::emit::Label;
 use crate::error::CompileError;
 use transputer::instr::{Direct, Op};
 
-impl Cg {
+impl<'a> Cg<'a> {
     /// Generate code for a process.
-    pub(crate) fn gen_process(&mut self, p: &Process) -> Result<(), CompileError> {
+    pub(crate) fn gen_process(&mut self, p: &'a Process) -> Result<(), CompileError> {
         match p {
             Process::Skip => Ok(()),
             Process::Stop => {
@@ -129,12 +129,12 @@ impl Cg {
             Process::Declared(decls, body, pos) => {
                 let save_alloc = self.ctx_ref().alloc;
                 let save_vec = self.ctx_ref().vec_alloc;
-                self.scopes.push(Scope::default());
+                self.open_scope();
                 for d in decls {
                     self.gen_decl(d, pos.line)?;
                 }
                 self.gen_process(body)?;
-                self.scopes.pop();
+                self.close_scope();
                 self.ctx().alloc = save_alloc;
                 self.ctx().vec_alloc = save_vec;
                 Ok(())
@@ -145,7 +145,7 @@ impl Cg {
 
     // ---- declarations ----
 
-    fn gen_decl(&mut self, d: &Decl, line: u32) -> Result<(), CompileError> {
+    fn gen_decl(&mut self, d: &'a Decl, line: u32) -> Result<(), CompileError> {
         match d {
             Decl::Var(items) | Decl::Chan(items) => {
                 let is_chan = matches!(d, Decl::Chan(_));
@@ -225,9 +225,9 @@ impl Cg {
 
     fn gen_proc_decl(
         &mut self,
-        name: &str,
-        params: &[crate::ast::Param],
-        body: &Process,
+        name: &'a str,
+        params: &'a [crate::ast::Param],
+        body: &'a Process,
         line: u32,
     ) -> Result<(), CompileError> {
         if !self.ctx_ref().is_frame_root {
@@ -241,7 +241,7 @@ impl Cg {
         let static_link = true;
         // Measure the body as its own frame. Parameters contribute no
         // frame words (they live in the caller-provided linkage).
-        self.scopes.push(Scope::default());
+        self.open_scope();
         // Parameter *kinds* must be visible during measurement (a call
         // can appear in the body); offsets are patched after measuring.
         for p in params {
@@ -267,7 +267,7 @@ impl Cg {
         });
         let fm = self.measure_frame(body, false)?;
         self.contexts.pop();
-        self.scopes.pop();
+        self.close_scope();
 
         let info = Rc::new(ProcInfo {
             label: self.emit.new_label(),
@@ -289,7 +289,7 @@ impl Cg {
         self.emit.insn_rel(Direct::Jump, after);
         self.emit.place(info.label);
 
-        self.scopes.push(Scope::default());
+        self.open_scope();
         for (i, p) in params.iter().enumerate() {
             let slot = Slot {
                 level,
@@ -322,7 +322,7 @@ impl Cg {
             "PROC {name}: allocation exceeded measurement"
         );
         self.contexts.pop();
-        self.scopes.pop();
+        self.close_scope();
         self.emit.place(after);
 
         self.bind(name, Binding::Proc(info));
@@ -527,15 +527,15 @@ impl Cg {
 
     fn gen_replicated_seq(
         &mut self,
-        r: &Replicator,
-        body: &[Process],
+        r: &'a Replicator,
+        body: &'a [Process],
         line: u32,
     ) -> Result<(), CompileError> {
         let save_alloc = self.ctx_ref().alloc;
         let ctrl = self.ctx().alloc_words(2);
         let level = self.level();
         let adjust = self.ctx_ref().adjust;
-        self.scopes.push(Scope::default());
+        self.open_scope();
         // The replicator variable *is* the control block's index word,
         // maintained by `loop end`.
         self.bind(
@@ -573,7 +573,7 @@ impl Cg {
         self.emit.bind_anchor(a);
         self.emit.op(Op::LoopEnd);
         self.emit.place(end);
-        self.scopes.pop();
+        self.close_scope();
         self.ctx().alloc = save_alloc;
         Ok(())
     }
@@ -582,8 +582,8 @@ impl Cg {
 
     fn gen_par(
         &mut self,
-        repl: Option<&Replicator>,
-        branches: &[Process],
+        repl: Option<&'a Replicator>,
+        branches: &'a [Process],
         line: u32,
     ) -> Result<(), CompileError> {
         // Expand replication into per-copy branch descriptors.
@@ -629,6 +629,12 @@ impl Cg {
             Some(r) => {
                 let count = self.require_const(&r.count, line, "PAR replication count")?;
                 let base = self.require_const(&r.base, line, "PAR replication base")?;
+                if self.word(base + count - 1).is_none() {
+                    return Err(CompileError::codegen(
+                        line,
+                        format!("PAR replicator values {base} FOR {count} leave the word"),
+                    ));
+                }
                 let fm = self.measure_frame(&branches[0], true)?;
                 for i in 0..count {
                     let wptr_off = region + fm.down;
@@ -678,7 +684,7 @@ impl Cg {
         let last = plans.last().expect("at least one branch");
         self.emit.insn(Direct::AdjustWorkspace, last.wptr_off);
         self.ctx().adjust -= last.wptr_off;
-        let parent_repl = repl.map(|r| (r.var.clone(), last.repl_value));
+        let parent_repl = repl.map(|r| (r.var.as_str(), last.repl_value));
         self.gen_branch_body(last.process, last.fm, parent_repl, line)?;
         self.emit.insn(Direct::LoadLocalPointer, -last.wptr_off);
         self.emit.op(Op::EndProcess);
@@ -691,7 +697,7 @@ impl Cg {
             self.emit.place(labels[i]);
             let saved_adjust = self.ctx_ref().adjust;
             self.ctx().adjust -= plan.wptr_off;
-            let child_repl = repl.map(|r| (r.var.clone(), None));
+            let child_repl = repl.map(|r| (r.var.as_str(), None));
             self.gen_branch_body(plan.process, plan.fm, child_repl, line)?;
             self.emit.insn(Direct::LoadLocalPointer, -plan.wptr_off);
             self.emit.op(Op::EndProcess);
@@ -711,9 +717,9 @@ impl Cg {
     /// parent-run copy only, the value to initialise it with.
     fn gen_branch_body(
         &mut self,
-        p: &Process,
+        p: &'a Process,
         fm: FrameMeasure,
-        repl: Option<(String, Option<i64>)>,
+        repl: Option<(&'a str, Option<i64>)>,
         line: u32,
     ) -> Result<(), CompileError> {
         let level = self.level();
@@ -731,13 +737,13 @@ impl Cg {
             temps_used: 0,
             static_link_offset: None,
         });
-        self.scopes.push(Scope::default());
+        self.open_scope();
         if let Some((var, value)) = repl {
             // The replicator variable is the branch frame's first word.
             let off = self.ctx().alloc_words(1);
             debug_assert_eq!(off, base);
             self.bind(
-                &var,
+                var,
                 Binding::Var(Slot {
                     level,
                     offset: off,
@@ -754,14 +760,14 @@ impl Cg {
             self.ctx_ref().high <= fm.vector_base() && self.ctx_ref().vec_high <= fm.locals_total(),
             "PAR branch allocation exceeded measurement (line {line})"
         );
-        self.scopes.pop();
+        self.close_scope();
         self.contexts.pop();
         Ok(())
     }
 
     // ---- PRI PAR ----
 
-    fn gen_pri_par(&mut self, branches: &[Process], line: u32) -> Result<(), CompileError> {
+    fn gen_pri_par(&mut self, branches: &'a [Process], line: u32) -> Result<(), CompileError> {
         if branches.len() != 2 {
             return Err(CompileError::codegen(
                 line,
@@ -838,7 +844,7 @@ impl Cg {
 
     // ---- ALT ----
 
-    fn gen_alt(&mut self, alts: &[Alternative], line: u32) -> Result<(), CompileError> {
+    fn gen_alt(&mut self, alts: &'a [Alternative], line: u32) -> Result<(), CompileError> {
         let has_timer = alts.iter().any(|a| matches!(a.kind, AltKind::Timeout(_)));
         self.emit.op(if has_timer { Op::TimerAlt } else { Op::Alt });
 
@@ -937,8 +943,8 @@ impl Cg {
     /// runs with the replicator bound to that index.
     fn gen_replicated_alt(
         &mut self,
-        r: &Replicator,
-        alt: &Alternative,
+        r: &'a Replicator,
+        alt: &'a Alternative,
         line: u32,
     ) -> Result<(), CompileError> {
         let has_timer = matches!(alt.kind, AltKind::Timeout(_));
@@ -947,7 +953,7 @@ impl Cg {
         let sel = self.ctx().alloc_words(1);
         let level = self.level();
         let adjust = self.ctx_ref().adjust;
-        self.scopes.push(Scope::default());
+        self.open_scope();
         self.bind(
             &r.var,
             Binding::Var(Slot {
@@ -1056,8 +1062,8 @@ impl Cg {
 
         // The single branch: rebind the replicator to the selected index.
         self.emit.place(branch);
-        self.scopes.pop();
-        self.scopes.push(Scope::default());
+        self.close_scope();
+        self.open_scope();
         self.bind(
             &r.var,
             Binding::Var(Slot {
@@ -1081,7 +1087,7 @@ impl Cg {
             self.emit.op(Op::InputMessage);
         }
         self.gen_process(&alt.body)?;
-        self.scopes.pop();
+        self.close_scope();
         self.ctx().alloc = save_alloc;
         Ok(())
     }

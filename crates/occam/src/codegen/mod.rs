@@ -69,6 +69,12 @@ pub(crate) const TEMP_SLOTS: i32 = 4;
 /// Scheduling slots every concurrent process needs below its workspace.
 pub(crate) const SCHED_SLOTS: i64 = 5;
 
+/// The most copies a replicated `PAR` makes, and the most channels a
+/// channel vector declares: the code for each is written out one at a
+/// time. No committed program declares more than 9 channels in one
+/// vector.
+pub(crate) const REPLICATION_LIMIT: i64 = 256;
+
 /// A non-fatal finding produced during compilation (e.g. a `PRI PAR`
 /// sharing a scalar between its components, which the historical
 /// compilers permitted but which defeats the usage rule's guarantee).
@@ -278,12 +284,6 @@ pub(crate) struct Slot {
     pub adjust: i64,
 }
 
-/// One lexical scope of bindings.
-#[derive(Debug, Default)]
-pub(crate) struct Scope {
-    pub names: HashMap<String, Binding>,
-}
-
 /// An allocation context: a `PROC` frame or a `PAR` branch frame.
 #[derive(Debug)]
 pub(crate) struct Context {
@@ -329,9 +329,13 @@ impl Context {
 }
 
 /// The code generator.
-pub(crate) struct Cg {
+pub(crate) struct Cg<'a> {
     pub emit: Emitter,
-    pub scopes: Vec<Scope>,
+    /// Every name in scope, innermost last: a lookup searches from the
+    /// top, so a binding shadows any earlier one of the same name.
+    bindings: Vec<(&'a str, Binding)>,
+    /// Where each open scope's bindings begin.
+    scopes: Vec<usize>,
     pub contexts: Vec<Context>,
     pub options: Options,
     pub globals: HashMap<String, i32>,
@@ -340,11 +344,12 @@ pub(crate) struct Cg {
     pub counted_loops: Vec<(Label, Label, u32)>,
 }
 
-impl Cg {
-    pub fn new(options: Options) -> Cg {
+impl<'a> Cg<'a> {
+    pub fn new(options: Options) -> Cg<'a> {
         Cg {
             emit: Emitter::new(),
-            scopes: vec![Scope::default()],
+            bindings: Vec::new(),
+            scopes: Vec::new(),
             contexts: Vec::new(),
             options,
             globals: HashMap::new(),
@@ -354,23 +359,30 @@ impl Cg {
     }
 
     pub fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.names.get(name))
+        let found = self.bindings.iter().rev().find(|(n, _)| *n == name);
+        found.map(|(_, b)| b)
     }
 
-    pub fn bind(&mut self, name: &str, b: Binding) {
+    /// Bind `name` in the innermost open scope.
+    pub fn bind(&mut self, name: &'a str, b: Binding) {
         // Record top-level variables for harness inspection.
         if let Binding::Var(slot) | Binding::Vec(slot, _) = &b {
-            if slot.level == 0 && slot.adjust == 0 {
-                self.globals
-                    .entry(name.to_string())
-                    .or_insert(slot.offset as i32);
+            if slot.level == 0 && slot.adjust == 0 && !self.globals.contains_key(name) {
+                self.globals.insert(name.to_string(), slot.offset as i32);
             }
         }
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
-            .names
-            .insert(name.to_string(), b);
+        self.bindings.push((name, b));
+    }
+
+    /// Open a scope: what is bound until the matching
+    /// [`Cg::close_scope`] is visible only inside it.
+    pub fn open_scope(&mut self) {
+        self.scopes.push(self.bindings.len());
+    }
+
+    pub fn close_scope(&mut self) {
+        let start = self.scopes.pop().expect("a scope is open");
+        self.bindings.truncate(start);
     }
 
     pub fn ctx(&mut self) -> &mut Context {
@@ -414,7 +426,6 @@ pub fn compile_process(program: &Process, options: Options) -> Result<Program, C
         temps_used: 0,
         static_link_offset: None,
     });
-    cg.scopes.push(Scope::default());
     cg.gen_process(program)?;
     cg.emit.op(transputer::instr::Op::HaltSimulation);
     debug_assert!(
@@ -432,14 +443,12 @@ pub fn compile_process(program: &Process, options: Options) -> Result<Program, C
         })
         .collect();
     loops.sort_by_key(|l| (l.head, l.end));
-    let words = |n: i64| {
-        u32::try_from(n)
-            .map_err(|_| CompileError::codegen(0, format!("workspace of {n} words is too large")))
-    };
+    // `measure_frame` refused a frame beyond the address space.
+    let words = |n: i64| u32::try_from(n).expect("a measured frame fits the address space");
     Ok(Program {
         code,
-        locals: words(fm.locals_total())?,
-        depth: words(fm.down)?,
+        locals: words(fm.locals_total()),
+        depth: words(fm.down),
         globals: cg.globals,
         warnings: cg.warnings,
         loops,

@@ -31,18 +31,18 @@ use crate::error::CompileError;
 
 /// Free-variable usage of one `PAR` branch.
 #[derive(Debug, Default)]
-pub(crate) struct Usage {
-    pub reads: HashSet<String>,
-    pub writes: HashSet<String>,
+pub(crate) struct Usage<'a> {
+    pub reads: HashSet<&'a str>,
+    pub writes: HashSet<&'a str>,
 }
 
 /// Scope tracker for names declared locally within the branch.
 #[derive(Debug, Default)]
-struct Locals {
-    scopes: Vec<HashSet<String>>,
+struct Locals<'a> {
+    scopes: Vec<HashSet<&'a str>>,
 }
 
-impl Locals {
+impl<'a> Locals<'a> {
     fn push(&mut self) {
         self.scopes.push(HashSet::new());
     }
@@ -51,9 +51,9 @@ impl Locals {
         self.scopes.pop();
     }
 
-    fn declare(&mut self, name: &str) {
+    fn declare(&mut self, name: &'a str) {
         if let Some(top) = self.scopes.last_mut() {
-            top.insert(name.to_string());
+            top.insert(name);
         }
     }
 
@@ -62,7 +62,7 @@ impl Locals {
     }
 }
 
-impl Cg {
+impl Cg<'_> {
     /// Check a `PAR`'s components for scalar write conflicts.
     pub(crate) fn par_usage_check(
         &self,
@@ -141,12 +141,12 @@ impl Cg {
         )
     }
 
-    fn read_expr(&self, e: &Expr, locals: &Locals, u: &mut Usage) {
+    fn read_expr<'a>(&self, e: &'a Expr, locals: &Locals<'a>, u: &mut Usage<'a>) {
         match e {
             Expr::Literal(_) | Expr::True | Expr::False => {}
             Expr::Name(n) => {
                 if !locals.contains(n) && self.is_checked_scalar(n) {
-                    u.reads.insert(n.clone());
+                    u.reads.insert(n);
                 }
             }
             Expr::Index(_, idx) | Expr::ByteIndex(_, idx) => self.read_expr(idx, locals, u),
@@ -158,11 +158,11 @@ impl Cg {
         }
     }
 
-    fn write_lvalue(&self, lv: &Lvalue, locals: &Locals, u: &mut Usage) {
+    fn write_lvalue<'a>(&self, lv: &'a Lvalue, locals: &Locals<'a>, u: &mut Usage<'a>) {
         match lv {
             Lvalue::Name(n) => {
                 if !locals.contains(n) && self.is_checked_scalar(n) {
-                    u.writes.insert(n.clone());
+                    u.writes.insert(n);
                 }
             }
             Lvalue::Index(_, idx) | Lvalue::ByteIndex(_, idx) => {
@@ -172,7 +172,7 @@ impl Cg {
         }
     }
 
-    fn collect(&self, p: &Process, locals: &mut Locals, u: &mut Usage) {
+    fn collect<'a>(&self, p: &'a Process, locals: &mut Locals<'a>, u: &mut Usage<'a>) {
         match p {
             Process::Skip | Process::Stop => {}
             Process::Assign(lv, e, _) => {
@@ -276,9 +276,9 @@ impl Cg {
                 locals.pop();
             }
             Process::Call(name, actuals, _) => {
-                let formals: Vec<super::Formal> = match self.lookup(name) {
-                    Some(Binding::Proc(info)) => info.params.clone(),
-                    _ => Vec::new(),
+                let formals: &[super::Formal] = match self.lookup(name) {
+                    Some(Binding::Proc(info)) => &info.params,
+                    _ => &[],
                 };
                 for (i, actual) in actuals.iter().enumerate() {
                     let formal = formals.get(i).copied().unwrap_or(super::Formal {
@@ -295,7 +295,7 @@ impl Cg {
                         (ParamMode::Var, Actual::Expr(Expr::Name(n)))
                             if !locals.contains(n) && self.is_checked_scalar(n) =>
                         {
-                            u.writes.insert(n.clone());
+                            u.writes.insert(n);
                         }
                         (ParamMode::Var, Actual::Expr(Expr::Index(_, idx))) => {
                             self.read_expr(idx, locals, u);

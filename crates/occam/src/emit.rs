@@ -217,9 +217,9 @@ impl Emitter {
             };
         }
         let mut labels = vec![usize::MAX; self.label_count];
+        let mut addr = vec![0usize; n + 1];
         loop {
             // Compute addresses.
-            let mut addr = vec![0usize; n + 1];
             for i in 0..n {
                 addr[i + 1] = addr[i] + sizes[i];
             }
@@ -261,11 +261,7 @@ impl Emitter {
             }
         }
 
-        // Final encode.
-        let mut addr = vec![0usize; n + 1];
-        for i in 0..n {
-            addr[i + 1] = addr[i] + sizes[i];
-        }
+        // Final encode, at the addresses of the last (unchanged) pass.
         let mut out = Vec::with_capacity(addr[n]);
         for (i, item) in self.items.iter().enumerate() {
             let before = out.len();

@@ -1,11 +1,15 @@
-//! Recursive-descent parser.
+//! Recursive-descent parser for processes, precedence climbing for
+//! expressions.
 //!
 //! One deviation from historical occam is documented here: occam 1
 //! required full parenthesisation of mixed-operator expressions; this
 //! parser accepts them with conventional precedence (tightest first:
 //! unary; `* / \`; `+ -`; `<< >>`; `/\`; `>< \/`; comparisons and
 //! `AFTER`; `NOT`; `AND`; `OR`), which never changes the meaning of a
-//! fully parenthesised program.
+//! fully parenthesised program. Every binary level is left-associative
+//! except the comparisons, which do not chain (`a = b = c` is an error),
+//! and `NOT` applies only at its own level or looser (`a = NOT b` needs
+//! parentheses).
 
 use crate::ast::*;
 use crate::error::CompileError;
@@ -55,12 +59,12 @@ pub fn parse(source: &str) -> Result<Process, CompileError> {
         height: 0,
     };
     let proc = p.parse_process()?;
-    p.expect(&Token::Eof)?;
+    p.expect(Token::Eof)?;
     Ok(proc)
 }
 
-struct Parser {
-    tokens: Vec<Lexeme>,
+struct Parser<'src> {
+    tokens: Vec<Lexeme<'src>>,
     pos: usize,
     /// Levels the parser has recursed through to reach this point.
     depth: usize,
@@ -69,13 +73,13 @@ struct Parser {
     height: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].token
+impl<'src> Parser<'src> {
+    fn peek(&self) -> Token<'src> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)].token
     }
 
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
+    fn peek2(&self) -> Token<'src> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].token
     }
 
     fn line(&self) -> u32 {
@@ -87,17 +91,16 @@ impl Parser {
         Pos::at(lexeme.line, lexeme.col)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .token
-            .clone();
+    /// The current token, stepping past it (but never past `Eof`).
+    fn bump(&mut self) -> Token<'src> {
+        let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: Token<'_>) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -106,7 +109,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token) -> Result<(), CompileError> {
+    fn expect(&mut self, t: Token<'_>) -> Result<(), CompileError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -138,7 +141,7 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String, CompileError> {
         match self.bump() {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(s) => Ok(s.to_string()),
             other => Err(CompileError::parse(
                 self.line(),
                 format!("expected an identifier, found {other}"),
@@ -173,28 +176,28 @@ impl Parser {
 
     fn parse_operative(&mut self) -> Result<Process, CompileError> {
         let pos = self.here();
-        match self.peek().clone() {
+        match self.peek() {
             Token::Key(Keyword::Skip) => {
                 self.bump();
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 Ok(Process::Skip)
             }
             Token::Key(Keyword::Stop) => {
                 self.bump();
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 Ok(Process::Stop)
             }
             Token::Key(Keyword::Seq) => {
                 self.bump();
                 let repl = self.parse_optional_replicator()?;
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 let body = self.parse_block_processes()?;
                 Ok(Process::Seq(repl, body, pos))
             }
             Token::Key(Keyword::Par) => {
                 self.bump();
                 let repl = self.parse_optional_replicator()?;
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 let body = self.parse_block_processes()?;
                 Ok(Process::Par(repl, body, pos))
             }
@@ -202,13 +205,13 @@ impl Parser {
                 self.bump();
                 match self.bump() {
                     Token::Key(Keyword::Par) => {
-                        self.expect(&Token::Newline)?;
+                        self.expect(Token::Newline)?;
                         let body = self.parse_block_processes()?;
                         Ok(Process::PriPar(body, pos))
                     }
                     Token::Key(Keyword::Alt) => {
                         let repl = self.parse_optional_replicator()?;
-                        self.expect(&Token::Newline)?;
+                        self.expect(Token::Newline)?;
                         let alts = self.parse_block_alternatives()?;
                         if repl.is_some() && alts.len() != 1 {
                             return Err(CompileError::parse(
@@ -227,7 +230,7 @@ impl Parser {
             Token::Key(Keyword::Alt) => {
                 self.bump();
                 let repl = self.parse_optional_replicator()?;
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 let alts = self.parse_block_alternatives()?;
                 if repl.is_some() && alts.len() != 1 {
                     return Err(CompileError::parse(
@@ -239,49 +242,50 @@ impl Parser {
             }
             Token::Key(Keyword::If) => {
                 self.bump();
-                self.expect(&Token::Newline)?;
+                self.expect(Token::Newline)?;
                 let conds = self.parse_block_conditionals()?;
                 Ok(Process::If(conds, pos))
             }
             Token::Key(Keyword::While) => {
                 self.bump();
                 let cond = self.parse_expr()?;
-                self.expect(&Token::Newline)?;
-                self.expect(&Token::Indent)?;
+                self.expect(Token::Newline)?;
+                self.expect(Token::Indent)?;
                 let body = self.parse_process()?;
-                self.expect(&Token::Dedent)?;
+                self.expect(Token::Dedent)?;
                 Ok(Process::While(cond, Box::new(body), pos))
             }
             Token::Key(Keyword::Time) => {
                 self.bump();
-                self.expect(&Token::Query)?;
-                if self.eat(&Token::Key(Keyword::After)) {
+                self.expect(Token::Query)?;
+                if self.eat(Token::Key(Keyword::After)) {
                     let e = self.parse_expr()?;
-                    self.expect(&Token::Newline)?;
+                    self.expect(Token::Newline)?;
                     Ok(Process::Delay(e, pos))
                 } else {
                     let lv = self.parse_lvalue()?;
-                    self.expect(&Token::Newline)?;
+                    self.expect(Token::Newline)?;
                     Ok(Process::ReadTime(lv, pos))
                 }
             }
             Token::Ident(name) => {
+                let name = name.to_string();
                 self.bump();
-                match self.peek().clone() {
+                match self.peek() {
                     Token::LParen => {
                         // Process call.
                         self.bump();
                         let mut actuals = Vec::new();
-                        if !self.eat(&Token::RParen) {
+                        if !self.eat(Token::RParen) {
                             loop {
                                 actuals.push(Actual::Expr(self.parse_expr()?));
-                                if !self.eat(&Token::Comma) {
+                                if !self.eat(Token::Comma) {
                                     break;
                                 }
                             }
-                            self.expect(&Token::RParen)?;
+                            self.expect(Token::RParen)?;
                         }
-                        self.expect(&Token::Newline)?;
+                        self.expect(Token::Newline)?;
                         Ok(Process::Call(name, actuals, pos))
                     }
                     Token::Newline => {
@@ -303,18 +307,18 @@ impl Parser {
                     }
                     Token::LBracket => {
                         self.bump();
-                        let byte = self.eat(&Token::Key(Keyword::Byte));
+                        let byte = self.eat(Token::Key(Keyword::Byte));
                         let idx = self.parse_expr()?;
-                        self.expect(&Token::RBracket)?;
-                        let as_lvalue = |idx: Expr| {
-                            if byte {
-                                Lvalue::ByteIndex(name.clone(), Box::new(idx))
-                            } else {
-                                Lvalue::Index(name.clone(), Box::new(idx))
-                            }
-                        };
+                        self.expect(Token::RBracket)?;
                         match self.bump() {
-                            Token::Assign => self.parse_assign_rhs(as_lvalue(idx), pos),
+                            Token::Assign => {
+                                let lv = if byte {
+                                    Lvalue::ByteIndex(name, Box::new(idx))
+                                } else {
+                                    Lvalue::Index(name, Box::new(idx))
+                                };
+                                self.parse_assign_rhs(lv, pos)
+                            }
                             Token::Bang => {
                                 if byte {
                                     return Err(CompileError::parse(
@@ -365,18 +369,18 @@ impl Parser {
     /// result expression, with the process's declarations scoping over
     /// the expression (occam 1's value processes).
     fn parse_assign_rhs(&mut self, lv: Lvalue, pos: Pos) -> Result<Process, CompileError> {
-        if !self.eat(&Token::Key(Keyword::Valof)) {
+        if !self.eat(Token::Key(Keyword::Valof)) {
             let e = self.parse_expr()?;
-            self.expect(&Token::Newline)?;
+            self.expect(Token::Newline)?;
             return Ok(Process::Assign(lv, e, pos));
         }
-        self.expect(&Token::Newline)?;
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Newline)?;
+        self.expect(Token::Indent)?;
         let body = self.parse_process()?;
-        self.expect(&Token::Key(Keyword::Result))?;
+        self.expect(Token::Key(Keyword::Result))?;
         let result = self.parse_expr()?;
-        self.expect(&Token::Newline)?;
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Newline)?;
+        self.expect(Token::Dedent)?;
         Ok(attach_tail(body, Process::Assign(lv, result, pos)))
     }
 
@@ -384,10 +388,10 @@ impl Parser {
     /// communications on the channel (occam's `;`-separated items).
     fn parse_output_items(&mut self, chan: ChanRef, pos: Pos) -> Result<Process, CompileError> {
         let mut items = vec![self.parse_expr()?];
-        while self.eat(&Token::Semi) {
+        while self.eat(Token::Semi) {
             items.push(self.parse_expr()?);
         }
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Newline)?;
         if items.len() == 1 {
             Ok(Process::Output(chan, items.pop().expect("one item"), pos))
         } else {
@@ -405,10 +409,10 @@ impl Parser {
     /// `c ? v1; v2; ...`.
     fn parse_input_items(&mut self, chan: ChanRef, pos: Pos) -> Result<Process, CompileError> {
         let mut items = vec![self.parse_lvalue()?];
-        while self.eat(&Token::Semi) {
+        while self.eat(Token::Semi) {
             items.push(self.parse_lvalue()?);
         }
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Newline)?;
         if items.len() == 1 {
             Ok(Process::Input(chan, items.pop().expect("one item"), pos))
         } else {
@@ -424,22 +428,22 @@ impl Parser {
     }
 
     fn parse_block_processes(&mut self) -> Result<Vec<Process>, CompileError> {
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Indent)?;
         let mut body = Vec::new();
-        while self.peek() != &Token::Dedent {
+        while self.peek() != Token::Dedent {
             body.push(self.parse_process()?);
         }
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Dedent)?;
         Ok(body)
     }
 
     fn parse_block_alternatives(&mut self) -> Result<Vec<Alternative>, CompileError> {
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Indent)?;
         let mut alts = Vec::new();
-        while self.peek() != &Token::Dedent {
+        while self.peek() != Token::Dedent {
             alts.push(self.parse_alternative()?);
         }
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Dedent)?;
         if alts.is_empty() {
             return Err(CompileError::parse(
                 self.line(),
@@ -453,11 +457,11 @@ impl Parser {
         let pos = self.here();
         // Distinguish `guard & input` from a bare input: parse a guard
         // expression when the line cannot start an input directly.
-        let (guard, kind) = match self.peek().clone() {
+        let (guard, kind) = match self.peek() {
             Token::Key(Keyword::Time) => {
                 self.bump();
-                self.expect(&Token::Query)?;
-                self.expect(&Token::Key(Keyword::After))?;
+                self.expect(Token::Query)?;
+                self.expect(Token::Key(Keyword::After))?;
                 let e = self.parse_expr()?;
                 (None, AltKind::Timeout(e))
             }
@@ -474,7 +478,7 @@ impl Parser {
                     Ok(None) | Err(_) => {
                         (self.pos, self.depth) = save;
                         let g = self.parse_expr()?;
-                        self.expect(&Token::Amp)?;
+                        self.expect(Token::Amp)?;
                         let kind = self.parse_guarded_wait()?;
                         (Some(g), kind)
                     }
@@ -482,15 +486,15 @@ impl Parser {
             }
             _ => {
                 let g = self.parse_expr()?;
-                self.expect(&Token::Amp)?;
+                self.expect(Token::Amp)?;
                 let kind = self.parse_guarded_wait()?;
                 (Some(g), kind)
             }
         };
-        self.expect(&Token::Newline)?;
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Newline)?;
+        self.expect(Token::Indent)?;
         let body = self.parse_process()?;
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Dedent)?;
         Ok(Alternative {
             guard,
             kind,
@@ -501,15 +505,15 @@ impl Parser {
 
     /// After `guard &`: an input, timeout, or SKIP.
     fn parse_guarded_wait(&mut self) -> Result<AltKind, CompileError> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Key(Keyword::Skip) => {
                 self.bump();
                 Ok(AltKind::Skip)
             }
             Token::Key(Keyword::Time) => {
                 self.bump();
-                self.expect(&Token::Query)?;
-                self.expect(&Token::Key(Keyword::After))?;
+                self.expect(Token::Query)?;
+                self.expect(Token::Key(Keyword::After))?;
                 Ok(AltKind::Timeout(self.parse_expr()?))
             }
             Token::Ident(name) => {
@@ -530,20 +534,21 @@ impl Parser {
     }
 
     /// With `name` already consumed: try to read `? v` or `[i] ? v`.
-    fn try_parse_input(&mut self, name: String) -> Result<Option<AltKind>, CompileError> {
+    fn try_parse_input(&mut self, name: &str) -> Result<Option<AltKind>, CompileError> {
         // NOTE: on the `Ident` path of `parse_alternative` the name has
         // NOT been consumed yet; consume it there first.
-        if self.peek() == &Token::Ident(name.clone()) {
+        if self.peek() == Token::Ident(name) {
             self.bump();
         }
-        let chan = if self.eat(&Token::LBracket) {
+        let name = name.to_string();
+        let chan = if self.eat(Token::LBracket) {
             let idx = self.parse_expr()?;
-            self.expect(&Token::RBracket)?;
+            self.expect(Token::RBracket)?;
             ChanRef::Index(name, Box::new(idx))
         } else {
             ChanRef::Name(name)
         };
-        if !self.eat(&Token::Query) {
+        if !self.eat(Token::Query) {
             return Ok(None);
         }
         let lv = self.parse_lvalue()?;
@@ -551,18 +556,18 @@ impl Parser {
     }
 
     fn parse_block_conditionals(&mut self) -> Result<Vec<Conditional>, CompileError> {
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Indent)?;
         let mut conds = Vec::new();
-        while self.peek() != &Token::Dedent {
+        while self.peek() != Token::Dedent {
             let pos = self.here();
             let cond = self.parse_expr()?;
-            self.expect(&Token::Newline)?;
-            self.expect(&Token::Indent)?;
+            self.expect(Token::Newline)?;
+            self.expect(Token::Indent)?;
             let body = self.parse_process()?;
-            self.expect(&Token::Dedent)?;
+            self.expect(Token::Dedent)?;
             conds.push(Conditional { cond, body, pos });
         }
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Dedent)?;
         if conds.is_empty() {
             return Err(CompileError::parse(
                 self.line(),
@@ -573,14 +578,15 @@ impl Parser {
     }
 
     fn parse_optional_replicator(&mut self) -> Result<Option<Replicator>, CompileError> {
-        if let Token::Ident(var) = self.peek().clone() {
+        if let Token::Ident(var) = self.peek() {
+            let var = var.to_string();
             self.bump();
-            self.expect(&Token::Equals)?;
-            self.expect(&Token::LBracket)?;
+            self.expect(Token::Equals)?;
+            self.expect(Token::LBracket)?;
             let base = self.parse_expr()?;
-            self.expect(&Token::Key(Keyword::For))?;
+            self.expect(Token::Key(Keyword::For))?;
             let count = self.parse_expr()?;
-            self.expect(&Token::RBracket)?;
+            self.expect(Token::RBracket)?;
             Ok(Some(Replicator { var, base, count }))
         } else {
             Ok(None)
@@ -589,10 +595,10 @@ impl Parser {
 
     fn parse_lvalue(&mut self) -> Result<Lvalue, CompileError> {
         let name = self.expect_ident()?;
-        if self.eat(&Token::LBracket) {
-            let byte = self.eat(&Token::Key(Keyword::Byte));
+        if self.eat(Token::LBracket) {
+            let byte = self.eat(Token::Key(Keyword::Byte));
             let idx = self.parse_expr()?;
-            self.expect(&Token::RBracket)?;
+            self.expect(Token::RBracket)?;
             Ok(if byte {
                 Lvalue::ByteIndex(name, Box::new(idx))
             } else {
@@ -610,20 +616,20 @@ impl Parser {
         let mut names = Vec::new();
         loop {
             let name = self.expect_ident()?;
-            let size = if self.eat(&Token::LBracket) {
+            let size = if self.eat(Token::LBracket) {
                 let e = self.parse_expr()?;
-                self.expect(&Token::RBracket)?;
+                self.expect(Token::RBracket)?;
                 Some(e)
             } else {
                 None
             };
             names.push((name, size));
-            if !self.eat(&Token::Comma) {
+            if !self.eat(Token::Comma) {
                 break;
             }
         }
-        self.expect(&Token::Colon)?;
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Colon)?;
+        self.expect(Token::Newline)?;
         Ok(if is_chan {
             Decl::Chan(names)
         } else {
@@ -634,20 +640,20 @@ impl Parser {
     fn parse_def_decl(&mut self) -> Result<Decl, CompileError> {
         self.bump(); // DEF
         let name = self.expect_ident()?;
-        self.expect(&Token::Equals)?;
+        self.expect(Token::Equals)?;
         let e = self.parse_expr()?;
-        self.expect(&Token::Colon)?;
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Colon)?;
+        self.expect(Token::Newline)?;
         Ok(Decl::Def(name, e))
     }
 
     fn parse_place_decl(&mut self) -> Result<Decl, CompileError> {
         self.bump(); // PLACE
         let name = self.expect_ident()?;
-        self.expect(&Token::Key(Keyword::At))?;
+        self.expect(Token::Key(Keyword::At))?;
         let e = self.parse_expr()?;
-        self.expect(&Token::Colon)?;
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Colon)?;
+        self.expect(Token::Newline)?;
         Ok(Decl::Place(name, e))
     }
 
@@ -656,7 +662,7 @@ impl Parser {
         self.bump(); // PROC
         let name = self.expect_ident()?;
         let mut params = Vec::new();
-        if self.eat(&Token::LParen) && !self.eat(&Token::RParen) {
+        if self.eat(Token::LParen) && !self.eat(Token::RParen) {
             let mut mode = ParamMode::Value;
             loop {
                 match self.peek() {
@@ -675,8 +681,8 @@ impl Parser {
                     _ => {}
                 }
                 let pname = self.expect_ident()?;
-                let is_vector = if self.eat(&Token::LBracket) {
-                    self.expect(&Token::RBracket)?;
+                let is_vector = if self.eat(Token::LBracket) {
+                    self.expect(Token::RBracket)?;
                     true
                 } else {
                     false
@@ -686,25 +692,25 @@ impl Parser {
                     name: pname,
                     is_vector,
                 });
-                if !self.eat(&Token::Comma) {
+                if !self.eat(Token::Comma) {
                     break;
                 }
             }
-            self.expect(&Token::RParen)?;
+            self.expect(Token::RParen)?;
         }
-        self.expect(&Token::Equals)?;
-        self.expect(&Token::Newline)?;
-        self.expect(&Token::Indent)?;
+        self.expect(Token::Equals)?;
+        self.expect(Token::Newline)?;
+        self.expect(Token::Indent)?;
         let body = self.parse_process()?;
-        self.expect(&Token::Dedent)?;
+        self.expect(Token::Dedent)?;
         // The terminating `:` on its own line at the PROC's level.
-        if !self.eat(&Token::Colon) {
+        if !self.eat(Token::Colon) {
             return Err(CompileError::parse(
                 line,
                 format!("PROC {name} must be terminated by `:` at its own indentation"),
             ));
         }
-        self.expect(&Token::Newline)?;
+        self.expect(Token::Newline)?;
         Ok(Decl::Proc(name, params, Box::new(body)))
     }
 
@@ -712,129 +718,60 @@ impl Parser {
 
     fn parse_expr(&mut self) -> Result<Expr, CompileError> {
         self.enter()?;
-        let e = self.parse_or()?;
+        let e = self.climb(0)?;
         self.depth -= 1;
         Ok(e)
     }
 
-    /// A left-associative chain of `operand`s joined by the operators
-    /// `operator` recognises.
-    fn chain(
-        &mut self,
-        operand: impl Fn(&mut Parser) -> Result<Expr, CompileError>,
-        operator: impl Fn(&Token) -> Option<BinOp>,
-    ) -> Result<Expr, CompileError> {
-        let mut e = operand(self)?;
+    /// An expression of operators binding at least as tightly as `min`,
+    /// left to right: one loop for every level of [`binary`]'s table,
+    /// recursing only for an operator's right operand.
+    fn climb(&mut self, min: u8) -> Result<Expr, CompileError> {
+        // The tightest operator that may still extend the expression. An
+        // operand parsed at a tighter level stopped only at an operator it
+        // could not take, and that one ends this chain too: after `NOT a`
+        // only `AND` and `OR` may follow, after `a = b` no comparison.
+        let mut ceiling = if min <= NOT && self.peek() == Token::Key(Keyword::Not) {
+            NOT - 1
+        } else {
+            u8::MAX
+        };
+        let mut e = self.prefix(min)?;
         let mut height = self.height;
-        while let Some(op) = operator(self.peek()) {
+        while let Some((level, op)) = binary(self.peek()) {
+            if level < min || level > ceiling {
+                break;
+            }
             self.bump();
-            let rhs = operand(self)?;
+            let rhs = self.climb(level + 1)?;
             height = self.within(height.max(self.height) + 1)?;
             e = Expr::Bin(op, Box::new(e), Box::new(rhs));
+            ceiling = if level == COMPARISON {
+                level - 1
+            } else {
+                level
+            };
         }
         self.height = height;
         Ok(e)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_and, |t| {
-            (t == &Token::Key(Keyword::Or)).then_some(BinOp::Or)
-        })
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_not, |t| {
-            (t == &Token::Key(Keyword::And)).then_some(BinOp::And)
-        })
-    }
-
-    fn parse_not(&mut self) -> Result<Expr, CompileError> {
-        if self.eat(&Token::Key(Keyword::Not)) {
-            self.unary(UnOp::Not, Parser::parse_not)
-        } else {
-            self.parse_comparison()
-        }
-    }
-
-    /// The operand of a unary operator, one level down.
-    fn unary(
-        &mut self,
-        op: UnOp,
-        operand: impl Fn(&mut Parser) -> Result<Expr, CompileError>,
-    ) -> Result<Expr, CompileError> {
-        self.enter()?;
-        let e = operand(self)?;
-        self.depth -= 1;
-        self.height = self.within(self.height + 1)?;
-        Ok(Expr::Un(op, Box::new(e)))
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr, CompileError> {
-        let lhs = self.parse_bitor()?;
-        let op = match self.peek() {
-            Token::Equals => BinOp::Eq,
-            Token::NotEquals => BinOp::Ne,
-            Token::Less => BinOp::Lt,
-            Token::Greater => BinOp::Gt,
-            Token::LessEq => BinOp::Le,
-            Token::GreaterEq => BinOp::Ge,
-            Token::Key(Keyword::After) => BinOp::After,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let height = self.height;
-        let rhs = self.parse_bitor()?;
-        self.height = self.within(height.max(self.height) + 1)?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
-    }
-
-    fn parse_bitor(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_bitand, |t| match t {
-            Token::BitOr => Some(BinOp::BitOr),
-            Token::BitXor => Some(BinOp::BitXor),
-            _ => None,
-        })
-    }
-
-    fn parse_bitand(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_shift, |t| {
-            (t == &Token::BitAnd).then_some(BinOp::BitAnd)
-        })
-    }
-
-    fn parse_shift(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_additive, |t| match t {
-            Token::Shl => Some(BinOp::Shl),
-            Token::Shr => Some(BinOp::Shr),
-            _ => None,
-        })
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_multiplicative, |t| match t {
-            Token::Plus => Some(BinOp::Add),
-            Token::Minus => Some(BinOp::Sub),
-            _ => None,
-        })
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, CompileError> {
-        self.chain(Parser::parse_unary, |t| match t {
-            Token::Star => Some(BinOp::Mul),
-            Token::Slash => Some(BinOp::Div),
-            Token::Backslash => Some(BinOp::Rem),
-            _ => None,
-        })
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, CompileError> {
-        let op = match self.peek() {
-            Token::Minus => UnOp::Neg,
-            Token::Tilde => UnOp::BitNot,
+    /// A prefix operator and its operand, one level down, or a primary.
+    /// `NOT` takes a comparison and binds only where `min` allows its
+    /// level; `-` and `~` take a primary or another prefix operator.
+    fn prefix(&mut self, min: u8) -> Result<Expr, CompileError> {
+        let (op, operand) = match self.peek() {
+            Token::Key(Keyword::Not) if min <= NOT => (UnOp::Not, NOT),
+            Token::Minus => (UnOp::Neg, UNARY),
+            Token::Tilde => (UnOp::BitNot, UNARY),
             _ => return self.parse_primary(),
         };
         self.bump();
-        self.unary(op, Parser::parse_unary)
+        self.enter()?;
+        let e = self.climb(operand)?;
+        self.depth -= 1;
+        self.height = self.within(self.height + 1)?;
+        Ok(Expr::Un(op, Box::new(e)))
     }
 
     fn parse_primary(&mut self) -> Result<Expr, CompileError> {
@@ -849,10 +786,11 @@ impl Parser {
                 Ok(Expr::Name("TIME".to_string()))
             }
             Token::Ident(name) => {
-                if self.eat(&Token::LBracket) {
-                    let byte = self.eat(&Token::Key(Keyword::Byte));
+                let name = name.to_string();
+                if self.eat(Token::LBracket) {
+                    let byte = self.eat(Token::Key(Keyword::Byte));
                     let idx = self.parse_expr()?;
-                    self.expect(&Token::RBracket)?;
+                    self.expect(Token::RBracket)?;
                     self.height = self.within(self.height + 1)?;
                     Ok(if byte {
                         Expr::ByteIndex(name, Box::new(idx))
@@ -865,7 +803,7 @@ impl Parser {
             }
             Token::LParen => {
                 let e = self.parse_expr()?;
-                self.expect(&Token::RParen)?;
+                self.expect(Token::RParen)?;
                 Ok(e)
             }
             other => Err(CompileError::parse(
@@ -874,6 +812,40 @@ impl Parser {
             )),
         }
     }
+}
+
+/// Precedence levels of [`binary`]'s table that the parser names: `NOT`
+/// sits between `AND` and the comparisons, and the unary operators bind
+/// tighter than any binary one.
+const NOT: u8 = 3;
+const COMPARISON: u8 = 4;
+const UNARY: u8 = 10;
+
+/// The binary operator a token spells, with its precedence level (the
+/// module documentation's table; higher binds tighter).
+fn binary(t: Token<'_>) -> Option<(u8, BinOp)> {
+    Some(match t {
+        Token::Key(Keyword::Or) => (1, BinOp::Or),
+        Token::Key(Keyword::And) => (2, BinOp::And),
+        Token::Equals => (COMPARISON, BinOp::Eq),
+        Token::NotEquals => (COMPARISON, BinOp::Ne),
+        Token::Less => (COMPARISON, BinOp::Lt),
+        Token::Greater => (COMPARISON, BinOp::Gt),
+        Token::LessEq => (COMPARISON, BinOp::Le),
+        Token::GreaterEq => (COMPARISON, BinOp::Ge),
+        Token::Key(Keyword::After) => (COMPARISON, BinOp::After),
+        Token::BitOr => (5, BinOp::BitOr),
+        Token::BitXor => (5, BinOp::BitXor),
+        Token::BitAnd => (6, BinOp::BitAnd),
+        Token::Shl => (7, BinOp::Shl),
+        Token::Shr => (7, BinOp::Shr),
+        Token::Plus => (8, BinOp::Add),
+        Token::Minus => (8, BinOp::Sub),
+        Token::Star => (9, BinOp::Mul),
+        Token::Slash => (9, BinOp::Div),
+        Token::Backslash => (9, BinOp::Rem),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

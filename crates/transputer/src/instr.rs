@@ -356,11 +356,16 @@ pub fn encode_into(fun: Direct, operand: i64, out: &mut Vec<u8>) -> usize {
     out.len() - start
 }
 
-/// The number of bytes `encode` produces for this operand.
+/// The number of bytes `encode` produces for this operand: one nibble a
+/// byte, counted the way [`encode_into`] recurses.
 pub fn encoded_len(operand: i64) -> usize {
-    let mut v = Vec::new();
-    encode_into(Direct::LoadConstant, operand, &mut v);
-    v.len()
+    let mut rest = operand;
+    let mut len = 1;
+    while !(0..16).contains(&rest) {
+        rest = if rest >= 16 { rest >> 4 } else { !rest >> 4 };
+        len += 1;
+    }
+    len
 }
 
 /// Encode an indirect function: zero or more prefixes then `operate`.
@@ -397,6 +402,41 @@ impl Insn {
             (Direct::Operate, Some(op)) => op.mnemonic(),
             (fun, _) => fun.mnemonic(),
         }
+    }
+
+    /// The instruction with its full published name (`load constant 5`,
+    /// `multiply`, `operate #11`); `Display` writes it with mnemonics.
+    pub fn full_name(&self) -> String {
+        let mut text = String::new();
+        self.write(&mut text, true)
+            .expect("a String takes any text");
+        text
+    }
+
+    /// Name and operand, the operand decimal within a byte's reach and
+    /// hex beyond it (addresses and magic values read better so).
+    fn write(&self, f: &mut impl fmt::Write, full: bool) -> fmt::Result {
+        let (fun, opr) = if full {
+            (self.fun.full_name(), "operate")
+        } else {
+            (self.fun.mnemonic(), "opr")
+        };
+        match (self.op, self.operand) {
+            (Some(op), _) if full => f.write_str(op.full_name()),
+            (Some(op), _) => f.write_str(op.mnemonic()),
+            (None, v) if self.fun == Direct::Operate => write!(f, "{opr} #{v:X}"),
+            (None, v) if (-255..=255).contains(&v) => write!(f, "{fun} {v}"),
+            (None, v) if v < 0 => write!(f, "{fun} -#{:X}", v.unsigned_abs()),
+            (None, v) => write!(f, "{fun} #{v:X}"),
+        }
+    }
+}
+
+/// `ldc 5`, `j -3`, `ldc #754`, `mul`; `opr #11` for an undefined
+/// operation — the listing form the assembler reads back.
+impl fmt::Display for Insn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, false)
     }
 }
 

@@ -1,6 +1,9 @@
 //! Property-based tests over the core invariants.
 
+use occam::ast::{BinOp, Expr, Lvalue, Process, UnOp};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use transputer::instr::{encode, encoded_len, Direct};
 use transputer::word::WordLength;
 use transputer::{Cpu, CpuConfig};
@@ -61,6 +64,117 @@ fn arb_expr() -> impl Strategy<Value = E> {
     })
 }
 
+/// Every binary operator, and the precedence level the parser gives it
+/// (higher binds tighter; `NOT` is level 3, `-` and `~` level 10).
+const BINARY: [(BinOp, &str, u8); 19] = [
+    (BinOp::Or, "OR", 1),
+    (BinOp::And, "AND", 2),
+    (BinOp::Eq, "=", 4),
+    (BinOp::Ne, "<>", 4),
+    (BinOp::Lt, "<", 4),
+    (BinOp::Gt, ">", 4),
+    (BinOp::Le, "<=", 4),
+    (BinOp::Ge, ">=", 4),
+    (BinOp::After, "AFTER", 4),
+    (BinOp::BitOr, "\\/", 5),
+    (BinOp::BitXor, "><", 5),
+    (BinOp::BitAnd, "/\\", 6),
+    (BinOp::Shl, "<<", 7),
+    (BinOp::Shr, ">>", 7),
+    (BinOp::Add, "+", 8),
+    (BinOp::Sub, "-", 8),
+    (BinOp::Mul, "*", 9),
+    (BinOp::Div, "/", 9),
+    (BinOp::Rem, "\\", 9),
+];
+
+/// A random expression `height` operators tall along one path; each
+/// operator's other operand is at most two tall.
+fn random_expr(rng: &mut StdRng, height: u32) -> Expr {
+    if height == 0 {
+        return match rng.gen_range(0..4u32) {
+            0 => Expr::Literal(rng.gen_range(0..100i64)),
+            1 => Expr::True,
+            2 => Expr::Name("b.2".into()),
+            _ => Expr::Name("a".into()),
+        };
+    }
+    let inner = Box::new(random_expr(rng, height - 1));
+    match rng.gen_range(0..8u32) {
+        0 => Expr::Un(UnOp::Neg, inner),
+        1 => Expr::Un(UnOp::BitNot, inner),
+        2 => Expr::Un(UnOp::Not, inner),
+        3 => Expr::Index("v".into(), inner),
+        _ => {
+            let op = BINARY[rng.gen_range(0..BINARY.len())].0;
+            let other_height = rng.gen_range(0..3u32).min(height - 1);
+            let other = Box::new(random_expr(rng, other_height));
+            if rng.gen() {
+                Expr::Bin(op, inner, other)
+            } else {
+                Expr::Bin(op, other, inner)
+            }
+        }
+    }
+}
+
+/// How tightly `e`'s outermost operator binds.
+fn level(e: &Expr) -> u8 {
+    match e {
+        Expr::Bin(op, ..) => {
+            BINARY
+                .iter()
+                .find(|(o, ..)| o == op)
+                .expect("every operator")
+                .2
+        }
+        Expr::Un(UnOp::Not, _) => 3,
+        _ => 10,
+    }
+}
+
+/// `e` as occam text: with only the parentheses the precedence table
+/// needs, or (`full`) around every operator and subscript.
+fn print(e: &Expr, full: bool) -> String {
+    let operand = |x: &Expr, needed: bool| {
+        let leaf = matches!(x, Expr::Literal(_) | Expr::True | Expr::Name(_));
+        if needed || (full && !leaf) {
+            format!("({})", print(x, full))
+        } else {
+            print(x, full)
+        }
+    };
+    match e {
+        Expr::Literal(n) => n.to_string(),
+        Expr::True => "TRUE".into(),
+        Expr::Name(name) => name.clone(),
+        Expr::Index(name, x) => format!("{name}[{}]", print(x, full)),
+        // A space keeps `- -a` from reading as a comment.
+        Expr::Un(UnOp::Neg, x) => format!("- {}", operand(x, level(x) < 10)),
+        Expr::Un(UnOp::BitNot, x) => format!("~{}", operand(x, level(x) < 10)),
+        Expr::Un(UnOp::Not, x) => format!("NOT {}", operand(x, level(x) < 3)),
+        Expr::Bin(op, l, r) => {
+            let (_, symbol, at) = *BINARY
+                .iter()
+                .find(|(o, ..)| o == op)
+                .expect("every operator");
+            // Left-associative, except that comparisons do not chain
+            // and `NOT` never stands as an operand tighter than its own.
+            let left = if at == 4 {
+                level(l) <= 4
+            } else {
+                level(l) < at
+            };
+            format!(
+                "{} {symbol} {}",
+                operand(l, left),
+                operand(r, level(r) <= at)
+            )
+        }
+        other => unreachable!("not generated: {other:?}"),
+    }
+}
+
 proptest! {
     /// The operand prefixing scheme round-trips any 32-bit operand
     /// through the decoder (§3.2.7: "operands can be extended to any
@@ -79,6 +193,26 @@ proptest! {
         cpu.load_boot_program(&full).unwrap();
         cpu.run(1_000).unwrap();
         prop_assert_eq!(cpu.areg(), v as u32);
+    }
+
+    /// Random expression trees, printed with the fewest parentheses the
+    /// precedence table needs and again fully parenthesised, both parse
+    /// back to the tree — up to 30 operators tall, where a fully
+    /// parenthesised path (two levels an operator) reaches
+    /// `occam::parser::MAX_NESTING`.
+    #[test]
+    fn precedence_round_trips(case in (any::<u64>(), 0u32..31)) {
+        let (seed, height) = case;
+        let tree = random_expr(&mut StdRng::seed_from_u64(seed), height);
+        for full in [false, true] {
+            let text = print(&tree, full);
+            match occam::parse(&format!("x := {text}\n")) {
+                Ok(Process::Assign(Lvalue::Name(_), parsed, _)) => {
+                    prop_assert_eq!(&parsed, &tree, "{}", text);
+                }
+                other => prop_assert!(false, "{text}: {other:?}"),
+            }
+        }
     }
 
     /// Short operands use the minimal number of bytes.
@@ -222,5 +356,18 @@ proptest! {
             .dump(recv_w.wrapping_add(8 * 4), payload.len())
             .unwrap();
         prop_assert_eq!(got, payload);
+    }
+}
+
+/// `encoded_len` counts exactly what `encode` emits, at every power-of-two
+/// edge of the 64-bit operand range.
+#[test]
+fn encoded_len_agrees_with_encode() {
+    let edges = (0..63).flat_map(|k| {
+        let p = 1i64 << k;
+        [p - 1, p, p + 1, -p - 1, -p, 1 - p]
+    });
+    for v in edges.chain([i64::MIN, i64::MAX]) {
+        assert_eq!(encoded_len(v), encode(Direct::LoadConstant, v).len(), "{v}");
     }
 }
