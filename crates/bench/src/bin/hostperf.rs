@@ -84,7 +84,7 @@ fn main() {
     for r in &report.networks {
         println!(
             "  {:<29} {:<7} {:016x}   {:>9} sim ns   ok={}   \
-             pops {}n/{}w ({} stale)   {:.1} instr/pop   tier {:.3}",
+             pops {}n/{}w ({} stale)   {:.1} instr/pop   tier {:.3}   {} mem bytes",
             r.bench,
             format!("{:?}", r.engine),
             r.fingerprint,
@@ -95,6 +95,7 @@ fn main() {
             r.pops.stale_wire,
             r.instr_per_pop(),
             r.counters.tier_share(),
+            r.mem_bytes,
         );
     }
     router_table(&report.networks);

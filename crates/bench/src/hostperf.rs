@@ -149,6 +149,13 @@ pub struct NetRun {
     /// store-and-forward (the cluster hypercube's e-cube tables do
     /// this). Host-side only, excluded from the fingerprint.
     pub cut_through: Option<bool>,
+    /// Processors in the network.
+    pub nodes: usize,
+    /// Bytes of memory image the processors had materialised when the
+    /// run ended ([`transputer::Memory::resident_bytes`]), summed: what
+    /// the network's memory costs the host. Host-side only, excluded
+    /// from the fingerprint.
+    pub mem_bytes: u64,
 }
 
 impl NetRun {
@@ -276,9 +283,11 @@ fn net_run(
     net: &Network,
 ) -> NetRun {
     let mut counters = Counters::default();
+    let mut mem_bytes = 0;
     for id in 0..net.len() {
         let node = net.node(id);
         counters.add(node);
+        mem_bytes += node.memory().resident_bytes() as u64;
         fnv1a(&mut hash, node.cycles());
         fnv1a(&mut hash, node.stats().instructions);
     }
@@ -297,6 +306,8 @@ fn net_run(
         pops: net.pop_counts(),
         router: net.router_stats(),
         cut_through: net.router_cut_through(),
+        nodes: net.len(),
+        mem_bytes,
     }
 }
 
@@ -1063,6 +1074,7 @@ impl Report {
                 ("stale_wire_pops", r.pops.stale_wire.into()),
                 ("instr_per_pop", Json::Fixed(r.instr_per_pop(), 1)),
                 ("tier_share", Json::Fixed(r.counters.tier_share(), 3)),
+                ("mem_bytes", r.mem_bytes.into()),
                 ("router", router.into()),
                 ("answers_ok", r.answers_ok.into()),
                 ("fingerprint", Json::hex(r.fingerprint)),

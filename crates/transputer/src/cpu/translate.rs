@@ -254,8 +254,8 @@ pub(crate) struct TransCache {
     epoch: u64,
 }
 
-// Cloning a Cpu (network node setup does this) starts the clone with
-// an empty translation cache; it re-warms on its own.
+// A cloned Cpu starts with an empty translation cache; it re-warms on
+// its own.
 impl Clone for TransCache {
     fn clone(&self) -> TransCache {
         TransCache::default()

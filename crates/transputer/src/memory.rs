@@ -8,6 +8,10 @@
 //! architecture does not differentiate between on-chip and off-chip
 //! memory (§3.2.2); the emulator models the *timing* difference with a
 //! configurable per-access penalty used by the off-chip ablation.
+//!
+//! A node's memory costs what its program touches: the image is a low
+//! (code) and a high (workspace) segment, zeroed, that grow on write; the
+//! gap between them reads as zero. Data accesses test the high one first.
 
 use crate::error::HaltReason;
 use crate::word::WordLength;
@@ -35,6 +39,10 @@ pub const T424_ON_CHIP_BYTES: u32 = 4 * 1024;
 pub(crate) const CODE_BLOCK_SHIFT: usize = 6;
 /// Bytes per code block.
 pub(crate) const CODE_BLOCK_BYTES: usize = 1 << CODE_BLOCK_SHIFT;
+
+/// Growth step of a segment. Every segment edge is a multiple of it or
+/// the end of memory, so no aligned word straddles two segments.
+const PAGE: usize = 1024;
 
 /// Memory configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,15 +89,18 @@ impl Default for MemoryConfig {
 #[derive(Debug, Clone)]
 pub struct Memory {
     word: WordLength,
-    bytes: Vec<u8>,
+    /// The low segment: offsets `0..lo.len()`.
+    lo: Vec<u8>,
+    /// The high segment: offsets `hi_base..size()`.
+    hi: Vec<u8>,
+    /// Offset of `hi[0]`; the gap `lo.len()..hi_base` reads as zero.
+    hi_base: usize,
     on_chip_bytes: u32,
     off_chip_penalty: u32,
     /// Cycles accrued from off-chip accesses since last drained.
     penalty_accrued: u32,
-    /// Bytes below this offset can be fetched without penalty
-    /// bookkeeping: the whole memory when no off-chip penalty is
-    /// configured, otherwise just the on-chip block.
-    fast_bytes: usize,
+    /// `lo.len()` capped at [`Memory::fast_limit`]: one compare a fetch.
+    fast_lo: usize,
     /// Write gate, one flag per 64-byte block: armed while translated
     /// code covers the block, so ordinary data writes stay one branch.
     /// A write into an armed block disarms it and moves `code_epoch`.
@@ -107,22 +118,38 @@ pub struct Memory {
     reserved_bytes: usize,
 }
 
+/// The little-endian machine word at the start of `bytes`.
+#[inline]
+fn get_word(word: WordLength, bytes: &[u8]) -> u32 {
+    match word {
+        WordLength::Bits32 => u32::from_le_bytes(*bytes.first_chunk().expect("a whole word")),
+        WordLength::Bits16 => u32::from(u16::from_le_bytes([bytes[0], bytes[1]])),
+    }
+}
+
+/// Store the (masked) machine word `v` at the start of `bytes`.
+#[inline]
+fn put_word(word: WordLength, bytes: &mut [u8], v: u32) {
+    match word {
+        WordLength::Bits32 => bytes[..4].copy_from_slice(&v.to_le_bytes()),
+        WordLength::Bits16 => bytes[..2].copy_from_slice(&(v as u16).to_le_bytes()),
+    }
+}
+
 impl Memory {
-    /// Create a memory for the given word length.
+    /// Create a memory for the given word length: free until written.
     pub fn new(word: WordLength, config: MemoryConfig) -> Memory {
         let total = (config.on_chip_bytes + config.off_chip_bytes) as usize;
         let blocks = total.div_ceil(CODE_BLOCK_BYTES);
         Memory {
             word,
-            bytes: vec![0; total],
+            lo: Vec::new(),
+            hi: Vec::new(),
+            hi_base: total,
             on_chip_bytes: config.on_chip_bytes,
             off_chip_penalty: config.off_chip_penalty,
             penalty_accrued: 0,
-            fast_bytes: if config.off_chip_penalty == 0 {
-                total
-            } else {
-                config.on_chip_bytes as usize
-            },
+            fast_lo: 0,
             code_cached: vec![false; blocks],
             code_epoch: 0,
             reserved_dirty: true,
@@ -137,7 +164,12 @@ impl Memory {
 
     /// Total bytes of memory.
     pub fn size(&self) -> u32 {
-        self.bytes.len() as u32
+        (self.hi_base + self.hi.len()) as u32
+    }
+
+    /// Bytes of the image writes have materialised, at most `size()`.
+    pub fn resident_bytes(&self) -> usize {
+        self.lo.len() + self.hi.len()
     }
 
     /// Lowest address: MostNeg.
@@ -191,10 +223,46 @@ impl Memory {
     #[inline]
     fn offset(&self, addr: u32) -> Result<usize, HaltReason> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        if off < self.bytes.len() {
+        if off < self.size() as usize {
             Ok(off)
         } else {
             Err(HaltReason::MemoryFault { address: addr })
+        }
+    }
+
+    /// The segment bytes from in-range `off` on; `None` in the gap.
+    #[inline]
+    fn held(&self, off: usize) -> Option<&[u8]> {
+        if off < self.lo.len() {
+            Some(&self.lo[off..])
+        } else {
+            (off >= self.hi_base).then(|| &self.hi[off - self.hi_base..])
+        }
+    }
+
+    /// The segment bytes from `off` on, once `off..end` (in range) is
+    /// materialised: the nearer segment grows over any of it in the gap,
+    /// to a page edge and at least doubling, so copying stays linear.
+    fn held_mut(&mut self, off: usize, end: usize) -> &mut [u8] {
+        let (from, to) = (off.max(self.lo.len()), end.min(self.hi_base));
+        if from < to && from - self.lo.len() <= self.hi_base - to {
+            let len = to.max(2 * self.lo.len()).next_multiple_of(PAGE);
+            let len = len.min(self.hi_base);
+            self.lo.reserve_exact(len - self.lo.len());
+            self.lo.resize(len, 0);
+            self.fast_lo = len.min(self.fast_limit());
+        } else if from < to {
+            let size = self.size() as usize;
+            let base = from.min(size.saturating_sub(2 * self.hi.len())) / PAGE * PAGE;
+            let base = base.max(self.lo.len());
+            let mut hi = vec![0; size - base];
+            hi[self.hi_base - base..].copy_from_slice(&self.hi);
+            (self.hi, self.hi_base) = (hi, base);
+        }
+        if off >= self.hi_base {
+            &mut self.hi[off - self.hi_base..]
+        } else {
+            &mut self.lo[off..]
         }
     }
 
@@ -297,50 +365,63 @@ impl Memory {
     /// One past the highest offset [`Memory::fetch_byte_fast`] serves.
     #[inline]
     pub(crate) fn fast_limit(&self) -> usize {
-        self.fast_bytes
+        if self.off_chip_penalty == 0 {
+            self.size() as usize
+        } else {
+            self.on_chip_bytes as usize
+        }
     }
 
     /// Read a machine word. The address is word-aligned first, as on the
     /// hardware.
+    #[inline]
     pub fn read_word(&mut self, addr: u32) -> Result<u32, HaltReason> {
         let addr = self.word.align_word(addr);
+        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+        // Workspaces first: this one compare is also the bounds check.
+        let h = off.wrapping_sub(self.hi_base);
+        if h < self.hi.len() {
+            self.note_access(off);
+            return Ok(get_word(self.word, &self.hi[h..]));
+        }
+        self.read_cold(addr, self.word.bytes_per_word() as usize)
+    }
+
+    /// A read of `n` bytes outside the high segment.
+    #[cold]
+    #[inline(never)]
+    fn read_cold(&mut self, addr: u32, n: usize) -> Result<u32, HaltReason> {
         let off = self.offset(addr)?;
         self.note_access(off);
-        // Memory is sized in whole words, so an in-range aligned offset
-        // has the full word behind it; a single little-endian load
-        // replaces the byte loop (one bounds check instead of four).
-        let v = match self.word {
-            WordLength::Bits32 => {
-                let b: [u8; 4] = self.bytes[off..off + 4]
-                    .try_into()
-                    .expect("aligned word in range");
-                u32::from_le_bytes(b)
-            }
-            WordLength::Bits16 => {
-                let b: [u8; 2] = self.bytes[off..off + 2]
-                    .try_into()
-                    .expect("aligned word in range");
-                u32::from(u16::from_le_bytes(b))
-            }
-        };
-        Ok(v)
+        let mut le = [0; 4];
+        le[..n].copy_from_slice(&self.held(off).unwrap_or(&[0; 4])[..n]);
+        Ok(u32::from_le_bytes(le))
     }
 
     /// Write a machine word (address word-aligned first).
+    #[inline]
     pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
         let addr = self.word.align_word(addr);
+        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+        let v = self.word.mask(value);
+        let h = off.wrapping_sub(self.hi_base);
+        if h < self.hi.len() {
+            self.note_access(off);
+            self.note_write(off);
+            put_word(self.word, &mut self.hi[h..], v);
+            return Ok(());
+        }
+        self.write_cold(addr, self.word.bytes_per_word() as usize, v)
+    }
+
+    /// A write of the low `n` bytes of `v` outside the high segment.
+    #[cold]
+    #[inline(never)]
+    fn write_cold(&mut self, addr: u32, n: usize, v: u32) -> Result<(), HaltReason> {
         let off = self.offset(addr)?;
         self.note_access(off);
         self.note_write(off);
-        let v = self.word.mask(value);
-        match self.word {
-            WordLength::Bits32 => {
-                self.bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
-            }
-            WordLength::Bits16 => {
-                self.bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes());
-            }
-        }
+        self.held_mut(off, off + n)[..n].copy_from_slice(&v.to_le_bytes()[..n]);
         Ok(())
     }
 
@@ -351,45 +432,66 @@ impl Memory {
     #[inline]
     pub fn fetch_byte_fast(&self, addr: u32) -> Option<u8> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        if off < self.fast_bytes {
-            Some(self.bytes[off])
+        if off < self.fast_lo {
+            Some(self.lo[off])
         } else {
-            None
+            self.fetch_byte_cold(off)
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fetch_byte_cold(&self, off: usize) -> Option<u8> {
+        (off < self.fast_limit()).then(|| self.held(off).map_or(0, |bytes| bytes[0]))
     }
 
     /// Read one byte without timing effects, `None` out of range.
     pub(crate) fn peek_byte(&self, addr: u32) -> Option<u8> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        self.bytes.get(off).copied()
+        (off < self.size() as usize).then(|| self.held(off).map_or(0, |bytes| bytes[0]))
     }
 
     /// Read one byte.
+    #[inline]
     pub fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
-        let off = self.offset(self.word.mask(addr))?;
-        self.note_access(off);
-        Ok(self.bytes[off])
+        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+        if let Some(&byte) = self.hi.get(off.wrapping_sub(self.hi_base)) {
+            self.note_access(off);
+            return Ok(byte);
+        }
+        self.read_cold(self.word.mask(addr), 1).map(|v| v as u8)
     }
 
     /// Write one byte.
+    #[inline]
     pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
-        let off = self.offset(self.word.mask(addr))?;
-        self.note_access(off);
-        self.note_write(off);
-        self.bytes[off] = value;
-        Ok(())
+        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+        if let Some(byte) = self.hi.get_mut(off.wrapping_sub(self.hi_base)) {
+            *byte = value;
+            self.note_access(off);
+            self.note_write(off);
+            return Ok(());
+        }
+        self.write_cold(self.word.mask(addr), 1, value.into())
     }
 
     /// Bulk load bytes (no timing effects): program loading, test setup.
     pub fn load(&mut self, addr: u32, data: &[u8]) -> Result<(), HaltReason> {
         let off = self.offset(addr)?;
-        if off + data.len() > self.bytes.len() {
+        let end = off + data.len();
+        if end > self.size() as usize {
             return Err(HaltReason::MemoryFault {
                 address: addr.wrapping_add(data.len() as u32),
             });
         }
         self.note_write_range(off, data.len());
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+        // What lies in the high segment already stays there.
+        let (low, high) = data.split_at(self.hi_base.clamp(off, end) - off);
+        for (at, part) in [(off, low), (off + low.len(), high)] {
+            if !part.is_empty() {
+                self.held_mut(at, at + part.len())[..part.len()].copy_from_slice(part);
+            }
+        }
         Ok(())
     }
 
@@ -398,35 +500,34 @@ impl Memory {
     pub fn peek_word(&self, addr: u32) -> Result<u32, HaltReason> {
         let addr = self.word.align_word(addr);
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        if off + self.word.bytes_per_word() as usize > self.bytes.len() {
+        if off + self.word.bytes_per_word() as usize > self.size() as usize {
             return Err(HaltReason::MemoryFault { address: addr });
         }
-        let mut v: u32 = 0;
-        for i in (0..self.word.bytes_per_word() as usize).rev() {
-            v = (v << 8) | u32::from(self.bytes[off + i]);
-        }
-        Ok(self.word.mask(v))
+        Ok(self.held(off).map_or(0, |bytes| get_word(self.word, bytes)))
     }
 
     /// Bulk read bytes (no timing effects): result extraction in tests.
     pub fn dump(&self, addr: u32, len: usize) -> Result<Vec<u8>, HaltReason> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        if off + len > self.bytes.len() {
+        let end = off + len;
+        if end > self.size() as usize {
             return Err(HaltReason::MemoryFault { address: addr });
         }
-        Ok(self.bytes[off..off + len].to_vec())
-    }
-
-    /// Fill all of memory with a byte (diagnostic).
-    pub fn fill(&mut self, value: u8) {
-        self.note_write_range(0, self.bytes.len());
-        self.bytes.fill(value);
+        let mut image = vec![0; len];
+        for (segment, base) in [(&self.lo, 0), (&self.hi, self.hi_base)] {
+            let (from, to) = (off.max(base), end.min(base + segment.len()));
+            if from < to {
+                image[from - off..to - off].copy_from_slice(&segment[from - base..to - base]);
+            }
+        }
+        Ok(image)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem32() -> Memory {
         Memory::new(WordLength::Bits32, MemoryConfig::t424())
@@ -547,10 +648,6 @@ mod tests {
                     m.load(addr, &vec![step as u8; len as usize]).unwrap();
                     off..off + len as usize
                 }
-                _ if step % 400 == 3 => {
-                    m.fill(step as u8);
-                    0..size as usize
-                }
                 _ => {
                     assert!(m.load(base + size, &[0]).is_err());
                     0..0
@@ -591,5 +688,245 @@ mod tests {
         let a = m.mem_start();
         m.write_word(a, 0xFFFF_1234).unwrap();
         assert_eq!(m.read_word(a).unwrap(), 0x1234);
+    }
+
+    /// The flat image [`Memory`] replaces, as it was: one zeroed byte per
+    /// address. Every observable of the segmented memory must be this
+    /// one's.
+    struct Flat {
+        word: WordLength,
+        bytes: Vec<u8>,
+        on_chip: usize,
+        penalty: u32,
+        accrued: u32,
+        code_cached: Vec<bool>,
+        code_epoch: u64,
+        reserved_dirty: bool,
+        reserved_bytes: usize,
+    }
+
+    impl Flat {
+        fn new(word: WordLength, config: MemoryConfig) -> Flat {
+            let total = (config.on_chip_bytes + config.off_chip_bytes) as usize;
+            Flat {
+                word,
+                bytes: vec![0; total],
+                on_chip: config.on_chip_bytes as usize,
+                penalty: config.off_chip_penalty,
+                accrued: 0,
+                code_cached: vec![false; total.div_ceil(CODE_BLOCK_BYTES)],
+                code_epoch: 0,
+                reserved_dirty: true,
+                reserved_bytes: (RESERVED_WORDS * word.bytes_per_word()) as usize,
+            }
+        }
+
+        fn off(&self, addr: u32) -> usize {
+            self.word.mask(addr.wrapping_sub(self.word.most_neg())) as usize
+        }
+
+        fn offset(&self, addr: u32) -> Result<usize, HaltReason> {
+            let off = self.off(addr);
+            match off < self.bytes.len() {
+                true => Ok(off),
+                false => Err(HaltReason::MemoryFault { address: addr }),
+            }
+        }
+
+        fn access(&mut self, off: usize) {
+            if off >= self.on_chip {
+                self.accrued += self.penalty;
+            }
+        }
+
+        fn written(&mut self, off: usize, len: usize) {
+            for b in off >> CODE_BLOCK_SHIFT..=(off + len - 1) >> CODE_BLOCK_SHIFT {
+                if std::mem::take(&mut self.code_cached[b]) {
+                    self.code_epoch += 1;
+                }
+            }
+            self.reserved_dirty |= off < self.reserved_bytes;
+        }
+
+        fn word_at(&self, off: usize) -> u32 {
+            let n = self.word.bytes_per_word() as usize;
+            let bytes = self.bytes[off..off + n].iter().rev();
+            bytes.fold(0, |v, &b| v << 8 | u32::from(b))
+        }
+
+        fn read_word(&mut self, addr: u32) -> Result<u32, HaltReason> {
+            let off = self.offset(self.word.align_word(addr))?;
+            self.access(off);
+            Ok(self.word_at(off))
+        }
+
+        fn write_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
+            let off = self.offset(self.word.align_word(addr))?;
+            self.access(off);
+            self.written(off, 1);
+            let n = self.word.bytes_per_word() as usize;
+            let value = self.word.mask(value).to_le_bytes();
+            self.bytes[off..off + n].copy_from_slice(&value[..n]);
+            Ok(())
+        }
+
+        fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
+            let off = self.offset(self.word.mask(addr))?;
+            self.access(off);
+            Ok(self.bytes[off])
+        }
+
+        fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
+            let off = self.offset(self.word.mask(addr))?;
+            self.access(off);
+            self.written(off, 1);
+            self.bytes[off] = value;
+            Ok(())
+        }
+
+        fn load(&mut self, addr: u32, data: &[u8]) -> Result<(), HaltReason> {
+            let off = self.offset(addr)?;
+            if off + data.len() > self.bytes.len() {
+                let address = addr.wrapping_add(data.len() as u32);
+                return Err(HaltReason::MemoryFault { address });
+            }
+            if !data.is_empty() {
+                self.written(off, data.len());
+            }
+            self.bytes[off..off + data.len()].copy_from_slice(data);
+            Ok(())
+        }
+
+        fn peek_word(&self, addr: u32) -> Result<u32, HaltReason> {
+            let addr = self.word.align_word(addr);
+            let off = self.off(addr);
+            if off + self.word.bytes_per_word() as usize > self.bytes.len() {
+                return Err(HaltReason::MemoryFault { address: addr });
+            }
+            Ok(self.word_at(off))
+        }
+
+        fn dump(&self, addr: u32, len: usize) -> Result<Vec<u8>, HaltReason> {
+            let off = self.off(addr);
+            let bytes = self.bytes.get(off..off + len);
+            bytes
+                .map(<[u8]>::to_vec)
+                .ok_or(HaltReason::MemoryFault { address: addr })
+        }
+
+        fn fetch_byte_fast(&self, addr: u32) -> Option<u8> {
+            let fast = if self.penalty == 0 {
+                self.bytes.len()
+            } else {
+                self.on_chip
+            };
+            let off = self.off(addr);
+            (off < fast).then(|| self.bytes[off])
+        }
+
+        fn peek_byte(&self, addr: u32) -> Option<u8> {
+            self.bytes.get(self.off(addr)).copied()
+        }
+
+        fn take_reserved_dirty(&mut self) -> bool {
+            std::mem::take(&mut self.reserved_dirty)
+        }
+    }
+
+    /// Both word lengths, the bare T424, the default part, a size that is
+    /// not a page multiple (nor its on-chip block), and off-chip penalties.
+    fn oracle_configs() -> [(WordLength, MemoryConfig); 5] {
+        let odd = MemoryConfig {
+            on_chip_bytes: 1000,
+            off_chip_bytes: 3002,
+            off_chip_penalty: 2,
+        };
+        [
+            (WordLength::Bits32, MemoryConfig::default()),
+            (WordLength::Bits16, MemoryConfig::default()),
+            (WordLength::Bits32, MemoryConfig::t424()),
+            (
+                WordLength::Bits32,
+                MemoryConfig::t424().with_external(2052, 3),
+            ),
+            (WordLength::Bits16, odd),
+        ]
+    }
+
+    /// An address from `a`: among the reserved words and code, among the
+    /// workspaces at the top, beside a page edge (where segments end),
+    /// anywhere (a little past the end too), or wild.
+    fn oracle_address(m: &Memory, a: u32) -> u32 {
+        let size = m.size();
+        let off = match a % 5 {
+            0 => a / 5 % 2048,
+            1 => size.saturating_sub(2048) + a / 5 % 2048,
+            2 => ((a >> 8) % (size / PAGE as u32 + 1) * PAGE as u32 + (a >> 3) % 8).wrapping_sub(4),
+            3 => a / 5 % (size + 64),
+            _ => a,
+        };
+        m.word_length().mask(m.base().wrapping_add(off))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Random sequences of every operation — word and byte accesses,
+        /// loads and dumps that span both segments and the gap, observer
+        /// reads, instruction fetch, armed write gates, out-of-range
+        /// addresses — see the same values, faults, penalty cycles,
+        /// gates, epoch and reserved-words flag as on the flat image,
+        /// and never hold more than the logical size.
+        #[test]
+        fn segments_are_indistinguishable_from_the_flat_image(
+            config in 0usize..5,
+            steps in proptest::collection::vec(
+                (0u32..11, any::<u32>(), any::<u32>()),
+                1..160,
+            ),
+        ) {
+            let (word, config) = oracle_configs()[config];
+            let mut m = Memory::new(word, config);
+            let mut f = Flat::new(word, config);
+            let size = m.size() as usize;
+            for (i, &(kind, a, b)) in steps.iter().enumerate() {
+                macro_rules! same {
+                    ($op:ident($($arg:expr),*)) => {{
+                        let (got, want) = (m.$op($($arg),*), f.$op($($arg),*));
+                        let op = stringify!($op);
+                        prop_assert!(got == want, "step {i} {op}: {got:?} != {want:?}");
+                    }};
+                }
+                let addr = oracle_address(&m, a);
+                // Mostly short runs; one in eight up to the whole memory.
+                let len = (b as usize >> 3) % if b & 7 == 0 { size + 16 } else { 300 };
+                match kind {
+                    0 => same!(read_word(addr)),
+                    1 => same!(write_word(addr, b)),
+                    2 => same!(read_byte(addr)),
+                    3 => same!(write_byte(addr, b as u8)),
+                    4 => {
+                        let data: Vec<u8> = (0..len).map(|k| (b >> 8) as u8 ^ k as u8).collect();
+                        same!(load(addr, &data));
+                    }
+                    5 => same!(dump(addr, len)),
+                    6 => same!(peek_word(addr)),
+                    7 => same!(fetch_byte_fast(addr)),
+                    8 => same!(peek_byte(addr)),
+                    9 => {
+                        let block = a as usize % m.code_blocks();
+                        m.note_code_cached(block);
+                        f.code_cached[block] = true;
+                    }
+                    _ => same!(take_reserved_dirty()),
+                }
+                prop_assert_eq!(m.take_penalty_cycles(), std::mem::take(&mut f.accrued));
+                prop_assert!(m.code_cached == f.code_cached, "step {}: the gates", i);
+                prop_assert_eq!(m.code_epoch(), f.code_epoch);
+                prop_assert_eq!(m.reserved_dirty, f.reserved_dirty);
+                prop_assert!(m.resident_bytes() <= size, "step {}: {} resident", i, m.resident_bytes());
+            }
+            prop_assert!(m.dump(m.base(), size).unwrap() == f.bytes, "the images");
+        }
     }
 }

@@ -1,8 +1,10 @@
-//! Hostile text never panics the toolchain: arbitrary bytes, and corpus
+//! Hostile input never panics the system. Arbitrary text, and corpus
 //! programs under random edits, go through the lexer, the parser, the
 //! source lints and the compiler for both word lengths, and whatever
-//! compiles through both verifiers and the disassembler. Every call
-//! returns; every error names a line of the text (or the one after it).
+//! compiles through both verifiers and the disassembler: every call
+//! returns, and every error names a line of the text (or the one after
+//! it). Arbitrary boot images, and compiled corpus programs with bytes
+//! mutated, run on a `Cpu` with the translation tier on and off, alike.
 
 use std::sync::OnceLock;
 
@@ -10,10 +12,12 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use transputer::WordLength;
+use transputer::instr::{encode, encode_op, Direct, Op};
+use transputer::{Cpu, CpuConfig, WordLength};
 use transputer_analysis::verifier::verify_program;
 use transputer_analysis::{lint_source, verify_program_cfg};
 use transputer_asm::disassemble;
+use transputer_bench::hostperf::full_image;
 
 /// What an edit may put in place of a number: the widest literal the
 /// lexer reads, one past a 32-bit word, and the two halves' edges.
@@ -125,4 +129,105 @@ proptest! {
         };
         survives(&text)?;
     }
+}
+
+/// The corpus compiled for the 32-bit part.
+fn corpus_images() -> &'static [Vec<u8>] {
+    static IMAGES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    IMAGES.get_or_init(|| {
+        let compile = |source| occam::compile(source).expect("corpus compiles").code;
+        let corpus = transputer_bench::corpus::CORPUS.iter();
+        corpus.map(|item| compile(item.source)).collect()
+    })
+}
+
+/// Append a store of `value` to the word, or the byte, `offset` bytes
+/// above MostNeg.
+fn store(code: &mut Vec<u8>, value: i64, offset: u32, byte: bool) {
+    code.extend(encode(Direct::LoadConstant, value));
+    code.extend(encode_op(Op::MinimumInteger));
+    code.extend(encode(Direct::LoadNonLocalPointer, i64::from(offset / 4)));
+    if byte {
+        code.extend(encode(Direct::AddConstant, i64::from(offset % 4)));
+        code.extend(encode_op(Op::StoreByte));
+    } else {
+        code.extend(encode(Direct::StoreNonLocal, 0));
+    }
+}
+
+/// One boot image in four is up to 255 arbitrary bytes and one a corpus
+/// program with up to three bytes replaced. The other half is mostly
+/// stores anywhere in the 64 KB memory, the gap between code and
+/// workspaces included (a few land past its end), with the workspace
+/// moved down into the gap and arbitrary bytes between them: uniform
+/// bytes alone nearly always fault within a few cycles.
+fn boot_image(rng: &mut StdRng) -> Vec<u8> {
+    match rng.gen_range(0..4u32) {
+        0 => (0..rng.gen_range(1..256usize)).map(|_| rng.gen()).collect(),
+        1 => {
+            let images = corpus_images();
+            let mut image = images[rng.gen_range(0..images.len())].clone();
+            for _ in 0..rng.gen_range(1..4u32) {
+                let at = rng.gen_range(0..image.len());
+                image[at] = rng.gen();
+            }
+            image
+        }
+        _ => {
+            let mut code = Vec::new();
+            for _ in 0..rng.gen_range(1..24u32) {
+                match rng.gen_range(0..8u32) {
+                    0 => code.extend((0..rng.gen_range(1..4u32)).map(|_| rng.gen::<u8>())),
+                    1 => code.extend(encode(Direct::AdjustWorkspace, -rng.gen_range(0..8192i64))),
+                    2 => code.extend(encode(Direct::StoreLocal, rng.gen_range(0..64i64))),
+                    _ => {
+                        let offset = rng.gen_range(0..65536 + 64u32);
+                        store(&mut code, rng.gen::<i32>().into(), offset, rng.gen());
+                    }
+                }
+            }
+            if rng.gen() {
+                code.extend(encode_op(Op::HaltSimulation));
+            }
+            code
+        }
+    }
+}
+
+/// Neither run of a hostile boot image panics, and the translation tier
+/// (translating every block on first arrival) changes nothing: the same
+/// outcome, cycle count, simulated statistics and memory image as the
+/// byte path. Writes into the untouched middle of memory must be among
+/// what is tested, so the weighting is checked too.
+#[test]
+fn hostile_boot_images_run_alike_with_translation_on_and_off() {
+    const CASES: usize = 1500;
+    let mut rng = StdRng::seed_from_u64(1985);
+    let (mut gap_written, mut long_runs) = (0, 0);
+    for case in 0..CASES {
+        let image = boot_image(&mut rng);
+        let run = |translate| {
+            let config = CpuConfig::t424().with_translate(translate);
+            let mut cpu = Cpu::new(config.with_translate_threshold(1));
+            let outcome = cpu.load_boot_program(&image).map(|()| cpu.run(20_000));
+            (format!("{outcome:?}"), cpu)
+        };
+        let ((outcome, on), (off_outcome, off)) = (run(true), run(false));
+        let case = format!("case {case}, image {image:02x?}");
+        assert_eq!(outcome, off_outcome, "{case}: outcome");
+        assert_eq!(on.cycles(), off.cycles(), "{case}: cycles");
+        assert_eq!(
+            on.stats().simulated(),
+            off.stats().simulated(),
+            "{case}: stats"
+        );
+        assert!(full_image(&on) == full_image(&off), "{case}: memory images");
+        // Loading and the boot workspace materialise one page each.
+        gap_written += usize::from(on.memory().resident_bytes() > 2 * 1024);
+        long_runs += usize::from(on.cycles() > 100);
+    }
+    assert!(
+        gap_written > CASES / 5 && long_runs > CASES / 5,
+        "{gap_written} of {CASES} images wrote the gap, {long_runs} ran over 100 cycles"
+    );
 }

@@ -3,10 +3,12 @@
 //! CPU tiers, the static model, the ablations, `source_lines`, and the
 //! six trimmed network rows under both engines) twice in one process,
 //! byte for byte the same, no key of it is a time taken on the host,
-//! no row of it dropped a translated block, and every row of it is a
-//! row of the committed file. CI holds the full file to the same
+//! no row of it dropped a translated block, no network row of it holds
+//! every node's whole logical memory, and every row of it is a row of
+//! the committed file. CI holds the full file to the same
 //! standard with `git diff`.
 
+use transputer::MemoryConfig;
 use transputer_bench::hostperf::{Report, TRIMMED_ROWS};
 
 #[test]
@@ -27,6 +29,20 @@ fn trimmed_artifact_is_reproducible_and_holds_no_host_time() {
         translated += c.trans_blocks;
     }
     assert!(translated > 0, "no row translated anything");
+    // A node's memory costs what its program touches, not the logical
+    // 64 KB (`transputer::memory`).
+    let logical = MemoryConfig::default();
+    let logical = u64::from(logical.on_chip_bytes + logical.off_chip_bytes);
+    for r in &report.networks {
+        let bound = r.nodes as u64 * logical;
+        assert!(
+            0 < r.mem_bytes && r.mem_bytes < bound,
+            "`{}` holds {} bytes of memory for {} nodes",
+            r.bench,
+            r.mem_bytes,
+            r.nodes
+        );
+    }
     let json = report.to_json();
     assert_eq!(json, Report::measure(TRIMMED_ROWS).to_json());
 
