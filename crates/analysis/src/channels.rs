@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::diag::{Diagnostic, Span};
 use occam::ast::{
-    Actual, AltKind, Alternative, ChanRef, Decl, Expr, ParamMode, Pos, Process, Replicator, UnOp,
+    AltKind, Alternative, ChanRef, Decl, Expr, Param, ParamMode, Pos, Process, Replicator, UnOp,
 };
 
 /// Diagnostic span for a source position: line-and-column when the
@@ -44,7 +44,6 @@ fn sp(pos: Pos) -> Span {
 /// Run the channel lints over a parsed program.
 pub fn check(program: &Process) -> Vec<Diagnostic> {
     let mut ck = Checker::default();
-    ck.scopes.push(HashMap::new());
     let mut usage = Usage::default();
     ck.visit(program, &mut usage);
     crate::diag::sort(&mut ck.diags);
@@ -61,16 +60,16 @@ enum Key {
 
 /// How a channel-vector use is subscripted.
 #[derive(Debug, Clone, PartialEq)]
-enum Index {
+enum Index<'src> {
     /// A scalar channel (no subscript).
     Scalar,
     /// A compile-time constant subscript.
     Const(i64),
     /// A subscript depending on the named variables.
-    Dynamic(Vec<String>),
+    Dynamic(Vec<&'src str>),
 }
 
-impl Index {
+impl Index<'_> {
     /// Two uses that provably address the same channel word.
     fn definitely_same(&self, other: &Index) -> bool {
         match (self, other) {
@@ -84,7 +83,7 @@ impl Index {
     /// of the replicator variable `var`.
     fn varies_with(&self, var: &str) -> bool {
         match self {
-            Index::Dynamic(vars) => vars.iter().any(|v| v == var),
+            Index::Dynamic(vars) => vars.contains(&var),
             _ => false,
         }
     }
@@ -92,12 +91,12 @@ impl Index {
 
 /// One use of a channel end.
 #[derive(Debug, Clone)]
-struct Site {
+struct Site<'src> {
     pos: Pos,
-    index: Index,
+    index: Index<'src>,
 }
 
-impl Site {
+impl Site<'_> {
     fn line(&self) -> u32 {
         self.pos.line
     }
@@ -105,22 +104,22 @@ impl Site {
 
 /// All uses of one channel, split by direction.
 #[derive(Debug, Clone, Default)]
-struct ChanUse {
-    inputs: Vec<Site>,
-    outputs: Vec<Site>,
+struct ChanUse<'src> {
+    inputs: Vec<Site<'src>>,
+    outputs: Vec<Site<'src>>,
 }
 
 const SITE_CAP: usize = 16;
 
-fn push_site(sites: &mut Vec<Site>, site: Site) {
+fn push_site<'src>(sites: &mut Vec<Site<'src>>, site: Site<'src>) {
     if sites.len() < SITE_CAP {
         sites.push(site);
     }
 }
 
-type Map = HashMap<Key, ChanUse>;
+type Map<'src> = HashMap<Key, ChanUse<'src>>;
 
-fn merge_map(dst: &mut Map, src: &Map) {
+fn merge_map<'src>(dst: &mut Map<'src>, src: &Map<'src>) {
     for (key, cu) in src {
         let entry = dst.entry(*key).or_default();
         for s in &cu.inputs {
@@ -136,12 +135,12 @@ fn merge_map(dst: &mut Map, src: &Map) {
 /// current sequential flow (a `PAR` contributes nothing serial to its
 /// parent); `total` holds every use in the subtree.
 #[derive(Debug, Clone, Default)]
-struct Usage {
-    serial: Map,
-    total: Map,
+struct Usage<'src> {
+    serial: Map<'src>,
+    total: Map<'src>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Binding {
     Chan(u32),
     Formal(u32),
@@ -150,9 +149,8 @@ enum Binding {
     Other,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct ChanInfo {
-    name: String,
     line: u32,
     placed: bool,
 }
@@ -160,10 +158,10 @@ struct ChanInfo {
 /// Inferred channel behaviour of a `PROC`: which formals are channels,
 /// and the body's usage summary over formals and free channels.
 #[derive(Debug)]
-struct ProcSig {
+struct ProcSig<'src> {
     chan_formals: Vec<Option<u32>>,
-    serial: Map,
-    total: Map,
+    serial: Map<'src>,
+    total: Map<'src>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -174,15 +172,15 @@ enum Dir {
 
 /// One step of a straight-line branch, for the cyclic-wait check.
 #[derive(Debug, Clone)]
-struct Ev {
+struct Ev<'src> {
     key: Key,
-    index: Index,
+    index: Index<'src>,
     dir: Dir,
     pos: Pos,
-    name: String,
+    name: &'src str,
 }
 
-impl Ev {
+impl Ev<'_> {
     fn rendezvous_with(&self, other: &Ev) -> bool {
         self.key == other.key
             && self.index.definitely_same(&other.index)
@@ -193,39 +191,47 @@ impl Ev {
     }
 }
 
+/// The lint pass. Every name in scope is on one stack, innermost last:
+/// a lookup searches from the top, so a binding shadows any earlier one
+/// of the same name, and closing a scope truncates to its mark.
 #[derive(Default)]
-struct Checker {
-    scopes: Vec<HashMap<String, Binding>>,
+struct Checker<'src> {
+    bindings: Vec<(&'src str, Binding)>,
+    marks: Vec<usize>,
     chans: HashMap<u32, ChanInfo>,
-    names: HashMap<Key, String>,
-    sigs: Vec<ProcSig>,
+    names: HashMap<Key, &'src str>,
+    sigs: Vec<ProcSig<'src>>,
     next_id: u32,
     warned: HashSet<(Key, &'static str)>,
     diags: Vec<Diagnostic>,
 }
 
-impl Checker {
+impl<'src> Checker<'src> {
     fn fresh_id(&mut self) -> u32 {
         self.next_id += 1;
         self.next_id
     }
 
     fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        let found = self.bindings.iter().rev().find(|(n, _)| *n == name);
+        found.map(|(_, b)| b)
     }
 
-    fn bind(&mut self, name: &str, binding: Binding) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.to_string(), binding);
+    fn bind(&mut self, name: &'src str, binding: Binding) {
+        self.bindings.push((name, binding));
     }
 
-    fn display_name(&self, key: Key) -> String {
-        self.names
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| "<channel>".to_string())
+    fn open_scope(&mut self) {
+        self.marks.push(self.bindings.len());
+    }
+
+    fn close_scope(&mut self) {
+        let mark = self.marks.pop().expect("a scope is open");
+        self.bindings.truncate(mark);
+    }
+
+    fn display_name(&self, key: Key) -> &'src str {
+        self.names.get(&key).copied().unwrap_or("<channel>")
     }
 
     fn is_placed(&self, key: Key) -> bool {
@@ -235,11 +241,9 @@ impl Checker {
         }
     }
 
-    fn resolve(&self, cref: &ChanRef) -> Option<(Key, Index)> {
-        let (name, index) = match cref {
-            ChanRef::Name(n) => (n, Index::Scalar),
-            ChanRef::Index(n, e) => (n, classify_index(e, self)),
-        };
+    /// The channel `name` names, and how `index` subscripts it.
+    fn resolve(&self, name: &str, index: Option<&Expr<'src>>) -> Option<(Key, Index<'src>)> {
+        let index = index.map_or(Index::Scalar, |e| classify_index(e, self));
         match self.lookup(name)? {
             Binding::Chan(id) => Some((Key::Chan(*id), index)),
             Binding::Formal(fid) => Some((Key::Formal(*fid), index)),
@@ -247,8 +251,9 @@ impl Checker {
         }
     }
 
-    fn record(&mut self, usage: &mut Usage, cref: &ChanRef, dir: Dir, pos: Pos) {
-        if let Some((key, index)) = self.resolve(cref) {
+    fn record(&mut self, usage: &mut Usage<'src>, cref: &ChanRef<'src>, dir: Dir, pos: Pos) {
+        let (name, index) = cref.parts();
+        if let Some((key, index)) = self.resolve(name, index) {
             let site = Site { pos, index };
             for map in [&mut usage.serial, &mut usage.total] {
                 let entry = map.entry(key).or_default();
@@ -260,7 +265,7 @@ impl Checker {
         }
     }
 
-    fn visit(&mut self, p: &Process, usage: &mut Usage) {
+    fn visit(&mut self, p: &Process<'src>, usage: &mut Usage<'src>) {
         match p {
             Process::Skip
             | Process::Stop
@@ -301,36 +306,42 @@ impl Checker {
         }
     }
 
-    fn visit_alt(&mut self, alt: &Alternative, usage: &mut Usage) {
+    fn visit_alt(&mut self, alt: &Alternative<'src>, usage: &mut Usage<'src>) {
         if let AltKind::Input(c, _) = &alt.kind {
             self.record(usage, c, Dir::Input, alt.pos);
         }
         self.visit(&alt.body, usage);
     }
 
-    fn with_replicator(&mut self, rep: Option<&Replicator>, f: impl FnOnce(&mut Checker)) {
+    fn with_replicator(&mut self, rep: Option<&Replicator<'src>>, f: impl FnOnce(&mut Self)) {
         match rep {
             Some(rep) => {
-                self.scopes.push(HashMap::new());
-                self.bind(&rep.var, Binding::Other);
+                self.open_scope();
+                self.bind(rep.var, Binding::Other);
                 f(self);
-                self.scopes.pop();
+                self.close_scope();
             }
             None => f(self),
         }
     }
 
-    fn visit_declared(&mut self, decls: &[Decl], body: &Process, line: u32, usage: &mut Usage) {
-        self.scopes.push(HashMap::new());
+    fn visit_declared(
+        &mut self,
+        decls: &[Decl<'src>],
+        body: &Process<'src>,
+        line: u32,
+        usage: &mut Usage<'src>,
+    ) {
+        self.open_scope();
         let mut declared: Vec<u32> = Vec::new();
         for decl in decls {
             match decl {
                 Decl::Var(names) => {
-                    for (name, _) in names {
+                    for &(name, _) in names {
                         self.bind(name, Binding::Other);
                     }
                 }
-                Decl::Def(name, expr) => {
+                &Decl::Def(name, ref expr) => {
                     let binding = match const_value(expr, self) {
                         Some(v) => Binding::Const(v),
                         None => Binding::Other,
@@ -338,29 +349,28 @@ impl Checker {
                     self.bind(name, binding);
                 }
                 Decl::Chan(names) => {
-                    for (name, _) in names {
+                    for &(name, _) in names {
                         let id = self.fresh_id();
                         self.bind(name, Binding::Chan(id));
                         self.chans.insert(
                             id,
                             ChanInfo {
-                                name: name.clone(),
                                 line,
                                 placed: false,
                             },
                         );
-                        self.names.insert(Key::Chan(id), name.clone());
+                        self.names.insert(Key::Chan(id), name);
                         declared.push(id);
                     }
                 }
                 Decl::Place(name, _) => {
-                    if let Some(Binding::Chan(id)) = self.lookup(name).cloned() {
+                    if let Some(&Binding::Chan(id)) = self.lookup(name) {
                         if let Some(info) = self.chans.get_mut(&id) {
                             info.placed = true;
                         }
                     }
                 }
-                Decl::Proc(name, params, body) => {
+                &Decl::Proc(name, ref params, ref body) => {
                     let sig = self.analyze_proc(params, body);
                     self.sigs.push(sig);
                     self.bind(name, Binding::Proc(self.sigs.len() - 1));
@@ -371,16 +381,15 @@ impl Checker {
         for id in declared {
             self.finish_channel(id, usage);
         }
-        self.scopes.pop();
+        self.close_scope();
     }
 
     /// End-of-scope checks for one declared channel, after which its
     /// usage is dropped: it cannot appear again, and `PROC` summaries
     /// must not carry body-local channels to call sites.
-    fn finish_channel(&mut self, id: u32, usage: &mut Usage) {
+    fn finish_channel(&mut self, id: u32, usage: &mut Usage<'src>) {
         let key = Key::Chan(id);
-        let info = &self.chans[&id];
-        let (name, line, placed) = (info.name.clone(), info.line, info.placed);
+        let (name, ChanInfo { line, placed }) = (self.display_name(key), self.chans[&id]);
         if let Some(cu) = usage.serial.get(&key) {
             self.check_self_comm(key, cu);
         }
@@ -447,7 +456,7 @@ impl Checker {
         }
     }
 
-    fn visit_par(&mut self, branches: &[Process], usage: &mut Usage) {
+    fn visit_par(&mut self, branches: &[Process<'src>], usage: &mut Usage<'src>) {
         let mut branch_usages = Vec::with_capacity(branches.len());
         for branch in branches {
             let mut bu = Usage::default();
@@ -527,14 +536,18 @@ impl Checker {
         }
     }
 
-    fn visit_replicated_par(&mut self, rep: &Replicator, branches: &[Process], usage: &mut Usage) {
+    fn visit_replicated_par(
+        &mut self,
+        rep: &Replicator<'src>,
+        branches: &[Process<'src>],
+        usage: &mut Usage<'src>,
+    ) {
         let mut bu = Usage::default();
-        self.scopes.push(HashMap::new());
-        self.bind(&rep.var, Binding::Other);
-        for branch in branches {
-            self.visit(branch, &mut bu);
-        }
-        self.scopes.pop();
+        self.with_replicator(Some(rep), |ck| {
+            for branch in branches {
+                ck.visit(branch, &mut bu);
+            }
+        });
 
         let keys: Vec<Key> = bu.serial.keys().copied().collect();
         for key in keys {
@@ -557,7 +570,7 @@ impl Checker {
                     (&cu.inputs, "par-chan-input", "input"),
                     (&cu.outputs, "par-chan-output", "output"),
                 ] {
-                    if let Some(site) = sites.iter().find(|s| !s.index.varies_with(&rep.var)) {
+                    if let Some(site) = sites.iter().find(|s| !s.index.varies_with(rep.var)) {
                         let name = self.display_name(key);
                         let line = site.line();
                         let pos = site.pos;
@@ -579,51 +592,42 @@ impl Checker {
         merge_map(&mut usage.total, &bu.total);
     }
 
-    fn visit_call(&mut self, name: &str, actuals: &[Actual], pos: Pos, usage: &mut Usage) {
-        let Some(Binding::Proc(idx)) = self.lookup(name).cloned() else {
+    fn visit_call(&self, name: &str, actuals: &[Expr<'src>], pos: Pos, usage: &mut Usage<'src>) {
+        let Some(&Binding::Proc(idx)) = self.lookup(name) else {
             return;
         };
+        let sig = &self.sigs[idx];
         // Map the callee's channel formals to this call's actuals.
         let mut remap: HashMap<u32, Option<(Key, Index)>> = HashMap::new();
-        {
-            let sig = &self.sigs[idx];
-            for (i, formal) in sig.chan_formals.iter().enumerate() {
-                if let Some(fid) = formal {
-                    // The parser produces `Actual::Expr` for every
-                    // actual; the formal's mode decides what it means.
-                    let resolved = match actuals.get(i) {
-                        Some(Actual::Chan(cref)) => self.resolve(cref),
-                        Some(Actual::Expr(Expr::Name(n))) => {
-                            self.resolve(&ChanRef::Name(n.clone()))
-                        }
-                        Some(Actual::Expr(Expr::Index(n, e))) => {
-                            self.resolve(&ChanRef::Index(n.clone(), e.clone()))
-                        }
-                        _ => None,
-                    };
-                    remap.insert(*fid, resolved);
-                }
+        for (i, formal) in sig.chan_formals.iter().enumerate() {
+            if let Some(fid) = formal {
+                let place = actuals.get(i).and_then(Expr::as_place);
+                remap.insert(
+                    *fid,
+                    place.and_then(|(name, index)| self.resolve(name, index)),
+                );
             }
         }
-        let rewrite = |map: &Map, remap: &HashMap<u32, Option<(Key, Index)>>| -> Map {
+        // A formal's uses happen here, on the actual it names; an actual
+        // that names no channel drops them.
+        let rewrite = |map: &Map<'src>| -> Map<'src> {
             let mut out = Map::new();
             for (key, cu) in map {
-                type SiteOf = Box<dyn Fn(&Site) -> Site>;
-                let (key, site_of): (Key, SiteOf) = match key {
-                    Key::Formal(fid) if remap.contains_key(fid) => match &remap[fid] {
-                        Some((actual_key, actual_index)) => {
-                            let index = actual_index.clone();
-                            (
-                                *actual_key,
-                                Box::new(move |_| Site {
-                                    pos,
-                                    index: index.clone(),
-                                }),
-                            )
-                        }
-                        None => continue,
+                let actual = match key {
+                    Key::Formal(fid) => remap.get(fid),
+                    Key::Chan(_) => None,
+                };
+                let (key, index) = match actual {
+                    Some(Some((key, index))) => (*key, Some(index)),
+                    Some(None) => continue,
+                    None => (*key, None),
+                };
+                let site_of = |s: &Site<'src>| match index {
+                    Some(index) => Site {
+                        pos,
+                        index: index.clone(),
                     },
-                    other => (*other, Box::new(|s: &Site| s.clone())),
+                    None => s.clone(),
                 };
                 let entry = out.entry(key).or_default();
                 for s in &cu.inputs {
@@ -635,37 +639,32 @@ impl Checker {
             }
             out
         };
-        let (sig_serial, sig_total) = {
-            let sig = &self.sigs[idx];
-            (sig.serial.clone(), sig.total.clone())
-        };
-        let serial = rewrite(&sig_serial, &remap);
-        let total = rewrite(&sig_total, &remap);
+        let (serial, total) = (rewrite(&sig.serial), rewrite(&sig.total));
         merge_map(&mut usage.serial, &serial);
         merge_map(&mut usage.total, &serial);
         merge_map(&mut usage.total, &total);
     }
 
-    fn analyze_proc(&mut self, params: &[occam::ast::Param], body: &Process) -> ProcSig {
-        self.scopes.push(HashMap::new());
+    fn analyze_proc(&mut self, params: &[Param<'src>], body: &Process<'src>) -> ProcSig<'src> {
+        self.open_scope();
         let mut chan_formals = Vec::with_capacity(params.len());
         for param in params {
             match param.mode {
                 ParamMode::Chan => {
                     let fid = self.fresh_id();
-                    self.bind(&param.name, Binding::Formal(fid));
-                    self.names.insert(Key::Formal(fid), param.name.clone());
+                    self.bind(param.name, Binding::Formal(fid));
+                    self.names.insert(Key::Formal(fid), param.name);
                     chan_formals.push(Some(fid));
                 }
                 ParamMode::Value | ParamMode::Var => {
-                    self.bind(&param.name, Binding::Other);
+                    self.bind(param.name, Binding::Other);
                     chan_formals.push(None);
                 }
             }
         }
         let mut body_usage = Usage::default();
         self.visit(body, &mut body_usage);
-        self.scopes.pop();
+        self.close_scope();
         ProcSig {
             chan_formals,
             serial: body_usage.serial,
@@ -683,7 +682,7 @@ impl Checker {
     /// completing its head, so any cycle in this graph is a definite
     /// deadlock; the full cycle is reported with every blocked
     /// communication's channel and line.
-    fn check_cyclic_wait(&mut self, branches: &[Process]) {
+    fn check_cyclic_wait(&mut self, branches: &[Process<'src>]) {
         if branches.len() < 2 {
             return;
         }
@@ -759,7 +758,7 @@ impl Checker {
     }
 
     /// Report one wait-for cycle, naming every blocked communication.
-    fn report_cycle(&mut self, seqs: &[Vec<Ev>], heads: &[usize], cycle: &[usize]) {
+    fn report_cycle(&mut self, seqs: &[Vec<Ev<'src>>], heads: &[usize], cycle: &[usize]) {
         let evs: Vec<&Ev> = cycle.iter().map(|&i| &seqs[i][heads[i]]).collect();
         let chain = evs
             .iter()
@@ -787,7 +786,7 @@ impl Checker {
     /// if the branch contains anything (choice, loops, calls, placed
     /// or dynamically-subscripted channels) that makes the order
     /// non-trivial.
-    fn extract(&self, p: &Process) -> Option<Vec<Ev>> {
+    fn extract(&self, p: &Process<'src>) -> Option<Vec<Ev<'src>>> {
         match p {
             Process::Skip | Process::Assign(..) | Process::ReadTime(..) | Process::Delay(..) => {
                 Some(Vec::new())
@@ -805,8 +804,9 @@ impl Checker {
         }
     }
 
-    fn extract_comm(&self, c: &ChanRef, dir: Dir, pos: Pos) -> Option<Vec<Ev>> {
-        let (key, index) = self.resolve(c)?;
+    fn extract_comm(&self, c: &ChanRef<'src>, dir: Dir, pos: Pos) -> Option<Vec<Ev<'src>>> {
+        let (name, index) = c.parts();
+        let (key, index) = self.resolve(name, index)?;
         if self.is_placed(key) || matches!(index, Index::Dynamic(_)) {
             return None;
         }
@@ -833,7 +833,7 @@ impl Checker {
 }
 
 /// Classify a channel-vector subscript.
-fn classify_index(e: &Expr, ck: &Checker) -> Index {
+fn classify_index<'src>(e: &Expr<'src>, ck: &Checker) -> Index<'src> {
     match const_value(e, ck) {
         Some(v) => Index::Const(v),
         None => {
@@ -860,12 +860,12 @@ fn const_value(e: &Expr, ck: &Checker) -> Option<i64> {
 }
 
 /// Collect the variable names an expression depends on.
-fn expr_vars(e: &Expr, out: &mut Vec<String>) {
+fn expr_vars<'src>(e: &Expr<'src>, out: &mut Vec<&'src str>) {
     match e {
         Expr::Literal(_) | Expr::True | Expr::False => {}
-        Expr::Name(n) => out.push(n.clone()),
+        Expr::Name(n) => out.push(n),
         Expr::Index(n, inner) | Expr::ByteIndex(n, inner) => {
-            out.push(n.clone());
+            out.push(n);
             expr_vars(inner, out);
         }
         Expr::Bin(_, a, b) => {

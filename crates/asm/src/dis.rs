@@ -95,6 +95,10 @@ mod tests {
         assert_eq!(d[0].op, None);
         assert_eq!(d[0].to_string(), "opr #11");
         assert_eq!(d[0].full_name(), "operate #11");
+        // A negative one lists as the word it is, which reads back.
+        let code = encode(Direct::Operate, -300);
+        assert_eq!(disassemble(&code)[0].to_string(), "opr #FFFFFED4");
+        assert_eq!(crate::assemble("opr #FFFFFED4"), Ok(code));
     }
 
     #[test]

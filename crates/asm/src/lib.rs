@@ -65,8 +65,9 @@ fn err(line: u32, message: impl Into<String>) -> AsmError {
 ///
 /// One statement per line; `--` or `;` starts a comment. A statement is:
 /// a label (`name:`), a byte directive (`.byte n`), or an instruction —
-/// a full name or mnemonic, with a numeric operand (decimal or `#hex`)
-/// for the direct functions, or `@label` for `j`, `cj` and `call`.
+/// a full name or mnemonic, with a numeric operand (decimal, `#hex` or
+/// `0xhex` after at most one `-`, a 32-bit word) for the direct
+/// functions, or `@label` for `j`, `cj` and `call`.
 ///
 /// # Errors
 ///
@@ -141,9 +142,6 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
         if let Some(rest) = text.strip_prefix(".word") {
             // Little-endian 32-bit datum, as the memory stores words.
             let v = parse_number(rest.trim(), line_no)?;
-            if !(i64::from(i32::MIN)..=i64::from(u32::MAX)).contains(&v) {
-                return Err(err(line_no, format!("word value {v} out of range")));
-            }
             for b in (v as u32).to_le_bytes() {
                 out.byte(b);
             }
@@ -197,21 +195,29 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
     Ok(out.assemble())
 }
 
+/// An operand as the target word holds it: decimal, `#hex` or `0xhex`
+/// digits after at most one `-`, whose value lies in −2^31 … 2^32 − 1.
+/// A value in the unsigned upper half (`#FFFFFFFF`) is the bit pattern it
+/// spells, read as a signed word.
 fn parse_number(s: &str, line: u32) -> Result<i64, AsmError> {
-    let s = s.trim();
     let (neg, body) = match s.strip_prefix('-') {
-        Some(b) => (true, b.trim()),
+        Some(b) => (true, b.trim_start()),
         None => (false, s),
     };
-    let v = if let Some(hex) = body.strip_prefix('#') {
-        i64::from_str_radix(hex, 16)
-    } else if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16)
-    } else {
-        body.parse()
+    let (digits, radix) = match body.strip_prefix('#').or(body.strip_prefix("0x")) {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
+    };
+    // `from_str_radix` would take a sign of its own.
+    let v = Some(digits)
+        .filter(|d| d.starts_with(|c: char| c.is_ascii_hexdigit()))
+        .and_then(|d| i64::from_str_radix(d, radix).ok())
+        .ok_or_else(|| err(line, format!("malformed number `{s}`")))?;
+    let v = if neg { -v } else { v };
+    if !(-(1 << 31)..1 << 32).contains(&v) {
+        return Err(err(line, format!("`{s}` does not fit a 32-bit word")));
     }
-    .map_err(|_| err(line, format!("malformed number `{s}`")))?;
-    Ok(if neg { -v } else { v })
+    Ok(i64::from(v as u32 as i32))
 }
 
 #[cfg(test)]
@@ -279,6 +285,28 @@ mod tests {
         );
         assert_eq!(assemble(".word -1").unwrap(), vec![0xFF; 4]);
         assert!(assemble(".word 4294967296").is_err());
+    }
+
+    #[test]
+    fn operands_are_target_words() {
+        // The unsigned upper half is the bit pattern it spells.
+        assert_eq!(assemble("ldc #FFFFFFFF"), assemble("ldc -1"));
+        assert_eq!(assemble("ldc 4294967295"), assemble("ldc -1"));
+        assert_eq!(assemble("ldc 2147483648"), assemble("ldc -2147483648"));
+        assert_eq!(assemble("ldc - #10"), assemble("ldc -16"));
+        // One sign, a word's range, and digits straight after the sign.
+        for text in [
+            "ldc - -5",
+            "ldc - -9223372036854775808",
+            "ldc 4294967296",
+            "ldc -2147483649",
+            "ldc +5",
+            "ldc #-5",
+            "ldc 0x+5",
+        ] {
+            let e = assemble(&format!("ldc 0\n{text}")).expect_err(text);
+            assert_eq!(e.line, 2, "{text}: {e}");
+        }
     }
 
     #[test]

@@ -647,35 +647,39 @@ impl Cg<'_> {
     /// message input).
     pub(crate) fn gen_lvalue_addr(&mut self, lv: &Lvalue, line: u32) -> Result<(), CompileError> {
         match lv {
-            Lvalue::Name(name) => {
-                let b = self
-                    .lookup(name)
-                    .cloned()
-                    .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
-                match b {
-                    Binding::Var(slot) => self.emit_slot_addr(slot, line)?,
-                    Binding::VarParam(slot) => self.emit_slot_value(slot, line)?,
-                    _ => {
-                        return Err(CompileError::check(
-                            line,
-                            format!("`{name}` is not a variable"),
-                        ))
-                    }
-                }
-            }
-            Lvalue::ByteIndex(..) => {
-                return Err(CompileError::check(
-                    line,
-                    "a BYTE element cannot receive a whole-word message or act as a VAR argument",
-                ))
-            }
-            Lvalue::Index(name, idx) => {
-                let v = self.resolve_vector(name, line)?;
-                self.require_writable(name, &v, line)?;
-                self.gen_vector_element_addr(v, idx, line)?;
-            }
+            Lvalue::Name(name) => self.gen_var_addr(name, None, line),
+            Lvalue::Index(name, idx) => self.gen_var_addr(name, Some(idx), line),
+            Lvalue::ByteIndex(..) => Err(CompileError::check(
+                line,
+                "a BYTE element cannot receive a whole-word message or act as a VAR argument",
+            )),
         }
-        Ok(())
+    }
+
+    /// Leave the address of a variable, or of a word of a vector, in A.
+    pub(crate) fn gen_var_addr(
+        &mut self,
+        name: &str,
+        idx: Option<&Expr>,
+        line: u32,
+    ) -> Result<(), CompileError> {
+        if let Some(idx) = idx {
+            let v = self.resolve_vector(name, line)?;
+            self.require_writable(name, &v, line)?;
+            return self.gen_vector_element_addr(v, idx, line);
+        }
+        let b = self
+            .lookup(name)
+            .cloned()
+            .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
+        match b {
+            Binding::Var(slot) => self.emit_slot_addr(slot, line),
+            Binding::VarParam(slot) => self.emit_slot_value(slot, line),
+            _ => Err(CompileError::check(
+                line,
+                format!("`{name}` is not a variable"),
+            )),
+        }
     }
 
     /// Put a whole vector's base address in A (for vector actuals).
@@ -688,19 +692,21 @@ impl Cg<'_> {
         self.emit_vec_base(v.base, line)
     }
 
-    /// Leave a channel's address in A.
-    pub(crate) fn gen_chan_addr(&mut self, c: &ChanRef, line: u32) -> Result<(), CompileError> {
-        let name = match c {
-            ChanRef::Name(n) | ChanRef::Index(n, _) => n.clone(),
-        };
+    /// Leave the address of a channel, named and subscripted as
+    /// [`ChanRef::parts`] gives it, in A.
+    pub(crate) fn gen_chan_addr(
+        &mut self,
+        (name, idx): (&str, Option<&Expr>),
+        line: u32,
+    ) -> Result<(), CompileError> {
         let b = self
-            .lookup(&name)
+            .lookup(name)
             .cloned()
             .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
-        match (c, b) {
-            (ChanRef::Name(_), Binding::Chan(slot)) => self.emit_slot_addr(slot, line)?,
-            (ChanRef::Name(_), Binding::ChanParam(slot)) => self.emit_slot_value(slot, line)?,
-            (ChanRef::Name(_), Binding::PlacedChan(word)) => {
+        match (idx, b) {
+            (None, Binding::Chan(slot)) => self.emit_slot_addr(slot, line)?,
+            (None, Binding::ChanParam(slot)) => self.emit_slot_value(slot, line)?,
+            (None, Binding::PlacedChan(word)) => {
                 // Address = MostNeg + word * bytes-per-word: the link
                 // channel words at the bottom of the address space.
                 self.emit.op(Op::MinimumInteger);
@@ -708,7 +714,7 @@ impl Cg<'_> {
                     self.emit.insn(Direct::LoadNonLocalPointer, word);
                 }
             }
-            (ChanRef::Index(_, idx), Binding::ChanVec(slot, len)) => {
+            (Some(idx), Binding::ChanVec(slot, len)) => {
                 let v = VectorRef {
                     base: VecBase::Direct(slot),
                     len: Some(len),
@@ -716,7 +722,7 @@ impl Cg<'_> {
                 };
                 self.gen_vector_element_addr(v, idx, line)?;
             }
-            (ChanRef::Index(_, idx), Binding::ChanVecParam(slot)) => {
+            (Some(idx), Binding::ChanVecParam(slot)) => {
                 let v = VectorRef {
                     base: VecBase::Indirect(slot),
                     len: None,
@@ -724,13 +730,13 @@ impl Cg<'_> {
                 };
                 self.gen_vector_element_addr(v, idx, line)?;
             }
-            (ChanRef::Index(..), _) => {
+            (Some(_), _) => {
                 return Err(CompileError::check(
                     line,
                     format!("`{name}` is not a channel vector"),
                 ))
             }
-            (ChanRef::Name(_), _) => {
+            (None, _) => {
                 return Err(CompileError::check(
                     line,
                     format!("`{name}` is not a channel"),

@@ -4,14 +4,14 @@ use std::rc::Rc;
 
 use super::measure::FrameMeasure;
 use super::{Binding, Cg, Context, ProcInfo, Slot, TEMP_SLOTS};
-use crate::ast::{Actual, AltKind, Alternative, Decl, Expr, ParamMode, Process, Replicator};
+use crate::ast::{AltKind, Alternative, Decl, Expr, Param, ParamMode, Process, Replicator};
 use crate::emit::Label;
 use crate::error::CompileError;
 use transputer::instr::{Direct, Op};
 
 impl<'a> Cg<'a> {
     /// Generate code for a process.
-    pub(crate) fn gen_process(&mut self, p: &'a Process) -> Result<(), CompileError> {
+    pub(crate) fn gen_process(&mut self, p: &'a Process<'a>) -> Result<(), CompileError> {
         match p {
             Process::Skip => Ok(()),
             Process::Stop => {
@@ -29,14 +29,14 @@ impl<'a> Cg<'a> {
                 // channel-vector subscript is computed first, parked in
                 // a temporary, so the value is not pushed off the stack.
                 if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c, pos.line)?;
+                    self.gen_chan_addr(c.parts(), pos.line)?;
                     let t = self.park_a(pos.line)?;
                     self.gen_expr(e, pos.line)?;
                     self.emit.insn(Direct::LoadLocal, t);
                     self.temp_done();
                 } else {
                     self.gen_expr(e, pos.line)?;
-                    self.gen_chan_addr(c, pos.line)?;
+                    self.gen_chan_addr(c.parts(), pos.line)?;
                 }
                 self.emit.op(Op::OutputWord);
                 Ok(())
@@ -44,14 +44,14 @@ impl<'a> Cg<'a> {
             Process::Input(c, lv, pos) => {
                 // `c ? v` — destination pointer, channel, count, `in`.
                 if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c, pos.line)?;
+                    self.gen_chan_addr(c.parts(), pos.line)?;
                     let t = self.park_a(pos.line)?;
                     self.gen_lvalue_addr(lv, pos.line)?;
                     self.emit.insn(Direct::LoadLocal, t);
                     self.temp_done();
                 } else {
                     self.gen_lvalue_addr(lv, pos.line)?;
-                    self.gen_chan_addr(c, pos.line)?;
+                    self.gen_chan_addr(c.parts(), pos.line)?;
                 }
                 self.gen_word_count();
                 self.emit.op(Op::InputMessage);
@@ -145,7 +145,7 @@ impl<'a> Cg<'a> {
 
     // ---- declarations ----
 
-    fn gen_decl(&mut self, d: &'a Decl, line: u32) -> Result<(), CompileError> {
+    fn gen_decl(&mut self, d: &'a Decl<'a>, line: u32) -> Result<(), CompileError> {
         match d {
             Decl::Var(items) | Decl::Chan(items) => {
                 let is_chan = matches!(d, Decl::Chan(_));
@@ -226,8 +226,8 @@ impl<'a> Cg<'a> {
     fn gen_proc_decl(
         &mut self,
         name: &'a str,
-        params: &'a [crate::ast::Param],
-        body: &'a Process,
+        params: &[Param<'a>],
+        body: &'a Process<'a>,
         line: u32,
     ) -> Result<(), CompileError> {
         if !self.ctx_ref().is_frame_root {
@@ -250,7 +250,7 @@ impl<'a> Cg<'a> {
                 offset: 0,
                 adjust: 0,
             };
-            self.bind(&p.name, super::measure::param_binding(p, dummy));
+            self.bind(p.name, super::measure::param_binding(p, dummy));
         }
         // Measurement needs the body's own context for `level()`.
         self.contexts.push(Context {
@@ -296,7 +296,7 @@ impl<'a> Cg<'a> {
                 offset: info.param_offset(i),
                 adjust: 0,
             };
-            self.bind(&p.name, super::measure::param_binding(p, slot));
+            self.bind(p.name, super::measure::param_binding(p, slot));
         }
         let sl_offset = info.param_offset(params.len());
         let scalar_base = fm.reserved_args + i64::from(TEMP_SLOTS as u32);
@@ -331,7 +331,7 @@ impl<'a> Cg<'a> {
 
     // ---- calls ----
 
-    fn gen_call(&mut self, name: &str, actuals: &[Actual], line: u32) -> Result<(), CompileError> {
+    fn gen_call(&mut self, name: &str, actuals: &[Expr], line: u32) -> Result<(), CompileError> {
         let info = match self.lookup(name) {
             Some(Binding::Proc(info)) => info.clone(),
             Some(_) => return Err(CompileError::check(line, format!("`{name}` is not a PROC"))),
@@ -400,7 +400,7 @@ impl<'a> Cg<'a> {
 
     /// Depth needed to evaluate actual `i` (static link counts as a
     /// one-deep pointer load).
-    fn actual_depth(&self, info: &ProcInfo, actuals: &[Actual], i: usize) -> u32 {
+    fn actual_depth(&self, info: &ProcInfo, actuals: &[Expr], i: usize) -> u32 {
         if i >= info.params.len() {
             return 1; // static link
         }
@@ -409,8 +409,8 @@ impl<'a> Cg<'a> {
             return 1; // a base address
         }
         match (formal.mode, &actuals[i]) {
-            (ParamMode::Value, Actual::Expr(e)) => self.depth(e),
-            (_, Actual::Expr(Expr::Index(_, idx))) => (self.depth(idx) + 1).max(2),
+            (ParamMode::Value, e) => self.depth(e),
+            (_, Expr::Index(_, idx)) => (self.depth(idx) + 1).max(2),
             _ => 1,
         }
     }
@@ -421,7 +421,7 @@ impl<'a> Cg<'a> {
     fn gen_actual(
         &mut self,
         info: &ProcInfo,
-        actuals: &[Actual],
+        actuals: &[Expr],
         i: usize,
         line: u32,
     ) -> Result<(), CompileError> {
@@ -440,18 +440,13 @@ impl<'a> Cg<'a> {
         let formal = info.params[i];
         if formal.is_vector {
             // A whole vector (or channel vector): pass the base address.
-            let name = match &actuals[i] {
-                Actual::Expr(Expr::Name(n)) => n.clone(),
-                Actual::Chan(crate::ast::ChanRef::Name(n)) => n.clone(),
-                Actual::Var(crate::ast::Lvalue::Name(n)) => n.clone(),
-                _ => {
-                    return Err(CompileError::check(
-                        line,
-                        "a vector parameter needs a whole vector as its argument",
-                    ))
-                }
+            let Expr::Name(name) = actuals[i] else {
+                return Err(CompileError::check(
+                    line,
+                    "a vector parameter needs a whole vector as its argument",
+                ));
             };
-            return match (formal.mode, self.lookup(&name).cloned()) {
+            return match (formal.mode, self.lookup(name).cloned()) {
                 (ParamMode::Chan, Some(Binding::ChanVec(slot, _))) => {
                     self.gen_chanvec_base(slot, line)
                 }
@@ -463,7 +458,7 @@ impl<'a> Cg<'a> {
                     format!("`{name}` is not a channel vector"),
                 )),
                 (_, Some(Binding::Vec(..))) | (_, Some(Binding::VecParam(..))) => {
-                    self.gen_vector_base_addr(&name, line)
+                    self.gen_vector_base_addr(name, line)
                 }
                 _ => Err(CompileError::check(
                     line,
@@ -471,30 +466,21 @@ impl<'a> Cg<'a> {
                 )),
             };
         }
-        match (formal.mode, &actuals[i]) {
-            (ParamMode::Value, Actual::Expr(e)) => self.gen_expr(e, line),
-            (ParamMode::Var, Actual::Expr(e)) => {
-                let lv = expr_as_lvalue(e).ok_or_else(|| {
+        let actual = &actuals[i];
+        match formal.mode {
+            ParamMode::Value => self.gen_expr(actual, line),
+            ParamMode::Var => {
+                let (name, idx) = actual.as_place().ok_or_else(|| {
                     CompileError::check(line, "a VAR parameter needs a variable argument")
                 })?;
-                self.gen_lvalue_addr(&lv, line)
+                self.gen_var_addr(name, idx, line)
             }
-            (ParamMode::Chan, Actual::Expr(e)) => {
-                let c = expr_as_chan(e).ok_or_else(|| {
+            ParamMode::Chan => {
+                let place = actual.as_place().ok_or_else(|| {
                     CompileError::check(line, "a CHAN parameter needs a channel argument")
                 })?;
-                self.gen_chan_addr(&c, line)
+                self.gen_chan_addr(place, line)
             }
-            (ParamMode::Value, Actual::Var(lv)) => {
-                let e = lvalue_as_expr(lv);
-                self.gen_expr(&e, line)
-            }
-            (ParamMode::Var, Actual::Var(lv)) => self.gen_lvalue_addr(lv, line),
-            (ParamMode::Chan, Actual::Chan(c)) => self.gen_chan_addr(c, line),
-            _ => Err(CompileError::check(
-                line,
-                "argument form does not match the parameter mode",
-            )),
         }
     }
 
@@ -527,8 +513,8 @@ impl<'a> Cg<'a> {
 
     fn gen_replicated_seq(
         &mut self,
-        r: &'a Replicator,
-        body: &'a [Process],
+        r: &'a Replicator<'a>,
+        body: &'a [Process<'a>],
         line: u32,
     ) -> Result<(), CompileError> {
         let save_alloc = self.ctx_ref().alloc;
@@ -539,7 +525,7 @@ impl<'a> Cg<'a> {
         // The replicator variable *is* the control block's index word,
         // maintained by `loop end`.
         self.bind(
-            &r.var,
+            r.var,
             Binding::Var(Slot {
                 level,
                 offset: ctrl,
@@ -582,13 +568,13 @@ impl<'a> Cg<'a> {
 
     fn gen_par(
         &mut self,
-        repl: Option<&'a Replicator>,
-        branches: &'a [Process],
+        repl: Option<&'a Replicator<'a>>,
+        branches: &'a [Process<'a>],
         line: u32,
     ) -> Result<(), CompileError> {
         // Expand replication into per-copy branch descriptors.
         struct BranchPlan<'a> {
-            process: &'a Process,
+            process: &'a Process<'a>,
             fm: FrameMeasure,
             /// Workspace offset (from the lowered pointer) of the branch
             /// workspace pointer.
@@ -684,7 +670,7 @@ impl<'a> Cg<'a> {
         let last = plans.last().expect("at least one branch");
         self.emit.insn(Direct::AdjustWorkspace, last.wptr_off);
         self.ctx().adjust -= last.wptr_off;
-        let parent_repl = repl.map(|r| (r.var.as_str(), last.repl_value));
+        let parent_repl = repl.map(|r| (r.var, last.repl_value));
         self.gen_branch_body(last.process, last.fm, parent_repl, line)?;
         self.emit.insn(Direct::LoadLocalPointer, -last.wptr_off);
         self.emit.op(Op::EndProcess);
@@ -697,7 +683,7 @@ impl<'a> Cg<'a> {
             self.emit.place(labels[i]);
             let saved_adjust = self.ctx_ref().adjust;
             self.ctx().adjust -= plan.wptr_off;
-            let child_repl = repl.map(|r| (r.var.as_str(), None));
+            let child_repl = repl.map(|r| (r.var, None));
             self.gen_branch_body(plan.process, plan.fm, child_repl, line)?;
             self.emit.insn(Direct::LoadLocalPointer, -plan.wptr_off);
             self.emit.op(Op::EndProcess);
@@ -717,7 +703,7 @@ impl<'a> Cg<'a> {
     /// parent-run copy only, the value to initialise it with.
     fn gen_branch_body(
         &mut self,
-        p: &'a Process,
+        p: &'a Process<'a>,
         fm: FrameMeasure,
         repl: Option<(&'a str, Option<i64>)>,
         line: u32,
@@ -767,7 +753,7 @@ impl<'a> Cg<'a> {
 
     // ---- PRI PAR ----
 
-    fn gen_pri_par(&mut self, branches: &'a [Process], line: u32) -> Result<(), CompileError> {
+    fn gen_pri_par(&mut self, branches: &'a [Process<'a>], line: u32) -> Result<(), CompileError> {
         if branches.len() != 2 {
             return Err(CompileError::codegen(
                 line,
@@ -844,7 +830,7 @@ impl<'a> Cg<'a> {
 
     // ---- ALT ----
 
-    fn gen_alt(&mut self, alts: &'a [Alternative], line: u32) -> Result<(), CompileError> {
+    fn gen_alt(&mut self, alts: &'a [Alternative<'a>], line: u32) -> Result<(), CompileError> {
         let has_timer = alts.iter().any(|a| matches!(a.kind, AltKind::Timeout(_)));
         self.emit.op(if has_timer { Op::TimerAlt } else { Op::Alt });
 
@@ -855,7 +841,7 @@ impl<'a> Cg<'a> {
             match &alt.kind {
                 AltKind::Input(c, _) => {
                     let pre = self.pre_guard(alt)?;
-                    self.gen_chan_addr(c, alt.pos.line)?;
+                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
                     self.load_guard(alt, pre)?;
                     self.emit.op(Op::EnableChannel);
                 }
@@ -885,7 +871,7 @@ impl<'a> Cg<'a> {
             match &alt.kind {
                 AltKind::Input(c, _) => {
                     let pre = self.pre_guard(alt)?;
-                    self.gen_chan_addr(c, alt.pos.line)?;
+                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
                     self.load_guard(alt, pre)?;
                     anchors.push(self.emit.ldc_rel(*label));
                     self.emit.op(Op::DisableChannel);
@@ -917,14 +903,14 @@ impl<'a> Cg<'a> {
                 // The selected input now transfers the message from the
                 // outputter parked in the channel.
                 if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c, alt.pos.line)?;
+                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
                     let t = self.park_a(alt.pos.line)?;
                     self.gen_lvalue_addr(lv, alt.pos.line)?;
                     self.emit.insn(Direct::LoadLocal, t);
                     self.temp_done();
                 } else {
                     self.gen_lvalue_addr(lv, alt.pos.line)?;
-                    self.gen_chan_addr(c, alt.pos.line)?;
+                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
                 }
                 self.gen_word_count();
                 self.emit.op(Op::InputMessage);
@@ -943,8 +929,8 @@ impl<'a> Cg<'a> {
     /// runs with the replicator bound to that index.
     fn gen_replicated_alt(
         &mut self,
-        r: &'a Replicator,
-        alt: &'a Alternative,
+        r: &'a Replicator<'a>,
+        alt: &'a Alternative<'a>,
         line: u32,
     ) -> Result<(), CompileError> {
         let has_timer = matches!(alt.kind, AltKind::Timeout(_));
@@ -955,7 +941,7 @@ impl<'a> Cg<'a> {
         let adjust = self.ctx_ref().adjust;
         self.open_scope();
         self.bind(
-            &r.var,
+            r.var,
             Binding::Var(Slot {
                 level,
                 offset: ctrl,
@@ -984,7 +970,7 @@ impl<'a> Cg<'a> {
         match &alt.kind {
             AltKind::Input(c, _) => {
                 let pre = self.pre_guard(alt)?;
-                self.gen_chan_addr(c, alt.pos.line)?;
+                self.gen_chan_addr(c.parts(), alt.pos.line)?;
                 self.load_guard(alt, pre)?;
                 self.emit.op(Op::EnableChannel);
             }
@@ -1026,7 +1012,7 @@ impl<'a> Cg<'a> {
         match &alt.kind {
             AltKind::Input(c, _) => {
                 let pre = self.pre_guard(alt)?;
-                self.gen_chan_addr(c, alt.pos.line)?;
+                self.gen_chan_addr(c.parts(), alt.pos.line)?;
                 self.load_guard(alt, pre)?;
                 anchors.push(self.emit.ldc_rel(branch));
                 self.emit.op(Op::DisableChannel);
@@ -1065,7 +1051,7 @@ impl<'a> Cg<'a> {
         self.close_scope();
         self.open_scope();
         self.bind(
-            &r.var,
+            r.var,
             Binding::Var(Slot {
                 level,
                 offset: sel,
@@ -1074,14 +1060,14 @@ impl<'a> Cg<'a> {
         );
         if let AltKind::Input(c, lv) = &alt.kind {
             if self.chan_depth(c) >= 3 {
-                self.gen_chan_addr(c, alt.pos.line)?;
+                self.gen_chan_addr(c.parts(), alt.pos.line)?;
                 let t = self.park_a(alt.pos.line)?;
                 self.gen_lvalue_addr(lv, alt.pos.line)?;
                 self.emit.insn(Direct::LoadLocal, t);
                 self.temp_done();
             } else {
                 self.gen_lvalue_addr(lv, alt.pos.line)?;
-                self.gen_chan_addr(c, alt.pos.line)?;
+                self.gen_chan_addr(c.parts(), alt.pos.line)?;
             }
             self.gen_word_count();
             self.emit.op(Op::InputMessage);
@@ -1123,32 +1109,5 @@ impl<'a> Cg<'a> {
             }
             None => self.gen_guard(alt),
         }
-    }
-}
-
-/// Interpret an expression as an lvalue (for `VAR` actuals).
-fn expr_as_lvalue(e: &Expr) -> Option<crate::ast::Lvalue> {
-    match e {
-        Expr::Name(n) => Some(crate::ast::Lvalue::Name(n.clone())),
-        Expr::Index(n, i) => Some(crate::ast::Lvalue::Index(n.clone(), i.clone())),
-        _ => None,
-    }
-}
-
-/// Interpret an expression as a channel reference (for `CHAN` actuals).
-fn expr_as_chan(e: &Expr) -> Option<crate::ast::ChanRef> {
-    match e {
-        Expr::Name(n) => Some(crate::ast::ChanRef::Name(n.clone())),
-        Expr::Index(n, i) => Some(crate::ast::ChanRef::Index(n.clone(), i.clone())),
-        _ => None,
-    }
-}
-
-/// Convert an lvalue to the expression that reads it.
-fn lvalue_as_expr(lv: &crate::ast::Lvalue) -> Expr {
-    match lv {
-        crate::ast::Lvalue::Name(n) => Expr::Name(n.clone()),
-        crate::ast::Lvalue::Index(n, i) => Expr::Index(n.clone(), i.clone()),
-        crate::ast::Lvalue::ByteIndex(n, i) => Expr::ByteIndex(n.clone(), i.clone()),
     }
 }

@@ -15,7 +15,7 @@
 use super::{Binding, Cg, REPLICATION_LIMIT, SCHED_SLOTS, TEMP_SLOTS};
 
 /// The binding a formal parameter introduces at `slot`.
-pub(crate) fn param_binding(p: &crate::ast::Param, slot: super::Slot) -> Binding {
+pub(crate) fn param_binding(p: &crate::ast::Param<'_>, slot: super::Slot) -> Binding {
     use crate::ast::ParamMode;
     match (p.mode, p.is_vector) {
         (ParamMode::Value, false) => Binding::ValueParam(slot),
@@ -109,7 +109,7 @@ impl<'a> Cg<'a> {
     /// space cannot hold, before any code for it is generated.
     pub(crate) fn measure_frame(
         &mut self,
-        p: &'a Process,
+        p: &'a Process<'a>,
         extra_local: bool,
     ) -> Result<FrameMeasure, CompileError> {
         let m = self.measure(p)?;
@@ -137,7 +137,7 @@ impl<'a> Cg<'a> {
     }
 
     /// Measure a process within the current frame.
-    pub(crate) fn measure(&mut self, p: &'a Process) -> Result<Measure, CompileError> {
+    pub(crate) fn measure(&mut self, p: &'a Process<'a>) -> Result<Measure, CompileError> {
         Ok(match p {
             Process::Skip
             | Process::Stop
@@ -314,7 +314,7 @@ impl<'a> Cg<'a> {
 
     /// (scalar, vector) words of a declaration, binding what later
     /// measurement needs (constants, vector shapes, PROC sizes).
-    fn measure_decl(&mut self, d: &'a Decl, line: u32) -> Result<(i64, i64), CompileError> {
+    fn measure_decl(&mut self, d: &'a Decl<'a>, line: u32) -> Result<(i64, i64), CompileError> {
         use super::{Binding, Slot};
         let dummy = Slot {
             level: usize::MAX,
@@ -381,7 +381,7 @@ impl<'a> Cg<'a> {
                 self.open_scope();
                 for p in params {
                     let b = param_binding(p, dummy);
-                    self.bind(&p.name, b);
+                    self.bind(p.name, b);
                 }
                 let fm = self.measure_frame(body, false);
                 self.close_scope();

@@ -26,7 +26,7 @@
 use std::collections::HashSet;
 
 use super::{Binding, Cg, Warning};
-use crate::ast::{Actual, AltKind, Decl, Expr, Lvalue, ParamMode, Process};
+use crate::ast::{AltKind, Decl, Expr, Lvalue, ParamMode, Process};
 use crate::error::CompileError;
 
 /// Free-variable usage of one `PAR` branch.
@@ -141,7 +141,7 @@ impl Cg<'_> {
         )
     }
 
-    fn read_expr<'a>(&self, e: &'a Expr, locals: &Locals<'a>, u: &mut Usage<'a>) {
+    fn read_expr<'a>(&self, e: &Expr<'a>, locals: &Locals<'a>, u: &mut Usage<'a>) {
         match e {
             Expr::Literal(_) | Expr::True | Expr::False => {}
             Expr::Name(n) => {
@@ -158,7 +158,7 @@ impl Cg<'_> {
         }
     }
 
-    fn write_lvalue<'a>(&self, lv: &'a Lvalue, locals: &Locals<'a>, u: &mut Usage<'a>) {
+    fn write_lvalue<'a>(&self, lv: &Lvalue<'a>, locals: &Locals<'a>, u: &mut Usage<'a>) {
         match lv {
             Lvalue::Name(n) => {
                 if !locals.contains(n) && self.is_checked_scalar(n) {
@@ -172,7 +172,7 @@ impl Cg<'_> {
         }
     }
 
-    fn collect<'a>(&self, p: &'a Process, locals: &mut Locals<'a>, u: &mut Usage<'a>) {
+    fn collect<'a>(&self, p: &Process<'a>, locals: &mut Locals<'a>, u: &mut Usage<'a>) {
         match p {
             Process::Skip | Process::Stop => {}
             Process::Assign(lv, e, _) => {
@@ -198,7 +198,7 @@ impl Cg<'_> {
                 if let Some(r) = repl {
                     self.read_expr(&r.base, locals, u);
                     self.read_expr(&r.count, locals, u);
-                    locals.declare(&r.var);
+                    locals.declare(r.var);
                 }
                 for child in ps {
                     self.collect(child, locals, u);
@@ -215,7 +215,7 @@ impl Cg<'_> {
                 if let Some(r) = repl {
                     self.read_expr(&r.base, locals, u);
                     self.read_expr(&r.count, locals, u);
-                    locals.declare(&r.var);
+                    locals.declare(r.var);
                 }
                 for alt in alts {
                     if let Some(g) = &alt.guard {
@@ -291,16 +291,13 @@ impl Cg<'_> {
                     }
                     let mode = formal.mode;
                     match (mode, actual) {
-                        (ParamMode::Value, Actual::Expr(e)) => self.read_expr(e, locals, u),
-                        (ParamMode::Var, Actual::Expr(Expr::Name(n)))
+                        (ParamMode::Value, e) => self.read_expr(e, locals, u),
+                        (ParamMode::Var, Expr::Name(n))
                             if !locals.contains(n) && self.is_checked_scalar(n) =>
                         {
                             u.writes.insert(n);
                         }
-                        (ParamMode::Var, Actual::Expr(Expr::Index(_, idx))) => {
-                            self.read_expr(idx, locals, u);
-                        }
-                        (ParamMode::Var, Actual::Var(lv)) => self.write_lvalue(lv, locals, u),
+                        (ParamMode::Var, Expr::Index(_, idx)) => self.read_expr(idx, locals, u),
                         _ => {}
                     }
                 }

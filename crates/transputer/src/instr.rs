@@ -424,7 +424,7 @@ impl Insn {
         match (self.op, self.operand) {
             (Some(op), _) if full => f.write_str(op.full_name()),
             (Some(op), _) => f.write_str(op.mnemonic()),
-            (None, v) if self.fun == Direct::Operate => write!(f, "{opr} #{v:X}"),
+            (None, v) if self.fun == Direct::Operate => write!(f, "{opr} #{:X}", v as u32),
             (None, v) if (-255..=255).contains(&v) => write!(f, "{fun} {v}"),
             (None, v) if v < 0 => write!(f, "{fun} -#{:X}", v.unsigned_abs()),
             (None, v) => write!(f, "{fun} #{v:X}"),
