@@ -218,20 +218,21 @@ fn corpus_is_identical_with_the_translation_tier_off() {
     }
 }
 
-/// Every fused pair in `translate.rs`'s table is stamped by
+/// Every specialised dispatch code in `translate.rs` — each fused pair
+/// and each single operation with a code of its own — is stamped by
 /// `build_block` somewhere in code the repository really runs: the
 /// corpus and the search machines' node, sender and collector programs,
-/// planned and routed. A pair nothing stamps is dead weight in the
-/// dispatch `match` (six were, once) and fails here.
+/// planned and routed. A code nothing stamps is dead weight in the
+/// dispatch `match` and fails here.
 #[test]
 fn every_superinstruction_is_stamped_somewhere() {
     // Threshold 1: every leader reached is translated.
     let config = CpuConfig::t424()
         .with_translate(true)
         .with_translate_threshold(1);
-    let mut stamped = Cpu::new(config.clone()).fused_pair_counts();
+    let mut stamped = Cpu::new(config.clone()).specialised_code_counts();
     let mut add = |cpu: &Cpu| {
-        for (total, n) in stamped.iter_mut().zip(cpu.fused_pair_counts()) {
+        for (total, n) in stamped.iter_mut().zip(cpu.specialised_code_counts()) {
             *total += n;
         }
     };
@@ -258,7 +259,7 @@ fn every_superinstruction_is_stamped_somewhere() {
     let dead: Vec<usize> = (0..stamped.len()).filter(|&i| stamped[i] == 0).collect();
     assert!(
         dead.is_empty(),
-        "fused pairs never stamped (by index): {dead:?}"
+        "specialised codes never stamped (by index): {dead:?}"
     );
 }
 

@@ -23,42 +23,49 @@
 //! branch shadow outer bindings, and `PROC` calls contribute the reads
 //! and writes implied by their parameter modes.
 
-use std::collections::HashSet;
-
 use super::{Binding, Cg, Warning};
 use crate::ast::{AltKind, Decl, Expr, Lvalue, ParamMode, Process};
 use crate::error::CompileError;
 
-/// Free-variable usage of one `PAR` branch.
+/// Free-variable usage of one `PAR` branch: the names it reads and the
+/// names it writes, each once.
 #[derive(Debug, Default)]
-pub(crate) struct Usage<'a> {
-    pub reads: HashSet<&'a str>,
-    pub writes: HashSet<&'a str>,
+struct Usage<'a> {
+    reads: Vec<&'a str>,
+    writes: Vec<&'a str>,
 }
 
-/// Scope tracker for names declared locally within the branch.
+/// Record `name` in `names` unless it is there already.
+fn note<'a>(names: &mut Vec<&'a str>, name: &'a str) {
+    if !names.contains(&name) {
+        names.push(name);
+    }
+}
+
+/// Names declared locally within the branch: one stack, with the start
+/// of each open scope marked.
 #[derive(Debug, Default)]
 struct Locals<'a> {
-    scopes: Vec<HashSet<&'a str>>,
+    names: Vec<&'a str>,
+    marks: Vec<usize>,
 }
 
 impl<'a> Locals<'a> {
     fn push(&mut self) {
-        self.scopes.push(HashSet::new());
+        self.marks.push(self.names.len());
     }
 
     fn pop(&mut self) {
-        self.scopes.pop();
+        let mark = self.marks.pop().expect("a scope is open");
+        self.names.truncate(mark);
     }
 
     fn declare(&mut self, name: &'a str) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name);
-        }
+        self.names.push(name);
     }
 
     fn contains(&self, name: &str) -> bool {
-        self.scopes.iter().any(|s| s.contains(name))
+        self.names.contains(&name)
     }
 }
 
@@ -88,48 +95,42 @@ impl Cg<'_> {
         }
     }
 
-    /// The first scalar-sharing violation among `branches`, if any.
+    /// The scalar-sharing violation among `branches`, if any, naming the
+    /// alphabetically first variable involved, so the message is the
+    /// same on every run.
     fn par_usage_conflict(&self, branches: &[&Process], replicated: bool) -> Option<String> {
         let usages: Vec<Usage> = branches
             .iter()
             .map(|b| {
                 let mut u = Usage::default();
                 let mut locals = Locals::default();
-                locals.push();
                 self.collect(b, &mut locals, &mut u);
                 u
             })
             .collect();
         if replicated {
-            for u in &usages {
-                if let Some(name) = u.writes.iter().min() {
-                    return Some(format!(
-                        "replicated PAR: every copy would assign `{name}`; occam \
-                         forbids shared writable variables between parallel \
-                         processes (use a vector element per copy, or channels)"
-                    ));
-                }
-            }
-            return None;
+            let name = usages.iter().flat_map(|u| &u.writes).min()?;
+            return Some(format!(
+                "replicated PAR: every copy would assign `{name}`; occam \
+                 forbids shared writable variables between parallel \
+                 processes (use a vector element per copy, or channels)"
+            ));
         }
-        for i in 0..usages.len() {
-            for j in 0..usages.len() {
-                if i == j {
-                    continue;
-                }
-                for name in &usages[i].writes {
-                    if usages[j].writes.contains(name) || usages[j].reads.contains(name) {
-                        return Some(format!(
-                            "`{name}` is assigned in one component of this PAR and \
-                             used in another; occam forbids shared variables \
-                             between parallel processes (communicate over a \
-                             channel instead)"
-                        ));
-                    }
-                }
-            }
-        }
-        None
+        let shared = |i: usize, name: &&str| {
+            let other = |(j, u): (usize, &Usage)| {
+                j != i && (u.writes.contains(name) || u.reads.contains(name))
+            };
+            usages.iter().enumerate().any(other)
+        };
+        let name = (0..usages.len())
+            .flat_map(|i| usages[i].writes.iter().filter(move |name| shared(i, name)))
+            .min()?;
+        Some(format!(
+            "`{name}` is assigned in one component of this PAR and \
+             used in another; occam forbids shared variables \
+             between parallel processes (communicate over a \
+             channel instead)"
+        ))
     }
 
     /// Whether `name` is a free scalar variable (the kind the rule
@@ -146,7 +147,7 @@ impl Cg<'_> {
             Expr::Literal(_) | Expr::True | Expr::False => {}
             Expr::Name(n) => {
                 if !locals.contains(n) && self.is_checked_scalar(n) {
-                    u.reads.insert(n);
+                    note(&mut u.reads, n);
                 }
             }
             Expr::Index(_, idx) | Expr::ByteIndex(_, idx) => self.read_expr(idx, locals, u),
@@ -162,7 +163,7 @@ impl Cg<'_> {
         match lv {
             Lvalue::Name(n) => {
                 if !locals.contains(n) && self.is_checked_scalar(n) {
-                    u.writes.insert(n);
+                    note(&mut u.writes, n);
                 }
             }
             Lvalue::Index(_, idx) | Lvalue::ByteIndex(_, idx) => {
@@ -295,7 +296,7 @@ impl Cg<'_> {
                         (ParamMode::Var, Expr::Name(n))
                             if !locals.contains(n) && self.is_checked_scalar(n) =>
                         {
-                            u.writes.insert(n);
+                            note(&mut u.writes, n);
                         }
                         (ParamMode::Var, Expr::Index(_, idx)) => self.read_expr(idx, locals, u),
                         _ => {}
@@ -336,6 +337,31 @@ mod tests {
         assert_eq!(w.line, 2);
         assert!(w.message.starts_with("PRI PAR:"), "{w}");
         assert!(w.message.contains("`x`"), "{w}");
+    }
+
+    /// Two components that both assign `a` … `f`: every compile names
+    /// `a`, the alphabetically first, not whichever name a hash set
+    /// happened to yield first on this run.
+    #[test]
+    fn a_conflict_names_the_first_variable_on_every_compile() {
+        let source = |par: &str| {
+            let assign = |indent: &str| {
+                let names = ["f", "c", "a", "e", "b", "d"];
+                names.map(|n| format!("{indent}{n} := 1\n")).concat()
+            };
+            format!(
+                "VAR a, b, c, d, e, f:\n{par}\n  SEQ\n{}  SEQ\n{}",
+                assign("    "),
+                assign("    ")
+            )
+        };
+        for _ in 0..20 {
+            let err = compile(&source("PAR")).unwrap_err().to_string();
+            assert!(err.contains("`a` is assigned"), "{err}");
+            let program = compile(&source("PRI PAR")).expect("PRI PAR compiles");
+            let warning = &program.warnings[0].message;
+            assert!(warning.contains("`a` is assigned"), "{warning}");
+        }
     }
 
     #[test]

@@ -135,11 +135,12 @@ impl Cpu {
 
     /// Execute a fully decoded direct function with its fused operand;
     /// returns cycles consumed. Shared by the byte-at-a-time path above
-    /// and the translation tier (`cpu/translate.rs`), so both execute
-    /// identical semantics by construction. Force-inlined: the body
-    /// minus [`Cpu::exec_op`] (which stays out of line) is small, and
-    /// the tier's cold arm and its translated blocks need the dispatch
-    /// and the operation bodies in their hot loops.
+    /// and the translation tier (`cpu/translate.rs`), whose cold arm
+    /// and every translated arm call it, so both tiers execute one
+    /// definition of each function. Force-inlined: the body minus
+    /// [`Cpu::exec_op`] (which stays out of line) is small, and the
+    /// tier's arms call it with a constant `fun`, which reduces it to
+    /// that function's body.
     #[inline(always)]
     pub(crate) fn exec_direct(&mut self, fun: Direct, operand: u32) -> Result<u32, HaltReason> {
         let bpw = self.word.bytes_per_word();
@@ -284,29 +285,10 @@ impl Cpu {
                 Op::EndProcess => {
                     return self.op_endp().map(|()| fixed);
                 }
-                Op::Difference => {
-                    let (a, b) = self.pop2();
-                    self.push(word.wrapping_sub(b, a));
-                }
-                Op::Add => {
-                    let (a, b) = self.pop2();
-                    let (r, o) = word.checked_add(b, a);
-                    self.push(r);
-                    self.set_error_if(o);
+                Op::Difference | Op::Add | Op::GreaterThan | Op::WordSubscript => {
+                    self.exec_alu(op);
                 }
                 Op::GeneralCall => std::mem::swap(&mut self.areg, &mut self.iptr),
-                Op::GreaterThan => {
-                    let (a, b) = self.pop2();
-                    self.push(if word.gt(b, a) {
-                        MACHINE_TRUE
-                    } else {
-                        MACHINE_FALSE
-                    });
-                }
-                Op::WordSubscript => {
-                    let (a, b) = self.pop2();
-                    self.push(word.index_word(b, a));
-                }
                 Op::Subtract => {
                     let (a, b) = self.pop2();
                     let (r, o) = word.checked_sub(b, a);
@@ -801,6 +783,33 @@ impl Cpu {
             other => unreachable!("unhandled variable-cost op {other:?}"),
         };
         Ok(cycles)
+    }
+
+    /// Execute one of the two-operand ALU operations the translation
+    /// tier dispatches on codes of their own; returns cycles consumed.
+    /// [`Cpu::exec_op`] runs these operations through here too, so each
+    /// has one definition. Force-inlined: the tier calls it with a
+    /// constant `op`, which reduces it to that operation's body.
+    #[inline(always)]
+    pub(crate) fn exec_alu(&mut self, op: Op) -> u32 {
+        let word = self.word;
+        let (a, b) = self.pop2();
+        match op {
+            Op::Difference => self.push(word.wrapping_sub(b, a)),
+            Op::Add => {
+                let (r, o) = word.checked_add(b, a);
+                self.push(r);
+                self.set_error_if(o);
+            }
+            Op::GreaterThan => self.push(if word.gt(b, a) {
+                MACHINE_TRUE
+            } else {
+                MACHINE_FALSE
+            }),
+            Op::WordSubscript => self.push(word.index_word(b, a)),
+            _ => unreachable!("{op:?} is not a two-operand ALU operation"),
+        }
+        op.fixed_cycles().expect("ALU operations cost a fixed time")
     }
 
     /// `end process` (§3.2.4): A = address of the parallel-construct

@@ -9,10 +9,14 @@
 //! [`TransBlock`] — an array of pre-resolved dispatch codes with fused
 //! operands — thereafter executed back to back with no decode work at
 //! all. Code that is not yet a block is interpreted one decoded
-//! operation at a time by the loop's cold arm. Each handler is the
-//! shared [`Cpu::exec_direct`] or an inlined copy of one of its arms, so
-//! translated execution is the *same code* the interpreter runs, minus
-//! the work of deciding which code to run.
+//! operation at a time by the loop's cold arm. Every handler reaches
+//! its operation through the shared executor — [`Cpu::exec_direct`]
+//! with a constant function, or [`Cpu::exec_alu`] with a constant ALU
+//! operation — so translated execution is the *same code* the
+//! interpreter runs, minus the work of deciding which code to run. No
+//! operation is written here a second time: what a handler adds is only
+//! the checks its class of operation can need (see
+//! [`Cpu::exec_block`]).
 //!
 //! The tier is an instrument of the host, invisible to the simulation;
 //! the differential test battery (`tests/translate.rs`,
@@ -67,7 +71,6 @@ use crate::instr::{Direct, Op};
 use crate::memory::CODE_BLOCK_SHIFT;
 use crate::process::Priority;
 use crate::stats::Stats;
-use crate::word::{MACHINE_FALSE, MACHINE_TRUE};
 
 /// Most operations a block may hold. Long enough for the unrolled
 /// arithmetic loops the corpus is made of; short enough that a deopt
@@ -77,8 +80,9 @@ const MAX_BLOCK_OPS: usize = 32;
 /// A translated operation: the decoded function nibble, its fused
 /// operand, the encoded length (for stats, cycle counting and `Iptr`
 /// advance), and the dispatch code `xfun` — equal to `fun` for a
-/// plain operation, or an `XF_*` superinstruction code when this
-/// operation and its successor were fused into one dispatch.
+/// plain operation, or a specialised code: an `XF_*` pair when this
+/// operation and its successor were fused into one dispatch, or an
+/// `XO_*` single operation.
 #[derive(Clone, Copy)]
 struct TransOp {
     operand: u32,
@@ -92,84 +96,69 @@ struct TransOp {
 /// operations per dispatch); codes from [`XO_BASE`] up are specialised
 /// single operations.
 const XF_BASE: u8 = 16;
-/// How many fused-pair codes there are.
-const FUSED_PAIRS: usize = (XO_BASE - XF_BASE) as usize;
-// The fused-pair superinstructions. The first six pair plain function
-// nibbles (a plain `0xF` is an `opr` that did not resolve to an `XO_*`
-// code); the second six pair *specialised* codes: once the hot ALU
-// `opr`s have their own dispatch codes (below), the array-access idioms
-// they sit in become fusable too — `ldl index; wsub`, `wsub; ldnl`
-// (array read), `wsub; stnl` (array write), `gt; cj` (compare and
-// branch). All twelve are dispatched by the corpus and the search
-// machines (`every_superinstruction_is_stamped_somewhere` holds that);
-// the search board's inner loop is ten dispatches a record at about
-// 9.9 % each — `j`, `ldl`, `cj`, `eqc`, `opr`, `XF_LDLP_LDL`,
-// `XF_LDC_OPR`, `XF_LDLP_LDC`, `XF_WSUB_LDNL`, `XO_DIFF`. Fusion only
-// elides the dispatch between the two operations — each half keeps its
-// own cycle charge, statistics and checks, so it cannot change
-// behaviour.
+// The fused pairs, named by the operations they join. Each stays
+// because a dispatch census pays for it: at least 1 % of block
+// dispatches on one of the five simulating benchmark workloads (the
+// table is in DESIGN §9). The search board's inner loop is ten
+// dispatches a record at about 9.9 % each — `j`, `ldl`, `cj`, `eqc`,
+// `opr`, `ldlp+ldl`, `ldc+opr`, `ldlp+ldc`, `wsub+ldnl` and `diff`.
+// Fusion only elides the dispatch between the two operations — each
+// half keeps its own cycle charge, statistics and checks, so it cannot
+// change behaviour.
 const XF_LDLP_LDL: u8 = 16;
-const XF_LDL_OPR: u8 = 17;
-const XF_LDC_OPR: u8 = 18;
-const XF_LDL_ADC: u8 = 19;
-const XF_LDLP_LDC: u8 = 20;
-const XF_STL_LDLP: u8 = 21;
-const XF_LDL_WSUB: u8 = 22;
-const XF_LDL_ADD: u8 = 23;
-const XF_LDL_GT: u8 = 24;
-const XF_WSUB_LDNL: u8 = 25;
-const XF_WSUB_STNL: u8 = 26;
-const XF_GT_CJ: u8 = 27;
-// Pure-ALU `opr` operations specialised by their build-time-resolved
-// operand, kept for the traffic the search machines give them: `diff`
-// is a tenth of the board's dispatches, `add` runs on the routed
-// machines, and `gt` and `wsub` run mostly fused into the array idioms
-// above. Each touches only the operand stack, the cycle counter, and
-// (for checked arithmetic) the error flag, so its arm needs none of the
-// general path's scheduler, epoch or control-transfer checks. Any other
-// `opr` runs `general_body`.
-const XO_BASE: u8 = 28;
-const XO_ADD: u8 = 28;
-const XO_DIFF: u8 = 29;
-const XO_GT: u8 = 30;
-const XO_WSUB: u8 = 31;
+const XF_LDC_OPR: u8 = 17;
+const XF_LDL_ADC: u8 = 18;
+const XF_LDLP_LDC: u8 = 19;
+const XF_STL_LDLP: u8 = 20;
+const XF_LDL_ADD: u8 = 21;
+const XF_LDL_GT: u8 = 22;
+const XF_WSUB_LDNL: u8 = 23;
+const XF_WSUB_STNL: u8 = 24;
+const XF_GT_CJ: u8 = 25;
+const XO_BASE: u8 = 26;
+/// `diff` alone, a tenth of the search board's dispatches; any other
+/// `opr` outside a pair runs the general arm.
+const XO_DIFF: u8 = 26;
 /// An `opr` that can act on a link channel (a decode entry with `link`
 /// set): the general operation behind a link-fence check. Never
 /// fused, so the check always sits at a dispatch boundary.
-const XO_LINK: u8 = 32;
+const XO_LINK: u8 = 27;
+/// How many specialised codes there are.
+const SPECIALISED: usize = (XO_LINK + 1 - XF_BASE) as usize;
 
-/// The superinstruction code for an adjacent pair of dispatch codes
-/// (post-specialisation, so a plain `0xF` here is an `opr` that did
-/// *not* resolve to a specialised ALU operation), if the pair is one
-/// of the measured-hot combinations listed above.
-fn fuse_code(a: u8, b: u8) -> Option<u8> {
-    // Function nibbles: 0x1 ldlp, 0x3 ldnl, 0x4 ldc, 0x7 ldl,
-    // 0x8 adc, 0xA cj, 0xD stl, 0xE stnl, 0xF opr.
-    match (a, b) {
-        (0x1, 0x7) => Some(XF_LDLP_LDL),
-        (0x7, 0xF) => Some(XF_LDL_OPR),
-        (0x4, 0xF) => Some(XF_LDC_OPR),
-        (0x7, 0x8) => Some(XF_LDL_ADC),
-        (0x1, 0x4) => Some(XF_LDLP_LDC),
-        (0xD, 0x1) => Some(XF_STL_LDLP),
-        (0x7, XO_WSUB) => Some(XF_LDL_WSUB),
-        (0x7, XO_ADD) => Some(XF_LDL_ADD),
-        (0x7, XO_GT) => Some(XF_LDL_GT),
-        (XO_WSUB, 0x3) => Some(XF_WSUB_LDNL),
-        (XO_WSUB, 0xE) => Some(XF_WSUB_STNL),
-        (XO_GT, 0xA) => Some(XF_GT_CJ),
-        _ => None,
+/// The single-operation dispatch code of a decoded operation.
+fn single_code(fun: u8, operand: u32, link: bool) -> u8 {
+    if link {
+        XO_LINK
+    } else if fun == Direct::Operate.nibble() && Op::from_code(operand) == Some(Op::Difference) {
+        XO_DIFF
+    } else {
+        fun
     }
 }
 
-/// The dispatch code for an `opr` whose operand resolved at build
-/// time to one of the hot pure-ALU stack operations, if it did.
-fn specialize_op(operand: u32) -> Option<u8> {
-    match Op::from_code(operand) {
-        Some(Op::Add) => Some(XO_ADD),
-        Some(Op::Difference) => Some(XO_DIFF),
-        Some(Op::GreaterThan) => Some(XO_GT),
-        Some(Op::WordSubscript) => Some(XO_WSUB),
+/// The fused-pair code for two adjacent operations carrying their
+/// single-operation codes, if they are one of the pairs above.
+fn fuse_code(a: &TransOp, b: &TransOp) -> Option<u8> {
+    use Op::{Add, GreaterThan, WordSubscript};
+    // The operation of an `opr` with no code of its own.
+    let op = |t: &TransOp| (t.xfun == 0xF).then(|| Op::from_code(t.operand)).flatten();
+    // Function nibbles: 0x1 ldlp, 0x3 ldnl, 0x4 ldc, 0x7 ldl,
+    // 0x8 adc, 0xA cj, 0xD stl, 0xE stnl, 0xF opr.
+    match ((a.xfun, op(a)), (b.xfun, op(b))) {
+        ((0x1, _), (0x7, _)) => Some(XF_LDLP_LDL),
+        ((0x1, _), (0x4, _)) => Some(XF_LDLP_LDC),
+        ((0x7, _), (0x8, _)) => Some(XF_LDL_ADC),
+        ((0xD, _), (0x1, _)) => Some(XF_STL_LDLP),
+        ((0x7, _), (_, Some(Add))) => Some(XF_LDL_ADD),
+        ((0x7, _), (_, Some(GreaterThan))) => Some(XF_LDL_GT),
+        ((_, Some(WordSubscript)), (0x3, _)) => Some(XF_WSUB_LDNL),
+        ((_, Some(WordSubscript)), (0xE, _)) => Some(XF_WSUB_STNL),
+        ((_, Some(GreaterThan)), (0xA, _)) => Some(XF_GT_CJ),
+        // `gt` and `wsub` are left to pair with what follows them.
+        ((0x4, _), (0xF, Some(op))) if !matches!(op, GreaterThan | WordSubscript) => {
+            Some(XF_LDC_OPR)
+        }
         _ => None,
     }
 }
@@ -459,33 +448,37 @@ impl Cpu {
     /// at the epoch it was built under; every operation replays the cold
     /// arm's sequence, and any reason to stop is a [`BlockExit`].
     ///
-    /// One flat 16-way dispatch per operation — the same branch shape
-    /// as the interpreter, so the host branch predictor sees one
-    /// data-dependent jump per op, not a class check feeding a second
-    /// dispatch. The load/arithmetic/store arms inline specialised
-    /// bodies (copies of the matching [`Cpu::exec_direct`] arms — the
-    /// differential battery holds them identical) and skip the
-    /// bookkeeping those operations provably cannot need:
+    /// One flat dispatch per operation — the same branch shape as the
+    /// interpreter, so the host branch predictor sees one data-dependent
+    /// jump per op, not a class check feeding a second dispatch. Every
+    /// arm runs its operation through the shared executor with a
+    /// constant argument — [`Cpu::exec_direct`] with the arm's function,
+    /// or [`Cpu::exec_alu`] with its operation — so inlining reduces it
+    /// to that operation's body. What differs between arms is the tail
+    /// after it: each class keeps only the checks it can need, and the
+    /// rest fold away at compile time on the constant.
     ///
-    /// * Loads, `adc`, `eqc` and `ajw` read registers, workspace and
-    ///   memory only. They may fault (the `Err` path), and `adc`
-    ///   overflow may raise the error flag (under halt-on-error that
-    ///   sets `halted`), but they cannot set `slice_exit`, cannot
-    ///   deschedule, cannot move `Iptr` off the sequential path, and
-    ///   cannot write memory — so neither the code epoch nor the timer
-    ///   heads nor a run-queue pointer can change, and with empty
-    ///   timer queues (a block entry invariant re-checked after every
-    ///   operation that can disturb them) adding cycles directly is
-    ///   exactly what `advance_time` would do. `op_start`/`slice_mark`
-    ///   stay unwritten: only tracing (never active here) and
-    ///   interaction exits (impossible here) read them, and the fault
-    ///   path restores both.
-    /// * `stl`/`stnl` additionally write memory, so they run the
-    ///   epoch check and — via `advance_time` — the reserved-word
-    ///   timer refresh, then re-check the scheduler gates.
-    /// * Control-transfer and `opr` arms call `exec_direct` with a
-    ///   *constant* function, so inlining reduces each to its own
-    ///   body, followed by the full post-operation battery.
+    /// * **Pure**: `ldlp`, `ldc`, `ldnlp`, `ldl`, `ldnl`, `adc`, `ajw`,
+    ///   `eqc` and the ALU `opr`s read registers, workspace and memory
+    ///   only. They may fault (the `Err` path), and `adc`/`add` overflow
+    ///   may raise the error flag (under halt-on-error that sets
+    ///   `halted`), but they cannot set `slice_exit`, cannot deschedule,
+    ///   cannot move `Iptr` off the sequential path, and cannot write
+    ///   memory — so neither the code epoch nor the timer heads nor a
+    ///   run-queue pointer can change, and with empty timer queues (a
+    ///   block entry invariant re-checked after every operation that can
+    ///   disturb them) adding cycles directly is exactly what
+    ///   `advance_time` would do. `op_start`/`slice_mark` stay
+    ///   unwritten: only tracing (never active here) and interaction
+    ///   exits (impossible here) read them, and the fault path restores
+    ///   both. `cj` takes this tail too: `ends_block` makes it
+    ///   block-final, so a taken jump is the block's natural end.
+    /// * **Store**: `stl`/`stnl` additionally write memory, so they
+    ///   advance time through `advance_time` (the reserved-word timer
+    ///   refresh), then run the epoch check and re-check the scheduler
+    ///   gates.
+    /// * **General**: `j`, `call` and every other `opr` get the full
+    ///   post-operation battery of the cold arm.
     ///
     /// Per-op statistics are batched: every exit path accounts for the
     /// executed prefix through [`Cpu::flush_block_stats`] before
@@ -499,7 +492,7 @@ impl Cpu {
         let last = ops.len() - 1;
         // The memory configuration cannot change mid-block; when no
         // region carries an access penalty (every committed config),
-        // the pure-load arms skip draining the penalty accumulator.
+        // the memory arms skip draining the penalty accumulator.
         let drain_penalty = !self.mem.timing_pure();
         let mut i = 0usize;
         loop {
@@ -516,20 +509,26 @@ impl Cpu {
             if self.cycles + (u64::from(op.len) - 1) >= limit {
                 abut_ret!(i);
             }
-            // Shared exit/check fragments for the dispatch arms below,
+            // Shared exit/check fragments for the tails below,
             // parameterised by `$n`, the count of operations that have
             // fully executed when the fragment runs — `i + 1` for the
             // current operation, `i + 2` for the second half of a
-            // fused pair. `flush_ret` ends the block; `budget_tail` is
-            // the post-operation budget check every arm needs;
-            // `deopt_ret` is a mid-block deoptimisation; `precheck` is
-            // the budget *pre*-check a fused pair's second operation
-            // needs (the loop top only checked the first).
+            // fused pair. `flush_ret` ends the block; `halt_ret` ends it
+            // if the operation halted the machine; `budget_tail` is the
+            // post-operation budget check every tail needs; `deopt_ret`
+            // is a mid-block deoptimisation.
             macro_rules! flush_ret {
                 ($n:expr, $exit:expr) => {{
                     self.flush_block_stats(block, $n);
                     return $exit;
                 }};
+            }
+            macro_rules! halt_ret {
+                ($n:expr) => {
+                    if let Some(r) = self.halted {
+                        flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
+                    }
+                };
             }
             macro_rules! deopt_ret {
                 ($n:expr) => {{
@@ -544,13 +543,6 @@ impl Cpu {
                     }
                 };
             }
-            macro_rules! precheck {
-                ($op:expr, $n:expr) => {
-                    if self.cycles + (u64::from($op.len) - 1) >= limit {
-                        abut_ret!($n);
-                    }
-                };
-            }
             // Advance `Iptr` over a sequential operation.
             macro_rules! advance {
                 ($op:expr) => {{
@@ -559,244 +551,59 @@ impl Cpu {
                     prev
                 }};
             }
-            // A store's epilogue: the write may have dirtied the
-            // reserved words (`advance_time` refreshes the timer heads
-            // exactly as the cold arm would), hit translated code
-            // (epoch check), or flipped a scheduler gate.
-            macro_rules! store_tail {
-                ($c:expr, $n:expr) => {{
-                    let mut c: u32 = $c;
-                    if drain_penalty {
+            // A pure or store direct function `$fun` (see the doc
+            // above): `len - 1` encoding cycles, the executor, then the
+            // tail of its class.
+            macro_rules! direct {
+                ($fun:expr, $op:expr, $n:expr) => {{
+                    let store = matches!($fun, Direct::StoreLocal | Direct::StoreNonLocal);
+                    let prev = advance!($op);
+                    self.cycles += u64::from($op.len) - 1;
+                    let mut c = match self.exec_direct($fun, $op.operand) {
+                        Ok(c) => c,
+                        Err(r) => return self.block_fault(block, $n - 1, prev, r),
+                    };
+                    let load = matches!($fun, Direct::LoadLocal | Direct::LoadNonLocal);
+                    if drain_penalty && (load || store) {
                         c += self.mem.take_penalty_cycles();
                     }
-                    self.advance_time(c);
-                    budget_tail!($n);
-                    if self.mem.code_epoch() != epoch {
-                        deopt_ret!($n);
-                    }
-                    if $n - 1 != last && self.gates_tripped() {
-                        deopt_ret!($n);
-                    }
-                }};
-            }
-            // ---- Specialised operation bodies (see the doc above):
-            // each is the matching `exec_direct` arm inlined, plus the
-            // exact cycle charge and the checks it can actually need.
-            macro_rules! ldlp_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    let p = self.word.index_word(self.wptr(), $op.operand);
-                    self.push(p);
-                    // len - 1 encoding cycles + 1 execute cycle.
-                    self.cycles += u64::from($op.len);
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! ldc_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.push($op.operand);
-                    self.cycles += u64::from($op.len);
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! ldnlp_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.areg = self.word.index_word(self.areg, $op.operand);
-                    self.cycles += u64::from($op.len);
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! ldnl_body {
-                ($op:expr, $n:expr) => {{
-                    let prev = advance!($op);
-                    let a = self.word.index_word(self.areg, $op.operand);
-                    match self.mem.read_word(a) {
-                        Ok(v) => {
-                            self.areg = v;
-                            self.cycles += u64::from($op.len) + 1;
-                            if drain_penalty {
-                                self.cycles += u64::from(self.mem.take_penalty_cycles());
-                            }
-                        }
-                        Err(r) => {
-                            self.cycles += u64::from($op.len) - 1;
-                            return self.block_fault(block, $n - 1, prev, r);
-                        }
-                    }
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! ldl_body {
-                ($op:expr, $n:expr) => {{
-                    let prev = advance!($op);
-                    let a = self.word.index_word(self.wptr(), $op.operand);
-                    match self.mem.read_word(a) {
-                        Ok(v) => {
-                            self.push(v);
-                            self.cycles += u64::from($op.len) + 1;
-                            if drain_penalty {
-                                self.cycles += u64::from(self.mem.take_penalty_cycles());
-                            }
-                        }
-                        Err(r) => {
-                            self.cycles += u64::from($op.len) - 1;
-                            return self.block_fault(block, $n - 1, prev, r);
-                        }
-                    }
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! adc_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    let (r, o) = self.word.checked_add(self.areg, $op.operand);
-                    self.areg = r;
-                    self.cycles += u64::from($op.len);
-                    if o {
-                        // Overflow raises the error flag; under
-                        // halt-on-error that halts the machine.
-                        self.set_error_if(o);
-                        if let Some(r) = self.halted {
-                            flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
-                        }
-                    }
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! ajw_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    let w = self.word.index_word(self.wptr(), $op.operand);
-                    self.set_wptr(w);
-                    self.cycles += u64::from($op.len);
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! eqc_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.areg = if self.areg == self.word.mask($op.operand) {
-                        MACHINE_TRUE
+                    if store {
+                        self.advance_time(c);
                     } else {
-                        MACHINE_FALSE
-                    };
-                    self.cycles += u64::from($op.len) + 1;
+                        self.cycles += u64::from(c);
+                    }
+                    if matches!($fun, Direct::AddConstant) {
+                        halt_ret!($n);
+                    }
                     budget_tail!($n);
-                }};
-            }
-            // ---- Build-time-specialised pure-ALU `opr` bodies:
-            // each mirrors its `exec_op` arm exactly — `Iptr` advance,
-            // the operation-count bookkeeping the `Operate` dispatch
-            // does, the stack semantics, and the fixed execute cost on
-            // top of the `len - 1` encoding cycles. No memory access,
-            // no control transfer, no scheduling effect — so like the
-            // load arms they need only the budget check (and, for
-            // checked arithmetic, the error-halt check).
-            macro_rules! add_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.stats.record_op(Op::Add);
-                    let (a, b) = self.pop2();
-                    let (r, o) = self.word.checked_add(b, a);
-                    self.push(r);
-                    self.cycles += u64::from($op.len);
-                    if o {
-                        self.set_error_if(o);
-                        if let Some(r) = self.halted {
-                            flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
+                    if store {
+                        if self.mem.code_epoch() != epoch {
+                            deopt_ret!($n);
+                        }
+                        if $n - 1 != last && self.gates_tripped() {
+                            deopt_ret!($n);
                         }
                     }
-                    budget_tail!($n);
                 }};
             }
-            macro_rules! diff_body {
-                ($op:expr, $n:expr) => {{
+            // A pure ALU `opr`, resolved to `$alu` at build time: the
+            // operation count the `operate` dispatch keeps, then the
+            // pure tail.
+            macro_rules! alu {
+                ($alu:expr, $op:expr, $n:expr) => {{
                     advance!($op);
-                    self.stats.record_op(Op::Difference);
-                    let (a, b) = self.pop2();
-                    self.push(self.word.wrapping_sub(b, a));
-                    self.cycles += u64::from($op.len);
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! gt_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.stats.record_op(Op::GreaterThan);
-                    let (a, b) = self.pop2();
-                    self.push(if self.word.gt(b, a) {
-                        MACHINE_TRUE
-                    } else {
-                        MACHINE_FALSE
-                    });
-                    self.cycles += u64::from($op.len) + 1;
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! wsub_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    self.stats.record_op(Op::WordSubscript);
-                    let (a, b) = self.pop2();
-                    self.push(self.word.index_word(b, a));
-                    self.cycles += u64::from($op.len) + 1;
-                    budget_tail!($n);
-                }};
-            }
-            macro_rules! stl_body {
-                ($op:expr, $n:expr) => {{
-                    let prev = advance!($op);
-                    self.cycles += u64::from($op.len) - 1;
-                    let a = self.word.index_word(self.wptr(), $op.operand);
-                    let v = self.pop();
-                    if let Err(r) = self.mem.write_word(a, v) {
-                        return self.block_fault(block, $n - 1, prev, r);
+                    self.stats.record_op($alu);
+                    self.cycles += u64::from($op.len) - 1 + u64::from(self.exec_alu($alu));
+                    if matches!($alu, Op::Add) {
+                        halt_ret!($n);
                     }
-                    store_tail!(1, $n);
-                }};
-            }
-            macro_rules! stnl_body {
-                ($op:expr, $n:expr) => {{
-                    let prev = advance!($op);
-                    self.cycles += u64::from($op.len) - 1;
-                    let (addr, val) = self.pop2();
-                    let a = self.word.index_word(addr, $op.operand);
-                    if let Err(r) = self.mem.write_word(a, val) {
-                        return self.block_fault(block, $n - 1, prev, r);
-                    }
-                    store_tail!(2, $n);
-                }};
-            }
-            // A conditional jump: jumps when A is zero (no pop), pops
-            // and falls through otherwise. `ends_block` makes `cj`
-            // block-final, so the taken path is natural completion,
-            // never a mid-block deopt; the cold arm's budget check
-            // precedes its control-transfer check, hence the order
-            // here. Writes nothing and schedules nothing, so the
-            // epoch and gate checks are vacuous.
-            macro_rules! cj_body {
-                ($op:expr, $n:expr) => {{
-                    advance!($op);
-                    if self.areg == 0 {
-                        self.iptr = self.word.mask(self.iptr.wrapping_add($op.operand));
-                        self.cycles += u64::from($op.len) - 1 + 4;
-                        budget_tail!($n);
-                        flush_ret!($n, BlockExit::Divert(true));
-                    } else {
-                        self.pop();
-                        self.cycles += u64::from($op.len) + 1;
-                        budget_tail!($n);
-                    }
+                    budget_tail!($n);
                 }};
             }
             // An operation with the full interpreter semantics and the
             // full post-operation battery, in the cold arm's order
             // so coincident conditions resolve to the same outcome.
-            // `$fun` is a constant, so the force-inlined `exec_direct`
-            // reduces to that arm's body.
-            macro_rules! general_body {
+            macro_rules! general {
                 ($fun:expr, $op:expr, $n:expr) => {{
                     self.op_start = self.iptr;
                     let next = self.word.mask(self.iptr.wrapping_add(u32::from($op.len)));
@@ -813,9 +620,7 @@ impl Cpu {
                             flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(reason)));
                         }
                     }
-                    if let Some(r) = self.halted {
-                        flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
-                    }
+                    halt_ret!($n);
                     if let Some(exit) = self.slice_exit.take() {
                         self.stats.trans_deopts += 1;
                         flush_ret!($n, BlockExit::Outcome(exit));
@@ -841,100 +646,92 @@ impl Cpu {
                     }
                 }};
             }
-            // The second half of a fused pair: budget pre-check, then
-            // the named body with the executed count bumped to i + 2.
+            // The second half of a fused pair: the budget pre-check the
+            // loop top made for the first, then the named tail with the
+            // executed count bumped to i + 2.
             macro_rules! fused {
-                ($body:ident, $($fun:expr,)?) => {{
+                ($tail:ident, $what:expr) => {{
                     let op2 = ops[i + 1];
-                    precheck!(op2, i + 1);
-                    $body!($($fun,)? op2, i + 2);
+                    if self.cycles + (u64::from(op2.len) - 1) >= limit {
+                        abut_ret!(i + 1);
+                    }
+                    $tail!($what, op2, i + 2);
                 }};
             }
             // One flat dispatch per (possibly fused) operation: codes
-            // 0..=15 are the plain function nibbles, XF_* are the
-            // measured-hot fused pairs stamped by `fuse_ops`.
+            // 0..=15 are the plain function nibbles, then the
+            // specialised codes `build_block` stamps.
             match op.xfun {
-                0x0 => general_body!(Direct::Jump, op, i + 1),
-                0x1 => ldlp_body!(op, i + 1),
+                0x0 => general!(Direct::Jump, op, i + 1),
+                0x1 => direct!(Direct::LoadLocalPointer, op, i + 1),
                 0x2 | 0x6 => unreachable!("decode fuses prefixes into the operand"),
-                0x3 => ldnl_body!(op, i + 1),
-                0x4 => ldc_body!(op, i + 1),
-                0x5 => ldnlp_body!(op, i + 1),
-                0x7 => ldl_body!(op, i + 1),
-                0x8 => adc_body!(op, i + 1),
-                0x9 => general_body!(Direct::Call, op, i + 1),
-                0xA => cj_body!(op, i + 1),
-                0xB => ajw_body!(op, i + 1),
-                0xC => eqc_body!(op, i + 1),
-                0xD => stl_body!(op, i + 1),
-                0xE => stnl_body!(op, i + 1),
-                0xF => general_body!(Direct::Operate, op, i + 1),
+                0x3 => direct!(Direct::LoadNonLocal, op, i + 1),
+                0x4 => direct!(Direct::LoadConstant, op, i + 1),
+                0x5 => direct!(Direct::LoadNonLocalPointer, op, i + 1),
+                0x7 => direct!(Direct::LoadLocal, op, i + 1),
+                0x8 => direct!(Direct::AddConstant, op, i + 1),
+                0x9 => general!(Direct::Call, op, i + 1),
+                0xA => direct!(Direct::ConditionalJump, op, i + 1),
+                0xB => direct!(Direct::AdjustWorkspace, op, i + 1),
+                0xC => direct!(Direct::EqualsConstant, op, i + 1),
+                0xD => direct!(Direct::StoreLocal, op, i + 1),
+                0xE => direct!(Direct::StoreNonLocal, op, i + 1),
+                0xF => general!(Direct::Operate, op, i + 1),
                 XF_LDLP_LDL => {
-                    ldlp_body!(op, i + 1);
-                    fused!(ldl_body,);
-                }
-                XF_LDL_OPR => {
-                    ldl_body!(op, i + 1);
-                    fused!(general_body, Direct::Operate,);
+                    direct!(Direct::LoadLocalPointer, op, i + 1);
+                    fused!(direct, Direct::LoadLocal);
                 }
                 XF_LDC_OPR => {
-                    ldc_body!(op, i + 1);
-                    fused!(general_body, Direct::Operate,);
+                    direct!(Direct::LoadConstant, op, i + 1);
+                    fused!(general, Direct::Operate);
                 }
                 XF_LDL_ADC => {
-                    ldl_body!(op, i + 1);
-                    fused!(adc_body,);
+                    direct!(Direct::LoadLocal, op, i + 1);
+                    fused!(direct, Direct::AddConstant);
                 }
                 XF_LDLP_LDC => {
-                    ldlp_body!(op, i + 1);
-                    fused!(ldc_body,);
+                    direct!(Direct::LoadLocalPointer, op, i + 1);
+                    fused!(direct, Direct::LoadConstant);
                 }
                 XF_STL_LDLP => {
-                    stl_body!(op, i + 1);
-                    fused!(ldlp_body,);
-                }
-                XF_LDL_WSUB => {
-                    ldl_body!(op, i + 1);
-                    fused!(wsub_body,);
+                    direct!(Direct::StoreLocal, op, i + 1);
+                    fused!(direct, Direct::LoadLocalPointer);
                 }
                 XF_LDL_ADD => {
-                    ldl_body!(op, i + 1);
-                    fused!(add_body,);
+                    direct!(Direct::LoadLocal, op, i + 1);
+                    fused!(alu, Op::Add);
                 }
                 XF_LDL_GT => {
-                    ldl_body!(op, i + 1);
-                    fused!(gt_body,);
+                    direct!(Direct::LoadLocal, op, i + 1);
+                    fused!(alu, Op::GreaterThan);
                 }
                 XF_WSUB_LDNL => {
-                    wsub_body!(op, i + 1);
-                    fused!(ldnl_body,);
+                    alu!(Op::WordSubscript, op, i + 1);
+                    fused!(direct, Direct::LoadNonLocal);
                 }
                 XF_WSUB_STNL => {
-                    wsub_body!(op, i + 1);
-                    fused!(stnl_body,);
+                    alu!(Op::WordSubscript, op, i + 1);
+                    fused!(direct, Direct::StoreNonLocal);
                 }
                 XF_GT_CJ => {
-                    gt_body!(op, i + 1);
-                    fused!(cj_body,);
+                    alu!(Op::GreaterThan, op, i + 1);
+                    fused!(direct, Direct::ConditionalJump);
                 }
-                XO_ADD => add_body!(op, i + 1),
-                XO_DIFF => diff_body!(op, i + 1),
-                XO_GT => gt_body!(op, i + 1),
-                XO_WSUB => wsub_body!(op, i + 1),
+                XO_DIFF => alu!(Op::Difference, op, i + 1),
                 XO_LINK => {
                     if self.cycles + (u64::from(op.len) - 1) >= fence
                         && self.touches_link(op.operand)
                     {
                         abut_ret!(i);
                     }
-                    general_body!(Direct::Operate, op, i + 1)
+                    general!(Direct::Operate, op, i + 1)
                 }
                 _ => unreachable!("unknown dispatch code"),
             }
             let n = i + 1 + usize::from((XF_BASE..XO_BASE).contains(&op.xfun));
             if n > last {
-                // Fall-through completion (length-capped block or a
-                // conditional that stayed sequential).
+                // Completion: a block-final `cj` (taken or not) or a
+                // length-capped block.
                 self.flush_block_stats(block, n);
                 return BlockExit::Divert(true);
             }
@@ -943,15 +740,15 @@ impl Cpu {
     }
 
     /// How many operations in the blocks this processor has translated
-    /// carry each fused-pair dispatch code, indexed from the first
-    /// (`XF_LDLP_LDL`). For the test that holds every pair in the table
-    /// to being stamped by code the repository really runs
+    /// carry each specialised dispatch code, indexed from the first
+    /// (`XF_LDLP_LDL`). For the test that holds every code to being
+    /// stamped by code the repository really runs
     /// (`determinism.rs::every_superinstruction_is_stamped_somewhere`).
     #[doc(hidden)]
-    pub fn fused_pair_counts(&self) -> [usize; FUSED_PAIRS] {
-        let mut counts = [0; FUSED_PAIRS];
+    pub fn specialised_code_counts(&self) -> [usize; SPECIALISED] {
+        let mut counts = [0; SPECIALISED];
         let ops = self.tcache.slots.iter().flat_map(|block| block.ops());
-        for op in ops.filter(|op| (XF_BASE..XO_BASE).contains(&op.xfun)) {
+        for op in ops.filter(|op| op.xfun >= XF_BASE) {
             counts[usize::from(op.xfun - XF_BASE)] += 1;
         }
         counts
@@ -967,8 +764,8 @@ impl Cpu {
             || (self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process)
     }
 
-    /// Cold path for a memory fault raised by a specialised Pure/Store
-    /// arm of [`Cpu::exec_block`]: restore the bookkeeping the fast
+    /// Cold path for a memory fault raised by a pure or store arm of
+    /// [`Cpu::exec_block`]: restore the bookkeeping the fast
     /// path skipped (`op_start`, `slice_mark`) so the halted machine
     /// state is field-for-field what the interpreter leaves behind.
     #[cold]
@@ -1061,37 +858,29 @@ impl Cpu {
             let Some(e) = decode_entry(&self.mem, self.word, iptr) else {
                 break;
             };
-            let fun = Direct::from_nibble(e.fun);
-            let xfun = if e.link {
-                XO_LINK
-            } else if fun == Direct::Operate {
-                specialize_op(e.operand).unwrap_or(e.fun)
-            } else {
-                e.fun
-            };
             ops[nops] = TransOp {
                 operand: e.operand,
                 fun: e.fun,
                 len: e.len,
-                xfun,
+                xfun: single_code(e.fun, e.operand, e.link),
             };
             nops += 1;
             end_off += usize::from(e.len);
             iptr = self.word.mask(iptr.wrapping_add(u32::from(e.len)));
-            if ends_block(fun, e.operand) {
+            if ends_block(Direct::from_nibble(e.fun), e.operand) {
                 break;
             }
         }
-        // Greedy left-to-right pairing over the (possibly already
-        // ALU-specialised) dispatch codes: stamp the first operation
-        // of each hot adjacent pair with its superinstruction code.
+        // Greedy left-to-right pairing over the single-operation codes:
+        // stamp the first operation of each hot adjacent pair with its
+        // superinstruction code.
         // The second operation keeps its own code, which is what the
         // partial-replay stats path and any restart after a mid-pair
         // deopt rely on — a deopt always flushes the true count of
         // executed operations, never "half a superinstruction".
         let mut k = 0;
         while k + 1 < nops {
-            match fuse_code(ops[k].xfun, ops[k + 1].xfun) {
+            match fuse_code(&ops[k], &ops[k + 1]) {
                 Some(xf) => {
                     ops[k].xfun = xf;
                     k += 2;

@@ -7,6 +7,8 @@
 //! mutated, run on a `Cpu` with the translation tier on and off, alike.
 //! Hostile assembler text assembles or names the line it refuses, and
 //! what it assembles lists as text that assembles back to its bytes.
+//! Hostile code images go through the static tools, and hostile headers
+//! and bit patterns through the wire decoders, without a panic.
 
 use std::sync::OnceLock;
 
@@ -15,11 +17,15 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use transputer::instr::{encode, encode_op, Direct, Op};
-use transputer::{Cpu, CpuConfig, WordLength};
+use transputer::{Cpu, CpuConfig, HaltReason, WordLength};
+use transputer_analysis::cost::{analyze_cost, CountedLoop};
 use transputer_analysis::verifier::verify_program;
-use transputer_analysis::{lint_source, verify_program_cfg};
+use transputer_analysis::{
+    lint_source, verify_bytecode, verify_bytecode_cfg, verify_program_cfg, Cfg, CodeShape,
+};
 use transputer_asm::{assemble, disassemble};
 use transputer_bench::hostperf::full_image;
+use transputer_link::{PacketKind, VcHeader};
 
 /// What an edit may put in place of a number: the widest literal the
 /// lexer reads, one past a 32-bit word, and the two halves' edges.
@@ -251,6 +257,67 @@ proptest! {
     }
 }
 
+/// Up to 48 bytes of I1 code: uniform, or with about half of them
+/// prefix bytes (`pfix`/`nfix`), so long operand chains and operands
+/// past the word are common.
+fn code_image(rng: &mut StdRng) -> Vec<u8> {
+    let prefixed = rng.gen::<bool>();
+    let byte = |rng: &mut StdRng| match rng.gen::<u8>() {
+        b if prefixed && b & 1 == 0 => [0x20, 0x60][usize::from(b >> 7)] | (b >> 3 & 0xF),
+        b => b,
+    };
+    (0..rng.gen_range(0..=48usize)).map(|_| byte(rng)).collect()
+}
+
+/// Bits as a wire might deliver them: most often a packet's length (2,
+/// 11 or 13 bits), sometimes any length up to 16.
+fn wire_bits(rng: &mut StdRng) -> Vec<bool> {
+    let len = [2, 11, 13, rng.gen_range(0..=16)][rng.gen_range(0..4usize)];
+    (0..len).map(|_| rng.gen()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// The static tools and the wire decoders return on bytes nobody
+    /// wrote: the disassembler and its listing, both verifiers with and
+    /// without a frame shape, CFG recovery and its Graphviz text, the
+    /// cost model at both word lengths over a random loop table, the
+    /// virtual-channel header decoder and both packet decoders.
+    #[test]
+    fn hostile_bytes_never_panic_the_static_tools_or_the_decoders(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let code = code_image(&mut rng);
+        disassemble(&code);
+        transputer_asm::dis::listing(&code);
+        let shape = CodeShape {
+            locals: rng.gen_range(0..64),
+            depth: rng.gen_range(0..64),
+        };
+        for shape in [None, Some(&shape)] {
+            verify_bytecode(&code, shape);
+            verify_bytecode_cfg(&code, shape);
+        }
+        let cfg = Cfg::recover(&code);
+        cfg.to_dot("hostile");
+        let end = code.len() as u32 + 2;
+        let loops: Vec<CountedLoop> = (0..rng.gen_range(0..4u32))
+            .map(|_| CountedLoop {
+                head: rng.gen_range(0..=end),
+                end: rng.gen_range(0..=end),
+                count: [0, 1, rng.gen_range(0..1000), u32::MAX][rng.gen_range(0..4usize)],
+            })
+            .collect();
+        for word in [WordLength::Bits32, WordLength::Bits16] {
+            let _ = analyze_cost(&cfg, &loops, word);
+        }
+        VcHeader::decode(rng.gen::<u32>().to_le_bytes());
+        let bits = wire_bits(&mut rng);
+        PacketKind::from_wire_bits(&bits);
+        PacketKind::from_robust_wire_bits(&bits);
+    }
+}
+
 /// The corpus compiled for the 32-bit part.
 fn corpus_images() -> &'static [Vec<u8>] {
     static IMAGES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
@@ -275,14 +342,33 @@ fn store(code: &mut Vec<u8>, value: i64, offset: u32, byte: bool) {
     }
 }
 
-/// One boot image in four is up to 255 arbitrary bytes and one a corpus
-/// program with up to three bytes replaced. The other half is mostly
-/// stores anywhere in the 64 KB memory, the gap between code and
-/// workspaces included (a few land past its end), with the workspace
-/// moved down into the gap and arbitrary bytes between them: uniform
-/// bytes alone nearly always fault within a few cycles.
-fn boot_image(rng: &mut StdRng) -> Vec<u8> {
-    match rng.gen_range(0..4u32) {
+/// A loop that overflows `adc` or `add` within a few hundred iterations,
+/// its body in one of the shapes the translation tier dispatches apart:
+/// `adc` alone and as the second half of a pair, and `add` through the
+/// ALU executor and through the general arm.
+fn overflow_loop(rng: &mut StdRng) -> Vec<u8> {
+    let start = rng.gen::<i32>();
+    let step = rng.gen_range(1 << 24..=i32::MAX) * if rng.gen() { 1 } else { -1 };
+    let body = match rng.gen_range(0..4u32) {
+        0 => format!("ldl 0\nadc {step}\nstl 0"),
+        1 => format!("ldlp 0\nldnl 0\nadc {step}\nstl 0"),
+        2 => "ldl 1\nldl 0\nadd\nstl 0".to_string(),
+        _ => format!("ldl 0\nldc {step}\nadd\nstl 0"),
+    };
+    let text = format!("ldc {start}\nstl 0\nldc {step}\nstl 1\ntop:\n{body}\nj @top");
+    assemble(&text).expect("the loop assembles")
+}
+
+/// A boot image, and whether it runs under halt-on-error. One image in
+/// five is up to 255 arbitrary bytes, one a corpus program with up to
+/// three bytes replaced, and one an overflowing loop under halt-on-error.
+/// The other two fifths are mostly stores anywhere in the 64 KB memory,
+/// the gap between code and workspaces included (a few land past its
+/// end), with the workspace moved down into the gap and arbitrary bytes
+/// between them: uniform bytes alone nearly always fault within a few
+/// cycles.
+fn boot_image(rng: &mut StdRng) -> (Vec<u8>, bool) {
+    let image = match rng.gen_range(0..5u32) {
         0 => (0..rng.gen_range(1..256usize)).map(|_| rng.gen()).collect(),
         1 => {
             let images = corpus_images();
@@ -293,6 +379,7 @@ fn boot_image(rng: &mut StdRng) -> Vec<u8> {
             }
             image
         }
+        2 => return (overflow_loop(rng), true),
         _ => {
             let mut code = Vec::new();
             for _ in 0..rng.gen_range(1..24u32) {
@@ -311,25 +398,31 @@ fn boot_image(rng: &mut StdRng) -> Vec<u8> {
             }
             code
         }
-    }
+    };
+    (image, false)
 }
 
 /// Neither run of a hostile boot image panics, and the translation tier
 /// (translating every block on first arrival) changes nothing: the same
 /// outcome, cycle count, simulated statistics and memory image as the
-/// byte path. Writes into the untouched middle of memory must be among
-/// what is tested, so the weighting is checked too.
+/// byte path. Writes into the untouched middle of memory, and halts on
+/// the error flag from inside translated code, must be among what is
+/// tested, so the weighting is checked too.
 #[test]
 fn hostile_boot_images_run_alike_with_translation_on_and_off() {
     const CASES: usize = 1500;
     let mut rng = StdRng::seed_from_u64(1985);
-    let (mut gap_written, mut long_runs) = (0, 0);
+    let (mut gap_written, mut long_runs, mut error_halts) = (0, 0, 0);
     for case in 0..CASES {
-        let image = boot_image(&mut rng);
+        let (image, halt_on_error) = boot_image(&mut rng);
         let run = |translate| {
-            let config = CpuConfig::t424().with_translate(translate);
+            let config = CpuConfig::t424()
+                .with_translate(translate)
+                .with_halt_on_error(halt_on_error);
             let mut cpu = Cpu::new(config.with_translate_threshold(1));
-            let outcome = cpu.load_boot_program(&image).map(|()| cpu.run(20_000));
+            let outcome = cpu
+                .load_boot_program(&image)
+                .map(|()| cpu.run_batched(20_000));
             (format!("{outcome:?}"), cpu)
         };
         let ((outcome, on), (off_outcome, off)) = (run(true), run(false));
@@ -345,9 +438,11 @@ fn hostile_boot_images_run_alike_with_translation_on_and_off() {
         // Loading and the boot workspace materialise one page each.
         gap_written += usize::from(on.memory().resident_bytes() > 2 * 1024);
         long_runs += usize::from(on.cycles() > 100);
+        error_halts += usize::from(on.halt_reason() == Some(HaltReason::ErrorFlag));
     }
     assert!(
-        gap_written > CASES / 5 && long_runs > CASES / 5,
-        "{gap_written} of {CASES} images wrote the gap, {long_runs} ran over 100 cycles"
+        gap_written > CASES / 5 && long_runs > CASES / 5 && error_halts > CASES / 10,
+        "{gap_written} of {CASES} images wrote the gap, {long_runs} ran over 100 cycles, \
+         {error_halts} halted on the error flag"
     );
 }
