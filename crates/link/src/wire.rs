@@ -17,13 +17,6 @@ impl LinkSpeed {
         LinkSpeed { bit_time_ns: 100 }
     }
 
-    /// A custom rate in MHz.
-    pub fn mhz(rate: f64) -> LinkSpeed {
-        LinkSpeed {
-            bit_time_ns: (1000.0 / rate).round() as u64,
-        }
-    }
-
     /// Duration of a packet in nanoseconds under the classic protocol.
     pub fn packet_ns(self, kind: PacketKind) -> u64 {
         u64::from(kind.bits()) * self.bit_time_ns
@@ -472,7 +465,6 @@ mod tests {
     #[test]
     fn speed_constructors() {
         assert_eq!(LinkSpeed::standard().bit_time_ns, 100);
-        assert_eq!(LinkSpeed::mhz(20.0).bit_time_ns, 50);
         assert_eq!(LinkSpeed::standard().packet_ns(PacketKind::Data(0)), 1100);
         assert_eq!(LinkSpeed::standard().packet_ns(PacketKind::Ack), 200);
         let s = LinkSpeed::standard();

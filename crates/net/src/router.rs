@@ -127,8 +127,6 @@ pub struct RouterStats {
     /// Packets dropped for lack of a route (after mid-run wire death)
     /// or cut by a dying wire mid-stream.
     pub packets_dropped: u64,
-    /// Duplicate data bytes absorbed by the robust sequence check.
-    pub dup_data: u64,
     /// Forwarding hops that began retransmission (one packet starting
     /// across one wire, from a queue or a cut-through stream).
     pub hops: u64,
@@ -153,7 +151,6 @@ impl Default for RouterStats {
             packets_forwarded: 0,
             packets_delivered: 0,
             packets_dropped: 0,
-            dup_data: 0,
             hops: 0,
             hop_ns_total: 0,
             max_hop_ns: 0,
@@ -360,10 +357,6 @@ pub(crate) struct NodeRouter {
     /// Transmit progress on the front packet of each out queue
     /// (`None` = wire idle).
     tx_pos: [Option<usize>; 4],
-    /// Robust-protocol transmit sequence bit per physical port.
-    tx_seq: [bool; 4],
-    /// Robust-protocol expected receive sequence bit per physical port.
-    rx_seq: [bool; 4],
     /// Reassembly per physical in port.
     rx: [Reasm; 4],
     /// A completed packet the node could not yet accept, parked with
@@ -380,21 +373,22 @@ pub(crate) struct NodeRouter {
     /// of it was torn down by wire death (see `kill_stream_chain`).
     skip: [u8; 4],
     /// Out ports whose stream transmitter was killed with a byte still
-    /// awaiting its acknowledge: the late acknowledge is consumed to
-    /// realign the sequence bit, and no new transmit starts before it.
+    /// awaiting its acknowledge: the late acknowledge is consumed, and
+    /// no new transmit starts before it.
     tx_abort: [bool; 4],
 }
 
 /// A wire- or scheduler-visible effect the router asks the simulator to
-/// apply, attributed to one node.
+/// apply, attributed to one node. The wire end stamps each frame with
+/// its sequence bit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Act {
     /// Put a data byte on the wire at this node's physical `port`.
-    Data { port: usize, byte: u8, seq: bool },
-    /// Acknowledge on the wire at `port` (echoing `seq` when robust).
-    Ack { port: usize, seq: bool },
+    Data { port: usize, byte: u8 },
+    /// Acknowledge on the wire at `port`.
+    Ack { port: usize },
     /// Robust busy notice on `port` (a withheld acknowledge exists).
-    Busy { port: usize, seq: bool },
+    Busy { port: usize },
     /// The node's CPU went from idle to runnable; schedule it.
     Wake,
 }
@@ -459,19 +453,30 @@ impl RouterNet {
         self.cut_through
     }
 
-    /// Bitmask of `node`'s physical ports with a data byte on the wire
+    /// Whether `node`'s physical `port` has a data byte on the wire
     /// awaiting its acknowledge: mid-packet, relaying a stream byte, or
     /// owed the late acknowledge of a torn-down relay.
-    pub(crate) fn tx_outstanding(&self, node: usize) -> u8 {
+    pub(crate) fn awaits_ack(&self, node: usize, port: usize) -> bool {
         let r = &self.nodes[node];
-        let relaying = |p: usize| {
-            r.stream_out[p]
-                .and_then(|q| r.stream_in[q])
-                .is_some_and(|s| s.inflight)
-        };
+        let relaying = r.stream_out[port]
+            .and_then(|q| r.stream_in[q])
+            .is_some_and(|s| s.inflight);
+        r.tx_pos[port].is_some() || r.tx_abort[port] || relaying
+    }
+
+    /// Bitmask of `node`'s physical ports awaiting an acknowledge (see
+    /// [`RouterNet::awaits_ack`]).
+    pub(crate) fn tx_outstanding(&self, node: usize) -> u8 {
         (0..4)
-            .filter(|&p| r.tx_pos[p].is_some() || r.tx_abort[p] || relaying(p))
+            .filter(|&p| self.awaits_ack(node, p))
             .fold(0, |mask, p| mask | 1 << p)
+    }
+
+    /// Whether `node` withholds the acknowledge of the last byte it
+    /// accepted on physical `port` (backpressure or an exhausted stream
+    /// credit): a duplicate of that byte is answered busy.
+    pub(crate) fn withholds_ack(&self, node: usize, port: usize) -> bool {
+        self.nodes[node].withheld[port]
     }
 
     /// Service a node's CPU-facing side at `now_ns`: resume deliveries
@@ -617,44 +622,33 @@ impl RouterNet {
         let byte = pkt.byte(0);
         let enq_ns = pkt.enq_ns;
         r.tx_pos[port] = Some(0);
-        let seq = r.tx_seq[port];
         // The packet's head leaves the node: one hop's worth of
         // header-forwarding latency is decided here.
         self.stats.record_hop(now_ns.saturating_sub(enq_ns));
-        acts.push((node, Act::Data { port, byte, seq }));
+        acts.push((node, Act::Data { port, byte }));
     }
 
-    /// An acknowledge arrived on `node`'s physical `port`. Returns true
-    /// when it was fresh (the simulator then clears the wire's resend
-    /// state).
-    #[allow(clippy::too_many_arguments)] // one wire event, fully unpacked
+    /// A fresh acknowledge arrived on `node`'s physical `port` (the wire
+    /// filtered out stale ones and flipped its sequence bit).
     pub(crate) fn phys_ack(
         &mut self,
         cpus: &mut [Cpu],
         node: usize,
         port: usize,
-        seq: bool,
-        robust: bool,
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
-    ) -> bool {
-        if robust && seq != self.nodes[node].tx_seq[port] {
-            return false;
-        }
+    ) {
         if self.nodes[node].tx_abort[port] {
             // The late acknowledge of a torn-down relay's last byte:
-            // consume it, realign the sequence bit, and free the port.
+            // consume it and free the port.
             self.nodes[node].tx_abort[port] = false;
-            self.nodes[node].tx_seq[port] = !self.nodes[node].tx_seq[port];
             self.start_tx(node, port, now_ns, acts);
-            return true;
+            return;
         }
         let r = &mut self.nodes[node];
         if let Some(q) = r.stream_out[port] {
             // A cut-through stream's byte crossed the wire: relay the
             // next one if it has arrived, else starve until it does.
-            r.tx_seq[port] = !r.tx_seq[port];
-            let seq = r.tx_seq[port];
             let st = r.stream_in[q]
                 .as_mut()
                 .expect("stream_out points at a live stream");
@@ -662,31 +656,26 @@ impl RouterNet {
             if st.next < st.got {
                 let byte = st.pkt.byte(st.next);
                 st.next += 1;
-                acts.push((node, Act::Data { port, byte, seq }));
+                acts.push((node, Act::Data { port, byte }));
                 // Relaying returned a flit credit: release a withheld
                 // upstream acknowledge.
                 if r.withheld[q] && st.got - st.next < STREAM_CREDITS {
                     r.withheld[q] = false;
-                    let aseq = !r.rx_seq[q];
-                    acts.push((node, Act::Ack { port: q, seq: aseq }));
+                    acts.push((node, Act::Ack { port: q }));
                 }
             } else {
                 st.inflight = false;
             }
-            return true;
+            return;
         }
-        let Some(pos) = r.tx_pos[port] else {
-            return false;
-        };
-        r.tx_seq[port] = !r.tx_seq[port];
+        let pos = r.tx_pos[port].expect("a fresh acknowledge has a byte awaiting it");
         let front = r.outq[port].front().expect("tx has a packet");
         if pos + 1 < front.wire_len() {
             // Mid-packet: the next byte goes out; the CPU is not party.
             let byte = front.byte(pos + 1);
             r.tx_pos[port] = Some(pos + 1);
-            let seq = r.tx_seq[port];
-            acts.push((node, Act::Data { port, byte, seq }));
-            return true;
+            acts.push((node, Act::Data { port, byte }));
+            return;
         }
         let was_idle = cpus[node].is_idle();
         r.outq[port].pop_front();
@@ -700,59 +689,40 @@ impl RouterNet {
         if was_idle && !cpus[node].is_idle() {
             acts.push((node, Act::Wake));
         }
-        true
     }
 
-    /// A data byte arrived on `node`'s physical `port`. Returns true
-    /// when the byte was accepted (the simulator then counts it as
-    /// delivered on the wire).
-    #[allow(clippy::too_many_arguments)] // one wire event, fully unpacked
+    /// A fresh data byte arrived on `node`'s physical `port` (the wire
+    /// answered duplicates itself and flipped its sequence bit).
     pub(crate) fn phys_data(
         &mut self,
         cpus: &mut [Cpu],
         node: usize,
         port: usize,
         byte: u8,
-        seq: bool,
-        robust: bool,
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
-    ) -> bool {
-        if robust && seq != self.nodes[node].rx_seq[port] {
-            // Duplicate of an already-accepted byte: repeat the
-            // acknowledge, or signal busy while one is withheld.
-            self.stats.dup_data += 1;
-            let last = !self.nodes[node].rx_seq[port];
-            let act = if self.nodes[node].withheld[port] {
-                Act::Busy { port, seq: last }
-            } else {
-                Act::Ack { port, seq: last }
-            };
-            acts.push((node, act));
-            return false;
-        }
-        self.nodes[node].rx_seq[port] = !self.nodes[node].rx_seq[port];
+    ) {
         if self.nodes[node].skip[port] > 0 {
             // Wire-death reconciliation: the byte belongs to a relay
             // chain torn down while it was in flight — swallow it (see
             // `kill_stream_chain`).
             self.nodes[node].skip[port] -= 1;
-            acts.push((node, Act::Ack { port, seq }));
-            return true;
+            acts.push((node, Act::Ack { port }));
+            return;
         }
         if self.nodes[node].stream_in[port].is_some() {
-            self.stream_data(node, port, byte, seq, acts);
-            return true;
+            self.stream_data(node, port, byte, acts);
+            return;
         }
         let Some(pkt) = self.nodes[node].rx[port].push(byte, now_ns) else {
             // Mid-packet: the CPU is not party.
             self.try_cut_through(node, port, now_ns, acts);
-            acts.push((node, Act::Ack { port, seq }));
-            return true;
+            acts.push((node, Act::Ack { port }));
+            return;
         };
         let was_idle = cpus[node].is_idle();
         if self.route_packet(cpus, node, pkt, now_ns, acts) {
-            acts.push((node, Act::Ack { port, seq }));
+            acts.push((node, Act::Ack { port }));
         } else {
             // No room: park the packet and withhold the final byte's
             // acknowledge — the upstream transmitter stalls, which is
@@ -763,7 +733,6 @@ impl RouterNet {
         if was_idle && !cpus[node].is_idle() {
             acts.push((node, Act::Wake));
         }
-        true
     }
 
     /// Wormhole mode: a transit packet's header just finished
@@ -820,7 +789,6 @@ impl RouterNet {
             inflight: true,
         });
         r.stream_out[op] = Some(port);
-        let sq = r.tx_seq[op];
         self.stats.packets_forwarded += 1;
         // The stream's hop: first header byte arriving to the header
         // starting back out — the cut-through latency itself.
@@ -830,7 +798,6 @@ impl RouterNet {
             Act::Data {
                 port: op,
                 byte: pkt.byte(0),
-                seq: sq,
             },
         ));
     }
@@ -839,14 +806,7 @@ impl RouterNet {
     /// kick a starved relay, and either complete the stream (the packet
     /// is fully buffered now, so it becomes an ordinary mid-transmission
     /// queue-front packet) or acknowledge it under the credit bound.
-    fn stream_data(
-        &mut self,
-        node: usize,
-        port: usize,
-        byte: u8,
-        seq: bool,
-        acts: &mut Vec<(usize, Act)>,
-    ) {
+    fn stream_data(&mut self, node: usize, port: usize, byte: u8, acts: &mut Vec<(usize, Act)>) {
         let r = &mut self.nodes[node];
         let st = r.stream_in[port].as_mut().expect("caller checked");
         st.pkt.data[st.got - HEADER_BYTES] = byte;
@@ -856,15 +816,7 @@ impl RouterNet {
             let b = st.pkt.byte(st.next);
             st.next += 1;
             st.inflight = true;
-            let sq = r.tx_seq[op];
-            acts.push((
-                node,
-                Act::Data {
-                    port: op,
-                    byte: b,
-                    seq: sq,
-                },
-            ));
+            acts.push((node, Act::Data { port: op, byte: b }));
         }
         if st.got == st.pkt.wire_len() {
             // Tail: hand the remaining transmission to the queue path
@@ -873,31 +825,32 @@ impl RouterNet {
             r.outq[op].push_front(st.pkt);
             r.stream_in[port] = None;
             r.stream_out[op] = None;
-            acts.push((node, Act::Ack { port, seq }));
+            acts.push((node, Act::Ack { port }));
         } else if st.got - st.next >= STREAM_CREDITS {
             // Out of flit credit: withhold the acknowledge so the
             // upstream transmitter stalls mid-packet — the stream
             // stalls, the port does not.
             r.withheld[port] = true;
         } else {
-            acts.push((node, Act::Ack { port, seq }));
+            acts.push((node, Act::Ack { port }));
         }
     }
 
     /// Retry parked packets (in physical-port order) after capacity or
     /// a delivery slot freed; releasing one also releases its withheld
-    /// acknowledge.
+    /// acknowledge. The packet leaves its slot while it is routed: a
+    /// delivery it completes on the spot unparks again, and must not
+    /// find it there.
     fn unpark(&mut self, cpus: &mut [Cpu], node: usize, now_ns: u64, acts: &mut Vec<(usize, Act)>) {
         for port in 0..4 {
-            let Some(pkt) = self.nodes[node].parked[port] else {
+            let Some(pkt) = self.nodes[node].parked[port].take() else {
                 continue;
             };
             if self.route_packet(cpus, node, pkt, now_ns, acts) {
-                let r = &mut self.nodes[node];
-                r.parked[port] = None;
-                r.withheld[port] = false;
-                let seq = !r.rx_seq[port];
-                acts.push((node, Act::Ack { port, seq }));
+                self.nodes[node].withheld[port] = false;
+                acts.push((node, Act::Ack { port }));
+            } else {
+                self.nodes[node].parked[port] = Some(pkt);
             }
         }
     }
@@ -1045,8 +998,7 @@ impl RouterNet {
                         // Reassembly absorbs freely: release the
                         // credit-withheld acknowledge.
                         r.withheld[q] = false;
-                        let aseq = !r.rx_seq[q];
-                        acts.push((node, Act::Ack { port: q, seq: aseq }));
+                        acts.push((node, Act::Ack { port: q }));
                     }
                 }
             }
@@ -1122,8 +1074,9 @@ impl RouterNet {
     /// At each hop the partial image is discarded; a data byte still in
     /// flight between two hops is marked to be swallowed on arrival,
     /// and a transmitter whose last byte's acknowledge is still due is
-    /// flagged so the late acknowledge realigns the sequence bit while
-    /// the resend machinery stays armed (fault tolerance intact).
+    /// flagged so the late acknowledge is consumed — flipping the wire
+    /// end's sequence bit like any fresh one — while the resend
+    /// machinery stays armed (fault tolerance intact).
     fn kill_stream_chain(
         &mut self,
         mut node: usize,

@@ -157,7 +157,7 @@ mod tests {
         cpu.link_rx_deliver(2, 0x42);
         assert!(!cpu.is_booting());
         // The stray byte is waiting in link 0's buffer for the program.
-        assert!(cpu.link_input_buffered(0));
+        assert!(cpu.link_holds_ack(0));
     }
 
     #[test]
@@ -166,6 +166,6 @@ mod tests {
         assert!(!cpu.is_booting());
         // Ordinary delivery goes to the link buffer.
         cpu.link_rx_deliver(0, 5);
-        assert!(cpu.link_input_buffered(0));
+        assert!(cpu.link_holds_ack(0));
     }
 }

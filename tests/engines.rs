@@ -581,7 +581,7 @@ fn routed_packet_delivered_to_a_computing_cpu_sliced_matches_event() {
         "routed 2x2",
         |e| hand_net(config(e), &grid_wires(2, 2, 0), &[((0, 0), (3, 0))], &nodes),
         |net| {
-            first_instant(&mut arrived_at, net, net.node(3).link_input_buffered(0));
+            first_instant(&mut arrived_at, net, net.node(3).link_holds_ack(0));
             let inputs = net.node(3).stats().op_count(Op::InputMessage);
             first_instant(&mut in_at, net, inputs == 1);
         },
