@@ -803,6 +803,40 @@ mod tests {
         assert!(verify_bytecode(&[], None).is_empty());
     }
 
+    /// Characterisation, not specification: this pins an imprecision
+    /// so that a change to the dataflow's visit order shows up here.
+    /// `ldc 0; ldl 4; cj 1; startp; ldc 5; startp; lb; ldl 9`: both
+    /// edges out of `cj` carry A = 0. The FIFO worklist steps `ldc 5`
+    /// before the first `startp`, so the second `startp` first sees
+    /// B = 0, a constant, and seeds a child entry at `lb` with an unknown
+    /// workspace. The first `startp` then falls into `ldc 5` and B
+    /// merges to unknown. The final state names no child (no edge in
+    /// the CFG), but the phantom seed has already widened `lb`'s
+    /// `wadj`, so `ldl 9` goes unchecked. Visit the first `startp`
+    /// first and no seed is made.
+    #[test]
+    fn a_transient_startp_constant_leaves_a_phantom_child_seed() {
+        let shape = CodeShape {
+            locals: 5,
+            depth: 0,
+        };
+        let image = [0x40, 0x74, 0xA1, 0xFD, 0x45, 0xFD, 0xF1, 0x79];
+        assert!(verify_bytecode(&image, Some(&shape)).is_empty());
+        assert!(crate::cfg::verify_bytecode_cfg(&image, Some(&shape)).is_empty());
+        let a = analyze(&image, Some(&shape));
+        assert_eq!((a.discovered[5], a.states[6].wadj), (None, None));
+        // Without the first `startp`, `ldl 9` is out of the frame.
+        let without = [0x40, 0x74, 0xA1, 0x45, 0xFD, 0xF1, 0x79];
+        assert_eq!(
+            codes(&verify_bytecode(&without, Some(&shape))),
+            ["workspace-oob"]
+        );
+        assert_eq!(
+            codes(&crate::cfg::verify_bytecode_cfg(&without, Some(&shape))),
+            ["workspace-oob"]
+        );
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
         /// Over random images: the states `analyze` reports from are

@@ -397,9 +397,9 @@ pub(crate) enum Act {
 /// per-node state.
 #[derive(Debug)]
 pub(crate) struct RouterNet {
-    /// `tables[node][dest]` = physical out port, [`NO_ROUTE`] for self
-    /// or unreachable.
-    tables: Vec<Vec<u8>>,
+    /// `tables[node * n + dest]` = physical out port, [`NO_ROUTE`] for
+    /// self or unreachable (see [`route_tables`]).
+    tables: Vec<u8>,
     /// Destination `(node, cpu_port)` per virtual-channel id.
     vc_dst: Vec<(usize, usize)>,
     adj: Adjacency,
@@ -419,7 +419,7 @@ pub(crate) struct RouterNet {
 impl RouterNet {
     pub(crate) fn new(
         adj: Adjacency,
-        tables: Vec<Vec<u8>>,
+        tables: Vec<u8>,
         dead: HashSet<usize>,
         vcs: &[VcSpec],
         config: RouterConfig,
@@ -445,6 +445,12 @@ impl RouterNet {
             cut_through,
             stats: RouterStats::default(),
         }
+    }
+
+    /// The port on which `node` forwards a packet for `dest`
+    /// ([`NO_ROUTE`] for `node` itself or an unreachable `dest`).
+    fn route(&self, node: usize, dest: usize) -> u8 {
+        self.tables[node * self.nodes.len() + dest]
     }
 
     /// Whether cut-through streaming is active (wormhole mode with a
@@ -580,7 +586,7 @@ impl RouterNet {
         if dn == node {
             return self.accept_local(cpus, node, pkt, now_ns, acts);
         }
-        let port = self.tables[node][dn];
+        let port = self.route(node, dn);
         if port == NO_ROUTE {
             self.stats.packets_dropped += 1;
             return true;
@@ -759,7 +765,7 @@ impl RouterNet {
         if dn == node {
             return; // local delivery stays packet-atomic
         }
-        let out = self.tables[node][dn];
+        let out = self.route(node, dn);
         if out == NO_ROUTE {
             return; // no route: reassemble, then drop the whole packet
         }
@@ -878,7 +884,7 @@ impl RouterNet {
                     let vc =
                         self.nodes[node].out_vcs[port][self.nodes[node].out_cursor[port] % n_vcs];
                     let (dn, _) = self.vc_dst[usize::from(vc)];
-                    let out_port = match self.tables[node][dn] {
+                    let out_port = match self.route(node, dn) {
                         NO_ROUTE => usize::MAX,
                         p => usize::from(p),
                     };
@@ -1023,7 +1029,7 @@ impl RouterNet {
                 let next = if dn == node {
                     usize::MAX // shouldn't have been queued, but route home
                 } else {
-                    match self.tables[node][dn] {
+                    match self.route(node, dn) {
                         NO_ROUTE => usize::MAX,
                         p => usize::from(p),
                     }
@@ -1053,7 +1059,7 @@ impl RouterNet {
                 }
                 self.nodes[node].reserved[port] = self.nodes[node].reserved[port].saturating_sub(1);
                 let (dn, _) = self.vc_dst[usize::from(b.vc)];
-                b.out_port = match self.tables[node][dn] {
+                b.out_port = match self.route(node, dn) {
                     NO_ROUTE => usize::MAX,
                     p => usize::from(p),
                 };
@@ -1131,7 +1137,7 @@ impl RouterNet {
     /// Nodes a virtual channel can no longer link to its destination —
     /// used by applications to exclude unreachable participants.
     pub(crate) fn reachable(&self, from: usize, to: usize) -> bool {
-        from == to || self.tables[from][to] != NO_ROUTE
+        from == to || self.route(from, to) != NO_ROUTE
     }
 
     /// Network-wide router counters.

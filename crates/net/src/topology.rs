@@ -172,7 +172,10 @@ pub fn hypercube_adjacency(dim: usize, side: usize) -> Adjacency {
     adjacency((1usize << dim) * side * side, &hypercube_wires(dim, side))
 }
 
-/// BFS link distances from `root` over the links not in `dead`.
+/// BFS link distances from `root` over the links not in `dead`: what
+/// the search application's planned trees and host reachability
+/// (`apps::dbsearch`) are derived from. [`route_tables`] runs its own
+/// searches, 64 destinations at a time.
 pub fn bfs_dist(adj: &Adjacency, root: usize, dead: &HashSet<usize>) -> Vec<Option<u32>> {
     let mut dist = vec![None; adj.len()];
     let mut queue = VecDeque::new();
@@ -199,59 +202,73 @@ pub fn bfs_dist(adj: &Adjacency, root: usize, dead: &HashSet<usize>) -> Vec<Opti
 /// fixed deterministic tie-break.
 const ROUTE_PREF: [usize; 4] = [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH];
 
-/// Shortest-path routing tables over the links not in `dead`:
-/// `tables[node][dest]` is the port on which `node` forwards a packet
-/// for `dest` ([`NO_ROUTE`] when `dest` is `node` itself or
-/// unreachable). One BFS per destination; ties broken by
-/// `ROUTE_PREF`, so the tables are a pure function of the adjacency
-/// and the dead set.
-pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<Vec<u8>> {
-    const NONE: u32 = u32::MAX;
+/// Shortest-path routing tables over the links not in `dead`, one flat
+/// row-major table: `tables[node * n + dest]` is the port on which
+/// `node` forwards a packet for `dest` ([`NO_ROUTE`] when `dest` is
+/// `node` itself or unreachable), `n` being `adj.len()`. Ties are
+/// broken by `ROUTE_PREF`, so the tables are a pure function of the
+/// adjacency and the dead set.
+///
+/// The breadth-first searches run 64 destinations at a time, one bit
+/// of a word per destination: a node at distance `L` from destination
+/// `k` is one whose neighbours' level-`L − 1` words hold bit `k` while
+/// its own seen word does not, and its next hop is the first
+/// `ROUTE_PREF` port whose neighbour's word holds the bit. A level is a
+/// handful of word operations per node, whatever the batch's width.
+pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<u8> {
     let n = adj.len();
-    // The alive link map, flat: `peer[node * 4 + port]`, `NONE` where
-    // the port is unwired or its wire dead.
-    let mut peer = vec![NONE; n * 4];
+    // The alive link map: `peer[node][port]`. An unwired port or a dead
+    // wire leads to the sentinel node `n`, whose level word is always
+    // zero, so the gather below needs no branch.
+    let mut peer = vec![[n as u32; 4]; n];
     for (node, links) in adj.iter().enumerate() {
         for (port, link) in links.iter().enumerate() {
             if let Some((p, _, wire)) = *link {
                 if !dead.contains(&wire) {
-                    peer[node * 4 + port] = p as u32;
+                    peer[node][port] = p as u32;
                 }
             }
         }
     }
-    let mut tables = vec![vec![NO_ROUTE; n]; n];
-    let mut dist = vec![NONE; n];
-    let mut queue: Vec<u32> = Vec::with_capacity(n);
-    for dest in 0..n {
-        dist.fill(NONE);
-        queue.clear();
-        dist[dest] = 0;
-        queue.push(dest as u32);
-        let mut head = 0;
-        while let Some(&i) = queue.get(head) {
-            head += 1;
-            let d = dist[i as usize] + 1;
-            for &p in &peer[i as usize * 4..i as usize * 4 + 4] {
-                if p != NONE && dist[p as usize] == NONE {
-                    dist[p as usize] = d;
-                    queue.push(p);
+    let mut tables = vec![NO_ROUTE; n * n];
+    // Per node, bit `k` for destination `base + k`: `seen`, its distance
+    // is known; `prev`, that distance is the last level's; `next`, it is
+    // this level's.
+    let mut seen = vec![0u64; n];
+    let mut prev = vec![0u64; n + 1];
+    let mut next = vec![0u64; n + 1];
+    for base in (0..n).step_by(64) {
+        let width = (n - base).min(64);
+        prev.fill(0);
+        for k in 0..width {
+            prev[base + k] = 1 << k;
+        }
+        seen.copy_from_slice(&prev[..n]);
+        loop {
+            let mut grew = 0;
+            for (node, &ports) in peer.iter().enumerate() {
+                let reach = ports.map(|p| prev[p as usize]);
+                let mut new = (reach[0] | reach[1] | reach[2] | reach[3]) & !seen[node];
+                next[node] = new;
+                if new == 0 {
+                    continue;
+                }
+                seen[node] |= new;
+                grew |= new;
+                let row = &mut tables[node * n + base..][..width];
+                for port in ROUTE_PREF {
+                    let mut take = new & reach[port];
+                    new &= !take;
+                    while take != 0 {
+                        row[take.trailing_zeros() as usize] = port as u8;
+                        take &= take - 1;
+                    }
                 }
             }
-        }
-        // Every node the search reached, but the root, has a neighbour
-        // one step nearer; take the first in `ROUTE_PREF` order.
-        for &node in &queue[1..] {
-            let node = node as usize;
-            let toward = dist[node] - 1;
-            let port = ROUTE_PREF
-                .into_iter()
-                .find(|&p| {
-                    let q = peer[node * 4 + p];
-                    q != NONE && dist[q as usize] == toward
-                })
-                .expect("a reachable node has a next hop");
-            tables[node][dest] = port as u8;
+            if grew == 0 {
+                break;
+            }
+            std::mem::swap(&mut prev, &mut next);
         }
     }
     tables
@@ -274,26 +291,21 @@ pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<Vec<u8>> {
 /// tables rebuilt around dead wires must likewise be checked. The
 /// router streams (cut-through) only while this proof holds and
 /// degrades to store-and-forward forwarding otherwise.
-pub fn cdg_acyclic(adj: &Adjacency, tables: &[Vec<u8>]) -> bool {
+pub fn cdg_acyclic(adj: &Adjacency, tables: &[u8]) -> bool {
     let n = adj.len();
+    assert_eq!(tables.len(), n * n, "tables are {n} rows of {n}");
     // Channel `node * 4 + port` leads to one peer, so its successors are
-    // channels out of that peer: a 4-bit mask of the peer's out ports.
+    // channels out of that peer: a 4-bit mask of the peer's out ports,
+    // read off the peer's row wherever `node`'s row names `port`. A
+    // packet for the peer itself leaves there, and adds nothing: a row
+    // names no port for its own node.
     let mut succ = vec![0u8; n * 4];
-    for (node, row) in tables.iter().enumerate() {
-        for (dest, &p) in row.iter().enumerate() {
-            if p == NO_ROUTE {
-                continue;
-            }
-            let Some((peer, _, _)) = adj[node][usize::from(p)] else {
-                continue;
-            };
-            if peer == dest {
-                continue;
-            }
-            let np = tables[peer][dest];
-            if np != NO_ROUTE {
-                succ[node * 4 + usize::from(p)] |= 1 << np;
-            }
+    for (node, links) in adj.iter().enumerate() {
+        let row = &tables[node * n..][..n];
+        for (port, link) in links.iter().enumerate() {
+            let Some((peer, _, _)) = *link else { continue };
+            let peer_row = &tables[peer * n..][..n];
+            succ[node * 4 + port] = successors(row, peer_row, port as u8);
         }
     }
     // Iterative three-colour DFS: a back edge is a cycle. A stack entry
@@ -329,8 +341,26 @@ pub fn cdg_acyclic(adj: &Adjacency, tables: &[Vec<u8>]) -> bool {
     true
 }
 
-/// Dimension-order (e-cube) routing tables for a hypercube of grid
-/// clusters whose first `2^dim * side * side` adjacency entries follow
+/// The out ports `peer_row` names wherever `row` names `port`, as a
+/// 4-bit mask. One streaming pass, four byte compares an entry and no
+/// branch, so it runs a vector's width of destinations at a time.
+fn successors(row: &[u8], peer_row: &[u8], port: u8) -> u8 {
+    let mut named = [0u8; 4];
+    for (&p, &next) in row.iter().zip(peer_row) {
+        let hit = u8::from(p == port);
+        for (out, bit) in named.iter_mut().enumerate() {
+            *bit |= hit & u8::from(next == out as u8);
+        }
+    }
+    named
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (out, &bit)| mask | bit << out)
+}
+
+/// Dimension-order (e-cube) routing tables, in [`route_tables`]' flat
+/// layout, for a hypercube of grid clusters whose first
+/// `2^dim * side * side` adjacency entries follow
 /// [`hypercube_adjacency`]; later entries must be single-wire leaves
 /// (host attachments). A packet first resolves cluster-address bits in
 /// increasing dimension order — travelling XY inside the current
@@ -346,7 +376,7 @@ pub fn hypercube_tables(
     dim: usize,
     side: usize,
     dead: &HashSet<usize>,
-) -> Vec<Vec<u8>> {
+) -> Vec<u8> {
     if !dead.is_empty() {
         return route_tables(adj, dead);
     }
@@ -397,13 +427,13 @@ pub fn hypercube_tables(
         let rd = dest % (side * side);
         xy_step(x, y, rd % side, rd / side)
     };
-    let mut tables = vec![vec![NO_ROUTE; n]; n];
-    for node in 0..n {
-        for dest in 0..n {
+    let mut tables = vec![NO_ROUTE; n * n];
+    for (node, row) in tables.chunks_exact_mut(n).enumerate() {
+        for (dest, entry) in row.iter_mut().enumerate() {
             if node == dest {
                 continue;
             }
-            tables[node][dest] = match (leaf_anchor[node], leaf_anchor[dest]) {
+            *entry = match (leaf_anchor[node], leaf_anchor[dest]) {
                 // A leaf sends everything out its only port.
                 (Some(_), _) => adj[node]
                     .iter()
@@ -605,11 +635,11 @@ mod tests {
 
     /// Follow a routing table from `from` to `to`, returning the hop
     /// count (panics on a loop or a missing route).
-    fn walk(adj: &Adjacency, tables: &[Vec<u8>], from: usize, to: usize) -> usize {
+    fn walk(adj: &Adjacency, tables: &[u8], from: usize, to: usize) -> usize {
         let mut at = from;
         let mut hops = 0;
         while at != to {
-            let port = tables[at][to];
+            let port = tables[at * adj.len() + to];
             assert_ne!(port, NO_ROUTE, "no route {from}->{to} at {at}");
             let (peer, _, _) = adj[at][port as usize].expect("table names a wired port");
             at = peer;
@@ -642,7 +672,7 @@ mod tests {
                         } else {
                             PORT_NORTH as u8
                         };
-                        assert_eq!(tables[n][d], want, "({x},{y}) -> ({tx},{ty})");
+                        assert_eq!(tables[n * w * h + d], want, "({x},{y}) -> ({tx},{ty})");
                     }
                 }
             }
@@ -657,7 +687,10 @@ mod tests {
         let adj = grid_adjacency(w, h);
         let dead: HashSet<usize> = [grid_edge_wire(w, h, 0, 0, true)].into();
         let tables = route_tables(&adj, &dead);
-        assert_eq!(tables[0][1], PORT_SOUTH as u8, "detour starts south");
+        assert_eq!(
+            tables[1], PORT_SOUTH as u8,
+            "(0,0) -> (1,0): detour starts south"
+        );
         for from in 0..w * h {
             let dist = bfs_dist(&adj, from, &dead);
             for (to, d) in dist.iter().enumerate() {
@@ -679,7 +712,7 @@ mod tests {
         for from in 0..n {
             for to in 0..n {
                 if from == to {
-                    assert_eq!(tables[from][to], NO_ROUTE);
+                    assert_eq!(tables[from * n + to], NO_ROUTE);
                     continue;
                 }
                 // Every pair routes to its destination without loops;
@@ -694,7 +727,7 @@ mod tests {
         }
         // Same-cluster routing is plain XY: cluster 0 (0,0) -> (2,1)
         // goes east first.
-        assert_eq!(tables[0][side + 2], PORT_EAST as u8);
+        assert_eq!(tables[side + 2], PORT_EAST as u8);
     }
 
     #[test]
@@ -709,14 +742,15 @@ mod tests {
         );
         let tables = hypercube_tables(&adj, dim, side, &HashSet::new());
         // The sender leaf reaches every node out its single port.
-        for (dest, &port) in tables[core].iter().enumerate() {
+        let n = core + 2;
+        for (dest, &port) in tables[core * n..][..n].iter().enumerate() {
             if dest == core {
                 continue;
             }
             assert_eq!(port, PORT_SOUTH as u8, "leaf -> {dest}");
         }
         // Core nodes route to the collector leaf via its anchor.
-        assert_eq!(tables[core - 1][core + 1], PORT_SOUTH as u8);
+        assert_eq!(tables[(core - 1) * n + core + 1], PORT_SOUTH as u8);
         let hops_to_collector = walk(&adj, &tables, core, core + 1);
         assert!(hops_to_collector >= 2);
         // The BFS fallback handles the same leaves when wires die.
@@ -831,10 +865,13 @@ mod tests {
         true
     }
 
-    /// The flat-array tables and the bit-mask dependency check against
-    /// their first implementations: every grid from 1x1 to 6x5 and a
-    /// small cluster hypercube, intact and under seeded random dead-wire
-    /// sets, plus random (mostly cyclic) tables for the check alone.
+    /// The word-parallel tables and the streaming dependency check
+    /// against their first implementations: every grid from 1x1 to 6x5
+    /// and a small cluster hypercube, then shapes past one 64-destination
+    /// batch (two grids, one with a partial last batch, a cluster
+    /// hypercube and a grid carrying the search machines' two host
+    /// leaves), intact and under seeded random dead-wire sets, plus
+    /// random (mostly cyclic) tables for the check alone.
     #[test]
     fn route_tables_and_cdg_match_their_oracles() {
         let mut rng = 0x1985_u64;
@@ -851,7 +888,14 @@ mod tests {
             }
         }
         shapes.push(("cube 2x3".into(), hypercube_adjacency(2, 3)));
-        let (mut cyclic, mut acyclic) = (0, 0);
+        shapes.push(("9x8 grid".into(), grid_adjacency(9, 8)));
+        shapes.push(("13x10 grid".into(), grid_adjacency(13, 10)));
+        shapes.push(("cube 2x5".into(), hypercube_adjacency(2, 5)));
+        shapes.push((
+            "12x10 grid + hosts".into(),
+            adjacency(122, &with_hosts(&grid_wires(12, 10, 0), 120, true)),
+        ));
+        let (mut cyclic, mut acyclic, mut wide_splits) = (0, 0, 0);
         for (label, adj) in &shapes {
             let wires = adj
                 .iter()
@@ -865,19 +909,20 @@ mod tests {
                 let dead: HashSet<usize> =
                     (0..wires).filter(|_| next() % 20 < round * 3 / 4).collect();
                 let tables = route_tables(adj, &dead);
-                assert!(
-                    tables == route_tables_oracle(adj, &dead),
-                    "{label}, dead {dead:?}: tables"
-                );
+                let oracle = route_tables_oracle(adj, &dead);
+                assert!(tables == oracle.concat(), "{label}, dead {dead:?}: tables");
                 let verdict = cdg_acyclic(adj, &tables);
                 assert_eq!(
                     verdict,
-                    cdg_acyclic_oracle(adj, &tables),
+                    cdg_acyclic_oracle(adj, &oracle),
                     "{label}: {dead:?}"
                 );
+                let n = adj.len();
+                if n > 64 && (0..n * n).any(|i| i / n != i % n && tables[i] == NO_ROUTE) {
+                    wide_splits += 1;
+                }
                 // Any port may be named, wired or not: the check must
                 // agree with its oracle on arbitrary tables too.
-                let n = adj.len();
                 let random: Vec<Vec<u8>> = (0..n)
                     .map(|node| {
                         (0..n)
@@ -889,7 +934,7 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let verdict = cdg_acyclic(adj, &random);
+                let verdict = cdg_acyclic(adj, &random.concat());
                 assert_eq!(verdict, cdg_acyclic_oracle(adj, &random), "{label}: random");
                 if verdict {
                     acyclic += 1;
@@ -900,11 +945,14 @@ mod tests {
         }
         let cube = hypercube_adjacency(2, 3);
         let tables = hypercube_tables(&cube, 2, 3, &HashSet::new());
-        assert!(!cdg_acyclic(&cube, &tables) && !cdg_acyclic_oracle(&cube, &tables));
+        let rows: Vec<Vec<u8>> = tables.chunks(cube.len()).map(<[u8]>::to_vec).collect();
+        assert!(!cdg_acyclic(&cube, &tables) && !cdg_acyclic_oracle(&cube, &rows));
         assert!(
             cyclic > 0 && acyclic > 0,
             "{cyclic} cyclic, {acyclic} acyclic"
         );
+        // The dead sets cut the wide shapes into pieces too.
+        assert!(wide_splits > 0, "no dead set split a shape past one batch");
     }
 
     #[test]
@@ -914,15 +962,17 @@ mod tests {
         // four channels wait on each other in a ring — the canonical
         // wormhole deadlock cycle a checker must reject.
         let adj = grid_adjacency(2, 2);
-        let mut tables = vec![vec![NO_ROUTE; 4]; 4];
-        tables[0][3] = PORT_EAST as u8; // 0 -> 3 via 1
-        tables[1][3] = PORT_SOUTH as u8;
-        tables[1][2] = PORT_SOUTH as u8; // 1 -> 2 via 3
-        tables[3][2] = PORT_WEST as u8;
-        tables[3][0] = PORT_WEST as u8; // 3 -> 0 via 2
-        tables[2][0] = PORT_NORTH as u8;
-        tables[2][1] = PORT_NORTH as u8; // 2 -> 1 via 0
-        tables[0][1] = PORT_EAST as u8;
+        let mut tables = vec![NO_ROUTE; 4 * 4];
+        let mut route =
+            |node: usize, dest: usize, port: usize| tables[node * 4 + dest] = port as u8;
+        route(0, 3, PORT_EAST); // 0 -> 3 via 1
+        route(1, 3, PORT_SOUTH);
+        route(1, 2, PORT_SOUTH); // 1 -> 2 via 3
+        route(3, 2, PORT_WEST);
+        route(3, 0, PORT_WEST); // 3 -> 0 via 2
+        route(2, 0, PORT_NORTH);
+        route(2, 1, PORT_NORTH); // 2 -> 1 via 0
+        route(0, 1, PORT_EAST);
         assert!(!cdg_acyclic(&adj, &tables));
     }
 }
