@@ -1,12 +1,17 @@
 //! Basic-block control-flow graph recovery over assembled I1 bytecode.
 //!
-//! Built on the verifier's fused-prefix decoder ([`crate::verifier::decode`]):
-//! a *leader* is the entry point, any valid target of a `j`/`cj`/`call`
-//! operand or of a constant-operand `startp`/`lend` discovered by the
-//! dataflow, and the instruction following any control transfer. Blocks
-//! are the maximal runs between leaders; every decoded instruction
-//! belongs to exactly one block, reachable or not, so the partition
-//! covers the whole image.
+//! Built on the table the verifier's dataflow fills — the instructions
+//! from its fused-prefix decoder ([`crate::verifier::decode`]), the
+//! byte-to-instruction boundary index, the final states and the
+//! discovered `startp`/`lend` targets — which this module and the cost
+//! model read instead of decoding again. A *leader* is the entry point,
+//! any valid target of a `j`/`cj`/`call` operand or of a
+//! constant-operand `startp`/`lend` discovered by the dataflow, and the
+//! instruction following any control transfer. Blocks are the maximal
+//! runs between leaders; every decoded instruction belongs to exactly
+//! one block, reachable or not, so the partition covers the whole
+//! image. Their successor edges sit in one flat list, each block's
+//! addressed by a range ([`Cfg::succs`]).
 //!
 //! On top of the recovered graph this module:
 //!
@@ -24,10 +29,11 @@
 //!   ([`crate::cost`]) refuses exactly these images rather than
 //!   mis-predicting them.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::diag::{self, Diagnostic, Span};
-use crate::verifier::{analyze, is_stop, CodeShape, Insn};
+use crate::verifier::{analyze, is_stop, Analysis, CodeShape, Insn, State};
 use transputer::instr::{Direct, Op, StackEffect};
 
 /// Why an edge exists.
@@ -82,8 +88,8 @@ pub struct Block {
     pub start: usize,
     /// Byte offset just past the last instruction.
     pub end: usize,
-    /// Outgoing edges.
-    pub succs: Vec<Edge>,
+    /// Where the outgoing edges sit in [`Cfg::edges`] ([`Cfg::succs`]).
+    pub succs: Range<usize>,
 }
 
 /// A place where static control-flow recovery gives up.
@@ -108,14 +114,19 @@ pub struct Cfg {
     pub insns: Vec<Insn>,
     /// Basic blocks, in address order; they partition `insns`.
     pub blocks: Vec<Block>,
+    /// Every block's outgoing edges, block after block.
+    pub edges: Vec<Edge>,
     /// All findings: [`crate::verify_bytecode`]'s plus the taint scan's.
     pub diags: Vec<Diagnostic>,
     /// Regions no static model should trust.
     pub unanalyzable: Vec<Unanalyzable>,
-    /// Entry register constants per instruction, from the dataflow
-    /// (consumed by the cost model for shift operands).
-    pub(crate) reg_consts: Vec<[Option<i64>; 3]>,
+    /// The dataflow's final entry state per instruction (the cost model
+    /// reads shift operands from it).
+    pub(crate) states: Vec<State>,
 }
+
+/// `block_at` entry of an instruction that leads no block.
+const NO_BLOCK: u32 = u32::MAX;
 
 impl Cfg {
     /// Recover the CFG of a raw image (no workspace shape).
@@ -129,141 +140,143 @@ impl Cfg {
         Cfg::recover_with_shape(&program.code, Some(&CodeShape::of(program)))
     }
 
-    /// Run the verifier, recover the CFG from what it learned, and run
-    /// the taint scan over it.
+    /// Run the verifier, recover the CFG from the table it fills, and
+    /// run the taint scan over it.
     pub fn recover_with_shape(code: &[u8], shape: Option<&CodeShape>) -> Cfg {
-        let analysis = analyze(code, shape);
-        let insns = analysis.insns;
-        // Valid static targets of an instruction: in range and on a
-        // decoded boundary. Anything else was already diagnosed.
-        let valid = |target: i64| analysis.index.at(target);
-        // Each instruction's valid discovered startp/lend target.
-        let dynamic: Vec<Option<usize>> = analysis
-            .discovered
-            .iter()
-            .map(|target| target.and_then(valid))
-            .collect();
+        let Analysis {
+            insns,
+            index,
+            states,
+            discovered,
+            mut diags,
+            ..
+        } = analyze(code, shape);
+        let count = insns.len();
+        // The instruction a transfer's own edge lands on: a `j`/`cj`/
+        // `call` operand or a discovered `startp`/`lend` target, when it
+        // is in range and on a boundary. Anything else was already
+        // diagnosed.
+        let target = |i: usize| {
+            let insn = &insns[i];
+            match (insn.fun, insn.op) {
+                (Direct::Jump | Direct::ConditionalJump | Direct::Call, _) => {
+                    index.at(insn.end() as i64 + insn.operand)
+                }
+                (_, Some(Op::LoopEnd | Op::StartProcess)) => {
+                    discovered[i].and_then(|t| index.at(t))
+                }
+                _ => None,
+            }
+        };
 
-        // Leaders.
-        let mut leader = vec![false; insns.len()];
-        if !insns.is_empty() {
-            leader[0] = true;
+        // Leaders, marked 0, then numbered: `block_at[i]` is the block
+        // instruction `i` starts, or `NO_BLOCK`.
+        let mut block_at = vec![NO_BLOCK; count];
+        if count > 0 {
+            block_at[0] = 0;
         }
         for (i, insn) in insns.iter().enumerate() {
             if is_terminator(insn) {
-                if i + 1 < insns.len() {
-                    leader[i + 1] = true;
+                if i + 1 < count {
+                    block_at[i + 1] = 0;
                 }
-                if matches!(
-                    insn.fun,
-                    Direct::Jump | Direct::ConditionalJump | Direct::Call
-                ) {
-                    if let Some(t) = valid(insn.end() as i64 + insn.operand) {
-                        leader[t] = true;
-                    }
-                }
-                if let Some(t) = dynamic[i] {
-                    leader[t] = true;
+                if let Some(t) = target(i) {
+                    block_at[t] = 0;
                 }
             }
         }
 
         // Blocks: maximal leader-to-leader runs.
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut block_of = vec![0usize; insns.len()];
+        let leaders = block_at.iter().filter(|&&b| b != NO_BLOCK).count();
+        let mut blocks: Vec<Block> = Vec::with_capacity(leaders);
         for (i, insn) in insns.iter().enumerate() {
-            if leader[i] {
+            if block_at[i] != NO_BLOCK {
+                block_at[i] = blocks.len() as u32;
                 blocks.push(Block {
                     first: i,
                     last: i,
                     start: insn.offset,
                     end: insn.end(),
-                    succs: Vec::new(),
+                    succs: 0..0,
                 });
             }
-            let b = blocks.len() - 1;
-            let blk = &mut blocks[b];
+            let blk = blocks.last_mut().expect("instruction 0 leads a block");
             blk.last = i;
             blk.end = insn.end();
-            block_of[i] = b;
         }
 
-        // Successor edges from each block's final instruction; targets
-        // are collected as instruction indices and mapped to blocks.
-        #[allow(clippy::needless_range_loop)] // `blocks[b]` is mutated at the end
-        for b in 0..blocks.len() {
-            let i = blocks[b].last;
-            let insn = insns[i];
-            let target = || valid(insn.end() as i64 + insn.operand);
-            // The transfer's own edge, and whether control falls through.
-            let (to, kind, falls) = match (insn.fun, insn.op) {
-                (Direct::Jump, _) => (target(), EdgeKind::Jump, false),
-                (Direct::ConditionalJump, _) => (target(), EdgeKind::Taken, true),
-                (Direct::Call, _) => (target(), EdgeKind::Call, true),
-                (Direct::Operate, Some(Op::LoopEnd)) => (dynamic[i], EdgeKind::Back, true),
-                (Direct::Operate, Some(Op::StartProcess)) => (dynamic[i], EdgeKind::Spawn, true),
-                (Direct::Operate, None) => (None, EdgeKind::Jump, false),
-                (Direct::Operate, Some(op)) => (None, EdgeKind::Jump, !is_stop(op)),
-                _ => (None, EdgeKind::Jump, true),
-            };
-            let fall = (falls && i + 1 < insns.len()).then_some(i + 1);
-            let mut succs: Vec<Edge> = Vec::new();
-            for (target, kind) in [(to, kind), (fall, EdgeKind::FallThrough)] {
-                if let Some(t) = target {
-                    let e = Edge {
-                        to: block_of[t],
-                        kind,
-                    };
-                    if !succs.contains(&e) {
-                        succs.push(e);
-                    }
-                }
-            }
-            blocks[b].succs = succs;
-        }
-
-        // Give-up markers: computed control transfers and loops/spawns
-        // whose target never became a dataflow constant.
+        // Successor edges from each block's final instruction, and the
+        // give-up markers, which only a block's final instruction can
+        // carry: computed control transfers and loops/spawns whose
+        // target never became a dataflow constant.
+        let mut edges = Vec::with_capacity(2 * blocks.len());
         let mut unanalyzable: Vec<Unanalyzable> = Vec::new();
-        for (i, insn) in insns.iter().enumerate() {
-            match insn.op {
-                Some(Op::AltEnd) | Some(Op::GeneralCall) => unanalyzable.push(Unanalyzable {
-                    offset: insn.offset,
-                    reason: format!(
-                        "`{}` transfers control through a computed address",
-                        insn.mnemonic()
-                    ),
-                }),
-                Some(Op::LoopEnd) if dynamic[i].is_none() => {
-                    unanalyzable.push(Unanalyzable {
-                        offset: insn.offset,
-                        reason: "`lend` back-edge displacement is not a dataflow constant".into(),
-                    });
-                }
-                Some(Op::StartProcess) if dynamic[i].is_none() => {
-                    unanalyzable.push(Unanalyzable {
-                        offset: insn.offset,
-                        reason: "`startp` child entry offset is not a dataflow constant".into(),
-                    });
-                }
-                _ => {}
+        for blk in &mut blocks {
+            let i = blk.last;
+            let insn = &insns[i];
+            // The transfer's own edge kind, and whether control falls
+            // through.
+            let (kind, falls) = match (insn.fun, insn.op) {
+                (Direct::Jump, _) => (EdgeKind::Jump, false),
+                (Direct::ConditionalJump, _) => (EdgeKind::Taken, true),
+                (Direct::Call, _) => (EdgeKind::Call, true),
+                (Direct::Operate, Some(Op::LoopEnd)) => (EdgeKind::Back, true),
+                (Direct::Operate, Some(Op::StartProcess)) => (EdgeKind::Spawn, true),
+                (Direct::Operate, None) => (EdgeKind::Jump, false),
+                (Direct::Operate, Some(op)) => (EdgeKind::Jump, !is_stop(op)),
+                _ => (EdgeKind::Jump, true),
+            };
+            let from = edges.len();
+            if let Some(t) = target(i) {
+                edges.push(Edge {
+                    to: block_at[t] as usize,
+                    kind,
+                });
             }
+            if falls && i + 1 < count {
+                edges.push(Edge {
+                    to: block_at[i + 1] as usize,
+                    kind: EdgeKind::FallThrough,
+                });
+            }
+            blk.succs = from..edges.len();
+
+            let reason = match insn.op {
+                Some(Op::AltEnd | Op::GeneralCall) => format!(
+                    "`{}` transfers control through a computed address",
+                    insn.mnemonic()
+                ),
+                Some(Op::LoopEnd) if target(i).is_none() => {
+                    "`lend` back-edge displacement is not a dataflow constant".into()
+                }
+                Some(Op::StartProcess) if target(i).is_none() => {
+                    "`startp` child entry offset is not a dataflow constant".into()
+                }
+                _ => continue,
+            };
+            unanalyzable.push(Unanalyzable {
+                offset: insn.offset,
+                reason,
+            });
         }
 
         // Code-pointer taint scan for self-modifying stores.
-        let mut diags = analysis.diags;
-        diags.extend(taint_scan(&insns, &blocks, &mut unanalyzable));
+        diags.extend(taint_scan(&insns, &blocks, &edges, &mut unanalyzable));
         diag::sort(&mut diags);
-
-        let reg_consts = analysis.states.iter().map(|s| s.regs).collect();
 
         Cfg {
             insns,
             blocks,
+            edges,
             diags,
             unanalyzable,
-            reg_consts,
+            states,
         }
+    }
+
+    /// The outgoing edges of `block`.
+    pub fn succs(&self, block: &Block) -> &[Edge] {
+        &self.edges[block.succs.clone()]
     }
 
     /// Whether the whole image is statically analyzable (no computed
@@ -299,7 +312,7 @@ impl Cfg {
             let _ = writeln!(s, "  b{bi} [label=\"{label}\"{style}];");
         }
         for (bi, b) in self.blocks.iter().enumerate() {
-            for e in &b.succs {
+            for e in self.succs(b) {
                 let label = e.kind.label();
                 if label.is_empty() {
                     let _ = writeln!(s, "  b{bi} -> b{};", e.to);
@@ -326,69 +339,70 @@ fn is_terminator(insn: &Insn) -> bool {
     }
 }
 
-/// Code-pointer taint per evaluation-stack register.
-type Taint = [bool; 3];
+/// Code-pointer taint of A, B and C: bits 0–2, a stack that pops by
+/// shifting right.
+type Taint = u8;
+
+/// A block entry's [`Taint`] once some path has reached it.
+const REACHED: u8 = 1 << 3;
 
 /// Propagate "derived from `ldpi`" through the block graph and flag
-/// stores whose address operand carries the taint.
+/// stores whose address operand carries the taint. Only `ldpi` makes
+/// taint, so an image without one has nothing to scan.
 fn taint_scan(
     insns: &[Insn],
     blocks: &[Block],
+    edges: &[Edge],
     unanalyzable: &mut Vec<Unanalyzable>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if blocks.is_empty() {
+    if !insns
+        .iter()
+        .any(|insn| insn.op == Some(Op::LoadPointerToInstruction))
+    {
         return diags;
     }
-    let mut entries: Vec<Option<Taint>> = vec![None; blocks.len()];
-    let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    let mut work: VecDeque<usize> = VecDeque::new();
-    entries[0] = Some([false; 3]);
-    work.push_back(0);
+    // Entry taint per block, and whether it is queued.
+    let mut entries = vec![0u8; blocks.len()];
+    let mut queued = vec![false; blocks.len()];
+    let mut flagged: Vec<usize> = Vec::new();
+    let mut work: VecDeque<usize> = VecDeque::from([0]);
+    (entries[0], queued[0]) = (REACHED, true);
 
     while let Some(b) = work.pop_front() {
-        let mut taint = entries[b].expect("queued with a taint state");
+        queued[b] = false;
+        let mut taint = entries[b] & !REACHED;
         let blk = &blocks[b];
-        for insn in &insns[blk.first..=blk.last] {
-            taint = taint_step(insn, taint, &mut flagged);
+        for (i, insn) in (blk.first..).zip(&insns[blk.first..=blk.last]) {
+            let stored;
+            (taint, stored) = taint_step(insn, taint);
+            if stored {
+                flagged.push(i);
+            }
         }
-        for e in &blk.succs {
+        for e in &edges[blk.succs.clone()] {
             // Spawned children and callees start with a fresh stack;
             // everything else inherits the block's exit taint.
             let incoming = match e.kind {
-                EdgeKind::Spawn | EdgeKind::Call => [false; 3],
+                EdgeKind::Spawn | EdgeKind::Call => 0,
                 _ => taint,
             };
-            let widened = match &mut entries[e.to] {
-                Some(t) => {
-                    let mut changed = false;
-                    for (slot, inc) in t.iter_mut().zip(incoming) {
-                        if inc && !*slot {
-                            *slot = true;
-                            changed = true;
-                        }
-                    }
-                    changed
-                }
-                slot @ None => {
-                    *slot = Some(incoming);
-                    true
-                }
-            };
-            if widened && !work.contains(&e.to) {
+            let before = entries[e.to];
+            entries[e.to] |= incoming | REACHED;
+            if entries[e.to] != before && !queued[e.to] {
+                queued[e.to] = true;
                 work.push_back(e.to);
             }
         }
     }
 
-    for offset in flagged {
-        let insn = *insns
-            .iter()
-            .find(|x| x.offset == offset)
-            .expect("flagged offset decodes");
+    flagged.sort_unstable();
+    flagged.dedup();
+    for i in flagged {
+        let insn = &insns[i];
         diags.push(Diagnostic::warning(
             "self-modifying",
-            Span::insn(&insn),
+            Span::insn(insn),
             format!(
                 "{} stores through a code-derived (ldpi) pointer: the image may \
                  rewrite its own instructions",
@@ -404,51 +418,25 @@ fn taint_scan(
     diags
 }
 
-/// Taint transfer for one instruction. Pushed results are tainted when
-/// they are `ldpi` itself or pointer arithmetic over a tainted operand;
-/// loads from memory are assumed clean (the scan is a definite-ish
-/// detector for the canonical `ldc d; ldpi; ...; sb` patch idiom, not a
-/// sound escape analysis).
-fn taint_step(insn: &Insn, mut t: Taint, flagged: &mut BTreeSet<usize>) -> Taint {
-    fn pop(t: &mut Taint) -> bool {
-        let a = t[0];
-        *t = [t[1], t[2], false];
-        a
-    }
-    fn push(t: &mut Taint, v: bool) {
-        *t = [v, t[0], t[1]];
-    }
-    fn apply(t: &mut Taint, e: StackEffect) {
-        for _ in 0..e.pops {
-            pop(t);
+/// Taint transfer for one instruction, and whether it stores through a
+/// tainted address. Pushed results are tainted when they are `ldpi`
+/// itself or pointer arithmetic over a tainted operand; loads from
+/// memory are assumed clean (the scan is a definite-ish detector for the
+/// canonical `ldc d; ldpi; ...; sb` patch idiom, not a sound escape
+/// analysis).
+fn taint_step(insn: &Insn, t: Taint) -> (Taint, bool) {
+    // Pop `e.pops`, then push `e.pushes` clean results.
+    let apply = |e: StackEffect| (t >> e.pops) << e.pushes & 0b111;
+    let a = t & 1 != 0;
+    match (insn.fun, insn.op) {
+        // A keeps its taint (pointer + offset) / no stack.
+        (Direct::AddConstant | Direct::AdjustWorkspace | Direct::LoadNonLocalPointer, _) => {
+            (t, false)
         }
-        for _ in 0..e.pushes {
-            push(t, false);
-        }
-    }
-
-    match insn.fun {
-        Direct::AddConstant | Direct::AdjustWorkspace => {} // A keeps its taint / no stack
-        Direct::LoadNonLocalPointer => {}                   // pointer + offset: A keeps its taint
-        Direct::StoreNonLocal => {
-            let addr = pop(&mut t);
-            pop(&mut t);
-            if addr {
-                flagged.insert(insn.offset);
-            }
-        }
-        Direct::Operate => match insn.op {
-            Some(Op::LoadPointerToInstruction) => {
-                pop(&mut t);
-                push(&mut t, true);
-            }
-            Some(Op::StoreByte) => {
-                let addr = pop(&mut t);
-                pop(&mut t);
-                if addr {
-                    flagged.insert(insn.offset);
-                }
-            }
+        (Direct::StoreNonLocal, _) | (Direct::Operate, Some(Op::StoreByte)) => (t >> 2, a),
+        (Direct::Operate, Some(Op::LoadPointerToInstruction)) => (t | 1, false),
+        (
+            Direct::Operate,
             Some(
                 Op::Add
                 | Op::Subtract
@@ -456,24 +444,13 @@ fn taint_step(insn: &Insn, mut t: Taint, flagged: &mut BTreeSet<usize>) -> Taint
                 | Op::Difference
                 | Op::ByteSubscript
                 | Op::WordSubscript,
-            ) => {
-                let a = pop(&mut t);
-                let b = pop(&mut t);
-                push(&mut t, a || b);
-            }
-            Some(Op::Reverse) => {
-                t.swap(0, 1);
-            }
-            Some(op) => apply(&mut t, op.stack_effect()),
-            None => {}
-        },
-        fun => {
-            if let Some(e) = fun.stack_effect() {
-                apply(&mut t, e);
-            }
-        }
+            ),
+        ) => ((t >> 2) << 1 & 0b110 | u8::from(t & 0b11 != 0), false),
+        (Direct::Operate, Some(Op::Reverse)) => (t & 0b100 | (t & 1) << 1 | t >> 1 & 1, false),
+        (Direct::Operate, Some(op)) => (apply(op.stack_effect()), false),
+        (Direct::Operate, None) => (t, false),
+        (fun, _) => (fun.stack_effect().map_or(t, apply), false),
     }
-    t
 }
 
 /// Run CFG recovery and return its diagnostics: those of
@@ -500,7 +477,7 @@ mod tests {
         code.extend(encode_op(Op::HaltSimulation));
         let cfg = Cfg::recover(&code);
         assert_eq!(cfg.blocks.len(), 1);
-        assert!(cfg.blocks[0].succs.is_empty());
+        assert!(cfg.succs(&cfg.blocks[0]).is_empty());
         assert!(cfg.is_analyzable());
         assert!(cfg.diags.is_empty());
     }
@@ -523,11 +500,11 @@ mod tests {
         let cfg = Cfg::recover(&code);
         // entry+cj | body | halt
         assert_eq!(cfg.blocks.len(), 3);
-        let kinds: Vec<EdgeKind> = cfg.blocks[0].succs.iter().map(|e| e.kind).collect();
+        let kinds: Vec<EdgeKind> = cfg.succs(&cfg.blocks[0]).iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EdgeKind::Taken));
         assert!(kinds.contains(&EdgeKind::FallThrough));
-        assert_eq!(cfg.blocks[1].succs.len(), 1);
-        assert!(cfg.blocks[2].succs.is_empty());
+        assert_eq!(cfg.succs(&cfg.blocks[1]).len(), 1);
+        assert!(cfg.succs(&cfg.blocks[2]).is_empty());
     }
 
     #[test]

@@ -378,7 +378,7 @@ fn freq(loops: &[CountedLoop], offset: u32, skip: Option<usize>) -> Option<u64> 
 /// The machine value of the A register at entry to instruction `i`,
 /// required to be a dataflow constant (shift counts, `prod` operands).
 fn const_areg(cfg: &Cfg, i: usize, insn: &Insn, word: WordLength) -> Result<u32, Unpredictable> {
-    match cfg.reg_consts[i][0] {
+    match cfg.states[i].reg(0) {
         Some(v) => Ok(word.mask(v as u32)),
         None => Err(Unpredictable::at(
             insn,

@@ -15,11 +15,11 @@
 //!   within the codegen-allocated frame, and canonical (minimal)
 //!   prefix chains.
 //! * [`mod@cfg`] — basic-block control-flow graph recovery over the fused
-//!   instruction stream, with the verifier's transfer function re-run
-//!   as a worklist dataflow joining at block entries
-//!   ([`verify_bytecode_cfg`] reproduces or strictly extends the
-//!   linear pass), a code/store taint scan that flags self-modifying
-//!   images, and Graphviz output ([`cfg::Cfg::to_dot`]).
+//!   instruction stream, read from the table the verifier's one
+//!   dataflow fills (so [`verify_bytecode_cfg`] reports the linear
+//!   pass's findings and only adds to them), a code/store taint scan
+//!   that flags self-modifying images, and Graphviz output
+//!   ([`cfg::Cfg::to_dot`]).
 //! * [`cost`] — a static cycle-cost model over the CFG: per-block and
 //!   loop-bounded whole-program cycle/byte/operation predictions from
 //!   the `transputer::timing` tables (the same tables the emulator
@@ -50,10 +50,12 @@ pub use verifier::{verify_bytecode, CodeShape};
 pub fn lint_source(source: &str) -> Vec<Diagnostic> {
     match occam::parse(source) {
         Ok(program) => channels::check(&program),
-        Err(e) => vec![Diagnostic::error(
-            "parse",
-            Span::line(e.line),
-            e.to_string(),
-        )],
+        Err(e) => vec![parse_failure(&e)],
     }
+}
+
+/// The diagnostic [`lint_source`] reports for source that does not
+/// parse, for callers that parse once and lint the tree themselves.
+pub fn parse_failure(e: &occam::CompileError) -> Diagnostic {
+    Diagnostic::error("parse", Span::line(e.line), e.to_string())
 }

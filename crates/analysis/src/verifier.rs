@@ -20,11 +20,12 @@
 //!
 //! Reporting is *definite-error only*: a check fires when every path
 //! reaching the instruction exhibits the defect. That is a property of
-//! the *final* states, so nothing is reported while the worklist is
-//! still widening them: `analyze` runs the dataflow to its fixpoint
-//! and then reports in one sweep over what it settled on (as it reads
-//! `startp`/`lend` targets: a constant that later merges to unknown
-//! names no edge). Code the dataflow
+//! the *final* states. Each worklist step of an instruction overwrites
+//! what the instruction found and which `startp`/`lend` target it read,
+//! and the last step of every instruction runs on its final state, so
+//! what is left at the fixpoint is what the final states imply (a
+//! constant that later merges to unknown names no edge). No instruction
+//! is stepped again to report. Code the dataflow
 //! never reaches from the entry (e.g. `ALT` branches entered through
 //! `altend`'s computed jump) is re-seeded with an unknown state so its
 //! encodings and jump targets are still validated; its depth checks
@@ -68,35 +69,68 @@ impl CodeShape {
     }
 }
 
-/// Abstract machine state at an instruction boundary.
+/// `State::known` bit of `wadj`; bits 0–2 are A, B and C.
+const WADJ: u8 = 1 << 3;
+
+/// `State::lo` of an instruction no path has reached yet.
+const UNREACHED: u8 = u8::MAX;
+
+/// Abstract machine state at an instruction boundary, packed: a value
+/// is a known constant when its bit in `known` is set, and an unknown
+/// one is held as 0, so the derived `Eq` is lattice equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct State {
     /// Evaluation-stack depth interval, 0..=3.
-    pub lo: u8,
-    pub hi: u8,
-    /// Known workspace displacement (words) from the entry Wptr.
-    pub wadj: Option<i64>,
-    /// Known constants in A, B, C.
-    pub regs: [Option<i64>; 3],
+    lo: u8,
+    hi: u8,
+    /// Which of A, B, C (bits 0–2) and `wadj` ([`WADJ`]) are known.
+    known: u8,
+    /// Workspace displacement (words) from the entry Wptr.
+    wadj: i64,
+    /// Constants in A, B, C.
+    regs: [i64; 3],
 }
 
 impl State {
+    const fn new(lo: u8, hi: u8) -> State {
+        State {
+            lo,
+            hi,
+            known: 0,
+            wadj: 0,
+            regs: [0; 3],
+        }
+    }
+
     pub fn entry() -> State {
         State {
-            lo: 0,
-            hi: 0,
-            wadj: Some(0),
-            regs: [None; 3],
+            known: WADJ,
+            ..State::new(0, 0)
         }
     }
 
     pub fn unknown() -> State {
-        State {
-            lo: 0,
-            hi: 3,
-            wadj: None,
-            regs: [None; 3],
-        }
+        State::new(0, 3)
+    }
+
+    /// Known workspace displacement.
+    pub fn wadj(&self) -> Option<i64> {
+        (self.known & WADJ != 0).then_some(self.wadj)
+    }
+
+    /// Known constant in A (0), B (1) or C (2).
+    pub fn reg(&self, i: usize) -> Option<i64> {
+        (self.known & 1 << i != 0).then_some(self.regs[i])
+    }
+
+    fn set_wadj(&mut self, wadj: Option<i64>) {
+        self.wadj = wadj.unwrap_or(0);
+        self.known = self.known & !WADJ | if wadj.is_some() { WADJ } else { 0 };
+    }
+
+    fn forget_regs(&mut self) {
+        self.regs = [0; 3];
+        self.known &= WADJ;
     }
 
     /// Lattice join; returns whether `self` widened.
@@ -104,12 +138,22 @@ impl State {
         let before = *self;
         self.lo = self.lo.min(other.lo);
         self.hi = self.hi.max(other.hi);
+        let mut known = self.known & other.known;
         if self.wadj != other.wadj {
-            self.wadj = None;
+            known &= !WADJ;
         }
         for i in 0..3 {
             if self.regs[i] != other.regs[i] {
-                self.regs[i] = None;
+                known &= !(1 << i);
+            }
+        }
+        self.known = known;
+        if known & WADJ == 0 {
+            self.wadj = 0;
+        }
+        for i in 0..3 {
+            if known & 1 << i == 0 {
+                self.regs[i] = 0;
             }
         }
         *self != before
@@ -130,18 +174,21 @@ impl State {
         self.hi = self.hi.saturating_sub(1);
         // B moves into A, C into B; C keeps its (now duplicate) value,
         // but for constant tracking we forget it.
-        self.regs = [self.regs[1], self.regs[2], None];
+        self.regs = [self.regs[1], self.regs[2], 0];
+        self.known = self.known & WADJ | self.known >> 1 & 0b011;
     }
 
     fn push(&mut self, v: Option<i64>) {
         self.lo = (self.lo + 1).min(3);
         self.hi = (self.hi + 1).min(3);
-        self.regs = [v, self.regs[0], self.regs[1]];
+        self.regs = [v.unwrap_or(0), self.regs[0], self.regs[1]];
+        self.known = self.known & WADJ | self.known << 1 & 0b110 | u8::from(v.is_some());
     }
 }
 
-/// Everything the instruction-level dataflow learns about a code image,
-/// for reuse by the CFG layer (`crate::cfg`).
+/// The one table a code image's analyses read: what the instruction-
+/// level dataflow learns, kept for CFG recovery (`crate::cfg`) and the
+/// cost model (`crate::cost`).
 #[derive(Debug)]
 pub(crate) struct Analysis {
     /// Decoded instructions, in address order.
@@ -156,6 +203,14 @@ pub(crate) struct Analysis {
     pub discovered: Vec<Option<i64>>,
     /// All findings, unsorted.
     pub diags: Vec<Diagnostic>,
+    /// Worklist steps taken: at least one an instruction, more where a
+    /// state widened after its instruction was stepped.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub steps: usize,
+    /// Worklist rounds: one from the entry, then one for each unreached
+    /// instruction seeded with an unknown state.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub rounds: usize,
 }
 
 /// Verify a code image. `shape` enables the workspace-bounds check;
@@ -166,58 +221,61 @@ pub fn verify_bytecode(code: &[u8], shape: Option<&CodeShape>) -> Vec<Diagnostic
     diags
 }
 
-/// Run decode, static target checks and the worklist dataflow to its
-/// fixpoint, then report from the final states, keeping them and the
-/// discovered targets.
+/// Run decode and the worklist dataflow to its fixpoint, keeping each
+/// instruction's findings and discovered target from its last step,
+/// then report them with the static target checks.
 pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
     let mut diags = Vec::new();
     let insns = decode(code, &mut diags);
     let index = Boundaries::new(&insns, code.len());
-
-    // Static jump-target validation (j / cj / call operands).
-    for insn in &insns {
-        if matches!(
-            insn.fun,
-            Direct::Jump | Direct::ConditionalJump | Direct::Call
-        ) {
-            let target = insn.end() as i64 + insn.operand;
-            check_target(insn, "target", target, &index, &mut diags);
-        }
-    }
+    let count = insns.len();
 
     // Dataflow: from the entry, then — until every instruction has been
     // visited — from each one only reachable through a computed control
     // transfer (altend), seeded with an unknown state.
-    let mut reached: Vec<Option<State>> = vec![None; insns.len()];
+    let mut states = vec![State::new(UNREACHED, 0); count];
+    let mut found = vec![false; count];
+    let mut discovered = vec![None; count];
     let mut work = Worklist {
-        queue: VecDeque::new(),
-        queued: vec![false; insns.len()],
+        queue: VecDeque::with_capacity(count),
+        queued: vec![false; count],
     };
+    let (mut steps, mut rounds) = (0, 0);
     let (mut seed, mut from) = (State::entry(), 0);
-    while let Some(i) = reached[from..].iter().position(Option::is_none) {
+    while let Some(i) = states[from..].iter().position(|s| s.lo == UNREACHED) {
         from += i;
-        work.merge(from, &seed, &mut reached);
+        work.merge(from, &seed, &mut states);
         while let Some(i) = work.pop() {
-            let state = reached[i].expect("queued with a state");
-            // Findings of a state that may yet widen are not findings.
-            let out = step(&insns[i], &state, shape, &mut Vec::new());
-            for (t, incoming) in out.edges(i, insns.len(), &index) {
-                work.merge(t, incoming, &mut reached);
-            }
+            let mut state = states[i];
+            let out = step(&insns[i], &mut state, shape);
+            steps += 1;
+            found[i] = out.found;
+            discovered[i] = out.discovered;
+            out.for_each_edge(i, count, &state, &index, |t, incoming| {
+                work.merge(t, incoming, &mut states)
+            });
         }
         seed = State::unknown();
+        rounds += 1;
     }
-    let states: Vec<State> = reached.into_iter().flatten().collect();
 
-    // Report, and read the `startp`/`lend` targets, from the final
-    // states: one `step` an instruction.
-    let mut discovered = Vec::with_capacity(insns.len());
-    for (insn, state) in insns.iter().zip(&states) {
-        let found = step(insn, state, shape, &mut diags).discovered;
-        if let Some((target, what)) = found {
+    // Report what the last steps found — each ran on its instruction's
+    // final state — and check the static jump targets.
+    for (i, insn) in insns.iter().enumerate() {
+        if found[i] {
+            check(insn, &states[i], shape, Some(&mut diags));
+        }
+        let target = match (insn.fun, insn.op) {
+            (Direct::Jump | Direct::ConditionalJump | Direct::Call, _) => {
+                Some((insn.end() as i64 + insn.operand, "target"))
+            }
+            (_, Some(Op::StartProcess)) => discovered[i].map(|t| (t, "child entry")),
+            (_, Some(Op::LoopEnd)) => discovered[i].map(|t| (t, "loop start")),
+            _ => None,
+        };
+        if let Some((target, what)) = target {
             check_target(insn, what, target, &index, &mut diags);
         }
-        discovered.push(found.map(|(target, _)| target));
     }
 
     Analysis {
@@ -226,6 +284,8 @@ pub(crate) fn analyze(code: &[u8], shape: Option<&CodeShape>) -> Analysis {
         states,
         discovered,
         diags,
+        steps,
+        rounds,
     }
 }
 
@@ -237,13 +297,13 @@ pub fn verify_program(program: &occam::Program) -> Vec<Diagnostic> {
 /// Byte offset → index of the instruction that starts there: one entry
 /// a code byte, so resolving an edge is one load.
 #[derive(Debug)]
-pub(crate) struct Boundaries(Vec<usize>);
+pub(crate) struct Boundaries(Vec<u32>);
 
 impl Boundaries {
     fn new(insns: &[Insn], code_len: usize) -> Boundaries {
-        let mut at = vec![usize::MAX; code_len];
+        let mut at = vec![u32::MAX; code_len];
         for (i, insn) in insns.iter().enumerate() {
-            at[insn.offset] = i;
+            at[insn.offset] = i as u32;
         }
         Boundaries(at)
     }
@@ -252,7 +312,7 @@ impl Boundaries {
     /// code and on a boundary.
     pub(crate) fn at(&self, target: i64) -> Option<usize> {
         let i = *self.0.get(usize::try_from(target).ok()?)?;
-        (i != usize::MAX).then_some(i)
+        (i != u32::MAX).then_some(i as usize)
     }
 }
 
@@ -354,121 +414,164 @@ pub(crate) fn is_stop(op: Op) -> bool {
     )
 }
 
-/// Result of abstractly executing one instruction.
-struct StepOut {
-    /// State on the outgoing edge(s).
-    next: State,
+/// What one step learned besides the outgoing state.
+struct Stepped {
     /// Static successor classification.
-    succ: Flow,
+    flow: Flow,
     /// The extra entry point this instruction creates: (unvalidated
     /// byte address, entry state) for a `call` target, a `startp` child
     /// or a `lend` back edge.
     seed: Option<(i64, State)>,
     /// The `startp` child entry or `lend` loop start, when its operand
-    /// is a constant in `state`: (unvalidated byte address, what it is).
-    discovered: Option<(i64, &'static str)>,
+    /// is a constant in the incoming state (an unvalidated byte address).
+    discovered: Option<i64>,
+    /// Whether [`check`] finds a defect in the incoming state.
+    found: bool,
 }
 
-impl StepOut {
-    /// Where control can go from instruction `i` (of `count`) with this
-    /// outcome, and the state it arrives with: the seed, the jump
-    /// target, the fall-through. A byte address is an edge only if it
-    /// is on an instruction boundary; bad targets are diagnosed
-    /// separately.
-    fn edges<'a>(
-        &'a self,
+impl Stepped {
+    /// Visit where control can go from instruction `i` (of `count`),
+    /// whose outgoing state is `next`, with the state it arrives with,
+    /// in worklist order: the seed, the jump target, the fall-through.
+    /// A byte address is an edge only if it is on an instruction
+    /// boundary; bad targets are diagnosed separately.
+    fn for_each_edge(
+        &self,
         i: usize,
         count: usize,
-        index: &'a Boundaries,
-    ) -> impl Iterator<Item = (usize, &'a State)> + 'a {
-        let (jump, falls) = match self.succ {
+        next: &State,
+        index: &Boundaries,
+        mut visit: impl FnMut(usize, &State),
+    ) {
+        if let Some((target, entry)) = &self.seed {
+            if let Some(t) = index.at(*target) {
+                visit(t, entry);
+            }
+        }
+        let (jump, falls) = match self.flow {
             Flow::Next => (None, true),
             Flow::Jump(target) => (Some(target), false),
             Flow::Branch(target) => (Some(target), true),
             Flow::Stop => (None, false),
         };
-        let seed = self.seed.as_ref().map(|(target, entry)| (*target, entry));
-        let jump = jump.map(|target| (target, &self.next));
-        let fall = (falls && i + 1 < count).then_some((i + 1, &self.next));
-        let landed = seed
-            .into_iter()
-            .chain(jump)
-            .filter_map(|(t, s)| Some((index.at(t)?, s)));
-        landed.chain(fall)
+        if let Some(t) = jump.and_then(|target| index.at(target)) {
+            visit(t, next);
+        }
+        if falls && i + 1 < count {
+            visit(i + 1, next);
+        }
     }
 }
 
-/// Abstractly execute `insn` in `state`, reporting the stack and
-/// workspace findings `state` implies — findings that hold only if
-/// `state` is final, so the worklist discards them and [`analyze`]
-/// keeps those of its last sweep.
-fn step(
+/// The stack effect `insn` applies, if its operation is defined.
+fn effect(insn: &Insn) -> Option<StackEffect> {
+    match insn.fun {
+        Direct::Operate => insn.op.map(Op::stack_effect),
+        fun => fun.stack_effect(),
+    }
+}
+
+/// Whether entering `insn` in `state` has a definite stack or workspace
+/// defect; with `diags`, each one is also reported there.
+fn check(
     insn: &Insn,
     state: &State,
     shape: Option<&CodeShape>,
-    diags: &mut Vec<Diagnostic>,
-) -> StepOut {
-    let mut next = *state;
-    let mut succ = Flow::Next;
-    let mut seed = None;
-    let mut discovered = None;
-
-    let effect = match insn.fun {
-        Direct::Operate => insn.op.map(Op::stack_effect),
-        fun => fun.stack_effect(),
-    };
-
+    mut diags: Option<&mut Vec<Diagnostic>>,
+) -> bool {
+    let mut found = false;
     // Strict-pop underflow: fires only when even the deepest path
     // cannot supply the operands. call is non-strict (see module
     // docs); undefined operations have no effect to apply.
-    let strict = !matches!(insn.fun, Direct::Call);
-    if let Some(e) = effect {
-        if strict && e.pops > state.hi {
-            diags.push(Diagnostic::error(
-                "stack-underflow",
-                Span::insn(insn),
-                format!(
-                    "{} needs {} stack operand(s) but at most {} can be on the stack here",
-                    insn.mnemonic(),
-                    e.pops,
-                    state.hi
-                ),
-            ));
+    if let Some(e) = effect(insn).filter(|_| insn.fun != Direct::Call) {
+        if e.pops > state.hi {
+            found = true;
+            if let Some(diags) = diags.as_deref_mut() {
+                diags.push(Diagnostic::error(
+                    "stack-underflow",
+                    Span::insn(insn),
+                    format!(
+                        "{} needs {} stack operand(s) but at most {} can be on the stack here",
+                        insn.mnemonic(),
+                        e.pops,
+                        state.hi
+                    ),
+                ));
+            }
         }
         let after_lo = state.lo.saturating_sub(e.pops);
-        if strict && after_lo + e.pushes > 3 {
-            diags.push(Diagnostic::error(
-                "stack-overflow",
-                Span::insn(insn),
-                format!(
-                    "{} pushes {} result(s) onto a stack already holding {}: Creg is lost",
-                    insn.mnemonic(),
-                    e.pushes,
-                    after_lo
-                ),
-            ));
+        if after_lo + e.pushes > 3 {
+            found = true;
+            if let Some(diags) = diags.as_deref_mut() {
+                diags.push(Diagnostic::error(
+                    "stack-overflow",
+                    Span::insn(insn),
+                    format!(
+                        "{} pushes {} result(s) onto a stack already holding {}: Creg is lost",
+                        insn.mnemonic(),
+                        e.pushes,
+                        after_lo
+                    ),
+                ));
+            }
         }
     }
+    let local = matches!(
+        insn.fun,
+        Direct::LoadLocal | Direct::StoreLocal | Direct::LoadLocalPointer
+    );
+    if let (true, Some(shape), Some(w)) = (local, shape, state.wadj()) {
+        let slot = w + insn.operand;
+        if slot < -i64::from(shape.depth) || slot >= i64::from(shape.locals) {
+            found = true;
+            if let Some(diags) = diags {
+                diags.push(Diagnostic::error(
+                    "workspace-oob",
+                    Span::insn(insn),
+                    format!(
+                        "{} {} addresses workspace word {slot}, outside the allocated frame ({}..{})",
+                        insn.mnemonic(),
+                        insn.operand,
+                        -i64::from(shape.depth),
+                        shape.locals
+                    ),
+                ));
+            }
+        }
+    }
+    found
+}
+
+/// Abstractly execute `insn`, turning its entry `state` into the state
+/// on its outgoing edge(s). What it finds holds only if `state` is
+/// final, so [`analyze`] keeps what each instruction's last step found.
+fn step(insn: &Insn, state: &mut State, shape: Option<&CodeShape>) -> Stepped {
+    let found = check(insn, state, shape, None);
+    let mut flow = Flow::Next;
+    let mut seed = None;
+    let mut discovered = None;
+    let end = insn.end() as i64;
 
     match insn.fun {
-        Direct::Jump => succ = Flow::Jump(insn.end() as i64 + insn.operand),
+        Direct::Jump => flow = Flow::Jump(end + insn.operand),
         Direct::ConditionalJump => {
             // Fall-through pops the condition; the taken edge keeps
             // A (known zero). Both are folded into one successor
             // state: depth interval spans both outcomes.
             let mut taken = *state;
-            taken.regs[0] = Some(0);
-            next.apply(StackEffect::new(1, 0));
-            next.merge(&taken);
-            succ = Flow::Branch(insn.end() as i64 + insn.operand);
+            taken.regs[0] = 0;
+            taken.known |= 1;
+            state.pop();
+            state.merge(&taken);
+            flow = Flow::Branch(end + insn.operand);
         }
         Direct::Call => {
             // Fall-through resumes after the callee returns: the
             // wptr balance is restored, but the callee chooses what
             // the stack holds.
-            next.lo = 0;
-            next.hi = 3;
-            next.regs = [None; 3];
+            state.lo = 0;
+            state.hi = 3;
+            state.forget_regs();
             // The target runs with the return address in A and the
             // wptr four words lower — but reached from potentially
             // many sites, so its wadj is tracked only through the
@@ -477,131 +580,81 @@ fn step(
             // possibly-absent: a callee that loads its arguments
             // three-deep pushes it off the stack by design, and that
             // must not count as losing a live Creg.
-            let callee = State {
-                lo: 0,
-                hi: 1,
-                wadj: state.wadj.map(|w| w - 4),
-                regs: [None; 3],
-            };
-            seed = Some((insn.end() as i64 + insn.operand, callee));
+            let mut callee = State::new(0, 1);
+            callee.set_wadj(state.wadj().map(|w| w - 4));
+            seed = Some((end + insn.operand, callee));
         }
-        Direct::AdjustWorkspace => {
-            next.wadj = state.wadj.map(|w| w + insn.operand);
-        }
-        Direct::LoadLocal | Direct::StoreLocal | Direct::LoadLocalPointer => {
-            if let Some(e) = effect {
-                next.apply(e);
-            }
-            if let (Some(shape), Some(w)) = (shape, state.wadj) {
-                let slot = w + insn.operand;
-                if slot < -i64::from(shape.depth) || slot >= i64::from(shape.locals) {
-                    diags.push(Diagnostic::error(
-                        "workspace-oob",
-                        Span::insn(insn),
-                        format!(
-                            "{} {} addresses workspace word {slot}, outside the allocated frame ({}..{})",
-                            insn.mnemonic(),
-                            insn.operand,
-                            -i64::from(shape.depth),
-                            shape.locals
-                        ),
-                    ));
-                }
-            }
-        }
-        Direct::LoadConstant => {
-            next.push(Some(insn.operand));
-        }
+        Direct::AdjustWorkspace => state.set_wadj(state.wadj().map(|w| w + insn.operand)),
+        Direct::LoadConstant => state.push(Some(insn.operand)),
         Direct::Operate => match insn.op {
-            None => succ = Flow::Stop,
+            None => flow = Flow::Stop,
             Some(op) => {
+                let (a, b) = (state.reg(0), state.reg(1));
+                state.apply(op.stack_effect());
                 match op {
+                    // B = child code offset from the end of this
+                    // instruction; the child starts with an empty
+                    // stack and its own workspace.
                     Op::StartProcess => {
-                        // B = child code offset from the end of this
-                        // instruction; the child starts with an empty
-                        // stack and its own workspace.
-                        if let Some(b) = state.regs[1] {
-                            let target = insn.end() as i64 + b;
-                            discovered = Some((target, "child entry"));
-                            let child = State {
-                                lo: 0,
-                                hi: 0,
-                                wadj: None,
-                                regs: [None; 3],
-                            };
-                            seed = Some((target, child));
-                        }
-                        next.apply(op.stack_effect());
+                        discovered = b.map(|b| end + b);
+                        seed = discovered.map(|t| (t, State::new(0, 0)));
                     }
+                    // A = bytes back to the loop start.
                     Op::LoopEnd => {
-                        // A = bytes back to the loop start.
-                        next.apply(op.stack_effect());
-                        if let Some(a) = state.regs[0] {
-                            let target = insn.end() as i64 - a;
-                            discovered = Some((target, "loop start"));
-                            seed = Some((target, next));
-                        }
+                        discovered = a.map(|a| end - a);
+                        seed = discovered.map(|t| (t, *state));
                     }
-                    Op::GeneralAdjustWorkspace => {
-                        next.apply(op.stack_effect());
-                        next.wadj = None;
-                    }
-                    op if is_stop(op) => {
-                        next.apply(op.stack_effect());
-                        succ = Flow::Stop;
-                    }
-                    Op::InputMessage | Op::OutputMessage => {
-                        // Deschedule points: depth is restored on
-                        // resumption but register contents are not
-                        // worth trusting.
-                        next.apply(op.stack_effect());
-                        next.regs = [None; 3];
-                    }
-                    other => next.apply(other.stack_effect()),
+                    Op::GeneralAdjustWorkspace => state.set_wadj(None),
+                    op if is_stop(op) => flow = Flow::Stop,
+                    // Deschedule points: depth is restored on
+                    // resumption but register contents are not worth
+                    // trusting.
+                    Op::InputMessage | Op::OutputMessage => state.forget_regs(),
+                    _ => {}
                 }
             }
         },
-        _ => {
-            if let Some(e) = effect {
-                next.apply(e);
+        fun => {
+            if let Some(e) = fun.stack_effect() {
+                state.apply(e);
             }
         }
     }
 
-    StepOut {
-        next,
-        succ,
+    Stepped {
+        flow,
         seed,
         discovered,
+        found,
     }
 }
 
 /// Instructions whose entry state widened since they were last
 /// stepped, in order, each queued once.
 struct Worklist {
-    queue: VecDeque<usize>,
+    queue: VecDeque<u32>,
     queued: Vec<bool>,
 }
 
 impl Worklist {
     /// Join `incoming` into instruction `target`'s state, queueing it if
     /// that widened the state.
-    fn merge(&mut self, target: usize, incoming: &State, states: &mut [Option<State>]) {
-        let widened = match &mut states[target] {
-            Some(s) => s.merge(incoming),
-            slot @ None => {
-                *slot = Some(*incoming);
-                true
-            }
+    fn merge(&mut self, target: usize, incoming: &State, states: &mut [State]) {
+        let state = &mut states[target];
+        let widened = if state.lo == UNREACHED {
+            *state = *incoming;
+            true
+        } else {
+            state.merge(incoming)
         };
         if widened && !self.queued[target] {
             self.queued[target] = true;
-            self.queue.push_back(target);
+            self.queue.push_back(target as u32);
         }
     }
 
     fn pop(&mut self) -> Option<usize> {
-        let i = self.queue.pop_front()?;
+        let i = self.queue.pop_front()? as usize;
         self.queued[i] = false;
         Some(i)
     }
@@ -824,7 +877,7 @@ mod tests {
         assert!(verify_bytecode(&image, Some(&shape)).is_empty());
         assert!(crate::cfg::verify_bytecode_cfg(&image, Some(&shape)).is_empty());
         let a = analyze(&image, Some(&shape));
-        assert_eq!((a.discovered[5], a.states[6].wadj), (None, None));
+        assert_eq!((a.discovered[5], a.states[6].wadj()), (None, None));
         // Without the first `startp`, `ldl 9` is out of the frame.
         let without = [0x40, 0x74, 0xA1, 0x45, 0xFD, 0xF1, 0x79];
         assert_eq!(
@@ -837,35 +890,163 @@ mod tests {
         );
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
-        /// Over random images: the states `analyze` reports from are
-        /// final (no edge out of one widens another), a `step` over
-        /// each reproduces exactly the dataflow findings it reported —
-        /// none is a leftover of a state that later widened — and the
-        /// CFG pass adds nothing to them but the taint scan's.
-        #[test]
-        fn reports_come_from_final_states(
-            code in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..48)
-        ) {
-            use proptest::{prop_assert, prop_assert_eq};
-            let shape = CodeShape { locals: 4, depth: 4 };
-            let a = analyze(&code, Some(&shape));
-            let mut again = Vec::new();
-            for (i, (insn, state)) in a.insns.iter().zip(&a.states).enumerate() {
-                let out = step(insn, state, Some(&shape), &mut again);
-                for (t, incoming) in out.edges(i, a.insns.len(), &a.index) {
-                    let mut settled = a.states[t];
-                    prop_assert!(!settled.merge(incoming), "{i} widens {t}");
+    /// The `Option`-based lattice the packed [`State`] replaced, kept as
+    /// its model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Model {
+        lo: u8,
+        hi: u8,
+        wadj: Option<i64>,
+        regs: [Option<i64>; 3],
+    }
+
+    impl Model {
+        fn merge(&mut self, other: &Model) -> bool {
+            let before = *self;
+            self.lo = self.lo.min(other.lo);
+            self.hi = self.hi.max(other.hi);
+            if self.wadj != other.wadj {
+                self.wadj = None;
+            }
+            for i in 0..3 {
+                if self.regs[i] != other.regs[i] {
+                    self.regs[i] = None;
                 }
             }
-            let dataflow = ["stack-underflow", "stack-overflow", "workspace-oob"];
-            let reported = a.diags.iter().filter(|d| dataflow.contains(&d.code));
-            prop_assert_eq!(reported.collect::<Vec<_>>(), again.iter().collect::<Vec<_>>());
+            *self != before
+        }
 
-            let mut cfg = crate::cfg::verify_bytecode_cfg(&code, Some(&shape));
-            cfg.retain(|d| d.code != "self-modifying");
-            prop_assert_eq!(cfg, verify_bytecode(&code, Some(&shape)));
+        fn pop(&mut self) {
+            self.lo = self.lo.saturating_sub(1);
+            self.hi = self.hi.saturating_sub(1);
+            self.regs = [self.regs[1], self.regs[2], None];
+        }
+
+        fn push(&mut self, v: Option<i64>) {
+            self.lo = (self.lo + 1).min(3);
+            self.hi = (self.hi + 1).min(3);
+            self.regs = [v, self.regs[0], self.regs[1]];
+        }
+
+        fn packed(&self) -> State {
+            let mut s = State::new(self.lo, self.hi);
+            s.set_wadj(self.wadj);
+            for (i, v) in self.regs.iter().enumerate() {
+                if let Some(v) = *v {
+                    s.regs[i] = v;
+                    s.known |= 1 << i;
+                }
+            }
+            s
+        }
+    }
+
+    /// A model state drawn from few values, so that joins of equal
+    /// constants are common. `-1` stands for unknown.
+    fn model() -> impl proptest::strategy::Strategy<Value = Model> {
+        use proptest::strategy::Strategy;
+        let value = || (-1i64..3).prop_map(|v| (v >= 0).then_some(v));
+        (0u8..4, 0u8..4, value(), (value(), value(), value())).prop_map(
+            |(a, b, wadj, (r0, r1, r2))| Model {
+                lo: a.min(b),
+                hi: a.max(b),
+                wadj,
+                regs: [r0, r1, r2],
+            },
+        )
+    }
+
+    /// How often [`reports_come_from_final_states`]' images met each of
+    /// the cases that tell a one-sweep dataflow from a re-stepping one.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// An instruction stepped again after its state widened.
+        restepped: u32,
+        /// A `call`, `startp` or `lend` seeding an entry on a boundary.
+        seeded: u32,
+        /// Unreached code seeded with an unknown state.
+        reseeded: u32,
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+        /// The packed state's join, push and pop are the `Option`
+        /// lattice's, and its equality is the lattice's equality.
+        #[test]
+        fn packed_states_agree_with_the_option_lattice(
+            x in model(),
+            y in model(),
+            v in -1i64..3,
+        ) {
+            use proptest::prop_assert_eq;
+            prop_assert_eq!(x.packed() == y.packed(), x == y);
+            let (mut m, mut p) = (x, x.packed());
+            prop_assert_eq!(p.merge(&y.packed()), m.merge(&y));
+            prop_assert_eq!(p, m.packed());
+            let (mut m, mut p) = (x, x.packed());
+            m.pop();
+            p.pop();
+            prop_assert_eq!(p, m.packed());
+            let (mut m, mut p) = (x, x.packed());
+            m.push((v >= 0).then_some(v));
+            p.push((v >= 0).then_some(v));
+            prop_assert_eq!(p, m.packed());
+            prop_assert_eq!((p.wadj(), p.reg(0), p.reg(1), p.reg(2)), (m.wadj, m.regs[0], m.regs[1], m.regs[2]));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+        /// Over batches of random images of up to 128 bytes, with and
+        /// without a frame shape: the states `analyze` keeps are final
+        /// (no edge out of one widens another); a re-step of each
+        /// reproduces the `startp`/`lend` target it kept and exactly the
+        /// dataflow findings it reported — none is a leftover of a state
+        /// that later widened — and the CFG pass adds nothing to them but
+        /// the taint scan's. Every batch must meet each [`Coverage`] case.
+        #[test]
+        fn reports_come_from_final_states(
+            images in proptest::collection::vec(
+                proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..129),
+                32..33,
+            )
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let mut cov = Coverage::default();
+            for code in &images {
+                for shape in [None, Some(&CodeShape { locals: 4, depth: 4 })] {
+                    let a = analyze(code, shape);
+                    let count = a.insns.len();
+                    let mut again = Vec::new();
+                    let mut seeded = false;
+                    for (i, (insn, state)) in a.insns.iter().zip(&a.states).enumerate() {
+                        let mut next = *state;
+                        let out = step(insn, &mut next, shape);
+                        prop_assert_eq!(out.discovered, a.discovered[i], "target of {}", i);
+                        prop_assert_eq!(check(insn, state, shape, Some(&mut again)), out.found);
+                        out.for_each_edge(i, count, &next, &a.index, |t, incoming| {
+                            let mut settled = a.states[t];
+                            assert!(!settled.merge(incoming), "{i} widens {t}");
+                        });
+                        seeded |= out.seed.is_some_and(|(t, _)| a.index.at(t).is_some());
+                    }
+                    let dataflow = ["stack-underflow", "stack-overflow", "workspace-oob"];
+                    let reported = a.diags.iter().filter(|d| dataflow.contains(&d.code));
+                    prop_assert_eq!(reported.collect::<Vec<_>>(), again.iter().collect::<Vec<_>>());
+                    cov.restepped += u32::from(a.steps > count);
+                    cov.seeded += u32::from(seeded);
+                    cov.reseeded += u32::from(a.rounds > 1);
+
+                    let mut cfg = crate::cfg::verify_bytecode_cfg(code, shape);
+                    cfg.retain(|d| d.code != "self-modifying");
+                    prop_assert_eq!(cfg, verify_bytecode(code, shape));
+                }
+            }
+            prop_assert!(
+                cov.restepped > 0 && cov.seeded > 0 && cov.reseeded > 0,
+                "generator lost a case: {:?}",
+                cov
+            );
         }
     }
 }

@@ -112,7 +112,7 @@ proptest! {
             let boundary = cfg.insns.iter().position(|x| x.offset as i64 == target);
             match boundary {
                 Some(t) => {
-                    let edge = b.succs.iter().find(|e| e.kind == kind);
+                    let edge = cfg.succs(b).iter().find(|e| e.kind == kind);
                     prop_assert!(edge.is_some(), "missing {:?} edge at {:#x}", kind, insn.offset);
                     let to = &cfg.blocks[edge.unwrap().to];
                     prop_assert_eq!(
@@ -125,7 +125,7 @@ proptest! {
                     // Invalid target: no such edge, and the linear
                     // verifier must have diagnosed it.
                     prop_assert!(
-                        b.succs.iter().all(|e| e.kind != kind),
+                        cfg.succs(b).iter().all(|e| e.kind != kind),
                         "edge for invalid target at {:#x}",
                         insn.offset
                     );

@@ -108,8 +108,11 @@ fn main() -> ExitCode {
         },
         ..occam::Options::default()
     };
-    let program = match occam::compile_with(&source, options) {
-        Ok(p) => p,
+    // One parse: the tree is compiled, then linted.
+    let compiled =
+        occam::parse(&source).and_then(|tree| Ok((occam::compile_process(&tree, options)?, tree)));
+    let (program, tree) = match compiled {
+        Ok(compiled) => compiled,
         Err(e) => {
             eprintln!("{path}: {e}");
             return ExitCode::FAILURE;
@@ -119,7 +122,7 @@ fn main() -> ExitCode {
         for w in &program.warnings {
             eprintln!("{path}: {w}");
         }
-        let mut diags = transputer_analysis::lint_source(&source);
+        let mut diags = transputer_analysis::channels::check(&tree);
         diags.extend(transputer_analysis::verify_program_cfg(&program));
         let mut failed = false;
         for d in &diags {

@@ -211,8 +211,15 @@ fn main() -> ExitCode {
                     return ExitCode::from(EXIT_ERRORS);
                 }
             };
-            let mut diags = transputer_analysis::lint_source(&source);
-            match occam::compile(&source) {
+            // One parse: the tree is linted, then compiled.
+            let (mut diags, compiled) = match occam::parse(&source) {
+                Ok(tree) => (
+                    transputer_analysis::channels::check(&tree),
+                    occam::compile_process(&tree, occam::Options::default()),
+                ),
+                Err(e) => (vec![transputer_analysis::parse_failure(&e)], Err(e)),
+            };
+            match compiled {
                 Ok(program) => {
                     diags.extend(program.warnings.iter().map(|w| {
                         Diagnostic::warning(

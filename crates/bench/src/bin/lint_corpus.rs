@@ -53,8 +53,15 @@ impl Tally {
 /// Lint an occam source end to end: source lints, PAR-usage warnings,
 /// CFG-based bytecode verification of the emitted code.
 fn lint_occam(source: &str) -> Vec<Diagnostic> {
-    let mut diags = transputer_analysis::lint_source(source);
-    match occam::compile(source) {
+    // One parse: the tree is linted, then compiled.
+    let (mut diags, compiled) = match occam::parse(source) {
+        Ok(tree) => (
+            transputer_analysis::channels::check(&tree),
+            occam::compile_process(&tree, occam::Options::default()),
+        ),
+        Err(e) => (vec![transputer_analysis::parse_failure(&e)], Err(e)),
+    };
+    match compiled {
         Ok(program) => {
             diags.extend(
                 program.warnings.iter().map(|w| {

@@ -59,8 +59,6 @@ pub struct Counters {
     /// Operations the translation tier interpreted one at a time, not
     /// (yet) in a block.
     pub decode_misses: u64,
-    /// Operations the tier handed to the byte-at-a-time path.
-    pub decode_bypasses: u64,
     /// Hot basic blocks compiled to threaded code.
     pub trans_blocks: u64,
     /// Entries into a translated block.
@@ -78,7 +76,6 @@ impl Counters {
         self.instructions += s.instructions;
         self.operations += s.operations;
         self.decode_misses += s.decode_misses;
-        self.decode_bypasses += s.decode_bypasses;
         self.trans_blocks += s.trans_blocks;
         self.trans_enters += s.trans_enters;
         self.trans_deopts += s.trans_deopts;
@@ -99,12 +96,11 @@ impl Counters {
         1.0 - self.decode_misses as f64 / self.operations as f64
     }
 
-    fn json(&self) -> [(&'static str, Json); 8] {
+    fn json(&self) -> [(&'static str, Json); 7] {
         [
             ("cycles", self.cycles.into()),
             ("instructions", self.instructions.into()),
             ("decode_misses", self.decode_misses.into()),
-            ("decode_bypasses", self.decode_bypasses.into()),
             ("trans_blocks", self.trans_blocks.into()),
             ("trans_enters", self.trans_enters.into()),
             ("trans_deopts", self.trans_deopts.into()),

@@ -334,7 +334,6 @@ impl Cpu {
             if off >= fast_limit {
                 // Off-chip (penalised) or out-of-range code: the byte
                 // path owns the penalty bookkeeping and faulting.
-                self.stats.decode_bypasses += 1;
                 break (progress, None);
             }
 
@@ -371,7 +370,6 @@ impl Cpu {
             // needs no invalidation.
             self.stats.decode_misses += 1;
             let Some(e) = decode_entry(&self.mem, self.word, self.iptr) else {
-                self.stats.decode_bypasses += 1;
                 break (progress, None);
             };
             let len = u64::from(e.len);

@@ -64,10 +64,6 @@ pub struct Stats {
     /// counters below are excluded from outcome fingerprints and
     /// differential comparisons. 0 whenever the byte path ran alone.
     pub decode_misses: u64,
-    /// Times the fast loop handed an operation to the byte-at-a-time
-    /// path because it is unknown, over-long, or outside penalty-free
-    /// memory.
-    pub decode_bypasses: u64,
     /// Hot basic blocks compiled into threaded-code form (see
     /// `cpu/translate.rs`).
     pub trans_blocks: u64,
@@ -106,7 +102,6 @@ impl Default for Stats {
             link_failures: 0,
             decode_hits: 0,
             decode_misses: 0,
-            decode_bypasses: 0,
             trans_blocks: 0,
             trans_enters: 0,
             trans_deopts: 0,
@@ -182,7 +177,6 @@ impl Stats {
         Stats {
             decode_hits: 0,
             decode_misses: 0,
-            decode_bypasses: 0,
             trans_blocks: 0,
             trans_enters: 0,
             trans_deopts: 0,
