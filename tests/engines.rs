@@ -3,14 +3,17 @@
 //! per-instruction Event oracle — answers, arrival times, per-node
 //! cycles and instruction counts, per-wire bytes, full memory images.
 //! Five fast rows of the full table in
-//! `crates/bench/tests/determinism.rs` (which needs `--workspace`),
-//! one CPU-tier row: the translation tier off against the default, one
-//! hand-assembled row that keeps both lanes of the event queue busy, and
-//! four hand-assembled rows where a computing node runs far ahead of its
-//! wires (the two horizons of DESIGN.md §5): a byte landing in its
-//! buffer meanwhile, an ALT guard enabled before the compute, resends and
-//! busy notices meanwhile, and a routed packet delivered meanwhile; and
-//! one where a byte wakes a node around the instruction that idled it.
+//! `crates/bench/tests/determinism.rs` (which needs `--workspace`), one
+//! under the after-stop acknowledge policy, one CPU-tier row: the
+//! translation tier off against the default, one hand-assembled row that
+//! keeps both lanes of the event queue busy, and four hand-assembled rows
+//! where a computing node runs far ahead of its wires (the two horizons
+//! of DESIGN.md §5): a byte landing in its buffer meanwhile, an ALT guard
+//! enabled before the compute, resends and busy notices meanwhile, and a
+//! routed packet delivered meanwhile; one where a byte wakes a node
+//! around the instruction that idled it; and one where a receiver runs
+//! ahead to its `in` while a byte is on the wire, which only the
+//! early-acknowledge history answers right.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
@@ -19,7 +22,7 @@ use transputer_bench::hostperf::{
     assert_run_matches, figure8_smoke, full_image, hypercube_smoke, routed_smoke, sweep_engines,
     Machine,
 };
-use transputer_link::FaultPlan;
+use transputer_link::{AckPolicy, FaultPlan};
 use transputer_net::{grid_wires, Engine, Network, NetworkBuilder, NetworkConfig, WireEnds};
 
 #[test]
@@ -47,6 +50,27 @@ fn e09_smoke_faulted_sliced_matches_event() {
                 .map(|id| net.node(id).stats().link_retries)
                 .sum();
             assert!(retries > 0, "the fault rate must force retransmissions");
+        },
+    );
+}
+
+/// The after-stop policy the ablation measures (§2.3: acknowledge a byte
+/// only once it has fully arrived): both engines decide every early
+/// acknowledge in one place, so both must also decline it there.
+#[test]
+fn e09_smoke_after_stop_sliced_matches_event() {
+    let mut early = Machine::Tree(figure8_smoke()).build(Engine::Sliced);
+    let early = early.run(1_000_000_000_000).expect("runs");
+    sweep_engines(
+        "e09 smoke after stop",
+        |e| {
+            let mut config = figure8_smoke();
+            config.net.ack_policy = AckPolicy::AfterStop;
+            Machine::Tree(config).build(e)
+        },
+        |_, report| {
+            assert!(!report.degraded);
+            assert!(report.first_answer_ns > early.first_answer_ns);
         },
     );
 }
@@ -596,4 +620,62 @@ fn routed_packet_delivered_to_a_computing_cpu_sliced_matches_event() {
     // 7 pops; with every transit byte bounding every CPU, 90.
     let pops = sliced.pop_counts().node;
     assert!(pops <= 10, "{pops} node pops: the CPUs did not run ahead");
+}
+
+/// (e) The early-acknowledge history. On one wire, with no third node to
+/// bound it, the receiver's first slice runs ahead to its `in` while the
+/// sender is still fenced off the `outbyte` before it; the byte starts
+/// later, once the sender's entry pops. The sweep moves the `in` one
+/// cycle at a time from before that data start to after the frame ends,
+/// so some runs reach the `in` while the byte is on the wire: the
+/// early-acknowledge decision for the byte must see the receiver as it
+/// was when the byte started — not yet waiting, so the acknowledge goes
+/// out when the byte lands — not as it is after the `in` it ran ahead
+/// to. The acknowledge's time shows in the sender's cycles: its own `in`
+/// for the receiver's answer idles it, and the pop at that `in`'s end
+/// brings its clock up to global time. The answer comes after 4.2 us of
+/// compute, so it never lands as that `in` ends: a tie the engines order
+/// differently (ROADMAP item 2a records it).
+#[test]
+fn in_starts_while_a_byte_is_arriving_sliced_matches_event() {
+    const WIRE: [WireEnds; 1] = [((0, 0), (1, 0))];
+    let (mut before, mut at, mut during, mut after) = (false, false, false, false);
+    for fine in 0..52 {
+        let nodes = [
+            node(&[compute(1, 4), send_byte(0x5A), recv(1, 1), halt()]),
+            node(&[
+                compute(1, fine),
+                recv(1, 1),
+                compute(2, 0),
+                send_byte(0x21),
+                halt(),
+            ]),
+        ];
+        let (mut start_at, mut landed_at, mut in_at) = (None, None, None);
+        let sliced = sliced_matches_event(
+            &format!("`in` delay {fine}"),
+            |e| hand_net(config(e), &WIRE, &[], &nodes),
+            |net| {
+                let sends = net.node(0).stats().op_count(Op::OutputByte);
+                first_instant(&mut start_at, net, sends == 1);
+                first_instant(&mut landed_at, net, net.wire_delivered(0).1 == 1);
+                let inputs = net.node(1).stats().op_count(Op::InputMessage);
+                first_instant(&mut in_at, net, inputs == 1);
+            },
+        );
+        for (id, byte) in [(0, 0x21), (1, 0x5A)] {
+            let w = sliced.node(id).default_boot_workspace();
+            assert_eq!(sliced.node(id).inspect_word(w + 4).unwrap() & 0xFF, byte);
+        }
+        let (start_at, landed_at, in_at) = (start_at.unwrap(), landed_at.unwrap(), in_at.unwrap());
+        before |= in_at < start_at;
+        at |= in_at == start_at;
+        during |= start_at < in_at && in_at < landed_at;
+        after |= in_at >= landed_at;
+    }
+    assert!(
+        before && at && during && after,
+        "the sweep must start the `in` before ({before}), at ({at}) and during ({during}) \
+         the byte's flight, and after it landed ({after})"
+    );
 }
