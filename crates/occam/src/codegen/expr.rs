@@ -32,47 +32,80 @@ pub(crate) struct VectorRef {
     pub writable: bool,
 }
 
+impl Binding {
+    /// The vector of words this binds, if it binds one.
+    pub(crate) fn word_vector(&self) -> Option<VectorRef> {
+        match *self {
+            Binding::Vec(slot, len) => Some(VectorRef {
+                base: VecBase::Direct(slot),
+                len: Some(len),
+                writable: true,
+            }),
+            Binding::VecParam(slot, writable) => Some(VectorRef {
+                base: VecBase::Indirect(slot),
+                len: None,
+                writable,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The vector of channel words this binds, if it binds one.
+    pub(crate) fn chan_vector(&self) -> Option<VectorRef> {
+        let (base, len) = match *self {
+            Binding::ChanVec(slot, len) => (VecBase::Direct(slot), Some(len)),
+            Binding::ChanVecParam(slot) => (VecBase::Indirect(slot), None),
+            _ => return None,
+        };
+        Some(VectorRef {
+            base,
+            len,
+            writable: true,
+        })
+    }
+}
+
+/// How a slot is accessed: the instruction for a slot in the current
+/// frame, and the one for a slot reached through the static links.
+type Access = (Direct, Direct);
+
+/// Load a slot's value.
+const LOAD: Access = (Direct::LoadLocal, Direct::LoadNonLocal);
+/// Take a slot's address.
+const ADDR: Access = (Direct::LoadLocalPointer, Direct::LoadNonLocalPointer);
+/// Store into a slot. The non-local form is the paper's §3.2.6
+/// static-link sequence: `ldl staticlink; stnl z`.
+const STORE: Access = (Direct::StoreLocal, Direct::StoreNonLocal);
+
+/// The operands of `l op r` in evaluation order. `<` and `>=` evaluate
+/// the right operand first, so a single `gt` (B > A) computes them.
+fn operand_order<'e>(op: BinOp, l: &'e Expr<'e>, r: &'e Expr<'e>) -> (&'e Expr<'e>, &'e Expr<'e>) {
+    if matches!(op, BinOp::Lt | BinOp::Ge) {
+        (r, l)
+    } else {
+        (l, r)
+    }
+}
+
 impl Cg<'_> {
     /// Registers the evaluation of `e` would need on an empty stack.
     pub(crate) fn depth(&self, e: &Expr) -> u32 {
         match e {
             Expr::Literal(_) | Expr::True | Expr::False => 1,
             Expr::Name(_) => 1,
-            Expr::Index(name, idx) => {
-                if self.const_eval(idx).is_some() && self.vector_indexes_in_one(name) {
-                    1
-                } else {
-                    let d = (self.depth(idx) + 1).max(2);
-                    // A bounds check pushes the limit constant too.
-                    if self.options.bounds_checks {
-                        d.max(3)
-                    } else {
-                        d
-                    }
-                }
+            Expr::Index(name, idx)
+                if self.const_eval(idx).is_some() && self.vector_indexes_in_one(name) =>
+            {
+                1
             }
-            Expr::ByteIndex(_, idx) => {
-                let d = (self.depth(idx) + 1).max(2);
-                if self.options.bounds_checks {
-                    d.max(3)
-                } else {
-                    d
-                }
-            }
+            Expr::Index(_, idx) | Expr::ByteIndex(_, idx) => self.subscript_depth(idx),
             Expr::Un(UnOp::Neg, inner) => (self.depth(inner) + 1).min(4),
             Expr::Un(_, inner) => self.depth(inner),
             Expr::Bin(op, l, r) => {
-                if self.adc_operand(*op, r).is_some() {
-                    return self.depth(l);
+                if let Some((e, _)) = self.adc_form(*op, l, r) {
+                    return self.depth(e);
                 }
-                if matches!(op, BinOp::Add) && self.const_eval(l).is_some() {
-                    return self.depth(r);
-                }
-                let (first, second) = if matches!(op, BinOp::Lt | BinOp::Ge) {
-                    (r, l)
-                } else {
-                    (l, r)
-                };
+                let (first, second) = operand_order(*op, l, r);
                 let d2 = self.depth(second);
                 if d2 >= 3 {
                     // Spill path: `second` is evaluated first and needs
@@ -87,12 +120,27 @@ impl Cg<'_> {
         }
     }
 
-    /// The `adc` operand computing `l + r` or `l - r` when `r` is a
-    /// constant; `x - MOSTNEG` has none, as its negation leaves the word.
-    fn adc_operand(&self, op: BinOp, r: &Expr) -> Option<i64> {
+    /// Registers an element address needs: the base under the
+    /// subscript, and with bounds checks the limit above both.
+    pub(crate) fn subscript_depth(&self, idx: &Expr) -> u32 {
+        let d = (self.depth(idx) + 1).max(2);
+        if self.options.bounds_checks {
+            d.max(3)
+        } else {
+            d
+        }
+    }
+
+    /// `l op r` as one operand and an `adc` constant: `l + r` or `l - r`
+    /// when `r` is a constant, `l + r` when `l` is. `x - MOSTNEG` has
+    /// none, as its negation leaves the word.
+    fn adc_form<'e>(&self, op: BinOp, l: &'e Expr, r: &'e Expr) -> Option<(&'e Expr<'e>, i64)> {
         match op {
-            BinOp::Add => self.const_eval(r),
-            BinOp::Sub => self.word(-self.const_eval(r)?),
+            BinOp::Add => match self.const_eval(r) {
+                Some(c) => Some((l, c)),
+                None => Some((r, self.const_eval(l)?)),
+            },
+            BinOp::Sub => Some((l, self.word(-self.const_eval(r)?)?)),
             _ => None,
         }
     }
@@ -108,14 +156,14 @@ impl Cg<'_> {
         )
     }
 
-    /// Take a spill temporary; returns its operand (current-context
-    /// relative).
-    fn take_temp(&mut self, line: u32) -> Result<i64, CompileError> {
+    /// Take a spill temporary for `what`; returns its operand
+    /// (current-context relative).
+    pub(crate) fn take_temp(&mut self, line: u32, what: &str) -> Result<i64, CompileError> {
         let ctx = self.ctx();
-        if ctx.temps_used >= i64::from(TEMP_SLOTS as u32) {
+        if ctx.temps_used >= TEMP_SLOTS {
             return Err(CompileError::codegen(
                 line,
-                "expression too complex: spill temporaries exhausted",
+                format!("{what} too complex: spill temporaries exhausted"),
             ));
         }
         let t = ctx.temps_base + ctx.temps_used;
@@ -123,8 +171,42 @@ impl Cg<'_> {
         Ok(t)
     }
 
+    /// Release the most recently taken spill temporary.
     fn release_temp(&mut self) {
         self.ctx().temps_used -= 1;
+    }
+
+    /// Park A in a spill temporary while `then` runs, then reload it
+    /// into A.
+    fn with_parked(
+        &mut self,
+        line: u32,
+        then: impl FnOnce(&mut Self) -> Result<(), CompileError>,
+    ) -> Result<(), CompileError> {
+        let t = self.take_temp(line, "expression")?;
+        self.emit.insn(Direct::StoreLocal, t);
+        then(self)?;
+        self.emit.insn(Direct::LoadLocal, t);
+        self.release_temp();
+        Ok(())
+    }
+
+    /// Leave `below`'s value in B and `top`'s in A. A `top` that needs
+    /// the whole stack (`deep`) runs first, parked while `below` runs.
+    pub(crate) fn gen_pair(
+        &mut self,
+        deep: bool,
+        line: u32,
+        below: impl FnOnce(&mut Self) -> Result<(), CompileError>,
+        top: impl FnOnce(&mut Self) -> Result<(), CompileError>,
+    ) -> Result<(), CompileError> {
+        if deep {
+            top(self)?;
+            self.with_parked(line, below)
+        } else {
+            below(self)?;
+            top(self)
+        }
     }
 
     /// Operand for a slot accessed from the current context.
@@ -171,61 +253,61 @@ impl Cg<'_> {
             .and_then(|c| c.static_link_offset)
     }
 
-    /// Load a slot's value into A (local `ldl` or chained `ldnl`).
-    fn emit_slot_value(&mut self, slot: Slot, line: u32) -> Result<(), CompileError> {
+    /// Access word `k` of the storage at `slot`: in the current frame
+    /// directly, in an enclosing one through the static links.
+    fn emit_slot(
+        &mut self,
+        (local, non_local): Access,
+        slot: Slot,
+        k: i64,
+        line: u32,
+    ) -> Result<(), CompileError> {
         if slot.level == self.level() {
-            self.emit.insn(Direct::LoadLocal, self.slot_operand(slot));
+            self.emit.insn(local, self.slot_operand(slot) + k);
         } else {
             self.emit_chain_to(slot.level, line)?;
-            self.emit
-                .insn(Direct::LoadNonLocal, slot.offset - slot.adjust);
-        }
-        Ok(())
-    }
-
-    /// Put a slot's address in A (local `ldlp` or chained `ldnlp`).
-    fn emit_slot_addr(&mut self, slot: Slot, line: u32) -> Result<(), CompileError> {
-        if slot.level == self.level() {
-            self.emit
-                .insn(Direct::LoadLocalPointer, self.slot_operand(slot));
-        } else {
-            self.emit_chain_to(slot.level, line)?;
-            self.emit
-                .insn(Direct::LoadNonLocalPointer, slot.offset - slot.adjust);
+            self.emit.insn(non_local, slot.offset - slot.adjust + k);
         }
         Ok(())
     }
 
     /// Put a vector's base address in A.
-    fn emit_vec_base(&mut self, base: VecBase, line: u32) -> Result<(), CompileError> {
+    pub(crate) fn emit_vec_base(&mut self, base: VecBase, line: u32) -> Result<(), CompileError> {
         match base {
-            VecBase::Direct(slot) => self.emit_slot_addr(slot, line),
-            VecBase::Indirect(slot) => self.emit_slot_value(slot, line),
+            VecBase::Direct(slot) => self.emit_slot(ADDR, slot, 0, line),
+            VecBase::Indirect(slot) => self.emit_slot(LOAD, slot, 0, line),
         }
     }
 
-    /// Resolve a name as a (value) vector.
-    pub(crate) fn resolve_vector(&self, name: &str, line: u32) -> Result<VectorRef, CompileError> {
-        match self.lookup(name) {
-            Some(Binding::Vec(slot, len)) => Ok(VectorRef {
-                base: VecBase::Direct(*slot),
-                len: Some(*len),
-                writable: true,
-            }),
-            Some(Binding::VecParam(slot, writable)) => Ok(VectorRef {
-                base: VecBase::Indirect(*slot),
-                len: None,
-                writable: *writable,
-            }),
-            Some(_) => Err(CompileError::check(
-                line,
-                format!("`{name}` is not a vector"),
-            )),
-            None => Err(CompileError::check(
-                line,
-                format!("`{name}` is not defined"),
-            )),
+    /// Load or store word `k` of a vector, a constant subscript.
+    fn emit_const_element(
+        &mut self,
+        access: Access,
+        v: VectorRef,
+        k: i64,
+        line: u32,
+    ) -> Result<(), CompileError> {
+        match v.base {
+            VecBase::Direct(slot) => self.emit_slot(access, slot, k, line),
+            VecBase::Indirect(slot) => {
+                self.emit_slot(LOAD, slot, 0, line)?;
+                self.emit.insn(access.1, k);
+                Ok(())
+            }
         }
+    }
+
+    /// What `name` denotes.
+    fn resolve(&self, name: &str, line: u32) -> Result<Binding, CompileError> {
+        let b = self.lookup(name).cloned();
+        b.ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))
+    }
+
+    /// Resolve a name as a (value) vector.
+    fn resolve_vector(&self, name: &str, line: u32) -> Result<VectorRef, CompileError> {
+        self.resolve(name, line)?
+            .word_vector()
+            .ok_or_else(|| CompileError::check(line, format!("`{name}` is not a vector")))
     }
 
     /// Evaluate an expression, leaving its value in A.
@@ -243,22 +325,17 @@ impl Cg<'_> {
             }
             Expr::True | Expr::False => unreachable!("folded above"),
             Expr::Name(name) => self.gen_load_name(name, line),
-            Expr::Index(name, idx) => self.gen_load_index(name, idx, line),
-            Expr::ByteIndex(name, idx) => self.gen_load_byte_index(name, idx, line),
+            Expr::Index(name, idx) => self.gen_load_element(name, idx, false, line),
+            Expr::ByteIndex(name, idx) => self.gen_load_element(name, idx, true, line),
             Expr::Un(op, inner) => match op {
                 UnOp::Neg => {
                     // 0 - e, checked.
-                    if self.depth(inner) >= 3 {
-                        self.gen_expr(inner, line)?;
-                        let t = self.take_temp(line)?;
-                        self.emit.insn(Direct::StoreLocal, t);
-                        self.emit.insn(Direct::LoadConstant, 0);
-                        self.emit.insn(Direct::LoadLocal, t);
-                        self.release_temp();
-                    } else {
-                        self.emit.insn(Direct::LoadConstant, 0);
-                        self.gen_expr(inner, line)?;
-                    }
+                    let zero = |cg: &mut Self| {
+                        cg.emit.insn(Direct::LoadConstant, 0);
+                        Ok(())
+                    };
+                    let deep = self.depth(inner) >= 3;
+                    self.gen_pair(deep, line, zero, |cg| cg.gen_expr(inner, line))?;
                     self.emit.op(Op::Subtract);
                     Ok(())
                 }
@@ -280,30 +357,21 @@ impl Cg<'_> {
     fn gen_bin(&mut self, op: BinOp, l: &Expr, r: &Expr, line: u32) -> Result<(), CompileError> {
         // `x + 2` compiles to `ldl x; adc 2` — exactly the paper's
         // §3.2.9 table.
-        if let Some(c) = self.adc_operand(op, r) {
-            self.gen_expr(l, line)?;
+        if let Some((e, c)) = self.adc_form(op, l, r) {
+            self.gen_expr(e, line)?;
             if c != 0 {
                 self.emit.insn(Direct::AddConstant, c);
             }
             return Ok(());
         }
-        if op == BinOp::Add {
-            if let Some(c) = self.const_eval(l) {
-                self.gen_expr(r, line)?;
-                if c != 0 {
-                    self.emit.insn(Direct::AddConstant, c);
-                }
-                return Ok(());
-            }
-        }
-        // `<` and `>=` evaluate the right operand first so a single
-        // `gt` (B > A) computes the result.
-        let (first, second) = if matches!(op, BinOp::Lt | BinOp::Ge) {
-            (r, l)
-        } else {
-            (l, r)
-        };
-        self.gen_operands(first, second, line)?;
+        let (first, second) = operand_order(op, l, r);
+        let deep = self.depth(second) >= 3;
+        self.gen_pair(
+            deep,
+            line,
+            |cg| cg.gen_expr(first, line),
+            |cg| cg.gen_expr(second, line),
+        )?;
         match op {
             BinOp::Add => self.emit.op(Op::Add),
             BinOp::Sub => self.emit.op(Op::Subtract),
@@ -339,40 +407,20 @@ impl Cg<'_> {
         Ok(())
     }
 
-    /// Evaluate `first` then `second` so that B = first, A = second,
-    /// spilling through a temporary when `second` needs the whole stack.
-    fn gen_operands(&mut self, first: &Expr, second: &Expr, line: u32) -> Result<(), CompileError> {
-        if self.depth(second) >= 3 {
-            self.gen_expr(second, line)?;
-            let t = self.take_temp(line)?;
-            self.emit.insn(Direct::StoreLocal, t);
-            self.gen_expr(first, line)?;
-            self.emit.insn(Direct::LoadLocal, t);
-            self.release_temp();
-        } else {
-            self.gen_expr(first, line)?;
-            self.gen_expr(second, line)?;
-        }
-        Ok(())
-    }
-
     /// Load a named value.
     fn gen_load_name(&mut self, name: &str, line: u32) -> Result<(), CompileError> {
         if name == "TIME" {
             self.emit.op(Op::LoadTimer);
             return Ok(());
         }
-        let b = self
-            .lookup(name)
-            .cloned()
-            .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
+        let b = self.resolve(name, line)?;
         match b {
             Binding::Const(v) => self.emit.insn(Direct::LoadConstant, v),
             Binding::Var(slot) | Binding::ValueParam(slot) => {
-                self.emit_slot_value(slot, line)?;
+                self.emit_slot(LOAD, slot, 0, line)?;
             }
             Binding::VarParam(slot) => {
-                self.emit_slot_value(slot, line)?;
+                self.emit_slot(LOAD, slot, 0, line)?;
                 self.emit.insn(Direct::LoadNonLocal, 0);
             }
             Binding::Vec(..)
@@ -400,31 +448,25 @@ impl Cg<'_> {
         Ok(())
     }
 
-    /// Load a vector element.
-    fn gen_load_index(&mut self, name: &str, idx: &Expr, line: u32) -> Result<(), CompileError> {
+    /// Load a vector element: a word, or a `BYTE` zero-extended.
+    fn gen_load_element(
+        &mut self,
+        name: &str,
+        idx: &Expr,
+        byte: bool,
+        line: u32,
+    ) -> Result<(), CompileError> {
         let v = self.resolve_vector(name, line)?;
-        if let Some(k) = self.const_eval(idx) {
+        if let (false, Some(k)) = (byte, self.const_eval(idx)) {
             self.check_const_subscript(name, k, v.len, line)?;
-            match v.base {
-                VecBase::Direct(slot) => {
-                    if slot.level == self.level() {
-                        self.emit
-                            .insn(Direct::LoadLocal, self.slot_operand(slot) + k);
-                    } else {
-                        self.emit_chain_to(slot.level, line)?;
-                        self.emit
-                            .insn(Direct::LoadNonLocal, slot.offset - slot.adjust + k);
-                    }
-                }
-                VecBase::Indirect(slot) => {
-                    self.emit_slot_value(slot, line)?;
-                    self.emit.insn(Direct::LoadNonLocal, k);
-                }
-            }
-            return Ok(());
+            return self.emit_const_element(LOAD, v, k, line);
         }
-        self.gen_vector_element_addr(v, idx, line)?;
-        self.emit.insn(Direct::LoadNonLocal, 0);
+        self.gen_element_addr(v, idx, byte, line)?;
+        if byte {
+            self.emit.op(Op::LoadByte);
+        } else {
+            self.emit.insn(Direct::LoadNonLocal, 0);
+        }
         Ok(())
     }
 
@@ -452,20 +494,23 @@ impl Cg<'_> {
         Ok(())
     }
 
-    /// Leave the address of `vec[idx]` in A.
-    pub(crate) fn gen_vector_element_addr(
+    /// Leave the address of element `idx` of a vector in A: of a word,
+    /// or with `byte` of a byte. With bounds checks, a subscript of a
+    /// vector of known length is range-checked first.
+    fn gen_element_addr(
         &mut self,
         v: VectorRef,
         idx: &Expr,
+        byte: bool,
         line: u32,
     ) -> Result<(), CompileError> {
         self.emit_vec_base(v.base, line)?;
         // Index (one stack entry is occupied by the base).
         if self.depth(idx) >= 3 {
-            let t = self.take_temp(line)?;
+            let t = self.take_temp(line, "expression")?;
             self.emit.insn(Direct::StoreLocal, t);
             self.gen_expr(idx, line)?;
-            let t2 = self.take_temp(line)?;
+            let t2 = self.take_temp(line, "expression")?;
             self.emit.insn(Direct::StoreLocal, t2);
             self.emit.insn(Direct::LoadLocal, t);
             self.emit.insn(Direct::LoadLocal, t2);
@@ -474,162 +519,73 @@ impl Cg<'_> {
         } else {
             self.gen_expr(idx, line)?;
         }
-        if self.options.bounds_checks {
-            if let Some(len) = v.len {
-                self.emit.insn(Direct::LoadConstant, len);
-                self.emit.op(Op::CheckSubscriptFromZero);
-            }
+        if let (true, Some(len)) = (self.options.bounds_checks, v.len) {
+            let unit = if byte { self.bytes_per_word() } else { 1 };
+            self.emit.insn(Direct::LoadConstant, len * unit);
+            self.emit.op(Op::CheckSubscriptFromZero);
         }
-        self.emit.op(Op::WordSubscript);
-        Ok(())
-    }
-
-    /// Load a byte element (`v[BYTE i]`), zero-extended into A.
-    fn gen_load_byte_index(
-        &mut self,
-        name: &str,
-        idx: &Expr,
-        line: u32,
-    ) -> Result<(), CompileError> {
-        let v = self.resolve_vector(name, line)?;
-        self.gen_byte_element_addr(v, idx, line)?;
-        self.emit.op(Op::LoadByte);
-        Ok(())
-    }
-
-    /// Leave the address of byte `idx` of a vector in A.
-    fn gen_byte_element_addr(
-        &mut self,
-        v: VectorRef,
-        idx: &Expr,
-        line: u32,
-    ) -> Result<(), CompileError> {
-        self.emit_vec_base(v.base, line)?;
-        if self.depth(idx) >= 3 {
-            let t = self.take_temp(line)?;
-            self.emit.insn(Direct::StoreLocal, t);
-            self.gen_expr(idx, line)?;
-            let t2 = self.take_temp(line)?;
-            self.emit.insn(Direct::StoreLocal, t2);
-            self.emit.insn(Direct::LoadLocal, t);
-            self.emit.insn(Direct::LoadLocal, t2);
-            self.release_temp();
-            self.release_temp();
+        self.emit.op(if byte {
+            Op::ByteSubscript
         } else {
-            self.gen_expr(idx, line)?;
-        }
-        if self.options.bounds_checks {
-            if let Some(len) = v.len {
-                self.emit
-                    .insn(Direct::LoadConstant, len * self.bytes_per_word());
-                self.emit.op(Op::CheckSubscriptFromZero);
-            }
-        }
-        self.emit.op(Op::ByteSubscript);
+            Op::WordSubscript
+        });
         Ok(())
     }
 
     /// Store A into an lvalue. (Callers must have the value on top.)
     pub(crate) fn gen_store(&mut self, lv: &Lvalue, line: u32) -> Result<(), CompileError> {
-        match lv {
-            Lvalue::Name(name) => {
-                let b = self
-                    .lookup(name)
-                    .cloned()
-                    .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
-                match b {
-                    Binding::Var(slot) => {
-                        if slot.level == self.level() {
-                            self.emit.insn(Direct::StoreLocal, self.slot_operand(slot));
-                        } else {
-                            // The paper's §3.2.6 static-link sequence:
-                            // `ldl staticlink; stnl z`.
-                            self.emit_chain_to(slot.level, line)?;
-                            self.emit
-                                .insn(Direct::StoreNonLocal, slot.offset - slot.adjust);
-                        }
-                    }
-                    Binding::VarParam(slot) => {
-                        self.emit_slot_value(slot, line)?;
-                        self.emit.insn(Direct::StoreNonLocal, 0);
-                    }
-                    Binding::ValueParam(_) => {
-                        return Err(CompileError::check(
-                            line,
-                            format!("cannot assign to VALUE parameter `{name}`"),
-                        ))
-                    }
-                    Binding::Const(_) => {
-                        return Err(CompileError::check(
-                            line,
-                            format!("cannot assign to constant `{name}`"),
-                        ))
-                    }
-                    _ => {
-                        return Err(CompileError::check(
-                            line,
-                            format!("`{name}` is not an assignable variable"),
-                        ))
-                    }
-                }
-            }
-            Lvalue::ByteIndex(name, idx) => {
-                let v = self.resolve_vector(name, line)?;
-                self.require_writable(name, &v, line)?;
-                if self.depth(idx) >= 2 || self.options.bounds_checks {
-                    let t = self.take_temp(line)?;
-                    self.emit.insn(Direct::StoreLocal, t);
-                    self.gen_byte_element_addr(v, idx, line)?;
-                    self.emit.insn(Direct::LoadLocal, t);
-                    self.emit.op(Op::Reverse);
-                    self.emit.op(Op::StoreByte);
-                    self.release_temp();
-                } else {
-                    self.gen_byte_element_addr(v, idx, line)?;
-                    self.emit.op(Op::StoreByte);
-                }
-            }
-            Lvalue::Index(name, idx) => {
-                let v = self.resolve_vector(name, line)?;
-                self.require_writable(name, &v, line)?;
-                if let Some(k) = self.const_eval(idx) {
-                    self.check_const_subscript(name, k, v.len, line)?;
-                    match v.base {
-                        VecBase::Direct(slot) => {
-                            if slot.level == self.level() {
-                                self.emit
-                                    .insn(Direct::StoreLocal, self.slot_operand(slot) + k);
-                            } else {
-                                self.emit_chain_to(slot.level, line)?;
-                                self.emit
-                                    .insn(Direct::StoreNonLocal, slot.offset - slot.adjust + k);
-                            }
-                        }
-                        VecBase::Indirect(slot) => {
-                            self.emit_slot_value(slot, line)?;
-                            self.emit.insn(Direct::StoreNonLocal, k);
-                        }
-                    }
-                } else if self.depth(idx) >= 2 || self.options.bounds_checks {
-                    // The value occupies a register; an index this deep
-                    // (or a bounds check) would push it off the stack.
-                    // Park the value in a temporary while computing the
-                    // element address.
-                    let t = self.take_temp(line)?;
-                    self.emit.insn(Direct::StoreLocal, t);
-                    self.gen_vector_element_addr(v, idx, line)?;
-                    self.emit.insn(Direct::LoadLocal, t);
-                    self.emit.op(Op::Reverse);
-                    self.emit.insn(Direct::StoreNonLocal, 0);
-                    self.release_temp();
-                } else {
-                    // Value is in A; the address fits above it.
-                    self.gen_vector_element_addr(v, idx, line)?;
-                    self.emit.insn(Direct::StoreNonLocal, 0);
-                }
-            }
+        let (name, idx, byte) = match lv {
+            Lvalue::Name(name) => return self.gen_store_name(name, line),
+            Lvalue::Index(name, idx) => (name, idx, false),
+            Lvalue::ByteIndex(name, idx) => (name, idx, true),
+        };
+        let v = self.resolve_vector(name, line)?;
+        self.require_writable(name, &v, line)?;
+        if let (false, Some(k)) = (byte, self.const_eval(idx)) {
+            self.check_const_subscript(name, k, v.len, line)?;
+            return self.emit_const_element(STORE, v, k, line);
+        }
+        if self.depth(idx) >= 2 || self.options.bounds_checks {
+            // The value occupies a register; an index this deep (or a
+            // bounds check) would push it off the stack. Park the value
+            // in a temporary while computing the element address.
+            self.with_parked(line, |cg| cg.gen_element_addr(v, idx, byte, line))?;
+            self.emit.op(Op::Reverse);
+        } else {
+            // Value is in A; the address fits above it.
+            self.gen_element_addr(v, idx, byte, line)?;
+        }
+        if byte {
+            self.emit.op(Op::StoreByte);
+        } else {
+            self.emit.insn(Direct::StoreNonLocal, 0);
         }
         Ok(())
+    }
+
+    /// Store A into a named variable.
+    fn gen_store_name(&mut self, name: &str, line: u32) -> Result<(), CompileError> {
+        let b = self.resolve(name, line)?;
+        match b {
+            Binding::Var(slot) => self.emit_slot(STORE, slot, 0, line),
+            Binding::VarParam(slot) => {
+                self.emit_slot(LOAD, slot, 0, line)?;
+                self.emit.insn(Direct::StoreNonLocal, 0);
+                Ok(())
+            }
+            Binding::ValueParam(_) => Err(CompileError::check(
+                line,
+                format!("cannot assign to VALUE parameter `{name}`"),
+            )),
+            Binding::Const(_) => Err(CompileError::check(
+                line,
+                format!("cannot assign to constant `{name}`"),
+            )),
+            _ => Err(CompileError::check(
+                line,
+                format!("`{name}` is not an assignable variable"),
+            )),
+        }
     }
 
     fn require_writable(&self, name: &str, v: &VectorRef, line: u32) -> Result<(), CompileError> {
@@ -666,30 +622,17 @@ impl Cg<'_> {
         if let Some(idx) = idx {
             let v = self.resolve_vector(name, line)?;
             self.require_writable(name, &v, line)?;
-            return self.gen_vector_element_addr(v, idx, line);
+            return self.gen_element_addr(v, idx, false, line);
         }
-        let b = self
-            .lookup(name)
-            .cloned()
-            .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
+        let b = self.resolve(name, line)?;
         match b {
-            Binding::Var(slot) => self.emit_slot_addr(slot, line),
-            Binding::VarParam(slot) => self.emit_slot_value(slot, line),
+            Binding::Var(slot) => self.emit_slot(ADDR, slot, 0, line),
+            Binding::VarParam(slot) => self.emit_slot(LOAD, slot, 0, line),
             _ => Err(CompileError::check(
                 line,
                 format!("`{name}` is not a variable"),
             )),
         }
-    }
-
-    /// Put a whole vector's base address in A (for vector actuals).
-    pub(crate) fn gen_vector_base_addr(
-        &mut self,
-        name: &str,
-        line: u32,
-    ) -> Result<(), CompileError> {
-        let v = self.resolve_vector(name, line)?;
-        self.emit_vec_base(v.base, line)
     }
 
     /// Leave the address of a channel, named and subscripted as
@@ -699,13 +642,10 @@ impl Cg<'_> {
         (name, idx): (&str, Option<&Expr>),
         line: u32,
     ) -> Result<(), CompileError> {
-        let b = self
-            .lookup(name)
-            .cloned()
-            .ok_or_else(|| CompileError::check(line, format!("`{name}` is not defined")))?;
+        let b = self.resolve(name, line)?;
         match (idx, b) {
-            (None, Binding::Chan(slot)) => self.emit_slot_addr(slot, line)?,
-            (None, Binding::ChanParam(slot)) => self.emit_slot_value(slot, line)?,
+            (None, Binding::Chan(slot)) => self.emit_slot(ADDR, slot, 0, line),
+            (None, Binding::ChanParam(slot)) => self.emit_slot(LOAD, slot, 0, line),
             (None, Binding::PlacedChan(word)) => {
                 // Address = MostNeg + word * bytes-per-word: the link
                 // channel words at the bottom of the address space.
@@ -713,65 +653,28 @@ impl Cg<'_> {
                 if word != 0 {
                     self.emit.insn(Direct::LoadNonLocalPointer, word);
                 }
+                Ok(())
             }
-            (Some(idx), Binding::ChanVec(slot, len)) => {
-                let v = VectorRef {
-                    base: VecBase::Direct(slot),
-                    len: Some(len),
-                    writable: true,
-                };
-                self.gen_vector_element_addr(v, idx, line)?;
-            }
-            (Some(idx), Binding::ChanVecParam(slot)) => {
-                let v = VectorRef {
-                    base: VecBase::Indirect(slot),
-                    len: None,
-                    writable: true,
-                };
-                self.gen_vector_element_addr(v, idx, line)?;
-            }
-            (Some(_), _) => {
-                return Err(CompileError::check(
+            (Some(idx), b) => match b.chan_vector() {
+                Some(v) => self.gen_element_addr(v, idx, false, line),
+                None => Err(CompileError::check(
                     line,
                     format!("`{name}` is not a channel vector"),
-                ))
-            }
-            (None, _) => {
-                return Err(CompileError::check(
-                    line,
-                    format!("`{name}` is not a channel"),
-                ))
-            }
+                )),
+            },
+            (None, _) => Err(CompileError::check(
+                line,
+                format!("`{name}` is not a channel"),
+            )),
         }
-        Ok(())
     }
 
     /// Registers needed to put a channel's address in A.
     pub(crate) fn chan_depth(&self, c: &ChanRef) -> u32 {
         match c {
             ChanRef::Name(_) => 1,
-            ChanRef::Index(_, idx) => {
-                let d = (self.depth(idx) + 1).max(2);
-                if self.options.bounds_checks {
-                    d.max(3)
-                } else {
-                    d
-                }
-            }
+            ChanRef::Index(_, idx) => self.subscript_depth(idx),
         }
-    }
-
-    /// Park the value in A in a spill temporary; returns the operand to
-    /// reload it with. The caller must call [`Cg::temp_done`] after.
-    pub(crate) fn park_a(&mut self, line: u32) -> Result<i64, CompileError> {
-        let t = self.take_temp(line)?;
-        self.emit.insn(Direct::StoreLocal, t);
-        Ok(t)
-    }
-
-    /// Release the most recently taken spill temporary.
-    pub(crate) fn temp_done(&mut self) {
-        self.release_temp();
     }
 
     /// Emit the byte count for a one-word message: a constant, or the

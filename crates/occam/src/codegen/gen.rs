@@ -1,13 +1,34 @@
 //! Process and construct code generation.
 
-use std::rc::Rc;
-
-use super::measure::FrameMeasure;
-use super::{Binding, Cg, Context, ProcInfo, Slot, TEMP_SLOTS};
-use crate::ast::{AltKind, Alternative, Decl, Expr, Param, ParamMode, Process, Replicator};
-use crate::emit::Label;
+use super::measure::{decl_binding, param_binding, pri_par_pair, FrameMeasure};
+use super::{Binding, Cg, Context, ProcInfo, Slot};
+use super::{PAR_BLOCK, PRI_PAR_BLOCK, REPL_ALT_BLOCK, REPL_SEQ_BLOCK};
+use crate::ast::{AltKind, Alternative, ChanRef, Decl, Expr, Lvalue, Param, ParamMode};
+use crate::ast::{Process, Replicator};
+use crate::emit::{Anchor, Label};
 use crate::error::CompileError;
 use transputer::instr::{Direct, Op};
+
+/// One component of a `PAR` as laid out in its region.
+struct Component<'a> {
+    process: &'a Process<'a>,
+    fm: FrameMeasure,
+    /// Offset of the component's workspace pointer from the region's
+    /// base.
+    wptr_off: i64,
+    /// The replicator value, for a copy of a replicated `PAR`.
+    repl_value: Option<i64>,
+}
+
+/// The operations that open an `ALT` and wait for it: the timer forms
+/// when a guard waits on the clock.
+fn alt_ops(timed: bool) -> (Op, Op) {
+    if timed {
+        (Op::TimerAlt, Op::TimerAltWait)
+    } else {
+        (Op::Alt, Op::AltWait)
+    }
+}
 
 impl<'a> Cg<'a> {
     /// Generate code for a process.
@@ -24,39 +45,13 @@ impl<'a> Cg<'a> {
                 self.gen_store(lv, pos.line)
             }
             Process::Output(c, e, pos) => {
-                // `c ! e` — evaluate, then `outword` (A = channel,
-                // B = value), using workspace 0 as the buffer. A deep
-                // channel-vector subscript is computed first, parked in
-                // a temporary, so the value is not pushed off the stack.
-                if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c.parts(), pos.line)?;
-                    let t = self.park_a(pos.line)?;
-                    self.gen_expr(e, pos.line)?;
-                    self.emit.insn(Direct::LoadLocal, t);
-                    self.temp_done();
-                } else {
-                    self.gen_expr(e, pos.line)?;
-                    self.gen_chan_addr(c.parts(), pos.line)?;
-                }
+                // `c ! e` — `outword` (A = channel, B = value), using
+                // workspace 0 as the buffer.
+                self.gen_under_chan(c, pos.line, |cg| cg.gen_expr(e, pos.line))?;
                 self.emit.op(Op::OutputWord);
                 Ok(())
             }
-            Process::Input(c, lv, pos) => {
-                // `c ? v` — destination pointer, channel, count, `in`.
-                if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c.parts(), pos.line)?;
-                    let t = self.park_a(pos.line)?;
-                    self.gen_lvalue_addr(lv, pos.line)?;
-                    self.emit.insn(Direct::LoadLocal, t);
-                    self.temp_done();
-                } else {
-                    self.gen_lvalue_addr(lv, pos.line)?;
-                    self.gen_chan_addr(c.parts(), pos.line)?;
-                }
-                self.gen_word_count();
-                self.emit.op(Op::InputMessage);
-                Ok(())
-            }
+            Process::Input(c, lv, pos) => self.gen_input(c, lv, pos.line),
             Process::ReadTime(lv, pos) => {
                 self.emit.op(Op::LoadTimer);
                 self.gen_store(lv, pos.line)
@@ -75,13 +70,11 @@ impl<'a> Cg<'a> {
             Process::Seq(Some(r), ps, pos) => self.gen_replicated_seq(r, ps, pos.line),
             Process::Par(repl, branches, pos) => self.gen_par(repl.as_ref(), branches, pos.line),
             Process::PriPar(branches, pos) => self.gen_pri_par(branches, pos.line),
-            Process::Alt(None, alts, pos) | Process::PriAlt(None, alts, pos) => {
-                self.gen_alt(alts, pos.line)
-            }
+            Process::Alt(None, alts, _) | Process::PriAlt(None, alts, _) => self.gen_alt(alts),
             Process::Alt(Some(r), alts, pos) | Process::PriAlt(Some(r), alts, pos) => {
                 self.gen_replicated_alt(r, &alts[0], pos.line)
             }
-            Process::If(conds, pos) => {
+            Process::If(conds, _) => {
                 let end = self.emit.new_label();
                 for c in conds {
                     // Constant-true guard: emit body, no test; anything
@@ -102,7 +95,6 @@ impl<'a> Cg<'a> {
                 // No condition true: IF behaves like STOP.
                 self.emit.op(Op::StopProcess);
                 self.emit.place(end);
-                let _ = pos;
                 Ok(())
             }
             Process::While(cond, body, pos) => {
@@ -143,6 +135,29 @@ impl<'a> Cg<'a> {
         }
     }
 
+    // ---- channels ----
+
+    /// Leave `below`'s value in B and the address of channel `c` in A.
+    /// A channel subscript deep enough to need the whole stack is
+    /// computed first and parked in a temporary.
+    fn gen_under_chan(
+        &mut self,
+        c: &ChanRef,
+        line: u32,
+        below: impl FnOnce(&mut Self) -> Result<(), CompileError>,
+    ) -> Result<(), CompileError> {
+        let deep = self.chan_depth(c) >= 3;
+        self.gen_pair(deep, line, below, |cg| cg.gen_chan_addr(c.parts(), line))
+    }
+
+    /// `c ? v` — destination pointer, channel, count, `in`.
+    fn gen_input(&mut self, c: &ChanRef, lv: &Lvalue, line: u32) -> Result<(), CompileError> {
+        self.gen_under_chan(c, line, |cg| cg.gen_lvalue_addr(lv, line))?;
+        self.gen_word_count();
+        self.emit.op(Op::InputMessage);
+        Ok(())
+    }
+
     // ---- declarations ----
 
     fn gen_decl(&mut self, d: &'a Decl<'a>, line: u32) -> Result<(), CompileError> {
@@ -150,44 +165,22 @@ impl<'a> Cg<'a> {
             Decl::Var(items) | Decl::Chan(items) => {
                 let is_chan = matches!(d, Decl::Chan(_));
                 for (name, size) in items {
-                    let level = self.level();
-                    let adjust = self.ctx_ref().adjust;
-                    match size {
-                        None => {
-                            let off = self.ctx().alloc_words(1);
-                            let slot = Slot {
-                                level,
-                                offset: off,
-                                adjust,
-                            };
-                            if is_chan {
-                                // Channel words start empty (NotProcess).
-                                self.emit.op(Op::MinimumInteger);
-                                self.emit.insn(Direct::StoreLocal, off);
-                                self.bind(name, Binding::Chan(slot));
-                            } else {
-                                self.bind(name, Binding::Var(slot));
-                            }
-                        }
-                        Some(e) => {
-                            let n = self.require_const(e, line, "vector size")?;
-                            let off = self.ctx().alloc_vector(n);
-                            let slot = Slot {
-                                level,
-                                offset: off,
-                                adjust,
-                            };
-                            if is_chan {
-                                for k in 0..n {
-                                    self.emit.op(Op::MinimumInteger);
-                                    self.emit.insn(Direct::StoreLocal, off + k);
-                                }
-                                self.bind(name, Binding::ChanVec(slot, n));
-                            } else {
-                                self.bind(name, Binding::Vec(slot, n));
-                            }
+                    let size = match size {
+                        Some(e) => Some(self.vector_size(name, e, is_chan, line)?),
+                        None => None,
+                    };
+                    let off = match size {
+                        Some(n) => self.ctx().alloc_vector(n),
+                        None => self.ctx().alloc_words(1),
+                    };
+                    if is_chan {
+                        // Channel words start empty (NotProcess).
+                        for k in 0..size.unwrap_or(1) {
+                            self.emit.op(Op::MinimumInteger);
+                            self.emit.insn(Direct::StoreLocal, off + k);
                         }
                     }
+                    self.bind(name, decl_binding(is_chan, size, self.local_slot(off)));
                 }
                 Ok(())
             }
@@ -226,7 +219,7 @@ impl<'a> Cg<'a> {
     fn gen_proc_decl(
         &mut self,
         name: &'a str,
-        params: &[Param<'a>],
+        params: &'a [Param<'a>],
         body: &'a Process<'a>,
         line: u32,
     ) -> Result<(), CompileError> {
@@ -238,51 +231,8 @@ impl<'a> Cg<'a> {
             ));
         }
         let level = self.level() + 1;
-        let static_link = true;
-        // Measure the body as its own frame. Parameters contribute no
-        // frame words (they live in the caller-provided linkage).
-        self.open_scope();
-        // Parameter *kinds* must be visible during measurement (a call
-        // can appear in the body); offsets are patched after measuring.
-        for p in params {
-            let dummy = Slot {
-                level,
-                offset: 0,
-                adjust: 0,
-            };
-            self.bind(p.name, super::measure::param_binding(p, dummy));
-        }
-        // Measurement needs the body's own context for `level()`.
-        self.contexts.push(Context {
-            level,
-            is_frame_root: true,
-            adjust: 0,
-            alloc: 0,
-            high: 0,
-            vec_alloc: 0,
-            vec_high: 0,
-            temps_base: 0,
-            temps_used: 0,
-            static_link_offset: None,
-        });
-        let fm = self.measure_frame(body, false)?;
-        self.contexts.pop();
-        self.close_scope();
-
-        let info = Rc::new(ProcInfo {
-            label: self.emit.new_label(),
-            params: params
-                .iter()
-                .map(|p| super::Formal {
-                    mode: p.mode,
-                    is_vector: p.is_vector,
-                })
-                .collect(),
-            frame_locals: fm.locals_total(),
-            down: fm.down,
-            level,
-            static_link,
-        });
+        let info = self.describe_proc(params, body, level)?;
+        let fm = info.frame;
 
         // Emit the body out of line.
         let after = self.emit.new_label();
@@ -296,32 +246,17 @@ impl<'a> Cg<'a> {
                 offset: info.param_offset(i),
                 adjust: 0,
             };
-            self.bind(p.name, super::measure::param_binding(p, slot));
+            self.bind(p.name, param_binding(p, slot));
         }
-        let sl_offset = info.param_offset(params.len());
-        let scalar_base = fm.reserved_args + i64::from(TEMP_SLOTS as u32);
-        self.contexts.push(Context {
-            level,
-            is_frame_root: true,
-            adjust: 0,
-            alloc: scalar_base,
-            high: scalar_base,
-            vec_alloc: fm.vector_base(),
-            vec_high: fm.vector_base(),
-            temps_base: fm.reserved_args,
-            temps_used: 0,
-            static_link_offset: Some(sl_offset),
-        });
+        let static_link = info.param_offset(params.len());
+        self.contexts
+            .push(Context::frame(&fm, level, Some(static_link)));
         // Prologue: make room for the frame below the linkage words.
         self.emit.insn(Direct::AdjustWorkspace, -fm.locals_total());
         self.gen_process(body)?;
         self.emit.insn(Direct::AdjustWorkspace, fm.locals_total());
         self.emit.op(Op::Return);
-        debug_assert!(
-            self.ctx_ref().high <= fm.vector_base() && self.ctx_ref().vec_high <= fm.locals_total(),
-            "PROC {name}: allocation exceeded measurement"
-        );
-        self.contexts.pop();
+        self.close_context(&fm, line)?;
         self.close_scope();
         self.emit.place(after);
 
@@ -332,29 +267,7 @@ impl<'a> Cg<'a> {
     // ---- calls ----
 
     fn gen_call(&mut self, name: &str, actuals: &[Expr], line: u32) -> Result<(), CompileError> {
-        let info = match self.lookup(name) {
-            Some(Binding::Proc(info)) => info.clone(),
-            Some(_) => return Err(CompileError::check(line, format!("`{name}` is not a PROC"))),
-            None => {
-                return Err(CompileError::check(
-                    line,
-                    format!(
-                        "call of undefined PROC `{name}` (note: occam forbids recursion — \
-                         workspace is allocated statically)"
-                    ),
-                ))
-            }
-        };
-        if actuals.len() != info.params.len() {
-            return Err(CompileError::check(
-                line,
-                format!(
-                    "`{name}` takes {} arguments, {} given",
-                    info.params.len(),
-                    actuals.len()
-                ),
-            ));
-        }
+        let info = self.resolve_call(name, actuals.len(), line)?;
         let total = info.total_args();
         // Arguments beyond three go to the reserved slots at the bottom
         // of the current workspace (callee sees them above its linkage).
@@ -364,25 +277,15 @@ impl<'a> Cg<'a> {
         }
         // Register arguments: loaded so that argument 0 ends in A.
         let in_regs = total.min(3);
-        // Pre-evaluate any register argument too deep for its position.
+        // Pre-evaluate any register argument too deep for its position:
+        // argument i is loaded after (in_regs - 1 - i) others are already
+        // on the stack, so it may use the rest.
         let mut temp_ops: Vec<Option<i64>> = vec![None; in_regs];
         for i in (0..in_regs).rev() {
-            // Argument i is loaded (in_regs - 1 - i) loads before the
-            // call... it is loaded after (in_regs-1-i) others are already
-            // on the stack: allowed depth = 3 - (in_regs - 1 - i).
-            let position_from_first = in_regs - 1 - i;
-            let allowed = 3 - position_from_first as u32;
+            let allowed = 3 - (in_regs - 1 - i) as u32;
             if self.actual_depth(&info, actuals, i) > allowed {
                 self.gen_actual(&info, actuals, i, line)?;
-                let ctx = self.ctx();
-                if ctx.temps_used >= i64::from(TEMP_SLOTS as u32) {
-                    return Err(CompileError::codegen(
-                        line,
-                        "call arguments too complex: spill temporaries exhausted",
-                    ));
-                }
-                let t = ctx.temps_base + ctx.temps_used;
-                ctx.temps_used += 1;
+                let t = self.take_temp(line, "call arguments")?;
                 self.emit.insn(Direct::StoreLocal, t);
                 temp_ops[i] = Some(t);
             }
@@ -410,7 +313,7 @@ impl<'a> Cg<'a> {
         }
         match (formal.mode, &actuals[i]) {
             (ParamMode::Value, e) => self.depth(e),
-            (_, Expr::Index(_, idx)) => (self.depth(idx) + 1).max(2),
+            (_, Expr::Index(_, idx)) => self.subscript_depth(idx),
             _ => 1,
         }
     }
@@ -446,25 +349,16 @@ impl<'a> Cg<'a> {
                     "a vector parameter needs a whole vector as its argument",
                 ));
             };
-            return match (formal.mode, self.lookup(name).cloned()) {
-                (ParamMode::Chan, Some(Binding::ChanVec(slot, _))) => {
-                    self.gen_chanvec_base(slot, line)
-                }
-                (ParamMode::Chan, Some(Binding::ChanVecParam(slot))) => {
-                    self.gen_param_word(slot, line)
-                }
-                (ParamMode::Chan, _) => Err(CompileError::check(
-                    line,
-                    format!("`{name}` is not a channel vector"),
-                )),
-                (_, Some(Binding::Vec(..))) | (_, Some(Binding::VecParam(..))) => {
-                    self.gen_vector_base_addr(name, line)
-                }
-                _ => Err(CompileError::check(
-                    line,
-                    format!("`{name}` is not a vector"),
-                )),
+            let (vector, what) = match formal.mode {
+                ParamMode::Chan => (
+                    self.lookup(name).and_then(Binding::chan_vector),
+                    "channel vector",
+                ),
+                _ => (self.lookup(name).and_then(Binding::word_vector), "vector"),
             };
+            let v = vector
+                .ok_or_else(|| CompileError::check(line, format!("`{name}` is not a {what}")))?;
+            return self.emit_vec_base(v.base, line);
         }
         let actual = &actuals[i];
         match formal.mode {
@@ -484,32 +378,39 @@ impl<'a> Cg<'a> {
         }
     }
 
-    /// Base address of a declared channel vector.
-    fn gen_chanvec_base(&mut self, slot: Slot, line: u32) -> Result<(), CompileError> {
-        if slot.level == self.level() {
-            self.emit
-                .insn(Direct::LoadLocalPointer, self.slot_operand(slot));
-        } else {
-            self.emit_chain_to(slot.level, line)?;
-            self.emit
-                .insn(Direct::LoadNonLocalPointer, slot.offset - slot.adjust);
-        }
-        Ok(())
-    }
-
-    /// Value of a parameter word (an address being forwarded).
-    fn gen_param_word(&mut self, slot: Slot, line: u32) -> Result<(), CompileError> {
-        if slot.level == self.level() {
-            self.emit.insn(Direct::LoadLocal, self.slot_operand(slot));
-        } else {
-            self.emit_chain_to(slot.level, line)?;
-            self.emit
-                .insn(Direct::LoadNonLocal, slot.offset - slot.adjust);
-        }
-        Ok(())
-    }
-
     // ---- replication ----
+
+    /// Emit a counted loop over the control block at `ctrl` (the index
+    /// word, then the count left): initialise the block from `r`, skip
+    /// the loop when the count is not positive, run `body`, and close
+    /// with `lend`. Returns `body`'s result and the loop's head and end.
+    fn gen_counted_loop<T>(
+        &mut self,
+        r: &Replicator,
+        ctrl: i64,
+        line: u32,
+        body: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<(T, Label, Label), CompileError> {
+        self.gen_expr(&r.base, line)?;
+        self.emit.insn(Direct::StoreLocal, ctrl);
+        self.gen_expr(&r.count, line)?;
+        self.emit.insn(Direct::StoreLocal, ctrl + 1);
+        let end = self.emit.new_label();
+        let top = self.emit.new_label();
+        self.emit.insn(Direct::LoadLocal, ctrl + 1);
+        self.emit.insn(Direct::LoadConstant, 0);
+        self.emit.op(Op::GreaterThan);
+        self.emit.insn_rel(Direct::ConditionalJump, end);
+        self.emit.place(top);
+        let result = body(self)?;
+        self.emit.insn(Direct::LoadLocalPointer, ctrl);
+        // `loop end` takes the positive distance back to the loop head.
+        let a = self.emit.ldc_rel_back(top);
+        self.emit.bind_anchor(a);
+        self.emit.op(Op::LoopEnd);
+        self.emit.place(end);
+        Ok((result, top, end))
+    }
 
     fn gen_replicated_seq(
         &mut self,
@@ -518,47 +419,20 @@ impl<'a> Cg<'a> {
         line: u32,
     ) -> Result<(), CompileError> {
         let save_alloc = self.ctx_ref().alloc;
-        let ctrl = self.ctx().alloc_words(2);
-        let level = self.level();
-        let adjust = self.ctx_ref().adjust;
+        let ctrl = self.ctx().alloc_words(REPL_SEQ_BLOCK);
         self.open_scope();
         // The replicator variable *is* the control block's index word,
         // maintained by `loop end`.
-        self.bind(
-            r.var,
-            Binding::Var(Slot {
-                level,
-                offset: ctrl,
-                adjust,
-            }),
-        );
-        self.gen_expr(&r.base, line)?;
-        self.emit.insn(Direct::StoreLocal, ctrl);
-        self.gen_expr(&r.count, line)?;
-        self.emit.insn(Direct::StoreLocal, ctrl + 1);
-        let end = self.emit.new_label();
-        let top = self.emit.new_label();
+        self.bind(r.var, Binding::Var(self.local_slot(ctrl)));
+        let ((), top, end) = self.gen_counted_loop(r, ctrl, line, |cg| {
+            body.iter().try_for_each(|p| cg.gen_process(p))
+        })?;
         // A compile-time-constant count makes the loop statically
         // boundable; record it for the cycle-cost model.
         if let Some(n) = self.const_eval(&r.count) {
             let count = u32::try_from(n.max(0)).unwrap_or(u32::MAX);
             self.counted_loops.push((top, end, count));
         }
-        // A replication count of zero (or less) runs the body no times.
-        self.emit.insn(Direct::LoadLocal, ctrl + 1);
-        self.emit.insn(Direct::LoadConstant, 0);
-        self.emit.op(Op::GreaterThan);
-        self.emit.insn_rel(Direct::ConditionalJump, end);
-        self.emit.place(top);
-        for p in body {
-            self.gen_process(p)?;
-        }
-        self.emit.insn(Direct::LoadLocalPointer, ctrl);
-        // `loop end` takes the positive distance back to the loop head.
-        let a = self.emit.ldc_rel_back(top);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoopEnd);
-        self.emit.place(end);
         self.close_scope();
         self.ctx().alloc = save_alloc;
         Ok(())
@@ -566,54 +440,52 @@ impl<'a> Cg<'a> {
 
     // ---- PAR ----
 
+    /// Lower the workspace over a `PAR` region of `n` words and write the
+    /// start of its control block: the join address, then the `count`
+    /// of components still running. Returns the join label.
+    fn open_par_region(&mut self, n: i64, count: i64) -> Label {
+        self.emit.insn(Direct::AdjustWorkspace, -n);
+        self.ctx().adjust += n;
+        let join = self.emit.new_label();
+        self.gen_code_address(join);
+        self.emit.insn(Direct::StoreLocal, 0);
+        self.emit.insn(Direct::LoadConstant, count);
+        self.emit.insn(Direct::StoreLocal, 1);
+        join
+    }
+
+    /// Raise the workspace back over a `PAR` region of `n` words.
+    fn close_par_region(&mut self, n: i64) {
+        self.emit.insn(Direct::AdjustWorkspace, n);
+        self.ctx().adjust -= n;
+    }
+
+    /// Leave the address of `label` in A.
+    fn gen_code_address(&mut self, label: Label) {
+        let a = self.emit.ldc_rel(label);
+        self.emit.bind_anchor(a);
+        self.emit.op(Op::LoadPointerToInstruction);
+    }
+
     fn gen_par(
         &mut self,
         repl: Option<&'a Replicator<'a>>,
         branches: &'a [Process<'a>],
         line: u32,
     ) -> Result<(), CompileError> {
-        // Expand replication into per-copy branch descriptors.
-        struct BranchPlan<'a> {
-            process: &'a Process<'a>,
-            fm: FrameMeasure,
-            /// Workspace offset (from the lowered pointer) of the branch
-            /// workspace pointer.
-            wptr_off: i64,
-            /// Replicator value, if replicated.
-            repl_value: Option<i64>,
+        let refs: Vec<&Process> = branches.iter().collect();
+        self.par_usage_check(&refs, repl.is_some(), line)?;
+        if branches.is_empty() {
+            return Ok(()); // PAR with no components is SKIP
         }
-
-        match repl {
-            None => {
-                let refs: Vec<&Process> = branches.iter().collect();
-                self.par_usage_check(&refs, false, line)?;
-            }
-            Some(_) => {
-                let refs: Vec<&Process> = branches.iter().collect();
-                self.par_usage_check(&refs, true, line)?;
-            }
-        }
-        let mut plans: Vec<BranchPlan<'_>> = Vec::new();
-        let mut region = 2i64;
-        match repl {
-            None => {
-                if branches.is_empty() {
-                    return Ok(()); // PAR with no components is SKIP
-                }
-                for b in branches {
-                    let fm = self.measure_frame(b, false)?;
-                    let wptr_off = region + fm.down;
-                    region += fm.chunk();
-                    plans.push(BranchPlan {
-                        process: b,
-                        fm,
-                        wptr_off,
-                        repl_value: None,
-                    });
-                }
-            }
+        // Expand replication into one component per copy.
+        let members: Vec<(&'a Process<'a>, FrameMeasure, Option<i64>)> = match repl {
+            None => branches
+                .iter()
+                .map(|b| Ok((b, self.measure_frame(b, None)?, None)))
+                .collect::<Result<_, CompileError>>()?,
             Some(r) => {
-                let count = self.require_const(&r.count, line, "PAR replication count")?;
+                let count = self.par_replication_count(r, line)?;
                 let base = self.require_const(&r.base, line, "PAR replication base")?;
                 if self.word(base + count - 1).is_none() {
                     return Err(CompileError::codegen(
@@ -621,192 +493,137 @@ impl<'a> Cg<'a> {
                         format!("PAR replicator values {base} FOR {count} leave the word"),
                     ));
                 }
-                let fm = self.measure_frame(&branches[0], true)?;
-                for i in 0..count {
-                    let wptr_off = region + fm.down;
-                    region += fm.chunk();
-                    plans.push(BranchPlan {
-                        process: &branches[0],
-                        fm,
-                        wptr_off,
-                        repl_value: Some(base + i),
-                    });
-                }
+                let fm = self.measure_frame(&branches[0], Some(r.var))?;
+                (0..count)
+                    .map(|i| (&branches[0], fm, Some(base + i)))
+                    .collect()
             }
+        };
+        let mut region = PAR_BLOCK;
+        let mut plans = Vec::new();
+        for (process, fm, repl_value) in members {
+            plans.push(Component {
+                process,
+                fm,
+                wptr_off: region + fm.down,
+                repl_value,
+            });
+            region += fm.chunk();
         }
-        let n = region;
-        let k = plans.len() as i64;
+        let join = self.open_par_region(region, plans.len() as i64);
 
-        // Lower the workspace over the PAR region.
-        self.emit.insn(Direct::AdjustWorkspace, -n);
-        self.ctx().adjust += n;
-
-        // Control block: join address and count.
-        let join = self.emit.new_label();
-        let a = self.emit.ldc_rel(join);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoadPointerToInstruction);
-        self.emit.insn(Direct::StoreLocal, 0);
-        self.emit.insn(Direct::LoadConstant, k);
-        self.emit.insn(Direct::StoreLocal, 1);
-
-        // Start every branch but the last as a new process (§3.2.4).
-        let labels: Vec<Label> = plans.iter().map(|_| self.emit.new_label()).collect();
-        for (i, plan) in plans.iter().enumerate().take(plans.len() - 1) {
+        // Start every component but the last as a new process (§3.2.4).
+        let (last, children) = plans.split_last().expect("at least one component");
+        let labels: Vec<Label> = children.iter().map(|_| self.emit.new_label()).collect();
+        for (plan, &label) in children.iter().zip(&labels) {
             if let Some(v) = plan.repl_value {
                 // Initialise the copy's replicator variable (its first
-                // frame word after args and temps).
-                let var_off = plan.fm.reserved_args + i64::from(TEMP_SLOTS as u32);
+                // scalar word).
                 self.emit.insn(Direct::LoadConstant, v);
-                self.emit.insn(Direct::StoreLocal, plan.wptr_off + var_off);
+                self.emit
+                    .insn(Direct::StoreLocal, plan.wptr_off + plan.fm.scalar_base());
             }
-            let a = self.emit.ldc_rel(labels[i]);
+            let a = self.emit.ldc_rel(label);
             self.emit.insn(Direct::LoadLocalPointer, plan.wptr_off);
             self.emit.bind_anchor(a);
             self.emit.op(Op::StartProcess);
         }
 
-        // The constructing process executes the last branch itself.
-        let last = plans.last().expect("at least one branch");
+        // The constructing process executes the last component itself.
         self.emit.insn(Direct::AdjustWorkspace, last.wptr_off);
-        self.ctx().adjust -= last.wptr_off;
-        let parent_repl = repl.map(|r| (r.var, last.repl_value));
-        self.gen_branch_body(last.process, last.fm, parent_repl, line)?;
-        self.emit.insn(Direct::LoadLocalPointer, -last.wptr_off);
-        self.emit.op(Op::EndProcess);
-        self.ctx().adjust += last.wptr_off;
+        let last_repl = repl.map(|r| (r.var, last.repl_value));
+        self.gen_component(last, last_repl, line)?;
 
         // Children bodies, each ending in `end process`. Replicated
         // children had their replicator word initialised by the parent
         // before `start process`; here it is only bound, not written.
-        for (i, plan) in plans.iter().enumerate().take(plans.len() - 1) {
-            self.emit.place(labels[i]);
-            let saved_adjust = self.ctx_ref().adjust;
-            self.ctx().adjust -= plan.wptr_off;
-            let child_repl = repl.map(|r| (r.var, None));
-            self.gen_branch_body(plan.process, plan.fm, child_repl, line)?;
-            self.emit.insn(Direct::LoadLocalPointer, -plan.wptr_off);
-            self.emit.op(Op::EndProcess);
-            self.ctx().adjust = saved_adjust;
+        for (plan, &label) in children.iter().zip(&labels) {
+            self.emit.place(label);
+            self.gen_component(plan, repl.map(|r| (r.var, None)), line)?;
         }
 
         // Join: the last terminating component resumes here with the
         // workspace pointer at the control block; restore it.
         self.emit.place(join);
-        self.emit.insn(Direct::AdjustWorkspace, n);
-        self.ctx().adjust -= n;
+        self.close_par_region(region);
         Ok(())
     }
 
-    /// Generate a branch's body inside its own allocation context.
-    /// `repl` carries the replicator variable name and, for the
-    /// parent-run copy only, the value to initialise it with.
-    fn gen_branch_body(
+    /// Generate a component whose workspace pointer sits `wptr_off`
+    /// words above the region's base, in its own allocation context,
+    /// ending in `end process` on the region's control block. `repl`
+    /// carries the replicator variable name and, for the parent-run copy
+    /// only, the value to initialise it with.
+    fn gen_component(
         &mut self,
-        p: &'a Process<'a>,
-        fm: FrameMeasure,
+        c: &Component<'a>,
         repl: Option<(&'a str, Option<i64>)>,
         line: u32,
     ) -> Result<(), CompileError> {
-        let level = self.level();
-        let adjust = self.ctx_ref().adjust;
-        let base = fm.reserved_args + i64::from(TEMP_SLOTS as u32);
-        self.contexts.push(Context {
-            level,
+        self.ctx().adjust -= c.wptr_off;
+        let branch = Context {
             is_frame_root: false,
-            adjust,
-            alloc: base,
-            high: base,
-            vec_alloc: fm.vector_base(),
-            vec_high: fm.vector_base(),
-            temps_base: fm.reserved_args,
-            temps_used: 0,
-            static_link_offset: None,
-        });
+            adjust: self.ctx_ref().adjust,
+            ..Context::frame(&c.fm, self.level(), None)
+        };
+        self.contexts.push(branch);
         self.open_scope();
         if let Some((var, value)) = repl {
             // The replicator variable is the branch frame's first word.
             let off = self.ctx().alloc_words(1);
-            debug_assert_eq!(off, base);
-            self.bind(
-                var,
-                Binding::Var(Slot {
-                    level,
-                    offset: off,
-                    adjust,
-                }),
-            );
+            self.bind(var, Binding::Var(self.local_slot(off)));
             if let Some(v) = value {
                 self.emit.insn(Direct::LoadConstant, v);
                 self.emit.insn(Direct::StoreLocal, off);
             }
         }
-        self.gen_process(p)?;
-        debug_assert!(
-            self.ctx_ref().high <= fm.vector_base() && self.ctx_ref().vec_high <= fm.locals_total(),
-            "PAR branch allocation exceeded measurement (line {line})"
-        );
+        self.gen_process(c.process)?;
         self.close_scope();
-        self.contexts.pop();
+        self.close_context(&c.fm, line)?;
+        self.emit.insn(Direct::LoadLocalPointer, -c.wptr_off);
+        self.emit.op(Op::EndProcess);
+        self.ctx().adjust += c.wptr_off;
         Ok(())
     }
 
     // ---- PRI PAR ----
 
     fn gen_pri_par(&mut self, branches: &'a [Process<'a>], line: u32) -> Result<(), CompileError> {
-        if branches.len() != 2 {
-            return Err(CompileError::codegen(
-                line,
-                "PRI PAR takes exactly two components (high then low)",
-            ));
-        }
-        let refs: Vec<&Process> = branches.iter().collect();
-        self.pri_par_usage_check(&refs, line);
-        let fm_hi = self.measure_frame(&branches[0], false)?;
-        let fm_lo = self.measure_frame(&branches[1], false)?;
-        let hi_off = 3 + fm_hi.down;
-        let lo_off = 3 + fm_hi.chunk() + fm_lo.down;
-        let n = 3 + fm_hi.chunk() + fm_lo.chunk();
+        let (high, low) = pri_par_pair(branches, line)?;
+        self.pri_par_usage_check(&[high, low], line);
+        let fm_hi = self.measure_frame(high, None)?;
+        let fm_lo = self.measure_frame(low, None)?;
+        let hi = Component {
+            process: high,
+            fm: fm_hi,
+            wptr_off: PRI_PAR_BLOCK + fm_hi.down,
+            repl_value: None,
+        };
+        let lo = Component {
+            process: low,
+            fm: fm_lo,
+            wptr_off: PRI_PAR_BLOCK + fm_hi.chunk() + fm_lo.down,
+            repl_value: None,
+        };
+        let n = PRI_PAR_BLOCK + fm_hi.chunk() + fm_lo.chunk();
 
-        self.emit.insn(Direct::AdjustWorkspace, -n);
-        self.ctx().adjust += n;
-
-        let join = self.emit.new_label();
-        let a = self.emit.ldc_rel(join);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoadPointerToInstruction);
-        self.emit.insn(Direct::StoreLocal, 0);
-        self.emit.insn(Direct::LoadConstant, 2);
-        self.emit.insn(Direct::StoreLocal, 1);
+        let join = self.open_par_region(n, 2);
         // Remember the construct's own priority for the join.
         self.emit.op(Op::LoadPriority);
         self.emit.insn(Direct::StoreLocal, 2);
 
-        // High branch: seed its saved Iptr and run it at priority 0.
+        // High component: seed its saved Iptr and run it at priority 0.
         let hi_label = self.emit.new_label();
-        let a = self.emit.ldc_rel(hi_label);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoadPointerToInstruction);
-        self.emit.insn(Direct::StoreLocal, hi_off - 1); // child w[-1] := entry
-        self.emit.insn(Direct::LoadLocalPointer, hi_off); // descriptor: bit 0 = 0 = high
+        self.gen_code_address(hi_label);
+        self.emit.insn(Direct::StoreLocal, hi.wptr_off - 1); // child w[-1] := entry
+        self.emit.insn(Direct::LoadLocalPointer, hi.wptr_off); // descriptor: bit 0 = 0 = high
         self.emit.op(Op::RunProcess);
 
-        // Low branch runs in the constructing process.
-        self.emit.insn(Direct::AdjustWorkspace, lo_off);
-        self.ctx().adjust -= lo_off;
-        self.gen_branch_body(&branches[1], fm_lo, None, line)?;
-        self.emit.insn(Direct::LoadLocalPointer, -lo_off);
-        self.emit.op(Op::EndProcess);
-        self.ctx().adjust += lo_off;
-
-        // High branch body.
+        // Low component runs in the constructing process.
+        self.emit.insn(Direct::AdjustWorkspace, lo.wptr_off);
+        self.gen_component(&lo, None, line)?;
         self.emit.place(hi_label);
-        let saved = self.ctx_ref().adjust;
-        self.ctx().adjust -= hi_off;
-        self.gen_branch_body(&branches[0], fm_hi, None, line)?;
-        self.emit.insn(Direct::LoadLocalPointer, -hi_off);
-        self.emit.op(Op::EndProcess);
-        self.ctx().adjust = saved;
+        self.gen_component(&hi, None, line)?;
 
         // Join: restore the construct's original priority if the last
         // finisher left us high while the construct began low.
@@ -823,72 +640,30 @@ impl<'a> Cg<'a> {
         self.emit.op(Op::RunProcess);
         self.emit.op(Op::StopProcess);
         self.emit.place(same);
-        self.emit.insn(Direct::AdjustWorkspace, n);
-        self.ctx().adjust -= n;
+        self.close_par_region(n);
         Ok(())
     }
 
     // ---- ALT ----
 
-    fn gen_alt(&mut self, alts: &'a [Alternative<'a>], line: u32) -> Result<(), CompileError> {
-        let has_timer = alts.iter().any(|a| matches!(a.kind, AltKind::Timeout(_)));
-        self.emit.op(if has_timer { Op::TimerAlt } else { Op::Alt });
-
+    fn gen_alt(&mut self, alts: &'a [Alternative<'a>]) -> Result<(), CompileError> {
+        let timed = alts.iter().any(|a| matches!(a.kind, AltKind::Timeout(_)));
+        let (start, wait) = alt_ops(timed);
+        self.emit.op(start);
         // Enable every guard (§3.2.10: "instructions for enabling and
         // disabling channels provide support for an implementation of
         // alternative input without the use of polling").
         for alt in alts {
-            match &alt.kind {
-                AltKind::Input(c, _) => {
-                    let pre = self.pre_guard(alt)?;
-                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                    self.load_guard(alt, pre)?;
-                    self.emit.op(Op::EnableChannel);
-                }
-                AltKind::Timeout(t) => {
-                    let pre = self.pre_guard(alt)?;
-                    self.gen_expr(t, alt.pos.line)?;
-                    self.load_guard(alt, pre)?;
-                    self.emit.op(Op::EnableTimer);
-                }
-                AltKind::Skip => {
-                    self.gen_guard(alt)?;
-                    self.emit.op(Op::EnableSkip);
-                }
-            }
+            self.gen_guard(alt, None)?;
         }
-        self.emit.op(if has_timer {
-            Op::TimerAltWait
-        } else {
-            Op::AltWait
-        });
+        self.emit.op(wait);
 
         // Disable in the same (priority) order; the first ready guard
         // records its branch offset in workspace 0.
         let branch_labels: Vec<Label> = alts.iter().map(|_| self.emit.new_label()).collect();
         let mut anchors = Vec::new();
-        for (alt, label) in alts.iter().zip(&branch_labels) {
-            match &alt.kind {
-                AltKind::Input(c, _) => {
-                    let pre = self.pre_guard(alt)?;
-                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                    self.load_guard(alt, pre)?;
-                    anchors.push(self.emit.ldc_rel(*label));
-                    self.emit.op(Op::DisableChannel);
-                }
-                AltKind::Timeout(t) => {
-                    let pre = self.pre_guard(alt)?;
-                    self.gen_expr(t, alt.pos.line)?;
-                    self.load_guard(alt, pre)?;
-                    anchors.push(self.emit.ldc_rel(*label));
-                    self.emit.op(Op::DisableTimer);
-                }
-                AltKind::Skip => {
-                    self.gen_guard(alt)?;
-                    anchors.push(self.emit.ldc_rel(*label));
-                    self.emit.op(Op::DisableSkip);
-                }
-            }
+        for (alt, &label) in alts.iter().zip(&branch_labels) {
+            anchors.extend(self.gen_guard(alt, Some(label))?);
         }
         // All branch offsets are measured from the end of `alt end`.
         for a in anchors {
@@ -897,29 +672,12 @@ impl<'a> Cg<'a> {
         self.emit.op(Op::AltEnd);
 
         let end = self.emit.new_label();
-        for (alt, label) in alts.iter().zip(&branch_labels) {
-            self.emit.place(*label);
-            if let AltKind::Input(c, lv) = &alt.kind {
-                // The selected input now transfers the message from the
-                // outputter parked in the channel.
-                if self.chan_depth(c) >= 3 {
-                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                    let t = self.park_a(alt.pos.line)?;
-                    self.gen_lvalue_addr(lv, alt.pos.line)?;
-                    self.emit.insn(Direct::LoadLocal, t);
-                    self.temp_done();
-                } else {
-                    self.gen_lvalue_addr(lv, alt.pos.line)?;
-                    self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                }
-                self.gen_word_count();
-                self.emit.op(Op::InputMessage);
-            }
-            self.gen_process(&alt.body)?;
+        for (alt, &label) in alts.iter().zip(&branch_labels) {
+            self.emit.place(label);
+            self.gen_selected(alt)?;
             self.emit.insn_rel(Direct::Jump, end);
         }
         self.emit.place(end);
-        let _ = line;
         Ok(())
     }
 
@@ -933,115 +691,31 @@ impl<'a> Cg<'a> {
         alt: &'a Alternative<'a>,
         line: u32,
     ) -> Result<(), CompileError> {
-        let has_timer = matches!(alt.kind, AltKind::Timeout(_));
+        let (start, wait) = alt_ops(matches!(alt.kind, AltKind::Timeout(_)));
         let save_alloc = self.ctx_ref().alloc;
-        let ctrl = self.ctx().alloc_words(2);
-        let sel = self.ctx().alloc_words(1);
-        let level = self.level();
-        let adjust = self.ctx_ref().adjust;
+        let ctrl = self.ctx().alloc_words(REPL_ALT_BLOCK);
+        let sel = ctrl + 2;
         self.open_scope();
-        self.bind(
-            r.var,
-            Binding::Var(Slot {
-                level,
-                offset: ctrl,
-                adjust,
-            }),
-        );
+        self.bind(r.var, Binding::Var(self.local_slot(ctrl)));
 
-        self.emit.op(if has_timer { Op::TimerAlt } else { Op::Alt });
-
-        // A loop of enables over the replication range.
-        let init = |cg: &mut Cg, r: &Replicator, line: u32| -> Result<(), CompileError> {
-            cg.gen_expr(&r.base, line)?;
-            cg.emit.insn(Direct::StoreLocal, ctrl);
-            cg.gen_expr(&r.count, line)?;
-            cg.emit.insn(Direct::StoreLocal, ctrl + 1);
-            Ok(())
-        };
-        init(self, r, line)?;
-        let enable_end = self.emit.new_label();
-        let enable_top = self.emit.new_label();
-        self.emit.insn(Direct::LoadLocal, ctrl + 1);
-        self.emit.insn(Direct::LoadConstant, 0);
-        self.emit.op(Op::GreaterThan);
-        self.emit.insn_rel(Direct::ConditionalJump, enable_end);
-        self.emit.place(enable_top);
-        match &alt.kind {
-            AltKind::Input(c, _) => {
-                let pre = self.pre_guard(alt)?;
-                self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                self.load_guard(alt, pre)?;
-                self.emit.op(Op::EnableChannel);
-            }
-            AltKind::Timeout(t) => {
-                let pre = self.pre_guard(alt)?;
-                self.gen_expr(t, alt.pos.line)?;
-                self.load_guard(alt, pre)?;
-                self.emit.op(Op::EnableTimer);
-            }
-            AltKind::Skip => {
-                self.gen_guard(alt)?;
-                self.emit.op(Op::EnableSkip);
-            }
-        }
-        self.emit.insn(Direct::LoadLocalPointer, ctrl);
-        let a = self.emit.ldc_rel_back(enable_top);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoopEnd);
-        self.emit.place(enable_end);
-
-        self.emit.op(if has_timer {
-            Op::TimerAltWait
-        } else {
-            Op::AltWait
-        });
+        self.emit.op(start);
+        self.gen_counted_loop(r, ctrl, line, |cg| cg.gen_guard(alt, None))?;
+        self.emit.op(wait);
 
         // A loop of disables; the iteration whose guard fired first
         // records its index in `sel`.
-        init(self, r, line)?;
-        let disable_end = self.emit.new_label();
-        let disable_top = self.emit.new_label();
         let branch = self.emit.new_label();
-        self.emit.insn(Direct::LoadLocal, ctrl + 1);
-        self.emit.insn(Direct::LoadConstant, 0);
-        self.emit.op(Op::GreaterThan);
-        self.emit.insn_rel(Direct::ConditionalJump, disable_end);
-        self.emit.place(disable_top);
-        let mut anchors = Vec::new();
-        match &alt.kind {
-            AltKind::Input(c, _) => {
-                let pre = self.pre_guard(alt)?;
-                self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                self.load_guard(alt, pre)?;
-                anchors.push(self.emit.ldc_rel(branch));
-                self.emit.op(Op::DisableChannel);
-            }
-            AltKind::Timeout(t) => {
-                let pre = self.pre_guard(alt)?;
-                self.gen_expr(t, alt.pos.line)?;
-                self.load_guard(alt, pre)?;
-                anchors.push(self.emit.ldc_rel(branch));
-                self.emit.op(Op::DisableTimer);
-            }
-            AltKind::Skip => {
-                self.gen_guard(alt)?;
-                anchors.push(self.emit.ldc_rel(branch));
-                self.emit.op(Op::DisableSkip);
-            }
-        }
-        // disc/dist/diss left TRUE if this iteration made the selection.
-        let not_selected = self.emit.new_label();
-        self.emit.insn_rel(Direct::ConditionalJump, not_selected);
-        self.emit.insn(Direct::LoadLocal, ctrl);
-        self.emit.insn(Direct::StoreLocal, sel);
-        self.emit.place(not_selected);
-        self.emit.insn(Direct::LoadLocalPointer, ctrl);
-        let a = self.emit.ldc_rel_back(disable_top);
-        self.emit.bind_anchor(a);
-        self.emit.op(Op::LoopEnd);
-        self.emit.place(disable_end);
-        for a in anchors {
+        let (anchor, _, _) = self.gen_counted_loop(r, ctrl, line, |cg| {
+            let anchor = cg.gen_guard(alt, Some(branch))?;
+            // disc/dist/diss left TRUE if this iteration made the selection.
+            let not_selected = cg.emit.new_label();
+            cg.emit.insn_rel(Direct::ConditionalJump, not_selected);
+            cg.emit.insn(Direct::LoadLocal, ctrl);
+            cg.emit.insn(Direct::StoreLocal, sel);
+            cg.emit.place(not_selected);
+            Ok(anchor)
+        })?;
+        if let Some(a) = anchor {
             self.emit.bind_anchor(a);
         }
         self.emit.op(Op::AltEnd);
@@ -1050,64 +724,59 @@ impl<'a> Cg<'a> {
         self.emit.place(branch);
         self.close_scope();
         self.open_scope();
-        self.bind(
-            r.var,
-            Binding::Var(Slot {
-                level,
-                offset: sel,
-                adjust,
-            }),
-        );
-        if let AltKind::Input(c, lv) = &alt.kind {
-            if self.chan_depth(c) >= 3 {
-                self.gen_chan_addr(c.parts(), alt.pos.line)?;
-                let t = self.park_a(alt.pos.line)?;
-                self.gen_lvalue_addr(lv, alt.pos.line)?;
-                self.emit.insn(Direct::LoadLocal, t);
-                self.temp_done();
-            } else {
-                self.gen_lvalue_addr(lv, alt.pos.line)?;
-                self.gen_chan_addr(c.parts(), alt.pos.line)?;
-            }
-            self.gen_word_count();
-            self.emit.op(Op::InputMessage);
-        }
-        self.gen_process(&alt.body)?;
+        self.bind(r.var, Binding::Var(self.local_slot(sel)));
+        self.gen_selected(alt)?;
         self.close_scope();
         self.ctx().alloc = save_alloc;
         Ok(())
     }
 
-    fn gen_guard(&mut self, alt: &Alternative) -> Result<(), CompileError> {
-        match &alt.guard {
-            None => self.emit.insn(Direct::LoadConstant, 1),
-            Some(g) => self.gen_expr(g, alt.pos.line)?,
-        }
-        Ok(())
-    }
-
-    /// Pre-evaluate a deep guard into a temporary before the channel or
-    /// time goes on the stack (the stack is only three deep, §3.2.9).
-    fn pre_guard(&mut self, alt: &Alternative) -> Result<Option<i64>, CompileError> {
-        match &alt.guard {
-            Some(g) if self.depth(g) >= 3 => {
-                self.gen_expr(g, alt.pos.line)?;
-                Ok(Some(self.park_a(alt.pos.line)?))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Put the guard value in A: reload a pre-evaluated one or evaluate
-    /// in place.
-    fn load_guard(&mut self, alt: &Alternative, pre: Option<i64>) -> Result<(), CompileError> {
-        match pre {
-            Some(t) => {
-                self.emit.insn(Direct::LoadLocal, t);
-                self.temp_done();
+    /// Enable one guard or, given the label of its branch, disable it:
+    /// the guard's boolean in A above its channel address or time (a
+    /// boolean that needs the whole stack is evaluated first and
+    /// parked), then for a disable the branch offset, then the
+    /// operation. Returns the disable's branch-offset anchor.
+    fn gen_guard(
+        &mut self,
+        alt: &Alternative,
+        branch: Option<Label>,
+    ) -> Result<Option<Anchor>, CompileError> {
+        let line = alt.pos.line;
+        let deep = match (&alt.kind, &alt.guard) {
+            (AltKind::Skip, _) | (_, None) => false,
+            (_, Some(g)) => self.depth(g) >= 3,
+        };
+        let below = |cg: &mut Self| match &alt.kind {
+            AltKind::Input(c, _) => cg.gen_chan_addr(c.parts(), line),
+            AltKind::Timeout(t) => cg.gen_expr(t, line),
+            AltKind::Skip => Ok(()),
+        };
+        let guard = |cg: &mut Self| match &alt.guard {
+            None => {
+                cg.emit.insn(Direct::LoadConstant, 1);
                 Ok(())
             }
-            None => self.gen_guard(alt),
+            Some(g) => cg.gen_expr(g, line),
+        };
+        self.gen_pair(deep, line, below, guard)?;
+        let anchor = branch.map(|label| self.emit.ldc_rel(label));
+        self.emit.op(match (&alt.kind, anchor.is_some()) {
+            (AltKind::Input(..), false) => Op::EnableChannel,
+            (AltKind::Input(..), true) => Op::DisableChannel,
+            (AltKind::Timeout(_), false) => Op::EnableTimer,
+            (AltKind::Timeout(_), true) => Op::DisableTimer,
+            (AltKind::Skip, false) => Op::EnableSkip,
+            (AltKind::Skip, true) => Op::DisableSkip,
+        });
+        Ok(anchor)
+    }
+
+    /// The branch an `ALT` selected: a selected input now takes its
+    /// message from the outputter waiting in the channel; then the body.
+    fn gen_selected(&mut self, alt: &'a Alternative<'a>) -> Result<(), CompileError> {
+        if let AltKind::Input(c, lv) = &alt.kind {
+            self.gen_input(c, lv, alt.pos.line)?;
         }
+        self.gen_process(&alt.body)
     }
 }

@@ -8,15 +8,26 @@
 //! access checking on every memory reference" (§3.2.4).
 //!
 //! Measurement runs against the live binding environment (for constant
-//! evaluation and `PROC` sizes) but never emits code. The code generator
-//! performs the identical allocations, so the two stay in lock step; a
-//! debug assertion in `compile_process` guards the invariant.
+//! evaluation and `PROC` sizes) but never emits code. It binds every
+//! name the code generator binds, replicator variables included, so a
+//! condition folds the same way in both passes; and it gives no space
+//! to the code the generator folds away (the branches after an `IF`
+//! guard that folds to `TRUE`, the body of a `WHILE FALSE`), though it
+//! still checks that code. Each frame's code must allocate exactly the
+//! words measured: [`Cg::close_context`] checks it in every build and
+//! reports a difference as an internal compile error.
 
-use super::{Binding, Cg, REPLICATION_LIMIT, SCHED_SLOTS, TEMP_SLOTS};
+use std::rc::Rc;
+
+use super::{
+    Binding, Cg, Formal, ProcInfo, Slot, PAR_BLOCK, PRI_PAR_BLOCK, REPLICATION_LIMIT,
+    REPL_ALT_BLOCK, REPL_SEQ_BLOCK, SCHED_SLOTS, TEMP_SLOTS,
+};
+use crate::ast::{BinOp, Decl, Expr, Param, ParamMode, Process, Replicator, UnOp};
+use crate::error::CompileError;
 
 /// The binding a formal parameter introduces at `slot`.
-pub(crate) fn param_binding(p: &crate::ast::Param<'_>, slot: super::Slot) -> Binding {
-    use crate::ast::ParamMode;
+pub(crate) fn param_binding(p: &Param<'_>, slot: Slot) -> Binding {
     match (p.mode, p.is_vector) {
         (ParamMode::Value, false) => Binding::ValueParam(slot),
         (ParamMode::Var, false) => Binding::VarParam(slot),
@@ -26,8 +37,31 @@ pub(crate) fn param_binding(p: &crate::ast::Param<'_>, slot: super::Slot) -> Bin
         (ParamMode::Chan, true) => Binding::ChanVecParam(slot),
     }
 }
-use crate::ast::{AltKind, BinOp, Decl, Expr, Process, UnOp};
-use crate::error::CompileError;
+
+/// The binding a `VAR` or `CHAN` declaration of `size` words (`None`
+/// for a scalar) introduces at `slot`.
+pub(crate) fn decl_binding(is_chan: bool, size: Option<i64>, slot: Slot) -> Binding {
+    match (is_chan, size) {
+        (false, None) => Binding::Var(slot),
+        (false, Some(n)) => Binding::Vec(slot, n),
+        (true, None) => Binding::Chan(slot),
+        (true, Some(n)) => Binding::ChanVec(slot, n),
+    }
+}
+
+/// The two components of a `PRI PAR`, high priority first.
+pub(crate) fn pri_par_pair<'p, 'a>(
+    branches: &'p [Process<'a>],
+    line: u32,
+) -> Result<(&'p Process<'a>, &'p Process<'a>), CompileError> {
+    match branches {
+        [high, low] => Ok((high, low)),
+        _ => Err(CompileError::codegen(
+            line,
+            "PRI PAR takes exactly two components (high then low)",
+        )),
+    }
+}
 
 /// Measurement of a process *within* a frame context. Scalars and
 /// vectors are tracked separately: scalars (and replication control
@@ -47,13 +81,17 @@ pub(crate) struct Measure {
 }
 
 impl Measure {
-    fn leaf() -> Measure {
+    /// A process that needs `down` words below its pointer (at least
+    /// the scheduling slots) and none above.
+    fn below(down: i64) -> Measure {
         Measure {
-            scalars: 0,
-            vectors: 0,
-            down: SCHED_SLOTS,
-            extra_args: 0,
+            down: down.max(SCHED_SLOTS),
+            ..Measure::default()
         }
+    }
+
+    fn leaf() -> Measure {
+        Measure::below(SCHED_SLOTS)
     }
 
     fn join(self, other: Measure) -> Measure {
@@ -83,12 +121,18 @@ pub(crate) struct FrameMeasure {
 impl FrameMeasure {
     /// Total words at and above the frame's workspace pointer.
     pub fn locals_total(&self) -> i64 {
-        self.reserved_args + i64::from(TEMP_SLOTS as u32) + self.scalars + self.vectors
+        self.vector_base() + self.vectors
+    }
+
+    /// Frame offset where the scalar zone begins, above the reserved
+    /// argument words and the temporaries.
+    pub fn scalar_base(&self) -> i64 {
+        self.reserved_args + TEMP_SLOTS
     }
 
     /// Frame offset where the vector zone begins.
     pub fn vector_base(&self) -> i64 {
-        self.reserved_args + i64::from(TEMP_SLOTS as u32) + self.scalars
+        self.scalar_base() + self.scalars
     }
 
     /// Words a `PAR` branch chunk occupies: its frame plus its downward
@@ -99,9 +143,9 @@ impl FrameMeasure {
 }
 
 impl<'a> Cg<'a> {
-    /// Measure a process as a standalone frame. `extra_local` reserves
-    /// one extra declared word (the replicator variable of a replicated
-    /// `PAR` branch).
+    /// Measure a process as a standalone frame. A replicated `PAR`
+    /// branch names its replicator variable, which is bound in the
+    /// branch and takes the frame's first scalar word.
     ///
     /// # Errors
     ///
@@ -110,12 +154,12 @@ impl<'a> Cg<'a> {
     pub(crate) fn measure_frame(
         &mut self,
         p: &'a Process<'a>,
-        extra_local: bool,
+        repl_var: Option<&'a str>,
     ) -> Result<FrameMeasure, CompileError> {
-        let m = self.measure(p)?;
+        let m = self.measure_scoped(repl_var, |cg| cg.measure(p))?;
         let fm = FrameMeasure {
             reserved_args: m.extra_args.max(1),
-            scalars: m.scalars + i64::from(extra_local),
+            scalars: m.scalars + i64::from(repl_var.is_some()),
             vectors: m.vectors,
             down: m.down,
         };
@@ -136,6 +180,43 @@ impl<'a> Cg<'a> {
         }
     }
 
+    /// Run `f` in a scope of its own, with the replicator variable
+    /// `var`, if any, bound as the code generator binds it.
+    fn measure_scoped(
+        &mut self,
+        var: Option<&'a str>,
+        f: impl FnOnce(&mut Self) -> Result<Measure, CompileError>,
+    ) -> Result<Measure, CompileError> {
+        self.open_scope();
+        if let Some(var) = var {
+            self.bind(var, Binding::Var(Slot::UNPLACED));
+        }
+        let m = f(self);
+        self.close_scope();
+        m
+    }
+
+    /// The processes of a `SEQ`, or the bodies of an `ALT`, one after
+    /// another. A replicated construct binds its replicator variable
+    /// over them and keeps a control block of `block` words live across
+    /// them.
+    fn measure_each(
+        &mut self,
+        repl: &Option<Replicator<'a>>,
+        block: i64,
+        ps: impl IntoIterator<Item = &'a Process<'a>>,
+    ) -> Result<Measure, CompileError> {
+        let body = self.measure_scoped(repl.as_ref().map(|r| r.var), |cg| {
+            ps.into_iter()
+                .try_fold(Measure::leaf(), |m, p| Ok(m.join(cg.measure(p)?)))
+        })?;
+        let block = if repl.is_some() { block } else { 0 };
+        Ok(Measure {
+            scalars: block + body.scalars,
+            ..body
+        })
+    }
+
     /// Measure a process within the current frame.
     pub(crate) fn measure(&mut self, p: &'a Process<'a>) -> Result<Measure, CompileError> {
         Ok(match p {
@@ -147,166 +228,83 @@ impl<'a> Cg<'a> {
             | Process::ReadTime(..)
             | Process::Delay(..) => Measure::leaf(),
 
-            Process::Seq(None, ps, _) => {
-                let mut m = Measure::leaf();
-                for child in ps {
-                    m = m.join(self.measure(child)?);
-                }
-                m
-            }
-            Process::Seq(Some(_), ps, _) => {
-                let mut body = Measure::leaf();
-                for child in ps {
-                    body = body.join(self.measure(child)?);
-                }
-                // Two words for the replication control block, live
-                // across the body.
-                Measure {
-                    scalars: 2 + body.scalars,
-                    ..body
-                }
+            Process::Seq(repl, ps, _) => self.measure_each(repl, REPL_SEQ_BLOCK, ps)?,
+            Process::Alt(repl, alts, _) | Process::PriAlt(repl, alts, _) => {
+                self.measure_each(repl, REPL_ALT_BLOCK, alts.iter().map(|a| &a.body))?
             }
 
-            Process::Par(repl, branches, pos) => {
-                let mut region = 2i64; // control block: join Iptr, count
-                match repl {
-                    None => {
-                        for b in branches {
-                            region += self.measure_frame(b, false)?.chunk();
-                        }
-                    }
-                    Some(r) => {
-                        if branches.len() != 1 {
-                            return Err(CompileError::codegen(
-                                pos.line,
-                                "a replicated PAR has exactly one component",
-                            ));
-                        }
-                        let count =
-                            self.require_const(&r.count, pos.line, "PAR replication count")?;
-                        if !(1..=REPLICATION_LIMIT).contains(&count) {
-                            return Err(CompileError::codegen(
-                                pos.line,
-                                format!(
-                                    "PAR replication count must be 1..={REPLICATION_LIMIT}, \
-                                     got {count}"
-                                ),
-                            ));
-                        }
-                        let chunk = self.measure_frame(&branches[0], true)?.chunk();
-                        region += count * chunk;
-                    }
+            Process::Par(None, branches, _) => {
+                let mut region = PAR_BLOCK;
+                for b in branches {
+                    region += self.measure_frame(b, None)?.chunk();
                 }
-                Measure {
-                    scalars: 0,
-                    vectors: 0,
-                    down: region.max(SCHED_SLOTS),
-                    extra_args: 0,
-                }
+                Measure::below(region)
+            }
+            Process::Par(Some(r), branches, pos) => {
+                let [branch] = &branches[..] else {
+                    return Err(CompileError::codegen(
+                        pos.line,
+                        "a replicated PAR has exactly one component",
+                    ));
+                };
+                let count = self.par_replication_count(r, pos.line)?;
+                let chunk = self.measure_frame(branch, Some(r.var))?.chunk();
+                Measure::below(PAR_BLOCK + count * chunk)
             }
 
             Process::PriPar(branches, pos) => {
-                if branches.len() != 2 {
-                    return Err(CompileError::codegen(
-                        pos.line,
-                        "PRI PAR takes exactly two components (high then low)",
-                    ));
-                }
-                let mut region = 3i64; // join, count, original priority
-                for b in branches {
-                    region += self.measure_frame(b, false)?.chunk();
-                }
-                Measure {
-                    scalars: 0,
-                    vectors: 0,
-                    down: region.max(SCHED_SLOTS),
-                    extra_args: 0,
-                }
-            }
-
-            Process::Alt(repl, alts, _) | Process::PriAlt(repl, alts, _) => {
-                let mut m = Measure::leaf();
-                for a in alts {
-                    m = m.join(self.measure(&a.body)?);
-                    if let AltKind::Input(..) | AltKind::Timeout(_) = a.kind {
-                        // waiting uses the five scheduling slots only
-                    }
-                }
-                if repl.is_some() {
-                    // Replication control block (2 words), the selected
-                    // index, and the loop-scoped replicator live across
-                    // the body.
-                    m.scalars += 3;
-                }
-                m
+                let (high, low) = pri_par_pair(branches, pos.line)?;
+                let high = self.measure_frame(high, None)?.chunk();
+                let low = self.measure_frame(low, None)?.chunk();
+                Measure::below(PRI_PAR_BLOCK + high + low)
             }
 
             Process::If(conds, _) => {
+                // The branches after a guard that folds to TRUE are dead.
                 let mut m = Measure::leaf();
+                let mut live = true;
                 for c in conds {
-                    m = m.join(self.measure(&c.body)?);
+                    let body = self.measure(&c.body)?;
+                    if live {
+                        m = m.join(body);
+                    }
+                    live &= self.const_eval(&c.cond) != Some(1);
                 }
                 m
             }
-            Process::While(_, body, _) => Measure::leaf().join(self.measure(body)?),
+            Process::While(cond, body, _) => {
+                let body = self.measure(body)?;
+                match self.const_eval(cond) {
+                    Some(0) => Measure::leaf(),
+                    _ => Measure::leaf().join(body),
+                }
+            }
 
             Process::Declared(decls, body, pos) => {
                 // Bindings matter during measurement too: DEF constants
                 // size vectors, and PROC sizes feed call-site depths.
-                self.open_scope();
-                let result = (|| -> Result<Measure, CompileError> {
+                self.measure_scoped(None, |cg| {
                     let mut scalars = 0i64;
                     let mut vectors = 0i64;
                     for d in decls {
-                        let (s, v) = self.measure_decl(d, pos.line)?;
+                        let (s, v) = cg.measure_decl(d, pos.line)?;
                         scalars += s;
                         vectors += v;
                     }
-                    let m = self.measure(body)?;
+                    let m = cg.measure(body)?;
                     Ok(Measure {
                         scalars: scalars + m.scalars,
                         vectors: vectors + m.vectors,
                         ..m
                     })
-                })();
-                self.close_scope();
-                result?
+                })?
             }
 
             Process::Call(name, actuals, pos) => {
-                let info = match self.lookup(name) {
-                    Some(Binding::Proc(info)) => info.clone(),
-                    Some(_) => {
-                        return Err(CompileError::check(
-                            pos.line,
-                            format!("`{name}` is not a PROC"),
-                        ))
-                    }
-                    None => {
-                        return Err(CompileError::check(
-                            pos.line,
-                            format!(
-                                "call of undefined PROC `{name}` (note: occam forbids recursion — \
-                                 workspace is allocated statically)"
-                            ),
-                        ))
-                    }
-                };
-                if actuals.len() != info.params.len() {
-                    return Err(CompileError::check(
-                        pos.line,
-                        format!(
-                            "`{name}` takes {} arguments, {} given",
-                            info.params.len(),
-                            actuals.len()
-                        ),
-                    ));
-                }
+                let info = self.resolve_call(name, actuals.len(), pos.line)?;
                 Measure {
-                    scalars: 0,
-                    vectors: 0,
-                    down: info.call_depth().max(SCHED_SLOTS),
                     extra_args: (info.total_args() as i64 - 3).max(0),
+                    ..Measure::below(info.call_depth())
                 }
             }
         })
@@ -315,56 +313,20 @@ impl<'a> Cg<'a> {
     /// (scalar, vector) words of a declaration, binding what later
     /// measurement needs (constants, vector shapes, PROC sizes).
     fn measure_decl(&mut self, d: &'a Decl<'a>, line: u32) -> Result<(i64, i64), CompileError> {
-        use super::{Binding, Slot};
-        let dummy = Slot {
-            level: usize::MAX,
-            offset: 0,
-            adjust: 0,
-        };
         Ok(match d {
             Decl::Var(items) | Decl::Chan(items) => {
                 let is_chan = matches!(d, Decl::Chan(_));
-                let mut scalars = 0i64;
-                let mut vectors = 0i64;
+                let (mut scalars, mut vectors) = (0, 0);
                 for (name, size) in items {
-                    match size {
-                        None => {
-                            self.bind(
-                                name,
-                                if is_chan {
-                                    Binding::Chan(dummy)
-                                } else {
-                                    Binding::Var(dummy)
-                                },
-                            );
-                            scalars += 1;
-                        }
-                        Some(e) => {
-                            let n = self.require_const(e, line, "vector size")?;
-                            if n <= 0 {
-                                return Err(CompileError::codegen(
-                                    line,
-                                    format!("vector `{name}` must have positive size, got {n}"),
-                                ));
-                            }
-                            // Its words are initialised one at a time.
-                            if is_chan && n > REPLICATION_LIMIT {
-                                return Err(CompileError::codegen(
-                                    line,
-                                    format!("channel vector `{name}` has {n} channels; at most {REPLICATION_LIMIT}"),
-                                ));
-                            }
-                            self.bind(
-                                name,
-                                if is_chan {
-                                    Binding::ChanVec(dummy, n)
-                                } else {
-                                    Binding::Vec(dummy, n)
-                                },
-                            );
-                            vectors += n;
-                        }
+                    let size = match size {
+                        Some(e) => Some(self.vector_size(name, e, is_chan, line)?),
+                        None => None,
                     };
+                    self.bind(name, decl_binding(is_chan, size, Slot::UNPLACED));
+                    match size {
+                        Some(n) => vectors += n,
+                        None => scalars += 1,
+                    }
                 }
                 (scalars, vectors)
             }
@@ -375,35 +337,119 @@ impl<'a> Cg<'a> {
             }
             Decl::Place(..) => (0, 0),
             Decl::Proc(name, params, body) => {
-                // Size the PROC's frame so calls in the scoped body can
-                // be measured; the real (labelled, offset-bearing) info
-                // is rebuilt identically during code generation.
-                self.open_scope();
-                for p in params {
-                    let b = param_binding(p, dummy);
-                    self.bind(p.name, b);
-                }
-                let fm = self.measure_frame(body, false);
-                self.close_scope();
-                let fm = fm?;
-                let info = std::rc::Rc::new(super::ProcInfo {
-                    label: self.emit.new_label(),
-                    params: params
-                        .iter()
-                        .map(|p| super::Formal {
-                            mode: p.mode,
-                            is_vector: p.is_vector,
-                        })
-                        .collect(),
-                    frame_locals: fm.locals_total(),
-                    down: fm.down,
-                    level: usize::MAX, // placeholder: measurement only
-                    static_link: true,
-                });
+                // Measurement never calls the PROC, so its level is a
+                // placeholder.
+                let info = self.describe_proc(params, body, usize::MAX)?;
                 self.bind(name, Binding::Proc(info));
                 (0, 0)
             }
         })
+    }
+
+    /// Measure a `PROC` body at lexical `level` as its own frame, with
+    /// its formals bound (their offsets are not needed to size it), and
+    /// describe the `PROC` to its callers.
+    pub(crate) fn describe_proc(
+        &mut self,
+        params: &'a [Param<'a>],
+        body: &'a Process<'a>,
+        level: usize,
+    ) -> Result<Rc<ProcInfo>, CompileError> {
+        self.open_scope();
+        for p in params {
+            let slot = Slot {
+                level,
+                ..Slot::UNPLACED
+            };
+            self.bind(p.name, param_binding(p, slot));
+        }
+        let frame = self.measure_frame(body, None);
+        self.close_scope();
+        Ok(Rc::new(ProcInfo {
+            label: self.emit.new_label(),
+            params: params
+                .iter()
+                .map(|p| Formal {
+                    mode: p.mode,
+                    is_vector: p.is_vector,
+                })
+                .collect(),
+            frame: frame?,
+            level,
+        }))
+    }
+
+    /// The `PROC` a call names, given `given` arguments.
+    pub(crate) fn resolve_call(
+        &self,
+        name: &str,
+        given: usize,
+        line: u32,
+    ) -> Result<Rc<ProcInfo>, CompileError> {
+        let info = match self.lookup(name) {
+            Some(Binding::Proc(info)) => info.clone(),
+            Some(_) => return Err(CompileError::check(line, format!("`{name}` is not a PROC"))),
+            None => {
+                return Err(CompileError::check(
+                    line,
+                    format!(
+                        "call of undefined PROC `{name}` (note: occam forbids recursion — \
+                         workspace is allocated statically)"
+                    ),
+                ))
+            }
+        };
+        if given != info.params.len() {
+            return Err(CompileError::check(
+                line,
+                format!(
+                    "`{name}` takes {} arguments, {given} given",
+                    info.params.len()
+                ),
+            ));
+        }
+        Ok(info)
+    }
+
+    /// The words of vector `name` declared with size `e`.
+    pub(crate) fn vector_size(
+        &self,
+        name: &str,
+        e: &Expr,
+        is_chan: bool,
+        line: u32,
+    ) -> Result<i64, CompileError> {
+        let n = self.require_const(e, line, "vector size")?;
+        if n <= 0 {
+            return Err(CompileError::codegen(
+                line,
+                format!("vector `{name}` must have positive size, got {n}"),
+            ));
+        }
+        // A channel vector's words are initialised one at a time.
+        if is_chan && n > REPLICATION_LIMIT {
+            return Err(CompileError::codegen(
+                line,
+                format!("channel vector `{name}` has {n} channels; at most {REPLICATION_LIMIT}"),
+            ));
+        }
+        Ok(n)
+    }
+
+    /// The number of copies a replicated `PAR` makes.
+    pub(crate) fn par_replication_count(
+        &self,
+        r: &Replicator,
+        line: u32,
+    ) -> Result<i64, CompileError> {
+        let count = self.require_const(&r.count, line, "PAR replication count")?;
+        if !(1..=REPLICATION_LIMIT).contains(&count) {
+            return Err(CompileError::codegen(
+                line,
+                format!("PAR replication count must be 1..={REPLICATION_LIMIT}, got {count}"),
+            ));
+        }
+        Ok(count)
     }
 
     /// Evaluate a compile-time constant expression, as a signed target

@@ -37,6 +37,7 @@ use std::rc::Rc;
 use crate::ast::{ParamMode, Process};
 use crate::emit::{Emitter, Label};
 use crate::error::CompileError;
+use measure::FrameMeasure;
 use transputer::word::WordLength;
 use transputer::{Cpu, CpuError, Priority};
 
@@ -64,10 +65,26 @@ impl Default for Options {
 }
 
 /// Number of expression spill temporaries reserved in every frame.
-pub(crate) const TEMP_SLOTS: i32 = 4;
+pub(crate) const TEMP_SLOTS: i64 = 4;
 
 /// Scheduling slots every concurrent process needs below its workspace.
 pub(crate) const SCHED_SLOTS: i64 = 5;
+
+/// Control-block words of a replicated `SEQ`: the index (which is the
+/// replicator variable) and the count left, as `lend` keeps them.
+pub(crate) const REPL_SEQ_BLOCK: i64 = 2;
+
+/// Control-block words of a replicated `ALT`: a `lend` block like a
+/// replicated `SEQ`'s, then the index of the selected guard.
+pub(crate) const REPL_ALT_BLOCK: i64 = 3;
+
+/// Control-block words at the base of a `PAR` region: the join address
+/// and the count of components still running.
+pub(crate) const PAR_BLOCK: i64 = 2;
+
+/// Control-block words of a `PRI PAR`: a `PAR` block, then the
+/// construct's own priority, restored at the join.
+pub(crate) const PRI_PAR_BLOCK: i64 = 3;
 
 /// The most copies a replicated `PAR` makes, and the most channels a
 /// channel vector declares: the code for each is written out one at a
@@ -210,34 +227,32 @@ pub(crate) struct Formal {
 pub(crate) struct ProcInfo {
     pub label: Label,
     pub params: Vec<Formal>,
-    /// Frame size (words at and above its adjusted workspace pointer).
-    pub frame_locals: i64,
-    /// Downward requirement of the body.
-    pub down: i64,
+    /// The body's frame, measured with the formals bound.
+    pub frame: FrameMeasure,
     /// Lexical level of the body (declaring frame's level + 1).
     pub level: usize,
-    /// Whether an implicit static-link argument is appended (all
-    /// non-top-level procs, supporting the paper's `staticlink` scheme).
-    pub static_link: bool,
 }
 
 impl ProcInfo {
-    /// Total number of actuals at a call site.
+    /// Total number of actuals at a call site: the formals, then the
+    /// implicit static link every `PROC` takes (the paper's
+    /// `staticlink` scheme, §3.2.6).
     pub fn total_args(&self) -> usize {
-        self.params.len() + usize::from(self.static_link)
+        self.params.len() + 1
     }
 
     /// Words a call occupies below the caller's workspace pointer.
     pub fn call_depth(&self) -> i64 {
-        4 + self.frame_locals + self.down
+        4 + self.frame.locals_total() + self.frame.down
     }
 
     /// Frame-base-relative offset of parameter `i`.
     pub fn param_offset(&self, i: usize) -> i64 {
+        let locals = self.frame.locals_total();
         if i < 3 {
-            self.frame_locals + 1 + i as i64
+            locals + 1 + i as i64
         } else {
-            self.frame_locals + 4 + (i as i64 - 3)
+            locals + 4 + (i as i64 - 3)
         }
     }
 }
@@ -284,6 +299,16 @@ pub(crate) struct Slot {
     pub adjust: i64,
 }
 
+impl Slot {
+    /// The slot measurement binds names to: it sizes frames but never
+    /// places or reaches a word.
+    pub const UNPLACED: Slot = Slot {
+        level: usize::MAX,
+        offset: 0,
+        adjust: 0,
+    };
+}
+
 /// An allocation context: a `PROC` frame or a `PAR` branch frame.
 #[derive(Debug)]
 pub(crate) struct Context {
@@ -311,6 +336,24 @@ pub(crate) struct Context {
 }
 
 impl Context {
+    /// The context of a frame root at `level` over its measured frame:
+    /// scalars are allocated from just above the temporaries, vectors
+    /// from just above the scalar zone.
+    pub fn frame(fm: &FrameMeasure, level: usize, static_link_offset: Option<i64>) -> Context {
+        Context {
+            level,
+            is_frame_root: true,
+            adjust: 0,
+            alloc: fm.scalar_base(),
+            high: fm.scalar_base(),
+            vec_alloc: fm.vector_base(),
+            vec_high: fm.vector_base(),
+            temps_base: fm.reserved_args,
+            temps_used: 0,
+            static_link_offset,
+        }
+    }
+
     /// Allocate `n` contiguous scalar words; returns the first offset.
     pub fn alloc_words(&mut self, n: i64) -> i64 {
         let at = self.alloc;
@@ -398,6 +441,37 @@ impl<'a> Cg<'a> {
         self.ctx_ref().level
     }
 
+    /// The slot at `offset` in the current context.
+    pub fn local_slot(&self, offset: i64) -> Slot {
+        Slot {
+            level: self.level(),
+            offset,
+            adjust: self.ctx_ref().adjust,
+        }
+    }
+
+    /// Close the innermost context, which holds the code of the process
+    /// at `line` in frame `fm`. It must have allocated exactly the
+    /// scalar and vector words measured: more would overlap the next
+    /// workspace, fewer would waste memory the program is charged for.
+    pub fn close_context(&mut self, fm: &FrameMeasure, line: u32) -> Result<(), CompileError> {
+        let ctx = self.contexts.pop().expect("inside a context");
+        if (ctx.high, ctx.vec_high) == (fm.vector_base(), fm.locals_total()) {
+            return Ok(());
+        }
+        Err(CompileError::codegen(
+            line,
+            format!(
+                "internal: frame measured at {} scalar and {} vector words, but its code \
+                 allocates {} and {}",
+                fm.scalars,
+                fm.vectors,
+                ctx.high - fm.scalar_base(),
+                ctx.vec_high - fm.vector_base()
+            ),
+        ))
+    }
+
     /// Bytes per word for emitted counts (`in`/`out` lengths).
     pub fn bytes_per_word(&self) -> i64 {
         i64::from(self.options.word_length.bytes_per_word())
@@ -411,27 +485,11 @@ impl<'a> Cg<'a> {
 /// Returns the first semantic or code-generation error.
 pub fn compile_process(program: &Process, options: Options) -> Result<Program, CompileError> {
     let mut cg = Cg::new(options);
-    // Measure the main frame.
-    let fm = cg.measure_frame(program, false)?;
-    let scalar_base = fm.reserved_args + TEMP_SLOTS as i64;
-    cg.contexts.push(Context {
-        level: 0,
-        is_frame_root: true,
-        adjust: 0,
-        alloc: scalar_base,
-        high: scalar_base,
-        vec_alloc: fm.vector_base(),
-        vec_high: fm.vector_base(),
-        temps_base: fm.reserved_args,
-        temps_used: 0,
-        static_link_offset: None,
-    });
+    let fm = cg.measure_frame(program, None)?;
+    cg.contexts.push(Context::frame(&fm, 0, None));
     cg.gen_process(program)?;
     cg.emit.op(transputer::instr::Op::HaltSimulation);
-    debug_assert!(
-        cg.ctx_ref().high <= fm.vector_base() && cg.ctx_ref().vec_high <= fm.locals_total(),
-        "codegen allocation exceeded measurement"
-    );
+    cg.close_context(&fm, program.pos().map_or(1, |pos| pos.line))?;
     let counted_loops = std::mem::take(&mut cg.counted_loops);
     let (code, labels) = cg.emit.assemble_with_labels();
     let mut loops: Vec<LoopInfo> = counted_loops

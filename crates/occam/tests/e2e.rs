@@ -551,6 +551,27 @@ fn bounds_checks_catch_overrun() {
 }
 
 #[test]
+fn bounds_checked_var_argument_keeps_the_arguments_below_it() {
+    // `v[i]` as a VAR argument is an element address whose `csub0`
+    // limit needs the whole stack, so it is evaluated before `7`, the
+    // argument loaded under it.
+    let opts = Options {
+        bounds_checks: true,
+        ..Options::default()
+    };
+    let src = "PROC p (VALUE a, VAR b, VALUE c) =\n\
+               \x20 b := (a * 10) + c\n\
+               :\n\
+               VAR v[4], i, r:\n\
+               SEQ\n\
+               \x20 i := 2\n\
+               \x20 p (4, v[i], 7)\n\
+               \x20 r := v[2]";
+    let (p, mut cpu, wptr) = run_with(src, opts, CpuConfig::t424());
+    assert_eq!(global(&p, &mut cpu, wptr, "r"), 47);
+}
+
+#[test]
 fn pri_alt_takes_the_textually_first_ready_guard() {
     // Both channels are ready before the PRI ALT runs; the first
     // alternative must win (the hardware's ordered disabling sequence).
@@ -978,6 +999,59 @@ fn buffer_process_with_while_and_alt() {
          \x20\x20\x20\x20\x20\x20\x20\x20\x20 stop ? x\n\
          \x20\x20\x20\x20\x20\x20\x20\x20\x20\x20\x20 going := FALSE",
         "total" => 15,
+    );
+}
+
+/// Code the generator folds away takes no workspace: the branches after
+/// an IF guard that folds to TRUE, and the body of a WHILE FALSE, each
+/// with declarations and a replicated SEQ, leave the program exactly as
+/// its live code alone compiles.
+#[test]
+fn dead_code_takes_no_workspace() {
+    let dead = "VAR a, b, v[8]:\n\
+                SEQ i = [0 FOR 3]\n\
+                \x20 SEQ\n\
+                \x20\x20\x20 a := i\n\
+                \x20\x20\x20 v[i] := a + b\n";
+    let indent = |text: &str, by: usize| -> String {
+        let pad = " ".repeat(by);
+        text.lines().map(|line| format!("{pad}{line}\n")).collect()
+    };
+    let live = "VAR x:\nSEQ\n  x := 1\n  IF\n    TRUE\n      x := 2\n";
+    let after_true = format!("{live}    x = 2\n{}", indent(dead, 6));
+    let while_false = format!("{live}  WHILE FALSE\n{}", indent(dead, 4));
+    let live = compile(live).expect("live code compiles");
+    for source in [after_true, while_false] {
+        let program = compile(&source).expect("compiles");
+        assert_eq!(
+            (&program.code, program.locals, program.depth),
+            (&live.code, live.locals, live.depth),
+            "{source}"
+        );
+    }
+}
+
+/// A replicator variable shadows a DEF of the same name while the frame
+/// is measured too, so an IF over it does not fold there and the frame
+/// holds what its code allocates.
+#[test]
+fn replicator_shadows_a_def_in_measurement() {
+    check_globals!(
+        "DEF i = 1:\n\
+         VAR x:\n\
+         SEQ\n\
+         \x20 x := 0\n\
+         \x20 SEQ i = [0 FOR 3]\n\
+         \x20\x20\x20 IF\n\
+         \x20\x20\x20\x20\x20 i = 1\n\
+         \x20\x20\x20\x20\x20\x20\x20 x := x + 100\n\
+         \x20\x20\x20\x20\x20 TRUE\n\
+         \x20\x20\x20\x20\x20\x20\x20 VAR a, b:\n\
+         \x20\x20\x20\x20\x20\x20\x20 SEQ\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20 a := i\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20 b := a + 1\n\
+         \x20\x20\x20\x20\x20\x20\x20\x20\x20 x := x + b",
+        "x" => 100 + 1 + 3,
     );
 }
 

@@ -207,20 +207,31 @@ fn lexer_names_the_character_it_rejects() {
 /// corpus and of every source the three search machines generate. A
 /// change to the lexer or the parser that moves one token, position or
 /// tree node moves a number.
-#[test]
-fn front_end_output_is_pinned() {
-    fn fnv1a(hash: &mut u64, text: &str) {
-        for byte in text.bytes() {
-            *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
+fn fnv1a(hash: &mut u64, text: &str) {
+    for byte in text.bytes() {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
     }
+}
+
+/// The FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 223 sources the toolchain benchmark compiles: the corpus, then
+/// the board, hypercube and routed dbsearch programs.
+fn front_end_sources() -> Vec<String> {
     let mut sources: Vec<String> = CORPUS.iter().map(|item| item.source.to_string()).collect();
     let generated = array_sources(&DbSearchConfig::board128())
         .into_iter()
         .chain(hypercube_sources(&HypercubeConfig::hypercube256()))
         .chain(routed_sources(&DbSearchConfig::figure8()));
     sources.extend(generated.map(|(_, source)| source));
-    let (mut tokens, mut trees) = (0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325);
+    sources
+}
+
+#[test]
+fn front_end_output_is_pinned() {
+    let sources = front_end_sources();
+    let (mut tokens, mut trees) = (FNV_BASIS, FNV_BASIS);
     for source in &sources {
         fnv1a(&mut tokens, &format!("{:?}", occam::lexer::lex(source)));
         fnv1a(&mut trees, &format!("{:?}", occam::parse(source)));
@@ -228,6 +239,197 @@ fn front_end_output_is_pinned() {
     assert_eq!(
         (sources.len(), tokens, trees),
         (223, 0x59e3_4783_b17d_4ffd, 0x4486_d944_0b80_bf17)
+    );
+}
+
+/// Constructs the front-end sources use rarely or never, each written
+/// so that no code is dead: plain, PRI and replicated ALT with channel,
+/// timer and SKIP guards (some guards deep enough to be evaluated
+/// first), PRI PAR, replicated PAR, PROCs with five arguments and free
+/// variables reached through static links, `BYTE` subscripts, and
+/// channel-vector subscripts deep enough to be parked.
+const CONSTRUCT_SAMPLER: &[&str] = &[
+    "VAR a, b, r, t:\n\
+     CHAN c, d:\n\
+     SEQ\n\
+     \x20 a := 1\n\
+     \x20 b := 2\n\
+     \x20 r := 0\n\
+     \x20 PAR\n\
+     \x20\x20\x20 SEQ\n\
+     \x20\x20\x20\x20\x20 c ! 5\n\
+     \x20\x20\x20\x20\x20 d ! 6\n\
+     \x20\x20\x20 SEQ\n\
+     \x20\x20\x20\x20\x20 TIME ? t\n\
+     \x20\x20\x20\x20\x20 ALT\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((a + b) > (r * t)) & c ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + 10\n\
+     \x20\x20\x20\x20\x20\x20\x20 d ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + 20\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((a * b) < (t + 3)) & TIME ? AFTER t + 100\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := 30\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((a - b) = (r * t)) & SKIP\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := 40\n\
+     \x20\x20\x20\x20\x20 PRI ALT\n\
+     \x20\x20\x20\x20\x20\x20\x20 c ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + 1\n\
+     \x20\x20\x20\x20\x20\x20\x20 (a < b) & d ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + 2\n\
+     \x20\x20\x20\x20\x20\x20\x20 TIME ? AFTER t + 200\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := 3\n\
+     \x20\x20\x20\x20\x20\x20\x20 SKIP\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := 4\n",
+    "VAR r, t, k:\n\
+     CHAN c[8]:\n\
+     SEQ\n\
+     \x20 r := 0\n\
+     \x20 k := 1\n\
+     \x20 PAR\n\
+     \x20\x20\x20 PAR w = [0 FOR 4]\n\
+     \x20\x20\x20\x20\x20 c[w] ! w\n\
+     \x20\x20\x20 SEQ\n\
+     \x20\x20\x20\x20\x20 TIME ? t\n\
+     \x20\x20\x20\x20\x20 ALT i = [0 FOR 4]\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((i + k) > (r * 2)) & c[i] ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + i\n\
+     \x20\x20\x20\x20\x20 ALT i = [0 FOR 4]\n\
+     \x20\x20\x20\x20\x20\x20\x20 c[(i * 2) + (k * 0)] ? r\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + 1\n\
+     \x20\x20\x20\x20\x20 PRI ALT i = [1 FOR 3]\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((i + k) > (t * 2)) & TIME ? AFTER t + i\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := i\n\
+     \x20\x20\x20\x20\x20 ALT i = [0 FOR k]\n\
+     \x20\x20\x20\x20\x20\x20\x20 ((i * k) = (r + t)) & SKIP\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + i\n\
+     \x20\x20\x20\x20\x20 ALT i = [0 FOR 2]\n\
+     \x20\x20\x20\x20\x20\x20\x20 SKIP\n\
+     \x20\x20\x20\x20\x20\x20\x20\x20\x20 r := r + i\n",
+    "VAR total, x, y:\n\
+     VAR buf[4]:\n\
+     CHAN c, d:\n\
+     PROC five (VALUE p, q, VAR s, CHAN out, VALUE v[]) =\n\
+     \x20 SEQ\n\
+     \x20\x20\x20 s := (p + q) + v[1]\n\
+     \x20\x20\x20 out ! s\n\
+     :\n\
+     PROC outer (VALUE n, VAR res) =\n\
+     \x20 VAR acc:\n\
+     \x20 PROC step (VALUE m) =\n\
+     \x20\x20\x20 SEQ\n\
+     \x20\x20\x20\x20\x20 acc := acc + m\n\
+     \x20\x20\x20\x20\x20 total := total + acc\n\
+     \x20 :\n\
+     \x20 SEQ\n\
+     \x20\x20\x20 acc := n\n\
+     \x20\x20\x20 step (n + 1)\n\
+     \x20\x20\x20 step ((n * 2) + (acc * 3))\n\
+     \x20\x20\x20 res := acc\n\
+     :\n\
+     SEQ\n\
+     \x20 total := 0\n\
+     \x20 y := 5\n\
+     \x20 buf[1] := 3\n\
+     \x20 PAR\n\
+     \x20\x20\x20 five ((y * y) + (y * 3), (y + 1) * (y - 1), x, c, buf)\n\
+     \x20\x20\x20 c ? total\n\
+     \x20 outer (4, x)\n\
+     \x20 PRI PAR\n\
+     \x20\x20\x20 d ! x\n\
+     \x20\x20\x20 d ? y\n\
+     \x20 PAR i = [0 FOR 3]\n\
+     \x20\x20\x20 VAR z:\n\
+     \x20\x20\x20 SEQ\n\
+     \x20\x20\x20\x20\x20 z := i * 2\n\
+     \x20\x20\x20\x20\x20 buf[i] := z + total\n",
+    "VAR buf[4], i, j, v:\n\
+     CHAN c[9]:\n\
+     SEQ\n\
+     \x20 i := 1\n\
+     \x20 j := 2\n\
+     \x20 buf[BYTE 0] := 7\n\
+     \x20 buf[BYTE i] := j\n\
+     \x20 buf[BYTE (i * 2) + (j * 1)] := (i * j) + (j * 3)\n\
+     \x20 v := buf[BYTE i + j]\n\
+     \x20 v := v + buf[BYTE (i * 3) + (j * 2)]\n\
+     \x20 buf[i] := v\n\
+     \x20 buf[(i * 2) + (j - 1)] := (v * 2) + (i * 3)\n\
+     \x20 v := buf[2] + buf[i + 1]\n\
+     \x20 PAR\n\
+     \x20\x20\x20 c[(i * 2) + (j * 1)] ! (v * 2) + (i * j)\n\
+     \x20\x20\x20 c[(i * 2) + (j * 1)] ? buf[j]\n\
+     \x20 PAR\n\
+     \x20\x20\x20 c[i + j] ! v\n\
+     \x20\x20\x20 c[i + j] ? buf[0]\n",
+];
+
+/// Every compile result of the back end, written as text: the code,
+/// `locals`, `depth`, the globals sorted by name, the warnings and the
+/// counted loops, or the error.
+fn back_end_output(source: &str, options: &occam::Options) -> String {
+    match occam::compile_with(source, options.clone()) {
+        Ok(p) => {
+            let mut globals: Vec<_> = p.globals.iter().collect();
+            globals.sort();
+            format!(
+                "{:?} {} {} {:?} {:?} {:?}",
+                p.code, p.locals, p.depth, globals, p.warnings, p.loops
+            )
+        }
+        Err(e) => e.to_string(),
+    }
+}
+
+/// The code generator's output over every committed source and a
+/// sampler of rarer constructs, under three option sets, is pinned: a
+/// back-end change that moves one byte, one frame word or one loop
+/// record fails here.
+#[test]
+fn back_end_output_is_pinned() {
+    use transputer_apps::workstation::{placement_sources, Placement, WorkstationConfig};
+    let mut sources = front_end_sources();
+    let experiments = transputer_bench::expimages::experiment_sources();
+    sources.extend(experiments.into_iter().map(|(_, source)| source));
+    for placement in [Placement::One, Placement::Two, Placement::Three] {
+        sources.extend(placement_sources(placement, &WorkstationConfig::default()));
+    }
+    sources.extend(CONSTRUCT_SAMPLER.iter().map(ToString::to_string));
+    let option_sets = [
+        occam::Options::default(),
+        occam::Options {
+            bounds_checks: true,
+            ..occam::Options::default()
+        },
+        occam::Options {
+            word_independent: false,
+            word_length: WordLength::Bits16,
+            ..occam::Options::default()
+        },
+    ];
+    let mut hashes = [FNV_BASIS; 3];
+    for (hash, options) in hashes.iter_mut().zip(&option_sets) {
+        for source in &sources {
+            fnv1a(hash, &back_end_output(source, options));
+        }
+    }
+    for source in CONSTRUCT_SAMPLER {
+        for options in &option_sets {
+            assert!(
+                occam::compile_with(source, options.clone()).is_ok(),
+                "{}",
+                back_end_output(source, options)
+            );
+        }
+    }
+    assert_eq!(
+        (sources.len(), hashes),
+        (
+            345,
+            [
+                0xab4a_8c6f_5a45_f444,
+                0xbff8_88dd_a229_0fe6,
+                0x2563_cde2_3927_6368
+            ]
+        )
     );
 }
 
