@@ -54,8 +54,37 @@ pub fn lint_source(source: &str) -> Vec<Diagnostic> {
     }
 }
 
-/// The diagnostic [`lint_source`] reports for source that does not
-/// parse, for callers that parse once and lint the tree themselves.
-pub fn parse_failure(e: &occam::CompileError) -> Diagnostic {
+/// The diagnostic [`lint_source`] and [`lint_occam`] report for source
+/// that does not parse.
+fn parse_failure(e: &occam::CompileError) -> Diagnostic {
     Diagnostic::error("parse", Span::line(e.line), e.to_string())
+}
+
+/// The whole occam lint pipeline, behind `txlint --occam` and the
+/// benchmark workloads' lint gate: one parse, the source lints over the
+/// tree, the compile, its PAR-usage warnings as `par-usage`, and CFG
+/// verification of the emitted code. Returns the diagnostics in that
+/// order, unsorted, and the compiled program when there is one. Source
+/// that does not parse yields its one `parse` error; a program the
+/// compiler refuses adds a `compile` error at the refused line.
+pub fn lint_occam(source: &str) -> (Vec<Diagnostic>, Option<occam::Program>) {
+    let tree = match occam::parse(source) {
+        Ok(tree) => tree,
+        Err(e) => return (vec![parse_failure(&e)], None),
+    };
+    let mut diags = channels::check(&tree);
+    let program = match occam::compile_process(&tree, occam::Options::default()) {
+        Ok(program) => program,
+        Err(e) => {
+            let refused = Diagnostic::error("compile", Span::line(e.line), e.to_string());
+            diags.push(refused);
+            return (diags, None);
+        }
+    };
+    for w in &program.warnings {
+        let par_usage = Diagnostic::warning("par-usage", Span::line(w.line), w.message.clone());
+        diags.push(par_usage);
+    }
+    diags.extend(verify_program_cfg(&program));
+    (diags, Some(program))
 }

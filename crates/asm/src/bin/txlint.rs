@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 use transputer::WordLength;
 use transputer_analysis::cfg::Cfg;
-use transputer_analysis::{cost, CodeShape, Diagnostic};
+use transputer_analysis::{cost, verify_bytecode_cfg, CodeShape, Diagnostic};
 
 const EXIT_CLEAN: u8 = 0;
 const EXIT_WARNINGS: u8 = 1;
@@ -175,7 +175,7 @@ fn main() -> ExitCode {
                 }
             };
             Analyzed {
-                diags: Vec::new(),
+                diags: verify_bytecode_cfg(&code, arg_shape.as_ref()),
                 code: Some(code),
                 shape: arg_shape,
                 loops: Vec::new(),
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
                 }
             };
             Analyzed {
-                diags: Vec::new(),
+                diags: verify_bytecode_cfg(&code, arg_shape.as_ref()),
                 code: Some(code),
                 shape: arg_shape,
                 loops: Vec::new(),
@@ -211,65 +211,28 @@ fn main() -> ExitCode {
                     return ExitCode::from(EXIT_ERRORS);
                 }
             };
-            // One parse: the tree is linted, then compiled.
-            let (mut diags, compiled) = match occam::parse(&source) {
-                Ok(tree) => (
-                    transputer_analysis::channels::check(&tree),
-                    occam::compile_process(&tree, occam::Options::default()),
-                ),
-                Err(e) => (vec![transputer_analysis::parse_failure(&e)], Err(e)),
-            };
-            match compiled {
-                Ok(program) => {
-                    diags.extend(program.warnings.iter().map(|w| {
-                        Diagnostic::warning(
-                            "par-usage",
-                            transputer_analysis::Span::line(w.line),
-                            w.message.clone(),
-                        )
-                    }));
-                    let shape = CodeShape::of(&program);
-                    let loops = program.loops.iter().map(cost::CountedLoop::from).collect();
-                    Analyzed {
-                        diags,
-                        code: Some(program.code),
-                        shape: Some(shape),
-                        loops,
-                    }
-                }
-                Err(e) => {
-                    // A parse failure is already in `diags`; a later
-                    // compile phase's is an error at its line too, so
-                    // txlint fails exactly when occamc does.
-                    if !diags.iter().any(|d| d.code == "parse") {
-                        diags.push(Diagnostic::error(
-                            "compile",
-                            transputer_analysis::Span::line(e.line),
-                            e.to_string(),
-                        ));
-                    }
-                    Analyzed {
-                        diags,
-                        code: None,
-                        shape: None,
-                        loops: Vec::new(),
-                    }
-                }
+            let (diags, program) = transputer_analysis::lint_occam(&source);
+            Analyzed {
+                diags,
+                shape: program.as_ref().map(CodeShape::of),
+                loops: program.as_ref().map_or(Vec::new(), |p| {
+                    p.loops.iter().map(cost::CountedLoop::from).collect()
+                }),
+                code: program.map(|p| p.code),
             }
         }
     };
 
     let mut diags = analyzed.diags;
     if let Some(code) = &analyzed.code {
-        let cfg = Cfg::recover_with_shape(code, analyzed.shape.as_ref());
-        if args.cfg_dot {
-            print!("{}", cfg.to_dot(path));
-            return ExitCode::from(EXIT_CLEAN);
-        }
-        if args.cost {
+        if args.cfg_dot || args.cost {
+            let cfg = Cfg::recover_with_shape(code, analyzed.shape.as_ref());
+            if args.cfg_dot {
+                print!("{}", cfg.to_dot(path));
+                return ExitCode::from(EXIT_CLEAN);
+            }
             print_cost(path, &cfg, &analyzed.loops);
         }
-        diags.extend(cfg.diags);
         transputer_analysis::diag::sort(&mut diags);
     } else if args.cfg_dot || args.cost {
         eprintln!("txlint: {path} did not compile; no code to analyze");

@@ -24,7 +24,7 @@
 //!    prefix so CI can lift it into the job summary.
 
 use transputer_analysis::cfg::Cfg;
-use transputer_analysis::{Diagnostic, Span};
+use transputer_analysis::{lint_occam, Diagnostic};
 use transputer_bench::corpus::{CORPUS, STATIC_MODEL_CORPUS};
 use transputer_bench::expimages;
 use transputer_bench::hostperf::static_model_runs;
@@ -50,31 +50,6 @@ impl Tally {
     }
 }
 
-/// Lint an occam source end to end: source lints, PAR-usage warnings,
-/// CFG-based bytecode verification of the emitted code.
-fn lint_occam(source: &str) -> Vec<Diagnostic> {
-    // One parse: the tree is linted, then compiled.
-    let (mut diags, compiled) = match occam::parse(source) {
-        Ok(tree) => (
-            transputer_analysis::channels::check(&tree),
-            occam::compile_process(&tree, occam::Options::default()),
-        ),
-        Err(e) => (vec![transputer_analysis::parse_failure(&e)], Err(e)),
-    };
-    match compiled {
-        Ok(program) => {
-            diags.extend(
-                program.warnings.iter().map(|w| {
-                    Diagnostic::warning("par-usage", Span::line(w.line), w.message.clone())
-                }),
-            );
-            diags.extend(transputer_analysis::verify_program_cfg(&program));
-        }
-        Err(e) => diags.push(Diagnostic::error("compile", Span::line(0), e.to_string())),
-    }
-    diags
-}
-
 fn main() {
     let mut tally = Tally {
         errors: 0,
@@ -84,14 +59,14 @@ fn main() {
     // Pass 1: the occam workload corpus.
     println!("== occam corpus ==");
     for item in CORPUS {
-        tally.report(item.name, &lint_occam(item.source));
+        tally.report(item.name, &lint_occam(item.source).0);
     }
 
     // Pass 2: generated experiment sources.
     println!("\n== experiment sources ==");
     let sources = expimages::experiment_sources();
     for (name, source) in &sources {
-        tally.report(name, &lint_occam(source));
+        tally.report(name, &lint_occam(source).0);
     }
 
     // Pass 3: hand-assembled experiment images.

@@ -26,7 +26,7 @@ use transputer_bench::hostperf::{
 };
 use transputer_link::FaultPlan;
 use transputer_net::topology::grid_edge_wire;
-use transputer_net::{Engine, PopCounts};
+use transputer_net::{Engine, PopCounts, RouterStats};
 
 #[test]
 fn corpus_programs_agree_between_engines() {
@@ -377,25 +377,87 @@ sweeps! {
 /// this wire cuts the live wormhole stream the pinned 180 us row cuts
 /// once — so the break lands on every byte of the stream and on both
 /// its data frames and their acknowledges.
+///
+/// Event ≡ Sliced cannot see a teardown defect the two engines share
+/// (they run the same router handlers), so each engine's runs are also
+/// hashed over all 36 instants — answers, arrival times, per-node halt
+/// cycles and instructions, per-wire delivered bytes, [`RouterStats`]
+/// and [`PopCounts`] — and held to `pinned` (`[Event, Sliced]`), taken
+/// from the earlier router in which a cut-through packet had a buffer
+/// and a transmit path of its own.
 fn sweep_kill_instants(
     label: &str,
     machine: fn() -> Machine,
     check: fn(&DbSearch, &DbSearchReport),
+    pinned: [u64; 2],
 ) {
+    let hashes = std::cell::Cell::new([FNV_BASIS; 2]);
     for kill_ns in (0..36).map(|k| 176_300 + k * 200) {
         sweep_engines(
             &format!("{label} at {kill_ns} ns"),
             |e| machine().faulted(wire_death_at(kill_ns)).build(e),
-            check,
+            |sim, report| {
+                check(sim, report);
+                let mut all = hashes.get();
+                let slot = usize::from(sim.network().engine() != Engine::Event);
+                outcome_hash(&mut all[slot], sim, report);
+                hashes.set(all);
+            },
         );
     }
+    assert_eq!(
+        hashes.get(),
+        pinned,
+        "{label}: [Event, Sliced] outcome hashes"
+    );
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(hash: &mut u64, value: u64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Fold one routed run's outcome into `hash`: answers and their arrival
+/// times, per-node halt cycles and instructions, per-wire delivered
+/// bytes, every [`RouterStats`] field and the [`PopCounts`].
+fn outcome_hash(hash: &mut u64, sim: &DbSearch, report: &DbSearchReport) {
+    let net = sim.network();
+    let node = |id| [net.node(id).cycles(), net.node(id).stats().instructions];
+    let wire = |w| <[u64; 2]>::from(net.wire_delivered(w));
+    let r: RouterStats = net.router_stats().expect("routed build");
+    let pops: PopCounts = net.pop_counts();
+    let router = [
+        r.packets_sent,
+        r.packets_forwarded,
+        r.packets_delivered,
+        r.packets_dropped,
+        r.hops,
+        r.hop_ns_total,
+        r.max_hop_ns,
+    ];
+    (report.answers.iter().map(|&a| u64::from(a)))
+        .chain(report.answer_times_ns.iter().copied())
+        .chain((0..net.len()).flat_map(node))
+        .chain((0..net.wire_count()).flat_map(wire))
+        .chain(router.into_iter().chain(r.hop_hist))
+        .chain([pops.node, pops.wire, pops.stale_wire])
+        .for_each(|v| fnv1a(hash, v));
 }
 
 /// Store-and-forward: the retry budget discovers the death mid-packet
 /// and both end routers requeue what was stranded, at every instant.
 #[test]
 fn routed_wire_death_sweep_agrees_across_engines() {
-    sweep_kill_instants("routed wire death", || Routed(routed_smoke()), wire_died);
+    sweep_kill_instants(
+        "routed wire death",
+        || Routed(routed_smoke()),
+        wire_died,
+        [0x45db_7f02_9229_b325, 0x4d89_788b_744a_78b5],
+    );
 }
 
 /// Wormhole: every instant cuts the live stream, whose teardown starts
@@ -407,6 +469,7 @@ fn routed_wormhole_wire_death_sweep_agrees_across_engines() {
         "routed wormhole wire death",
         || Routed(routed_smoke()).wormhole(),
         stream_cut,
+        [0xc45e_b398_1a2b_e665, 0x028b_14e1_5590_9379],
     );
 }
 

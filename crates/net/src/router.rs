@@ -202,15 +202,17 @@ impl RouterStats {
     }
 }
 
-/// One framed packet, reassembled or awaiting (re)transmission.
-#[derive(Debug, Clone, Copy)]
+/// One framed packet: arriving, queued, in construction or being
+/// delivered.
+#[derive(Debug, Clone, Copy, Default)]
 struct Packet {
     vc: u16,
     eom: bool,
     len: u8,
     data: [u8; MAX_PAYLOAD],
     /// Hop-latency stamp: when the packet's first wire byte arrived at
-    /// this node (transit), or when it entered its forwarding queue
+    /// this node (transit) — the header-decode instant once a relay
+    /// starts on it — or when it entered its forwarding queue
     /// (injection). Not reset on park/rescue requeues, so the recorded
     /// hop includes genuine queueing and rerouting delay.
     enq_ns: u64,
@@ -221,103 +223,80 @@ impl Packet {
         HEADER_BYTES + usize::from(self.len)
     }
 
-    /// The header fields the packet's first wire bytes encode.
-    fn header(&self) -> VcHeader {
-        VcHeader {
-            vc: self.vc,
-            len: self.len,
-            eom: self.eom,
-        }
-    }
-
     /// Byte `pos` of the packet's wire image (header, then payload).
     fn byte(&self, pos: usize) -> u8 {
         if pos < HEADER_BYTES {
-            self.header().encode()[pos]
+            let header = VcHeader {
+                vc: self.vc,
+                len: self.len,
+                eom: self.eom,
+            };
+            header.encode()[pos]
         } else {
             self.data[pos - HEADER_BYTES]
         }
     }
 }
 
-/// Per-physical-in-port reassembly buffer.
+/// A physical in port's reassembly record: the only place an arriving
+/// packet lives. The header fields are decoded into `pkt` at the fourth
+/// byte and the payload is written in place; a cut-through relay reads
+/// the record while it fills.
 #[derive(Debug, Default, Clone, Copy)]
-struct Reasm {
-    buf: [u8; HEADER_BYTES + MAX_PAYLOAD],
-    have: usize,
-    /// The in-progress packet's header, decoded once its last byte is in.
-    hdr: Option<VcHeader>,
-    /// Arrival time of the in-progress packet's first byte (the hop
-    /// stamp its [`Packet`] inherits).
-    start_ns: u64,
+struct Rx {
+    pkt: Packet,
+    /// The header bytes, held until the fourth decodes them into `pkt`.
+    head: [u8; HEADER_BYTES],
+    /// Wire bytes received so far (header included).
+    got: usize,
+    /// The out port relaying this record while it fills (wormhole).
+    relay: Option<usize>,
 }
 
-impl Reasm {
-    /// Absorb one wire byte; return the packet it completes, if any.
-    fn push(&mut self, byte: u8, now_ns: u64) -> Option<Packet> {
-        if self.have == 0 {
-            self.start_ns = now_ns;
+impl Rx {
+    /// Absorb one wire byte; return whether it completes the packet.
+    fn push(&mut self, byte: u8, now_ns: u64) -> bool {
+        if self.got == 0 {
+            self.pkt.enq_ns = now_ns;
         }
-        self.buf[self.have] = byte;
-        self.have += 1;
-        let h = match self.hdr {
-            Some(h) => h,
-            None if self.have == HEADER_BYTES => {
-                let bytes = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-                let h =
-                    VcHeader::decode(bytes).expect("router peer sent a malformed packet header");
-                self.hdr = Some(h);
-                h
-            }
-            None => return None,
-        };
-        if self.have < h.wire_bytes() {
-            return None;
+        if self.got < HEADER_BYTES {
+            self.head[self.got] = byte;
+        } else {
+            self.pkt.data[self.got - HEADER_BYTES] = byte;
         }
-        let mut data = [0u8; MAX_PAYLOAD];
-        data[..usize::from(h.len)].copy_from_slice(&self.buf[HEADER_BYTES..self.have]);
-        self.have = 0;
-        self.hdr = None;
-        Some(Packet {
-            vc: h.vc,
-            eom: h.eom,
-            len: h.len,
-            data,
-            enq_ns: self.start_ns,
-        })
+        self.got += 1;
+        if self.got == HEADER_BYTES {
+            let h =
+                VcHeader::decode(self.head).expect("router peer sent a malformed packet header");
+            (self.pkt.vc, self.pkt.len, self.pkt.eom) = (h.vc, h.len, h.eom);
+        }
+        self.got > HEADER_BYTES && self.got == self.pkt.wire_len()
     }
+}
+
+/// A physical out port's transmitter. It sends the packet at the front
+/// of the port's queue or, while it relays, the record of the in port
+/// feeding it.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tx {
+    /// Next wire byte index to send.
+    next: usize,
+    /// Whether byte `next - 1` is on the wire awaiting its acknowledge
+    /// (false while relaying = the relay is starved: every sent byte is
+    /// acknowledged and byte `next` has not arrived yet).
+    inflight: bool,
+    /// The in port whose record this transmitter relays.
+    feed: Option<usize>,
 }
 
 /// A packet in construction from a CPU source port's byte stream.
 #[derive(Debug, Clone, Copy)]
 struct Build {
-    vc: u16,
-    /// Physical out port reserved for the packet (`usize::MAX` when the
+    pkt: Packet,
+    /// Physical out port reserved for the packet (`None` when the
     /// destination is unreachable — the packet will be dropped when it
     /// closes).
-    out_port: usize,
-    len: u8,
-    data: [u8; MAX_PAYLOAD],
-}
-
-/// A cut-through stream in progress on a physical in-port (wormhole
-/// mode): the packet image fills in as bytes arrive while the chosen
-/// out port retransmits them.
-#[derive(Debug, Clone, Copy)]
-struct StreamIn {
-    /// The packet, filled in as its bytes arrive (the header fields are
-    /// known from the decode that started the stream).
-    pkt: Packet,
-    /// Wire bytes received so far (header included).
-    got: usize,
-    /// The out port retransmitting this stream.
-    out_port: usize,
-    /// Next wire byte index to retransmit.
-    next: usize,
-    /// Whether byte `next - 1` is on the wire awaiting its acknowledge
-    /// (false = the relay is starved: every sent byte is acknowledged
-    /// and byte `next` has not arrived yet, so `next == got`).
-    inflight: bool,
+    out_port: Option<usize>,
 }
 
 /// A packet being handed byte-by-byte to the destination CPU's link
@@ -354,28 +333,61 @@ pub(crate) struct NodeRouter {
     outq: [VecDeque<Packet>; 4],
     /// Queue slots reserved by in-construction local packets.
     reserved: [u8; 4],
-    /// Transmit progress on the front packet of each out queue
-    /// (`None` = wire idle).
-    tx_pos: [Option<usize>; 4],
-    /// Reassembly per physical in port.
-    rx: [Reasm; 4],
+    /// Transmitter per physical out port.
+    tx: [Tx; 4],
+    /// Reassembly record per physical in port.
+    rx: [Rx; 4],
     /// A completed packet the node could not yet accept, parked with
     /// its final-byte acknowledge withheld (this is the backpressure).
     parked: [Option<Packet>; 4],
     /// Whether an acknowledge is being withheld on each physical port.
     withheld: [bool; 4],
-    /// Cut-through stream arriving per physical in port (wormhole).
-    stream_in: [Option<StreamIn>; 4],
-    /// Which in-port feeds each out port's active cut-through stream.
-    stream_out: [Option<usize>; 4],
     /// Data bytes to swallow (accept, acknowledge, discard) on each in
     /// port — the byte that was in flight when a relay chain upstream
     /// of it was torn down by wire death (see `kill_stream_chain`).
     skip: [u8; 4],
-    /// Out ports whose stream transmitter was killed with a byte still
-    /// awaiting its acknowledge: the late acknowledge is consumed, and
-    /// no new transmit starts before it.
+    /// Out ports whose relay was killed with a byte still awaiting its
+    /// acknowledge: the late acknowledge is consumed, and no new
+    /// transmit starts before it.
     tx_abort: [bool; 4],
+}
+
+impl NodeRouter {
+    /// Whether `port`'s transmitter is free to start a packet: no byte
+    /// awaits an acknowledge, no relay holds it, and no late acknowledge
+    /// of a killed relay is due.
+    fn tx_idle(&self, port: usize) -> bool {
+        let tx = self.tx[port];
+        !tx.inflight && tx.feed.is_none() && !self.tx_abort[port]
+    }
+
+    /// The packet `port`'s transmitter sends, and how many of its wire
+    /// bytes are at hand: all of the queue's front packet, or as much of
+    /// the relayed record as has arrived.
+    fn tx_source(&self, port: usize) -> (&Packet, usize) {
+        match self.tx[port].feed {
+            Some(q) => (&self.rx[q].pkt, self.rx[q].got),
+            None => {
+                let front = self.outq[port].front().expect("a transmitter has a packet");
+                (front, front.wire_len())
+            }
+        }
+    }
+
+    /// Put `port`'s next byte on the wire if its source holds it;
+    /// return whether a byte went out.
+    fn send_next(&mut self, node: usize, port: usize, acts: &mut Vec<(usize, Act)>) -> bool {
+        let (pkt, have) = self.tx_source(port);
+        let next = self.tx[port].next;
+        if next == have {
+            return false;
+        }
+        let byte = pkt.byte(next);
+        acts.push((node, Act::Data { port, byte }));
+        self.tx[port].next += 1;
+        self.tx[port].inflight = true;
+        true
+    }
 }
 
 /// A wire- or scheduler-visible effect the router asks the simulator to
@@ -405,7 +417,6 @@ pub(crate) struct RouterNet {
     adj: Adjacency,
     dead: HashSet<usize>,
     nodes: Vec<NodeRouter>,
-    config: RouterConfig,
     /// Whether cut-through streaming is currently allowed: wormhole
     /// mode *and* the active tables' channel-dependency graph is proven
     /// acyclic. Recomputed whenever a wire death rebuilds the tables;
@@ -441,16 +452,32 @@ impl RouterNet {
             adj,
             dead,
             nodes,
-            config,
             cut_through,
             stats: RouterStats::default(),
         }
     }
 
-    /// The port on which `node` forwards a packet for `dest`
-    /// ([`NO_ROUTE`] for `node` itself or an unreachable `dest`).
-    fn route(&self, node: usize, dest: usize) -> u8 {
-        self.tables[node * self.nodes.len() + dest]
+    /// The port on which `node` forwards a packet for `dest` (`None`
+    /// for `node` itself or an unreachable `dest`).
+    fn route(&self, node: usize, dest: usize) -> Option<usize> {
+        match self.tables[node * self.nodes.len() + dest] {
+            NO_ROUTE => None,
+            port => Some(usize::from(port)),
+        }
+    }
+
+    /// The next hop of a virtual channel's packet at `node`: the out
+    /// port toward its destination (`None` when the channel ends at
+    /// `node` or its destination is unreachable).
+    fn out_port(&self, node: usize, vc: u16) -> Option<usize> {
+        self.route(node, self.vc_dst[usize::from(vc)].0)
+    }
+
+    /// Whether `node`'s out queue on `port` admits no new packet
+    /// (queued plus reserved reach `FORWARD_CAPACITY`).
+    fn queue_full(&self, node: usize, port: usize) -> bool {
+        let r = &self.nodes[node];
+        r.outq[port].len() + usize::from(r.reserved[port]) >= FORWARD_CAPACITY
     }
 
     /// Whether cut-through streaming is active (wormhole mode with a
@@ -460,14 +487,11 @@ impl RouterNet {
     }
 
     /// Whether `node`'s physical `port` has a data byte on the wire
-    /// awaiting its acknowledge: mid-packet, relaying a stream byte, or
-    /// owed the late acknowledge of a torn-down relay.
+    /// awaiting its acknowledge: mid-packet, relaying, or owed the late
+    /// acknowledge of a torn-down relay.
     pub(crate) fn awaits_ack(&self, node: usize, port: usize) -> bool {
         let r = &self.nodes[node];
-        let relaying = r.stream_out[port]
-            .and_then(|q| r.stream_in[q])
-            .is_some_and(|s| s.inflight);
-        r.tx_pos[port].is_some() || r.tx_abort[port] || relaying
+        r.tx[port].inflight || r.tx_abort[port]
     }
 
     /// Bitmask of `node`'s physical ports awaiting an acknowledge (see
@@ -582,18 +606,14 @@ impl RouterNet {
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
     ) -> bool {
-        let (dn, _) = self.vc_dst[usize::from(pkt.vc)];
-        if dn == node {
+        if self.vc_dst[usize::from(pkt.vc)].0 == node {
             return self.accept_local(cpus, node, pkt, now_ns, acts);
         }
-        let port = self.route(node, dn);
-        if port == NO_ROUTE {
+        let Some(port) = self.out_port(node, pkt.vc) else {
             self.stats.packets_dropped += 1;
             return true;
-        }
-        let port = usize::from(port);
-        let r = &self.nodes[node];
-        if r.outq[port].len() + usize::from(r.reserved[port]) >= FORWARD_CAPACITY {
+        };
+        if self.queue_full(node, port) {
             return false;
         }
         self.stats.packets_forwarded += 1;
@@ -602,7 +622,7 @@ impl RouterNet {
     }
 
     /// Append a packet to a physical out port's queue, starting the
-    /// transmitter if the wire is idle.
+    /// transmitter if the port is free.
     fn enqueue(
         &mut self,
         node: usize,
@@ -612,26 +632,39 @@ impl RouterNet {
         acts: &mut Vec<(usize, Act)>,
     ) {
         self.nodes[node].outq[port].push_back(pkt);
-        if self.nodes[node].tx_pos[port].is_none() {
-            self.start_tx(node, port, now_ns, acts);
+        self.start_tx(node, port, now_ns, acts);
+    }
+
+    /// Start `port`'s transmitter on its queue's front packet, if the
+    /// port is free and the queue is not empty.
+    fn start_tx(&mut self, node: usize, port: usize, now_ns: u64, acts: &mut Vec<(usize, Act)>) {
+        let r = &self.nodes[node];
+        if r.tx_idle(port) && !r.outq[port].is_empty() {
+            self.launch(node, port, None, now_ns, acts);
         }
     }
 
-    fn start_tx(&mut self, node: usize, port: usize, now_ns: u64, acts: &mut Vec<(usize, Act)>) {
+    /// Start `port`'s transmitter on a packet — its queue's front, or
+    /// the record of in port `feed` — by sending its first byte. The
+    /// packet's head leaves the node: one hop's worth of
+    /// header-forwarding latency is decided here.
+    fn launch(
+        &mut self,
+        node: usize,
+        port: usize,
+        feed: Option<usize>,
+        now_ns: u64,
+        acts: &mut Vec<(usize, Act)>,
+    ) {
         let r = &mut self.nodes[node];
-        if r.stream_out[port].is_some() || r.tx_abort[port] {
-            return; // the wire is owned by a stream (or its late ack)
-        }
-        let Some(pkt) = r.outq[port].front() else {
-            return;
+        r.tx[port] = Tx {
+            next: 0,
+            inflight: false,
+            feed,
         };
-        let byte = pkt.byte(0);
-        let enq_ns = pkt.enq_ns;
-        r.tx_pos[port] = Some(0);
-        // The packet's head leaves the node: one hop's worth of
-        // header-forwarding latency is decided here.
+        let enq_ns = r.tx_source(port).0.enq_ns;
         self.stats.record_hop(now_ns.saturating_sub(enq_ns));
-        acts.push((node, Act::Data { port, byte }));
+        r.send_next(node, port, acts);
     }
 
     /// A fresh acknowledge arrived on `node`'s physical `port` (the wire
@@ -644,48 +677,38 @@ impl RouterNet {
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
     ) {
-        if self.nodes[node].tx_abort[port] {
+        let r = &mut self.nodes[node];
+        if r.tx_abort[port] {
             // The late acknowledge of a torn-down relay's last byte:
             // consume it and free the port.
-            self.nodes[node].tx_abort[port] = false;
+            r.tx_abort[port] = false;
             self.start_tx(node, port, now_ns, acts);
             return;
         }
-        let r = &mut self.nodes[node];
-        if let Some(q) = r.stream_out[port] {
-            // A cut-through stream's byte crossed the wire: relay the
-            // next one if it has arrived, else starve until it does.
-            let st = r.stream_in[q]
-                .as_mut()
-                .expect("stream_out points at a live stream");
-            debug_assert!(st.inflight, "a stream acknowledge implies a byte in flight");
-            if st.next < st.got {
-                let byte = st.pkt.byte(st.next);
-                st.next += 1;
-                acts.push((node, Act::Data { port, byte }));
-                // Relaying returned a flit credit: release a withheld
-                // upstream acknowledge.
-                if r.withheld[q] && st.got - st.next < STREAM_CREDITS {
+        debug_assert!(
+            r.tx[port].inflight,
+            "a fresh acknowledge has a byte awaiting it"
+        );
+        if r.send_next(node, port, acts) {
+            // Mid-packet: the next byte went out; the CPU is not party.
+            // A relayed byte returned a flit credit: release a withheld
+            // upstream acknowledge.
+            if let Some(q) = r.tx[port].feed {
+                if r.withheld[q] && r.rx[q].got - r.tx[port].next < STREAM_CREDITS {
                     r.withheld[q] = false;
                     acts.push((node, Act::Ack { port: q }));
                 }
-            } else {
-                st.inflight = false;
             }
             return;
         }
-        let pos = r.tx_pos[port].expect("a fresh acknowledge has a byte awaiting it");
-        let front = r.outq[port].front().expect("tx has a packet");
-        if pos + 1 < front.wire_len() {
-            // Mid-packet: the next byte goes out; the CPU is not party.
-            let byte = front.byte(pos + 1);
-            r.tx_pos[port] = Some(pos + 1);
-            acts.push((node, Act::Data { port, byte }));
+        if r.tx[port].feed.is_some() {
+            // The relay is starved until its record's next byte arrives.
+            r.tx[port].inflight = false;
             return;
         }
         let was_idle = cpus[node].is_idle();
         r.outq[port].pop_front();
-        r.tx_pos[port] = None;
+        r.tx[port] = Tx::default();
         self.start_tx(node, port, now_ns, acts);
         // A queue slot freed: parked packets and stalled local injection
         // may proceed now, at this wire event's time, in every engine
@@ -708,24 +731,47 @@ impl RouterNet {
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
     ) {
-        if self.nodes[node].skip[port] > 0 {
+        let r = &mut self.nodes[node];
+        if r.skip[port] > 0 {
             // Wire-death reconciliation: the byte belongs to a relay
             // chain torn down while it was in flight — swallow it (see
             // `kill_stream_chain`).
-            self.nodes[node].skip[port] -= 1;
+            r.skip[port] -= 1;
             acts.push((node, Act::Ack { port }));
             return;
         }
-        if self.nodes[node].stream_in[port].is_some() {
-            self.stream_data(node, port, byte, acts);
-            return;
-        }
-        let Some(pkt) = self.nodes[node].rx[port].push(byte, now_ns) else {
-            // Mid-packet: the CPU is not party.
+        let done = r.rx[port].push(byte, now_ns);
+        if r.rx[port].got == HEADER_BYTES {
             self.try_cut_through(node, port, now_ns, acts);
+        }
+        let r = &mut self.nodes[node];
+        if let Some(op) = r.rx[port].relay {
+            // A relay starved for this byte sends it at once.
+            if !r.tx[op].inflight {
+                r.send_next(node, op, acts);
+            }
+            if done {
+                // Tail: the packet is whole, so the rest of its
+                // transmission runs from the front of the out queue
+                // (the hop completes when the last byte acknowledges).
+                r.outq[op].push_front(std::mem::take(&mut r.rx[port]).pkt);
+                r.tx[op].feed = None;
+            } else if r.rx[port].got - r.tx[op].next >= STREAM_CREDITS {
+                // Out of flit credit: withhold the acknowledge so the
+                // upstream transmitter stalls mid-packet — the stream
+                // stalls, the port does not.
+                r.withheld[port] = true;
+                return;
+            }
             acts.push((node, Act::Ack { port }));
             return;
-        };
+        }
+        if !done {
+            // Mid-packet: the CPU is not party.
+            acts.push((node, Act::Ack { port }));
+            return;
+        }
+        let pkt = std::mem::take(&mut r.rx[port]).pkt;
         let was_idle = cpus[node].is_idle();
         if self.route_packet(cpus, node, pkt, now_ns, acts) {
             acts.push((node, Act::Ack { port }));
@@ -741,11 +787,13 @@ impl RouterNet {
         }
     }
 
-    /// Wormhole mode: a transit packet's header just finished
-    /// reassembling on `port` with payload still to come. If the routed
-    /// out port is fully idle, start cut-through: retransmit the header
-    /// now and stream the payload through as it arrives. Any busy out
-    /// port falls back to store-and-forward for this packet.
+    /// Wormhole mode: a transit packet's header just decoded on `port`,
+    /// with payload still to come. If the routed out port is fully idle,
+    /// relay the record from now on: the header goes straight back out
+    /// and the payload follows byte by byte as it arrives. A busy out
+    /// port falls back to store-and-forward for this packet, and local
+    /// delivery and an unreachable destination reassemble the whole
+    /// packet first.
     fn try_cut_through(
         &mut self,
         node: usize,
@@ -756,90 +804,20 @@ impl RouterNet {
         if !self.cut_through {
             return;
         }
-        let r = &self.nodes[node];
-        if r.rx[port].have != HEADER_BYTES {
+        let Some(op) = self.out_port(node, self.nodes[node].rx[port].pkt.vc) else {
             return;
-        }
-        let h = r.rx[port].hdr.expect("a complete header is decoded");
-        let (dn, _) = self.vc_dst[usize::from(h.vc)];
-        if dn == node {
-            return; // local delivery stays packet-atomic
-        }
-        let out = self.route(node, dn);
-        if out == NO_ROUTE {
-            return; // no route: reassemble, then drop the whole packet
-        }
-        let op = usize::from(out);
-        if r.tx_pos[op].is_some()
-            || r.stream_out[op].is_some()
-            || r.tx_abort[op]
-            || !r.outq[op].is_empty()
-        {
-            return;
-        }
-        let pkt = Packet {
-            vc: h.vc,
-            eom: h.eom,
-            len: h.len,
-            data: [0; MAX_PAYLOAD],
-            enq_ns: now_ns,
         };
-        let r = &mut self.nodes[node];
-        let start_ns = r.rx[port].start_ns;
-        r.rx[port] = Reasm::default();
-        r.stream_in[port] = Some(StreamIn {
-            pkt,
-            got: HEADER_BYTES,
-            out_port: op,
-            next: 1,
-            inflight: true,
-        });
-        r.stream_out[op] = Some(port);
+        let r = &self.nodes[node];
+        if !r.tx_idle(op) || !r.outq[op].is_empty() {
+            return;
+        }
         self.stats.packets_forwarded += 1;
+        self.nodes[node].rx[port].relay = Some(op);
         // The stream's hop: first header byte arriving to the header
-        // starting back out — the cut-through latency itself.
-        self.stats.record_hop(now_ns.saturating_sub(start_ns));
-        acts.push((
-            node,
-            Act::Data {
-                port: op,
-                byte: pkt.byte(0),
-            },
-        ));
-    }
-
-    /// A wire byte arrived for an active cut-through stream: absorb it,
-    /// kick a starved relay, and either complete the stream (the packet
-    /// is fully buffered now, so it becomes an ordinary mid-transmission
-    /// queue-front packet) or acknowledge it under the credit bound.
-    fn stream_data(&mut self, node: usize, port: usize, byte: u8, acts: &mut Vec<(usize, Act)>) {
-        let r = &mut self.nodes[node];
-        let st = r.stream_in[port].as_mut().expect("caller checked");
-        st.pkt.data[st.got - HEADER_BYTES] = byte;
-        st.got += 1;
-        let op = st.out_port;
-        if !st.inflight && st.next < st.got {
-            let b = st.pkt.byte(st.next);
-            st.next += 1;
-            st.inflight = true;
-            acts.push((node, Act::Data { port: op, byte: b }));
-        }
-        if st.got == st.pkt.wire_len() {
-            // Tail: hand the remaining transmission to the queue path
-            // (the hop completes, with stats, when the last byte acks).
-            r.tx_pos[op] = Some(st.next - 1);
-            r.outq[op].push_front(st.pkt);
-            r.stream_in[port] = None;
-            r.stream_out[op] = None;
-            acts.push((node, Act::Ack { port }));
-        } else if st.got - st.next >= STREAM_CREDITS {
-            // Out of flit credit: withhold the acknowledge so the
-            // upstream transmitter stalls mid-packet — the stream
-            // stalls, the port does not.
-            r.withheld[port] = true;
-        } else {
-            acts.push((node, Act::Ack { port }));
-        }
+        // starting back out — the cut-through latency itself. From here
+        // on the record's stamp is the header-decode instant.
+        self.launch(node, op, Some(port), now_ns, acts);
+        self.nodes[node].rx[port].pkt.enq_ns = now_ns;
     }
 
     /// Retry parked packets (in physical-port order) after capacity or
@@ -880,65 +858,51 @@ impl RouterNet {
                     if !cpus[node].link_output_busy(port) {
                         break; // nothing to send on this port
                     }
-                    let n_vcs = self.nodes[node].out_vcs[port].len();
-                    let vc =
-                        self.nodes[node].out_vcs[port][self.nodes[node].out_cursor[port] % n_vcs];
-                    let (dn, _) = self.vc_dst[usize::from(vc)];
-                    let out_port = match self.route(node, dn) {
-                        NO_ROUTE => usize::MAX,
-                        p => usize::from(p),
-                    };
-                    if out_port != usize::MAX {
-                        let r = &self.nodes[node];
-                        if r.outq[out_port].len() + usize::from(r.reserved[out_port])
-                            >= FORWARD_CAPACITY
-                        {
+                    let r = &self.nodes[node];
+                    let vc = r.out_vcs[port][r.out_cursor[port] % r.out_vcs[port].len()];
+                    let out_port = self.out_port(node, vc);
+                    if let Some(p) = out_port {
+                        if self.queue_full(node, p) {
                             break; // backpressure: stall at the packet boundary
                         }
-                        self.nodes[node].reserved[out_port] += 1;
+                        self.nodes[node].reserved[p] += 1;
                     }
-                    self.nodes[node].build[port] = Some(Build {
+                    let pkt = Packet {
                         vc,
-                        out_port,
-                        len: 0,
-                        data: [0; MAX_PAYLOAD],
-                    });
+                        ..Packet::default()
+                    };
+                    self.nodes[node].build[port] = Some(Build { pkt, out_port });
                 }
                 let Some(byte) = cpus[node].link_tx_poll(port) else {
                     break;
                 };
-                let mut b = self.nodes[node].build[port].expect("build slot just ensured");
-                b.data[usize::from(b.len)] = byte;
-                b.len += 1;
+                let b = self.nodes[node].build[port]
+                    .as_mut()
+                    .expect("build slot just ensured");
+                b.pkt.data[usize::from(b.pkt.len)] = byte;
+                b.pkt.len += 1;
                 // The CPU-router interface is on-chip: acknowledge
                 // immediately, whatever protocol the wires speak.
                 cpus[node].link_tx_ack(port);
                 let eom = !cpus[node].link_output_busy(port);
-                if eom || usize::from(b.len) == MAX_PAYLOAD {
-                    self.nodes[node].build[port] = None;
-                    if b.out_port != usize::MAX {
-                        self.nodes[node].reserved[b.out_port] -= 1;
+                if !eom && usize::from(b.pkt.len) < MAX_PAYLOAD {
+                    continue;
+                }
+                let Build { mut pkt, out_port } = *b;
+                self.nodes[node].build[port] = None;
+                pkt.eom = eom;
+                pkt.enq_ns = now_ns;
+                self.stats.packets_sent += 1;
+                match out_port {
+                    Some(p) => {
+                        self.nodes[node].reserved[p] -= 1;
+                        self.enqueue(node, p, pkt, now_ns, acts);
                     }
-                    let pkt = Packet {
-                        vc: b.vc,
-                        eom,
-                        len: b.len,
-                        data: b.data,
-                        enq_ns: now_ns,
-                    };
-                    self.stats.packets_sent += 1;
-                    if b.out_port == usize::MAX {
-                        self.stats.packets_dropped += 1;
-                    } else {
-                        self.enqueue(node, b.out_port, pkt, now_ns, acts);
-                    }
-                    if eom {
-                        let r = &mut self.nodes[node];
-                        let n_vcs = r.out_vcs[port].len();
-                        r.out_cursor[port] = (r.out_cursor[port] + 1) % n_vcs;
-                    }
-                } else {
-                    self.nodes[node].build[port] = Some(b);
+                    None => self.stats.packets_dropped += 1,
+                }
+                if eom {
+                    let r = &mut self.nodes[node];
+                    r.out_cursor[port] = (r.out_cursor[port] + 1) % r.out_vcs[port].len();
                 }
             }
         }
@@ -971,102 +935,67 @@ impl RouterNet {
         if self.cut_through {
             self.cut_through = crate::topology::cdg_acyclic(&self.adj, &self.tables);
         }
-        debug_assert!(
-            self.config.switching == Switching::StoreAndForward
-                || !self.cut_through
-                || crate::topology::cdg_acyclic(&self.adj, &self.tables),
-            "wormhole streaming left enabled on BFS tables without an acyclic-CDG proof"
-        );
         for &(node, port) in &ends {
-            // A cut-through stream relaying *across* the dead wire loses
-            // its outlet: fold the partial image back into the feeding
-            // in-port's reassembly buffer — the upstream feed is intact,
-            // so the packet completes there and reroutes over the new
-            // tables, exactly like a stranded queue packet.
-            if let Some(q) = self.nodes[node].stream_out[port].take() {
-                let st = self.nodes[node].stream_in[q]
-                    .take()
-                    .expect("stream_out points at a live stream");
+            // A relay *across* the dead wire loses its outlet: its record
+            // stops being relayed and goes on filling as plain
+            // reassembly — the upstream feed is intact, so the packet
+            // completes there and reroutes over the new tables, exactly
+            // like a stranded queue packet.
+            if let Some(q) = std::mem::take(&mut self.nodes[node].tx[port]).feed {
+                let r = &mut self.nodes[node];
+                r.rx[q].relay = None;
                 if q == port {
                     // The stream both arrived and relayed on the dead
                     // wire (possible after an earlier rebuild): it dies
                     // outright.
                     self.stats.packets_dropped += 1;
-                } else {
-                    let r = &mut self.nodes[node];
-                    for i in 0..st.got {
-                        r.rx[q].buf[i] = st.pkt.byte(i);
-                    }
-                    r.rx[q].have = st.got;
-                    r.rx[q].hdr = Some(st.pkt.header());
-                    r.rx[q].start_ns = st.pkt.enq_ns;
-                    if r.withheld[q] {
-                        // Reassembly absorbs freely: release the
-                        // credit-withheld acknowledge.
-                        r.withheld[q] = false;
-                        acts.push((node, Act::Ack { port: q }));
-                    }
+                } else if r.withheld[q] {
+                    // Reassembly absorbs freely: release the
+                    // credit-withheld acknowledge.
+                    r.withheld[q] = false;
+                    acts.push((node, Act::Ack { port: q }));
                 }
             }
             // A cut-through stream *arriving* over the dead wire never
             // completes: tear down its relay chain hop by hop. Its
             // credit-withheld acknowledge, if any, dies with the wire.
-            if let Some(st) = self.nodes[node].stream_in[port].take() {
+            if self.nodes[node].rx[port].relay.is_some() {
                 self.nodes[node].withheld[port] = false;
-                self.kill_stream_chain(node, st, now_ns, acts);
+                self.kill_stream_chain(node, port, now_ns, acts);
             }
             let r = &mut self.nodes[node];
             // Abandon the half-sent front packet and the dead port's
             // queue; partial reassembly on the dead wire is discarded,
             // and acknowledges on it will never arrive.
-            r.tx_pos[port] = None;
+            r.tx[port] = Tx::default();
             r.tx_abort[port] = false;
             r.skip[port] = 0;
-            r.rx[port] = Reasm::default();
+            r.rx[port] = Rx::default();
             let stranded: Vec<Packet> = r.outq[port].drain(..).collect();
             for pkt in stranded {
-                let (dn, _) = self.vc_dst[usize::from(pkt.vc)];
-                let next = if dn == node {
-                    usize::MAX // shouldn't have been queued, but route home
-                } else {
-                    match self.route(node, dn) {
-                        NO_ROUTE => usize::MAX,
-                        p => usize::from(p),
-                    }
-                };
-                if next == usize::MAX {
-                    if dn == node {
-                        if !self.accept_local(cpus, node, pkt, now_ns, acts) {
-                            self.stats.packets_dropped += 1;
-                        }
-                    } else {
-                        self.stats.packets_dropped += 1;
-                    }
-                } else {
+                match self.out_port(node, pkt.vc) {
                     // Requeue past the capacity bound: the bound gates
                     // new admissions, not rescue traffic.
-                    self.enqueue(node, next, pkt, now_ns, acts);
+                    Some(next) => self.enqueue(node, next, pkt, now_ns, acts),
+                    None => self.stats.packets_dropped += 1,
                 }
             }
             // Retarget any packet under construction toward the dead
             // port.
             for cpu_port in 0..4 {
-                let Some(mut b) = self.nodes[node].build[cpu_port] else {
+                let Some(b) = self.nodes[node].build[cpu_port] else {
                     continue;
                 };
-                if b.out_port != port {
+                if b.out_port != Some(port) {
                     continue;
                 }
-                self.nodes[node].reserved[port] = self.nodes[node].reserved[port].saturating_sub(1);
-                let (dn, _) = self.vc_dst[usize::from(b.vc)];
-                b.out_port = match self.route(node, dn) {
-                    NO_ROUTE => usize::MAX,
-                    p => usize::from(p),
-                };
-                if b.out_port != usize::MAX {
-                    self.nodes[node].reserved[b.out_port] += 1;
+                let out_port = self.out_port(node, b.pkt.vc);
+                let r = &mut self.nodes[node];
+                r.reserved[port] = r.reserved[port].saturating_sub(1);
+                if let Some(p) = out_port {
+                    r.reserved[p] += 1;
                 }
-                self.nodes[node].build[cpu_port] = Some(b);
+                r.build[cpu_port] = Some(Build { out_port, ..b });
             }
             self.unpark(cpus, node, now_ns, acts);
             self.drain_injection(cpus, node, now_ns, acts);
@@ -1074,10 +1003,11 @@ impl RouterNet {
     }
 
     /// Tear down the relay chain of a cut-through stream whose tail can
-    /// no longer arrive (the wire feeding it died). The cut packet is
-    /// dropped at the break — its source's at-least-once retry
-    /// semantics cover it, like any packet lost to retry exhaustion.
-    /// At each hop the partial image is discarded; a data byte still in
+    /// no longer arrive (the wire feeding in port `port` of `node`
+    /// died). The cut packet is dropped at the break — its source's
+    /// at-least-once retry semantics cover it, like any packet lost to
+    /// retry exhaustion. The chain is the records' `relay` links: at
+    /// each hop the partial record is discarded; a data byte still in
     /// flight between two hops is marked to be swallowed on arrival,
     /// and a transmitter whose last byte's acknowledge is still due is
     /// flagged so the late acknowledge is consumed — flipping the wire
@@ -1086,16 +1016,19 @@ impl RouterNet {
     fn kill_stream_chain(
         &mut self,
         mut node: usize,
-        mut st: StreamIn,
+        mut port: usize,
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
     ) {
         self.stats.packets_dropped += 1;
         loop {
-            let p = st.out_port;
-            self.nodes[node].stream_out[p] = None;
-            if st.inflight {
-                self.nodes[node].tx_abort[p] = true;
+            let r = &mut self.nodes[node];
+            let p = std::mem::take(&mut r.rx[port])
+                .relay
+                .expect("a chain hop relays");
+            let tx = std::mem::take(&mut r.tx[p]);
+            if tx.inflight {
+                r.tx_abort[p] = true;
             } else {
                 // Every relayed byte is acknowledged: the port frees
                 // immediately and queued packets may start.
@@ -1107,37 +1040,30 @@ impl RouterNet {
             if self.dead.contains(&wire) {
                 break; // the relay crossed the wire that just died
             }
-            let received = match &self.nodes[peer].stream_in[peer_port] {
-                Some(s) => s.got,
-                None => self.nodes[peer].rx[peer_port].have,
-            };
-            if st.next > received {
-                debug_assert_eq!(st.next, received + 1, "at most one byte in flight per wire");
-                self.nodes[peer].skip[peer_port] += 1;
+            let down = &mut self.nodes[peer];
+            let received = down.rx[peer_port].got;
+            if tx.next > received {
+                debug_assert_eq!(tx.next, received + 1, "at most one byte in flight per wire");
+                down.skip[peer_port] += 1;
             }
-            match self.nodes[peer].stream_in[peer_port].take() {
-                Some(next_st) => {
-                    // A credit-withheld acknowledge upstream of a dying
-                    // chain has no transmitter left to release: clear it.
-                    self.nodes[peer].withheld[peer_port] = false;
-                    node = peer;
-                    st = next_st;
-                }
-                None => {
-                    // Terminal hop: the prefix sat in ordinary
-                    // reassembly (store-and-forward fallback or the
-                    // destination) — discard it.
-                    self.nodes[peer].rx[peer_port] = Reasm::default();
-                    break;
-                }
+            if down.rx[peer_port].relay.is_none() {
+                // Terminal hop: the prefix sat in plain reassembly
+                // (store-and-forward fallback or the destination) —
+                // discard it.
+                down.rx[peer_port] = Rx::default();
+                break;
             }
+            // A credit-withheld acknowledge upstream of a dying chain
+            // has no transmitter left to release: clear it.
+            down.withheld[peer_port] = false;
+            (node, port) = (peer, peer_port);
         }
     }
 
     /// Nodes a virtual channel can no longer link to its destination —
     /// used by applications to exclude unreachable participants.
     pub(crate) fn reachable(&self, from: usize, to: usize) -> bool {
-        from == to || self.route(from, to) != NO_ROUTE
+        from == to || self.route(from, to).is_some()
     }
 
     /// Network-wide router counters.

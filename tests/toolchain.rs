@@ -7,7 +7,7 @@
 use transputer::instr::{encode, Direct};
 use transputer::WordLength;
 use transputer_analysis::verifier::{verify_bytecode, verify_program, CodeShape};
-use transputer_analysis::{lint_source, verify_program_cfg, Severity, Span};
+use transputer_analysis::{lint_occam, lint_source, verify_program_cfg, Severity, Span};
 use transputer_apps::dbsearch::{
     array_sources, hypercube_sources, routed_sources, DbSearchConfig, HypercubeConfig,
 };
@@ -108,6 +108,26 @@ fn verifier_rejects_out_of_bounds_workspace_offset() {
         .expect("workspace bounds violation reported");
     assert!(err.is_error());
     assert_eq!(err.span.code_offset(), Some(code.len() as u32 - 1));
+}
+
+/// `lint_occam` reports source that does not parse once, as a `parse`
+/// error at the failing line, and compiles nothing; a program the
+/// compiler refuses is a `compile` error at its own line too.
+#[test]
+fn lint_occam_reports_each_failure_once_at_its_line() {
+    let unparsable = "VAR x:\nSEQ\n  x := 1\n  x := ) 2\n  SKIP\n";
+    let failed = occam::parse(unparsable).expect_err("does not parse").line;
+    let (diags, program) = lint_occam(unparsable);
+    assert!(program.is_none());
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].code, "parse");
+    assert_eq!((diags[0].span, failed), (Span::line(failed), 4));
+
+    let (diags, program) = lint_occam("VAR x:\nSEQ\n  x := 1\n  y := 2\n");
+    assert!(program.is_none());
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].code, "compile");
+    assert_eq!(diags[0].span, Span::line(4));
 }
 
 /// Two PAR branches outputting on the same channel violate occam's
