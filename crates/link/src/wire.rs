@@ -161,7 +161,7 @@ impl Line {
         speed: LinkSpeed,
         protocol: LinkProtocol,
         dead_from: Option<u64>,
-    ) -> Fate {
+    ) {
         let bits = protocol.frame_bits(kind);
         let mut fate = match &mut self.faults {
             Some(f) => f.next_fate(bits, speed.bit_time_ns),
@@ -186,7 +186,6 @@ impl Line {
             fate,
         });
         self.busy_ns += duration;
-        fate
     }
 }
 
@@ -200,8 +199,8 @@ pub struct DuplexLink {
     lines: [Line; 2],
     /// When (if ever) the whole wire dies.
     dead_from: Option<u64>,
-    /// Events produced by packet starts, drained by [`DuplexLink::advance`]
-    /// (or dropped by [`DuplexLink::complete_due`]).
+    /// Reception starts of the data frames the `send_*` calls put on
+    /// the wire, reported by the next [`DuplexLink::advance`].
     pending_events: Vec<LinkEvent>,
 }
 
@@ -272,7 +271,8 @@ impl DuplexLink {
 
     /// Queue a data byte with an explicit sequence bit (robust protocol).
     pub fn send_data_seq(&mut self, from: End, byte: u8, seq: bool, now: u64) {
-        self.send(from, PacketKind::Data(byte), seq, now);
+        let started = self.send(from, PacketKind::Data(byte), seq, now);
+        self.pending_events.extend(started);
     }
 
     /// Queue an acknowledge from `from` (for data `from` received).
@@ -287,18 +287,15 @@ impl DuplexLink {
         self.send(from, PacketKind::Ack, seq, now);
     }
 
-    /// Queue a busy notice (robust protocol; jumps the queue like an
-    /// acknowledge).
-    pub fn send_busy(&mut self, from: End, seq: bool, now: u64) {
-        self.send(from, PacketKind::Busy, seq, now);
-    }
-
     /// Hand a frame to the line driven by `from`: straight onto the wire
     /// if the line is idle (an idle line has nothing queued — every
     /// completion starts the next queued frame), otherwise into its
     /// queue, data behind and everything else ahead of what waits there.
     /// A classic line carries no sequence bit, so `seq` is dropped there.
-    pub fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) {
+    /// Returns the reception start of a data frame that went straight
+    /// on the wire ([`LinkEvent::DataStarted`]); the `send_*` calls keep
+    /// it for the next [`DuplexLink::advance`].
+    pub fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) -> Option<LinkEvent> {
         let seq = seq && self.protocol == LinkProtocol::Robust;
         let line = &mut self.lines[from.index()];
         if line.in_flight.is_some() {
@@ -306,12 +303,11 @@ impl DuplexLink {
                 PacketKind::Data(_) => line.queue.push_back((kind, seq)),
                 PacketKind::Ack | PacketKind::Busy => line.queue.push_front((kind, seq)),
             }
-            return;
+            return None;
         }
         debug_assert!(line.queue.is_empty(), "frames queued behind an idle line");
         line.start(kind, seq, now, self.speed, self.protocol, self.dead_from);
-        let started = self.start_event(from.index());
-        self.pending_events.extend(started);
+        self.start_event(from.index())
     }
 
     /// The reception-start event of the frame line `i` just put on the
@@ -326,14 +322,6 @@ impl DuplexLink {
         .then_some(LinkEvent::DataStarted {
             to: End::from_index(i).other(),
         })
-    }
-
-    /// Take any start events produced by sends that have not yet been
-    /// drained by [`DuplexLink::advance`]. Schedulers that must handle
-    /// start events at their own stamped times (rather than at the next
-    /// `advance` call) use this to intercept them.
-    pub fn take_pending_events(&mut self) -> Vec<LinkEvent> {
-        std::mem::take(&mut self.pending_events)
     }
 
     /// The earliest time at which something will complete, if any packet
@@ -360,74 +348,43 @@ impl DuplexLink {
             .all(|l| l.in_flight.is_none() && l.queue.is_empty())
     }
 
-    /// Deliver everything that has completed by `now` (and any start
-    /// events already produced). Events are returned in time order for
-    /// completions at distinct times; same-instant events are returned in
-    /// line order. Lost packets complete silently; garbled packets
-    /// surface as [`LinkEvent::Garbled`].
+    /// Deliver everything that has completed by `now`, after the start
+    /// events the `send_*` calls produced: [`DuplexLink::complete_due`]
+    /// at each deadline up to `now`, so events come in time order, and
+    /// same-instant ones in line order. Lost packets complete silently;
+    /// garbled packets surface as [`LinkEvent::Garbled`].
     pub fn advance(&mut self, now: u64) -> Vec<LinkEvent> {
-        let mut events = Vec::new();
-        self.advance_into(now, &mut events);
+        let mut events = std::mem::take(&mut self.pending_events);
+        while let Some(t) = self.next_deadline().filter(|&t| t <= now) {
+            events.extend(self.complete_due(t).into_iter().flatten().flatten());
+        }
         events
     }
 
-    /// [`DuplexLink::advance`], appending to a caller-owned buffer so a
-    /// scheduler draining millions of wire events allocates nothing.
-    pub fn advance_into(&mut self, now: u64, events: &mut Vec<LinkEvent>) {
-        events.append(&mut self.pending_events);
-        loop {
-            let mut progressed = false;
-            for i in 0..2 {
-                let Some(event) = self.complete_line(i, now) else {
-                    continue;
-                };
-                events.extend(event);
-                // A frame on the line now is the queued one the
-                // completion started.
-                events.extend(self.start_event(i));
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
+    /// Take off the wire every frame due by `now` and start the frame
+    /// queued behind it. Slot `i` is line `i`'s report, in order: what
+    /// its receiving end sees (`None` when nothing was due, or the frame
+    /// was lost), then the reception start of a queued data frame the
+    /// completion put on the wire ([`LinkEvent::DataStarted`], classic
+    /// lines only). Call it no later than each
+    /// [`DuplexLink::next_deadline`], as an event scheduler does: a
+    /// started frame is then never due by the same `now`, so one call
+    /// completes at most one frame a line.
+    #[inline]
+    pub fn complete_due(&mut self, now: u64) -> [[Option<LinkEvent>; 2]; 2] {
+        [self.complete_line(0, now), self.complete_line(1, now)]
     }
 
-    /// The completions [`DuplexLink::advance_into`] reports at `now`,
-    /// without its start events, for a scheduler whose receivers never
-    /// acknowledge at reception start: at most one per line, in line
-    /// order (`None` for a line with nothing due, or whose frame was
-    /// lost). Any start events still pending are dropped. Call it no
-    /// later than each [`DuplexLink::next_deadline`], as an event
-    /// scheduler does: the frame a completion starts is then never due
-    /// by the same `now`.
+    /// Line `i`'s slot of [`DuplexLink::complete_due`].
     #[inline]
-    pub fn complete_due(&mut self, now: u64) -> [Option<LinkEvent>; 2] {
-        self.pending_events.clear();
-        let mut out = [None, None];
-        for (i, slot) in out.iter_mut().enumerate() {
-            if let Some(event) = self.complete_line(i, now) {
-                debug_assert!(
-                    self.lines[i].in_flight.is_none_or(|p| p.done_ns > now),
-                    "two frames due on one line: complete_due called past a deadline"
-                );
-                *slot = event;
-            }
-        }
-        out
-    }
-
-    /// Take line `i`'s frame off the wire if it is due by `now` and start
-    /// the next queued frame from its completion time. Returns what the
-    /// receiving end sees: nothing for a lost frame.
-    #[inline]
-    fn complete_line(&mut self, i: usize, now: u64) -> Option<Option<LinkEvent>> {
+    fn complete_line(&mut self, i: usize, now: u64) -> [Option<LinkEvent>; 2] {
         let line = &mut self.lines[i];
         let p = match line.in_flight {
             Some(p) if p.done_ns <= now => p,
-            _ => return None,
+            _ => return [None, None],
         };
         line.in_flight = None;
+        let mut started = None;
         if let Some((kind, seq)) = line.queue.pop_front() {
             line.start(
                 kind,
@@ -437,6 +394,11 @@ impl DuplexLink {
                 self.protocol,
                 self.dead_from,
             );
+            debug_assert!(
+                self.lines[i].in_flight.is_none_or(|q| q.done_ns > now),
+                "two frames due on one line: complete_due called past a deadline"
+            );
+            started = self.start_event(i);
         }
         let to = End::from_index(i).other();
         let event = match p.fate {
@@ -452,7 +414,7 @@ impl DuplexLink {
             Fate::Garble => Some(LinkEvent::Garbled { to }),
             Fate::Lose => None,
         };
-        Some(event)
+        [event, started]
     }
 }
 
@@ -478,22 +440,6 @@ mod tests {
         link.send_data(End::A, 7, 0);
         let evs = link.advance(0);
         assert_eq!(evs, vec![LinkEvent::DataStarted { to: End::B }]);
-    }
-
-    #[test]
-    fn advance_into_appends_what_advance_returns() {
-        let mut into = DuplexLink::new(LinkSpeed::standard());
-        into.send_data(End::A, 7, 0);
-        let mut plain = into.clone();
-        // Whatever the caller's buffer already holds stays in front.
-        let mut got = vec![LinkEvent::Garbled { to: End::A }];
-        let mut want = got.clone();
-        for now in [0, 1100] {
-            into.advance_into(now, &mut got);
-            want.extend(plain.advance(now));
-        }
-        assert_eq!(got, want);
-        assert_eq!(got.len(), 3, "marker, start, delivery");
     }
 
     #[test]
@@ -576,7 +522,7 @@ mod tests {
                 seq: true,
             }]
         );
-        link.send_busy(End::B, true, 1300);
+        link.send(End::B, PacketKind::Busy, true, 1300);
         let evs = link.advance(1800);
         assert_eq!(
             evs,
@@ -653,11 +599,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `complete_due` is `advance_into` without start events, for a
-        /// caller that steps to each deadline: same completions in the
-        /// same order, and the two links end in the same state.
+        /// `advance` is `complete_due` stepped to each deadline, start
+        /// events included: the starts that sends report, then each
+        /// line's completion and the start it chains, in order; and the
+        /// two links end in the same state.
         #[test]
-        fn complete_due_is_advance_without_starts(
+        fn advance_is_complete_due_at_each_deadline(
             (variant, seed, dead_ns) in (0u8..5, any::<u64>(), 0u64..60_000),
             ops in proptest::collection::vec(
                 (0u8..14, any::<bool>(), any::<u8>(), 0u64..3_000),
@@ -665,47 +612,49 @@ mod tests {
             ),
         ) {
             let mut reference = link_variant(variant, seed, dead_ns);
-            let mut lean = reference.clone();
-            let (mut now, mut both) = (0u64, 0);
+            let mut stepped = reference.clone();
+            let (mut now, mut both, mut starts) = (0u64, 0, Vec::new());
             for (op, from_a, byte, dt) in ops {
                 let from = if from_a { End::A } else { End::B };
                 match op {
                     0 | 1 => {
                         reference.send_data_seq(from, byte, from_a, now);
-                        lean.send_data_seq(from, byte, from_a, now);
+                        starts.extend(stepped.send(from, PacketKind::Data(byte), from_a, now));
                     }
                     2 => {
                         // Both ends at once: on idle lines, a pair that
                         // completes at one instant.
                         for end in [End::A, End::B] {
                             reference.send_data_seq(end, byte, from_a, now);
-                            lean.send_data_seq(end, byte, from_a, now);
+                            starts.extend(stepped.send(end, PacketKind::Data(byte), from_a, now));
                         }
                     }
                     3 => {
                         reference.send_ack_seq(from, from_a, now);
-                        lean.send_ack_seq(from, from_a, now);
+                        starts.extend(stepped.send(from, PacketKind::Ack, from_a, now));
                     }
                     4 => {
-                        reference.send_busy(from, from_a, now);
-                        lean.send_busy(from, from_a, now);
+                        reference.send(from, PacketKind::Busy, from_a, now);
+                        starts.extend(stepped.send(from, PacketKind::Busy, from_a, now));
                     }
-                    // Step time, never past the next completion.
+                    // Step time, often past several completions.
                     _ => {
-                        now = (now + dt).min(reference.next_deadline().unwrap_or(u64::MAX));
-                        let mut want = reference.advance(now);
-                        want.retain(|e| !matches!(e, LinkEvent::DataStarted { .. }));
-                        let got = lean.complete_due(now);
-                        both += usize::from(got[0].is_some() && got[1].is_some());
-                        let got: Vec<LinkEvent> = got.into_iter().flatten().collect();
+                        now += dt;
+                        let want = reference.advance(now);
+                        let mut got = std::mem::take(&mut starts);
+                        while let Some(t) = stepped.next_deadline().filter(|&t| t <= now) {
+                            let lines = stepped.complete_due(t);
+                            both += usize::from(lines[0][0].is_some() && lines[1][0].is_some());
+                            got.extend(lines.into_iter().flatten().flatten());
+                        }
                         prop_assert_eq!(&got, &want, "at {}", now);
                     }
                 }
-                prop_assert_eq!(lean.next_deadline(), reference.next_deadline());
+                prop_assert_eq!(stepped.next_deadline(), reference.next_deadline());
                 for end in [End::A, End::B] {
-                    prop_assert_eq!(lean.busy_ns(end), reference.busy_ns(end));
+                    prop_assert_eq!(stepped.busy_ns(end), reference.busy_ns(end));
                 }
-                prop_assert_eq!(lean.is_quiescent(), reference.is_quiescent());
+                prop_assert_eq!(stepped.is_quiescent(), reference.is_quiescent());
             }
             // Sends at one instant from both ends land together often;
             // a dead wire loses them.

@@ -494,14 +494,6 @@ impl RouterNet {
         r.tx[port].inflight || r.tx_abort[port]
     }
 
-    /// Bitmask of `node`'s physical ports awaiting an acknowledge (see
-    /// [`RouterNet::awaits_ack`]).
-    pub(crate) fn tx_outstanding(&self, node: usize) -> u8 {
-        (0..4)
-            .filter(|&p| self.awaits_ack(node, p))
-            .fold(0, |mask, p| mask | 1 << p)
-    }
-
     /// Whether `node` withholds the acknowledge of the last byte it
     /// accepted on physical `port` (backpressure or an exhausted stream
     /// credit): a duplicate of that byte is answered busy.

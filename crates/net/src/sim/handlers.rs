@@ -1,9 +1,9 @@
 //! What a wire event or a node's link service does to a CPU or a
 //! router. Both engines reach every CPU and router through these
-//! routines: link service at the instruction that made it, a wire's
-//! drain at its pop — the data-start probe and its early-acknowledge
-//! history, then the completions, through the wire's sequence filter —
-//! and a dead hop's reroute.
+//! routines: link service at the instruction that made it, and a
+//! wire's one drain at its pop — the data-start probe and its
+//! early-acknowledge history, then the completions, through the wire's
+//! sequence filter — with the router's acts applied after each.
 
 use transputer_link::{AckPolicy, End, LinkEvent, PacketKind};
 
@@ -89,7 +89,7 @@ impl Network {
         let early = self.config.ack_policy == AckPolicy::Early && self.ea_at(node, port, stamp);
         self.wires[w].early_acked[end_index(to)] = early;
         if early {
-            self.wires[w].link.send_ack(to, stamp);
+            self.wires[w].send(to, PacketKind::Ack, stamp);
         }
     }
 
@@ -103,8 +103,10 @@ impl Network {
     /// of the global frontier. A data byte's early-acknowledge probe
     /// waits for the wire's pop at that stamp ([`Network::put`]).
     pub(super) fn service_node_links_at(&mut self, node: usize, stamp: u64) {
-        if self.router.is_some() {
-            self.router_service(node, stamp);
+        if let Some(router) = &mut self.router {
+            // It absorbs CPU output and resumes deliveries.
+            router.service_node(&mut self.nodes, node, stamp, &mut self.acts);
+            self.apply_router_acts(stamp);
             return;
         }
         for port in 0..4 {
@@ -120,15 +122,10 @@ impl Network {
         }
     }
 
-    /// The one wire drain, for classic and robust wires alike (a routed
-    /// wire goes to the router's): resolve due probes at their own
-    /// stamps, then hand the completions due at the frontier to the
-    /// endpoint CPUs.
+    /// The one wire drain, for every wire whoever owns its ends: resolve
+    /// the due probes at their own stamps, then [`Network::land`] what
+    /// the link reports at the frontier.
     pub(super) fn drain_wire(&mut self, w: usize) {
-        if self.router.is_some() {
-            self.process_wire_routed(w);
-            return;
-        }
         let now = self.now_ns;
         if !self.wires[w].probes.is_empty() {
             // Stable, so same-stamp probes resolve in the order sent.
@@ -140,41 +137,125 @@ impl Network {
             }
             self.wires[w].probes.drain(..due);
         }
-        let mut events = std::mem::take(&mut self.events);
-        self.wires[w].link.advance_into(now, &mut events);
-        for ev in events.drain(..) {
-            self.cpu_wire_event(w, ev);
-        }
-        self.events = events;
+        let lines = self.wires[w].link.complete_due(now);
+        self.land(w, lines.as_flattened());
         self.schedule_wire(w);
     }
 
-    /// Hand one wire event to the CPU at the end it reached, through the
-    /// wire's sequence filter.
-    pub(super) fn cpu_wire_event(&mut self, w: usize, ev: LinkEvent) {
+    /// Hand wire events, in order, to the owner of the end each reached
+    /// (its CPU, or on a routed network its router), through the wire's
+    /// sequence filter; then put on the wire what a router asked for.
+    /// The owner answers four questions: is an acknowledge awaited
+    /// ([`Network::awaits_ack`]), is the last byte's acknowledge still
+    /// held ([`Network::holds_ack`]), here is a fresh byte
+    /// ([`Network::take_byte`]), here is a fresh acknowledge
+    /// ([`Network::take_ack`]). Beyond those answers the owners differ
+    /// in what the contract pins, and only there:
+    ///
+    /// * A CPU acts at once. A router's answers come back as [`Act`]s,
+    ///   applied once, after the last event.
+    /// * Only a CPU end counts a duplicate byte (`note_link_dup_data`, a
+    ///   statistic of the processor's own link, zero on a routed end).
+    /// * Only a CPU end acknowledges at reception start. So only a CPU
+    ///   owner takes a data start — here the start a completion chains
+    ///   on, resolved at once; in [`Network::put`] a send's, recorded as
+    ///   a probe — and only a CPU end can have `early_acked` set. A
+    ///   router needs the whole byte, and often the whole packet, before
+    ///   it forwards, so it declines a start. Probes feed `wire_next` and
+    ///   the tie deferral: recorded on a routed wire, they would move
+    ///   the pop counts.
+    pub(super) fn land(&mut self, w: usize, events: &[Option<LinkEvent>]) {
         let now = self.now_ns;
-        match ev {
-            LinkEvent::DataStarted { to } => {
-                // A queued packet chained onto a completion: it starts
-                // exactly now.
-                self.resolve_probe(w, to, now);
-            }
-            LinkEvent::DataDelivered { to, byte, seq } => {
-                let (node, port) = self.wire_end(w, to);
-                if !self.wires[w].accept_data(to, seq) {
-                    // A duplicate: repeat the acknowledge, or signal busy
-                    // while the interface still holds it.
-                    self.nodes[node].note_link_dup_data();
-                    let reply = if self.nodes[node].link_holds_ack(port) {
-                        PacketKind::Busy
-                    } else {
-                        PacketKind::Ack
-                    };
-                    self.wires[w].send(to, reply, now);
-                    return;
+        for &ev in events.iter().flatten() {
+            match ev {
+                LinkEvent::DataStarted { to } => {
+                    // A queued frame chained onto a completion: it
+                    // starts exactly now.
+                    if self.router.is_none() {
+                        self.resolve_probe(w, to, now);
+                    }
                 }
+                LinkEvent::DataDelivered { to, byte, seq } => {
+                    if self.wires[w].accept_data(to, seq) {
+                        self.wires[w].delivered[end_index(to)] += 1;
+                        self.take_byte(w, to, byte);
+                        continue;
+                    }
+                    // A duplicate: repeat the acknowledge, or signal busy
+                    // while the owner still holds it.
+                    let (node, port) = self.wire_end(w, to);
+                    match (&self.router, self.holds_ack(node, port)) {
+                        (Some(_), false) => self.acts.push((node, Act::Ack { port })),
+                        (Some(_), true) => self.acts.push((node, Act::Busy { port })),
+                        (None, held) => {
+                            self.nodes[node].note_link_dup_data();
+                            let reply = if held {
+                                PacketKind::Busy
+                            } else {
+                                PacketKind::Ack
+                            };
+                            self.wires[w].send(to, reply, now);
+                        }
+                    }
+                }
+                LinkEvent::AckDelivered { to, seq } => {
+                    let (node, port) = self.wire_end(w, to);
+                    let awaiting = self.awaits_ack(node, port);
+                    if !self.wires[w].accept_ack(to, seq, awaiting) {
+                        continue;
+                    }
+                    // Cleared before the owner answers: a data byte the
+                    // answer releases re-arms both through `put`.
+                    self.wires[w].resend[end_index(to)] = None;
+                    if !self.pin_tx_flight {
+                        self.hot.tx_flight[node] &= !(1 << port);
+                    }
+                    self.take_ack(node, port);
+                }
+                LinkEvent::BusyDelivered { to, seq } => {
+                    self.wires[w].busy(to, seq, now, self.timeout_ns);
+                }
+                LinkEvent::Garbled { to } => {
+                    let (node, _) = self.wire_end(w, to);
+                    self.nodes[node].note_link_rx_error();
+                }
+            }
+        }
+        self.apply_router_acts(now);
+    }
+
+    /// Is an acknowledge awaited: whether the owner of `(node, port)`
+    /// has a data byte on the wire awaiting its acknowledge.
+    pub(super) fn awaits_ack(&self, node: usize, port: usize) -> bool {
+        match &self.router {
+            Some(router) => router.awaits_ack(node, port),
+            None => self.nodes[node].link_tx_in_flight(port),
+        }
+    }
+
+    /// Is the last byte's acknowledge still held: whether the owner of
+    /// `(node, port)` holds back the acknowledge of the last byte it
+    /// accepted there.
+    fn holds_ack(&self, node: usize, port: usize) -> bool {
+        match &self.router {
+            Some(router) => router.withholds_ack(node, port),
+            None => self.nodes[node].link_holds_ack(port),
+        }
+    }
+
+    /// Here is a fresh byte, landed at end `to` of wire `w`. A CPU takes
+    /// it into its link interface, acknowledges it unless it did so at
+    /// reception start, records its receiver state, and is scheduled if
+    /// the byte readied it.
+    fn take_byte(&mut self, w: usize, to: End, byte: u8) {
+        let now = self.now_ns;
+        let (node, port) = self.wire_end(w, to);
+        match &mut self.router {
+            Some(router) => {
+                router.phys_data(&mut self.nodes, node, port, byte, now, &mut self.acts)
+            }
+            None => {
                 let ei = end_index(to);
-                self.wires[w].delivered[ei] += 1;
                 let was_idle = self.nodes[node].is_idle();
                 let ack_now = self.nodes[node].link_rx_deliver(port, byte);
                 if ack_now && !self.wires[w].early_acked[ei] {
@@ -187,119 +268,33 @@ impl Network {
                     self.schedule_node(node, now);
                 }
             }
-            LinkEvent::AckDelivered { to, seq } => {
-                let (node, port) = self.wire_end(w, to);
-                let awaiting = self.nodes[node].link_tx_in_flight(port);
-                if !self.wires[w].accept_ack(to, seq, awaiting) {
-                    return;
-                }
-                self.wires[w].resend[end_index(to)] = None;
+        }
+    }
+
+    /// Here is a fresh acknowledge, landed at `(node, port)`. A CPU
+    /// completes its output, is scheduled if that readied it, and
+    /// offers the port's next byte.
+    fn take_ack(&mut self, node: usize, port: usize) {
+        let now = self.now_ns;
+        match &mut self.router {
+            Some(router) => router.phys_ack(&mut self.nodes, node, port, now, &mut self.acts),
+            None => {
                 let was_idle = self.nodes[node].is_idle();
                 self.nodes[node].link_tx_ack(port);
-                self.hot.tx_flight[node] &= !(1 << port);
                 if was_idle && !self.nodes[node].is_idle() {
                     self.schedule_node(node, now);
                 }
                 // The output port may have another byte ready now.
                 self.service_node_links_at(node, now);
             }
-            LinkEvent::BusyDelivered { to, seq } => {
-                self.wires[w].busy(to, seq, now, self.timeout_ns);
-            }
-            LinkEvent::Garbled { to } => {
-                let (node, _) = self.wire_end(w, to);
-                self.nodes[node].note_link_rx_error();
-            }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // The virtual-channel router (routed mode). Both engines call
-    // the same three entry points at the same times — CPU link service
-    // at interaction stamps, wire events at the frontier, failure at
-    // resend-deadline pops — so routed runs stay bit-identical.
-    // ------------------------------------------------------------------
-
-    /// Routed replacement for CPU link service: let the node's router
-    /// absorb CPU output and resume deliveries, then apply the wire
-    /// effects it requested, stamped at `stamp`.
-    fn router_service(&mut self, node: usize, stamp: u64) {
-        let router = self.router.as_mut().expect("routed mode");
-        router.service_node(&mut self.nodes, node, stamp, &mut self.acts);
-        self.apply_router_acts(stamp);
-    }
-
-    /// Routed replacement for the CPU drain: take the due completions,
-    /// at most one per line, and hand them to the endpoint routers.
-    /// Routers never early-acknowledge — the forwarding decision needs
-    /// the whole byte, and often the whole packet — so reception starts
-    /// carry no information and the link drops them.
-    fn process_wire_routed(&mut self, w: usize) {
-        let now = self.now_ns;
-        for ev in self.wires[w].link.complete_due(now).into_iter().flatten() {
-            self.router_wire_event(w, ev);
-        }
-        self.apply_router_acts(now);
-        self.schedule_wire(w);
-    }
-
-    /// Hand one wire event to the router at the end it reached, through
-    /// the wire's sequence filter. Effects queue in `self.acts`, in the
-    /// order the router asks for them, for [`Network::apply_router_acts`].
-    pub(super) fn router_wire_event(&mut self, w: usize, ev: LinkEvent) {
-        let now = self.now_ns;
-        let router = self.router.as_mut().expect("routed mode");
-        let wire = &mut self.wires[w];
-        match ev {
-            LinkEvent::DataStarted { .. } => unreachable!("the link drops start events"),
-            LinkEvent::DataDelivered { to, byte, seq } => {
-                let (node, port) = wire.ends[end_index(to)];
-                if wire.accept_data(to, seq) {
-                    wire.delivered[end_index(to)] += 1;
-                    router.phys_data(&mut self.nodes, node, port, byte, now, &mut self.acts);
-                } else {
-                    // A duplicate: repeat the acknowledge, or signal busy
-                    // while the router withholds it.
-                    let act = if router.withholds_ack(node, port) {
-                        Act::Busy { port }
-                    } else {
-                        Act::Ack { port }
-                    };
-                    self.acts.push((node, act));
-                }
-            }
-            LinkEvent::AckDelivered { to, seq } => {
-                let (node, port) = wire.ends[end_index(to)];
-                if wire.accept_ack(to, seq, router.awaits_ack(node, port)) {
-                    router.phys_ack(&mut self.nodes, node, port, now, &mut self.acts);
-                    wire.resend[end_index(to)] = None;
-                    // Any data act this acknowledge released sets the
-                    // bit again when applied.
-                    if !self.pin_tx_flight {
-                        self.hot.tx_flight[node] &= !(1 << port);
-                    }
-                }
-            }
-            LinkEvent::BusyDelivered { to, seq } => wire.busy(to, seq, now, self.timeout_ns),
-            LinkEvent::Garbled { to } => {
-                let (node, _) = wire.ends[end_index(to)];
-                self.nodes[node].note_link_rx_error();
-            }
-        }
-    }
-
-    /// A wire direction exhausted its retry budget under a routed
-    /// network: rebuild tables and reroute (see [`crate::router::RouterNet`]).
-    pub(super) fn router_wire_failed(&mut self, w: usize) {
-        let now = self.now_ns;
-        let ends = self.wires[w].ends;
-        let router = self.router.as_mut().expect("routed mode");
-        router.wire_failed(&mut self.nodes, w, ends, now, &mut self.acts);
-        self.apply_router_acts(now);
     }
 
     /// Apply (and consume) the wire- and scheduler-visible effects the
-    /// last router call left in `self.acts`. Router logic never
+    /// last router call left in `self.acts`. Every router call ends here
+    /// — link service at interaction stamps, wire events at the
+    /// frontier, a failure at a resend-deadline pop — so both engines
+    /// apply the same effects at the same times. Router logic never
     /// re-enters here: acts are self-contained, and each frame reaches
     /// its wire through [`Network::put`].
     pub(super) fn apply_router_acts(&mut self, stamp: u64) {

@@ -10,7 +10,7 @@
 //!   that puts a frame on it (`put`), and its resends;
 //! * `handlers` — what link service and a wire's drain do to a CPU or a
 //!   router: the data-start probe with its early-acknowledge history,
-//!   the CPU drain and the router's;
+//!   and the one drain, which puts four questions to an end's owner;
 //! * `stepper` — the pop both engines share and the node arm where they
 //!   differ, the only code that knows which engine runs.
 //!
@@ -22,9 +22,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use transputer::{Cpu, CpuConfig, HaltReason};
-use transputer_link::{
-    AckPolicy, DuplexLink, End, FaultPlan, LinkEvent, LinkProtocol, LinkSpeed, PacketKind,
-};
+use transputer_link::{AckPolicy, DuplexLink, End, FaultPlan, LinkProtocol, LinkSpeed, PacketKind};
 
 use crate::queue::{Actor, EventQueue};
 use crate::router::{Act, RouterConfig, RouterNet, RouterStats};
@@ -383,7 +381,6 @@ impl NetworkBuilder {
             pin_tx_flight,
             halted_below: Cell::new(0),
             last_halt_ns: 0,
-            events: Vec::new(),
             acts: Vec::new(),
             pops: PopCounts::default(),
         };
@@ -476,10 +473,8 @@ pub struct Network {
     /// once the queue has caught up with it (see
     /// [`Network::all_halted`]).
     last_halt_ns: u64,
-    /// Scratch for one CPU-side wire drain's link events, reused across
-    /// pops (a routed drain takes at most two, by value).
-    events: Vec<LinkEvent>,
-    /// Scratch for one router call's requested effects, likewise.
+    /// Scratch for one router call's requested effects, reused across
+    /// calls.
     acts: Vec<(usize, Act)>,
     pops: PopCounts,
 }

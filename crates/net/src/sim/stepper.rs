@@ -234,18 +234,21 @@ impl Network {
     }
 
     /// The rule of `NodeHot::tx_flight`, checked wherever a bound reads
-    /// the mirror: on a CPU-owned wire the bit is the CPU's own transmit
-    /// state, exactly; on a router-owned wire it covers every byte the
-    /// router has awaiting an acknowledge.
+    /// the mirror against the drain's own question, "is an acknowledge
+    /// awaited?" ([`Network::awaits_ack`]): on a CPU-owned wire the bit
+    /// is the CPU's own transmit state, exactly; on a router-owned wire
+    /// it covers every byte the router has awaiting an acknowledge.
     fn tx_mirror_holds(&self, node: usize) -> bool {
         let mirror = self.hot.tx_flight[node];
-        match &self.router {
-            Some(r) => mirror & r.tx_outstanding(node) == r.tx_outstanding(node),
-            None => (0..4).all(|p| {
-                let wired = self.hot.ports[node][p] != usize::MAX;
-                (mirror >> p & 1 == 1) == (wired && self.nodes[node].link_tx_in_flight(p))
-            }),
-        }
+        (0..4).all(|p| {
+            let set = mirror >> p & 1 == 1;
+            let awaiting = self.awaits_ack(node, p);
+            if self.router.is_some() {
+                set || !awaiting
+            } else {
+                set == (awaiting && self.hot.ports[node][p] != usize::MAX)
+            }
+        })
     }
 
     /// How far node `node`, popped at `t`, may run without interacting

@@ -3,6 +3,9 @@ use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
 use transputer::RunOutcome;
 use transputer_link::vc::{VcHeader, HEADER_BYTES};
+use transputer_link::LinkEvent;
+
+use crate::Switching;
 
 fn halting_program() -> Vec<u8> {
     let mut code = Vec::new();
@@ -260,12 +263,7 @@ fn receiver(count: i64) -> Vec<u8> {
 /// Hand one event to the owner of the end it reached, and put on
 /// the wire what a router asked for.
 fn land(net: &mut Network, ev: LinkEvent) {
-    if net.routed() {
-        net.router_wire_event(0, ev);
-        net.apply_router_acts(net.now_ns);
-    } else {
-        net.cpu_wire_event(0, ev);
-    }
+    net.land(0, &[Some(ev)]);
 }
 
 fn data(to: End, byte: u8, seq: bool) -> LinkEvent {
@@ -287,14 +285,6 @@ fn frames_from(net: &mut Network, from: End) -> Vec<(PacketKind, bool)> {
             _ => None,
         })
         .collect()
-}
-
-/// Whether end A's owner has a byte awaiting its acknowledge.
-fn a_awaits_ack(net: &Network) -> bool {
-    match &net.router {
-        Some(r) => r.awaits_ack(0, 0),
-        None => net.node(0).link_tx_in_flight(0),
-    }
 }
 
 /// The sender half: an acknowledge with the wrong bit, or with no
@@ -324,7 +314,7 @@ fn robust_output_ignores_stale_acks() {
                     seq: !bit,
                 },
             );
-            assert!(a_awaits_ack(&net), "byte {i}");
+            assert!(net.awaits_ack(0, 0), "byte {i}");
             assert_eq!(net.wires[0].tx_bit[0], bit);
             assert_eq!(net.wires[0].resend[0].map(|r| r.byte), Some(resend.byte));
             assert_eq!(frames_from(&mut net, End::A), []);
@@ -339,7 +329,7 @@ fn robust_output_ignores_stale_acks() {
             sent = frames_from(&mut net, End::A);
         }
         assert_eq!(sent, [], "routed {routed}");
-        assert!(!a_awaits_ack(&net));
+        assert!(!net.awaits_ack(0, 0));
         assert!(net.wires[0].resend[0].is_none());
         assert!(!net.node(0).link_output_busy(0), "the sender woke");
         // Nothing awaits an acknowledge: either bit is stale.
@@ -465,4 +455,53 @@ fn a_parked_packet_is_delivered_once() {
     let w = net.node(1).default_boot_workspace();
     // Two bytes in; the third is still awaited.
     assert_eq!(net.node(1).inspect_word(w + 4).unwrap(), 0x6655);
+}
+
+/// A garbled frame counts as a receive error at the processor of the
+/// end it reached, whoever owns that end, and is answered by nothing.
+#[test]
+fn a_garbled_frame_counts_at_either_owner() {
+    for routed in [false, true] {
+        let mut net = robust_pair(routed);
+        land(&mut net, LinkEvent::Garbled { to: End::B });
+        assert_eq!(net.node(1).stats().link_rx_errors, 1, "routed {routed}");
+        assert_eq!(net.node(0).stats().link_rx_errors, 0, "routed {routed}");
+        assert_eq!(frames_from(&mut net, End::B), [], "routed {routed}");
+    }
+}
+
+/// Where a wire may die under a live cut-through stream (robust wires,
+/// wormhole tables proven at build), every transmit-mirror bit is set
+/// at build and never cleared (DESIGN.md §11): the fresh acknowledges
+/// that land at router ends during a transfer leave it saturated.
+#[test]
+fn a_pinned_transmit_mirror_stays_saturated() {
+    let mut b = NetworkBuilder::new(NetworkConfig {
+        fault: Some(FaultPlan::uniform(1985, 0.0)),
+        router: RouterConfig {
+            switching: Switching::Wormhole,
+        },
+        ..NetworkConfig::default()
+    });
+    b.add_node();
+    b.add_node();
+    b.connect((0, 0), (1, 0));
+    b.enable_router();
+    b.add_vc((0, 0), (1, 0));
+    let mut net = b.build();
+    assert!(net.pin_tx_flight);
+    assert_eq!(net.router_cut_through(), Some(true));
+    net.node_mut(0)
+        .load_boot_program(&one_word_sender())
+        .unwrap();
+    net.node_mut(1)
+        .load_boot_program(&one_word_receiver())
+        .unwrap();
+    net.run_until_all_halted(10_000_000).unwrap();
+    assert_eq!(net.node(1).areg(), 0xBEEF);
+    // The last byte's acknowledge is still on the wire: let it land.
+    net.run_for(1_000_000).unwrap();
+    assert!(net.wires[0].link.is_quiescent());
+    assert!(net.wire_delivered(0).1 > 4, "a header and the word crossed");
+    assert_eq!(net.hot.tx_flight, [0b1111, 0b1111]);
 }

@@ -1,5 +1,6 @@
 //! A wire: its two lines, its end-of-wire sequence filter, the one
-//! routine that puts a frame on it, and its resends.
+//! routine that puts a frame on it, and its resends, with a dead hop's
+//! reroute on a routed network.
 
 use transputer_link::{DuplexLink, End, LinkEvent, LinkProtocol, PacketKind};
 
@@ -80,14 +81,16 @@ impl Wire {
 
     /// Put a frame from `end` on the line with the end's sequence bit:
     /// a data byte carries the transmit bit; an acknowledge or busy
-    /// notice, the bit of the last byte the end accepted.
-    pub(super) fn send(&mut self, end: End, kind: PacketKind, now: u64) {
+    /// notice, the bit of the last byte the end accepted. Returns the
+    /// reception start of a data frame that went straight on the wire
+    /// ([`DuplexLink::send`]).
+    pub(super) fn send(&mut self, end: End, kind: PacketKind, now: u64) -> Option<LinkEvent> {
         let ei = end_index(end);
         let bit = match kind {
             PacketKind::Data(_) => self.tx_bit[ei],
             PacketKind::Ack | PacketKind::Busy => !self.rx_bit[ei],
         };
-        self.link.send(end, kind, bit, now);
+        self.link.send(end, kind, bit, now)
     }
 
     /// Whether a data byte carrying `bit` that reached `to` is fresh; a
@@ -186,11 +189,11 @@ impl Network {
     /// the end's sequence bit ([`Wire::send`]). A data byte arms its
     /// retransmission timer on a robust wire (the one place a
     /// [`Resend`] is registered) and sets the port's transmit bit (see
-    /// `NodeHot::tx_flight`). On a planned network a data byte that
-    /// starts on an idle classic line leaves its early-acknowledge probe,
-    /// stamped `stamp`; on a routed one the start event waits in the link
-    /// for the wire's next `complete_due`, which drops it. Force-inlined:
-    /// both callers sit on the routed and board hot paths.
+    /// `NodeHot::tx_flight`). A data byte that starts on an idle classic
+    /// line leaves its early-acknowledge probe, stamped `stamp`, when a
+    /// CPU owns the end; a router declines it (see [`Network::land`]).
+    /// Force-inlined: both callers sit on the routed and board hot
+    /// paths.
     #[inline(always)]
     pub(super) fn put(&mut self, node: usize, port: usize, kind: PacketKind, stamp: u64) {
         let w = self.hot.ports[node][port];
@@ -201,7 +204,7 @@ impl Network {
         } else {
             End::B
         };
-        wire.send(end, kind, stamp);
+        let started = wire.send(end, kind, stamp);
         if let PacketKind::Data(byte) = kind {
             if self.robust {
                 wire.resend[end_index(end)] = Some(Resend {
@@ -213,12 +216,8 @@ impl Network {
             }
             self.hot.tx_flight[node] |= 1 << port;
         }
-        if self.router.is_none() {
-            for ev in wire.link.take_pending_events() {
-                if let LinkEvent::DataStarted { to } = ev {
-                    wire.probes.push((stamp, to));
-                }
-            }
+        if let (Some(LinkEvent::DataStarted { to }), None) = (started, &self.router) {
+            wire.probes.push((stamp, to));
         }
         self.schedule_wire(w);
     }
@@ -244,10 +243,12 @@ impl Network {
                 self.wires[w].resend[ei] = None;
                 self.wires[w].failed[ei] = true;
                 self.nodes[node].note_link_failure();
-                if self.router.is_some() {
+                if let Some(router) = &mut self.router {
                     // Routed networks respond to a dead hop by
                     // rebuilding their tables and rerouting.
-                    self.router_wire_failed(w);
+                    let ends = self.wires[w].ends;
+                    router.wire_failed(&mut self.nodes, w, ends, now, &mut self.acts);
+                    self.apply_router_acts(now);
                 }
                 fired = true;
                 continue;
