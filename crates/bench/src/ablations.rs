@@ -3,7 +3,7 @@
 //! code bytes, processor cycles, nanoseconds of simulated time — so the
 //! rows are exact and live in `BENCH_host.json`'s `ablations` section.
 
-use transputer::{Cpu, CpuConfig, HaltReason, MemoryConfig, RunOutcome};
+use transputer::{CpuConfig, MemoryConfig};
 use transputer_apps::{DbSearch, DbSearchConfig};
 use transputer_asm::disassemble;
 use transputer_link::AckPolicy;
@@ -26,11 +26,7 @@ pub struct Ablation {
 
 /// Cycles `program` takes to halt on a T424 configured by `config`.
 fn cycles(program: &occam::Program, config: CpuConfig) -> u64 {
-    let mut cpu = Cpu::new(config);
-    program.load(&mut cpu).expect("ablation program loads");
-    let outcome = cpu.run(100_000_000).expect("ablation program runs");
-    assert_eq!(outcome, RunOutcome::Halted(HaltReason::Stopped));
-    cpu.cycles()
+    crate::run_program(program, config).0.cycles()
 }
 
 /// `source` compiled with the default options as `set` changed them.

@@ -4,6 +4,7 @@
 
 use transputer::CpuConfig;
 use transputer_asm::disassemble;
+use transputer_bench::expimages::{ASSIGN_CONSTANT, ASSIGN_SOURCE, ASSIGN_VARIABLE};
 use transputer_bench::{asm, cells, measure_sequence, table};
 
 fn main() {
@@ -18,20 +19,18 @@ fn main() {
     ]);
 
     // x := 0 — "load constant 0 (1 byte, 1 cycle); store local x (1, 1)".
-    let seq = asm("load constant 0\nstore local 1");
-    let m = measure_sequence(CpuConfig::t424(), &seq);
+    let m = measure_sequence(CpuConfig::t424(), &asm(ASSIGN_CONSTANT));
     table::row(cells!["x := 0", "ldc 0; stl x", 2, m.bytes, 2, m.cycles]);
     let ok1 = m.bytes == 2 && m.cycles == 2;
 
     // x := y — "load local y (1, 2); store local x (1, 1)".
-    let seq = asm("load local 2\nstore local 1");
-    let m = measure_sequence(CpuConfig::t424(), &seq);
+    let m = measure_sequence(CpuConfig::t424(), &asm(ASSIGN_VARIABLE));
     table::row(cells!["x := y", "ldl y; stl x", 2, m.bytes, 3, m.cycles]);
     let ok2 = m.bytes == 2 && m.cycles == 3;
 
     // The compiler must emit the same sequences. `x := 0` body ends with
     // ldc 0; stl <x>.
-    let program = occam::compile("VAR x, y:\nSEQ\n  y := 9\n  x := y").expect("compiles");
+    let program = occam::compile(ASSIGN_SOURCE).expect("compiles");
     let listing = disassemble(&program.code);
     let has_pair = listing
         .windows(2)

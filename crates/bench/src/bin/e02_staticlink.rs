@@ -5,7 +5,8 @@
 
 use transputer::CpuConfig;
 use transputer_asm::disassemble;
-use transputer_bench::{asm, cells, measure_sequence_with_setup, table};
+use transputer_bench::expimages::{STATIC_LINK_SETUP, STATIC_LINK_SOURCE, STATIC_LINK_STORE};
+use transputer_bench::{asm, cells, measure_sequence_with_setup, run_program, table};
 
 fn main() {
     table::heading("E2", "non-local store via static link", "§3.2.6 table 2");
@@ -18,11 +19,8 @@ fn main() {
         "cycles",
     ]);
 
-    // Setup (uncounted): the static link slot (local 2) points at an
-    // outer workspace — here, eight words above our own.
-    let setup = asm("load local pointer 8\nstore local 2");
-    let seq = asm("load constant 1\nload local 2\nstore non local 3");
-    let m = measure_sequence_with_setup(CpuConfig::t424(), &setup, &seq);
+    let setup = asm(STATIC_LINK_SETUP);
+    let m = measure_sequence_with_setup(CpuConfig::t424(), &setup, &asm(STATIC_LINK_STORE));
     table::row(cells![
         "z := 1",
         "ldc 1; ldl staticlink; stnl z",
@@ -34,16 +32,7 @@ fn main() {
     let counts_ok = m.bytes == 3 && m.cycles == 5;
 
     // The compiler emits exactly this shape for a free-variable store.
-    let program = occam::compile(
-        "VAR z:\n\
-         PROC setz =\n\
-         \x20 z := 1\n\
-         :\n\
-         SEQ\n\
-         \x20 z := 0\n\
-         \x20 setz ()",
-    )
-    .expect("compiles");
+    let program = occam::compile(STATIC_LINK_SOURCE).expect("compiles");
     let listing = disassemble(&program.code);
     let mut found = false;
     for w in listing.windows(3) {
@@ -60,9 +49,7 @@ fn main() {
     }
 
     // And run it, proving the store lands.
-    let mut cpu = transputer::Cpu::new(CpuConfig::t424());
-    let wptr = program.load(&mut cpu).expect("loads");
-    cpu.run(100_000).expect("runs");
+    let (mut cpu, wptr) = run_program(&program, CpuConfig::t424());
     let z = program.read_global(&mut cpu, wptr, "z").expect("readable");
     println!("executed: z = {z}");
 

@@ -4,9 +4,9 @@
 //! of the O register and the A register after executing each
 //! instruction."
 
-use transputer::instr::{encode, Direct};
 use transputer::{Cpu, CpuConfig, StepEvent};
-use transputer_bench::{cells, table};
+use transputer_bench::expimages::PREFIXED_CONSTANT;
+use transputer_bench::{asm, cells, sequence_image, table};
 
 fn main() {
     table::heading(
@@ -15,15 +15,12 @@ fn main() {
         "§3.2.7 Figure 5",
     );
 
-    let code = encode(Direct::LoadConstant, 0x754);
+    let code = asm(PREFIXED_CONSTANT);
     assert_eq!(code, vec![0x27, 0x25, 0x44], "pfix 7; pfix 5; ldc 4");
 
     let mut cpu = Cpu::new(CpuConfig::t424());
-    let mut full = code.clone();
-    full.extend(transputer::instr::encode_op(
-        transputer::instr::Op::HaltSimulation,
-    ));
-    cpu.load_boot_program(&full).expect("loads");
+    cpu.load_boot_program(&sequence_image(&[], &code))
+        .expect("loads");
 
     table::header(&[
         "instruction",

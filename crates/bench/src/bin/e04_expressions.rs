@@ -5,6 +5,7 @@
 
 use transputer::{timing, CpuConfig, WordLength};
 use transputer_asm::disassemble;
+use transputer_bench::expimages::{ADD_CONSTANT, ADD_CONSTANT_SOURCE, EXPRESSION};
 use transputer_bench::{asm, cells, measure_sequence, table};
 
 fn main() {
@@ -19,14 +20,13 @@ fn main() {
     ]);
 
     // x + 2: load local x (1 byte, 2 cycles); add constant 2 (1, 1).
-    let m = measure_sequence(CpuConfig::t424(), &asm("ldl 1\nadc 2"));
+    let m = measure_sequence(CpuConfig::t424(), &asm(ADD_CONSTANT));
     table::row(cells!["x + 2", "ldl x; adc 2", 2, m.bytes, 3, m.cycles]);
     let ok1 = m.bytes == 2 && m.cycles == 3;
 
     // (v + w) * (y + z): four loads (2 cycles each), two adds (1 each),
     // multiply (2 bytes, 7 + wordlength cycles).
-    let src = "ldl 1\nldl 2\nadd\nldl 3\nldl 4\nadd\nmul";
-    let m32 = measure_sequence(CpuConfig::t424(), &asm(src));
+    let m32 = measure_sequence(CpuConfig::t424(), &asm(EXPRESSION));
     let paper32 = 4 * 2 + 2 + u64::from(timing::multiply_sequence_cycles(WordLength::Bits32));
     table::row(cells![
         "(v+w)*(y+z) [32-bit]",
@@ -38,7 +38,7 @@ fn main() {
     ]);
     let ok2 = m32.bytes == 8 && m32.cycles == paper32;
 
-    let m16 = measure_sequence(CpuConfig::t222(), &asm(src));
+    let m16 = measure_sequence(CpuConfig::t222(), &asm(EXPRESSION));
     let paper16 = 4 * 2 + 2 + u64::from(timing::multiply_sequence_cycles(WordLength::Bits16));
     table::row(cells![
         "(v+w)*(y+z) [16-bit]",
@@ -59,7 +59,7 @@ fn main() {
     );
 
     // The occam compiler's output for x + 2 is the paper's sequence.
-    let program = occam::compile("VAR x, r:\nSEQ\n  x := 5\n  r := x + 2").expect("compiles");
+    let program = occam::compile(ADD_CONSTANT_SOURCE).expect("compiles");
     let has_adc = disassemble(&program.code)
         .windows(2)
         .any(|w| w[0].to_string().starts_with("ldl") && w[1].to_string() == "adc 2");

@@ -17,8 +17,7 @@ fn main() {
         "Figure 8, §4.2",
     );
 
-    let mut config = DbSearchConfig::figure8();
-    table::inject_faults(&mut config.net);
+    let config = DbSearchConfig::figure8();
     println!(
         "{} transputers, {} records each ({} total), {} pipelined requests\n",
         config.width * config.height,
@@ -53,7 +52,6 @@ fn main() {
         report.total_instructions,
         "—"
     ]);
-    table::degraded_row(&report);
 
     let per_node_search_ms = report.pipeline_interval_ns as f64 / 1e6;
     println!();

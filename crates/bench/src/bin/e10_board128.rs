@@ -20,8 +20,7 @@
 use transputer_apps::{DbSearch, DbSearchConfig};
 use transputer_bench::{cells, table};
 
-fn run_one(label: &str, mut config: DbSearchConfig) -> transputer_apps::DbSearchReport {
-    table::inject_faults(&mut config.net);
+fn run_one(label: &str, config: DbSearchConfig) -> transputer_apps::DbSearchReport {
     println!(
         "\n{label}: {}×{} = {} transputers, {} records ({} requests pipelined)",
         config.width,
@@ -49,7 +48,6 @@ fn run_one(label: &str, mut config: DbSearchConfig) -> transputer_apps::DbSearch
         &report,
         &["less than 1.3 ms", "—", "not adversely affected by scale"],
     );
-    table::degraded_row(&report);
     report
 }
 

@@ -6,6 +6,7 @@
 //! = instructions × 20e6 / cycles.
 
 use transputer::CpuConfig;
+use transputer_bench::expimages::typical_sequence;
 use transputer_bench::{asm, cells, corpus, measure_sequence, run_occam, table};
 
 fn main() {
@@ -19,11 +20,7 @@ fn main() {
     // load/modify/store pattern of sequential code. ldl (2 cycles) +
     // adc (1) + stl (1) = 3 instructions in 4 cycles = exactly 15 MIPS
     // at 20 MHz.
-    let mut typical = String::new();
-    for _ in 0..100 {
-        typical.push_str("ldl 1\nadc 1\nstl 1\n");
-    }
-    let m = measure_sequence(CpuConfig::t424(), &asm(&typical));
+    let m = measure_sequence(CpuConfig::t424(), &asm(&typical_sequence()));
     let typical_mips = 300.0 * 20.0 / m.cycles as f64;
     println!(
         "typical sequence (ldl; adc; stl ×100): {} instructions in {} cycles = {:.1} MIPS at 20 MHz\n",

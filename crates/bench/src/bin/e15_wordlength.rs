@@ -7,18 +7,8 @@
 //! generation) and the same binary is executed on the 32-bit T424 model
 //! and the 16-bit T222 model; results must be identical.
 
-use transputer::{Cpu, CpuConfig};
-use transputer_bench::{cells, corpus, table};
-
-fn run_binary(program: &occam::Program, config: CpuConfig) -> (i64, String) {
-    let mut cpu = Cpu::new(config);
-    let wptr = program.load(&mut cpu).expect("loads");
-    match cpu.run(500_000_000).expect("runs") {
-        transputer::RunOutcome::Halted(transputer::HaltReason::Stopped) => {}
-        other => panic!("did not halt cleanly: {other:?}"),
-    }
-    (0, format!("{wptr:x}"))
-}
+use transputer::CpuConfig;
+use transputer_bench::{cells, corpus, run_program, table};
 
 fn main() {
     table::heading("E15", "word-length independence", "§3.3");
@@ -38,12 +28,7 @@ fn main() {
         let results: Vec<i64> = [CpuConfig::t424(), CpuConfig::t222()]
             .into_iter()
             .map(|config| {
-                let mut cpu = Cpu::new(config);
-                let wptr = program.load(&mut cpu).expect("loads");
-                match cpu.run(500_000_000).expect("runs") {
-                    transputer::RunOutcome::Halted(transputer::HaltReason::Stopped) => {}
-                    other => panic!("{}: did not halt cleanly: {other:?}", item.name),
-                }
+                let (mut cpu, wptr) = run_program(&program, config);
                 let raw = program
                     .read_global(&mut cpu, wptr, item.check_global)
                     .expect("global");
@@ -68,7 +53,6 @@ fn main() {
         if item.word16_safe {
             all_ok &= same;
         }
-        let _ = run_binary; // (helper reserved for extensions)
     }
     println!();
     println!(

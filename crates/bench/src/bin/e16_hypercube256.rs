@@ -14,8 +14,7 @@
 use transputer_apps::dbsearch::{DbSearch, HypercubeConfig};
 use transputer_bench::{cells, table};
 
-fn run_one(label: &str, mut config: HypercubeConfig) -> transputer_apps::DbSearchReport {
-    table::inject_faults(&mut config.net);
+fn run_one(label: &str, config: HypercubeConfig) -> transputer_apps::DbSearchReport {
     println!(
         "\n{label}: 2^{} clusters of {}×{} = {} transputers, {} records \
          ({} requests pipelined)",
@@ -51,7 +50,6 @@ fn run_one(label: &str, mut config: HypercubeConfig) -> transputer_apps::DbSearc
             "not adversely affected by scale",
         ],
     );
-    table::degraded_row(&report);
     report
 }
 

@@ -47,8 +47,7 @@ fn main() {
         "run-time routing instead of planned trees",
     );
 
-    let mut config = HypercubeConfig::hypercube256();
-    table::inject_faults(&mut config.net);
+    let config = HypercubeConfig::hypercube256();
     println!(
         "\nrouted hypercube(4,4): 2^{} clusters of {}×{} = {} transputers, \
          {} records ({} requests pipelined)",

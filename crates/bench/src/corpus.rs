@@ -4,6 +4,12 @@
 //! experiments: instruction encoding density (E12), execution rate (E13),
 //! word-length independence (E15), and the compiler benchmarks. Each
 //! program leaves a checkable result in a named top-level variable.
+//!
+//! The eight [`CORPUS`] sources are the files
+//! `benchmark/workloads/corpus/<stem>.occ` the system benchmark runs,
+//! taken in at compile time; `expected.txt` beside them restates each
+//! result, and a test holds it to the values here. The three programs
+//! of the static-model corpus alone live in this file.
 
 /// One corpus program.
 #[derive(Debug, Clone, Copy)]
@@ -26,33 +32,7 @@ pub struct CorpusItem {
 /// Sieve of Eratosthenes: count primes below 100.
 pub const SIEVE: CorpusItem = CorpusItem {
     name: "sieve",
-    source: "\
-DEF limit = 100:
-VAR flags[100], count:
-SEQ
-  SEQ i = [0 FOR limit]
-    flags[i] := TRUE
-  flags[0] := FALSE
-  flags[1] := FALSE
-  SEQ i = [2 FOR 8]
-    IF
-      flags[i]
-        VAR j:
-        SEQ
-          j := i * i
-          WHILE j < limit
-            SEQ
-              flags[j] := FALSE
-              j := j + i
-      TRUE
-        SKIP
-  count := 0
-  SEQ i = [0 FOR limit]
-    IF
-      flags[i]
-        count := count + 1
-      TRUE
-        SKIP",
+    source: include_str!("../../../benchmark/workloads/corpus/sieve.occ"),
     check_global: "count",
     expected: 25,
     word16_safe: true,
@@ -62,29 +42,7 @@ SEQ
 /// order.
 pub const SORT: CorpusItem = CorpusItem {
     name: "bubble-sort",
-    source: "\
-DEF n = 24:
-VAR v[24], seed, check:
-SEQ
-  seed := 12345
-  SEQ i = [0 FOR n]
-    SEQ
-      seed := ((seed * 75) + 74) \\ 65537
-      v[i] := seed
-  SEQ pass = [0 FOR n]
-    SEQ i = [0 FOR n - 1]
-      IF
-        v[i] > v[i + 1]
-          VAR t:
-          SEQ
-            t := v[i]
-            v[i] := v[i + 1]
-            v[i + 1] := t
-        TRUE
-          SKIP
-  check := 0
-  SEQ i = [0 FOR n]
-    check := ((check * 31) + v[i]) \\ 100000",
+    source: include_str!("../../../benchmark/workloads/corpus/sort.occ"),
     check_global: "check",
     expected: {
         // Reference computation mirrored in Rust.
@@ -125,18 +83,7 @@ SEQ
 /// Iterative Fibonacci.
 pub const FIB: CorpusItem = CorpusItem {
     name: "fibonacci",
-    source: "\
-VAR a, b, fib:
-SEQ
-  a := 0
-  b := 1
-  SEQ i = [0 FOR 30]
-    VAR t:
-    SEQ
-      t := a + b
-      a := b
-      b := t
-  fib := a",
+    source: include_str!("../../../benchmark/workloads/corpus/fib.occ"),
     check_global: "fib",
     expected: 832_040,
     // The 30th Fibonacci number overflows 16 bits.
@@ -146,18 +93,7 @@ SEQ
 /// Greatest common divisor by repeated remainder.
 pub const GCD: CorpusItem = CorpusItem {
     name: "gcd",
-    source: "\
-VAR a, b, g:
-SEQ
-  a := 1071 * 11
-  b := 462 * 11
-  WHILE b <> 0
-    VAR t:
-    SEQ
-      t := a \\ b
-      a := b
-      b := t
-  g := a",
+    source: include_str!("../../../benchmark/workloads/corpus/gcd.occ"),
     check_global: "g",
     expected: 231,
     word16_safe: true,
@@ -166,24 +102,7 @@ SEQ
 /// Producer/consumer pipeline over internal channels.
 pub const PIPELINE: CorpusItem = CorpusItem {
     name: "pipeline",
-    source: "\
-VAR total:
-CHAN raw, squared:
-SEQ
-  total := 0
-  PAR
-    SEQ i = [1 FOR 20]
-      raw ! i
-    VAR x:
-    SEQ i = [0 FOR 20]
-      SEQ
-        raw ? x
-        squared ! x * x
-    VAR y:
-    SEQ i = [0 FOR 20]
-      SEQ
-        squared ? y
-        total := total + y",
+    source: include_str!("../../../benchmark/workloads/corpus/pipeline.occ"),
     check_global: "total",
     expected: {
         // Sum of squares 1..=20.
@@ -201,25 +120,7 @@ SEQ
 /// Small dense matrix multiply (4x4).
 pub const MATMUL: CorpusItem = CorpusItem {
     name: "matmul",
-    source: "\
-DEF n = 4:
-VAR a[16], b[16], c[16], check:
-SEQ
-  SEQ i = [0 FOR 16]
-    SEQ
-      a[i] := i + 1
-      b[i] := 16 - i
-  SEQ i = [0 FOR n]
-    SEQ j = [0 FOR n]
-      VAR acc:
-      SEQ
-        acc := 0
-        SEQ k = [0 FOR n]
-          acc := acc + (a[(i * 4) + k] * b[(k * 4) + j])
-        c[(i * 4) + j] := acc
-  check := 0
-  SEQ i = [0 FOR 16]
-    check := check + c[i]",
+    source: include_str!("../../../benchmark/workloads/corpus/matmul.occ"),
     check_global: "check",
     expected: {
         let mut a = [0i64; 16];
@@ -260,19 +161,7 @@ SEQ
 /// Worker farm: replicated PAR over a channel vector.
 pub const FARM: CorpusItem = CorpusItem {
     name: "farm",
-    source: "\
-VAR results[4], total:
-CHAN work[4]:
-SEQ
-  PAR
-    SEQ i = [0 FOR 4]
-      work[i] ! (i + 1) * 100
-    PAR w = [0 FOR 4]
-      VAR job:
-      SEQ
-        work[w] ? job
-        results[w] := job + w
-  total := ((results[0] + results[1]) + results[2]) + results[3]",
+    source: include_str!("../../../benchmark/workloads/corpus/farm.occ"),
     check_global: "total",
     expected: 100 + 200 + 1 + 300 + 2 + 400 + 3,
     word16_safe: true,
@@ -282,18 +171,7 @@ SEQ
 /// subscripts and folds them (exercises `load byte`/`store byte`).
 pub const BYTESUM: CorpusItem = CorpusItem {
     name: "byte-checksum",
-    source: "\
-DEF words = 8:
-VAR buf[8], check, i:
-SEQ
-  SEQ k = [0 FOR 32]
-    buf[BYTE k] := (k * 37) /\\ #FF
-  check := 0
-  i := 0
-  WHILE i < 32
-    SEQ
-      check := ((check << 1) + buf[BYTE i]) \\ 65521
-      i := i + 1",
+    source: include_str!("../../../benchmark/workloads/corpus/bytesum.occ"),
     check_global: "check",
     expected: {
         let mut check = 0i64;
@@ -395,13 +273,28 @@ mod tests {
         }
     }
 
+    /// `expected.txt` names, for each `<stem>.occ`, the same result
+    /// variable and value as the item that includes the file.
+    #[test]
+    fn expected_txt_matches_the_corpus() {
+        let stems = [
+            "sieve", "sort", "fib", "gcd", "pipeline", "matmul", "farm", "bytesum",
+        ];
+        let want: Vec<String> = stems
+            .iter()
+            .zip(CORPUS)
+            .map(|(stem, item)| format!("{stem} {} {}", item.check_global, item.expected))
+            .collect();
+        let file = include_str!("../../../benchmark/workloads/corpus/expected.txt");
+        let got: Vec<&str> = file.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn static_model_corpus_computes_expected_values() {
         for item in STATIC_MODEL_CORPUS {
-            let program = occam::compile(item.source).expect(item.name);
-            let mut cpu = transputer::Cpu::new(transputer::CpuConfig::t424());
-            let wptr = program.load(&mut cpu).expect(item.name);
-            cpu.run(500_000_000).expect(item.name);
+            let (program, mut cpu, wptr) =
+                crate::run_occam(item.source, transputer::CpuConfig::t424());
             let got = program
                 .read_global(&mut cpu, wptr, item.check_global)
                 .unwrap();

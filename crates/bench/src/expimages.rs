@@ -5,14 +5,16 @@
 //! change that makes an experiment workload unverifiable fails the gate
 //! even if the experiment itself still runs.
 //!
-//! The images of more than a line are built here and nowhere else: e05,
-//! e06, e08 and e14 call [`rendezvous_image`], [`priority_image`] with
+//! Every image and compiler-check source is written here and nowhere
+//! else: e01–e04 and e13 measure the sequences named below (through
+//! [`crate::asm`] and [`crate::measure_sequence_with_setup`], whose
+//! image [`crate::sequence_image`] lays out) and compile the `*_SOURCE`
+//! programs, e03 traces [`PREFIXED_CONSTANT`], and e05, e06, e08 and e14
+//! call [`rendezvous_image`], [`priority_image`] with
 //! [`priority_mixes`], and [`link_image`], so the gate verifies the
-//! bytes those experiments execute. The one-line measured sequences
-//! (e01–e04, e13) are restated through [`crate::asm`], the assembler
-//! the binaries pass them to. Experiments that only exercise the link
-//! layer (e07) or run corpus/occam programs covered elsewhere (e09–e12,
-//! e15–e17) contribute no raw image.
+//! bytes the experiments execute. Experiments that only exercise the
+//! link layer (e07) or run corpus/occam programs covered elsewhere
+//! (e09–e12, e15–e17) contribute no raw image.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
@@ -27,13 +29,36 @@ pub struct ExpImage {
     pub code: Vec<u8>,
 }
 
-/// Mirror of [`crate::measure_sequence_with_setup`]'s image layout:
-/// setup, then the measured sequence, then the halt terminator.
+/// E1's `x := 0` (§3.2.6 table 1).
+pub const ASSIGN_CONSTANT: &str = "load constant 0\nstore local 1";
+/// E1's `x := y` (§3.2.6 table 1).
+pub const ASSIGN_VARIABLE: &str = "load local 2\nstore local 1";
+/// E1's compiler check: its output holds the paper's `ldl; stl` pair.
+pub const ASSIGN_SOURCE: &str = "VAR x, y:\nSEQ\n  y := 9\n  x := y";
+/// E2's uncounted setup: the static link slot (local 2) points at an
+/// outer workspace eight words above.
+pub const STATIC_LINK_SETUP: &str = "load local pointer 8\nstore local 2";
+/// E2's `z := 1` through the static link (§3.2.6 table 2).
+pub const STATIC_LINK_STORE: &str = "load constant 1\nload local 2\nstore non local 3";
+/// E2's compiler check: a store to a variable declared outside a PROC.
+pub const STATIC_LINK_SOURCE: &str = "VAR z:\nPROC setz =\n  z := 1\n:\nSEQ\n  z := 0\n  setz ()";
+/// E3's Figure 5: the constant `#754` built by two prefixes.
+pub const PREFIXED_CONSTANT: &str = "load constant #754";
+/// E4's `x + 2` (§3.2.9).
+pub const ADD_CONSTANT: &str = "ldl 1\nadc 2";
+/// E4's `(v + w) * (y + z)` (§3.2.9).
+pub const EXPRESSION: &str = "ldl 1\nldl 2\nadd\nldl 3\nldl 4\nadd\nmul";
+/// E4's compiler check: its output holds `ldl x; adc 2`.
+pub const ADD_CONSTANT_SOURCE: &str = "VAR x, r:\nSEQ\n  x := 5\n  r := x + 2";
+
+/// E13's typical sequence: load/modify/store, 100 times over.
+pub fn typical_sequence() -> String {
+    "ldl 1\nadc 1\nstl 1\n".repeat(100)
+}
+
+/// The image of `seq` measured after `setup`.
 fn measured(setup: &str, seq: &str) -> Vec<u8> {
-    let mut code = crate::asm(setup);
-    code.extend(crate::asm(seq));
-    code.extend(encode_op(Op::HaltSimulation));
-    code
+    crate::sequence_image(&crate::asm(setup), &crate::asm(seq))
 }
 
 /// E5/E14's two-process rendezvous of `n` bytes on an internal channel,
@@ -154,34 +179,27 @@ pub fn experiment_images() -> Vec<ExpImage> {
     let mut images = vec![
         ExpImage {
             name: "e01-assign-constant",
-            code: measured("", "load constant 0\nstore local 1"),
+            code: measured("", ASSIGN_CONSTANT),
         },
         ExpImage {
             name: "e01-assign-variable",
-            code: measured("", "load local 2\nstore local 1"),
+            code: measured("", ASSIGN_VARIABLE),
         },
         ExpImage {
             name: "e02-static-link-store",
-            code: measured(
-                "load local pointer 8\nstore local 2",
-                "load constant 1\nload local 2\nstore non local 3",
-            ),
+            code: measured(STATIC_LINK_SETUP, STATIC_LINK_STORE),
         },
         ExpImage {
             name: "e03-prefixed-constant",
-            code: {
-                let mut code = encode(Direct::LoadConstant, 0x754);
-                code.extend(encode_op(Op::HaltSimulation));
-                code
-            },
+            code: measured("", PREFIXED_CONSTANT),
         },
         ExpImage {
             name: "e04-add-constant",
-            code: measured("", "ldl 1\nadc 2"),
+            code: measured("", ADD_CONSTANT),
         },
         ExpImage {
             name: "e04-expression",
-            code: measured("", "ldl 1\nldl 2\nadd\nldl 3\nldl 4\nadd\nmul"),
+            code: measured("", EXPRESSION),
         },
         ExpImage {
             name: "e05-internal-rendezvous",
@@ -197,13 +215,7 @@ pub fn experiment_images() -> Vec<ExpImage> {
         },
         ExpImage {
             name: "e13-typical-sequence",
-            code: {
-                let mut src = String::new();
-                for _ in 0..100 {
-                    src.push_str("ldl 1\nadc 1\nstl 1\n");
-                }
-                measured("", &src)
-            },
+            code: measured("", &typical_sequence()),
         },
         ExpImage {
             name: "e14-context-switch",
@@ -224,27 +236,14 @@ pub fn experiment_images() -> Vec<ExpImage> {
 /// per-node application sources from e09–e11 and e16, and the uniform
 /// routed programs from e17.
 pub fn experiment_sources() -> Vec<(String, String)> {
-    let mut sources: Vec<(String, String)> = vec![
-        (
-            "e01-compiler-check".to_string(),
-            "VAR x, y:\nSEQ\n  y := 9\n  x := y".to_string(),
-        ),
-        (
-            "e02-compiler-check".to_string(),
-            "VAR z:\n\
-             PROC setz =\n\
-             \x20 z := 1\n\
-             :\n\
-             SEQ\n\
-             \x20 z := 0\n\
-             \x20 setz ()"
-                .to_string(),
-        ),
-        (
-            "e04-compiler-check".to_string(),
-            "VAR x, r:\nSEQ\n  x := 5\n  r := x + 2".to_string(),
-        ),
+    let checks = [
+        ("e01-compiler-check", ASSIGN_SOURCE),
+        ("e02-compiler-check", STATIC_LINK_SOURCE),
+        ("e04-compiler-check", ADD_CONSTANT_SOURCE),
     ];
+    let mut sources: Vec<(String, String)> = checks
+        .map(|(name, source)| (name.to_string(), source.to_string()))
+        .to_vec();
     for (name, source) in dbsearch::array_sources(&DbSearchConfig::figure8()) {
         sources.push((format!("e09-{name}"), source));
     }

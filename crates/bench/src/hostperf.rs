@@ -519,30 +519,6 @@ pub fn switching_pairs(networks: &[NetRun]) -> Vec<(&str, &NetRun, &NetRun)> {
     pairs
 }
 
-/// Default per-packet fault rate for the faulted benchmark variants:
-/// drop, corruption, and jitter each at one packet in ten thousand.
-pub const FAULT_RATE_DEFAULT: f64 = 1e-4;
-
-/// Default fault seed (the paper's year, matching the workload seed).
-pub const FAULT_SEED_DEFAULT: u64 = 1985;
-
-/// Fault plan selected by the `FAULT_RATE` / `FAULT_SEED` environment
-/// variables; `None` when `FAULT_RATE` is unset, unparsable, or zero.
-/// The search experiments consult it through
-/// [`crate::table::inject_faults`], so their reports can be regenerated
-/// under injected link faults.
-pub fn fault_plan_from_env() -> Option<FaultPlan> {
-    let rate: f64 = std::env::var("FAULT_RATE").ok()?.parse().ok()?;
-    if rate <= 0.0 {
-        return None;
-    }
-    let seed = std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(FAULT_SEED_DEFAULT);
-    Some(FaultPlan::uniform(seed, rate))
-}
-
 /// Outcome checks over a set of runs of the *same* benchmark: all
 /// answers correct and every fingerprint identical. Returns error lines,
 /// empty when healthy.
@@ -787,156 +763,99 @@ pub fn source_lines() -> Vec<(String, usize)> {
 
 use Machine::{Routed, RoutedCube, Tree, TreeCube};
 
-/// One network benchmark: its name, the run of it under one engine, and
-/// the engines it runs under.
-pub type Row = (
-    &'static str,
-    fn(&'static str, Engine) -> NetRun,
-    &'static [Engine],
-);
+/// One network benchmark: its name and the run of it under one engine.
+pub type Row = (&'static str, fn(&'static str, Engine) -> NetRun);
 
-/// Event is the oracle every row that can afford it is checked against.
-const BOTH: &[Engine] = &[Engine::Event, Engine::Sliced];
-/// Rows where the per-instruction engine would add minutes in debug
-/// builds, not signal: Event-vs-Sliced identity on that machine class
-/// is already pinned by a smaller row.
-const FAST: &[Engine] = &[Engine::Sliced];
-
-/// `machine` under the default fault plan at `scale` times its rate.
+/// `machine` under a uniform fault plan seeded with the paper's year:
+/// drop, corruption and jitter each at `scale` packets in ten thousand.
 fn faulted(machine: Machine, scale: f64) -> Machine {
-    machine.faulted(FaultPlan::uniform(
-        FAULT_SEED_DEFAULT,
-        FAULT_RATE_DEFAULT * scale,
-    ))
+    machine.faulted(FaultPlan::uniform(1985, 1e-4 * scale))
 }
 
 /// The trimmed machines see few packets, so their faulted rows scale the
 /// rate up to make faults certain to fire.
 const TRIMMED: f64 = 20.0;
 
-/// Every network benchmark. Each row runs under each of its engines,
-/// and the runs must fingerprint identically ([`cross_check`]) — clean,
-/// under injected faults (the retry machinery must hide every fault,
-/// bit-identically), and over the router in both switching modes.
+/// Every network benchmark. Each row runs under Event, the oracle, and
+/// under Sliced, and the two runs must fingerprint identically
+/// ([`cross_check`]) — clean, under injected faults (the retry machinery
+/// must hide every fault, bit-identically), and over the router in both
+/// switching modes.
 pub const ROWS: &[Row] = &[
     // The trimmed machines ([`TRIMMED_ROWS`]): e09's topology and a
     // routed 3x3 grid — the only routed rows that run faulted. The
     // `_worm` rows pair with their store-and-forward counterparts in
     // the `switching` section.
-    (
-        "e09_figure8_smoke",
-        |b, e| Tree(figure8_smoke()).run(b, e),
-        BOTH,
-    ),
-    (
-        "e09_smoke_faulted",
-        |b, e| faulted(Tree(figure8_smoke()), TRIMMED).run(b, e),
-        BOTH,
-    ),
-    (
-        "e17_routed_smoke",
-        |b, e| Routed(routed_smoke()).run(b, e),
-        BOTH,
-    ),
-    (
-        "e17_routed_smoke_faulted",
-        |b, e| faulted(Routed(routed_smoke()), TRIMMED).run(b, e),
-        BOTH,
-    ),
-    (
-        "e17_routed_smoke_worm",
-        |b, e| Routed(routed_smoke()).wormhole().run(b, e),
-        BOTH,
-    ),
-    (
-        "e17_routed_smoke_worm_faulted",
-        |b, e| faulted(Routed(routed_smoke()).wormhole(), TRIMMED).run(b, e),
-        BOTH,
-    ),
+    ("e09_figure8_smoke", |b, e| Tree(figure8_smoke()).run(b, e)),
+    ("e09_smoke_faulted", |b, e| {
+        faulted(Tree(figure8_smoke()), TRIMMED).run(b, e)
+    }),
+    ("e17_routed_smoke", |b, e| Routed(routed_smoke()).run(b, e)),
+    ("e17_routed_smoke_faulted", |b, e| {
+        faulted(Routed(routed_smoke()), TRIMMED).run(b, e)
+    }),
+    ("e17_routed_smoke_worm", |b, e| {
+        Routed(routed_smoke()).wormhole().run(b, e)
+    }),
+    ("e17_routed_smoke_worm_faulted", |b, e| {
+        faulted(Routed(routed_smoke()).wormhole(), TRIMMED).run(b, e)
+    }),
     // The paper's machines, full size.
-    (
-        "e09_figure8",
-        |b, e| Tree(DbSearchConfig::figure8()).run(b, e),
-        BOTH,
-    ),
-    (
-        "e10_board128",
-        |b, e| Tree(DbSearchConfig::board128()).run(b, e),
-        BOTH,
-    ),
-    (
-        "e16_hypercube256",
-        |b, e| TreeCube(HypercubeConfig::hypercube256()).run(b, e),
-        BOTH,
-    ),
+    ("e09_figure8", |b, e| {
+        Tree(DbSearchConfig::figure8()).run(b, e)
+    }),
+    ("e10_board128", |b, e| {
+        Tree(DbSearchConfig::board128()).run(b, e)
+    }),
+    ("e16_hypercube256", |b, e| {
+        TreeCube(HypercubeConfig::hypercube256()).run(b, e)
+    }),
     // Faulted variants: the search must complete correct (possibly
     // degraded-flagged) while each link suffers deterministic drops,
     // corruption, and jitter.
-    (
-        "e09_faulted",
-        |b, e| faulted(Tree(DbSearchConfig::figure8()), 1.0).run(b, e),
-        BOTH,
-    ),
-    (
-        "e10_faulted",
-        |b, e| faulted(Tree(DbSearchConfig::board128()), 1.0).run(b, e),
-        BOTH,
-    ),
-    (
-        "e16_faulted",
-        |b, e| faulted(TreeCube(HypercubeConfig::hypercube256()), 1.0).run(b, e),
-        FAST,
-    ),
+    ("e09_faulted", |b, e| {
+        faulted(Tree(DbSearchConfig::figure8()), 1.0).run(b, e)
+    }),
+    ("e10_faulted", |b, e| {
+        faulted(Tree(DbSearchConfig::board128()), 1.0).run(b, e)
+    }),
+    ("e16_faulted", |b, e| {
+        faulted(TreeCube(HypercubeConfig::hypercube256()), 1.0).run(b, e)
+    }),
     // The e17 acceptance shape: the e16 machine searched over virtual
     // channels, no per-topology tree planning.
-    (
-        "e17_routed256",
-        |b, e| RoutedCube(HypercubeConfig::hypercube256()).run(b, e),
-        BOTH,
-    ),
+    ("e17_routed256", |b, e| {
+        RoutedCube(HypercubeConfig::hypercube256()).run(b, e)
+    }),
     // Wormhole degrades to store-and-forward on the cluster hypercube
     // (see [`Machine::wormhole`]); [`Report::measure`] checks this row
     // fingerprints identically to the plain e17 row.
-    (
-        "e17_routed256_worm",
-        |b, e| {
-            RoutedCube(HypercubeConfig::hypercube256())
-                .wormhole()
-                .run(b, e)
-        },
-        FAST,
-    ),
+    ("e17_routed256_worm", |b, e| {
+        RoutedCube(HypercubeConfig::hypercube256())
+            .wormhole()
+            .run(b, e)
+    }),
     // The 1024-node routed stress grid: the router completes at 4x the
     // acceptance node count. Its dimension-order tables keep the
     // channel-dependency graph acyclic, so cut-through stays armed; the
     // pair is reported in the `switching` section but not gated — its
     // hop latencies are queue-wait dominated, so the reduction it shows
     // is congestion relief, not the switching cost itself.
-    (
-        "e17_grid1024",
-        |b, e| Routed(grid32x32_stress()).run(b, e),
-        FAST,
-    ),
-    (
-        "e17_grid1024_worm",
-        |b, e| Routed(grid32x32_stress()).wormhole().run(b, e),
-        FAST,
-    ),
+    ("e17_grid1024", |b, e| Routed(grid32x32_stress()).run(b, e)),
+    ("e17_grid1024_worm", |b, e| {
+        Routed(grid32x32_stress()).wormhole().run(b, e)
+    }),
     // One packet over the 62-hop diagonal of the same grid, otherwise
     // idle: the pair the >= 2x gate judges (store-and-forward pays a
     // full packet reassembly per hop; cut-through pays three header
     // byte-times — congestion-free, so the reduction is a property of
     // the switching mode).
-    (
-        "e17_longpath1024",
-        |b, e| run_long_path(b, Switching::StoreAndForward, e),
-        BOTH,
-    ),
-    (
-        "e17_longpath1024_worm",
-        |b, e| run_long_path(b, Switching::Wormhole, e),
-        BOTH,
-    ),
+    ("e17_longpath1024", |b, e| {
+        run_long_path(b, Switching::StoreAndForward, e)
+    }),
+    ("e17_longpath1024_worm", |b, e| {
+        run_long_path(b, Switching::Wormhole, e)
+    }),
 ];
 
 /// The rows of [`ROWS`] that run in seconds in a debug build.
@@ -985,8 +904,8 @@ impl Report {
             report.problems.push(problem);
         }
         report.static_model = static_model_runs(&mut report.problems);
-        for &(bench, run, engines) in rows {
-            let runs: Vec<NetRun> = engines.iter().map(|&e| run(bench, e)).collect();
+        for &(bench, run) in rows {
+            let runs = [Engine::Event, Engine::Sliced].map(|e| run(bench, e));
             report.problems.extend(cross_check(&runs));
             report.networks.extend(runs);
         }

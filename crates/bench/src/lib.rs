@@ -42,14 +42,8 @@ pub fn measure_sequence_with_setup(
     setup: &[u8],
     code: &[u8],
 ) -> SequenceMeasure {
-    let mut full = setup.to_vec();
-    full.extend_from_slice(code);
-    // Terminator so the run is bounded even if stepped past.
-    full.extend(transputer::instr::encode_op(
-        transputer::instr::Op::HaltSimulation,
-    ));
     let mut cpu = Cpu::new(config);
-    cpu.load_boot_program(&full)
+    cpu.load_boot_program(&sequence_image(setup, code))
         .expect("sequence fits in memory");
     let entry = cpu.memory().mem_start();
     let start = entry + setup.len() as u32;
@@ -72,6 +66,16 @@ pub fn measure_sequence_with_setup(
         cycles,
         areg: cpu.areg(),
     }
+}
+
+/// The image [`measure_sequence_with_setup`] runs: `setup`, then `code`,
+/// then a halt terminator so the run is bounded even if stepped past.
+pub fn sequence_image(setup: &[u8], code: &[u8]) -> Vec<u8> {
+    let mut image = [setup, code].concat();
+    image.extend(transputer::instr::encode_op(
+        transputer::instr::Op::HaltSimulation,
+    ));
+    image
 }
 
 /// Result of [`measure_sequence`].
@@ -103,13 +107,24 @@ pub fn asm(source: &str) -> Vec<u8> {
 /// Panics if the program does not compile, load and halt cleanly.
 pub fn run_occam(source: &str, config: CpuConfig) -> (occam::Program, Cpu, u32) {
     let program = occam::compile(source).expect("corpus program compiles");
-    let mut cpu = Cpu::new(config);
-    let wptr = program.load(&mut cpu).expect("corpus program loads");
-    match cpu.run(500_000_000).expect("corpus program within budget") {
-        transputer::RunOutcome::Halted(transputer::HaltReason::Stopped) => {}
-        other => panic!("corpus program did not halt cleanly: {other:?}"),
-    }
+    let (cpu, wptr) = run_program(&program, config);
     (program, cpu, wptr)
+}
+
+/// Load a compiled program on a fresh processor of the given part, run
+/// it to a clean halt, and return the CPU and the program's workspace.
+///
+/// # Panics
+///
+/// Panics if the program does not load and halt cleanly.
+pub fn run_program(program: &occam::Program, config: CpuConfig) -> (Cpu, u32) {
+    let mut cpu = Cpu::new(config);
+    let wptr = program.load(&mut cpu).expect("program loads");
+    match cpu.run(500_000_000).expect("program within budget") {
+        transputer::RunOutcome::Halted(transputer::HaltReason::Stopped) => {}
+        other => panic!("program did not halt cleanly: {other:?}"),
+    }
+    (cpu, wptr)
 }
 
 #[cfg(test)]

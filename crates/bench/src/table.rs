@@ -3,9 +3,6 @@
 //! can be regenerated by piping the binaries' output.
 
 use transputer_apps::DbSearchReport;
-use transputer_net::NetworkConfig;
-
-use crate::hostperf::fault_plan_from_env;
 
 /// Print an experiment heading.
 pub fn heading(id: &str, title: &str, paper_ref: &str) {
@@ -40,18 +37,6 @@ pub fn verdict(ok: bool, what: &str) {
     println!("\n{} {what}", if ok { "PASS:" } else { "FAIL:" });
 }
 
-/// Under `FAULT_RATE` (and `FAULT_SEED`), put a uniform fault plan on
-/// every link of `net` and say so.
-pub fn inject_faults(net: &mut NetworkConfig) {
-    if let Some(plan) = fault_plan_from_env() {
-        println!(
-            "\nfault injection: uniform rate {} (seed {}) on every link",
-            plan.drop_rate, plan.seed
-        );
-        net.fault = Some(plan);
-    }
-}
-
 /// A search's timing rows, one per paper claim given: first-answer
 /// latency, then the pipelined answer interval, then throughput.
 pub fn search_rows(report: &DbSearchReport, paper: &[&str]) {
@@ -65,22 +50,6 @@ pub fn search_rows(report: &DbSearchReport, paper: &[&str]) {
     ];
     for ((metric, value), paper) in measured.into_iter().zip(paper) {
         row(cells![metric, value, paper]);
-    }
-}
-
-/// The row a partial (degraded) search adds; nothing for a whole one.
-pub fn degraded_row(report: &DbSearchReport) {
-    if report.degraded {
-        row(cells![
-            "degraded",
-            format!(
-                "{} of {} answers, {} node(s) excluded",
-                report.received,
-                report.expected.len(),
-                report.excluded_nodes
-            ),
-            "—"
-        ]);
     }
 }
 
