@@ -56,8 +56,8 @@ pub struct Counters {
     pub instructions: u64,
     /// Logical operations executed.
     pub operations: u64,
-    /// Operations the translation tier interpreted one at a time, not
-    /// (yet) in a block.
+    /// Operations run outside translated blocks while the tier was on:
+    /// the ones it found in no block and left to the byte path.
     pub decode_misses: u64,
     /// Hot basic blocks compiled to threaded code.
     pub trans_blocks: u64,
@@ -82,10 +82,10 @@ impl Counters {
         self.trans_invalidations += s.trans_invalidations;
     }
 
-    /// The share of operations executed in translated blocks: all of
-    /// them bar the ones the tier interpreted one at a time (the few
-    /// the byte path runs at a budget or fence count as translated). 0
-    /// when no block was ever entered — the Event
+    /// The share of operations executed in translated blocks: all bar
+    /// those run outside them (the byte path's few at a budget, a fence,
+    /// a busy timer queue or off-chip code count as translated). 0 when
+    /// no block was ever entered — the Event
     /// engine steps, and a tier that is off translates nothing. Warm code
     /// that falls out of the tier shows here before it shows on a
     /// stopwatch.
@@ -1117,7 +1117,7 @@ mod tests {
 
     /// The translation tier pinned by its cause, as a count: warm code
     /// stays in translated blocks. `decode_misses` are the operations
-    /// the tier interpreted one at a time: cold first visits (9 150 on
+    /// run outside blocks while the tier is on: cold first visits (9 150 on
     /// the trimmed board, which dominate a run this short) plus
     /// re-executions outside any block — 653 today, 23 416 (32 566 in
     /// all) when the operations after a `cj` not taken, a `j 0` or a

@@ -3,29 +3,20 @@
 //!
 //! There are two CPU tiers: the byte path (`Cpu::exec_one`, the
 //! reference) and the translation tier (`cpu/translate.rs`). This
-//! module is the decoder of the second: [`decode_entry`] is what
-//! `build_block` walks a basic block with, and what the tier's cold arm
-//! — code not yet hot enough to be a block — interprets one operation
-//! at a time from. It is a pure function of memory. Nothing it returns
-//! is stored outside a translated block, so there is no cache of
-//! decoded operations to go stale, and cold self-modifying code is
-//! right by construction: the bytes are read when they are executed.
+//! module is the decoder of the second, and `build_block` is its only
+//! caller: [`decode_entry`] is what a hot leader's basic block is
+//! walked with, once, when it is translated. It is a pure function of
+//! memory. Nothing it returns is stored outside a translated block, so
+//! there is no cache of decoded operations to go stale; code that is
+//! not in a block runs on the byte path, which reads each byte as it
+//! executes it, so cold self-modifying code is right by construction.
 //! A memo would be filled and never read — a leader is translated on
 //! its second arrival, so warm code is in a block before it could hit
 //! (DESIGN §7 has the counts).
 //!
-//! What the cold arm does with an entry is invisible to the simulation:
-//!
-//! * **Timing** is charged exactly as the byte path charges it — one
-//!   cycle per prefix byte (batched into a single addition, legal
-//!   because fusion only runs while both timer queues are empty, so no
-//!   tick in the batch can wake or preempt anything), then the
-//!   terminal's own cycles via the shared [`Cpu::exec_direct`].
-//! * **Stats** count each byte (`instructions`) and the true encoded
-//!   length (`record_operation`), exactly as the byte path does.
-//! * **Bypass**: unknown operations, chains outside penalty-free memory
-//!   and chains abutting the slice budget or the link fence run
-//!   through the byte-at-a-time path.
+//! An operation the decoder refuses (`None`) is one no block can start
+//! with or hold: an unknown operation, or a chain that is over-long or
+//! leaves penalty-free memory. Such code runs on the byte path.
 
 use super::exec::link_channel_depth;
 use crate::instr::{Direct, Op};
@@ -48,22 +39,22 @@ pub(crate) struct DecEntry {
     /// Total encoded length in bytes, including prefixes.
     pub len: u8,
     /// One of the operations that can act on a link channel
-    /// (`exec::link_channel_depth`): the fast loop checks it against
-    /// the link fence before executing it.
+    /// (`exec::link_channel_depth`): its block checks it against the
+    /// link fence before executing it.
     pub link: bool,
 }
 
 /// Decode one operation starting at `iptr`, replaying the `pfix`/`nfix`
-/// operand construction of §3.2.7. `None` hands it to the
-/// byte-at-a-time path: a chain that is over-long, wraps the address
-/// space or leaves penalty-free memory cannot be fused, and an unknown
-/// operation must raise its illegal-instruction fault with byte-exact
-/// state. Every legal operation — including timeslice points (`j`,
-/// `lend`) and the operations that suspend into a [`super::Resume`]
-/// continuation — executes through the same [`Cpu::exec_direct`] the
-/// byte path uses, and the fast loop's post-execution checks hand any
-/// descheduling, resumption, or interaction outcome straight back to
-/// the outer loop.
+/// operand construction of §3.2.7. `None` ends the block before it,
+/// leaving the operation to the byte path: a chain that is over-long,
+/// wraps the address space or leaves penalty-free memory cannot be
+/// fused, and an unknown operation must raise its illegal-instruction
+/// fault with byte-exact state. Every legal operation — including
+/// timeslice points (`j`, `lend`) and the operations that suspend into
+/// a [`super::Resume`] continuation — runs in its block through the
+/// same [`Cpu::exec_direct`] the byte path uses, and the block's
+/// post-operation checks hand any descheduling, resumption, or
+/// interaction outcome straight back to the slice loop.
 pub(super) fn decode_entry(mem: &Memory, word: WordLength, iptr: u32) -> Option<DecEntry> {
     let base = word.most_neg();
     let start = word.mask(iptr.wrapping_sub(base)) as usize;

@@ -127,6 +127,7 @@ impl Cpu {
         let len = self.op_len as usize;
         self.op_len = 0;
         self.stats.record_operation(fun, len);
+        self.last_op = Some((fun, operand, self.iptr));
         if self.trace.is_some() {
             self.pending_trace = Some((fun, operand));
         }
@@ -135,9 +136,9 @@ impl Cpu {
 
     /// Execute a fully decoded direct function with its fused operand;
     /// returns cycles consumed. Shared by the byte-at-a-time path above
-    /// and the translation tier (`cpu/translate.rs`), whose cold arm
-    /// and every translated arm call it, so both tiers execute one
-    /// definition of each function. Force-inlined: the body minus
+    /// and the translation tier (`cpu/translate.rs`), whose translated
+    /// arms call it, so both tiers execute one definition of each
+    /// function. Force-inlined: the body minus
     /// [`Cpu::exec_op`] (which stays out of line) is small, and the
     /// tier's arms call it with a constant `fun`, which reduces it to
     /// that function's body.

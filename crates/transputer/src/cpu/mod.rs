@@ -23,6 +23,7 @@ use crate::process::{workspace_word, Magic, Priority, ProcDesc, PW_IPTR};
 use crate::stats::Stats;
 use crate::timing;
 use crate::word::WordLength;
+use translate::TierExit;
 
 /// Configuration of one emulated transputer.
 ///
@@ -44,7 +45,7 @@ pub struct CpuConfig {
     /// benchmark's next revision (ROADMAP 3(b)).
     pub decode_cache: bool,
     /// Run through the translation tier: hot basic blocks as threaded
-    /// code, everything else one fused operation at a time (see
+    /// code, everything else on the byte path (see
     /// `cpu/translate.rs`). A pure host optimisation: simulated timing,
     /// results and statistics are bit-identical either way (only the
     /// `decode_*` and `trans_*` host counters in [`Stats`] differ). On
@@ -284,6 +285,12 @@ pub struct Cpu {
     pub(crate) op_start: u32,
     /// A completed operation awaiting trace recording.
     pub(crate) pending_trace: Option<(crate::instr::Direct, u32)>,
+    /// The operation the byte path last finished: its function, operand
+    /// and sequential successor, from which the translation tier tells
+    /// whether `Iptr` stands at a block leader. `None` at slice entry,
+    /// after a block and after a continuation, where every position is
+    /// a leader.
+    pub(crate) last_op: Option<(crate::instr::Direct, u32, u32)>,
 
     pub(crate) cycles: u64,
     pub(crate) last_dispatch: u64,
@@ -291,7 +298,7 @@ pub struct Cpu {
 
     /// The threaded-code translation cache (see `cpu/translate.rs`).
     pub(crate) tcache: translate::TransCache,
-    /// Whether `run_slice` may enter the translation tier's fast loop
+    /// Whether `run_slice` may enter the translation tier
     /// at all: the tier is enabled and reserved-word reads carry no
     /// penalty (so timer-queue head checks are timing-free).
     pub(crate) translate_ok: bool,
@@ -359,6 +366,7 @@ impl Cpu {
             trace: None,
             op_start: 0,
             pending_trace: None,
+            last_op: None,
             cycles: 0,
             last_dispatch: 0,
             stats: Stats::default(),
@@ -636,30 +644,34 @@ impl Cpu {
             if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
                 // Low→high preemption at a micro-step boundary (§3.2.4).
                 self.preempt_to_high();
-            } else {
-                let cycles = match self.resume {
-                    Some(_) => self.continue_resume(),
-                    None => self.exec_one(),
-                };
-                match cycles {
-                    Ok(c) => {
-                        let c = c + self.mem.take_penalty_cycles();
-                        self.advance_time(c);
-                    }
-                    Err(reason) => {
-                        self.halted = Some(reason);
-                        return StepEvent::Halted(reason);
-                    }
-                }
+            } else if let Err(reason) = self.micro_step() {
+                return StepEvent::Halted(reason);
             }
-        }
-        self.record_pending_trace();
-        if let Some(r) = self.halted {
-            return StepEvent::Halted(r);
         }
         StepEvent::Ran {
             cycles: (self.cycles - before) as u32,
         }
+    }
+
+    /// One byte-path micro-step of the current process: a chunk of an
+    /// interrupted long instruction, or one instruction byte, with its
+    /// off-chip penalty, time advance and trace record. `Err` when the
+    /// processor halted.
+    fn micro_step(&mut self) -> Result<(), HaltReason> {
+        let cycles = match self.resume {
+            // An operation that went on as a continuation did not fall
+            // through: what follows it is a block leader.
+            Some(_) => {
+                self.last_op = None;
+                self.continue_resume()
+            }
+            None => self.exec_one(),
+        };
+        let c = cycles.inspect_err(|&reason| self.halted = Some(reason))?;
+        let c = c + self.mem.take_penalty_cycles();
+        self.advance_time(c);
+        self.record_pending_trace();
+        self.halted.map_or(Ok(()), Err)
     }
 
     /// Execute instructions inline until an interaction point is reached
@@ -701,6 +713,8 @@ impl Cpu {
         // entry cycle" is "is the first micro-step": folding the
         // exemption into the fence keeps the checks to one comparison.
         let fence = self.cycles.saturating_add(fence_budget.max(1));
+        // The slice entry position is a block leader.
+        self.last_op = None;
         loop {
             self.slice_mark = self.cycles;
             if !self.has_current_process() && !self.dispatch_next() {
@@ -710,45 +724,29 @@ impl Cpu {
                 self.preempt_to_high();
                 return SliceOutcome::Preempted;
             }
-            // Fast path, when the translation tier is on and tracing is
-            // off: at an operation boundary, run hot translated blocks
-            // and fused cold operations back to back in the one loop of
-            // `cpu/translate.rs`. Falls through to the byte-at-a-time
-            // micro-step whenever it cannot make progress, which
-            // guarantees the loop never spins.
+            // With the translation tier on and tracing off, run hot
+            // translated blocks (`cpu/translate.rs`) at an operation
+            // boundary; every operation outside a block runs on the byte
+            // path below.
             if self.translate_ok
                 && self.trace.is_none()
                 && self.resume.is_none()
                 && self.op_len == 0
             {
                 match self.run_predecoded(limit, fence) {
-                    (_, Some(outcome)) => return outcome,
-                    (true, None) => continue,
-                    (false, None) => {}
+                    TierExit::Outcome(outcome) => return outcome,
+                    TierExit::Recheck => continue,
+                    // Blocks may have run: the micro-step starts now.
+                    TierExit::BytePath => self.slice_mark = self.cycles,
                 }
             }
-            // The byte path owns the fence: the fast tiers hand a link
+            // The byte path owns the fence: a block hands a link
             // instruction at or past it back here unexecuted.
             if self.cycles >= fence && self.resume.is_none() && self.at_link_instruction() {
                 return SliceOutcome::Fenced;
             }
-            let cycles = match self.resume {
-                Some(_) => self.continue_resume(),
-                None => self.exec_one(),
-            };
-            match cycles {
-                Ok(c) => {
-                    let c = c + self.mem.take_penalty_cycles();
-                    self.advance_time(c);
-                }
-                Err(reason) => {
-                    self.halted = Some(reason);
-                    return SliceOutcome::Halted(reason);
-                }
-            }
-            self.record_pending_trace();
-            if let Some(r) = self.halted {
-                return SliceOutcome::Halted(r);
+            if let Err(reason) = self.micro_step() {
+                return SliceOutcome::Halted(reason);
             }
             if let Some(exit) = self.slice_exit.take() {
                 return exit;

@@ -3,17 +3,17 @@
 //! reference).
 //!
 //! The byte path pays a fetch, a nibble split and a 16-way dispatch per
-//! *byte*. This tier's fast loop ([`Cpu::run_predecoded`]) decodes a
-//! whole operation at once (`cpu/decode.rs`) and, once a straight-line
-//! run of operations has been entered often enough, compiles it into a
+//! *byte*. This tier ([`Cpu::run_predecoded`]) counts arrivals at block
+//! leaders and, once a leader has been reached often enough, decodes the
+//! straight-line run of operations it begins (`cpu/decode.rs`) into a
 //! [`TransBlock`] — an array of pre-resolved dispatch codes with fused
 //! operands — thereafter executed back to back with no decode work at
-//! all. Code that is not yet a block is interpreted one decoded
-//! operation at a time by the loop's cold arm. Every handler reaches
-//! its operation through the shared executor — [`Cpu::exec_direct`]
-//! with a constant function, or [`Cpu::exec_alu`] with a constant ALU
-//! operation — so translated execution is the *same code* the
-//! interpreter runs, minus the work of deciding which code to run. No
+//! all. It runs only blocks: every operation outside one, cold code
+//! included, runs on the byte path. Every handler reaches its
+//! operation through the shared executor — [`Cpu::exec_direct`] with a
+//! constant function, or [`Cpu::exec_alu`] with a constant ALU
+//! operation — so translated execution is the *same code* the byte
+//! path runs, minus the work of deciding which code to run. No
 //! operation is written here a second time: what a handler adds is only
 //! the checks its class of operation can need (see
 //! [`Cpu::exec_block`]).
@@ -28,11 +28,12 @@
 //!
 //! # Deoptimisation contract
 //!
-//! A translated block replays exactly the per-operation sequence of
-//! [`Cpu::run_predecoded`]; at every point where that loop would hand
-//! control back, the block *deoptimises* — it stops executing
-//! translated operations and returns to the interpreter with the
-//! machine at an ordinary operation boundary. Deopt points are:
+//! A translated block replays exactly what the byte path does over the
+//! same operations, in the byte path's order; at every point where the
+//! slice loop of [`Cpu::run_slice_fenced`] would act between two
+//! operations, the block *deoptimises* — it stops executing translated
+//! operations and hands back with the machine at an ordinary operation
+//! boundary. Deopt points are:
 //!
 //! * **Channel and scheduling interactions**: an operation raised a
 //!   slice exit (link I/O, acknowledge), descheduled the process, or
@@ -45,7 +46,7 @@
 //! * **Control transfer**: the executed operation moved `Iptr`
 //!   somewhere other than the next sequential operation (taken branch,
 //!   call, context switch). Blocks are keyed by code position, so
-//!   execution re-enters (or re-interprets) at the new position.
+//!   execution re-enters a block (or the byte path) at the new position.
 //! * **Writes into translated code**: the memory side's
 //!   [`code epoch`](crate::memory) moved, meaning a store landed in a
 //!   64-byte block that *some* translated code covers. The block
@@ -61,7 +62,7 @@
 //!
 //! Because every handler is the shared executor and every deopt lands
 //! on an operation boundary with the same registers, clocks and queues
-//! the interpreter would have, resumption state is identical by
+//! the byte path would have, resumption state is identical by
 //! construction — the tests assert it anyway.
 
 use super::decode::decode_entry;
@@ -164,8 +165,8 @@ fn fuse_code(a: &TransOp, b: &TransOp) -> Option<u8> {
 }
 
 impl TransOp {
-    /// Count `times` executions of this operation — what the cold
-    /// arm's byte count and `record_operation` do once per execution.
+    /// Count `times` executions of this operation — what the byte
+    /// path's byte count and `record_operation` do once per execution.
     /// These counters feed reporting, never control flow, so blocks
     /// apply them in batches (see [`Cpu::flush_block_stats`]). Cycle and
     /// time accounting is NOT batched — it drives budgets and timers
@@ -270,181 +271,113 @@ impl TransCache {
     }
 }
 
-/// Why [`Cpu::exec_block`] stopped.
-enum BlockExit {
+/// What [`Cpu::run_predecoded`] and [`Cpu::exec_block`] hand back to
+/// the slice loop.
+pub(crate) enum TierExit {
     /// The slice is over; propagate the outcome.
     Outcome(SliceOutcome),
-    /// The next operation abuts the budget or the link fence; the byte
-    /// path owns partial operations and the fence. Carries whether any
-    /// operation executed.
-    BudgetAbut(bool),
-    /// Back to the dispatch loop (deopt or natural completion).
-    /// Carries whether any operation executed.
-    Divert(bool),
+    /// A block ended at an operation boundary: re-check the scheduler
+    /// before going on.
+    Recheck,
+    /// The byte path runs the next operation here: it is in no block, or
+    /// abuts the budget or the link fence (the byte path owns partial
+    /// operations and the fence).
+    BytePath,
 }
 
 impl Cpu {
-    /// The fast loop of [`Cpu::run_slice`], entered only with the
-    /// translation tier on and tracing off: run hot code at block-leader
-    /// positions (slice entry, the target of every control transfer,
-    /// and what follows every operation blocks end at) from
-    /// [`TransBlock`]s, and interpret everything else — code not yet
-    /// hot — one decoded operation at a time while nothing can
-    /// interact. Returns `(made_progress, outcome)`; `outcome == None`
-    /// hands control back to the outer loop (which re-evaluates
-    /// scheduling boundaries when progress was made, or takes one
-    /// byte-at-a-time micro-step when none was).
+    /// The translation tier's part of [`Cpu::run_slice_fenced`], entered
+    /// only with the tier on and tracing off: at a block leader, run
+    /// translated blocks back to back for as long as each ends at another
+    /// leader that has one. A position is a leader at slice entry, after
+    /// a block, after a continuation, and after an operation of the byte
+    /// path that moved `Iptr` off its sequential successor (a taken
+    /// branch, a call, a context switch) or that blocks end at (a `cj`
+    /// not taken, a `lend` leaving its loop — `build_block` stopped there,
+    /// so what follows is in no block). After an operation that fell
+    /// through, the byte path runs on without a lookup, so heat is
+    /// counted at leaders only. The record of that operation is the one
+    /// the byte path leaves in `last_op`; nothing is decoded here.
     ///
-    /// Entry preconditions (established by `run_slice`): not halted, a
-    /// process is current, no pending preemption, `resume` is `None`
-    /// and `op_len == 0` (an operation boundary).
-    pub(crate) fn run_predecoded(
-        &mut self,
-        limit: u64,
-        fence: u64,
-    ) -> (bool, Option<SliceOutcome>) {
-        let mut progress = false;
-        // Loop invariants hoisted out of the per-operation path. The
-        // timer-head flags are refreshed once here and thereafter by
-        // the post-execution `advance_time` of every iteration, which
-        // observes any write the executed operation made.
+    /// Entry preconditions (established by `run_slice_fenced`): not
+    /// halted, a process is current, no pending preemption, `resume` is
+    /// `None` and `op_len == 0` (an operation boundary).
+    pub(crate) fn run_predecoded(&mut self, limit: u64, fence: u64) -> TierExit {
+        let leader = self
+            .last_op
+            .take()
+            .is_none_or(|(fun, operand, next)| self.iptr != next || ends_block(fun, operand));
+        if !leader {
+            self.stats.decode_misses += 1;
+            return TierExit::BytePath;
+        }
+        // The timer-head flags are refreshed once here and thereafter by
+        // the `advance_time` of every operation that can write memory.
         self.refresh_timer_heads();
-        let base = self.mem.base();
-        let fast_limit = self.mem.fast_limit();
-        // The slice entry position is a leader: translated processes
-        // re-enter blocks straight away.
-        let mut leader = true;
+        let mut off = match self.block_entry() {
+            Ok(off) => off,
+            Err(exit) => return exit,
+        };
         // Blocks are borrowed from here while they run (nothing they
         // call touches the cache).
         let mut tcache = std::mem::take(&mut self.tcache);
-        let result = loop {
-            // Fusion batches the prefix cycles of an operation into one
-            // time advance, which is only legal while no clock tick can
-            // wake a process: both timer queues must be known empty.
-            if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
-                break (progress, None);
-            }
-            if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
-                // A high-priority wake is pending: preempt via the
-                // outer loop.
-                break (progress, None);
-            }
-            debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
-            let off = self.word.mask(self.iptr.wrapping_sub(base)) as usize;
-            if off >= fast_limit {
-                // Off-chip (penalised) or out-of-range code: the byte
-                // path owns the penalty bookkeeping and faulting.
-                break (progress, None);
-            }
-
-            if leader {
-                if let Some(slot) = self.lookup_block(&mut tcache, off) {
-                    self.stats.trans_enters += 1;
-                    let block = &mut *tcache.slots[slot as usize];
-                    let pending = block.runs;
-                    let exit = self.exec_block(block, limit, fence);
-                    if pending == 0 && block.runs != 0 {
-                        tcache.dirty.push(slot);
-                    }
-                    match exit {
-                        BlockExit::Outcome(outcome) => break (true, Some(outcome)),
-                        BlockExit::BudgetAbut(ran) => break (progress || ran, None),
-                        BlockExit::Divert(ran) => {
-                            progress |= ran;
-                            if !self.has_current_process()
-                                || self.resume.is_some()
-                                || self.op_len != 0
-                            {
-                                break (progress, None);
-                            }
-                            // Re-check the loop-top gates; execution
-                            // resumes at a fresh leader.
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            // The cold arm: decode one operation and interpret it.
-            // Nothing is kept, so a store into code not yet translated
-            // needs no invalidation.
-            self.stats.decode_misses += 1;
-            let Some(e) = decode_entry(&self.mem, self.word, self.iptr) else {
-                break (progress, None);
+        let exit = loop {
+            let Some(slot) = self.lookup_block(&mut tcache, off) else {
+                self.stats.decode_misses += 1;
+                break TierExit::BytePath;
             };
-            let len = u64::from(e.len);
-            if e.link && self.cycles + (len - 1) >= fence && self.touches_link(e.operand) {
-                // At or past the link fence: the byte path runs the
-                // prefix bytes and stops before the terminal one.
-                break (progress, None);
+            self.stats.trans_enters += 1;
+            let block = &mut *tcache.slots[slot as usize];
+            let pending = block.runs;
+            let exit = self.exec_block(block, limit, fence);
+            if pending == 0 && block.runs != 0 {
+                tcache.dirty.push(slot);
             }
-            if self.cycles + (len - 1) >= limit {
-                // Some byte of this operation would start at or past the
-                // budget limit; the byte path handles the partial chain.
-                break (progress, None);
+            match exit {
+                // Still in the same process at an operation boundary:
+                // the next position is a fresh leader.
+                TierExit::Recheck
+                    if self.has_current_process() && self.resume.is_none() && self.op_len == 0 => {}
+                exit => break exit,
             }
-            progress = true;
-
-            // Execute the fused operation in the exact order of the
-            // byte path: count bytes, record the operation, advance
-            // past it, charge one cycle per prefix byte, then run the
-            // terminal through the shared executor.
-            let fun = Direct::from_nibble(e.fun);
-            self.op_start = self.iptr;
-            let next = self.word.mask(self.iptr.wrapping_add(u32::from(e.len)));
-            self.iptr = next;
-            self.stats.instructions += len;
-            self.stats.record_operation(fun, e.len as usize);
-            // One cycle per prefix byte, as a bare addition: with both
-            // timer queues empty (checked above, maintained by the
-            // post-exec advance) every elided tick is a pure clock bump
-            // that `clock_now` reconstructs, so this is exactly what
-            // `advance_time64` would do.
-            self.cycles += len - 1;
-            self.slice_mark = self.cycles;
-            match self.exec_direct(fun, e.operand) {
-                Ok(c) => {
-                    let c = c + self.mem.take_penalty_cycles();
-                    self.advance_time(c);
-                }
-                Err(reason) => {
-                    self.halted = Some(reason);
-                    break (true, Some(SliceOutcome::Halted(reason)));
-                }
-            }
-            if let Some(r) = self.halted {
-                break (true, Some(SliceOutcome::Halted(r)));
-            }
-            if let Some(exit) = self.slice_exit.take() {
-                break (true, Some(exit));
-            }
-            if self.cycles >= limit {
-                break (true, Some(SliceOutcome::BudgetExpired));
-            }
-            if !self.has_current_process() || self.resume.is_some() || self.op_len != 0 {
-                // Descheduled, or a dispatch restored an interrupted
-                // context mid-operation: back to the outer loop.
-                break (true, None);
-            }
-            // A control transfer lands on a leader, and so does falling
-            // out of an operation blocks end at (a `cj` not taken, a
-            // `lend` leaving its loop): `build_block` stopped there, so
-            // what follows is not inside any block. Other sequential
-            // flow continues inside whatever block the leader began.
-            leader = self.iptr != next || ends_block(fun, e.operand);
+            off = match self.block_entry() {
+                Ok(off) => off,
+                Err(exit) => break exit,
+            };
         };
-        // Nothing reads `Stats` while the loop runs; everything that
-        // can runs after this.
+        // Nothing reads `Stats` while blocks run; everything that can
+        // runs after this.
         while let Some(slot) = tcache.dirty.pop() {
             tcache.slots[slot as usize].fold_runs(&mut self.stats);
         }
         self.tcache = tcache;
-        result
+        exit
+    }
+
+    /// The code offset of `Iptr` if a block may be entered there, or who
+    /// runs next: the slice loop, to preempt for a waiting high-priority
+    /// process, or the byte path — while a timer queue is non-empty
+    /// (clock ticks can wake processes, so every operation's time must go
+    /// through `advance_time`) and for off-chip or out-of-range code (the
+    /// byte path owns the penalty bookkeeping and faulting).
+    fn block_entry(&self) -> Result<usize, TierExit> {
+        debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
+        if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
+            return Err(TierExit::Recheck);
+        }
+        if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
+            return Err(TierExit::BytePath);
+        }
+        let off = self.word.mask(self.iptr.wrapping_sub(self.mem.base())) as usize;
+        if off >= self.mem.fast_limit() {
+            return Err(TierExit::BytePath);
+        }
+        Ok(off)
     }
 
     /// Execute a translated block's operations back to back. Entered
-    /// at the epoch it was built under; every operation replays the cold
-    /// arm's sequence, and any reason to stop is a [`BlockExit`].
+    /// at the epoch it was built under; every operation replays the byte
+    /// path's sequence, and any reason to stop is a [`TierExit`].
     ///
     /// One flat dispatch per operation — the same branch shape as the
     /// interpreter, so the host branch predictor sees one data-dependent
@@ -476,15 +409,15 @@ impl Cpu {
     ///   refresh), then run the epoch check and re-check the scheduler
     ///   gates.
     /// * **General**: `j`, `call` and every other `opr` get the full
-    ///   post-operation battery of the cold arm.
+    ///   post-operation battery of the byte path's slice loop.
     ///
     /// Per-op statistics are batched: every exit path accounts for the
     /// executed prefix through [`Cpu::flush_block_stats`] before
     /// returning, and complete runs counted there are folded in before
     /// [`Cpu::run_predecoded`] returns or the cache is flushed, so
     /// the [`crate::stats::Stats`] image is identical to the
-    /// interpreter's at every point a caller can observe it.
-    fn exec_block(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> BlockExit {
+    /// byte path's at every point a caller can observe it.
+    fn exec_block(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> TierExit {
         let epoch = self.mem.code_epoch();
         let ops = block.ops();
         let last = ops.len() - 1;
@@ -501,7 +434,7 @@ impl Cpu {
                 ($n:expr) => {{
                     self.flush_block_stats(block, $n);
                     self.stats.trans_deopts += 1;
-                    return BlockExit::BudgetAbut($n != 0);
+                    return TierExit::BytePath;
                 }};
             }
             if self.cycles + (u64::from(op.len) - 1) >= limit {
@@ -524,20 +457,20 @@ impl Cpu {
             macro_rules! halt_ret {
                 ($n:expr) => {
                     if let Some(r) = self.halted {
-                        flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(r)));
+                        flush_ret!($n, TierExit::Outcome(SliceOutcome::Halted(r)));
                     }
                 };
             }
             macro_rules! deopt_ret {
                 ($n:expr) => {{
                     self.stats.trans_deopts += 1;
-                    flush_ret!($n, BlockExit::Divert(true));
+                    flush_ret!($n, TierExit::Recheck);
                 }};
             }
             macro_rules! budget_tail {
                 ($n:expr) => {
                     if self.cycles >= limit {
-                        flush_ret!($n, BlockExit::Outcome(SliceOutcome::BudgetExpired));
+                        flush_ret!($n, TierExit::Outcome(SliceOutcome::BudgetExpired));
                     }
                 };
             }
@@ -598,8 +531,8 @@ impl Cpu {
                     budget_tail!($n);
                 }};
             }
-            // An operation with the full interpreter semantics and the
-            // full post-operation battery, in the cold arm's order
+            // An operation with the full byte-path semantics and the
+            // full post-operation battery, in the byte path's order
             // so coincident conditions resolve to the same outcome.
             macro_rules! general {
                 ($fun:expr, $op:expr, $n:expr) => {{
@@ -615,13 +548,13 @@ impl Cpu {
                         }
                         Err(reason) => {
                             self.halted = Some(reason);
-                            flush_ret!($n, BlockExit::Outcome(SliceOutcome::Halted(reason)));
+                            flush_ret!($n, TierExit::Outcome(SliceOutcome::Halted(reason)));
                         }
                     }
                     halt_ret!($n);
                     if let Some(exit) = self.slice_exit.take() {
                         self.stats.trans_deopts += 1;
-                        flush_ret!($n, BlockExit::Outcome(exit));
+                        flush_ret!($n, TierExit::Outcome(exit));
                     }
                     budget_tail!($n);
                     if !self.has_current_process() || self.resume.is_some() || self.op_len != 0 {
@@ -634,7 +567,7 @@ impl Cpu {
                         if $n - 1 != last {
                             self.stats.trans_deopts += 1;
                         }
-                        flush_ret!($n, BlockExit::Divert(true));
+                        flush_ret!($n, TierExit::Recheck);
                     }
                     if self.mem.code_epoch() != epoch {
                         deopt_ret!($n);
@@ -731,7 +664,7 @@ impl Cpu {
                 // Completion: a block-final `cj` (taken or not) or a
                 // length-capped block.
                 self.flush_block_stats(block, n);
-                return BlockExit::Divert(true);
+                return TierExit::Recheck;
             }
             i = n;
         }
@@ -754,8 +687,8 @@ impl Cpu {
 
     /// Whether the scheduler gates would stop fused execution: a timer
     /// queue became non-empty, or a high-priority process is waiting
-    /// while a low-priority block runs. Mirrors the loop-top checks of
-    /// [`Cpu::run_predecoded`].
+    /// while a low-priority block runs. Mirrors the first two checks of
+    /// [`Cpu::block_entry`].
     #[inline]
     fn gates_tripped(&self) -> bool {
         !(self.timer_head_empty[0] && self.timer_head_empty[1])
@@ -765,7 +698,7 @@ impl Cpu {
     /// Cold path for a memory fault raised by a pure or store arm of
     /// [`Cpu::exec_block`]: restore the bookkeeping the fast
     /// path skipped (`op_start`, `slice_mark`) so the halted machine
-    /// state is field-for-field what the interpreter leaves behind.
+    /// state is field-for-field what the byte path leaves behind.
     #[cold]
     fn block_fault(
         &mut self,
@@ -773,12 +706,12 @@ impl Cpu {
         idx: usize,
         prev_iptr: u32,
         reason: HaltReason,
-    ) -> BlockExit {
+    ) -> TierExit {
         self.op_start = prev_iptr;
         self.slice_mark = self.cycles;
         self.flush_block_stats(block, idx + 1);
         self.halted = Some(reason);
-        BlockExit::Outcome(SliceOutcome::Halted(reason))
+        TierExit::Outcome(SliceOutcome::Halted(reason))
     }
 
     /// Account for the first `executed` operations of a block. A run to

@@ -57,9 +57,9 @@ pub struct Stats {
     /// the system benchmark's pinned surface names it; it goes with the
     /// benchmark's next revision (ROADMAP 3(b)).
     pub decode_hits: u64,
-    /// Operations the translation tier's fast loop interpreted one at a
-    /// time — decoded, executed and forgotten — because they were not
-    /// (yet) in a translated block. Host-side instrumentation only:
+    /// Operations run outside translated blocks while the translation
+    /// tier was on: the ones it found in no block and left to the byte
+    /// path. Host-side instrumentation only:
     /// the tier never changes simulated timing, so this and the
     /// counters below are excluded from outcome fingerprints and
     /// differential comparisons. 0 whenever the byte path ran alone.

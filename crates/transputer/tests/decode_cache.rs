@@ -1,8 +1,8 @@
 //! Fused decoding must be invisible: any program must produce
 //! bit-identical results, cycle counts, and memory images through the
-//! translation tier — its cold arm, which decodes and interprets one
-//! operation at a time, and its translated blocks — and through the
-//! byte path, including programs that rewrite their own code. Plus the
+//! translation tier — its translated blocks, with every operation
+//! outside a block on the byte path — and through the byte path alone,
+//! including programs that rewrite their own code. Plus the
 //! `advance_idle_to` widening regression. (The file is named for the
 //! memo that once sat in front of the decoder; nothing is cached now,
 //! which is why the cold rows below need no invalidation to pass.)
@@ -42,10 +42,10 @@ fn push_code_address(c: &mut Vec<u8>, target: usize) {
     panic!("no encoding fixpoint for code address of {target}");
 }
 
-/// The tier's cold arm against the byte path: with the threshold at
+/// The tier with no block against the byte path: with the threshold at
 /// the heat counter's ceiling no leader here gets hot enough to be
-/// translated, so every operation of the tier-on run is decoded where
-/// it is executed. The `run_translated` rows below pin the blocks.
+/// translated, so the tier hands every operation of the tier-on run to
+/// the byte path. The `run_translated` rows below pin the blocks.
 fn run_with(code: &[u8], tier: bool) -> Cpu {
     let config = CpuConfig::t424()
         .with_translate(tier)
@@ -78,7 +78,7 @@ fn assert_transparent(code: &[u8]) -> Cpu {
         off.memory().dump(base, size).unwrap(),
         "memory images diverged"
     );
-    assert!(on.stats().decode_misses > 0, "the cold arm never engaged");
+    assert!(on.stats().decode_misses > 0, "the tier never engaged");
     assert_eq!(on.stats().trans_blocks, 0, "a leader got hot");
     assert_byte_path_alone(&off);
     on

@@ -308,8 +308,9 @@ fn fence_program(op: Op, setup: &[u8], is_output: bool, chan: Chan) -> (Vec<u8>,
 }
 
 /// The two execution tiers — the translation tier twice, once with
-/// every leader too cold to translate (its cold arm checks the fence
-/// itself) and once with every leader translated on arrival — and the
+/// every leader too cold to translate (every operation runs on the byte
+/// path, which checks the fence) and once with every leader translated
+/// on arrival (a block checks it before a link operation) — and the
 /// byte path once more with the code in penalised off-chip memory
 /// (where every fetch costs extra cycles: a fence check that fetched
 /// would charge the operation twice).

@@ -351,7 +351,7 @@ fn run_program(program: &occam::Program, translate: bool) -> Cpu {
 }
 
 /// Once warm, the loop never leaves its translated blocks: no operation
-/// of iterations 4..=200 goes through the tier's cold arm, and an
+/// of iterations 4..=200 runs outside a block, and an
 /// iteration is two block entries when its guard is false (`… cj`,
 /// then `j 0; ldlp; ldc; lend` as one block) and three when it is true
 /// (`… cj`, the body to its `j`, the loop end). The 3-iteration twin
@@ -376,7 +376,7 @@ fn warm_loop_stays_in_the_tier() {
         assert_eq!(
             full.stats().decode_misses,
             warm.stats().decode_misses,
-            "`{guard}`: warm iterations ran operations in the cold arm"
+            "`{guard}`: warm iterations ran operations outside a block"
         );
         let enters = full.stats().trans_enters - warm.stats().trans_enters;
         assert!(
@@ -384,6 +384,37 @@ fn warm_loop_stays_in_the_tier() {
             "`{guard}`: {enters} block entries in 197 warm iterations"
         );
     }
+}
+
+/// The leader rule from the side of too many leaders. A position is
+/// looked up, and its heat counted, at slice entry, after a block, and
+/// after an operation that moved `Iptr` off its sequential successor or
+/// that blocks end at — never after one that fell through. This `WHILE`
+/// runs its body once, so its head (`ldc 1`, after `stl i`) is reached
+/// once by falling into it and once by the back edge: one arrival at a
+/// leader, one short of the default threshold of two, so no block is
+/// built. A tier that looked up every position outside a block would
+/// count both arrivals and translate the head.
+#[test]
+fn a_loop_head_reached_by_falling_into_it_is_one_arrival_short() {
+    let program = occam::compile(
+        "VAR i, x:\nSEQ\n  x := 0\n  i := 0\n  WHILE i < 1\n    SEQ\n      \
+         x := x + i\n      i := i + 1\n",
+    )
+    .expect("loop compiles");
+    let mut cpu = Cpu::new(
+        CpuConfig::t424()
+            .with_translate(true)
+            .with_translate_threshold(2),
+    );
+    program.load(&mut cpu).expect("program fits");
+    let outcome = cpu.run_batched(100_000).expect("no budget overrun");
+    assert_eq!(outcome, RunOutcome::Halted(HaltReason::Stopped));
+    assert_eq!(
+        cpu.stats().trans_blocks,
+        0,
+        "the fall-through arrival at the loop head was counted"
+    );
 }
 
 /// Leader heat saturates at 255, so a larger threshold means 255: the
