@@ -75,7 +75,7 @@ struct Parser<'src> {
 
 impl<'src> Parser<'src> {
     fn peek(&self) -> Token<'src> {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].token
+        self.tokens[self.pos].token
     }
 
     fn peek2(&self) -> Token<'src> {
@@ -83,20 +83,25 @@ impl<'src> Parser<'src> {
     }
 
     fn line(&self) -> u32 {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].line
+        self.tokens[self.pos].line
     }
 
     fn here(&self) -> Pos {
-        let lexeme = &self.tokens[self.pos.min(self.tokens.len() - 1)];
+        let lexeme = &self.tokens[self.pos];
         Pos::at(lexeme.line, lexeme.col)
     }
 
-    /// The current token, stepping past it (but never past `Eof`).
+    /// The current token, stepping past it but never past the final
+    /// `Eof`, so `pos` always indexes a token.
     fn bump(&mut self) -> Token<'src> {
         let t = self.peek();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
+        debug_assert!(
+            self.pos < self.tokens.len() && self.tokens.last().map(|l| l.token) == Some(Token::Eof),
+            "the parser stepped past the final `Eof`"
+        );
         t
     }
 
