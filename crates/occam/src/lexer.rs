@@ -322,6 +322,11 @@ pub fn lex(source: &str) -> Result<Vec<Lexeme<'_>>, CompileError> {
     Ok(lexer.out)
 }
 
+/// A tab among a line's leading blanks.
+const TAB_IN_INDENT: &str = "tab characters are not allowed; indent with spaces";
+/// A tab after a line's first token.
+const TAB_AFTER_TOKEN: &str = "tab characters are not allowed; use spaces";
+
 /// The walk over one source text.
 struct Lexer<'src> {
     src: &'src str,
@@ -376,15 +381,19 @@ impl<'src> Lexer<'src> {
     }
 
     /// An error on the current line, unless the line holds a tab before
-    /// its comment: that is reported first, whatever else is wrong.
+    /// its comment: that is reported first, whatever else is wrong, and
+    /// as indentation only when nothing but blanks precedes it.
     fn error(&self, message: &str) -> CompileError {
         let mut at = self.line_start;
         while let Some(b) = self.visible(at) {
             if b == b'\t' {
-                return CompileError::lex(
-                    self.line,
-                    "tab characters are not allowed; indent with spaces",
-                );
+                let leading = self.src[self.line_start..at].trim_start().is_empty();
+                let message = if leading {
+                    TAB_IN_INDENT
+                } else {
+                    TAB_AFTER_TOKEN
+                };
+                return CompileError::lex(self.line, message);
             }
             at += 1;
         }
@@ -663,8 +672,23 @@ mod tests {
         assert!(lex("SEQ\n\u{a0}\t\r\n \u{2003} -- \u{a0}\n  x := 1").is_ok());
         assert_eq!(
             lex("SEQ\n\u{a0}x := 1 \t-- c").unwrap_err().message,
-            "tab characters are not allowed; indent with spaces"
+            TAB_AFTER_TOKEN
         );
+    }
+
+    #[test]
+    fn a_tab_is_named_where_it_stands() {
+        for (src, message) in [
+            ("VAR x:\nSEQ\n  x :=\t1\n", TAB_AFTER_TOKEN),
+            ("VAR x:\nSEQ\n  x\t:= 1\n", TAB_AFTER_TOKEN),
+            ("VAR x:\nSEQ\n\tx := 1\n", TAB_IN_INDENT),
+            ("VAR x:\nSEQ\n  \u{a0}\t x := 1\n", TAB_IN_INDENT),
+            // The first tab on the line decides.
+            ("VAR x:\nSEQ\n \tx :=\t1\n", TAB_IN_INDENT),
+        ] {
+            let e = lex(src).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (3, message), "{src:?}");
+        }
     }
 
     #[test]
@@ -1173,6 +1197,7 @@ mod tests {
         blank_with_tab: u32,
         comment_only_with_tab: u32,
         blank_in_indent: u32,
+        tab_after_token: u32,
         same_tokens: u32,
         same_error: u32,
     }
@@ -1218,7 +1243,9 @@ mod tests {
 
     /// Same tokens, lines and columns as the lexer this one replaced, or
     /// the same error, except where a line is indented by a blank other
-    /// than a space, which that lexer measured as indentation.
+    /// than a space, which that lexer measured as indentation, and where
+    /// a tab follows the line's first token, which that lexer named as
+    /// indentation too.
     #[test]
     fn lexes_as_the_lexer_it_replaced() {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
@@ -1246,6 +1273,13 @@ mod tests {
                         assert!(w.line > e.line || !tab, "{text:?}: {w}");
                     }
                 }
+                (Err(e), Err(w)) if e.message == TAB_AFTER_TOKEN => {
+                    cov.tab_after_token += 1;
+                    assert_eq!((w.line, w.message.as_str()), (e.line, TAB_IN_INDENT));
+                    let line = text.lines().nth(e.line as usize - 1).unwrap();
+                    let tab = line.find('\t').unwrap();
+                    assert!(!line[..tab].trim_start().is_empty(), "{text:?}");
+                }
                 _ => {
                     assert_eq!(got, want, "{text:?}");
                     cov.same_tokens += u32::from(got.is_ok());
@@ -1270,6 +1304,7 @@ mod tests {
             cov.blank_with_tab,
             cov.comment_only_with_tab,
             cov.blank_in_indent,
+            cov.tab_after_token,
             cov.same_tokens,
             cov.same_error,
         ];

@@ -537,11 +537,8 @@ impl Cpu {
                 Op::StoreTimer => {
                     let v = self.pop();
                     self.clock = [v, v];
-                    self.timers_running = true;
-                    self.next_tick = [
-                        self.cycles + timing::HI_TICK_CYCLES,
-                        self.cycles + timing::LO_TICK_CYCLES,
-                    ];
+                    let now = self.cycles;
+                    self.next_tick = [Priority::High, Priority::Low].map(|p| now + p.tick_cycles());
                 }
                 Op::StopOnError => {
                     if self.error {

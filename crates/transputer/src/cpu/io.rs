@@ -327,7 +327,7 @@ impl Cpu {
             return true;
         }
         match self.link_in[link].deliver(byte) {
-            RxOutcome::Consumed { .. } => {
+            RxOutcome::Consumed => {
                 let addr = self.link_in[link]
                     .store_addr()
                     .expect("consumed byte must have a store address");

@@ -268,7 +268,6 @@ pub struct Cpu {
     // Timers (§2.2.2): one clock per priority.
     pub(crate) clock: [u32; 2],
     pub(crate) next_tick: [u64; 2],
-    pub(crate) timers_running: bool,
 
     // Links.
     pub(crate) link_out: [LinkOut; LINK_COUNT],
@@ -304,12 +303,12 @@ pub struct Cpu {
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
-    /// Whether reserved-word reads are penalty-free (cached from the
-    /// memory configuration for the tick fast path).
-    pub(crate) reserved_free: bool,
-    /// Cached per-priority "timer queue head is NotProcess" flags,
-    /// refreshed from memory whenever a write lands in the reserved
-    /// words (see [`Cpu::refresh_timer_heads`]).
+    /// Cached per-priority "the timer queue head is NotProcess and
+    /// reading it is free" flags: that priority's ticks are lazy. Always
+    /// false where reserved-word reads cost a penalty, since every
+    /// tick's head read is charged there; refreshed from memory whenever
+    /// a write lands in the reserved words (see
+    /// [`Cpu::refresh_timer_heads`]).
     pub(crate) timer_head_empty: [bool; 2],
 
     /// Interaction point reached by the instruction just executed; taken
@@ -334,8 +333,7 @@ impl Cpu {
             mem.write_word(addr, magic.not_process)
                 .expect("reserved words in range");
         }
-        let reserved_free = mem.reserved_reads_free();
-        let translate_ok = config.translate && config.decode_cache && reserved_free;
+        let translate_ok = config.translate && config.decode_cache && mem.reserved_reads_free();
         Cpu {
             word,
             magic,
@@ -353,8 +351,7 @@ impl Cpu {
             hi_ready_at: None,
             resume: None,
             clock: [0; 2],
-            next_tick: [timing::HI_TICK_CYCLES, timing::LO_TICK_CYCLES],
-            timers_running: true,
+            next_tick: [Priority::High, Priority::Low].map(Priority::tick_cycles),
             link_out: Default::default(),
             link_in: Default::default(),
             event_waiting: None,
@@ -374,7 +371,6 @@ impl Cpu {
             translate_ok,
             // Leader heat is a saturating `u8`.
             translate_threshold: config.translate_threshold.clamp(1, 255),
-            reserved_free,
             timer_head_empty: [false; 2],
             slice_exit: None,
             links_dirty: false,
@@ -584,40 +580,27 @@ impl Cpu {
     /// The absolute cycle at which the earliest timer-queue entry is due,
     /// if any. Used to fast-forward an idle processor.
     pub fn next_timer_wake_cycle(&mut self) -> Option<u64> {
-        if !self.timers_running {
-            return None;
-        }
         // Catch a timer head poked into place since the last advance
         // (materialises any lazily elided ticks of that priority, so
-        // the clock/next_tick arithmetic below is exact).
+        // the clock/next_tick arithmetic below is exact). The words are
+        // peeked: asking must not charge the simulated machine.
         self.refresh_timer_heads();
-        let mut best: Option<u64> = None;
-        for pri in [Priority::High, Priority::Low] {
-            let head_addr = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
-            let head = match self.mem.read_word(head_addr) {
-                Ok(h) => h,
-                Err(_) => continue,
-            };
-            if head == self.magic.not_process {
-                continue;
-            }
-            let time_addr = workspace_word(self.word, head, crate::process::PW_TIME);
-            let due = match self.mem.read_word(time_addr) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            // Ticks until clock reaches `due`, given current clock value.
-            let delta = self.word.wrapping_sub(due, self.clock[pri.index()]);
-            let ticks = self.word.to_signed(delta).max(0) as u64;
-            let period = match pri {
-                Priority::High => timing::HI_TICK_CYCLES,
-                Priority::Low => timing::LO_TICK_CYCLES,
-            };
-            let tick_idx = if ticks == 0 { 0 } else { ticks - 1 };
-            let cycle = self.next_tick[pri.index()] + tick_idx * period;
-            best = Some(best.map_or(cycle, |b: u64| b.min(cycle)));
-        }
-        best
+        [Priority::High, Priority::Low]
+            .into_iter()
+            .filter_map(|pri| {
+                let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
+                let head = self.mem.peek_word(head_loc).ok()?;
+                if head == self.magic.not_process {
+                    return None;
+                }
+                let time_loc = workspace_word(self.word, head, crate::process::PW_TIME);
+                let due = self.mem.peek_word(time_loc).ok()?;
+                Some(
+                    self.next_tick[pri.index()]
+                        + self.ticks_before_due(pri, due) * pri.tick_cycles(),
+                )
+            })
+            .min()
     }
 
     /// Advance an idle processor's clock to an absolute cycle, waking any

@@ -202,37 +202,54 @@ impl Cpu {
     /// [`Cpu::advance_time`] with a 64-bit delta, so arbitrarily long
     /// idle gaps advance in one call without truncation.
     ///
-    /// Ticks of a priority whose timer queue is empty are *lazy*: with
-    /// nothing to wake, a tick's only effect is the clock increment,
-    /// which [`Cpu::clock_now`] reconstructs in closed form on demand.
-    /// The common case of the hot loop is therefore a bare addition.
-    /// Laziness requires penalty-free reserved-word reads
-    /// (`reserved_free`); otherwise every tick's head read is walked
-    /// eagerly so its timing cost lands exactly where it always has.
+    /// Ticks of a lazy priority (see `Cpu::timer_head_empty`) are not
+    /// processed: with nothing to wake and a free head read, a tick's
+    /// only effect is the clock increment, which [`Cpu::clock_now`]
+    /// reconstructs in closed form on demand. The common case of the hot
+    /// loop is therefore a bare addition.
     #[inline]
     pub(crate) fn advance_time64(&mut self, cycles: u64) {
-        if self.timers_running && self.reserved_free {
-            // Refresh BEFORE bumping the cycle counter: a timer insert
-            // during the instruction just executed flips a queue
-            // non-empty, and its lazy ticks must be materialised only
-            // up to the pre-advance instant — ticks inside the window
-            // being advanced now are then walked eagerly below, exactly
-            // where the eager baseline processes them.
-            self.refresh_timer_heads();
-            self.cycles += cycles;
-            if (!self.timer_head_empty[0] && self.next_tick[0] <= self.cycles)
-                || (!self.timer_head_empty[1] && self.next_tick[1] <= self.cycles)
-            {
-                self.catch_up_ticks();
-            }
-        } else {
-            self.cycles += cycles;
-            if self.timers_running
-                && (self.next_tick[0] <= self.cycles || self.next_tick[1] <= self.cycles)
-            {
-                self.catch_up_ticks();
-            }
+        // Refresh BEFORE bumping the cycle counter: a timer insert
+        // during the instruction just executed ends its priority's lazy
+        // ticks, which are materialised only up to the pre-advance
+        // instant; ticks inside the window advanced now are then walked
+        // below, exactly where they fall.
+        self.refresh_timer_heads();
+        self.cycles += cycles;
+        if (!self.timer_head_empty[0] && self.next_tick[0] <= self.cycles)
+            || (!self.timer_head_empty[1] && self.next_tick[1] <= self.cycles)
+        {
+            self.catch_up_ticks();
         }
+    }
+
+    /// Ticks of a priority's clock that have elapsed but not been
+    /// processed.
+    #[inline]
+    fn pending_ticks(&self, pri: Priority) -> u64 {
+        let next = self.next_tick[pri.index()];
+        if self.cycles < next {
+            0
+        } else {
+            (self.cycles - next) / pri.tick_cycles() + 1
+        }
+    }
+
+    /// Step a priority's clock by `ticks` ticks.
+    fn bump_clock(&mut self, pri: Priority, ticks: u64) {
+        let i = pri.index();
+        self.clock[i] = self
+            .word
+            .wrapping_add(self.clock[i], self.word.mask64(ticks));
+        self.next_tick[i] += ticks * pri.tick_cycles();
+    }
+
+    /// How many of a priority's next ticks pass before the one on which
+    /// a queue head waiting for `due` wakes (its clock reaches `due`;
+    /// `timer input` stores t+1, so this realises "clock AFTER t").
+    pub(crate) fn ticks_before_due(&self, pri: Priority, due: u32) -> u64 {
+        let delta = self.word.wrapping_sub(due, self.clock[pri.index()]);
+        (self.word.to_signed(delta).max(1) - 1) as u64
     }
 
     /// The current value of a priority's clock: the stored register
@@ -240,42 +257,16 @@ impl Cpu {
     /// (lazy ticks of an empty-queue priority).
     #[inline]
     pub(crate) fn clock_now(&self, pri: Priority) -> u32 {
-        let i = pri.index();
-        if !self.timers_running || self.cycles < self.next_tick[i] {
-            return self.clock[i];
-        }
-        let period = match pri {
-            Priority::High => timing::HI_TICK_CYCLES,
-            Priority::Low => timing::LO_TICK_CYCLES,
-        };
-        let pending = (self.cycles - self.next_tick[i]) / period + 1;
-        self.word
-            .wrapping_add(self.clock[i], self.word.mask64(pending))
+        self.word.wrapping_add(
+            self.clock[pri.index()],
+            self.word.mask64(self.pending_ticks(pri)),
+        )
     }
 
-    /// Materialise a priority's lazily elided ticks into the stored
-    /// clock register, so eager per-tick processing can resume.
-    fn sync_lazy_clock(&mut self, pri: Priority) {
-        let i = pri.index();
-        if !self.timers_running || self.next_tick[i] > self.cycles {
-            return;
-        }
-        let period = match pri {
-            Priority::High => timing::HI_TICK_CYCLES,
-            Priority::Low => timing::LO_TICK_CYCLES,
-        };
-        let pending = (self.cycles - self.next_tick[i]) / period + 1;
-        self.clock[i] = self
-            .word
-            .wrapping_add(self.clock[i], self.word.mask64(pending));
-        self.next_tick[i] += pending * period;
-    }
-
-    /// Re-read the timer queue heads into the cached emptiness flags if
+    /// Re-read the timer queue heads into the cached lazy-tick flags if
     /// any write has landed in the reserved words since the last look.
-    /// A priority whose queue goes empty→non-empty has its lazy ticks
-    /// materialised first, so eager wake processing starts from an
-    /// exact clock.
+    /// A priority whose ticks stop being lazy has them materialised
+    /// first, so the walk starts from an exact clock.
     #[inline(always)]
     pub(crate) fn refresh_timer_heads(&mut self) {
         if self.mem.take_reserved_dirty() {
@@ -287,6 +278,7 @@ impl Cpu {
     /// the clean-case check inlines to a load and a branch.
     #[cold]
     fn reload_timer_heads(&mut self) {
+        let free = self.mem.reserved_reads_free();
         for pri in [Priority::High, Priority::Low] {
             let i = pri.index();
             let head_loc = self.mem.reserved_addr(TPTR_LOC[i]);
@@ -294,92 +286,61 @@ impl Cpu {
                 .mem
                 .peek_word(head_loc)
                 .unwrap_or(self.magic.not_process);
-            let empty = head == self.magic.not_process;
-            if !empty && self.timer_head_empty[i] {
-                self.sync_lazy_clock(pri);
+            let lazy = free && head == self.magic.not_process;
+            if !lazy && self.timer_head_empty[i] {
+                // Ticks that passed with the queue empty only bumped
+                // the clock.
+                self.bump_clock(pri, self.pending_ticks(pri));
             }
-            self.timer_head_empty[i] = empty;
+            self.timer_head_empty[i] = lazy;
         }
     }
 
-    /// Process every clock tick due at or before the current cycle.
+    /// Process every clock tick due at or before the current cycle: each
+    /// bumps its priority's clock, reads the timer queue head and, when
+    /// there is one, the head's wake time, and wakes the head once that
+    /// time is reached.
     ///
-    /// Semantically this is the per-tick loop the event path has always
-    /// run: bump the clock, wake due timer-queue heads. Runs of ticks
-    /// that provably do nothing but bump the clock — the queue head is
-    /// empty, or is not due for many ticks yet, and the head reads are
-    /// penalty-free — are collapsed into one arithmetic step, which is
-    /// what makes huge idle jumps and the fused decode path cheap. The
-    /// collapsed form is bit-identical: an elided tick's only effect
-    /// would have been the clock increment it still receives.
+    /// One rule on every memory map: the ticks before the head comes due
+    /// change nothing but the clock, so they are taken in one step, and
+    /// the off-chip penalty of their reads is charged by count
+    /// ([`crate::memory::Memory::charge_reads`]) as one at a time would
+    /// accrue it. Only the tick on which a head comes due is walked. Out
+    /// of line: its caller, `advance_time64`, is inlined everywhere.
+    #[inline(never)]
     fn catch_up_ticks(&mut self) {
         for pri in [Priority::High, Priority::Low] {
-            let i = pri.index();
-            if self.reserved_free && self.timer_head_empty[i] {
-                // Lazy priority: its pure ticks stay elided; the clock
-                // is reconstructed on read by [`Cpu::clock_now`] and
-                // materialised by `sync_lazy_clock` when the queue
-                // gains a head.
+            if self.timer_head_empty[pri.index()] {
                 continue;
             }
-            let period = match pri {
-                Priority::High => timing::HI_TICK_CYCLES,
-                Priority::Low => timing::LO_TICK_CYCLES,
-            };
-            while self.next_tick[i] <= self.cycles {
-                let pending = (self.cycles - self.next_tick[i]) / period + 1;
-                match self.pure_tick_run(pri, pending) {
-                    Some(skip) if skip > 0 => {
-                        self.clock[i] = self
-                            .word
-                            .wrapping_add(self.clock[i], self.word.mask64(skip));
-                        self.next_tick[i] += skip * period;
-                    }
-                    _ => {
-                        self.clock[i] = self.word.wrapping_add(self.clock[i], 1);
-                        let tick_cycle = self.next_tick[i];
-                        self.next_tick[i] += period;
-                        self.wake_due_timers(pri, tick_cycle);
-                    }
+            let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
+            loop {
+                let pending = self.pending_ticks(pri);
+                if pending == 0 {
+                    break;
+                }
+                let head = self
+                    .mem
+                    .peek_word(head_loc)
+                    .unwrap_or(self.magic.not_process);
+                let quiet = if head == self.magic.not_process {
+                    pending
+                } else {
+                    let time_loc = workspace_word(self.word, head, PW_TIME);
+                    let due = self.mem.peek_word(time_loc).unwrap_or(0);
+                    let quiet = pending.min(self.ticks_before_due(pri, due));
+                    self.mem.charge_reads(time_loc, quiet);
+                    quiet
+                };
+                self.mem.charge_reads(head_loc, quiet);
+                self.bump_clock(pri, quiet);
+                if quiet < pending {
+                    let tick_cycle = self.next_tick[pri.index()];
+                    self.bump_clock(pri, 1);
+                    self.wake_due_timers(pri, tick_cycle);
                 }
             }
         }
-    }
-
-    /// How many of the next `pending` ticks of `pri` are pure clock
-    /// bumps (no queue wake, no penalty accrual), or `None` when that
-    /// cannot be proven and the ticks must be walked one at a time.
-    fn pure_tick_run(&mut self, pri: Priority, pending: u64) -> Option<u64> {
-        if !self.reserved_free {
-            // The per-tick head read would itself accrue an off-chip
-            // penalty; eliding it would change timing.
-            return None;
-        }
-        self.refresh_timer_heads();
-        if self.timer_head_empty[pri.index()] {
-            return Some(pending);
-        }
-        if !self.mem.timing_pure() {
-            // Reading the head's wake time may accrue a penalty.
-            return None;
-        }
-        let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
-        let head = self
-            .mem
-            .peek_word(head_loc)
-            .unwrap_or(self.magic.not_process);
-        if head == self.magic.not_process {
-            return Some(pending);
-        }
-        let due = self
-            .mem
-            .peek_word(workspace_word(self.word, head, PW_TIME))
-            .unwrap_or(0);
-        // Ticks until the head's wake condition (`!after(due, clock)`)
-        // first holds; every tick strictly before that is a pure bump.
-        let delta = self.word.wrapping_sub(due, self.clock[pri.index()]);
-        let ticks_until_due = self.word.to_signed(delta).max(0) as u64;
-        Some(pending.min(ticks_until_due.saturating_sub(1)))
     }
 
     /// Wake every head of a timer queue whose time has been reached.

@@ -109,10 +109,11 @@ impl LinkOut {
 /// What a delivered byte did on the input side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxOutcome {
-    /// Byte consumed by a waiting process; acknowledge may be sent.
-    /// `completed` carries the process to wake when the whole message has
-    /// arrived.
-    Consumed { completed: Option<ProcDesc> },
+    /// Byte consumed by a waiting process; acknowledge may be sent. The
+    /// caller stores it at [`LinkIn::store_addr`] and calls
+    /// [`LinkIn::byte_stored`], which names the process to wake once the
+    /// whole message has arrived.
+    Consumed,
     /// No process was waiting; the byte went into the single-byte buffer
     /// and the acknowledge is deferred until a process takes it.
     Buffered { alting: Option<ProcDesc> },
@@ -209,7 +210,7 @@ impl LinkIn {
     /// buffered here.
     pub fn deliver(&mut self, byte: u8) -> RxOutcome {
         if self.transfer.is_some() {
-            RxOutcome::Consumed { completed: None }
+            RxOutcome::Consumed
         } else {
             debug_assert!(self.buffer.is_none(), "protocol violation: buffer overrun");
             self.buffer = Some(byte);
@@ -291,7 +292,7 @@ mod tests {
         });
         assert!(li.early_ack_possible());
         match li.deliver(1) {
-            RxOutcome::Consumed { .. } => {}
+            RxOutcome::Consumed => {}
             other => panic!("expected Consumed, got {other:?}"),
         }
         assert_eq!(li.store_addr(), Some(0x8000_0300));

@@ -273,6 +273,19 @@ impl Memory {
         }
     }
 
+    /// Accrue the off-chip penalty of `count` reads of the word at
+    /// `addr`, as that many [`Memory::read_word`] calls would, without
+    /// reading it: nothing for an on-chip or out-of-range word.
+    pub(crate) fn charge_reads(&mut self, addr: u32, count: u64) {
+        if let Ok(off) = self.offset(self.word.align_word(addr)) {
+            if off >= self.on_chip_bytes as usize {
+                let cycles = count.saturating_mul(u64::from(self.off_chip_penalty));
+                let cycles = u32::try_from(cycles).unwrap_or(u32::MAX);
+                self.penalty_accrued = self.penalty_accrued.saturating_add(cycles);
+            }
+        }
+    }
+
     /// Drain the off-chip penalty cycles accrued since the last call.
     pub fn take_penalty_cycles(&mut self) -> u32 {
         std::mem::take(&mut self.penalty_accrued)
@@ -348,16 +361,15 @@ impl Memory {
     }
 
     /// Whether reads of the reserved words never accrue a penalty (they
-    /// sit on chip, or no off-chip penalty is configured). When true,
-    /// the per-tick timer-queue-head reads are provably side-effect
-    /// free, so runs of idle ticks may be processed in bulk.
+    /// sit on chip, or no off-chip penalty is configured). When true, a
+    /// priority whose timer queue is empty may leave its ticks lazy:
+    /// each would only bump the clock and read the empty head for free.
     pub(crate) fn reserved_reads_free(&self) -> bool {
         self.off_chip_penalty == 0 || self.reserved_bytes <= self.on_chip_bytes as usize
     }
 
-    /// Whether *no* read anywhere can accrue a penalty, i.e. reads are
-    /// pure observations. Allows eliding provably no-op timer-queue
-    /// scans wholesale.
+    /// Whether *no* access anywhere can accrue a penalty, so the
+    /// penalty accumulator never needs draining.
     pub(crate) fn timing_pure(&self) -> bool {
         self.off_chip_penalty == 0
     }
@@ -599,6 +611,23 @@ mod tests {
         // On-chip accesses are free.
         let on = m.mem_start();
         m.read_word(on).unwrap();
+        assert_eq!(m.take_penalty_cycles(), 0);
+    }
+
+    #[test]
+    fn charged_reads_cost_what_that_many_reads_would() {
+        let cfg = MemoryConfig::t424().with_external(4096, 3);
+        let mut m = Memory::new(WordLength::Bits32, cfg);
+        let external = m.base().wrapping_add(T424_ON_CHIP_BYTES);
+        for _ in 0..5 {
+            m.read_word(external + 1).unwrap();
+        }
+        let five_reads = m.take_penalty_cycles();
+        m.charge_reads(external + 1, 5);
+        assert_eq!(m.take_penalty_cycles(), five_reads);
+        // On chip, and out of range, a read costs nothing.
+        m.charge_reads(m.mem_start(), 5);
+        m.charge_reads(m.limit().wrapping_add(4), 5);
         assert_eq!(m.take_penalty_cycles(), 0);
     }
 

@@ -65,6 +65,15 @@ impl Priority {
             Priority::Low => Priority::High,
         }
     }
+
+    /// Processor cycles between two ticks of this priority's clock.
+    #[inline]
+    pub(crate) fn tick_cycles(self) -> u64 {
+        match self {
+            Priority::High => crate::timing::HI_TICK_CYCLES,
+            Priority::Low => crate::timing::LO_TICK_CYCLES,
+        }
+    }
 }
 
 /// Special process/state values, all taken from the reserved region near
