@@ -17,7 +17,7 @@ fn stream(n: u64, policy: AckPolicy) -> u64 {
     let mut now = 0u64;
     let mut sent = 1u64;
     let mut delivered = 0u64;
-    link.send_data(End::A, 0x5A, now);
+    link.send_data_seq(End::A, 0x5A, false, now);
     loop {
         let evs = link.advance(now);
         if evs.is_empty() {
@@ -32,16 +32,16 @@ fn stream(n: u64, policy: AckPolicy) -> u64 {
         for ev in evs {
             match ev {
                 LinkEvent::DataStarted { to: End::B } if policy == AckPolicy::Early => {
-                    link.send_ack(End::B, now);
+                    link.send_ack_seq(End::B, false, now);
                 }
                 LinkEvent::DataDelivered { to: End::B, .. } => {
                     delivered += 1;
                     if policy == AckPolicy::AfterStop {
-                        link.send_ack(End::B, now);
+                        link.send_ack_seq(End::B, false, now);
                     }
                 }
                 LinkEvent::AckDelivered { to: End::A, .. } if sent < n => {
-                    link.send_data(End::A, 0x5A, now);
+                    link.send_data_seq(End::A, 0x5A, false, now);
                     sent += 1;
                 }
                 _ => {}

@@ -490,8 +490,8 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
     assert_eq!(out, transputer_net::SimOutcome::AllHalted, "probe halts");
     let addr = net.node(n - 1).default_boot_workspace() + 4;
     let got = net
-        .node_mut(n - 1)
-        .peek_word(addr)
+        .node(n - 1)
+        .inspect_word(addr)
         .expect("probe word peeks");
 
     net_run(

@@ -48,7 +48,7 @@ mod tests {
         let mut sent = 1usize;
         let mut acked = 0usize;
         let mut delivered = 0usize;
-        link.send_data(End::A, 0xA5, now);
+        link.send_data_seq(End::A, 0xA5, false, now);
         let mut last_ack_time = 0;
         while acked < n {
             let evs = link.advance(now);
@@ -60,19 +60,19 @@ mod tests {
                 match ev {
                     LinkEvent::DataStarted { to: End::B } if policy == AckPolicy::Early => {
                         // Receiver is ready: acknowledge at once.
-                        link.send_ack(End::B, now);
+                        link.send_ack_seq(End::B, false, now);
                     }
                     LinkEvent::DataDelivered { to: End::B, .. } => {
                         delivered += 1;
                         if policy == AckPolicy::AfterStop {
-                            link.send_ack(End::B, now);
+                            link.send_ack_seq(End::B, false, now);
                         }
                     }
                     LinkEvent::AckDelivered { to: End::A, .. } => {
                         acked += 1;
                         last_ack_time = now;
                         if sent < n {
-                            link.send_data(End::A, 0xA5, now);
+                            link.send_data_seq(End::A, 0xA5, false, now);
                             sent += 1;
                         }
                     }
@@ -141,8 +141,8 @@ mod tests {
         // Data A→B and B→A at the same time do not contend: the lines
         // are one-directional (§2.3).
         let mut link = DuplexLink::new(LinkSpeed::standard());
-        link.send_data(End::A, 1, 0);
-        link.send_data(End::B, 2, 0);
+        link.send_data_seq(End::A, 1, false, 0);
+        link.send_data_seq(End::B, 2, false, 0);
         let mut got_a = false;
         let mut got_b = false;
         let mut now = 0;

@@ -262,27 +262,20 @@ impl DuplexLink {
         self.lines[from.index()].faults.as_ref().map(|f| f.counts())
     }
 
-    /// Queue a data byte for transmission from `from`. Flow control (one
-    /// outstanding unacknowledged byte) is the *interface's* duty; the
-    /// wire transmits whatever it is given, in order.
-    pub fn send_data(&mut self, from: End, byte: u8, now: u64) {
-        self.send_data_seq(from, byte, false, now);
-    }
-
-    /// Queue a data byte with an explicit sequence bit (robust protocol).
+    /// Queue a data byte for transmission from `from`, with the sequence
+    /// bit the robust protocol stamps on it (a classic line drops it).
+    /// Flow control (one outstanding unacknowledged byte) is the
+    /// *interface's* duty; the wire transmits whatever it is given, in
+    /// order.
     pub fn send_data_seq(&mut self, from: End, byte: u8, seq: bool, now: u64) {
         let started = self.send(from, PacketKind::Data(byte), seq, now);
         self.pending_events.extend(started);
     }
 
-    /// Queue an acknowledge from `from` (for data `from` received).
-    /// Acknowledges jump the queue: the hardware gives them priority so
-    /// the sender's pipeline never stalls on a queued data byte.
-    pub fn send_ack(&mut self, from: End, now: u64) {
-        self.send_ack_seq(from, false, now);
-    }
-
-    /// Queue an acknowledge with an explicit sequence bit.
+    /// Queue an acknowledge from `from` (for data `from` received), with
+    /// its sequence bit. Acknowledges jump the queue: the hardware gives
+    /// them priority so the sender's pipeline never stalls on a queued
+    /// data byte.
     pub fn send_ack_seq(&mut self, from: End, seq: bool, now: u64) {
         self.send(from, PacketKind::Ack, seq, now);
     }
@@ -437,7 +430,7 @@ mod tests {
     #[test]
     fn data_start_event_emitted_immediately() {
         let mut link = DuplexLink::new(LinkSpeed::standard());
-        link.send_data(End::A, 7, 0);
+        link.send_data_seq(End::A, 7, false, 0);
         let evs = link.advance(0);
         assert_eq!(evs, vec![LinkEvent::DataStarted { to: End::B }]);
     }
@@ -445,7 +438,7 @@ mod tests {
     #[test]
     fn delivery_at_eleven_bit_times() {
         let mut link = DuplexLink::new(LinkSpeed::standard());
-        link.send_data(End::A, 0x5A, 0);
+        link.send_data_seq(End::A, 0x5A, false, 0);
         let _ = link.advance(0);
         assert_eq!(link.next_deadline(), Some(1100));
         let evs = link.advance(1100);
@@ -465,9 +458,9 @@ mod tests {
         let mut link = DuplexLink::new(LinkSpeed::standard());
         // End B has a data byte queued behind a busy line, then owes an
         // ack: the ack must go first.
-        link.send_data(End::B, 1, 0); // occupies the line until 1100
-        link.send_data(End::B, 2, 0); // queued
-        link.send_ack(End::B, 0); // queued ahead of byte 2
+        link.send_data_seq(End::B, 1, false, 0); // occupies the line until 1100
+        link.send_data_seq(End::B, 2, false, 0); // queued
+        link.send_ack_seq(End::B, false, 0); // queued ahead of byte 2
         let _ = link.advance(0);
         let evs = link.advance(1100);
         assert!(evs.contains(&LinkEvent::DataDelivered {
@@ -495,7 +488,7 @@ mod tests {
         let mut link = DuplexLink::new(LinkSpeed::standard());
         assert!(link.is_quiescent());
         assert_eq!(link.next_deadline(), None);
-        link.send_ack(End::A, 5);
+        link.send_ack_seq(End::A, false, 5);
         assert!(!link.is_quiescent());
         link.advance(205);
         assert!(link.is_quiescent());

@@ -217,7 +217,7 @@ fn four_byte_message_latency_about_6_us() {
         "4-byte message took {t_us} µs; the paper says about 6"
     );
     let w = net.node(rx).default_boot_workspace() + 4;
-    assert_eq!(net.node_mut(rx).peek_word(w).unwrap(), 0x0403_0201);
+    assert_eq!(net.node(rx).inspect_word(w).unwrap(), 0x0403_0201);
 }
 
 // The robust protocol's sequence bits live at the wire end. These

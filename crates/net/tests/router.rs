@@ -68,7 +68,7 @@ fn fingerprint(
         .iter()
         .map(|&(node, slot)| {
             let addr = net.node(node).default_boot_workspace() + 4 * slot;
-            net.node_mut(node).peek_word(addr).unwrap()
+            net.node(node).inspect_word(addr).unwrap()
         })
         .collect();
     (cycles, delivered, words)

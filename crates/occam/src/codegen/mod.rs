@@ -205,7 +205,7 @@ impl Program {
             .global_offset(name)
             .ok_or(CpuError::AddressOutOfRange { address: 0 })?;
         let bpw = cpu.word_length().bytes_per_word();
-        cpu.peek_word(wptr.wrapping_add((off as u32).wrapping_mul(bpw)))
+        cpu.inspect_word(wptr.wrapping_add((off as u32).wrapping_mul(bpw)))
     }
 
     /// Absolute address of a top-level variable (element 0 for vectors).

@@ -536,9 +536,11 @@ impl Cpu {
                 }
                 Op::StoreTimer => {
                     let v = self.pop();
-                    self.clock = [v, v];
-                    let now = self.cycles;
-                    self.next_tick = [Priority::High, Priority::Low].map(|p| now + p.tick_cycles());
+                    self.clock_set_at = self.cycles;
+                    self.clock_set_to = v;
+                    // The queued wake times now count from the new clock.
+                    self.wake_at = [u64::MAX; 2];
+                    self.reload_timer_heads();
                 }
                 Op::StopOnError => {
                     if self.error {

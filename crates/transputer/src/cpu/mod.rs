@@ -18,7 +18,7 @@ mod translate;
 
 use crate::error::{CpuError, HaltReason};
 use crate::linkif::{LinkIn, LinkOut, LINK_COUNT};
-use crate::memory::{Memory, MemoryConfig, TPTR_LOC};
+use crate::memory::{Memory, MemoryConfig};
 use crate::process::{workspace_word, Magic, Priority, ProcDesc, PW_IPTR};
 use crate::stats::Stats;
 use crate::timing;
@@ -265,9 +265,10 @@ pub struct Cpu {
     pub(crate) hi_ready_at: Option<u64>,
     pub(crate) resume: Option<Resume>,
 
-    // Timers (§2.2.2): one clock per priority.
-    pub(crate) clock: [u32; 2],
-    pub(crate) next_tick: [u64; 2],
+    // Timers (§2.2.2): one clock per priority, each counting its own
+    // ticks from the cycle both were last set (reset or `sttimer`).
+    pub(crate) clock_set_at: u64,
+    pub(crate) clock_set_to: u32,
 
     // Links.
     pub(crate) link_out: [LinkOut; LINK_COUNT],
@@ -297,19 +298,17 @@ pub struct Cpu {
 
     /// The threaded-code translation cache (see `cpu/translate.rs`).
     pub(crate) tcache: translate::TransCache,
-    /// Whether `run_slice` may enter the translation tier
-    /// at all: the tier is enabled and reserved-word reads carry no
-    /// penalty (so timer-queue head checks are timing-free).
+    /// Whether `run_slice` may enter the translation tier at all: the
+    /// tier and the decode cache it needs are enabled.
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
-    /// Cached per-priority "the timer queue head is NotProcess and
-    /// reading it is free" flags: that priority's ticks are lazy. Always
-    /// false where reserved-word reads cost a penalty, since every
-    /// tick's head read is charged there; refreshed from memory whenever
-    /// a write lands in the reserved words (see
-    /// [`Cpu::refresh_timer_heads`]).
-    pub(crate) timer_head_empty: [bool; 2],
+    /// Per priority, the cycle of the tick on which the timer queue
+    /// head comes due, or `u64::MAX` while the queue is empty. Latched
+    /// from the head and its wake time whenever a write lands in the
+    /// reserved words, after each wake and after `sttimer` (see
+    /// [`Cpu::reload_timer_heads`]); no earlier tick touches memory.
+    pub(crate) wake_at: [u64; 2],
 
     /// Interaction point reached by the instruction just executed; taken
     /// by [`Cpu::run_slice`] to end the slice.
@@ -333,7 +332,6 @@ impl Cpu {
             mem.write_word(addr, magic.not_process)
                 .expect("reserved words in range");
         }
-        let translate_ok = config.translate && config.decode_cache && mem.reserved_reads_free();
         Cpu {
             word,
             magic,
@@ -350,8 +348,8 @@ impl Cpu {
             shadow: None,
             hi_ready_at: None,
             resume: None,
-            clock: [0; 2],
-            next_tick: [Priority::High, Priority::Low].map(Priority::tick_cycles),
+            clock_set_at: 0,
+            clock_set_to: 0,
             link_out: Default::default(),
             link_in: Default::default(),
             event_waiting: None,
@@ -368,10 +366,10 @@ impl Cpu {
             last_dispatch: 0,
             stats: Stats::default(),
             tcache: translate::TransCache::default(),
-            translate_ok,
+            translate_ok: config.translate && config.decode_cache,
             // Leader heat is a saturating `u8`.
             translate_threshold: config.translate_threshold.clamp(1, 255),
-            timer_head_empty: [false; 2],
+            wake_at: [u64::MAX; 2],
             slice_exit: None,
             links_dirty: false,
             slice_mark: 0,
@@ -546,17 +544,6 @@ impl Cpu {
             .map_err(|_| CpuError::AddressOutOfRange { address: addr })
     }
 
-    /// Read a word of memory without timing effects.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address is outside memory.
-    pub fn peek_word(&mut self, addr: u32) -> Result<u32, CpuError> {
-        self.mem
-            .read_word(addr)
-            .map_err(|_| CpuError::AddressOutOfRange { address: addr })
-    }
-
     /// Write a word of memory without timing effects.
     ///
     /// # Errors
@@ -564,7 +551,7 @@ impl Cpu {
     /// Fails if the address is outside memory.
     pub fn poke_word(&mut self, addr: u32, value: u32) -> Result<(), CpuError> {
         self.mem
-            .write_word(addr, value)
+            .poke_word(addr, value)
             .map_err(|_| CpuError::AddressOutOfRange { address: addr })
     }
 
@@ -580,27 +567,10 @@ impl Cpu {
     /// The absolute cycle at which the earliest timer-queue entry is due,
     /// if any. Used to fast-forward an idle processor.
     pub fn next_timer_wake_cycle(&mut self) -> Option<u64> {
-        // Catch a timer head poked into place since the last advance
-        // (materialises any lazily elided ticks of that priority, so
-        // the clock/next_tick arithmetic below is exact). The words are
-        // peeked: asking must not charge the simulated machine.
+        // Latch a timer head poked into place since the last advance.
         self.refresh_timer_heads();
-        [Priority::High, Priority::Low]
-            .into_iter()
-            .filter_map(|pri| {
-                let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
-                let head = self.mem.peek_word(head_loc).ok()?;
-                if head == self.magic.not_process {
-                    return None;
-                }
-                let time_loc = workspace_word(self.word, head, crate::process::PW_TIME);
-                let due = self.mem.peek_word(time_loc).ok()?;
-                Some(
-                    self.next_tick[pri.index()]
-                        + self.ticks_before_due(pri, due) * pri.tick_cycles(),
-                )
-            })
-            .min()
+        let wake = self.wake_at[0].min(self.wake_at[1]);
+        (wake != u64::MAX).then_some(wake)
     }
 
     /// Advance an idle processor's clock to an absolute cycle, waking any

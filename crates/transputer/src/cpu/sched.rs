@@ -202,71 +202,42 @@ impl Cpu {
     /// [`Cpu::advance_time`] with a 64-bit delta, so arbitrarily long
     /// idle gaps advance in one call without truncation.
     ///
-    /// Ticks of a lazy priority (see `Cpu::timer_head_empty`) are not
-    /// processed: with nothing to wake and a free head read, a tick's
-    /// only effect is the clock increment, which [`Cpu::clock_now`]
-    /// reconstructs in closed form on demand. The common case of the hot
-    /// loop is therefore a bare addition.
+    /// A tick before its queue head comes due changes nothing but the
+    /// clock, which [`Cpu::clock_now`] reads off the cycle counter, so
+    /// the common case is an addition and a compare with the two
+    /// latched due ticks (`Cpu::wake_at`).
     #[inline]
     pub(crate) fn advance_time64(&mut self, cycles: u64) {
         // Refresh BEFORE bumping the cycle counter: a timer insert
-        // during the instruction just executed ends its priority's lazy
-        // ticks, which are materialised only up to the pre-advance
-        // instant; ticks inside the window advanced now are then walked
-        // below, exactly where they fall.
+        // during the instruction just executed latches its due tick
+        // against the clock of the pre-advance instant; a due tick
+        // inside the window advanced now is then walked below, exactly
+        // where it falls.
         self.refresh_timer_heads();
         self.cycles += cycles;
-        if (!self.timer_head_empty[0] && self.next_tick[0] <= self.cycles)
-            || (!self.timer_head_empty[1] && self.next_tick[1] <= self.cycles)
-        {
+        if self.cycles >= self.wake_at[0].min(self.wake_at[1]) {
             self.catch_up_ticks();
         }
     }
 
-    /// Ticks of a priority's clock that have elapsed but not been
-    /// processed.
+    /// A priority's clock at `cycle`: the value both clocks were last
+    /// set to plus the ticks since. Tick `k` falls `k` tick periods
+    /// after the set.
     #[inline]
-    fn pending_ticks(&self, pri: Priority) -> u64 {
-        let next = self.next_tick[pri.index()];
-        if self.cycles < next {
-            0
-        } else {
-            (self.cycles - next) / pri.tick_cycles() + 1
-        }
+    pub(crate) fn clock_at(&self, pri: Priority, cycle: u64) -> u32 {
+        let ticks = (cycle - self.clock_set_at) / pri.tick_cycles();
+        self.word
+            .wrapping_add(self.clock_set_to, self.word.mask64(ticks))
     }
 
-    /// Step a priority's clock by `ticks` ticks.
-    fn bump_clock(&mut self, pri: Priority, ticks: u64) {
-        let i = pri.index();
-        self.clock[i] = self
-            .word
-            .wrapping_add(self.clock[i], self.word.mask64(ticks));
-        self.next_tick[i] += ticks * pri.tick_cycles();
-    }
-
-    /// How many of a priority's next ticks pass before the one on which
-    /// a queue head waiting for `due` wakes (its clock reaches `due`;
-    /// `timer input` stores t+1, so this realises "clock AFTER t").
-    pub(crate) fn ticks_before_due(&self, pri: Priority, due: u32) -> u64 {
-        let delta = self.word.wrapping_sub(due, self.clock[pri.index()]);
-        (self.word.to_signed(delta).max(1) - 1) as u64
-    }
-
-    /// The current value of a priority's clock: the stored register
-    /// plus any ticks that have elapsed but not been materialised
-    /// (lazy ticks of an empty-queue priority).
+    /// The current value of a priority's clock.
     #[inline]
     pub(crate) fn clock_now(&self, pri: Priority) -> u32 {
-        self.word.wrapping_add(
-            self.clock[pri.index()],
-            self.word.mask64(self.pending_ticks(pri)),
-        )
+        self.clock_at(pri, self.cycles)
     }
 
-    /// Re-read the timer queue heads into the cached lazy-tick flags if
-    /// any write has landed in the reserved words since the last look.
-    /// A priority whose ticks stop being lazy has them materialised
-    /// first, so the walk starts from an exact clock.
+    /// Re-latch the due ticks if any write has landed in the reserved
+    /// words since the last look.
     #[inline(always)]
     pub(crate) fn refresh_timer_heads(&mut self) {
         if self.mem.take_reserved_dirty() {
@@ -274,71 +245,59 @@ impl Cpu {
         }
     }
 
-    /// Dirty path of [`Cpu::refresh_timer_heads`], kept out of line so
-    /// the clean-case check inlines to a load and a branch.
+    /// Latch each priority's due tick from its queue head and the
+    /// head's wake time: the cycle of the tick on which the head comes
+    /// due, or `u64::MAX` while the queue is empty. The words are
+    /// peeked: keeping the latch is the emulator's bookkeeping, not a
+    /// read the processor makes.
+    ///
+    /// The due tick is counted from the clock of the last tick already
+    /// walked: now for a priority with no head due yet, the tick before
+    /// the due one for a priority whose head is due or was just walked
+    /// (inside [`Cpu::catch_up_ticks`]), which the rest of its queue
+    /// was armed against.
+    ///
+    /// The latch follows the head, not its wake time: a store that
+    /// moves a waiting head's time earlier takes effect at the latched
+    /// tick; a later time is found unreached there and latched again.
     #[cold]
-    fn reload_timer_heads(&mut self) {
-        let free = self.mem.reserved_reads_free();
+    pub(crate) fn reload_timer_heads(&mut self) {
         for pri in [Priority::High, Priority::Low] {
             let i = pri.index();
+            let period = pri.tick_cycles();
+            let from = self.cycles.min(self.wake_at[i] - period);
             let head_loc = self.mem.reserved_addr(TPTR_LOC[i]);
             let head = self
                 .mem
                 .peek_word(head_loc)
                 .unwrap_or(self.magic.not_process);
-            let lazy = free && head == self.magic.not_process;
-            if !lazy && self.timer_head_empty[i] {
-                // Ticks that passed with the queue empty only bumped
-                // the clock.
-                self.bump_clock(pri, self.pending_ticks(pri));
-            }
-            self.timer_head_empty[i] = lazy;
+            self.wake_at[i] = if head == self.magic.not_process {
+                u64::MAX
+            } else {
+                let time_loc = workspace_word(self.word, head, PW_TIME);
+                let due = self.mem.peek_word(time_loc).unwrap_or(0);
+                // Ticks before the one on which the clock reaches `due`
+                // (`timer input` stores t+1, so this realises "clock
+                // AFTER t").
+                let delta = self.word.wrapping_sub(due, self.clock_at(pri, from));
+                let before = (self.word.to_signed(delta).max(1) - 1) as u64;
+                let next = (from - self.clock_set_at) / period + 1;
+                self.clock_set_at + (next + before) * period
+            };
         }
     }
 
-    /// Process every clock tick due at or before the current cycle: each
-    /// bumps its priority's clock, reads the timer queue head and, when
-    /// there is one, the head's wake time, and wakes the head once that
-    /// time is reached.
-    ///
-    /// One rule on every memory map: the ticks before the head comes due
-    /// change nothing but the clock, so they are taken in one step, and
-    /// the off-chip penalty of their reads is charged by count
-    /// ([`crate::memory::Memory::charge_reads`]) as one at a time would
-    /// accrue it. Only the tick on which a head comes due is walked. Out
-    /// of line: its caller, `advance_time64`, is inlined everywhere.
+    /// Walk every due tick at or before the current cycle, high
+    /// priority first: wake the heads whose time the tick's clock
+    /// reaches, and latch the next due tick. No other tick touches
+    /// memory. Out of line: its caller, `advance_time64`, is inlined
+    /// everywhere.
     #[inline(never)]
     fn catch_up_ticks(&mut self) {
         for pri in [Priority::High, Priority::Low] {
-            if self.timer_head_empty[pri.index()] {
-                continue;
-            }
-            let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
-            loop {
-                let pending = self.pending_ticks(pri);
-                if pending == 0 {
-                    break;
-                }
-                let head = self
-                    .mem
-                    .peek_word(head_loc)
-                    .unwrap_or(self.magic.not_process);
-                let quiet = if head == self.magic.not_process {
-                    pending
-                } else {
-                    let time_loc = workspace_word(self.word, head, PW_TIME);
-                    let due = self.mem.peek_word(time_loc).unwrap_or(0);
-                    let quiet = pending.min(self.ticks_before_due(pri, due));
-                    self.mem.charge_reads(time_loc, quiet);
-                    quiet
-                };
-                self.mem.charge_reads(head_loc, quiet);
-                self.bump_clock(pri, quiet);
-                if quiet < pending {
-                    let tick_cycle = self.next_tick[pri.index()];
-                    self.bump_clock(pri, 1);
-                    self.wake_due_timers(pri, tick_cycle);
-                }
+            while self.wake_at[pri.index()] <= self.cycles {
+                self.wake_due_timers(pri, self.wake_at[pri.index()]);
+                self.reload_timer_heads();
             }
         }
     }
@@ -360,7 +319,7 @@ impl Cpu {
                 .unwrap_or(0);
             // Due when clock has reached `due` (timer input stores t+1,
             // so this realises "clock AFTER t").
-            let reached = !self.word.after(due, self.clock[pri.index()]);
+            let reached = !self.word.after(due, self.clock_at(pri, tick_cycle));
             if !reached {
                 return;
             }

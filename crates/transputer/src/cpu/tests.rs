@@ -647,7 +647,7 @@ fn loop_end_counts() {
     assert_eq!(cpu.areg(), 5, "loop body ran 5 times");
     // Index word advanced to 4 (0-based, incremented 4 times).
     let w = cpu.default_boot_workspace();
-    let idx = cpu.peek_word(w.wrapping_add(4)).unwrap();
+    let idx = cpu.inspect_word(w.wrapping_add(4)).unwrap();
     assert_eq!(idx, 4);
 }
 
@@ -685,8 +685,8 @@ fn spawn_at_both_priorities() {
     cpu.spawn(w_hi, entry, Priority::High);
     cpu.run_to_halt(100_000).unwrap();
     // Low priority halted last; its marker is in ITS workspace.
-    let hi_marker = cpu.peek_word(w_hi.wrapping_add(4)).unwrap();
-    let lo_marker = cpu.peek_word(w_lo.wrapping_add(4)).unwrap();
+    let hi_marker = cpu.inspect_word(w_hi.wrapping_add(4)).unwrap();
+    let lo_marker = cpu.inspect_word(w_lo.wrapping_add(4)).unwrap();
     assert_eq!(hi_marker, 1);
     assert_eq!(lo_marker, 2);
     assert!(cpu.stats().dispatches >= 2);

@@ -311,7 +311,7 @@ impl Cpu {
             self.stats.decode_misses += 1;
             return TierExit::BytePath;
         }
-        // The timer-head flags are refreshed once here and thereafter by
+        // The due ticks are re-latched once here and thereafter by
         // the `advance_time` of every operation that can write memory.
         self.refresh_timer_heads();
         let mut off = match self.block_entry() {
@@ -365,7 +365,7 @@ impl Cpu {
         if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
             return Err(TierExit::Recheck);
         }
-        if !(self.timer_head_empty[0] && self.timer_head_empty[1]) {
+        if self.wake_at != [u64::MAX; 2] {
             return Err(TierExit::BytePath);
         }
         let off = self.word.mask(self.iptr.wrapping_sub(self.mem.base())) as usize;
@@ -691,7 +691,7 @@ impl Cpu {
     /// [`Cpu::block_entry`].
     #[inline]
     fn gates_tripped(&self) -> bool {
-        !(self.timer_head_empty[0] && self.timer_head_empty[1])
+        self.wake_at != [u64::MAX; 2]
             || (self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process)
     }
 

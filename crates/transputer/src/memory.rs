@@ -111,8 +111,8 @@ pub struct Memory {
     /// every translated block and disarms every gate).
     code_epoch: u64,
     /// A write landed in the reserved words (link channels, timer queue
-    /// heads) since the flag was last taken. The CPU uses this to keep
-    /// its cached timer-queue-empty knowledge honest.
+    /// heads) since the flag was last taken. The CPU re-latches its
+    /// timer queues' due ticks from it.
     reserved_dirty: bool,
     /// Byte size of the reserved region, precomputed.
     reserved_bytes: usize,
@@ -273,19 +273,6 @@ impl Memory {
         }
     }
 
-    /// Accrue the off-chip penalty of `count` reads of the word at
-    /// `addr`, as that many [`Memory::read_word`] calls would, without
-    /// reading it: nothing for an on-chip or out-of-range word.
-    pub(crate) fn charge_reads(&mut self, addr: u32, count: u64) {
-        if let Ok(off) = self.offset(self.word.align_word(addr)) {
-            if off >= self.on_chip_bytes as usize {
-                let cycles = count.saturating_mul(u64::from(self.off_chip_penalty));
-                let cycles = u32::try_from(cycles).unwrap_or(u32::MAX);
-                self.penalty_accrued = self.penalty_accrued.saturating_add(cycles);
-            }
-        }
-    }
-
     /// Drain the off-chip penalty cycles accrued since the last call.
     pub fn take_penalty_cycles(&mut self) -> u32 {
         std::mem::take(&mut self.penalty_accrued)
@@ -360,16 +347,9 @@ impl Memory {
         }
     }
 
-    /// Whether reads of the reserved words never accrue a penalty (they
-    /// sit on chip, or no off-chip penalty is configured). When true, a
-    /// priority whose timer queue is empty may leave its ticks lazy:
-    /// each would only bump the clock and read the empty head for free.
-    pub(crate) fn reserved_reads_free(&self) -> bool {
-        self.off_chip_penalty == 0 || self.reserved_bytes <= self.on_chip_bytes as usize
-    }
-
-    /// Whether *no* access anywhere can accrue a penalty, so the
-    /// penalty accumulator never needs draining.
+    /// Whether no access anywhere can accrue a penalty: the
+    /// translation tier's load and store arms then skip draining the
+    /// accumulator.
     pub(crate) fn timing_pure(&self) -> bool {
         self.off_chip_penalty == 0
     }
@@ -435,6 +415,17 @@ impl Memory {
         self.note_write(off);
         self.held_mut(off, off + n)[..n].copy_from_slice(&v.to_le_bytes()[..n]);
         Ok(())
+    }
+
+    /// Write a machine word as [`Memory::write_word`] does, the write
+    /// gate and the reserved-words flag included, but accrue no off-chip
+    /// penalty: a host-side write moves no simulated time.
+    #[inline]
+    pub(crate) fn poke_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
+        let accrued = self.penalty_accrued;
+        let written = self.write_word(addr, value);
+        self.penalty_accrued = accrued;
+        written
     }
 
     /// Instruction-fetch fast path: read one byte with neither `Result`
@@ -615,23 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn charged_reads_cost_what_that_many_reads_would() {
-        let cfg = MemoryConfig::t424().with_external(4096, 3);
-        let mut m = Memory::new(WordLength::Bits32, cfg);
-        let external = m.base().wrapping_add(T424_ON_CHIP_BYTES);
-        for _ in 0..5 {
-            m.read_word(external + 1).unwrap();
-        }
-        let five_reads = m.take_penalty_cycles();
-        m.charge_reads(external + 1, 5);
-        assert_eq!(m.take_penalty_cycles(), five_reads);
-        // On chip, and out of range, a read costs nothing.
-        m.charge_reads(m.mem_start(), 5);
-        m.charge_reads(m.limit().wrapping_add(4), 5);
-        assert_eq!(m.take_penalty_cycles(), 0);
-    }
-
-    #[test]
     fn load_and_dump() {
         let mut m = mem32();
         let a = m.mem_start();
@@ -799,6 +773,15 @@ mod tests {
             Ok(())
         }
 
+        fn poke_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
+            let off = self.offset(self.word.align_word(addr))?;
+            self.written(off, 1);
+            let n = self.word.bytes_per_word() as usize;
+            let value = self.word.mask(value).to_le_bytes();
+            self.bytes[off..off + n].copy_from_slice(&value[..n]);
+            Ok(())
+        }
+
         fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
             let off = self.offset(self.word.mask(addr))?;
             self.access(off);
@@ -902,7 +885,7 @@ mod tests {
 
         /// Random sequences of every operation — word and byte accesses,
         /// loads and dumps that span both segments and the gap, observer
-        /// reads, instruction fetch, armed write gates, out-of-range
+        /// reads and host writes, instruction fetch, armed write gates, out-of-range
         /// addresses — see the same values, faults, penalty cycles,
         /// gates, epoch and reserved-words flag as on the flat image,
         /// and never hold more than the logical size.
@@ -910,7 +893,7 @@ mod tests {
         fn segments_are_indistinguishable_from_the_flat_image(
             config in 0usize..5,
             steps in proptest::collection::vec(
-                (0u32..11, any::<u32>(), any::<u32>()),
+                (0u32..12, any::<u32>(), any::<u32>()),
                 1..160,
             ),
         ) {
@@ -947,6 +930,7 @@ mod tests {
                         m.note_code_cached(block);
                         f.code_cached[block] = true;
                     }
+                    10 => same!(poke_word(addr, b)),
                     _ => same!(take_reserved_dirty()),
                 }
                 prop_assert_eq!(m.take_penalty_cycles(), std::mem::take(&mut f.accrued));

@@ -102,7 +102,7 @@ fn assert_byte_path_alone(cpu: &Cpu) {
 
 fn local_word(cpu: &mut Cpu, index: u32) -> u32 {
     let addr = cpu.default_boot_workspace() + 4 * index;
-    cpu.peek_word(addr).expect("workspace in range")
+    cpu.inspect_word(addr).expect("workspace in range")
 }
 
 #[test]

@@ -1,18 +1,22 @@
 //! The timer clocks (§2.2.2: one clock and one timer queue per
 //! priority) on every memory map the emulator models.
 //!
-//! A tick advances its priority's clock and wakes the queue head once
-//! its time is reached. Where the reserved words or the workspaces sit
-//! off chip, every tick's reads of the queue head and of the head's wake
-//! time cost the off-chip penalty, so the tick rule shows in the cycle
-//! count. `tick_rule_is_pinned` holds literal cycles, clocks and
-//! statistics for directed scenarios on three maps; no scenario idles
-//! with a timer armed, so the host's idle fast-forward plays no part.
-//! `asking_for_the_next_wake_moves_nothing` covers that fast-forward: a
-//! host-side query must not move the simulated machine.
+//! A tick advances its priority's clock. The tick on which the queue
+//! head's time is reached wakes it, reading the head and its wake time,
+//! so where those sit off chip that tick shows in the cycle count; no
+//! earlier tick reads memory. `tick_rule_is_pinned` holds literal
+//! cycles, clocks and statistics for directed scenarios on three maps;
+//! no scenario idles with a timer armed, so the host's idle
+//! fast-forward plays no part. The idle-wait tests cover that
+//! fast-forward: the ticks it passes read nothing, a host-side query or
+//! memory access must not move the simulated machine, and a poked wake
+//! time takes effect at the latched due tick. Three more hold the
+//! latch's edges: `sttimer` under a waiting head, a queue left empty
+//! past half the T222 clock's range, and both queues due on one tick.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
-use transputer::memory::MemoryConfig;
+use transputer::memory::{MemoryConfig, TPTR_LOC};
+use transputer::process::{workspace_word, PW_TIME};
 use transputer::{Cpu, CpuConfig, Priority, RunOutcome, StepEvent};
 
 struct Asm(Vec<u8>);
@@ -246,7 +250,7 @@ fn pin(config: CpuConfig, procs: &[(Asm, Priority)], batched: bool) -> Pin {
         areg: cpu.areg(),
         recorded: workspaces
             .iter()
-            .map(|&w| cpu.peek_word(w + bpw).unwrap())
+            .map(|&w| cpu.inspect_word(w + bpw).unwrap())
             .collect(),
         clocks: [
             cpu.clock_value(Priority::High),
@@ -256,8 +260,12 @@ fn pin(config: CpuConfig, procs: &[(Asm, Priority)], batched: bool) -> Pin {
     }
 }
 
-/// Literal values taken before the tick walk became one rule; the step
-/// and the batched drive must both reproduce them.
+/// Literal values; the step and the batched drive must both reproduce
+/// them. The `t424` rows were taken before the tick walk became one
+/// rule. The `default_p3` and `off_chip_p2` rows were taken from that
+/// rule with its charge for the reads of the ticks before a head comes
+/// due removed (`Memory::charge_reads` returning at once): a tick that
+/// reads no memory must reproduce them.
 #[test]
 fn tick_rule_is_pinned() {
     type Scenario = (
@@ -304,28 +312,136 @@ fn tick_rule_is_pinned() {
     // Per scenario: the t424, default_p3 and off_chip_p2 maps.
     let expected = [
         p(5_296, 4, &[32, 0], [264, 4], 11726868520843702624),
-        p(9_031, 7, &[32, 0], [451, 7], 13168336252456885803),
-        p(15_874, 12, &[34, 0], [793, 12], 14246414576880651692),
+        p(8_941, 6, &[32, 0], [447, 6], 3986283829273737037),
+        p(14_208, 11, &[34, 0], [710, 11], 14246414576880651692),
         p(5_152, 4, &[0, 29_610], [257, 4], 10013223746614323861),
-        p(5_181, 4, &[0, 29_773], [259, 4], 11586886711749333510),
-        p(5_231, 4, &[0, 29_873], [261, 4], 16225911085586407105),
+        p(5_194, 4, &[0, 29_772], [259, 4], 14447556259116243860),
+        p(5_222, 4, &[0, 29_858], [261, 4], 2452322257344501504),
         p(5_395, 4, &[0, 73], [269, 4], 17516441135661735600),
-        p(9_562, 7, &[0, 146], [478, 7], 17516441135661735600),
-        p(16_611, 12, &[0, 242], [830, 12], 10160008984638475180),
+        p(9_151, 7, &[0, 125], [457, 7], 17516441135661735600),
+        p(14_459, 11, &[0, 195], [722, 11], 17516441135661735600),
         p(19_647, 15, &[252, 5, 0], [982, 15], 8116974253723869251),
-        p(34_002, 26, &[252, 5, 0], [1_700, 26], 6756861574296116405),
-        p(59_351, 46, &[255, 6, 0], [2_967, 46], 10897363472342077928),
+        p(33_246, 25, &[252, 5, 0], [1_662, 25], 12636845472004418739),
+        p(52_825, 41, &[254, 6, 0], [2_641, 41], 8116974253723869251),
         p(39_100, 14, &[26, 0], [1_938, 14], 9007965405127207232),
-        p(66_265, 35, &[26, 0], [3_296, 35], 2275789690964946861),
-        p(117_196, 75, &[27, 0], [5_841, 75], 2275789690964946861),
+        p(66_145, 35, &[26, 0], [3_290, 35], 18360760440616842590),
+        p(105_220, 66, &[26, 0], [5_242, 66], 13555607901843017100),
     ];
     assert_eq!(got, expected);
 }
 
+/// `sttimer` moves the clock under a waiting head, which is then due at
+/// once. A low wait armed for clock 1 001 when another process sets the
+/// clock to 2 000 wakes on the next tick, reading 2 001. A high wait
+/// armed for clock 2, whose due tick is less than a tick away when a
+/// low process sets the clock to 100, wakes on the first tick after the
+/// set (clock 101); the switch into it crosses one more tick, so it
+/// reads 102.
+#[test]
+fn sttimer_relatches_a_waiting_head() {
+    let mut wait = Asm::new();
+    wait.o(Op::LoadTimer)
+        .d(Direct::AddConstant, 1_000)
+        .o(Op::TimerInput)
+        .o(Op::LoadTimer)
+        .o(Op::HaltSimulation);
+    let mut set = Asm::new();
+    set.d(Direct::LoadConstant, 2_000)
+        .o(Op::StoreTimer)
+        .o(Op::StopProcess);
+    let procs = [(wait, Priority::Low), (set, Priority::Low)];
+    for batched in [false, true] {
+        assert_eq!(pin(CpuConfig::t424(), &procs, batched).areg, 2_001);
+    }
+    let mut wait = Asm::new();
+    wait.sleep_then_record(1);
+    let mut set = Asm::new();
+    set.d(Direct::LoadConstant, 100).o(Op::StoreTimer);
+    set.countdown(50).o(Op::HaltSimulation);
+    let procs = [(wait, Priority::High), (set, Priority::Low)];
+    for batched in [false, true] {
+        assert_eq!(pin(CpuConfig::t424(), &procs, batched).recorded[0], 102);
+    }
+}
+
+/// On the T222, a high queue left empty for more than half the 16-bit
+/// clock's range (a low loop runs over 33 000 high ticks while the high
+/// process waits on a channel) and then armed for 40 ticks comes due 41
+/// ticks after the process read the clock, and the switch back into it
+/// crosses one more tick: it reads 42 later. Its due tick is counted
+/// from a current clock, not from a register that many ticks behind.
+#[test]
+fn a_queue_empty_past_half_the_clock_arms_from_a_current_clock() {
+    // The channel is the low process's `w[4]`: the high frame sits 64
+    // words below it.
+    let chan = 64 + 4;
+    let mut lo = Asm::new();
+    lo.countdown(30_000).countdown(30_000).countdown(30_000);
+    lo.d(Direct::LoadConstant, 7)
+        .d(Direct::LoadLocalPointer, 4)
+        .o(Op::OutputWord);
+    lo.countdown(300).o(Op::HaltSimulation);
+    let mut hi = Asm::new();
+    hi.o(Op::MinimumInteger).d(Direct::StoreLocal, chan);
+    hi.d(Direct::LoadLocalPointer, 8)
+        .d(Direct::LoadLocalPointer, chan)
+        .d(Direct::LoadConstant, 2)
+        .o(Op::InputMessage);
+    hi.o(Op::LoadTimer)
+        .d(Direct::StoreLocal, 2)
+        .d(Direct::LoadLocal, 2)
+        .d(Direct::AddConstant, 40)
+        .o(Op::TimerInput)
+        .o(Op::LoadTimer)
+        .d(Direct::LoadLocal, 2)
+        .o(Op::Difference)
+        .d(Direct::StoreLocal, 1)
+        .o(Op::StopProcess);
+    let procs = [(lo, Priority::Low), (hi, Priority::High)];
+    for batched in [false, true] {
+        let run = pin(CpuConfig::t222(), &procs, batched);
+        assert!(run.cycles > 33_000 * 20, "{} cycles", run.cycles);
+        assert_eq!(run.recorded[1], 42);
+    }
+}
+
+/// A high and a low wait that come due on the same tick of an idle
+/// processor: the high clock reaches 128 and the low clock 2 at cycle
+/// 2 560. The high queue is walked first, so the high process runs at
+/// once and the low one after it, with no preemption, and the low clock
+/// is read at the tick its wait came due.
+#[test]
+fn coincident_due_ticks_wake_high_priority_first() {
+    let mut hi = Asm::new();
+    hi.sleep_then_record(127);
+    let mut lo = Asm::new();
+    lo.o(Op::LoadTimer)
+        .d(Direct::AddConstant, 1)
+        .o(Op::TimerInput)
+        .o(Op::LoadTimer)
+        .o(Op::HaltSimulation);
+    let procs = [(hi, Priority::High), (lo, Priority::Low)];
+    for batched in [false, true] {
+        let procs: Vec<_> = procs.iter().map(|(a, p)| (a, *p)).collect();
+        let (mut cpu, workspaces) = machine(CpuConfig::t424(), &procs);
+        let outcome = if batched {
+            cpu.run_batched(1_000_000)
+        } else {
+            cpu.run(1_000_000)
+        };
+        assert!(matches!(outcome, Ok(RunOutcome::Halted(_))), "{outcome:?}");
+        let bpw = cpu.word_length().bytes_per_word();
+        assert_eq!(cpu.inspect_word(workspaces[0] + bpw).unwrap(), 128);
+        assert_eq!(cpu.areg(), 2);
+        assert_eq!(cpu.stats().preemptions, 0);
+    }
+}
+
 /// `ldtimer; adc 50; tin; ldtimer; haltsim`, driven by `Cpu::step`, with
 /// `next_timer_wake_cycle` asked `asks` times whenever the processor
-/// idles: the cycles and the clock read at the end.
-fn idle_wait(memory: MemoryConfig, asks: usize) -> (u64, u32) {
+/// idles and, at the first idle, the waiting head's wake time poked to
+/// `poke` if one is given: the cycles and the clock read at the end.
+fn idle_wait(memory: MemoryConfig, asks: usize, poke: Option<u32>) -> (u64, u32) {
     let mut a = Asm::new();
     a.o(Op::LoadTimer)
         .d(Direct::AddConstant, 50)
@@ -334,11 +450,17 @@ fn idle_wait(memory: MemoryConfig, asks: usize) -> (u64, u32) {
         .o(Op::HaltSimulation);
     let mut cpu = Cpu::new(CpuConfig::t424().with_memory(memory));
     cpu.load_boot_program(&a.0).unwrap();
+    let mut poke = poke;
     loop {
         match cpu.step() {
             StepEvent::Ran { .. } => {}
             StepEvent::Halted(_) => return (cpu.cycles(), cpu.areg()),
             StepEvent::Idle => {
+                if let Some(time) = poke.take() {
+                    let wptr = cpu.default_boot_workspace();
+                    let time_loc = workspace_word(cpu.word_length(), wptr, PW_TIME);
+                    cpu.poke_word(time_loc, time).unwrap();
+                }
                 let wake = cpu.next_timer_wake_cycle().expect("a timer is armed");
                 for _ in 1..asks {
                     assert_eq!(cpu.next_timer_wake_cycle(), Some(wake));
@@ -355,6 +477,80 @@ fn idle_wait(memory: MemoryConfig, asks: usize) -> (u64, u32) {
 #[test]
 fn asking_for_the_next_wake_moves_nothing() {
     for (map, memory) in maps() {
-        assert_eq!(idle_wait(memory, 5), idle_wait(memory, 1), "{map}");
+        assert_eq!(
+            idle_wait(memory, 5, None),
+            idle_wait(memory, 1, None),
+            "{map}"
+        );
+    }
+}
+
+/// The ticks an idle processor waits through read no memory, so on
+/// every map the woken process's closing `ldtimer` reads the time it
+/// asked for: no penalty of theirs delays it.
+#[test]
+fn an_idle_wait_ends_on_time_on_every_map() {
+    for (map, memory) in maps() {
+        assert_eq!(idle_wait(memory, 1, None).1, 51, "{map}");
+    }
+}
+
+/// The tick on which a head comes due is latched when the head changes.
+/// A poke that moves the waiting head's wake time later still wakes it
+/// at the new time: the walk at the latched tick finds the time not
+/// reached and latches again. A poke that moves it earlier takes effect
+/// at the latched tick. A poke of the queue head itself is latched at
+/// once.
+#[test]
+fn a_poked_wake_time_takes_effect_at_the_latched_tick() {
+    for (map, memory) in maps() {
+        assert_eq!(idle_wait(memory, 1, Some(101)).1, 101, "{map}: later");
+        assert_eq!(idle_wait(memory, 1, Some(21)).1, 51, "{map}: earlier");
+    }
+    let mut a = Asm::new();
+    a.o(Op::LoadTimer)
+        .d(Direct::AddConstant, 50)
+        .o(Op::TimerInput);
+    let mut cpu = Cpu::new(CpuConfig::t424());
+    cpu.load_boot_program(&a.0).unwrap();
+    while cpu.step() != StepEvent::Idle {}
+    assert!(cpu.next_timer_wake_cycle().is_some());
+    let head_loc = cpu.memory().reserved_addr(TPTR_LOC[Priority::Low.index()]);
+    let empty = cpu.word_length().most_neg();
+    cpu.poke_word(head_loc, empty).unwrap();
+    assert_eq!(cpu.next_timer_wake_cycle(), None, "the queue was emptied");
+}
+
+/// Host reads and writes of memory move no simulated time: `ldc 1;
+/// ldc 2; haltsim` runs one step, the host reads, or reads and writes
+/// back, a boot workspace word five times, and the run to the halt
+/// takes as many cycles as with no access.
+#[test]
+fn host_memory_access_moves_nothing() {
+    fn run(memory: MemoryConfig, access: fn(&mut Cpu, u32)) -> u64 {
+        let mut a = Asm::new();
+        a.d(Direct::LoadConstant, 1)
+            .d(Direct::LoadConstant, 2)
+            .o(Op::HaltSimulation);
+        let mut cpu = Cpu::new(CpuConfig::t424().with_memory(memory));
+        cpu.load_boot_program(&a.0).unwrap();
+        cpu.step();
+        let wptr = cpu.default_boot_workspace();
+        for _ in 0..5 {
+            access(&mut cpu, wptr);
+        }
+        assert!(matches!(cpu.run(1_000), Ok(RunOutcome::Halted(_))));
+        cpu.cycles()
+    }
+    for (map, memory) in maps() {
+        let untouched = run(memory, |_, _| {});
+        let read = run(memory, |cpu, w| {
+            cpu.inspect_word(w).unwrap();
+        });
+        let written = run(memory, |cpu, w| {
+            let v = cpu.inspect_word(w).unwrap();
+            cpu.poke_word(w, v).unwrap();
+        });
+        assert_eq!((read, written), (untouched, untouched), "{map}");
     }
 }

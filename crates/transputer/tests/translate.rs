@@ -80,7 +80,7 @@ fn assert_transparent(code: &[u8]) -> Cpu {
 
 fn local_word(cpu: &mut Cpu, index: u32) -> u32 {
     let addr = cpu.default_boot_workspace() + 4 * index;
-    cpu.peek_word(addr).expect("workspace in range")
+    cpu.inspect_word(addr).expect("workspace in range")
 }
 
 /// Resolve the `ldc`-operand fixpoint for a `startp` child whose entry

@@ -115,12 +115,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let addr = stage_prog
             .global_addr(word, stage_wptrs[i], "prime")
             .expect("prime global");
-        primes.push(net.node_mut(n).peek_word(addr)? as i64);
+        primes.push(net.node(n).inspect_word(addr)? as i64);
     }
     let count_addr = sink_prog
         .global_addr(word, sink_wptr, "count")
         .expect("count global");
-    let leftover = net.node_mut(nodes[STAGES + 1]).peek_word(count_addr)?;
+    let leftover = net.node(nodes[STAGES + 1]).inspect_word(count_addr)?;
 
     println!(
         "pipeline of {STAGES} filter transputers sieved 2..={CANDIDATES}: primes held per stage: {primes:?}"
@@ -130,8 +130,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("rest global");
     let rest: Vec<u32> = (0..leftover)
         .map(|i| {
-            net.node_mut(nodes[STAGES + 1])
-                .peek_word(word.index_word(rest_addr, i))
+            net.node(nodes[STAGES + 1])
+                .inspect_word(word.index_word(rest_addr, i))
                 .unwrap()
         })
         .collect();

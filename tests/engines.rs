@@ -178,7 +178,7 @@ fn timer_sleep_beside_a_byte_stream_sliced_matches_event() {
         assert!(net.time_ns() > 64_000, "{engine:?}: the receiver slept");
         let w = net.node(rx).default_boot_workspace();
         for k in 0..WORDS {
-            let got = net.node_mut(rx).peek_word(w + 4 * (k + 1)).unwrap();
+            let got = net.node(rx).inspect_word(w + 4 * (k + 1)).unwrap();
             assert_eq!(got, 0x1985_0000 + k, "{engine:?}: word {k}");
         }
         net

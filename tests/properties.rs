@@ -311,7 +311,6 @@ proptest! {
             let w = cpu.word_length();
             let addr = w.index_word(cpu.memory().mem_start(), offset);
             cpu.poke_word(addr, value).unwrap();
-            prop_assert_eq!(cpu.peek_word(addr).unwrap(), w.mask(value));
             prop_assert_eq!(cpu.inspect_word(addr).unwrap(), w.mask(value));
         }
     }
