@@ -539,7 +539,6 @@ impl Cpu {
                     self.clock_set_at = self.cycles;
                     self.clock_set_to = v;
                     // The queued wake times now count from the new clock.
-                    self.wake_at = [u64::MAX; 2];
                     self.reload_timer_heads();
                 }
                 Op::StopOnError => {

@@ -307,7 +307,7 @@ pub struct Cpu {
     /// head comes due, or `u64::MAX` while the queue is empty. Latched
     /// from the head and its wake time whenever a write lands in the
     /// reserved words, after each wake and after `sttimer` (see
-    /// [`Cpu::reload_timer_heads`]); no earlier tick touches memory.
+    /// [`Cpu::latch_due_tick`]); no earlier tick touches memory.
     pub(crate) wake_at: [u64; 2],
 
     /// Interaction point reached by the instruction just executed; taken

@@ -245,59 +245,66 @@ impl Cpu {
         }
     }
 
-    /// Latch each priority's due tick from its queue head and the
-    /// head's wake time: the cycle of the tick on which the head comes
-    /// due, or `u64::MAX` while the queue is empty. The words are
-    /// peeked: keeping the latch is the emulator's bookkeeping, not a
-    /// read the processor makes.
+    /// Latch both priorities' due ticks, counting from the current
+    /// cycle (see [`Cpu::latch_due_tick`]): a write has landed in the
+    /// reserved words, or `sttimer` has set the clocks.
+    #[cold]
+    pub(crate) fn reload_timer_heads(&mut self) {
+        for pri in [Priority::High, Priority::Low] {
+            self.latch_due_tick(pri, self.cycles);
+        }
+    }
+
+    /// Latch a priority's due tick from its queue head and the head's
+    /// wake time: the cycle of the tick on which the head comes due, or
+    /// `u64::MAX` while the queue is empty. The words are peeked:
+    /// keeping the latch is the emulator's bookkeeping, not a read the
+    /// processor makes.
     ///
-    /// The due tick is counted from the clock of the last tick already
-    /// walked: now for a priority with no head due yet, the tick before
-    /// the due one for a priority whose head is due or was just walked
-    /// (inside [`Cpu::catch_up_ticks`]), which the rest of its queue
-    /// was armed against.
+    /// The due tick is counted from the clock at `from`, a cycle by
+    /// which every due tick of the priority has been walked: the
+    /// current cycle, or the due tick just walked, whose clock the rest
+    /// of the queue was found not to have reached. The due tick always
+    /// lies after `from`.
     ///
     /// The latch follows the head, not its wake time: a store that
     /// moves a waiting head's time earlier takes effect at the latched
     /// tick; a later time is found unreached there and latched again.
-    #[cold]
-    pub(crate) fn reload_timer_heads(&mut self) {
-        for pri in [Priority::High, Priority::Low] {
-            let i = pri.index();
-            let period = pri.tick_cycles();
-            let from = self.cycles.min(self.wake_at[i] - period);
-            let head_loc = self.mem.reserved_addr(TPTR_LOC[i]);
-            let head = self
-                .mem
-                .peek_word(head_loc)
-                .unwrap_or(self.magic.not_process);
-            self.wake_at[i] = if head == self.magic.not_process {
-                u64::MAX
-            } else {
-                let time_loc = workspace_word(self.word, head, PW_TIME);
-                let due = self.mem.peek_word(time_loc).unwrap_or(0);
-                // Ticks before the one on which the clock reaches `due`
-                // (`timer input` stores t+1, so this realises "clock
-                // AFTER t").
-                let delta = self.word.wrapping_sub(due, self.clock_at(pri, from));
-                let before = (self.word.to_signed(delta).max(1) - 1) as u64;
-                let next = (from - self.clock_set_at) / period + 1;
-                self.clock_set_at + (next + before) * period
-            };
-        }
+    fn latch_due_tick(&mut self, pri: Priority, from: u64) {
+        let period = pri.tick_cycles();
+        let head_loc = self.mem.reserved_addr(TPTR_LOC[pri.index()]);
+        let head = self
+            .mem
+            .peek_word(head_loc)
+            .unwrap_or(self.magic.not_process);
+        self.wake_at[pri.index()] = if head == self.magic.not_process {
+            u64::MAX
+        } else {
+            let time_loc = workspace_word(self.word, head, PW_TIME);
+            let due = self.mem.peek_word(time_loc).unwrap_or(0);
+            // Ticks before the one on which the clock reaches `due`
+            // (`timer input` stores t+1, so this realises "clock
+            // AFTER t"); none if `due` is not after the clock at `from`.
+            let delta = self.word.wrapping_sub(due, self.clock_at(pri, from));
+            let before = (self.word.to_signed(delta).max(1) - 1) as u64;
+            let next = (from - self.clock_set_at) / period + 1;
+            self.clock_set_at + (next + before) * period
+        };
     }
 
     /// Walk every due tick at or before the current cycle, high
     /// priority first: wake the heads whose time the tick's clock
-    /// reaches, and latch the next due tick. No other tick touches
-    /// memory. Out of line: its caller, `advance_time64`, is inlined
-    /// everywhere.
+    /// reaches, and latch the next due tick from that tick. A wake
+    /// writes only its own queue's head, so the other latch stands. No
+    /// other tick touches memory. Out of line: its caller,
+    /// `advance_time64`, is inlined everywhere.
     #[inline(never)]
     fn catch_up_ticks(&mut self) {
         for pri in [Priority::High, Priority::Low] {
             while self.wake_at[pri.index()] <= self.cycles {
-                self.wake_due_timers(pri, self.wake_at[pri.index()]);
-                self.reload_timer_heads();
+                let tick = self.wake_at[pri.index()];
+                self.wake_due_timers(pri, tick);
+                self.latch_due_tick(pri, tick);
             }
         }
     }

@@ -10,13 +10,15 @@
 //! fast-forward plays no part. The idle-wait tests cover that
 //! fast-forward: the ticks it passes read nothing, a host-side query or
 //! memory access must not move the simulated machine, and a poked wake
-//! time takes effect at the latched due tick. Three more hold the
+//! time takes effect at the latched due tick. Five more hold the
 //! latch's edges: `sttimer` under a waiting head, a queue left empty
-//! past half the T222 clock's range, and both queues due on one tick.
+//! past half the T222 clock's range, both queues due on one tick, a wait
+//! of half the clock's range, and one advance across two due ticks.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{MemoryConfig, TPTR_LOC};
 use transputer::process::{workspace_word, PW_TIME};
+use transputer::timing::{HI_TICK_CYCLES, LO_TICK_CYCLES};
 use transputer::{Cpu, CpuConfig, Priority, RunOutcome, StepEvent};
 
 struct Asm(Vec<u8>);
@@ -434,6 +436,98 @@ fn coincident_due_ticks_wake_high_priority_first() {
         assert_eq!(cpu.inspect_word(workspaces[0] + bpw).unwrap(), 128);
         assert_eq!(cpu.areg(), 2);
         assert_eq!(cpu.stats().preemptions, 0);
+    }
+}
+
+/// A wait of half the clock's range: `ldtimer; ldc MOSTPOS; sum; tin`
+/// asks for a time that the clock at the `tin` reads as not yet after it,
+/// and stores a wake time 2^(w-1) ticks on, which the very next tick
+/// reads as ahead again. The wait ends after exactly half the clock's
+/// range, on the T222 and on the T424, at either priority. A latch that
+/// counted
+/// the due tick again from the clock before a walked tick would find
+/// that tick due for ever, and the run would never halt.
+#[test]
+fn a_wait_of_half_the_clock_ends_on_time() {
+    for (part, bits) in [
+        (CpuConfig::t222 as fn() -> CpuConfig, 16),
+        (CpuConfig::t424, 32),
+    ] {
+        for (pri, period) in [
+            (Priority::Low, LO_TICK_CYCLES),
+            (Priority::High, HI_TICK_CYCLES),
+        ] {
+            let half = 1u64 << (bits - 1);
+            let mut a = Asm::new();
+            a.o(Op::LoadTimer)
+                .d(Direct::StoreLocal, 1)
+                .d(Direct::LoadLocal, 1)
+                .d(Direct::LoadConstant, half as i64 - 1)
+                .o(Op::Sum)
+                .o(Op::TimerInput)
+                .o(Op::LoadTimer)
+                .d(Direct::LoadLocal, 1)
+                .o(Op::Difference)
+                .o(Op::HaltSimulation);
+            for batched in [false, true] {
+                let (mut cpu, _) = machine(part(), &[(&a, pri)]);
+                let outcome = if batched {
+                    cpu.run_batched(u64::MAX)
+                } else {
+                    cpu.run(u64::MAX)
+                };
+                assert!(matches!(outcome, Ok(RunOutcome::Halted(_))), "{outcome:?}");
+                assert_eq!(u64::from(cpu.areg()), half, "{bits} bits, {pri:?}");
+                let ticks = cpu.cycles() / period;
+                assert!(ticks >= half && ticks <= half + 2, "{ticks} {pri:?} ticks");
+            }
+        }
+    }
+}
+
+/// Two low waits that come due one tick apart, both passed by one idle
+/// advance: the walk takes each at its own tick. At the first it wakes
+/// the first waiter, then reads the second head and its wake time and
+/// finds that tick's clock short of it. Those reads are the processor's
+/// work, so on every map the run takes as many cycles as one whose host
+/// advances a due tick at a time. The waiters run in the order they
+/// came due, once the advance is over, and read its clock.
+#[test]
+fn one_advance_across_two_due_ticks_walks_each() {
+    fn run(memory: MemoryConfig, tick_at_a_time: bool) -> (u64, Vec<u32>) {
+        let mut first = Asm::new();
+        first.sleep_then_record(2);
+        let mut second = Asm::new();
+        second
+            .o(Op::LoadTimer)
+            .d(Direct::AddConstant, 3)
+            .o(Op::TimerInput)
+            .o(Op::LoadTimer)
+            .d(Direct::StoreLocal, 1)
+            .o(Op::HaltSimulation);
+        let procs = [(&first, Priority::Low), (&second, Priority::Low)];
+        let (mut cpu, workspaces) = machine(CpuConfig::t424().with_memory(memory), &procs);
+        while cpu.step() != StepEvent::Idle {}
+        let wake = cpu.next_timer_wake_cycle().expect("a timer is armed");
+        let leap = wake + 3 * LO_TICK_CYCLES;
+        if tick_at_a_time {
+            while let Some(tick) = cpu.next_timer_wake_cycle() {
+                cpu.advance_idle_to(tick);
+            }
+        }
+        cpu.advance_idle_to(leap);
+        assert!(matches!(cpu.run(1_000_000), Ok(RunOutcome::Halted(_))));
+        let bpw = cpu.word_length().bytes_per_word();
+        let recorded = workspaces
+            .iter()
+            .map(|&w| cpu.inspect_word(w + bpw).unwrap())
+            .collect();
+        (cpu.cycles(), recorded)
+    }
+    for (map, memory) in maps() {
+        let leapt = run(memory, false);
+        assert_eq!(leapt.1, [6, 6], "{map}");
+        assert_eq!(leapt, run(memory, true), "{map}");
     }
 }
 
