@@ -9,9 +9,8 @@
 //!   --bounds-checks    emit csub0 subscript checks
 //!   --out <file>       write the raw code bytes
 //!   --trace <n>        (with --run) print the last n executed operations
-//!   --lint             run the channel-usage lints and bytecode
-//!                      verifier (the default)
-//!   --no-lint          skip them
+//!   --no-lint          skip the channel-usage lints and bytecode
+//!                      verifier
 //! ```
 //!
 //! With linting enabled (the default), occamc runs the
@@ -53,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
             "--t222" => args.t222 = true,
             "--listing" => args.listing = true,
             "--bounds-checks" => args.bounds_checks = true,
-            "--lint" => args.lint = true,
             "--no-lint" => args.lint = false,
             "--out" => args.out = Some(it.next().ok_or("--out needs a file name")?),
             "--trace" => {
@@ -63,7 +61,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: occamc [--run] [--t222] [--listing] [--bounds-checks] \
-                            [--lint|--no-lint] [--out FILE] [--trace N] <file.occ>"
+                            [--no-lint] [--out FILE] [--trace N] <file.occ>"
                         .to_string(),
                 )
             }

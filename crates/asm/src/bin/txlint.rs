@@ -12,7 +12,6 @@
 //!   --locals <n>      workspace words at/above the entry Wptr
 //!   --depth <n>       workspace words below the entry Wptr
 //!   --deny-warnings   treat warnings as errors (exit 2)
-//!   --strict          synonym for --deny-warnings
 //!   --cfg-dot         print the recovered control-flow graph as
 //!                     Graphviz DOT instead of lint output
 //!   --cost            print the static cycle-cost prediction (or why
@@ -79,7 +78,7 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--asm" => args.input = Input::Asm,
             "--occam" => args.input = Input::Occam,
-            "--strict" | "--deny-warnings" => args.deny_warnings = true,
+            "--deny-warnings" => args.deny_warnings = true,
             "--cfg-dot" => args.cfg_dot = true,
             "--cost" => args.cost = true,
             "--deadlock" => args.deadlock_only = true,

@@ -16,7 +16,7 @@
 //!
 //! An operation the decoder refuses (`None`) is one no block can start
 //! with or hold: an unknown operation, or a chain that is over-long or
-//! leaves penalty-free memory. Such code runs on the byte path.
+//! runs past the end of memory. Such code runs on the byte path.
 
 use super::exec::link_channel_depth;
 use crate::instr::{Direct, Op};
@@ -47,7 +47,7 @@ pub(crate) struct DecEntry {
 /// Decode one operation starting at `iptr`, replaying the `pfix`/`nfix`
 /// operand construction of §3.2.7. `None` ends the block before it,
 /// leaving the operation to the byte path: a chain that is over-long,
-/// wraps the address space or leaves penalty-free memory cannot be
+/// wraps the address space or runs past the end of memory cannot be
 /// fused, and an unknown operation must raise its illegal-instruction
 /// fault with byte-exact state. Every legal operation — including
 /// timeslice points (`j`, `lend`) and the operations that suspend into

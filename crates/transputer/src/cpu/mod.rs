@@ -19,7 +19,7 @@ mod translate;
 use crate::error::{CpuError, HaltReason};
 use crate::linkif::{LinkIn, LinkOut, LINK_COUNT};
 use crate::memory::{Memory, MemoryConfig};
-use crate::process::{workspace_word, Magic, Priority, ProcDesc, PW_IPTR};
+use crate::process::{workspace_word, Magic, Priority, ProcDesc, PW_IPTR, PW_SLOTS};
 use crate::stats::Stats;
 use crate::timing;
 use crate::word::WordLength;
@@ -299,7 +299,8 @@ pub struct Cpu {
     /// The threaded-code translation cache (see `cpu/translate.rs`).
     pub(crate) tcache: translate::TransCache,
     /// Whether `run_slice` may enter the translation tier at all: the
-    /// tier and the decode cache it needs are enabled.
+    /// tier and the decode cache it needs are enabled, and no access
+    /// pays an off-chip penalty (a block charges none).
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
@@ -326,10 +327,10 @@ impl Cpu {
         let word = config.word;
         let magic = Magic::new(word);
         let mut mem = Memory::new(word, config.memory);
-        // Reserved channel words and timer queue heads start empty.
+        // Reserved channel words and timer queue heads start empty, untimed.
         for w in 0..crate::memory::RESERVED_WORDS {
             let addr = mem.reserved_addr(w);
-            mem.write_word(addr, magic.not_process)
+            mem.poke_word(addr, magic.not_process)
                 .expect("reserved words in range");
         }
         Cpu {
@@ -366,7 +367,9 @@ impl Cpu {
             last_dispatch: 0,
             stats: Stats::default(),
             tcache: translate::TransCache::default(),
-            translate_ok: config.translate && config.decode_cache,
+            translate_ok: config.translate
+                && config.decode_cache
+                && config.memory.off_chip_penalty == 0,
             // Leader heat is a saturating `u8`.
             translate_threshold: config.translate_threshold.clamp(1, 255),
             wake_at: [u64::MAX; 2],
@@ -384,11 +387,6 @@ impl Cpu {
     /// The memory (for loading programs and inspecting results).
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutable access to memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 
     /// A register (top of the evaluation stack).
@@ -488,17 +486,25 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Fails if the program does not fit.
+    /// Fails if the program would reach the boot workspace's scheduling
+    /// words (`w[-1]` to `w[-5]`), naming the room below them.
     pub fn load_boot_program(&mut self, code: &[u8]) -> Result<(), CpuError> {
         let entry = self.mem.mem_start();
-        if code.len() as u32 > self.mem.size() {
+        let wptr = self.default_boot_workspace();
+        let offset = |addr: u32| self.word.mask(addr.wrapping_sub(self.mem.base())) as usize;
+        let below = offset(workspace_word(self.word, wptr, -(PW_SLOTS as i32)));
+        // None on a memory too small for the boot workspace, where the
+        // scheduling words wrap past the end or sit below `entry`.
+        let room = below
+            .checked_sub(offset(entry))
+            .filter(|_| below < self.mem.size() as usize);
+        if room.is_none_or(|room| code.len() > room) {
             return Err(CpuError::ProgramTooLarge {
                 program: code.len(),
-                memory: self.mem.size() as usize,
+                memory: room.unwrap_or(0),
             });
         }
         self.load(entry, code)?;
-        let wptr = self.default_boot_workspace();
         self.spawn(wptr, entry, Priority::Low);
         Ok(())
     }
@@ -513,10 +519,10 @@ impl Cpu {
     }
 
     /// Create a process: store its instruction pointer in its workspace
-    /// and put it on the scheduling list.
+    /// and put it on the scheduling list, untimed.
     pub fn spawn(&mut self, wptr: u32, iptr: u32, pri: Priority) {
         let w = workspace_word(self.word, wptr, PW_IPTR);
-        self.mem.write_word(w, iptr).expect("workspace in range");
+        self.mem.poke_word(w, iptr).expect("workspace in range");
         let now = self.cycles;
         self.schedule(ProcDesc::new(wptr, pri), now);
     }
@@ -609,7 +615,7 @@ impl Cpu {
     /// One byte-path micro-step of the current process: a chunk of an
     /// interrupted long instruction, or one instruction byte, with its
     /// off-chip penalty, time advance and trace record. `Err` when the
-    /// processor halted.
+    /// processor halted; the one place an accrued penalty is charged.
     fn micro_step(&mut self) -> Result<(), HaltReason> {
         let cycles = match self.resume {
             // An operation that went on as a continuation did not fall

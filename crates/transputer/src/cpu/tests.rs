@@ -692,6 +692,53 @@ fn spawn_at_both_priorities() {
     assert!(cpu.stats().dispatches >= 2);
 }
 
+/// A boot program may fill memory up to the boot workspace's scheduling
+/// words, `w[-1]` to `w[-5]`, and no further: on the default 64 KB map
+/// that is 65 188 bytes on the T424 (18 reserved words below, 64 words
+/// of workspace above) and 65 362 on the T222. At the bound the program
+/// loads whole and `spawn`'s `Iptr` lands above it; a byte more is
+/// refused as too large, naming the room, and no process starts. A
+/// memory too small for the boot workspace has no room at all.
+#[test]
+fn a_boot_program_stops_short_of_the_boot_workspace() {
+    for bytes in [256, 300] {
+        let memory = MemoryConfig {
+            on_chip_bytes: bytes,
+            off_chip_bytes: 0,
+            off_chip_penalty: 0,
+        };
+        let mut cpu = Cpu::new(CpuConfig::t424().with_memory(memory));
+        assert_eq!(
+            cpu.load_boot_program(&[]),
+            Err(CpuError::ProgramTooLarge {
+                program: 0,
+                memory: 0,
+            }),
+            "{bytes} bytes"
+        );
+    }
+    for (config, room) in [(CpuConfig::t424(), 65_188), (CpuConfig::t222(), 65_362)] {
+        let code: Vec<u8> = (0..room).map(|i| (i % 251) as u8).collect();
+        let mut cpu = Cpu::new(config.clone());
+        cpu.load_boot_program(&code).expect("fits");
+        let entry = cpu.memory().mem_start();
+        assert_eq!(cpu.memory().dump(entry, room).unwrap(), code);
+        let wptr = cpu.default_boot_workspace();
+        let iptr_loc = workspace_word(cpu.word_length(), wptr, PW_IPTR);
+        assert_eq!(cpu.inspect_word(iptr_loc).unwrap(), entry);
+
+        let mut cpu = Cpu::new(config);
+        assert_eq!(
+            cpu.load_boot_program(&vec![0; room + 1]),
+            Err(CpuError::ProgramTooLarge {
+                program: room + 1,
+                memory: room,
+            })
+        );
+        assert!(cpu.is_idle(), "no process started");
+    }
+}
+
 #[test]
 fn preemption_latency_is_bounded() {
     // Low-priority process spins on multiplies (the longest instruction);

@@ -358,8 +358,8 @@ impl Cpu {
     /// runs next: the slice loop, to preempt for a waiting high-priority
     /// process, or the byte path — while a timer queue is non-empty
     /// (clock ticks can wake processes, so every operation's time must go
-    /// through `advance_time`) and for off-chip or out-of-range code (the
-    /// byte path owns the penalty bookkeeping and faulting).
+    /// through `advance_time`) and for out-of-range code (the byte path
+    /// owns faulting). No block runs on a penalised map (`translate_ok`).
     fn block_entry(&self) -> Result<usize, TierExit> {
         debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
         if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
@@ -369,7 +369,7 @@ impl Cpu {
             return Err(TierExit::BytePath);
         }
         let off = self.word.mask(self.iptr.wrapping_sub(self.mem.base())) as usize;
-        if off >= self.mem.fast_limit() {
+        if off >= self.mem.size() as usize {
             return Err(TierExit::BytePath);
         }
         Ok(off)
@@ -421,10 +421,6 @@ impl Cpu {
         let epoch = self.mem.code_epoch();
         let ops = block.ops();
         let last = ops.len() - 1;
-        // The memory configuration cannot change mid-block; when no
-        // region carries an access penalty (every committed config),
-        // the memory arms skip draining the penalty accumulator.
-        let drain_penalty = !self.mem.timing_pure();
         let mut i = 0usize;
         loop {
             let op = ops[i];
@@ -490,14 +486,10 @@ impl Cpu {
                     let store = matches!($fun, Direct::StoreLocal | Direct::StoreNonLocal);
                     let prev = advance!($op);
                     self.cycles += u64::from($op.len) - 1;
-                    let mut c = match self.exec_direct($fun, $op.operand) {
+                    let c = match self.exec_direct($fun, $op.operand) {
                         Ok(c) => c,
                         Err(r) => return self.block_fault(block, $n - 1, prev, r),
                     };
-                    let load = matches!($fun, Direct::LoadLocal | Direct::LoadNonLocal);
-                    if drain_penalty && (load || store) {
-                        c += self.mem.take_penalty_cycles();
-                    }
                     if store {
                         self.advance_time(c);
                     } else {
@@ -542,10 +534,7 @@ impl Cpu {
                     self.cycles += u64::from($op.len) - 1;
                     self.slice_mark = self.cycles;
                     match self.exec_direct($fun, $op.operand) {
-                        Ok(c) => {
-                            let c = c + self.mem.take_penalty_cycles();
-                            self.advance_time(c);
-                        }
+                        Ok(c) => self.advance_time(c),
                         Err(reason) => {
                             self.halted = Some(reason);
                             flush_ret!($n, TierExit::Outcome(SliceOutcome::Halted(reason)));
@@ -770,8 +759,8 @@ impl Cpu {
     /// (`== mask(iptr - base)`, inside the fast region), arm the write
     /// gate of every 64-byte block it covers, and store it.
     /// Returns its slot — or `None`, storing nothing, when not even the
-    /// leader can be translated (an unknown operation, a chain leaving
-    /// penalty-free memory: the byte path's business).
+    /// leader can be translated (an unknown operation, a chain running
+    /// past the end of memory: the byte path's business).
     #[cold]
     fn build_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
         let base = self.mem.base();

@@ -7,7 +7,7 @@
 //! user memory begins at [`Memory::mem_start`]. The instruction
 //! architecture does not differentiate between on-chip and off-chip
 //! memory (§3.2.2); the emulator models the *timing* difference with a
-//! configurable per-access penalty used by the off-chip ablation.
+//! per-access penalty that only the processor's own accesses pay.
 //!
 //! A node's memory costs what its program touches: the image is a low
 //! (code) and a high (workspace) segment, zeroed, that grow on write; the
@@ -85,7 +85,10 @@ impl Default for MemoryConfig {
     }
 }
 
-/// The memory of one transputer.
+/// The memory of one transputer. Its timed accessors are the
+/// processor's; the host writes through [`Memory::load`] and
+/// `Cpu::poke_word` and reads through [`Memory::peek_word`] and
+/// [`Memory::dump`], which accrue no off-chip penalty.
 #[derive(Debug, Clone)]
 pub struct Memory {
     word: WordLength,
@@ -274,7 +277,7 @@ impl Memory {
     }
 
     /// Drain the off-chip penalty cycles accrued since the last call.
-    pub fn take_penalty_cycles(&mut self) -> u32 {
+    pub(crate) fn take_penalty_cycles(&mut self) -> u32 {
         std::mem::take(&mut self.penalty_accrued)
     }
 
@@ -347,13 +350,6 @@ impl Memory {
         }
     }
 
-    /// Whether no access anywhere can accrue a penalty: the
-    /// translation tier's load and store arms then skip draining the
-    /// accumulator.
-    pub(crate) fn timing_pure(&self) -> bool {
-        self.off_chip_penalty == 0
-    }
-
     /// One past the highest offset [`Memory::fetch_byte_fast`] serves.
     #[inline]
     pub(crate) fn fast_limit(&self) -> usize {
@@ -367,7 +363,7 @@ impl Memory {
     /// Read a machine word. The address is word-aligned first, as on the
     /// hardware.
     #[inline]
-    pub fn read_word(&mut self, addr: u32) -> Result<u32, HaltReason> {
+    pub(crate) fn read_word(&mut self, addr: u32) -> Result<u32, HaltReason> {
         let addr = self.word.align_word(addr);
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
         // Workspaces first: this one compare is also the bounds check.
@@ -392,7 +388,7 @@ impl Memory {
 
     /// Write a machine word (address word-aligned first).
     #[inline]
-    pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
+    pub(crate) fn write_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
         let addr = self.word.align_word(addr);
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
         let v = self.word.mask(value);
@@ -433,7 +429,7 @@ impl Memory {
     /// is out of range or would accrue an off-chip penalty, in which case
     /// the caller must fall back to [`Memory::read_byte`].
     #[inline]
-    pub fn fetch_byte_fast(&self, addr: u32) -> Option<u8> {
+    pub(crate) fn fetch_byte_fast(&self, addr: u32) -> Option<u8> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
         if off < self.fast_lo {
             Some(self.lo[off])
@@ -456,7 +452,7 @@ impl Memory {
 
     /// Read one byte.
     #[inline]
-    pub fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
+    pub(crate) fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
         if let Some(&byte) = self.hi.get(off.wrapping_sub(self.hi_base)) {
             self.note_access(off);
@@ -467,7 +463,7 @@ impl Memory {
 
     /// Write one byte.
     #[inline]
-    pub fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
+    pub(crate) fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
         let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
         if let Some(byte) = self.hi.get_mut(off.wrapping_sub(self.hi_base)) {
             *byte = value;

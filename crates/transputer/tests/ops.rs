@@ -313,11 +313,8 @@ fn move_of_large_block_is_interruptible_but_correct() {
         .word_length()
         .align_word(cpu.memory().limit().wrapping_sub(1024));
     cpu.spawn(w, entry, Priority::Low);
-    for i in 0..256u32 {
-        cpu.memory_mut()
-            .write_byte(w.wrapping_add(8 * 4 + i), (i % 251) as u8)
-            .expect("in range");
-    }
+    let block: Vec<u8> = (0..256u32).map(|i| (i % 251) as u8).collect();
+    cpu.load(w.wrapping_add(8 * 4), &block).expect("in range");
     cpu.run(100_000).expect("halts");
     let copied = cpu
         .memory()

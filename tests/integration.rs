@@ -281,16 +281,8 @@ fn blank_transputer_boots_over_the_wire() {
     // Poke the boot image (control byte first) into the host's buffer
     // at w[8].
     let buf = net.node(host).default_boot_workspace().wrapping_add(8 * 4);
-    net.node_mut(host)
-        .memory_mut()
-        .write_byte(buf, image.len() as u8)
-        .expect("in range");
-    for (i, byte) in image.iter().enumerate() {
-        net.node_mut(host)
-            .memory_mut()
-            .write_byte(buf + 1 + i as u32, *byte)
-            .expect("in range");
-    }
+    let framed = [&[image.len() as u8][..], &image[..]].concat();
+    net.node_mut(host).load(buf, &framed).expect("in range");
     net.node_mut(blank).await_boot_from_link();
 
     net.run_until_all_halted(1_000_000_000).expect("completes");
@@ -395,24 +387,11 @@ fn two_stage_boot_over_the_wire() {
     // Word 2048: the first-stage image with its control byte.
     let base = net.node(host).memory().base();
     let buf = base.wrapping_add(2048 * 4);
-    net.node_mut(host)
-        .memory_mut()
-        .write_byte(buf, stage1.len() as u8)
-        .expect("in range");
-    for (i, byte) in stage1.iter().enumerate() {
-        net.node_mut(host)
-            .memory_mut()
-            .write_byte(buf + 1 + i as u32, *byte)
-            .expect("in range");
-    }
+    let framed = [&[stage1.len() as u8][..], &stage1[..]].concat();
+    net.node_mut(host).load(buf, &framed).expect("in range");
     // Word 3072: stage 2.
     let buf2 = base.wrapping_add(3072 * 4);
-    for (i, byte) in stage2.iter().enumerate() {
-        net.node_mut(host)
-            .memory_mut()
-            .write_byte(buf2 + i as u32, *byte)
-            .expect("in range");
-    }
+    net.node_mut(host).load(buf2, &stage2).expect("in range");
     net.node_mut(blank).await_boot_from_link();
     net.run_until_all_halted(10_000_000_000).expect("completes");
     assert_eq!(net.node(host).areg(), 99, "stage 2's answer made it back");

@@ -344,9 +344,7 @@ proptest! {
         let send_w = top.wrapping_sub(128 * 4);
         // Sender buffer at its w8.
         let src_addr = send_w.wrapping_add(8 * 4);
-        for (i, b) in payload.iter().enumerate() {
-            cpu.memory_mut().write_byte(src_addr + i as u32, *b).unwrap();
-        }
+        cpu.load(src_addr, &payload).unwrap();
         cpu.spawn(recv_w, entry, Priority::Low);
         cpu.spawn(send_w, entry + sender_entry as u32, Priority::Low);
         cpu.run(1_000_000).unwrap();
