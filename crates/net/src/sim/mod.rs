@@ -169,6 +169,11 @@ impl NetworkBuilder {
 
     /// Add a node with its own CPU configuration — "transputers of
     /// different wordlength ... can be easily interconnected" (§2.3).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu`'s memory map cannot hold the processor's reserved
+    /// words ([`Cpu::new`]).
     pub fn add_node_with(&mut self, cpu: CpuConfig) -> NodeId {
         self.nodes.push(Cpu::new(cpu));
         self.used.push([false; 4]);

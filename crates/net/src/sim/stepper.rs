@@ -115,6 +115,10 @@ impl Network {
     /// each node micro-step costs at least one cycle, so after the tied
     /// nodes run they are rescheduled strictly later than `t`.
     fn wire_pop_deferred(&mut self, w: usize, t: u64) -> bool {
+        // A clean routed wire holds neither a probe nor a resend.
+        if self.router.is_some() && !self.robust {
+            return false;
+        }
         // A node entry pending at `t` would be the queue's next entry.
         if !self.wires[w].due_exactly_at(t) || self.queue.peek_time() != Some(t) {
             return false;

@@ -153,15 +153,25 @@ impl Wire {
 impl Network {
     /// Earliest pending activity on a wire (`u64::MAX` = none): an
     /// in-flight packet completion, an unresolved data-start probe, or a
-    /// resend deadline.
+    /// resend deadline. Only a list the network can fill is walked: a
+    /// probe needs a CPU end, so none exists beside a router, and a
+    /// resend a robust wire ([`Network::put`] is the one writer of each).
     fn wire_next_event_ns(&self, wire: usize) -> u64 {
         let w = &self.wires[wire];
         let mut t = w.link.next_deadline().unwrap_or(u64::MAX);
-        for &(stamp, _) in &w.probes {
-            t = t.min(stamp);
+        debug_assert!(
+            self.router.is_none() || w.probes.is_empty(),
+            "a probe on a routed wire"
+        );
+        if self.router.is_none() {
+            for &(stamp, _) in &w.probes {
+                t = t.min(stamp);
+            }
         }
-        for r in &w.resend {
-            t = t.min(r.map_or(u64::MAX, |r| r.deadline));
+        if self.robust {
+            for r in &w.resend {
+                t = t.min(r.map_or(u64::MAX, |r| r.deadline));
+            }
         }
         t
     }
@@ -207,6 +217,7 @@ impl Network {
         let started = wire.send(end, kind, stamp);
         if let PacketKind::Data(byte) = kind {
             if self.robust {
+                debug_assert!(!wire.classic(), "a resend armed on a classic wire");
                 wire.resend[end_index(end)] = Some(Resend {
                     byte,
                     deadline: stamp + self.timeout_ns,

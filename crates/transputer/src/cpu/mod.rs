@@ -323,8 +323,20 @@ pub struct Cpu {
 impl Cpu {
     /// Create a transputer in the reset state: no process running, error
     /// flag clear, clocks at zero and running, all channels empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory map is smaller than the 18 reserved words
+    /// (link and event channels, timer queue heads): 72 bytes on the
+    /// T424, 36 on the T222.
     pub fn new(config: CpuConfig) -> Cpu {
         let word = config.word;
+        let size = u64::from(config.memory.on_chip_bytes) + u64::from(config.memory.off_chip_bytes);
+        let reserved = crate::memory::RESERVED_WORDS * word.bytes_per_word();
+        assert!(
+            size >= u64::from(reserved),
+            "a {size}-byte memory cannot hold the reserved words: the minimum is {reserved} bytes"
+        );
         let magic = Magic::new(word);
         let mut mem = Memory::new(word, config.memory);
         // Reserved channel words and timer queue heads start empty, untimed.

@@ -692,6 +692,47 @@ fn spawn_at_both_priorities() {
     assert!(cpu.stats().dispatches >= 2);
 }
 
+fn on_chip_only(bytes: u32) -> MemoryConfig {
+    MemoryConfig {
+        on_chip_bytes: bytes,
+        off_chip_bytes: 0,
+        off_chip_penalty: 0,
+    }
+}
+
+/// The smallest memory a processor takes is its reserved words, each
+/// set up empty: 72 bytes on the T424, 36 on the T222.
+#[test]
+fn the_reserved_words_are_the_smallest_memory() {
+    for config in [
+        CpuConfig::t424().with_memory(on_chip_only(72)),
+        CpuConfig::t222().with_memory(on_chip_only(36)),
+    ] {
+        let cpu = Cpu::new(config);
+        let last = cpu
+            .memory()
+            .reserved_addr(crate::memory::RESERVED_WORDS - 1);
+        assert_eq!(cpu.memory().limit(), cpu.memory().mem_start());
+        assert_eq!(cpu.inspect_word(last), Ok(cpu.magic.not_process));
+    }
+}
+
+#[test]
+#[should_panic(
+    expected = "a 64-byte memory cannot hold the reserved words: the minimum is 72 bytes"
+)]
+fn a_t424_memory_below_its_reserved_words_is_refused() {
+    Cpu::new(CpuConfig::t424().with_memory(on_chip_only(64)));
+}
+
+#[test]
+#[should_panic(
+    expected = "a 34-byte memory cannot hold the reserved words: the minimum is 36 bytes"
+)]
+fn a_t222_memory_below_its_reserved_words_is_refused() {
+    Cpu::new(CpuConfig::t222().with_memory(on_chip_only(34)));
+}
+
 /// A boot program may fill memory up to the boot workspace's scheduling
 /// words, `w[-1]` to `w[-5]`, and no further: on the default 64 KB map
 /// that is 65 188 bytes on the T424 (18 reserved words below, 64 words
@@ -702,12 +743,7 @@ fn spawn_at_both_priorities() {
 #[test]
 fn a_boot_program_stops_short_of_the_boot_workspace() {
     for bytes in [256, 300] {
-        let memory = MemoryConfig {
-            on_chip_bytes: bytes,
-            off_chip_bytes: 0,
-            off_chip_penalty: 0,
-        };
-        let mut cpu = Cpu::new(CpuConfig::t424().with_memory(memory));
+        let mut cpu = Cpu::new(CpuConfig::t424().with_memory(on_chip_only(bytes)));
         assert_eq!(
             cpu.load_boot_program(&[]),
             Err(CpuError::ProgramTooLarge {

@@ -137,7 +137,7 @@ fn e09_smoke_translate_off_matches_on() {
 /// data-start probes and timer wakes can tie): the sender streams eight
 /// words — frames 200 and 1 100 ns ahead of the frontier, the queue's
 /// near lane — at a receiver that first sleeps one low-priority timer
-/// tick, a wake 64 us ahead, far beyond the near lane's 4 096 ns. The
+/// tick, a wake 64 us ahead, far beyond the near lane's 3 200 ns. The
 /// first byte lands while that wake waits in the far lane; the other 31
 /// stream once it has popped.
 #[test]
