@@ -287,7 +287,7 @@ impl<'src> Checker<'src> {
                 }
             }
             Process::While(_, body, _) => self.visit(body, usage),
-            Process::Alt(rep, alts, _) | Process::PriAlt(rep, alts, _) => {
+            Process::Alt(rep, alts, _) => {
                 self.with_replicator(rep.as_ref(), |ck| {
                     for alt in alts {
                         ck.visit_alt(alt, usage);

@@ -29,8 +29,7 @@
 //! position in the two trees), compiled by the `occam` crate and executed
 //! on emulated transputers wired with bit-level links.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::workload::{Workload, RECORD_WORDS};
 use occam::places;
@@ -619,16 +618,19 @@ impl DbSearch {
         let mut live_records: Vec<Vec<u32>> = Vec::new();
         // A machine's node texts are a handful of distinct programs (5
         // among the board's 128; every routed node runs the same one):
-        // compile each once.
-        let mut compiled: HashMap<&str, occam::Program> = HashMap::new();
+        // compile each once, keeping first-seen order.
+        let mut compiled: Vec<(&str, occam::Program)> = Vec::new();
         for (i, src) in m.nodes.iter().enumerate() {
-            let program = match compiled.entry(src) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(
-                    occam::compile(src)
-                        .map_err(|e| format!("node {i} source failed to compile: {e}\n{src}"))?,
-                ),
+            let k = match compiled.iter().position(|(text, _)| text == src) {
+                Some(k) => k,
+                None => {
+                    let program = occam::compile(src)
+                        .map_err(|e| format!("node {i} source failed to compile: {e}\n{src}"))?;
+                    compiled.push((src, program));
+                    compiled.len() - 1
+                }
             };
+            let program = &compiled[k].1;
             let cpu = net.node_mut(i);
             let word = cpu.word_length();
             let wptr = program.load(cpu)?;

@@ -205,12 +205,7 @@ impl Machine {
     /// This machine switched to wormhole (cut-through) forwarding:
     /// transit nodes start retransmitting a packet at header decode
     /// instead of after full reassembly, streaming the payload hop by
-    /// hop under flit-level withheld-ack credits. The cluster
-    /// hypercube's e-cube tables carry a cyclic channel-dependency
-    /// graph, so on [`Machine::RoutedCube`] the router degrades this
-    /// request to store-and-forward at build time — the run must be
-    /// byte-identical to the plain machine's, which is exactly what
-    /// benchmarking it demonstrates.
+    /// hop under flit-level withheld-ack credits.
     pub fn wormhole(mut self) -> Machine {
         self.net().router.switching = Switching::Wormhole;
         self
@@ -827,14 +822,6 @@ pub const ROWS: &[Row] = &[
     ("e17_routed256", |b, e| {
         RoutedCube(HypercubeConfig::hypercube256()).run(b, e)
     }),
-    // Wormhole degrades to store-and-forward on the cluster hypercube
-    // (see [`Machine::wormhole`]); [`Report::measure`] checks this row
-    // fingerprints identically to the plain e17 row.
-    ("e17_routed256_worm", |b, e| {
-        RoutedCube(HypercubeConfig::hypercube256())
-            .wormhole()
-            .run(b, e)
-    }),
     // The 1024-node routed stress grid: the router completes at 4x the
     // acceptance node count. Its dimension-order tables keep the
     // channel-dependency graph acyclic, so cut-through stays armed; the
@@ -882,8 +869,7 @@ impl Report {
     /// Run the corpus under both CPU tiers, the static model,
     /// the ablations and `rows`, collecting every failed check —
     /// fingerprints that differ between tiers or engines, wrong answers,
-    /// a static-model miss, a degraded wormhole run that diverged from
-    /// store-and-forward, a long-path hop reduction below 2x — in
+    /// a static-model miss, a long-path hop reduction below 2x — in
     /// `problems`.
     ///
     /// # Panics
@@ -909,15 +895,6 @@ impl Report {
             report.problems.extend(cross_check(&runs));
             report.networks.extend(runs);
         }
-        // Wormhole degrades to store-and-forward on the cluster
-        // hypercube: the two Sliced runs must be one and the same.
-        let sliced = |bench| {
-            let row = |r: &&NetRun| r.bench == bench && r.engine == Engine::Sliced;
-            report.networks.iter().find(row).cloned()
-        };
-        let degraded = ["e17_routed256", "e17_routed256_worm"].map(sliced);
-        let degraded: Vec<NetRun> = degraded.into_iter().flatten().collect();
-        report.problems.extend(cross_check(&degraded));
         // On the grid's longest path, uncontended, wormhole must at least
         // halve the mean header-forwarding hop latency. Simulated
         // nanoseconds, so the bar is the same on every host. (The

@@ -15,6 +15,8 @@
 //!   per-node instruction counters (the stats audit), link fault
 //!   counters, and final memory images.
 
+use std::cell::Cell;
+
 use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
 use transputer_apps::dbsearch::{DbSearch, DbSearchConfig};
 use transputer_apps::DbSearchReport;
@@ -391,18 +393,13 @@ fn sweep_kill_instants(
     check: fn(&DbSearch, &DbSearchReport),
     pinned: [u64; 2],
 ) {
-    let hashes = std::cell::Cell::new([FNV_BASIS; 2]);
+    let hashes = Cell::new([FNV_BASIS; 2]);
     for kill_ns in (0..36).map(|k| 176_300 + k * 200) {
-        sweep_engines(
+        sweep_hashed(
             &format!("{label} at {kill_ns} ns"),
             |e| machine().faulted(wire_death_at(kill_ns)).build(e),
-            |sim, report| {
-                check(sim, report);
-                let mut all = hashes.get();
-                let slot = usize::from(sim.network().engine() != Engine::Event);
-                outcome_hash(&mut all[slot], sim, report);
-                hashes.set(all);
-            },
+            check,
+            &hashes,
         );
     }
     assert_eq!(
@@ -410,6 +407,23 @@ fn sweep_kill_instants(
         pinned,
         "{label}: [Event, Sliced] outcome hashes"
     );
+}
+
+/// [`sweep_engines`], also folding each engine's outcome
+/// ([`outcome_hash`]) into its slot of `hashes` (`[Event, Sliced]`).
+fn sweep_hashed(
+    label: &str,
+    build: impl Fn(Engine) -> DbSearch,
+    check: fn(&DbSearch, &DbSearchReport),
+    hashes: &Cell<[u64; 2]>,
+) {
+    sweep_engines(label, build, |sim, report| {
+        check(sim, report);
+        let mut all = hashes.get();
+        let slot = usize::from(sim.network().engine() != Engine::Event);
+        outcome_hash(&mut all[slot], sim, report);
+        hashes.set(all);
+    });
 }
 
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -446,6 +460,53 @@ fn outcome_hash(hash: &mut u64, sim: &DbSearch, report: &DbSearchReport) {
         .chain(router.into_iter().chain(r.hop_hist))
         .chain([pops.node, pops.wire, pops.stale_wire])
         .for_each(|v| fnv1a(hash, v));
+}
+
+/// Under a lossy plan, wires die of retry exhaustion beneath live
+/// wormhole streams with a byte between two hops, so the chain teardown
+/// takes both of its in-flight arms: a transmitter whose last byte's
+/// acknowledge is still due is flagged (`tx_abort`) and its late
+/// acknowledge consumed, and a byte still on the wire is marked
+/// (`skip`) and swallowed on arrival (DESIGN.md §11). Each row is a 3×3
+/// wormhole run that ends degraded with no answer, held to Event ≡
+/// Sliced and to its `[Event, Sliced]` outcome hashes, taken before the
+/// robust protocol's timing became constants. Per engine:
+///
+/// * seed 2 at 0.2: three chain kills set and consume one `tx_abort`
+///   and one `skip`, and one credit-withheld acknowledge is released
+///   where a relay folds back into reassembly;
+/// * seed 18 at 0.2: three chain kills, three `tx_abort`s, one `skip`
+///   and three fold-back releases;
+/// * seed 5 at 0.25: two chain kills, four `tx_abort`s, one fold-back
+///   release, and one withheld acknowledge cleared mid-chain.
+#[test]
+fn routed_wormhole_teardown_with_a_byte_in_flight_agrees_across_engines() {
+    let rows: [(u64, f64, [u64; 2]); 3] = [
+        (2, 0.2, [0xc61d_4985_0a70_d117, 0xb23b_2126_f52b_248f]),
+        (18, 0.2, [0xb63f_0819_e17e_582a, 0xe612_a1ff_be8f_3e5a]),
+        (5, 0.25, [0xbba0_6c8c_d71f_1564, 0x5c00_08f1_24ae_6d3f]),
+    ];
+    for (seed, rate, pinned) in rows {
+        let label = format!("routed wormhole teardown, seed {seed} at {rate}");
+        let hashes = Cell::new([FNV_BASIS; 2]);
+        sweep_hashed(
+            &label,
+            |e| {
+                let plan = FaultPlan::uniform(seed, rate);
+                Routed(routed_smoke()).wormhole().faulted(plan).build(e)
+            },
+            |sim, report| {
+                stream_cut(sim, report);
+                assert!(report.degraded && report.answers.is_empty());
+            },
+            &hashes,
+        );
+        assert_eq!(
+            hashes.get(),
+            pinned,
+            "{label}: [Event, Sliced] outcome hashes"
+        );
+    }
 }
 
 /// Store-and-forward: the retry budget discovers the death mid-packet

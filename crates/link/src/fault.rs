@@ -89,32 +89,18 @@ pub struct FaultPlan {
     pub corrupt_rate: f64,
     /// Probability a delivered packet is stretched by clock jitter.
     pub jitter_rate: f64,
-    /// Maximum extra bit-times of jitter per affected packet (≥ 1 when
-    /// `jitter_rate > 0`). Jitter only ever *delays* delivery, which is
-    /// what keeps the lookahead engines' conservative bounds valid.
-    pub jitter_bits_max: u32,
-    /// Sender resend timeout, in bit-times.
-    pub timeout_bits: u32,
-    /// Resends before a direction is declared failed. Busy responses
-    /// (receiver holding a byte it has not yet acknowledged) reset the
-    /// count, so a slow receiver is never mistaken for a dead wire.
-    pub max_retries: u32,
     /// Wires that die at a given time.
     pub dead: Vec<DeadLink>,
 }
 
 impl FaultPlan {
-    /// A plan where drop, corrupt and jitter all happen at `rate`, with
-    /// the default timeout/retry parameters.
+    /// A plan where drop, corrupt and jitter all happen at `rate`.
     pub fn uniform(seed: u64, rate: f64) -> FaultPlan {
         FaultPlan {
             seed,
             drop_rate: rate,
             corrupt_rate: rate,
             jitter_rate: rate,
-            jitter_bits_max: 4,
-            timeout_bits: 256,
-            max_retries: 8,
             dead: Vec::new(),
         }
     }
@@ -144,7 +130,6 @@ impl FaultPlan {
             drop_rate: self.drop_rate,
             corrupt_rate: self.corrupt_rate,
             jitter_rate: self.jitter_rate,
-            jitter_bits_max: self.jitter_bits_max.max(1),
             counts: LineFaultCounts::default(),
         }
     }
@@ -186,7 +171,6 @@ pub struct LineFaults {
     drop_rate: f64,
     corrupt_rate: f64,
     jitter_rate: f64,
-    jitter_bits_max: u32,
     counts: LineFaultCounts,
 }
 
@@ -216,7 +200,7 @@ impl LineFaults {
             return Fate::Garble;
         }
         if r_jitter < self.jitter_rate {
-            let extra = r_jbits % u64::from(self.jitter_bits_max) + 1;
+            let extra = r_jbits % u64::from(crate::packet::JITTER_BITS_MAX) + 1;
             self.counts.jittered += 1;
             return Fate::Deliver {
                 extra_ns: extra * bit_ns,

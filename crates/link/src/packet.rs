@@ -1,5 +1,5 @@
 //! Packet formats of the link protocol (Figure 1 of the paper), plus the
-//! robust framing used under fault injection.
+//! robust framing and timing used under fault injection.
 //!
 //! The classic frames are the paper's: a data packet is start bit, one
 //! bit, eight data bits, stop bit; an acknowledge is a start bit and a
@@ -23,6 +23,20 @@ pub const ROBUST_DATA_BITS: u32 = 13;
 /// Bits in a robust control packet (acknowledge or busy): start, flag,
 /// kind, sequence, parity.
 pub const ROBUST_CTRL_BITS: u32 = 5;
+
+/// Bit-times a robust sender waits for an acknowledge before resending
+/// a data byte: 25.6 µs at 100 ns a bit. The paper's link has no timeout.
+pub const ROBUST_TIMEOUT_BITS: u32 = 256;
+
+/// Resends of a data byte before its direction fails; a busy notice
+/// resets the count, so a slow receiver is not taken for a dead wire.
+pub const ROBUST_MAX_RETRIES: u32 = 8;
+
+/// Each busy notice doubles the resend interval, up to this many timeouts.
+pub const ROBUST_BUSY_BACKOFF_TIMEOUTS: u64 = 16;
+
+/// The most bit-times a packet is jittered by. Jitter only ever delays.
+pub const JITTER_BITS_MAX: u32 = 4;
 
 /// Which frame set a line speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

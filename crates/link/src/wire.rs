@@ -415,6 +415,7 @@ impl DuplexLink {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::packet::JITTER_BITS_MAX;
     use proptest::prelude::*;
 
     #[test]
@@ -575,10 +576,7 @@ mod tests {
     /// dying at `dead_ns`.
     fn link_variant(variant: u8, seed: u64, dead_ns: u64) -> DuplexLink {
         let speed = LinkSpeed::standard();
-        let plan = FaultPlan {
-            jitter_bits_max: 3,
-            ..FaultPlan::uniform(seed, 0.1)
-        };
+        let plan = FaultPlan::uniform(seed, 0.1);
         let faulty = [Some(plan.line_faults(0, 0)), Some(plan.line_faults(0, 1))];
         match variant {
             0 => DuplexLink::new(speed),
@@ -659,7 +657,6 @@ mod tests {
     fn jitter_delays_delivery_and_line_occupancy() {
         let plan = FaultPlan {
             jitter_rate: 1.0,
-            jitter_bits_max: 4,
             ..FaultPlan::uniform(11, 0.0)
         };
         let mut link = DuplexLink::new_robust(
@@ -669,7 +666,8 @@ mod tests {
         );
         link.send_data_seq(End::A, 9, false, 0);
         let d = link.next_deadline().unwrap();
-        assert!(d > 1300 && d <= 1300 + 400, "jittered deadline {d}");
+        let most = 1300 + u64::from(JITTER_BITS_MAX) * 100;
+        assert!(d > 1300 && d <= most, "jittered deadline {d}");
         let evs = link.advance(d);
         assert_eq!(evs.len(), 1);
         assert_eq!(link.busy_ns(End::A), d);

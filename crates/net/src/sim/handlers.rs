@@ -213,7 +213,7 @@ impl Network {
                     self.take_ack(node, port);
                 }
                 LinkEvent::BusyDelivered { to, seq } => {
-                    self.wires[w].busy(to, seq, now, self.timeout_ns);
+                    self.wires[w].busy(to, seq, now);
                 }
                 LinkEvent::Garbled { to } => {
                     let (node, _) = self.wire_end(w, to);

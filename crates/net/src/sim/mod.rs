@@ -144,7 +144,9 @@ struct RouterBuild {
 #[derive(Debug)]
 pub struct NetworkBuilder {
     config: NetworkConfig,
-    nodes: Vec<Cpu>,
+    /// Each node's configuration: the processors are made at
+    /// [`NetworkBuilder::build`], in one allocation of the final length.
+    nodes: Vec<CpuConfig>,
     wires: Vec<WireEnds>,
     used: Vec<[bool; 4]>,
     router: Option<RouterBuild>,
@@ -169,13 +171,8 @@ impl NetworkBuilder {
 
     /// Add a node with its own CPU configuration — "transputers of
     /// different wordlength ... can be easily interconnected" (§2.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu`'s memory map cannot hold the processor's reserved
-    /// words ([`Cpu::new`]).
     pub fn add_node_with(&mut self, cpu: CpuConfig) -> NodeId {
-        self.nodes.push(Cpu::new(cpu));
+        self.nodes.push(cpu);
         self.used.push([false; 4]);
         self.nodes.len() - 1
     }
@@ -282,7 +279,9 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics on 2^23 or more nodes, or as many wires: the event queue
-    /// packs a node or wire index into 23 bits of its keys.
+    /// packs a node or wire index into 23 bits of its keys. Panics if a
+    /// node's memory map cannot hold the processor's reserved words
+    /// ([`Cpu::new`]).
     pub fn build(self) -> Network {
         let n = self.nodes.len();
         let queue = EventQueue::new(n, self.wires.len());
@@ -318,14 +317,6 @@ impl NetworkBuilder {
         };
         let data_ns = speed.frame_ns(protocol, PacketKind::Data(0));
         let ack_ns = speed.frame_ns(protocol, PacketKind::Ack);
-        let bit_ns = speed.bit_time_ns;
-        let (timeout_ns, max_retries) = match &fault {
-            Some(plan) => (
-                u64::from(plan.timeout_bits.max(1)) * bit_ns,
-                plan.max_retries,
-            ),
-            None => (0, 0),
-        };
         let robust = fault.is_some();
         let router_cfg = self.config.router;
         let router = self.router.map(|rb| {
@@ -369,7 +360,7 @@ impl NetworkBuilder {
         };
         let mut net = Network {
             config: self.config,
-            nodes: self.nodes,
+            nodes: self.nodes.into_iter().map(Cpu::new).collect(),
             wires,
             hot,
             queue,
@@ -379,8 +370,6 @@ impl NetworkBuilder {
             data_ns,
             ack_ns,
             robust,
-            timeout_ns,
-            max_retries,
             wire_next: vec![u64::MAX; w],
             router,
             pin_tx_flight,
@@ -452,10 +441,6 @@ pub struct Network {
     ack_ns: u64,
     /// Whether the wires speak the robust protocol (fault plan present).
     robust: bool,
-    /// Sender resend timeout under the robust protocol.
-    timeout_ns: u64,
-    /// Retry budget per data byte under the robust protocol.
-    max_retries: u32,
     /// Pop time of each wire's single live heap entry (`u64::MAX` =
     /// none), maintained by [`Self::schedule_wire`]. Doubles as the
     /// dedup guard — a popped entry whose time no longer matches is

@@ -2,6 +2,9 @@
 //! routine that puts a frame on it, and its resends, with a dead hop's
 //! reroute on a routed network.
 
+use transputer_link::packet::{
+    ROBUST_BUSY_BACKOFF_TIMEOUTS, ROBUST_MAX_RETRIES, ROBUST_TIMEOUT_BITS,
+};
 use transputer_link::{DuplexLink, End, LinkEvent, LinkProtocol, PacketKind};
 
 use super::{Network, Port};
@@ -79,6 +82,11 @@ impl Wire {
         self.link.protocol() == LinkProtocol::Classic
     }
 
+    /// How long a robust end waits for an acknowledge before it resends.
+    fn timeout_ns(&self) -> u64 {
+        u64::from(ROBUST_TIMEOUT_BITS) * self.link.speed().bit_time_ns
+    }
+
     /// Put a frame from `end` on the line with the end's sequence bit:
     /// a data byte carries the transmit bit; an acknowledge or busy
     /// notice, the bit of the last byte the end accepted. Returns the
@@ -124,14 +132,15 @@ impl Wire {
     /// release its acknowledge yet (a slow consumer, or a router exerting
     /// backpressure): poll with backoff instead of burning the retry
     /// budget.
-    pub(super) fn busy(&mut self, to: End, bit: bool, now: u64, timeout_ns: u64) {
+    pub(super) fn busy(&mut self, to: End, bit: bool, now: u64) {
         let ei = end_index(to);
         if bit != self.tx_bit[ei] {
             return;
         }
+        let most = self.timeout_ns() * ROBUST_BUSY_BACKOFF_TIMEOUTS;
         if let Some(r) = &mut self.resend[ei] {
             r.attempts = 0;
-            r.interval_ns = r.interval_ns.saturating_mul(2).min(timeout_ns * 16);
+            r.interval_ns = r.interval_ns.saturating_mul(2).min(most);
             r.deadline = now + r.interval_ns;
         }
     }
@@ -218,11 +227,12 @@ impl Network {
         if let PacketKind::Data(byte) = kind {
             if self.robust {
                 debug_assert!(!wire.classic(), "a resend armed on a classic wire");
+                let timeout_ns = wire.timeout_ns();
                 wire.resend[end_index(end)] = Some(Resend {
                     byte,
-                    deadline: stamp + self.timeout_ns,
+                    deadline: stamp + timeout_ns,
                     attempts: 0,
-                    interval_ns: self.timeout_ns,
+                    interval_ns: timeout_ns,
                 });
             }
             self.hot.tx_flight[node] |= 1 << port;
@@ -250,7 +260,7 @@ impl Network {
             }
             let mut r = self.wires[w].resend[ei].expect("checked above");
             let (node, _) = self.wires[w].ends[ei];
-            if r.attempts >= self.max_retries {
+            if r.attempts >= ROBUST_MAX_RETRIES {
                 self.wires[w].resend[ei] = None;
                 self.wires[w].failed[ei] = true;
                 self.nodes[node].note_link_failure();

@@ -2,7 +2,7 @@
 //! wedge or mask them.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
-use transputer::{CpuConfig, HaltReason};
+use transputer::HaltReason;
 use transputer_net::{NetworkBuilder, NetworkConfig, SimError, SimOutcome};
 
 fn halting() -> Vec<u8> {
@@ -116,9 +116,10 @@ fn budget_exhaustion() {
 #[test]
 fn error_flag_halt_is_a_fault() {
     let mut b = NetworkBuilder::new(NetworkConfig::default());
-    let n = b.add_node_with(CpuConfig::t424().with_halt_on_error(true));
+    let n = b.add_node();
     let mut net = b.build();
-    let mut code = encode_op(Op::SetError);
+    let mut code = encode_op(Op::SetHaltOnError);
+    code.extend(encode_op(Op::SetError));
     code.extend(encode_op(Op::HaltSimulation));
     net.node_mut(n).load_boot_program(&code).unwrap();
     match net.run_until_all_halted(1_000_000) {

@@ -235,13 +235,11 @@ pub enum Process<'src> {
     Par(Option<Replicator<'src>>, Vec<Process<'src>>, Pos),
     /// `PRI PAR`: first component runs at high priority (§2.2.2).
     PriPar(Vec<Process<'src>>, Pos),
-    /// `ALT` construct, optionally replicated (`ALT i = [base FOR n]`
-    /// with a single component alternative).
+    /// `ALT` or `PRI ALT` construct, optionally replicated (`ALT i =
+    /// [base FOR n]` with a single component alternative). Textual order
+    /// gives priority to both: the transputer's disabling sequence is
+    /// ordered.
     Alt(Option<Replicator<'src>>, Vec<Alternative<'src>>, Pos),
-    /// `PRI ALT`: textual order gives priority. The transputer's
-    /// disabling sequence is inherently ordered, so the codegen is shared
-    /// with plain `ALT`.
-    PriAlt(Option<Replicator<'src>>, Vec<Alternative<'src>>, Pos),
     /// `IF` construct.
     If(Vec<Conditional<'src>>, Pos),
     /// `WHILE e` with a body.
@@ -267,7 +265,6 @@ impl Process<'_> {
             | Process::Par(_, _, p)
             | Process::PriPar(_, p)
             | Process::Alt(_, _, p)
-            | Process::PriAlt(_, _, p)
             | Process::If(_, p)
             | Process::While(_, _, p)
             | Process::Declared(_, _, p)

@@ -70,10 +70,8 @@ impl<'a> Cg<'a> {
             Process::Seq(Some(r), ps, pos) => self.gen_replicated_seq(r, ps, pos.line),
             Process::Par(repl, branches, pos) => self.gen_par(repl.as_ref(), branches, pos.line),
             Process::PriPar(branches, pos) => self.gen_pri_par(branches, pos.line),
-            Process::Alt(None, alts, _) | Process::PriAlt(None, alts, _) => self.gen_alt(alts),
-            Process::Alt(Some(r), alts, pos) | Process::PriAlt(Some(r), alts, pos) => {
-                self.gen_replicated_alt(r, &alts[0], pos.line)
-            }
+            Process::Alt(None, alts, _) => self.gen_alt(alts),
+            Process::Alt(Some(r), alts, pos) => self.gen_replicated_alt(r, &alts[0], pos.line),
             Process::If(conds, _) => {
                 let end = self.emit.new_label();
                 for c in conds {

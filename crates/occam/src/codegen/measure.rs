@@ -229,7 +229,7 @@ impl<'a> Cg<'a> {
             | Process::Delay(..) => Measure::leaf(),
 
             Process::Seq(repl, ps, _) => self.measure_each(repl, REPL_SEQ_BLOCK, ps)?,
-            Process::Alt(repl, alts, _) | Process::PriAlt(repl, alts, _) => {
+            Process::Alt(repl, alts, _) => {
                 self.measure_each(repl, REPL_ALT_BLOCK, alts.iter().map(|a| &a.body))?
             }
 

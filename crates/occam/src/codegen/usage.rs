@@ -211,7 +211,7 @@ impl Cg<'_> {
                     self.collect(child, locals, u);
                 }
             }
-            Process::Alt(repl, alts, _) | Process::PriAlt(repl, alts, _) => {
+            Process::Alt(repl, alts, _) => {
                 locals.push();
                 if let Some(r) = repl {
                     self.read_expr(&r.base, locals, u);

@@ -179,6 +179,22 @@ impl<'src> Parser<'src> {
         }
     }
 
+    /// An `ALT` after its keyword. `PRI ALT` parses to the same
+    /// [`Process::Alt`]: the transputer's disabling sequence is ordered,
+    /// so textual order gives priority to both.
+    fn parse_alt(&mut self, pos: Pos) -> Result<Process<'src>, CompileError> {
+        let repl = self.parse_optional_replicator()?;
+        self.expect(Token::Newline)?;
+        let alts = self.parse_block_alternatives()?;
+        if repl.is_some() && alts.len() != 1 {
+            return Err(CompileError::parse(
+                pos.line,
+                "a replicated ALT has exactly one alternative",
+            ));
+        }
+        Ok(Process::Alt(repl, alts, pos))
+    }
+
     fn parse_operative(&mut self) -> Result<Process<'src>, CompileError> {
         let pos = self.here();
         match self.peek() {
@@ -214,18 +230,7 @@ impl<'src> Parser<'src> {
                         let body = self.parse_block_processes()?;
                         Ok(Process::PriPar(body, pos))
                     }
-                    Token::Key(Keyword::Alt) => {
-                        let repl = self.parse_optional_replicator()?;
-                        self.expect(Token::Newline)?;
-                        let alts = self.parse_block_alternatives()?;
-                        if repl.is_some() && alts.len() != 1 {
-                            return Err(CompileError::parse(
-                                pos.line,
-                                "a replicated ALT has exactly one alternative",
-                            ));
-                        }
-                        Ok(Process::PriAlt(repl, alts, pos))
-                    }
+                    Token::Key(Keyword::Alt) => self.parse_alt(pos),
                     other => Err(CompileError::parse(
                         pos.line,
                         format!("expected PAR or ALT after PRI, found {other}"),
@@ -234,16 +239,7 @@ impl<'src> Parser<'src> {
             }
             Token::Key(Keyword::Alt) => {
                 self.bump();
-                let repl = self.parse_optional_replicator()?;
-                self.expect(Token::Newline)?;
-                let alts = self.parse_block_alternatives()?;
-                if repl.is_some() && alts.len() != 1 {
-                    return Err(CompileError::parse(
-                        pos.line,
-                        "a replicated ALT has exactly one alternative",
-                    ));
-                }
-                Ok(Process::Alt(repl, alts, pos))
+                self.parse_alt(pos)
             }
             Token::Key(Keyword::If) => {
                 self.bump();
@@ -1011,6 +1007,19 @@ SEQ
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn pri_alt_is_alt() {
+        let text = |pri| {
+            format!(
+                "VAR x:\nCHAN c, d:\n{pri}ALT\n  c ? x\n    SKIP\n  x > 0 & d ? x\n    x := 1\n  TIME ? AFTER x\n    SKIP"
+            )
+        };
+        let (pri, plain) = (text("PRI "), text(""));
+        assert_eq!(parse(&pri).unwrap(), parse(&plain).unwrap());
+        let code = |src: &str| crate::compile(src).unwrap().code;
+        assert_eq!(code(&pri), code(&plain));
     }
 
     #[test]

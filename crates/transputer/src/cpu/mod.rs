@@ -36,14 +36,6 @@ pub struct CpuConfig {
     pub word: WordLength,
     /// Memory sizing and off-chip penalty.
     pub memory: MemoryConfig,
-    /// Whether the error flag halts the processor (HaltOnError mode).
-    pub halt_on_error: bool,
-    /// A shim: there is no decode cache. `false` forces the byte path,
-    /// exactly as `translate: false` does; `true` (the default) does
-    /// nothing. Kept because the system benchmark's pinned surface
-    /// names [`CpuConfig::with_decode_cache`]; it goes with the
-    /// benchmark's next revision (ROADMAP 3(b)).
-    pub decode_cache: bool,
     /// Run through the translation tier: hot basic blocks as threaded
     /// code, everything else on the byte path (see
     /// `cpu/translate.rs`). A pure host optimisation: simulated timing,
@@ -77,8 +69,6 @@ impl CpuConfig {
         CpuConfig {
             word: WordLength::Bits32,
             memory: MemoryConfig::default(),
-            halt_on_error: false,
-            decode_cache: true,
             translate: translate_env_default(),
             translate_threshold: 2,
         }
@@ -92,22 +82,19 @@ impl CpuConfig {
         }
     }
 
-    /// Select halt-on-error mode.
-    pub fn with_halt_on_error(mut self, on: bool) -> CpuConfig {
-        self.halt_on_error = on;
-        self
-    }
-
     /// Replace the memory configuration.
     pub fn with_memory(mut self, memory: MemoryConfig) -> CpuConfig {
         self.memory = memory;
         self
     }
 
-    /// A shim (see [`CpuConfig::decode_cache`]): `false` forces the
-    /// byte path, `true` does nothing.
+    /// A shim: there is no decode cache. `false` turns the translation
+    /// tier off, exactly as `with_translate(false)` does; `true` does
+    /// nothing. Kept because the system benchmark's pinned surface
+    /// names it; it goes with the benchmark's next revision
+    /// (ROADMAP item 1(b)).
     pub fn with_decode_cache(mut self, on: bool) -> CpuConfig {
-        self.decode_cache = on;
+        self.translate &= on;
         self
     }
 
@@ -299,8 +286,8 @@ pub struct Cpu {
     /// The threaded-code translation cache (see `cpu/translate.rs`).
     pub(crate) tcache: translate::TransCache,
     /// Whether `run_slice` may enter the translation tier at all: the
-    /// tier and the decode cache it needs are enabled, and no access
-    /// pays an off-chip penalty (a block charges none).
+    /// tier is enabled, and no access pays an off-chip penalty (a block
+    /// charges none).
     pub(crate) translate_ok: bool,
     /// Leader arrivals before a block is translated.
     pub(crate) translate_threshold: u32,
@@ -368,7 +355,7 @@ impl Cpu {
             event_waiting: None,
             event_pending: false,
             error: false,
-            halt_on_error: config.halt_on_error,
+            halt_on_error: false,
             halted: None,
             boot: boot::BootState::Done,
             trace: None,
@@ -379,9 +366,7 @@ impl Cpu {
             last_dispatch: 0,
             stats: Stats::default(),
             tcache: translate::TransCache::default(),
-            translate_ok: config.translate
-                && config.decode_cache
-                && config.memory.off_chip_penalty == 0,
+            translate_ok: config.translate && config.memory.off_chip_penalty == 0,
             // Leader heat is a saturating `u8`.
             translate_threshold: config.translate_threshold.clamp(1, 255),
             wake_at: [u64::MAX; 2],

@@ -356,8 +356,8 @@ fn error_flag_on_overflow() {
 
 #[test]
 fn halt_on_error_mode() {
-    let mut cpu = Cpu::new(CpuConfig::t424().with_halt_on_error(true));
-    let mut code = asm(&[O(Op::SetError)]);
+    let mut cpu = Cpu::new(CpuConfig::t424());
+    let mut code = asm(&[O(Op::SetHaltOnError), O(Op::SetError)]);
     code.extend(encode_op(Op::HaltSimulation));
     cpu.load_boot_program(&code).unwrap();
     match cpu.run(10_000).unwrap() {

@@ -342,10 +342,11 @@ fn store(code: &mut Vec<u8>, value: i64, offset: u32, byte: bool) {
     }
 }
 
-/// A loop that overflows `adc` or `add` within a few hundred iterations,
-/// its body in one of the shapes the translation tier dispatches apart:
-/// `adc` alone and as the second half of a pair, and `add` through the
-/// ALU executor and through the general arm.
+/// A program that sets halt-on-error, then loops until `adc` or `add`
+/// overflows within a few hundred iterations, its body in one of the
+/// shapes the translation tier dispatches apart: `adc` alone and as the
+/// second half of a pair, and `add` through the ALU executor and
+/// through the general arm.
 fn overflow_loop(rng: &mut StdRng) -> Vec<u8> {
     let start = rng.gen::<i32>();
     let step = rng.gen_range(1 << 24..=i32::MAX) * if rng.gen() { 1 } else { -1 };
@@ -355,20 +356,20 @@ fn overflow_loop(rng: &mut StdRng) -> Vec<u8> {
         2 => "ldl 1\nldl 0\nadd\nstl 0".to_string(),
         _ => format!("ldl 0\nldc {step}\nadd\nstl 0"),
     };
-    let text = format!("ldc {start}\nstl 0\nldc {step}\nstl 1\ntop:\n{body}\nj @top");
+    let text = format!("sethalterr\nldc {start}\nstl 0\nldc {step}\nstl 1\ntop:\n{body}\nj @top");
     assemble(&text).expect("the loop assembles")
 }
 
-/// A boot image, and whether it runs under halt-on-error. One image in
-/// five is up to 255 arbitrary bytes, one a corpus program with up to
-/// three bytes replaced, and one an overflowing loop under halt-on-error.
+/// A boot image. One image in five is up to 255 arbitrary bytes, one a
+/// corpus program with up to three bytes replaced, and one an
+/// overflowing loop that first sets halt-on-error.
 /// The other two fifths are mostly stores anywhere in the 64 KB memory,
 /// the gap between code and workspaces included (a few land past its
 /// end), with the workspace moved down into the gap and arbitrary bytes
 /// between them: uniform bytes alone nearly always fault within a few
 /// cycles.
-fn boot_image(rng: &mut StdRng) -> (Vec<u8>, bool) {
-    let image = match rng.gen_range(0..5u32) {
+fn boot_image(rng: &mut StdRng) -> Vec<u8> {
+    match rng.gen_range(0..5u32) {
         0 => (0..rng.gen_range(1..256usize)).map(|_| rng.gen()).collect(),
         1 => {
             let images = corpus_images();
@@ -379,7 +380,7 @@ fn boot_image(rng: &mut StdRng) -> (Vec<u8>, bool) {
             }
             image
         }
-        2 => return (overflow_loop(rng), true),
+        2 => overflow_loop(rng),
         _ => {
             let mut code = Vec::new();
             for _ in 0..rng.gen_range(1..24u32) {
@@ -398,8 +399,7 @@ fn boot_image(rng: &mut StdRng) -> (Vec<u8>, bool) {
             }
             code
         }
-    };
-    (image, false)
+    }
 }
 
 /// Neither run of a hostile boot image panics, and the translation tier
@@ -414,11 +414,9 @@ fn hostile_boot_images_run_alike_with_translation_on_and_off() {
     let mut rng = StdRng::seed_from_u64(1985);
     let (mut gap_written, mut long_runs, mut error_halts) = (0, 0, 0);
     for case in 0..CASES {
-        let (image, halt_on_error) = boot_image(&mut rng);
+        let image = boot_image(&mut rng);
         let run = |translate| {
-            let config = CpuConfig::t424()
-                .with_translate(translate)
-                .with_halt_on_error(halt_on_error);
+            let config = CpuConfig::t424().with_translate(translate);
             let mut cpu = Cpu::new(config.with_translate_threshold(1));
             let outcome = cpu
                 .load_boot_program(&image)
