@@ -293,14 +293,12 @@ fn faults_hidden(sim: &DbSearch, report: &DbSearchReport) {
 /// port; the east edge (1,2)-(2,2) carries answer traffic into the exit
 /// corner, and killing it forces the reroute through node 5 while
 /// answers are in flight. 180 us lands inside the answer burst: the
-/// store-and-forward run discovers the death mid-packet (retry
-/// exhaustion, partial bytes already across), and the wormhole run has
-/// a live multi-node stream cut at the break.
+/// run discovers the death mid-packet (retry exhaustion, partial bytes
+/// already across).
 ///
 /// The router rebuilds its tables and re-sends whatever the break cut
-/// off (a parked packet, a queued packet, or a wormhole stream folded
-/// back at the break), so delivery on the rerouted path is
-/// at-least-once — DESIGN.md §11's documented duplicate-delivery
+/// off (a parked or a queued packet), so delivery on the rerouted path
+/// is at-least-once — DESIGN.md §11's documented duplicate-delivery
 /// window. The collector's merge folds answer words in arrival order
 /// with an order-independent sum, so what the rows pin is that both
 /// engines land on the identical merged state, duplicates included.
@@ -320,22 +318,15 @@ fn wire_died(sim: &DbSearch, _: &DbSearchReport) {
     );
 }
 
-fn stream_cut(sim: &DbSearch, report: &DbSearchReport) {
-    wire_died(sim, report);
-    let stats = sim.network().router_stats().expect("routed build");
-    assert!(
-        stats.packets_dropped > 0,
-        "the break must cut a live wormhole stream"
-    );
-}
-
 /// The sweep table: one test per row, `name: build, check`. The router
 /// replaces the planned trees with packetized, multiplexed, hop-by-hop
 /// forwarding whose state advances only at wire events and stamped CPU
 /// service points, so the engine must remain unobservable there too —
 /// in both switching modes (wormhole forwards at header decode, so its
 /// wire schedule differs from store-and-forward), clean, under the
-/// robust protocol's retries, and across a mid-run table rebuild. The
+/// robust protocol's retries, and across a mid-run table rebuild (a
+/// faulted network forwards store-and-forward whatever its mode; see
+/// [`routed_grid_wormhole_under_faults_is_store_and_forward`]). The
 /// routed hypercube keeps transit queues at several nodes live at once;
 /// its `Wormhole` row runs the degraded mode pinned further down.
 macro_rules! sweeps {
@@ -362,31 +353,27 @@ sweeps! {
         |e| Routed(routed_smoke()).wormhole().build(e), clean;
     routed_grid_agrees_across_engines_under_faults:
         |e| Routed(routed_smoke()).faulted(faults()).build(e), faults_hidden;
-    routed_grid_wormhole_agrees_across_engines_under_faults:
-        |e| Routed(routed_smoke()).wormhole().faulted(faults()).build(e), faults_hidden;
     routed_hypercube_agrees_across_engines:
         |e| RoutedCube(hypercube_smoke()).build(e), clean;
     routed_hypercube_wormhole_agrees_across_engines:
         |e| RoutedCube(hypercube_smoke()).wormhole().build(e), clean;
     routed_wire_death_merges_identically_across_engines:
         |e| Routed(routed_smoke()).faulted(wire_death()).build(e), wire_died;
-    routed_wormhole_wire_death_merges_identically_across_engines:
-        |e| Routed(routed_smoke()).wormhole().faulted(wire_death()).build(e), stream_cut;
 }
 
 /// One wire-death row at each of 36 kill instants, two bit times apart,
-/// spanning exactly the 7.1 us (176.3 to 183.4 us) in which a break on
-/// this wire cuts the live wormhole stream the pinned 180 us row cuts
-/// once — so the break lands on every byte of the stream and on both
-/// its data frames and their acknowledges.
+/// spanning the 7.1 us (176.3 to 183.4 us) of the answer burst around
+/// the pinned 180 us row — so the break lands on every byte of the
+/// packets crossing it and on both their data frames and their
+/// acknowledges.
 ///
-/// Event ≡ Sliced cannot see a teardown defect the two engines share
+/// Event ≡ Sliced cannot see a rerouting defect the two engines share
 /// (they run the same router handlers), so each engine's runs are also
 /// hashed over all 36 instants — answers, arrival times, per-node halt
 /// cycles and instructions, per-wire delivered bytes, [`RouterStats`]
 /// and [`PopCounts`] — and held to `pinned` (`[Event, Sliced]`), taken
-/// from the earlier router in which a cut-through packet had a buffer
-/// and a transmit path of its own.
+/// from the earlier router in which a transit packet had a buffer and
+/// a transmit path of its own.
 fn sweep_kill_instants(
     label: &str,
     machine: fn() -> Machine,
@@ -462,53 +449,6 @@ fn outcome_hash(hash: &mut u64, sim: &DbSearch, report: &DbSearchReport) {
         .for_each(|v| fnv1a(hash, v));
 }
 
-/// Under a lossy plan, wires die of retry exhaustion beneath live
-/// wormhole streams with a byte between two hops, so the chain teardown
-/// takes both of its in-flight arms: a transmitter whose last byte's
-/// acknowledge is still due is flagged (`tx_abort`) and its late
-/// acknowledge consumed, and a byte still on the wire is marked
-/// (`skip`) and swallowed on arrival (DESIGN.md §11). Each row is a 3×3
-/// wormhole run that ends degraded with no answer, held to Event ≡
-/// Sliced and to its `[Event, Sliced]` outcome hashes, taken before the
-/// robust protocol's timing became constants. Per engine:
-///
-/// * seed 2 at 0.2: three chain kills set and consume one `tx_abort`
-///   and one `skip`, and one credit-withheld acknowledge is released
-///   where a relay folds back into reassembly;
-/// * seed 18 at 0.2: three chain kills, three `tx_abort`s, one `skip`
-///   and three fold-back releases;
-/// * seed 5 at 0.25: two chain kills, four `tx_abort`s, one fold-back
-///   release, and one withheld acknowledge cleared mid-chain.
-#[test]
-fn routed_wormhole_teardown_with_a_byte_in_flight_agrees_across_engines() {
-    let rows: [(u64, f64, [u64; 2]); 3] = [
-        (2, 0.2, [0xc61d_4985_0a70_d117, 0xb23b_2126_f52b_248f]),
-        (18, 0.2, [0xb63f_0819_e17e_582a, 0xe612_a1ff_be8f_3e5a]),
-        (5, 0.25, [0xbba0_6c8c_d71f_1564, 0x5c00_08f1_24ae_6d3f]),
-    ];
-    for (seed, rate, pinned) in rows {
-        let label = format!("routed wormhole teardown, seed {seed} at {rate}");
-        let hashes = Cell::new([FNV_BASIS; 2]);
-        sweep_hashed(
-            &label,
-            |e| {
-                let plan = FaultPlan::uniform(seed, rate);
-                Routed(routed_smoke()).wormhole().faulted(plan).build(e)
-            },
-            |sim, report| {
-                stream_cut(sim, report);
-                assert!(report.degraded && report.answers.is_empty());
-            },
-            &hashes,
-        );
-        assert_eq!(
-            hashes.get(),
-            pinned,
-            "{label}: [Event, Sliced] outcome hashes"
-        );
-    }
-}
-
 /// Store-and-forward: the retry budget discovers the death mid-packet
 /// and both end routers requeue what was stranded, at every instant.
 #[test]
@@ -521,17 +461,44 @@ fn routed_wire_death_sweep_agrees_across_engines() {
     );
 }
 
-/// Wormhole: every instant cuts the live stream, whose teardown starts
-/// transmits on routers beyond the dead wire's ends at the failure
-/// instant (DESIGN.md §11 has the lookahead argument this sweep backs).
+/// Cut-through needs lossless wires: under a fault plan a wormhole
+/// router forwards store-and-forward from the build on, so a dying wire
+/// never cuts a live stream. Per plan and engine the wormhole run is the
+/// store-and-forward run on every observable of [`assert_run_matches`],
+/// and Event ≡ Sliced. The plans: [`faults`]' hidden retries, the
+/// [`wire_death`] reroute, and five lossy plans whose wires die of retry
+/// exhaustion and cut participants off. Seeds 11 and 35 at 0.15 answered
+/// wrongly while a dying wire could cut a stream (`[0, 0]` against
+/// `[0, 1, 0]`); [`sweep_engines`] holds every run to its expected
+/// answers.
 #[test]
-fn routed_wormhole_wire_death_sweep_agrees_across_engines() {
-    sweep_kill_instants(
-        "routed wormhole wire death",
-        || Routed(routed_smoke()).wormhole(),
-        stream_cut,
-        [0xc45e_b398_1a2b_e665, 0x028b_14e1_5590_9379],
-    );
+fn routed_grid_wormhole_under_faults_is_store_and_forward() {
+    let lossy = [(2, 0.2), (18, 0.2), (5, 0.25), (11, 0.15), (35, 0.15)];
+    let lossy = lossy.map(|(seed, rate)| {
+        (
+            format!("seed {seed} at {rate}"),
+            FaultPlan::uniform(seed, rate),
+        )
+    });
+    let plans = [
+        ("retries".to_string(), faults()),
+        ("wire death".to_string(), wire_death()),
+    ];
+    for (name, plan) in plans.into_iter().chain(lossy) {
+        let label = format!("routed grid wormhole, {name}");
+        let machine = || Routed(routed_smoke()).faulted(plan.clone());
+        sweep_engines(
+            &label,
+            |e| machine().wormhole().build(e),
+            |worm, worm_report| {
+                let net = worm.network();
+                assert_eq!(net.router_cut_through(), Some(false), "{label}");
+                let mut sf = machine().build(net.engine());
+                let sf_report = sf.run(1_000_000_000_000).expect("runs");
+                assert_run_matches(&label, worm, worm_report, &sf, &sf_report);
+            },
+        );
+    }
 }
 
 /// On the cluster hypercube the e-cube tables have a cyclic

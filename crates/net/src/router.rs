@@ -37,7 +37,9 @@
 //! Injection and local delivery stay packet-atomic in both modes, and
 //! a busy out port falls back to store-and-forward per packet, so
 //! wormhole is purely a latency optimisation layered on the same
-//! deterministic event structure.
+//! deterministic event structure. Cut-through runs only on lossless
+//! wires: under a fault plan a wire can die, and a stream it cut would
+//! lose its tail, so a faulted network forwards store-and-forward.
 //!
 //! The router returns its effects as `Act`s rather than touching
 //! wires directly; the simulator applies them, which keeps all wire
@@ -63,7 +65,9 @@ pub enum Switching {
     /// Cut-through: retransmit the header as soon as it decodes and the
     /// routed out port is idle, streaming the payload hop by hop under
     /// flit-level credits. Requires an acyclic channel-dependency graph
-    /// (dimension-order routing; see [`crate::topology::cdg_acyclic`]).
+    /// (dimension-order routing; see [`crate::topology::cdg_acyclic`])
+    /// and lossless wires (no fault plan); otherwise the router
+    /// forwards store-and-forward.
     Wormhole,
 }
 
@@ -124,8 +128,7 @@ pub struct RouterStats {
     pub packets_forwarded: u64,
     /// Packets delivered to destination CPUs.
     pub packets_delivered: u64,
-    /// Packets dropped for lack of a route (after mid-run wire death)
-    /// or cut by a dying wire mid-stream.
+    /// Packets dropped for lack of a route (after mid-run wire death).
     pub packets_dropped: u64,
     /// Forwarding hops that began retransmission (one packet starting
     /// across one wire, from a queue or a cut-through stream).
@@ -342,23 +345,14 @@ pub(crate) struct NodeRouter {
     parked: [Option<Packet>; 4],
     /// Whether an acknowledge is being withheld on each physical port.
     withheld: [bool; 4],
-    /// Data bytes to swallow (accept, acknowledge, discard) on each in
-    /// port — the byte that was in flight when a relay chain upstream
-    /// of it was torn down by wire death (see `kill_stream_chain`).
-    skip: [u8; 4],
-    /// Out ports whose relay was killed with a byte still awaiting its
-    /// acknowledge: the late acknowledge is consumed, and no new
-    /// transmit starts before it.
-    tx_abort: [bool; 4],
 }
 
 impl NodeRouter {
     /// Whether `port`'s transmitter is free to start a packet: no byte
-    /// awaits an acknowledge, no relay holds it, and no late acknowledge
-    /// of a killed relay is due.
+    /// awaits an acknowledge and no relay holds it.
     fn tx_idle(&self, port: usize) -> bool {
         let tx = self.tx[port];
-        !tx.inflight && tx.feed.is_none() && !self.tx_abort[port]
+        !tx.inflight && tx.feed.is_none()
     }
 
     /// The packet `port`'s transmitter sends, and how many of its wire
@@ -417,12 +411,9 @@ pub(crate) struct RouterNet {
     adj: Adjacency,
     dead: HashSet<usize>,
     nodes: Vec<NodeRouter>,
-    /// Whether cut-through streaming is currently allowed: wormhole
-    /// mode *and* the active tables' channel-dependency graph is proven
-    /// acyclic. Recomputed whenever a wire death rebuilds the tables;
-    /// when the proof fails the router degrades to store-and-forward
-    /// forwarding (identically in every engine — the rebuild is a pure
-    /// function of the dead set).
+    /// Whether cut-through streaming is allowed: wormhole mode, lossless
+    /// wires, *and* the tables' channel-dependency graph proven acyclic.
+    /// Fixed at build; otherwise the router forwards store-and-forward.
     cut_through: bool,
     pub(crate) stats: RouterStats,
 }
@@ -434,6 +425,7 @@ impl RouterNet {
         dead: HashSet<usize>,
         vcs: &[VcSpec],
         config: RouterConfig,
+        lossless: bool,
     ) -> RouterNet {
         let n = adj.len();
         let mut nodes = vec![NodeRouter::default(); n];
@@ -444,8 +436,9 @@ impl RouterNet {
             nodes[sn].out_vcs[sp].push(vc as u16);
             vc_dst.push((dn, dp));
         }
-        let cut_through =
-            config.switching == Switching::Wormhole && crate::topology::cdg_acyclic(&adj, &tables);
+        let cut_through = config.switching == Switching::Wormhole
+            && lossless
+            && crate::topology::cdg_acyclic(&adj, &tables);
         RouterNet {
             tables,
             vc_dst,
@@ -480,18 +473,17 @@ impl RouterNet {
         r.outq[port].len() + usize::from(r.reserved[port]) >= FORWARD_CAPACITY
     }
 
-    /// Whether cut-through streaming is active (wormhole mode with a
-    /// proven acyclic channel-dependency graph; see [`Switching`]).
+    /// Whether cut-through streaming is armed (wormhole mode on lossless
+    /// wires with a proven acyclic channel-dependency graph; see
+    /// [`Switching`]).
     pub(crate) fn cut_through(&self) -> bool {
         self.cut_through
     }
 
     /// Whether `node`'s physical `port` has a data byte on the wire
-    /// awaiting its acknowledge: mid-packet, relaying, or owed the late
-    /// acknowledge of a torn-down relay.
+    /// awaiting its acknowledge, mid-packet or relaying.
     pub(crate) fn awaits_ack(&self, node: usize, port: usize) -> bool {
-        let r = &self.nodes[node];
-        r.tx[port].inflight || r.tx_abort[port]
+        self.nodes[node].tx[port].inflight
     }
 
     /// Whether `node` withholds the acknowledge of the last byte it
@@ -670,13 +662,6 @@ impl RouterNet {
         acts: &mut Vec<(usize, Act)>,
     ) {
         let r = &mut self.nodes[node];
-        if r.tx_abort[port] {
-            // The late acknowledge of a torn-down relay's last byte:
-            // consume it and free the port.
-            r.tx_abort[port] = false;
-            self.start_tx(node, port, now_ns, acts);
-            return;
-        }
         debug_assert!(
             r.tx[port].inflight,
             "a fresh acknowledge has a byte awaiting it"
@@ -724,14 +709,6 @@ impl RouterNet {
         acts: &mut Vec<(usize, Act)>,
     ) {
         let r = &mut self.nodes[node];
-        if r.skip[port] > 0 {
-            // Wire-death reconciliation: the byte belongs to a relay
-            // chain torn down while it was in flight — swallow it (see
-            // `kill_stream_chain`).
-            r.skip[port] -= 1;
-            acts.push((node, Act::Ack { port }));
-            return;
-        }
         let done = r.rx[port].push(byte, now_ns);
         if r.rx[port].got == HEADER_BYTES {
             self.try_cut_through(node, port, now_ns, acts);
@@ -905,7 +882,8 @@ impl RouterNet {
     /// two end nodes' stranded traffic, and kick both ends. Packets
     /// whose destination became unreachable are dropped. Runs at the
     /// wire's resend-deadline pop, so every engine sees it at the same
-    /// instant.
+    /// instant. A wire dies only under a fault plan, where no stream is
+    /// cut through, so no relay crosses the dead wire.
     pub(crate) fn wire_failed(
         &mut self,
         cpus: &mut [Cpu],
@@ -914,54 +892,17 @@ impl RouterNet {
         now_ns: u64,
         acts: &mut Vec<(usize, Act)>,
     ) {
+        debug_assert!(!self.cut_through, "a wire died under cut-through");
         if !self.dead.insert(wire) {
             return; // the other direction already failed
         }
         self.tables = route_tables(&self.adj, &self.dead);
-        // The BFS fallback has no dimension-order structure, so its
-        // channel-dependency graph must be re-proven acyclic; if the
-        // damage broke the proof, stop starting new cut-through streams
-        // (in-flight ones drain into the store-and-forward queues at
-        // their tails). Deterministic: the rebuild is a pure function
-        // of the dead set, which every engine grows identically.
-        if self.cut_through {
-            self.cut_through = crate::topology::cdg_acyclic(&self.adj, &self.tables);
-        }
         for &(node, port) in &ends {
-            // A relay *across* the dead wire loses its outlet: its record
-            // stops being relayed and goes on filling as plain
-            // reassembly — the upstream feed is intact, so the packet
-            // completes there and reroutes over the new tables, exactly
-            // like a stranded queue packet.
-            if let Some(q) = std::mem::take(&mut self.nodes[node].tx[port]).feed {
-                let r = &mut self.nodes[node];
-                r.rx[q].relay = None;
-                if q == port {
-                    // The stream both arrived and relayed on the dead
-                    // wire (possible after an earlier rebuild): it dies
-                    // outright.
-                    self.stats.packets_dropped += 1;
-                } else if r.withheld[q] {
-                    // Reassembly absorbs freely: release the
-                    // credit-withheld acknowledge.
-                    r.withheld[q] = false;
-                    acts.push((node, Act::Ack { port: q }));
-                }
-            }
-            // A cut-through stream *arriving* over the dead wire never
-            // completes: tear down its relay chain hop by hop. Its
-            // credit-withheld acknowledge, if any, dies with the wire.
-            if self.nodes[node].rx[port].relay.is_some() {
-                self.nodes[node].withheld[port] = false;
-                self.kill_stream_chain(node, port, now_ns, acts);
-            }
             let r = &mut self.nodes[node];
             // Abandon the half-sent front packet and the dead port's
             // queue; partial reassembly on the dead wire is discarded,
             // and acknowledges on it will never arrive.
             r.tx[port] = Tx::default();
-            r.tx_abort[port] = false;
-            r.skip[port] = 0;
             r.rx[port] = Rx::default();
             let stranded: Vec<Packet> = r.outq[port].drain(..).collect();
             for pkt in stranded {
@@ -991,64 +932,6 @@ impl RouterNet {
             }
             self.unpark(cpus, node, now_ns, acts);
             self.drain_injection(cpus, node, now_ns, acts);
-        }
-    }
-
-    /// Tear down the relay chain of a cut-through stream whose tail can
-    /// no longer arrive (the wire feeding in port `port` of `node`
-    /// died). The cut packet is dropped at the break — its source's
-    /// at-least-once retry semantics cover it, like any packet lost to
-    /// retry exhaustion. The chain is the records' `relay` links: at
-    /// each hop the partial record is discarded; a data byte still in
-    /// flight between two hops is marked to be swallowed on arrival,
-    /// and a transmitter whose last byte's acknowledge is still due is
-    /// flagged so the late acknowledge is consumed — flipping the wire
-    /// end's sequence bit like any fresh one — while the resend
-    /// machinery stays armed (fault tolerance intact).
-    fn kill_stream_chain(
-        &mut self,
-        mut node: usize,
-        mut port: usize,
-        now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
-    ) {
-        self.stats.packets_dropped += 1;
-        loop {
-            let r = &mut self.nodes[node];
-            let p = std::mem::take(&mut r.rx[port])
-                .relay
-                .expect("a chain hop relays");
-            let tx = std::mem::take(&mut r.tx[p]);
-            if tx.inflight {
-                r.tx_abort[p] = true;
-            } else {
-                // Every relayed byte is acknowledged: the port frees
-                // immediately and queued packets may start.
-                self.start_tx(node, p, now_ns, acts);
-            }
-            let Some((peer, peer_port, wire)) = self.adj[node][p] else {
-                break;
-            };
-            if self.dead.contains(&wire) {
-                break; // the relay crossed the wire that just died
-            }
-            let down = &mut self.nodes[peer];
-            let received = down.rx[peer_port].got;
-            if tx.next > received {
-                debug_assert_eq!(tx.next, received + 1, "at most one byte in flight per wire");
-                down.skip[peer_port] += 1;
-            }
-            if down.rx[peer_port].relay.is_none() {
-                // Terminal hop: the prefix sat in plain reassembly
-                // (store-and-forward fallback or the destination) —
-                // discard it.
-                down.rx[peer_port] = Rx::default();
-                break;
-            }
-            // A credit-withheld acknowledge upstream of a dying chain
-            // has no transmitter left to release: clear it.
-            down.withheld[peer_port] = false;
-            (node, port) = (peer, peer_port);
         }
     }
 

@@ -207,9 +207,7 @@ impl Network {
                     // Cleared before the owner answers: a data byte the
                     // answer releases re-arms both through `put`.
                     self.wires[w].resend[end_index(to)] = None;
-                    if !self.pin_tx_flight {
-                        self.hot.tx_flight[node] &= !(1 << port);
-                    }
+                    self.hot.tx_flight[node] &= !(1 << port);
                     self.take_ack(node, port);
                 }
                 LinkEvent::BusyDelivered { to, seq } => {

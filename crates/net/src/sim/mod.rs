@@ -56,9 +56,9 @@ pub struct NetworkConfig {
     /// and injects the planned faults; `None` is the paper's perfect
     /// classic network.
     pub fault: Option<FaultPlan>,
-    /// Virtual-channel router tuning (forwarding capacity and switching
-    /// discipline). Ignored unless the router is enabled; defaulted to
-    /// the values every committed fingerprint was produced with.
+    /// Virtual-channel router tuning (the switching discipline). Ignored
+    /// unless the router is enabled; defaulted to the values every
+    /// committed fingerprint was produced with.
     pub router: RouterConfig,
 }
 
@@ -337,24 +337,20 @@ impl NetworkBuilder {
                 RouteShape::Hypercube { dim, side } => hypercube_tables(&adj, dim, side, &dead),
             };
             // Wormhole deadlock freedom rests on an acyclic
-            // channel-dependency graph. `RouterNet::new` runs the proof
-            // itself and degrades cut-through to store-and-forward when
-            // it fails (notably the cluster-hypercube's e-cube tables,
-            // whose anchor-corner walks close cross-route cycles).
-            RouterNet::new(adj, tables, dead, &rb.vcs, router_cfg)
+            // channel-dependency graph, and a stream's tail on a wire
+            // that cannot die. `RouterNet::new` runs the proof itself
+            // and degrades cut-through to store-and-forward when it
+            // fails (notably the cluster-hypercube's e-cube tables,
+            // whose anchor-corner walks close cross-route cycles) or
+            // when the wires are robust.
+            RouterNet::new(adj, tables, dead, &rb.vcs, router_cfg, !robust)
         });
-        // A wire can die under a live cut-through stream only on robust
-        // wires whose cut-through proof held at build. Its teardown
-        // starts transmits beyond the dead wire's ends with no flight
-        // time from the failure, so the transmit bits stay saturated,
-        // pinning the hop at one acknowledge frame (DESIGN.md §11).
-        let pin_tx_flight = robust && router.as_ref().is_some_and(RouterNet::cut_through);
         let hot = NodeHot {
             scheduled: vec![false; n],
             next_ns: vec![0; n],
             ports: port_to_wire,
             peers,
-            tx_flight: vec![if pin_tx_flight { 0b1111 } else { 0 }; n],
+            tx_flight: vec![0; n],
             ea: vec![[EaState::default(); 4]; n],
             fenced: vec![false; n],
         };
@@ -372,7 +368,6 @@ impl NetworkBuilder {
             robust,
             wire_next: vec![u64::MAX; w],
             router,
-            pin_tx_flight,
             halted_below: Cell::new(0),
             last_halt_ns: 0,
             acts: Vec::new(),
@@ -452,9 +447,6 @@ pub struct Network {
     /// endpoint, and the CPUs' link ports become virtual-channel
     /// endpoints (see [`crate::router`]).
     router: Option<RouterNet>,
-    /// `hot.tx_flight` was saturated at build and is never cleared (see
-    /// [`NetworkBuilder::build`]).
-    pin_tx_flight: bool,
     /// Every node below this index has halted cleanly: where
     /// [`Network::all_halted`] resumes its scan.
     halted_below: Cell<usize>,
@@ -565,12 +557,12 @@ impl Network {
         self.router.as_ref().map(RouterNet::stats)
     }
 
-    /// Whether wormhole cut-through forwarding is *currently* active:
-    /// `Some(true)` only when the router was configured for
-    /// [`crate::Switching::Wormhole`] and its live tables carry an
-    /// acyclic channel-dependency graph (the deadlock-freedom proof —
-    /// re-run at every wire-death rebuild, so this can flip to
-    /// `Some(false)` mid-run). `None` unless routed.
+    /// Whether wormhole cut-through forwarding is active: `Some(true)`
+    /// only when the router was configured for
+    /// [`crate::Switching::Wormhole`], the network has no fault plan
+    /// (its wires cannot die), and the build's tables carry an acyclic
+    /// channel-dependency graph (the deadlock-freedom proof). Fixed at
+    /// build. `None` unless routed.
     pub fn router_cut_through(&self) -> Option<bool> {
         self.router.as_ref().map(RouterNet::cut_through)
     }

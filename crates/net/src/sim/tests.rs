@@ -2,6 +2,7 @@ use super::*;
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
 use transputer::RunOutcome;
+use transputer_link::packet::ROBUST_BUSY_BACKOFF_TIMEOUTS;
 use transputer_link::vc::{VcHeader, HEADER_BYTES};
 use transputer_link::LinkEvent;
 
@@ -470,12 +471,83 @@ fn a_garbled_frame_counts_at_either_owner() {
     }
 }
 
-/// Where a wire may die under a live cut-through stream (robust wires,
-/// wormhole tables proven at build), every transmit-mirror bit is set
-/// at build and never cleared (DESIGN.md §11): the fresh acknowledges
-/// that land at router ends during a transfer leave it saturated.
+/// A wire end with the first byte of a word on the line and its resend
+/// armed: `timeout_ns` from now, no timeout burned yet.
+fn byte_in_flight(routed: bool) -> Network {
+    let mut net = robust_pair(routed);
+    net.node_mut(0)
+        .load_boot_program(&one_word_sender())
+        .unwrap();
+    run_to_block(&mut net, 0);
+    net.service_node_links_at(0, 0);
+    let r = net.wires[0].resend[0].expect("a byte in flight is armed");
+    let t = net.wires[0].timeout_ns();
+    assert_eq!((r.deadline, r.attempts, r.interval_ns), (t, 0, t));
+    net
+}
+
+fn busy(seq: bool) -> LinkEvent {
+    LinkEvent::BusyDelivered { to: End::A, seq }
+}
+
+/// A busy notice with the wrong bit repeats one for a byte already
+/// acknowledged: the resend in flight keeps its deadline and spacing.
 #[test]
-fn a_pinned_transmit_mirror_stays_saturated() {
+fn robust_busy_ignores_a_stale_notice() {
+    for routed in [false, true] {
+        let mut net = byte_in_flight(routed);
+        let before = net.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
+        net.now_ns = 1_000;
+        let stale = !net.wires[0].tx_bit[0];
+        land(&mut net, busy(stale));
+        let after = net.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
+        assert_eq!(after, before, "routed {routed}");
+    }
+}
+
+/// A fresh busy notice says the receiver holds the byte: the timeouts
+/// burned so far stop counting toward the retry budget.
+#[test]
+fn robust_busy_resets_the_retry_budget() {
+    for routed in [false, true] {
+        let mut net = byte_in_flight(routed);
+        for attempts in 1..=2 {
+            net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+            net.fire_due_resends(0);
+            assert_eq!(net.wires[0].resend[0].unwrap().attempts, attempts);
+        }
+        let fresh = net.wires[0].tx_bit[0];
+        land(&mut net, busy(fresh));
+        let r = net.wires[0].resend[0].unwrap();
+        assert_eq!(r.attempts, 0, "routed {routed}");
+        assert_eq!(r.deadline, net.now_ns + r.interval_ns);
+    }
+}
+
+/// Each fresh busy notice doubles the polling interval, up to
+/// `ROBUST_BUSY_BACKOFF_TIMEOUTS` timeouts.
+#[test]
+fn robust_busy_backoff_doubles_up_to_its_cap() {
+    for routed in [false, true] {
+        let mut net = byte_in_flight(routed);
+        let t = net.wires[0].timeout_ns();
+        for k in 1..=6u32 {
+            net.now_ns = 1_000 * u64::from(k);
+            let fresh = net.wires[0].tx_bit[0];
+            land(&mut net, busy(fresh));
+            let r = net.wires[0].resend[0].unwrap();
+            let want = (t << k).min(t * ROBUST_BUSY_BACKOFF_TIMEOUTS);
+            assert_eq!(r.interval_ns, want, "notice {k}, routed {routed}");
+            assert_eq!(r.deadline, net.now_ns + want);
+        }
+    }
+}
+
+/// Cut-through runs only on lossless wires: on a robust network a
+/// wormhole router forwards store-and-forward, and every transmit bit
+/// of the mirror clears when its acknowledge lands.
+#[test]
+fn a_wormhole_router_on_robust_wires_never_cuts_through() {
     let mut b = NetworkBuilder::new(NetworkConfig {
         fault: Some(FaultPlan::uniform(1985, 0.0)),
         router: RouterConfig {
@@ -489,8 +561,7 @@ fn a_pinned_transmit_mirror_stays_saturated() {
     b.enable_router();
     b.add_vc((0, 0), (1, 0));
     let mut net = b.build();
-    assert!(net.pin_tx_flight);
-    assert_eq!(net.router_cut_through(), Some(true));
+    assert_eq!(net.router_cut_through(), Some(false));
     net.node_mut(0)
         .load_boot_program(&one_word_sender())
         .unwrap();
@@ -503,5 +574,5 @@ fn a_pinned_transmit_mirror_stays_saturated() {
     net.run_for(1_000_000).unwrap();
     assert!(net.wires[0].link.is_quiescent());
     assert!(net.wire_delivered(0).1 > 4, "a header and the word crossed");
-    assert_eq!(net.hot.tx_flight, [0b1111, 0b1111]);
+    assert_eq!(net.hot.tx_flight, [0, 0]);
 }

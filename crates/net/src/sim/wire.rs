@@ -18,12 +18,12 @@ use crate::queue::Actor;
 pub(super) struct Resend {
     pub(super) byte: u8,
     /// When to retransmit if no acknowledge (or busy) arrives first.
-    deadline: u64,
+    pub(super) deadline: u64,
     /// Timeouts burned since the last acknowledge or busy.
-    attempts: u32,
+    pub(super) attempts: u32,
     /// Current deadline spacing; doubled by each busy notice so a slow
     /// receiver is polled, not flooded.
-    interval_ns: u64,
+    pub(super) interval_ns: u64,
 }
 
 #[derive(Debug)]
@@ -83,7 +83,7 @@ impl Wire {
     }
 
     /// How long a robust end waits for an acknowledge before it resends.
-    fn timeout_ns(&self) -> u64 {
+    pub(super) fn timeout_ns(&self) -> u64 {
         u64::from(ROBUST_TIMEOUT_BITS) * self.link.speed().bit_time_ns
     }
 

@@ -287,10 +287,10 @@ pub fn route_tables(adj: &Adjacency, dead: &HashSet<usize>) -> Vec<u8> {
 /// walks between the per-dimension anchor corners let one route's
 /// post-crossing channels feed another route's walk toward a *lower*
 /// dimension's anchor, and the union of routes closes a cycle (e.g.
-/// c0 →dim1→ c2 →dim0→ c3 →dim1→ c1 →dim0→ c0 on `dim = 2`). BFS
-/// tables rebuilt around dead wires must likewise be checked. The
-/// router streams (cut-through) only while this proof holds and
-/// degrades to store-and-forward forwarding otherwise.
+/// c0 →dim1→ c2 →dim0→ c3 →dim1→ c1 →dim0→ c0 on `dim = 2`). The
+/// router streams (cut-through) only over a build's tables that pass
+/// this proof, on lossless wires, so never over tables rebuilt around
+/// dead wires; it forwards store-and-forward otherwise.
 pub fn cdg_acyclic(adj: &Adjacency, tables: &[u8]) -> bool {
     let n = adj.len();
     assert_eq!(tables.len(), n * n, "tables are {n} rows of {n}");

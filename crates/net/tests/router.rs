@@ -533,99 +533,3 @@ fn wormhole_backpressure_stays_bounded() {
         }
     }
 }
-
-/// Wormhole under the robust protocol with heavy corruption: retried
-/// flits, credit returns riding repeated acknowledges — both engines
-/// land on one bit-identical outcome.
-#[test]
-fn wormhole_faulted_runs_are_engine_invariant() {
-    let mut reference = None;
-    let mut run = |engine: Engine| {
-        let mut b = NetworkBuilder::new(NetworkConfig {
-            engine,
-            fault: Some(FaultPlan::uniform(1985, 0.05)),
-            router: RouterConfig {
-                switching: Switching::Wormhole,
-            },
-            ..NetworkConfig::default()
-        });
-        for _ in 0..4 {
-            b.add_node();
-        }
-        b.connect_all(&grid_wires(4, 1, 0)).enable_router();
-        b.add_vc((0, 0), (3, 0));
-        let mut net = b.build();
-        net.node_mut(0)
-            .load_boot_program(&sender_words(&[0x7E57_7E57, 0x000D_A7A5]))
-            .unwrap();
-        net.node_mut(1).load_boot_program(&halting()).unwrap();
-        net.node_mut(2).load_boot_program(&halting()).unwrap();
-        net.node_mut(3)
-            .load_boot_program(&receiver_words(2))
-            .unwrap();
-        let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
-        let got = fingerprint(&mut net, &[(3, 1), (3, 2)]);
-        assert_eq!(got.2, vec![0x7E57_7E57, 0x000D_A7A5], "{engine:?}");
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
-        }
-    };
-    for engine in ENGINES {
-        run(engine);
-    }
-}
-
-/// A wire dies under an active cut-through stream: the packet is cut at
-/// the break, the relay chain is torn down hop by hop (sequence bits
-/// realigned, in-flight bytes swallowed), the partial image upstream of
-/// the break folds back into reassembly and reroutes — and the whole
-/// message still arrives, identically on both engines.
-#[test]
-fn wormhole_stream_cut_by_wire_death_reroutes_identically() {
-    // 3x2 grid, sender at 0, receiver at 2: the direct route is
-    // 0 -> 1 -> 2 with a cut-through relay at node 1. The 1-2 edge dies
-    // mid-stream; the rebuilt tables detour 1 -> 4 -> 5 -> 2.
-    let dying = grid_edge_wire(3, 2, 1, 0, true);
-    let words: Vec<i64> = vec![0x0A11, 0x0B22, 0x0C33, 0x0D44];
-    let mut reference = None;
-    let mut run = |engine: Engine| {
-        let mut b = NetworkBuilder::new(NetworkConfig {
-            engine,
-            fault: Some(FaultPlan::uniform(1, 0.0).with_dead_link(dying, 5_000)),
-            router: RouterConfig {
-                switching: Switching::Wormhole,
-            },
-            ..NetworkConfig::default()
-        });
-        for _ in 0..6 {
-            b.add_node();
-        }
-        b.connect_all(&grid_wires(3, 2, 0)).enable_router();
-        b.add_vc((0, 0), (2, 0));
-        let mut net = b.build();
-        net.node_mut(0)
-            .load_boot_program(&sender_words(&words))
-            .unwrap();
-        net.node_mut(2)
-            .load_boot_program(&receiver_words(words.len() as i64))
-            .unwrap();
-        for n in [1usize, 3, 4, 5] {
-            net.node_mut(n).load_boot_program(&halting()).unwrap();
-        }
-        let out = net.run_until_all_halted(1_000_000_000).unwrap();
-        assert_eq!(out, SimOutcome::AllHalted, "{engine:?}");
-        assert!(net.any_link_failed(), "the hop must actually die mid-run");
-        let got = fingerprint(&mut net, &[(2, 1), (2, 2), (2, 3), (2, 4)]);
-        let want: Vec<u32> = words.iter().map(|&w| w as u32).collect();
-        assert_eq!(got.2, want, "{engine:?}");
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{engine:?} diverged"),
-        }
-    };
-    for engine in ENGINES {
-        run(engine);
-    }
-}
