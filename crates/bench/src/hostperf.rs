@@ -228,17 +228,14 @@ impl Machine {
         .expect("benchmark network builds")
     }
 
-    /// Build this machine under `engine` with the translation tier on —
-    /// whatever the `TRANSLATE` hook says, so a row's host-side counters
-    /// are the same in every environment — run its search, and
+    /// Build this machine under `engine`, run its search, and
     /// fingerprint every engine-visible outcome.
     ///
     /// # Panics
     ///
     /// Panics if the network fails to build or faults while running — a
     /// panic here is exactly what the gate exists to catch.
-    pub fn run(mut self, bench: &'static str, engine: Engine) -> NetRun {
-        self.net().cpu.translate = true;
+    pub fn run(self, bench: &'static str, engine: Engine) -> NetRun {
         let mut sim = self.build(engine);
         let report = sim
             .run(100_000_000_000_000)
@@ -442,8 +439,6 @@ pub fn run_long_path(bench: &'static str, switching: Switching, engine: Engine) 
     let word: i64 = 0x0BEE_F123;
     let mut b = transputer_net::NetworkBuilder::new(NetworkConfig {
         engine,
-        // As in [`Machine::run`]: whatever the `TRANSLATE` hook says.
-        cpu: CpuConfig::t424().with_translate(true),
         router: RouterConfig { switching },
         ..NetworkConfig::default()
     });
@@ -1100,7 +1095,6 @@ mod tests {
     /// `lend` falling through were not block leaders.
     #[test]
     fn board_warm_code_stays_translated() {
-        // `Machine::run` pins the tier on, whatever the `TRANSLATE` hook says.
         let r = Machine::Tree(board128_smoke()).run("board128_smoke", Engine::Sliced);
         assert!(r.answers_ok);
         assert!(r.counters.decode_misses <= 11_000, "{:?}", r.counters);

@@ -142,9 +142,8 @@ fn corpus_slices_are_identical_without_a_fence() {
 /// identical answers, cycle counts, simulated statistics and memory
 /// images with the tier at its stock threshold, with every leader
 /// translated on first arrival, and on the byte path — which runs alone
-/// whenever the tier is off (the `TRANSLATE=off` CI leg does that to
-/// the whole suite), the `decode_cache` shim is off, or a trace ring is
-/// on.
+/// whenever the tier is off, the `decode_cache` shim is off, or a trace
+/// ring is on.
 #[test]
 fn corpus_is_identical_with_the_translation_tier_off() {
     let stock = CpuConfig::t424().with_translate(true);

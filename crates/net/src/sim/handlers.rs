@@ -205,9 +205,8 @@ impl Network {
                         continue;
                     }
                     // Cleared before the owner answers: a data byte the
-                    // answer releases re-arms both through `put`.
+                    // answer releases re-arms it through `put`.
                     self.wires[w].resend[end_index(to)] = None;
-                    self.hot.tx_flight[node] &= !(1 << port);
                     self.take_ack(node, port);
                 }
                 LinkEvent::BusyDelivered { to, seq } => {
@@ -223,7 +222,8 @@ impl Network {
     }
 
     /// Is an acknowledge awaited: whether the owner of `(node, port)`
-    /// has a data byte on the wire awaiting its acknowledge.
+    /// has a data byte on the wire awaiting its acknowledge. The drain
+    /// and both slice bounds ask it; nothing else keeps a copy.
     pub(super) fn awaits_ack(&self, node: usize, port: usize) -> bool {
         match &self.router {
             Some(router) => router.awaits_ack(node, port),

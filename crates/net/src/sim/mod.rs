@@ -350,7 +350,6 @@ impl NetworkBuilder {
             next_ns: vec![0; n],
             ports: port_to_wire,
             peers,
-            tx_flight: vec![0; n],
             ea: vec![[EaState::default(); 4]; n],
             fenced: vec![false; n],
         };
@@ -387,7 +386,9 @@ impl NetworkBuilder {
 /// words contiguous instead of striding through the multi-kilobyte
 /// [`Cpu`] structs (the cold side: memory images, register state, link
 /// engines, stats, caches) keeps the sweep inside a handful of cache
-/// lines per node.
+/// lines per node. It holds no transmit state: whether a port awaits an
+/// acknowledge belongs to the wire end's owner, and the bounds ask it
+/// ([`Network::awaits_ack`]).
 #[derive(Debug, Default)]
 struct NodeHot {
     /// Guards against flooding the queue with duplicate node events.
@@ -399,15 +400,6 @@ struct NodeHot {
     ports: Vec<[usize; 4]>,
     /// Peer node per port (`usize::MAX` = unwired).
     peers: Vec<[usize; 4]>,
-    /// Bitmask of ports with a transmit byte in flight on the attached
-    /// wire, kept by one rule whether the CPU or the router owns the
-    /// end: set where a data byte goes on the wire ([`Network::put`]) and
-    /// cleared where its fresh acknowledge is drained, in both engines.
-    /// A spurious set bit would only
-    /// shorten a bound (safe), but a missing one would lengthen it past
-    /// an acknowledge arrival (unsound); [`Network::tx_mirror_holds`]
-    /// checks the rule wherever a bound reads the mirror.
-    tx_flight: Vec<u8>,
     /// Early-acknowledge history per port (see [`Network::ea_at`]).
     ea: Vec<[EaState; 4]>,
     /// The node's heap entry stands at a link instruction it was fenced

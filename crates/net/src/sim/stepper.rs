@@ -209,7 +209,6 @@ impl Network {
     /// event addressed to it, or a chain of other events reaching it (no
     /// faster than the heap frontier plus one acknowledge flight).
     fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>) -> u64 {
-        debug_assert!(self.tx_mirror_holds(m), "node {m}");
         let mut act = u64::MAX;
         if self.hot.scheduled[m] {
             act = self.hot.next_ns[m];
@@ -224,42 +223,21 @@ impl Network {
             // Only pay for the peer's link state when the frontier term
             // could bind at all.
             if tp.saturating_add(self.ack_ns.min(self.data_ns)) < act {
-                // An acknowledge can only land on a port whose transmit
-                // is in flight; any other first arrival is a data packet.
-                let hop_in = if self.hot.tx_flight[m] != 0 {
-                    self.ack_ns
-                } else {
-                    self.data_ns
-                };
+                // An acknowledge can only land on a port whose owner
+                // awaits one; any other first arrival is a data packet.
+                let ports = &self.hot.ports[m];
+                let awaiting = (0..4).any(|p| ports[p] != usize::MAX && self.awaits_ack(m, p));
+                let hop_in = if awaiting { self.ack_ns } else { self.data_ns };
                 act = act.min(tp.saturating_add(hop_in));
             }
         }
         act
     }
 
-    /// The rule of `NodeHot::tx_flight`, checked wherever a bound reads
-    /// the mirror against the drain's own question, "is an acknowledge
-    /// awaited?" ([`Network::awaits_ack`]): on a CPU-owned wire the bit
-    /// is the CPU's own transmit state, exactly; on a router-owned wire
-    /// it covers every byte the router has awaiting an acknowledge.
-    fn tx_mirror_holds(&self, node: usize) -> bool {
-        let mirror = self.hot.tx_flight[node];
-        (0..4).all(|p| {
-            let set = mirror >> p & 1 == 1;
-            let awaiting = self.awaits_ack(node, p);
-            if self.router.is_some() {
-                set || !awaiting
-            } else {
-                set == (awaiting && self.hot.ports[node][p] != usize::MAX)
-            }
-        })
-    }
-
     /// How far node `node`, popped at `t`, may run without interacting
     /// with anything the wires could deliver first. `t_peek` is the heap
     /// frontier after the pop.
     fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>) -> u64 {
-        debug_assert!(self.tx_mirror_holds(node), "node {node}");
         let mut direct = u64::MAX;
         for port in 0..4 {
             let w = self.hot.ports[node][port];
@@ -269,8 +247,8 @@ impl Network {
             direct = direct.min(self.wire_next[w]);
             let peer = self.hot.peers[node][port];
             // The first packet the peer could land on this node: an
-            // acknowledge if our byte is on the wire, else a data byte.
-            let hop = if self.hot.tx_flight[node] & (1 << port) != 0 {
+            // acknowledge if our byte awaits one, else a data byte.
+            let hop = if self.awaits_ack(node, port) {
                 self.ack_ns
             } else {
                 self.data_ns

@@ -2,7 +2,7 @@ use super::*;
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
 use transputer::RunOutcome;
-use transputer_link::packet::ROBUST_BUSY_BACKOFF_TIMEOUTS;
+use transputer_link::packet::{ROBUST_BUSY_BACKOFF_TIMEOUTS, ROBUST_MAX_RETRIES};
 use transputer_link::vc::{VcHeader, HEADER_BYTES};
 use transputer_link::LinkEvent;
 
@@ -543,9 +543,38 @@ fn robust_busy_backoff_doubles_up_to_its_cap() {
     }
 }
 
+/// A byte no acknowledge answers is resent at each deadline, the same
+/// byte with the same bit, `ROBUST_MAX_RETRIES` times, each retry
+/// counted and re-armed one interval on; at the next deadline the
+/// direction fails. A router then resets its transmitter, so nothing
+/// awaits an acknowledge there; a CPU keeps its output waiting.
+#[test]
+fn robust_resends_until_the_budget_then_fails_the_direction() {
+    for routed in [false, true] {
+        let mut net = byte_in_flight(routed);
+        let first = frames_from(&mut net, End::A);
+        assert_eq!(first.len(), 1, "routed {routed}");
+        for k in 1..=ROBUST_MAX_RETRIES {
+            net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+            net.fire_due_resends(0);
+            assert_eq!(frames_from(&mut net, End::A), first, "retry {k}");
+            let r = net.wires[0].resend[0].expect("still armed");
+            assert_eq!(r.attempts, k, "routed {routed}");
+            assert_eq!(r.deadline, net.now_ns + r.interval_ns);
+            assert_eq!(net.node(0).stats().link_retries, u64::from(k));
+        }
+        net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+        net.fire_due_resends(0);
+        assert!(net.wires[0].resend[0].is_none(), "routed {routed}");
+        assert_eq!(net.wire_failed(0), (true, false));
+        assert_eq!(net.node(0).stats().link_failures, 1);
+        assert_eq!(net.awaits_ack(0, 0), !routed);
+    }
+}
+
 /// Cut-through runs only on lossless wires: on a robust network a
-/// wormhole router forwards store-and-forward, and every transmit bit
-/// of the mirror clears when its acknowledge lands.
+/// wormhole router forwards store-and-forward, and once the last
+/// acknowledge lands no port awaits one.
 #[test]
 fn a_wormhole_router_on_robust_wires_never_cuts_through() {
     let mut b = NetworkBuilder::new(NetworkConfig {
@@ -574,5 +603,9 @@ fn a_wormhole_router_on_robust_wires_never_cuts_through() {
     net.run_for(1_000_000).unwrap();
     assert!(net.wires[0].link.is_quiescent());
     assert!(net.wire_delivered(0).1 > 4, "a header and the word crossed");
-    assert_eq!(net.hot.tx_flight, [0, 0]);
+    for node in 0..2 {
+        for port in 0..4 {
+            assert!(!net.awaits_ack(node, port), "node {node} port {port}");
+        }
+    }
 }

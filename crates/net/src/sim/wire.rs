@@ -207,8 +207,7 @@ impl Network {
     /// way CPU link service and router acts reach a wire, stamped with
     /// the end's sequence bit ([`Wire::send`]). A data byte arms its
     /// retransmission timer on a robust wire (the one place a
-    /// [`Resend`] is registered) and sets the port's transmit bit (see
-    /// `NodeHot::tx_flight`). A data byte that starts on an idle classic
+    /// [`Resend`] is registered). A data byte that starts on an idle classic
     /// line leaves its early-acknowledge probe, stamped `stamp`, when a
     /// CPU owns the end; a router declines it (see [`Network::land`]).
     /// Force-inlined: both callers sit on the routed and board hot
@@ -235,7 +234,6 @@ impl Network {
                     interval_ns: timeout_ns,
                 });
             }
-            self.hot.tx_flight[node] |= 1 << port;
         }
         if let (Some(LinkEvent::DataStarted { to }), None) = (started, &self.router) {
             wire.probes.push((stamp, to));

@@ -41,25 +41,11 @@ pub struct CpuConfig {
     /// `cpu/translate.rs`). A pure host optimisation: simulated timing,
     /// results and statistics are bit-identical either way (only the
     /// `decode_*` and `trans_*` host counters in [`Stats`] differ). On
-    /// by default; the `TRANSLATE=off` environment hook force-disables
-    /// it for differential CI legs. Off — or with a trace ring enabled
-    /// — every instruction runs through the byte path.
+    /// by default. Off — or with a trace ring enabled — every
+    /// instruction runs through the byte path.
     pub translate: bool,
     /// Leader arrivals before a basic block is translated.
     pub translate_threshold: u32,
-}
-
-/// Process the `TRANSLATE` environment hook once: `off`, `0` or
-/// `false` force-disables the translation tier for every
-/// default-configured processor (the CI differential leg).
-fn translate_env_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        !matches!(
-            std::env::var("TRANSLATE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
 }
 
 impl CpuConfig {
@@ -69,7 +55,7 @@ impl CpuConfig {
         CpuConfig {
             word: WordLength::Bits32,
             memory: MemoryConfig::default(),
-            translate: translate_env_default(),
+            translate: true,
             translate_threshold: 2,
         }
     }

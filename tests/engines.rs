@@ -4,20 +4,21 @@
 //! cycles and instruction counts, per-wire bytes, full memory images.
 //! Five fast rows of the full table in
 //! `crates/bench/tests/determinism.rs` (which needs `--workspace`), one
-//! under the after-stop acknowledge policy, one CPU-tier row: the
-//! translation tier off against the default, one hand-assembled row that
-//! keeps both lanes of the event queue busy, and four hand-assembled rows
-//! where a computing node runs far ahead of its wires (the two horizons
-//! of DESIGN.md §5): a byte landing in its buffer meanwhile, an ALT guard
-//! enabled before the compute, resends and busy notices meanwhile, and a
-//! routed packet delivered meanwhile; one where a byte wakes a node
-//! around the instruction that idled it; and one where a receiver runs
-//! ahead to its `in` while a byte is on the wire, which only the
-//! early-acknowledge history answers right.
+//! under the after-stop acknowledge policy, one CPU-tier table: the
+//! translation tier off against the default on five smoke machines, one
+//! hand-assembled row that keeps both lanes of the event queue busy, and
+//! four hand-assembled rows where a computing node runs far ahead of its
+//! wires (the two horizons of DESIGN.md §5): a byte landing in its buffer
+//! meanwhile, an ALT guard enabled before the compute, resends and busy
+//! notices meanwhile, and a routed packet delivered meanwhile; one where
+//! a byte wakes a node around the instruction that idled it; and one
+//! where a receiver runs ahead to its `in` while a byte is on the wire,
+//! which only the early-acknowledge history answers right.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{LINK_IN_BASE, LINK_OUT_BASE};
 use transputer::Priority;
+use transputer_apps::DbSearchConfig;
 use transputer_bench::hostperf::{
     assert_run_matches, figure8_smoke, full_image, hypercube_smoke, routed_smoke, sweep_engines,
     Machine,
@@ -105,32 +106,54 @@ fn routed_hypercube_sliced_matches_event() {
 }
 
 /// The translation tier against the byte path: switching it off must
-/// change nothing the simulation can see. (Under the `TRANSLATE=off`
-/// hook both runs are tier-off.)
+/// change nothing the simulation can see, on every smoke machine —
+/// planned and routed, clean and faulted, and cut through.
 #[test]
 fn e09_smoke_translate_off_matches_on() {
-    let run = |translate: bool| {
-        let mut config = figure8_smoke();
+    fn tier(mut config: DbSearchConfig, translate: bool) -> DbSearchConfig {
         config.net.cpu = config.net.cpu.with_translate(translate);
-        let mut sim = Machine::Tree(config).build(Engine::Sliced);
-        let report = sim.run(1_000_000_000_000).expect("runs");
-        assert!(report.all_correct() && !report.degraded);
-        (sim, report)
-    };
-    let (on, on_report) = run(true);
-    let (off, off_report) = run(false);
-    let net = off.network();
-    let enters: u64 = (0..net.len())
-        .map(|id| net.node(id).stats().trans_enters)
-        .sum();
-    assert_eq!(enters, 0, "the tier-off run must not enter a block");
-    assert_run_matches(
-        "e09 smoke translate off",
-        &off,
-        &off_report,
-        &on,
-        &on_report,
-    );
+        config
+    }
+    /// A smoke machine with the translation tier on or off.
+    type Smoke = fn(bool) -> Machine;
+    let machines: [(&str, Smoke); 5] = [
+        ("planned", |t| Machine::Tree(tier(figure8_smoke(), t))),
+        ("planned faulted", |t| {
+            Machine::Tree(tier(figure8_smoke(), t)).faulted(FaultPlan::uniform(1985, 2e-3))
+        }),
+        ("routed", |t| Machine::Routed(tier(routed_smoke(), t))),
+        ("routed faulted", |t| {
+            Machine::Routed(tier(routed_smoke(), t)).faulted(FaultPlan::uniform(1985, 2e-3))
+        }),
+        ("routed wormhole", |t| {
+            Machine::Routed(tier(routed_smoke(), t)).wormhole()
+        }),
+    ];
+    for (label, machine) in machines {
+        let run = |translate: bool| {
+            let mut sim = machine(translate).build(Engine::Sliced);
+            let report = sim.run(1_000_000_000_000).expect("runs");
+            assert!(report.all_correct() && !report.degraded, "{label}");
+            (sim, report)
+        };
+        let (on, on_report) = run(true);
+        let (off, off_report) = run(false);
+        let net = off.network();
+        let enters: u64 = (0..net.len())
+            .map(|id| net.node(id).stats().trans_enters)
+            .sum();
+        assert_eq!(
+            enters, 0,
+            "{label}: the tier-off run must not enter a block"
+        );
+        assert_run_matches(
+            &format!("{label} translate off"),
+            &off,
+            &off_report,
+            &on,
+            &on_report,
+        );
+    }
 }
 
 /// Both lanes of the event queue at once, on a classic network (where
