@@ -145,42 +145,49 @@ proptest! {
     /// run outcome, cycle count, simulated statistics, and the entire
     /// final memory image are identical with translation on
     /// (threshold 1, so every block leader translates immediately)
-    /// and off.
+    /// and off, on the 32-bit T424 and on the 16-bit T222 (the
+    /// executor is compiled once per word length).
     #[test]
     fn translation_is_bit_identical_on_random_programs(
         insns in proptest::collection::vec(gen_insn(), 1..60)
     ) {
         let code = assemble(&insns);
-        let run = |translate: bool| {
-            let mut cpu = Cpu::new(
-                CpuConfig::t424()
-                    .with_translate(translate)
-                    .with_translate_threshold(1),
+        for part in [CpuConfig::t424(), CpuConfig::t222()] {
+            let word = part.word;
+            let run = |translate: bool| {
+                let mut cpu = Cpu::new(
+                    part.clone()
+                        .with_translate(translate)
+                        .with_translate_threshold(1),
+                );
+                cpu.load_boot_program(&code).expect("program fits");
+                let outcome = format!("{:?}", cpu.run_batched(200_000));
+                (cpu, outcome)
+            };
+            let (on, out_on) = run(true);
+            let (off, out_off) = run(false);
+            prop_assert_eq!(out_on, out_off, "{}: run outcomes diverged", word);
+            prop_assert_eq!(on.cycles(), off.cycles(), "{}: cycle counts diverged", word);
+            prop_assert_eq!(
+                on.stats().simulated(),
+                off.stats().simulated(),
+                "{}: simulated statistics diverged",
+                word
             );
-            cpu.load_boot_program(&code).expect("program fits");
-            let outcome = format!("{:?}", cpu.run_batched(200_000));
-            (cpu, outcome)
-        };
-        let (on, out_on) = run(true);
-        let (off, out_off) = run(false);
-        prop_assert_eq!(out_on, out_off, "run outcomes diverged");
-        prop_assert_eq!(on.cycles(), off.cycles(), "cycle counts diverged");
-        prop_assert_eq!(
-            on.stats().simulated(),
-            off.stats().simulated(),
-            "simulated statistics diverged"
-        );
-        let base = on.memory().base();
-        let size = on.memory().size() as usize;
-        prop_assert_eq!(
-            on.memory().dump(base, size).unwrap(),
-            off.memory().dump(base, size).unwrap(),
-            "memory images diverged"
-        );
-        prop_assert_eq!(
-            off.stats().trans_enters + off.stats().trans_blocks,
-            0,
-            "disabled translation still ran"
-        );
+            let base = on.memory().base();
+            let size = on.memory().size() as usize;
+            prop_assert_eq!(
+                on.memory().dump(base, size).unwrap(),
+                off.memory().dump(base, size).unwrap(),
+                "{}: memory images diverged",
+                word
+            );
+            prop_assert_eq!(
+                off.stats().trans_enters + off.stats().trans_blocks,
+                0,
+                "{}: disabled translation still ran",
+                word
+            );
+        }
     }
 }

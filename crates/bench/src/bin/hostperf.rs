@@ -73,8 +73,8 @@ fn main() {
     println!("hostperf: cpu corpus (the translation tier and the byte path must agree)");
     for r in &report.cpu {
         println!(
-            "  cpu_corpus decode_cache={:<5} translate={:<5} tier {:.3}   {:?}",
-            r.decode_cache,
+            "  cpu_corpus {} translate={:<5} tier {:.3}   {:?}",
+            r.word,
             r.translate,
             r.counters.tier_share(),
             r.counters,

@@ -15,7 +15,7 @@
 //! regenerates it and fails on `git diff`, and `git log -p
 //! BENCH_host.json` is its history.
 
-use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome};
+use transputer::{Cpu, CpuConfig, HaltReason, RunOutcome, WordLength};
 use transputer_apps::dbsearch::{DbSearch, DbSearchConfig, DbSearchReport, HypercubeConfig};
 use transputer_link::FaultPlan;
 use transputer_net::{Engine, Network, NetworkConfig, PopCounts, RouterConfig, Switching};
@@ -303,8 +303,8 @@ fn net_run(
 /// tiers alone, without any network scheduling in the way.
 #[derive(Debug, Clone)]
 pub struct CpuRun {
-    /// The `decode_cache` shim as configured (off forces the byte path).
-    pub decode_cache: bool,
+    /// The part's word length: the T424's 32 bits or the T222's 16.
+    pub word: WordLength,
     /// Whether the threaded-code translation tier was enabled.
     pub translate: bool,
     /// Cycles, instructions and tier counters over all programs.
@@ -315,20 +315,24 @@ pub struct CpuRun {
     pub fingerprint: u64,
 }
 
-/// Run every corpus program once on a fresh T424 through the batched
-/// engine.
+/// Run every corpus program once on a fresh processor of `config`
+/// through the batched engine. A 16-bit part runs the programs E15 holds
+/// to the same answer on both parts (`word16_safe`): the others' answers
+/// depend on overflow, and byte-checksum's overruns its vector, wraps
+/// past the top of memory and writes over its own code.
 ///
 /// # Panics
 ///
 /// Panics if a corpus program fails to compile, halt cleanly, or
 /// produce its expected answer — wrong results must never become a row.
-pub fn cpu_corpus_bench(decode_cache: bool, translate: bool) -> CpuRun {
-    let config = CpuConfig::t424()
-        .with_decode_cache(decode_cache)
-        .with_translate(translate);
+pub fn cpu_corpus_bench(config: &CpuConfig) -> CpuRun {
     let mut counters = Counters::default();
     let mut hash = FNV_BASIS;
-    for item in corpus::CORPUS {
+    let word16 = config.word == WordLength::Bits16;
+    for item in corpus::CORPUS
+        .iter()
+        .filter(|item| !word16 || item.word16_safe)
+    {
         let program = occam::compile(item.source).expect("corpus program compiles");
         let mut cpu = Cpu::new(config.clone());
         let wptr = program.load(&mut cpu).expect("corpus program loads");
@@ -345,8 +349,9 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool) -> CpuRun {
         assert_eq!(
             cpu.word_length().to_signed(value),
             item.expected,
-            "corpus program {} produced a wrong answer",
-            item.name
+            "corpus program {} produced a wrong answer on the {} part",
+            item.name,
+            config.word
         );
         counters.add(&cpu);
         fnv1a(&mut hash, u64::from(value));
@@ -354,8 +359,8 @@ pub fn cpu_corpus_bench(decode_cache: bool, translate: bool) -> CpuRun {
         fnv1a(&mut hash, cpu.stats().instructions);
     }
     CpuRun {
-        decode_cache,
-        translate,
+        word: config.word,
+        translate: config.translate,
         counters,
         fingerprint: hash,
     }
@@ -845,7 +850,7 @@ pub const TRIMMED_ROWS: &[Row] = ROWS.split_at(5).0;
 /// Everything `BENCH_host.json` holds.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// The occam corpus under each CPU tier.
+    /// The occam corpus under each CPU tier, on the T424 and the T222.
     pub cpu: Vec<CpuRun>,
     /// The static cost model against the emulator.
     pub static_model: Vec<StaticModelRun>,
@@ -871,17 +876,24 @@ impl Report {
     /// Panics if a program or network fails to build or run.
     pub fn measure(rows: &[Row]) -> Report {
         let mut report = Report {
-            // The translation tier, and the byte path with both of the
-            // flags that select it off.
-            cpu: [true, false].map(|on| cpu_corpus_bench(on, on)).to_vec(),
+            // The translation tier and the byte path, on each part.
+            cpu: [CpuConfig::t424(), CpuConfig::t222()]
+                .iter()
+                .flat_map(|part| [true, false].map(|on| part.clone().with_translate(on)))
+                .map(|config| cpu_corpus_bench(&config))
+                .collect(),
             ablations: ablations(),
             source_lines: source_lines(),
             ..Report::default()
         };
-        let fingerprints: Vec<u64> = report.cpu.iter().map(|r| r.fingerprint).collect();
-        if fingerprints.iter().any(|f| *f != fingerprints[0]) {
-            let problem = format!("cpu_corpus: tiers disagree: fingerprints {fingerprints:016x?}");
-            report.problems.push(problem);
+        for tiers in report.cpu.chunks(2) {
+            let fingerprints = tiers.iter().map(|r| r.fingerprint);
+            let fingerprints: Vec<u64> = fingerprints.collect();
+            if fingerprints[0] != fingerprints[1] {
+                let word = tiers[0].word;
+                let problem = format!("cpu_corpus {word}: tiers disagree: {fingerprints:016x?}");
+                report.problems.push(problem);
+            }
         }
         report.static_model = static_model_runs(&mut report.problems);
         for &(bench, run) in rows {
@@ -908,15 +920,21 @@ impl Report {
     /// Render the report as JSON.
     pub fn to_json(&self) -> String {
         let cpu = self.cpu.iter().map(|r| {
+            // A T222 row names its word; a row that does not is the
+            // T424's. `decode_cache` is the shim that turns the tier off,
+            // so it reads as `translate` does.
+            let word = (r.word == WordLength::Bits16)
+                .then(|| ("word", r.word.to_string().as_str().into()));
             let tiers = [
-                ("decode_cache", r.decode_cache.into()),
+                ("decode_cache", r.translate.into()),
                 ("translate", r.translate.into()),
             ];
             let tail = [
                 ("tier_share", Json::Fixed(r.counters.tier_share(), 3)),
                 ("fingerprint", Json::hex(r.fingerprint)),
             ];
-            Json::obj(tiers.into_iter().chain(r.counters.json()).chain(tail))
+            let head = word.into_iter().chain(tiers);
+            Json::obj(head.chain(r.counters.json()).chain(tail))
         });
         let static_model = self.static_model.iter().map(|r| {
             Json::obj([
@@ -1142,19 +1160,21 @@ mod tests {
 
     #[test]
     fn cpu_corpus_tier_is_transparent_and_effective() {
-        let on = cpu_corpus_bench(true, true);
-        let off = cpu_corpus_bench(false, false);
-        assert_eq!(on.fingerprint, off.fingerprint);
-        let (on, off) = (on.counters, off.counters);
-        assert!(on.trans_enters > 0, "tier-on run never entered a block");
-        assert!(on.tier_share() > 0.9, "{on:?}");
-        let simulated = Counters {
-            cycles: on.cycles,
-            instructions: on.instructions,
-            operations: on.operations,
-            ..Counters::default()
-        };
-        assert_eq!(off, simulated, "the byte-path run touched the tier");
+        for part in [CpuConfig::t424(), CpuConfig::t222()] {
+            let on = cpu_corpus_bench(&part);
+            let off = cpu_corpus_bench(&part.with_translate(false));
+            assert_eq!(on.fingerprint, off.fingerprint);
+            let (on, off) = (on.counters, off.counters);
+            assert!(on.trans_enters > 0, "tier-on run never entered a block");
+            assert!(on.tier_share() > 0.9, "{on:?}");
+            let simulated = Counters {
+                cycles: on.cycles,
+                instructions: on.instructions,
+                operations: on.operations,
+                ..Counters::default()
+            };
+            assert_eq!(off, simulated, "the byte-path run touched the tier");
+        }
     }
 
     #[test]

@@ -296,8 +296,9 @@ impl Network {
     /// re-enters here: acts are self-contained, and each frame reaches
     /// its wire through [`Network::put`].
     pub(super) fn apply_router_acts(&mut self, stamp: u64) {
-        let mut acts = std::mem::take(&mut self.acts);
-        for (node, act) in acts.drain(..) {
+        let count = self.acts.len();
+        for i in 0..count {
+            let (node, act) = self.acts[i];
             let (port, kind) = match act {
                 Act::Wake => {
                     self.schedule_node(node, stamp);
@@ -309,6 +310,11 @@ impl Network {
             };
             self.put(node, port, kind, stamp);
         }
-        self.acts = acts;
+        debug_assert_eq!(
+            self.acts.len(),
+            count,
+            "an act pushed while acts were applied"
+        );
+        self.acts.clear();
     }
 }

@@ -13,6 +13,7 @@
 
 use super::Cpu;
 use crate::process::Priority;
+use crate::word::Width;
 
 /// Progress of a boot sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +58,7 @@ impl Cpu {
 
     /// Intercept a received byte while booting. Returns `true` when the
     /// byte was consumed by the boot logic (and should be acknowledged).
-    pub(crate) fn boot_rx(&mut self, link: usize, byte: u8) -> bool {
+    pub(crate) fn boot_rx<W: Width>(&mut self, link: usize, byte: u8) -> bool {
         match self.boot {
             BootState::Done => false,
             BootState::AwaitLength => {
@@ -83,7 +84,7 @@ impl Cpu {
                     // a program is running; refuse them for now.
                     return false;
                 }
-                if self.mem.write_byte(addr, byte).is_err() {
+                if self.mem.write_byte::<W>(addr, byte).is_err() {
                     self.halted = Some(crate::error::HaltReason::MemoryFault { address: addr });
                     self.boot = BootState::Done;
                     return true;

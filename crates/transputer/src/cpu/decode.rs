@@ -21,7 +21,7 @@
 use super::exec::link_channel_depth;
 use crate::instr::{Direct, Op};
 use crate::memory::Memory;
-use crate::word::WordLength;
+use crate::word::Width;
 
 /// Longest byte chain fused into one entry. Minimal encodings never
 /// exceed `2 * bytes_per_word` bytes; longer (redundant) chains fall
@@ -55,7 +55,8 @@ pub(crate) struct DecEntry {
 /// same [`Cpu::exec_direct`] the byte path uses, and the block's
 /// post-operation checks hand any descheduling, resumption, or
 /// interaction outcome straight back to the slice loop.
-pub(super) fn decode_entry(mem: &Memory, word: WordLength, iptr: u32) -> Option<DecEntry> {
+pub(super) fn decode_entry<W: Width>(mem: &Memory, iptr: u32) -> Option<DecEntry> {
+    let word = W::WORD;
     let base = word.most_neg();
     let start = word.mask(iptr.wrapping_sub(base)) as usize;
     let mut oreg: u32 = 0;
@@ -64,7 +65,7 @@ pub(super) fn decode_entry(mem: &Memory, word: WordLength, iptr: u32) -> Option<
         if word.mask(addr.wrapping_sub(base)) as usize != start + len as usize {
             return None;
         }
-        let byte = mem.fetch_byte_fast(addr)?;
+        let byte = mem.fetch_byte_fast::<W>(addr)?;
         let fun = Direct::from_nibble(byte >> 4);
         let data = u32::from(byte & 0xF);
         match fun {

@@ -9,8 +9,10 @@
 use super::{Cpu, Resume, SliceOutcome};
 use crate::error::HaltReason;
 use crate::linkif::{RxOutcome, Transfer};
+use crate::memory::external_channel;
 use crate::process::{workspace_word, ProcDesc, PW_IPTR, PW_STATE};
 use crate::timing;
+use crate::word::Width;
 
 /// Maximum words copied per micro-step of a block transfer, keeping every
 /// non-interruptible stretch within the §3.2.4 latency budget.
@@ -22,87 +24,93 @@ const STALL_CHUNK: u32 = 8;
 impl Cpu {
     /// Execute `output message`: A = byte count, B = channel address,
     /// C = source pointer. Returns cycles.
-    pub(crate) fn op_out(&mut self) -> Result<u32, HaltReason> {
+    pub(crate) fn op_out<W: Width>(&mut self) -> Result<u32, HaltReason> {
         let count = self.areg;
         let chan = self.breg;
         let src = self.creg;
         self.pop3();
-        if let Some((link, is_out)) = self.mem.external_channel_id(chan) {
-            return self.external_out(link, is_out, src, count);
+        if let Some((link, is_out)) = external_channel(W::WORD, chan) {
+            return self.external_out::<W>(link, is_out, src, count);
         }
-        let w = self.mem.read_word(chan)?;
+        let w = self.mem.read_word::<W>(chan)?;
         if w == self.magic.not_process {
             // First at the rendezvous: enrol and wait (§3.2.10).
-            self.mem.write_word(chan, self.wdesc)?;
-            self.ws_write(PW_STATE, src)?;
-            self.block_current()?;
+            self.mem.write_word::<W>(chan, self.wdesc)?;
+            self.ws_write::<W>(PW_STATE, src)?;
+            self.block_current::<W>()?;
             return Ok(timing::COMM_FIRST_PARTY);
         }
         let partner = ProcDesc(w);
-        let pstate_addr = workspace_word(self.word, partner.wptr(), PW_STATE);
-        let pstate = self.mem.read_word(pstate_addr)?;
+        let pstate_addr = workspace_word(W::WORD, partner.wptr(), PW_STATE);
+        let pstate = self.mem.read_word::<W>(pstate_addr)?;
         if self.magic.is_alt_state(pstate) {
             // The partner is an alternative construct: mark its guard
             // ready; the data moves when the selected branch inputs.
-            self.mem.write_word(chan, self.wdesc)?;
-            self.ws_write(PW_STATE, src)?;
-            self.mem.write_word(pstate_addr, self.magic.ready)?;
-            self.block_current()?;
+            self.mem.write_word::<W>(chan, self.wdesc)?;
+            self.ws_write::<W>(PW_STATE, src)?;
+            self.mem.write_word::<W>(pstate_addr, self.magic.ready)?;
+            self.block_current::<W>()?;
             if pstate == self.magic.waiting {
                 let now = self.cycles;
-                self.schedule(partner, now);
+                self.schedule::<W>(partner, now);
             }
             return Ok(timing::COMM_FIRST_PARTY);
         }
         // The partner arrived first and is waiting to input: copy.
         let dst = pstate;
-        self.mem.write_word(chan, self.magic.not_process)?;
+        self.mem.write_word::<W>(chan, self.magic.not_process)?;
         self.stats.messages += 1;
         self.stats.message_bytes += u64::from(count);
-        self.begin_copy(src, dst, count, Some(partner));
-        let upfront = timing::comm_second_party_cycles(count, self.word)
-            - timing::copy_cycles(count, self.word);
+        self.begin_copy::<W>(src, dst, count, Some(partner));
+        let upfront =
+            timing::comm_second_party_cycles(count, W::WORD) - timing::copy_cycles(count, W::WORD);
         Ok(upfront)
     }
 
     /// Execute `input message`: A = byte count, B = channel address,
     /// C = destination pointer.
-    pub(crate) fn op_in(&mut self) -> Result<u32, HaltReason> {
+    pub(crate) fn op_in<W: Width>(&mut self) -> Result<u32, HaltReason> {
         let count = self.areg;
         let chan = self.breg;
         let dst = self.creg;
         self.pop3();
-        if let Some((link, is_out)) = self.mem.external_channel_id(chan) {
-            return self.external_in(link, is_out, dst, count);
+        if let Some((link, is_out)) = external_channel(W::WORD, chan) {
+            return self.external_in::<W>(link, is_out, dst, count);
         }
-        let w = self.mem.read_word(chan)?;
+        let w = self.mem.read_word::<W>(chan)?;
         if w == self.magic.not_process {
-            self.mem.write_word(chan, self.wdesc)?;
-            self.ws_write(PW_STATE, dst)?;
-            self.block_current()?;
+            self.mem.write_word::<W>(chan, self.wdesc)?;
+            self.ws_write::<W>(PW_STATE, dst)?;
+            self.block_current::<W>()?;
             return Ok(timing::COMM_FIRST_PARTY);
         }
         // An outputter is waiting: its source pointer is in its state word.
         let partner = ProcDesc(w);
         let src = self
             .mem
-            .read_word(workspace_word(self.word, partner.wptr(), PW_STATE))?;
-        self.mem.write_word(chan, self.magic.not_process)?;
+            .read_word::<W>(workspace_word(W::WORD, partner.wptr(), PW_STATE))?;
+        self.mem.write_word::<W>(chan, self.magic.not_process)?;
         self.stats.messages += 1;
         self.stats.message_bytes += u64::from(count);
-        self.begin_copy(src, dst, count, Some(partner));
-        let upfront = timing::comm_second_party_cycles(count, self.word)
-            - timing::copy_cycles(count, self.word);
+        self.begin_copy::<W>(src, dst, count, Some(partner));
+        let upfront =
+            timing::comm_second_party_cycles(count, W::WORD) - timing::copy_cycles(count, W::WORD);
         Ok(upfront)
     }
 
     /// Start (or trivially complete) a block copy as an interruptible
     /// instruction.
-    pub(crate) fn begin_copy(&mut self, src: u32, dst: u32, bytes: u32, wake: Option<ProcDesc>) {
+    pub(crate) fn begin_copy<W: Width>(
+        &mut self,
+        src: u32,
+        dst: u32,
+        bytes: u32,
+        wake: Option<ProcDesc>,
+    ) {
         if bytes == 0 {
             if let Some(p) = wake {
                 let now = self.cycles;
-                self.schedule(p, now);
+                self.schedule::<W>(p, now);
             }
             return;
         }
@@ -116,7 +124,7 @@ impl Cpu {
 
     /// Continue an interruptible instruction; returns cycles consumed by
     /// this micro-step.
-    pub(crate) fn continue_resume(&mut self) -> Result<u32, HaltReason> {
+    pub(crate) fn continue_resume<W: Width>(&mut self) -> Result<u32, HaltReason> {
         match self.resume.take() {
             None => Ok(0),
             Some(Resume::Stall { remaining }) => {
@@ -134,21 +142,21 @@ impl Cpu {
                 mut remaining,
                 wake,
             }) => {
-                let bpw = self.word.bytes_per_word();
+                let bpw = W::WORD.bytes_per_word();
                 let chunk_bytes = (COPY_CHUNK_WORDS * bpw).min(remaining);
                 for _ in 0..chunk_bytes {
-                    let b = self.mem.read_byte(src)?;
-                    self.mem.write_byte(dst, b)?;
-                    src = self.word.mask(src.wrapping_add(1));
-                    dst = self.word.mask(dst.wrapping_add(1));
+                    let b = self.mem.read_byte::<W>(src)?;
+                    self.mem.write_byte::<W>(dst, b)?;
+                    src = W::WORD.mask(src.wrapping_add(1));
+                    dst = W::WORD.mask(dst.wrapping_add(1));
                 }
                 remaining -= chunk_bytes;
                 // One cycle per word moved (§3.2.10's 8n/wordlength term).
-                let cycles = timing::copy_cycles(chunk_bytes, self.word).max(1);
+                let cycles = timing::copy_cycles(chunk_bytes, W::WORD).max(1);
                 if remaining == 0 {
                     if let Some(p) = wake {
                         let now = self.cycles;
-                        self.schedule(p, now);
+                        self.schedule::<W>(p, now);
                     }
                 } else {
                     self.resume = Some(Resume::BlockCopy {
@@ -181,7 +189,7 @@ impl Cpu {
     /// `output message` on an external channel: hand the transfer to the
     /// link interface and deschedule (§2.3: the sending process proceeds
     /// only after the final acknowledge).
-    fn external_out(
+    fn external_out<W: Width>(
         &mut self,
         link: u32,
         is_out: bool,
@@ -193,7 +201,7 @@ impl Cpu {
             return Ok(timing::LINK_INITIATE);
         }
         let me = ProcDesc(self.wdesc);
-        self.ws_write(PW_IPTR, self.iptr)?;
+        self.ws_write::<W>(PW_IPTR, self.iptr)?;
         self.link_out[link as usize].begin(Transfer {
             process: me,
             pointer: src,
@@ -202,7 +210,7 @@ impl Cpu {
         self.stats.messages += 1;
         self.stats.message_bytes += u64::from(count);
         self.stats.deschedules += 1;
-        self.dispatch_next();
+        self.dispatch_next::<W>();
         self.links_dirty = true;
         self.slice_exit = Some(SliceOutcome::TxReady);
         Ok(timing::LINK_INITIATE)
@@ -210,7 +218,7 @@ impl Cpu {
 
     /// `input message` on an external channel. Link 4 is the event
     /// channel, which synchronises without transferring data.
-    fn external_in(
+    fn external_in<W: Width>(
         &mut self,
         link: u32,
         is_out: bool,
@@ -225,10 +233,10 @@ impl Cpu {
                 self.event_pending = false;
                 return Ok(timing::LINK_INITIATE);
             }
-            self.ws_write(PW_IPTR, self.iptr)?;
+            self.ws_write::<W>(PW_IPTR, self.iptr)?;
             self.event_waiting = Some(me);
             self.stats.deschedules += 1;
-            self.dispatch_next();
+            self.dispatch_next::<W>();
             return Ok(timing::LINK_INITIATE);
         }
         if count == 0 || is_out {
@@ -240,7 +248,7 @@ impl Cpu {
             remaining: count,
         });
         if let Some(byte) = buffered {
-            self.mem.write_byte(dst, byte)?;
+            self.mem.write_byte::<W>(dst, byte)?;
             if let Some(done) = self.link_in[link as usize].byte_stored(true) {
                 // Whole message satisfied from the buffer: continue.
                 debug_assert_eq!(done, me);
@@ -251,9 +259,9 @@ impl Cpu {
                 return Ok(timing::LINK_INITIATE);
             }
         }
-        self.ws_write(PW_IPTR, self.iptr)?;
+        self.ws_write::<W>(PW_IPTR, self.iptr)?;
         self.stats.deschedules += 1;
-        self.dispatch_next();
+        self.dispatch_next::<W>();
         if buffered.is_some() {
             // The buffered byte was taken: its deferred acknowledge is due.
             self.links_dirty = true;
@@ -269,8 +277,13 @@ impl Cpu {
     /// Fetch the next byte to transmit on a link, if the output channel
     /// has one ready (flow control permits a single un-acknowledged byte).
     pub fn link_tx_poll(&mut self, link: usize) -> Option<u8> {
+        at_width!(self.link_tx_poll_at(link))
+    }
+
+    /// [`Cpu::link_tx_poll`] at word length `W`.
+    fn link_tx_poll_at<W: Width>(&mut self, link: usize) -> Option<u8> {
         let addr = self.link_out[link].next_byte_addr()?;
-        match self.mem.read_byte(addr) {
+        match self.mem.read_byte::<W>(addr) {
             Ok(b) => {
                 self.link_out[link].byte_taken();
                 Some(b)
@@ -287,8 +300,7 @@ impl Cpu {
     pub fn link_tx_ack(&mut self, link: usize) {
         if let Some(p) = self.link_out[link].acknowledged() {
             let now = self.cycles;
-
-            self.schedule(p, now);
+            at_width!(self.schedule(p, now));
         }
     }
 
@@ -323,7 +335,12 @@ impl Cpu {
     /// Deliver a received byte. Returns whether an acknowledge should be
     /// transmitted now (it may already have been sent early).
     pub fn link_rx_deliver(&mut self, link: usize, byte: u8) -> bool {
-        if self.is_booting() && self.boot_rx(link, byte) {
+        at_width!(self.link_rx_deliver_at(link, byte))
+    }
+
+    /// [`Cpu::link_rx_deliver`] at word length `W`.
+    fn link_rx_deliver_at<W: Width>(&mut self, link: usize, byte: u8) -> bool {
+        if self.is_booting() && self.boot_rx::<W>(link, byte) {
             return true;
         }
         match self.link_in[link].deliver(byte) {
@@ -331,19 +348,19 @@ impl Cpu {
                 let addr = self.link_in[link]
                     .store_addr()
                     .expect("consumed byte must have a store address");
-                if let Err(fault) = self.mem.write_byte(addr, byte) {
+                if let Err(fault) = self.mem.write_byte::<W>(addr, byte) {
                     self.halted = Some(fault);
                     return false;
                 }
                 if let Some(p) = self.link_in[link].byte_stored(false) {
                     let now = self.cycles;
-                    self.schedule(p, now);
+                    self.schedule::<W>(p, now);
                 }
                 true
             }
             RxOutcome::Buffered { alting } => {
                 if let Some(p) = alting {
-                    self.alt_guard_ready(p);
+                    self.alt_guard_ready::<W>(p);
                 }
                 false
             }
@@ -376,16 +393,16 @@ impl Cpu {
     }
 
     /// Mark an alternative's guard ready and wake it if it was waiting.
-    pub(crate) fn alt_guard_ready(&mut self, p: ProcDesc) {
-        let state_addr = workspace_word(self.word, p.wptr(), PW_STATE);
+    pub(crate) fn alt_guard_ready<W: Width>(&mut self, p: ProcDesc) {
+        let state_addr = workspace_word(W::WORD, p.wptr(), PW_STATE);
         let state = self
             .mem
-            .read_word(state_addr)
+            .read_word::<W>(state_addr)
             .unwrap_or(self.magic.not_process);
-        let _ = self.mem.write_word(state_addr, self.magic.ready);
+        let _ = self.mem.write_word::<W>(state_addr, self.magic.ready);
         if state == self.magic.waiting {
             let now = self.cycles;
-            self.schedule(p, now);
+            self.schedule::<W>(p, now);
         }
     }
 }

@@ -6,6 +6,28 @@
 //! evaluation stack. Concurrency is provided by a hardware scheduler
 //! (§3.2.4) with two priority levels, each a linked list of process
 //! workspaces threaded through memory.
+//!
+//! A part's word length is fixed when it is made, so the executor — the
+//! byte path, the translation tier, the scheduler and channel I/O — is
+//! one source, generic over a crate-private `Width` and compiled twice:
+//! for the T222 (`W16`) and for the T424 (`W32`). Every word rule in it
+//! folds to its part's constant. `Cpu` keeps its [`WordLength`] and
+//! matches it once at each public entry that runs the executor
+//! (`at_width!`), never per instruction. Both tiers run the same
+//! instantiation, so they agree at either width by construction.
+
+/// Call the width-generic method `$method` of `$cpu` (a [`Cpu`]) at
+/// its part's word length: its `W16` or its `W32` instantiation. The
+/// executor's one dispatch on the word length, made once at each entry
+/// that runs it.
+macro_rules! at_width {
+    ($cpu:ident.$method:ident($($arg:expr),*)) => {
+        match $cpu.word {
+            crate::word::WordLength::Bits16 => $cpu.$method::<crate::word::W16>($($arg),*),
+            crate::word::WordLength::Bits32 => $cpu.$method::<crate::word::W32>($($arg),*),
+        }
+    };
+}
 
 mod boot;
 mod decode;
@@ -22,7 +44,7 @@ use crate::memory::{Memory, MemoryConfig};
 use crate::process::{workspace_word, Magic, Priority, ProcDesc, PW_IPTR, PW_SLOTS};
 use crate::stats::Stats;
 use crate::timing;
-use crate::word::WordLength;
+use crate::word::{Width, WordLength};
 use translate::TierExit;
 
 /// Configuration of one emulated transputer.
@@ -430,7 +452,7 @@ impl Cpu {
     /// The clock of a priority (§2.2.2: "each timer being implemented as
     /// an incrementing clock").
     pub fn clock_value(&self, pri: Priority) -> u32 {
-        self.clock_now(pri)
+        at_width!(self.clock_now(pri))
     }
 
     /// Execution statistics.
@@ -507,7 +529,7 @@ impl Cpu {
         let w = workspace_word(self.word, wptr, PW_IPTR);
         self.mem.poke_word(w, iptr).expect("workspace in range");
         let now = self.cycles;
-        self.schedule(ProcDesc::new(wptr, pri), now);
+        at_width!(self.schedule(ProcDesc::new(wptr, pri), now));
     }
 
     /// Pulse the external event pin: completes a waiting `in` on the
@@ -515,7 +537,7 @@ impl Cpu {
     pub fn raise_event(&mut self) {
         if let Some(p) = self.event_waiting.take() {
             let now = self.cycles;
-            self.schedule(p, now);
+            at_width!(self.schedule(p, now));
         } else {
             self.event_pending = true;
         }
@@ -557,7 +579,7 @@ impl Cpu {
     /// if any. Used to fast-forward an idle processor.
     pub fn next_timer_wake_cycle(&mut self) -> Option<u64> {
         // Latch a timer head poked into place since the last advance.
-        self.refresh_timer_heads();
+        at_width!(self.refresh_timer_heads());
         let wake = self.wake_at[0].min(self.wake_at[1]);
         (wake != u64::MAX).then_some(wake)
     }
@@ -567,26 +589,31 @@ impl Cpu {
     /// (e.g. a lone process sleeping for minutes of simulated time).
     pub fn advance_idle_to(&mut self, cycle: u64) {
         if cycle > self.cycles {
-            self.advance_time64(cycle - self.cycles);
+            at_width!(self.advance_time64(cycle - self.cycles));
         }
     }
 
     /// Execute one micro-step: a preemption, an instruction, or a chunk
     /// of an interruptible long instruction.
     pub fn step(&mut self) -> StepEvent {
+        at_width!(self.step_at())
+    }
+
+    /// [`Cpu::step`] at word length `W`.
+    fn step_at<W: Width>(&mut self) -> StepEvent {
         if let Some(r) = self.halted {
             return StepEvent::Halted(r);
         }
         self.slice_exit = None;
         let before = self.cycles;
-        if !self.has_current_process() && !self.dispatch_next() {
+        if !self.has_current_process() && !self.dispatch_next::<W>() {
             return StepEvent::Idle;
         }
         if self.has_current_process() {
             if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
                 // Low→high preemption at a micro-step boundary (§3.2.4).
-                self.preempt_to_high();
-            } else if let Err(reason) = self.micro_step() {
+                self.preempt_to_high::<W>();
+            } else if let Err(reason) = self.micro_step::<W>() {
                 return StepEvent::Halted(reason);
             }
         }
@@ -599,19 +626,19 @@ impl Cpu {
     /// interrupted long instruction, or one instruction byte, with its
     /// off-chip penalty, time advance and trace record. `Err` when the
     /// processor halted; the one place an accrued penalty is charged.
-    fn micro_step(&mut self) -> Result<(), HaltReason> {
+    fn micro_step<W: Width>(&mut self) -> Result<(), HaltReason> {
         let cycles = match self.resume {
             // An operation that went on as a continuation did not fall
             // through: what follows it is a block leader.
             Some(_) => {
                 self.last_op = None;
-                self.continue_resume()
+                self.continue_resume::<W>()
             }
-            None => self.exec_one(),
+            None => self.exec_one::<W>(),
         };
         let c = cycles.inspect_err(|&reason| self.halted = Some(reason))?;
         let c = c + self.mem.take_penalty_cycles();
-        self.advance_time(c);
+        self.advance_time::<W>(c);
         self.record_pending_trace();
         self.halted.map_or(Ok(()), Err)
     }
@@ -647,6 +674,11 @@ impl Cpu {
     /// that no wire event can disturb ([`Cpu::link_sensitive`] is false)
     /// may compute ahead of its wires.
     pub fn run_slice_fenced(&mut self, fence_budget: u64, cycle_budget: u64) -> SliceOutcome {
+        at_width!(self.run_slice_at(fence_budget, cycle_budget))
+    }
+
+    /// [`Cpu::run_slice_fenced`] at word length `W`.
+    fn run_slice_at<W: Width>(&mut self, fence_budget: u64, cycle_budget: u64) -> SliceOutcome {
         if let Some(r) = self.halted {
             return SliceOutcome::Halted(r);
         }
@@ -659,11 +691,11 @@ impl Cpu {
         self.last_op = None;
         loop {
             self.slice_mark = self.cycles;
-            if !self.has_current_process() && !self.dispatch_next() {
+            if !self.has_current_process() && !self.dispatch_next::<W>() {
                 return SliceOutcome::Idle;
             }
             if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
-                self.preempt_to_high();
+                self.preempt_to_high::<W>();
                 return SliceOutcome::Preempted;
             }
             // With the translation tier on and tracing off, run hot
@@ -675,7 +707,7 @@ impl Cpu {
                 && self.resume.is_none()
                 && self.op_len == 0
             {
-                match self.run_predecoded(limit, fence) {
+                match self.run_predecoded::<W>(limit, fence) {
                     TierExit::Outcome(outcome) => return outcome,
                     TierExit::Recheck => continue,
                     // Blocks may have run: the micro-step starts now.
@@ -684,10 +716,10 @@ impl Cpu {
             }
             // The byte path owns the fence: a block hands a link
             // instruction at or past it back here unexecuted.
-            if self.cycles >= fence && self.resume.is_none() && self.at_link_instruction() {
+            if self.cycles >= fence && self.resume.is_none() && self.at_link_instruction::<W>() {
                 return SliceOutcome::Fenced;
             }
-            if let Err(reason) = self.micro_step() {
+            if let Err(reason) = self.micro_step::<W>() {
                 return SliceOutcome::Halted(reason);
             }
             if let Some(exit) = self.slice_exit.take() {

@@ -72,6 +72,7 @@ use crate::instr::{Direct, Op};
 use crate::memory::CODE_BLOCK_SHIFT;
 use crate::process::Priority;
 use crate::stats::Stats;
+use crate::word::Width;
 
 /// Most operations a block may hold. Long enough for the unrolled
 /// arithmetic loops the corpus is made of; short enough that a deopt
@@ -302,7 +303,7 @@ impl Cpu {
     /// Entry preconditions (established by `run_slice_fenced`): not
     /// halted, a process is current, no pending preemption, `resume` is
     /// `None` and `op_len == 0` (an operation boundary).
-    pub(crate) fn run_predecoded(&mut self, limit: u64, fence: u64) -> TierExit {
+    pub(crate) fn run_predecoded<W: Width>(&mut self, limit: u64, fence: u64) -> TierExit {
         let leader = self
             .last_op
             .take()
@@ -313,8 +314,8 @@ impl Cpu {
         }
         // The due ticks are re-latched once here and thereafter by
         // the `advance_time` of every operation that can write memory.
-        self.refresh_timer_heads();
-        let mut off = match self.block_entry() {
+        self.refresh_timer_heads::<W>();
+        let mut off = match self.block_entry::<W>() {
             Ok(off) => off,
             Err(exit) => return exit,
         };
@@ -322,14 +323,14 @@ impl Cpu {
         // call touches the cache).
         let mut tcache = std::mem::take(&mut self.tcache);
         let exit = loop {
-            let Some(slot) = self.lookup_block(&mut tcache, off) else {
+            let Some(slot) = self.lookup_block::<W>(&mut tcache, off) else {
                 self.stats.decode_misses += 1;
                 break TierExit::BytePath;
             };
             self.stats.trans_enters += 1;
             let block = &mut *tcache.slots[slot as usize];
             let pending = block.runs;
-            let exit = self.exec_block(block, limit, fence);
+            let exit = self.exec_block::<W>(block, limit, fence);
             if pending == 0 && block.runs != 0 {
                 tcache.dirty.push(slot);
             }
@@ -340,7 +341,7 @@ impl Cpu {
                     if self.has_current_process() && self.resume.is_none() && self.op_len == 0 => {}
                 exit => break exit,
             }
-            off = match self.block_entry() {
+            off = match self.block_entry::<W>() {
                 Ok(off) => off,
                 Err(exit) => break exit,
             };
@@ -360,7 +361,7 @@ impl Cpu {
     /// (clock ticks can wake processes, so every operation's time must go
     /// through `advance_time`) and for out-of-range code (the byte path
     /// owns faulting). No block runs on a penalised map (`translate_ok`).
-    fn block_entry(&self) -> Result<usize, TierExit> {
+    fn block_entry<W: Width>(&self) -> Result<usize, TierExit> {
         debug_assert!(self.resume.is_none() && self.op_len == 0 && self.oreg == 0);
         if self.priority() == Priority::Low && self.fptr[0] != self.magic.not_process {
             return Err(TierExit::Recheck);
@@ -368,7 +369,7 @@ impl Cpu {
         if self.wake_at != [u64::MAX; 2] {
             return Err(TierExit::BytePath);
         }
-        let off = self.word.mask(self.iptr.wrapping_sub(self.mem.base())) as usize;
+        let off = W::WORD.mask(self.iptr.wrapping_sub(W::WORD.most_neg())) as usize;
         if off >= self.mem.size() as usize {
             return Err(TierExit::BytePath);
         }
@@ -417,7 +418,7 @@ impl Cpu {
     /// [`Cpu::run_predecoded`] returns or the cache is flushed, so
     /// the [`crate::stats::Stats`] image is identical to the
     /// byte path's at every point a caller can observe it.
-    fn exec_block(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> TierExit {
+    fn exec_block<W: Width>(&mut self, block: &mut TransBlock, limit: u64, fence: u64) -> TierExit {
         let epoch = self.mem.code_epoch();
         let ops = block.ops();
         let last = ops.len() - 1;
@@ -474,7 +475,7 @@ impl Cpu {
             macro_rules! advance {
                 ($op:expr) => {{
                     let prev = self.iptr;
-                    self.iptr = self.word.mask(prev.wrapping_add(u32::from($op.len)));
+                    self.iptr = W::WORD.mask(prev.wrapping_add(u32::from($op.len)));
                     prev
                 }};
             }
@@ -486,12 +487,12 @@ impl Cpu {
                     let store = matches!($fun, Direct::StoreLocal | Direct::StoreNonLocal);
                     let prev = advance!($op);
                     self.cycles += u64::from($op.len) - 1;
-                    let c = match self.exec_direct($fun, $op.operand) {
+                    let c = match self.exec_direct::<W>($fun, $op.operand) {
                         Ok(c) => c,
                         Err(r) => return self.block_fault(block, $n - 1, prev, r),
                     };
                     if store {
-                        self.advance_time(c);
+                        self.advance_time::<W>(c);
                     } else {
                         self.cycles += u64::from(c);
                     }
@@ -516,7 +517,7 @@ impl Cpu {
                 ($alu:expr, $op:expr, $n:expr) => {{
                     advance!($op);
                     self.stats.record_op($alu);
-                    self.cycles += u64::from($op.len) - 1 + u64::from(self.exec_alu($alu));
+                    self.cycles += u64::from($op.len) - 1 + u64::from(self.exec_alu::<W>($alu));
                     if matches!($alu, Op::Add) {
                         halt_ret!($n);
                     }
@@ -529,12 +530,12 @@ impl Cpu {
             macro_rules! general {
                 ($fun:expr, $op:expr, $n:expr) => {{
                     self.op_start = self.iptr;
-                    let next = self.word.mask(self.iptr.wrapping_add(u32::from($op.len)));
+                    let next = W::WORD.mask(self.iptr.wrapping_add(u32::from($op.len)));
                     self.iptr = next;
                     self.cycles += u64::from($op.len) - 1;
                     self.slice_mark = self.cycles;
-                    match self.exec_direct($fun, $op.operand) {
-                        Ok(c) => self.advance_time(c),
+                    match self.exec_direct::<W>($fun, $op.operand) {
+                        Ok(c) => self.advance_time::<W>(c),
                         Err(reason) => {
                             self.halted = Some(reason);
                             flush_ret!($n, TierExit::Outcome(SliceOutcome::Halted(reason)));
@@ -640,7 +641,7 @@ impl Cpu {
                 XO_DIFF => alu!(Op::Difference, op, i + 1),
                 XO_LINK => {
                     if self.cycles + (u64::from(op.len) - 1) >= fence
-                        && self.touches_link(op.operand)
+                        && self.touches_link::<W>(op.operand)
                     {
                         abut_ret!(i);
                     }
@@ -721,7 +722,7 @@ impl Cpu {
     /// or the leader just became hot enough to build one. If the code
     /// epoch has moved since the blocks were built, some translated
     /// code was overwritten: every block goes first.
-    fn lookup_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
+    fn lookup_block<W: Width>(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
         if tcache.epoch != self.mem.code_epoch() {
             self.flush_blocks(tcache);
         }
@@ -735,7 +736,7 @@ impl Cpu {
         let heat = &mut tcache.heat[off];
         *heat = heat.saturating_add(1);
         if u32::from(*heat) >= self.translate_threshold {
-            return self.build_block(tcache, off);
+            return self.build_block::<W>(tcache, off);
         }
         None
     }
@@ -762,9 +763,9 @@ impl Cpu {
     /// leader can be translated (an unknown operation, a chain running
     /// past the end of memory: the byte path's business).
     #[cold]
-    fn build_block(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
-        let base = self.mem.base();
-        let mut iptr = self.word.mask(base.wrapping_add(off as u32));
+    fn build_block<W: Width>(&mut self, tcache: &mut TransCache, off: usize) -> Option<u32> {
+        let base = W::WORD.most_neg();
+        let mut iptr = W::WORD.mask(base.wrapping_add(off as u32));
         let mut ops = [TransOp {
             operand: 0,
             fun: 0,
@@ -775,7 +776,7 @@ impl Cpu {
         // One past the last byte the block's operations occupy.
         let mut end_off = off;
         while nops < MAX_BLOCK_OPS {
-            let Some(e) = decode_entry(&self.mem, self.word, iptr) else {
+            let Some(e) = decode_entry::<W>(&self.mem, iptr) else {
                 break;
             };
             ops[nops] = TransOp {
@@ -786,7 +787,7 @@ impl Cpu {
             };
             nops += 1;
             end_off += usize::from(e.len);
-            iptr = self.word.mask(iptr.wrapping_add(u32::from(e.len)));
+            iptr = W::WORD.mask(iptr.wrapping_add(u32::from(e.len)));
             if ends_block(Direct::from_nibble(e.fun), e.operand) {
                 break;
             }

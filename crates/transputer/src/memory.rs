@@ -14,7 +14,7 @@
 //! gap between them reads as zero. Data accesses test the high one first.
 
 use crate::error::HaltReason;
-use crate::word::WordLength;
+use crate::word::{Width, WordLength, W16, W32};
 
 /// Number of reserved words at the bottom of memory: 4 link output
 /// channels, 4 link input channels, the event channel, two timer queue
@@ -121,6 +121,25 @@ pub struct Memory {
     reserved_bytes: usize,
 }
 
+/// [`Memory::external_channel_id`] at word length `word`.
+#[inline]
+pub(crate) fn external_channel(word: WordLength, addr: u32) -> Option<(u32, bool)> {
+    let w = word.mask(addr.wrapping_sub(word.most_neg())) / word.bytes_per_word();
+    (w <= EVENT_CHANNEL).then_some(if w < LINK_IN_BASE {
+        (w, true)
+    } else if w < EVENT_CHANNEL {
+        (w - LINK_IN_BASE, false)
+    } else {
+        (4, false)
+    })
+}
+
+/// The offset of `addr` from the bottom of a `W` memory, unchecked.
+#[inline]
+fn offset_of<W: Width>(addr: u32) -> usize {
+    W::WORD.mask(addr.wrapping_sub(W::WORD.most_neg())) as usize
+}
+
 /// The little-endian machine word at the start of `bytes`.
 #[inline]
 fn get_word(word: WordLength, bytes: &[u8]) -> u32 {
@@ -203,24 +222,13 @@ impl Memory {
     /// instructions "use the address of a channel to determine whether
     /// the channel is internal or external" (§3.2.10).
     pub fn is_external_channel(&self, addr: u32) -> bool {
-        let off = self.word.mask(addr.wrapping_sub(self.base()));
-        off < (EVENT_CHANNEL + 1) * self.word.bytes_per_word()
+        self.external_channel_id(addr).is_some()
     }
 
     /// Classify an external channel address: `(link, is_output)`.
     /// Link 4 with `is_output == false` is the event channel.
     pub fn external_channel_id(&self, addr: u32) -> Option<(u32, bool)> {
-        if !self.is_external_channel(addr) {
-            return None;
-        }
-        let w = self.word.mask(addr.wrapping_sub(self.base())) / self.word.bytes_per_word();
-        Some(if w < LINK_IN_BASE {
-            (w, true)
-        } else if w < EVENT_CHANNEL {
-            (w - LINK_IN_BASE, false)
-        } else {
-            (4, false)
-        })
+        external_channel(self.word, addr)
     }
 
     #[inline]
@@ -363,16 +371,16 @@ impl Memory {
     /// Read a machine word. The address is word-aligned first, as on the
     /// hardware.
     #[inline]
-    pub(crate) fn read_word(&mut self, addr: u32) -> Result<u32, HaltReason> {
-        let addr = self.word.align_word(addr);
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+    pub(crate) fn read_word<W: Width>(&mut self, addr: u32) -> Result<u32, HaltReason> {
+        let addr = W::WORD.align_word(addr);
+        let off = offset_of::<W>(addr);
         // Workspaces first: this one compare is also the bounds check.
         let h = off.wrapping_sub(self.hi_base);
         if h < self.hi.len() {
             self.note_access(off);
-            return Ok(get_word(self.word, &self.hi[h..]));
+            return Ok(get_word(W::WORD, &self.hi[h..]));
         }
-        self.read_cold(addr, self.word.bytes_per_word() as usize)
+        self.read_cold(addr, W::WORD.bytes_per_word() as usize)
     }
 
     /// A read of `n` bytes outside the high segment.
@@ -388,18 +396,18 @@ impl Memory {
 
     /// Write a machine word (address word-aligned first).
     #[inline]
-    pub(crate) fn write_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
-        let addr = self.word.align_word(addr);
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
-        let v = self.word.mask(value);
+    pub(crate) fn write_word<W: Width>(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
+        let addr = W::WORD.align_word(addr);
+        let off = offset_of::<W>(addr);
+        let v = W::WORD.mask(value);
         let h = off.wrapping_sub(self.hi_base);
         if h < self.hi.len() {
             self.note_access(off);
             self.note_write(off);
-            put_word(self.word, &mut self.hi[h..], v);
+            put_word(W::WORD, &mut self.hi[h..], v);
             return Ok(());
         }
-        self.write_cold(addr, self.word.bytes_per_word() as usize, v)
+        self.write_cold(addr, W::WORD.bytes_per_word() as usize, v)
     }
 
     /// A write of the low `n` bytes of `v` outside the high segment.
@@ -419,7 +427,10 @@ impl Memory {
     #[inline]
     pub(crate) fn poke_word(&mut self, addr: u32, value: u32) -> Result<(), HaltReason> {
         let accrued = self.penalty_accrued;
-        let written = self.write_word(addr, value);
+        let written = match self.word {
+            WordLength::Bits16 => self.write_word::<W16>(addr, value),
+            WordLength::Bits32 => self.write_word::<W32>(addr, value),
+        };
         self.penalty_accrued = accrued;
         written
     }
@@ -429,8 +440,8 @@ impl Memory {
     /// is out of range or would accrue an off-chip penalty, in which case
     /// the caller must fall back to [`Memory::read_byte`].
     #[inline]
-    pub(crate) fn fetch_byte_fast(&self, addr: u32) -> Option<u8> {
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+    pub(crate) fn fetch_byte_fast<W: Width>(&self, addr: u32) -> Option<u8> {
+        let off = offset_of::<W>(addr);
         if off < self.fast_lo {
             Some(self.lo[off])
         } else {
@@ -445,33 +456,33 @@ impl Memory {
     }
 
     /// Read one byte without timing effects, `None` out of range.
-    pub(crate) fn peek_byte(&self, addr: u32) -> Option<u8> {
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+    pub(crate) fn peek_byte<W: Width>(&self, addr: u32) -> Option<u8> {
+        let off = offset_of::<W>(addr);
         (off < self.size() as usize).then(|| self.held(off).map_or(0, |bytes| bytes[0]))
     }
 
     /// Read one byte.
     #[inline]
-    pub(crate) fn read_byte(&mut self, addr: u32) -> Result<u8, HaltReason> {
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+    pub(crate) fn read_byte<W: Width>(&mut self, addr: u32) -> Result<u8, HaltReason> {
+        let off = offset_of::<W>(addr);
         if let Some(&byte) = self.hi.get(off.wrapping_sub(self.hi_base)) {
             self.note_access(off);
             return Ok(byte);
         }
-        self.read_cold(self.word.mask(addr), 1).map(|v| v as u8)
+        self.read_cold(W::WORD.mask(addr), 1).map(|v| v as u8)
     }
 
     /// Write one byte.
     #[inline]
-    pub(crate) fn write_byte(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
-        let off = self.word.mask(addr.wrapping_sub(self.base())) as usize;
+    pub(crate) fn write_byte<W: Width>(&mut self, addr: u32, value: u8) -> Result<(), HaltReason> {
+        let off = offset_of::<W>(addr);
         if let Some(byte) = self.hi.get_mut(off.wrapping_sub(self.hi_base)) {
             *byte = value;
             self.note_access(off);
             self.note_write(off);
             return Ok(());
         }
-        self.write_cold(self.word.mask(addr), 1, value.into())
+        self.write_cold(W::WORD.mask(addr), 1, value.into())
     }
 
     /// Bulk load bytes (no timing effects): program loading, test setup.
@@ -527,6 +538,7 @@ impl Memory {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn mem32() -> Memory {
         Memory::new(WordLength::Bits32, MemoryConfig::t424())
@@ -536,18 +548,18 @@ mod tests {
     fn word_roundtrip_little_endian() {
         let mut m = mem32();
         let a = m.mem_start();
-        m.write_word(a, 0x1234_5678).unwrap();
-        assert_eq!(m.read_word(a).unwrap(), 0x1234_5678);
-        assert_eq!(m.read_byte(a).unwrap(), 0x78); // little-endian bytes
-        assert_eq!(m.read_byte(a + 3).unwrap(), 0x12);
+        m.write_word::<W32>(a, 0x1234_5678).unwrap();
+        assert_eq!(m.read_word::<W32>(a).unwrap(), 0x1234_5678);
+        assert_eq!(m.read_byte::<W32>(a).unwrap(), 0x78); // little-endian bytes
+        assert_eq!(m.read_byte::<W32>(a + 3).unwrap(), 0x12);
     }
 
     #[test]
     fn unaligned_word_access_aligns() {
         let mut m = mem32();
         let a = m.mem_start();
-        m.write_word(a, 0xDEAD_BEEF).unwrap();
-        assert_eq!(m.read_word(a + 3).unwrap(), 0xDEAD_BEEF);
+        m.write_word::<W32>(a, 0xDEAD_BEEF).unwrap();
+        assert_eq!(m.read_word::<W32>(a + 3).unwrap(), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -578,12 +590,12 @@ mod tests {
         let mut m = mem32();
         let past_end = m.limit();
         assert!(matches!(
-            m.read_word(past_end),
+            m.read_word::<W32>(past_end),
             Err(HaltReason::MemoryFault { .. })
         ));
-        assert!(m.write_byte(past_end, 1).is_err());
+        assert!(m.write_byte::<W32>(past_end, 1).is_err());
         // Positive addresses are far outside a 4K part.
-        assert!(m.read_word(0x0000_0000).is_err());
+        assert!(m.read_word::<W32>(0x0000_0000).is_err());
     }
 
     #[test]
@@ -591,13 +603,13 @@ mod tests {
         let cfg = MemoryConfig::t424().with_external(4096, 3);
         let mut m = Memory::new(WordLength::Bits32, cfg);
         let external = m.base().wrapping_add(T424_ON_CHIP_BYTES);
-        m.read_word(external).unwrap();
-        m.write_word(external + 4, 1).unwrap();
+        m.read_word::<W32>(external).unwrap();
+        m.write_word::<W32>(external + 4, 1).unwrap();
         assert_eq!(m.take_penalty_cycles(), 6);
         assert_eq!(m.take_penalty_cycles(), 0);
         // On-chip accesses are free.
         let on = m.mem_start();
-        m.read_word(on).unwrap();
+        m.read_word::<W32>(on).unwrap();
         assert_eq!(m.take_penalty_cycles(), 0);
     }
 
@@ -635,11 +647,11 @@ mod tests {
             // The byte range the write touches.
             let touched = match step % 4 {
                 0 => {
-                    m.write_word(addr, step).unwrap();
+                    m.write_word::<W32>(addr, step).unwrap();
                     off & !3..(off & !3) + 4
                 }
                 1 => {
-                    m.write_byte(addr, step as u8).unwrap();
+                    m.write_byte::<W32>(addr, step as u8).unwrap();
                     off..off + 1
                 }
                 2 => {
@@ -675,9 +687,10 @@ mod tests {
         let mut m = mem32();
         assert!(m.take_reserved_dirty(), "starts dirty");
         assert!(!m.take_reserved_dirty());
-        m.write_word(m.reserved_addr(TPTR_LOC[0]), 7).unwrap();
+        m.write_word::<W32>(m.reserved_addr(TPTR_LOC[0]), 7)
+            .unwrap();
         assert!(m.take_reserved_dirty());
-        m.write_word(m.mem_start(), 7).unwrap();
+        m.write_word::<W32>(m.mem_start(), 7).unwrap();
         assert!(!m.take_reserved_dirty(), "user writes do not flag");
     }
 
@@ -685,8 +698,8 @@ mod tests {
     fn word16_masking() {
         let mut m = Memory::new(WordLength::Bits16, MemoryConfig::t424());
         let a = m.mem_start();
-        m.write_word(a, 0xFFFF_1234).unwrap();
-        assert_eq!(m.read_word(a).unwrap(), 0x1234);
+        m.write_word::<W16>(a, 0xFFFF_1234).unwrap();
+        assert_eq!(m.read_word::<W16>(a).unwrap(), 0x1234);
     }
 
     /// The flat image [`Memory`] replaces, as it was: one zeroed byte per
@@ -876,6 +889,62 @@ mod tests {
         m.word_length().mask(m.base().wrapping_add(off))
     }
 
+    /// Run `steps` on a memory and on the flat image of `word` length,
+    /// seeing the same observables after every step (see below).
+    fn same_as_flat<W: Width>(
+        config: MemoryConfig,
+        steps: &[(u32, u32, u32)],
+    ) -> Result<(), TestCaseError> {
+        let mut m = Memory::new(W::WORD, config);
+        let mut f = Flat::new(W::WORD, config);
+        let size = m.size() as usize;
+        for (i, &(kind, a, b)) in steps.iter().enumerate() {
+            macro_rules! same {
+                ($op:ident $(::<$w:ty>)? ($($arg:expr),*)) => {{
+                    let (got, want) = (m.$op$(::<$w>)?($($arg),*), f.$op($($arg),*));
+                    let op = stringify!($op);
+                    prop_assert!(got == want, "step {i} {op}: {got:?} != {want:?}");
+                }};
+            }
+            let addr = oracle_address(&m, a);
+            // Mostly short runs; one in eight up to the whole memory.
+            let len = (b as usize >> 3) % if b & 7 == 0 { size + 16 } else { 300 };
+            match kind {
+                0 => same!(read_word::<W>(addr)),
+                1 => same!(write_word::<W>(addr, b)),
+                2 => same!(read_byte::<W>(addr)),
+                3 => same!(write_byte::<W>(addr, b as u8)),
+                4 => {
+                    let data: Vec<u8> = (0..len).map(|k| (b >> 8) as u8 ^ k as u8).collect();
+                    same!(load(addr, &data));
+                }
+                5 => same!(dump(addr, len)),
+                6 => same!(peek_word(addr)),
+                7 => same!(fetch_byte_fast::<W>(addr)),
+                8 => same!(peek_byte::<W>(addr)),
+                9 => {
+                    let block = a as usize % m.code_blocks();
+                    m.note_code_cached(block);
+                    f.code_cached[block] = true;
+                }
+                10 => same!(poke_word(addr, b)),
+                _ => same!(take_reserved_dirty()),
+            }
+            prop_assert_eq!(m.take_penalty_cycles(), std::mem::take(&mut f.accrued));
+            prop_assert!(m.code_cached == f.code_cached, "step {}: the gates", i);
+            prop_assert_eq!(m.code_epoch(), f.code_epoch);
+            prop_assert_eq!(m.reserved_dirty, f.reserved_dirty);
+            prop_assert!(
+                m.resident_bytes() <= size,
+                "step {}: {} resident",
+                i,
+                m.resident_bytes()
+            );
+        }
+        prop_assert!(m.dump(m.base(), size).unwrap() == f.bytes, "the images");
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -893,49 +962,10 @@ mod tests {
                 1..160,
             ),
         ) {
-            let (word, config) = oracle_configs()[config];
-            let mut m = Memory::new(word, config);
-            let mut f = Flat::new(word, config);
-            let size = m.size() as usize;
-            for (i, &(kind, a, b)) in steps.iter().enumerate() {
-                macro_rules! same {
-                    ($op:ident($($arg:expr),*)) => {{
-                        let (got, want) = (m.$op($($arg),*), f.$op($($arg),*));
-                        let op = stringify!($op);
-                        prop_assert!(got == want, "step {i} {op}: {got:?} != {want:?}");
-                    }};
-                }
-                let addr = oracle_address(&m, a);
-                // Mostly short runs; one in eight up to the whole memory.
-                let len = (b as usize >> 3) % if b & 7 == 0 { size + 16 } else { 300 };
-                match kind {
-                    0 => same!(read_word(addr)),
-                    1 => same!(write_word(addr, b)),
-                    2 => same!(read_byte(addr)),
-                    3 => same!(write_byte(addr, b as u8)),
-                    4 => {
-                        let data: Vec<u8> = (0..len).map(|k| (b >> 8) as u8 ^ k as u8).collect();
-                        same!(load(addr, &data));
-                    }
-                    5 => same!(dump(addr, len)),
-                    6 => same!(peek_word(addr)),
-                    7 => same!(fetch_byte_fast(addr)),
-                    8 => same!(peek_byte(addr)),
-                    9 => {
-                        let block = a as usize % m.code_blocks();
-                        m.note_code_cached(block);
-                        f.code_cached[block] = true;
-                    }
-                    10 => same!(poke_word(addr, b)),
-                    _ => same!(take_reserved_dirty()),
-                }
-                prop_assert_eq!(m.take_penalty_cycles(), std::mem::take(&mut f.accrued));
-                prop_assert!(m.code_cached == f.code_cached, "step {}: the gates", i);
-                prop_assert_eq!(m.code_epoch(), f.code_epoch);
-                prop_assert_eq!(m.reserved_dirty, f.reserved_dirty);
-                prop_assert!(m.resident_bytes() <= size, "step {}: {} resident", i, m.resident_bytes());
+            match oracle_configs()[config] {
+                (WordLength::Bits16, config) => same_as_flat::<W16>(config, &steps)?,
+                (WordLength::Bits32, config) => same_as_flat::<W32>(config, &steps)?,
             }
-            prop_assert!(m.dump(m.base(), size).unwrap() == f.bytes, "the images");
         }
     }
 }

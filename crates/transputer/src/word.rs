@@ -7,6 +7,13 @@
 //! parametric over the machine word length. The first products were the
 //! 32-bit T424 and the 16-bit T222; both are modelled.
 //!
+//! A part's word length is fixed when it is made, so the processor does
+//! not decide it again per instruction: the executor is written once,
+//! generic over the crate-private `Width`, and compiled twice (`W16`,
+//! `W32`); `Cpu` picks the instantiation once at each entry that runs
+//! it. The [`WordLength`] methods below stay the one statement of every
+//! word rule; the instantiations only make their argument a constant.
+//!
 //! Machine words are carried in `u32` containers. In 16-bit mode only the
 //! low 16 bits are significant and every write masks to width. Pointers
 //! are signed values running from the most negative integer ("MostNeg",
@@ -204,6 +211,29 @@ impl WordLength {
     pub fn index_byte(self, base: u32, index: u32) -> u32 {
         self.mask(base.wrapping_add(index))
     }
+}
+
+/// A word length fixed at compile time. The executor is generic over
+/// it, so each [`WordLength`] rule it applies (`W::WORD.mask(..)`)
+/// folds to the constant of one part: one source, instantiated for the
+/// T222 ([`W16`]) and the T424 ([`W32`]).
+pub(crate) trait Width {
+    /// The word length this type stands for.
+    const WORD: WordLength;
+}
+
+/// The 16-bit word of the T222.
+pub(crate) struct W16;
+
+/// The 32-bit word of the T424.
+pub(crate) struct W32;
+
+impl Width for W16 {
+    const WORD: WordLength = WordLength::Bits16;
+}
+
+impl Width for W32 {
+    const WORD: WordLength = WordLength::Bits32;
 }
 
 impl fmt::Display for WordLength {

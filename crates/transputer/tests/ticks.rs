@@ -18,7 +18,7 @@
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::memory::{MemoryConfig, TPTR_LOC};
-use transputer::process::{workspace_word, PW_TIME};
+use transputer::process::{workspace_word, PW_IPTR, PW_TIME, PW_TLINK};
 use transputer::timing::{HI_TICK_CYCLES, LO_TICK_CYCLES};
 use transputer::{Cpu, CpuConfig, Priority, RunOutcome, StepEvent};
 
@@ -674,5 +674,44 @@ fn host_memory_access_moves_nothing() {
             cpu.poke_word(w, v).unwrap();
         });
         assert_eq!((read, written), (untouched, untouched), "{map}");
+    }
+}
+
+/// A program can link its timer queue into a cycle: a T222's 64K map
+/// holds every address, so the link words it leaves behind are read,
+/// not faulted. Each walk of the queue then stops after one entry per
+/// word of memory instead of spinning the host. Here the low queue's
+/// head is a process whose link names itself and whose time is already
+/// reached: the first low tick's wake walk meets the cycle, and so does
+/// the boot process's `tin`, which inserts itself behind it. Both runs
+/// end, and the one that only counts down halts on time.
+#[test]
+fn a_timer_queue_linked_into_a_cycle_ends_each_walk() {
+    for sleep in [false, true] {
+        let mut a = Asm::new();
+        if sleep {
+            a.o(Op::LoadTimer)
+                .d(Direct::AddConstant, 3)
+                .o(Op::TimerInput);
+        }
+        a.countdown(200).o(Op::HaltSimulation);
+        let stop_at = a.0.len() as u32;
+        a.o(Op::StopProcess);
+        let mut cpu = Cpu::new(CpuConfig::t222());
+        cpu.load_boot_program(&a.0).unwrap();
+        let word = cpu.word_length();
+        let stuck = cpu.default_boot_workspace().wrapping_sub(0x200);
+        let at = |offset| workspace_word(word, stuck, offset);
+        let entry = cpu.memory().mem_start();
+        cpu.poke_word(at(PW_IPTR), entry + stop_at).unwrap();
+        cpu.poke_word(at(PW_TLINK), stuck).unwrap();
+        cpu.poke_word(at(PW_TIME), 0).unwrap();
+        let head_loc = cpu.memory().reserved_addr(TPTR_LOC[Priority::Low.index()]);
+        cpu.poke_word(head_loc, stuck).unwrap();
+        let outcome = cpu.run(1_000_000);
+        if !sleep {
+            assert!(matches!(outcome, Ok(RunOutcome::Halted(_))), "{outcome:?}");
+            assert!(cpu.cycles() > LO_TICK_CYCLES, "a low tick walked the queue");
+        }
     }
 }

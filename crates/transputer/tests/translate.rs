@@ -6,7 +6,9 @@
 //! `cpu/translate.rs`: channel rendezvous (input and output) in the
 //! middle of a translated block, a timer wait inside a translated
 //! region, and high-priority preemption of a translated low-priority
-//! loop.
+//! loop. Each runs on both parts, the 32-bit T424 and the 16-bit T222:
+//! the executor is compiled once per word length, so byte path ≡ tier
+//! must hold for each instantiation.
 
 use transputer::instr::{encode, encode_op, Direct, Op};
 use transputer::{Cpu, CpuConfig, HaltReason, Priority, RunOutcome};
@@ -25,17 +27,22 @@ fn jump_to(fun: Direct, at: usize, target: usize) -> Vec<u8> {
     panic!("no encoding fixpoint for jump from {at} to {target}");
 }
 
-/// A config with translation forced on or off. The threshold of 1
+/// The two parts every test runs on.
+fn parts() -> [CpuConfig; 2] {
+    [CpuConfig::t424(), CpuConfig::t222()]
+}
+
+/// A part with translation forced on or off. The threshold of 1
 /// translates every block leader on first arrival, so even short test
 /// programs execute translated from the start.
-fn config(translate: bool) -> CpuConfig {
-    CpuConfig::t424()
+fn config(part: &CpuConfig, translate: bool) -> CpuConfig {
+    part.clone()
         .with_translate(translate)
         .with_translate_threshold(1)
 }
 
-fn run_with(code: &[u8], translate: bool) -> Cpu {
-    let mut cpu = Cpu::new(config(translate));
+fn run_with(part: &CpuConfig, code: &[u8], translate: bool) -> Cpu {
+    let mut cpu = Cpu::new(config(part, translate));
     cpu.load_boot_program(code).expect("program fits");
     match cpu.run_batched(100_000_000).expect("no budget overrun") {
         RunOutcome::Halted(HaltReason::Stopped) => {}
@@ -51,35 +58,40 @@ fn run_with(code: &[u8], translate: bool) -> Cpu {
 fn assert_transparent_with(build: impl Fn(bool) -> Cpu) -> Cpu {
     let on = build(true);
     let off = build(false);
-    assert_eq!(on.cycles(), off.cycles(), "cycle counts diverged");
+    let part = on.word_length();
+    assert_eq!(on.cycles(), off.cycles(), "{part}: cycle counts diverged");
     assert_eq!(
         on.stats().simulated(),
         off.stats().simulated(),
-        "simulated statistics diverged"
+        "{part}: simulated statistics diverged"
     );
     let base = on.memory().base();
     let size = on.memory().size() as usize;
     assert_eq!(
         on.memory().dump(base, size).unwrap(),
         off.memory().dump(base, size).unwrap(),
-        "memory images diverged"
+        "{part}: memory images diverged"
     );
-    assert!(on.stats().trans_enters > 0, "translation never engaged");
+    assert!(
+        on.stats().trans_enters > 0,
+        "{part}: translation never engaged"
+    );
     assert_eq!(
         off.stats().trans_enters + off.stats().trans_blocks,
         0,
-        "disabled translation still ran"
+        "{part}: disabled translation still ran"
     );
     on
 }
 
-fn assert_transparent(code: &[u8]) -> Cpu {
+fn assert_transparent(part: &CpuConfig, code: &[u8]) -> Cpu {
     let code = code.to_vec();
-    assert_transparent_with(move |translate| run_with(&code, translate))
+    assert_transparent_with(move |translate| run_with(part, &code, translate))
 }
 
 fn local_word(cpu: &mut Cpu, index: u32) -> u32 {
-    let addr = cpu.default_boot_workspace() + 4 * index;
+    let bpw = cpu.word_length().bytes_per_word();
+    let addr = cpu.default_boot_workspace() + bpw * index;
     cpu.inspect_word(addr).expect("workspace in range")
 }
 
@@ -113,9 +125,10 @@ fn patch_startp(code: &[u8], ldc_pos: usize, tail_after_ldc: usize, child_entry:
 /// every rendezvous that blocks forces a mid-block deoptimisation and
 /// a later resumption at an interpreter-visible operation boundary.
 ///
-/// The producer sends N, N-1, .., 1, then a terminating 0; the
-/// consumer accumulates the sum in w[11] and halts when it sees 0.
-fn channel_rendezvous_program(n: i64) -> Vec<u8> {
+/// The producer sends N, N-1, .., 1, then a terminating 0, each a word
+/// of `bpw` bytes; the consumer accumulates the sum in w[11] and halts
+/// when it sees 0.
+fn channel_rendezvous_program(n: i64, bpw: i64) -> Vec<u8> {
     let mut c: Vec<u8> = Vec::new();
     // Parent (consumer). Channel word at w[10], sum at w[11], receive
     // buffer at w[13]; child workspace 40 words below (channel is its
@@ -133,7 +146,7 @@ fn channel_rendezvous_program(n: i64) -> Vec<u8> {
     let ploop = c.len();
     c.extend(encode(Direct::LoadLocalPointer, 13));
     c.extend(encode(Direct::LoadLocalPointer, 10));
-    c.extend(encode(Direct::LoadConstant, 4));
+    c.extend(encode(Direct::LoadConstant, bpw));
     c.extend(encode_op(Op::InputMessage)); // mid-block: ops follow
     c.extend(encode(Direct::LoadLocal, 11));
     c.extend(encode(Direct::LoadLocal, 13));
@@ -175,14 +188,17 @@ fn channel_rendezvous_program(n: i64) -> Vec<u8> {
 #[test]
 fn channel_rendezvous_mid_block_deopts_and_resumes_exactly() {
     let n = 50i64;
-    let mut on = assert_transparent(&channel_rendezvous_program(n));
-    let expected = (n * (n + 1) / 2) as u32;
-    assert_eq!(local_word(&mut on, 11), expected, "sum of sent words");
-    assert!(
-        on.stats().trans_deopts > 0,
-        "a blocking rendezvous inside a block must deoptimise"
-    );
-    assert!(on.stats().messages >= n as u64, "every word was a message");
+    for part in parts() {
+        let bpw = part.word.bytes_per_word().into();
+        let mut on = assert_transparent(&part, &channel_rendezvous_program(n, bpw));
+        let expected = (n * (n + 1) / 2) as u32;
+        assert_eq!(local_word(&mut on, 11), expected, "sum of sent words");
+        assert!(
+            on.stats().trans_deopts > 0,
+            "a blocking rendezvous inside a block must deoptimise"
+        );
+        assert!(on.stats().messages >= n as u64, "every word was a message");
+    }
 }
 
 /// A hot loop whose body *starts* with a timer wait: `ldtimer; adc;
@@ -215,12 +231,14 @@ fn timer_wakeup_inside_translated_region() {
     c.extend(back);
     c.extend(encode_op(Op::HaltSimulation));
 
-    let mut on = assert_transparent(&c);
-    assert_eq!(local_word(&mut on, 1), 12 * 7);
-    assert!(
-        on.stats().trans_deopts >= 12,
-        "every iteration's blocking tin must deoptimise mid-block"
-    );
+    for part in parts() {
+        let mut on = assert_transparent(&part, &c);
+        assert_eq!(local_word(&mut on, 1), 12 * 7);
+        assert!(
+            on.stats().trans_deopts >= 12,
+            "every iteration's blocking tin must deoptimise mid-block"
+        );
+    }
 }
 
 /// A low-priority translated arithmetic loop preempted by a
@@ -258,29 +276,32 @@ fn preemption_of_a_translated_low_priority_loop() {
     code.extend(encode(Direct::StoreLocal, 3));
     code.extend(encode_op(Op::StopProcess));
 
-    let build = |translate: bool| {
-        let mut cpu = Cpu::new(config(translate));
-        let entry = cpu.memory().mem_start();
-        cpu.load(entry, &code).expect("fits");
-        let w = cpu.default_boot_workspace();
-        cpu.spawn(w, entry, Priority::Low);
-        cpu.spawn(w.wrapping_sub(256), entry + hi as u32, Priority::High);
-        match cpu.run_batched(100_000_000).expect("no budget overrun") {
-            RunOutcome::Halted(HaltReason::Stopped) => {}
-            other => panic!("program did not halt cleanly: {other:?}"),
-        }
-        cpu
-    };
-    let mut on = assert_transparent_with(build);
-    assert_eq!(local_word(&mut on, 1), 0x1234u32.wrapping_mul(2000));
-    assert!(
-        on.stats().preemptions >= 1,
-        "the timer wake must preempt the low-priority loop"
-    );
-    assert!(
-        on.stats().trans_enters > 1,
-        "the loop must re-enter its block after resumption"
-    );
+    for part in parts() {
+        let build = |translate: bool| {
+            let mut cpu = Cpu::new(config(&part, translate));
+            let entry = cpu.memory().mem_start();
+            cpu.load(entry, &code).expect("fits");
+            let w = cpu.default_boot_workspace();
+            cpu.spawn(w, entry, Priority::Low);
+            cpu.spawn(w.wrapping_sub(256), entry + hi as u32, Priority::High);
+            match cpu.run_batched(100_000_000).expect("no budget overrun") {
+                RunOutcome::Halted(HaltReason::Stopped) => {}
+                other => panic!("program did not halt cleanly: {other:?}"),
+            }
+            cpu
+        };
+        let mut on = assert_transparent_with(build);
+        let sum = part.word.mask(0x1234u32.wrapping_mul(2000));
+        assert_eq!(local_word(&mut on, 1), sum);
+        assert!(
+            on.stats().preemptions >= 1,
+            "the timer wake must preempt the low-priority loop"
+        );
+        assert!(
+            on.stats().trans_enters > 1,
+            "the loop must re-enter its block after resumption"
+        );
+    }
 }
 
 /// The plain hot-loop case: no interactions at all, the whole program
@@ -318,13 +339,16 @@ fn hot_arithmetic_loop_is_transparent() {
     c.extend(back);
     c.extend(encode_op(Op::HaltSimulation));
 
-    let mut on = assert_transparent(&c);
-    assert_eq!(local_word(&mut on, 1), 0x4321u32.wrapping_mul(300));
-    assert!(on.stats().trans_blocks > 0, "the loop must be translated");
-    assert!(
-        on.stats().trans_enters as usize > 100,
-        "the loop body must run translated, not interpreted"
-    );
+    for part in parts() {
+        let mut on = assert_transparent(&part, &c);
+        let sum = part.word.mask(0x4321u32.wrapping_mul(300));
+        assert_eq!(local_word(&mut on, 1), sum);
+        assert!(on.stats().trans_blocks > 0, "the loop must be translated");
+        assert!(
+            on.stats().trans_enters as usize > 100,
+            "the loop body must run translated, not interpreted"
+        );
+    }
 }
 
 /// The database search loop's shape (§3.2, §4.2): a replicated `SEQ`
@@ -340,8 +364,8 @@ fn search_loop(n: u32, guard: &str) -> occam::Program {
     occam::compile(&source).expect("search loop compiles")
 }
 
-fn run_program(program: &occam::Program, translate: bool) -> Cpu {
-    let mut cpu = Cpu::new(config(translate));
+fn run_program(part: &CpuConfig, program: &occam::Program, translate: bool) -> Cpu {
+    let mut cpu = Cpu::new(config(part, translate));
     program.load(&mut cpu).expect("program fits");
     match cpu.run_batched(100_000_000).expect("no budget overrun") {
         RunOutcome::Halted(HaltReason::Stopped) => {}
@@ -361,7 +385,8 @@ fn run_program(program: &occam::Program, translate: bool) -> Cpu {
 fn warm_loop_stays_in_the_tier() {
     // Guards the compiler cannot fold, and the most entries a warm
     // iteration may cost under each.
-    for (guard, per_iteration) in [("i < 0", 2), ("i >= 0", 3)] {
+    let cases = [("i < 0", 2), ("i >= 0", 3)];
+    for (part, (guard, per_iteration)) in parts().iter().flat_map(|p| cases.map(|c| (p, c))) {
         // `j 1` over the `SKIP` branch's `j 0`, which lands on the
         // loop end's `ldlp`.
         let code = search_loop(200, guard).code;
@@ -371,8 +396,8 @@ fn warm_loop_stays_in_the_tier() {
                 .any(|w| w[0] == 0x01 && w[1] == 0x00 && w[2] >> 4 == ldlp),
             "`{guard}`: the compiler no longer emits `j 0` before the loop end"
         );
-        let warm = run_program(&search_loop(3, guard), true);
-        let full = assert_transparent_with(|t| run_program(&search_loop(200, guard), t));
+        let warm = run_program(part, &search_loop(3, guard), true);
+        let full = assert_transparent_with(|t| run_program(part, &search_loop(200, guard), t));
         assert_eq!(
             full.stats().decode_misses,
             warm.stats().decode_misses,
