@@ -3,6 +3,7 @@
 use crate::fault::{Fate, LineFaultCounts, LineFaults};
 use crate::packet::{LinkProtocol, PacketKind};
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Transmission speed of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,12 +127,42 @@ pub enum LinkEvent {
     },
 }
 
-/// A packet on the wire: what it is, when it lands, and what the fault
-/// schedule decided about it at transmission start.
+/// What one [`DuplexLink::complete_due`] call took off the wire, in
+/// order: line 0's report, then line 1's, each what its receiving end
+/// sees (nothing when the frame was lost) followed by the reception
+/// start of a queued data frame the completion put on the wire
+/// ([`LinkEvent::DataStarted`], classic lines only). At most four
+/// events; it derefs to the slice of them.
+#[derive(Debug, Clone, Copy)]
+pub struct Landed {
+    events: [LinkEvent; 4],
+    len: usize,
+}
+
+impl Landed {
+    #[inline(always)]
+    fn push(&mut self, event: LinkEvent) {
+        self.events[self.len] = event;
+        self.len += 1;
+    }
+}
+
+impl Deref for Landed {
+    type Target = [LinkEvent];
+
+    #[inline(always)]
+    fn deref(&self) -> &[LinkEvent] {
+        &self.events[..self.len]
+    }
+}
+
+/// A packet on the wire: what it is, when it started and when it lands,
+/// and what the fault schedule decided about it at transmission start.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     kind: PacketKind,
     seq: bool,
+    start_ns: u64,
     done_ns: u64,
     fate: Fate,
 }
@@ -144,64 +175,30 @@ struct Line {
     /// Packets waiting for the wire (acknowledges are queued ahead of
     /// data to keep the reverse path prompt).
     queue: VecDeque<(PacketKind, bool)>,
-    /// Cumulative nanoseconds this line has spent transmitting.
+    /// Transmit time of every frame this line has started, in full.
     busy_ns: u64,
-    /// Fault schedule, if this line is faulty.
-    faults: Option<LineFaults>,
-}
-
-impl Line {
-    /// Put a frame on the idle line at `now`; the fault schedule decides
-    /// its fate here, at transmission start.
-    fn start(
-        &mut self,
-        kind: PacketKind,
-        seq: bool,
-        now: u64,
-        speed: LinkSpeed,
-        protocol: LinkProtocol,
-        dead_from: Option<u64>,
-    ) {
-        let bits = protocol.frame_bits(kind);
-        let mut fate = match &mut self.faults {
-            Some(f) => f.next_fate(bits, speed.bit_time_ns),
-            None => Fate::Deliver { extra_ns: 0 },
-        };
-        let extra = match fate {
-            Fate::Deliver { extra_ns } => extra_ns,
-            _ => 0,
-        };
-        let duration = u64::from(bits) * speed.bit_time_ns + extra;
-        let done_ns = now + duration;
-        if let Some(dead) = dead_from {
-            // Anything still on the wire when it dies is lost.
-            if done_ns > dead {
-                fate = Fate::Lose;
-            }
-        }
-        self.in_flight = Some(InFlight {
-            kind,
-            seq,
-            done_ns,
-            fate,
-        });
-        self.busy_ns += duration;
-    }
 }
 
 /// A bidirectional link: a pair of signal lines. Line `i` carries packets
 /// *from* end `i`: data from `i`'s output channel and acknowledges for
 /// data `i` has received.
+///
+/// The fields every frame reads come first and the fault streams,
+/// read only under a fault plan, last, so a wire event touches few
+/// cache lines.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct DuplexLink {
+    lines: [Line; 2],
     speed: LinkSpeed,
     protocol: LinkProtocol,
-    lines: [Line; 2],
     /// When (if ever) the whole wire dies.
     dead_from: Option<u64>,
     /// Reception starts of the data frames the `send_*` calls put on
     /// the wire, reported by the next [`DuplexLink::advance`].
     pending_events: Vec<LinkEvent>,
+    /// Fault schedule of the line transmitting from each end, if faulty.
+    faults: [Option<LineFaults>; 2],
 }
 
 impl DuplexLink {
@@ -213,6 +210,7 @@ impl DuplexLink {
             lines: [Line::default(), Line::default()],
             dead_from: None,
             pending_events: Vec::new(),
+            faults: [None, None],
         }
     }
 
@@ -223,22 +221,13 @@ impl DuplexLink {
         faults: [Option<LineFaults>; 2],
         dead_from: Option<u64>,
     ) -> DuplexLink {
-        let [fa, fb] = faults;
         DuplexLink {
             speed,
             protocol: LinkProtocol::Robust,
-            lines: [
-                Line {
-                    faults: fa,
-                    ..Line::default()
-                },
-                Line {
-                    faults: fb,
-                    ..Line::default()
-                },
-            ],
+            lines: [Line::default(), Line::default()],
             dead_from,
             pending_events: Vec::new(),
+            faults,
         }
     }
 
@@ -259,7 +248,7 @@ impl DuplexLink {
 
     /// Fault counters of the line transmitting from `from`, if faulty.
     pub fn fault_counts(&self, from: End) -> Option<LineFaultCounts> {
-        self.lines[from.index()].faults.as_ref().map(|f| f.counts())
+        self.faults[from.index()].as_ref().map(|f| f.counts())
     }
 
     /// Queue a data byte for transmission from `from`, with the sequence
@@ -288,6 +277,7 @@ impl DuplexLink {
     /// Returns the reception start of a data frame that went straight
     /// on the wire ([`LinkEvent::DataStarted`]); the `send_*` calls keep
     /// it for the next [`DuplexLink::advance`].
+    #[inline(always)]
     pub fn send(&mut self, from: End, kind: PacketKind, seq: bool, now: u64) -> Option<LinkEvent> {
         let seq = seq && self.protocol == LinkProtocol::Robust;
         let line = &mut self.lines[from.index()];
@@ -299,16 +289,50 @@ impl DuplexLink {
             return None;
         }
         debug_assert!(line.queue.is_empty(), "frames queued behind an idle line");
-        line.start(kind, seq, now, self.speed, self.protocol, self.dead_from);
-        self.start_event(from.index())
+        let frame = self.start(from.index(), kind, seq, now);
+        self.start_event(from.index(), frame)
     }
 
-    /// The reception-start event of the frame line `i` just put on the
-    /// wire, if it is one. Robust receivers cannot acknowledge at
+    /// Put a frame on idle line `i` at `now` and return it; the line's
+    /// fault schedule decides its fate here, at transmission start.
+    #[inline(always)]
+    fn start(&mut self, i: usize, kind: PacketKind, seq: bool, now: u64) -> InFlight {
+        let bits = self.protocol.frame_bits(kind);
+        let mut fate = match &mut self.faults[i] {
+            Some(f) => f.next_fate(bits, self.speed.bit_time_ns),
+            None => Fate::Deliver { extra_ns: 0 },
+        };
+        let extra = match fate {
+            Fate::Deliver { extra_ns } => extra_ns,
+            _ => 0,
+        };
+        let duration = u64::from(bits) * self.speed.bit_time_ns + extra;
+        let done_ns = now + duration;
+        if let Some(dead) = self.dead_from {
+            // Anything still on the wire when it dies is lost.
+            if done_ns > dead {
+                fate = Fate::Lose;
+            }
+        }
+        let frame = InFlight {
+            kind,
+            seq,
+            start_ns: now,
+            done_ns,
+            fate,
+        };
+        let line = &mut self.lines[i];
+        line.in_flight = Some(frame);
+        line.busy_ns += duration;
+        frame
+    }
+
+    /// The reception-start event of frame `p`, which line `i` just put on
+    /// the wire, if it is one. Robust receivers cannot acknowledge at
     /// reception start (the parity check needs the whole frame), so the
     /// early-ack decision point only exists on classic lines.
-    fn start_event(&self, i: usize) -> Option<LinkEvent> {
-        let p = self.lines[i].in_flight.as_ref()?;
+    #[inline(always)]
+    fn start_event(&self, i: usize, p: InFlight) -> Option<LinkEvent> {
         (matches!(p.kind, PacketKind::Data(_))
             && self.protocol == LinkProtocol::Classic
             && p.fate == (Fate::Deliver { extra_ns: 0 }))
@@ -319,7 +343,7 @@ impl DuplexLink {
 
     /// The earliest time at which something will complete, if any packet
     /// is in flight.
-    #[inline]
+    #[inline(always)]
     pub fn next_deadline(&self) -> Option<u64> {
         match (&self.lines[0].in_flight, &self.lines[1].in_flight) {
             (Some(a), Some(b)) => Some(a.done_ns.min(b.done_ns)),
@@ -328,10 +352,15 @@ impl DuplexLink {
         }
     }
 
-    /// Cumulative transmit time of the line driven by `from`, in
-    /// nanoseconds — the numerator of a link-utilisation measurement.
-    pub fn busy_ns(&self, from: End) -> u64 {
-        self.lines[from.index()].busy_ns
+    /// Transmit time of the line driven by `from` elapsed by `now`, in
+    /// nanoseconds — the numerator of a link-utilisation measurement. A
+    /// frame on the wire counts only the part of it sent by `now`.
+    pub fn busy_ns(&self, from: End, now: u64) -> u64 {
+        let line = &self.lines[from.index()];
+        let unsent = line
+            .in_flight
+            .map_or(0, |p| p.done_ns - now.clamp(p.start_ns, p.done_ns));
+        line.busy_ns - unsent
     }
 
     /// Whether both lines are idle with nothing queued.
@@ -349,53 +378,48 @@ impl DuplexLink {
     pub fn advance(&mut self, now: u64) -> Vec<LinkEvent> {
         let mut events = std::mem::take(&mut self.pending_events);
         while let Some(t) = self.next_deadline().filter(|&t| t <= now) {
-            events.extend(self.complete_due(t).into_iter().flatten().flatten());
+            events.extend_from_slice(&self.complete_due(t));
         }
         events
     }
 
     /// Take off the wire every frame due by `now` and start the frame
-    /// queued behind it. Slot `i` is line `i`'s report, in order: what
-    /// its receiving end sees (`None` when nothing was due, or the frame
-    /// was lost), then the reception start of a queued data frame the
-    /// completion put on the wire ([`LinkEvent::DataStarted`], classic
-    /// lines only). Call it no later than each
-    /// [`DuplexLink::next_deadline`], as an event scheduler does: a
-    /// started frame is then never due by the same `now`, so one call
-    /// completes at most one frame a line.
-    #[inline]
-    pub fn complete_due(&mut self, now: u64) -> [[Option<LinkEvent>; 2]; 2] {
-        [self.complete_line(0, now), self.complete_line(1, now)]
+    /// queued behind it, reporting what landed ([`Landed`]). Call it no
+    /// later than each [`DuplexLink::next_deadline`], as an event
+    /// scheduler does: a started frame is then never due by the same
+    /// `now`, so one call completes at most one frame a line.
+    #[inline(always)]
+    pub fn complete_due(&mut self, now: u64) -> Landed {
+        let mut landed = Landed {
+            events: [LinkEvent::Garbled { to: End::A }; 4],
+            len: 0,
+        };
+        self.complete_line(0, now, &mut landed);
+        self.complete_line(1, now, &mut landed);
+        landed
     }
 
-    /// Line `i`'s slot of [`DuplexLink::complete_due`].
-    #[inline]
-    fn complete_line(&mut self, i: usize, now: u64) -> [Option<LinkEvent>; 2] {
+    /// Line `i`'s part of [`DuplexLink::complete_due`].
+    #[inline(always)]
+    fn complete_line(&mut self, i: usize, now: u64, landed: &mut Landed) {
         let line = &mut self.lines[i];
         let p = match line.in_flight {
             Some(p) if p.done_ns <= now => p,
-            _ => return [None, None],
+            _ => return,
         };
         line.in_flight = None;
         let mut started = None;
         if let Some((kind, seq)) = line.queue.pop_front() {
-            line.start(
-                kind,
-                seq,
-                p.done_ns,
-                self.speed,
-                self.protocol,
-                self.dead_from,
-            );
+            let next = self.start(i, kind, seq, p.done_ns);
             debug_assert!(
-                self.lines[i].in_flight.is_none_or(|q| q.done_ns > now),
+                next.done_ns > now,
                 "two frames due on one line: complete_due called past a deadline"
             );
-            started = self.start_event(i);
+            started = self.start_event(i, next);
         }
         let to = End::from_index(i).other();
-        let event = match p.fate {
-            Fate::Deliver { .. } => Some(match p.kind {
+        match p.fate {
+            Fate::Deliver { .. } => landed.push(match p.kind {
                 PacketKind::Data(byte) => LinkEvent::DataDelivered {
                     to,
                     byte,
@@ -404,10 +428,12 @@ impl DuplexLink {
                 PacketKind::Ack => LinkEvent::AckDelivered { to, seq: p.seq },
                 PacketKind::Busy => LinkEvent::BusyDelivered { to, seq: p.seq },
             }),
-            Fate::Garble => Some(LinkEvent::Garbled { to }),
-            Fate::Lose => None,
-        };
-        [event, started]
+            Fate::Garble => landed.push(LinkEvent::Garbled { to }),
+            Fate::Lose => {}
+        }
+        if let Some(started) = started {
+            landed.push(started);
+        }
     }
 }
 
@@ -593,7 +619,9 @@ mod tests {
         /// `advance` is `complete_due` stepped to each deadline, start
         /// events included: the starts that sends report, then each
         /// line's completion and the start it chains, in order; and the
-        /// two links end in the same state.
+        /// two links end in the same state. `advance` is built from
+        /// `complete_due`, so an order they share is pinned by the
+        /// hand-written cases below.
         #[test]
         fn advance_is_complete_due_at_each_deadline(
             (variant, seed, dead_ns) in (0u8..5, any::<u64>(), 0u64..60_000),
@@ -634,16 +662,19 @@ mod tests {
                         let want = reference.advance(now);
                         let mut got = std::mem::take(&mut starts);
                         while let Some(t) = stepped.next_deadline().filter(|&t| t <= now) {
-                            let lines = stepped.complete_due(t);
-                            both += usize::from(lines[0][0].is_some() && lines[1][0].is_some());
-                            got.extend(lines.into_iter().flatten().flatten());
+                            let landed = stepped.complete_due(t);
+                            let reached = landed
+                                .iter()
+                                .filter(|ev| !matches!(ev, LinkEvent::DataStarted { .. }));
+                            both += usize::from(reached.count() == 2);
+                            got.extend_from_slice(&landed);
                         }
                         prop_assert_eq!(&got, &want, "at {}", now);
                     }
                 }
                 prop_assert_eq!(stepped.next_deadline(), reference.next_deadline());
                 for end in [End::A, End::B] {
-                    prop_assert_eq!(stepped.busy_ns(end), reference.busy_ns(end));
+                    prop_assert_eq!(stepped.busy_ns(end, now), reference.busy_ns(end, now));
                 }
                 prop_assert_eq!(stepped.is_quiescent(), reference.is_quiescent());
             }
@@ -670,6 +701,95 @@ mod tests {
         assert!(d > 1300 && d <= most, "jittered deadline {d}");
         let evs = link.advance(d);
         assert_eq!(evs.len(), 1);
-        assert_eq!(link.busy_ns(End::A), d);
+        assert_eq!(link.busy_ns(End::A, d), d);
+    }
+
+    /// Both lines complete in one call, each with a data frame queued
+    /// behind it: line 0's delivery, the start it chains, then line 1's
+    /// delivery and its chained start.
+    #[test]
+    fn complete_due_reports_line_0_then_line_1_each_before_its_chained_start() {
+        let mut link = DuplexLink::new(LinkSpeed::standard());
+        for (from, first, second) in [(End::A, 1, 2), (End::B, 3, 4)] {
+            link.send_data_seq(from, first, false, 0);
+            link.send_data_seq(from, second, false, 0);
+        }
+        let _ = link.advance(0);
+        let landed = link.complete_due(1100);
+        assert_eq!(
+            *landed,
+            [
+                LinkEvent::DataDelivered {
+                    to: End::B,
+                    byte: 1,
+                    seq: false,
+                },
+                LinkEvent::DataStarted { to: End::B },
+                LinkEvent::DataDelivered {
+                    to: End::A,
+                    byte: 3,
+                    seq: false,
+                },
+                LinkEvent::DataStarted { to: End::A },
+            ]
+        );
+        assert_eq!(link.next_deadline(), Some(2200));
+    }
+
+    /// The same on a robust link, which reports no starts: line 0's
+    /// acknowledge, then line 1's data byte, whatever each chains.
+    #[test]
+    fn complete_due_reports_line_0_first_on_a_robust_link() {
+        let mut link = DuplexLink::new_robust(LinkSpeed::standard(), [None, None], None);
+        link.send_ack_seq(End::A, true, 800);
+        link.send_data_seq(End::A, 5, false, 800);
+        link.send_data_seq(End::B, 6, true, 0);
+        link.send_ack_seq(End::B, false, 0);
+        assert!(link.advance(0).is_empty());
+        let landed = link.complete_due(1300);
+        assert_eq!(
+            *landed,
+            [
+                LinkEvent::AckDelivered {
+                    to: End::B,
+                    seq: true,
+                },
+                LinkEvent::DataDelivered {
+                    to: End::A,
+                    byte: 6,
+                    seq: true,
+                },
+            ]
+        );
+    }
+
+    /// A line not yet due reports nothing, and a line that chains an
+    /// acknowledge reports no start.
+    #[test]
+    fn complete_due_reports_only_the_lines_that_landed() {
+        let mut link = DuplexLink::new(LinkSpeed::standard());
+        link.send_data_seq(End::A, 1, false, 0);
+        link.send_ack_seq(End::A, false, 0);
+        link.send_ack_seq(End::B, false, 0);
+        link.send_data_seq(End::B, 2, false, 0);
+        let _ = link.advance(0);
+        assert_eq!(
+            *link.complete_due(200),
+            [
+                LinkEvent::AckDelivered {
+                    to: End::A,
+                    seq: false,
+                },
+                LinkEvent::DataStarted { to: End::A },
+            ]
+        );
+        assert_eq!(
+            *link.complete_due(1100),
+            [LinkEvent::DataDelivered {
+                to: End::B,
+                byte: 1,
+                seq: false,
+            }]
+        );
     }
 }

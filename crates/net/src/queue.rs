@@ -106,6 +106,7 @@ impl EventQueue {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn push(&mut self, t: u64, actor: Actor) {
         self.seq += 1;
         assert!(
@@ -138,6 +139,7 @@ impl EventQueue {
 
     /// The smallest key of each lane: the head of the first occupied slot
     /// from the window's start on, with that slot, and the far heap's top.
+    #[inline(always)]
     fn heads(&self) -> (Option<(usize, Key)>, Option<Key>) {
         let s0 = self.base as usize % SLOTS;
         let ahead = self.occupied.rotate_right(s0 as u32);
@@ -149,6 +151,7 @@ impl EventQueue {
     }
 
     /// Time of the entry the next [`EventQueue::pop`] returns.
+    #[inline(always)]
     pub(crate) fn peek_time(&self) -> Option<u64> {
         match self.heads() {
             (Some((_, n)), Some(f)) => Some(n.min(f).0),
@@ -156,6 +159,7 @@ impl EventQueue {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn pop(&mut self) -> Option<(u64, Actor)> {
         let (t, k) = match self.heads() {
             (Some((s, n)), f) if f.is_none_or(|f| n < f) => {
@@ -178,8 +182,12 @@ impl EventQueue {
             }
         };
         let index = (k & (WIRE_BIT - 1)) as usize;
-        let wire = k & WIRE_BIT != 0;
-        Some((t, if wire { Actor::Wire } else { Actor::Node }(index)))
+        let actor = if k & WIRE_BIT != 0 {
+            Actor::Wire(index)
+        } else {
+            Actor::Node(index)
+        };
+        Some((t, actor))
     }
 }
 

@@ -14,9 +14,9 @@
 //!
 //! **Determinism.** The router has no clock of its own: every state
 //! change happens either at a wire event (delivered data byte,
-//! acknowledge) — which all three engines process at identical times —
-//! or at a CPU link-service point, which the sliced engines stamp with
-//! the exact interaction-instruction time the event engine would have
+//! acknowledge) — which both engines process at identical times — or
+//! at a CPU link-service point, which the sliced engine stamps with the
+//! exact interaction-instruction time the event engine would have
 //! used. Per-wire forwarding queues are bounded
 //! (`FORWARD_CAPACITY`); a full queue withholds the
 //! acknowledge of the packet's final byte, so backpressure propagates
@@ -41,15 +41,21 @@
 //! wires: under a fault plan a wire can die, and a stream it cut would
 //! lose its tail, so a faulted network forwards store-and-forward.
 //!
-//! The router returns its effects as `Act`s rather than touching
-//! wires directly; the simulator applies them, which keeps all wire
-//! bookkeeping (resend registration, scheduling) in one place.
+//! The router puts each frame on its wire, and schedules each node it
+//! wakes, the moment it decides to, through the simulator's
+//! `Fabric`: its `put` is the one way any frame reaches a wire, so
+//! the wire bookkeeping (sequence bits, resend registration, scheduling)
+//! stays in one place. The router reads no wire state; the drain hands
+//! it a wire's events once the wire's filter has passed all of them, so
+//! its frames see the wire as the act list it replaced did.
 
 use std::collections::{HashSet, VecDeque};
 
 use transputer::Cpu;
 use transputer_link::vc::{VcHeader, HEADER_BYTES, MAX_PAYLOAD};
+use transputer_link::PacketKind;
 
+use crate::sim::Fabric;
 use crate::topology::{route_tables, Adjacency, NO_ROUTE};
 
 /// A virtual channel's endpoints: `(source, destination)`, each a
@@ -370,33 +376,18 @@ impl NodeRouter {
 
     /// Put `port`'s next byte on the wire if its source holds it;
     /// return whether a byte went out.
-    fn send_next(&mut self, node: usize, port: usize, acts: &mut Vec<(usize, Act)>) -> bool {
+    fn send_next(&mut self, fabric: &mut Fabric, node: usize, port: usize, now_ns: u64) -> bool {
         let (pkt, have) = self.tx_source(port);
         let next = self.tx[port].next;
         if next == have {
             return false;
         }
         let byte = pkt.byte(next);
-        acts.push((node, Act::Data { port, byte }));
+        fabric.put(node, port, PacketKind::Data(byte), now_ns);
         self.tx[port].next += 1;
         self.tx[port].inflight = true;
         true
     }
-}
-
-/// A wire- or scheduler-visible effect the router asks the simulator to
-/// apply, attributed to one node. The wire end stamps each frame with
-/// its sequence bit.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Act {
-    /// Put a data byte on the wire at this node's physical `port`.
-    Data { port: usize, byte: u8 },
-    /// Acknowledge on the wire at `port`.
-    Ack { port: usize },
-    /// Robust busy notice on `port` (a withheld acknowledge exists).
-    Busy { port: usize },
-    /// The node's CPU went from idle to runnable; schedule it.
-    Wake,
 }
 
 /// The network-wide router: routing tables, virtual-channel map, and
@@ -501,9 +492,9 @@ impl RouterNet {
     pub(crate) fn service_node(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         let was_idle = cpus[node].is_idle();
         for port in 0..4 {
@@ -512,12 +503,12 @@ impl RouterNet {
                 if let Some(d) = &mut self.nodes[node].delivery[port] {
                     d.waiting = false;
                 }
-                self.continue_delivery(cpus, node, port, now_ns, acts);
+                self.continue_delivery(cpus, fabric, node, port, now_ns);
             }
         }
-        self.drain_injection(cpus, node, now_ns, acts);
+        self.drain_injection(cpus, fabric, node, now_ns);
         if was_idle && !cpus[node].is_idle() {
-            acts.push((node, Act::Wake));
+            fabric.schedule_node(node, now_ns);
         }
     }
 
@@ -526,10 +517,10 @@ impl RouterNet {
     fn continue_delivery(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         port: usize,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         loop {
             let Some(mut d) = self.nodes[node].delivery[port] else {
@@ -544,7 +535,7 @@ impl RouterNet {
                 self.nodes[node].delivery[port] = None;
                 self.nodes[node].open_vc[port] = if d.pkt.eom { None } else { Some(d.pkt.vc) };
                 self.stats.packets_delivered += 1;
-                self.unpark(cpus, node, now_ns, acts);
+                self.unpark(cpus, fabric, node, now_ns);
                 return;
             }
             let byte = d.pkt.data[usize::from(d.pos)];
@@ -559,10 +550,10 @@ impl RouterNet {
     fn accept_local(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         pkt: Packet,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) -> bool {
         let (_, port) = self.vc_dst[usize::from(pkt.vc)];
         let r = &mut self.nodes[node];
@@ -575,7 +566,7 @@ impl RouterNet {
             pos: 0,
             waiting: false,
         });
-        self.continue_delivery(cpus, node, port, now_ns, acts);
+        self.continue_delivery(cpus, fabric, node, port, now_ns);
         true
     }
 
@@ -585,13 +576,13 @@ impl RouterNet {
     fn route_packet(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         pkt: Packet,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) -> bool {
         if self.vc_dst[usize::from(pkt.vc)].0 == node {
-            return self.accept_local(cpus, node, pkt, now_ns, acts);
+            return self.accept_local(cpus, fabric, node, pkt, now_ns);
         }
         let Some(port) = self.out_port(node, pkt.vc) else {
             self.stats.packets_dropped += 1;
@@ -601,30 +592,23 @@ impl RouterNet {
             return false;
         }
         self.stats.packets_forwarded += 1;
-        self.enqueue(node, port, pkt, now_ns, acts);
+        self.enqueue(fabric, node, port, pkt, now_ns);
         true
     }
 
     /// Append a packet to a physical out port's queue, starting the
     /// transmitter if the port is free.
-    fn enqueue(
-        &mut self,
-        node: usize,
-        port: usize,
-        pkt: Packet,
-        now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
-    ) {
+    fn enqueue(&mut self, fabric: &mut Fabric, node: usize, port: usize, pkt: Packet, now_ns: u64) {
         self.nodes[node].outq[port].push_back(pkt);
-        self.start_tx(node, port, now_ns, acts);
+        self.start_tx(fabric, node, port, now_ns);
     }
 
     /// Start `port`'s transmitter on its queue's front packet, if the
     /// port is free and the queue is not empty.
-    fn start_tx(&mut self, node: usize, port: usize, now_ns: u64, acts: &mut Vec<(usize, Act)>) {
+    fn start_tx(&mut self, fabric: &mut Fabric, node: usize, port: usize, now_ns: u64) {
         let r = &self.nodes[node];
         if r.tx_idle(port) && !r.outq[port].is_empty() {
-            self.launch(node, port, None, now_ns, acts);
+            self.launch(fabric, node, port, None, now_ns);
         }
     }
 
@@ -634,11 +618,11 @@ impl RouterNet {
     /// header-forwarding latency is decided here.
     fn launch(
         &mut self,
+        fabric: &mut Fabric,
         node: usize,
         port: usize,
         feed: Option<usize>,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         let r = &mut self.nodes[node];
         r.tx[port] = Tx {
@@ -648,7 +632,7 @@ impl RouterNet {
         };
         let enq_ns = r.tx_source(port).0.enq_ns;
         self.stats.record_hop(now_ns.saturating_sub(enq_ns));
-        r.send_next(node, port, acts);
+        r.send_next(fabric, node, port, now_ns);
     }
 
     /// A fresh acknowledge arrived on `node`'s physical `port` (the wire
@@ -656,24 +640,24 @@ impl RouterNet {
     pub(crate) fn phys_ack(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         port: usize,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         let r = &mut self.nodes[node];
         debug_assert!(
             r.tx[port].inflight,
             "a fresh acknowledge has a byte awaiting it"
         );
-        if r.send_next(node, port, acts) {
+        if r.send_next(fabric, node, port, now_ns) {
             // Mid-packet: the next byte went out; the CPU is not party.
             // A relayed byte returned a flit credit: release a withheld
             // upstream acknowledge.
             if let Some(q) = r.tx[port].feed {
                 if r.withheld[q] && r.rx[q].got - r.tx[port].next < STREAM_CREDITS {
                     r.withheld[q] = false;
-                    acts.push((node, Act::Ack { port: q }));
+                    fabric.put(node, q, PacketKind::Ack, now_ns);
                 }
             }
             return;
@@ -686,14 +670,14 @@ impl RouterNet {
         let was_idle = cpus[node].is_idle();
         r.outq[port].pop_front();
         r.tx[port] = Tx::default();
-        self.start_tx(node, port, now_ns, acts);
+        self.start_tx(fabric, node, port, now_ns);
         // A queue slot freed: parked packets and stalled local injection
         // may proceed now, at this wire event's time, in every engine
         // alike.
-        self.unpark(cpus, node, now_ns, acts);
-        self.drain_injection(cpus, node, now_ns, acts);
+        self.unpark(cpus, fabric, node, now_ns);
+        self.drain_injection(cpus, fabric, node, now_ns);
         if was_idle && !cpus[node].is_idle() {
-            acts.push((node, Act::Wake));
+            fabric.schedule_node(node, now_ns);
         }
     }
 
@@ -702,22 +686,22 @@ impl RouterNet {
     pub(crate) fn phys_data(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         node: usize,
         port: usize,
         byte: u8,
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         let r = &mut self.nodes[node];
         let done = r.rx[port].push(byte, now_ns);
         if r.rx[port].got == HEADER_BYTES {
-            self.try_cut_through(node, port, now_ns, acts);
+            self.try_cut_through(fabric, node, port, now_ns);
         }
         let r = &mut self.nodes[node];
         if let Some(op) = r.rx[port].relay {
             // A relay starved for this byte sends it at once.
             if !r.tx[op].inflight {
-                r.send_next(node, op, acts);
+                r.send_next(fabric, node, op, now_ns);
             }
             if done {
                 // Tail: the packet is whole, so the rest of its
@@ -732,18 +716,18 @@ impl RouterNet {
                 r.withheld[port] = true;
                 return;
             }
-            acts.push((node, Act::Ack { port }));
+            fabric.put(node, port, PacketKind::Ack, now_ns);
             return;
         }
         if !done {
             // Mid-packet: the CPU is not party.
-            acts.push((node, Act::Ack { port }));
+            fabric.put(node, port, PacketKind::Ack, now_ns);
             return;
         }
         let pkt = std::mem::take(&mut r.rx[port]).pkt;
         let was_idle = cpus[node].is_idle();
-        if self.route_packet(cpus, node, pkt, now_ns, acts) {
-            acts.push((node, Act::Ack { port }));
+        if self.route_packet(cpus, fabric, node, pkt, now_ns) {
+            fabric.put(node, port, PacketKind::Ack, now_ns);
         } else {
             // No room: park the packet and withhold the final byte's
             // acknowledge — the upstream transmitter stalls, which is
@@ -752,7 +736,7 @@ impl RouterNet {
             self.nodes[node].withheld[port] = true;
         }
         if was_idle && !cpus[node].is_idle() {
-            acts.push((node, Act::Wake));
+            fabric.schedule_node(node, now_ns);
         }
     }
 
@@ -763,13 +747,7 @@ impl RouterNet {
     /// port falls back to store-and-forward for this packet, and local
     /// delivery and an unreachable destination reassemble the whole
     /// packet first.
-    fn try_cut_through(
-        &mut self,
-        node: usize,
-        port: usize,
-        now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
-    ) {
+    fn try_cut_through(&mut self, fabric: &mut Fabric, node: usize, port: usize, now_ns: u64) {
         if !self.cut_through {
             return;
         }
@@ -785,7 +763,7 @@ impl RouterNet {
         // The stream's hop: first header byte arriving to the header
         // starting back out — the cut-through latency itself. From here
         // on the record's stamp is the header-decode instant.
-        self.launch(node, op, Some(port), now_ns, acts);
+        self.launch(fabric, node, op, Some(port), now_ns);
         self.nodes[node].rx[port].pkt.enq_ns = now_ns;
     }
 
@@ -794,14 +772,14 @@ impl RouterNet {
     /// acknowledge. The packet leaves its slot while it is routed: a
     /// delivery it completes on the spot unparks again, and must not
     /// find it there.
-    fn unpark(&mut self, cpus: &mut [Cpu], node: usize, now_ns: u64, acts: &mut Vec<(usize, Act)>) {
+    fn unpark(&mut self, cpus: &mut [Cpu], fabric: &mut Fabric, node: usize, now_ns: u64) {
         for port in 0..4 {
             let Some(pkt) = self.nodes[node].parked[port].take() else {
                 continue;
             };
-            if self.route_packet(cpus, node, pkt, now_ns, acts) {
+            if self.route_packet(cpus, fabric, node, pkt, now_ns) {
                 self.nodes[node].withheld[port] = false;
-                acts.push((node, Act::Ack { port }));
+                fabric.put(node, port, PacketKind::Ack, now_ns);
             } else {
                 self.nodes[node].parked[port] = Some(pkt);
             }
@@ -811,13 +789,7 @@ impl RouterNet {
     /// Pull output bytes from the CPU's link transmitters into packets.
     /// Stalls only at packet boundaries, and only while the target out
     /// queue is full.
-    fn drain_injection(
-        &mut self,
-        cpus: &mut [Cpu],
-        node: usize,
-        now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
-    ) {
+    fn drain_injection(&mut self, cpus: &mut [Cpu], fabric: &mut Fabric, node: usize, now_ns: u64) {
         for port in 0..4 {
             if self.nodes[node].out_vcs[port].is_empty() {
                 continue;
@@ -865,7 +837,7 @@ impl RouterNet {
                 match out_port {
                     Some(p) => {
                         self.nodes[node].reserved[p] -= 1;
-                        self.enqueue(node, p, pkt, now_ns, acts);
+                        self.enqueue(fabric, node, p, pkt, now_ns);
                     }
                     None => self.stats.packets_dropped += 1,
                 }
@@ -887,10 +859,10 @@ impl RouterNet {
     pub(crate) fn wire_failed(
         &mut self,
         cpus: &mut [Cpu],
+        fabric: &mut Fabric,
         wire: usize,
         ends: [(usize, usize); 2],
         now_ns: u64,
-        acts: &mut Vec<(usize, Act)>,
     ) {
         debug_assert!(!self.cut_through, "a wire died under cut-through");
         if !self.dead.insert(wire) {
@@ -909,7 +881,7 @@ impl RouterNet {
                 match self.out_port(node, pkt.vc) {
                     // Requeue past the capacity bound: the bound gates
                     // new admissions, not rescue traffic.
-                    Some(next) => self.enqueue(node, next, pkt, now_ns, acts),
+                    Some(next) => self.enqueue(fabric, node, next, pkt, now_ns),
                     None => self.stats.packets_dropped += 1,
                 }
             }
@@ -930,8 +902,8 @@ impl RouterNet {
                 }
                 r.build[cpu_port] = Some(Build { out_port, ..b });
             }
-            self.unpark(cpus, node, now_ns, acts);
-            self.drain_injection(cpus, node, now_ns, acts);
+            self.unpark(cpus, fabric, node, now_ns);
+            self.drain_injection(cpus, fabric, node, now_ns);
         }
     }
 

@@ -24,8 +24,8 @@ use std::fmt;
 use transputer::{Cpu, CpuConfig, HaltReason};
 use transputer_link::{AckPolicy, DuplexLink, End, FaultPlan, LinkProtocol, LinkSpeed, PacketKind};
 
-use crate::queue::{Actor, EventQueue};
-use crate::router::{Act, RouterConfig, RouterNet, RouterStats};
+use crate::queue::EventQueue;
+use crate::router::{RouterConfig, RouterNet, RouterStats};
 use crate::topology::{adjacency, hypercube_tables, route_tables, WireEnds};
 
 mod handlers;
@@ -356,24 +356,26 @@ impl NetworkBuilder {
         let mut net = Network {
             config: self.config,
             nodes: self.nodes.into_iter().map(Cpu::new).collect(),
-            wires,
-            hot,
-            queue,
+            fabric: Fabric {
+                wires,
+                wire_next: vec![u64::MAX; w],
+                queue,
+                hot,
+                robust,
+                routed: router.is_some(),
+            },
             now_ns: 0,
             ea_primed: false,
             horizon_ns: None,
             data_ns,
             ack_ns,
-            robust,
-            wire_next: vec![u64::MAX; w],
             router,
             halted_below: Cell::new(0),
             last_halt_ns: 0,
-            acts: Vec::new(),
             pops: PopCounts::default(),
         };
         for i in 0..n {
-            net.schedule_node(i, 0);
+            net.fabric.schedule_node(i, 0);
         }
         net
     }
@@ -408,15 +410,34 @@ struct NodeHot {
     fenced: Vec<bool>,
 }
 
+/// What the wire path writes, and its three writers: [`Fabric::put`]
+/// puts a frame on a wire, `schedule_wire` and `schedule_node` queue a
+/// wire or a node. A router calls them the moment it decides to.
+#[derive(Debug)]
+pub(crate) struct Fabric {
+    wires: Vec<Wire>,
+    /// Pop time of each wire's single live heap entry (`u64::MAX` =
+    /// none), maintained by [`Fabric::schedule_wire`]. Doubles as the
+    /// dedup guard — a popped entry whose time no longer matches is
+    /// stale and skipped — and feeds the slice bounds without
+    /// rescanning link state (never later than the wire's true next
+    /// event, so the bounds stay conservative).
+    wire_next: Vec<u64>,
+    queue: EventQueue,
+    /// Dense per-node scheduling state (the hot side of the node split).
+    hot: NodeHot,
+    /// Whether the wires speak the robust protocol (fault plan present).
+    robust: bool,
+    /// Whether a router owns every wire end.
+    routed: bool,
+}
+
 /// A running network of transputers.
 #[derive(Debug)]
 pub struct Network {
     config: NetworkConfig,
     nodes: Vec<Cpu>,
-    wires: Vec<Wire>,
-    /// Dense per-node scheduling state (the hot side of the node split).
-    hot: NodeHot,
-    queue: EventQueue,
+    fabric: Fabric,
     now_ns: u64,
     /// Whether `hot.ea` has been initialised from live link state.
     ea_primed: bool,
@@ -426,15 +447,6 @@ pub struct Network {
     data_ns: u64,
     /// Flight time of an acknowledge packet.
     ack_ns: u64,
-    /// Whether the wires speak the robust protocol (fault plan present).
-    robust: bool,
-    /// Pop time of each wire's single live heap entry (`u64::MAX` =
-    /// none), maintained by [`Self::schedule_wire`]. Doubles as the
-    /// dedup guard — a popped entry whose time no longer matches is
-    /// stale and skipped — and feeds the slice bounds without
-    /// rescanning link state (never later than the wire's true next
-    /// event, so the bounds stay conservative).
-    wire_next: Vec<u64>,
     /// The virtual-channel router, when enabled: it owns every wire
     /// endpoint, and the CPUs' link ports become virtual-channel
     /// endpoints (see [`crate::router`]).
@@ -447,9 +459,6 @@ pub struct Network {
     /// once the queue has caught up with it (see
     /// [`Network::all_halted`]).
     last_halt_ns: u64,
-    /// Scratch for one router call's requested effects, reused across
-    /// calls.
-    acts: Vec<(usize, Act)>,
     pops: PopCounts,
 }
 
@@ -516,24 +525,24 @@ impl Network {
     /// Data bytes delivered over a wire, per direction. Under the robust
     /// protocol only accepted (non-duplicate) bytes count.
     pub fn wire_delivered(&self, wire: usize) -> (u64, u64) {
-        (self.wires[wire].delivered[0], self.wires[wire].delivered[1])
+        self.fabric.wires[wire].delivered.into()
     }
 
     /// Whether each transmit direction of a wire (from end 0, from end 1)
     /// has been declared failed after exhausting its retry budget.
     pub fn wire_failed(&self, wire: usize) -> (bool, bool) {
-        (self.wires[wire].failed[0], self.wires[wire].failed[1])
+        self.fabric.wires[wire].failed.into()
     }
 
     /// Whether any wire direction in the network has been declared
     /// failed.
     pub fn any_link_failed(&self) -> bool {
-        self.wires.iter().any(|w| w.failed[0] || w.failed[1])
+        self.fabric.wires.iter().any(|w| w.failed[0] || w.failed[1])
     }
 
     /// Both ends of a wire, A then B, as it was connected.
     pub fn wire_ends(&self, wire: usize) -> WireEnds {
-        let [a, b] = self.wires[wire].ends;
+        let [a, b] = self.fabric.wires[wire].ends;
         (a, b)
     }
 
@@ -568,26 +577,19 @@ impl Network {
 
     /// Number of wires.
     pub fn wire_count(&self) -> usize {
-        self.wires.len()
+        self.fabric.wires.len()
     }
 
     /// Utilisation of a wire's two directions (from end 0, from end 1)
-    /// over the elapsed simulation time, each in [0, 1]: cumulative
-    /// transmit time over elapsed time.
+    /// over the elapsed simulation time, each in [0, 1]: transmit time
+    /// elapsed by now over elapsed time.
     pub fn wire_utilization(&self, wire: usize) -> (f64, f64) {
         if self.now_ns == 0 {
             return (0.0, 0.0);
         }
-        let busy = |end| self.wires[wire].link.busy_ns(end) as f64 / self.now_ns as f64;
+        let link = &self.fabric.wires[wire].link;
+        let busy = |end| link.busy_ns(end, self.now_ns) as f64 / self.now_ns as f64;
         (busy(End::A), busy(End::B))
-    }
-
-    pub(super) fn schedule_node(&mut self, node: usize, at: u64) {
-        if !self.hot.scheduled[node] {
-            self.hot.scheduled[node] = true;
-            self.hot.next_ns[node] = at;
-            self.queue.push(at, Actor::Node(node));
-        }
     }
 
     /// Whether every node has halted cleanly. Amortised O(1) per heap
@@ -607,6 +609,7 @@ impl Network {
         // as they did before the event engine reached that instruction.
         below == self.nodes.len()
             && self
+                .fabric
                 .queue
                 .peek_time()
                 .is_none_or(|t| t >= self.last_halt_ns)
@@ -643,7 +646,7 @@ impl Network {
             if self.now_ns >= end {
                 break Ok(SimOutcome::TimeLimit);
             }
-            if self.queue.peek_time().is_some_and(|t| t >= end) {
+            if self.fabric.queue.peek_time().is_some_and(|t| t >= end) {
                 self.now_ns = end;
                 break Ok(SimOutcome::TimeLimit);
             }

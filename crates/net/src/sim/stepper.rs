@@ -81,7 +81,7 @@ impl Network {
     /// node arm.
     fn step(&mut self, engine: Engine) -> Result<bool, SimError> {
         self.prime_ea();
-        let Some((t, actor)) = self.queue.pop() else {
+        let Some((t, actor)) = self.fabric.queue.pop() else {
             return Ok(false);
         };
         self.now_ns = self.now_ns.max(t);
@@ -116,17 +116,17 @@ impl Network {
     /// nodes run they are rescheduled strictly later than `t`.
     fn wire_pop_deferred(&mut self, w: usize, t: u64) -> bool {
         // A clean routed wire holds neither a probe nor a resend.
-        if self.router.is_some() && !self.robust {
+        if self.router.is_some() && !self.fabric.robust {
             return false;
         }
         // A node entry pending at `t` would be the queue's next entry.
-        if !self.wires[w].due_exactly_at(t) || self.queue.peek_time() != Some(t) {
+        if !self.fabric.wires[w].due_exactly_at(t) || self.fabric.queue.peek_time() != Some(t) {
             return false;
         }
-        let node_pending =
-            (0..self.nodes.len()).any(|n| self.hot.scheduled[n] && self.hot.next_ns[n] == t);
+        let hot = &self.fabric.hot;
+        let node_pending = (0..self.nodes.len()).any(|n| hot.scheduled[n] && hot.next_ns[n] == t);
         if node_pending {
-            self.queue.push(t, Actor::Wire(w));
+            self.fabric.queue.push(t, Actor::Wire(w));
         }
         node_pending
     }
@@ -137,8 +137,8 @@ impl Network {
     /// it) and then fire due retransmissions.
     fn pop_wire(&mut self, w: usize, t: u64) -> bool {
         self.pops.wire += 1;
-        if self.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
-            self.wire_next[w] = u64::MAX;
+        if self.fabric.wire_next[w] == t && !self.wire_pop_deferred(w, t) {
+            self.fabric.wire_next[w] = u64::MAX;
             true
         } else {
             self.pops.stale_wire += 1;
@@ -149,7 +149,7 @@ impl Network {
     /// The Event oracle's node arm: one instruction, its link service
     /// stamped at the frontier, and the node's next entry.
     fn step_instruction(&mut self, n: usize) -> Result<(), SimError> {
-        self.hot.scheduled[n] = false;
+        self.fabric.hot.scheduled[n] = false;
         let now = self.now_ns;
         if self.nodes[n].is_idle() {
             // Bring the idle node's local clock up to global time (this
@@ -163,11 +163,14 @@ impl Network {
             }
         }
         self.service_node_links_at(n, now);
+        let fabric = &mut self.fabric;
         match event {
-            StepEvent::Ran { cycles } => self.schedule_node(n, now + u64::from(cycles) * CYCLE_NS),
+            StepEvent::Ran { cycles } => {
+                fabric.schedule_node(n, now + u64::from(cycles) * CYCLE_NS)
+            }
             StepEvent::Idle => {
                 if let Some(wake_cycle) = self.nodes[n].next_timer_wake_cycle() {
-                    self.schedule_node(n, (wake_cycle * CYCLE_NS).max(now + 1));
+                    fabric.schedule_node(n, (wake_cycle * CYCLE_NS).max(now + 1));
                 }
                 // Otherwise: the node sleeps until a wire wakes it.
             }
@@ -178,20 +181,20 @@ impl Network {
 
     /// The Sliced node arm: bound the slice, run it, apply it.
     fn step_slice(&mut self, n: usize, t: u64) -> Result<(), SimError> {
-        if std::mem::take(&mut self.hot.fenced[n])
-            && self.hot.ports[n]
+        if std::mem::take(&mut self.fabric.hot.fenced[n])
+            && self.fabric.hot.ports[n]
                 .iter()
-                .any(|&w| w != usize::MAX && self.wire_next[w] == t)
+                .any(|&w| w != usize::MAX && self.fabric.wire_next[w] == t)
         {
             // The node ran ahead and was fenced off this link
             // instruction: its entry was pushed before its wires' entries
             // for the same instant existed. Re-queue it behind them, once
             // — the order a node stopping at a wire bound gets.
-            self.queue.push(t, Actor::Node(n));
+            self.fabric.queue.push(t, Actor::Node(n));
             return Ok(());
         }
-        self.hot.scheduled[n] = false;
-        let t_peek = self.queue.peek_time();
+        self.fabric.hot.scheduled[n] = false;
+        let t_peek = self.fabric.queue.peek_time();
         // Two horizons: link instructions run to the fence, before which
         // no wire event can reach this node; a node no wire event can
         // disturb runs everything else on, to the end of the run.
@@ -210,13 +213,13 @@ impl Network {
     /// faster than the heap frontier plus one acknowledge flight).
     fn peer_activity_ns(&self, m: usize, t_peek: Option<u64>) -> u64 {
         let mut act = u64::MAX;
-        if self.hot.scheduled[m] {
-            act = self.hot.next_ns[m];
+        if self.fabric.hot.scheduled[m] {
+            act = self.fabric.hot.next_ns[m];
         }
         for port in 0..4 {
-            let w = self.hot.ports[m][port];
+            let w = self.fabric.hot.ports[m][port];
             if w != usize::MAX {
-                act = act.min(self.wire_next[w]);
+                act = act.min(self.fabric.wire_next[w]);
             }
         }
         if let Some(tp) = t_peek {
@@ -225,7 +228,7 @@ impl Network {
             if tp.saturating_add(self.ack_ns.min(self.data_ns)) < act {
                 // An acknowledge can only land on a port whose owner
                 // awaits one; any other first arrival is a data packet.
-                let ports = &self.hot.ports[m];
+                let ports = &self.fabric.hot.ports[m];
                 let awaiting = (0..4).any(|p| ports[p] != usize::MAX && self.awaits_ack(m, p));
                 let hop_in = if awaiting { self.ack_ns } else { self.data_ns };
                 act = act.min(tp.saturating_add(hop_in));
@@ -240,12 +243,12 @@ impl Network {
     fn slice_bound_ns(&self, node: usize, t_peek: Option<u64>) -> u64 {
         let mut direct = u64::MAX;
         for port in 0..4 {
-            let w = self.hot.ports[node][port];
+            let w = self.fabric.hot.ports[node][port];
             if w == usize::MAX {
                 continue;
             }
-            direct = direct.min(self.wire_next[w]);
-            let peer = self.hot.peers[node][port];
+            direct = direct.min(self.fabric.wire_next[w]);
+            let peer = self.fabric.hot.peers[node][port];
             // The first packet the peer could land on this node: an
             // acknowledge if our byte awaits one, else a data byte.
             let hop = if self.awaits_ack(node, port) {
@@ -315,10 +318,10 @@ impl Network {
                     // pops it once more, where its last instruction
                     // ended, finds it idle and brings the clock up;
                     // timers and the cycle count depend on that.
-                    self.schedule_node(node, end_ns);
+                    self.fabric.schedule_node(node, end_ns);
                 } else if let Some(wake_cycle) = self.nodes[node].next_timer_wake_cycle() {
                     let at = (wake_cycle * CYCLE_NS).max(end_ns + 1);
-                    self.schedule_node(node, at);
+                    self.fabric.schedule_node(node, at);
                 }
                 // Otherwise: the node sleeps until a wire wakes it.
             }
@@ -330,7 +333,7 @@ impl Network {
             | SliceOutcome::Fenced => {
                 // A fenced instruction has not run: the node resumes at
                 // its start, `end_ns`, with nothing to service.
-                self.hot.fenced[node] = outcome == SliceOutcome::Fenced;
+                self.fabric.hot.fenced[node] = outcome == SliceOutcome::Fenced;
                 let stamp =
                     t + (self.nodes[node].slice_interaction_cycle() - pop_cycles) * CYCLE_NS;
                 if self.nodes[node].take_links_dirty() {
@@ -341,7 +344,7 @@ impl Network {
                     // still changed at the interaction instruction.
                     self.refresh_ea(node, stamp);
                 }
-                self.schedule_node(node, end_ns);
+                self.fabric.schedule_node(node, end_ns);
             }
         }
         Ok(())

@@ -221,6 +221,45 @@ fn four_byte_message_latency_about_6_us() {
     assert_eq!(net.node(rx).inspect_word(w).unwrap(), 0x0403_0201);
 }
 
+/// A wire's utilisation counts a frame's transmit time as it elapses,
+/// so it stays in [0, 1] while a byte is on the wire. The sender's
+/// first byte starts at 350 ns and is acknowledged at reception start;
+/// at 1 500 ns its second byte and acknowledge are 50 ns along. The run
+/// ends with four bytes' and four acknowledges' whole frame times.
+#[test]
+fn wire_utilization_counts_only_elapsed_transmit_time() {
+    for engine in [Engine::Event, Engine::Sliced] {
+        let mut b = NetworkBuilder::new(NetworkConfig {
+            engine,
+            ..NetworkConfig::default()
+        });
+        b.add_node();
+        b.add_node();
+        b.connect((0, 0), (1, 0));
+        let mut net = b.build();
+        net.node_mut(0)
+            .load_boot_program(&one_word_sender())
+            .unwrap();
+        net.node_mut(1)
+            .load_boot_program(&one_word_receiver())
+            .unwrap();
+        for until in [600, 1_000, 1_500] {
+            net.run_for(until - net.time_ns()).unwrap();
+            let (out, back) = net.wire_utilization(0);
+            for u in [out, back] {
+                assert!(u > 0.0 && u <= 1.0, "{u} at {until} ns ({engine:?})");
+            }
+        }
+        let busy = |u: f64| (u * 1_500.0).round();
+        let (out, back) = net.wire_utilization(0);
+        assert_eq!((busy(out), busy(back)), (1_150.0, 250.0), "{engine:?}");
+        net.run_until_all_halted(1_000_000).unwrap();
+        let now = net.time_ns() as f64;
+        let (data_ns, ack_ns) = (4.0 * 1_100.0, 4.0 * 200.0);
+        assert_eq!(net.wire_utilization(0), (data_ns / now, ack_ns / now));
+    }
+}
+
 // The robust protocol's sequence bits live at the wire end. These
 // tests drive one end of a two-node robust machine by hand, once
 // CPU-owned and once router-owned: wire 0 joins node 0's port 0
@@ -261,10 +300,10 @@ fn receiver(count: i64) -> Vec<u8> {
     code
 }
 
-/// Hand one event to the owner of the end it reached, and put on
-/// the wire what a router asked for.
+/// Hand one event to the owner of the end it reached, as the wire's
+/// drain would.
 fn land(net: &mut Network, ev: LinkEvent) {
-    net.land(0, &[Some(ev)]);
+    net.land(0, &[ev]);
 }
 
 fn data(to: End, byte: u8, seq: bool) -> LinkEvent {
@@ -274,7 +313,7 @@ fn data(to: End, byte: u8, seq: bool) -> LinkEvent {
 /// The frames put on the line from `from` since the last call, with
 /// their sequence bits.
 fn frames_from(net: &mut Network, from: End) -> Vec<(PacketKind, bool)> {
-    let events = net.wires[0].link.advance(u64::MAX);
+    let events = net.fabric.wires[0].link.advance(u64::MAX);
     events
         .into_iter()
         .filter_map(|ev| match ev {
@@ -304,7 +343,7 @@ fn robust_output_ignores_stale_acks() {
         let mut sent = frames_from(&mut net, End::A);
         for i in 0..bytes {
             let bit = i % 2 == 1;
-            let resend = net.wires[0].resend[0].expect("a byte in flight is armed");
+            let resend = net.fabric.wires[0].resend[0].expect("a byte in flight is armed");
             assert_eq!(sent, [(PacketKind::Data(resend.byte), bit)], "byte {i}");
             // The previous byte's acknowledge, repeated (for the
             // first byte, a bit no byte has carried yet).
@@ -316,8 +355,11 @@ fn robust_output_ignores_stale_acks() {
                 },
             );
             assert!(net.awaits_ack(0, 0), "byte {i}");
-            assert_eq!(net.wires[0].tx_bit[0], bit);
-            assert_eq!(net.wires[0].resend[0].map(|r| r.byte), Some(resend.byte));
+            assert_eq!(net.fabric.wires[0].tx_bit[0], bit);
+            assert_eq!(
+                net.fabric.wires[0].resend[0].map(|r| r.byte),
+                Some(resend.byte)
+            );
             assert_eq!(frames_from(&mut net, End::A), []);
             land(
                 &mut net,
@@ -326,17 +368,17 @@ fn robust_output_ignores_stale_acks() {
                     seq: bit,
                 },
             );
-            assert_eq!(net.wires[0].tx_bit[0], !bit);
+            assert_eq!(net.fabric.wires[0].tx_bit[0], !bit);
             sent = frames_from(&mut net, End::A);
         }
         assert_eq!(sent, [], "routed {routed}");
         assert!(!net.awaits_ack(0, 0));
-        assert!(net.wires[0].resend[0].is_none());
+        assert!(net.fabric.wires[0].resend[0].is_none());
         assert!(!net.node(0).link_output_busy(0), "the sender woke");
         // Nothing awaits an acknowledge: either bit is stale.
         for seq in [false, true] {
             land(&mut net, LinkEvent::AckDelivered { to: End::A, seq });
-            assert!(!net.wires[0].tx_bit[0]);
+            assert!(!net.fabric.wires[0].tx_bit[0]);
         }
     }
 }
@@ -480,10 +522,37 @@ fn byte_in_flight(routed: bool) -> Network {
         .unwrap();
     run_to_block(&mut net, 0);
     net.service_node_links_at(0, 0);
-    let r = net.wires[0].resend[0].expect("a byte in flight is armed");
-    let t = net.wires[0].timeout_ns();
+    let r = net.fabric.wires[0].resend[0].expect("a byte in flight is armed");
+    let t = net.fabric.wires[0].timeout_ns();
     assert_eq!((r.deadline, r.attempts, r.interval_ns), (t, 0, t));
     net
+}
+
+/// A router hears a drain's events only once the wire's filter has
+/// passed them all. Here one drain lands a byte at B, which B's router
+/// acknowledges, and the acknowledge A's byte awaits, 100 ns before A's
+/// resend deadline. The wire's next pop is that acknowledge's landing:
+/// heard at once, B's frame would have scheduled the wire at the
+/// deadline the same drain clears.
+#[test]
+fn a_router_hears_a_drain_once_the_filter_has_passed_it() {
+    let mut net = byte_in_flight(true);
+    assert_eq!(frames_from(&mut net, End::A).len(), 1);
+    let deadline = net.fabric.wires[0].resend[0].unwrap().deadline;
+    net.now_ns = deadline - 100;
+    net.fabric.wire_next[0] = u64::MAX;
+    let header = VcHeader {
+        vc: 0,
+        len: 1,
+        eom: true,
+    };
+    let ack = LinkEvent::AckDelivered {
+        to: End::A,
+        seq: false,
+    };
+    net.land(0, &[data(End::B, header.encode()[0], false), ack]);
+    assert_eq!(frames_from(&mut net, End::B), [(PacketKind::Ack, false)]);
+    assert_eq!(net.fabric.wire_next[0], net.now_ns + 500);
 }
 
 fn busy(seq: bool) -> LinkEvent {
@@ -496,11 +565,11 @@ fn busy(seq: bool) -> LinkEvent {
 fn robust_busy_ignores_a_stale_notice() {
     for routed in [false, true] {
         let mut net = byte_in_flight(routed);
-        let before = net.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
+        let before = net.fabric.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
         net.now_ns = 1_000;
-        let stale = !net.wires[0].tx_bit[0];
+        let stale = !net.fabric.wires[0].tx_bit[0];
         land(&mut net, busy(stale));
-        let after = net.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
+        let after = net.fabric.wires[0].resend[0].map(|r| (r.deadline, r.interval_ns));
         assert_eq!(after, before, "routed {routed}");
     }
 }
@@ -512,13 +581,13 @@ fn robust_busy_resets_the_retry_budget() {
     for routed in [false, true] {
         let mut net = byte_in_flight(routed);
         for attempts in 1..=2 {
-            net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+            net.now_ns = net.fabric.wires[0].resend[0].unwrap().deadline;
             net.fire_due_resends(0);
-            assert_eq!(net.wires[0].resend[0].unwrap().attempts, attempts);
+            assert_eq!(net.fabric.wires[0].resend[0].unwrap().attempts, attempts);
         }
-        let fresh = net.wires[0].tx_bit[0];
+        let fresh = net.fabric.wires[0].tx_bit[0];
         land(&mut net, busy(fresh));
-        let r = net.wires[0].resend[0].unwrap();
+        let r = net.fabric.wires[0].resend[0].unwrap();
         assert_eq!(r.attempts, 0, "routed {routed}");
         assert_eq!(r.deadline, net.now_ns + r.interval_ns);
     }
@@ -530,12 +599,12 @@ fn robust_busy_resets_the_retry_budget() {
 fn robust_busy_backoff_doubles_up_to_its_cap() {
     for routed in [false, true] {
         let mut net = byte_in_flight(routed);
-        let t = net.wires[0].timeout_ns();
+        let t = net.fabric.wires[0].timeout_ns();
         for k in 1..=6u32 {
             net.now_ns = 1_000 * u64::from(k);
-            let fresh = net.wires[0].tx_bit[0];
+            let fresh = net.fabric.wires[0].tx_bit[0];
             land(&mut net, busy(fresh));
-            let r = net.wires[0].resend[0].unwrap();
+            let r = net.fabric.wires[0].resend[0].unwrap();
             let want = (t << k).min(t * ROBUST_BUSY_BACKOFF_TIMEOUTS);
             assert_eq!(r.interval_ns, want, "notice {k}, routed {routed}");
             assert_eq!(r.deadline, net.now_ns + want);
@@ -555,17 +624,17 @@ fn robust_resends_until_the_budget_then_fails_the_direction() {
         let first = frames_from(&mut net, End::A);
         assert_eq!(first.len(), 1, "routed {routed}");
         for k in 1..=ROBUST_MAX_RETRIES {
-            net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+            net.now_ns = net.fabric.wires[0].resend[0].unwrap().deadline;
             net.fire_due_resends(0);
             assert_eq!(frames_from(&mut net, End::A), first, "retry {k}");
-            let r = net.wires[0].resend[0].expect("still armed");
+            let r = net.fabric.wires[0].resend[0].expect("still armed");
             assert_eq!(r.attempts, k, "routed {routed}");
             assert_eq!(r.deadline, net.now_ns + r.interval_ns);
             assert_eq!(net.node(0).stats().link_retries, u64::from(k));
         }
-        net.now_ns = net.wires[0].resend[0].unwrap().deadline;
+        net.now_ns = net.fabric.wires[0].resend[0].unwrap().deadline;
         net.fire_due_resends(0);
-        assert!(net.wires[0].resend[0].is_none(), "routed {routed}");
+        assert!(net.fabric.wires[0].resend[0].is_none(), "routed {routed}");
         assert_eq!(net.wire_failed(0), (true, false));
         assert_eq!(net.node(0).stats().link_failures, 1);
         assert_eq!(net.awaits_ack(0, 0), !routed);
@@ -601,7 +670,7 @@ fn a_wormhole_router_on_robust_wires_never_cuts_through() {
     assert_eq!(net.node(1).areg(), 0xBEEF);
     // The last byte's acknowledge is still on the wire: let it land.
     net.run_for(1_000_000).unwrap();
-    assert!(net.wires[0].link.is_quiescent());
+    assert!(net.fabric.wires[0].link.is_quiescent());
     assert!(net.wire_delivered(0).1 > 4, "a header and the word crossed");
     for node in 0..2 {
         for port in 0..4 {

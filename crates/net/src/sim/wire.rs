@@ -1,13 +1,14 @@
 //! A wire: its two lines, its end-of-wire sequence filter, the one
-//! routine that puts a frame on it, and its resends, with a dead hop's
-//! reroute on a routed network.
+//! routine that puts a frame on it with the wire and node scheduling
+//! beside it ([`Fabric`]), and its resends, with a dead hop's reroute on
+//! a routed network.
 
 use transputer_link::packet::{
     ROBUST_BUSY_BACKOFF_TIMEOUTS, ROBUST_MAX_RETRIES, ROBUST_TIMEOUT_BITS,
 };
 use transputer_link::{DuplexLink, End, LinkEvent, LinkProtocol, PacketKind};
 
-use super::{Network, Port};
+use super::{Fabric, Network, Port};
 use crate::queue::Actor;
 
 /// Retransmission state for the data byte a wire end has in flight
@@ -26,13 +27,12 @@ pub(super) struct Resend {
     pub(super) interval_ns: u64,
 }
 
+/// The fields every routed pop reads come first, the link's hot fields
+/// next, and the resend state, read only on a robust network, last.
 #[derive(Debug)]
+#[repr(C)]
 pub(super) struct Wire {
-    pub(super) link: DuplexLink,
     pub(super) ends: [Port; 2],
-    /// Whether the data byte currently in flight toward each end was
-    /// already acknowledged early (indexed by receiving end).
-    pub(super) early_acked: [bool; 2],
     /// Data bytes delivered in each direction (toward end 0 / end 1).
     /// Under the robust protocol, only *accepted* (non-duplicate) bytes
     /// count, so the counts match the classic protocol's exactly.
@@ -43,8 +43,6 @@ pub(super) struct Wire {
     /// the early-acknowledge decision waits for the wire's pop at that
     /// stamp.
     pub(super) probes: Vec<(u64, End)>,
-    /// Robust protocol: retransmission state per *sending* end.
-    pub(super) resend: [Option<Resend>; 2],
     /// Alternating-bit state per end (robust protocol): the bit the
     /// end's data byte in flight, or its next one, carries. Flips on the
     /// fresh acknowledge.
@@ -53,9 +51,15 @@ pub(super) struct Wire {
     /// Flips on each byte accepted, so the end's acknowledges and busy
     /// notices carry its complement.
     rx_bit: [bool; 2],
+    /// Whether the data byte currently in flight toward each end was
+    /// already acknowledged early (indexed by receiving end).
+    pub(super) early_acked: [bool; 2],
     /// Directions declared failed after the retry budget ran out
     /// (indexed by sending end).
     pub(super) failed: [bool; 2],
+    pub(super) link: DuplexLink,
+    /// Robust protocol: retransmission state per *sending* end.
+    pub(super) resend: [Option<Resend>; 2],
 }
 
 /// The robust protocol's sequence bits, written once for both owners:
@@ -92,6 +96,7 @@ impl Wire {
     /// notice, the bit of the last byte the end accepted. Returns the
     /// reception start of a data frame that went straight on the wire
     /// ([`DuplexLink::send`]).
+    #[inline(always)]
     pub(super) fn send(&mut self, end: End, kind: PacketKind, now: u64) -> Option<LinkEvent> {
         let ei = end_index(end);
         let bit = match kind {
@@ -105,6 +110,7 @@ impl Wire {
     /// fresh byte flips the end's receive bit. Any other byte repeats
     /// the last one accepted, whose acknowledge was lost or is still
     /// held.
+    #[inline(always)]
     pub(super) fn accept_data(&mut self, to: End, bit: bool) -> bool {
         let ei = end_index(to);
         let fresh = self.classic() || bit == self.rx_bit[ei];
@@ -118,6 +124,7 @@ impl Wire {
     /// the end's owner has a byte `awaiting` it, and the bit is the
     /// end's transmit bit, which then flips. Any other acknowledge
     /// repeats one already acted on and changes nothing.
+    #[inline(always)]
     pub(super) fn accept_ack(&mut self, to: End, bit: bool, awaiting: bool) -> bool {
         let ei = end_index(to);
         let fresh = awaiting && (self.classic() || bit == self.tx_bit[ei]);
@@ -159,20 +166,21 @@ impl Wire {
     }
 }
 
-impl Network {
+impl Fabric {
     /// Earliest pending activity on a wire (`u64::MAX` = none): an
     /// in-flight packet completion, an unresolved data-start probe, or a
     /// resend deadline. Only a list the network can fill is walked: a
     /// probe needs a CPU end, so none exists beside a router, and a
-    /// resend a robust wire ([`Network::put`] is the one writer of each).
+    /// resend a robust wire ([`Fabric::put`] is the one writer of each).
+    #[inline(always)]
     fn wire_next_event_ns(&self, wire: usize) -> u64 {
         let w = &self.wires[wire];
         let mut t = w.link.next_deadline().unwrap_or(u64::MAX);
         debug_assert!(
-            self.router.is_none() || w.probes.is_empty(),
+            !self.routed || w.probes.is_empty(),
             "a probe on a routed wire"
         );
-        if self.router.is_none() {
+        if !self.routed {
             for &(stamp, _) in &w.probes {
                 t = t.min(stamp);
             }
@@ -185,6 +193,7 @@ impl Network {
         t
     }
 
+    #[inline(always)]
     pub(super) fn schedule_wire(&mut self, wire: usize) {
         let t = self.wire_next_event_ns(wire);
         if t == u64::MAX {
@@ -203,17 +212,24 @@ impl Network {
         self.queue.push(t, Actor::Wire(wire));
     }
 
+    /// Schedule `node` to pop at `at`, unless it is scheduled already.
+    pub(crate) fn schedule_node(&mut self, node: usize, at: u64) {
+        if !self.hot.scheduled[node] {
+            self.hot.scheduled[node] = true;
+            self.hot.next_ns[node] = at;
+            self.queue.push(at, Actor::Node(node));
+        }
+    }
+
     /// Put one frame from `(node, port)` on its wire at `stamp`: the one
-    /// way CPU link service and router acts reach a wire, stamped with
+    /// way CPU link service and a router reach a wire, stamped with
     /// the end's sequence bit ([`Wire::send`]). A data byte arms its
     /// retransmission timer on a robust wire (the one place a
     /// [`Resend`] is registered). A data byte that starts on an idle classic
     /// line leaves its early-acknowledge probe, stamped `stamp`, when a
     /// CPU owns the end; a router declines it (see [`Network::land`]).
-    /// Force-inlined: both callers sit on the routed and board hot
-    /// paths.
-    #[inline(always)]
-    pub(super) fn put(&mut self, node: usize, port: usize, kind: PacketKind, stamp: u64) {
+    #[inline]
+    pub(crate) fn put(&mut self, node: usize, port: usize, kind: PacketKind, stamp: u64) {
         let w = self.hot.ports[node][port];
         debug_assert!(w != usize::MAX, "a frame put on an unwired port");
         let wire = &mut self.wires[w];
@@ -235,53 +251,55 @@ impl Network {
                 });
             }
         }
-        if let (Some(LinkEvent::DataStarted { to }), None) = (started, &self.router) {
+        if let (Some(LinkEvent::DataStarted { to }), false) = (started, self.routed) {
             wire.probes.push((stamp, to));
         }
         self.schedule_wire(w);
     }
+}
 
+impl Network {
     /// Fire any due retransmissions on a wire (robust protocol). Called
     /// at wire pops only, *after* the due completions — an acknowledge
     /// landing at the deadline instant wins the race — so every engine
     /// resolves the tie the same way.
     pub(super) fn fire_due_resends(&mut self, w: usize) {
-        if !self.robust {
+        if !self.fabric.robust {
             return;
         }
         let now = self.now_ns;
         let mut fired = false;
         for ei in 0..2 {
-            let due = matches!(self.wires[w].resend[ei], Some(r) if r.deadline <= now);
+            let wire = &mut self.fabric.wires[w];
+            let due = matches!(wire.resend[ei], Some(r) if r.deadline <= now);
             if !due {
                 continue;
             }
-            let mut r = self.wires[w].resend[ei].expect("checked above");
-            let (node, _) = self.wires[w].ends[ei];
+            let mut r = wire.resend[ei].expect("checked above");
+            let (node, _) = wire.ends[ei];
             if r.attempts >= ROBUST_MAX_RETRIES {
-                self.wires[w].resend[ei] = None;
-                self.wires[w].failed[ei] = true;
+                wire.resend[ei] = None;
+                wire.failed[ei] = true;
+                let ends = wire.ends;
                 self.nodes[node].note_link_failure();
                 if let Some(router) = &mut self.router {
                     // Routed networks respond to a dead hop by
                     // rebuilding their tables and rerouting.
-                    let ends = self.wires[w].ends;
-                    router.wire_failed(&mut self.nodes, w, ends, now, &mut self.acts);
-                    self.apply_router_acts(now);
+                    router.wire_failed(&mut self.nodes, &mut self.fabric, w, ends, now);
                 }
                 fired = true;
                 continue;
             }
             r.attempts += 1;
             r.deadline = now + r.interval_ns;
-            self.wires[w].resend[ei] = Some(r);
+            wire.resend[ei] = Some(r);
             self.nodes[node].note_link_retry();
             let end = if ei == 0 { End::A } else { End::B };
-            self.wires[w].send(end, PacketKind::Data(r.byte), now);
+            wire.send(end, PacketKind::Data(r.byte), now);
             fired = true;
         }
         if fired {
-            self.schedule_wire(w);
+            self.fabric.schedule_wire(w);
         }
     }
 }
